@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..checker.uniqueness import body_directly_consumes
 from ..core import ast as A
 from ..core.types import Array, Dim, Prim, Type
 from ..core.traversal import exp_atoms
@@ -125,9 +126,7 @@ def _lower_body(
             # copy (the HotSpot overhead of §6.1) — except those the
             # body updates in place, which uniqueness typing lets the
             # compiler mutate directly (the point of Section 3).
-            from ..checker.uniqueness import _body_directly_consumes
-
-            consumed = _body_directly_consumes(e.body, None)
+            consumed = body_directly_consumes(e.body)
             double_buffered = [
                 p.name
                 for p, _ in e.merge

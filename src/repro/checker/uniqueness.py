@@ -30,6 +30,7 @@ from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
 
 from ..core import ast as A
 from ..core.prim import I32
+from ..core.traversal import exp_bodies
 from ..core.types import Array, Prim, Type, row_type
 from ..core.typeinfer import atom_type
 from .alias import EMPTY, AliasAnalysis, AliasSet
@@ -40,6 +41,7 @@ __all__ = [
     "UniquenessChecker",
     "check_uniqueness",
     "exp_directly_consumes",
+    "body_directly_consumes",
 ]
 
 
@@ -557,19 +559,19 @@ def exp_directly_consumes(e: A.Exp, sigs=None) -> Set[str]:
             if p.unique and isinstance(a, A.Var):
                 consumed.add(a.name)
     elif isinstance(e, A.LoopExp):
-        body_consumed = _body_directly_consumes(e.body, sigs)
+        body_consumed = body_directly_consumes(e.body, sigs)
         for p, init in e.merge:
             if p.name in body_consumed and isinstance(init, A.Var):
                 consumed.add(init.name)
     elif isinstance(e, A.MapExp):
-        body_consumed = _body_directly_consumes(e.lam.body, sigs)
+        body_consumed = body_directly_consumes(e.lam.body, sigs)
         for p, arr in zip(e.lam.params, e.arrs):
             if p.name in body_consumed:
                 consumed.add(arr.name)
     elif isinstance(e, (A.StreamMapExp, A.StreamSeqExp, A.StreamRedExp)):
         lam = e.fold_lam if isinstance(e, A.StreamRedExp) else e.lam
         accs = () if isinstance(e, A.StreamMapExp) else e.accs
-        body_consumed = _body_directly_consumes(lam.body, sigs)
+        body_consumed = body_directly_consumes(lam.body, sigs)
         arr_params = lam.params[1 + len(accs):]
         for p, arr in zip(arr_params, e.arrs):
             if p.name in body_consumed:
@@ -581,16 +583,12 @@ def exp_directly_consumes(e: A.Exp, sigs=None) -> Set[str]:
     return consumed
 
 
-def _body_directly_consumes(body: A.Body, sigs) -> Set[str]:
+def body_directly_consumes(body: A.Body, sigs=None) -> Set[str]:
+    """The union of :func:`exp_directly_consumes` over every binding of
+    ``body``, including those inside ``if`` branches and loop bodies."""
     out: Set[str] = set()
     for bnd in body.bindings:
         out |= exp_directly_consumes(bnd.exp, sigs)
-        for sub in _exp_sub_bodies(bnd.exp):
-            out |= _body_directly_consumes(sub, sigs)
+        for sub in exp_bodies(bnd.exp):
+            out |= body_directly_consumes(sub, sigs)
     return out
-
-
-def _exp_sub_bodies(e: A.Exp):
-    from ..core.traversal import exp_bodies
-
-    yield from exp_bodies(e)

@@ -17,7 +17,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import replace
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Set,
+    Tuple,
+)
 
 from . import ast as A
 from .types import Array, Dim, Prim, Type, substitute_dims
@@ -31,6 +41,8 @@ __all__ = [
     "map_exp_lambdas",
     "exp_bodies",
     "map_exp_bodies",
+    "map_exp_scopes",
+    "FreeVars",
     "free_vars_exp",
     "free_vars_body",
     "free_vars_lambda",
@@ -49,22 +61,40 @@ class NameSource:
 
     Freshness is guaranteed by a monotone counter suffix; ``declare``
     seeds the source with already-used names so that freshening an
-    existing program never collides.
+    existing program never collides.  Only declared names the counter
+    can still reach are remembered: generated names never collide with
+    each other, and a declared ``base_<k>`` with ``k`` below the counter
+    can never be generated again — so recompiling a program, whose
+    passes re-declare the names earlier passes generated, does not grow
+    the set.
     """
 
     def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        """Restart the counter and forget every declared name."""
         self._counter = itertools.count()
+        #: A lower bound on the counter's next value (exact in one
+        #: thread; under concurrent ``fresh`` calls it may lag, which
+        #: only makes ``declare`` remember more than it needs to).
+        self._floor = 0
         self._used: Set[str] = set()
 
     def declare(self, names: Iterable[str]) -> None:
-        self._used.update(names)
+        floor = self._floor
+        for name in names:
+            suffix = name.rpartition("_")[2]
+            if not (suffix.isdecimal() and int(suffix) < floor):
+                self._used.add(name)
 
     def fresh(self, base: str = "t") -> str:
         base = base.rstrip("_0123456789") or "t"
         while True:
-            name = f"{base}_{next(self._counter)}"
+            n = next(self._counter)
+            self._floor = n + 1
+            name = f"{base}_{n}"
             if name not in self._used:
-                self._used.add(name)
                 return name
 
 
@@ -272,14 +302,20 @@ def exp_lambdas(e: A.Exp) -> Iterator[A.Lambda]:
 
 
 def map_exp_lambdas(e: A.Exp, f: Callable[[A.Lambda], A.Lambda]) -> A.Exp:
+    """Rewrite the lambdas of ``e`` with ``f``; returns ``e`` itself
+    when ``f`` returned every lambda unchanged (the same object)."""
     if isinstance(
         e,
         (A.MapExp, A.ReduceExp, A.ScanExp, A.StreamMapExp,
          A.StreamSeqExp, A.FilterExp),
     ):
-        return replace(e, lam=f(e.lam))
+        lam = f(e.lam)
+        return e if lam is e.lam else replace(e, lam=lam)
     if isinstance(e, A.StreamRedExp):
-        return replace(e, red_lam=f(e.red_lam), fold_lam=f(e.fold_lam))
+        red_lam, fold_lam = f(e.red_lam), f(e.fold_lam)
+        if red_lam is e.red_lam and fold_lam is e.fold_lam:
+            return e
+        return replace(e, red_lam=red_lam, fold_lam=fold_lam)
     return e
 
 
@@ -293,11 +329,31 @@ def exp_bodies(e: A.Exp) -> Iterator[A.Body]:
 
 
 def map_exp_bodies(e: A.Exp, f: Callable[[A.Body], A.Body]) -> A.Exp:
+    """Rewrite the sub-bodies of ``e`` with ``f``; returns ``e`` itself
+    when ``f`` returned every body unchanged (the same object)."""
     if isinstance(e, A.IfExp):
-        return replace(e, t_body=f(e.t_body), f_body=f(e.f_body))
+        t_body, f_body = f(e.t_body), f(e.f_body)
+        if t_body is e.t_body and f_body is e.f_body:
+            return e
+        return replace(e, t_body=t_body, f_body=f_body)
     if isinstance(e, A.LoopExp):
-        return replace(e, body=f(e.body))
+        body = f(e.body)
+        return e if body is e.body else replace(e, body=body)
     return e
+
+
+def map_exp_scopes(e: A.Exp, f: Callable[[A.Body], A.Body]) -> A.Exp:
+    """Rewrite every scope nested in ``e`` — its sub-bodies and the
+    bodies of its lambdas — with ``f``; returns ``e`` itself when ``f``
+    returned every body unchanged (the same object)."""
+
+    def on_lambda(lam: A.Lambda) -> A.Lambda:
+        body = f(lam.body)
+        if body is lam.body:
+            return lam
+        return A.Lambda(lam.params, body, lam.ret_types)
+
+    return map_exp_lambdas(map_exp_bodies(e, f), on_lambda)
 
 
 # ---------------------------------------------------------------------------
@@ -305,45 +361,95 @@ def map_exp_bodies(e: A.Exp, f: Callable[[A.Body], A.Body]) -> A.Exp:
 # ---------------------------------------------------------------------------
 
 
+class FreeVars:
+    """Free-variable analysis memoised on node identity.
+
+    Rewrites return the same object for an unchanged subtree, so one
+    instance answers repeated queries over successive versions of a
+    program by visiting only what changed.  An instance is an explicit,
+    caller-owned object (``simplify_prog`` makes one per call; nothing
+    is stored on the AST nodes or in the process), and every entry
+    keeps its node alive, so an ``id`` is never reused under it.
+    Results are shared frozensets.
+    """
+
+    def __init__(self) -> None:
+        self._memo: Dict[int, Tuple[object, FrozenSet[str]]] = {}
+
+    def _memoised(self, node, compute) -> FrozenSet[str]:
+        hit = self._memo.get(id(node))
+        if hit is None:
+            hit = self._memo[id(node)] = (node, frozenset(compute(node)))
+        return hit[1]
+
+    def exp(self, e: A.Exp) -> FrozenSet[str]:
+        return self._memoised(e, self._exp)
+
+    def body(self, body: A.Body) -> FrozenSet[str]:
+        return self._memoised(body, self._body)
+
+    def lam(self, lam: A.Lambda) -> FrozenSet[str]:
+        return self._memoised(lam, self._lam)
+
+    def _lam(self, lam: A.Lambda) -> Set[str]:
+        free = set(self.body(lam.body))
+        for p in lam.params:
+            free |= type_free_vars(p.type)
+        for t in lam.ret_types:
+            free |= type_free_vars(t)
+        return free - {p.name for p in lam.params}
+
+    def _exp(self, e: A.Exp) -> Set[str]:
+        free = _atom_vars(exp_atoms(e))
+        for lam in exp_lambdas(e):
+            free |= self.lam(lam)
+        if isinstance(e, A.IfExp):
+            free |= self.body(e.t_body) | self.body(e.f_body)
+            for t in e.ret_types:
+                free |= type_free_vars(t)
+        elif isinstance(e, A.LoopExp):
+            bound = {p.name for p, _ in e.merge}
+            for p, _ in e.merge:
+                free |= type_free_vars(p.type)
+            if isinstance(e.form, A.ForLoop):
+                bound.add(e.form.ivar)
+            free |= self.body(e.body) - bound
+        return free
+
+    def _body(self, body: A.Body) -> Set[str]:
+        free: Set[str] = set()
+        bound: Set[str] = set()
+        for bnd in body.bindings:
+            free |= self.exp(bnd.exp) - bound
+            for p in bnd.pat:
+                free |= type_free_vars(p.type) - bound
+            bound.update(bnd.names())
+        free |= _atom_vars(body.result) - bound
+        return free
+
+
+class _Unmemoised(FreeVars):
+    """The same analysis with nothing remembered, for one-off queries:
+    stateless, so the one instance below serves every thread."""
+
+    exp = FreeVars._exp
+    body = FreeVars._body
+    lam = FreeVars._lam
+
+
+_ONE_OFF = _Unmemoised()
+
+
 def free_vars_lambda(lam: A.Lambda) -> Set[str]:
-    bound = {p.name for p in lam.params}
-    free = free_vars_body(lam.body)
-    for p in lam.params:
-        free |= type_free_vars(p.type)
-    for t in lam.ret_types:
-        free |= type_free_vars(t)
-    return free - bound
+    return _ONE_OFF.lam(lam)
 
 
 def free_vars_exp(e: A.Exp) -> Set[str]:
-    free = _atom_vars(exp_atoms(e))
-    for lam in exp_lambdas(e):
-        free |= free_vars_lambda(lam)
-    if isinstance(e, A.IfExp):
-        free |= free_vars_body(e.t_body) | free_vars_body(e.f_body)
-        for t in e.ret_types:
-            free |= type_free_vars(t)
-    elif isinstance(e, A.LoopExp):
-        body_free = free_vars_body(e.body)
-        bound = {p.name for p, _ in e.merge}
-        for p, _ in e.merge:
-            free |= type_free_vars(p.type)
-        if isinstance(e.form, A.ForLoop):
-            bound.add(e.form.ivar)
-        free |= body_free - bound
-    return free
+    return _ONE_OFF.exp(e)
 
 
 def free_vars_body(body: A.Body) -> Set[str]:
-    free: Set[str] = set()
-    bound: Set[str] = set()
-    for bnd in body.bindings:
-        free |= free_vars_exp(bnd.exp) - bound
-        for p in bnd.pat:
-            free |= type_free_vars(p.type) - bound
-        bound.update(bnd.names())
-    free |= _atom_vars(body.result) - bound
-    return free
+    return _ONE_OFF.body(body)
 
 
 def bound_names_body(body: A.Body) -> Set[str]:

@@ -17,6 +17,7 @@ def register_passes(registry) -> None:
     reports a :class:`~repro.errors.CompilerBug`.
     """
     from ..pipeline.passes import Pass
+    from ..simplify import simplify_pass
 
     def _flatten(prog, options, ctx):
         import repro.pipeline as pl
@@ -45,13 +46,6 @@ def register_passes(registry) -> None:
                 ir=pretty_prog(prog),
             ) from e
 
-    def _post(prog, options, ctx):
-        import repro.pipeline as pl
-
-        # Post-flattening cleanup must not hoist: pulling bindings out
-        # of lambda bodies could perturb the perfect nests just built.
-        return pl.simplify_prog(prog, hoisting=False)
-
     registry.register(Pass(
         name="flatten",
         stage="core",
@@ -74,7 +68,9 @@ def register_passes(registry) -> None:
         name="post-flatten-simplify",
         stage="core",
         phase="kernel-extraction",
-        fn=_post,
+        # Post-flattening cleanup must not hoist: pulling bindings out
+        # of lambda bodies could perturb the perfect nests just built.
+        fn=simplify_pass(hoisting=False),
         requires=("flatten",),
         invalidates=("types",),
     ))

@@ -15,6 +15,7 @@ def register_passes(registry) -> None:
     """Register producer-consumer/horizontal fusion and its cleanup
     simplification into the staged pass manager."""
     from ..pipeline.passes import Pass
+    from ..simplify import simplify_pass
 
     def _fusion(prog, options, ctx):
         import repro.pipeline as pl
@@ -34,11 +35,6 @@ def register_passes(registry) -> None:
         metrics.counter("fusion.horizontal").inc(fstats.horizontal)
         return fused
 
-    def _post(prog, options, ctx):
-        import repro.pipeline as pl
-
-        return pl.simplify_prog(prog)
-
     registry.register(Pass(
         name="fusion",
         stage="core",
@@ -53,7 +49,7 @@ def register_passes(registry) -> None:
         name="post-fusion-simplify",
         stage="core",
         phase="fusion",
-        fn=_post,
+        fn=simplify_pass(),
         requires=("fusion",),
         invalidates=("types",),
         enabled=lambda o: o.fusion,

@@ -133,7 +133,8 @@ class _PassGuard:
         validate its output, recover on failure, and record one
         :class:`PassTiming` with optional IR-size attributes.
 
-        ``revalidate(out)`` raises when the pass produced bad IR;
+        ``revalidate(out)`` raises when the pass produced bad IR (it is
+        skipped when a core pass returned ``arg`` itself);
         ``stats_of(ir)`` (called only when tracing) returns a dict of
         size figures attached as ``<key>_before``/``<key>_after`` span
         attributes; ``fallback()`` produces the recovery value (default:
@@ -153,7 +154,14 @@ class _PassGuard:
             else:
                 try:
                     out = fn(arg)
-                    if revalidate is not None:
+                    # A core pass that hands back the very (frozen)
+                    # program it was given changed nothing, and that IR
+                    # was validated as the previous pass's output.
+                    # Identity only — an equal-looking new object is
+                    # re-checked — and never for host programs, which
+                    # passes update in place.
+                    unchanged = out is arg and isinstance(arg, A.Prog)
+                    if revalidate is not None and not unchanged:
                         revalidate(out)
                 except Exception as e:
                     self._note(name, phase, e, fallback_action)

@@ -10,23 +10,35 @@ from .dce import dce_body, dce_prog  # noqa: F401
 from .hoist import hoist_body  # noqa: F401
 
 
+def simplify_pass(hoisting: bool = True):
+    """The pass callable shared by the pipeline's three fixpoint sites
+    (``simplify``, ``post-fusion-simplify``, ``post-flatten-simplify``).
+
+    It looks ``simplify_prog`` up through ``repro.pipeline`` at call
+    time, so monkeypatching ``repro.pipeline.simplify_prog`` (as the
+    chaos tests do) affects every site, and records on the pass span
+    how many rounds the slowest function took to converge."""
+
+    def run(prog, options, ctx):
+        import repro.pipeline as pl
+
+        rounds = []
+        out = pl.simplify_prog(prog, hoisting=hoisting, rounds=rounds)
+        ctx.annotate(simplify_rounds=max(rounds, default=0))
+        return out
+
+    return run
+
+
 def register_passes(registry) -> None:
     """Register inlining and the simplification fixpoint into the
-    staged pass manager.  Both look their implementation up through
-    ``repro.pipeline`` at call time, so monkeypatching
-    ``repro.pipeline.simplify_prog`` (as the chaos tests do) affects
-    the registered passes too."""
+    staged pass manager."""
     from ..pipeline.passes import Pass
 
     def _inline(prog, options, ctx):
         import repro.pipeline as pl
 
         return pl.inline_prog(prog, keep=ctx.entry)
-
-    def _simplify(prog, options, ctx):
-        import repro.pipeline as pl
-
-        return pl.simplify_prog(prog)
 
     registry.register(Pass(
         name="inline",
@@ -41,7 +53,7 @@ def register_passes(registry) -> None:
         name="simplify",
         stage="core",
         phase="simplify",
-        fn=_simplify,
+        fn=simplify_pass(),
         requires=("inline",),
         invalidates=("types",),
     ))

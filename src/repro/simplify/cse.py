@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from ..core import ast as A
-from ..core.traversal import map_exp_bodies, map_exp_lambdas
+from ..core.traversal import map_exp_scopes, substitute_exp
 from ..core.types import Prim
 
 __all__ = ["cse_body"]
@@ -21,7 +21,8 @@ __all__ = ["cse_body"]
 def cse_body(body: A.Body) -> Tuple[A.Body, bool]:
     """Eliminate repeated scalar computations within one body (and,
     recursively, nested bodies; tables do not cross scope boundaries,
-    which keeps the pass trivially sound under shadowing)."""
+    which keeps the pass trivially sound under shadowing).  Returns
+    ``body`` itself and False when there was nothing to eliminate."""
     changed = False
     seen: Dict[A.Exp, Tuple[str, ...]] = {}
     env: Dict[str, A.Atom] = {}
@@ -33,53 +34,37 @@ def cse_body(body: A.Body) -> Tuple[A.Body, bool]:
         return a
 
     for bnd in body.bindings:
-        from ..core.traversal import substitute_exp
-
         exp = substitute_exp(bnd.exp, env) if env else bnd.exp
-        exp, sub_changed = _cse_subparts(exp)
-        changed = changed or (exp is not bnd.exp) or sub_changed
+        exp = map_exp_scopes(exp, _cse_scope)
 
         if _cse_candidate(exp, bnd.pat):
-            prior = seen.get(exp)
-            if prior is not None:
+            names = bnd.names()
+            try:
+                # One hash of the candidate: look up and claim at once.
+                prior = seen.setdefault(exp, names)
+            except TypeError:  # an unhashable constant
+                prior = names
+            if prior is not names:
                 for p, name in zip(bnd.pat, prior):
                     env[p.name] = A.Var(name)
                 changed = True
                 continue
-            seen[exp] = bnd.names()
-        new_bindings.append(A.Binding(bnd.pat, exp))
+        if exp is not bnd.exp:
+            changed = True
+            bnd = A.Binding(bnd.pat, exp)
+        new_bindings.append(bnd)
 
+    if not changed:
+        return body, False
     result = tuple(subst(a) for a in body.result)
-    if result != body.result:
-        changed = True
-    return A.Body(tuple(new_bindings), result), changed
+    return A.Body(tuple(new_bindings), result), True
 
 
 def _cse_candidate(e: A.Exp, pat) -> bool:
-    if isinstance(e, (A.UpdateExp, A.ScatterExp, A.ApplyExp)):
-        return False
-    try:
-        hash(e)
-    except TypeError:
-        return False
-    return all(isinstance(p.type, Prim) for p in pat)
+    return all(isinstance(p.type, Prim) for p in pat) and not isinstance(
+        e, (A.UpdateExp, A.ScatterExp, A.ApplyExp)
+    )
 
 
-def _cse_subparts(e: A.Exp) -> Tuple[A.Exp, bool]:
-    changed = False
-
-    def on_body(b: A.Body) -> A.Body:
-        nonlocal changed
-        b2, ch = cse_body(b)
-        changed = changed or ch
-        return b2
-
-    def on_lambda(lam: A.Lambda) -> A.Lambda:
-        nonlocal changed
-        b2, ch = cse_body(lam.body)
-        changed = changed or ch
-        return A.Lambda(lam.params, b2, lam.ret_types)
-
-    e = map_exp_bodies(e, on_body)
-    e = map_exp_lambdas(e, on_lambda)
-    return e, changed
+def _cse_scope(body: A.Body) -> A.Body:
+    return cse_body(body)[0]

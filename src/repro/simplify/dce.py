@@ -8,29 +8,41 @@ bodies and lambdas, and also drops unused functions from the program.
 
 from __future__ import annotations
 
-from typing import Set, Tuple
+from typing import Optional, Set, Tuple
 
 from ..core import ast as A
 from ..core.traversal import (
-    free_vars_exp,
-    map_exp_bodies,
-    map_exp_lambdas,
+    FreeVars,
+    exp_bodies,
+    exp_lambdas,
+    map_exp_scopes,
     type_free_vars,
 )
 
 __all__ = ["dce_body", "dce_prog"]
 
 
-def dce_body(body: A.Body) -> Tuple[A.Body, bool]:
-    """Remove dead bindings from a body (recursively)."""
+def dce_body(
+    body: A.Body, free_vars: Optional[FreeVars] = None
+) -> Tuple[A.Body, bool]:
+    """Remove dead bindings from a body (recursively).  Returns ``body``
+    itself and False when nothing was dead.  ``free_vars`` lets a caller
+    that runs the pass repeatedly share one memo across the runs."""
+    if free_vars is None:
+        free_vars = FreeVars()
     changed = False
+
+    def dce_scope(b: A.Body) -> A.Body:
+        return dce_body(b, free_vars)[0]
 
     # First recurse, so uses removed deeper don't keep bindings alive.
     new_bindings = []
     for bnd in body.bindings:
-        exp, ch = _dce_exp(bnd.exp)
-        changed = changed or ch
-        new_bindings.append(A.Binding(bnd.pat, exp))
+        exp = map_exp_scopes(bnd.exp, dce_scope)
+        if exp is not bnd.exp:
+            changed = True
+            bnd = A.Binding(bnd.pat, exp)
+        new_bindings.append(bnd)
 
     used: Set[str] = {
         a.name for a in body.result if isinstance(a, A.Var)
@@ -39,33 +51,15 @@ def dce_body(body: A.Body) -> Tuple[A.Body, bool]:
     for bnd in reversed(new_bindings):
         if any(p.name in used for p in bnd.pat):
             kept.append(bnd)
-            used |= free_vars_exp(bnd.exp)
+            used |= free_vars.exp(bnd.exp)
             for p in bnd.pat:
                 used |= type_free_vars(p.type)
         else:
             changed = True
+    if not changed:
+        return body, False
     kept.reverse()
-    return A.Body(tuple(kept), body.result), changed
-
-
-def _dce_exp(e: A.Exp) -> Tuple[A.Exp, bool]:
-    changed = False
-
-    def on_body(b: A.Body) -> A.Body:
-        nonlocal changed
-        b2, ch = dce_body(b)
-        changed = changed or ch
-        return b2
-
-    def on_lambda(lam: A.Lambda) -> A.Lambda:
-        nonlocal changed
-        b2, ch = dce_body(lam.body)
-        changed = changed or ch
-        return A.Lambda(lam.params, b2, lam.ret_types)
-
-    e = map_exp_bodies(e, on_body)
-    e = map_exp_lambdas(e, on_lambda)
-    return e, changed
+    return A.Body(tuple(kept), body.result), True
 
 
 def dce_prog(prog: A.Prog, roots: Tuple[str, ...] = ("main",)) -> A.Prog:
@@ -96,8 +90,6 @@ def _called_functions(body: A.Body) -> Set[str]:
     def visit_exp(e: A.Exp) -> None:
         if isinstance(e, A.ApplyExp):
             out.add(e.fname)
-        from ..core.traversal import exp_bodies, exp_lambdas
-
         for sub in exp_bodies(e):
             visit_body(sub)
         for lam in exp_lambdas(e):

@@ -16,8 +16,7 @@ from ..core.traversal import (
     alpha_rename_body,
     bound_names_body,
     free_vars_body,
-    map_exp_bodies,
-    map_exp_lambdas,
+    map_exp_scopes,
     name_source,
     substitute_body,
 )
@@ -105,7 +104,9 @@ def _inline_body(
 ) -> A.Body:
     new_bindings: List[A.Binding] = []
     for bnd in body.bindings:
-        exp = _inline_subparts(bnd.exp, inlined, recursive)
+        exp = map_exp_scopes(
+            bnd.exp, lambda b: _inline_body(b, inlined, recursive)
+        )
         if (
             isinstance(exp, A.ApplyExp)
             and exp.fname in inlined
@@ -124,18 +125,3 @@ def _inline_body(
         else:
             new_bindings.append(A.Binding(bnd.pat, exp))
     return A.Body(tuple(new_bindings), body.result)
-
-
-def _inline_subparts(
-    e: A.Exp, inlined: Dict[str, A.FunDef], recursive: Set[str]
-) -> A.Exp:
-    e = map_exp_bodies(e, lambda b: _inline_body(b, inlined, recursive))
-    e = map_exp_lambdas(
-        e,
-        lambda lam: A.Lambda(
-            lam.params,
-            _inline_body(lam.body, inlined, recursive),
-            lam.ret_types,
-        ),
-    )
-    return e

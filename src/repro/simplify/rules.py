@@ -27,9 +27,9 @@ from ..core.prim import (
 from ..core.traversal import (
     alpha_rename_body,
     map_exp_atoms,
-    map_exp_bodies,
-    map_exp_lambdas,
+    map_exp_scopes,
     name_source,
+    substitute_exp,
 )
 
 __all__ = ["simplify_body_once"]
@@ -37,7 +37,7 @@ __all__ = ["simplify_body_once"]
 
 def simplify_body_once(body: A.Body) -> Tuple[A.Body, bool]:
     """One simplification pass over a body.  Returns the new body and
-    whether anything changed."""
+    whether anything changed — ``body`` itself when nothing did."""
     changed = False
     env: Dict[str, A.Atom] = {}
     new_bindings: List[A.Binding] = []
@@ -53,12 +53,9 @@ def simplify_body_once(body: A.Body) -> Tuple[A.Body, bool]:
         # occurrences inside sub-bodies and lambdas (a kernel lambda
         # may reference a propagated binding as a free variable).
         if env:
-            from ..core.traversal import substitute_exp
-
             exp = substitute_exp(exp, env)
         # Recurse into sub-structures first (bottom-up simplification).
-        exp, sub_changed = _simplify_subparts(exp, env)
-        changed = changed or sub_changed
+        exp = map_exp_scopes(exp, _simplify_scope)
 
         rewritten = _rewrite(exp, env)
         if rewritten is not None:
@@ -86,32 +83,17 @@ def simplify_body_once(body: A.Body) -> Tuple[A.Body, bool]:
 
         if exp is not bnd.exp:
             changed = True
-        new_bindings.append(A.Binding(bnd.pat, exp))
+            bnd = A.Binding(bnd.pat, exp)
+        new_bindings.append(bnd)
 
+    if not changed:
+        return body, False
     result = tuple(subst(a) for a in body.result)
-    if result != body.result:
-        changed = True
-    return A.Body(tuple(new_bindings), result), changed
+    return A.Body(tuple(new_bindings), result), True
 
 
-def _simplify_subparts(e: A.Exp, env: Dict[str, A.Atom]) -> Tuple[A.Exp, bool]:
-    changed = False
-
-    def on_body(b: A.Body) -> A.Body:
-        nonlocal changed
-        b2, ch = simplify_body_once(b)
-        changed = changed or ch
-        return b2
-
-    def on_lambda(lam: A.Lambda) -> A.Lambda:
-        nonlocal changed
-        b2, ch = simplify_body_once(lam.body)
-        changed = changed or ch
-        return A.Lambda(lam.params, b2, lam.ret_types)
-
-    e = map_exp_bodies(e, on_body)
-    e = map_exp_lambdas(e, on_lambda)
-    return e, changed
+def _simplify_scope(body: A.Body) -> A.Body:
+    return simplify_body_once(body)[0]
 
 
 def _const(a: A.Atom) -> Optional[A.Const]:

@@ -13,7 +13,6 @@ produces.  To regenerate after an intentional change::
         python -m pytest tests/backend/test_golden_opencl.py
 """
 
-import itertools
 import os
 import pathlib
 
@@ -40,8 +39,7 @@ CASES = {
 def _render_fresh(name: str) -> str:
     # Golden output must not depend on how many compiles ran earlier
     # in the process.
-    name_source._counter = itertools.count()
-    name_source._used = set()
+    name_source.reset()
     compiled = compile_program(BENCHMARKS[name].program())
     return render_program(compiled.host)
 

@@ -37,6 +37,46 @@ class TestNameSource:
         name = ns.fresh("acc_13")
         assert name.startswith("acc_")
 
+    def test_generated_names_are_not_remembered(self):
+        ns = NameSource()
+        made = [ns.fresh("x") for _ in range(10)]
+        assert ns._used == set()
+        # Re-declaring them (as later passes do) records nothing either:
+        # the counter has passed every one of them.
+        ns.declare(made)
+        assert ns._used == set()
+        assert ns.fresh("x") not in made
+
+    def test_only_names_the_counter_can_still_reach_are_remembered(self):
+        ns = NameSource()
+        for _ in range(5):
+            ns.fresh()
+        ns.declare(["x_3", "x_5", "x_40", "plain", "y_2_z"])
+        assert ns._used == {"x_5", "x_40", "plain", "y_2_z"}
+        drawn = {ns.fresh("x") for _ in range(50)}
+        assert not drawn & {"x_3", "x_5", "x_40"}
+
+    def test_reset_restarts_counter_and_forgets_declarations(self):
+        ns = NameSource()
+        ns.declare(["x_0"])
+        assert ns.fresh("x") == "x_1"
+        ns.reset()
+        assert ns.fresh("x") == "x_0"
+        ns.declare(["x_1"])  # reachable again after the reset
+        assert ns.fresh("x") == "x_2"
+
+    def test_repeated_compiles_do_not_grow_the_declared_set(self):
+        from repro.bench.suite import BENCHMARKS
+        from repro.core.traversal import name_source
+        from repro.pipeline import compile_program
+
+        prog = BENCHMARKS["LocVolCalib"].program()
+        compile_program(prog, artifact_cache=None)
+        after_first = set(name_source._used)
+        for _ in range(50):
+            compile_program(prog, artifact_cache=None)
+        assert name_source._used == after_first
+
 
 class TestExpAtoms:
     def test_binop_atoms(self):

@@ -100,6 +100,51 @@ fun main (xs: [n]f32): [n]f32 =
         assert to_python(out) == EXPECTED
 
 
+class TestUnchangedOutputIsNotRevalidated:
+    """A core pass that returns the very object it was given changed
+    nothing, so the guard does not re-typecheck it — by identity only."""
+
+    @staticmethod
+    def _rechecks(monkeypatch, simplify):
+        import repro.pipeline.driver as driver
+
+        count = [0]
+        real_check = driver.check_program
+
+        def counting_check(prog, check_unique=True):
+            # The frontend check asks for uniqueness; revalidation doesn't.
+            count[0] += not check_unique
+            return real_check(prog, check_unique=check_unique)
+
+        monkeypatch.setattr(driver, "check_program", counting_check)
+        monkeypatch.setattr(P, "simplify_prog", simplify)
+        compiled = compile_source(SRC)
+        assert compiled.diagnostics == []
+        return count[0]
+
+    def test_identity_skips_the_recheck_and_equality_does_not(self):
+        with pytest.MonkeyPatch.context() as mp:
+            same = self._rechecks(mp, lambda prog, **kw: prog)
+        with pytest.MonkeyPatch.context() as mp:
+            copied = self._rechecks(mp, lambda prog, **kw: A.Prog(prog.funs))
+        # Three simplify sites; the equal-but-new programs are re-checked.
+        assert copied - same == 3
+
+    def test_host_passes_update_in_place_and_are_still_validated(
+        self, monkeypatch
+    ):
+        import repro.pipeline.driver as driver
+
+        seen = []
+        real_validate = driver.validate_host_program
+        monkeypatch.setattr(
+            driver, "validate_host_program",
+            lambda hp: seen.append(hp) or real_validate(hp),
+        )
+        compiled = compile_source(SRC)
+        assert len(seen) == 3 and all(hp is compiled.host for hp in seen)
+
+
 class TestStrictMode:
     def test_strict_mode_preserves_fail_fast(self, monkeypatch):
         monkeypatch.setattr(P, "fuse_prog", _broken)

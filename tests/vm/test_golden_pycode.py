@@ -15,7 +15,6 @@ fresh process produces.  To regenerate after an intentional change::
         python -m pytest tests/vm/test_golden_pycode.py
 """
 
-import itertools
 import os
 import pathlib
 
@@ -44,8 +43,7 @@ CASES = {
 def _generated_sources(name: str) -> str:
     # Golden output must not depend on how many compiles ran earlier
     # in the process.
-    name_source._counter = itertools.count()
-    name_source._used = set()
+    name_source.reset()
     spec = BENCHMARKS[name]
     compiled = compile_program(spec.program())
     args = spec.small_args(np.random.default_rng(0))
