@@ -22,10 +22,13 @@ from __future__ import annotations
 
 from collections.abc import MutableMapping
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import (
+    Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from ..core import ast as A
-from ..core.types import Dim
+from ..core.types import Array, Dim
 from ..memory.index_fn import IndexFn
 
 __all__ = [
@@ -187,6 +190,20 @@ class Kernel:
 
     def threads(self) -> Count:
         return Count.of(1.0, *self.grid_dims())
+
+    @cached_property
+    def size_names(self) -> Tuple[str, ...]:
+        """The size variables this kernel's price depends on: every
+        name in its grid, flop and access ``Count``s and in the shapes
+        of its outputs.  ``kernel_cost`` reads no other entry of the
+        size environment."""
+        counts = [self.threads(), self.flops_per_thread]
+        counts += [acc.trips for acc in self.accesses]
+        names = {d for c in counts for _, dims in c.terms for d in dims}
+        for p in self.pat:
+            if isinstance(p.type, Array):
+                names.update(d for d in p.type.shape if isinstance(d, str))
+        return tuple(sorted(names))
 
 
 @dataclass
@@ -372,6 +389,22 @@ class HostProgram:
     #: Logical shape of every array (symbolic dims), for sizing
     #: manifestation traffic.
     array_shapes: Dict[str, Tuple[Dim, ...]] = field(default_factory=dict)
+    #: The simulator's launch-price memo: ``(device, coalescing) ->
+    #: (kernel name, values of Kernel.size_names) -> KernelCost``.
+    #: Process state, not part of the program: never compared or
+    #: persisted.
+    launch_costs: Dict[tuple, Dict[tuple, Any]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        del state["launch_costs"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self.launch_costs = {}
 
     @property
     def layouts(self) -> _LayoutView:

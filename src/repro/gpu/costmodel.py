@@ -51,8 +51,11 @@ __all__ = [
 _HOST_EVAL_US = 0.3
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelCost:
+    """One launch's price.  Frozen: the simulator hands the same
+    instance to every report that replays a memoised launch."""
+
     name: str
     kind: str
     launches: float

@@ -29,7 +29,7 @@ from ..backend.kernel_ir import (
 from ..core.types import Array
 from ..errors import ArgumentError, CompilerBug, KernelTimeout
 from ..obs import get_metrics, get_tracer
-from .costmodel import CostReport, KernelCost, kernel_cost
+from .costmodel import CostReport, KernelCost, _touches_device, kernel_cost
 from .device import DeviceProfile
 from .faults import FaultInjector
 from .heap import DeviceHeap
@@ -41,6 +41,10 @@ __all__ = ["GpuSimulator"]
 WATCHDOG_FACTOR = 8.0
 WATCHDOG_FLOOR_US = 100.0
 
+#: Entries one (device, coalescing) slice of a host program's
+#: launch-price memo may hold before it is dropped and refilled.
+LAUNCH_COST_MEMO_SIZE = 64
+
 #: Signed-relative-error buckets for the ``gpu.calib.*`` divergence
 #: histograms: (predicted - observed) / observed, so -0.5 means the
 #: static model under-predicted by half and 1.0 means it predicted
@@ -49,6 +53,13 @@ CALIB_ERROR_BUCKETS = (
     -0.75, -0.5, -0.25, -0.1, -0.05, 0.0,
     0.05, 0.1, 0.25, 0.5, 0.75, 1.0, 2.0, 5.0,
 )
+
+
+def _size_of(v: Optional[Value]) -> Optional[int]:
+    """The value as a size variable (an integral scalar), else None."""
+    if isinstance(v, ScalarValue) and v.type.is_integral:
+        return int(v.value)
+    return None
 
 
 class GpuSimulator:
@@ -123,6 +134,8 @@ class GpuSimulator:
         self.heap = (
             heap if heap is not None else DeviceHeap(device.memory_bytes)
         )
+        #: The running program's launch-price memo (set by ``run``).
+        self._launch_costs: Dict[tuple, KernelCost] = {}
 
     def run(
         self, hp: HostProgram, args: Sequence[Value]
@@ -151,6 +164,9 @@ class GpuSimulator:
             block = hp.blocks.get(p.name)
             if block is not None and isinstance(p.type, Array):
                 self.heap.alloc(block.name, block.size_bytes(size_env))
+        self._launch_costs = hp.launch_costs.setdefault(
+            (self.device, self.coalescing), {}
+        )
         self._exec_stmts(hp.stmts, env, report)
         results = tuple(self._atom(env, a) for a in hp.result)
         stats = self.heap.stats
@@ -193,9 +209,32 @@ class GpuSimulator:
     def _size_env(self, env: Mapping[str, Value]) -> Dict[str, int]:
         out: Dict[str, int] = {}
         for k, v in env.items():
-            if isinstance(v, ScalarValue) and v.type.is_integral:
-                out[k] = int(v.value)
+            size = _size_of(v)
+            if size is not None:
+                out[k] = size
         return out
+
+    def _launch_cost(self, kernel, env: Mapping[str, Value]) -> KernelCost:
+        """``kernel_cost`` of one launch.  The price is a pure function
+        of the kernel, the size variables it names, the device and
+        ``coalescing``, and a host loop or a served request replays the
+        same launch every time, so it is computed once per key (shared
+        through the host program, bounded like the prediction cache)."""
+        names = kernel.size_names
+        sizes = tuple(_size_of(env.get(n)) for n in names)
+        memo = self._launch_costs
+        key = (kernel.name, sizes)
+        cost = memo.get(key)
+        if cost is None:
+            if len(memo) >= LAUNCH_COST_MEMO_SIZE:
+                memo.clear()
+            cost = memo[key] = kernel_cost(
+                kernel,
+                {n: v for n, v in zip(names, sizes) if v is not None},
+                self.device,
+                coalescing=self.coalescing,
+            )
+        return cost
 
     def _exec_stmts(
         self,
@@ -218,12 +257,7 @@ class GpuSimulator:
                 if self.injector is not None:
                     self.injector.before_launch(kernel.name)
                 values = self._eval_kernel(kernel, env)
-                cost = kernel_cost(
-                    kernel,
-                    self._size_env(env),
-                    self.device,
-                    coalescing=self.coalescing,
-                )
+                cost = self._launch_cost(kernel, env)
                 consumed = self._watchdog(kernel.name, cost.time_us)
                 for p, v in zip(kernel.pat, values):
                     self._interp.bind_param(env, p, v)
@@ -235,8 +269,6 @@ class GpuSimulator:
                 values = self._interp.eval_exp(s.binding.exp, env)
                 for p, v in zip(s.binding.pat, values):
                     self._interp.bind_param(env, p, v)
-                from .costmodel import _touches_device
-
                 report.host_us += (
                     self.device.host_sync_us
                     if _touches_device(s.binding.exp)

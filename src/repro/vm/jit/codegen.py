@@ -54,7 +54,7 @@ __all__ = ["JitUnsupported", "transpile_kernel", "PYCODE_SCHEMA"]
 
 #: Schema tag embedded in every generated module; bump on any change to
 #: the generated code's shape so stale cached artifacts are discarded.
-PYCODE_SCHEMA = "repro.pycode/v1"
+PYCODE_SCHEMA = "repro.pycode/v2"
 
 #: Hard cap on emitted statements: speculative if-arms and masked loops
 #: duplicate their bodies, so deeply nested divergence can explode.
@@ -281,8 +281,9 @@ class KernelCodegen:
         #: Hoisted module-level names: insertion-ordered name -> init expr.
         self._hoisted: Dict[str, str] = {}
         self._const_pool: Dict[Tuple[str, str], str] = {}
-        #: Stack of batch extent expressions; non-empty means "a batch
-        #: is in scope" (the evaluator's ``_depth > 0``).
+        #: Stack of batch extent expressions, innermost last (the
+        #: evaluator's ``_extents``); non-empty means "a batch is in
+        #: scope", and its top is the ``B`` a nested map extends.
         self._extents: List[str] = []
         self._total_lines = 0
 
@@ -536,7 +537,7 @@ class KernelCodegen:
         if op in ("div", "idiv", "imod"):
             yv = self.fresh("_y")
             self.line(f"{yv} = {y}")
-            self.line(f"if np.any({yv} == 0):")
+            self.line(f"if ({yv} == 0).any():")
             with self.indented():
                 if spec:
                     self.line(
@@ -562,7 +563,7 @@ class KernelCodegen:
             if t.is_float:
                 bad = self.fresh("_bad")
                 self.line(f"{bad} = ({xv} < 0) & (np.mod({yv}, 1) != 0)")
-                self.line(f"if np.any({bad}):")
+                self.line(f"if {bad}.any():")
                 with self.indented():
                     if spec:
                         self.line(f"{xv} = np.where({bad}, -{xv}, {xv})")
@@ -574,15 +575,15 @@ class KernelCodegen:
                 self.line(f"{out} = np.power({xv}, {yv})")
                 if not spec:
                     self.line(
-                        f"if np.any(np.isinf({out}) & np.isfinite({xv}) "
-                        f"& np.isfinite({yv})):"
+                        f"if (np.isinf({out}) & np.isfinite({xv}) "
+                        f"& np.isfinite({yv})).any():"
                     )
                     with self.indented():
                         self.line(
                             'raise JitFallback("float pow overflow in batch")'
                         )
                 return out
-            self.line(f"if np.any({yv} < 0):")
+            self.line(f"if ({yv} < 0).any():")
             with self.indented():
                 if spec:
                     self.line(f"{yv} = np.where({yv} < 0, 0, {yv})")
@@ -609,7 +610,7 @@ class KernelCodegen:
             yv = self.fresh("_y")
             self.line(f"{yv} = {y}")
             self.line(
-                f"if np.any(({yv} < 0) | ({yv} >= {t.bitwidth})):"
+                f"if (({yv} < 0) | ({yv} >= {t.bitwidth})).any():"
             )
             with self.indented():
                 if spec:
@@ -656,7 +657,7 @@ class KernelCodegen:
             xv = self.fresh("_x")
             self.line(f"{xv} = {x.var}")
             cond = f"{xv} <= 0" if e.op == "log" else f"{xv} < 0"
-            self.line(f"if np.any({cond}):")
+            self.line(f"if ({cond}).any():")
             with self.indented():
                 if spec:
                     if e.op == "log":
@@ -676,7 +677,7 @@ class KernelCodegen:
         out = self.fresh()
         self.line(f"{out} = {src}({xv})")
         if e.op == "exp" and not spec:
-            self.line(f"if np.any(np.isinf({out}) & np.isfinite({xv})):")
+            self.line(f"if (np.isinf({out}) & np.isfinite({xv})).any():")
             with self.indented():
                 self.line('raise JitFallback("exp overflow in batch")')
         self._dtype_fix(out, e.t)
@@ -694,7 +695,7 @@ class KernelCodegen:
         if e.from_t.is_float and e.to_t.is_integral:
             xv = self.fresh("_x")
             self.line(f"{xv} = {x.var}")
-            self.line(f"if np.any(~np.isfinite({xv})):")
+            self.line(f"if (~np.isfinite({xv})).any():")
             with self.indented():
                 if spec:
                     self.line(
@@ -1072,7 +1073,7 @@ class KernelCodegen:
                     self.line(f"{ia} = {iv.var}")
                     self.line(
                         f"if {ia}.size and "
-                        f"np.any(({ia} < 0) | ({ia} >= {d})):"
+                        f"(({ia} < 0) | ({ia} >= {d})).any():"
                     )
                     with self.indented():
                         self.line(
@@ -1173,7 +1174,7 @@ class KernelCodegen:
                     self.line(f"{ia} = {iv.var}")
                     self.line(
                         f"if {ia}.size and "
-                        f"np.any(({ia} < 0) | ({ia} >= {d})):"
+                        f"(({ia} < 0) | ({ia} >= {d})).any():"
                     )
                     with self.indented():
                         self.line(
@@ -1386,10 +1387,8 @@ class KernelCodegen:
             self.line(
                 'raise JitFallback("map without vectorizable extent")'
             )
-        if any(v.kind == "B" for v in vals):
-            return self._map_batched(e, scope, spec, w, vals)
         if self.depth > 0:
-            return self._map_sequential(e, scope, spec, w, vals)
+            return self._map_batched(e, scope, spec, w, vals)
         # Entering the batch: lambda parameters become batched views of
         # the uniform inputs; the whole body runs once over the batch.
         child = scope.child(barrier=True)
@@ -1432,10 +1431,11 @@ class KernelCodegen:
     def _map_batched(
         self, e: A.MapExp, scope: _Scope, spec: bool, w: str, vals
     ):
-        """A map inside a batch: flatten ``(B, n)`` into ``B*n``."""
-        first = next(v for v in vals if v.kind == "B")
-        b = self.fresh("_b")
-        self.line(f"{b} = {first.var}.shape[0]")
+        """A map inside a batch extends it: flatten ``(B, n)`` into
+        ``B*n``.  Batched inputs are reshaped, uniform ones tiled, and
+        the lane values the lambda captures repeated, so the body never
+        sees the enclosing batch at its old width."""
+        b = self.extent
         expanded = self._expand_captures(e.lam, scope, w)
         child = scope.child(barrier=True)
         for name, v in expanded:
@@ -1490,55 +1490,6 @@ class KernelCodegen:
             return JVal("S", v.elem, 0, out)
         self.line(f"{out} = {v.var}[{i}]")
         return JVal("A", v.elem, v.rank - 1, out, v.owned)
-
-    def _map_sequential(
-        self, e: A.MapExp, scope: _Scope, spec: bool, w: str, vals
-    ):
-        """Uniform inputs with a batch in scope: a runtime loop over
-        the rows, each row's body vectorized over the enclosing batch."""
-        i = self.fresh("_i")
-        n_out = len(e.lam.body.result)
-        cols = [self.fresh("_col") for _ in range(n_out)]
-        for c in cols:
-            self.line(f"{c} = []")
-
-        def iteration(kds_unused):
-            self.line(f"for {i} in range(int({w})):")
-            with self.indented():
-                args = [self._row(v, i) for v in vals]
-                outs = self.gen_lambda(e.lam, args, scope, spec)
-                if len(outs) != n_out:
-                    raise JitUnsupported("lambda arity mismatch")
-                for c, o in zip(cols, outs):
-                    self.line(f"{c}.append({o.var})")
-            return [_kd(o) for o in outs], outs
-
-        # The loop body's kinds do not feed back into themselves, so a
-        # single generation suffices; capture to learn the out kinds.
-        buf, (kds, outs) = self._capture(lambda: iteration(None))
-        self.em.splice(buf)
-        results = []
-        for c, (kind, elem, rank, owned) in zip(cols, kds):
-            out = self.fresh()
-            if kind == "B":
-                self.line(f"{out} = np.stack({c}, axis=1)")
-                results.append(JVal("B", elem, rank + 1, out, False))
-            elif kind == "S":
-                self.line(
-                    f"{out} = np.array({c}, dtype={self._dt(elem)})"
-                )
-                results.append(JVal("A", elem, 1, out, False))
-            else:
-                self.line(
-                    f"if len({{shp.shape for shp in {c}}}) != 1:"
-                )
-                with self.indented():
-                    self.line(
-                        'raise JitFallback("irregular array produced")'
-                    )
-                self.line(f"{out} = np.stack({c})")
-                results.append(JVal("A", elem, rank + 1, out, False))
-        return results
 
     # -- reduce / scan ------------------------------------------------------
 

@@ -231,17 +231,16 @@ class VectorEvaluator:
         #: ids are stable).  Reduce/scan re-recognize their combining
         #: operator on every launch without this.
         self._simple_ops: Dict[int, Optional[str]] = {}
-        #: How many batched map lambdas enclose the current expression.
-        #: Zero means "no batch in scope": only then may a map introduce
-        #: one (inside a batch, a uniform-input map must not — its body
-        #: may reference lane values of the *enclosing* batch).
-        self._depth = 0
+        #: Batch extents of the enclosing map lambdas, innermost last.
+        #: Empty means "no batch in scope": only then does a map
+        #: introduce one; inside a batch every map extends it.
+        self._extents: List[int] = []
 
     # -- entry point --------------------------------------------------------
 
     def eval_kernel(self, kernel, env: Dict[str, Value]) -> Tuple[Value, ...]:
         self._fresh = set()
-        self._depth = 0
+        self._extents = []
         root = VEnv()
         root.vars = env  # read-only view of the host environment
         out = self._eval(kernel.exp, root.child(), False)
@@ -450,7 +449,7 @@ class VectorEvaluator:
             return x * y
         if op in ("div", "idiv", "imod"):
             bad = y == 0
-            if np.any(bad):
+            if bad.any():
                 if not spec:
                     raise VmFallback("zero divisor in batch")
                 y = np.where(bad, y.dtype.type(1), y)
@@ -464,16 +463,18 @@ class VectorEvaluator:
         if op == "pow":
             if t.is_float:
                 bad = (x < 0) & (np.mod(y, 1) != 0)
-                if np.any(bad):
+                if bad.any():
                     if not spec:
                         raise VmFallback("fractional power of negative base")
                     x = np.where(bad, -x, x)
                 r = np.power(x, y)
-                if not spec and np.any(np.isinf(r) & np.isfinite(x) & np.isfinite(y)):
+                if not spec and (
+                    np.isinf(r) & np.isfinite(x) & np.isfinite(y)
+                ).any():
                     raise VmFallback("float pow overflow in batch")
                 return r
             bad = y < 0
-            if np.any(bad):
+            if bad.any():
                 if not spec:
                     raise VmFallback("negative integer exponent in batch")
                 y = np.where(bad, 0, y)
@@ -486,7 +487,7 @@ class VectorEvaluator:
             return np.bitwise_xor(x, y)
         if op in ("shl", "shr"):
             bad = (y < 0) | (y >= t.bitwidth)
-            if np.any(bad):
+            if bad.any():
                 if not spec:
                     raise VmFallback("out-of-range shift count in batch")
                 y = np.clip(y, 0, t.bitwidth - 1)
@@ -520,13 +521,13 @@ class VectorEvaluator:
         op = e.op
         if op == "log":
             bad = xd <= 0
-            if np.any(bad):
+            if bad.any():
                 if not spec:
                     raise VmFallback("log of non-positive value in batch")
                 xd = np.where(bad, xd.dtype.type(1), xd)
         elif op == "sqrt":
             bad = xd < 0
-            if np.any(bad):
+            if bad.any():
                 if not spec:
                     raise VmFallback("sqrt of negative value in batch")
                 xd = np.where(bad, -xd, xd)
@@ -536,7 +537,7 @@ class VectorEvaluator:
         with np.errstate(all="ignore"):
             out = fn(xd)
         if op == "exp" and not spec:
-            if np.any(np.isinf(out) & np.isfinite(xd)):
+            if (np.isinf(out) & np.isfinite(xd)).any():
                 raise VmFallback("exp overflow in batch")
         dt = e.t.to_dtype()
         if out.dtype != dt:
@@ -552,7 +553,7 @@ class VectorEvaluator:
         xd = x.data
         if e.from_t.is_float and e.to_t.is_integral:
             bad = ~np.isfinite(xd)
-            if np.any(bad):
+            if bad.any():
                 if not spec:
                     raise VmFallback("non-finite float to int conversion")
                 xd = np.where(bad, xd.dtype.type(0), xd)
@@ -697,7 +698,7 @@ class VectorEvaluator:
                 ia = iv.data
                 if spec:
                     ia = np.clip(ia, 0, d - 1)
-                elif ia.size and np.any((ia < 0) | (ia >= d)):
+                elif ia.size and ((ia < 0) | (ia >= d)).any():
                     raise VmFallback("out-of-bounds gather in batch")
                 parts.append(ia)
             elif isinstance(iv, ScalarValue):
@@ -774,7 +775,7 @@ class VectorEvaluator:
                 ia = iv.data
                 if spec:
                     ia = np.clip(ia, 0, d - 1)
-                elif ia.size and np.any((ia < 0) | (ia >= d)):
+                elif ia.size and ((ia < 0) | (ia >= d)).any():
                     raise VmFallback("out-of-bounds scatter in batch")
                 parts.append(ia)
             elif isinstance(iv, ScalarValue):
@@ -939,30 +940,18 @@ class VectorEvaluator:
         width, vals = self._soac_inputs(env, e.width, e.arrs, "map")
         if width == 0 or not vals:
             raise VmFallback("map without vectorizable extent")
-        if any(isinstance(v, BValue) for v in vals):
+        if self._extents:
             return self._map_batched(e, env, spec, width, vals)
-        if self._depth > 0:
-            # Uniform inputs, but a batch is in scope: the lambda may
-            # still read per-lane values, so run the map sequentially
-            # (each row's evaluation stays vectorized over the batch).
-            rows = []
-            for i in range(width):
-                args = [self._row(v, i) for v in vals]
-                rows.append(self._apply_lambda(e.lam, args, env, spec))
-            return tuple(
-                self._stack_column([r[j] for r in rows])
-                for j in range(len(rows[0]))
-            )
         child = env.child()
         for p, v in zip(e.lam.params, vals):
             self._bind_param(
                 child, p, BValue(v.data, v.elem, v.data.ndim - 1)
             )
-        self._depth += 1
+        self._extents.append(width)
         try:
             outs = self._eval_body(e.lam.body, child, spec)
         finally:
-            self._depth -= 1
+            self._extents.pop()
         results = []
         for o in outs:
             b = self._to_batched(o, width, copy=True)
@@ -975,10 +964,13 @@ class VectorEvaluator:
         return tuple(results)
 
     def _map_batched(self, e, env: VEnv, spec: bool, width: int, vals):
-        """A map inside a batch: flatten ``(B, n)`` into a ``B*n``
-        batch (row-major — exactly the order the flat index space
-        enumerates), evaluate once, and fold the axis back."""
-        B = next(v.data.shape[0] for v in vals if isinstance(v, BValue))
+        """A map inside a batch extends it: flatten ``(B, n)`` into a
+        ``B*n`` batch (row-major — exactly the order the flat index
+        space enumerates), evaluate once, and fold the axis back.
+        Uniform inputs are tiled and captured lane values repeated on
+        lookup (``VEnv.get``), so the lambda may read the enclosing
+        batch."""
+        B = self._extents[-1]
         child = env.child(expand=width)
         for p, v in zip(e.lam.params, vals):
             if isinstance(v, BValue):
@@ -991,11 +983,11 @@ class VectorEvaluator:
                 self._bind_param(
                     child, p, BValue(data, v.elem, v.data.ndim - 1)
                 )
-        self._depth += 1
+        self._extents.append(B * width)
         try:
             outs = self._eval_body(e.lam.body, child, spec)
         finally:
-            self._depth -= 1
+            self._extents.pop()
         results = []
         for o in outs:
             b = self._to_batched(o, B * width)
@@ -1110,7 +1102,7 @@ class VectorEvaluator:
 
     def _stream_inputs(self, env: VEnv, e, what: str):
         width, vals = self._soac_inputs(env, e.width, e.arrs, what)
-        if self._depth > 0 or any(isinstance(v, BValue) for v in vals):
+        if self._extents or any(isinstance(v, BValue) for v in vals):
             raise VmFallback(f"batched {what}")
         if width == 0:
             raise VmFallback(f"zero-width {what}")
@@ -1188,7 +1180,7 @@ class VectorEvaluator:
 
     def _eval_filter(self, e: A.FilterExp, env: VEnv, spec: bool):
         width, (val,) = self._soac_inputs(env, e.width, (e.arr,), "filter")
-        if self._depth > 0 or isinstance(val, BValue):
+        if self._extents or isinstance(val, BValue):
             raise VmFallback("batched filter")
         if width == 0:
             raise VmFallback("zero-width filter")
@@ -1198,11 +1190,11 @@ class VectorEvaluator:
             e.lam.params[0],
             BValue(val.data, val.elem, val.data.ndim - 1),
         )
-        self._depth += 1
+        self._extents.append(width)
         try:
             (flag,) = self._eval_body(e.lam.body, child, spec)
         finally:
-            self._depth -= 1
+            self._extents.pop()
         mask = self._to_batched(flag, width)
         if not mask.elem.is_bool or mask.rank != 0:
             raise InterpError("filter predicate must return bool")

@@ -15,7 +15,8 @@ equality the suite asserts the quality bar the transpiler claims:
   kernel-launch spans land on the ``vm-jit`` trace track;
 * *persistence* — a second process pointed at the same
   ``$REPRO_ARTIFACT_DIR`` reuses the cached generated source and
-  performs **zero** transpilations.
+  performs **zero** transpilations, while source persisted under an
+  older ``PYCODE_SCHEMA`` is discarded and re-transpiled.
 """
 
 import json
@@ -23,13 +24,21 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.bench.runner import validate_benchmark
 from repro.bench.suite import BENCHMARKS
+from repro.core.values import values_equal
+from repro.interp import run_program
 from repro.obs import metering, observe
 from repro.obs.export import validate_chrome_trace, write_chrome_trace
-from repro.pipeline import CompilerOptions
+from repro.pipeline import CompilerOptions, compile_program
+from repro.pipeline.artifact import ArtifactCache, StageArtifact
+from repro.pipeline.fingerprint import _digest
+from repro.runtime import ExecutionPolicy
+from repro.vm.jit import jit_cache_for
+from repro.vm.jit.codegen import PYCODE_SCHEMA
 
 SEEDS = [
     int(s) for s in os.environ.get("VM_SEEDS", "0,1,2").split(",")
@@ -130,3 +139,63 @@ def test_warm_start_skips_transpilation(tmp_path):
     )
     assert warm["compiles"] > 0, warm
     assert warm["jitted"] > 0, warm
+
+
+def test_pycode_from_an_older_schema_is_discarded(tmp_path):
+    """Generated source persisted under another ``PYCODE_SCHEMA`` is
+    never served: the artifact fingerprint includes the schema (an old
+    file is not even looked up), and a payload whose own tag disagrees
+    with the file it sits in is ignored and re-transpiled."""
+    old_schema = "repro.pycode/v1"
+    assert PYCODE_SCHEMA != old_schema
+    spec = BENCHMARKS["Pathfinder"]
+    args = spec.small_args(np.random.default_rng(0))
+    expected = run_program(spec.program(), args)
+    cache = ArtifactCache(tmp_path)
+    policy = ExecutionPolicy(executor="jit")
+
+    def serve():
+        compiled = compile_program(spec.program(), artifact_cache=cache)
+        with metering() as m:
+            got, _cost, report = compiled.execute(args, policy=policy)
+        assert report.fallbacks == 0
+        for e, g in zip(expected, got):
+            assert values_equal(e, g, rtol=1e-4, atol=1e-4)
+        counters = m.snapshot()["counters"]
+        assert not [k for k in counters if k.startswith("vm.fallback")]
+        return compiled, sum(
+            v for k, v in counters.items() if k.startswith("jit.transpiles")
+        )
+
+    compiled, transpiles = serve()
+    assert transpiles > 0
+    host_fp = compiled.fingerprints["host"]
+    fresh = jit_cache_for(compiled.host).sources()
+
+    # What an older build left behind: every kernel's source replaced
+    # by one that would return garbage if it were ever compiled.
+    poisoned = {
+        kernel: {
+            sig: "OUTS = ()\ndef run(R, *args):\n    return ()\n"
+            for sig in by_sig
+        }
+        for kernel, by_sig in fresh.items()
+    }
+    current_fp = _digest(("pycode", host_fp, PYCODE_SCHEMA))
+    for fp in (_digest(("pycode", host_fp, old_schema)), current_fp):
+        assert cache.store(
+            StageArtifact(
+                "pycode", fp, "main",
+                {"schema": old_schema, "kernels": poisoned},
+                meta={"schema": old_schema},
+            )
+        )
+
+    compiled, transpiles = serve()
+    assert compiled.from_artifact == "host"
+    assert transpiles == sum(len(v) for v in fresh.values())
+    assert jit_cache_for(compiled.host).sources() == fresh
+    # ... and the file under the current fingerprint was rewritten.
+    rewritten = cache.load("pycode", current_fp)
+    assert rewritten.payload["schema"] == PYCODE_SCHEMA
+    assert rewritten.payload["kernels"] == fresh

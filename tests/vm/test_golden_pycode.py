@@ -30,10 +30,11 @@ from repro.vm.jit import jit_cache_for
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 #: benchmark name -> golden file.  One scan-free single-deep program
-#: (Pathfinder: map/scan rows over a host loop) and one stencil with a
-#: sequentialised inner map (HotSpot) — together they pin uniform and
-#: batched arithmetic, loops, indexing with clamping, reductions and
-#: the speculative if merge.
+#: (Pathfinder: map/scan rows over a host loop) and one 2-D stencil
+#: whose map nest runs as one flat ``r*c`` batch (HotSpot: the inner
+#: index array is tiled, the outer index repeated) — together they pin
+#: uniform and batched arithmetic, loops, indexing with clamping,
+#: reductions and the speculative if merge.
 CASES = {
     "HotSpot": "hotspot.py.golden",
     "Pathfinder": "pathfinder.py.golden",
