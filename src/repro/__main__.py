@@ -23,15 +23,12 @@ run FILE [--size name=value ...] [--device-profile NAME]
     simulated devices (or one named profile from
     :data:`repro.gpu.device.PROFILES`).
 
-bench [table1|figure13|table2|impact <kind>|validate|perf|jit|mem|calibrate|shard]
+bench [table1|figure13|table2|impact <kind>|validate|jit|mem|calibrate|shard|compile]
     Regenerate the paper's evaluation artefacts; ``validate`` runs the
     named benchmarks on the simulated device against the interpreter
     and prints each run's report and per-pass compile breakdown;
-    ``perf`` wall-clocks the scalar interpreter against the vectorized
-    engine (``--executor vector``) and writes ``BENCH_vm.json``;
-    ``jit`` extends that into the full executor matrix — interpreter
-    vs vectorized engine vs kernel transpiler (``--executor jit``) —
-    and writes ``BENCH_jit.json``;
+    ``jit`` wall-clocks the scalar interpreter against the kernel
+    transpiler (``--executor jit``) and writes ``BENCH_jit.json``;
     ``mem`` compares peak device-memory footprint with the liveness
     planner on vs off and writes ``BENCH_mem.json``; ``calibrate``
     sweeps the suite comparing the static cost model's per-kernel
@@ -81,6 +78,24 @@ from __future__ import annotations
 import argparse
 import sys
 
+#: Where each ``bench`` subcommand writes when ``--out`` is not given.
+_BENCH_OUT = {
+    "jit": "BENCH_jit.json",
+    "mem": "BENCH_mem.json",
+    "calibrate": "BENCH_calib.json",
+    "shard": "BENCH_shard.json",
+    "compile": "BENCH_compile.json",
+}
+
+
+def _write_bench(args, results) -> None:
+    import json
+
+    out = args.out or _BENCH_OUT[args.what]
+    with open(out, "w") as f:
+        json.dump(results, f, indent=2)
+    print(f"wrote {out}", file=sys.stderr)
+
 
 def _options_from_flags(args) -> "CompilerOptions":
     from .pipeline import CompilerOptions
@@ -97,6 +112,8 @@ def _options_from_flags(args) -> "CompilerOptions":
 
 
 def _add_opt_flags(p: argparse.ArgumentParser) -> None:
+    from .runtime import DEFAULT_EXECUTOR, EXECUTORS
+
     p.add_argument("--no-fusion", action="store_true")
     p.add_argument("--no-coalescing", action="store_true")
     p.add_argument("--no-tiling", action="store_true")
@@ -118,11 +135,11 @@ def _add_opt_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--executor",
-        choices=("sim", "vector", "jit"),
-        default="sim",
-        help="kernel engine: scalar interpreter per launch (sim), "
-        "the vectorized NumPy engine (vector), or kernels transpiled "
-        "to specialized NumPy code (jit)",
+        choices=EXECUTORS,
+        default=DEFAULT_EXECUTOR,
+        help="kernel engine: kernels transpiled to specialized NumPy "
+        "code (jit), or the scalar interpreter per launch (sim, the "
+        "cost oracle)",
     )
 
 
@@ -272,27 +289,7 @@ def cmd_bench(args) -> int:
             for t in report.pass_timings:
                 print(f"  {t}")
         return 0
-    if what == "perf":
-        import json
-
-        from .bench.runner import perf_suite
-
-        results = perf_suite(
-            names=names, seed=args.seed, repeats=args.repeats
-        )
-        for name, row in results["benchmarks"].items():
-            print(
-                f"{name:14s} interp {row['interp_s']:8.3f}s  "
-                f"vm {row['vm_s']:8.3f}s  x{row['speedup']:.1f}"
-            )
-        print(f"{'geomean':14s} x{results['geomean_speedup']:.1f}")
-        with open(args.out, "w") as f:
-            json.dump(results, f, indent=2)
-        print(f"wrote {args.out}", file=sys.stderr)
-        return 0
     if what == "jit":
-        import json
-
         from .bench.runner import jit_perf_suite
 
         results = jit_perf_suite(
@@ -301,22 +298,13 @@ def cmd_bench(args) -> int:
         for name, row in results["benchmarks"].items():
             print(
                 f"{name:14s} interp {row['interp_s']:8.3f}s  "
-                f"vm {row['vector_s']:8.3f}s  "
-                f"jit {row['jit_s']:8.3f}s  "
-                f"x{row['jit_vs_vector']:.2f} vs vm"
+                f"jit {row['jit_s'] * 1e3:8.2f}ms  "
+                f"x{row['jit_vs_interp']:.1f}"
             )
-        print(
-            f"{'geomean':14s} x{results['geomean_jit_vs_interp']:.1f} "
-            f"vs interp, x{results['geomean_jit_vs_vector']:.2f} vs vm"
-        )
-        out = args.out if args.out != "BENCH_vm.json" else "BENCH_jit.json"
-        with open(out, "w") as f:
-            json.dump(results, f, indent=2)
-        print(f"wrote {out}", file=sys.stderr)
+        print(f"{'geomean':14s} x{results['geomean_jit_vs_interp']:.1f}")
+        _write_bench(args, results)
         return 0
     if what == "mem":
-        import json
-
         from .bench.runner import mem_suite
 
         results = mem_suite(names=names)
@@ -333,14 +321,9 @@ def cmd_bench(args) -> int:
             f"({results['improved_count']}/"
             f"{len(results['benchmarks'])} benchmarks improved)"
         )
-        out = args.out if args.out != "BENCH_vm.json" else "BENCH_mem.json"
-        with open(out, "w") as f:
-            json.dump(results, f, indent=2)
-        print(f"wrote {out}", file=sys.stderr)
+        _write_bench(args, results)
         return 0
     if what == "calibrate":
-        import json
-
         from .bench.runner import calib_suite
 
         results = calib_suite(names=names, seed=args.seed)
@@ -362,14 +345,9 @@ def cmd_bench(args) -> int:
                 f"obs {r['observed_us']:.1f}us "
                 f"({r['rel_error'] * 100:+.1f}%)"
             )
-        out = args.out if args.out != "BENCH_vm.json" else "BENCH_calib.json"
-        with open(out, "w") as f:
-            json.dump(results, f, indent=2)
-        print(f"wrote {out}", file=sys.stderr)
+        _write_bench(args, results)
         return 0
     if what == "shard":
-        import json
-
         from .bench.runner import shard_suite
 
         results = shard_suite(names=names, seed=args.seed)
@@ -387,14 +365,9 @@ def cmd_bench(args) -> int:
             f"{'geomean':14s} x{results['geomean_speedup_4x']:.2f} "
             f"at {max(counts)} devices"
         )
-        out = args.out if args.out != "BENCH_vm.json" else "BENCH_shard.json"
-        with open(out, "w") as f:
-            json.dump(results, f, indent=2)
-        print(f"wrote {out}", file=sys.stderr)
+        _write_bench(args, results)
         return 0
     if what == "compile":
-        import json
-
         from .bench.runner import compile_bench_suite
 
         results = compile_bench_suite(
@@ -413,10 +386,7 @@ def cmd_bench(args) -> int:
                 f"({row['artifact_bytes'] / 1024:.1f} KiB artifact)"
             )
         print(f"{'geomean':14s} x{results['geomean_speedup']:.1f}")
-        out = args.out if args.out != "BENCH_vm.json" else "BENCH_compile.json"
-        with open(out, "w") as f:
-            json.dump(results, f, indent=2)
-        print(f"wrote {out}", file=sys.stderr)
+        _write_bench(args, results)
         return 0
     if what == "table2":
         for name, ds in TABLE2.items():
@@ -770,7 +740,7 @@ def main(argv=None) -> int:
     p.add_argument(
         "what",
         choices=("table1", "table2", "figure13", "impact", "validate",
-                 "perf", "jit", "mem", "calibrate", "shard", "compile"),
+                 "jit", "mem", "calibrate", "shard", "compile"),
     )
     p.add_argument("--names", default=None)
     p.add_argument(
@@ -780,7 +750,7 @@ def main(argv=None) -> int:
     )
     p.add_argument(
         "--seed", type=int, default=0,
-        help="dataset / fault-plan seed for bench validate/perf",
+        help="dataset / fault-plan seed for bench validate/jit",
     )
     p.add_argument(
         "--chaos", action="store_true",
@@ -801,12 +771,13 @@ def main(argv=None) -> int:
         "surface as typed errors (and exit codes) instead",
     )
     p.add_argument(
-        "--out", default="BENCH_vm.json",
-        help="output file for bench perf",
+        "--out", default=None,
+        help="output file of bench jit/mem/calibrate/shard/compile "
+        "(default: BENCH_<what>.json)",
     )
     p.add_argument(
         "--repeats", type=int, default=1,
-        help="best-of repeats for bench perf / bench compile timing",
+        help="best-of repeats for bench jit / bench compile timing",
     )
     p.add_argument(
         "--artifact-dir",

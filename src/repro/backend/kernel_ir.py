@@ -21,7 +21,7 @@ of layouts.
 from __future__ import annotations
 
 from collections.abc import MutableMapping
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from typing import (
     Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
@@ -375,6 +375,12 @@ class _LayoutView(MutableMapping):
         return not self.__eq__(other)
 
 
+def _process_state(hp: "HostProgram"):
+    """The process-state fields of a host program: exactly the ones
+    declared ``compare=False``."""
+    return [f for f in fields(hp) if not f.compare]
+
+
 @dataclass
 class HostProgram:
     """A fully lowered entry point."""
@@ -389,22 +395,48 @@ class HostProgram:
     #: Logical shape of every array (symbolic dims), for sizing
     #: manifestation traffic.
     array_shapes: Dict[str, Tuple[Dim, ...]] = field(default_factory=dict)
+    # -- process state ------------------------------------------------------
+    # What executors and the driver remember about this program while
+    # the process lives.  Not part of the program: never compared,
+    # never persisted (``__getstate__`` drops them, ``__setstate__``
+    # recreates them empty).
     #: The simulator's launch-price memo: ``(device, coalescing) ->
     #: (kernel name, values of Kernel.size_names) -> KernelCost``.
-    #: Process state, not part of the program: never compared or
-    #: persisted.
     launch_costs: Dict[tuple, Dict[tuple, Any]] = field(
         default_factory=dict, repr=False, compare=False
     )
+    #: The runtime's static-prediction memo: ``(entry sizes, device
+    #: name, coalescing) -> static_kernel_costs(...)``.
+    prediction_cache: Dict[tuple, Any] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    #: Per-stage artifact fingerprints of the clean compile that
+    #: produced this program (empty otherwise), and the artifact cache
+    #: it went through: the jit engine persists generated source under
+    #: the ``host`` fingerprint.
+    stage_fingerprints: Dict[str, str] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    artifact_cache: Any = field(default=None, repr=False, compare=False)
+    #: The jit engine's :class:`~repro.vm.jit.JitProgramCache`
+    #: (attached on first use by ``jit_cache_for``).
+    jit_cache: Any = field(default=None, repr=False, compare=False)
 
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
-        del state["launch_costs"]
+        for f in _process_state(self):
+            del state[f.name]
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
-        self.launch_costs = {}
+        for f in _process_state(self):
+            setattr(
+                self,
+                f.name,
+                f.default if f.default_factory is MISSING
+                else f.default_factory(),
+            )
 
     @property
     def layouts(self) -> _LayoutView:

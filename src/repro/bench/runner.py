@@ -23,12 +23,11 @@ from ..gpu.faults import FaultPlan
 from ..interp import run_program
 from ..obs import get_logger, get_tracer
 from ..pipeline import CompilerOptions, compile_program
-from ..runtime import ExecutionPolicy, RunReport
+from ..runtime import DEFAULT_EXECUTOR, ExecutionPolicy, RunReport
 from .suite import BENCHMARKS, BenchmarkSpec
 
 __all__ = [
     "validate_benchmark",
-    "perf_suite",
     "jit_perf_suite",
     "mem_suite",
     "calib_suite",
@@ -120,108 +119,29 @@ def validate_benchmark(
     return report
 
 
-def perf_suite(
-    names: Optional[List[str]] = None,
-    seed: int = 0,
-    repeats: int = 1,
-    device: DeviceProfile = NVIDIA_GTX780TI,
-) -> Dict:
-    """Wall-clock the scalar interpreter against the vectorized engine
-    (:mod:`repro.vm`) on every benchmark at ``perf`` scale.
-
-    Each program runs on both executors with identical inputs, the
-    results are checked for agreement, and the best-of-``repeats``
-    times feed per-program speedups and their geometric mean.  The
-    returned dict is the ``BENCH_vm.json`` payload."""
-    import time
-
-    from ..obs import metering
-
-    logger = get_logger("bench")
-    names = names or list(BENCHMARKS.names())
-    policy = ExecutionPolicy(executor="vector")
-    benchmarks: Dict[str, Dict] = {}
-    for name in names:
-        spec = BENCHMARKS[name]
-        prog = spec.program()
-        compiled = compile_program(prog)
-        interp_s = vm_s = float("inf")
-        fallbacks = 0.0
-        for _ in range(max(1, repeats)):
-            args = spec.perf_args(np.random.default_rng(seed))
-            t0 = time.perf_counter()
-            expected = run_program(prog, args, in_place=True)
-            interp_s = min(interp_s, time.perf_counter() - t0)
-            with metering() as m:
-                t0 = time.perf_counter()
-                got, _, report = compiled.execute(args, policy=policy)
-                vm_s = min(vm_s, time.perf_counter() - t0)
-            counters = m.snapshot()["counters"]
-            fallbacks = sum(
-                v for k, v in counters.items() if k.startswith("vm.fallback")
-            )
-            if report.fallbacks:
-                raise ValidationError(
-                    f"{name}: perf run degraded to the interpreter "
-                    f"({report.summary()})"
-                )
-            if len(got) != len(expected) or not all(
-                values_equal(e, g, rtol=1e-4, atol=1e-4)
-                for e, g in zip(expected, got)
-            ):
-                raise ValidationError(
-                    f"{name}: vector result differs from interpreter"
-                )
-        speedup = interp_s / vm_s if vm_s > 0 else float("inf")
-        benchmarks[name] = {
-            "sizes": dict(spec.dataset.perf),
-            "interp_s": interp_s,
-            "vm_s": vm_s,
-            "speedup": speedup,
-            "kernel_fallbacks": fallbacks,
-        }
-        logger.debug(
-            "perf-row", benchmark=name, interp_s=interp_s, vm_s=vm_s,
-            speedup=speedup,
-        )
-    speedups = [b["speedup"] for b in benchmarks.values()]
-    geomean = float(np.exp(np.mean(np.log(speedups)))) if speedups else 0.0
-    return {
-        "schema": "repro.bench_vm/v1",
-        "device": device.name,
-        "seed": seed,
-        "repeats": repeats,
-        "benchmarks": benchmarks,
-        "geomean_speedup": geomean,
-    }
-
-
 def jit_perf_suite(
     names: Optional[List[str]] = None,
     seed: int = 0,
     repeats: int = 2,
     device: DeviceProfile = NVIDIA_GTX780TI,
 ) -> Dict:
-    """Wall-clock the full executor matrix — scalar interpreter,
-    vectorized engine and the kernel transpiler (:mod:`repro.vm.jit`) —
-    on every benchmark at ``perf`` scale.
+    """Wall-clock the scalar interpreter against the kernel transpiler
+    (:mod:`repro.vm.jit`) on every benchmark at ``perf`` scale.
 
-    Each program runs on all three executors with identical inputs and
-    the vector/jit results are checked against the interpreter's.  The
-    jit executor gets one untimed warm-up run per benchmark so the
-    timed repeats measure steady-state execution (transpilation is a
-    once-per-process cost, amortised across runs and — through the
-    artifact cache — across processes); the warm-up's transpile count
-    is recorded per row.  The returned dict is the ``BENCH_jit.json``
-    payload."""
+    Each program runs on both with identical inputs and the jit result
+    is checked against the interpreter's.  The jit executor gets one
+    untimed warm-up run per benchmark so the timed repeats measure
+    steady-state execution (transpilation is a once-per-process cost,
+    amortised across runs and — through the artifact cache — across
+    processes); the warm-up's transpile count is recorded per row.
+    The returned dict is the ``BENCH_jit.json`` payload."""
     import time
 
     from ..obs import metering
 
     logger = get_logger("bench")
     names = names or list(BENCHMARKS.names())
-    vector_policy = ExecutionPolicy(executor="vector")
-    jit_policy = ExecutionPolicy(executor="jit")
+    policy = ExecutionPolicy(executor="jit")
     benchmarks: Dict[str, Dict] = {}
     for name in names:
         spec = BENCHMARKS[name]
@@ -232,38 +152,26 @@ def jit_perf_suite(
         expected = run_program(prog, args, in_place=True)
         interp_s = time.perf_counter() - t0
 
-        def check(got, label: str) -> None:
+        with metering() as m:
+            compiled.execute(args, policy=policy)  # warm-up
+        warm = m.snapshot()["counters"]
+        transpiles = sum(
+            v for k, v in warm.items() if k.startswith("jit.transpiles")
+        )
+        jit_s = float("inf")
+        fallbacks = 0.0
+        for _ in range(max(1, repeats)):
+            with metering() as m:
+                t0 = time.perf_counter()
+                got, _, report = compiled.execute(args, policy=policy)
+                jit_s = min(jit_s, time.perf_counter() - t0)
             if len(got) != len(expected) or not all(
                 values_equal(e, g, rtol=1e-4, atol=1e-4)
                 for e, g in zip(expected, got)
             ):
                 raise ValidationError(
-                    f"{name}: {label} result differs from interpreter"
+                    f"{name}: jit result differs from interpreter"
                 )
-
-        with metering() as m:
-            compiled.execute(args, policy=jit_policy)  # warm-up
-        warm = m.snapshot()["counters"]
-        transpiles = sum(
-            v for k, v in warm.items() if k.startswith("jit.transpiles")
-        )
-        vector_s = jit_s = float("inf")
-        fallbacks = 0.0
-        for _ in range(max(1, repeats)):
-            t0 = time.perf_counter()
-            got, _, report = compiled.execute(args, policy=vector_policy)
-            vector_s = min(vector_s, time.perf_counter() - t0)
-            check(got, "vector")
-            if report.fallbacks:
-                raise ValidationError(
-                    f"{name}: vector perf run degraded to the "
-                    f"interpreter ({report.summary()})"
-                )
-            with metering() as m:
-                t0 = time.perf_counter()
-                got, _, report = compiled.execute(args, policy=jit_policy)
-                jit_s = min(jit_s, time.perf_counter() - t0)
-            check(got, "jit")
             if report.fallbacks:
                 raise ValidationError(
                     f"{name}: jit perf run degraded to the "
@@ -277,31 +185,24 @@ def jit_perf_suite(
         benchmarks[name] = {
             "sizes": dict(spec.dataset.perf),
             "interp_s": interp_s,
-            "vector_s": vector_s,
             "jit_s": jit_s,
             "jit_vs_interp": interp_s / jit_s if jit_s > 0 else float("inf"),
-            "jit_vs_vector": (
-                vector_s / jit_s if jit_s > 0 else float("inf")
-            ),
             "kernel_fallbacks": fallbacks,
             "transpiles": transpiles,
         }
         logger.debug(
-            "jit-perf-row", benchmark=name, interp_s=interp_s,
-            vector_s=vector_s, jit_s=jit_s,
+            "jit-perf-row", benchmark=name, interp_s=interp_s, jit_s=jit_s,
         )
-    def geomean(key: str) -> float:
-        vals = [b[key] for b in benchmarks.values()]
-        return float(np.exp(np.mean(np.log(vals)))) if vals else 0.0
-
+    ratios = [b["jit_vs_interp"] for b in benchmarks.values()]
     return {
-        "schema": "repro.bench_jit/v1",
+        "schema": "repro.bench_jit/v2",
         "device": device.name,
         "seed": seed,
         "repeats": repeats,
         "benchmarks": benchmarks,
-        "geomean_jit_vs_interp": geomean("jit_vs_interp"),
-        "geomean_jit_vs_vector": geomean("jit_vs_vector"),
+        "geomean_jit_vs_interp": (
+            float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
+        ),
     }
 
 
@@ -533,7 +434,7 @@ def shard_suite(
     names: Optional[List[str]] = None,
     seed: int = 0,
     device_counts: Tuple[int, ...] = (1, 2, 4),
-    executor: str = "vector",
+    executor: str = DEFAULT_EXECUTOR,
     device: DeviceProfile = NVIDIA_GTX780TI,
 ) -> Dict:
     """Multi-device scaling of the shardable benchmarks.

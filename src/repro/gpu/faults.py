@@ -82,7 +82,7 @@ class ServiceFaultPlan:
 
     Where a :class:`FaultPlan` makes *one run* unreliable, a
     ``ServiceFaultPlan`` makes specific *backends* of a multi-backend
-    server unreliable — e.g. a 100%-fatal plan on ``"vector"`` with a
+    server unreliable — e.g. a 100%-fatal plan on ``"jit"`` with a
     healthy ``"sim"`` exercises the circuit breaker's routing around a
     sick executor.  Backends without an entry run fault-free.
     """
@@ -96,7 +96,7 @@ class ServiceFaultPlan:
     def chaos(
         cls,
         seed: int = 0,
-        backends: tuple = ("vector", "sim"),
+        backends: tuple = ("jit", "sim"),
         launch_failure_rate: float = 0.3,
         memory_fault_rate: float = 0.1,
         timeout_rate: float = 0.2,

@@ -1,6 +1,6 @@
 """The footprint-tracking device heap.
 
-The simulator and the vector engine do not move real bytes around —
+The simulator and the jit engine do not move real bytes around —
 values live in the interpreter environment — but the *accounting* of
 device memory is real: every :class:`~repro.backend.kernel_ir.AllocStmt`
 charges the heap, every ``FreeStmt`` releases it, and the heap enforces

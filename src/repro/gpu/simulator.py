@@ -194,7 +194,7 @@ class GpuSimulator:
 
         The base simulator hands the kernel's core-IR expression to the
         scalar reference interpreter; execution engines with a faster
-        substrate (``repro.vm.VectorEngine``) override this hook and
+        substrate (``repro.vm.JitEngine``) override this hook and
         must produce the same values."""
         return self._interp.eval_exp(kernel.exp, env)
 

@@ -527,8 +527,8 @@ def _compile(
             # Breadcrumbs for downstream per-program caches (the jit
             # engine keys its generated-source artifacts off the host
             # fingerprint): only clean compiles are cacheable.
-            host._stage_fingerprints = dict(fps)
-            host._artifact_cache = cache
+            host.stage_fingerprints = dict(fps)
+            host.artifact_cache = cache
         compile_span.set(
             passes=len(guard.timings),
             rollbacks=len(diagnostics),

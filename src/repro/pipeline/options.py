@@ -6,6 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
+from ..runtime import DEFAULT_EXECUTOR, check_executor
+
 __all__ = ["CompilerOptions", "PassDiagnostic"]
 
 
@@ -42,18 +44,20 @@ class CompilerOptions:
     #: Fail fast on a broken optimisation pass instead of rolling the
     #: IR back and continuing.
     strict: bool = False
-    #: Which execution engine :meth:`CompiledProgram.execute` uses when
-    #: no explicit :class:`ExecutionPolicy` is given: ``"sim"`` (the
-    #: scalar interpreter behind the simulated device), ``"vector"``
-    #: (the vectorized NumPy engine, :mod:`repro.vm`) or ``"jit"`` (the
-    #: kernel transpiler, :mod:`repro.vm.jit`).  Runtime-only: does not
-    #: affect the generated code or the stage artifacts.
-    executor: str = "sim"
+    #: Which execution engine (one of :data:`repro.runtime.EXECUTORS`)
+    #: :meth:`CompiledProgram.execute` uses when no explicit
+    #: :class:`ExecutionPolicy` is given, and a :class:`repro.serve.Server`
+    #: starts its ladder on.  Runtime-only: does not affect the
+    #: generated code or the stage artifacts.
+    executor: str = DEFAULT_EXECUTOR
     #: Optional registered passes to skip by name (the generic
     #: ``--disable-pass`` ablation; see ``repro passes`` for the
     #: registry listing).  Disabling a mandatory pass is an
     #: :class:`~repro.errors.ArgumentError`.
     disabled_passes: Tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        check_executor(self.executor)
 
 
 @dataclass

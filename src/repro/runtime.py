@@ -50,7 +50,34 @@ from .interp import run_program
 from .obs import PassTiming, get_logger, get_metrics, get_tracer
 from .serve.deadline import Deadline
 
-__all__ = ["ExecutionPolicy", "RunReport", "run_resilient"]
+__all__ = [
+    "DEFAULT_EXECUTOR",
+    "EXECUTORS",
+    "check_executor",
+    "ExecutionPolicy",
+    "RunReport",
+    "run_resilient",
+]
+
+#: The execution engines: ``"sim"`` evaluates every kernel launch on
+#: the scalar reference interpreter behind the simulated device (the
+#: cost oracle, used for calibration); ``"jit"`` runs kernels as
+#: transpiled NumPy source (:mod:`repro.vm.jit`), re-running a launch
+#: on the interpreter when the transpiler refuses it or a trap fires.
+#: Cost clock, heap, retry, watchdog and fault semantics are identical.
+EXECUTORS = ("sim", "jit")
+#: What :class:`ExecutionPolicy`, :class:`repro.pipeline.CompilerOptions`
+#: (hence a :class:`repro.serve.Server`) and the CLI use when nothing
+#: is asked for.
+DEFAULT_EXECUTOR = "jit"
+
+
+def check_executor(name: str) -> None:
+    """Reject an executor name outside :data:`EXECUTORS`."""
+    if name not in EXECUTORS:
+        raise ArgumentError(
+            f"unknown executor {name!r} (expected one of {EXECUTORS})"
+        )
 
 
 @dataclass(frozen=True)
@@ -77,20 +104,17 @@ class ExecutionPolicy:
     watchdog_factor: float = WATCHDOG_FACTOR
     #: ...with this floor so microsecond kernels aren't flaky.
     watchdog_floor_us: float = WATCHDOG_FLOOR_US
-    #: Which engine computes kernel values: ``"sim"`` evaluates every
-    #: launch on the scalar reference interpreter; ``"vector"`` runs
-    #: kernels on the vectorized NumPy engine (:mod:`repro.vm`), with
-    #: per-kernel interpreter fallback; ``"jit"`` runs transpiled
-    #: straight-line NumPy code (:mod:`repro.vm.jit`), degrading per
-    #: kernel to vector and then the interpreter.  Retry/watchdog/fault
-    #: semantics are identical for all three.
-    executor: str = "sim"
+    #: Which engine computes kernel values: one of :data:`EXECUTORS`.
+    executor: str = DEFAULT_EXECUTOR
     #: Cap on the *cumulative* backoff spent across all retries,
     #: microseconds (None = unlimited).  When a deadline is supplied to
     #: :func:`run_resilient` the effective cap is further clamped to
     #: the deadline's remaining budget, so retries never outlive the
     #: request.
     retry_budget_us: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        check_executor(self.executor)
 
 
 @dataclass
@@ -241,19 +265,10 @@ def run_resilient(
     policy = policy or ExecutionPolicy()
     if policy.executor == "sim":
         engine_cls, base_track = GpuSimulator, "sim-gpu"
-    elif policy.executor == "vector":
-        from .vm import VectorEngine
-
-        engine_cls, base_track = VectorEngine, "vm-vector"
-    elif policy.executor == "jit":
+    else:
         from .vm import JitEngine
 
         engine_cls, base_track = JitEngine, "vm-jit"
-    else:
-        raise ArgumentError(
-            f"unknown executor {policy.executor!r} "
-            f"(expected 'sim', 'vector' or 'jit')"
-        )
     if trace_track is not None:
         base_track = trace_track
     if seed is None and fault_plan is not None:
@@ -296,9 +311,7 @@ def run_resilient(
                 device.name,
                 coalescing,
             )
-            cache = getattr(host, "_prediction_cache", None)
-            if cache is None:
-                cache = host._prediction_cache = {}
+            cache = host.prediction_cache
             predictions = cache.get(key)
             if predictions is None:
                 if len(cache) >= 64:

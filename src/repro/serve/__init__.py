@@ -3,7 +3,7 @@
 Fronts the compiler/runtime stack with a thread-based execution
 service: bounded admission with priority lanes and load shedding,
 end-to-end request deadlines, per-backend circuit breakers over the
-degradation ladder (``vector`` → ``sim`` → ``interp``) and a
+degradation ladder (``jit`` → ``sim`` → ``interp``) and a
 single-flight compile cache.  See :mod:`repro.serve.server` for the
 full tour.
 

@@ -16,7 +16,7 @@ the full robustness ladder wired in:
   dequeue, before every retry attempt, and before every simulated
   kernel launch (see :mod:`repro.serve.deadline`);
 - **circuit breakers + degradation ladder** — each device-backed rung
-  (``vector``, ``sim``) has a breaker that trips on consecutive
+  (``jit``, ``sim``) has a breaker that trips on consecutive
   device-class failures; tripped or faulting rungs are skipped and the
   request degrades down the ladder, ending at the reference
   interpreter, which cannot suffer device faults.  A request therefore
@@ -45,6 +45,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..core import ast as A
 from ..core.values import Value
 from ..errors import (
+    ArgumentError,
     DeadlineExceeded,
     DeviceFault,
     DeviceOOM,
@@ -65,7 +66,12 @@ from ..pipeline import (
     compile_cache_key,
     compile_program,
 )
-from ..runtime import ExecutionPolicy, RunReport, run_resilient
+from ..runtime import (
+    ExecutionPolicy,
+    RunReport,
+    check_executor,
+    run_resilient,
+)
 from ..sched import BatchInfo, DevicePool, analyze_shardable
 from .breaker import CircuitBreaker
 from .cache import CompileCache
@@ -82,10 +88,9 @@ __all__ = [
 
 #: The full degradation ladder, fastest first.  The interpreter is the
 #: floor: it has no breaker because it cannot suffer device faults.
-#: The jit rung only tops a request's ladder when asked for
-#: (``ServeRequest.executor="jit"`` or ``default_executor="jit"``) —
-#: the server default starts at ``"vector"``.
-DEGRADATION_LADDER: Tuple[str, ...] = ("jit", "vector", "sim", "interp")
+#: A request's ladder starts at ``ServeRequest.executor`` (or the
+#: server's ``options.executor``) and descends from there.
+DEGRADATION_LADDER: Tuple[str, ...] = ("jit", "sim", "interp")
 
 #: Per-lane latency histogram bounds, microseconds: 1.5x-spaced from
 #: 250us to ~32s, fine enough that bucket-interpolated percentiles
@@ -109,8 +114,9 @@ class ServeRequest:
     entry: str = "main"
     #: Wall-clock budget for the whole request (None = no deadline).
     deadline_ms: Optional[float] = None
-    #: Preferred top rung of the degradation ladder (None = the
-    #: server's default executor).
+    #: Preferred top rung of the degradation ladder: one of
+    #: :data:`repro.runtime.EXECUTORS` (None = the server's default
+    #: executor).
     executor: Optional[str] = None
     #: Compile-cache key override; derived from the program text,
     #: options and entry when omitted.
@@ -118,6 +124,8 @@ class ServeRequest:
     request_id: str = ""
 
     def __post_init__(self) -> None:
+        if self.executor is not None:
+            check_executor(self.executor)
         if not self.request_id:
             self.request_id = f"req-{next(_request_ids)}"
 
@@ -131,7 +139,7 @@ class ServeResult:
     status: str
     values: Optional[Tuple[Value, ...]] = None
     error: Optional[BaseException] = None
-    #: Which ladder rung produced the values (``"vector"``, ``"sim"``,
+    #: Which ladder rung produced the values (``"jit"``, ``"sim"``,
     #: ``"interp"``; None when nothing did).
     backend: Optional[str] = None
     lane: str = BATCH_LANE
@@ -219,7 +227,6 @@ class Server:
         queue_capacity: int = 16,
         device: DeviceProfile = NVIDIA_GTX780TI,
         options: Optional[CompilerOptions] = None,
-        default_executor: str = "vector",
         ladder: Sequence[str] = DEGRADATION_LADDER,
         fault_plans: Optional[ServiceFaultPlan] = None,
         breaker_threshold: int = 3,
@@ -255,15 +262,14 @@ class Server:
         artifact_cache: Optional[ArtifactCache] = None,
         artifact_dir: Optional[str] = None,
     ) -> None:
-        if default_executor not in ladder:
-            raise ValueError(
-                f"default executor {default_executor!r} not on the "
-                f"ladder {tuple(ladder)}"
-            )
         self.device = device
         self.options = options or CompilerOptions()
-        self.default_executor = default_executor
         self.ladder: Tuple[str, ...] = tuple(ladder)
+        if self.default_executor not in self.ladder:
+            raise ArgumentError(
+                f"default executor {self.default_executor!r} "
+                f"(options.executor) not on the ladder {self.ladder}"
+            )
         self.fault_plans = fault_plans or ServiceFaultPlan()
         self.retries_per_rung = retries_per_rung
         self.interactive_threshold_us = interactive_threshold_us
@@ -323,6 +329,11 @@ class Server:
         #: analysis runs on the pre-compilation program, once per
         #: program rather than once per request).
         self._batch_infos: Dict[str, Optional[BatchInfo]] = {}
+
+    @property
+    def default_executor(self) -> str:
+        """The top rung of a request that asks for none."""
+        return self.options.executor
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -3,9 +3,9 @@
 Lowers kernel-IR kernels into specialized straight-line NumPy source
 (:mod:`~repro.vm.jit.codegen`), compiles and memoizes them per launch
 signature, persists the generated source through the artifact cache
-(:mod:`~repro.vm.jit.engine`), and runs them under the same simulated-
-device machinery as the vectorized engine, one rung up the per-kernel
-degradation ladder: jit → vector → interpreter.
+(:mod:`~repro.vm.jit.engine`), and runs them under the simulated-device
+machinery of :class:`repro.gpu.GpuSimulator`.  Per launch the ladder is
+jit → interpreter.
 """
 
 from .codegen import JitUnsupported, PYCODE_SCHEMA, transpile_kernel

@@ -1,37 +1,49 @@
 """Kernel transpiler: core-IR kernel expressions to Python/NumPy source.
 
-The vectorized evaluator (:mod:`repro.vm.vectorize`) re-walks a
-kernel's IR tree on every launch.  This module walks it *once* and
-emits the straight-line NumPy program the walk would have performed:
-every scalar operation becomes one ufunc application over a named
-local, every constant is hoisted to module level, and the pre-resolved
-trap semantics (zero divisors, out-of-range shifts, speculative
-branches merged with ``np.where``) are spelled out as explicit code.
+The reference interpreter runs a map kernel by evaluating its lambda
+once per element.  This module walks the kernel's IR tree *once* per
+launch signature and emits a straight-line NumPy program that runs the
+lambda once over a *batch*: every scalar in the lambda body becomes an
+array with one entry per thread of the flat index space, every scalar
+operation becomes one ufunc application over a named local, and every
+constant is hoisted to module level.  Nested maps extend the batch (a
+``(B, n)`` batch is a ``B*n`` batch in row-major order) — the
+execution-side mirror of the flattening the compiler itself performs.
+This is the one kernel lowering of the repository; the rules below are
+its definition.
 
-The transpiler is a *symbolic* run of ``VectorEvaluator``: where the
-evaluator manipulates values, the transpiler manipulates
-:class:`JVal` descriptors — a static kind (uniform scalar ``S``,
-uniform array ``A``, or batched ``B``), element type and rank — and
-emits the exact NumPy expression the evaluator would have executed for
-that kind.  The kinds are fully static because a kernel launch
+Values are tracked statically as :class:`JVal` descriptors — a kind
+(uniform scalar ``S``, uniform array ``A``, or batched ``B``), element
+type and rank.  The kinds are fully static because a kernel launch
 environment contains only uniform values: batched values are
 introduced (and eliminated) by the SOAC structure of the expression
 itself, which the transpiler sees.  Uniform scalar arithmetic calls the
 very same ``eval_binop``/``eval_unop``/... used by the interpreter, so
 scalar results are bit-identical by construction; batched arithmetic
-mirrors ``VectorEvaluator._np_binop`` line for line.
+emits guarded ufunc sequences (:meth:`KernelCodegen._np_binop`).
 
-Two escape hatches keep the engine honest:
+Divergent control flow is handled GPU-style: both branches of a
+batched ``if`` run speculatively and merge with ``np.where``;
+data-dependent loops run to the longest active trip count under a lane
+mask.  In speculative position trapping inputs (out-of-bounds indices,
+zero divisors, negative ``sqrt`` arguments) are substituted with safe
+values, because the lanes that would trap discard their result in the
+merge — the contract real GPU kernels have.  Outside speculation every
+trap condition is checked explicitly.
+
+The scalar interpreter stays the sole reference semantics, through two
+escape hatches:
 
 * :class:`JitUnsupported` is raised *at transpile time* for constructs
   outside the transpilable subset (function calls, batched streams,
-  ...).  The engine memoizes the failure and permanently routes the
-  kernel to the vector engine.
+  ...).  The engine memoizes the failure and runs every launch of that
+  kernel on the interpreter.
 * ``JitFallback`` is raised *at run time* by generated code whenever a
-  data-dependent check fires that the evaluator answers with
-  ``VmFallback`` — or with a diagnostic error whose exact message the
-  interpreter owns.  The engine catches it and re-runs the launch on
-  the vector engine, which reproduces the authoritative behaviour.
+  trap check fires — the error message, or the decision that it is no
+  error at all, is the interpreter's to make.  The engine catches it
+  and re-runs that launch on the interpreter.  Generated code never
+  mutates an array it did not itself allocate, so the re-run starts
+  from unmodified inputs.
 
 Generated modules are self-contained (they import only ``numpy`` and
 stable ``repro`` entry points), so their source can be persisted
@@ -45,10 +57,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...core import ast as A
-from ...core.prim import BOOL, I32, PrimType, prim_from_name
+from ...core.prim import BINOPS, BOOL, I32, PrimType, prim_from_name
 from ...core.traversal import free_vars_lambda
 from ...core.types import Array
-from ..vectorize import _simple_op
 
 __all__ = ["JitUnsupported", "transpile_kernel", "PYCODE_SCHEMA"]
 
@@ -63,7 +74,7 @@ _MAX_LINES = 50_000
 
 class JitUnsupported(Exception):
     """The kernel (at this signature) is outside the transpilable
-    subset; the engine routes it to the vector engine permanently."""
+    subset; the engine routes it to the interpreter permanently."""
 
     def __init__(self, reason: str) -> None:
         super().__init__(reason)
@@ -92,9 +103,8 @@ class JVal:
     or ``"B"`` (a batched ndarray of shape ``(B, *per_thread)``);
     ``rank`` is the array rank (per-thread rank for ``B``); ``var`` is
     the Python expression — almost always a local name — holding the
-    value; ``owned`` is the static analogue of the evaluator's
-    freshness set: True only when the buffer was provably allocated by
-    this kernel evaluation and may be mutated in place."""
+    value; ``owned`` is True only when the buffer was provably
+    allocated by this kernel evaluation and may be mutated in place."""
 
     kind: str
     elem: PrimType
@@ -141,12 +151,12 @@ def _join_kd(a: KD, b: KD) -> KD:
 
 
 class _Scope:
-    """Lexical IR-name -> JVal bindings, mirroring ``VEnv``.
+    """Lexical IR-name -> JVal bindings.
 
     ``barrier`` marks a batch-expansion boundary (entering a map
     lambda): batched values must not be read across it — the
-    transpiler expands them eagerly at the boundary instead (the static
-    analogue of ``VEnv.get``'s on-demand ``np.repeat``)."""
+    transpiler expands them eagerly (``np.repeat``) at the boundary
+    instead."""
 
     __slots__ = ("parent", "vars", "barrier")
 
@@ -253,8 +263,47 @@ _NP_UN_SRC = {
 }
 
 
+def _simple_op(lam: A.Lambda) -> Optional[str]:
+    """Recognize ``\\(a, b) -> a op b``, possibly lifted elementwise
+    through nested maps (the shape fusion gives vector-valued reduce
+    operators).  Returns the operator name, or None."""
+    if len(lam.params) != 2:
+        return None
+    a, b = lam.params
+    body = lam.body
+    if len(body.bindings) != 1 or len(body.result) != 1:
+        return None
+    bnd = body.bindings[0]
+    res = body.result[0]
+    if len(bnd.pat) != 1:
+        return None
+    if not (isinstance(res, A.Var) and res.name == bnd.pat[0].name):
+        return None
+    e = bnd.exp
+    if isinstance(e, A.BinOpExp):
+        if not (isinstance(e.x, A.Var) and isinstance(e.y, A.Var)):
+            return None
+        names = (e.x.name, e.y.name)
+        if names == (a.name, b.name):
+            return e.op
+        if names == (b.name, a.name) and BINOPS[e.op].commutative:
+            return e.op
+        return None
+    if isinstance(e, A.MapExp):
+        names = tuple(v.name for v in e.arrs)
+        if names == (a.name, b.name):
+            return _simple_op(e.lam)
+        if names == (b.name, a.name):
+            op = _simple_op(e.lam)
+            if op is not None and BINOPS[op].commutative:
+                return op
+    return None
+
+
 def _ufunc_src(op: Optional[str], elem: PrimType) -> Optional[str]:
-    """Source text of the reduction ufunc ``_ufunc_for`` would pick."""
+    """Source text of the NumPy ufunc that can run a fold with operator
+    ``op`` natively, or None.  ``and``/``or`` short-circuit on integers,
+    so only their boolean (logical) forms are safe to lift."""
     if op is None:
         return None
     if op in ("add", "mul") and not elem.is_bool:
@@ -281,9 +330,9 @@ class KernelCodegen:
         #: Hoisted module-level names: insertion-ordered name -> init expr.
         self._hoisted: Dict[str, str] = {}
         self._const_pool: Dict[Tuple[str, str], str] = {}
-        #: Stack of batch extent expressions, innermost last (the
-        #: evaluator's ``_extents``); non-empty means "a batch is in
-        #: scope", and its top is the ``B`` a nested map extends.
+        #: Stack of batch extent expressions, innermost last;
+        #: non-empty means "a batch is in scope", and its top is the
+        #: ``B`` a nested map extends.
         self._extents: List[str] = []
         self._total_lines = 0
 
@@ -376,14 +425,14 @@ class KernelCodegen:
     # -- kind coercion ------------------------------------------------------
 
     def _asarray(self, v: JVal) -> str:
-        """The ``_raw`` of a value as an ndarray expression."""
+        """A value as an ndarray expression."""
         if v.kind == "S":
             return f"np.asarray({v.var}, dtype={self._dt(v.elem)})"
         return v.var
 
     def _coerce(self, v: JVal, kd: KD) -> JVal:
         """Emit the code turning ``v`` into kind descriptor ``kd``
-        (mirrors ``_to_batched`` with ``copy=False``)."""
+        (broadcast views, no copy)."""
         kind, elem, rank, owned = kd
         if v.kind == kind:
             return replace(v, owned=v.owned and owned)
@@ -403,8 +452,8 @@ class KernelCodegen:
         return JVal("B", elem, rank, out, False)
 
     def _to_batched_checked(self, v: JVal, ext: str, reason: str) -> JVal:
-        """``_to_batched(v, ext)`` including the width check on an
-        already-batched value."""
+        """Coerce ``v`` to a batch of extent ``ext``, with a width check
+        on an already-batched value."""
         if v.kind == "B":
             self.line(f"if {v.var}.shape[0] != {ext}:")
             with self.indented():
@@ -430,7 +479,8 @@ class KernelCodegen:
 
     def _bind_param(self, scope: _Scope, p: A.Param, v: JVal) -> None:
         """Bind ``v``, unifying not-yet-bound symbolic sizes in the
-        declared type from the runtime shape (as the evaluator does)."""
+        declared type from the runtime shape (as the interpreter
+        does)."""
         t = p.type
         if isinstance(t, Array):
             if v.kind == "S":
@@ -527,8 +577,8 @@ class KernelCodegen:
         return [JVal("B", e.t, 0, out)]
 
     def _np_binop(self, op: str, t: PrimType, x: str, y: str, spec: bool) -> str:
-        """Emit the batched operator exactly as ``_np_binop`` computes
-        it, returning the local holding the (pre-dtype-fix) result."""
+        """Emit the batched operator with its trap checks, returning
+        the local holding the (pre-dtype-fix) result."""
         out = self.fresh()
         if op in ("add", "sub", "mul"):
             sym = {"add": "+", "sub": "-", "mul": "*"}[op]
@@ -842,9 +892,8 @@ class KernelCodegen:
     ) -> List[JVal]:
         """Assign the (coerced) initial values into the loop-state
         locals, pre-copying unowned arrays when the converged state is
-        owned — the static stand-in for the evaluator's copy-on-first-
-        update, hoisted out of the loop so later iterations mutate in
-        place."""
+        owned — a copy-on-first-update hoisted out of the loop, so
+        later iterations mutate in place."""
         state = []
         for v, kd, s in zip(init, kds, slots):
             cv = self._coerce(v, kd)
@@ -1198,8 +1247,8 @@ class KernelCodegen:
             else:
                 raise JitUnsupported("array used as index")
         data = self.fresh("_u")
-        # NB the evaluator's batched update consults only ownership and
-        # speculation (not the in_place flag) — mirrored faithfully.
+        # NB a batched update consults only ownership and speculation
+        # (not the in_place flag).
         if arr.owned and not spec:
             self.line(f"{data} = {arr.var}")
         else:
@@ -1367,8 +1416,7 @@ class KernelCodegen:
         self, lam: A.Lambda, scope: _Scope, width: str
     ) -> List[Tuple[str, JVal]]:
         """Eagerly repeat every batched free variable of ``lam`` by the
-        inner width — the static counterpart of ``VEnv``'s lazy
-        expansion on lookup."""
+        inner width."""
         out = []
         for name in sorted(free_vars_lambda(lam)):
             v = scope.maybe(name)
@@ -1955,9 +2003,8 @@ class KernelCodegen:
             lines.append("")
         lines.append("")
         lines.append(f"def run(R, {', '.join(params)}):")
-        # One errstate for the whole kernel: the evaluator scopes it
-        # per-ufunc, but it only silences warnings — values and the
-        # explicit trap checks are unaffected by the wider scope.
+        # One errstate for the whole kernel: it only silences warnings
+        # — values and the explicit trap checks are unaffected.
         lines.append('    with np.errstate(all="ignore"):')
         body = body_buf.render(base=2)
         lines.extend(body if body else ["        pass"])

@@ -1,20 +1,24 @@
-"""The transpiling execution engine: a drop-in VectorEngine.
+"""The transpiling execution engine: a drop-in :class:`GpuSimulator`.
 
-:class:`JitEngine` adds one rung above the vectorized evaluator:
-kernels are transpiled once (per launch signature) into straight-line
-NumPy source by :mod:`repro.vm.jit.codegen`, ``compile()``d, and
-executed directly — no IR walk, no per-node environment lookups.  A
-kernel the transpiler cannot handle, or whose generated code hits a
-data-dependent trap at run time, degrades to the vectorized evaluator
-(and from there, transparently, to the interpreter), counted on the
-``vm.fallback`` metric with ``kind="jit"`` and marked on the trace.
+:class:`JitEngine` inherits everything about the simulated device — the
+cost-model clock, the heap, the watchdog, fault injection, the deadline
+and the observability spans — and overrides only *how kernel values are
+computed*: kernels are transpiled once (per launch signature) into
+straight-line NumPy source by :mod:`repro.vm.jit.codegen`,
+``compile()``d, and executed directly — no IR walk, no per-node
+environment lookups.  A kernel the transpiler cannot handle, or whose
+generated code hits a data-dependent trap at run time, re-runs that
+launch on the scalar interpreter (:meth:`GpuSimulator._eval_kernel`),
+counted on the ``vm.fallback`` metric with ``kind="jit"`` and marked on
+the trace.
 
-Generated source is memoized per host program (``host._jit_cache``)
-and — when the program was compiled with stage fingerprints and an
-artifact cache — persisted verbatim through the artifact store under
-the ``pycode`` stage, so a warm process (``$REPRO_ARTIFACT_DIR``, or a
-``Server`` with ``artifact_dir=``) skips transpilation entirely and
-only pays ``compile()``.
+Generated source is memoized per host program
+(``HostProgram.jit_cache``) and — when the program came out of a clean
+compile that went through an artifact cache — persisted verbatim
+through the artifact store under the ``pycode`` stage, so a warm
+process (``$REPRO_ARTIFACT_DIR``, or a ``Server`` with
+``artifact_dir=``) skips transpilation entirely and only pays
+``compile()``.
 """
 
 from __future__ import annotations
@@ -27,10 +31,11 @@ from ...core.prim import PrimType, prim_from_name
 from ...core.traversal import free_vars_exp
 from ...core.values import ArrayValue, ScalarValue, Value, scalar
 from ...errors import ReproError
+from ...gpu.device import DeviceProfile
+from ...gpu.simulator import GpuSimulator
 from ...obs import get_logger, get_metrics, get_tracer
 from ...pipeline.artifact import StageArtifact, default_artifact_cache
 from ...pipeline.fingerprint import _digest
-from ..engine import VectorEngine
 from .codegen import JitUnsupported, PYCODE_SCHEMA, transpile_kernel
 from .runtime import JitFallback, JitRuntime
 
@@ -38,7 +43,7 @@ __all__ = ["JitEngine", "JitProgramCache", "jit_cache_for"]
 
 _log = get_logger("vm.jit")
 
-#: Guards the lazy attach of ``host._jit_cache`` (hosts are shared
+#: Guards the lazy attach of ``host.jit_cache`` (hosts are shared
 #: across serving threads; the cache itself has its own lock).
 _ATTACH_LOCK = threading.Lock()
 
@@ -65,20 +70,20 @@ class JitProgramCache:
 
     def __init__(self, host) -> None:
         self._lock = threading.Lock()
-        self._entry_name = getattr(host, "name", "main")
+        self._entry_name = host.name
         #: kernel name -> sig key -> source (or None for unsupported).
         self._sources: Dict[str, Dict[str, Optional[str]]] = {}
         #: (kernel name, sig key) -> compiled entry (or None).
         self._entries: Dict[Tuple[str, str], Optional[_CompiledKernel]] = {}
         #: kernel name -> sorted free variables (signature order).
         self._free_vars: Dict[str, Tuple[str, ...]] = {}
-        self._cache = getattr(host, "_artifact_cache", None)
+        self._cache = host.artifact_cache
         if self._cache is None:
             self._cache = default_artifact_cache()
-        fps = getattr(host, "_stage_fingerprints", None)
+        host_fp = host.stage_fingerprints.get("host")
         self._fp: Optional[str] = None
-        if fps and fps.get("host"):
-            self._fp = _digest(("pycode", fps["host"], PYCODE_SCHEMA))
+        if host_fp:
+            self._fp = _digest(("pycode", host_fp, PYCODE_SCHEMA))
         if self._cache is not None and self._fp is not None:
             artifact = self._cache.load("pycode", self._fp)
             if (
@@ -212,80 +217,78 @@ class JitProgramCache:
 
 def jit_cache_for(host) -> JitProgramCache:
     """The host program's :class:`JitProgramCache`, attached lazily."""
-    cache = getattr(host, "_jit_cache", None)
+    cache = host.jit_cache
     if cache is None:
         with _ATTACH_LOCK:
-            cache = getattr(host, "_jit_cache", None)
+            cache = host.jit_cache
             if cache is None:
-                cache = JitProgramCache(host)
-                host._jit_cache = cache
+                cache = host.jit_cache = JitProgramCache(host)
     return cache
 
 
-class JitEngine(VectorEngine):
-    """A :class:`VectorEngine` whose kernels run as transpiled Python.
+class JitEngine(GpuSimulator):
+    """A :class:`GpuSimulator` whose kernels run as transpiled Python.
 
-    The degradation ladder per kernel launch is jit → vectorized
-    evaluator → interpreter; each demotion is observable (``vm.fallback``
-    with ``kind="jit"`` for the first rung, the inherited vector
-    accounting for the second)."""
+    Per kernel launch the ladder is jit → interpreter; the demotion is
+    observable (``vm.fallback`` with ``kind="jit"``)."""
 
-    def __init__(self, device, *args, **kwargs) -> None:
-        kwargs.setdefault("trace_track", "vm-jit")
-        super().__init__(device, *args, **kwargs)
-        in_place = (
-            args[1] if len(args) > 1 else kwargs.get("in_place", True)
+    def __init__(
+        self,
+        device: DeviceProfile,
+        *,
+        in_place: bool = True,
+        trace_track: str = "vm-jit",
+        **simulator_options,
+    ) -> None:
+        """Takes :class:`GpuSimulator`'s options, by keyword."""
+        super().__init__(
+            device,
+            in_place=in_place,
+            trace_track=trace_track,
+            **simulator_options,
         )
         self._rt = JitRuntime(in_place=in_place)
-        self._host = None
+        self._cache: Optional[JitProgramCache] = None
 
     def run(self, hp, args):
-        self._host = hp
+        self._cache = jit_cache_for(hp)
         return super().run(hp, args)
 
     def _eval_kernel(self, kernel, env: Dict[str, Value]) -> Tuple[Value, ...]:
-        host = self._host
-        if host is not None:
-            cache = jit_cache_for(host)
-            sig = cache.signature(kernel, env)
-            entry = cache.entry_for(kernel, sig)
-            if entry is None:
-                self._note_jit_fallback(kernel, "transpilation unsupported")
+        cache = self._cache
+        sig = cache.signature(kernel, env)
+        entry = cache.entry_for(kernel, sig)
+        if entry is None:
+            self._note_fallback(kernel, "transpilation unsupported")
+        else:
+            try:
+                raws = [
+                    env[name].value if kind == "S" else env[name].data
+                    for name, kind, _elem, _rank in sig
+                ]
+                outs = entry.fn(self._rt, *raws)
+            except JitFallback as ex:
+                self._note_fallback(kernel, ex.reason)
+            except ReproError:
+                # A genuine program error: identical on the interpreter.
+                raise
+            except Exception as ex:  # unexpected: degrade, never fail
+                self._note_fallback(kernel, f"{type(ex).__name__}: {ex}")
             else:
-                try:
-                    raws = [
-                        env[name].value
-                        if kind == "S"
-                        else env[name].data
-                        for name, kind, _elem, _rank in sig
-                    ]
-                    outs = entry.fn(self._rt, *raws)
-                except JitFallback as ex:
-                    self._note_jit_fallback(kernel, ex.reason)
-                except ReproError:
-                    # A genuine program error: identical on every rung.
-                    raise
-                except Exception as ex:  # unexpected: degrade, never fail
-                    self._note_jit_fallback(
-                        kernel, f"{type(ex).__name__}: {ex}"
-                    )
-                else:
-                    metrics = get_metrics()
-                    if metrics.enabled:
-                        metrics.counter(
-                            "jit.kernels", kind=kernel.kind
-                        ).inc()
-                    return tuple(
-                        scalar(raw, prim)
-                        if kind == "S"
-                        else ArrayValue(raw, prim)
-                        for (kind, prim), raw in zip(entry.outs, outs)
-                    )
+                metrics = get_metrics()
+                if metrics.enabled:
+                    metrics.counter("jit.kernels", kind=kernel.kind).inc()
+                return tuple(
+                    scalar(raw, prim)
+                    if kind == "S"
+                    else ArrayValue(raw, prim)
+                    for (kind, prim), raw in zip(entry.outs, outs)
+                )
         # Generated code never mutates arrays it does not own, so the
-        # environment reaches the vector engine untouched.
+        # environment reaches the interpreter as the launch found it.
         return super()._eval_kernel(kernel, env)
 
-    def _note_jit_fallback(self, kernel, reason: str) -> None:
+    def _note_fallback(self, kernel, reason: str) -> None:
         _log.debug(
             "jit-fallback", kernel=kernel.name, kind=kernel.kind,
             reason=reason,

@@ -7,13 +7,12 @@ instance (``R``) carrying the per-engine knobs the source must not bake
 in — the ``in_place`` execution mode, the stream chunking policy, and
 the shared ``arange`` cache used by gather/scatter index vectors.
 
-:class:`JitFallback` is the generated code's escape hatch, the analogue
-of :class:`repro.vm.vectorize.VmFallback`: raised at run time when a
-pre-resolved trap condition fires (zero divisor, out-of-bounds gather,
-...), it tells :class:`~repro.vm.jit.engine.JitEngine` to re-run the
-kernel one rung down the degradation ladder, on the vectorized
-evaluator — which reproduces the authoritative behaviour, be that a
-per-kernel interpreter fallback or a genuine program error.
+:class:`JitFallback` is the generated code's escape hatch: raised at
+run time when a pre-resolved trap condition fires (zero divisor,
+out-of-bounds gather, ...), it tells
+:class:`~repro.vm.jit.engine.JitEngine` to re-run the launch on the
+scalar interpreter — which owns the authoritative behaviour, be that a
+value or a genuine program error.
 """
 
 from __future__ import annotations
@@ -28,9 +27,9 @@ __all__ = ["JitFallback", "JitRuntime"]
 
 
 class JitFallback(Exception):
-    """Raised by generated code when a kernel must degrade to the
-    vectorized evaluator.  Never escapes to users: the engine catches
-    it and re-runs the kernel on the next ladder rung."""
+    """Raised by generated code when a launch must degrade to the
+    interpreter.  Never escapes to users: the engine catches it and
+    re-runs the launch there."""
 
     def __init__(self, reason: str) -> None:
         super().__init__(reason)
@@ -56,7 +55,7 @@ class JitRuntime:
     def chunks(self, width: int) -> Iterator[Tuple[int, int]]:
         """``(size, offset)`` pairs partitioning a stream of ``width``
         elements under the engine's chunk policy (validated exactly as
-        the vectorized evaluator validates it)."""
+        the interpreter validates it)."""
         sizes = list(self.chunk_policy(width))
         if sum(sizes) != width or any(s <= 0 for s in sizes):
             raise InterpError(

@@ -16,6 +16,7 @@ from repro.gpu.faults import FaultPlan
 from repro.pipeline import compile_source
 from repro.runtime import ExecutionPolicy, run_resilient
 from repro.serve import Deadline
+from tests.helpers import EXECUTOR_PARAMS
 
 SRC = """
 fun main (xs: [n]f32): [n]f32 =
@@ -134,7 +135,7 @@ class TestExpiryDuringRetries:
 
 
 class TestGenerousDeadline:
-    @pytest.mark.parametrize("executor", ["sim", "vector"])
+    @pytest.mark.parametrize("executor", EXECUTOR_PARAMS)
     def test_run_completes_within_budget(self, compiled, executor):
         values, _cost, report = _run(
             compiled,

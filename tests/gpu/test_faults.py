@@ -208,7 +208,7 @@ class TestResilientExecutor:
                 real.__init__(self, *args, **kwargs)
 
         monkeypatch.setattr(runtime, "GpuSimulator", Spy)
-        _compiled(in_place=False).run([_xs()])
+        _compiled(in_place=False, executor="sim").run([_xs()])
         assert seen["in_place"] is False
-        _compiled().run([_xs()])
+        _compiled(executor="sim").run([_xs()])
         assert seen["in_place"] is True

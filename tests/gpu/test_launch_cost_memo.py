@@ -23,10 +23,10 @@ from repro.gpu import AMD_W8100, NVIDIA_GTX780TI
 from repro.gpu.costmodel import KernelCost, kernel_cost
 from repro.gpu.simulator import LAUNCH_COST_MEMO_SIZE
 from repro.pipeline import compile_program, compile_source
-from repro.vm import VectorEngine
+from repro.vm import JitEngine
 
 
-class _PerLaunchPricing(VectorEngine):
+class _PerLaunchPricing(JitEngine):
     """The un-memoised simulator: price every launch from scratch."""
 
     def _launch_cost(self, kernel, env):
@@ -57,9 +57,9 @@ def test_cold_and_warm_memo_report_what_per_launch_pricing_does(name):
     want = _signature(run(_PerLaunchPricing))
     memo = compiled.host.launch_costs[(NVIDIA_GTX780TI, True)]
     assert not memo
-    cold = run(VectorEngine)
+    cold = run(JitEngine)
     assert memo, "the run priced nothing"
-    warm = run(VectorEngine)
+    warm = run(JitEngine)
     assert _signature(cold) == want
     assert _signature(warm) == want
     # Warm launches are served from the memo: the very same objects.
@@ -85,7 +85,7 @@ def test_key_is_the_sizes_the_kernel_names_and_the_device():
     assert kernel.size_names == ("n",)
 
     def run(n, k=3, device=NVIDIA_GTX780TI, coalescing=True):
-        engine = VectorEngine(
+        engine = JitEngine(
             device, coalescing=coalescing, prog=compiled.core
         )
         return engine.run(host, _args(n, k))[1]
@@ -112,7 +112,7 @@ def test_key_is_the_sizes_the_kernel_names_and_the_device():
 
 def test_memo_is_bounded():
     compiled = compile_source(SRC)
-    engine = VectorEngine(NVIDIA_GTX780TI, prog=compiled.core)
+    engine = JitEngine(NVIDIA_GTX780TI, prog=compiled.core)
     for n in range(1, LAUNCH_COST_MEMO_SIZE + 8):
         engine.run(compiled.host, _args(n, k=1))
         (memo,) = compiled.host.launch_costs.values()
@@ -121,7 +121,7 @@ def test_memo_is_bounded():
 
 def test_shared_cost_cannot_be_edited_through_a_report():
     compiled = compile_source(SRC)
-    engine = VectorEngine(NVIDIA_GTX780TI, prog=compiled.core)
+    engine = JitEngine(NVIDIA_GTX780TI, prog=compiled.core)
     report = engine.run(compiled.host, _args(4))[1]
     assert isinstance(report.kernel_costs[0], KernelCost)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -136,7 +136,7 @@ def test_memo_is_process_state_not_part_of_the_program():
     compiled = compile_source(SRC)
     host = compiled.host
     pristine = pickle.dumps(host)
-    VectorEngine(NVIDIA_GTX780TI, prog=compiled.core).run(host, _args(4))
+    JitEngine(NVIDIA_GTX780TI, prog=compiled.core).run(host, _args(4))
     assert host.launch_costs
     # The memo is not persisted: a program loaded from disk starts
     # with an empty one and compares equal to the one that has run.
@@ -146,7 +146,7 @@ def test_memo_is_process_state_not_part_of_the_program():
     # An artifact written before the field existed loads the same way.
     old = pickle.loads(pristine)
     assert old.launch_costs == {}
-    report = VectorEngine(NVIDIA_GTX780TI, prog=compiled.core).run(
+    report = JitEngine(NVIDIA_GTX780TI, prog=compiled.core).run(
         old, _args(4)
     )[1]
     assert report.total_us > 0
@@ -164,7 +164,7 @@ def test_concurrent_runs_share_the_memo_without_changing_a_price():
 
     def worker(seed):
         try:
-            engine = VectorEngine(NVIDIA_GTX780TI, prog=compiled.core)
+            engine = JitEngine(NVIDIA_GTX780TI, prog=compiled.core)
             for i in range(40):
                 # Distinct sizes force fills and bound-triggered clears
                 # to interleave with the hits on n == 32.

@@ -77,12 +77,12 @@ class TestResilientOOM:
                 policy=ExecutionPolicy(fallback=False),
             )
 
-    def test_vector_engine_enforces_capacity_too(self):
+    def test_sim_engine_enforces_capacity_too(self):
         compiled = compile_source(SRC)
         _, _, report = compiled.execute(
             [_xs()],
             device=_tiny_device(16),
-            policy=ExecutionPolicy(executor="vector"),
+            policy=ExecutionPolicy(executor="sim"),
         )
         assert report.ooms == 1
         assert report.fallbacks == 1

@@ -3,7 +3,7 @@
 For every benchmark in the paper's 16-program suite, across dataset
 seeds, the compiled program runs with memory planning on and off under
 both executors (``sim`` — per-launch scalar interpretation — and
-``vector`` — the NumPy engine).  The planner only rewrites allocation
+``jit`` — transpiled NumPy kernels).  The planner only rewrites allocation
 statements, never kernels, so the contract is exact:
 
 * results are **bit-identical** between planned and naive schedules
@@ -24,7 +24,7 @@ from repro.pipeline import CompilerOptions, compile_program
 from repro.runtime import ExecutionPolicy
 
 SEEDS = (0, 1)
-EXECUTORS = ("sim", "vector")
+EXECUTORS = ("sim", "jit")
 
 
 def _bit_identical(a, b) -> bool:
@@ -93,9 +93,9 @@ def test_executors_agree_on_planned_schedule(name):
     got_sim, _, rep_sim = compiled.execute(
         args, policy=ExecutionPolicy(executor="sim")
     )
-    got_vec, _, rep_vec = compiled.execute(
-        args, policy=ExecutionPolicy(executor="vector")
+    got_jit, _, rep_jit = compiled.execute(
+        args, policy=ExecutionPolicy(executor="jit")
     )
-    assert rep_sim.fallbacks == 0 and rep_vec.fallbacks == 0
-    for vs, vv in zip(got_sim, got_vec):
-        assert values_equal(vs, vv, rtol=1e-4, atol=1e-4)
+    assert rep_sim.fallbacks == 0 and rep_jit.fallbacks == 0
+    for vs, vj in zip(got_sim, got_jit):
+        assert values_equal(vs, vj, rtol=1e-4, atol=1e-4)

@@ -59,8 +59,8 @@ def _finish_one(recorder, request_id, error=None, latency_us=1_000.0,
             latency_us=latency_us,
             error=error,
             lane="interactive",
-            backend="vector",
-            rungs=["vector"],
+            backend="jit",
+            rungs=["jit"],
             queue_wait_us=10.0,
             cache_hit=True,
         )
@@ -307,7 +307,7 @@ class TestRenderBundle:
             get_tracer().complete(
                 "kernel:map_1", "kernel", ts_us=0.0, dur_us=50.0, track="gpu"
             )
-            get_tracer().instant("breaker:vector opened", "serve")
+            get_tracer().instant("breaker:jit opened", "serve")
             get_metrics().counter("runtime.attempts").inc()
             recorder.finish(
                 record,
@@ -322,7 +322,7 @@ class TestRenderBundle:
                 },
                 lane="interactive",
                 backend="",
-                rungs=["vector", "sim"],
+                rungs=["jit", "sim"],
                 queue_wait_us=100.0,
                 cache_hit=False,
             )
@@ -331,8 +331,8 @@ class TestRenderBundle:
         assert "myprog" in text
         assert "DeviceFault" in text
         assert "bad launch" in text
-        assert "vector -> sim" in text
+        assert "jit -> sim" in text
         assert "kernel:map_1" in text
-        assert "breaker:vector opened" in text
+        assert "breaker:jit opened" in text
         assert "runtime.attempts" in text
         assert "fault at k0" in text

@@ -9,12 +9,15 @@ from repro.bench.runner import validate_benchmark
 from repro.gpu.faults import FaultPlan
 from repro.obs import observe
 from repro.obs.export import chrome_trace, validate_chrome_trace
+from repro.pipeline import CompilerOptions
 
 
 @pytest.fixture(scope="module")
 def observed_run():
     with observe() as session:
-        report = validate_benchmark("HotSpot", seed=0)
+        report = validate_benchmark(
+            "HotSpot", seed=0, options=CompilerOptions(executor="sim")
+        )
     return session, report
 
 

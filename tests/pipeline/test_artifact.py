@@ -168,7 +168,7 @@ class TestDriverResume:
         cache = ArtifactCache(tmp_path)
         compile_source(SRC, artifact_cache=cache)
         warm = compile_source(
-            SRC, CompilerOptions(executor="vector"), artifact_cache=cache
+            SRC, CompilerOptions(executor="sim"), artifact_cache=cache
         )
         assert warm.from_artifact == "host"
 

@@ -55,8 +55,9 @@ def test_fresh_process_resumes_from_host_artifact(tmp_path):
     assert first["from_artifact"] is None
     assert "lower" in first["pass_names"]
     assert first["result"] == [3.0, 5.0, 7.0]
-    stored = sorted(p.name for p in tmp_path.glob("*.artifact"))
-    assert len(stored) == 2  # core + host frontiers
+    stored = sorted(p.name.split("-")[0] for p in tmp_path.glob("*.artifact"))
+    # The two compile frontiers, and the jit's generated source.
+    assert stored == ["core", "host", "pycode"]
 
     second = _compile_in_subprocess(tmp_path)
     # The whole pass pipeline is skipped: the fresh process loads the

@@ -16,6 +16,7 @@ from repro.gpu.device import AMD_W8100, NVIDIA_GTX780TI, SIM_SMALL
 from repro.pipeline import compile_cache_key, compile_program
 from repro.runtime import ExecutionPolicy, run_resilient
 from repro.sched import DevicePool, analyze_shardable
+from tests.helpers import EXECUTOR_PARAMS
 
 #: Heterogeneous pool composition, truncated to the requested count.
 POOL_PROFILES = [NVIDIA_GTX780TI, AMD_W8100, SIM_SMALL, NVIDIA_GTX780TI]
@@ -36,7 +37,7 @@ def _prepared(name):
     return _CACHE[name]
 
 
-@pytest.mark.parametrize("executor", ["sim", "vector"])
+@pytest.mark.parametrize("executor", EXECUTOR_PARAMS)
 @pytest.mark.parametrize("name", list(ALL_NAMES))
 def test_pool_results_are_bit_identical(name, executor):
     compiled, info, args, key = _prepared(name)

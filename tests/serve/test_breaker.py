@@ -21,7 +21,7 @@ class FakeClock:
 def make(threshold=3, recovery=1.0):
     clock = FakeClock()
     b = CircuitBreaker(
-        "vector", failure_threshold=threshold, recovery_s=recovery,
+        "jit", failure_threshold=threshold, recovery_s=recovery,
         clock=clock,
     )
     return b, clock

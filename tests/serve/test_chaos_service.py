@@ -103,9 +103,9 @@ class TestServiceChaos:
         assert health["completed"] == CLIENTS
 
     def test_breaker_routes_around_dead_backend_zero_failures(self):
-        """With the vector backend 100% faulty, the breaker trips and
+        """With the jit backend 100% faulty, the breaker trips and
         every request still succeeds further down the ladder."""
-        plans = ServiceFaultPlan.broken_backend("vector", seed=7)
+        plans = ServiceFaultPlan.broken_backend("jit", seed=7)
         names = ALL_NAMES[:6]
         cases = [(n,) + _expected(n, seed=i) for i, n in enumerate(names)]
         with Server(
@@ -132,8 +132,8 @@ class TestServiceChaos:
             assert r.backend in ("sim", "interp")
             for got, want in zip(r.values, expected):
                 assert values_equal(got, want, rtol=1e-4, atol=1e-4)
-        assert health["breakers"]["vector"]["state"] == "open"
-        assert health["breakers"]["vector"]["trips"] >= 1
+        assert health["breakers"]["jit"]["state"] == "open"
+        assert health["breakers"]["jit"]["trips"] >= 1
         assert health["errors"] == 0
 
     def test_rejections_are_typed(self):

@@ -13,6 +13,7 @@ from repro.gpu.device import NVIDIA_GTX780TI
 from repro.gpu.faults import FaultPlan, ServiceFaultPlan
 from repro.obs.export import validate_chrome_trace, validate_flight_bundle
 from repro.obs.flight import FlightRecorder, read_bundle
+from repro.pipeline import CompilerOptions
 from repro.serve import Server, ServeRequest
 
 MAP_SRC = r"fun main (xs: [n]f32): [n]f32 = map (\(x: f32) -> x + 1.0f32) xs"
@@ -50,8 +51,8 @@ class TestTerminalErrorsDump:
         with Server(
             workers=1,
             queue_capacity=4,
-            ladder=("vector",),
-            fault_plans=ServiceFaultPlan.broken_backend("vector"),
+            ladder=("jit",),
+            fault_plans=ServiceFaultPlan.broken_backend("jit"),
             retries_per_rung=1,
             flight_recorder=recorder,
         ) as s:
@@ -74,7 +75,7 @@ class TestTerminalErrorsDump:
             bundle["run_report"]["transient_faults"]
             + bundle["run_report"]["fatal_faults"]
         ) >= 1
-        assert bundle["rungs"] == ["vector"]
+        assert bundle["rungs"] == ["jit"]
 
     def test_kernel_timeout_dumps(self, prog, tmp_path):
         recorder = FlightRecorder(capacity=8, dump_dir=str(tmp_path))
@@ -89,7 +90,7 @@ class TestTerminalErrorsDump:
             workers=1,
             queue_capacity=4,
             ladder=("sim",),
-            default_executor="sim",
+            options=CompilerOptions(executor="sim"),
             fault_plans=plans,
             retries_per_rung=1,
             flight_recorder=recorder,
@@ -108,7 +109,7 @@ class TestTerminalErrorsDump:
             workers=1,
             queue_capacity=4,
             device=tiny,
-            ladder=("vector",),
+            ladder=("jit",),
             retries_per_rung=0,
             flight_recorder=recorder,
         ) as s:
@@ -163,7 +164,7 @@ class TestHealthyTraffic:
         assert ids == ["ok-0", "ok-1", "ok-2"]
         rec = recorder.records()[-1]
         assert rec.status == "ok"
-        assert rec.backend == "vector"
+        assert rec.backend == "jit"
         assert rec.latency_us > 0
         assert rec.queue_wait_us >= 0
         # The second call of the same program hits the compile cache.

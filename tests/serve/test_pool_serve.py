@@ -35,7 +35,7 @@ def test_pooled_server_shards_and_reports_placement():
             ServeRequest(prog, args), timeout=60
         ).raise_for_status()
         health = server.health()
-    assert result.ok and result.backend == "vector"
+    assert result.ok and result.backend == "jit"
     assert result.placement is not None
     assert result.placement["mode"] == "sharded"
     assert len(result.placement["shards"]) > 1
@@ -49,7 +49,7 @@ def test_pooled_server_shards_and_reports_placement():
         assert "transitions" in d["breaker"]
         assert "heap_lifetime" in d
     # The rung breakers expose transition counts too.
-    assert "transitions" in health["breakers"]["vector"]
+    assert "transitions" in health["breakers"]["jit"]
 
 
 def test_pool_less_server_has_no_placement():
@@ -106,7 +106,7 @@ def test_pooled_server_survives_broken_device_chaos():
     for r in results:
         assert r.ok, f"{r.request_id}: {r.error}"
         # The pool healed internally: no ladder degradation happened.
-        assert r.backend == "vector"
+        assert r.backend == "jit"
         assert not r.degraded_from
         assert all(
             values_equal(e, g) for e, g in zip(expected, r.values)

@@ -15,6 +15,7 @@ from repro.errors import (
 from repro.frontend.parser import parse
 from repro.gpu.faults import ServiceFaultPlan
 from repro.interp import run_program
+from repro.pipeline import CompilerOptions
 from repro.serve import (
     BreakerState,
     Server,
@@ -38,7 +39,7 @@ class TestHappyPath:
         with Server(workers=2, queue_capacity=8) as s:
             r = s.call(ServeRequest(prog, xs(1.0, 2.0, 3.0)), timeout=30)
         assert r.ok
-        assert r.backend == "vector"
+        assert r.backend == "jit"
         expected = run_program(prog, xs(1.0, 2.0, 3.0))
         assert values_equal(r.values[0], expected[0])
 
@@ -171,8 +172,8 @@ class TestErrors:
             r = s.call(ServeRequest(prog, []), timeout=30)
             assert r.status == "error"
             assert isinstance(r.error, ReproError)
-            assert s.breakers["vector"].state is BreakerState.CLOSED
-            assert s.breakers["vector"].trips == 0
+            assert s.breakers["jit"].state is BreakerState.CLOSED
+            assert s.breakers["jit"].trips == 0
 
     def test_parse_failure_surfaces_as_error(self):
         bad = parse(MAP_SRC)  # valid program...
@@ -188,8 +189,8 @@ class TestErrors:
 
 
 class TestDegradation:
-    def test_broken_vector_backend_routes_to_sim(self, prog):
-        plans = ServiceFaultPlan.broken_backend("vector", seed=3)
+    def test_broken_jit_backend_routes_to_sim(self, prog):
+        plans = ServiceFaultPlan.broken_backend("jit", seed=3)
         with Server(
             workers=2,
             queue_capacity=16,
@@ -207,16 +208,16 @@ class TestDegradation:
         for r in results:
             assert r.ok, r.error
             assert r.backend in ("sim", "interp")
-        assert health["breakers"]["vector"]["trips"] >= 1
+        assert health["breakers"]["jit"]["trips"] >= 1
         # Post-trip requests recorded the skip in their degradation trail.
-        assert any("vector:open" in r.degraded_from for r in results)
+        assert any("jit:open" in r.degraded_from for r in results)
 
     def test_program_error_during_probe_does_not_wedge_breaker(self, prog):
         # Regression: a half-open probe that dies of a *program* error
         # (or deadline) used to leave the probe slot held forever,
         # permanently refusing the rung.  The neutral outcome must
         # release the slot so the next request can probe.
-        plans = ServiceFaultPlan.broken_backend("vector", seed=7)
+        plans = ServiceFaultPlan.broken_backend("jit", seed=7)
         with Server(
             workers=1,
             queue_capacity=8,
@@ -228,26 +229,26 @@ class TestDegradation:
             s.warm(prog)
             first = s.call(ServeRequest(prog, xs(1.0)), timeout=60)
             assert first.ok, first.error
-            assert s.breakers["vector"].trips >= 1
+            assert s.breakers["jit"].trips >= 1
             # Burn the half-open probe on a request with a caller
             # error (wrong arity): neutral outcome for the backend.
             bad = s.call(ServeRequest(prog, []), timeout=60)
             assert bad.status == "error"
-            assert s.breakers["vector"].state is BreakerState.HALF_OPEN
+            assert s.breakers["jit"].state is BreakerState.HALF_OPEN
             # Heal the backend: the very next request must win a fresh
-            # probe and succeed on vector instead of being refused.
+            # probe and succeed on jit instead of being refused.
             s.fault_plans = ServiceFaultPlan()
             healed = s.call(ServeRequest(prog, xs(2.0)), timeout=60)
             assert healed.ok, healed.error
-            assert healed.backend == "vector"
-            assert s.breakers["vector"].state is BreakerState.CLOSED
+            assert healed.backend == "jit"
+            assert s.breakers["jit"].state is BreakerState.CLOSED
 
     def test_interp_floor_when_everything_is_broken(self, prog):
         plans = ServiceFaultPlan(
             plans={
-                "vector": ServiceFaultPlan.broken_backend(
-                    "vector", seed=1
-                ).for_backend("vector"),
+                "jit": ServiceFaultPlan.broken_backend(
+                    "jit", seed=1
+                ).for_backend("jit"),
                 "sim": ServiceFaultPlan.broken_backend(
                     "sim", seed=2
                 ).for_backend("sim"),
@@ -286,12 +287,20 @@ class TestJitRung:
         expected = run_program(prog, xs(1.0, 2.0))
         assert values_equal(r.values[0], expected[0])
 
-    def test_default_requests_do_not_use_jit(self, prog):
-        """The default ladder still starts at the vector rung."""
-        with Server(workers=1, queue_capacity=8) as s:
+    @pytest.mark.parametrize("executor", ["jit", "sim"])
+    def test_default_requests_start_on_the_options_executor(
+        self, prog, executor
+    ):
+        """A request that asks for nothing is served on
+        ``options.executor`` (which defaults to jit)."""
+        options = CompilerOptions(executor=executor)
+        assert CompilerOptions().executor == "jit"
+        with Server(workers=1, queue_capacity=8, options=options) as s:
+            assert s.default_executor == executor
             r = s.call(ServeRequest(prog, xs(1.0)), timeout=30)
         assert r.ok
-        assert r.backend == "vector"
+        assert r.backend == executor
+        assert not r.degraded_from
 
     def test_jit_warm_restart_skips_transpilation(self, prog, tmp_path):
         """A restarted server with the same artifact dir loads the
@@ -336,7 +345,7 @@ class TestHealth:
         assert h["queue_capacity"] == 8
         assert h["completed"] == 1
         assert h["admitted"] == 1
-        assert set(h["breakers"]) == {"jit", "vector", "sim"}
+        assert set(h["breakers"]) == {"jit", "sim"}
         assert h["compile_cache"]["misses"] == 1
         lane = h["lanes"]["interactive"]
         assert lane["count"] == 1
@@ -350,8 +359,18 @@ class TestHealth:
             json.dumps(s.health())
 
     def test_default_executor_must_be_on_ladder(self):
-        with pytest.raises(ValueError):
-            Server(default_executor="tpu")
+        with pytest.raises(ArgumentError):
+            Server(ladder=("sim", "interp"))
+        Server(
+            options=CompilerOptions(executor="sim"),
+            ladder=("sim", "interp"),
+        )
+
+    def test_unknown_executor_is_rejected_at_construction(self, prog):
+        with pytest.raises(ArgumentError, match="unknown executor"):
+            Server(options=CompilerOptions(executor="tpu"))
+        with pytest.raises(ArgumentError, match="unknown executor"):
+            ServeRequest(prog, xs(1.0), executor="tpu")
 
 
 class TestArtifactWarmStart:
@@ -363,7 +382,8 @@ class TestArtifactWarmStart:
             r = s1.call(ServeRequest(prog, xs(1.0, 2.0)), timeout=30)
             assert r.ok
             health = s1.health()
-        assert health["artifact_cache"]["stores"] == 2  # core + host
+        # core + host frontiers, and the jit's generated source.
+        assert health["artifact_cache"]["stores"] == 3
         assert health["artifact_cache"]["hits"] == 0
 
         with Server(workers=1, queue_capacity=8,
@@ -376,7 +396,9 @@ class TestArtifactWarmStart:
         # The in-memory compile cache missed (fresh process), but the
         # compile resumed from the on-disk host artifact.
         assert health["compile_cache"]["misses"] == 1
-        assert health["artifact_cache"]["hits"] == 1
+        # compile resumed from the on-disk host artifact, and the jit
+        # loaded its source instead of transpiling.
+        assert health["artifact_cache"]["hits"] == 2
         assert health["artifact_cache"]["stores"] == 0
 
     def test_no_artifact_cache_no_health_entry(self, prog):

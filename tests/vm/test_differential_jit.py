@@ -8,19 +8,27 @@ interpreter (bit-exact for integers, tolerance for floats) by
 :func:`repro.bench.runner.validate_benchmark`.  On top of value
 equality the suite asserts the quality bar the transpiler claims:
 
-* *full transpilation* — no kernel degrades to the vectorized engine
-  or the interpreter (``vm.fallback`` stays at zero across the whole
-  suite, ``jit.kernels`` is positive for every program);
+* *full transpilation* — no launch degrades to the interpreter
+  (``vm.fallback`` stays at zero across the whole suite,
+  ``jit.kernels`` is positive for every program);
 * *clock semantics* — the cost-model clock still advances, and
   kernel-launch spans land on the ``vm-jit`` trace track;
 * *persistence* — a second process pointed at the same
   ``$REPRO_ARTIFACT_DIR`` reuses the cached generated source and
   performs **zero** transpilations, while source persisted under an
-  older ``PYCODE_SCHEMA`` is discarded and re-transpiled.
+  older ``PYCODE_SCHEMA`` is discarded and re-transpiled;
+* *fallback = interpreter* — a launch the transpiler refuses, or whose
+  generated code meets a trap, re-runs on the scalar interpreter:
+  exactly one ``vm.fallback{kind="jit"}`` per launch, the
+  interpreter's values or the interpreter's error;
+* *two executors* — ``"vector"`` is no longer a name anything accepts;
+* *process state* — what the engines memoise on a host program is
+  neither compared nor pickled.
 """
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -29,14 +37,21 @@ import pytest
 
 from repro.bench.runner import validate_benchmark
 from repro.bench.suite import BENCHMARKS
-from repro.core.values import values_equal
+import repro.pipeline as P
+from repro.__main__ import main as repro_main
+from repro.core.prim import F32, I32
+from repro.core.values import array_value, scalar, values_equal
+from repro.errors import ArgumentError
+from repro.frontend import parse
 from repro.interp import run_program
 from repro.obs import metering, observe
 from repro.obs.export import validate_chrome_trace, write_chrome_trace
 from repro.pipeline import CompilerOptions, compile_program
 from repro.pipeline.artifact import ArtifactCache, StageArtifact
 from repro.pipeline.fingerprint import _digest
-from repro.runtime import ExecutionPolicy
+from repro.gpu.device import NVIDIA_GTX780TI
+from repro.runtime import ExecutionPolicy, run_resilient
+from repro.serve import ServeRequest
 from repro.vm.jit import jit_cache_for
 from repro.vm.jit.codegen import PYCODE_SCHEMA
 
@@ -45,6 +60,7 @@ SEEDS = [
 ]
 NAMES = list(BENCHMARKS.names())
 JIT = CompilerOptions(executor="jit")
+JIT_POLICY = ExecutionPolicy(executor="jit")
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -152,7 +168,7 @@ def test_pycode_from_an_older_schema_is_discarded(tmp_path):
     args = spec.small_args(np.random.default_rng(0))
     expected = run_program(spec.program(), args)
     cache = ArtifactCache(tmp_path)
-    policy = ExecutionPolicy(executor="jit")
+    policy = JIT_POLICY
 
     def serve():
         compiled = compile_program(spec.program(), artifact_cache=cache)
@@ -199,3 +215,146 @@ def test_pycode_from_an_older_schema_is_discarded(tmp_path):
     rewritten = cache.load("pycode", current_fp)
     assert rewritten.payload["schema"] == PYCODE_SCHEMA
     assert rewritten.payload["kernels"] == fresh
+
+
+# -- fallback = interpreter --------------------------------------------------
+
+
+def _jit_counters(m) -> dict:
+    return {
+        k: v
+        for k, v in m.snapshot()["counters"].items()
+        if k.startswith(("vm.", "jit."))
+    }
+
+
+CALL_IN_A_HOST_LOOP = r"""
+fun sq (x: f32): f32 = x * x
+fun main (xs: [n]f32) (k: i32): [n]f32 =
+  loop (ys = xs) for i < k do map (\(y: f32) -> sq y + 1.0f32) ys
+"""
+
+
+def test_kernel_with_a_call_runs_every_launch_on_the_interpreter(
+    monkeypatch,
+):
+    """An inlining rollback leaves a function call in the kernel; the
+    transpiler refuses it once, and each of the ``k`` launches then
+    takes one ``vm.fallback`` and computes the interpreter's values."""
+
+    def sabotaged(*args, **kwargs):
+        raise RuntimeError("sabotaged inlining")
+
+    monkeypatch.setattr(P, "inline_prog", sabotaged)
+    prog = parse(CALL_IN_A_HOST_LOOP)
+    compiled = compile_program(prog)
+    assert [d.pass_name for d in compiled.diagnostics] == ["inline"]
+
+    def args():
+        return [
+            array_value(np.linspace(0.0, 1.0, 5, dtype=np.float32), F32),
+            scalar(3, I32),
+        ]
+
+    with metering() as m:
+        got, cost, report = compiled.execute(args(), policy=JIT_POLICY)
+    assert report.fallbacks == 0 and cost.launches == 3
+    (kernel,) = compiled.host.kernels()
+    assert _jit_counters(m) == {
+        f"jit.transpiles{{kernel={kernel.name}}}": 1.0,
+        f"vm.fallback{{kernel={kernel.name},kind=jit}}": 3.0,
+    }
+    (want,) = run_program(prog, args())
+    assert np.array_equal(got[0].data, want.data)
+
+
+ZERO_DIVISOR = r"""
+fun main (xs: [n]i32) (d: i32) (k: i32): [n]i32 =
+  loop (ys = xs) for i < k do map (\(y: i32) -> y / d + 1) ys
+"""
+
+
+def test_zero_divisor_lands_on_the_interpreter_and_raises_its_error():
+    """A trap check outside speculation hands the launch down once;
+    the error is the interpreter's own.  With a non-zero divisor the
+    same compiled kernel is served by the jit."""
+    prog = parse(ZERO_DIVISOR)
+    compiled = compile_program(prog)
+    (kernel,) = compiled.host.kernels()
+
+    def args(d):
+        return [
+            array_value(np.arange(6, dtype=np.int32), I32),
+            scalar(d, I32),
+            scalar(2, I32),
+        ]
+
+    with pytest.raises(ZeroDivisionError) as want:
+        run_program(prog, args(0))
+    with metering() as m:
+        with pytest.raises(ZeroDivisionError) as got:
+            compiled.execute(args(0), policy=JIT_POLICY)
+    assert str(got.value) == str(want.value)
+    assert _jit_counters(m) == {
+        f"jit.transpiles{{kernel={kernel.name}}}": 1.0,
+        f"jit.compiles{{kernel={kernel.name}}}": 1.0,
+        f"vm.fallback{{kernel={kernel.name},kind=jit}}": 1.0,
+    }
+    with metering() as m:
+        values, _cost, _report = compiled.execute(args(3), policy=JIT_POLICY)
+    assert _jit_counters(m) == {"jit.kernels{kind=map}": 2.0}
+    (want,) = run_program(prog, args(3))
+    assert np.array_equal(values[0].data, want.data)
+
+
+def test_vector_is_not_an_executor(tmp_path, capsys):
+    for make in (
+        lambda: ExecutionPolicy(executor="vector"),
+        lambda: CompilerOptions(executor="vector"),
+        lambda: ServeRequest(parse(ZERO_DIVISOR), [], executor="vector"),
+    ):
+        with pytest.raises(ArgumentError, match="unknown executor 'vector'"):
+            make()
+    src = tmp_path / "prog.fut"
+    src.write_text(ZERO_DIVISOR)
+    with pytest.raises(SystemExit) as exit_:
+        repro_main(["run", str(src), "--executor", "vector"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'vector'" in capsys.readouterr().err
+
+
+# -- process state -----------------------------------------------------------
+
+
+def test_a_host_program_that_ran_under_jit_pickles(tmp_path):
+    """The jit cache (which holds a lock), the prediction memo and the
+    artifact breadcrumbs are process state: not compared, not pickled,
+    recreated empty — and a thawed program transpiles again."""
+    spec = BENCHMARKS["Pathfinder"]
+    args = spec.small_args(np.random.default_rng(0))
+    compiled = compile_program(
+        spec.program(), artifact_cache=ArtifactCache(tmp_path)
+    )
+    host = compiled.host
+    with observe():  # tracing on: the prediction memo fills too
+        want, _cost, _report = compiled.execute(args, policy=JIT_POLICY)
+    assert host.jit_cache is not None and host.prediction_cache
+    assert host.stage_fingerprints and host.artifact_cache is not None
+
+    thawed = pickle.loads(pickle.dumps(host))
+    assert thawed == host
+    assert thawed.jit_cache is None and thawed.artifact_cache is None
+    assert thawed.prediction_cache == {} and thawed.stage_fingerprints == {}
+    assert "jit_cache" not in repr(host)
+
+    with metering() as m:
+        got, _cost, _report = run_resilient(
+            thawed, compiled.core, args, NVIDIA_GTX780TI, policy=JIT_POLICY
+        )
+    counters = _jit_counters(m)
+    assert not [k for k in counters if k.startswith("vm.fallback")]
+    assert sum(
+        v for k, v in counters.items() if k.startswith("jit.transpiles")
+    ) == sum(len(v) for v in jit_cache_for(host).sources().values())
+    for w, g in zip(want, got):
+        assert np.array_equal(w.data, g.data)

@@ -1,12 +1,13 @@
 """Chaos under the jit executor: fault injection, retry, watchdog and
 interpreter fallback must work identically when kernels run as
-transpiled Python instead of through the vectorized evaluator.
+transpiled Python instead of on the scalar interpreter.
 
-Mirrors ``tests/vm/test_faults_vector.py`` (same fault-plan seeds and
-rates), but executes through ``ExecutionPolicy(executor="jit")`` — the
-resilient layer sits *above* the engine choice, and the jit engine
-inherits the whole cost-clock/watchdog/fault machinery from
-:class:`repro.vm.VectorEngine`, so the same seeds must recover to the
+Mirrors the transient-fault recipe of ``tests/pipeline/test_chaos.py``
+(every launch site is hit until its condition clears), but executes
+through ``ExecutionPolicy(executor="jit")`` — the resilient layer sits
+*above* the engine choice, and the jit engine inherits the whole
+cost-clock/watchdog/fault machinery from
+:class:`repro.gpu.GpuSimulator`, so the same seeds must recover to the
 same interpreter-identical results.
 """
 
@@ -23,9 +24,8 @@ from repro.runtime import ExecutionPolicy
 SEEDS = [
     int(s) for s in os.environ.get("VM_SEEDS", "0,1,2").split(",")
 ]
-#: The same representative slice as the vector chaos suite: stencil
-#: (HotSpot), scan-heavy (Pathfinder), irregular/filter (K-means) and
-#: deep host loops (Fluid).
+#: A representative slice: stencil (HotSpot), scan-heavy (Pathfinder),
+#: irregular/filter (K-means) and deep host loops (Fluid).
 NAMES = ("HotSpot", "Pathfinder", "K-means", "Fluid")
 JIT = CompilerOptions(executor="jit")
 CHAOS_PLAN_RATES = dict(

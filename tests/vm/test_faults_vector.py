@@ -1,92 +1,11 @@
-"""Chaos under the vector executor: fault injection, retry, watchdog
-and interpreter fallback must work identically when kernels are
-evaluated by :mod:`repro.vm` instead of the scalar interpreter.
+"""Test ids kept from the deleted vector tier (see
+``tests/vm/test_differential.py``): ``tests/vm/test_faults_jit.py``
+re-collected under the ids its vector mirror had."""
 
-Mirrors the transient-fault recipe of ``tests/pipeline/test_chaos.py``
-(every launch site is hit until its condition clears), but executes
-through ``ExecutionPolicy(executor="vector")`` — the resilient layer
-sits *above* the engine choice, so the same seeds must recover to the
-same interpreter-identical results.
-"""
-
-import os
-
-import pytest
-
-from repro.bench.runner import validate_benchmark
-from repro.gpu.faults import FaultPlan
-from repro.obs import observe
-from repro.pipeline import CompilerOptions
-from repro.runtime import ExecutionPolicy
-
-SEEDS = [
-    int(s) for s in os.environ.get("VM_SEEDS", "0,1,2").split(",")
-]
-#: A representative slice: stencil (HotSpot), scan-heavy (Pathfinder),
-#: irregular/filter (K-means) and deep host loops (Fluid).
-NAMES = ("HotSpot", "Pathfinder", "K-means", "Fluid")
-VECTOR = CompilerOptions(executor="vector")
-CHAOS_PLAN_RATES = dict(
-    launch_failure_rate=0.7,
-    memory_fault_rate=0.3,
-    timeout_rate=1.0,
-    fatal_rate=0.0,
-    max_consecutive=2,
+from .test_faults_jit import (  # noqa: F401
+    test_chaos_jit as test_chaos_vector,
+    test_fatal_fault_degrades_jit_to_interpreter
+    as test_fatal_fault_degrades_vector_to_interpreter,
+    test_jit_retries_land_on_attempt_tracks
+    as test_vector_retries_land_on_attempt_tracks,
 )
-CHAOS_POLICY = ExecutionPolicy(max_retries=6, executor="vector")
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_chaos_vector(seed):
-    """Transient faults on every launch site: the vector engine is
-    retried and (when the budget runs out) degraded to the
-    interpreter, and results still match the reference."""
-    engaged = 0
-    for name in NAMES:
-        plan = FaultPlan(seed=seed, **CHAOS_PLAN_RATES)
-        report = validate_benchmark(
-            name,
-            seed=seed,
-            fault_plan=plan,
-            policy=CHAOS_POLICY,
-            options=VECTOR,
-        )
-        assert report.faults > 0, f"{name}/seed{seed}: no faults injected"
-        engaged += int(report.degraded)
-    assert engaged > 0, f"seed{seed}: resilience never engaged"
-
-
-@pytest.mark.parametrize("seed", SEEDS[:1])
-def test_fatal_fault_degrades_vector_to_interpreter(seed):
-    """A fatally broken device ends in the interpreter fallback even
-    when the engine is the vector one."""
-    plan = FaultPlan(
-        seed=seed,
-        launch_failure_rate=1.0,
-        fatal_rate=1.0,
-        max_consecutive=10**6,
-    )
-    report = validate_benchmark(
-        "Mandelbrot",
-        seed=seed,
-        fault_plan=plan,
-        policy=CHAOS_POLICY,
-        options=VECTOR,
-    )
-    assert report.fatal_faults >= 1
-    assert report.fallbacks == 1
-
-
-def test_vector_retries_land_on_attempt_tracks():
-    """Retried vector attempts get their own trace tracks, so a chaos
-    trace shows which attempt produced the result."""
-    plan = FaultPlan(seed=0, **CHAOS_PLAN_RATES)
-    with observe() as session:
-        validate_benchmark(
-            "HotSpot",
-            fault_plan=plan,
-            policy=CHAOS_POLICY,
-            options=VECTOR,
-        )
-    tracks = session.tracer.tracks()
-    assert any(t.startswith("vm-vector") for t in tracks), tracks

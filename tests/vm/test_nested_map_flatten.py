@@ -1,16 +1,14 @@
 """A uniform-input ``map`` inside a batch extends the batch.
 
 The compiler turns a perfect map nest into one kernel over a
-multi-dimensional grid (paper §5, Fig. 8-9); both kernel lowerings
-(:mod:`repro.vm.vectorize` and :mod:`repro.vm.jit.codegen`) must run
-that grid as *one* flat batch.  For an inner map over a uniform array
+multi-dimensional grid (paper §5, Fig. 8-9); the kernel lowering
+(:mod:`repro.vm.jit.codegen`) must run that grid as *one* flat batch.  For an inner map over a uniform array
 (``map (\\i -> map (\\j -> ...) js) is``) that means tiling the inner
 input and repeating every lane value the inner lambda captures — there
 is no row-at-a-time path to fall back on.
 
-Each program here runs on the jit, the vector engine and the reference
-interpreter and must agree (bit-exact for integers) with no kernel
-falling off its rung.  Programs are compiled twice, with the default
+Each program here runs on the jit and the reference interpreter and
+must agree (bit-exact for integers) with no launch falling back.  Programs are compiled twice, with the default
 pipeline and with distribution/interchange off: the second keeps
 reductions and loops *inside* the nest, so the flattened lambda bodies
 cover every construct.  A structural test over the 16 benchmarks pins
@@ -35,7 +33,7 @@ from repro.obs import metering
 from repro.pipeline import CompilerOptions, compile_program
 from repro.runtime import ExecutionPolicy
 from repro.vm.jit import jit_cache_for
-from repro.vm.vectorize import _simple_op, _ufunc_for
+from repro.vm.jit.codegen import _simple_op, _ufunc_src
 
 #: The default pipeline, and one that leaves the whole nest (inner
 #: reduces and loops included) in a single kernel.
@@ -62,22 +60,21 @@ def _fallbacks(m) -> dict:
 
 
 def _run_everywhere(src: str, make_args, options: CompilerOptions):
-    """Run ``src`` on jit and vector, check both against the
-    interpreter with no fallback, and return the jit's generated
-    sources (one string per kernel signature)."""
+    """Run ``src`` on the jit, check it against the interpreter with
+    no fallback, and return the generated sources (one string per
+    kernel signature)."""
     prog = parse(src)
     expected = run_program(prog, make_args())
     compiled = compile_program(prog, options)
-    for executor in ("jit", "vector"):
-        with metering() as m:
-            got, _cost, report = compiled.execute(
-                make_args(), policy=ExecutionPolicy(executor=executor)
-            )
-        assert report.fallbacks == 0, report.summary()
-        assert not _fallbacks(m), (executor, _fallbacks(m))
-        assert len(got) == len(expected)
-        for e, g in zip(expected, got):
-            assert values_equal(e, g, rtol=1e-5, atol=1e-6), (executor, e, g)
+    with metering() as m:
+        got, _cost, report = compiled.execute(
+            make_args(), policy=ExecutionPolicy(executor="jit")
+        )
+    assert report.fallbacks == 0, report.summary()
+    assert not _fallbacks(m), _fallbacks(m)
+    assert len(got) == len(expected)
+    for e, g in zip(expected, got):
+        assert values_equal(e, g, rtol=1e-5, atol=1e-6), (e, g)
     return [
         s
         for by_sig in jit_cache_for(compiled.host).sources().values()
@@ -261,10 +258,10 @@ fun main (n: i32) (m: i32) (zi: i32) (zj: i32): [n][m]i32 =
 """
 
 
-@pytest.mark.parametrize("executor", ["jit", "vector"])
+@pytest.mark.parametrize("executor", ["jit", "sim"])
 def test_one_trapping_lane_surfaces_the_interpreter_error(executor):
     """A zero divisor at exactly one ``(i, j)`` of the flat batch must
-    come out as the interpreter's error — every rung hands the launch
+    come out as the interpreter's error — the jit hands the launch
     down rather than produce a value for the trapped lane."""
     prog = parse(ONE_ZERO_DIVISOR)
 
@@ -280,9 +277,11 @@ def test_one_trapping_lane_surfaces_the_interpreter_error(executor):
         with pytest.raises(ZeroDivisionError) as got:
             compiled.execute(args(2, 3), policy=policy)
     assert str(got.value) == str(want.value)
-    assert _fallbacks(m), "the trap was not handed down the rungs"
+    assert bool(_fallbacks(m)) == (executor == "jit"), (
+        "the trap was not handed down to the interpreter"
+    )
     # The same compiled program with the trap out of range is served
-    # on the rung asked for.
+    # on the executor asked for.
     with metering() as m:
         values, _cost, report = compiled.execute(args(9, 9), policy=policy)
     assert report.fallbacks == 0 and not _fallbacks(m)
@@ -298,7 +297,7 @@ fun main (n: i32) (m: i32): [n][m][k]i32 =
 """
 
 
-@pytest.mark.parametrize("executor", ["jit", "vector"])
+@pytest.mark.parametrize("executor", ["jit", "sim"])
 def test_irregular_inner_result_is_still_rejected(executor):
     prog = parse(IRREGULAR)
     args = [scalar(2, I32), scalar(3, I32)]
@@ -335,7 +334,7 @@ def _sequential_constructs(e: A.Exp) -> set:
             t = x.lam.ret_types[0]
             elem = t.elem if isinstance(t, Array) else t.t
             single = len(x.arrs) == 1 and len(x.neutral) == 1
-            if not single or _ufunc_for(_simple_op(x.lam), elem) is None:
+            if not single or _ufunc_src(_simple_op(x.lam), elem) is None:
                 found.add("scan" if isinstance(x, A.ScanExp) else "fold")
             walk_body(x.lam.body)
         elif isinstance(x, (A.MapExp, A.FilterExp)):
