@@ -62,6 +62,18 @@ def _size_of(v: Optional[Value]) -> Optional[int]:
     return None
 
 
+def _sizes_for(count: Count, env: Mapping[str, Value]) -> Dict[str, int]:
+    """The size variables ``count`` names, as ``env`` binds them —
+    all that ``count.evaluate`` reads of a size environment."""
+    out: Dict[str, int] = {}
+    for _, dims in count.terms:
+        for d in dims:
+            size = _size_of(env.get(d))
+            if size is not None:
+                out[d] = size
+    return out
+
+
 class GpuSimulator:
     """Executes a :class:`HostProgram`, producing both the result
     values and a :class:`CostReport` of simulated device time.
@@ -207,6 +219,8 @@ class GpuSimulator:
             raise InterpError(f"unbound variable {a.name}") from None
 
     def _size_env(self, env: Mapping[str, Value]) -> Dict[str, int]:
+        """Every size variable ``env`` binds: built once per run, for
+        the parameter blocks; statements read ``_sizes_for`` theirs."""
         out: Dict[str, int] = {}
         for k, v in env.items():
             size = _size_of(v)
@@ -278,8 +292,7 @@ class GpuSimulator:
                 # Layout change only; the logical value is unchanged.
                 if s.src != s.dst and s.src in env:
                     env[s.dst] = env[s.src]
-                size_env = self._size_env(env)
-                elems = s.elems.evaluate(size_env)
+                elems = s.elems.evaluate(_sizes_for(s.elems, env))
                 bytes_moved = elems * s.elem_bytes * 2.0
                 manifest_us = (
                     self.device.launch_overhead_us
@@ -305,7 +318,7 @@ class GpuSimulator:
                     metrics.counter(f"{pfx}.manifests").inc()
                     metrics.counter(f"{pfx}.manifest_bytes").inc(bytes_moved)
             elif isinstance(s, AllocStmt):
-                size = s.block.size_bytes(self._size_env(env))
+                size = s.block.size_bytes(_sizes_for(s.block.elems, env))
                 self.heap.alloc(
                     s.block.name, size,
                     reuse_of=s.reuse_of, recycle=s.recycle,
@@ -514,16 +527,18 @@ class GpuSimulator:
         state: List[Value] = [self._atom(env, a) for _, a in s.merge]
         params = [p for p, _ in s.merge]
 
+        copied = [
+            (Count.of(1.0, *p.type.shape), p.type.elem.nbytes)
+            for p in params
+            if p.name in s.double_buffered and isinstance(p.type, Array)
+        ]
+
         def copy_cost() -> None:
-            size_env = self._size_env(env)
-            for p in params:
-                if p.name in s.double_buffered and isinstance(
-                    p.type, Array
-                ):
-                    elems = Count.of(1.0, *p.type.shape).evaluate(size_env)
-                    report.copy_us += (
-                        elems * p.type.elem.nbytes * 2.0
-                    ) * self.device.mem_us_per_byte()
+            for count, nbytes in copied:
+                elems = count.evaluate(_sizes_for(count, env))
+                report.copy_us += (
+                    elems * nbytes * 2.0
+                ) * self.device.mem_us_per_byte()
 
         def iterate(extra: Dict[str, Value]) -> None:
             inner: Dict[str, Value] = dict(env)

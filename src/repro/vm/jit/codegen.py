@@ -22,6 +22,11 @@ very same ``eval_binop``/``eval_unop``/... used by the interpreter, so
 scalar results are bit-identical by construction; batched arithmetic
 emits guarded ufunc sequences (:meth:`KernelCodegen._np_binop`).
 
+Associative folds run the way a GPU runs them: a kernel-level
+``reduce`` as a log-depth pairwise tree, a ``stream_red`` with one
+chunk per lane and a tree over the lane accumulators
+(:meth:`KernelCodegen._tree_combine`).
+
 Divergent control flow is handled GPU-style: both branches of a
 batched ``if`` run speculatively and merge with ``np.where``;
 data-dependent loops run to the longest active trip count under a lane
@@ -65,7 +70,7 @@ __all__ = ["JitUnsupported", "transpile_kernel", "PYCODE_SCHEMA"]
 
 #: Schema tag embedded in every generated module; bump on any change to
 #: the generated code's shape so stale cached artifacts are discarded.
-PYCODE_SCHEMA = "repro.pycode/v2"
+PYCODE_SCHEMA = "repro.pycode/v3"
 
 #: Hard cap on emitted statements: speculative if-arms and masked loops
 #: duplicate their bodies, so deeply nested divergence can explode.
@@ -317,6 +322,40 @@ def _ufunc_src(op: Optional[str], elem: PrimType) -> Optional[str]:
     if op in ("and", "or") and elem.is_bool:
         return "np.logical_and" if op == "and" else "np.logical_or"
     return None
+
+
+_TRAPPING_BINOPS = frozenset(("div", "idiv", "imod", "pow", "shl", "shr"))
+_TRAPPING_UNOPS = frozenset(("exp", "log", "sqrt"))
+
+
+def _trap_free(lam: A.Lambda) -> bool:
+    """True when the batched lowering of ``lam`` has no data-dependent
+    trap site: scalar operators that cannot trap, ``if``, and the same
+    lifted through ``map``.  Only such an operator may be applied to
+    partial results the left-to-right fold never forms — any other
+    could raise, or hide, a trap the interpreter's order would not.
+    (In step with the checks ``_np_binop``, ``_gen_unop`` and
+    ``_gen_convop`` emit.)"""
+
+    def ok_body(body: A.Body) -> bool:
+        return all(ok(bnd.exp) for bnd in body.bindings)
+
+    def ok(e: A.Exp) -> bool:
+        if isinstance(e, (A.AtomExp, A.CmpOpExp)):
+            return True
+        if isinstance(e, A.BinOpExp):
+            return e.op not in _TRAPPING_BINOPS
+        if isinstance(e, A.UnOpExp):
+            return e.op not in _TRAPPING_UNOPS
+        if isinstance(e, A.ConvOpExp):
+            return not (e.from_t.is_float and e.to_t.is_integral)
+        if isinstance(e, A.IfExp):
+            return ok_body(e.t_body) and ok_body(e.f_body)
+        if isinstance(e, A.MapExp):
+            return ok_body(e.lam.body)
+        return False
+
+    return ok_body(lam.body)
 
 
 class KernelCodegen:
@@ -1578,8 +1617,6 @@ class KernelCodegen:
             v = vals[0]
             axis = 1 if v.kind == "B" else 0
             red = self.fresh("_red")
-            # width == 0 returns the neutrals untouched; the reduction
-            # path must produce the same static kind, so join them.
             red_buf, combined = self._capture(
                 lambda: (
                     self.line(
@@ -1591,22 +1628,102 @@ class KernelCodegen:
                     ),
                 )[1]
             )
-            kd = _join_kd(_kd(neutral[0]), _kd(combined))
-            o = self.fresh("_o")
-            self.line(f"if {w} == 0:")
-            with self.indented():
-                cv = self._coerce(neutral[0], kd)
-                self.line(f"{o} = {cv.var}")
-            self.line("else:")
-            with self.indented():
-                self.em.splice(red_buf)
-                cv = self._coerce(combined, kd)
-                self.line(f"{o} = {cv.var}")
-            k, el, r, ow = kd
-            return [JVal(k, el, r, o, ow)]
+            return self._unless_empty(w, neutral, red_buf, [combined])
+        if self.depth == 0 and _trap_free(e.lam):
+            return self._reduce_tree(e.lam, neutral, vals, w, scope, spec)
         return self._fold_sequential(
             e.lam, neutral, vals, w, scope, spec, scan=False
         )
+
+    def _unless_empty(
+        self, w: str, neutral: List[JVal], buf: _Emitter, outs: List[JVal]
+    ) -> List[JVal]:
+        """``outs`` (computed by ``buf``), or the neutrals untouched
+        when the width is 0; both paths must produce the same static
+        kinds, so join them."""
+        if len(outs) != len(neutral):
+            raise JitUnsupported("fold arity mismatch")
+        kds = [_join_kd(_kd(n), _kd(o)) for n, o in zip(neutral, outs)]
+        res = [self.fresh("_o") for _ in kds]
+        self.line(f"if {w} == 0:")
+        with self.indented():
+            self._splice_arm(_Emitter(), neutral, kds, res)
+        self.line("else:")
+        with self.indented():
+            self._splice_arm(buf, outs, kds, res)
+        return [
+            JVal(k, el, r, o, ow) for (k, el, r, ow), o in zip(kds, res)
+        ]
+
+    def _apply_batched(
+        self, lam: A.Lambda, args: List[JVal], ext: str, scope: _Scope,
+        spec: bool,
+    ) -> List[JVal]:
+        """Apply ``lam`` once over a batch of ``ext`` lanes entered
+        from uniform code; every result comes back batched."""
+        self._extents.append(ext)
+        try:
+            return [
+                self._to_batched_checked(o, ext, "batch width mismatch")
+                for o in self.gen_lambda(lam, args, scope, spec)
+            ]
+        finally:
+            self._extents.pop()
+
+    def _tree_combine(
+        self, lam: A.Lambda, vals: List[JVal], n: str, scope: _Scope,
+        spec: bool,
+    ) -> List[JVal]:
+        """Fold the ``n >= 1`` rows of the uniform arrays ``vals`` with
+        ``lam`` as a pairwise tree: each step applies ``lam`` once, in
+        batched mode, to ``x[0:2h:2]`` and ``x[1:2h:2]`` and carries an
+        odd last row over, so the rows stay in order and only
+        associativity is assumed — never commutativity.  Returns
+        one-row arrays after ``ceil(log2 n)`` steps."""
+        cur = [self.fresh("_s") for _ in vals]
+        for s, v in zip(cur, vals):
+            self.line(f"{s} = {v.var}")
+        count, half = self.fresh("_n"), self.fresh("_h")
+        self.line(f"{count} = {n}")
+        self.line(f"while {count} > 1:")
+        with self.indented():
+            self.line(f"{half} = {count} >> 1")
+            sides: List[JVal] = []
+            for first in (0, 1):
+                for s, v in zip(cur, vals):
+                    x = self.fresh("_x")
+                    self.line(f"{x} = {s}[{first}:2 * {half}:2]")
+                    sides.append(JVal("B", v.elem, v.rank - 1, x))
+            outs = self._apply_batched(lam, sides, half, scope, spec)
+            if len(outs) != len(vals):
+                raise JitUnsupported("fold arity mismatch")
+            for s, v, o in zip(cur, vals, outs):
+                if o.elem is not v.elem or o.rank != v.rank - 1:
+                    raise JitUnsupported(
+                        "fold operator changes its operand type"
+                    )
+                self.line(
+                    f"{s} = np.concatenate(({o.var}, {s}[2 * {half}:]))"
+                )
+            self.line(f"{count} -= {half}")
+        return [
+            JVal("A", v.elem, v.rank, s) for s, v in zip(cur, vals)
+        ]
+
+    def _reduce_tree(
+        self, lam: A.Lambda, neutral: List[JVal], vals: List[JVal],
+        w: str, scope: _Scope, spec: bool,
+    ):
+        """A kernel-level reduce with a trap-free operator: the tree,
+        then one uniform ``neutral (+) folded`` application."""
+
+        def folded() -> List[JVal]:
+            rows = self._tree_combine(lam, vals, w, scope, spec)
+            firsts = [self._row(r, "0") for r in rows]
+            return self.gen_lambda(lam, neutral + firsts, scope, spec)
+
+        buf, outs = self._capture(folded)
+        return self._unless_empty(w, neutral, buf, outs)
 
     def _gen_scan(self, e: A.ScanExp, scope: _Scope, spec: bool):
         w, vals = self._soac_inputs(scope, e.width, e.arrs, "scan")
@@ -1745,92 +1862,78 @@ class KernelCodegen:
         ]
 
     def _gen_stream_red(self, e: A.StreamRedExp, scope: _Scope, spec: bool):
+        """Every chunk of ``R.lane_groups(w)`` folds on its own lane:
+        the fold body runs once per group of equal-size chunks, over a
+        batch of that group's lanes, and the lane accumulators — in
+        stream order — are tree-combined with the reduction operator."""
         w, vals = self._stream_inputs(scope, e, "stream_red")
         n_acc = e.num_accs
         init = [self.atom(scope, a) for a in e.accs]
         if any(a.kind == "B" for a in init):
             raise JitUnsupported("batched stream_red accumulator")
         n_arr_out = len(e.fold_lam.ret_types) - n_acc
+        lane_accs = [self.fresh("_ps") for _ in range(n_acc)]
         pieces = [self.fresh("_ps") for _ in range(n_arr_out)]
-        slots = [self.fresh("_s") for _ in range(n_acc)]
-        nexts = [self.fresh("_n") for _ in range(n_acc)]
-        first = self.fresh("_first")
-        size, off = self.fresh("_size"), self.fresh("_off")
-        seeds = [_kd(v) for v in init]
-        arr_info: List[JVal] = []
-
-        def attempt(kds: List[KD]):
-            for p in pieces:
-                self.line(f"{p} = []")
-            self.line(f"{first} = True")
-            self.line(f"for {size}, {off} in R.chunks({w}):")
-            with self.indented():
-                chunk_init = []
-                for a in init:
-                    if a.kind == "A":
-                        ci = self.fresh("_ci")
-                        self.line(f"{ci} = {a.var}.copy()")
-                        chunk_init.append(
-                            JVal("A", a.elem, a.rank, ci, True)
-                        )
-                    else:
-                        chunk_init.append(a)
-                chunks = self._chunk_slices(vals, size, off)
-                args = [JVal("S", I32, 0, size)] + chunk_init + chunks
-                outs = self.gen_lambda(e.fold_lam, args, scope, spec)
-                chunk_acc = list(outs[:n_acc])
-                arr_outs = list(outs[n_acc:])
-                for p, o in zip(pieces, arr_outs):
-                    if o.kind != "A":
-                        raise JitUnsupported(
-                            "stream_red chunk result must be a uniform array"
-                        )
-                    self.line(f"{p}.append({o.var})")
-                new_kds = self._state_join(kds, chunk_acc)
-                self._require_kds(kds, new_kds)
-                self.line(f"if {first}:")
-                with self.indented():
-                    self.line(f"{first} = False")
-                    for s, ca, kd in zip(slots, chunk_acc, kds):
-                        cv = self._coerce(ca, kd)
-                        self.line(f"{s} = {cv.var}")
-                self.line("else:")
-                with self.indented():
-                    acc_in = [
-                        JVal(k, el, r, s, ow)
-                        for (k, el, r, ow), s in zip(kds, slots)
-                    ]
-                    red = self.gen_lambda(
-                        e.red_lam, acc_in + chunk_acc, scope, spec
+        for p in lane_accs + pieces:
+            self.line(f"{p} = []")
+        lanes, size, off = (
+            self.fresh("_lanes"), self.fresh("_size"), self.fresh("_off")
+        )
+        self.line(f"for {lanes}, {size}, {off} in R.lane_groups({w}):")
+        with self.indented():
+            args = [JVal("S", I32, 0, size)]
+            for a in init:
+                # Each lane starts from its own copy of the initial
+                # accumulator, which the fold may then update in place.
+                ci = self.fresh("_ci")
+                shape = f"({lanes},)"
+                if a.kind == "A":
+                    shape += f" + {a.var}.shape"
+                self.line(
+                    f"{ci} = np.broadcast_to({self._asarray(a)}, {shape})"
+                    ".copy()"
+                )
+                args.append(JVal("B", a.elem, a.rank, ci, True))
+            for v in vals:
+                c = self.fresh("_ch")
+                self.line(
+                    f"{c} = {v.var}[{off}:{off} + {lanes} * {size}]"
+                    f".reshape(({lanes}, {size}) + {v.var}.shape[1:])"
+                )
+                args.append(JVal("B", v.elem, v.rank, c, v.owned))
+            outs = self._apply_batched(e.fold_lam, args, lanes, scope, spec)
+            if len(outs) != n_acc + n_arr_out:
+                raise JitUnsupported("stream_red arity mismatch")
+            for a, o in zip(init, outs):
+                if o.elem is not a.elem or o.rank != a.rank:
+                    raise JitUnsupported(
+                        "stream_red fold changes its accumulator type"
                     )
-                    if len(red) != n_acc:
-                        raise JitUnsupported("stream_red arity mismatch")
-                    new_kds = [
-                        _join_kd(a, b)
-                        for a, b in zip(
-                            new_kds, self._state_join(kds, red)
-                        )
-                    ]
-                    self._require_kds(kds, new_kds)
-                    for n, o, kd in zip(nexts, red, kds):
-                        cv = self._coerce(o, kd)
-                        self.line(f"{n} = {cv.var}")
-                    for s, n in zip(slots, nexts):
-                        self.line(f"{s} = {n}")
-            arr_info.clear()
-            arr_info.extend(arr_outs)
-            return new_kds, None
-
-        kds, _ = self._fixpoint(seeds, attempt)
-        accs = [
-            JVal(k, el, r, s, ow)
-            for (k, el, r, ow), s in zip(kds, slots)
-        ]
+            for p, o in zip(lane_accs, outs):
+                self.line(f"{p}.append({o.var})")
+            for p, o in zip(pieces, outs[n_acc:]):
+                if o.rank == 0:
+                    raise JitUnsupported(
+                        "stream_red chunk result must be an array"
+                    )
+                # (lanes, size', ...) flattens back into stream order.
+                self.line(
+                    f"{p}.append({o.var}.reshape(({o.var}.shape[0] * "
+                    f"{o.var}.shape[1],) + {o.var}.shape[2:]))"
+                )
+        rows = []
+        for p, a in zip(lane_accs, init):
+            self.line(f"{p} = np.concatenate({p}, axis=0)")
+            rows.append(JVal("A", a.elem, a.rank + 1, p))
+        if rows:
+            rows = self._tree_combine(
+                e.red_lam, rows, f"{lane_accs[0]}.shape[0]", scope, spec
+            )
         arrays = [
             self._concat_pieces(p, w, o.elem, o.rank)
-            for p, o in zip(pieces, arr_info)
+            for p, o in zip(pieces, outs[n_acc:])
         ]
-        return accs + arrays
+        return [self._row(r, "0") for r in rows] + arrays
 
     def _gen_stream_seq(self, e: A.StreamSeqExp, scope: _Scope, spec: bool):
         w, vals = self._stream_inputs(scope, e, "stream_seq")

@@ -5,7 +5,8 @@ self-contained Python source: they import NumPy and the scalar
 primitive-operator tables directly, and receive one :class:`JitRuntime`
 instance (``R``) carrying the per-engine knobs the source must not bake
 in — the ``in_place`` execution mode, the stream chunking policy, and
-the shared ``arange`` cache used by gather/scatter index vectors.
+the shared ``arange`` cache used by gather/scatter index vectors — and
+the lane partition of a ``stream_red``.
 
 :class:`JitFallback` is the generated code's escape hatch: raised at
 run time when a pre-resolved trap condition fires (zero divisor,
@@ -17,7 +18,8 @@ value or a genuine program error.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+import math
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -66,3 +68,22 @@ class JitRuntime:
         for size in sizes:
             yield size, offset
             offset += size
+
+    @staticmethod
+    def lane_groups(width: int) -> List[Tuple[int, int, int]]:
+        """The lane partition of a ``stream_red`` over ``width >= 1``
+        elements: ``ceil(sqrt(width))`` chunks in stream order, each
+        folded on its own lane, the first ``width mod lanes`` of them
+        one element longer — so at most two ``(lanes, size, offset)``
+        groups of equal-size chunks, each a ``(lanes, size)`` reshape
+        of a contiguous run of the stream.  A function of the width
+        alone: Section 2.1 obliges a ``stream_red`` to mean the same
+        under every chunking, so the interpreter's (deliberately
+        irregular) policy is not consulted."""
+        lanes = math.isqrt(width - 1) + 1
+        size, longer = divmod(width, lanes)
+        groups = [
+            (longer, size + 1, 0),
+            (lanes - longer, size, longer * (size + 1)),
+        ]
+        return [g for g in groups if g[0]]

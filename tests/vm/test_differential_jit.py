@@ -162,8 +162,8 @@ def test_pycode_from_an_older_schema_is_discarded(tmp_path):
     never served: the artifact fingerprint includes the schema (an old
     file is not even looked up), and a payload whose own tag disagrees
     with the file it sits in is ignored and re-transpiled."""
-    old_schema = "repro.pycode/v1"
-    assert PYCODE_SCHEMA != old_schema
+    old_schemas = ("repro.pycode/v1", "repro.pycode/v2")
+    assert PYCODE_SCHEMA not in old_schemas
     spec = BENCHMARKS["Pathfinder"]
     args = spec.small_args(np.random.default_rng(0))
     expected = run_program(spec.program(), args)
@@ -198,23 +198,24 @@ def test_pycode_from_an_older_schema_is_discarded(tmp_path):
         for kernel, by_sig in fresh.items()
     }
     current_fp = _digest(("pycode", host_fp, PYCODE_SCHEMA))
-    for fp in (_digest(("pycode", host_fp, old_schema)), current_fp):
-        assert cache.store(
-            StageArtifact(
-                "pycode", fp, "main",
-                {"schema": old_schema, "kernels": poisoned},
-                meta={"schema": old_schema},
+    for old_schema in old_schemas:
+        for fp in (_digest(("pycode", host_fp, old_schema)), current_fp):
+            assert cache.store(
+                StageArtifact(
+                    "pycode", fp, "main",
+                    {"schema": old_schema, "kernels": poisoned},
+                    meta={"schema": old_schema},
+                )
             )
-        )
 
-    compiled, transpiles = serve()
-    assert compiled.from_artifact == "host"
-    assert transpiles == sum(len(v) for v in fresh.values())
-    assert jit_cache_for(compiled.host).sources() == fresh
-    # ... and the file under the current fingerprint was rewritten.
-    rewritten = cache.load("pycode", current_fp)
-    assert rewritten.payload["schema"] == PYCODE_SCHEMA
-    assert rewritten.payload["kernels"] == fresh
+        compiled, transpiles = serve()
+        assert compiled.from_artifact == "host"
+        assert transpiles == sum(len(v) for v in fresh.values())
+        assert jit_cache_for(compiled.host).sources() == fresh
+        # ... and the file under the current fingerprint was rewritten.
+        rewritten = cache.load("pycode", current_fp)
+        assert rewritten.payload["schema"] == PYCODE_SCHEMA
+        assert rewritten.payload["kernels"] == fresh
 
 
 # -- fallback = interpreter --------------------------------------------------

@@ -12,8 +12,10 @@ must agree (bit-exact for integers) with no launch falling back.  Programs are c
 pipeline and with distribution/interchange off: the second keeps
 reductions and loops *inside* the nest, so the flattened lambda bodies
 cover every construct.  A structural test over the 16 benchmarks pins
-what the generated code looks like: a Python ``for`` only where the
-kernel IR has a sequential construct.
+what the generated code looks like: a Python loop only where the
+kernel IR has a sequential construct or an associative fold (a
+``while`` over the levels of its tree), and no element-at-a-time fold
+or chunk-at-a-time stream where the tree and the lanes apply.
 """
 
 import re
@@ -33,7 +35,7 @@ from repro.obs import metering
 from repro.pipeline import CompilerOptions, compile_program
 from repro.runtime import ExecutionPolicy
 from repro.vm.jit import jit_cache_for
-from repro.vm.jit.codegen import _simple_op, _ufunc_src
+from repro.vm.jit.codegen import _simple_op, _trap_free, _ufunc_src
 
 #: The default pipeline, and one that leaves the whole nest (inner
 #: reduces and loops included) in a single kernel.
@@ -314,8 +316,10 @@ def test_irregular_inner_result_is_still_rejected(executor):
 
 def _sequential_constructs(e: A.Exp) -> set:
     """The constructs under ``e`` that the transpiler lowers to a
-    Python loop: ``loop``, ``stream``, and ``fold``/``scan`` for a
-    reduce/scan whose operator is not a NumPy ufunc."""
+    Python loop: ``loop``, ``stream`` (over lane groups or chunks, and
+    the levels of a ``stream_red``'s combining tree), and
+    ``fold``/``scan`` for a reduce/scan whose operator is not a NumPy
+    ufunc (the levels of a tree, or a left fold)."""
     found = set()
 
     def walk_body(body):
@@ -348,6 +352,11 @@ def _sequential_constructs(e: A.Exp) -> set:
 
 
 _FOR = re.compile(r"^\s*(for|while) ", re.MULTILINE)
+#: ``_fold_sequential`` at kernel level: the element loop sits directly
+#: in ``run``'s ``with`` block.
+_SCALAR_FOLD = re.compile(
+    r"^ {8}for _i\d+ in range\(int\(_w\d+\)\):", re.MULTILINE
+)
 
 
 @pytest.mark.parametrize("name", list(BENCHMARKS.names()))
@@ -375,3 +384,23 @@ def test_generated_source_loops_only_where_the_ir_does(name):
                 f"{where}: generated code loops ({len(loops)}x) but the "
                 "kernel IR has no loop, stream or non-ufunc fold"
             )
+            assert "while" not in loops or sequential & {
+                "loop", "stream", "fold"
+            }, f"{where}: a while without a loop, stream_red or fold"
+            # Chunks are walked one at a time only by the two streams
+            # whose chunks depend on each other or return arrays.
+            e = kernel.exp
+            assert ("R.chunks(" in src) == isinstance(
+                e, (A.StreamMapExp, A.StreamSeqExp)
+            ), where
+            if isinstance(e, A.StreamRedExp):
+                assert "R.lane_groups(" in src and "while _n" in src, where
+            if isinstance(e, A.StreamRedExp) or (
+                isinstance(e, A.ReduceExp) and _trap_free(e.lam)
+            ):
+                assert not _SCALAR_FOLD.search(src), (
+                    f"{where}: an element-at-a-time fold at kernel level"
+                )
+                assert ("while _n" in src) == bool(
+                    sequential & {"stream", "fold"}
+                ), f"{where}: tree combine missing or unexpected"
