@@ -46,9 +46,9 @@ serve-bench [--clients N --devices SPEC --chaos --flight-dir DIR ...]
     latency percentiles.  With ``--flight-dir`` a flight recorder
     captures every request's trace/metrics; failing or SLO-busting
     requests dump Perfetto-loadable ``flightrec-<id>.json`` bundles.
-    With ``--devices`` (e.g. ``4`` or ``2xbig,2xsmall``) the device
-    rungs run on a multi-device pool with cost-model placement and
-    batch sharding (:mod:`repro.sched`).
+    With ``--devices`` (e.g. ``4`` or ``2xbig,2xsmall``) requests
+    run on a multi-device pool with cost-model placement and batch
+    sharding (:mod:`repro.sched`).
 
 obs replay BUNDLE | obs top [--calib BENCH_calib.json]
     Post-mortem tooling: ``replay`` validates a flight-recorder bundle
@@ -644,9 +644,10 @@ def cmd_serve_bench(args) -> int:
                 f"p95 {stats['p95_ms']:8.1f} ms   "
                 f"p99 {stats['p99_ms']:8.1f} ms   (n={stats['count']})"
             )
-    for rung, b in health["breakers"].items():
+    # One registry: per executor, or (on a pool) the per-device breakers.
+    for name, b in health["breakers"].items():
         print(
-            f"breaker {rung}: {b['state']} "
+            f"breaker {name}: {b['state']} "
             f"({b['trips']} trips, {b['refusals']} refusals)"
         )
     if "pool" in health:
@@ -663,7 +664,6 @@ def cmd_serve_bench(args) -> int:
             print(
                 f"  dev{d['id']} [{d['profile']}]: "
                 f"{d['executed']} ok / {d['failures']} failed, "
-                f"breaker {d['breaker']['state']}, "
                 f"busy {d['busy_us'] / 1e3:.1f}ms"
             )
     if recorder is not None:
@@ -820,7 +820,7 @@ def main(argv=None) -> int:
     )
     p.add_argument(
         "--devices", default=None,
-        help="run device rungs on a simulated multi-device pool: a "
+        help="run requests on a simulated multi-device pool: a "
         "count ('4'), profile names ('gtx780ti,w8100'), or counted "
         "profiles ('2xbig,2xsmall'); see repro.gpu.device.PROFILES",
     )

@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace as dc_replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .core import ast as A
-from .core.values import ScalarValue, Value
+from .core.values import Value
 from .errors import ArgumentError
-from .gpu.costmodel import CostReport
+from .gpu.costmodel import CostReport, size_env_from_args
 from .gpu.device import DeviceProfile, NVIDIA_GTX780TI
 from .obs import get_logger
 from .pipeline import CompiledProgram, CompilerOptions, compile_program
@@ -81,27 +81,13 @@ class MultiVersioned:
     ):
         """Dispatch on the actual argument sizes and execute the
         chosen version on the simulated device."""
-        size_env = _sizes_from_args(
-            next(iter(self.versions.values())), args
+        size_env = size_env_from_args(
+            next(iter(self.versions.values())).host, args
         )
         name, _ = self.choose(size_env, device)
         _log.debug("dispatch", version=name, sizes=str(size_env))
         results, report = self.versions[name].run(args, device)
         return results, report, name
-
-
-def _sizes_from_args(compiled: CompiledProgram, args) -> Dict[str, int]:
-    sizes: Dict[str, int] = {}
-    for p, arg in zip(compiled.host.params, args):
-        t = p.type
-        shape = getattr(t, "shape", None)
-        if shape is not None:
-            for d, actual in zip(shape, arg.shape):
-                if isinstance(d, str):
-                    sizes.setdefault(d, int(actual))
-        elif isinstance(arg, ScalarValue) and arg.type.is_integral:
-            sizes.setdefault(p.name, int(arg.value))
-    return sizes
 
 
 def compile_versions(

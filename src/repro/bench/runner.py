@@ -307,7 +307,7 @@ def calib_suite(
     payload (schema ``repro.bench_calib/v1``) — the instrument that
     tells us where ``estimate_program`` stops being trustworthy.
     """
-    from ..gpu.costmodel import static_kernel_costs
+    from ..gpu.costmodel import size_env_from_args, static_kernel_costs
 
     logger = get_logger("bench")
     names = names or list(BENCHMARKS.names())
@@ -328,15 +328,11 @@ def calib_suite(
                 f"{name}: calibration run degraded to the interpreter "
                 f"({report.summary()})"
             )
-        size_env: Dict[str, int] = {}
-        for p, v in zip(compiled.host.params, args):
-            value = getattr(v, "value", None)
-            if value is not None and getattr(
-                getattr(v, "type", None), "is_integral", False
-            ):
-                size_env[p.name] = int(value)
         predicted = static_kernel_costs(
-            compiled.host, size_env, device, coalescing=True
+            compiled.host,
+            size_env_from_args(compiled.host, args),
+            device,
+            coalescing=True,
         )
         observed: Dict[str, Dict[str, float]] = {}
         for k in cost.kernel_costs:

@@ -89,8 +89,9 @@ class DeviceFault(ReproError):
 
     ``kind`` classifies the failure surface (``"launch"`` — the kernel
     launch itself failed; ``"memory"`` — a transfer or device buffer
-    was corrupted).  ``transient`` faults may clear on retry; fatal
-    ones will not.
+    was corrupted; ``"breaker"`` — a circuit breaker refused the work
+    before it touched the device).  ``transient`` faults may clear on
+    retry; fatal ones will not.
     """
 
     def __init__(

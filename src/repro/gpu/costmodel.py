@@ -20,10 +20,11 @@ full dataset sizes without executing it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core import ast as A
 from ..core.types import Array
+from ..core.values import ArrayValue, ScalarValue, Value
 from ..memory.index_fn import IndexFn
 from ..backend.kernel_ir import (
     AccessInfo,
@@ -44,7 +45,10 @@ __all__ = [
     "KernelCost",
     "CostReport",
     "kernel_cost",
+    "size_env_from_args",
     "estimate_program",
+    "request_price_us",
+    "kernel_predictions",
     "static_kernel_costs",
 ]
 
@@ -343,6 +347,25 @@ def _atom_value(a: A.Atom, size_env: Mapping[str, int]) -> Optional[int]:
     return int(v) if v is not None else None
 
 
+def size_env_from_args(
+    hp: HostProgram, args: Sequence[Value]
+) -> Dict[str, int]:
+    """Bind the program's size variables from the actual arguments:
+    integral scalar parameters by name, array dimensions by zipping
+    each parameter's symbolic shape against the value's shape.  (An
+    unbound dimension prices as 1, so every pricing caller binds
+    through here.)"""
+    env: Dict[str, int] = {}
+    for p, v in zip(hp.params, args):
+        if isinstance(v, ScalarValue) and v.type.is_integral:
+            env.setdefault(p.name, int(v.value))
+        elif isinstance(v, ArrayValue) and isinstance(p.type, Array):
+            for dim, size in zip(p.type.shape, v.data.shape):
+                if isinstance(dim, str):
+                    env.setdefault(dim, int(size))
+    return env
+
+
 def estimate_program(
     hp: HostProgram,
     size_env: Mapping[str, int],
@@ -370,6 +393,63 @@ def estimate_program(
     report.mem_alloc_count = heap.stats.alloc_count
     report.mem_reuse_count = heap.stats.reuse_count
     return report
+
+
+_UNPRICED = object()
+
+
+def _memoised(memo, size_env, device, coalescing: bool, price):
+    """The bounded per-program memo behind both price caches:
+    ``price()`` once per (device, coalescing, sizes), None for a
+    program the model cannot price (not an error — it just gets no
+    priority, no meaningful estimate and no calibration)."""
+    key = (device, coalescing, tuple(sorted(size_env.items())))
+    hit = memo.get(key, _UNPRICED)
+    if hit is _UNPRICED:
+        if len(memo) >= 64:
+            memo.clear()
+        try:
+            hit = price()
+        except Exception:
+            hit = None
+        memo[key] = hit
+    return hit
+
+
+def request_price_us(
+    hp: HostProgram,
+    size_env: Mapping[str, int],
+    device: DeviceProfile,
+    coalescing: bool = True,
+) -> Optional[float]:
+    """What one request for ``hp`` at these sizes costs on ``device``
+    (``estimate_program(...).total_us``), memoised on the program:
+    admission and placement price the same few (program, sizes) pairs
+    constantly."""
+    return _memoised(
+        hp.price_cache, size_env, device, coalescing,
+        lambda: estimate_program(
+            hp, size_env, device, coalescing=coalescing
+        ).total_us,
+    )
+
+
+def kernel_predictions(
+    hp: HostProgram,
+    size_env: Mapping[str, int],
+    device: DeviceProfile,
+    coalescing: bool = True,
+) -> Optional[Dict[str, KernelCost]]:
+    """:func:`static_kernel_costs` for the calibration layer, memoised
+    on the program: the walk is pure in (program, sizes, device), and
+    a serving worker replays the same compiled program at the same
+    sizes constantly."""
+    return _memoised(
+        hp.prediction_cache, size_env, device, coalescing,
+        lambda: static_kernel_costs(
+            hp, size_env, device, coalescing=coalescing
+        ),
+    )
 
 
 def static_kernel_costs(

@@ -77,14 +77,14 @@ class FaultPlan:
 
 @dataclass(frozen=True, eq=False)
 class ServiceFaultPlan:
-    """Service-level chaos: one :class:`FaultPlan` per execution
-    backend (degradation-ladder rung).
+    """Service-level chaos: one :class:`FaultPlan` per executor
+    (:data:`repro.runtime.EXECUTORS`).
 
     Where a :class:`FaultPlan` makes *one run* unreliable, a
-    ``ServiceFaultPlan`` makes specific *backends* of a multi-backend
-    server unreliable — e.g. a 100%-fatal plan on ``"jit"`` with a
-    healthy ``"sim"`` exercises the circuit breaker's routing around a
-    sick executor.  Backends without an entry run fault-free.
+    ``ServiceFaultPlan`` makes specific *executors* of a server
+    unreliable — e.g. a plan that never clears on ``"jit"`` trips its
+    circuit breaker, after which requests go straight to the
+    interpreter floor.  Executors without an entry run fault-free.
     """
 
     plans: Mapping[str, FaultPlan] = field(default_factory=dict)
@@ -103,8 +103,8 @@ class ServiceFaultPlan:
         fatal_rate: float = 0.0,
     ) -> "ServiceFaultPlan":
         """The standard service-chaos recipe: every backend gets the
-        same rates but a distinct derived seed, so the two rungs fault
-        on different launches."""
+        same rates but a distinct derived seed, so the two executors
+        fault on different launches."""
         return cls(
             {
                 backend: FaultPlan(
@@ -123,7 +123,7 @@ class ServiceFaultPlan:
         cls, backend: str, seed: int = 0
     ) -> "ServiceFaultPlan":
         """A backend forced to a 100% fault rate that never clears —
-        the breaker-routing acceptance scenario."""
+        the breaker-trips-then-interpreter acceptance scenario."""
         return cls(
             {
                 backend: FaultPlan(

@@ -6,8 +6,8 @@ A :class:`FlightRecorder` keeps a thread-safe ring buffer of the last
 serving worker opens a :meth:`~FlightRecorder.capture` window, which
 installs a *thread-local* :class:`TeeTracer`/:class:`TeeMetrics` pair:
 everything the pipeline, resilient executor and simulator record on
-that thread (queue wait, compile-cache outcome, ladder rung, breaker
-state, per-attempt spans, per-kernel launch spans with heap bytes)
+that thread (queue wait, compile-cache outcome, evaluator, breaker
+refusals, per-attempt spans, per-kernel launch spans with heap bytes)
 lands in the request's private capture *and* is mirrored into the
 process-wide tracer/registry, so global observability is unchanged.
 
@@ -229,7 +229,9 @@ class FlightRecord:
     status: str = "open"  # open | ok | error | shed
     lane: str = ""
     backend: str = ""
-    #: Degradation-ladder rungs attempted, in order.
+    #: Evaluators the request went through, in order (off the
+    #: :class:`repro.runtime.RunReport`): the device step that was
+    #: skipped or abandoned, then whichever produced the values.
     rungs: List[str] = field(default_factory=list)
     queue_wait_us: Optional[float] = None
     cache_hit: Optional[bool] = None

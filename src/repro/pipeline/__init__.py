@@ -73,7 +73,6 @@ __all__ = [
     "compile_program",
     "compile_source",
     "compile_cache_key",
-    "source_cache_key",
     # the staged pass manager
     "Pass",
     "PassContext",
@@ -107,21 +106,6 @@ _CONSERVATIVE_FLATTEN = FlattenOptions(
 )
 
 
-# -- deprecated cache-key aliases -------------------------------------------
-#
-# The historical cache-key helpers are thin wrappers over the
-# fingerprint API (:mod:`repro.pipeline.fingerprint`) — same identity
-# semantics, one hashing scheme.  Prefer ``compile_fingerprint`` /
-# ``fingerprint_text`` / ``fingerprint_program`` in new code.
-
-
-def _cache_key(
-    body: str, options: Optional[CompilerOptions] = None, entry: str = "main"
-) -> str:
-    """Deprecated: use ``compile_fingerprint(fingerprint_text(body))``."""
-    return compile_fingerprint(fingerprint_text(body), options, entry)
-
-
 def compile_cache_key(
     prog: A.Prog,
     options: Optional[CompilerOptions] = None,
@@ -129,26 +113,10 @@ def compile_cache_key(
 ) -> str:
     """A stable cache key for compiling ``prog`` — used by the serving
     layer's single-flight compile cache (:mod:`repro.serve.cache`) so
-    N concurrent requests for the same program compile once.
-
-    Deprecated alias of
+    N concurrent requests for the same program compile once:
     ``compile_fingerprint(fingerprint_program(prog), options, entry)``.
     """
     return compile_fingerprint(fingerprint_program(prog), options, entry)
-
-
-def source_cache_key(
-    text: str,
-    options: Optional[CompilerOptions] = None,
-    entry: str = "main",
-) -> str:
-    """Like :func:`compile_cache_key` but keyed on concrete syntax
-    (no parse needed to look up a cached compile).
-
-    Deprecated alias of
-    ``compile_fingerprint(fingerprint_text(text), options, entry)``.
-    """
-    return compile_fingerprint(fingerprint_text(text), options, entry)
 
 
 # -- registry population ----------------------------------------------------

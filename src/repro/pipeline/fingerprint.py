@@ -5,9 +5,8 @@ the enabled passes read, the enabled pass pipeline, entry point), so
 that tuple *is* the cache identity — for the in-memory single-flight
 compile cache (:mod:`repro.serve.cache`), for the on-disk
 :class:`~repro.pipeline.artifact.ArtifactCache`, and for the per-stage
-resume fingerprints.  The three historical helpers (``_cache_key``,
-``compile_cache_key``, ``source_cache_key``) are thin aliases over
-this module.
+resume fingerprints.  (:func:`repro.pipeline.compile_cache_key`, the
+serving layer's key, is :func:`compile_fingerprint` of a program.)
 
 Two flavours:
 

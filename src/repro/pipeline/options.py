@@ -47,7 +47,7 @@ class CompilerOptions:
     #: Which execution engine (one of :data:`repro.runtime.EXECUTORS`)
     #: :meth:`CompiledProgram.execute` uses when no explicit
     #: :class:`ExecutionPolicy` is given, and a :class:`repro.serve.Server`
-    #: starts its ladder on.  Runtime-only: does not affect the
+    #: tries before its interpreter floor.  Runtime-only: does not affect the
     #: generated code or the stage artifacts.
     executor: str = DEFAULT_EXECUTOR
     #: Optional registered passes to skip by name (the generic

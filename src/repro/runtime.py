@@ -4,22 +4,28 @@ degradation around the simulated GPU.
 Real GPU stacks lose launches to transient driver faults, kill runaway
 kernels with a watchdog, and — when the device is truly gone — fall
 back to a slower but correct path.  This module implements that chain
-for the simulator:
+for the simulator; it is the one attempt loop of a single run, a
+served request and every task of a device pool alike:
 
-1. run the host program on the simulated device;
+1. run the host program on the simulated device — unless the caller's
+   circuit breaker (if any) refuses it, and tell the breaker exactly
+   once how the device step ended;
 2. on a *transient* :class:`DeviceFault` or a :class:`KernelTimeout`,
    retry up to ``max_retries`` times with exponential backoff and
    deterministic jitter (seeded, so runs are reproducible);
-3. on a fatal fault, or when the retry budget is exhausted, degrade
-   gracefully: re-execute the program on the reference interpreter,
-   which is slow but cannot suffer device faults.
+3. on a refusal, a fatal fault, or when the retry budget is exhausted,
+   degrade gracefully (:func:`interpreter_floor`): re-execute the
+   program on the reference interpreter, which is slow but cannot
+   suffer device faults.
 
 Every execution produces a :class:`RunReport` counting attempts,
 retries, faults, timeouts and fallbacks next to the usual
-:class:`CostReport`; chaos tests assert on those counters.
+:class:`CostReport`, and naming the evaluator that produced the values;
+chaos tests assert on those.
 
 :class:`ArgumentError` and other non-device errors are *never*
-retried — retrying a usage error or a compiler bug cannot help.
+retried (retrying a usage error or a compiler bug cannot help) and
+never held against the device.
 """
 
 from __future__ import annotations
@@ -38,7 +44,11 @@ from .errors import (
     KernelTimeout,
     ReproError,
 )
-from .gpu.costmodel import CostReport, static_kernel_costs
+from .gpu.costmodel import (
+    CostReport,
+    kernel_predictions,
+    size_env_from_args,
+)
 from .gpu.device import DeviceProfile
 from .gpu.faults import FaultPlan
 from .gpu.simulator import (
@@ -56,6 +66,7 @@ __all__ = [
     "check_executor",
     "ExecutionPolicy",
     "RunReport",
+    "interpreter_floor",
     "run_resilient",
 ]
 
@@ -149,8 +160,18 @@ class RunReport:
     deadline_exceeded: bool = False
     #: Why the device path was abandoned (None for a clean device run):
     #: ``"fatal fault"``, ``"device OOM"``, ``"retries exhausted"``,
-    #: ``"retry budget exhausted"`` or ``"deadline exceeded"``.
+    #: ``"retry budget exhausted"``, ``"breaker open"`` or
+    #: ``"deadline exceeded"``.
     gave_up_reason: Optional[str] = None
+    #: The evaluator that produced the values: the policy's executor,
+    #: ``"interp"`` when the interpreter floor did, None when nothing
+    #: did.
+    backend: Optional[str] = None
+    #: The device step that was skipped or abandoned, as
+    #: ``"<executor>:<why>"`` — ``"jit:open"`` (the breaker refused
+    #: it) or the class of the error that ended it
+    #: (``"jit:DeviceFault"``); None for a clean device run.
+    abandoned: Optional[str] = None
     #: The compile-time per-pass breakdown of the program that ran
     #: (copied from :class:`repro.pipeline.CompiledProgram`).
     pass_timings: List[PassTiming] = field(default_factory=list)
@@ -187,6 +208,16 @@ class RunReport:
             return "(no pass timings recorded)"
         return "\n".join(str(t) for t in self.pass_timings)
 
+    def absorb(self, other: "RunReport") -> None:
+        """Fold another execution's counters and trail into this one
+        (a device pool reports its shards' runs as one)."""
+        for name in (
+            "attempts", "retries", "transient_faults", "fatal_faults",
+            "timeouts", "fallbacks", "ooms", "backoff_us",
+        ):
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.events.extend(other.events)
+
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-serialisable view (embedded in flight-recorder
         bundles next to the trace and metrics, joinable on run_id)."""
@@ -205,8 +236,39 @@ class RunReport:
             "seed": self.seed,
             "deadline_exceeded": self.deadline_exceeded,
             "gave_up_reason": self.gave_up_reason,
+            "backend": self.backend,
+            "abandoned": self.abandoned,
             "pass_timings": [str(t) for t in self.pass_timings],
         }
+
+
+#: How the attempt loop treats each class of device-step error:
+#: ``(RunReport counter, may clear on retry, what the breaker hears
+#: when it ends the step, RunReport.gave_up_reason then)``.  A fatal
+#: fault will not clear; OOM is deterministic (the same allocation
+#: fails the same way every time); a deadline says nothing about the
+#: device, and no retry can beat it.
+_FAULTS = {
+    "transient": ("transient_faults", True, "failure", "retries exhausted"),
+    "timeout": ("timeouts", True, "failure", "retries exhausted"),
+    "fatal": ("fatal_faults", False, "failure", "fatal fault"),
+    "oom": ("ooms", False, "failure", "device OOM"),
+    "deadline": (None, False, "neutral", "deadline exceeded"),
+}
+
+
+def _fault_kind(error: ReproError) -> Optional[str]:
+    """The :data:`_FAULTS` row for ``error``; None for a program error
+    (identical on every evaluator: propagate it, blame nobody)."""
+    if isinstance(error, DeadlineExceeded):
+        return "deadline"
+    if isinstance(error, KernelTimeout):
+        return "timeout"
+    if isinstance(error, DeviceOOM):
+        return "oom"
+    if isinstance(error, DeviceFault):
+        return "transient" if error.transient else "fatal"
+    return None
 
 
 def _backoff_us(
@@ -218,6 +280,62 @@ def _backoff_us(
     )
     jitter = policy.jitter * (2.0 * rng.random() - 1.0)
     return base * (1.0 + jitter)
+
+
+def interpreter_floor(
+    core: A.Prog,
+    args: Sequence[Value],
+    report: RunReport,
+    error: ReproError,
+    *,
+    executor: str,
+    fallback: bool,
+    entry: str,
+    in_place: bool = True,
+    deadline: Optional[Deadline] = None,
+) -> Tuple[Tuple[Value, ...], CostReport]:
+    """Where an abandoned device step ends — :func:`run_resilient`'s,
+    or a :class:`repro.sched.DevicePool`'s whose every device failed
+    or refused.  ``report.abandoned`` records ``error``, which ended
+    the step; then ``core`` is evaluated on the reference interpreter,
+    unless ``fallback`` is off or the deadline is gone (a late answer
+    is no answer): those raise the typed error, ``.report`` attached.
+    """
+    tracer, metrics = get_tracer(), get_metrics()
+    run_id = report.run_id
+    if isinstance(error, DeadlineExceeded):
+        report.deadline_exceeded = True
+    elif deadline is not None and deadline.expired:
+        # The deadline ran out somewhere between the last attempt (or
+        # its backoff) and here: same contract as an in-run expiry.
+        report.deadline_exceeded = True
+        report.events.append("deadline expired after the final attempt")
+        tracer.instant("fault:deadline", "runtime", run_id=run_id)
+        metrics.counter("runtime.faults", kind="deadline").inc()
+        error = DeadlineExceeded(entry)
+    refused = isinstance(error, DeviceFault) and error.kind == "breaker"
+    report.abandoned = (
+        f"{executor}:{'open' if refused else type(error).__name__}"
+    )
+    if report.deadline_exceeded:
+        report.gave_up_reason = "deadline exceeded"
+    if report.deadline_exceeded or not fallback:
+        error.report = report
+        raise error
+    report.fallbacks += 1
+    report.backend = "interp"
+    report.events.append(
+        f"falling back to the reference interpreter after: {error}"
+    )
+    metrics.counter("runtime.fallbacks").inc()
+    get_logger("runtime").info(
+        "interpreter-fallback", run_id=run_id, after=str(error)
+    )
+    with tracer.span("interpreter-fallback", "runtime", run_id=run_id):
+        values = run_program(core, args, fname=entry, in_place=in_place)
+    # The device never produced a result; the cost report carries
+    # nothing (the wasted backoff time is in the run report).
+    return values, CostReport(report.device)
 
 
 def run_resilient(
@@ -237,6 +355,7 @@ def run_resilient(
     trace_track: Optional[str] = None,
     metric_prefix: str = "gpu",
     heap=None,
+    breaker=None,
 ) -> Tuple[Tuple[Value, ...], CostReport, RunReport]:
     """Execute ``host`` on the simulated device with retry, watchdog
     and interpreter-fallback semantics.
@@ -257,13 +376,21 @@ def run_resilient(
     would arrive too late to matter).  On failure paths the
     :class:`RunReport` is attached to the raised error as ``.report``.
 
+    ``breaker`` (duck-typed: a :class:`repro.serve.CircuitBreaker`)
+    guards the device step, and its protocol lives here and nowhere
+    else: ``allow()`` before the first attempt (a refusal goes straight
+    to the floor as a transient ``"breaker"``-kind :class:`DeviceFault`)
+    and exactly one ``record_*`` after the last, whatever ends it —
+    only device-class outcomes count against the breaker.
+
     ``trace_track``/``metric_prefix``/``heap`` let a device pool give
     each device its own trace track, metric namespace (``gpu.dev0.*``)
     and persistent :class:`~repro.gpu.heap.DeviceHeap`; defaults keep
     single-device behaviour unchanged.
     """
     policy = policy or ExecutionPolicy()
-    if policy.executor == "sim":
+    executor = policy.executor
+    if executor == "sim":
         engine_cls, base_track = GpuSimulator, "sim-gpu"
     else:
         from .vm import JitEngine
@@ -284,43 +411,17 @@ def run_resilient(
     backoff_rng = random.Random(
         fault_plan.seed ^ 0x5DEECE66D if fault_plan is not None else 0
     )
-    last_error: Optional[ReproError] = None
     tracer = get_tracer()
     metrics = get_metrics()
     logger = get_logger("runtime")
     # Static per-kernel cost predictions for the calibration layer:
-    # computed once per execution (not per attempt), and only when
-    # someone is observing — the uninstrumented hot path skips the
-    # whole pricing walk.
+    # once per execution (not per attempt), and only when someone is
+    # observing — the uninstrumented hot path skips the pricing walk.
     predictions = None
     if metrics.enabled or tracer.enabled:
-        try:
-            size_env: Dict[str, int] = {}
-            for p, v in zip(host.params, args):
-                value = getattr(v, "value", None)
-                if value is not None and getattr(
-                    getattr(v, "type", None), "is_integral", False
-                ):
-                    size_env[p.name] = int(value)
-            # The static walk is pure in (program, sizes, device), so
-            # memoise it on the host program: a serving worker replays
-            # the same compiled program at the same sizes constantly
-            # and must not re-price it per request.
-            key = (
-                tuple(sorted(size_env.items())),
-                device.name,
-                coalescing,
-            )
-            cache = host.prediction_cache
-            predictions = cache.get(key)
-            if predictions is None:
-                if len(cache) >= 64:
-                    cache.clear()
-                predictions = cache[key] = static_kernel_costs(
-                    host, size_env, device, coalescing=coalescing
-                )
-        except Exception:
-            predictions = None  # an unpriceable program is not an error
+        predictions = kernel_predictions(
+            host, size_env_from_args(host, args), device, coalescing
+        )
 
     with tracer.span(
         "execute",
@@ -331,124 +432,68 @@ def run_resilient(
         seed=seed,
         fault_plan=repr(fault_plan) if fault_plan is not None else None,
     ) as exec_span:
-        for attempt in range(policy.max_retries + 1):
-            if deadline is not None and deadline.expired:
-                report.deadline_exceeded = True
-                report.gave_up_reason = "deadline exceeded"
-                report.events.append(
-                    f"deadline expired before attempt {attempt + 1}"
+        admitted = breaker is None or breaker.allow()
+        #: What the breaker hears once the device step is over: the
+        #: last attempt's outcome (anything unclassified is neutral).
+        verdict = "neutral"
+        try:
+            if not admitted:
+                last_error: ReproError = DeviceFault(
+                    "breaker", f"{executor} circuit open", transient=True
                 )
-                last_error = DeadlineExceeded(
-                    f"attempt {attempt + 1} of {host.name}"
-                )
-                tracer.instant(
-                    "fault:deadline", "runtime", run_id=run_id
-                )
-                metrics.counter("runtime.faults", kind="deadline").inc()
-                break
-            report.attempts += 1
-            track = (
-                base_track
-                if attempt == 0
-                else f"{base_track} (attempt {attempt + 1})"
-            )
-            sim = engine_cls(
-                device,
-                coalescing=coalescing,
-                in_place=in_place,
-                injector=injector,
-                watchdog_factor=policy.watchdog_factor,
-                watchdog_floor_us=policy.watchdog_floor_us,
-                prog=core,
-                trace_track=track,
-                deadline=deadline,
-                predictions=predictions,
-                metric_prefix=metric_prefix,
-                heap=heap,
-            )
-            with tracer.span(
-                f"attempt#{attempt + 1}", "runtime", run_id=run_id
-            ) as attempt_span:
+                report.gave_up_reason = "breaker open"
+                report.events.append(str(last_error))
+                metrics.counter(
+                    "runtime.breaker_refusals", backend=executor
+                ).inc()
+            for attempt in range(policy.max_retries + 1 if admitted else 0):
+                verdict = "neutral"
                 try:
-                    values, cost = sim.run(host, args)
-                    attempt_span.set(outcome="ok")
-                    exec_span.set(
-                        attempts=report.attempts, retries=report.retries
+                    if deadline is not None:
+                        deadline.check(f"attempt {attempt + 1} of {host.name}")
+                    report.attempts += 1
+                    sim = engine_cls(
+                        device,
+                        coalescing=coalescing,
+                        in_place=in_place,
+                        injector=injector,
+                        watchdog_factor=policy.watchdog_factor,
+                        watchdog_floor_us=policy.watchdog_floor_us,
+                        prog=core,
+                        trace_track=(
+                            base_track
+                            if attempt == 0
+                            else f"{base_track} (attempt {attempt + 1})"
+                        ),
+                        deadline=deadline,
+                        predictions=predictions,
+                        metric_prefix=metric_prefix,
+                        heap=heap,
                     )
+                    with tracer.span(
+                        f"attempt#{attempt + 1}", "runtime", run_id=run_id
+                    ):
+                        values, cost = sim.run(host, args)
+                except ReproError as e:
+                    kind = _fault_kind(e)
+                    if kind is None:
+                        raise
+                    last_error = e
+                else:
+                    report.backend = executor
+                    verdict = "success"
                     return values, cost, report
-                except DeadlineExceeded as e:
-                    # The device watchdog hit the request's wall-clock
-                    # budget mid-run: no retry can finish in time.
-                    report.deadline_exceeded = True
-                    report.gave_up_reason = "deadline exceeded"
-                    report.events.append(str(e))
-                    last_error = e
-                    attempt_span.set(outcome="deadline")
-                    tracer.instant(
-                        "fault:deadline", "runtime", run_id=run_id
-                    )
-                    metrics.counter(
-                        "runtime.faults", kind="deadline"
-                    ).inc()
-                    logger.info(
-                        "deadline-exceeded", run_id=run_id, where=e.where
-                    )
+                counter, retryable, verdict, gave_up = _FAULTS[kind]
+                if counter is not None:
+                    setattr(report, counter, getattr(report, counter) + 1)
+                note = {"error": str(last_error), "run_id": run_id}
+                report.events.append(note["error"])
+                tracer.instant(f"fault:{kind}", "runtime", **note)
+                metrics.counter("runtime.faults", kind=kind).inc()
+                logger.debug("device-fault", kind=kind, **note)
+                if not retryable or attempt == policy.max_retries:
+                    report.gave_up_reason = gave_up
                     break
-                except KernelTimeout as e:
-                    report.timeouts += 1
-                    report.events.append(str(e))
-                    last_error = e
-                    attempt_span.set(outcome="timeout")
-                    tracer.instant(
-                        "fault:timeout",
-                        "runtime",
-                        site=e.kernel,
-                        run_id=run_id,
-                    )
-                    metrics.counter("runtime.faults", kind="timeout").inc()
-                    logger.debug(
-                        "kernel-timeout", run_id=run_id, site=e.kernel
-                    )
-                except DeviceOOM as e:
-                    # Deterministic: the same allocation fails the same
-                    # way on every retry, so go straight to fallback.
-                    report.ooms += 1
-                    report.events.append(str(e))
-                    last_error = e
-                    attempt_span.set(outcome="oom")
-                    tracer.instant(
-                        "fault:oom",
-                        "runtime",
-                        block=e.block,
-                        requested_bytes=e.requested_bytes,
-                        run_id=run_id,
-                    )
-                    metrics.counter("runtime.faults", kind="oom").inc()
-                    logger.info(
-                        "device-oom",
-                        run_id=run_id,
-                        block=e.block,
-                        requested=e.requested_bytes,
-                    )
-                    break
-                except DeviceFault as e:
-                    report.events.append(str(e))
-                    kind = "transient" if e.transient else "fatal"
-                    attempt_span.set(outcome=f"{kind}-fault")
-                    tracer.instant(
-                        f"fault:{kind}", "runtime", error=str(e), run_id=run_id
-                    )
-                    metrics.counter("runtime.faults", kind=kind).inc()
-                    logger.debug(
-                        "device-fault", run_id=run_id, kind=kind, error=str(e)
-                    )
-                    last_error = e
-                    if e.transient:
-                        report.transient_faults += 1
-                    else:
-                        report.fatal_faults += 1
-                        break  # a fatal fault will not clear: stop retrying
-            if attempt < policy.max_retries:
                 # The remaining backoff budget: the policy's cumulative
                 # cap and (tighter) the deadline's remaining wall time.
                 budget = float("inf")
@@ -457,29 +502,13 @@ def run_resilient(
                 if deadline is not None:
                     budget = min(budget, deadline.remaining_us())
                 if budget <= 0.0:
-                    if deadline is not None and deadline.expired:
-                        # The deadline ran out between the failed
-                        # attempt and the backoff: same contract as an
-                        # in-run expiry — a typed DeadlineExceeded, no
-                        # interpreter fallback (it would arrive late).
-                        report.deadline_exceeded = True
-                        report.gave_up_reason = "deadline exceeded"
-                        report.events.append(
-                            "deadline expired before retry "
-                            f"#{report.retries + 1}"
-                        )
-                        tracer.instant(
-                            "fault:deadline", "runtime", run_id=run_id
-                        )
-                        metrics.counter(
-                            "runtime.faults", kind="deadline"
-                        ).inc()
-                    else:
-                        report.gave_up_reason = "retry budget exhausted"
-                        report.events.append(
-                            "retry budget exhausted: stopped retrying "
-                            f"after {report.backoff_us:.0f}us of backoff"
-                        )
+                    # (When it was the deadline that ran the budget
+                    # out, the floor says so.)
+                    report.gave_up_reason = "retry budget exhausted"
+                    report.events.append(
+                        "retry budget exhausted: stopped retrying "
+                        f"after {report.backoff_us:.0f}us of backoff"
+                    )
                     break
                 report.retries += 1
                 backoff = min(
@@ -491,61 +520,24 @@ def run_resilient(
                 tracer.instant(
                     "backoff", "runtime", us=backoff, run_id=run_id
                 )
-
-        exec_span.set(attempts=report.attempts, retries=report.retries)
-        if (
-            not report.deadline_exceeded
-            and deadline is not None
-            and deadline.expired
-        ):
-            # The deadline expired somewhere between the final device
-            # attempt and here (e.g. the retry loop exhausted itself
-            # right as the budget ran out): the fallback below would
-            # produce an answer too late to matter, so honour the
-            # deadline contract instead of falling back.
-            report.deadline_exceeded = True
-            report.gave_up_reason = "deadline exceeded"
-            report.events.append("deadline expired after the final attempt")
-        if report.gave_up_reason is None:
-            if report.ooms:
-                report.gave_up_reason = "device OOM"
-            elif report.fatal_faults:
-                report.gave_up_reason = "fatal fault"
-            else:
-                report.gave_up_reason = "retries exhausted"
-        if report.deadline_exceeded:
-            # Too late for the fallback to matter: surface the typed
-            # error with the report attached.
-            exec_span.set(outcome="deadline")
-            error = (
-                last_error
-                if isinstance(last_error, DeadlineExceeded)
-                else DeadlineExceeded(host.name)
-            )
-            error.report = report
-            raise error
-        if policy.fallback:
-            report.fallbacks += 1
-            report.events.append(
-                f"falling back to the reference interpreter after: "
-                f"{last_error}"
-            )
-            metrics.counter("runtime.fallbacks").inc()
-            logger.info(
-                "interpreter-fallback", run_id=run_id, after=str(last_error)
-            )
-            with tracer.span(
-                "interpreter-fallback", "runtime", run_id=run_id
-            ):
-                values = run_program(
-                    core, args, fname=entry or host.name, in_place=in_place
-                )
-            # The device never produced a result; the cost report
-            # carries only the wasted backoff time.
-            cost = CostReport(device.name)
-            return values, cost, report
-
-        if last_error is None:  # pragma: no cover
-            raise ReproError("resilient executor made no attempts")
-        last_error.report = report
-        raise last_error
+        finally:
+            exec_span.set(attempts=report.attempts, retries=report.retries)
+            if breaker is not None and admitted:
+                if verdict == "success":
+                    breaker.record_success()
+                elif verdict == "failure":
+                    breaker.record_failure()
+                else:
+                    breaker.record_neutral()
+        values, cost = interpreter_floor(
+            core,
+            args,
+            report,
+            last_error,
+            executor=executor,
+            fallback=policy.fallback,
+            entry=entry or host.name,
+            in_place=in_place,
+            deadline=deadline,
+        )
+        return values, cost, report

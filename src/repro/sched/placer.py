@@ -1,22 +1,18 @@
 """Cost-model-aware placement for the device pool.
 
-The :class:`Placer` prices a compiled program on each candidate device
-profile *at the request's actual sizes* (via
-:func:`repro.gpu.costmodel.estimate_program`) and scores candidates by
-least estimated completion time: the device's current backlog of
-queued simulated work plus the new request's estimate, discounted by a
-program-affinity bonus on devices that have already executed this
-compile-cache key (warm instrument caches, resident predictions).
+The pool prices a compiled program on each candidate device profile
+*at the request's actual sizes* (:func:`repro.gpu.costmodel.
+request_price_us`, the memo admission shares); the :class:`Placer`
+scores the candidates by least estimated completion time: the device's
+current backlog of queued simulated work plus the new request's
+estimate, discounted by a program-affinity bonus on devices that have
+already executed this compile-cache key (warm instrument caches,
+resident predictions).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Sequence
-
-from ..core.types import Array
-from ..core.values import ArrayValue, ScalarValue, Value
-from ..gpu.costmodel import estimate_program
-from ..gpu.device import DeviceProfile
+from typing import Any, Dict, List
 
 __all__ = ["Placer"]
 
@@ -28,52 +24,6 @@ class Placer:
         if not 0.0 <= affinity_bonus < 1.0:
             raise ValueError("affinity_bonus must be in [0, 1)")
         self.affinity_bonus = affinity_bonus
-        self._cache: Dict[Any, float] = {}
-
-    @staticmethod
-    def size_env_for(host, args: Sequence[Value]) -> Dict[str, int]:
-        """Bind the program's size variables from the actual arguments:
-        integral scalar parameters by name, array dimensions by zipping
-        each parameter's symbolic shape against the value's shape."""
-        env: Dict[str, int] = {}
-        for p, v in zip(host.params, args):
-            if isinstance(v, ScalarValue) and v.type.is_integral:
-                env[p.name] = int(v.value)
-            elif isinstance(v, ArrayValue) and isinstance(p.type, Array):
-                for dim, size in zip(p.type.shape, v.data.shape):
-                    if isinstance(dim, str) and dim not in env:
-                        env[dim] = int(size)
-        return env
-
-    def estimate_us(
-        self,
-        host,
-        size_env: Mapping[str, int],
-        profile: DeviceProfile,
-        coalescing: bool = True,
-    ) -> float:
-        """The analytic cost (simulated µs) of ``host`` at these sizes
-        on this profile; memoised, since a serving worker re-prices the
-        same few programs constantly.  An unpriceable program scores
-        0.0 — it still places, just without a meaningful estimate."""
-        key = (
-            id(host),
-            profile.name,
-            coalescing,
-            tuple(sorted(size_env.items())),
-        )
-        est = self._cache.get(key)
-        if est is None:
-            if len(self._cache) >= 256:
-                self._cache.clear()
-            try:
-                est = estimate_program(
-                    host, size_env, profile, coalescing=coalescing
-                ).total_us
-            except Exception:
-                est = 0.0
-            self._cache[key] = est
-        return est
 
     def score(
         self, backlog_us: float, est_us: float, affinity: bool

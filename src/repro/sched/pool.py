@@ -22,10 +22,16 @@ metrics under ``gpu.dev{id}.*``.
   first result wins, the loser is cancelled (before start) or
   discarded (mid-flight), with explicit accounting;
 - a shard whose device *fails* (after the resilient executor's own
-  retries) trips that device's breaker and is re-placed on another
-  healthy device; only when every device has failed it does the error
-  propagate — at which point the server's degradation ladder takes
-  over.
+  retries) or *refuses* (its breaker is open) is re-placed on another
+  healthy device; only when every device has failed or refused does
+  the request leave the devices — for the interpreter floor
+  (``fallback=True``) or as the typed error.
+
+The pool keeps no retry or breaker logic of its own: a device worker
+hands its breaker to :func:`repro.runtime.run_resilient`, which claims
+and releases it around the attempt it runs (so a task cancelled before
+it starts never touches it); the coordinator only *reads* breaker
+state, and its floor is the loop's own.
 """
 
 from __future__ import annotations
@@ -54,7 +60,13 @@ from ..obs import (
     thread_metering,
     thread_tracing,
 )
-from ..runtime import ExecutionPolicy, RunReport, run_resilient
+from ..gpu.costmodel import request_price_us, size_env_from_args
+from ..runtime import (
+    ExecutionPolicy,
+    RunReport,
+    interpreter_floor,
+    run_resilient,
+)
 from ..serve.breaker import BreakerState, CircuitBreaker
 from .placer import Placer
 from .shard import BatchInfo, Shard, ShardPlanner, merge_results, slice_args
@@ -63,8 +75,9 @@ __all__ = ["PoolDevice", "DevicePool"]
 
 _log = get_logger("sched")
 
-#: Error classes that indicate *device* trouble (breaker-relevant), as
-#: opposed to program errors or the request's own deadline.
+#: Error classes that indicate *device* trouble (worth re-placing on
+#: another device), as opposed to program errors or the request's own
+#: deadline.
 _DEVICE_ERRORS = (DeviceFault, DeviceOOM, KernelTimeout)
 
 
@@ -73,15 +86,12 @@ class _Task:
     """One unit of device work: a whole request or one shard of it."""
 
     run_id: str
-    host: Any
-    core: Any
     args: Sequence[Value]
-    entry: str
-    executor: str
-    retries: int
-    coalescing: bool
-    in_place: bool
-    deadline: Any
+    #: What every task of the request hands ``run_resilient``
+    #: unchanged: host, core, policy, entry, deadline, coalescing,
+    #: in_place, pass_timings.
+    shared: Dict[str, Any]
+    fault_plan: Optional[FaultPlan]
     est_us: float
     shard_index: int
     lo: int
@@ -92,8 +102,6 @@ class _Task:
     tracer: Any
     metrics: Any
     key: Optional[str] = None
-    fault_plan: Optional[FaultPlan] = None
-    pass_timings: Any = None
 
 
 @dataclass
@@ -155,12 +163,7 @@ class PoolDevice:
         return {
             "id": self.id,
             "profile": self.profile.name,
-            "breaker": {
-                "state": self.breaker.state.value,
-                "trips": self.breaker.trips,
-                "refusals": self.breaker.refusals,
-                "transitions": dict(self.breaker.transitions),
-            },
+            "breaker": self.breaker.snapshot(),
             "executed": executed,
             "failures": failures,
             "busy_us": busy_us,
@@ -212,6 +215,7 @@ class DevicePool:
             )
             for i, profile in enumerate(profiles)
         ]
+        self.name = f"pool({len(self.devices)} devices)"
         self.planner = ShardPlanner(min_shard)
         self.placer = placer or Placer(affinity_bonus)
         self.hedge_factor = hedge_factor
@@ -309,27 +313,16 @@ class DevicePool:
                 rows=f"[{task.lo}:{task.hi})",
             ) as span:
                 try:
-                    policy = ExecutionPolicy(
-                        executor=task.executor,
-                        fallback=False,
-                        max_retries=task.retries,
-                    )
                     values, cost, report = run_resilient(
-                        task.host,
-                        task.core,
-                        task.args,
-                        dev.profile,
-                        coalescing=task.coalescing,
-                        in_place=task.in_place,
+                        args=task.args,
+                        device=dev.profile,
                         fault_plan=task.fault_plan,
-                        policy=policy,
-                        entry=task.entry,
                         run_id=task.run_id,
-                        pass_timings=task.pass_timings,
-                        deadline=task.deadline,
                         trace_track=dev.trace_track,
                         metric_prefix=dev.metric_prefix,
                         heap=dev.heap,
+                        breaker=dev.breaker,
+                        **task.shared,
                     )
                     outcome.values = values
                     outcome.cost = cost
@@ -344,15 +337,6 @@ class DevicePool:
     def _record(
         self, dev: PoolDevice, task: _Task, outcome: _Outcome
     ) -> None:
-        if outcome.error is None:
-            dev.breaker.record_success()
-        elif isinstance(outcome.error, _DEVICE_ERRORS):
-            dev.breaker.record_failure()
-        else:
-            # Deadline expiry or a program error: says nothing about
-            # this device's health, but any half-open probe slot
-            # allow() granted must be released.
-            dev.breaker.record_neutral()
         with dev.lock:
             dev.backlog_us = max(0.0, dev.backlog_us - task.est_us)
             if outcome.error is None:
@@ -376,8 +360,9 @@ class DevicePool:
     # -- placement helpers --------------------------------------------------
 
     def _healthy(self) -> List[PoolDevice]:
-        """Devices whose breaker is not OPEN (non-mutating check: the
-        half-open probe slot is only claimed by an actual submit)."""
+        """Devices whose breaker is not OPEN.  A read, not a claim:
+        admission (and the half-open probe slot) belongs to the attempt
+        loop on the device's own thread."""
         return [
             d
             for d in self.devices
@@ -389,25 +374,16 @@ class DevicePool:
         preferred: Optional[int],
         tried: set,
     ) -> Optional[PoolDevice]:
-        """Claim a device for one task: the preferred one if its
-        breaker admits it, else the least-backlogged healthy device not
-        yet tried for this shard."""
-        order: List[PoolDevice] = []
-        if preferred is not None:
-            pref = self.devices[preferred]
-            if pref.id not in tried:
-                order.append(pref)
-        rest = [
-            d
-            for d in self._healthy()
-            if d.id not in tried and (preferred is None or d.id != preferred)
-        ]
-        rest.sort(key=lambda d: (d.backlog_us, d.id))
-        order.extend(rest)
-        for dev in order:
-            if dev.breaker.allow():
-                return dev
-        return None
+        """Choose a device for one task: the preferred one if healthy,
+        else the least-backlogged healthy device not yet tried for this
+        shard.  (Should its breaker refuse after all, the task comes
+        back as a transient fault and is re-placed.)"""
+        healthy = [d for d in self._healthy() if d.id not in tried]
+        return min(
+            healthy,
+            key=lambda d: (d.id != preferred, d.backlog_us, d.id),
+            default=None,
+        )
 
     def _submit(self, dev: PoolDevice, task: _Task) -> None:
         with dev.lock:
@@ -447,32 +423,55 @@ class DevicePool:
         key: Optional[str] = None,
         pass_timings=None,
         default_fault_plan: Optional[FaultPlan] = None,
+        fallback: bool = False,
     ) -> Tuple[Tuple[Value, ...], CostReport, RunReport, Dict[str, Any]]:
         """Execute one request across the pool.
 
         Returns ``(values, cost, report, placement)`` where
         ``placement`` is a JSON-serialisable record of the decision
         (candidates, scores, shards, hedges, makespan) for the flight
-        recorder.  Raises the underlying error when every device
-        fails — the caller's degradation ladder takes over from there.
+        recorder.  When every device has failed or refused, the
+        request ends on :func:`repro.runtime.interpreter_floor`:
+        ``fallback`` decides between the interpreter's values and the
+        underlying typed error.
         """
         if not self._started:
             self.start()
+
+        def floor(error, placement):
+            report = RunReport(self.name, run_id=run_id)
+            if getattr(error, "report", None) is not None:
+                report.absorb(error.report)
+            if pass_timings:
+                report.pass_timings = list(pass_timings)
+            values, cost = interpreter_floor(
+                core, args, report, error,
+                executor=executor, fallback=fallback, entry=entry,
+                in_place=in_place, deadline=deadline,
+            )
+            return values, cost, report, placement
+
         healthy = self._healthy()
         if not healthy:
-            raise DeviceFault(
-                "pool", "all device breakers open", transient=True
+            return floor(
+                DeviceFault(
+                    "breaker", "all device breakers open", transient=True
+                ),
+                {"mode": "refused"},
             )
         with self._lock:
             self.counters["requests"] += 1
-        size_env = self.placer.size_env_for(host, args)
+        size_env = size_env_from_args(host, args)
+
+        def price(dev_id: int) -> float:
+            # An unpriceable program still places, just without a
+            # meaningful estimate.
+            return request_price_us(
+                host, size_env, self.devices[dev_id].profile, coalescing
+            ) or 0.0
+
         candidates: List[Dict[str, Any]] = []
-        est_by_id: Dict[int, float] = {}
         for d in healthy:
-            est = self.placer.estimate_us(
-                host, size_env, d.profile, coalescing
-            )
-            est_by_id[d.id] = est
             with d.lock:
                 backlog = d.backlog_us
                 affinity = key is not None and key in d.seen_keys
@@ -481,7 +480,7 @@ class DevicePool:
                     "device": d.id,
                     "profile": d.profile.name,
                     "backlog_us": backlog,
-                    "est_us": est,
+                    "est_us": price(d.id),
                     "affinity": affinity,
                 }
             )
@@ -499,9 +498,7 @@ class DevicePool:
             "batch": batch if batch_info is not None else None,
             "candidates": candidates,
             "skipped_open": [
-                d.id
-                for d in self.devices
-                if d.breaker.state is BreakerState.OPEN
+                d.id for d in self.devices if d not in healthy
             ],
             "shards": [],
             "makespan_us": 0.0,
@@ -512,7 +509,7 @@ class DevicePool:
         if sharded:
             assert batch_info is not None
             weights = [
-                (d.id, 1.0 / max(est_by_id[d.id], 1e-9)) for d in healthy
+                (d.id, 1.0 / max(price(d.id), 1e-9)) for d in healthy
             ]
             shards = self.planner.plan(batch, weights)
             with self._lock:
@@ -522,68 +519,54 @@ class DevicePool:
             shards = [Shard(0, 0, batch, chosen)]
             with self._lock:
                 self.counters["whole"] += 1
-        values, cost, report = self._run_shards(
-            shards,
-            placement,
+        shared = dict(
             host=host,
             core=core,
-            args=args,
-            executor=executor,
+            # Never the floor per device: another device may still
+            # serve the shard, and the request's floor is above.
+            policy=ExecutionPolicy(
+                executor=executor, fallback=False, max_retries=retries
+            ),
             entry=entry,
-            run_id=run_id,
+            deadline=deadline,
             coalescing=coalescing,
             in_place=in_place,
-            retries=retries,
-            deadline=deadline,
-            batch_info=batch_info if sharded else None,
-            batch=batch,
-            key=key,
             pass_timings=pass_timings,
-            default_fault_plan=default_fault_plan,
-            est_by_id=est_by_id,
         )
+        try:
+            values, cost, report = self._run_shards(
+                shards,
+                placement,
+                price,
+                shared,
+                args=args,
+                run_id=run_id,
+                batch_info=batch_info if sharded else None,
+                batch=batch,
+                key=key,
+                default_fault_plan=default_fault_plan,
+            )
+        except (DeadlineExceeded, *_DEVICE_ERRORS) as e:
+            return floor(e, placement)
         return values, cost, report, placement
 
     def _run_shards(
         self,
         shards: List[Shard],
         placement: Dict[str, Any],
+        price,
+        shared: Dict[str, Any],
         *,
-        host,
-        core,
         args,
-        executor,
-        entry,
         run_id,
-        coalescing,
-        in_place,
-        retries,
-        deadline,
         batch_info,
         batch,
         key,
-        pass_timings,
         default_fault_plan,
-        est_by_id,
     ) -> Tuple[Tuple[Value, ...], CostReport, RunReport]:
         results: "queue_mod.Queue[_Outcome]" = queue_mod.Queue()
         tracer, metrics = get_tracer(), get_metrics()
-
-        def shard_est(dev_id: int, size: int) -> float:
-            est = est_by_id.get(dev_id)
-            if est is None:
-                # A device outside the original healthy set (recovered
-                # mid-request): price it now.
-                est = self.placer.estimate_us(
-                    host,
-                    self.placer.size_env_for(host, args),
-                    self.devices[dev_id].profile,
-                    coalescing,
-                )
-                est_by_id[dev_id] = est
-            if batch_info is None or batch <= 0:
-                return est
-            return est * (size / batch)
+        deadline, pass_timings = shared["deadline"], shared["pass_timings"]
 
         def make_task(
             shard: Shard, dev: PoolDevice, hedge: bool
@@ -591,9 +574,11 @@ class DevicePool:
             if batch_info is not None:
                 task_args = slice_args(args, batch_info, shard.lo, shard.hi)
                 suffix = f"/s{shard.index}" + ("h" if hedge else "")
+                share = shard.size / batch if batch > 0 else 1.0
             else:
                 task_args = args
                 suffix = "/h" if hedge else ""
+                share = 1.0
             fault_plan = (
                 dev.fault_plan
                 if dev.fault_plan is not None
@@ -601,16 +586,10 @@ class DevicePool:
             )
             return _Task(
                 run_id=f"{run_id}{suffix}",
-                host=host,
-                core=core,
                 args=task_args,
-                entry=entry,
-                executor=executor,
-                retries=retries,
-                coalescing=coalescing,
-                in_place=in_place,
-                deadline=deadline,
-                est_us=shard_est(dev.id, shard.size),
+                shared=shared,
+                fault_plan=fault_plan,
+                est_us=price(dev.id) * share,
                 shard_index=shard.index,
                 lo=shard.lo,
                 hi=shard.hi,
@@ -620,29 +599,25 @@ class DevicePool:
                 tracer=tracer,
                 metrics=metrics,
                 key=key,
-                fault_plan=fault_plan,
-                pass_timings=pass_timings,
             )
 
         # Per-shard coordination state.
         state: Dict[int, Dict[str, Any]] = {}
         for shard in shards:
-            tried = {shard.device_id}
             dev = self._admit(shard.device_id, set())
             if dev is None:
                 self._abort(state)
                 raise DeviceFault(
-                    "pool", "no device admitted the request",
+                    "breaker", "no device admitted the request",
                     transient=True,
                 )
-            tried = {dev.id}
             task = make_task(shard, dev, hedge=False)
             st = {
                 "shard": shard,
                 "done": False,
                 "outcome": None,
                 "tasks": [task],
-                "tried": tried,
+                "tried": {dev.id},
                 "hedged": False,
                 "hedge_at": time.monotonic()
                 + self._hedge_budget_s(dev, task.est_us),
@@ -745,21 +720,14 @@ class DevicePool:
         # Every shard has a winner: merge in shard order, aggregate the
         # winning outcomes' cost/report, compute the parallel makespan.
         ordered = [state[s.index]["outcome"] for s in shards]
-        pool_name = f"pool({len(self.devices)} devices)"
-        cost = CostReport(pool_name)
-        report = RunReport(pool_name, run_id=run_id)
+        cost = CostReport(self.name)
+        report = RunReport(
+            self.name, run_id=run_id, backend=shared["policy"].executor
+        )
         per_device_us: Dict[int, float] = {}
         for out in ordered:
             cost.merge(out.cost)
-            report.attempts += out.report.attempts
-            report.retries += out.report.retries
-            report.transient_faults += out.report.transient_faults
-            report.fatal_faults += out.report.fatal_faults
-            report.timeouts += out.report.timeouts
-            report.fallbacks += out.report.fallbacks
-            report.ooms += out.report.ooms
-            report.backoff_us += out.report.backoff_us
-            report.events.extend(out.report.events)
+            report.absorb(out.report)
             per_device_us[out.device_id] = (
                 per_device_us.get(out.device_id, 0.0)
                 + out.cost.total_us

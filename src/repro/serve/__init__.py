@@ -2,10 +2,11 @@
 
 Fronts the compiler/runtime stack with a thread-based execution
 service: bounded admission with priority lanes and load shedding,
-end-to-end request deadlines, per-backend circuit breakers over the
-degradation ladder (``jit`` → ``sim`` → ``interp``) and a
-single-flight compile cache.  See :mod:`repro.serve.server` for the
-full tour.
+end-to-end request deadlines, a single-flight compile cache, and one
+attempt loop per request — *try the device, else interpret*
+(``jit → interp``), with a circuit breaker on the device step (see
+:func:`repro.runtime.run_resilient`).  See :mod:`repro.serve.server`
+for the full tour.
 
 The building blocks (:class:`Deadline`, :class:`CircuitBreaker`,
 :class:`AdmissionQueue`, :class:`CompileCache`) are importable eagerly
@@ -29,7 +30,6 @@ __all__ = [
     "CircuitBreaker",
     "CompileCache",
     "Deadline",
-    "DEGRADATION_LADDER",
     "INTERACTIVE_LANE",
     "ResultHandle",
     "Server",
@@ -42,7 +42,6 @@ _SERVER_SYMBOLS = (
     "ServeRequest",
     "ServeResult",
     "ResultHandle",
-    "DEGRADATION_LADDER",
 )
 
 

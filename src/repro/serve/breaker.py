@@ -1,19 +1,25 @@
-"""Per-backend circuit breakers: stop hammering a sick executor.
+"""Circuit breakers: stop hammering a sick executor or device.
 
-A :class:`CircuitBreaker` guards one rung of the degradation ladder
-(one execution backend).  It is the classic three-state machine:
+A :class:`CircuitBreaker` guards one device step — an executor of a
+single-device server, or one device of a pool.  It is the classic
+three-state machine:
 
 - **closed** — traffic flows; consecutive device-class failures are
   counted, and reaching ``failure_threshold`` trips the breaker;
-- **open** — traffic is refused (``allow()`` is False) so requests
-  route down the ladder instead, until ``recovery_s`` of wall time has
-  passed;
+- **open** — traffic is refused (``allow()`` is False) so a request
+  goes to the interpreter floor (or another device) instead, until
+  ``recovery_s`` of wall time has passed;
 - **half-open** — exactly *one* probe request is let through.  If it
   succeeds the breaker closes; if it fails the breaker re-opens for
   another full recovery window.
 
+The state machine lives here; the *protocol* — ``allow()`` before a
+device step, exactly one ``record_*`` after it — has one caller,
+:func:`repro.runtime.run_resilient`.  Everybody else hands it a
+breaker and reads :attr:`CircuitBreaker.state`/:meth:`snapshot`.
+
 All transitions are lock-protected (the server's worker pool shares
-one breaker per backend), and the clock is injectable so the state
+one breaker per executor), and the clock is injectable so the state
 machine can be property-tested deterministically
 (``tests/property/test_breaker.py``).
 """
@@ -23,7 +29,7 @@ from __future__ import annotations
 import enum
 import threading
 import time
-from typing import Callable, Dict
+from typing import Any, Callable, Dict
 
 __all__ = ["BreakerState", "CircuitBreaker"]
 
@@ -69,6 +75,15 @@ class CircuitBreaker:
     def state(self) -> BreakerState:
         with self._lock:
             return self._state_locked()
+
+    def snapshot(self) -> Dict[str, Any]:
+        """The JSON-serialisable view ``health()`` reports."""
+        return {
+            "state": self.state.value,
+            "trips": self.trips,
+            "refusals": self.refusals,
+            "transitions": dict(self.transitions),
+        }
 
     def _state_locked(self) -> BreakerState:
         """Resolve OPEN -> HALF_OPEN lazily once the cooldown elapsed

@@ -10,8 +10,7 @@ retries the build.
 
 Successful entries never expire (a compile is deterministic in its
 key, which covers source, options and entry point — see
-:func:`repro.pipeline.compile_fingerprint`, of which the historical
-:func:`repro.pipeline.compile_cache_key` is a thin alias).
+:func:`repro.pipeline.compile_cache_key`).
 
 This cache is the *in-memory, per-process* layer of a two-level
 scheme: when the server is given a persistent

@@ -3,7 +3,7 @@
 :class:`Server` turns the single-run toolchain into a concurrent
 service: a pool of worker threads executes :class:`ServeRequest`s
 drawn from a bounded :class:`~repro.serve.queue.AdmissionQueue`, with
-the full robustness ladder wired in:
+the full robustness stack wired in:
 
 - **admission control** — a full queue sheds the request immediately
   with a typed :class:`ServiceOverloaded`; small requests (by the cost
@@ -12,21 +12,24 @@ the full robustness ladder wired in:
   program compile once (:class:`~repro.serve.cache.CompileCache`,
   keyed by :func:`repro.pipeline.compile_cache_key`), and a compile
   failure is cached negatively so it cannot cause a retry storm;
-- **deadlines** — each request's wall-clock budget is checked at
-  dequeue, before every retry attempt, and before every simulated
-  kernel launch (see :mod:`repro.serve.deadline`);
-- **circuit breakers + degradation ladder** — each device-backed rung
-  (``jit``, ``sim``) has a breaker that trips on consecutive
-  device-class failures; tripped or faulting rungs are skipped and the
-  request degrades down the ladder, ending at the reference
-  interpreter, which cannot suffer device faults.  A request therefore
-  only fails outright on a *program* error (or its own deadline);
+- **deadlines** — each request's wall-clock budget is checked
+  before every attempt (so a request that expired while it queued
+  never touches a device), before every simulated kernel launch and
+  before the interpreter floor (see :mod:`repro.serve.deadline`);
+- **one attempt loop** — a request's plan is always *try the device,
+  else interpret* (``request.executor or options.executor``, then
+  ``interp``), run by :func:`repro.runtime.run_resilient`, which owns
+  the retries, the executor's circuit breaker (it trips on consecutive
+  device-class failures, and then sends requests straight to the
+  floor) and the reference-interpreter floor, which cannot suffer
+  device faults.  A request therefore only fails outright on a
+  *program* error (or its own deadline);
 - **multi-device scheduling** — a server constructed with ``devices``
-  runs its device rungs on a :class:`repro.sched.DevicePool`:
+  makes that one call on a :class:`repro.sched.DevicePool` instead:
   cost-model placement across heterogeneous simulated devices,
   outermost-dimension batch sharding with bit-identical merging,
-  per-device circuit breakers and hedged straggler duplicates (see
-  :mod:`repro.sched`).
+  per-device circuit breakers and hedged straggler duplicates, over
+  the same loop and the same floor (see :mod:`repro.sched`).
 
 Results are delivered through :class:`ResultHandle` (event-based, no
 executor framework), and ``Server.health()``/``repro.obs`` metrics
@@ -44,19 +47,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core import ast as A
 from ..core.values import Value
-from ..errors import (
-    ArgumentError,
-    DeadlineExceeded,
-    DeviceFault,
-    DeviceOOM,
-    KernelTimeout,
-    ReproError,
-    ServiceOverloaded,
-)
-from ..gpu.costmodel import estimate_program
+from ..errors import DeadlineExceeded, ReproError, ServiceOverloaded
+from ..gpu.costmodel import request_price_us, size_env_from_args
 from ..gpu.device import DeviceProfile, NVIDIA_GTX780TI
 from ..gpu.faults import ServiceFaultPlan
-from ..interp import run_program
 from ..obs import Histogram, get_logger, get_metrics, get_tracer
 from ..obs.flight import FlightRecorder
 from ..pipeline import (
@@ -67,6 +61,7 @@ from ..pipeline import (
     compile_program,
 )
 from ..runtime import (
+    EXECUTORS,
     ExecutionPolicy,
     RunReport,
     check_executor,
@@ -79,18 +74,11 @@ from .deadline import Deadline
 from .queue import BATCH_LANE, INTERACTIVE_LANE, AdmissionQueue
 
 __all__ = [
-    "DEGRADATION_LADDER",
     "ServeRequest",
     "ServeResult",
     "ResultHandle",
     "Server",
 ]
-
-#: The full degradation ladder, fastest first.  The interpreter is the
-#: floor: it has no breaker because it cannot suffer device faults.
-#: A request's ladder starts at ``ServeRequest.executor`` (or the
-#: server's ``options.executor``) and descends from there.
-DEGRADATION_LADDER: Tuple[str, ...] = ("jit", "sim", "interp")
 
 #: Per-lane latency histogram bounds, microseconds: 1.5x-spaced from
 #: 250us to ~32s, fine enough that bucket-interpolated percentiles
@@ -114,7 +102,7 @@ class ServeRequest:
     entry: str = "main"
     #: Wall-clock budget for the whole request (None = no deadline).
     deadline_ms: Optional[float] = None
-    #: Preferred top rung of the degradation ladder: one of
+    #: The executor to try before the interpreter floor: one of
     #: :data:`repro.runtime.EXECUTORS` (None = the server's default
     #: executor).
     executor: Optional[str] = None
@@ -139,20 +127,29 @@ class ServeResult:
     status: str
     values: Optional[Tuple[Value, ...]] = None
     error: Optional[BaseException] = None
-    #: Which ladder rung produced the values (``"jit"``, ``"sim"``,
-    #: ``"interp"``; None when nothing did).
-    backend: Optional[str] = None
     lane: str = BATCH_LANE
     #: Submit-to-completion wall time.
     latency_s: float = 0.0
-    #: The resilient executor's report for the successful rung (None
-    #: for interp-rung or failed requests).
+    #: The attempt loop's report (None for a request that never got
+    #: there, or that a program error ended).
     run_report: Optional[RunReport] = None
-    #: Rungs that were tried and failed (or were skipped open).
-    degraded_from: List[str] = field(default_factory=list)
-    #: The device pool's placement decision for the successful rung
-    #: (None on pool-less servers and interp-rung results).
+    #: The device pool's placement decision (None on pool-less
+    #: servers).
     placement: Optional[Dict[str, Any]] = None
+    #: Which evaluator produced the values (``"jit"``, ``"sim"``,
+    #: ``"interp"``; None when nothing did), and the device step that
+    #: was skipped (``["jit:open"]``) or abandoned
+    #: (``["jit:DeviceFault"]``) on the way, empty on a clean run —
+    #: both read off ``run_report``, never tracked separately.
+    backend: Optional[str] = field(init=False, default=None)
+    degraded_from: List[str] = field(init=False, default_factory=list)
+
+    def __post_init__(self) -> None:
+        report = self.run_report
+        if report is not None:
+            self.backend = report.backend
+            if report.abandoned is not None:
+                self.degraded_from = [report.abandoned]
 
     @property
     def ok(self) -> bool:
@@ -227,7 +224,10 @@ class Server:
         queue_capacity: int = 16,
         device: DeviceProfile = NVIDIA_GTX780TI,
         options: Optional[CompilerOptions] = None,
-        ladder: Sequence[str] = DEGRADATION_LADDER,
+        #: Whether a request the device cannot serve ends on the
+        #: reference interpreter (the default) or as the typed device
+        #: error — :attr:`repro.runtime.ExecutionPolicy.fallback`.
+        fallback: bool = True,
         fault_plans: Optional[ServiceFaultPlan] = None,
         breaker_threshold: int = 3,
         breaker_recovery_s: float = 0.25,
@@ -241,14 +241,14 @@ class Server:
         #: and terminal device errors (or SLO-breaching latencies)
         #: auto-dump a ``flightrec-<run_id>.json`` bundle.
         flight_recorder: Optional[FlightRecorder] = None,
-        #: Optional multi-device pool: when set, device rungs execute
+        #: Optional multi-device pool: when set, requests execute
         #: on these (possibly heterogeneous) simulated devices with
         #: cost-model placement, batch sharding and hedged stragglers
         #: instead of on the single ``device``.
         devices: Optional[Sequence[DeviceProfile]] = None,
         #: Per-device fault plans for the pool (aligned with
-        #: ``devices``); a device without a plan inherits the rung's
-        #: ``fault_plans`` entry.
+        #: ``devices``); a device without a plan inherits the
+        #: executor's ``fault_plans`` entry.
         device_fault_plans: Optional[Sequence[Any]] = None,
         min_shard: int = 256,
         hedge_factor: float = 4.0,
@@ -264,12 +264,7 @@ class Server:
     ) -> None:
         self.device = device
         self.options = options or CompilerOptions()
-        self.ladder: Tuple[str, ...] = tuple(ladder)
-        if self.default_executor not in self.ladder:
-            raise ArgumentError(
-                f"default executor {self.default_executor!r} "
-                f"(options.executor) not on the ladder {self.ladder}"
-            )
+        self.fallback = fallback
         self.fault_plans = fault_plans or ServiceFaultPlan()
         self.retries_per_rung = retries_per_rung
         self.interactive_threshold_us = interactive_threshold_us
@@ -281,15 +276,6 @@ class Server:
         #: layer: single-flight misses compile *through* the artifact
         #: cache, so identical programs cost one disk load per process.
         self.artifact_cache = artifact_cache
-        self.breakers: Dict[str, CircuitBreaker] = {
-            rung: CircuitBreaker(
-                rung,
-                failure_threshold=breaker_threshold,
-                recovery_s=breaker_recovery_s,
-            )
-            for rung in self.ladder
-            if rung != "interp"
-        }
         self._n_workers = workers
         self._threads: List[threading.Thread] = []
         self._stopping = threading.Event()
@@ -311,7 +297,6 @@ class Server:
             "deadline_exceeded": 0,
             "errors": 0,
         }
-        self._per_backend: Dict[str, int] = {}
         self.pool: Optional[DevicePool] = (
             DevicePool(
                 devices,
@@ -325,6 +310,21 @@ class Server:
             if devices
             else None
         )
+        #: The one breaker registry ``health()`` reports: per executor
+        #: on a single device; on a pool, the pool's own per-device
+        #: breakers (no breaker wraps another).
+        self.breakers: Dict[str, CircuitBreaker] = (
+            {f"dev{d.id}": d.breaker for d in self.pool.devices}
+            if self.pool is not None
+            else {
+                name: CircuitBreaker(
+                    name,
+                    failure_threshold=breaker_threshold,
+                    recovery_s=breaker_recovery_s,
+                )
+                for name in EXECUTORS
+            }
+        )
         #: Shardability analyses, keyed by compile-cache key (the
         #: analysis runs on the pre-compilation program, once per
         #: program rather than once per request).
@@ -332,8 +332,15 @@ class Server:
 
     @property
     def default_executor(self) -> str:
-        """The top rung of a request that asks for none."""
+        """The executor of a request that asks for none."""
         return self.options.executor
+
+    @property
+    def ladder(self) -> Tuple[str, ...]:
+        """The plan of a request that asks for nothing."""
+        return (self.default_executor,) + (
+            ("interp",) if self.fallback else ()
+        )
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -481,29 +488,18 @@ class Server:
         self, compiled: CompiledProgram, args: Sequence[Value]
     ) -> str:
         """Priority lane from the cost model: price the program at the
-        request's actual scalar sizes; cheap requests go interactive."""
-        try:
-            size_env = {}
-            for p, v in zip(compiled.host.params, args):
-                value = getattr(v, "value", None)
-                if value is not None and getattr(
-                    getattr(v, "type", None), "is_integral", False
-                ):
-                    size_env[p.name] = int(value)
-            est = estimate_program(
-                compiled.host, size_env, self.device,
-                coalescing=self.options.coalescing,
-            )
-            lane = (
-                INTERACTIVE_LANE
-                if est.total_us <= self.interactive_threshold_us
-                else BATCH_LANE
-            )
-        except Exception:
-            # An unpriceable program is not an error — it just doesn't
-            # get priority treatment.
-            lane = BATCH_LANE
-        return lane
+        request's actual sizes; cheap requests go interactive.  (An
+        unpriceable program is not an error — it just doesn't get
+        priority treatment.)"""
+        est = request_price_us(
+            compiled.host,
+            size_env_from_args(compiled.host, args),
+            self.device,
+            self.options.coalescing,
+        )
+        if est is not None and est <= self.interactive_threshold_us:
+            return INTERACTIVE_LANE
+        return BATCH_LANE
 
     # -- completion bookkeeping ---------------------------------------------
 
@@ -530,10 +526,6 @@ class Server:
         with self._lock:
             if result.status == "ok":
                 self._counts["completed"] += 1
-                if result.backend is not None:
-                    self._per_backend[result.backend] = (
-                        self._per_backend.get(result.backend, 0) + 1
-                    )
             elif result.status == "deadline":
                 self._counts["deadline_exceeded"] += 1
             else:
@@ -575,14 +567,6 @@ class Server:
                     ),
                 )
 
-    def _ladder_for(self, request: ServeRequest) -> Tuple[str, ...]:
-        """The rungs to try, starting from the request's preferred
-        executor (or the server default) and descending."""
-        top = request.executor or self.default_executor
-        if top not in self.ladder:
-            return self.ladder
-        return self.ladder[self.ladder.index(top):]
-
     def _process(self, work: _Work) -> None:
         request, handle = work.request, work.handle
         recorder = self.flight_recorder
@@ -601,17 +585,12 @@ class Server:
         ) as record:
             result = self._traced_execute(work)
             self._finish(handle, result)
-            run_report = result.run_report or getattr(
-                result.error, "report", None
-            )
             recorder.finish(
                 record,
                 status="ok" if result.ok else "error",
                 latency_us=result.latency_s * 1e6,
                 error=result.error,
-                run_report=(
-                    run_report.to_dict() if run_report is not None else None
-                ),
+                run_report=result.run_report and result.run_report.to_dict(),
                 lane=result.lane,
                 backend=result.backend or "",
                 rungs=[d.split(":", 1)[0] for d in result.degraded_from]
@@ -622,8 +601,8 @@ class Server:
             )
 
     def _traced_execute(self, work: _Work) -> ServeResult:
-        """Run the ladder under the request span, stamping the result
-        and its latency."""
+        """Execute under the request span, stamping the result and
+        its latency."""
         request = work.request
         tracer = get_tracer()
         queued_s = time.monotonic() - work.submitted_at
@@ -636,7 +615,7 @@ class Server:
             queued_ms=queued_s * 1e3,
             cache_hit=work.cache_hit,
         ) as span:
-            result = self._execute_ladder(work)
+            result = self._execute(work)
             result.latency_s = time.monotonic() - work.submitted_at
             span.set(
                 status=result.status,
@@ -645,142 +624,58 @@ class Server:
             )
         return result
 
-    def _execute_ladder(self, work: _Work) -> ServeResult:
-        request, compiled, deadline = work.request, work.compiled, work.deadline
-        degraded_from: List[str] = []
-        last_error: Optional[BaseException] = None
-        if deadline is not None and deadline.expired:
-            # Expired while queued: don't waste a device on it.
-            return ServeResult(
-                request.request_id, "deadline", lane=work.lane,
-                error=DeadlineExceeded(
-                    f"{request.request_id} while queued"
-                ),
-            )
-        for rung in self._ladder_for(request):
-            if rung == "interp":
-                try:
-                    if deadline is not None:
-                        deadline.check(f"{request.request_id} interp rung")
-                    values = run_program(
-                        compiled.core,
-                        request.args,
-                        fname=request.entry,
-                        in_place=self.options.in_place,
-                    )
-                except DeadlineExceeded as e:
-                    return ServeResult(
-                        request.request_id, "deadline", error=e,
-                        lane=work.lane, degraded_from=degraded_from,
-                    )
-                except ReproError as e:
-                    return ServeResult(
-                        request.request_id, "error", error=e,
-                        lane=work.lane, degraded_from=degraded_from,
-                    )
-                return ServeResult(
-                    request.request_id, "ok", values=tuple(values),
-                    backend=rung, lane=work.lane,
-                    degraded_from=degraded_from,
-                )
-            breaker = self.breakers[rung]
-            if not breaker.allow():
-                degraded_from.append(f"{rung}:open")
-                metrics = get_metrics()
-                if metrics.enabled:
-                    metrics.counter(
-                        "serve.breaker_refusals", backend=rung,
-                        run_id=request.request_id,
-                    ).inc()
-                continue
-            policy = ExecutionPolicy(
-                executor=rung,
-                fallback=False,  # the *ladder* is the fallback here
-                max_retries=self.retries_per_rung,
-            )
-            recorded = False
-            placement: Optional[Dict[str, Any]] = None
-            try:
-                if self.pool is not None:
-                    values, _cost, run_report, placement = self.pool.run(
-                        compiled.host,
-                        compiled.core,
-                        request.args,
-                        executor=rung,
-                        entry=request.entry,
-                        run_id=request.request_id,
-                        coalescing=self.options.coalescing,
-                        in_place=self.options.in_place,
-                        retries=self.retries_per_rung,
-                        deadline=deadline,
-                        batch_info=work.batch_info,
-                        key=work.key,
-                        pass_timings=compiled.pass_timings,
-                        default_fault_plan=self.fault_plans.for_backend(
-                            rung
-                        ),
-                    )
-                else:
-                    values, _cost, run_report = run_resilient(
-                        compiled.host,
-                        compiled.core,
-                        request.args,
-                        self.device,
-                        coalescing=self.options.coalescing,
-                        in_place=self.options.in_place,
-                        fault_plan=self.fault_plans.for_backend(rung),
-                        policy=policy,
-                        entry=request.entry,
-                        run_id=request.request_id,
-                        pass_timings=compiled.pass_timings,
-                        deadline=deadline,
-                    )
-            except DeadlineExceeded as e:
-                # No rung further down could finish in time either.
-                return ServeResult(
-                    request.request_id, "deadline", error=e,
-                    lane=work.lane, degraded_from=degraded_from,
-                )
-            except (DeviceFault, DeviceOOM, KernelTimeout) as e:
-                breaker.record_failure()
-                recorded = True
-                degraded_from.append(f"{rung}:{type(e).__name__}")
-                last_error = e
-                _log.debug(
-                    "rung-failed", request_id=request.request_id,
-                    backend=rung, error=str(e),
-                )
-                continue
-            except ReproError as e:
-                # A program error is identical on every backend: not
-                # the backend's fault, don't trip its breaker.
-                return ServeResult(
-                    request.request_id, "error", error=e,
-                    lane=work.lane, degraded_from=degraded_from,
+    def _execute(self, work: _Work) -> ServeResult:
+        """One policy, one call into the attempt loop (directly, or
+        through the pool), and the answer read off its report."""
+        request, compiled = work.request, work.compiled
+        policy = ExecutionPolicy(
+            executor=request.executor or self.default_executor,
+            fallback=self.fallback,
+            max_retries=self.retries_per_rung,
+        )
+        common: Dict[str, Any] = dict(
+            coalescing=self.options.coalescing,
+            in_place=self.options.in_place,
+            entry=request.entry,
+            run_id=request.request_id,
+            pass_timings=compiled.pass_timings,
+            deadline=work.deadline,
+        )
+        fault_plan = self.fault_plans.for_backend(policy.executor)
+        placement: Optional[Dict[str, Any]] = None
+        try:
+            if self.pool is not None:
+                values, _cost, report, placement = self.pool.run(
+                    compiled.host, compiled.core, request.args,
+                    executor=policy.executor,
+                    retries=policy.max_retries,
+                    fallback=policy.fallback,
+                    batch_info=work.batch_info,
+                    key=work.key,
+                    default_fault_plan=fault_plan,
+                    **common,
                 )
             else:
-                breaker.record_success()
-                recorded = True
-                return ServeResult(
-                    request.request_id, "ok", values=tuple(values),
-                    backend=rung, lane=work.lane, run_report=run_report,
-                    degraded_from=degraded_from, placement=placement,
+                values, _cost, report = run_resilient(
+                    compiled.host, compiled.core, request.args,
+                    self.device,
+                    fault_plan=fault_plan,
+                    policy=policy,
+                    breaker=self.breakers[policy.executor],
+                    **common,
                 )
-            finally:
-                if not recorded:
-                    # A deadline expiry or program error mid-request
-                    # says nothing about this backend's health, but if
-                    # allow() granted the half-open probe slot it must
-                    # still be released — otherwise the breaker wedges
-                    # with the probe held forever.
-                    breaker.record_neutral()
-        # Every rung refused or failed and "interp" was not on the
-        # ladder (custom configurations only).
+        except ReproError as e:
+            # A deadline, a program error (identical on every
+            # evaluator), or — with the floor off — the device error.
+            return ServeResult(
+                request.request_id,
+                "deadline" if isinstance(e, DeadlineExceeded) else "error",
+                error=e, lane=work.lane,
+                run_report=getattr(e, "report", None),
+            )
         return ServeResult(
-            request.request_id, "error",
-            error=last_error
-            or ServiceOverloaded("no backend available"),
-            lane=work.lane, degraded_from=degraded_from,
+            request.request_id, "ok", values=tuple(values), lane=work.lane,
+            run_report=report, placement=placement,
         )
 
     # -- health / stats -----------------------------------------------------
@@ -789,7 +684,6 @@ class Server:
         """A point-in-time JSON-serialisable view of the service."""
         with self._lock:
             counts = dict(self._counts)
-            per_backend = dict(self._per_backend)
         lanes = {}
         for lane, hist in self._latencies.items():
             lanes[lane] = {
@@ -804,13 +698,7 @@ class Server:
             "queue_capacity": self.queue.capacity,
             "queue_depths": self.queue.depths(),
             "breakers": {
-                rung: {
-                    "state": b.state.value,
-                    "trips": b.trips,
-                    "refusals": b.refusals,
-                    "transitions": dict(b.transitions),
-                }
-                for rung, b in self.breakers.items()
+                name: b.snapshot() for name, b in self.breakers.items()
             },
             "compile_cache": self.cache.stats.snapshot(),
             "lanes": lanes,

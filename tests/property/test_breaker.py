@@ -8,11 +8,32 @@ never violate the breaker's two core guarantees:
    has elapsed;
 2. **single probe** — in the half-open state exactly one request is
    allowed through until its outcome is recorded.
+
+And the *protocol* around it has one caller,
+``repro.runtime.run_resilient``: whatever a request's outcome —
+including being cancelled before it starts — the probe slot is never
+left held, and only device-class outcomes count against the breaker.
 """
 
+import dataclasses
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.serve import BreakerState, CircuitBreaker
+from repro.core import array_value
+from repro.core.prim import F32
+from repro.errors import (
+    DeadlineExceeded,
+    DeviceFault,
+    DeviceOOM,
+    KernelTimeout,
+    ReproError,
+)
+from repro.gpu.device import NVIDIA_GTX780TI
+from repro.gpu.faults import FaultPlan
+from repro.pipeline import compile_source
+from repro.runtime import ExecutionPolicy, run_resilient
+from repro.serve import BreakerState, CircuitBreaker, Deadline
 
 #: One step of a random schedule.  ``advance`` moves the fake clock by
 #: the given fraction of the recovery window.
@@ -182,3 +203,127 @@ def test_trip_count_matches_failure_runs(threshold, failures):
     assert b.trips == (1 if failures >= threshold else 0)
     # Consecutive failures beyond the threshold are absorbed by the
     # already-open breaker, not double-counted.
+
+
+# -- the protocol, as its one caller drives it ------------------------------
+
+_FOREVER = 1_000_000_000
+_TINY = dataclasses.replace(NVIDIA_GTX780TI, memory_bytes=8)
+#: outcome -> (run_resilient overrides, the error a device step that
+#: was admitted ends in; None = it succeeds).
+OUTCOMES = {
+    "ok": ({}, None),
+    "transient": (
+        {"fault_plan": FaultPlan(
+            seed=1, launch_failure_rate=1.0, max_consecutive=_FOREVER)},
+        DeviceFault,
+    ),
+    "fatal": (
+        {"fault_plan": FaultPlan(
+            seed=2, launch_failure_rate=1.0, fatal_rate=1.0,
+            max_consecutive=_FOREVER)},
+        DeviceFault,
+    ),
+    "timeout": (
+        {"fault_plan": FaultPlan(
+            seed=3, timeout_rate=1.0, max_consecutive=_FOREVER)},
+        KernelTimeout,
+    ),
+    "oom": ({"device": _TINY}, DeviceOOM),
+    "deadline": ({"expired": True}, DeadlineExceeded),
+    "program-error": ({"args": []}, ReproError),  # wrong arity
+    # Chosen for a device, then cancelled before the worker starts it
+    # (a hedge sibling won, the request was aborted): the attempt loop
+    # never runs.  A coordinator that claimed the probe slot when it
+    # *chose* the device leaked it here.
+    "cancelled": (None, None),
+}
+DEVICE_CLASS = {"transient", "fatal", "timeout", "oom"}
+
+
+@pytest.fixture(scope="module")
+def compiled():
+    return compile_source(
+        r"fun main (xs: [n]f32): [n]f32 = map (\(x: f32) -> x + 1.0f32) xs"
+    )
+
+
+def _drive(compiled, breaker, outcome, executor, fallback):
+    """One request through the attempt loop: ``(report, None)`` when
+    it was served, ``(None, error)`` when it raised."""
+    overrides = dict(OUTCOMES[outcome][0])
+    deadline = None
+    if overrides.pop("expired", False):
+        late = FakeClock()
+        deadline = Deadline(1.0, clock=late)
+        late.t = 2.0
+    try:
+        _values, _cost, report = run_resilient(
+            compiled.host,
+            compiled.core,
+            overrides.pop("args", [array_value([1.0, 2.0, 3.0], F32)]),
+            overrides.pop("device", NVIDIA_GTX780TI),
+            policy=ExecutionPolicy(
+                executor=executor, fallback=fallback, max_retries=1
+            ),
+            deadline=deadline,
+            breaker=breaker,
+            **overrides,
+        )
+    except ReproError as e:
+        return None, e
+    return report, None
+
+
+@given(
+    threshold=st.integers(1, 3),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(sorted(OUTCOMES)),
+            st.sampled_from(["sim", "jit"]),
+            st.booleans(),  # with the interpreter floor?
+            st.floats(0.0, 2.0),  # clock advance, in recovery windows
+        ),
+        max_size=12,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_attempt_loop_never_holds_the_probe_slot(compiled, threshold, steps):
+    clock = FakeClock()
+    b = CircuitBreaker(
+        failure_threshold=threshold, recovery_s=1.0, clock=clock
+    )
+    model = BreakerModel(threshold, 1.0, clock)
+    for outcome, executor, fallback, advance in steps:
+        clock.t += advance
+        admitted = model.opened_at is None or model.cooled_down()
+        trips = b.trips
+        if outcome != "cancelled":
+            device_error = OUTCOMES[outcome][1]
+            report, raised = _drive(compiled, b, outcome, executor, fallback)
+            if outcome in ("deadline", "program-error"):
+                # Never rescued by the floor, admitted or not.
+                assert isinstance(raised, device_error)
+            elif admitted and device_error is None:
+                assert report.backend == executor and not report.abandoned
+            elif fallback:
+                assert report.backend == "interp" and report.fallbacks == 1
+                assert (report.abandoned == f"{executor}:open") == (
+                    not admitted
+                )
+            elif admitted:
+                assert isinstance(raised, device_error)
+            else:  # refused: typed, transient, the device untouched
+                assert isinstance(raised, DeviceFault) and raised.transient
+                assert raised.report.attempts == 0
+            if admitted and outcome == "ok":
+                model.success()
+            elif admitted and outcome in DEVICE_CLASS:
+                model.fail()
+        # Only device-class outcomes the breaker admitted can trip it.
+        assert b.trips == trips or (admitted and outcome in DEVICE_CLASS)
+        assert (b.state is BreakerState.CLOSED) == (model.opened_at is None)
+        # Whatever happened, the slot is free: half-open grants a probe.
+        if b.state is BreakerState.HALF_OPEN:
+            assert b.allow(), f"probe slot held after {outcome!r}"
+            b.record_neutral()

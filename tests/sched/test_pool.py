@@ -7,12 +7,14 @@ import pytest
 
 from repro.bench.suite import BENCHMARKS
 from repro.core.values import values_equal
-from repro.errors import DeviceFault
+from repro.errors import DeadlineExceeded, DeviceFault
+from repro.gpu.costmodel import request_price_us, size_env_from_args
 from repro.gpu.device import AMD_W8100, NVIDIA_GTX780TI, SIM_SMALL
 from repro.gpu.faults import FaultPlan
 from repro.pipeline import compile_cache_key, compile_program
 from repro.runtime import ExecutionPolicy, run_resilient
 from repro.sched import DevicePool, Placer, analyze_shardable
+from repro.serve import BreakerState, Deadline
 
 #: A fault plan that never succeeds and never clears: every launch on
 #: the device fails, forever.
@@ -34,25 +36,32 @@ def backprop():
     return compiled, info, args, baseline, compile_cache_key(prog)
 
 
-# -- Placer -----------------------------------------------------------------
+# -- pricing and the Placer -------------------------------------------------
 
 
 def test_size_env_binds_scalars_and_array_dims(backprop):
     compiled, _, args, _, _ = backprop
-    env = Placer.size_env_for(compiled.host, args)
+    env = size_env_from_args(compiled.host, args)
     assert env["n"] == 16
     assert env["h"] == 512
 
 
 def test_estimate_is_positive_and_memoised(backprop):
     compiled, _, args, _, _ = backprop
-    placer = Placer()
-    env = Placer.size_env_for(compiled.host, args)
-    est = placer.estimate_us(compiled.host, env, NVIDIA_GTX780TI)
+    host = compiled.host
+    env = size_env_from_args(host, args)
+    est = request_price_us(host, env, NVIDIA_GTX780TI)
     assert est > 0
-    assert (
-        placer.estimate_us(compiled.host, env, NVIDIA_GTX780TI) == est
-    )
+    assert request_price_us(host, env, NVIDIA_GTX780TI) == est
+    # The memo lives on the program it prices (an id()-keyed side
+    # table could hand a collected program's entry to its successor),
+    # one entry per (device, coalescing, sizes), and is process state.
+    assert len(host.price_cache) == 1
+    assert request_price_us(host, env, AMD_W8100) != est
+    assert len(host.price_cache) == 2
+    import pickle
+
+    assert pickle.loads(pickle.dumps(host)).price_cache == {}
 
 
 def test_choose_prefers_least_completion_time():
@@ -192,6 +201,80 @@ def test_all_breakers_open_refuses_transiently(backprop):
                 batch_info=None, key=key,
             )
     assert exc.value.transient
+
+
+def test_every_device_failing_ends_on_the_interpreter_floor(backprop):
+    compiled, _, args, baseline, key = backprop
+    with DevicePool(
+        [NVIDIA_GTX780TI, NVIDIA_GTX780TI],
+        fault_plans=[BROKEN, BROKEN],
+        breaker_threshold=1,
+        breaker_recovery_s=60.0,
+    ) as pool:
+        kwargs = dict(
+            executor="sim", entry="main", batch_info=None, key=key,
+            retries=0, fallback=True,
+        )
+        values, cost, report, _ = pool.run(
+            compiled.host, compiled.core, args, run_id="floor", **kwargs
+        )
+        assert report.backend == "interp" and report.fallbacks == 1
+        assert report.abandoned == "sim:DeviceFault"
+        assert report.transient_faults >= 1  # the last device's trail
+        assert cost.total_us == 0
+        assert all(values_equal(a, b) for a, b in zip(baseline, values))
+        # Both breakers are open now: refused without touching a device.
+        _, _, report, placement = pool.run(
+            compiled.host, compiled.core, args, run_id="open", **kwargs
+        )
+        assert report.abandoned == "sim:open" and report.attempts == 0
+        assert placement == {"mode": "refused"}
+        # ...and an expired deadline is never rescued by the floor.
+        with pytest.raises(DeadlineExceeded) as exc:
+            pool.run(
+                compiled.host, compiled.core, args, run_id="late",
+                deadline=Deadline(0.0), **kwargs
+            )
+        assert exc.value.report.deadline_exceeded
+
+
+def test_cancelled_task_does_not_wedge_the_breaker(backprop):
+    """Regression: the coordinator used to claim the half-open probe
+    slot when it *chose* a device, and only a task that actually ran
+    released it — a task cancelled before it started (its hedge
+    sibling won, its request was aborted) left the slot held and the
+    device refused forever.  Choosing a device now only reads the
+    breaker; the attempt loop claims and releases on the device's own
+    thread."""
+    compiled, _, args, baseline, key = backprop
+    pool = DevicePool(
+        [NVIDIA_GTX780TI], breaker_threshold=1, breaker_recovery_s=0.0
+    )
+    dev = pool.devices[0]
+    dev.breaker.record_failure()  # trip; recovery 0: half-open at once
+    assert dev.breaker.state is BreakerState.HALF_OPEN
+    # The coordinator picks the device for a task that is then
+    # cancelled before the worker starts it: nothing ever runs.
+    assert pool._admit(0, set()) is dev
+    assert dev.breaker.allow(), "the probe slot leaked"
+    dev.breaker.record_neutral()
+    # End to end: an aborted request (its deadline is already gone),
+    # then a live one, which must win the probe and close the breaker.
+    with pool:
+        with pytest.raises(DeadlineExceeded):
+            pool.run(
+                compiled.host, compiled.core, args,
+                executor="sim", entry="main", run_id="aborted",
+                batch_info=None, key=key, deadline=Deadline(0.0),
+            )
+        values, _, report, _ = pool.run(
+            compiled.host, compiled.core, args,
+            executor="sim", entry="main", run_id="probe",
+            batch_info=None, key=key,
+        )
+    assert report.backend == "sim"
+    assert dev.breaker.state is BreakerState.CLOSED
+    assert all(values_equal(a, b) for a, b in zip(baseline, values))
 
 
 # -- DevicePool: hedging ----------------------------------------------------

@@ -51,7 +51,7 @@ class TestTerminalErrorsDump:
         with Server(
             workers=1,
             queue_capacity=4,
-            ladder=("jit",),
+            fallback=False,
             fault_plans=ServiceFaultPlan.broken_backend("jit"),
             retries_per_rung=1,
             flight_recorder=recorder,
@@ -89,7 +89,7 @@ class TestTerminalErrorsDump:
         with Server(
             workers=1,
             queue_capacity=4,
-            ladder=("sim",),
+            fallback=False,
             options=CompilerOptions(executor="sim"),
             fault_plans=plans,
             retries_per_rung=1,
@@ -109,7 +109,7 @@ class TestTerminalErrorsDump:
             workers=1,
             queue_capacity=4,
             device=tiny,
-            ladder=("jit",),
+            fallback=False,
             retries_per_rung=0,
             flight_recorder=recorder,
         ) as s:
@@ -138,8 +138,9 @@ class TestTerminalErrorsDump:
         assert validate_flight_bundle(bundle) == []
         assert bundle["run_id"] == "req-late"
         assert bundle["trigger"] == "DeadlineExceeded"
-        # Expired while queued: never reached the executor.
+        # Expired while queued: never reached the device.
         assert bundle["backend"] == ""
+        assert bundle["run_report"]["attempts"] == 0
 
 
 class TestHealthyTraffic:

@@ -1,4 +1,4 @@
-"""Server-level integration of the device pool: pooled rungs, health
+"""Server-level integration of the device pool: pooled requests, health
 surface, flight-record placement, and chaos routing."""
 
 import numpy as np
@@ -48,8 +48,10 @@ def test_pooled_server_shards_and_reports_placement():
     for d in pool["devices"]:
         assert "transitions" in d["breaker"]
         assert "heap_lifetime" in d
-    # The rung breakers expose transition counts too.
-    assert "transitions" in health["breakers"]["jit"]
+    # One registry: the server reports the pool's own breakers.
+    assert health["breakers"] == {
+        f"dev{d['id']}": d["breaker"] for d in pool["devices"]
+    }
 
 
 def test_pool_less_server_has_no_placement():
@@ -105,7 +107,7 @@ def test_pooled_server_survives_broken_device_chaos():
         health = server.health()
     for r in results:
         assert r.ok, f"{r.request_id}: {r.error}"
-        # The pool healed internally: no ladder degradation happened.
+        # The pool healed internally: nothing degraded to the floor.
         assert r.backend == "jit"
         assert not r.degraded_from
         assert all(

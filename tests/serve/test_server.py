@@ -1,4 +1,4 @@
-"""Server behaviour: admission, ladder, deadlines, health surfaces."""
+"""Server behaviour: admission, degradation, deadlines, health surfaces."""
 
 import threading
 
@@ -9,6 +9,7 @@ from repro.core.values import array_value, values_equal
 from repro.errors import (
     ArgumentError,
     DeadlineExceeded,
+    DeviceFault,
     ReproError,
     ServiceOverloaded,
 )
@@ -16,6 +17,7 @@ from repro.frontend.parser import parse
 from repro.gpu.faults import ServiceFaultPlan
 from repro.interp import run_program
 from repro.pipeline import CompilerOptions
+from repro.runtime import EXECUTORS
 from repro.serve import (
     BreakerState,
     Server,
@@ -137,6 +139,35 @@ class TestShedding:
         assert r.status == "shed"
 
 
+class TestLanes:
+    def test_array_dimensions_price_the_lane(self):
+        """Regression: admission bound only integral *scalar*
+        arguments, so every array dimension priced as 1 and N-body at
+        its full n = 10^5 (136 ms of simulated work) rode the
+        interactive lane at an estimate of 35 us."""
+        import numpy as np
+
+        from repro.bench.suite import BENCHMARKS
+
+        spec = BENCHMARKS["N-body"]
+        prog = spec.program()
+        rng = np.random.default_rng(0)
+        s = Server(workers=0, queue_capacity=4)  # admit, never execute
+        s.start()
+        try:
+            s.warm(prog)
+            s.submit(ServeRequest(prog, spec.small_args(rng)))
+            assert s.queue.depths() == {"interactive": 1, "batch": 0}
+            s.submit(ServeRequest(prog, spec.args_at(rng, spec.dataset.full)))
+            assert s.queue.depths() == {"interactive": 1, "batch": 1}
+            # Priced once per (program, sizes), on the program itself.
+            s.submit(ServeRequest(prog, spec.small_args(rng)))
+            host = s.cache.peek(s.warm(prog)).host
+            assert len(host.price_cache) == 2
+        finally:
+            s.stop()
+
+
 class TestDeadlines:
     def test_hopeless_deadline_is_typed(self, prog):
         with Server(workers=1, queue_capacity=8) as s:
@@ -189,7 +220,7 @@ class TestErrors:
 
 
 class TestDegradation:
-    def test_broken_jit_backend_routes_to_sim(self, prog):
+    def test_broken_jit_backend_is_served_by_interp(self, prog):
         plans = ServiceFaultPlan.broken_backend("jit", seed=3)
         with Server(
             workers=2,
@@ -205,12 +236,23 @@ class TestDegradation:
             ]
             results = [h.result(timeout=60) for h in handles]
             health = s.health()
+        expected = run_program(prog, xs(1.0, 2.0))
         for r in results:
             assert r.ok, r.error
-            assert r.backend in ("sim", "interp")
+            # One plan: the device, else the interpreter — never sim.
+            assert r.backend == "interp"
+            assert r.run_report.backend == "interp"
+            assert r.run_report.fallbacks == 1
+            assert r.degraded_from == [r.run_report.abandoned]
+            assert values_equal(r.values[0], expected[0])
         assert health["breakers"]["jit"]["trips"] >= 1
-        # Post-trip requests recorded the skip in their degradation trail.
-        assert any("jit:open" in r.degraded_from for r in results)
+        assert health["breakers"]["sim"]["trips"] == 0
+        # Pre-trip requests record the fault that ended the device
+        # step, post-trip ones the skip.
+        trails = {d for r in results for d in r.degraded_from}
+        assert trails == {"jit:DeviceFault", "jit:open"}
+        skipped = [r for r in results if r.degraded_from == ["jit:open"]]
+        assert all(r.run_report.attempts == 0 for r in skipped)
 
     def test_program_error_during_probe_does_not_wedge_breaker(self, prog):
         # Regression: a half-open probe that dies of a *program* error
@@ -254,6 +296,7 @@ class TestDegradation:
                 ).for_backend("sim"),
             }
         )
+        expected = run_program(prog, xs(1.0, 5.0))
         with Server(
             workers=1,
             queue_capacity=8,
@@ -262,21 +305,41 @@ class TestDegradation:
             breaker_threshold=1,
         ) as s:
             s.warm(prog)
-            results = [
-                s.call(ServeRequest(prog, xs(1.0, 5.0)), timeout=60)
-                for _ in range(3)
-            ]
-        for r in results:
-            assert r.ok, r.error
-        assert results[-1].backend == "interp"
-        expected = run_program(prog, xs(1.0, 5.0))
-        assert values_equal(results[-1].values[0], expected[0])
+            # Whichever executor a request asks for, its floor is the
+            # interpreter — a broken jit never degrades *to* sim.
+            for executor in (None, "jit", "sim", "sim"):
+                r = s.call(
+                    ServeRequest(prog, xs(1.0, 5.0), executor=executor),
+                    timeout=60,
+                )
+                assert r.ok, r.error
+                assert r.backend == "interp"
+                assert r.degraded_from[0].startswith(executor or "jit")
+                assert values_equal(r.values[0], expected[0])
+            assert s.breakers["sim"].trips == 1
+
+    def test_no_floor_surfaces_the_device_error(self, prog):
+        """``fallback=False``: a terminal device error reaches the
+        caller (and the flight recorder) typed, report attached."""
+        with Server(
+            workers=1,
+            queue_capacity=8,
+            fallback=False,
+            fault_plans=ServiceFaultPlan.broken_backend("jit"),
+            retries_per_rung=1,
+        ) as s:
+            assert tuple(s.ladder) == ("jit",)
+            r = s.call(ServeRequest(prog, xs(1.0)), timeout=60)
+        assert r.status == "error" and r.backend is None
+        assert isinstance(r.error, DeviceFault)
+        assert r.error.report.attempts == 2
+        assert r.degraded_from == ["jit:DeviceFault"]
 
 
 class TestJitRung:
     def test_jit_request_serves_on_jit_backend(self, prog):
-        """``executor="jit"`` tops the request's ladder with the
-        transpiling engine; results still match the interpreter."""
+        """``executor="jit"`` runs the request on the transpiling
+        engine; results still match the interpreter."""
         with Server(workers=1, queue_capacity=8) as s:
             r = s.call(
                 ServeRequest(prog, xs(1.0, 2.0), executor="jit"),
@@ -297,6 +360,7 @@ class TestJitRung:
         assert CompilerOptions().executor == "jit"
         with Server(workers=1, queue_capacity=8, options=options) as s:
             assert s.default_executor == executor
+            assert tuple(s.ladder) == (executor, "interp")
             r = s.call(ServeRequest(prog, xs(1.0)), timeout=30)
         assert r.ok
         assert r.backend == executor
@@ -345,7 +409,7 @@ class TestHealth:
         assert h["queue_capacity"] == 8
         assert h["completed"] == 1
         assert h["admitted"] == 1
-        assert set(h["breakers"]) == {"jit", "sim"}
+        assert set(h["breakers"]) == set(EXECUTORS)
         assert h["compile_cache"]["misses"] == 1
         lane = h["lanes"]["interactive"]
         assert lane["count"] == 1
@@ -357,14 +421,6 @@ class TestHealth:
         with Server(workers=1, queue_capacity=8) as s:
             s.call(ServeRequest(prog, xs(1.0)), timeout=30)
             json.dumps(s.health())
-
-    def test_default_executor_must_be_on_ladder(self):
-        with pytest.raises(ArgumentError):
-            Server(ladder=("sim", "interp"))
-        Server(
-            options=CompilerOptions(executor="sim"),
-            ladder=("sim", "interp"),
-        )
 
     def test_unknown_executor_is_rejected_at_construction(self, prog):
         with pytest.raises(ArgumentError, match="unknown executor"):
