@@ -438,13 +438,18 @@ def shard_suite(
     Each benchmark whose entry point :func:`repro.sched.analyze_shardable`
     proves outermost-dimension data-parallel is executed at
     saturation-scale sizes (:data:`SHARD_SIZES`) on pools of 1, 2 and 4
-    identical devices.  Results must be bit-identical to the
-    single-device run with zero interpreter fallbacks; the scaling
-    metric is the pool's simulated *makespan* (the longest per-device
-    sum of shard times — wall clock would measure the Python
-    interpreter's threading, not the schedule).  The returned dict is
-    the ``BENCH_shard.json`` payload (schema ``repro.bench_shard/v1``);
-    CI gates on ``geomean_speedup_4x >= 2``.
+    identical devices.  Whether and how many ways a request is split
+    is the pool's own decision (:meth:`repro.sched.Placer.plan`: least
+    predicted completion, a split charged one launch per extra
+    device), so a row's ``shards`` may be fewer than its pool has
+    devices — at these sizes every multi-device row does split.
+    Results must be bit-identical to the single-device run with zero
+    interpreter fallbacks; the scaling metric is the pool's simulated
+    *makespan* (the longest per-device sum of shard times — wall clock
+    would measure the Python interpreter's threading, not the
+    schedule).  The returned dict is the ``BENCH_shard.json`` payload
+    (schema ``repro.bench_shard/v1``); CI gates on
+    ``geomean_speedup_4x >= 2``.
     """
     import time
 

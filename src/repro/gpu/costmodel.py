@@ -19,6 +19,7 @@ full dataset sizes without executing it.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -396,23 +397,28 @@ def estimate_program(
 
 
 _UNPRICED = object()
+_MEMO_LOCK = threading.Lock()
 
 
 def _memoised(memo, size_env, device, coalescing: bool, price):
     """The bounded per-program memo behind both price caches:
     ``price()`` once per (device, coalescing, sizes), None for a
     program the model cannot price (not an error — it just gets no
-    priority, no meaningful estimate and no calibration)."""
+    priority, no meaningful estimate and no calibration).  At the
+    bound the oldest entry goes (dict order), not the whole memo: a
+    server seeing varied batch sizes prices a few shard sizes per
+    request and must not re-walk everything every few requests."""
     key = (device, coalescing, tuple(sorted(size_env.items())))
     hit = memo.get(key, _UNPRICED)
     if hit is _UNPRICED:
-        if len(memo) >= 64:
-            memo.clear()
         try:
             hit = price()
         except Exception:
             hit = None
-        memo[key] = hit
+        with _MEMO_LOCK:  # serving workers share the program's memo
+            if key not in memo and len(memo) >= 64:
+                del memo[next(iter(memo))]
+            memo[key] = hit
     return hit
 
 

@@ -4,7 +4,7 @@ cost-model-aware placement, and the simulated device pool.
 See ``DESIGN.md`` §12 for the architecture.
 """
 
-from .placer import Placer
+from .placer import Placer, Plan
 from .pool import DevicePool, PoolDevice
 from .shard import (
     BatchInfo,
@@ -23,6 +23,7 @@ __all__ = [
     "slice_args",
     "merge_results",
     "Placer",
+    "Plan",
     "DevicePool",
     "PoolDevice",
 ]

@@ -10,13 +10,14 @@ metrics under ``gpu.dev{id}.*``.
 
 :meth:`DevicePool.run` executes one request:
 
-- **shardable** requests (per :func:`repro.sched.shard.analyze_shardable`)
-  are split across the healthy devices by the :class:`ShardPlanner`
-  (weights = per-device speed from the cost model), executed
-  concurrently, and merged bit-identically;
-- everything else takes **whole-request placement** on the
-  least-estimated-completion-time device (:class:`Placer`), with a
-  program-affinity bonus for devices that already ran this compile key;
+- the :class:`Placer` asks the cost model how to run it: whole on the
+  least-estimated-completion-time device (with a program-affinity
+  bonus for devices that already ran this compile key), or — for a
+  **shardable** request (per :func:`repro.sched.shard.
+  analyze_shardable`) whose split is predicted to finish sooner even
+  after paying one more launch per extra device — ``k`` ways by the
+  :class:`ShardPlanner` (weights = per-device speed from the cost
+  model), executed concurrently, and merged bit-identically;
 - a shard that exceeds the cost model's predicted wall time by
   ``hedge_factor`` gets a **hedged duplicate** on another device —
   first result wins, the loser is cancelled (before start) or
@@ -138,6 +139,8 @@ class PoolDevice:
         self.seen_keys: set = set()
         #: Estimated simulated work queued or in flight, µs.
         self.backlog_us = 0.0
+        #: Tasks behind ``backlog_us`` (queued or in flight).
+        self.queued = 0
         #: Cumulative simulated execution time of completed work, µs.
         self.busy_us = 0.0
         self.executed = 0
@@ -150,6 +153,22 @@ class PoolDevice:
         self.lock = threading.Lock()
         self.trace_track = f"gpu.dev{dev_id}"
         self.metric_prefix = f"gpu.dev{dev_id}"
+
+    def book(self, est_us: float) -> None:
+        """Add one task's estimate to the backlog."""
+        with self.lock:
+            self.queued += 1
+            self.backlog_us += est_us
+
+    def settle(self, est_us: float) -> None:
+        """Take a finished or cancelled task's estimate back off.  A
+        drained device reads exactly 0.0: float residue must not order
+        it before or after an idle one."""
+        with self.lock:
+            self.queued -= 1
+            self.backlog_us = (
+                max(0.0, self.backlog_us - est_us) if self.queued else 0.0
+            )
 
     def snapshot(self) -> Dict[str, Any]:
         with self.lock:
@@ -282,8 +301,7 @@ class DevicePool:
             if task.cancel.is_set():
                 with self._lock:
                     self.counters["cancelled_before_start"] += 1
-                with dev.lock:
-                    dev.backlog_us -= task.est_us
+                dev.settle(task.est_us)
                 task.results.put(
                     _Outcome(task, dev.id, cancelled=True)
                 )
@@ -337,8 +355,8 @@ class DevicePool:
     def _record(
         self, dev: PoolDevice, task: _Task, outcome: _Outcome
     ) -> None:
+        dev.settle(task.est_us)
         with dev.lock:
-            dev.backlog_us = max(0.0, dev.backlog_us - task.est_us)
             if outcome.error is None:
                 dev.executed += 1
                 assert outcome.cost is not None
@@ -386,8 +404,7 @@ class DevicePool:
         )
 
     def _submit(self, dev: PoolDevice, task: _Task) -> None:
-        with dev.lock:
-            dev.backlog_us += task.est_us
+        dev.book(task.est_us)
         dev.queue.put(task)
 
     def _hedge_budget_s(self, dev: PoolDevice, est_us: float) -> float:
@@ -462,13 +479,20 @@ class DevicePool:
         with self._lock:
             self.counters["requests"] += 1
         size_env = size_env_from_args(host, args)
+        batch = (
+            batch_info.batch_size(args) if batch_info is not None else 0
+        )
 
-        def price(dev_id: int) -> float:
-            # An unpriceable program still places, just without a
-            # meaningful estimate.
+        def price(dev_id: int, rows: int) -> Optional[float]:
+            """The cost model's price of ``rows`` of the batch on one
+            device: the request's sizes with the batch dimension
+            rebound.  None for a program it cannot price."""
+            env = size_env
+            if batch_info is not None and rows != batch:
+                env = {**size_env, batch_info.dim: rows}
             return request_price_us(
-                host, size_env, self.devices[dev_id].profile, coalescing
-            ) or 0.0
+                host, env, self.devices[dev_id].profile, coalescing
+            )
 
         candidates: List[Dict[str, Any]] = []
         for d in healthy:
@@ -480,23 +504,29 @@ class DevicePool:
                     "device": d.id,
                     "profile": d.profile.name,
                     "backlog_us": backlog,
-                    "est_us": price(d.id),
                     "affinity": affinity,
+                    "launch_overhead_us": d.profile.launch_overhead_us,
                 }
             )
-        batch = (
-            batch_info.batch_size(args) if batch_info is not None else 0
+        chosen, considered = self.placer.plan(
+            candidates,
+            price,
+            batch,
+            self.planner if batch_info is not None else None,
         )
-        sharded = (
-            batch_info is not None
-            and len(healthy) > 1
-            and batch >= 2 * self.planner.min_shard
-        )
+        shards = chosen.shards
+        sharded = len(shards) > 1
+        with self._lock:
+            self.counters["sharded" if sharded else "whole"] += 1
         placement: Dict[str, Any] = {
             "mode": "sharded" if sharded else "whole",
             "batch_dim": batch_info.dim if batch_info is not None else None,
             "batch": batch if batch_info is not None else None,
             "candidates": candidates,
+            "decision": {
+                "considered": [p.record() for p in considered],
+                "chosen": chosen.record(),
+            },
             "skipped_open": [
                 d.id for d in self.devices if d not in healthy
             ],
@@ -506,19 +536,6 @@ class DevicePool:
             "hedges_won": 0,
             "replacements": 0,
         }
-        if sharded:
-            assert batch_info is not None
-            weights = [
-                (d.id, 1.0 / max(price(d.id), 1e-9)) for d in healthy
-            ]
-            shards = self.planner.plan(batch, weights)
-            with self._lock:
-                self.counters["sharded"] += 1
-        else:
-            chosen = self.placer.choose(candidates)
-            shards = [Shard(0, 0, batch, chosen)]
-            with self._lock:
-                self.counters["whole"] += 1
         shared = dict(
             host=host,
             core=core,
@@ -542,7 +559,6 @@ class DevicePool:
                 args=args,
                 run_id=run_id,
                 batch_info=batch_info if sharded else None,
-                batch=batch,
                 key=key,
                 default_fault_plan=default_fault_plan,
             )
@@ -552,7 +568,7 @@ class DevicePool:
 
     def _run_shards(
         self,
-        shards: List[Shard],
+        shards: Sequence[Shard],
         placement: Dict[str, Any],
         price,
         shared: Dict[str, Any],
@@ -560,7 +576,6 @@ class DevicePool:
         args,
         run_id,
         batch_info,
-        batch,
         key,
         default_fault_plan,
     ) -> Tuple[Tuple[Value, ...], CostReport, RunReport]:
@@ -574,11 +589,9 @@ class DevicePool:
             if batch_info is not None:
                 task_args = slice_args(args, batch_info, shard.lo, shard.hi)
                 suffix = f"/s{shard.index}" + ("h" if hedge else "")
-                share = shard.size / batch if batch > 0 else 1.0
             else:
                 task_args = args
                 suffix = "/h" if hedge else ""
-                share = 1.0
             fault_plan = (
                 dev.fault_plan
                 if dev.fault_plan is not None
@@ -589,7 +602,9 @@ class DevicePool:
                 args=task_args,
                 shared=shared,
                 fault_plan=fault_plan,
-                est_us=price(dev.id) * share,
+                # An unpriceable program still runs, just without a
+                # meaningful estimate.
+                est_us=price(dev.id, shard.size) or 0.0,
                 shard_index=shard.index,
                 lo=shard.lo,
                 hi=shard.hi,
@@ -754,7 +769,7 @@ class DevicePool:
             )
             report.events.append(
                 f"sharded over {len(shards)} devices "
-                f"(batch {batch}, makespan "
+                f"(batch {placement['batch']}, makespan "
                 f"{placement['makespan_us']:.0f}us)"
             )
         else:

@@ -81,3 +81,40 @@ class TestManifestCosting:
             amd.manifest_us / amd.total_us
             > nv.manifest_us / nv.total_us
         )
+
+
+class TestPriceMemoEviction:
+    """The two per-program price memos are bounded at 64 entries and
+    evict the oldest one: clearing the memo at the bound would make a
+    server that sees varied batch sizes re-walk every program every few
+    requests."""
+
+    SRC = "fun main (xs: [n]f32): [n]f32 = map (\\(x: f32) -> x + 1.0f32) xs"
+
+    @pytest.mark.parametrize(
+        "memoised, cache",
+        [
+            ("request_price_us", "price_cache"),
+            ("kernel_predictions", "prediction_cache"),
+        ],
+    )
+    def test_the_65th_insert_evicts_only_the_oldest(self, memoised, cache):
+        from repro.gpu import costmodel
+        from repro.gpu.device import NVIDIA_GTX780TI
+
+        host = compile_source(self.SRC).host
+        price = getattr(costmodel, memoised)
+        memo = getattr(host, cache)
+        for n in range(1, 66):
+            price(host, {"n": n}, NVIDIA_GTX780TI)
+        assert len(memo) == 64
+        sizes = [dict(key[2])["n"] for key in memo]
+        assert sizes == list(range(2, 66))  # entry 1 is gone
+        before = list(memo.items())
+        for n in range(2, 66):
+            price(host, {"n": n}, NVIDIA_GTX780TI)
+        # ...and entries 2-65 all hit: nothing was re-priced or moved.
+        assert all(
+            k1 == k2 and v1 is v2
+            for (k1, v1), (k2, v2) in zip(before, memo.items())
+        )

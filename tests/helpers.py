@@ -8,12 +8,15 @@ checker, interpreter, fusion, flattening and backend tests.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core import ProgBuilder, array
 from repro.core.prim import F32, I32
 from repro.core.types import Array, Prim
 from repro.core import ast as A
+from repro.sched import Placer
 
 #: The two executors as ``parametrize`` values.  The jit's *test id* is
 #: still ``vector`` (the tier it replaced): the suites parametrised
@@ -21,6 +24,32 @@ from repro.core import ast as A
 #: so the PR that deleted it renames only a handful of tests.  The
 #: value passed to the test is ``"jit"``; relabel at leisure.
 EXECUTOR_PARAMS = ("sim", pytest.param("jit", id="vector"))
+
+
+def split_friendly(profile):
+    """``profile`` with free launches and no saturation floor: kernel
+    time is then proportional to rows and an extra shard costs nothing,
+    so the pool's cost-model placement splits even a toy batch.  The
+    pool tests that need a split get it from here, never from a product
+    switch."""
+    return dataclasses.replace(
+        profile, launch_overhead_us=0.0, saturation_threads=1
+    )
+
+
+class KWayPlacer(Placer):
+    """Always the ``k``-way plan among those the placer weighed —
+    handed to ``DevicePool(placer=...)`` by tests (and measurements)
+    that need a particular split whatever the cost model predicts."""
+
+    def __init__(self, k: int) -> None:
+        super().__init__()
+        self.k = k
+
+    def plan(self, *args, **kwargs):
+        _, considered = super().plan(*args, **kwargs)
+        forced = next(p for p in considered if len(p.shards) == self.k)
+        return forced, considered
 
 
 def map_inc_program():

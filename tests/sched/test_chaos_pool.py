@@ -19,6 +19,11 @@ from repro.pipeline import compile_cache_key, compile_program
 from repro.runtime import ExecutionPolicy, run_resilient
 from repro.sched import DevicePool, analyze_shardable
 from repro.serve.breaker import BreakerState
+from tests.helpers import split_friendly
+
+#: The cost model splits a toy batch only where a split is predicted
+#: to win.
+EAGER = split_friendly(NVIDIA_GTX780TI)
 
 BROKEN = FaultPlan(seed=0, launch_failure_rate=1.0, max_consecutive=10**9)
 
@@ -50,7 +55,7 @@ def test_pool_survives_one_totally_broken_device():
         for c, _, args, _ in cases
     ]
     with DevicePool(
-        [NVIDIA_GTX780TI] * 4,
+        [EAGER] * 4,
         fault_plans=[BROKEN, None, None, None],
         breaker_threshold=2,
         breaker_recovery_s=600.0,  # stays open for the whole test
@@ -110,7 +115,7 @@ def test_sharded_request_heals_across_replacement():
         entry="main", run_id="heal-base",
     )
     with DevicePool(
-        [NVIDIA_GTX780TI] * 3,
+        [EAGER] * 3,
         fault_plans=[BROKEN, None, None],
         min_shard=16,
         hedge_min_wall_s=30.0,

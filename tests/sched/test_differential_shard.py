@@ -16,10 +16,15 @@ from repro.gpu.device import AMD_W8100, NVIDIA_GTX780TI, SIM_SMALL
 from repro.pipeline import compile_cache_key, compile_program
 from repro.runtime import ExecutionPolicy, run_resilient
 from repro.sched import DevicePool, analyze_shardable
-from tests.helpers import EXECUTOR_PARAMS
+from tests.helpers import EXECUTOR_PARAMS, split_friendly
 
-#: Heterogeneous pool composition, truncated to the requested count.
-POOL_PROFILES = [NVIDIA_GTX780TI, AMD_W8100, SIM_SMALL, NVIDIA_GTX780TI]
+#: Heterogeneous pool composition, truncated to the requested count —
+#: on profiles where the cost model predicts a split wins at these
+#: small scales.
+POOL_PROFILES = [
+    split_friendly(p)
+    for p in (NVIDIA_GTX780TI, AMD_W8100, SIM_SMALL, NVIDIA_GTX780TI)
+]
 
 _CACHE = {}
 
@@ -49,8 +54,8 @@ def test_pool_results_are_bit_identical(name, executor):
     assert base_report.fallbacks == 0
     sharded_runs = 0
     for count in (1, 2, 4):
-        # min_shard=2 so even small-scale batches genuinely shard on
-        # the multi-device pools.
+        # min_shard=2 so even small-scale batches may shard on the
+        # multi-device pools.
         with DevicePool(
             POOL_PROFILES[:count], min_shard=2, hedge_min_wall_s=30.0
         ) as pool:

@@ -2,6 +2,10 @@
 whole-request and sharded execution, failure re-placement, and hedged
 straggler duplicates."""
 
+import queue
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,7 @@ from repro.pipeline import compile_cache_key, compile_program
 from repro.runtime import ExecutionPolicy, run_resilient
 from repro.sched import DevicePool, Placer, analyze_shardable
 from repro.serve import BreakerState, Deadline
+from tests.helpers import KWayPlacer, split_friendly
 
 #: A fault plan that never succeeds and never clears: every launch on
 #: the device fails, forever.
@@ -64,22 +69,27 @@ def test_estimate_is_positive_and_memoised(backprop):
     assert pickle.loads(pickle.dumps(host)).price_cache == {}
 
 
+def _device(dev_id, backlog_us=0.0, affinity=False):
+    return {
+        "device": dev_id, "backlog_us": backlog_us,
+        "affinity": affinity, "launch_overhead_us": 35.0,
+    }
+
+
 def test_choose_prefers_least_completion_time():
     placer = Placer(affinity_bonus=0.2)
-    candidates = [
-        {"device": 0, "backlog_us": 500.0, "est_us": 100.0, "affinity": False},
-        {"device": 1, "backlog_us": 0.0, "est_us": 100.0, "affinity": False},
-    ]
-    assert placer.choose(candidates) == 1
-    # Every candidate's score is filled in for the placement record.
-    assert all("score" in c for c in candidates)
+    candidates = [_device(0, backlog_us=500.0), _device(1)]
+    chosen, _ = placer.plan(candidates, lambda dev, rows: 100.0)
+    assert chosen.devices == [1]
+    # Every candidate's estimate and score are filled in for the
+    # placement record.
+    assert all(c["est_us"] == 100.0 and "score" in c for c in candidates)
     # Affinity discounts the estimate and breaks an otherwise-equal tie
     # away from the lower id.
-    candidates = [
-        {"device": 0, "backlog_us": 0.0, "est_us": 100.0, "affinity": False},
-        {"device": 1, "backlog_us": 0.0, "est_us": 100.0, "affinity": True},
-    ]
-    assert placer.choose(candidates) == 1
+    candidates = [_device(0), _device(1, affinity=True)]
+    chosen, _ = placer.plan(candidates, lambda dev, rows: 100.0)
+    assert chosen.devices == [1]
+    # (The whole-vs-split decision table is tests/sched/test_placer.py.)
 
 
 def test_affinity_bonus_validation():
@@ -112,7 +122,11 @@ def test_whole_request_placement(backprop):
 def test_sharded_run_is_bit_identical(backprop):
     compiled, info, args, baseline, key = backprop
     with DevicePool(
-        [NVIDIA_GTX780TI, AMD_W8100, SIM_SMALL], min_shard=16
+        [
+            split_friendly(p)
+            for p in (NVIDIA_GTX780TI, AMD_W8100, SIM_SMALL)
+        ],
+        min_shard=16,
     ) as pool:
         values, cost, report, placement = pool.run(
             compiled.host, compiled.core, args,
@@ -304,6 +318,119 @@ def test_straggler_is_hedged_and_hedge_wins(backprop):
     stats = pool.stats()
     assert stats["hedges_launched"] == 1
     assert stats["hedges_won"] == 1
+
+
+# -- DevicePool: backlog bookkeeping ----------------------------------------
+
+
+def _wait_for(condition, timeout=30.0):
+    give_up = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < give_up, "timed out"
+        time.sleep(0.005)
+
+
+def test_a_shard_is_booked_at_the_price_of_its_own_rows():
+    """Regression: a shard's estimate was ``price(whole) * share`` — a
+    256-row Backprop shard booked at 35.9 us when the cost model prices
+    it at 142.3 (1024 threads do not fill the device), so backlogs and
+    hedge budgets of small shards were ~4x off."""
+    spec = BENCHMARKS["Backprop"]
+    prog = spec.program()
+    compiled = compile_program(prog)
+    args = spec.args_at(np.random.default_rng(5), {"n": 16, "h": 1024})
+    env = size_env_from_args(compiled.host, args)
+    pool = DevicePool([NVIDIA_GTX780TI] * 4, placer=KWayPlacer(4))
+    # Hold every device worker at the door so the queued state can be
+    # read.
+    gate, execute = threading.Event(), pool._execute
+
+    def gated(dev, task):
+        gate.wait(30.0)
+        return execute(dev, task)
+
+    pool._execute = gated
+    done = []
+    request = threading.Thread(
+        target=lambda: done.append(
+            pool.run(
+                compiled.host, compiled.core, args,
+                executor="sim", entry="main", run_id="booked",
+                batch_info=analyze_shardable(prog),
+            )
+        )
+    )
+    with pool:
+        request.start()
+        try:
+            _wait_for(lambda: all(d.queued == 1 for d in pool.devices))
+            booked = [d.backlog_us for d in pool.devices]
+        finally:
+            gate.set()
+            request.join(30.0)
+    assert done, "the request did not complete"
+    placement = done[0][3]
+    assert [(s["lo"], s["hi"]) for s in placement["shards"]] == [
+        (0, 256), (256, 512), (512, 768), (768, 1024),
+    ]
+    shard_price = request_price_us(
+        compiled.host, {**env, "h": 256}, NVIDIA_GTX780TI
+    )
+    assert booked == [shard_price] * 4
+    whole_price = request_price_us(compiled.host, env, NVIDIA_GTX780TI)
+    assert shard_price > 0.9 * whole_price  # nowhere near a quarter
+    assert [d.backlog_us for d in pool.devices] == [0.0] * 4
+
+
+def test_backlog_settles_to_exactly_zero():
+    # (0.1 + 0.2 + 0.3) - 0.1 - 0.2 - 0.3 leaves 5.6e-17 in floats.
+    dev = DevicePool([NVIDIA_GTX780TI]).devices[0]
+    for est in (0.1, 0.2, 0.3):
+        dev.book(est)
+    assert dev.backlog_us > 0.0 and dev.queued == 3
+    for est in (0.1, 0.2, 0.3):
+        dev.settle(est)
+    assert dev.backlog_us == 0.0 and dev.queued == 0
+
+
+def test_hedge_cancelled_before_start_settles_its_backlog(backprop):
+    """The cancelled-before-start path and the completed path take a
+    task's estimate off the backlog the same way."""
+    compiled, _, args, baseline, key = backprop
+
+    class GatedQueue(queue.Queue):
+        gate = threading.Event()
+
+        def get(self, *a, **kw):
+            self.gate.wait(30.0)
+            return super().get(*a, **kw)
+
+    # Device 0 straggles (150 ms of wall time per launch), so its task
+    # is hedged onto device 1 — whose worker is held at its queue, so
+    # the original wins and the duplicate is cancelled before it starts.
+    pool = DevicePool(
+        [NVIDIA_GTX780TI, NVIDIA_GTX780TI],
+        fault_plans=[FaultPlan(seed=0, wall_delay_s=0.15), None],
+        hedge_min_wall_s=0.03,
+    )
+    pool.devices[1].queue = GatedQueue()
+    with pool:
+        try:
+            values, _, _, placement = pool.run(
+                compiled.host, compiled.core, args,
+                executor="sim", entry="main", run_id="cancelled-hedge",
+                batch_info=None, key=key,
+            )
+            assert placement["hedges_launched"] == 1
+            assert placement["hedges_won"] == 0
+            assert placement["shards"][0]["device"] == 0
+            assert pool.devices[1].backlog_us > 0.0  # still queued
+        finally:
+            GatedQueue.gate.set()
+        _wait_for(lambda: pool.stats()["cancelled_before_start"] == 1)
+        assert [d.backlog_us for d in pool.devices] == [0.0, 0.0]
+        assert [d.queued for d in pool.devices] == [0, 0]
+    assert all(values_equal(a, b) for a, b in zip(baseline, values))
 
 
 def test_pool_validates_construction():

@@ -12,6 +12,7 @@ from repro.obs.export import validate_flight_bundle
 from repro.obs.flight import FlightRecorder
 from repro.serve.breaker import BreakerState
 from repro.serve.server import Server, ServeRequest
+from tests.helpers import split_friendly
 
 BROKEN = FaultPlan(seed=0, launch_failure_rate=1.0, max_consecutive=10**9)
 
@@ -28,7 +29,10 @@ def test_pooled_server_shards_and_reports_placement():
     expected = run_program(prog, args)
     with Server(
         workers=2,
-        devices=[NVIDIA_GTX780TI, AMD_W8100, SIM_SMALL],
+        devices=[
+            split_friendly(p)
+            for p in (NVIDIA_GTX780TI, AMD_W8100, SIM_SMALL)
+        ],
         min_shard=16,
     ) as server:
         result = server.call(
@@ -70,17 +74,36 @@ def test_flight_record_carries_placement(tmp_path):
     recorder = FlightRecorder(dump_dir=str(tmp_path))
     with Server(
         workers=1,
-        devices=[NVIDIA_GTX780TI, NVIDIA_GTX780TI],
+        devices=[split_friendly(NVIDIA_GTX780TI)] * 2,
         min_shard=16,
         flight_recorder=recorder,
     ) as server:
-        server.call(ServeRequest(prog, args), timeout=60).raise_for_status()
+        result = server.call(
+            ServeRequest(prog, args), timeout=60
+        ).raise_for_status()
     (record,) = recorder.records()
     assert record.placement is not None
     assert record.placement["mode"] == "sharded"
     bundle = recorder.bundle(record)
     assert bundle["placement"]["mode"] == "sharded"
     assert validate_flight_bundle(bundle) == []
+    # The decision is inspectable, and the same from all three views:
+    # everything weighed (whole on each device, then the 2-way split),
+    # each with its price, and the one chosen.
+    decision = result.placement["decision"]
+    assert record.placement["decision"] == decision
+    assert bundle["placement"]["decision"] == decision
+    assert [c["k"] for c in decision["considered"]] == [1, 1, 2]
+    for c in decision["considered"]:
+        assert set(c) == {
+            "k", "devices", "makespan_us", "split_cost_us", "completion_us"
+        }
+        assert c["completion_us"] == c["makespan_us"] + c["split_cost_us"]
+        assert c["completion_us"] >= decision["chosen"]["completion_us"]
+    assert decision["chosen"] == decision["considered"][2]
+    assert decision["chosen"]["devices"] == [
+        s["device"] for s in result.placement["shards"]
+    ]
     # Per-device shard spans landed on the device's own track.
     tracks = {
         s.track for s in record.tracer.spans if s.name.startswith("shard#")
@@ -93,7 +116,7 @@ def test_pooled_server_survives_broken_device_chaos():
     expected = run_program(prog, args)
     with Server(
         workers=2,
-        devices=[NVIDIA_GTX780TI] * 4,
+        devices=[split_friendly(NVIDIA_GTX780TI)] * 4,
         device_fault_plans=[BROKEN, None, None, None],
         min_shard=16,
         breaker_threshold=2,
