@@ -23,21 +23,19 @@ run FILE [--size name=value ...] [--device-profile NAME]
     simulated devices (or one named profile from
     :data:`repro.gpu.device.PROFILES`).
 
-bench [table1|figure13|table2|impact <kind>|validate|jit|mem|calibrate|shard|compile]
+bench [table1|figure13|table2|impact <kind>|validate|mem|calibrate|shard]
     Regenerate the paper's evaluation artefacts; ``validate`` runs the
     named benchmarks on the simulated device against the interpreter
-    and prints each run's report and per-pass compile breakdown;
-    ``jit`` wall-clocks the scalar interpreter against the kernel
-    transpiler (``--executor jit``) and writes ``BENCH_jit.json``;
-    ``mem`` compares peak device-memory footprint with the liveness
-    planner on vs off and writes ``BENCH_mem.json``; ``calibrate``
-    sweeps the suite comparing the static cost model's per-kernel
-    predictions against the simulator's observations and writes
-    ``BENCH_calib.json``; ``shard`` scales the shardable benchmarks
-    across simulated device pools of 1/2/4 devices (bit-identical
-    results required) and writes ``BENCH_shard.json``; ``compile``
-    times cold versus artifact-warm compiles over the suite and
-    writes ``BENCH_compile.json``.
+    and prints each run's report and per-pass compile breakdown.
+    ``mem``, ``calibrate`` and ``shard`` regenerate the three committed
+    ``BENCH_*.json`` files (:data:`repro.bench.pinned.PINNED`): peak
+    device-memory footprint with the liveness planner on vs off; the
+    static cost model's per-kernel predictions against the simulator's
+    observations; the shardable benchmarks across simulated pools of
+    1/2/4 devices (bit-identical results required).  All three are
+    deterministic (no wall clock: ``benchmarks/e2e/run.py`` alone
+    measures time) and tier-1 compares what they write with what is
+    committed.
 
 serve-bench [--clients N --devices SPEC --chaos --flight-dir DIR ...]
     Drive the resilient serving layer (:mod:`repro.serve`) with N
@@ -77,24 +75,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-
-#: Where each ``bench`` subcommand writes when ``--out`` is not given.
-_BENCH_OUT = {
-    "jit": "BENCH_jit.json",
-    "mem": "BENCH_mem.json",
-    "calibrate": "BENCH_calib.json",
-    "shard": "BENCH_shard.json",
-    "compile": "BENCH_compile.json",
-}
-
-
-def _write_bench(args, results) -> None:
-    import json
-
-    out = args.out or _BENCH_OUT[args.what]
-    with open(out, "w") as f:
-        json.dump(results, f, indent=2)
-    print(f"wrote {out}", file=sys.stderr)
 
 
 def _options_from_flags(args) -> "CompilerOptions":
@@ -240,21 +220,45 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from .bench.runner import (
-        figure13_speedups,
-        run_impact,
-        table1_runtimes,
-    )
-    from .bench.datasets import TABLE2
-    from .bench.figures import render_speedup_chart
+    import json
+
+    from .bench.pinned import PINNED
+    from .errors import ArgumentError
+    from .runtime import DEFAULT_EXECUTOR, ExecutionPolicy
 
     names = args.names.split(",") if args.names else None
     what = args.what
+    pinned = PINNED.get(what)
+    # The flags that change what executes, with their defaults:
+    # ``validate`` reads all three, a pinned suite the ones it names;
+    # to anything else they are caller misuse, not silently ignored.
+    execution_flags = {
+        "executor": DEFAULT_EXECUTOR, "chaos": False, "no_fallback": False,
+    }
+    reads = (
+        execution_flags if what == "validate"
+        else pinned.flags if pinned is not None
+        else ()
+    )
+    for flag, default in execution_flags.items():
+        if flag not in reads and getattr(args, flag) != default:
+            raise ArgumentError(
+                f"bench {what} does not read --{flag.replace('_', '-')}"
+            )
+    if pinned is not None:
+        results = pinned.suite(
+            names=names, **{flag: getattr(args, flag) for flag in pinned.flags}
+        )
+        print("\n".join(pinned.render(results)))
+        out = args.out or pinned.out
+        with open(out, "w") as f:
+            json.dump(results, f, indent=2)
+        print(f"wrote {out}", file=sys.stderr)
+        return 0
     if what == "validate":
         from .bench.runner import validate_benchmark
         from .bench.suite import BENCHMARKS
         from .gpu.faults import FaultPlan
-        from .runtime import ExecutionPolicy
 
         profiles = {
             "mixed": dict(
@@ -289,135 +293,28 @@ def cmd_bench(args) -> int:
             for t in report.pass_timings:
                 print(f"  {t}")
         return 0
-    if what == "jit":
-        from .bench.runner import jit_perf_suite
 
-        results = jit_perf_suite(
-            names=names, seed=args.seed, repeats=max(2, args.repeats)
-        )
-        for name, row in results["benchmarks"].items():
-            print(
-                f"{name:14s} interp {row['interp_s']:8.3f}s  "
-                f"jit {row['jit_s'] * 1e3:8.2f}ms  "
-                f"x{row['jit_vs_interp']:.1f}"
-            )
-        print(f"{'geomean':14s} x{results['geomean_jit_vs_interp']:.1f}")
-        _write_bench(args, results)
-        return 0
-    if what == "mem":
-        from .bench.runner import mem_suite
+    from .bench.datasets import TABLE2
+    from .bench.figures import render_speedup_chart
+    from .bench.runner import figure13_speedups, run_impact, table1_runtimes
 
-        results = mem_suite(names=names)
-        for name, row in results["benchmarks"].items():
-            print(
-                f"{name:14s} naive {row['naive_peak_bytes'] / 1e6:10.2f} MB"
-                f"  planned {row['planned_peak_bytes'] / 1e6:10.2f} MB"
-                f"  ({row['peak_ratio'] * 100:5.1f}%,"
-                f" {row['reuse_count']} reuses)"
-            )
-        print(
-            f"{'geomean':14s} peak reduced by "
-            f"{results['geomean_reduction'] * 100:.1f}% "
-            f"({results['improved_count']}/"
-            f"{len(results['benchmarks'])} benchmarks improved)"
-        )
-        _write_bench(args, results)
-        return 0
-    if what == "calibrate":
-        from .bench.runner import calib_suite
-
-        results = calib_suite(names=names, seed=args.seed)
-        for name, row in results["benchmarks"].items():
-            print(
-                f"{name:14s} {len(row['kernels']):3d} kernels  "
-                f"geomean |rel err| "
-                f"{row['geomean_abs_rel_error'] * 100:6.2f}%"
-            )
-        print(
-            f"{'suite':14s} {results['kernel_count']:3d} kernels  "
-            f"geomean |rel err| "
-            f"{results['geomean_abs_rel_error'] * 100:6.2f}%"
-        )
-        for r in results["worst_offenders"][:5]:
-            print(
-                f"  worst: {r['benchmark']}/{r['kernel']} "
-                f"pred {r['predicted_us']:.1f}us "
-                f"obs {r['observed_us']:.1f}us "
-                f"({r['rel_error'] * 100:+.1f}%)"
-            )
-        _write_bench(args, results)
-        return 0
-    if what == "shard":
-        from .bench.runner import shard_suite
-
-        results = shard_suite(names=names, seed=args.seed)
-        counts = results["device_counts"]
-        for name, row in results["benchmarks"].items():
-            per = "  ".join(
-                f"x{c}: {row['devices'][str(c)]['makespan_us'] / 1e3:8.2f}ms"
-                for c in counts
-            )
-            print(
-                f"{name:14s} {row['batch_dim']}={row['batch']:<8d} {per}"
-                f"  speedup x{row['speedup_4x']:.2f}"
-            )
-        print(
-            f"{'geomean':14s} x{results['geomean_speedup_4x']:.2f} "
-            f"at {max(counts)} devices"
-        )
-        _write_bench(args, results)
-        return 0
-    if what == "compile":
-        from .bench.runner import compile_bench_suite
-
-        results = compile_bench_suite(
-            names=names,
-            repeats=args.repeats if args.repeats > 1 else 3,
-            artifact_dir=args.artifact_dir,
-        )
-        for name, row in results["benchmarks"].items():
-            if "skipped" in row:
-                print(f"{name:14s} skipped: {row['skipped']}")
-                continue
-            print(
-                f"{name:14s} cold {row['cold_s'] * 1e3:8.2f}ms  "
-                f"warm {row['warm_s'] * 1e3:8.2f}ms  "
-                f"x{row['speedup']:.1f}  "
-                f"({row['artifact_bytes'] / 1024:.1f} KiB artifact)"
-            )
-        print(f"{'geomean':14s} x{results['geomean_speedup']:.1f}")
-        _write_bench(args, results)
-        return 0
     if what == "table2":
         for name, ds in TABLE2.items():
             print(f"{name:14s} {ds.description:45s} {ds.full}")
-        return 0
-    if what == "table1":
-        rows = table1_runtimes(names)
+    elif what == "table1":
         print(f"{'benchmark':14s} {'NV ref':>10s} {'NV fut':>10s} "
               f"{'AMD ref':>10s} {'AMD fut':>10s}")
-        for r in rows:
-            nv, amd = list(r.ref_ms), None
+        for r in table1_runtimes(names):
             vals = list(r.ref_ms.values()) + list(r.fut_ms.values())
-            print(
-                f"{r.name:14s} "
-                + " ".join(f"{v:10.1f}" for v in vals)
-            )
-        return 0
-    if what == "figure13":
+            print(f"{r.name:14s} " + " ".join(f"{v:10.1f}" for v in vals))
+    elif what == "figure13":
         print(render_speedup_chart(figure13_speedups(names)))
-        return 0
-    if what == "impact":
+    else:  # impact: the parser admits nothing else
         if not names:
-            from .errors import ArgumentError
-
             raise ArgumentError("bench impact requires --names")
-        factors = run_impact(args.kind, names.split(",") if isinstance(names, str) else names)
-        for name, f in factors.items():
+        for name, f in run_impact(args.kind, names).items():
             print(f"{name:14s} x{f:.2f}")
-        return 0
-    print(f"unknown bench artefact {what!r}", file=sys.stderr)
-    return 1
+    return 0
 
 
 def cmd_passes(args) -> int:
@@ -480,8 +377,6 @@ def cmd_obs(args) -> int:
         print(render_bundle(bundle, top=args.limit))
         return 0
     if args.action == "top":
-        if not args.calib:
-            raise ArgumentError("obs top requires --calib BENCH_calib.json")
         with open(args.calib) as f:
             payload = json.load(f)
         if payload.get("schema") != "repro.bench_calib/v1":
@@ -682,7 +577,7 @@ def cmd_serve_bench(args) -> int:
     return 0 if outcomes["error"] == 0 else 1
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Futhark (PLDI 2017) reproduction toolchain",
@@ -739,8 +634,10 @@ def main(argv=None) -> int:
     p = sub.add_parser("bench", help="regenerate evaluation artefacts")
     p.add_argument(
         "what",
+        # The last three are ``repro.bench.pinned.PINNED``'s keys (a test
+        # holds them equal; importing the table costs 60 ms of start-up).
         choices=("table1", "table2", "figure13", "impact", "validate",
-                 "jit", "mem", "calibrate", "shard", "compile"),
+                 "mem", "calibrate", "shard"),
     )
     p.add_argument("--names", default=None)
     p.add_argument(
@@ -750,7 +647,8 @@ def main(argv=None) -> int:
     )
     p.add_argument(
         "--seed", type=int, default=0,
-        help="dataset / fault-plan seed for bench validate/jit",
+        help="dataset / fault-plan seed for bench "
+        "validate/calibrate/shard",
     )
     p.add_argument(
         "--chaos", action="store_true",
@@ -772,19 +670,8 @@ def main(argv=None) -> int:
     )
     p.add_argument(
         "--out", default=None,
-        help="output file of bench jit/mem/calibrate/shard/compile "
-        "(default: BENCH_<what>.json)",
-    )
-    p.add_argument(
-        "--repeats", type=int, default=1,
-        help="best-of repeats for bench jit / bench compile timing",
-    )
-    p.add_argument(
-        "--artifact-dir",
-        metavar="DIR",
-        default=None,
-        help="artifact-cache directory for bench compile "
-        "(default: a throwaway temp dir)",
+        help="output file of bench mem/calibrate/shard (default: the "
+        "committed BENCH_*.json it regenerates)",
     )
     _add_opt_flags(p)
     _add_obs_flags(p)
@@ -874,8 +761,11 @@ def main(argv=None) -> int:
         help="rows per ranking table",
     )
     p.set_defaults(fn=cmd_obs)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     from .errors import ReproError, exit_code_for
 
     try:

@@ -10,10 +10,8 @@ encoding the published code's documented structure.
 
 from .suite import BENCHMARKS, BenchmarkSpec, get_benchmark  # noqa: F401
 from .runner import (  # noqa: F401
-    SHARD_SIZES,
     figure13_speedups,
     run_impact,
-    shard_suite,
     table1_runtimes,
     validate_benchmark,
 )

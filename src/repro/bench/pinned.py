@@ -1,0 +1,432 @@
+"""The pinned artefacts: ``BENCH_mem.json``, ``BENCH_calib.json`` and
+``BENCH_shard.json``.
+
+Each is a deterministic function of the source tree — simulated time,
+heap accounting and bit-identity checks, no wall clock (the only code
+that times the system is ``benchmarks/e2e``) — so the files are
+committed and ``tests/bench/test_committed_artefacts.py`` regenerates
+them and compares every field.  :data:`PINNED` is the one table both
+``python -m repro bench <what>`` and that test read.
+"""
+
+from __future__ import annotations
+
+from typing import (
+    Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple,
+)
+
+import numpy as np
+
+from ..errors import ValidationError
+from ..gpu.device import NVIDIA_GTX780TI, DeviceProfile
+from ..obs import get_logger
+from ..pipeline import CompilerOptions, compile_program
+from ..runtime import DEFAULT_EXECUTOR, ExecutionPolicy
+from .suite import BENCHMARKS
+
+__all__ = ["PINNED", "mem_suite", "calib_suite", "shard_suite", "SHARD_SIZES"]
+
+
+def mem_suite(
+    names: Optional[List[str]] = None,
+    device: DeviceProfile = NVIDIA_GTX780TI,
+) -> Dict:
+    """Device-memory footprint of every benchmark at paper-scale sizes,
+    with the memory planner on versus off (the ``--no-memory-planning``
+    ablation).
+
+    Peaks come from the static heap walk in
+    :func:`repro.gpu.costmodel.estimate_program`: both variants replay
+    their alloc/free schedules through a :class:`~repro.gpu.heap.DeviceHeap`
+    with the benchmark's full dataset bound, so the numbers are exact
+    for that schedule, deterministic, and independent of simulated
+    execution time.  The returned dict is the ``BENCH_mem.json``
+    payload."""
+    logger = get_logger("bench")
+    names = names or list(BENCHMARKS.names())
+    planned_opts = CompilerOptions()
+    naive_opts = CompilerOptions(memory_planning=False)
+    benchmarks: Dict[str, Dict] = {}
+    ratios: List[float] = []
+    for name in names:
+        spec = BENCHMARKS[name]
+        sizes = spec.dataset.full
+        planned = compile_program(spec.program(), planned_opts).estimate(
+            sizes, device
+        )
+        naive = compile_program(spec.program(), naive_opts).estimate(
+            sizes, device
+        )
+        if planned.mem_peak_bytes > naive.mem_peak_bytes:
+            raise ValidationError(
+                f"{name}: planned peak {planned.mem_peak_bytes} B exceeds "
+                f"naive peak {naive.mem_peak_bytes} B"
+            )
+        ratio = (
+            planned.mem_peak_bytes / naive.mem_peak_bytes
+            if naive.mem_peak_bytes > 0
+            else 1.0
+        )
+        ratios.append(ratio)
+        benchmarks[name] = {
+            "sizes": dict(sizes),
+            "naive_peak_bytes": naive.mem_peak_bytes,
+            "planned_peak_bytes": planned.mem_peak_bytes,
+            "naive_alloc_count": naive.mem_alloc_count,
+            "planned_alloc_count": planned.mem_alloc_count,
+            "reuse_count": planned.mem_reuse_count,
+            "peak_ratio": ratio,
+        }
+        logger.debug(
+            "mem-row", benchmark=name,
+            naive=naive.mem_peak_bytes, planned=planned.mem_peak_bytes,
+        )
+    geomean_ratio = (
+        float(np.exp(np.mean(np.log(ratios)))) if ratios else 1.0
+    )
+    improved = sum(
+        1
+        for b in benchmarks.values()
+        if b["planned_peak_bytes"] < b["naive_peak_bytes"]
+    )
+    return {
+        "schema": "repro.bench_mem/v1",
+        "device": device.name,
+        "benchmarks": benchmarks,
+        "geomean_peak_ratio": geomean_ratio,
+        "geomean_reduction": 1.0 - geomean_ratio,
+        "improved_count": improved,
+    }
+
+
+def _geomean_abs(errors: List[float]) -> float:
+    """Geometric mean of |relative error|, zero-robust: computed as
+    ``exp(mean(log1p(|e|))) - 1`` so exact predictions (e = 0) pull
+    the mean down instead of collapsing it to zero."""
+    if not errors:
+        return 0.0
+    return float(np.expm1(np.mean(np.log1p(np.abs(errors)))))
+
+
+def calib_suite(
+    names: Optional[List[str]] = None,
+    seed: int = 0,
+    device: DeviceProfile = NVIDIA_GTX780TI,
+    worst: int = 10,
+) -> Dict:
+    """Predicted-vs-observed kernel cost divergence across the suite.
+
+    Every benchmark is executed at reduced scale on the simulated
+    device (always ``sim``, the cost oracle); for each kernel, the
+    *static* per-launch prediction
+    (:func:`repro.gpu.costmodel.static_kernel_costs`, priced at the
+    entry sizes without executing anything) is compared against the
+    mean per-launch cost the simulator actually observed at runtime
+    sizes.  The signed relative error ``(predicted - observed) /
+    observed`` per kernel, the per-benchmark and suite-wide geomean
+    |error|, and a worst-offenders table form the ``BENCH_calib.json``
+    payload (schema ``repro.bench_calib/v1``) — the instrument that
+    tells us where ``estimate_program`` stops being trustworthy.
+    """
+    from ..gpu.costmodel import size_env_from_args, static_kernel_costs
+
+    logger = get_logger("bench")
+    names = names or list(BENCHMARKS.names())
+    policy = ExecutionPolicy(executor="sim")
+    benchmarks: Dict[str, Dict] = {}
+    all_rows: List[Dict] = []
+    for name in names:
+        spec = BENCHMARKS[name]
+        prog = spec.program()
+        compiled = compile_program(prog)
+        rng = np.random.default_rng(seed)
+        args = spec.small_args(rng)
+        _, cost, report = compiled.execute(
+            args, device, policy=policy, run_id=f"calib/{name}", seed=seed
+        )
+        if report.fallbacks:
+            raise ValidationError(
+                f"{name}: calibration run degraded to the interpreter "
+                f"({report.summary()})"
+            )
+        predicted = static_kernel_costs(
+            compiled.host,
+            size_env_from_args(compiled.host, args),
+            device,
+            coalescing=True,
+        )
+        observed: Dict[str, Dict[str, float]] = {}
+        for k in cost.kernel_costs:
+            agg = observed.setdefault(
+                k.name,
+                {
+                    "launches": 0,
+                    "time_us": 0.0,
+                    "bytes_effective": 0.0,
+                    "occupancy": 0.0,
+                    "kind": k.kind,
+                },
+            )
+            agg["launches"] += 1
+            agg["time_us"] += k.time_us
+            agg["bytes_effective"] += k.bytes_effective
+            agg["occupancy"] += k.occupancy
+        kernels: Dict[str, Dict] = {}
+        errors: List[float] = []
+        for kname, agg in observed.items():
+            n = agg["launches"]
+            obs_us = agg["time_us"] / n
+            obs_bytes = agg["bytes_effective"] / n
+            pred = predicted.get(kname)
+            row: Dict = {
+                "kind": agg["kind"],
+                "launches": n,
+                "observed_us": obs_us,
+                "predicted_us": pred.time_us if pred is not None else None,
+                "rel_error": None,
+                "bytes_rel_error": None,
+                "occupancy_observed": agg["occupancy"] / n,
+                "occupancy_predicted": (
+                    pred.occupancy if pred is not None else None
+                ),
+            }
+            if pred is not None and obs_us > 0:
+                row["rel_error"] = (pred.time_us - obs_us) / obs_us
+                errors.append(row["rel_error"])
+            if pred is not None and obs_bytes > 0:
+                row["bytes_rel_error"] = (
+                    pred.bytes_effective - obs_bytes
+                ) / obs_bytes
+            kernels[kname] = row
+            if row["rel_error"] is not None:
+                all_rows.append(
+                    {
+                        "benchmark": name,
+                        "kernel": kname,
+                        "kind": agg["kind"],
+                        "launches": n,
+                        "predicted_us": row["predicted_us"],
+                        "observed_us": obs_us,
+                        "rel_error": row["rel_error"],
+                    }
+                )
+        benchmarks[name] = {
+            "sizes": dict(spec.dataset.small),
+            "total_observed_us": cost.total_us,
+            "kernels": kernels,
+            "geomean_abs_rel_error": _geomean_abs(errors),
+        }
+        logger.debug(
+            "calib-row", benchmark=name, kernels=len(kernels),
+            geomean=benchmarks[name]["geomean_abs_rel_error"],
+        )
+    suite_errors = [r["rel_error"] for r in all_rows]
+    all_rows.sort(key=lambda r: -abs(r["rel_error"]))
+    return {
+        "schema": "repro.bench_calib/v1",
+        "device": device.name,
+        "executor": policy.executor,
+        "seed": seed,
+        "benchmarks": benchmarks,
+        "kernel_count": len(all_rows),
+        "geomean_abs_rel_error": _geomean_abs(suite_errors),
+        "worst_offenders": all_rows[:worst],
+    }
+
+
+#: Saturation-scale dataset sizes for the multi-device sharding suite.
+#: Below the cost model's ``saturation_threads`` the simulated kernel
+#: time is size-independent, so sub-saturation shards show no scaling;
+#: these sizes put every shardable benchmark's batch dimension well
+#: past saturation even when split four ways.
+SHARD_SIZES: Dict[str, Dict[str, int]] = {
+    "Backprop": {"n": 64, "h": 262_144},
+    "MRI-Q": {"x": 262_144, "k": 64},
+    "Myocyte": {"w": 262_144, "eq": 8, "steps": 3},
+    "LocVolCalib": {"outer": 131_072, "nx": 8, "ny": 8, "numT": 2},
+}
+
+
+def shard_suite(
+    names: Optional[List[str]] = None,
+    seed: int = 0,
+    device_counts: Tuple[int, ...] = (1, 2, 4),
+    executor: str = DEFAULT_EXECUTOR,
+    device: DeviceProfile = NVIDIA_GTX780TI,
+) -> Dict:
+    """Multi-device scaling of the shardable benchmarks.
+
+    Each benchmark whose entry point :func:`repro.sched.analyze_shardable`
+    proves outermost-dimension data-parallel is executed at
+    saturation-scale sizes (:data:`SHARD_SIZES`) on pools of 1, 2 and 4
+    identical devices.  Whether and how many ways a request is split
+    is the pool's own decision (:meth:`repro.sched.Placer.plan`: least
+    predicted completion, a split charged one launch per extra
+    device), so a row's ``shards`` may be fewer than its pool has
+    devices — at these sizes every multi-device row does split.
+    Results must be bit-identical to the single-device run with zero
+    interpreter fallbacks; the scaling metric is the pool's simulated
+    *makespan* (the longest per-device sum of shard times — wall clock
+    would measure the Python interpreter's threading, not the
+    schedule, and is recorded nowhere).  The returned dict is the
+    ``BENCH_shard.json`` payload (schema ``repro.bench_shard/v2``).
+    """
+    from ..pipeline import compile_cache_key
+    from ..sched import DevicePool, analyze_shardable
+
+    logger = get_logger("bench")
+    names = [n for n in (names or list(SHARD_SIZES)) if n in SHARD_SIZES]
+    max_count = max(device_counts)
+    benchmarks: Dict[str, Dict] = {}
+    for name in names:
+        spec = BENCHMARKS[name]
+        prog = spec.program()
+        info = analyze_shardable(prog)
+        if info is None:
+            raise ValidationError(
+                f"{name}: expected a shardable entry point"
+            )
+        sizes = SHARD_SIZES[name]
+        args = spec.args_at(np.random.default_rng(seed), sizes)
+        compiled = compile_program(prog)
+        key = compile_cache_key(prog, CompilerOptions())
+        baseline = None
+        row: Dict = {
+            "sizes": dict(sizes),
+            "batch_dim": info.dim,
+            "batch": info.batch_size(args),
+            "devices": {},
+        }
+        for count in device_counts:
+            # A tall hedge floor: this suite measures the *schedule*,
+            # and a spurious hedge would double-count shard work.
+            pool = DevicePool([device] * count, hedge_min_wall_s=30.0)
+            with pool:
+                values, cost, report, placement = pool.run(
+                    compiled.host,
+                    compiled.core,
+                    args,
+                    executor=executor,
+                    entry="main",
+                    run_id=f"shard/{name}/x{count}",
+                    batch_info=info,
+                    key=key,
+                )
+            if report.fallbacks:
+                raise ValidationError(
+                    f"{name} x{count}: sharded run degraded to the "
+                    f"interpreter ({report.summary()})"
+                )
+            if baseline is None:
+                baseline = values
+            else:
+                for e, g in zip(baseline, values):
+                    if not np.array_equal(e.data, g.data):
+                        raise ValidationError(
+                            f"{name} x{count}: sharded result is not "
+                            "bit-identical to the single-device run"
+                        )
+            makespan = placement["makespan_us"] or cost.total_us
+            row["devices"][str(count)] = {
+                "mode": placement["mode"],
+                "shards": len(placement["shards"]),
+                "makespan_us": makespan,
+                "total_us": cost.total_us,
+            }
+            logger.debug(
+                "shard-row", benchmark=name, devices=count,
+                makespan_us=makespan, mode=placement["mode"],
+            )
+        base_us = row["devices"][str(device_counts[0])]["makespan_us"]
+        top_us = row["devices"][str(max_count)]["makespan_us"]
+        row["speedup_4x"] = base_us / top_us if top_us > 0 else 0.0
+        benchmarks[name] = row
+    speedups = [b["speedup_4x"] for b in benchmarks.values()]
+    geomean = float(np.exp(np.mean(np.log(speedups)))) if speedups else 0.0
+    return {
+        "schema": "repro.bench_shard/v2",
+        "device": device.name,
+        "executor": executor,
+        "seed": seed,
+        "device_counts": list(device_counts),
+        "benchmarks": benchmarks,
+        "geomean_speedup_4x": geomean,
+    }
+
+
+def _render_mem(results: Dict) -> Iterator[str]:
+    for name, row in results["benchmarks"].items():
+        yield (
+            f"{name:14s} naive {row['naive_peak_bytes'] / 1e6:10.2f} MB"
+            f"  planned {row['planned_peak_bytes'] / 1e6:10.2f} MB"
+            f"  ({row['peak_ratio'] * 100:5.1f}%,"
+            f" {row['reuse_count']} reuses)"
+        )
+    yield (
+        f"{'geomean':14s} peak reduced by "
+        f"{results['geomean_reduction'] * 100:.1f}% "
+        f"({results['improved_count']}/"
+        f"{len(results['benchmarks'])} benchmarks improved)"
+    )
+
+
+def _render_calib(results: Dict) -> Iterator[str]:
+    for name, row in results["benchmarks"].items():
+        yield (
+            f"{name:14s} {len(row['kernels']):3d} kernels  "
+            f"geomean |rel err| "
+            f"{row['geomean_abs_rel_error'] * 100:6.2f}%"
+        )
+    yield (
+        f"{'suite':14s} {results['kernel_count']:3d} kernels  "
+        f"geomean |rel err| "
+        f"{results['geomean_abs_rel_error'] * 100:6.2f}%"
+    )
+    for r in results["worst_offenders"][:5]:
+        yield (
+            f"  worst: {r['benchmark']}/{r['kernel']} "
+            f"pred {r['predicted_us']:.1f}us "
+            f"obs {r['observed_us']:.1f}us "
+            f"({r['rel_error'] * 100:+.1f}%)"
+        )
+
+
+def _render_shard(results: Dict) -> Iterator[str]:
+    counts = results["device_counts"]
+    for name, row in results["benchmarks"].items():
+        per = "  ".join(
+            f"x{c}: {row['devices'][str(c)]['makespan_us'] / 1e3:8.2f}ms"
+            for c in counts
+        )
+        yield (
+            f"{name:14s} {row['batch_dim']}={row['batch']:<8d} {per}"
+            f"  speedup x{row['speedup_4x']:.2f}"
+        )
+    yield (
+        f"{'geomean':14s} x{results['geomean_speedup_4x']:.2f} "
+        f"at {max(counts)} devices"
+    )
+
+
+class Pinned(NamedTuple):
+    """One committed artefact: ``suite(names=..., **flags)`` returns
+    the payload, ``out`` is the committed file at the repository root,
+    ``render`` the lines ``repro bench`` prints for a payload, and
+    ``flags`` the ``bench`` flags the suite reads (passed by name)."""
+
+    suite: Callable[..., Dict]
+    out: str
+    render: Callable[[Dict], Iterator[str]]
+    flags: Tuple[str, ...] = ()
+
+
+#: ``repro bench <what>`` for every artefact that is committed.
+PINNED: Dict[str, Pinned] = {
+    "mem": Pinned(mem_suite, "BENCH_mem.json", _render_mem),
+    "calibrate": Pinned(
+        calib_suite, "BENCH_calib.json", _render_calib, ("seed",)
+    ),
+    "shard": Pinned(
+        shard_suite, "BENCH_shard.json", _render_shard, ("seed", "executor")
+    ),
+}

@@ -1,4 +1,4 @@
-"""The benchmark runner: regenerates the evaluation artefacts.
+"""The benchmark runner: regenerates the paper's evaluation artefacts.
 
 * :func:`validate_benchmark` — compile a benchmark, execute it on the
   simulated GPU at reduced scale, and check the results against the
@@ -12,7 +12,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -23,17 +23,11 @@ from ..gpu.faults import FaultPlan
 from ..interp import run_program
 from ..obs import get_logger, get_tracer
 from ..pipeline import CompilerOptions, compile_program
-from ..runtime import DEFAULT_EXECUTOR, ExecutionPolicy, RunReport
-from .suite import BENCHMARKS, BenchmarkSpec
+from ..runtime import ExecutionPolicy, RunReport
+from .suite import BENCHMARKS
 
 __all__ = [
     "validate_benchmark",
-    "jit_perf_suite",
-    "mem_suite",
-    "calib_suite",
-    "compile_bench_suite",
-    "shard_suite",
-    "SHARD_SIZES",
     "table1_runtimes",
     "figure13_speedups",
     "run_impact",
@@ -119,426 +113,6 @@ def validate_benchmark(
     return report
 
 
-def jit_perf_suite(
-    names: Optional[List[str]] = None,
-    seed: int = 0,
-    repeats: int = 2,
-    device: DeviceProfile = NVIDIA_GTX780TI,
-) -> Dict:
-    """Wall-clock the scalar interpreter against the kernel transpiler
-    (:mod:`repro.vm.jit`) on every benchmark at ``perf`` scale.
-
-    Each program runs on both with identical inputs and the jit result
-    is checked against the interpreter's.  The jit executor gets one
-    untimed warm-up run per benchmark so the timed repeats measure
-    steady-state execution (transpilation is a once-per-process cost,
-    amortised across runs and — through the artifact cache — across
-    processes); the warm-up's transpile count is recorded per row.
-    The returned dict is the ``BENCH_jit.json`` payload."""
-    import time
-
-    from ..obs import metering
-
-    logger = get_logger("bench")
-    names = names or list(BENCHMARKS.names())
-    policy = ExecutionPolicy(executor="jit")
-    benchmarks: Dict[str, Dict] = {}
-    for name in names:
-        spec = BENCHMARKS[name]
-        prog = spec.program()
-        compiled = compile_program(prog)
-        args = spec.perf_args(np.random.default_rng(seed))
-        t0 = time.perf_counter()
-        expected = run_program(prog, args, in_place=True)
-        interp_s = time.perf_counter() - t0
-
-        with metering() as m:
-            compiled.execute(args, policy=policy)  # warm-up
-        warm = m.snapshot()["counters"]
-        transpiles = sum(
-            v for k, v in warm.items() if k.startswith("jit.transpiles")
-        )
-        jit_s = float("inf")
-        fallbacks = 0.0
-        for _ in range(max(1, repeats)):
-            with metering() as m:
-                t0 = time.perf_counter()
-                got, _, report = compiled.execute(args, policy=policy)
-                jit_s = min(jit_s, time.perf_counter() - t0)
-            if len(got) != len(expected) or not all(
-                values_equal(e, g, rtol=1e-4, atol=1e-4)
-                for e, g in zip(expected, got)
-            ):
-                raise ValidationError(
-                    f"{name}: jit result differs from interpreter"
-                )
-            if report.fallbacks:
-                raise ValidationError(
-                    f"{name}: jit perf run degraded to the "
-                    f"interpreter ({report.summary()})"
-                )
-            counters = m.snapshot()["counters"]
-            fallbacks = sum(
-                v for k, v in counters.items()
-                if k.startswith("vm.fallback")
-            )
-        benchmarks[name] = {
-            "sizes": dict(spec.dataset.perf),
-            "interp_s": interp_s,
-            "jit_s": jit_s,
-            "jit_vs_interp": interp_s / jit_s if jit_s > 0 else float("inf"),
-            "kernel_fallbacks": fallbacks,
-            "transpiles": transpiles,
-        }
-        logger.debug(
-            "jit-perf-row", benchmark=name, interp_s=interp_s, jit_s=jit_s,
-        )
-    ratios = [b["jit_vs_interp"] for b in benchmarks.values()]
-    return {
-        "schema": "repro.bench_jit/v2",
-        "device": device.name,
-        "seed": seed,
-        "repeats": repeats,
-        "benchmarks": benchmarks,
-        "geomean_jit_vs_interp": (
-            float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
-        ),
-    }
-
-
-def mem_suite(
-    names: Optional[List[str]] = None,
-    device: DeviceProfile = NVIDIA_GTX780TI,
-) -> Dict:
-    """Device-memory footprint of every benchmark at paper-scale sizes,
-    with the memory planner on versus off (the ``--no-memory-planning``
-    ablation).
-
-    Peaks come from the static heap walk in
-    :func:`repro.gpu.costmodel.estimate_program`: both variants replay
-    their alloc/free schedules through a :class:`~repro.gpu.heap.DeviceHeap`
-    with the benchmark's full dataset bound, so the numbers are exact
-    for that schedule, deterministic, and independent of simulated
-    execution time.  The returned dict is the ``BENCH_mem.json``
-    payload."""
-    logger = get_logger("bench")
-    names = names or list(BENCHMARKS.names())
-    planned_opts = CompilerOptions()
-    naive_opts = CompilerOptions(memory_planning=False)
-    benchmarks: Dict[str, Dict] = {}
-    ratios: List[float] = []
-    for name in names:
-        spec = BENCHMARKS[name]
-        sizes = spec.dataset.full
-        planned = compile_program(spec.program(), planned_opts).estimate(
-            sizes, device
-        )
-        naive = compile_program(spec.program(), naive_opts).estimate(
-            sizes, device
-        )
-        if planned.mem_peak_bytes > naive.mem_peak_bytes:
-            raise ValidationError(
-                f"{name}: planned peak {planned.mem_peak_bytes} B exceeds "
-                f"naive peak {naive.mem_peak_bytes} B"
-            )
-        ratio = (
-            planned.mem_peak_bytes / naive.mem_peak_bytes
-            if naive.mem_peak_bytes > 0
-            else 1.0
-        )
-        ratios.append(ratio)
-        benchmarks[name] = {
-            "sizes": dict(sizes),
-            "naive_peak_bytes": naive.mem_peak_bytes,
-            "planned_peak_bytes": planned.mem_peak_bytes,
-            "naive_alloc_count": naive.mem_alloc_count,
-            "planned_alloc_count": planned.mem_alloc_count,
-            "reuse_count": planned.mem_reuse_count,
-            "peak_ratio": ratio,
-        }
-        logger.debug(
-            "mem-row", benchmark=name,
-            naive=naive.mem_peak_bytes, planned=planned.mem_peak_bytes,
-        )
-    geomean_ratio = (
-        float(np.exp(np.mean(np.log(ratios)))) if ratios else 1.0
-    )
-    improved = sum(
-        1
-        for b in benchmarks.values()
-        if b["planned_peak_bytes"] < b["naive_peak_bytes"]
-    )
-    return {
-        "schema": "repro.bench_mem/v1",
-        "device": device.name,
-        "benchmarks": benchmarks,
-        "geomean_peak_ratio": geomean_ratio,
-        "geomean_reduction": 1.0 - geomean_ratio,
-        "improved_count": improved,
-    }
-
-
-def _geomean_abs(errors: List[float]) -> float:
-    """Geometric mean of |relative error|, zero-robust: computed as
-    ``exp(mean(log1p(|e|))) - 1`` so exact predictions (e = 0) pull
-    the mean down instead of collapsing it to zero."""
-    if not errors:
-        return 0.0
-    return float(np.expm1(np.mean(np.log1p(np.abs(errors)))))
-
-
-def calib_suite(
-    names: Optional[List[str]] = None,
-    seed: int = 0,
-    executor: str = "sim",
-    device: DeviceProfile = NVIDIA_GTX780TI,
-    worst: int = 10,
-) -> Dict:
-    """Predicted-vs-observed kernel cost divergence across the suite.
-
-    Every benchmark is executed at reduced scale on the simulated
-    device; for each kernel, the *static* per-launch prediction
-    (:func:`repro.gpu.costmodel.static_kernel_costs`, priced at the
-    entry sizes without executing anything) is compared against the
-    mean per-launch cost the simulator actually observed at runtime
-    sizes.  The signed relative error ``(predicted - observed) /
-    observed`` per kernel, the per-benchmark and suite-wide geomean
-    |error|, and a worst-offenders table form the ``BENCH_calib.json``
-    payload (schema ``repro.bench_calib/v1``) — the instrument that
-    tells us where ``estimate_program`` stops being trustworthy.
-    """
-    from ..gpu.costmodel import size_env_from_args, static_kernel_costs
-
-    logger = get_logger("bench")
-    names = names or list(BENCHMARKS.names())
-    policy = ExecutionPolicy(executor=executor)
-    benchmarks: Dict[str, Dict] = {}
-    all_rows: List[Dict] = []
-    for name in names:
-        spec = BENCHMARKS[name]
-        prog = spec.program()
-        compiled = compile_program(prog)
-        rng = np.random.default_rng(seed)
-        args = spec.small_args(rng)
-        _, cost, report = compiled.execute(
-            args, device, policy=policy, run_id=f"calib/{name}", seed=seed
-        )
-        if report.fallbacks:
-            raise ValidationError(
-                f"{name}: calibration run degraded to the interpreter "
-                f"({report.summary()})"
-            )
-        predicted = static_kernel_costs(
-            compiled.host,
-            size_env_from_args(compiled.host, args),
-            device,
-            coalescing=True,
-        )
-        observed: Dict[str, Dict[str, float]] = {}
-        for k in cost.kernel_costs:
-            agg = observed.setdefault(
-                k.name,
-                {
-                    "launches": 0,
-                    "time_us": 0.0,
-                    "bytes_effective": 0.0,
-                    "occupancy": 0.0,
-                    "kind": k.kind,
-                },
-            )
-            agg["launches"] += 1
-            agg["time_us"] += k.time_us
-            agg["bytes_effective"] += k.bytes_effective
-            agg["occupancy"] += k.occupancy
-        kernels: Dict[str, Dict] = {}
-        errors: List[float] = []
-        for kname, agg in observed.items():
-            n = agg["launches"]
-            obs_us = agg["time_us"] / n
-            obs_bytes = agg["bytes_effective"] / n
-            pred = predicted.get(kname)
-            row: Dict = {
-                "kind": agg["kind"],
-                "launches": n,
-                "observed_us": obs_us,
-                "predicted_us": pred.time_us if pred is not None else None,
-                "rel_error": None,
-                "bytes_rel_error": None,
-                "occupancy_observed": agg["occupancy"] / n,
-                "occupancy_predicted": (
-                    pred.occupancy if pred is not None else None
-                ),
-            }
-            if pred is not None and obs_us > 0:
-                row["rel_error"] = (pred.time_us - obs_us) / obs_us
-                errors.append(row["rel_error"])
-            if pred is not None and obs_bytes > 0:
-                row["bytes_rel_error"] = (
-                    pred.bytes_effective - obs_bytes
-                ) / obs_bytes
-            kernels[kname] = row
-            if row["rel_error"] is not None:
-                all_rows.append(
-                    {
-                        "benchmark": name,
-                        "kernel": kname,
-                        "kind": agg["kind"],
-                        "launches": n,
-                        "predicted_us": row["predicted_us"],
-                        "observed_us": obs_us,
-                        "rel_error": row["rel_error"],
-                    }
-                )
-        benchmarks[name] = {
-            "sizes": dict(spec.dataset.small),
-            "total_observed_us": cost.total_us,
-            "kernels": kernels,
-            "geomean_abs_rel_error": _geomean_abs(errors),
-        }
-        logger.debug(
-            "calib-row", benchmark=name, kernels=len(kernels),
-            geomean=benchmarks[name]["geomean_abs_rel_error"],
-        )
-    suite_errors = [r["rel_error"] for r in all_rows]
-    all_rows.sort(key=lambda r: -abs(r["rel_error"]))
-    return {
-        "schema": "repro.bench_calib/v1",
-        "device": device.name,
-        "executor": executor,
-        "seed": seed,
-        "benchmarks": benchmarks,
-        "kernel_count": len(all_rows),
-        "geomean_abs_rel_error": _geomean_abs(suite_errors),
-        "worst_offenders": all_rows[:worst],
-    }
-
-
-#: Saturation-scale dataset sizes for the multi-device sharding suite.
-#: Below the cost model's ``saturation_threads`` the simulated kernel
-#: time is size-independent, so sub-saturation shards show no scaling;
-#: these sizes put every shardable benchmark's batch dimension well
-#: past saturation even when split four ways.
-SHARD_SIZES: Dict[str, Dict[str, int]] = {
-    "Backprop": {"n": 64, "h": 262_144},
-    "MRI-Q": {"x": 262_144, "k": 64},
-    "Myocyte": {"w": 262_144, "eq": 8, "steps": 3},
-    "LocVolCalib": {"outer": 131_072, "nx": 8, "ny": 8, "numT": 2},
-}
-
-
-def shard_suite(
-    names: Optional[List[str]] = None,
-    seed: int = 0,
-    device_counts: Tuple[int, ...] = (1, 2, 4),
-    executor: str = DEFAULT_EXECUTOR,
-    device: DeviceProfile = NVIDIA_GTX780TI,
-) -> Dict:
-    """Multi-device scaling of the shardable benchmarks.
-
-    Each benchmark whose entry point :func:`repro.sched.analyze_shardable`
-    proves outermost-dimension data-parallel is executed at
-    saturation-scale sizes (:data:`SHARD_SIZES`) on pools of 1, 2 and 4
-    identical devices.  Whether and how many ways a request is split
-    is the pool's own decision (:meth:`repro.sched.Placer.plan`: least
-    predicted completion, a split charged one launch per extra
-    device), so a row's ``shards`` may be fewer than its pool has
-    devices — at these sizes every multi-device row does split.
-    Results must be bit-identical to the single-device run with zero
-    interpreter fallbacks; the scaling metric is the pool's simulated
-    *makespan* (the longest per-device sum of shard times — wall clock
-    would measure the Python interpreter's threading, not the
-    schedule).  The returned dict is the ``BENCH_shard.json`` payload
-    (schema ``repro.bench_shard/v1``); CI gates on
-    ``geomean_speedup_4x >= 2``.
-    """
-    import time
-
-    from ..pipeline import compile_cache_key
-    from ..sched import DevicePool, analyze_shardable
-
-    logger = get_logger("bench")
-    names = [n for n in (names or list(SHARD_SIZES)) if n in SHARD_SIZES]
-    max_count = max(device_counts)
-    benchmarks: Dict[str, Dict] = {}
-    for name in names:
-        spec = BENCHMARKS[name]
-        prog = spec.program()
-        info = analyze_shardable(prog)
-        if info is None:
-            raise ValidationError(
-                f"{name}: expected a shardable entry point"
-            )
-        sizes = SHARD_SIZES[name]
-        args = spec.args_at(np.random.default_rng(seed), sizes)
-        compiled = compile_program(prog)
-        key = compile_cache_key(prog, CompilerOptions())
-        baseline = None
-        row: Dict = {
-            "sizes": dict(sizes),
-            "batch_dim": info.dim,
-            "batch": info.batch_size(args),
-            "devices": {},
-        }
-        for count in device_counts:
-            # A tall hedge floor: this suite measures the *schedule*,
-            # and a spurious hedge would double-count shard work.
-            pool = DevicePool([device] * count, hedge_min_wall_s=30.0)
-            with pool:
-                t0 = time.perf_counter()
-                values, cost, report, placement = pool.run(
-                    compiled.host,
-                    compiled.core,
-                    args,
-                    executor=executor,
-                    entry="main",
-                    run_id=f"shard/{name}/x{count}",
-                    batch_info=info,
-                    key=key,
-                )
-                wall_s = time.perf_counter() - t0
-            if report.fallbacks:
-                raise ValidationError(
-                    f"{name} x{count}: sharded run degraded to the "
-                    f"interpreter ({report.summary()})"
-                )
-            if baseline is None:
-                baseline = values
-            else:
-                for e, g in zip(baseline, values):
-                    if not np.array_equal(e.data, g.data):
-                        raise ValidationError(
-                            f"{name} x{count}: sharded result is not "
-                            "bit-identical to the single-device run"
-                        )
-            makespan = placement["makespan_us"] or cost.total_us
-            row["devices"][str(count)] = {
-                "mode": placement["mode"],
-                "shards": len(placement["shards"]),
-                "makespan_us": makespan,
-                "total_us": cost.total_us,
-                "wall_s": wall_s,
-            }
-            logger.debug(
-                "shard-row", benchmark=name, devices=count,
-                makespan_us=makespan, mode=placement["mode"],
-            )
-        base_us = row["devices"][str(device_counts[0])]["makespan_us"]
-        top_us = row["devices"][str(max_count)]["makespan_us"]
-        row["speedup_4x"] = base_us / top_us if top_us > 0 else 0.0
-        benchmarks[name] = row
-    speedups = [b["speedup_4x"] for b in benchmarks.values()]
-    geomean = float(np.exp(np.mean(np.log(speedups)))) if speedups else 0.0
-    return {
-        "schema": "repro.bench_shard/v1",
-        "device": device.name,
-        "executor": executor,
-        "seed": seed,
-        "device_counts": list(device_counts),
-        "benchmarks": benchmarks,
-        "geomean_speedup_4x": geomean,
-    }
-
-
 def _program_dims(compiled) -> set:
     dims = set()
     for k in compiled.host.kernels():
@@ -578,18 +152,6 @@ def check_size_coverage(compiled, size_env, name: str) -> None:
         raise ValueError(
             f"{name}: dataset does not bind size variables {sorted(missing)}"
         )
-
-
-def _estimate_pair(
-    spec: BenchmarkSpec,
-    device: DeviceProfile,
-    options: Optional[CompilerOptions] = None,
-) -> Tuple[float, float]:
-    sizes = spec.dataset.full
-    compiled = compile_program(spec.program(), options)
-    fut = compiled.estimate(sizes, device).total_ms
-    ref = spec.reference().estimate(sizes, device).total_ms
-    return ref, fut
 
 
 def table1_runtimes(
@@ -677,108 +239,3 @@ def run_impact(
             ).total_ms
         out[name] = slow / base
     return out
-
-
-def compile_bench_suite(
-    names: Optional[List[str]] = None,
-    repeats: int = 3,
-    artifact_dir: Optional[str] = None,
-) -> Dict:
-    """Cold vs artifact-warm compile wall-clock over the suite.
-
-    For every benchmark: ``cold_s`` is the best-of-``repeats`` time of
-    a full pass-pipeline compile (no artifact cache), ``warm_s`` the
-    best-of-``repeats`` time of the same compile resuming from the
-    on-disk host-program artifact a priming compile stored.  Every
-    warm compile must actually resume (``from_artifact == "host"``)
-    and its generated code must render identically to the cold
-    compile's — a warm-up that changed the program would be a cache
-    correctness bug, not a speedup.  The returned dict is the
-    ``BENCH_compile.json`` payload (schema ``repro.bench_compile/v1``);
-    CI gates on ``geomean_speedup >= 3``.
-    """
-    import shutil
-    import tempfile
-    import time
-
-    from ..pipeline import ArtifactCache
-
-    logger = get_logger("bench")
-    names = names or list(BENCHMARKS.names())
-    tmp = None
-    if artifact_dir is None:
-        tmp = artifact_dir = tempfile.mkdtemp(prefix="repro-bench-compile-")
-    cache = ArtifactCache(artifact_dir)
-    benchmarks: Dict[str, Dict] = {}
-    try:
-        for name in names:
-            spec = BENCHMARKS[name]
-            prog = spec.program()
-
-            cold_s = min(
-                _timed(lambda: compile_program(prog, artifact_cache=None))[0]
-                for _ in range(repeats)
-            )
-            cold = compile_program(prog, artifact_cache=cache)  # prime
-            if cold.diagnostics:
-                # The artifact cache only persists *clean* compiles; a
-                # pass-guard rollback would make warm-start impossible.
-                # All 16 benchmarks compile clean, so a diagnostic here
-                # is a pipeline regression, not a known limitation.
-                raise ValidationError(
-                    f"{name}: compile needed a pass-guard intervention: "
-                    + "; ".join(map(str, cold.diagnostics))
-                )
-            warm_s, warm = min(
-                (
-                    _timed(lambda: compile_program(prog, artifact_cache=cache))
-                    for _ in range(repeats)
-                ),
-                key=lambda t: t[0],
-            )
-            if warm.from_artifact != "host":
-                raise ValidationError(
-                    f"{name}: warm compile did not resume from the host "
-                    f"artifact (from_artifact={warm.from_artifact!r})"
-                )
-            if warm.opencl() != cold.opencl():
-                raise ValidationError(
-                    f"{name}: artifact-warmed compile rendered different "
-                    "code than the cold compile"
-                )
-            artifact_bytes = cache.path_for(
-                "host", warm.fingerprints["host"]
-            ).stat().st_size
-            benchmarks[name] = {
-                "cold_s": cold_s,
-                "warm_s": warm_s,
-                "speedup": cold_s / warm_s,
-                "artifact_bytes": artifact_bytes,
-            }
-            logger.info(
-                "bench-compile", benchmark=name, cold_s=cold_s,
-                warm_s=warm_s, speedup=benchmarks[name]["speedup"],
-            )
-    finally:
-        if tmp is not None:
-            shutil.rmtree(tmp, ignore_errors=True)
-    speedups = [
-        row["speedup"] for row in benchmarks.values() if "speedup" in row
-    ]
-    geomean = float(np.exp(np.mean(np.log(speedups)))) if speedups else 0.0
-    return {
-        "schema": "repro.bench_compile/v1",
-        "repeats": repeats,
-        "benchmarks": benchmarks,
-        "geomean_speedup": geomean,
-        "artifact_stats": cache.stats.snapshot(),
-    }
-
-
-def _timed(fn):
-    """(elapsed_seconds, result) of one call."""
-    import time
-
-    t0 = time.perf_counter()
-    out = fn()
-    return time.perf_counter() - t0, out

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core import ast as A
 from ..core.types import Array
@@ -296,14 +296,57 @@ def _propagate_scalar(binding, size_env) -> None:
             pass
 
 
-def _touches_device(e: A.Exp) -> bool:
-    """Host statements that read or write device arrays synchronise
-    with the device; pure scalar arithmetic does not."""
-    return isinstance(
-        e,
-        (A.IndexExp, A.UpdateExp, A.RearrangeExp, A.ReshapeExp,
-         A.CopyExp, A.ConcatExp),
+# The three prices that are not a kernel's: charged by the simulator
+# per statement executed and by ``_estimate_stmts`` times trip counts.
+
+_TOUCHES_DEVICE = (
+    A.IndexExp, A.UpdateExp, A.RearrangeExp, A.ReshapeExp,
+    A.CopyExp, A.ConcatExp,
+)
+
+
+def host_stmt_us(e: A.Exp, device: DeviceProfile) -> float:
+    """One host statement: those that read or write device arrays
+    synchronise with the device; pure scalar arithmetic does not."""
+    if isinstance(e, _TOUCHES_DEVICE):
+        return device.host_sync_us
+    return _HOST_EVAL_US
+
+
+def manifest_price(
+    s: ManifestStmt, size_env: Mapping[str, int], device: DeviceProfile
+) -> Tuple[float, float]:
+    """``(bytes moved, µs)`` of one manifestation: a transposing copy
+    reads and writes every element, at the device's transpose
+    efficiency, behind one launch."""
+    bytes_moved = s.elems.evaluate(size_env) * s.elem_bytes * 2.0
+    return bytes_moved, (
+        device.launch_overhead_us
+        + bytes_moved
+        * device.mem_us_per_byte()
+        / device.transpose_efficiency
     )
+
+
+def loop_copy_us(
+    s: HostLoopStmt,
+    sizes_for: Callable[[Count], Mapping[str, int]],
+    device: DeviceProfile,
+) -> List[float]:
+    """What one iteration of ``s`` pays to copy each double-buffered
+    array of its merge state (read plus write), ``sizes_for(count)``
+    binding the sizes ``count`` names.  Per array, not summed: the
+    simulator adds them to its clock one at a time, and float
+    addition does not re-associate."""
+    out: List[float] = []
+    for p, _ in s.merge:
+        if p.name in s.double_buffered and isinstance(p.type, Array):
+            count = Count.of(1.0, *p.type.shape)
+            elems = count.evaluate(sizes_for(count))
+            out.append(
+                (elems * p.type.elem.nbytes * 2.0) * device.mem_us_per_byte()
+            )
+    return out
 
 
 def _dedupe_stencil_reads(accesses, size_env):
@@ -399,15 +442,28 @@ def estimate_program(
 _UNPRICED = object()
 _MEMO_LOCK = threading.Lock()
 
+#: Bound on each of a host program's price memos (``price_cache``,
+#: ``prediction_cache``, a ``launch_costs`` slice).
+MEMO_SIZE = 64
+
+
+def memo_insert(memo: dict, key, value) -> None:
+    """Insert into a bounded per-program memo.  At the bound the
+    oldest entry goes (dict order), not the whole memo: a server
+    seeing varied batch sizes prices a few shard sizes per request and
+    must not re-walk everything every few requests.  Under one lock:
+    serving workers share the memos (a hit is a bare ``dict.get``)."""
+    with _MEMO_LOCK:
+        if key not in memo and len(memo) >= MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = value
+
 
 def _memoised(memo, size_env, device, coalescing: bool, price):
-    """The bounded per-program memo behind both price caches:
-    ``price()`` once per (device, coalescing, sizes), None for a
-    program the model cannot price (not an error — it just gets no
-    priority, no meaningful estimate and no calibration).  At the
-    bound the oldest entry goes (dict order), not the whole memo: a
-    server seeing varied batch sizes prices a few shard sizes per
-    request and must not re-walk everything every few requests."""
+    """The memo behind both whole-program price caches: ``price()``
+    once per (device, coalescing, sizes), None for a program the model
+    cannot price (not an error — it just gets no priority, no
+    meaningful estimate and no calibration)."""
     key = (device, coalescing, tuple(sorted(size_env.items())))
     hit = memo.get(key, _UNPRICED)
     if hit is _UNPRICED:
@@ -415,10 +471,7 @@ def _memoised(memo, size_env, device, coalescing: bool, price):
             hit = price()
         except Exception:
             hit = None
-        with _MEMO_LOCK:  # serving workers share the program's memo
-            if key not in memo and len(memo) >= 64:
-                del memo[next(iter(memo))]
-            memo[key] = hit
+        memo_insert(memo, key, hit)
     return hit
 
 
@@ -588,21 +641,10 @@ def _estimate_stmts(
             if heap is not None:
                 heap.free(s.block)
         elif isinstance(s, HostEval):
-            report.host_us += (
-                device.host_sync_us
-                if _touches_device(s.binding.exp)
-                else 0.3
-            )
+            report.host_us += host_stmt_us(s.binding.exp, device)
             _propagate_scalar(s.binding, size_env)
         elif isinstance(s, ManifestStmt):
-            elems = s.elems.evaluate(size_env)
-            bytes_moved = elems * s.elem_bytes * 2.0
-            report.manifest_us += (
-                device.launch_overhead_us
-                + bytes_moved
-                * device.mem_us_per_byte()
-                / device.transpose_efficiency
-            )
+            report.manifest_us += manifest_price(s, size_env, device)[1]
         elif isinstance(s, HostLoopStmt):
             trips = loop_trip_default
             if isinstance(s.form, A.ForLoop):
@@ -614,16 +656,9 @@ def _estimate_stmts(
                 s.body, size_env, device, layouts, inner, coalescing,
                 loop_trip_default, heap,
             )
-            # Double-buffer copies of array-typed merge state.
             copy_us = 0.0
-            for p, _ in s.merge:
-                if p.name in s.double_buffered and isinstance(
-                    p.type, Array
-                ):
-                    elems = Count.of(1.0, *p.type.shape).evaluate(size_env)
-                    copy_us += (
-                        elems * p.type.elem.nbytes * 2.0
-                    ) * device.mem_us_per_byte()
+            for us in loop_copy_us(s, lambda count: size_env, device):
+                copy_us += us
             inner.copy_us += copy_us
             report.merge(inner.scaled(trips))
             # The walk above charged the heap for one iteration; the

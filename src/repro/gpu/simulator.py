@@ -29,7 +29,10 @@ from ..backend.kernel_ir import (
 from ..core.types import Array
 from ..errors import ArgumentError, CompilerBug, KernelTimeout
 from ..obs import get_metrics, get_tracer
-from .costmodel import CostReport, KernelCost, _touches_device, kernel_cost
+from .costmodel import (
+    CostReport, KernelCost, host_stmt_us, kernel_cost, loop_copy_us,
+    manifest_price, memo_insert,
+)
 from .device import DeviceProfile
 from .faults import FaultInjector
 from .heap import DeviceHeap
@@ -40,10 +43,6 @@ __all__ = ["GpuSimulator"]
 #: cost estimate (plus a floor for tiny kernels) before being killed.
 WATCHDOG_FACTOR = 8.0
 WATCHDOG_FLOOR_US = 100.0
-
-#: Entries one (device, coalescing) slice of a host program's
-#: launch-price memo may hold before it is dropped and refilled.
-LAUNCH_COST_MEMO_SIZE = 64
 
 #: Signed-relative-error buckets for the ``gpu.calib.*`` divergence
 #: histograms: (predicted - observed) / observed, so -0.5 means the
@@ -233,21 +232,21 @@ class GpuSimulator:
         of the kernel, the size variables it names, the device and
         ``coalescing``, and a host loop or a served request replays the
         same launch every time, so it is computed once per key (shared
-        through the host program, bounded like the prediction cache)."""
+        through the host program, bounded and evicted like its other
+        two price memos: ``costmodel.memo_insert``)."""
         names = kernel.size_names
         sizes = tuple(_size_of(env.get(n)) for n in names)
         memo = self._launch_costs
         key = (kernel.name, sizes)
         cost = memo.get(key)
         if cost is None:
-            if len(memo) >= LAUNCH_COST_MEMO_SIZE:
-                memo.clear()
-            cost = memo[key] = kernel_cost(
+            cost = kernel_cost(
                 kernel,
                 {n: v for n, v in zip(names, sizes) if v is not None},
                 self.device,
                 coalescing=self.coalescing,
             )
+            memo_insert(memo, key, cost)
         return cost
 
     def _exec_stmts(
@@ -283,22 +282,13 @@ class GpuSimulator:
                 values = self._interp.eval_exp(s.binding.exp, env)
                 for p, v in zip(s.binding.pat, values):
                     self._interp.bind_param(env, p, v)
-                report.host_us += (
-                    self.device.host_sync_us
-                    if _touches_device(s.binding.exp)
-                    else 0.3
-                )
+                report.host_us += host_stmt_us(s.binding.exp, self.device)
             elif isinstance(s, ManifestStmt):
                 # Layout change only; the logical value is unchanged.
                 if s.src != s.dst and s.src in env:
                     env[s.dst] = env[s.src]
-                elems = s.elems.evaluate(_sizes_for(s.elems, env))
-                bytes_moved = elems * s.elem_bytes * 2.0
-                manifest_us = (
-                    self.device.launch_overhead_us
-                    + bytes_moved
-                    * self.device.mem_us_per_byte()
-                    / self.device.transpose_efficiency
+                bytes_moved, manifest_us = manifest_price(
+                    s, _sizes_for(s.elems, env), self.device
                 )
                 sim_ts = report.total_us
                 report.manifest_us += manifest_us
@@ -526,19 +516,11 @@ class GpuSimulator:
     ) -> None:
         state: List[Value] = [self._atom(env, a) for _, a in s.merge]
         params = [p for p, _ in s.merge]
-
-        copied = [
-            (Count.of(1.0, *p.type.shape), p.type.elem.nbytes)
-            for p in params
-            if p.name in s.double_buffered and isinstance(p.type, Array)
-        ]
-
-        def copy_cost() -> None:
-            for count, nbytes in copied:
-                elems = count.evaluate(_sizes_for(count, env))
-                report.copy_us += (
-                    elems * nbytes * 2.0
-                ) * self.device.mem_us_per_byte()
+        # ``env`` is not rebound while the loop runs, so neither are
+        # the sizes the copied arrays' shapes name.
+        copies_us = loop_copy_us(
+            s, lambda count: _sizes_for(count, env), self.device
+        )
 
         def iterate(extra: Dict[str, Value]) -> None:
             inner: Dict[str, Value] = dict(env)
@@ -548,7 +530,8 @@ class GpuSimulator:
             self._exec_stmts(s.body, inner, report)
             results = [self._atom(inner, a) for a in s.body_result]
             state[:] = results
-            copy_cost()
+            for us in copies_us:
+                report.copy_us += us
 
         if isinstance(s.form, A.ForLoop):
             bound = self._atom(env, s.form.bound)

@@ -5,7 +5,7 @@ divergence metrics recorded during simulated execution."""
 import numpy as np
 import pytest
 
-from repro.bench.runner import calib_suite
+from repro.bench.pinned import calib_suite
 from repro.bench.suite import BENCHMARKS
 from repro.gpu.costmodel import static_kernel_costs
 from repro.gpu.device import NVIDIA_GTX780TI

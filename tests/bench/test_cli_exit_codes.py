@@ -6,6 +6,7 @@ assertions cover the argparse wiring, the error-mapping layer in
 exactly the interface shell scripts and CI branch on.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -109,6 +110,45 @@ class TestCliExitCodes:
         assert r.returncode == 0, r.stderr
 
 
+class TestBenchReadsItsFlags:
+    """A ``bench`` flag that would change what runs either reaches the
+    suite or is rejected — never silently ignored."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # mem executes nothing; calibrate is pinned to the oracle.
+            (("mem", "--executor", "sim"), "does not read --executor"),
+            (("calibrate", "--executor", "sim"), "does not read --executor"),
+            # Fault plans and the fallback switch are validate's alone.
+            (("shard", "--no-fallback"), "does not read --no-fallback"),
+            (("table1", "--chaos"), "does not read --chaos"),
+            # The wall-clock suites are gone (argparse: invalid choice).
+            (("jit",), "invalid choice"),
+            (("compile",), "invalid choice"),
+        ],
+    )
+    def test_unread_flag_or_deleted_suite_exits_2(self, argv, message):
+        r = run_cli("bench", *argv, "--out", os.devnull)
+        assert r.returncode == 2, (r.returncode, r.stderr)
+        assert message in r.stderr
+
+    def test_shard_runs_on_the_executor_it_is_given(
+        self, tmp_path, monkeypatch
+    ):
+        # The payload records the executor the suite was handed.  Toy
+        # sizes: the scalar interpreter at 262 144 rows is minutes.
+        from repro.__main__ import main
+        from repro.bench import pinned
+
+        monkeypatch.setitem(pinned.SHARD_SIZES, "MRI-Q", {"x": 64, "k": 4})
+        out = tmp_path / "shard.json"
+        argv = ["bench", "shard", "--names", "MRI-Q", "--out", str(out)]
+        for executor in ("sim", "jit"):
+            assert main([*argv, "--executor", executor]) == 0
+            assert json.loads(out.read_text())["executor"] == executor
+
+
 class TestServeBenchCli:
     def test_serve_bench_smoke(self, tmp_path):
         out = tmp_path / "serve.json"
@@ -120,8 +160,6 @@ class TestServeBenchCli:
         )
         assert r.returncode == 0, r.stderr
         assert "requests from 2 clients" in r.stdout
-        import json
-
         report = json.loads(out.read_text())
         assert report["outcomes"]["ok"] == 4
         assert report["health"]["queue_capacity"] == 32

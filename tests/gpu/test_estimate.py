@@ -2,9 +2,12 @@
 resolution, host-scalar propagation, branch handling, and the
 loop_trip_default fallback."""
 
+import numpy as np
 import pytest
 
-from repro.pipeline import compile_source
+from repro.bench.suite import BENCHMARKS
+from repro.gpu.costmodel import size_env_from_args
+from repro.pipeline import compile_program, compile_source
 
 
 class TestLoopTrips:
@@ -118,3 +121,23 @@ class TestPriceMemoEviction:
             k1 == k2 and v1 is v2
             for (k1, v1), (k2, v2) in zip(before, memo.items())
         )
+
+
+@pytest.mark.parametrize("name", list(BENCHMARKS.names()))
+def test_a_run_and_its_estimate_agree_on_the_non_kernel_prices(name):
+    """Manifestations, host statements and double-buffer copies are
+    priced by one set of functions (``costmodel.manifest_price``,
+    ``host_stmt_us``, ``loop_copy_us``) that the simulator charges per
+    statement executed and the estimator per statement times trip
+    count.  Calibration compares kernel prices only, so this is the
+    cross-check for the rest: at sizes where every trip count
+    resolves, the two walks differ by float association alone."""
+    spec = BENCHMARKS[name]
+    compiled = compile_program(spec.program())
+    args = spec.small_args(np.random.default_rng(0))
+    _, ran, _ = compiled.execute(args)
+    estimated = compiled.estimate(size_env_from_args(compiled.host, args))
+    for component in ("manifest_us", "host_us", "copy_us"):
+        assert getattr(estimated, component) == pytest.approx(
+            getattr(ran, component), rel=1e-9, abs=0.0
+        ), component

@@ -20,8 +20,7 @@ from repro.bench.suite import BENCHMARKS
 from repro.core import array_value, scalar
 from repro.core.prim import F32, I32
 from repro.gpu import AMD_W8100, NVIDIA_GTX780TI
-from repro.gpu.costmodel import KernelCost, kernel_cost
-from repro.gpu.simulator import LAUNCH_COST_MEMO_SIZE
+from repro.gpu.costmodel import MEMO_SIZE, KernelCost, kernel_cost
 from repro.pipeline import compile_program, compile_source
 from repro.vm import JitEngine
 
@@ -113,10 +112,18 @@ def test_key_is_the_sizes_the_kernel_names_and_the_device():
 def test_memo_is_bounded():
     compiled = compile_source(SRC)
     engine = JitEngine(NVIDIA_GTX780TI, prog=compiled.core)
-    for n in range(1, LAUNCH_COST_MEMO_SIZE + 8):
+    last = MEMO_SIZE + 8
+    for n in range(1, last + 1):
         engine.run(compiled.host, _args(n, k=1))
         (memo,) = compiled.host.launch_costs.values()
-        assert len(memo) <= LAUNCH_COST_MEMO_SIZE
+        assert len(memo) <= MEMO_SIZE
+    # At the bound the oldest price goes, one per insert — the rule of
+    # the program's other two memos (``costmodel.memo_insert``).  A
+    # memo that cleared itself would hold 8 entries here, and a server
+    # seeing varied batch sizes would re-price every launch every 64.
+    assert [sizes for _, sizes in memo] == [
+        (n,) for n in range(last - MEMO_SIZE + 1, last + 1)
+    ]
 
 
 def test_shared_cost_cannot_be_edited_through_a_report():
@@ -166,8 +173,8 @@ def test_concurrent_runs_share_the_memo_without_changing_a_price():
         try:
             engine = JitEngine(NVIDIA_GTX780TI, prog=compiled.core)
             for i in range(40):
-                # Distinct sizes force fills and bound-triggered clears
-                # to interleave with the hits on n == 32.
+                # Distinct sizes force fills and bound-triggered
+                # evictions to interleave with the hits on n == 32.
                 engine.run(compiled.host, _args(1 + (seed * 40 + i) % 90, 1))
                 totals.append(
                     engine.run(compiled.host, _args(32, k=4))[1].total_us

@@ -9,7 +9,7 @@ against the real cost model at the sizes the two benchmarks use.
 import numpy as np
 import pytest
 
-from repro.bench.runner import SHARD_SIZES
+from repro.bench.pinned import SHARD_SIZES
 from repro.bench.suite import BENCHMARKS
 from repro.gpu.costmodel import request_price_us
 from repro.gpu.device import NVIDIA_GTX780TI

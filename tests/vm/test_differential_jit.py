@@ -83,6 +83,27 @@ def test_jit_matches_interpreter(name, seed):
     assert jitted > 0, f"{name}/seed{seed}: no kernel ran transpiled"
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_no_launch_leaves_the_jit_at_perf_scale(name):
+    """The one thing ``bench jit`` held that the reduced-scale sweep
+    above does not: at ``Dataset.perf`` sizes (wider batches, deeper
+    trees, more chunks per lane) every launch still runs transpiled.
+    No interpreter run: values are compared at reduced scale above
+    (and, for four programs at this scale, by the e2e harness's
+    ``run_perf`` workload)."""
+    spec = BENCHMARKS[name]
+    args = spec.perf_args(np.random.default_rng(0))
+    with metering() as m:
+        _, _, report = compile_program(spec.program()).execute(
+            args, policy=JIT_POLICY
+        )
+    assert report.fallbacks == 0, f"{name}: {report.summary()}"
+    fallbacks = [
+        k for k in m.snapshot()["counters"] if k.startswith("vm.fallback")
+    ]
+    assert not fallbacks, f"{name}: kernels fell back at perf scale"
+
+
 def test_jit_run_is_traceable(tmp_path):
     """A jit-executor run emits kernel spans on the ``vm-jit`` track
     and exports a schema-valid Chrome trace."""
