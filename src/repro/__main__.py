@@ -23,19 +23,25 @@ run FILE [--size name=value ...] [--device-profile NAME]
     simulated devices (or one named profile from
     :data:`repro.gpu.device.PROFILES`).
 
-bench [table1|figure13|table2|impact <kind>|validate|mem|calibrate|shard]
-    Regenerate the paper's evaluation artefacts; ``validate`` runs the
-    named benchmarks on the simulated device against the interpreter
-    and prints each run's report and per-pass compile breakdown.
-    ``mem``, ``calibrate`` and ``shard`` regenerate the three committed
-    ``BENCH_*.json`` files (:data:`repro.bench.pinned.PINNED`): peak
-    device-memory footprint with the liveness planner on vs off; the
-    static cost model's per-kernel predictions against the simulator's
+bench table1|figure13|table2|impact --kind K|mem|calibrate|shard|validate
+    All but ``validate`` regenerate a committed artefact
+    (:data:`repro.bench.pinned.PINNED`): print its rows and rewrite the
+    file.  ``table1``, ``figure13``, ``table2`` and ``impact`` (once
+    per ``--kind fusion|coalescing|tiling|inplace``) are the paper's
+    evaluation, ours beside the paper's numbers, in
+    ``benchmarks/results/<what>.txt``; ``mem``, ``calibrate`` and
+    ``shard`` the three ``BENCH_*.json`` files: peak device-memory
+    footprint with the liveness planner on vs off; the static cost
+    model's per-kernel predictions against the simulator's
     observations; the shardable benchmarks across simulated pools of
-    1/2/4 devices (bit-identical results required).  All three are
+    1/2/4 devices (bit-identical results required).  All are
     deterministic (no wall clock: ``benchmarks/e2e/run.py`` alone
     measures time) and tier-1 compares what they write with what is
-    committed.
+    committed and applies the acceptance gates — for the paper's rows,
+    the reproduction criteria.  ``validate`` runs the named benchmarks
+    on the simulated device against the interpreter and prints each
+    run's report and per-pass compile breakdown.  A flag the chosen
+    ``<what>`` does not read is caller misuse (exit 2).
 
 serve-bench [--clients N --devices SPEC --chaos --flight-dir DIR ...]
     Drive the resilient serving layer (:mod:`repro.serve`) with N
@@ -220,100 +226,74 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    import json
-
     from .bench.pinned import PINNED
     from .errors import ArgumentError
-    from .runtime import DEFAULT_EXECUTOR, ExecutionPolicy
 
     names = args.names.split(",") if args.names else None
     what = args.what
     pinned = PINNED.get(what)
-    # The flags that change what executes, with their defaults:
-    # ``validate`` reads all three, a pinned suite the ones it names;
-    # to anything else they are caller misuse, not silently ignored.
-    execution_flags = {
-        "executor": DEFAULT_EXECUTOR, "chaos": False, "no_fallback": False,
-    }
+    # A flag either reaches what runs or is caller misuse, never
+    # silently ignored.  A pinned row reads the row filter, the
+    # observability session, --out and the flags its table entry
+    # names; ``validate`` everything but --kind and --out.
+    defaults = vars(build_parser().parse_args(["bench", what]))
     reads = (
-        execution_flags if what == "validate"
-        else pinned.flags if pinned is not None
-        else ()
+        {"names", "trace_out", "metrics_out", "verbose", "out", *pinned.flags}
+        if pinned is not None
+        else set(defaults) - {"kind", "out"}
     )
-    for flag, default in execution_flags.items():
+    for flag, default in defaults.items():
         if flag not in reads and getattr(args, flag) != default:
             raise ArgumentError(
                 f"bench {what} does not read --{flag.replace('_', '-')}"
             )
     if pinned is not None:
-        results = pinned.suite(
-            names=names, **{flag: getattr(args, flag) for flag in pinned.flags}
-        )
+        flags = {flag: getattr(args, flag) for flag in pinned.flags}
+        results = pinned.suite(names=names, **flags)
         print("\n".join(pinned.render(results)))
-        out = args.out or pinned.out
+        out = args.out or pinned.out.format(**flags)
         with open(out, "w") as f:
-            json.dump(results, f, indent=2)
+            f.write(pinned.dump(results))
         print(f"wrote {out}", file=sys.stderr)
         return 0
-    if what == "validate":
-        from .bench.runner import validate_benchmark
-        from .bench.suite import BENCHMARKS
-        from .gpu.faults import FaultPlan
 
-        profiles = {
-            "mixed": dict(
-                launch_failure_rate=0.3,
-                memory_fault_rate=0.1,
-                timeout_rate=0.2,
-            ),
-            "fatal": dict(launch_failure_rate=1.0, fatal_rate=1.0),
-            "timeout": dict(
-                timeout_rate=1.0, max_consecutive=1_000_000_000
-            ),
-        }
-        fault_plan = (
-            FaultPlan(seed=args.seed, **profiles[args.chaos_profile])
-            if args.chaos
-            else None
+    from .bench.runner import validate_benchmark
+    from .bench.suite import BENCHMARKS
+    from .gpu.faults import FaultPlan
+    from .runtime import ExecutionPolicy
+
+    profiles = {
+        "mixed": dict(
+            launch_failure_rate=0.3,
+            memory_fault_rate=0.1,
+            timeout_rate=0.2,
+        ),
+        "fatal": dict(launch_failure_rate=1.0, fatal_rate=1.0),
+        "timeout": dict(
+            timeout_rate=1.0, max_consecutive=1_000_000_000
+        ),
+    }
+    fault_plan = (
+        FaultPlan(seed=args.seed, **profiles[args.chaos_profile])
+        if args.chaos
+        else None
+    )
+    policy = (
+        ExecutionPolicy(fallback=False, executor=args.executor)
+        if args.no_fallback
+        else None
+    )
+    for name in names or list(BENCHMARKS.names()):
+        report = validate_benchmark(
+            name,
+            seed=args.seed,
+            fault_plan=fault_plan,
+            policy=policy,
+            options=_options_from_flags(args),
         )
-        policy = (
-            ExecutionPolicy(fallback=False, executor=args.executor)
-            if args.no_fallback
-            else None
-        )
-        for name in names or list(BENCHMARKS.names()):
-            report = validate_benchmark(
-                name,
-                seed=args.seed,
-                fault_plan=fault_plan,
-                policy=policy,
-                options=_options_from_flags(args),
-            )
-            print(f"{name}: OK  {report.summary()}")
-            for t in report.pass_timings:
-                print(f"  {t}")
-        return 0
-
-    from .bench.datasets import TABLE2
-    from .bench.figures import render_speedup_chart
-    from .bench.runner import figure13_speedups, run_impact, table1_runtimes
-
-    if what == "table2":
-        for name, ds in TABLE2.items():
-            print(f"{name:14s} {ds.description:45s} {ds.full}")
-    elif what == "table1":
-        print(f"{'benchmark':14s} {'NV ref':>10s} {'NV fut':>10s} "
-              f"{'AMD ref':>10s} {'AMD fut':>10s}")
-        for r in table1_runtimes(names):
-            vals = list(r.ref_ms.values()) + list(r.fut_ms.values())
-            print(f"{r.name:14s} " + " ".join(f"{v:10.1f}" for v in vals))
-    elif what == "figure13":
-        print(render_speedup_chart(figure13_speedups(names)))
-    else:  # impact: the parser admits nothing else
-        if not names:
-            raise ArgumentError("bench impact requires --names")
-        for name, f in run_impact(args.kind, names).items():
-            print(f"{name:14s} x{f:.2f}")
+        print(f"{name}: OK  {report.summary()}")
+        for t in report.pass_timings:
+            print(f"  {t}")
     return 0
 
 
@@ -376,68 +356,67 @@ def cmd_obs(args) -> int:
             return 1
         print(render_bundle(bundle, top=args.limit))
         return 0
-    if args.action == "top":
-        with open(args.calib) as f:
-            payload = json.load(f)
-        if payload.get("schema") != "repro.bench_calib/v1":
-            raise ArgumentError(
-                f"{args.calib}: not a repro.bench_calib/v1 payload"
-            )
-        rows = []
-        for bench, b in payload["benchmarks"].items():
-            for kname, k in b["kernels"].items():
-                rows.append((bench, kname, k))
-        by_time = sorted(
-            rows, key=lambda r: -(r[2]["observed_us"] * r[2]["launches"])
-        )[: args.limit]
-        print("hottest kernels (simulated time):")
-        print(
-            "\n".join(
-                _table(
+    # top: the parser admits nothing else.
+    with open(args.calib) as f:
+        payload = json.load(f)
+    if payload.get("schema") != "repro.bench_calib/v1":
+        raise ArgumentError(
+            f"{args.calib}: not a repro.bench_calib/v1 payload"
+        )
+    rows = []
+    for bench, b in payload["benchmarks"].items():
+        for kname, k in b["kernels"].items():
+            rows.append((bench, kname, k))
+    by_time = sorted(
+        rows, key=lambda r: -(r[2]["observed_us"] * r[2]["launches"])
+    )[: args.limit]
+    print("hottest kernels (simulated time):")
+    print(
+        "\n".join(
+            _table(
+                [
                     [
-                        [
-                            f"{bench}/{kname}",
-                            k["kind"],
-                            str(k["launches"]),
-                            f"{k['observed_us'] * k['launches']:.1f}us",
-                            f"{k['rel_error'] * 100:+.1f}%"
-                            if k["rel_error"] is not None
-                            else "-",
-                        ]
-                        for bench, kname, k in by_time
-                    ],
-                    ["kernel", "kind", "launches", "total", "rel err"],
-                )
+                        f"{bench}/{kname}",
+                        k["kind"],
+                        str(k["launches"]),
+                        f"{k['observed_us'] * k['launches']:.1f}us",
+                        f"{k['rel_error'] * 100:+.1f}%"
+                        if k["rel_error"] is not None
+                        else "-",
+                    ]
+                    for bench, kname, k in by_time
+                ],
+                ["kernel", "kind", "launches", "total", "rel err"],
             )
         )
-        diverging = sorted(
-            (r for r in rows if r[2]["rel_error"] is not None),
-            key=lambda r: -abs(r[2]["rel_error"]),
-        )[: args.limit]
-        print("\nmost divergent kernels (|predicted - observed| / observed):")
-        print(
-            "\n".join(
-                _table(
+    )
+    diverging = sorted(
+        (r for r in rows if r[2]["rel_error"] is not None),
+        key=lambda r: -abs(r[2]["rel_error"]),
+    )[: args.limit]
+    print("\nmost divergent kernels (|predicted - observed| / observed):")
+    print(
+        "\n".join(
+            _table(
+                [
                     [
-                        [
-                            f"{bench}/{kname}",
-                            f"{k['predicted_us']:.1f}us",
-                            f"{k['observed_us']:.1f}us",
-                            f"{k['rel_error'] * 100:+.1f}%",
-                        ]
-                        for bench, kname, k in diverging
-                    ],
-                    ["kernel", "predicted", "observed", "rel err"],
-                )
+                        f"{bench}/{kname}",
+                        f"{k['predicted_us']:.1f}us",
+                        f"{k['observed_us']:.1f}us",
+                        f"{k['rel_error'] * 100:+.1f}%",
+                    ]
+                    for bench, kname, k in diverging
+                ],
+                ["kernel", "predicted", "observed", "rel err"],
             )
         )
-        print(
-            f"\nsuite geomean |rel err|: "
-            f"{payload['geomean_abs_rel_error'] * 100:.2f}% "
-            f"over {payload['kernel_count']} kernels"
-        )
-        return 0
-    raise ArgumentError(f"unknown obs action: {args.action}")
+    )
+    print(
+        f"\nsuite geomean |rel err|: "
+        f"{payload['geomean_abs_rel_error'] * 100:.2f}% "
+        f"over {payload['kernel_count']} kernels"
+    )
+    return 0
 
 
 def cmd_serve_bench(args) -> int:
@@ -463,6 +442,7 @@ def cmd_serve_bench(args) -> int:
 
         devices = parse_pool_spec(args.devices)
     recorder = None
+    dump_failures = 0
     if args.flight_dir is not None:
         from .obs.flight import FlightRecorder
 
@@ -570,11 +550,18 @@ def cmd_serve_bench(args) -> int:
         for record in recorder.records():
             if record.dump_path:
                 print(f"  {record.dump_trigger}: {record.dump_path}")
+        dump_failures = stats["dump_failures"]
+        if dump_failures:
+            print(
+                f"flight recorder: {dump_failures} bundle(s) could not be "
+                f"written to {args.flight_dir}",
+                file=sys.stderr,
+            )
     if args.out:
         with open(args.out, "w") as f:
             json.dump({"outcomes": outcomes, "health": health}, f, indent=2)
         print(f"wrote {args.out}", file=sys.stderr)
-    return 0 if outcomes["error"] == 0 else 1
+    return 0 if outcomes["error"] == 0 and not dump_failures else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -634,16 +621,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="regenerate evaluation artefacts")
     p.add_argument(
         "what",
-        # The last three are ``repro.bench.pinned.PINNED``'s keys (a test
-        # holds them equal; importing the table costs 60 ms of start-up).
-        choices=("table1", "table2", "figure13", "impact", "validate",
-                 "mem", "calibrate", "shard"),
+        # All but ``validate`` are ``repro.bench.pinned.PINNED``'s keys,
+        # and ``--kind``'s choices its ``impact`` variants (a test holds
+        # them equal; importing the table costs 60 ms of start-up).
+        choices=("mem", "calibrate", "shard", "table1", "figure13",
+                 "table2", "impact", "validate"),
     )
-    p.add_argument("--names", default=None)
+    p.add_argument(
+        "--names", default=None,
+        help="comma-separated benchmark subset (default: all; for "
+        "bench impact, the ones the paper reports for --kind)",
+    )
     p.add_argument(
         "--kind",
         default="fusion",
         choices=("fusion", "coalescing", "tiling", "inplace"),
+        help="which optimisation bench impact ablates",
     )
     p.add_argument(
         "--seed", type=int, default=0,
@@ -670,8 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--out", default=None,
-        help="output file of bench mem/calibrate/shard (default: the "
-        "committed BENCH_*.json it regenerates)",
+        help="output file (default: the committed artefact the command "
+        "regenerates)",
     )
     _add_opt_flags(p)
     _add_obs_flags(p)

@@ -1,17 +1,112 @@
-"""Plain-text rendering of Figure 13 (the speedup bar chart).
+"""Plain-text rendering of the paper's evaluation artefacts, ours
+beside the paper's: the lines ``python -m repro bench <what>`` prints
+and ``benchmarks/results/<what>.txt`` holds
+(:data:`repro.bench.pinned.PINNED`).
 
-The paper's figure is a per-benchmark bar chart of the speedup over
-the reference on both GPUs; this renders the same data as horizontal
-ASCII bars (log-scaled, since speedups span 0.6x – 16x), which the
-benchmark harness writes alongside the raw numbers.
+Figure 13 is a per-benchmark bar chart of the speedup over the
+reference on both GPUs; :func:`render_speedup_chart` renders the same
+data as horizontal ASCII bars (log-scaled, since speedups span
+0.6x – 16x).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, Optional
+from typing import Dict, Iterator, List, Mapping, Optional
 
-__all__ = ["render_speedup_chart"]
+from ..gpu.device import AMD_W8100, NVIDIA_GTX780TI
+from .paper_numbers import IMPACT, paper_speedups
+
+__all__ = [
+    "geomean",
+    "render_table1",
+    "render_figure13",
+    "render_table2",
+    "render_impact",
+    "render_speedup_chart",
+]
+
+NV = NVIDIA_GTX780TI.name
+AMD = AMD_W8100.name
+
+
+def geomean(xs) -> float:
+    xs = list(xs)
+    return math.exp(sum(math.log(x) for x in xs) / len(xs))
+
+
+def render_table1(rows) -> Iterator[str]:
+    """Table 1 (:func:`repro.bench.runner.table1_runtimes` rows): our
+    runtimes and speedups on both device profiles, the paper's
+    speedups beside them."""
+    yield (
+        "Table 1: runtimes in ms (measured on the simulated devices "
+        "vs the paper's hardware)"
+    )
+    yield (
+        f"{'benchmark':14s} {'NV ref':>10s} {'NV fut':>10s} "
+        f"{'speedup':>8s} {'paper':>7s}   {'AMD ref':>10s} "
+        f"{'AMD fut':>10s} {'speedup':>8s} {'paper':>7s}"
+    )
+    for row in rows:
+        paper_nv, paper_amd = paper_speedups(row.name)
+        yield (
+            f"{row.name:14s} {row.ref_ms[NV]:10.1f} "
+            f"{row.fut_ms[NV]:10.1f} {row.speedup(NV):8.2f} "
+            f"{paper_nv:7.2f}   "
+            f"{row.ref_ms[AMD]:10.1f} {row.fut_ms[AMD]:10.1f} "
+            f"{row.speedup(AMD):8.2f} {paper_amd:7.2f}"
+        )
+    yield (
+        f"{'geomean':14s} {'':10s} {'':10s} "
+        f"{geomean(r.speedup(NV) for r in rows):8.2f} "
+        f"{geomean(paper_speedups(r.name)[0] for r in rows):7.2f}"
+    )
+
+
+def render_figure13(rows) -> List[str]:
+    """Fig. 13: Table 1's speedups as bars, the paper's NVIDIA ones as
+    the side column."""
+    speedups = {
+        row.name: {device: row.speedup(device) for device in (NV, AMD)}
+        for row in rows
+    }
+    paper_nv = {row.name: paper_speedups(row.name)[0] for row in rows}
+    return render_speedup_chart(speedups, paper=paper_nv).splitlines()
+
+
+def render_table2(datasets) -> Iterator[str]:
+    yield "Table 2: benchmark dataset configurations"
+    for name, ds in datasets.items():
+        yield f"{name:14s} {ds.description:45s} full={ds.full}"
+
+
+_IMPACT_TITLES = {
+    "fusion": "Impact of fusion (slowdown when disabled, NVIDIA profile)",
+    "coalescing": "Impact of memory coalescing (slowdown when disabled, "
+    "NVIDIA profile)",
+    "tiling": "Impact of block tiling (slowdown when disabled, NVIDIA)",
+    "inplace": "Impact of in-place updates "
+    "(slowdown of the no-in-place variants, NVIDIA profile)",
+}
+
+
+def render_impact(payload: Dict) -> Iterator[str]:
+    """One §6.1.1 ablation (a :func:`repro.bench.runner.run_impact`
+    payload)."""
+    kind = payload["kind"]
+    yield _IMPACT_TITLES[kind]
+    for name, factor in payload["factors"].items():
+        paper = IMPACT[kind].get(name)
+        yield f"{name:14s} x{factor:5.2f}" + (
+            f"  (paper x{paper})" if paper is not None else ""
+        )
+    if kind == "inplace":
+        yield (
+            "OptionPricing: no variant exists — the Brownian bridge is "
+            "inexpressible without in-place updates (as the paper states)."
+        )
+
 
 _BAR_WIDTH = 40
 

@@ -1,5 +1,6 @@
-"""The numbers the paper reports, used by every benchmark harness to
-print paper-vs-measured comparisons.
+"""The numbers the paper reports, printed beside ours by every renderer
+in :mod:`repro.bench.figures` and compared against by the reproduction
+gates in ``tests/bench/test_committed_artefacts.py``.
 
 Table 1 entries are (NV ref, NV futhark, AMD ref, AMD futhark) in ms;
 ``None`` marks entries the paper leaves blank (no OpenCL reference on
@@ -25,17 +26,18 @@ TABLE1 = {
     "N-body": (613.2, 89.5, None, 269.8),
 }
 
-#: §6.1.1 optimisation-impact factors (NVIDIA GPU).
+#: §6.1.1 optimisation-impact factors (NVIDIA GPU).  Each kind's keys,
+#: in this order, are the benchmarks ``repro bench impact --kind``
+#: ablates when no ``--names`` are given.
 IMPACT = {
     "fusion": {
         "K-means": 1.42,
-        "LavaMD": 4.55,
-        "Myocyte": 1.66,
         "SRAD": 1.21,
         "Crystal": 10.1,
+        "LavaMD": 4.55,
+        "Myocyte": 1.66,
         "LocVolCalib": 9.4,
     },
-    "inplace": {"K-means": 8.3, "LocVolCalib": 1.7},
     "coalescing": {
         "K-means": 9.26,
         "Myocyte": 4.2,
@@ -43,7 +45,12 @@ IMPACT = {
         "LocVolCalib": 8.4,
     },
     "tiling": {"LavaMD": 1.35, "MRI-Q": 1.33, "N-body": 2.29},
+    "inplace": {"K-means": 8.3, "LocVolCalib": 1.7},
 }
 
-NV = "NVIDIA GTX 780 Ti"
-AMD = "AMD FirePro W8100"
+
+def paper_speedups(name: str):
+    """The paper's (NVIDIA, AMD) speedups of Futhark over the
+    reference; NaN where Table 1 has no AMD reference."""
+    nv_ref, nv_fut, amd_ref, amd_fut = TABLE1[name]
+    return nv_ref / nv_fut, (amd_ref / amd_fut) if amd_ref else float("nan")

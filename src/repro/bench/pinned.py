@@ -1,18 +1,25 @@
-"""The pinned artefacts: ``BENCH_mem.json``, ``BENCH_calib.json`` and
-``BENCH_shard.json``.
+"""The pinned artefacts: everything ``python -m repro bench`` writes
+that is committed — ``BENCH_mem.json``, ``BENCH_calib.json``,
+``BENCH_shard.json`` and the paper's own evaluation under
+``benchmarks/results/`` (Table 1, Fig. 13, Table 2, the four §6.1.1
+ablations).
 
 Each is a deterministic function of the source tree — simulated time,
 heap accounting and bit-identity checks, no wall clock (the only code
 that times the system is ``benchmarks/e2e``) — so the files are
 committed and ``tests/bench/test_committed_artefacts.py`` regenerates
-them and compares every field.  :data:`PINNED` is the one table both
-``python -m repro bench <what>`` and that test read.
+them, compares every field or line and applies the acceptance gates
+(for the paper's rows, the reproduction criteria).  :data:`PINNED` is
+the one table both ``python -m repro bench <what>`` and that test
+read.
 """
 
 from __future__ import annotations
 
+import json
 from typing import (
-    Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple,
+    Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
+    Tuple,
 )
 
 import numpy as np
@@ -22,6 +29,11 @@ from ..gpu.device import NVIDIA_GTX780TI, DeviceProfile
 from ..obs import get_logger
 from ..pipeline import CompilerOptions, compile_program
 from ..runtime import DEFAULT_EXECUTOR, ExecutionPolicy
+from .figures import (
+    render_figure13, render_impact, render_table1, render_table2,
+)
+from .paper_numbers import IMPACT
+from .runner import run_impact, table1_runtimes, table2_datasets
 from .suite import BENCHMARKS
 
 __all__ = ["PINNED", "mem_suite", "calib_suite", "shard_suite", "SHARD_SIZES"]
@@ -410,14 +422,24 @@ def _render_shard(results: Dict) -> Iterator[str]:
 
 class Pinned(NamedTuple):
     """One committed artefact: ``suite(names=..., **flags)`` returns
-    the payload, ``out`` is the committed file at the repository root,
-    ``render`` the lines ``repro bench`` prints for a payload, and
-    ``flags`` the ``bench`` flags the suite reads (passed by name)."""
+    the payload, ``out`` is the committed file (relative to the
+    repository root; a ``{flag}`` in it is filled from the flags),
+    ``render`` the lines ``repro bench`` prints for a payload,
+    ``flags`` the ``bench`` flags the suite reads (passed by name) and
+    ``variants`` the flag settings that each have a committed file."""
 
-    suite: Callable[..., Dict]
+    suite: Callable[..., Any]
     out: str
-    render: Callable[[Dict], Iterator[str]]
+    render: Callable[[Any], Iterable[str]]
     flags: Tuple[str, ...] = ()
+    variants: Tuple[Dict[str, Any], ...] = ({},)
+
+    def dump(self, payload: Any) -> str:
+        """The text of the committed file: a ``.json`` is the payload,
+        anything else the rendered lines."""
+        if self.out.endswith(".json"):
+            return json.dumps(payload, indent=2)
+        return "\n".join(self.render(payload)) + "\n"
 
 
 #: ``repro bench <what>`` for every artefact that is committed.
@@ -428,5 +450,21 @@ PINNED: Dict[str, Pinned] = {
     ),
     "shard": Pinned(
         shard_suite, "BENCH_shard.json", _render_shard, ("seed", "executor")
+    ),
+    "table1": Pinned(
+        table1_runtimes, "benchmarks/results/table1.txt", render_table1
+    ),
+    "figure13": Pinned(
+        table1_runtimes, "benchmarks/results/figure13.txt", render_figure13
+    ),
+    "table2": Pinned(
+        table2_datasets, "benchmarks/results/table2.txt", render_table2
+    ),
+    "impact": Pinned(
+        run_impact,
+        "benchmarks/results/impact_{kind}.txt",
+        render_impact,
+        ("kind",),
+        tuple({"kind": kind} for kind in IMPACT),
     ),
 }

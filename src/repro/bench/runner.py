@@ -4,9 +4,12 @@
   simulated GPU at reduced scale, and check the results against the
   reference interpreter (bit-exact for integers, tolerance for floats).
 * :func:`table1_runtimes` — Table 1: reference vs Futhark runtimes (ms)
-  on both device profiles, at paper-scale dataset sizes.
-* :func:`figure13_speedups` — Fig. 13: relative speedups.
+  on both device profiles, at paper-scale dataset sizes; Fig. 13 is
+  its rows' relative speedups.
 * :func:`run_impact` — the §6.1.1 optimisation-impact ablations.
+* :func:`table2_datasets` — Table 2: the dataset configurations.
+
+All but the first are rows of :data:`repro.bench.pinned.PINNED`.
 """
 
 from __future__ import annotations
@@ -24,13 +27,15 @@ from ..interp import run_program
 from ..obs import get_logger, get_tracer
 from ..pipeline import CompilerOptions, compile_program
 from ..runtime import ExecutionPolicy, RunReport
+from .datasets import TABLE2, Dataset
+from .paper_numbers import IMPACT
 from .suite import BENCHMARKS
 
 __all__ = [
     "validate_benchmark",
     "table1_runtimes",
-    "figure13_speedups",
     "run_impact",
+    "table2_datasets",
     "Row",
 ]
 
@@ -187,19 +192,6 @@ def table1_runtimes(
     return rows
 
 
-def figure13_speedups(
-    names: Optional[List[str]] = None,
-    devices: Tuple[DeviceProfile, ...] = _DEVICES,
-) -> Dict[str, Dict[str, float]]:
-    """Relative speedup (reference / Futhark) per benchmark per device."""
-    out: Dict[str, Dict[str, float]] = {}
-    for row in table1_runtimes(names, devices):
-        out[row.name] = {
-            device.name: row.speedup(device.name) for device in devices
-        }
-    return out
-
-
 #: The §6.1.1 ablations: which pipeline switch each one turns off.
 _IMPACT_OPTIONS = {
     "fusion": CompilerOptions(fusion=False),
@@ -210,16 +202,17 @@ _IMPACT_OPTIONS = {
 
 
 def run_impact(
-    kind: str,
-    names: List[str],
+    names: Optional[List[str]] = None,
+    kind: str = "fusion",
     device: DeviceProfile = NVIDIA_GTX780TI,
-) -> Dict[str, float]:
+) -> Dict:
     """Slowdown factor from disabling one optimisation (§6.1.1):
-    time(without) / time(with), per benchmark, on the NVIDIA profile
-    (as in the paper).  ``kind='inplace'`` compares against each
-    benchmark's explicit no-in-place program variant."""
-    out: Dict[str, float] = {}
-    for name in names:
+    time(without) / time(with), per benchmark (default: the ones the
+    paper reports for ``kind``), on the NVIDIA profile (as in the
+    paper).  ``kind='inplace'`` compares against each benchmark's
+    explicit no-in-place program variant."""
+    factors: Dict[str, float] = {}
+    for name in names or list(IMPACT[kind]):
         spec = BENCHMARKS[name]
         sizes = spec.dataset.full
         base = compile_program(spec.program()).estimate(
@@ -237,5 +230,10 @@ def run_impact(
             slow = compile_program(spec.program(), options).estimate(
                 sizes, device
             ).total_ms
-        out[name] = slow / base
-    return out
+        factors[name] = slow / base
+    return {"kind": kind, "factors": factors}
+
+
+def table2_datasets(names: Optional[List[str]] = None) -> Dict[str, Dataset]:
+    """Table 2: the dataset configuration of each benchmark."""
+    return {name: TABLE2[name] for name in names or TABLE2}

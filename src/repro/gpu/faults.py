@@ -32,6 +32,11 @@ from ..errors import DeviceFault
 
 __all__ = ["FaultPlan", "FaultInjector", "ServiceFaultPlan"]
 
+#: Simulated-time slowdown applied to a kernel chosen for a watchdog
+#: timeout (must comfortably exceed the simulator's watchdog factor
+#: *and* its floor, even for microsecond kernels).
+TIMEOUT_SLOWDOWN = 1000.0
+
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -55,10 +60,6 @@ class FaultPlan:
     #: A transient condition at one site clears after this many
     #: consecutive injections.
     max_consecutive: int = 2
-    #: Simulated-time slowdown applied to a kernel chosen for a
-    #: watchdog timeout (must comfortably exceed the simulator's
-    #: watchdog factor *and* its floor, even for microsecond kernels).
-    timeout_slowdown: float = 1000.0
     #: Real wall-clock delay (seconds) inserted before every kernel
     #: launch.  Unlike every other knob — which operates on *simulated*
     #: time — this one actually sleeps, making the device a wall-clock
@@ -220,5 +221,5 @@ class FaultInjector:
         if draw < self.plan.timeout_rate:
             self.counters.timeouts += 1
             self._record(key, "watchdog timeout")
-            return self.plan.timeout_slowdown
+            return TIMEOUT_SLOWDOWN
         return 1.0

@@ -39,8 +39,9 @@ from .heap import DeviceHeap
 
 __all__ = ["GpuSimulator"]
 
-#: Watchdog defaults: a kernel may take this many times its analytic
-#: cost estimate (plus a floor for tiny kernels) before being killed.
+#: The watchdog budget: a kernel may take this many times its analytic
+#: cost estimate, plus a floor so microsecond kernels aren't flaky,
+#: before being killed.
 WATCHDOG_FACTOR = 8.0
 WATCHDOG_FLOOR_US = 100.0
 
@@ -80,8 +81,8 @@ class GpuSimulator:
     ``injector`` (a :class:`repro.gpu.faults.FaultInjector`) makes the
     device unreliable: launches may raise :class:`DeviceFault`s and
     kernels may run away.  Every launch is watched: its simulated time
-    budget is ``watchdog_factor`` times the cost model's estimate for
-    that kernel (with a ``watchdog_floor_us`` floor), and exceeding it
+    budget is :data:`WATCHDOG_FACTOR` times the cost model's estimate
+    for that kernel plus :data:`WATCHDOG_FLOOR_US`, and exceeding it
     raises :class:`KernelTimeout` instead of wedging the device.
 
     ``deadline`` (a :class:`repro.serve.Deadline`, duck-typed) is an
@@ -98,8 +99,6 @@ class GpuSimulator:
         coalescing: bool = True,
         in_place: bool = True,
         injector: Optional[FaultInjector] = None,
-        watchdog_factor: float = WATCHDOG_FACTOR,
-        watchdog_floor_us: float = WATCHDOG_FLOOR_US,
         prog: Optional[A.Prog] = None,
         trace_track: str = "sim-gpu",
         deadline=None,
@@ -110,8 +109,6 @@ class GpuSimulator:
         self.device = device
         self.coalescing = coalescing
         self.injector = injector
-        self.watchdog_factor = watchdog_factor
-        self.watchdog_floor_us = watchdog_floor_us
         #: Optional per-request wall-clock budget (``.expired`` /
         #: ``.check()``), consulted before every kernel launch.
         self.deadline = deadline
@@ -360,7 +357,7 @@ class GpuSimulator:
             else 1.0
         )
         elapsed = cost_us * slowdown
-        budget = self.watchdog_factor * cost_us + self.watchdog_floor_us
+        budget = WATCHDOG_FACTOR * cost_us + WATCHDOG_FLOOR_US
         if elapsed > budget:
             raise KernelTimeout(site, budget, elapsed)
         return elapsed / budget if budget > 0 else 0.0

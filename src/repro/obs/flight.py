@@ -66,6 +66,9 @@ DUMP_TRIGGERS: Tuple[str, ...] = (
 #: The trigger name recorded when the latency SLO (not an error) fired.
 SLO_TRIGGER = "slo_latency"
 
+#: The process a bundle's Chrome trace is labelled with.
+PROCESS_NAME = "repro-serve"
+
 
 # -- tee instruments --------------------------------------------------------
 
@@ -267,14 +270,12 @@ class FlightRecorder:
         capacity: int = 64,
         dump_dir: str = ".",
         slo_latency_us: Optional[float] = None,
-        process_name: str = "repro-serve",
     ) -> None:
         if capacity < 1:
             raise ValueError(f"flight recorder capacity must be >= 1: {capacity}")
         self.capacity = capacity
         self.dump_dir = dump_dir
         self.slo_latency_us = slo_latency_us
-        self.process_name = process_name
         self._ring: "deque[FlightRecord]" = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self._completed = 0
@@ -396,7 +397,7 @@ class FlightRecorder:
             "rungs": list(record.rungs),
             "slo_latency_us": self.slo_latency_us,
             "wall_time_s": record.wall_s,
-            "trace": chrome_trace(tracer, process_name=self.process_name),
+            "trace": chrome_trace(tracer, process_name=PROCESS_NAME),
             "metrics": metrics_dump(
                 metrics, metadata={"run_id": record.request_id}
             ),
@@ -410,6 +411,7 @@ class FlightRecorder:
         )
         try:
             payload = self.bundle(record)
+            os.makedirs(self.dump_dir, exist_ok=True)
             with open(path, "w") as f:
                 json.dump(payload, f, indent=1, sort_keys=True)
         except Exception:

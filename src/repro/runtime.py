@@ -51,11 +51,7 @@ from .gpu.costmodel import (
 )
 from .gpu.device import DeviceProfile
 from .gpu.faults import FaultPlan
-from .gpu.simulator import (
-    WATCHDOG_FACTOR,
-    WATCHDOG_FLOOR_US,
-    GpuSimulator,
-)
+from .gpu.simulator import GpuSimulator
 from .interp import run_program
 from .obs import PassTiming, get_logger, get_metrics, get_tracer
 from .serve.deadline import Deadline
@@ -98,23 +94,9 @@ class ExecutionPolicy:
     #: Retry attempts after the first try (so ``max_retries + 1``
     #: device attempts in total).
     max_retries: int = 8
-    #: First backoff, microseconds of simulated wall time.
-    base_backoff_us: float = 50.0
-    #: Exponential growth factor between consecutive backoffs.
-    backoff_factor: float = 2.0
-    #: Backoff ceiling.
-    max_backoff_us: float = 5_000.0
-    #: Jitter amplitude as a fraction of the backoff (deterministic,
-    #: seeded from the fault plan, so runs are reproducible).
-    jitter: float = 0.25
     #: When the device is hopeless, fall back to the reference
     #: interpreter instead of failing the job.
     fallback: bool = True
-    #: Watchdog budget: a kernel may take this many times its analytic
-    #: cost estimate before being killed...
-    watchdog_factor: float = WATCHDOG_FACTOR
-    #: ...with this floor so microsecond kernels aren't flaky.
-    watchdog_floor_us: float = WATCHDOG_FLOOR_US
     #: Which engine computes kernel values: one of :data:`EXECUTORS`.
     executor: str = DEFAULT_EXECUTOR
     #: Cap on the *cumulative* backoff spent across all retries,
@@ -271,14 +253,19 @@ def _fault_kind(error: ReproError) -> Optional[str]:
     return None
 
 
-def _backoff_us(
-    attempt: int, policy: ExecutionPolicy, rng: random.Random
-) -> float:
-    base = min(
-        policy.base_backoff_us * policy.backoff_factor**attempt,
-        policy.max_backoff_us,
-    )
-    jitter = policy.jitter * (2.0 * rng.random() - 1.0)
+#: The retry backoff, microseconds of simulated wall time: the first
+#: wait, its growth per further attempt, and its ceiling.
+BASE_BACKOFF_US = 50.0
+BACKOFF_FACTOR = 2.0
+MAX_BACKOFF_US = 5_000.0
+#: Jitter amplitude as a fraction of the backoff (deterministic, seeded
+#: from the fault plan, so runs are reproducible).
+BACKOFF_JITTER = 0.25
+
+
+def _backoff_us(attempt: int, rng: random.Random) -> float:
+    base = min(BASE_BACKOFF_US * BACKOFF_FACTOR**attempt, MAX_BACKOFF_US)
+    jitter = BACKOFF_JITTER * (2.0 * rng.random() - 1.0)
     return base * (1.0 + jitter)
 
 
@@ -457,8 +444,6 @@ def run_resilient(
                         coalescing=coalescing,
                         in_place=in_place,
                         injector=injector,
-                        watchdog_factor=policy.watchdog_factor,
-                        watchdog_floor_us=policy.watchdog_floor_us,
                         prog=core,
                         trace_track=(
                             base_track
@@ -512,7 +497,7 @@ def run_resilient(
                     break
                 report.retries += 1
                 backoff = min(
-                    _backoff_us(attempt, policy, backoff_rng), budget
+                    _backoff_us(attempt, backoff_rng), budget
                 )
                 report.backoff_us += backoff
                 metrics.counter("runtime.retries").inc()

@@ -19,7 +19,7 @@ metrics under ``gpu.dev{id}.*``.
   :class:`ShardPlanner` (weights = per-device speed from the cost
   model), executed concurrently, and merged bit-identically;
 - a shard that exceeds the cost model's predicted wall time by
-  ``hedge_factor`` gets a **hedged duplicate** on another device —
+  :data:`HEDGE_FACTOR` gets a **hedged duplicate** on another device —
   first result wins, the loser is cancelled (before start) or
   discarded (mid-flight), with explicit accounting;
 - a shard whose device *fails* (after the resilient executor's own
@@ -80,6 +80,10 @@ _log = get_logger("sched")
 #: another device), as opposed to program errors or the request's own
 #: deadline.
 _DEVICE_ERRORS = (DeviceFault, DeviceOOM, KernelTimeout)
+
+#: A task is hedged once it has run this many times the wall time the
+#: cost model predicts for it.
+HEDGE_FACTOR = 4.0
 
 
 @dataclass
@@ -209,7 +213,6 @@ class DevicePool:
         breaker_threshold: int = 3,
         breaker_recovery_s: float = 0.25,
         min_shard: int = 256,
-        hedge_factor: float = 4.0,
         hedge_min_wall_s: float = 1.0,
         affinity_bonus: float = 0.15,
         placer: Optional[Placer] = None,
@@ -237,7 +240,6 @@ class DevicePool:
         self.name = f"pool({len(self.devices)} devices)"
         self.planner = ShardPlanner(min_shard)
         self.placer = placer or Placer(affinity_bonus)
-        self.hedge_factor = hedge_factor
         self.hedge_min_wall_s = hedge_min_wall_s
         self.counters: Dict[str, int] = {
             "requests": 0,
@@ -411,15 +413,13 @@ class DevicePool:
         """How long a task on ``dev`` may run (wall clock) before a
         hedged duplicate is launched: the cost model's predicted time,
         converted with the device's observed wall-per-simulated-µs
-        rate, times ``hedge_factor`` — floored so cold pools and tiny
-        requests don't hedge spuriously."""
+        rate, times :data:`HEDGE_FACTOR` — floored so cold pools and
+        tiny requests don't hedge spuriously."""
         with dev.lock:
             rate = dev.wall_per_sim
         if rate is None or est_us <= 0.0:
             return self.hedge_min_wall_s
-        return max(
-            est_us * rate * self.hedge_factor, self.hedge_min_wall_s
-        )
+        return max(est_us * rate * HEDGE_FACTOR, self.hedge_min_wall_s)
 
     # -- the request path ---------------------------------------------------
 
@@ -793,6 +793,6 @@ class DevicePool:
         return {
             "devices": [d.snapshot() for d in self.devices],
             "min_shard": self.planner.min_shard,
-            "hedge_factor": self.hedge_factor,
+            "hedge_factor": HEDGE_FACTOR,
             **counters,
         }

@@ -88,6 +88,10 @@ _LATENCY_BUCKETS_US: Tuple[float, ...] = tuple(
     250.0 * 1.5**i for i in range(30)
 )
 
+#: Requests whose analytic cost estimate is at or below this ride the
+#: interactive priority lane.
+INTERACTIVE_THRESHOLD_US = 50_000.0
+
 _log = get_logger("serve")
 
 _request_ids = itertools.count(1)
@@ -232,10 +236,6 @@ class Server:
         breaker_threshold: int = 3,
         breaker_recovery_s: float = 0.25,
         retries_per_rung: int = 2,
-        #: Requests whose analytic cost estimate is at or below this
-        #: ride the interactive priority lane.
-        interactive_threshold_us: float = 50_000.0,
-        negative_compile_ttl_s: float = 5.0,
         #: Optional :class:`repro.obs.FlightRecorder`: when set, every
         #: request is captured into a per-request trace/metrics record
         #: and terminal device errors (or SLO-breaching latencies)
@@ -251,7 +251,6 @@ class Server:
         #: executor's ``fault_plans`` entry.
         device_fault_plans: Optional[Sequence[Any]] = None,
         min_shard: int = 256,
-        hedge_factor: float = 4.0,
         hedge_min_wall_s: float = 1.0,
         #: Optional persistent stage-artifact cache
         #: (:class:`repro.pipeline.ArtifactCache`): cache-miss compiles
@@ -267,9 +266,8 @@ class Server:
         self.fallback = fallback
         self.fault_plans = fault_plans or ServiceFaultPlan()
         self.retries_per_rung = retries_per_rung
-        self.interactive_threshold_us = interactive_threshold_us
         self.queue = AdmissionQueue(queue_capacity)
-        self.cache = CompileCache(negative_ttl_s=negative_compile_ttl_s)
+        self.cache = CompileCache()
         if artifact_cache is None and artifact_dir is not None:
             artifact_cache = ArtifactCache(artifact_dir)
         #: The in-memory CompileCache sits in front of this persistent
@@ -304,7 +302,6 @@ class Server:
                 breaker_threshold=breaker_threshold,
                 breaker_recovery_s=breaker_recovery_s,
                 min_shard=min_shard,
-                hedge_factor=hedge_factor,
                 hedge_min_wall_s=hedge_min_wall_s,
             )
             if devices
@@ -497,7 +494,7 @@ class Server:
             self.device,
             self.options.coalescing,
         )
-        if est is not None and est <= self.interactive_threshold_us:
+        if est is not None and est <= INTERACTIVE_THRESHOLD_US:
             return INTERACTIVE_LANE
         return BATCH_LANE
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.__main__ import main
 from repro.errors import (
     ArgumentError,
     CompilerBug,
@@ -66,15 +67,15 @@ class TestExitCodeMapping:
 
 class TestCliExitCodes:
     def test_success_exits_zero(self):
-        r = run_cli("bench", "table2")
+        r = run_cli("bench", "table2", "--out", os.devnull)
         assert r.returncode == 0, r.stderr
 
     def test_argument_error_exits_2(self):
-        # bench impact without --names is caller misuse.
-        r = run_cli("bench", "impact")
+        # A flag the command does not read is caller misuse.
+        r = run_cli("bench", "table2", "--seed", "7")
         assert r.returncode == 2, r.stderr
         assert "error:" in r.stderr
-        assert "--names" in r.stderr
+        assert "--seed" in r.stderr
 
     def test_device_fault_exits_4(self):
         # Every launch a fatal fault, no interpreter fallback: the
@@ -96,7 +97,7 @@ class TestCliExitCodes:
         assert "watchdog" in r.stderr
 
     def test_error_message_goes_to_stderr_not_stdout(self):
-        r = run_cli("bench", "impact")
+        r = run_cli("bench", "table2", "--seed", "7")
         assert "error:" in r.stderr
         assert "error:" not in r.stdout
 
@@ -126,6 +127,10 @@ class TestBenchReadsItsFlags:
             # The wall-clock suites are gone (argparse: invalid choice).
             (("jit",), "invalid choice"),
             (("compile",), "invalid choice"),
+            # The rule holds for every flag, not only those three.
+            (("table2", "--chaos-profile", "fatal"), "--chaos-profile"),
+            (("mem", "--kind", "tiling"), "does not read --kind"),
+            (("table1", "--no-fusion"), "does not read --no-fusion"),
         ],
     )
     def test_unread_flag_or_deleted_suite_exits_2(self, argv, message):
@@ -133,12 +138,21 @@ class TestBenchReadsItsFlags:
         assert r.returncode == 2, (r.returncode, r.stderr)
         assert message in r.stderr
 
+    def test_table1_prints_the_committed_file(self, tmp_path, capsys):
+        # One renderer: what the CLI prints is what it writes is what
+        # is committed, so a column cannot sit under another's header.
+        out = tmp_path / "table1.txt"
+        assert main(["bench", "table1", "--out", str(out)]) == 0
+        committed = (
+            REPO_ROOT / "benchmarks" / "results" / "table1.txt"
+        ).read_text()
+        assert capsys.readouterr().out == committed == out.read_text()
+
     def test_shard_runs_on_the_executor_it_is_given(
         self, tmp_path, monkeypatch
     ):
         # The payload records the executor the suite was handed.  Toy
         # sizes: the scalar interpreter at 262 144 rows is minutes.
-        from repro.__main__ import main
         from repro.bench import pinned
 
         monkeypatch.setitem(pinned.SHARD_SIZES, "MRI-Q", {"x": 64, "k": 4})
@@ -163,3 +177,17 @@ class TestServeBenchCli:
         report = json.loads(out.read_text())
         assert report["outcomes"]["ok"] == 4
         assert report["health"]["queue_capacity"] == 32
+
+    def test_flight_bundles_that_cannot_be_written_exit_1(
+        self, tmp_path, capsys
+    ):
+        # An SLO no request can meet, so the one request dumps a bundle
+        # — into a "directory" that is a file.
+        (tmp_path / "file").write_text("not a directory")
+        argv = [
+            "serve-bench", "--clients", "1", "--requests-per-client", "1",
+            "--names", "NN", "--slo-ms", "0.001",
+            "--flight-dir", str(tmp_path / "file"),
+        ]
+        assert main(argv) == 1
+        assert "1 bundle(s) could not be written" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Tests for the ASCII Figure 13 renderer and the command-line
 interface."""
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -84,6 +85,6 @@ class TestCli:
         assert "NVIDIA" in out and "AMD" in out and "ms" in out
 
     def test_bench_table2(self, capsys):
-        assert cli_main(["bench", "table2"]) == 0
+        assert cli_main(["bench", "table2", "--out", os.devnull]) == 0
         out = capsys.readouterr().out
         assert "Backprop" in out and "2000" in out

@@ -124,38 +124,40 @@ class TestConversions:
         assert to_python(out[0]) == list(np.cumsum(xs))
 
 
+def fig10_b_and_c():
+    """Fig. 10b (after the one outer fusion) and Fig. 10c (the
+    stream_red's fold sequentialised to a stream_seq)."""
+    from tests.helpers import fig10_program
+
+    prog_b, stats = fuse_prog(fig10_program())
+    assert stats.vertical == 1
+    sr_idx, sr = _soac_binding(prog_b, A.StreamRedExp)
+    fold = sr.fold_lam
+    new_fold = A.Lambda(
+        fold.params,
+        sequentialise_body_to_stream_seq(fold.body),
+        fold.ret_types,
+    )
+    prog_c = _replace_main_binding(
+        prog_b,
+        sr_idx,
+        A.StreamRedExp(sr.width, sr.red_lam, new_fold, sr.accs, sr.arrs),
+    )
+    return prog_b, prog_c
+
+
 class TestFig10Pipeline:
-    def _fig10_fused(self):
-        from tests.helpers import fig10_program
-
-        prog, stats = fuse_prog(fig10_program())
-        assert stats.vertical == 1
-        return prog
-
     def test_b_to_c_sequentialisation(self):
         # Fig. 10b -> Fig. 10c: inside the stream_red's fold, the
         # map+scan+reduce chain becomes a single stream_seq.
-        prog = self._fig10_fused()
-        main = prog.fun("main")
-        (sr_idx, sr) = next(
-            (i, b.exp)
-            for i, b in enumerate(main.body.bindings)
-            if isinstance(b.exp, A.StreamRedExp)
-        )
-        fold = sr.fold_lam
-        new_fold_body = sequentialise_body_to_stream_seq(fold.body)
+        _, prog2 = fig10_b_and_c()
+        _, sr = _soac_binding(prog2, A.StreamRedExp)
         soacs = [
             type(b.exp).__name__
-            for b in new_fold_body.bindings
+            for b in sr.fold_lam.body.bindings
             if A.is_soac(b.exp)
         ]
         assert soacs == ["StreamSeqExp"], soacs
-
-        new_fold = A.Lambda(fold.params, new_fold_body, fold.ret_types)
-        new_sr = A.StreamRedExp(
-            sr.width, sr.red_lam, new_fold, sr.accs, sr.arrs
-        )
-        prog2 = _replace_main_binding(prog, sr_idx, new_sr)
 
         # Semantics: identical to the original at every chunking,
         # including fully sequential chunk size 1 (O(1) footprint).
@@ -182,24 +184,7 @@ class TestFig10Pipeline:
     def test_footprint_shrinks_at_chunk_one(self):
         """At chunk size one, the sequentialised Fig. 10c allocates
         O(1) per-chunk intermediates, versus O(m) for Fig. 10b."""
-        prog_b = self._fig10_fused()
-        main = prog_b.fun("main")
-        (sr_idx, sr) = next(
-            (i, b.exp)
-            for i, b in enumerate(main.body.bindings)
-            if isinstance(b.exp, A.StreamRedExp)
-        )
-        fold = sr.fold_lam
-        new_fold = A.Lambda(
-            fold.params,
-            sequentialise_body_to_stream_seq(fold.body),
-            fold.ret_types,
-        )
-        prog_c = _replace_main_binding(
-            prog_b,
-            sr_idx,
-            A.StreamRedExp(sr.width, sr.red_lam, new_fold, sr.accs, sr.arrs),
-        )
+        prog_b, prog_c = fig10_b_and_c()
 
         n = 64
         xs = array_value(np.arange(n, dtype=np.int32), I32)

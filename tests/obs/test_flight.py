@@ -228,6 +228,16 @@ class TestDumpTriggers:
         assert bundle["status"] == "ok"
         assert bundle["trigger"] == SLO_TRIGGER
 
+    def test_a_missing_dump_dir_is_created(self, tmp_path):
+        # A recorder is usable wherever it is pointed, not only where
+        # someone ran mkdir first.
+        target = tmp_path / "new" / "dir"
+        recorder = FlightRecorder(capacity=8, dump_dir=str(target))
+        record = _finish_one(recorder, "req", error=DeviceFault("x"))
+        assert recorder.stats()["dump_failures"] == 0
+        assert [p.name for p in target.iterdir()] == ["flightrec-req.json"]
+        assert validate_flight_bundle(read_bundle(record.dump_path)) == []
+
     def test_dump_failure_is_counted_never_raised(self, tmp_path):
         target = tmp_path / "not-a-dir"
         target.write_text("file, not directory")
