@@ -227,9 +227,16 @@ def cmd_run(args) -> int:
 
 def cmd_bench(args) -> int:
     from .bench.pinned import PINNED
+    from .bench.suite import BENCHMARKS
     from .errors import ArgumentError
 
     names = args.names.split(",") if args.names else None
+    for name in names or ():
+        if name not in BENCHMARKS.names():
+            raise ArgumentError(
+                f"unknown benchmark {name!r} (valid names: "
+                f"{', '.join(BENCHMARKS.names())})"
+            )
     what = args.what
     pinned = PINNED.get(what)
     # A flag either reaches what runs or is caller misuse, never
@@ -252,13 +259,21 @@ def cmd_bench(args) -> int:
         results = pinned.suite(names=names, **flags)
         print("\n".join(pinned.render(results)))
         out = args.out or pinned.out.format(**flags)
+        if names is not None and args.out is None:
+            # The committed file holds every row: only a full run
+            # writes it.
+            print(
+                f"--names selects a subset: {out} not written "
+                "(pass --out to write one)",
+                file=sys.stderr,
+            )
+            return 0
         with open(out, "w") as f:
             f.write(pinned.dump(results))
         print(f"wrote {out}", file=sys.stderr)
         return 0
 
     from .bench.runner import validate_benchmark
-    from .bench.suite import BENCHMARKS
     from .gpu.faults import FaultPlan
     from .runtime import ExecutionPolicy
 

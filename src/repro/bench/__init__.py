@@ -9,8 +9,3 @@ encoding the published code's documented structure.
 """
 
 from .suite import BENCHMARKS, BenchmarkSpec, get_benchmark  # noqa: F401
-from .runner import (  # noqa: F401
-    run_impact,
-    table1_runtimes,
-    validate_benchmark,
-)

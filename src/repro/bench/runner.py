@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.values import values_equal
-from ..errors import ValidationError
+from ..errors import ArgumentError, ValidationError
 from ..gpu.device import AMD_W8100, NVIDIA_GTX780TI, DeviceProfile
 from ..gpu.faults import FaultPlan
 from ..interp import run_program
@@ -197,7 +197,6 @@ _IMPACT_OPTIONS = {
     "fusion": CompilerOptions(fusion=False),
     "coalescing": CompilerOptions(coalescing=False),
     "tiling": CompilerOptions(tiling=False),
-    "interchange": CompilerOptions(interchange=False),
 }
 
 
@@ -221,7 +220,14 @@ def run_impact(
         if kind == "inplace":
             variant = spec.variant("no_inplace")
             if variant is None:
-                raise ValueError(f"{name} has no no-inplace variant")
+                have = [
+                    n for n in BENCHMARKS.names()
+                    if BENCHMARKS[n].variant("no_inplace") is not None
+                ]
+                raise ArgumentError(
+                    f"{name} has no no-inplace variant "
+                    f"(valid names: {', '.join(have)})"
+                )
             slow = compile_program(variant).estimate(
                 sizes, device
             ).total_ms

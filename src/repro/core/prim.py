@@ -206,7 +206,12 @@ def _int_mod(x, y):
 def _pow(x, y):
     if isinstance(x, int) and isinstance(y, int) and y < 0:
         raise ValueError("negative integer exponent in core-language program")
-    return x ** y
+    result = x ** y
+    if isinstance(result, complex):
+        raise ValueError(
+            "fractional power of a negative base in core-language program"
+        )
+    return result
 
 
 BINOPS = {

@@ -13,7 +13,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core import ast as A
 from ..core.values import ArrayValue, ScalarValue, Value, scalar
-from ..core.prim import BOOL, I32
+from ..core.prim import I32
 from ..interp.interpreter import Interpreter, InterpError
 from ..backend.kernel_ir import (
     AllocStmt,

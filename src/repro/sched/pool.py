@@ -40,7 +40,7 @@ from __future__ import annotations
 import queue as queue_mod
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.values import Value

@@ -3,10 +3,10 @@
 Generated kernel modules (see :mod:`repro.vm.jit.codegen`) are
 self-contained Python source: they import NumPy and the scalar
 primitive-operator tables directly, and receive one :class:`JitRuntime`
-instance (``R``) carrying the per-engine knobs the source must not bake
-in — the ``in_place`` execution mode, the stream chunking policy, and
-the shared ``arange`` cache used by gather/scatter index vectors — and
-the lane partition of a ``stream_red``.
+instance (``R``) carrying what the source must not bake in — the
+``in_place`` execution mode and the shared ``arange`` cache used by
+gather/scatter index vectors — and the two stream partitions: the
+interpreter's chunks and the lanes of a ``stream_red``.
 
 :class:`JitFallback` is the generated code's escape hatch: raised at
 run time when a pre-resolved trap condition fires (zero divisor,
@@ -23,7 +23,7 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from ...interp.interpreter import InterpError, _default_chunks
+from ...interp.interpreter import _default_chunks
 
 __all__ = ["JitFallback", "JitRuntime"]
 
@@ -41,11 +41,10 @@ class JitFallback(Exception):
 class JitRuntime:
     """The per-engine context passed to every generated kernel."""
 
-    __slots__ = ("in_place", "chunk_policy", "_aranges")
+    __slots__ = ("in_place", "_aranges")
 
-    def __init__(self, in_place: bool = True, chunk_policy=_default_chunks):
+    def __init__(self, in_place: bool = True):
         self.in_place = in_place
-        self.chunk_policy = chunk_policy
         self._aranges: Dict[int, np.ndarray] = {}
 
     def arange(self, n: int) -> np.ndarray:
@@ -54,18 +53,12 @@ class JitRuntime:
             r = self._aranges[n] = np.arange(n)
         return r
 
-    def chunks(self, width: int) -> Iterator[Tuple[int, int]]:
+    @staticmethod
+    def chunks(width: int) -> Iterator[Tuple[int, int]]:
         """``(size, offset)`` pairs partitioning a stream of ``width``
-        elements under the engine's chunk policy (validated exactly as
-        the interpreter validates it)."""
-        sizes = list(self.chunk_policy(width))
-        if sum(sizes) != width or any(s <= 0 for s in sizes):
-            raise InterpError(
-                f"chunk policy returned {sizes}, which does not "
-                f"partition a stream of width {width}"
-            )
+        elements into the interpreter's chunks."""
         offset = 0
-        for size in sizes:
+        for size in _default_chunks(width):
             yield size, offset
             offset += size
 

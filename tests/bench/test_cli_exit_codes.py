@@ -138,6 +138,37 @@ class TestBenchReadsItsFlags:
         assert r.returncode == 2, (r.returncode, r.stderr)
         assert message in r.stderr
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # A name the suite does not know, on a pinned row and on
+            # validate alike.
+            (("table2", "--names", "Nope"), "unknown benchmark 'Nope'"),
+            (("validate", "--names", "NN,Nope"), "valid names: Backprop"),
+            # A benchmark without the variant the kind needs.
+            (
+                ("impact", "--kind", "inplace", "--names", "HotSpot"),
+                "valid names: K-means, LocVolCalib",
+            ),
+        ],
+    )
+    def test_a_name_it_cannot_run_exits_2(self, argv, message, capsys):
+        assert main(["bench", *argv]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "error:" not in captured.out
+
+    def test_a_subset_is_printed_not_written_over_the_committed_file(
+        self, capsys
+    ):
+        committed = REPO_ROOT / "benchmarks" / "results" / "table2.txt"
+        before = committed.read_text()
+        assert main(["bench", "table2", "--names", "NN"]) == 0
+        captured = capsys.readouterr()
+        rows = captured.out.splitlines()[1:]
+        assert [row.split()[0] for row in rows] == ["NN"]
+        assert "table2.txt not written" in captured.err
+        assert committed.read_text() == before
+
     def test_table1_prints_the_committed_file(self, tmp_path, capsys):
         # One renderer: what the CLI prints is what it writes is what
         # is committed, so a column cannot sit under another's header.

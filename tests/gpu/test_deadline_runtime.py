@@ -14,9 +14,8 @@ from repro.errors import DeadlineExceeded
 from repro.gpu.device import NVIDIA_GTX780TI
 from repro.gpu.faults import FaultPlan
 from repro.pipeline import compile_source
-from repro.runtime import ExecutionPolicy, run_resilient
+from repro.runtime import EXECUTORS, ExecutionPolicy, run_resilient
 from repro.serve import Deadline
-from tests.helpers import EXECUTOR_PARAMS
 
 SRC = """
 fun main (xs: [n]f32): [n]f32 =
@@ -135,7 +134,7 @@ class TestExpiryDuringRetries:
 
 
 class TestGenerousDeadline:
-    @pytest.mark.parametrize("executor", EXECUTOR_PARAMS)
+    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_run_completes_within_budget(self, compiled, executor):
         values, _cost, report = _run(
             compiled,

@@ -10,20 +10,11 @@ from __future__ import annotations
 
 import dataclasses
 
-import pytest
-
 from repro.core import ProgBuilder, array
 from repro.core.prim import F32, I32
 from repro.core.types import Array, Prim
 from repro.core import ast as A
 from repro.sched import Placer
-
-#: The two executors as ``parametrize`` values.  The jit's *test id* is
-#: still ``vector`` (the tier it replaced): the suites parametrised
-#: over executors keep the ids they had before that tier was deleted,
-#: so the PR that deleted it renames only a handful of tests.  The
-#: value passed to the test is ``"jit"``; relabel at leisure.
-EXECUTOR_PARAMS = ("sim", pytest.param("jit", id="vector"))
 
 
 def split_friendly(profile):

@@ -3,7 +3,7 @@ optimisation pass *and* an unreliable device, and still produce
 bit-identical results.
 
 For each benchmark and each seed (``CHAOS_SEEDS`` env var, default
-``0,1,2`` — the three CI seeds):
+``0,1,2`` — tier-1's; the CI ``chaos`` job runs ``3``, ``4``, ``5``):
 
 1. compile with the fusion pass deliberately sabotaged — the pass
    guard must roll it back and the compile must succeed;

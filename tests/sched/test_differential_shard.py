@@ -14,9 +14,9 @@ from repro.bench.programs import ALL_NAMES
 from repro.bench.suite import BENCHMARKS
 from repro.gpu.device import AMD_W8100, NVIDIA_GTX780TI, SIM_SMALL
 from repro.pipeline import compile_cache_key, compile_program
-from repro.runtime import ExecutionPolicy, run_resilient
+from repro.runtime import EXECUTORS, ExecutionPolicy, run_resilient
 from repro.sched import DevicePool, analyze_shardable
-from tests.helpers import EXECUTOR_PARAMS, split_friendly
+from tests.helpers import split_friendly
 
 #: Heterogeneous pool composition, truncated to the requested count —
 #: on profiles where the cost model predicts a split wins at these
@@ -42,7 +42,7 @@ def _prepared(name):
     return _CACHE[name]
 
 
-@pytest.mark.parametrize("executor", EXECUTOR_PARAMS)
+@pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("name", list(ALL_NAMES))
 def test_pool_results_are_bit_identical(name, executor):
     compiled, info, args, key = _prepared(name)

@@ -22,7 +22,7 @@ from repro.pipeline import CompilerOptions
 from repro.runtime import ExecutionPolicy
 
 SEEDS = [
-    int(s) for s in os.environ.get("VM_SEEDS", "0,1,2").split(",")
+    int(s) for s in os.environ.get("CHAOS_SEEDS", "0,1,2").split(",")
 ]
 #: A representative slice: stencil (HotSpot), scan-heavy (Pathfinder),
 #: irregular/filter (K-means) and deep host loops (Fluid).

@@ -41,6 +41,19 @@ CASES = {
 }
 
 
+def render_sources(host) -> str:
+    """Every source the jit generated for ``host``, one text in a
+    stable order (what the golden files hold and the digests hash)."""
+    sources = jit_cache_for(host).sources()
+    parts = []
+    for kname in sorted(sources):
+        for sig_key in sorted(sources[kname]):
+            src = sources[kname][sig_key]
+            parts.append(f"# ===== {kname} {sig_key} =====")
+            parts.append(src if src is not None else "# <unsupported>\n")
+    return "\n".join(parts)
+
+
 def _generated_sources(name: str) -> str:
     # Golden output must not depend on how many compiles ran earlier
     # in the process.
@@ -49,14 +62,7 @@ def _generated_sources(name: str) -> str:
     compiled = compile_program(spec.program())
     args = spec.small_args(np.random.default_rng(0))
     compiled.execute(args, policy=ExecutionPolicy(executor="jit"))
-    sources = jit_cache_for(compiled.host).sources()
-    parts = []
-    for kname in sorted(sources):
-        for sig_key in sorted(sources[kname]):
-            src = sources[kname][sig_key]
-            parts.append(f"# ===== {kname} {sig_key} =====")
-            parts.append(src if src is not None else "# <unsupported>\n")
-    return "\n".join(parts)
+    return render_sources(compiled.host)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -35,7 +35,9 @@ from repro.obs import metering
 from repro.pipeline import CompilerOptions, compile_program
 from repro.runtime import ExecutionPolicy
 from repro.vm.jit import jit_cache_for
-from repro.vm.jit.codegen import _simple_op, _trap_free, _ufunc_src
+from repro.vm.jit.codegen.elementwise import (
+    _simple_op, _trap_free, _ufunc_src,
+)
 
 #: The default pipeline, and one that leaves the whole nest (inner
 #: reduces and loops included) in a single kernel.
