@@ -1,4 +1,4 @@
-"""The three committed ``BENCH_*.json`` files, regenerated in full.
+"""Every committed artefact, regenerated in full.
 
 tier-1 (``tests/bench/test_committed_artefacts.py``) regenerates
 everything except Backprop's shard row, which builds a 64 MB weight

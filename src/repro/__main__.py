@@ -21,20 +21,20 @@ passes [--no-fusion --disable-pass NAME ...]
 run FILE [--size name=value ...] [--device-profile NAME]
     Compile FILE and price it analytically at the given sizes on both
     simulated devices (or one named profile from
-    :data:`repro.gpu.device.PROFILES`).
+    :data:`repro.gpu.device.PROFILES`).  A ``--size`` the entry point
+    does not name is caller misuse; the ones left out are listed.
 
-bench table1|figure13|table2|impact --kind K|mem|calibrate|shard|validate
+bench table1|figure13|table2|impact --kind K|mem|shard|validate
     All but ``validate`` regenerate a committed artefact
     (:data:`repro.bench.pinned.PINNED`): print its rows and rewrite the
     file.  ``table1``, ``figure13``, ``table2`` and ``impact`` (once
     per ``--kind fusion|coalescing|tiling|inplace``) are the paper's
     evaluation, ours beside the paper's numbers, in
-    ``benchmarks/results/<what>.txt``; ``mem``, ``calibrate`` and
-    ``shard`` the three ``BENCH_*.json`` files: peak device-memory
-    footprint with the liveness planner on vs off; the static cost
-    model's per-kernel predictions against the simulator's
-    observations; the shardable benchmarks across simulated pools of
-    1/2/4 devices (bit-identical results required).  All are
+    ``benchmarks/results/<what>.txt``; ``mem`` and ``shard`` the two
+    ``BENCH_*.json`` files: peak device-memory footprint with the
+    liveness planner on vs off; the shardable benchmarks across
+    simulated pools of 1/2/4 devices (bit-identical results
+    required).  All are
     deterministic (no wall clock: ``benchmarks/e2e/run.py`` alone
     measures time) and tier-1 compares what they write with what is
     committed and applies the acceptance gates — for the paper's rows,
@@ -54,11 +54,9 @@ serve-bench [--clients N --devices SPEC --chaos --flight-dir DIR ...]
     run on a multi-device pool with cost-model placement and batch
     sharding (:mod:`repro.sched`).
 
-obs replay BUNDLE | obs top [--calib BENCH_calib.json]
-    Post-mortem tooling: ``replay`` validates a flight-recorder bundle
-    and renders its trace/metrics/run-report in the terminal; ``top``
-    ranks kernels from a ``bench calibrate`` sweep by simulated time
-    and by predicted-vs-observed divergence.
+obs replay BUNDLE
+    Post-mortem tooling: validates a flight-recorder bundle and renders
+    its trace/metrics/run-report in the terminal.
 
 Exit codes
 ----------
@@ -201,15 +199,37 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from .core.types import Array
+    from .errors import ArgumentError
     from .gpu.device import AMD_W8100, NVIDIA_GTX780TI, resolve_profile
     from .pipeline import compile_source
 
     text = open(args.file).read()
     compiled = compile_source(text, _options_from_flags(args))
+    # The sizes ``costmodel.size_env_from_args`` would bind from actual
+    # arguments: array dimensions and integral scalar parameters.
+    known = {}
+    for p in compiled.host.params:
+        if isinstance(p.type, Array):
+            known.update((d, None) for d in p.type.shape if isinstance(d, str))
+        elif p.type.t.is_integral:
+            known[p.name] = None
     sizes = {}
     for item in args.size or []:
         name, _, value = item.partition("=")
+        if name not in known or not value.isdecimal() or int(value) < 1:
+            raise ArgumentError(
+                f"--size {item}: expected NAME=VALUE, VALUE a positive "
+                f"integer and NAME one of this program's sizes "
+                f"({', '.join(known) or 'it has none'})"
+            )
         sizes[name] = int(value)
+    missing = [name for name in known if name not in sizes]
+    if missing:
+        print(
+            f"sizes not given, priced as 1: {', '.join(missing)}",
+            file=sys.stderr,
+        )
     devices = (
         (resolve_profile(args.device_profile),)
         if args.device_profile
@@ -225,8 +245,9 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from .bench.pinned import PINNED
+def _benchmark_names(args):
+    """``--names`` as a list (None when not given); a name the suite
+    does not have is caller misuse."""
     from .bench.suite import BENCHMARKS
     from .errors import ArgumentError
 
@@ -237,6 +258,15 @@ def cmd_bench(args) -> int:
                 f"unknown benchmark {name!r} (valid names: "
                 f"{', '.join(BENCHMARKS.names())})"
             )
+    return names
+
+
+def cmd_bench(args) -> int:
+    from .bench.pinned import PINNED
+    from .bench.suite import BENCHMARKS
+    from .errors import ArgumentError
+
+    names = _benchmark_names(args)
     what = args.what
     pinned = PINNED.get(what)
     # A flag either reaches what runs or is caller misuse, never
@@ -352,85 +382,17 @@ _PASSES_HEADER = ("pass", "stage", "enabled", "", "requires")
 
 def cmd_obs(args) -> int:
     """Post-mortem tooling over observability artefacts: replay a
-    flight-recorder bundle in the terminal, or rank kernels from a
-    calibration sweep."""
-    import json
-
-    from .errors import ArgumentError
-    from .obs.export import _table, validate_flight_bundle
+    flight-recorder bundle in the terminal."""
+    from .obs.export import validate_flight_bundle
     from .obs.flight import read_bundle, render_bundle
 
-    if args.action == "replay":
-        if not args.file:
-            raise ArgumentError("obs replay requires a bundle file")
-        bundle = read_bundle(args.file)
-        errors = validate_flight_bundle(bundle)
-        if errors:
-            for e in errors:
-                print(f"invalid bundle: {e}", file=sys.stderr)
-            return 1
-        print(render_bundle(bundle, top=args.limit))
-        return 0
-    # top: the parser admits nothing else.
-    with open(args.calib) as f:
-        payload = json.load(f)
-    if payload.get("schema") != "repro.bench_calib/v1":
-        raise ArgumentError(
-            f"{args.calib}: not a repro.bench_calib/v1 payload"
-        )
-    rows = []
-    for bench, b in payload["benchmarks"].items():
-        for kname, k in b["kernels"].items():
-            rows.append((bench, kname, k))
-    by_time = sorted(
-        rows, key=lambda r: -(r[2]["observed_us"] * r[2]["launches"])
-    )[: args.limit]
-    print("hottest kernels (simulated time):")
-    print(
-        "\n".join(
-            _table(
-                [
-                    [
-                        f"{bench}/{kname}",
-                        k["kind"],
-                        str(k["launches"]),
-                        f"{k['observed_us'] * k['launches']:.1f}us",
-                        f"{k['rel_error'] * 100:+.1f}%"
-                        if k["rel_error"] is not None
-                        else "-",
-                    ]
-                    for bench, kname, k in by_time
-                ],
-                ["kernel", "kind", "launches", "total", "rel err"],
-            )
-        )
-    )
-    diverging = sorted(
-        (r for r in rows if r[2]["rel_error"] is not None),
-        key=lambda r: -abs(r[2]["rel_error"]),
-    )[: args.limit]
-    print("\nmost divergent kernels (|predicted - observed| / observed):")
-    print(
-        "\n".join(
-            _table(
-                [
-                    [
-                        f"{bench}/{kname}",
-                        f"{k['predicted_us']:.1f}us",
-                        f"{k['observed_us']:.1f}us",
-                        f"{k['rel_error'] * 100:+.1f}%",
-                    ]
-                    for bench, kname, k in diverging
-                ],
-                ["kernel", "predicted", "observed", "rel err"],
-            )
-        )
-    )
-    print(
-        f"\nsuite geomean |rel err|: "
-        f"{payload['geomean_abs_rel_error'] * 100:.2f}% "
-        f"over {payload['kernel_count']} kernels"
-    )
+    bundle = read_bundle(args.file)
+    errors = validate_flight_bundle(bundle)
+    if errors:
+        for e in errors:
+            print(f"invalid bundle: {e}", file=sys.stderr)
+        return 1
+    print(render_bundle(bundle, top=args.limit))
     return 0
 
 
@@ -444,10 +406,18 @@ def cmd_serve_bench(args) -> int:
     import numpy as np
 
     from .bench.suite import BENCHMARKS
+    from .errors import ArgumentError
     from .gpu.faults import ServiceFaultPlan
     from .serve import Server, ServeRequest
 
-    names = args.names.split(",") if args.names else list(BENCHMARKS.names())
+    names = _benchmark_names(args) or list(BENCHMARKS.names())
+    if args.flight_dir is None:
+        defaults = build_parser().parse_args(["serve-bench"])
+        for flag in ("slo_ms", "flight_capacity"):
+            if getattr(args, flag) != getattr(defaults, flag):
+                raise ArgumentError(
+                    f"--{flag.replace('_', '-')} requires --flight-dir"
+                )
     fault_plans = (
         ServiceFaultPlan.chaos(seed=args.seed) if args.chaos else None
     )
@@ -623,7 +593,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="price a program on the simulated GPUs")
     p.add_argument("file")
-    p.add_argument("--size", action="append", metavar="NAME=VALUE")
+    p.add_argument(
+        "--size", action="append", metavar="NAME=VALUE",
+        help="bind a size the entry point names (repeatable); one left "
+        "out is priced as 1, or as 8 trips where it bounds a loop",
+    )
     p.add_argument(
         "--device-profile", default=None,
         help="price on one named profile from "
@@ -639,8 +613,8 @@ def build_parser() -> argparse.ArgumentParser:
         # All but ``validate`` are ``repro.bench.pinned.PINNED``'s keys,
         # and ``--kind``'s choices its ``impact`` variants (a test holds
         # them equal; importing the table costs 60 ms of start-up).
-        choices=("mem", "calibrate", "shard", "table1", "figure13",
-                 "table2", "impact", "validate"),
+        choices=("mem", "shard", "table1", "figure13", "table2", "impact",
+                 "validate"),
     )
     p.add_argument(
         "--names", default=None,
@@ -655,8 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--seed", type=int, default=0,
-        help="dataset / fault-plan seed for bench "
-        "validate/calibrate/shard",
+        help="dataset / fault-plan seed for bench validate/shard",
     )
     p.add_argument(
         "--chaos", action="store_true",
@@ -735,7 +708,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--flight-capacity", type=int, default=64,
-        help="flight-recorder ring capacity (records retained)",
+        help="flight-recorder ring capacity (records retained; "
+        "requires --flight-dir)",
     )
     p.add_argument(
         "--slo-ms", type=float, default=None,
@@ -748,25 +722,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "obs",
-        help="inspect observability artefacts (flight bundles, "
-        "calibration sweeps)",
+        help="inspect observability artefacts (flight bundles)",
     )
     p.add_argument(
-        "action", choices=("replay", "top"),
-        help="replay: render a flight-recorder bundle; "
-        "top: rank kernels from a bench calibrate sweep",
+        "action", choices=("replay",),
+        help="replay: render a flight-recorder bundle",
     )
-    p.add_argument(
-        "file", nargs="?", default=None,
-        help="flightrec-<id>.json bundle for obs replay",
-    )
-    p.add_argument(
-        "--calib", default="BENCH_calib.json",
-        help="BENCH_calib.json payload for obs top",
-    )
+    p.add_argument("file", help="flightrec-<id>.json bundle to replay")
     p.add_argument(
         "--limit", type=int, default=10,
-        help="rows per ranking table",
+        help="rows per table",
     )
     p.set_defaults(fn=cmd_obs)
     return parser

@@ -405,12 +405,6 @@ class HostProgram:
     launch_costs: Dict[tuple, Dict[tuple, Any]] = field(
         default_factory=dict, repr=False, compare=False
     )
-    #: The calibration layer's static-prediction memo
-    #: (:func:`repro.gpu.costmodel.kernel_predictions`): ``(device,
-    #: coalescing, entry sizes) -> static_kernel_costs(...)``.
-    prediction_cache: Dict[tuple, Any] = field(
-        default_factory=dict, repr=False, compare=False
-    )
     #: The request-price memo (:func:`repro.gpu.costmodel.
     #: request_price_us`): ``(device, coalescing, entry sizes) ->
     #: estimate_program(...).total_us``, shared by admission and

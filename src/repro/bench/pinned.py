@@ -1,8 +1,7 @@
 """The pinned artefacts: everything ``python -m repro bench`` writes
-that is committed — ``BENCH_mem.json``, ``BENCH_calib.json``,
-``BENCH_shard.json`` and the paper's own evaluation under
-``benchmarks/results/`` (Table 1, Fig. 13, Table 2, the four §6.1.1
-ablations).
+that is committed — ``BENCH_mem.json``, ``BENCH_shard.json`` and the
+paper's own evaluation under ``benchmarks/results/`` (Table 1,
+Fig. 13, Table 2, the four §6.1.1 ablations).
 
 Each is a deterministic function of the source tree — simulated time,
 heap accounting and bit-identity checks, no wall clock (the only code
@@ -28,7 +27,7 @@ from ..errors import ValidationError
 from ..gpu.device import NVIDIA_GTX780TI, DeviceProfile
 from ..obs import get_logger
 from ..pipeline import CompilerOptions, compile_program
-from ..runtime import DEFAULT_EXECUTOR, ExecutionPolicy
+from ..runtime import DEFAULT_EXECUTOR
 from .figures import (
     render_figure13, render_impact, render_table1, render_table2,
 )
@@ -36,7 +35,7 @@ from .paper_numbers import IMPACT
 from .runner import run_impact, table1_runtimes, table2_datasets
 from .suite import BENCHMARKS
 
-__all__ = ["PINNED", "mem_suite", "calib_suite", "shard_suite", "SHARD_SIZES"]
+__all__ = ["PINNED", "mem_suite", "shard_suite", "SHARD_SIZES"]
 
 
 def mem_suite(
@@ -108,141 +107,6 @@ def mem_suite(
         "geomean_peak_ratio": geomean_ratio,
         "geomean_reduction": 1.0 - geomean_ratio,
         "improved_count": improved,
-    }
-
-
-def _geomean_abs(errors: List[float]) -> float:
-    """Geometric mean of |relative error|, zero-robust: computed as
-    ``exp(mean(log1p(|e|))) - 1`` so exact predictions (e = 0) pull
-    the mean down instead of collapsing it to zero."""
-    if not errors:
-        return 0.0
-    return float(np.expm1(np.mean(np.log1p(np.abs(errors)))))
-
-
-def calib_suite(
-    names: Optional[List[str]] = None,
-    seed: int = 0,
-    device: DeviceProfile = NVIDIA_GTX780TI,
-    worst: int = 10,
-) -> Dict:
-    """Predicted-vs-observed kernel cost divergence across the suite.
-
-    Every benchmark is executed at reduced scale on the simulated
-    device (always ``sim``, the cost oracle); for each kernel, the
-    *static* per-launch prediction
-    (:func:`repro.gpu.costmodel.static_kernel_costs`, priced at the
-    entry sizes without executing anything) is compared against the
-    mean per-launch cost the simulator actually observed at runtime
-    sizes.  The signed relative error ``(predicted - observed) /
-    observed`` per kernel, the per-benchmark and suite-wide geomean
-    |error|, and a worst-offenders table form the ``BENCH_calib.json``
-    payload (schema ``repro.bench_calib/v1``) — the instrument that
-    tells us where ``estimate_program`` stops being trustworthy.
-    """
-    from ..gpu.costmodel import size_env_from_args, static_kernel_costs
-
-    logger = get_logger("bench")
-    names = names or list(BENCHMARKS.names())
-    policy = ExecutionPolicy(executor="sim")
-    benchmarks: Dict[str, Dict] = {}
-    all_rows: List[Dict] = []
-    for name in names:
-        spec = BENCHMARKS[name]
-        prog = spec.program()
-        compiled = compile_program(prog)
-        rng = np.random.default_rng(seed)
-        args = spec.small_args(rng)
-        _, cost, report = compiled.execute(
-            args, device, policy=policy, run_id=f"calib/{name}", seed=seed
-        )
-        if report.fallbacks:
-            raise ValidationError(
-                f"{name}: calibration run degraded to the interpreter "
-                f"({report.summary()})"
-            )
-        predicted = static_kernel_costs(
-            compiled.host,
-            size_env_from_args(compiled.host, args),
-            device,
-            coalescing=True,
-        )
-        observed: Dict[str, Dict[str, float]] = {}
-        for k in cost.kernel_costs:
-            agg = observed.setdefault(
-                k.name,
-                {
-                    "launches": 0,
-                    "time_us": 0.0,
-                    "bytes_effective": 0.0,
-                    "occupancy": 0.0,
-                    "kind": k.kind,
-                },
-            )
-            agg["launches"] += 1
-            agg["time_us"] += k.time_us
-            agg["bytes_effective"] += k.bytes_effective
-            agg["occupancy"] += k.occupancy
-        kernels: Dict[str, Dict] = {}
-        errors: List[float] = []
-        for kname, agg in observed.items():
-            n = agg["launches"]
-            obs_us = agg["time_us"] / n
-            obs_bytes = agg["bytes_effective"] / n
-            pred = predicted.get(kname)
-            row: Dict = {
-                "kind": agg["kind"],
-                "launches": n,
-                "observed_us": obs_us,
-                "predicted_us": pred.time_us if pred is not None else None,
-                "rel_error": None,
-                "bytes_rel_error": None,
-                "occupancy_observed": agg["occupancy"] / n,
-                "occupancy_predicted": (
-                    pred.occupancy if pred is not None else None
-                ),
-            }
-            if pred is not None and obs_us > 0:
-                row["rel_error"] = (pred.time_us - obs_us) / obs_us
-                errors.append(row["rel_error"])
-            if pred is not None and obs_bytes > 0:
-                row["bytes_rel_error"] = (
-                    pred.bytes_effective - obs_bytes
-                ) / obs_bytes
-            kernels[kname] = row
-            if row["rel_error"] is not None:
-                all_rows.append(
-                    {
-                        "benchmark": name,
-                        "kernel": kname,
-                        "kind": agg["kind"],
-                        "launches": n,
-                        "predicted_us": row["predicted_us"],
-                        "observed_us": obs_us,
-                        "rel_error": row["rel_error"],
-                    }
-                )
-        benchmarks[name] = {
-            "sizes": dict(spec.dataset.small),
-            "total_observed_us": cost.total_us,
-            "kernels": kernels,
-            "geomean_abs_rel_error": _geomean_abs(errors),
-        }
-        logger.debug(
-            "calib-row", benchmark=name, kernels=len(kernels),
-            geomean=benchmarks[name]["geomean_abs_rel_error"],
-        )
-    suite_errors = [r["rel_error"] for r in all_rows]
-    all_rows.sort(key=lambda r: -abs(r["rel_error"]))
-    return {
-        "schema": "repro.bench_calib/v1",
-        "device": device.name,
-        "executor": policy.executor,
-        "seed": seed,
-        "benchmarks": benchmarks,
-        "kernel_count": len(all_rows),
-        "geomean_abs_rel_error": _geomean_abs(suite_errors),
-        "worst_offenders": all_rows[:worst],
     }
 
 
@@ -382,27 +246,6 @@ def _render_mem(results: Dict) -> Iterator[str]:
     )
 
 
-def _render_calib(results: Dict) -> Iterator[str]:
-    for name, row in results["benchmarks"].items():
-        yield (
-            f"{name:14s} {len(row['kernels']):3d} kernels  "
-            f"geomean |rel err| "
-            f"{row['geomean_abs_rel_error'] * 100:6.2f}%"
-        )
-    yield (
-        f"{'suite':14s} {results['kernel_count']:3d} kernels  "
-        f"geomean |rel err| "
-        f"{results['geomean_abs_rel_error'] * 100:6.2f}%"
-    )
-    for r in results["worst_offenders"][:5]:
-        yield (
-            f"  worst: {r['benchmark']}/{r['kernel']} "
-            f"pred {r['predicted_us']:.1f}us "
-            f"obs {r['observed_us']:.1f}us "
-            f"({r['rel_error'] * 100:+.1f}%)"
-        )
-
-
 def _render_shard(results: Dict) -> Iterator[str]:
     counts = results["device_counts"]
     for name, row in results["benchmarks"].items():
@@ -445,9 +288,6 @@ class Pinned(NamedTuple):
 #: ``repro bench <what>`` for every artefact that is committed.
 PINNED: Dict[str, Pinned] = {
     "mem": Pinned(mem_suite, "BENCH_mem.json", _render_mem),
-    "calibrate": Pinned(
-        calib_suite, "BENCH_calib.json", _render_calib, ("seed",)
-    ),
     "shard": Pinned(
         shard_suite, "BENCH_shard.json", _render_shard, ("seed", "executor")
     ),

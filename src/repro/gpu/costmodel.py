@@ -49,8 +49,6 @@ __all__ = [
     "size_env_from_args",
     "estimate_program",
     "request_price_us",
-    "kernel_predictions",
-    "static_kernel_costs",
 ]
 
 _HOST_EVAL_US = 0.3
@@ -442,8 +440,8 @@ def estimate_program(
 _UNPRICED = object()
 _MEMO_LOCK = threading.Lock()
 
-#: Bound on each of a host program's price memos (``price_cache``,
-#: ``prediction_cache``, a ``launch_costs`` slice).
+#: Bound on each of a host program's price memos (``price_cache``, a
+#: ``launch_costs`` slice).
 MEMO_SIZE = 64
 
 
@@ -459,22 +457,6 @@ def memo_insert(memo: dict, key, value) -> None:
         memo[key] = value
 
 
-def _memoised(memo, size_env, device, coalescing: bool, price):
-    """The memo behind both whole-program price caches: ``price()``
-    once per (device, coalescing, sizes), None for a program the model
-    cannot price (not an error — it just gets no priority, no
-    meaningful estimate and no calibration)."""
-    key = (device, coalescing, tuple(sorted(size_env.items())))
-    hit = memo.get(key, _UNPRICED)
-    if hit is _UNPRICED:
-        try:
-            hit = price()
-        except Exception:
-            hit = None
-        memo_insert(memo, key, hit)
-    return hit
-
-
 def request_price_us(
     hp: HostProgram,
     size_env: Mapping[str, int],
@@ -484,97 +466,19 @@ def request_price_us(
     """What one request for ``hp`` at these sizes costs on ``device``
     (``estimate_program(...).total_us``), memoised on the program:
     admission and placement price the same few (program, sizes) pairs
-    constantly."""
-    return _memoised(
-        hp.price_cache, size_env, device, coalescing,
-        lambda: estimate_program(
-            hp, size_env, device, coalescing=coalescing
-        ).total_us,
-    )
-
-
-def kernel_predictions(
-    hp: HostProgram,
-    size_env: Mapping[str, int],
-    device: DeviceProfile,
-    coalescing: bool = True,
-) -> Optional[Dict[str, KernelCost]]:
-    """:func:`static_kernel_costs` for the calibration layer, memoised
-    on the program: the walk is pure in (program, sizes, device), and
-    a serving worker replays the same compiled program at the same
-    sizes constantly."""
-    return _memoised(
-        hp.prediction_cache, size_env, device, coalescing,
-        lambda: static_kernel_costs(
-            hp, size_env, device, coalescing=coalescing
-        ),
-    )
-
-
-def static_kernel_costs(
-    hp: HostProgram,
-    size_env: Mapping[str, int],
-    device: DeviceProfile,
-    layouts: Optional[Mapping[str, IndexFn]] = None,
-    coalescing: bool = True,
-) -> Dict[str, KernelCost]:
-    """The *per-launch* static prediction for every kernel in ``hp``,
-    keyed by kernel name.
-
-    This is the calibration side of :func:`estimate_program`: where
-    the estimator aggregates (multiplying loop bodies by trip counts),
-    this returns the raw roofline prediction for a single launch of
-    each kernel, priced at the entry sizes with host scalars
-    propagated — exactly what the simulator's observed per-launch
-    :class:`KernelCost` should match.  The divergence between the two
-    is recorded as ``gpu.calib.*`` metrics and swept by ``bench
-    calibrate``.
-
-    Copy launches the memory planner elided never execute, so they get
-    no prediction.  Loop bodies are priced once: the prediction for a
-    kernel launched N times is its first-launch cost (sizes rarely
-    change across iterations; when they do, the divergence histogram
-    is the instrument that shows it).
-    """
-    out: Dict[str, KernelCost] = {}
-    env = dict(size_env)
-    _collect_kernel_costs(
-        hp.stmts, env, device,
-        layouts if layouts is not None else hp.layouts,
-        coalescing, out,
-    )
-    return out
-
-
-def _collect_kernel_costs(
-    stmts,
-    size_env: Dict[str, int],
-    device: DeviceProfile,
-    layouts: Mapping[str, IndexFn],
-    coalescing: bool,
-    out: Dict[str, KernelCost],
-) -> None:
-    for s in stmts:
-        if isinstance(s, LaunchStmt):
-            if s.elide_copy is not None:
-                continue
-            if s.kernel.name not in out:
-                out[s.kernel.name] = kernel_cost(
-                    s.kernel, size_env, device, layouts, coalescing
-                )
-        elif isinstance(s, HostEval):
-            _propagate_scalar(s.binding, size_env)
-        elif isinstance(s, HostLoopStmt):
-            _collect_kernel_costs(
-                s.body, size_env, device, layouts, coalescing, out
-            )
-        elif isinstance(s, HostIfStmt):
-            _collect_kernel_costs(
-                s.then_body, size_env, device, layouts, coalescing, out
-            )
-            _collect_kernel_costs(
-                s.else_body, size_env, device, layouts, coalescing, out
-            )
+    constantly.  None for a program the model cannot price (not an
+    error — it just gets no priority and no meaningful estimate)."""
+    key = (device, coalescing, tuple(sorted(size_env.items())))
+    hit = hp.price_cache.get(key, _UNPRICED)
+    if hit is _UNPRICED:
+        try:
+            hit = estimate_program(
+                hp, size_env, device, coalescing=coalescing
+            ).total_us
+        except Exception:
+            hit = None
+        memo_insert(hp.price_cache, key, hit)
+    return hit
 
 
 #: Backstop on per-loop heap replay iterations; every paper-scale

@@ -45,15 +45,6 @@ __all__ = ["GpuSimulator"]
 WATCHDOG_FACTOR = 8.0
 WATCHDOG_FLOOR_US = 100.0
 
-#: Signed-relative-error buckets for the ``gpu.calib.*`` divergence
-#: histograms: (predicted - observed) / observed, so -0.5 means the
-#: static model under-predicted by half and 1.0 means it predicted
-#: double the observed cost.
-CALIB_ERROR_BUCKETS = (
-    -0.75, -0.5, -0.25, -0.1, -0.05, 0.0,
-    0.05, 0.1, 0.25, 0.5, 0.75, 1.0, 2.0, 5.0,
-)
-
 
 def _size_of(v: Optional[Value]) -> Optional[int]:
     """The value as a size variable (an integral scalar), else None."""
@@ -102,7 +93,6 @@ class GpuSimulator:
         prog: Optional[A.Prog] = None,
         trace_track: str = "sim-gpu",
         deadline=None,
-        predictions: Optional[Mapping[str, KernelCost]] = None,
         metric_prefix: str = "gpu",
         heap: Optional[DeviceHeap] = None,
     ) -> None:
@@ -115,14 +105,9 @@ class GpuSimulator:
         #: Chrome-trace track this simulator's kernel spans land on;
         #: the resilient executor gives each retry attempt its own.
         self.trace_track = trace_track
-        #: Per-kernel static cost predictions (from
-        #: :func:`repro.gpu.costmodel.static_kernel_costs`); when set,
-        #: every launch records its predicted-vs-observed divergence
-        #: into the ``gpu.calib.*`` metrics.
-        self.predictions = predictions
-        # Per-kernel resolved metric instruments, keyed by the registry
-        # they came from: launches re-use the same instruments run
-        # after run, and re-rendering label keys on every launch is
+        # Resolved metric instruments per kernel kind, keyed by the
+        # registry they came from: launches re-use the same instruments
+        # run after run, and re-rendering label keys on every launch is
         # measurable on the serving hot path.
         self._instrument_cache: Optional[Tuple[Any, Dict[str, Any]]] = None
         # Kernels normally contain no function calls (inlining runs
@@ -370,11 +355,6 @@ class GpuSimulator:
         With observability off this costs two guard checks."""
         tracer = get_tracer()
         cycles = cost.cycles(self.device)
-        predicted = (
-            self.predictions.get(cost.name)
-            if self.predictions is not None
-            else None
-        )
         if tracer.enabled:
             tracer.complete(
                 f"kernel:{cost.name}",
@@ -394,15 +374,10 @@ class GpuSimulator:
                 occupancy=cost.occupancy,
                 watchdog_consumed=watchdog_consumed,
                 heap_live_bytes=self.heap.live_bytes,
-                predicted_us=(
-                    predicted.time_us if predicted is not None else None
-                ),
             )
         metrics = get_metrics()
         if metrics.enabled:
             inst = self._launch_instruments(metrics, cost)
-            if predicted is not None:
-                self._observe_calibration(inst, cost, predicted, cycles)
             inst["launches"].inc(cost.launches)
             inst["sim_time_us"].inc(cost.time_us)
             inst["cycles"].inc(cycles)
@@ -414,16 +389,16 @@ class GpuSimulator:
             inst["watchdog_consumed"].observe(watchdog_consumed)
 
     def _launch_instruments(self, metrics, cost) -> Dict[str, Any]:
-        """The per-kernel instrument bundle, resolved once per
-        (registry, kernel) and reused on every subsequent launch."""
+        """The instrument bundle of ``cost``'s kernel kind, resolved
+        once per (registry, kind) and reused on every later launch."""
         cache = self._instrument_cache
         if cache is None or cache[0] is not metrics:
             cache = (metrics, {})
             self._instrument_cache = cache
-        inst = cache[1].get(cost.name)
+        inst = cache[1].get(cost.kind)
         if inst is None:
             pfx = self.metric_prefix
-            inst = cache[1][cost.name] = {
+            inst = cache[1][cost.kind] = {
                 "launches": metrics.counter(
                     f"{pfx}.launches", kind=cost.kind
                 ),
@@ -445,65 +420,8 @@ class GpuSimulator:
                     f"{pfx}.watchdog_consumed",
                     buckets=(0.05, 0.125, 0.25, 0.5, 0.75, 1.0),
                 ),
-                "calib_observations": metrics.counter(
-                    f"{pfx}.calib.observations", kernel=cost.name
-                ),
-                "calib_time_rel_err": metrics.histogram(
-                    f"{pfx}.calib.time_rel_err",
-                    buckets=CALIB_ERROR_BUCKETS,
-                    kernel=cost.name,
-                ),
-                "calib_cycles_rel_err": metrics.histogram(
-                    f"{pfx}.calib.cycles_rel_err",
-                    buckets=CALIB_ERROR_BUCKETS,
-                    kernel=cost.name,
-                ),
-                "calib_bytes_rel_err": metrics.histogram(
-                    f"{pfx}.calib.bytes_rel_err",
-                    buckets=CALIB_ERROR_BUCKETS,
-                    kernel=cost.name,
-                ),
-                "calib_occupancy_diff": metrics.histogram(
-                    f"{pfx}.calib.occupancy_diff",
-                    buckets=(
-                        -0.5, -0.25, -0.1, -0.01, 0.0, 0.01, 0.1, 0.25, 0.5,
-                    ),
-                    kernel=cost.name,
-                ),
             }
         return inst
-
-    def _observe_calibration(
-        self,
-        inst: Dict[str, Any],
-        cost: KernelCost,
-        predicted: KernelCost,
-        cycles: float,
-    ) -> None:
-        """Record this launch's predicted-vs-observed divergence.
-
-        Errors are signed and relative — ``(predicted - observed) /
-        observed`` — per kernel: negative means the static model
-        under-predicted.  Observed zeros are skipped (no meaningful
-        ratio).  ``bench calibrate`` sweeps these across the benchmark
-        suite into ``BENCH_calib.json``.
-        """
-        inst["calib_observations"].inc()
-        pairs = (
-            ("calib_time_rel_err", predicted.time_us, cost.time_us),
-            ("calib_cycles_rel_err", predicted.cycles(self.device), cycles),
-            (
-                "calib_bytes_rel_err",
-                predicted.bytes_effective,
-                cost.bytes_effective,
-            ),
-        )
-        for key, pred, obs in pairs:
-            if obs > 0:
-                inst[key].observe((pred - obs) / obs)
-        inst["calib_occupancy_diff"].observe(
-            predicted.occupancy - cost.occupancy
-        )
 
     def _exec_loop(
         self,

@@ -44,11 +44,7 @@ from .errors import (
     KernelTimeout,
     ReproError,
 )
-from .gpu.costmodel import (
-    CostReport,
-    kernel_predictions,
-    size_env_from_args,
-)
+from .gpu.costmodel import CostReport
 from .gpu.device import DeviceProfile
 from .gpu.faults import FaultPlan
 from .gpu.simulator import GpuSimulator
@@ -68,7 +64,7 @@ __all__ = [
 
 #: The execution engines: ``"sim"`` evaluates every kernel launch on
 #: the scalar reference interpreter behind the simulated device (the
-#: cost oracle, used for calibration); ``"jit"`` runs kernels as
+#: bit-exact reference for device runs); ``"jit"`` runs kernels as
 #: transpiled NumPy source (:mod:`repro.vm.jit`), re-running a launch
 #: on the interpreter when the transpiler refuses it or a trap fires.
 #: Cost clock, heap, retry, watchdog and fault semantics are identical.
@@ -401,14 +397,6 @@ def run_resilient(
     tracer = get_tracer()
     metrics = get_metrics()
     logger = get_logger("runtime")
-    # Static per-kernel cost predictions for the calibration layer:
-    # once per execution (not per attempt), and only when someone is
-    # observing — the uninstrumented hot path skips the pricing walk.
-    predictions = None
-    if metrics.enabled or tracer.enabled:
-        predictions = kernel_predictions(
-            host, size_env_from_args(host, args), device, coalescing
-        )
 
     with tracer.span(
         "execute",
@@ -451,7 +439,6 @@ def run_resilient(
                             else f"{base_track} (attempt {attempt + 1})"
                         ),
                         deadline=deadline,
-                        predictions=predictions,
                         metric_prefix=metric_prefix,
                         heap=heap,
                     )

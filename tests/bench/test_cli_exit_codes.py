@@ -118,15 +118,16 @@ class TestBenchReadsItsFlags:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            # mem executes nothing; calibrate is pinned to the oracle.
+            # mem executes nothing.
             (("mem", "--executor", "sim"), "does not read --executor"),
-            (("calibrate", "--executor", "sim"), "does not read --executor"),
             # Fault plans and the fallback switch are validate's alone.
             (("shard", "--no-fallback"), "does not read --no-fallback"),
             (("table1", "--chaos"), "does not read --chaos"),
-            # The wall-clock suites are gone (argparse: invalid choice).
+            # The wall-clock suites and the calibration sweep are gone
+            # (argparse: invalid choice).
             (("jit",), "invalid choice"),
             (("compile",), "invalid choice"),
+            (("calibrate",), "invalid choice"),
             # The rule holds for every flag, not only those three.
             (("table2", "--chaos-profile", "fatal"), "--chaos-profile"),
             (("mem", "--kind", "tiling"), "does not read --kind"),
@@ -222,3 +223,29 @@ class TestServeBenchCli:
         ]
         assert main(argv) == 1
         assert "1 bundle(s) could not be written" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--names", "NN,Nope"), "valid names: Backprop"),
+            # The flight recorder's settings without a flight recorder.
+            (("--slo-ms", "5"), "--slo-ms requires --flight-dir"),
+            (
+                ("--flight-capacity", "8"),
+                "--flight-capacity requires --flight-dir",
+            ),
+        ],
+    )
+    def test_a_name_or_flag_that_reaches_nothing_exits_2(
+        self, argv, message, capsys
+    ):
+        assert main(["serve-bench", *argv]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+
+def test_obs_top_is_gone(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["obs", "top"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'top'" in capsys.readouterr().err

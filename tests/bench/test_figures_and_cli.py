@@ -84,6 +84,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert "NVIDIA" in out and "AMD" in out and "ms" in out
 
+    @pytest.mark.parametrize(
+        "size", ["m=100000000", "n=abc", "n=0", "n=-4", "n", "=7"]
+    )
+    def test_run_rejects_a_size_it_cannot_bind(
+        self, source_file, capsys, size
+    ):
+        # A misspelt name used to price (silently) at n = 1.
+        assert cli_main(["run", source_file, "--size", size]) == 2
+        captured = capsys.readouterr()
+        assert f"--size {size}" in captured.err
+        assert "this program's sizes (n)" in captured.err
+        assert captured.out == ""
+
+    def test_run_lists_the_sizes_it_was_not_given(self, source_file, capsys):
+        assert cli_main(["run", source_file, "--no-memory-planning"]) == 0
+        captured = capsys.readouterr()
+        assert "sizes not given, priced as 1: n\n" in captured.err
+        assert "NVIDIA" in captured.out
+        assert cli_main(["run", source_file, "--size", "n=64"]) == 0
+        assert "sizes not given" not in capsys.readouterr().err
+
     def test_bench_table2(self, capsys):
         assert cli_main(["bench", "table2", "--out", os.devnull]) == 0
         out = capsys.readouterr().out

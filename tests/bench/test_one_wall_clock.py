@@ -7,14 +7,17 @@ committed ``BENCH_*.json`` and ``benchmarks/results/*.txt`` files are
 exactly the ones :data:`repro.bench.pinned.PINNED` writes (plus the
 three worked-example figures ``test_paper_figures.py`` pins) — and CI
 asserts nothing from inline scripts: it runs test files and CLI
-commands that exist.  If a wall-clock suite, an unpinned artefact, a
-heredoc gate or the pytest-benchmark harness comes back, this fails.
+commands that exist, and the documentation names only such commands.
+If a wall-clock suite, an unpinned artefact, a heredoc gate or the
+pytest-benchmark harness comes back, this fails.
 """
 
 import argparse
 import ast
 import re
 from pathlib import Path
+
+import pytest
 
 import repro
 from repro.__main__ import build_parser
@@ -142,6 +145,36 @@ def test_the_pytest_benchmark_harness_is_gone():
         assert "pytest-benchmark" not in config
 
 
+def _alternatives(token):
+    """The values a documented token stands for: each side of an
+    ``a|b|c`` or ``{a,b,c}``; none for a ``<placeholder>`` or ``…``."""
+    if token == "…" or re.fullmatch(r"<\w+>", token):
+        return []
+    return re.split(r"[|,]", token.strip("{}"))
+
+
+def _invocations(text):
+    """``(found, refused)``: every ``python -m repro <command>
+    [<what>]`` in ``text``, and those the parser would refuse."""
+    commands = _subcommands()
+    found = re.findall(
+        r"python -m repro\s+([^\s`]+)(?:\s+([^\s`]+))?", text
+    )
+    refused = []
+    for token, what in found:
+        for command in _alternatives(token):
+            if command not in commands:
+                refused.append(command)
+                continue
+            choices = _first_positional_choices(commands[command])
+            if choices is not None:
+                refused += [
+                    f"{command} {w}"
+                    for w in _alternatives(what) if w not in choices
+                ]
+    return found, refused
+
+
 def test_ci_runs_only_tests_and_commands_that_exist():
     # Regexes over the text: CI does not install PyYAML.
     assert "<<" not in CI, "a heredoc: move the assertion into a test file"
@@ -149,12 +182,15 @@ def test_ci_runs_only_tests_and_commands_that_exist():
     assert paths
     missing = [p for p in paths if not (ROOT / p).exists()]
     assert not missing, missing
+    found, refused = _invocations(CI)
+    assert found and not refused, refused
 
-    commands = _subcommands()
-    invocations = re.findall(r"python -m repro ([\w-]+)(?:\s+([\w-]+))?", CI)
-    assert invocations
-    for command, what in invocations:
-        assert command in commands, command
-        choices = _first_positional_choices(commands[command])
-        if choices is not None:
-            assert what in choices, (command, what)
+
+@pytest.mark.parametrize(
+    "doc",
+    ["README.md", "DESIGN.md", "EXPERIMENTS.md",
+     ".claude/skills/verify/SKILL.md"],
+)
+def test_documentation_names_only_commands_that_exist(doc):
+    found, refused = _invocations((ROOT / doc).read_text())
+    assert found and not refused, refused

@@ -13,6 +13,7 @@ from repro.frontend import parse
 from repro.flatten import FlattenOptions, flatten_prog, perfect_nests
 from repro.flatten.nests import nest_of
 from repro.interp import run_program
+from repro.pipeline import CompilerOptions, compile_program
 from repro.simplify import simplify_prog
 
 from tests.helpers import fig11_program, matmul_program, rowsums_program
@@ -228,6 +229,37 @@ class TestBasicDistribution:
         # program form, but no distribution happened: the program is
         # unchanged (one top-level map binding).
         assert len(flat.fun("main").body.bindings) == 1
+
+    # The imperfect map–reduce–map nest through the whole pipeline.
+    IMPERFECT = """
+    fun main (m: [a][b]f32): [a][b]f32 =
+      map (\\(row: [b]f32) ->
+        let s = reduce (\\(x: f32) (y: f32) -> x + y) 0.0f32 row
+        in map (\\(x: f32) -> x / (s + 1.0f32)) row) m
+    """
+
+    def test_imperfect_nest_is_two_kernels_distributed_one_otherwise(self):
+        # Distributed: a segmented reduce and a map.  Not distributed:
+        # one kernel whose threads each run a whole row.
+        prog = parse(self.IMPERFECT)
+        assert len(compile_program(prog).host.kernels()) == 2
+        outer_only = compile_program(prog, CompilerOptions(distribute=False))
+        assert len(outer_only.host.kernels()) == 1
+
+    def test_imperfect_nest_agrees_with_the_interpreter_however_flattened(
+        self,
+    ):
+        prog = parse(self.IMPERFECT)
+        data = np.arange(12, dtype=np.float32).reshape(3, 4)
+        args = [array_value(data, F32)]
+        expected = run_program(prog, args)
+        for options in (
+            CompilerOptions(),
+            CompilerOptions(distribute=False),
+            CompilerOptions(interchange=False),
+        ):
+            got, _ = compile_program(prog, options).run(args)
+            assert values_equal(expected[0], got[0]), options
 
 
 class TestSemanticsPreservation:

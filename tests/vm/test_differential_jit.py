@@ -349,7 +349,7 @@ def test_vector_is_not_an_executor(tmp_path, capsys):
 
 
 def test_a_host_program_that_ran_under_jit_pickles(tmp_path):
-    """The jit cache (which holds a lock), the prediction memo and the
+    """The jit cache (which holds a lock), the price memos and the
     artifact breadcrumbs are process state: not compared, not pickled,
     recreated empty — and a thawed program transpiles again."""
     spec = BENCHMARKS["Pathfinder"]
@@ -358,15 +358,14 @@ def test_a_host_program_that_ran_under_jit_pickles(tmp_path):
         spec.program(), artifact_cache=ArtifactCache(tmp_path)
     )
     host = compiled.host
-    with observe():  # tracing on: the prediction memo fills too
-        want, _cost, _report = compiled.execute(args, policy=JIT_POLICY)
-    assert host.jit_cache is not None and host.prediction_cache
+    want, _cost, _report = compiled.execute(args, policy=JIT_POLICY)
+    assert host.jit_cache is not None and host.launch_costs
     assert host.stage_fingerprints and host.artifact_cache is not None
 
     thawed = pickle.loads(pickle.dumps(host))
     assert thawed == host
     assert thawed.jit_cache is None and thawed.artifact_cache is None
-    assert thawed.prediction_cache == {} and thawed.stage_fingerprints == {}
+    assert thawed.launch_costs == {} and thawed.stage_fingerprints == {}
     assert "jit_cache" not in repr(host)
 
     with metering() as m:
