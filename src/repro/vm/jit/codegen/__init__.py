@@ -25,16 +25,21 @@ emits guarded ufunc sequences (:func:`.elementwise.np_binop`).
 Associative folds run the way a GPU runs them: a kernel-level
 ``reduce`` as a log-depth pairwise tree, a ``stream_red`` with one
 chunk per lane and a tree over the lane accumulators
-(:func:`.folds.tree_combine`).
+(:func:`.folds.tree_combine`), and a loop that accumulates into an
+array — the in-place histogram of the paper's Fig. 4c — as one ordered
+scatter-accumulate over its whole iteration space
+(:func:`.control.gen_accumulate`).
 
 Divergent control flow is handled GPU-style: both branches of a
 batched ``if`` run speculatively and merge with ``np.where``;
 data-dependent loops run to the longest active trip count under a lane
-mask.  In speculative position trapping inputs (out-of-bounds indices,
-zero divisors, negative ``sqrt`` arguments) are substituted with safe
-values, because the lanes that would trap discard their result in the
-merge — the contract real GPU kernels have.  Outside speculation every
-trap condition is checked explicitly.
+mask.  In speculative position a lane's trapping inputs (its
+out-of-bounds index, zero divisor, negative ``sqrt`` argument) are
+substituted with safe values, because the lanes that would trap
+discard their result in the merge — the contract real GPU kernels
+have.  Outside speculation, and for a uniform index anywhere (it is
+out of range on every lane that reaches it), every trap condition is
+checked explicitly.
 
 The scalar interpreter stays the sole reference semantics, through two
 escape hatches:

@@ -32,9 +32,11 @@ def checked_indices(
     a lane vector per batched index, a Python int per uniform one
     (``first_dim`` is the axis of ``arr.var`` the first index
     addresses).  Out of range hands the launch to the interpreter
-    (``lanes``/``uniform`` word the reason) — except in speculative
-    position, where the index is clamped: its lane discards what it
-    reads or writes."""
+    (``lanes``/``uniform`` word the reason) — except a lane's own
+    index in speculative position, which is clamped: that lane
+    discards what it reads or writes.  A uniform index is out of range
+    on every lane that reaches it, the ones that keep their result
+    included, so it is never clamped."""
     parts: List[str] = []
     for k, iv in enumerate(idxs):
         d = f"{arr.var}.shape[{k + first_dim}]"
@@ -54,12 +56,7 @@ def checked_indices(
         elif iv.kind == "S":
             ii = cg.fresh("_i")
             cg.line(f"{ii} = int({iv.var})")
-            cg.line(f"if not (0 <= {ii} < {d}):")
-            with cg.indented():
-                if spec:
-                    cg.line(f"{ii} = min(max({ii}, 0), {d} - 1)")
-                else:
-                    cg.line(f'raise JitFallback("{uniform}")')
+            cg.hand_over_if(f"not (0 <= {ii} < {d})", uniform)
             parts.append(ii)
         else:
             raise JitUnsupported("array used as index")
@@ -95,9 +92,7 @@ def gen_index(cg, e: A.IndexExp, scope: _Scope, spec: bool):
         raise JitUnsupported(f"expected array, got scalar for {e.arr}")
     out_rank = arr.rank - len(idxs)
     if arr.kind != "B" and not any(i.kind == "B" for i in idxs):
-        # A uniform access is out of range on every lane or on none,
-        # so it is never clamped.
-        parts = checked_indices(cg, arr, idxs, 0, False, "gather")
+        parts = checked_indices(cg, arr, idxs, 0, spec, "gather")
         if out_rank < 0:
             raise JitUnsupported("too many indices")
         out = cg.fresh()
@@ -114,15 +109,13 @@ def gen_index(cg, e: A.IndexExp, scope: _Scope, spec: bool):
     )
     out = cg.fresh()
     if arr.kind == "B":
-        if all(i.kind == "S" for i in idxs):
+        if all(i.kind == "S" for i in idxs) and not arr.lanes:
             cg.line(
                 f"{out} = {arr.var}[(slice(None), {', '.join(parts)})]"
             )
             return [JVal("B", arr.elem, out_rank, out, arr.owned)]
-        cg.line(
-            f"{out} = {arr.var}"
-            f"[(R.arange({arr.var}.shape[0]), {', '.join(parts)})]"
-        )
+        rows = arr.lanes or f"R.arange({arr.var}.shape[0])"
+        cg.line(f"{out} = {arr.var}[({rows}, {', '.join(parts)})]")
         return [JVal("B", arr.elem, out_rank, out, True)]
     cg.line(f"{out} = {arr.var}[({', '.join(parts)},)]")
     return [JVal("B", arr.elem, out_rank, out, True)]
@@ -140,9 +133,8 @@ def gen_update(cg, e: A.UpdateExp, scope: _Scope, spec: bool):
         or any(i.kind == "B" for i in idxs)
     )
     if not batched:
-        # Never clamped, as in gen_index.
         parts = checked_indices(
-            cg, arr, idxs, 0, False, "scatter",
+            cg, arr, idxs, 0, spec, "scatter",
             uniform="uniform update out of bounds",
         )
         tgt = update_target(cg, arr, spec)

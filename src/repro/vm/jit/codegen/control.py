@@ -4,7 +4,10 @@ speculative merge, the kind fixpoint and the loop-state hand-over.
 Divergence is handled GPU-style: when the lanes of a batch disagree
 both sides run speculatively and merge per lane (:func:`where`); when
 they agree only the side taken runs, as written.  One step function
-(in :func:`gen_loop`) emits that for every loop form.
+(in :func:`gen_loop`) emits that for every loop form — but one: a
+``for`` that only accumulates into an array, ``acc[I] (+)= v``, is the
+histogram a GPU runs as one scatter-accumulate over the whole
+iteration space, and so does :func:`gen_accumulate`.
 """
 
 from __future__ import annotations
@@ -13,9 +16,18 @@ from typing import Callable, List, Optional, Tuple
 
 from ....core import ast as A
 from ....core.prim import I32
+from ....core.traversal import free_vars_body
+from ....core.types import Array, Prim, array_of
+from .arrays import checked_indices, update_target
+from .elementwise import _ufunc_src
+from .maps import map_over
 from .values import (
     KD, JitUnsupported, JVal, _Emitter, _Scope, _join_kd, _jvals, _kd,
 )
+
+#: Lanes of one block of an accumulating loop's iteration space: what
+#: bounds the extended batch however long the loop is.
+ACCUMULATE_LANES = 1 << 15
 
 
 class _Rewiden(Exception):
@@ -204,7 +216,180 @@ def state_advance(
 # -- loops -------------------------------------------------------------------
 
 
+def accumulation(e: A.LoopExp):
+    """``(levels, idxs, fold)`` when ``e`` is an accumulating loop,
+    else None: a ``for`` nest over one array ``acc`` — one ``(ivar,
+    bound, prefix)`` per loop, outermost first — whose innermost body
+    is ``x = acc[idxs]``, ``t = x op v`` (``fold``) and, last, ``acc
+    with [idxs] <- t``, among bindings (its prefix) that use none of
+    the three.  No prefix reads ``acc`` or binds an inner loop's
+    bound."""
+    levels, sealed, held = [], [], set()
+    while True:
+        form, body = e.form, e.body
+        if not (
+            isinstance(form, A.ForLoop)
+            and len(e.merge) == 1
+            and body.bindings
+        ):
+            return None
+        (acc, seed), = e.merge
+        *prefix, last = body.bindings
+        if not (
+            isinstance(acc.type, Array)
+            and (not sealed or seed == A.Var(sealed[-1]))
+            and len(last.pat) == 1
+            and body.result == (A.Var(last.pat[0].name),)
+            and form.bound not in map(A.Var, held)
+        ):
+            return None
+        sealed.append(acc.name)
+        if not isinstance(last.exp, A.LoopExp):
+            break
+        levels.append((form.ivar, form.bound, tuple(prefix)))
+        held |= {form.ivar}.union(*(b.names() for b in prefix))
+        e = last.exp
+    write = last.exp
+    if not isinstance(write, A.UpdateExp) or write.arr.name != acc.name:
+        return None
+    binder = {b.pat[0].name: b for b in prefix if len(b.pat) == 1}
+    fold = binder.get(getattr(write.value, "name", None))
+    if fold is None or not isinstance(fold.exp, A.BinOpExp):
+        return None
+    read = binder.get(getattr(fold.exp.x, "name", None))
+    if read is None or read.exp != A.IndexExp(write.arr, write.idxs):
+        return None
+    levels.append((
+        form.ivar, form.bound,
+        tuple(b for b in prefix if b is not read and b is not fold),
+    ))
+    sealed += [read.pat[0].name, fold.pat[0].name]
+    uses = {
+        a.name for a in (fold.exp.y, *write.idxs) if isinstance(a, A.Var)
+    }
+    for _, _, prefix in levels:
+        uses |= free_vars_body(A.Body(prefix, ()))
+    if uses & set(sealed):
+        return None
+    return levels, write.idxs, fold.exp
+
+
+def gen_accumulate(cg, e: A.LoopExp, scope: _Scope, spec: bool):
+    """An accumulating loop (:func:`accumulation`) the way a GPU runs
+    a histogram, or None when ``e`` is not one.  The prefix is lowered
+    as the body of a map (nest) over the iteration space, so the batch
+    is extended by it and yields every iteration's cell indices and
+    operand at once; the accumulate is then one ``ufunc.at``, which is
+    unbuffered and applies in index order — the extended batch is
+    row-major ``(lane, i, ...)``, so every cell takes its updates in
+    loop order and the result is the sequential loop's, bit for bit.
+    The outermost loop is taken in blocks of ``ACCUMULATE_LANES``
+    lanes; a block of one iteration is the sequential step."""
+    found = accumulation(e)
+    if found is None:
+        return None
+    levels, idxs, fold = found
+    acc = cg.atom(scope, e.merge[0][1])
+    trips = [
+        scope.maybe(b.name) if isinstance(b, A.Var) else cg.atom(scope, b)
+        for _, b, _ in levels
+    ]
+    ufunc = _ufunc_src(fold.op, acc.elem)
+    if (
+        acc.kind == "S"
+        or len(idxs) != acc.rank
+        or fold.t is not acc.elem
+        or ufunc is None
+        or any(t is None or t.kind != "S" for t in trips)
+    ):
+        return None
+
+    # The map the prefix is the body of, innermost loop first:
+    #   map (\i -> prefix
+    #              let (idxs', v') = map (\j -> prefix' in {idxs, v}) (iota m)
+    #              in {idxs', v'}) <a block of iota n>
+    tail, results = (), (*idxs, fold.y)
+    types = (Prim(I32),) * len(idxs) + (Prim(acc.elem),)
+    for depth, (ivar, bound, prefix) in reversed(list(enumerate(levels))):
+        lam = A.Lambda(
+            (A.Param(ivar, Prim(I32)),),
+            A.Body(prefix + tail, results),
+            types,
+        )
+        if depth:
+            dim = bound.name if isinstance(bound, A.Var) else bound.value
+            types = tuple(array_of(t, dim) for t in types)
+            space = A.Param(f"{ivar}#iota", Array(I32, (dim,)))
+            pat = tuple(
+                A.Param(f"{ivar}#{k}", t) for k, t in enumerate(types)
+            )
+            tail = (
+                A.Binding((space,), A.IotaExp(bound)),
+                A.Binding(pat, A.MapExp(bound, lam, (A.Var(space.name),))),
+            )
+            results = tuple(A.Var(p.name) for p in pat)
+
+    def emit() -> List[JVal]:
+        arr = acc
+        if cg.depth and arr.kind == "A":
+            arr = cg._coerce(arr, ("B", arr.elem, arr.rank, False))
+        tgt = update_target(cg, arr, spec)
+        cell = JVal(arr.kind, arr.elem, arr.rank, tgt, True)
+        n, inner, blk, lo, io, w = (
+            cg.fresh(p) for p in ("_n", "_m", "_blk", "_lo", "_io", "_w")
+        )
+        ext = cg.extent if cg.depth else "1"
+        cg.line(f"{n} = int({trips[0].var})")
+        cg.line(
+            f"{inner} = "
+            + " * ".join(["1", *(f"max(int({t.var}), 0)" for t in trips[1:])])
+        )
+        cg.line(
+            f"{blk} = max(1, {ACCUMULATE_LANES} // max(1, {ext} * {inner}))"
+        )
+        cg.line(f"for {lo} in range(0, {n} if {inner} else 0, {blk}):")
+        with cg.indented():
+            cg.line(
+                f"{io} = np.arange("
+                f"{lo}, min({lo} + {blk}, {n}), dtype=np.int32)"
+            )
+            cg.line(f"{w} = {io}.shape[0]")
+            flat = []
+            for o in map_over(
+                cg, lam, w, [JVal("A", I32, 1, io, True)], scope, spec
+            ):
+                f = cg.fresh("_fl")
+                cg.line(f"{f} = {o.var}.reshape(-1)")
+                flat.append(JVal("B", o.elem, 0, f))
+            *at, operand = flat
+            parts = checked_indices(
+                cg, cell, at, 1 if cg.depth else 0, spec, "scatter"
+            )
+            if cg.depth:
+                rows = cg.fresh("_ln")
+                cg.line(
+                    f"{rows} = np.repeat(R.arange({ext}), {w} * {inner})"
+                )
+                parts.insert(0, rows)
+            cg.line(
+                f"{ufunc}.at({tgt}, ({', '.join(parts)},), {operand.var})"
+            )
+        return [cell]
+
+    # A prefix that cannot run as a map body (a ``filter``, a stream)
+    # leaves the loop to the sequential step.
+    try:
+        buf, out = cg._capture(emit)
+    except JitUnsupported:
+        return None
+    cg.em.splice(buf)
+    return out
+
+
 def gen_loop(cg, e: A.LoopExp, scope: _Scope, spec: bool):
+    accumulated = gen_accumulate(cg, e, scope, spec)
+    if accumulated is not None:
+        return accumulated
     init = [cg.atom(scope, a) for _, a in e.merge]
     params = [p for p, _ in e.merge]
     slots = [cg.fresh("_s") for _ in params]

@@ -9,11 +9,14 @@ scope is :meth:`KernelCodegen.batch`'s to push and pop.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from ....core import ast as A
 from ....core.prim import I32
-from ....core.traversal import free_vars_lambda
+from ....core.traversal import (
+    exp_atoms, exp_bodies, exp_lambdas, free_vars_lambda,
+)
 from .values import JitUnsupported, JVal, _Scope
 
 
@@ -59,18 +62,40 @@ def row(cg, v: JVal, i: str) -> JVal:
     return JVal("A", v.elem, v.rank - 1, out, v.owned)
 
 
+def only_indexed(body: A.Body, name: str) -> bool:
+    """True when every occurrence of ``name`` in ``body``, at any
+    depth, is as the array of an index expression."""
+    ref = A.Var(name)
+    for bnd in body.bindings:
+        e = bnd.exp
+        if ref in (e.idxs if isinstance(e, A.IndexExp) else exp_atoms(e)):
+            return False
+        inner = [*exp_bodies(e), *(lam.body for lam in exp_lambdas(e))]
+        if not all(only_indexed(b, name) for b in inner):
+            return False
+    return ref not in body.result
+
+
 def expand_captures(
     cg, lam: A.Lambda, scope: _Scope, width: str
 ) -> List[Tuple[str, JVal]]:
-    """Eagerly repeat every batched free variable of ``lam`` by the
-    inner width."""
+    """Repeat every batched free variable of ``lam`` by the inner
+    width — except an array ``lam`` only indexes: that one stays as it
+    is and the vector of rows its lanes read is repeated instead
+    (``JVal.lanes``), so a gather costs the elements it reads, not a
+    copy of the array per inner lane."""
     out = []
     for name in sorted(free_vars_lambda(lam)):
         v = scope.maybe(name)
         if v is not None and v.kind == "B":
             nv = cg.fresh("_xp")
-            cg.line(f"{nv} = np.repeat({v.var}, {width}, axis=0)")
-            out.append((name, JVal("B", v.elem, v.rank, nv, False)))
+            if v.rank and only_indexed(lam.body, name):
+                rows = v.lanes or f"R.arange({v.var}.shape[0])"
+                cg.line(f"{nv} = np.repeat({rows}, {width})")
+                out.append((name, replace(v, owned=False, lanes=nv)))
+            else:
+                cg.line(f"{nv} = np.repeat({v.var}, {width}, axis=0)")
+                out.append((name, JVal("B", v.elem, v.rank, nv, False)))
     return out
 
 
@@ -95,10 +120,18 @@ def gen_map(cg, e: A.MapExp, scope: _Scope, spec: bool):
     )
     if not vals:
         raise JitUnsupported("map without inputs")
+    return map_over(cg, e.lam, w, vals, scope, spec)
+
+
+def map_over(
+    cg, lam: A.Lambda, w: str, vals: List[JVal], scope: _Scope, spec: bool
+) -> List[JVal]:
+    """``lam`` mapped over the checked inputs ``vals`` of width ``w``:
+    inside a batch it extends it, outside it enters one."""
     if cg.depth > 0:
-        return map_batched(cg, e, scope, spec, w, vals)
+        return map_batched(cg, lam, scope, spec, w, vals)
     results = []
-    for o in enter_batch(cg, e.lam, vals, w, scope, spec):
+    for o in enter_batch(cg, lam, vals, w, scope, spec):
         if o.kind == "B":
             cg._to_batched_checked(o, w, "batch width mismatch")
             results.append(
@@ -121,19 +154,19 @@ def gen_map(cg, e: A.MapExp, scope: _Scope, spec: bool):
     return results
 
 
-def map_batched(cg, e: A.MapExp, scope: _Scope, spec: bool, w: str, vals):
+def map_batched(cg, lam: A.Lambda, scope: _Scope, spec: bool, w: str, vals):
     """A map inside a batch extends it: flatten ``(B, n)`` into
     ``B*n``.  Batched inputs are reshaped, uniform ones tiled, and
     the lane values the lambda captures repeated, so the body never
     sees the enclosing batch at its old width."""
     b = cg.extent
-    expanded = expand_captures(cg, e.lam, scope, w)
+    expanded = expand_captures(cg, lam, scope, w)
     child = scope.child(barrier=True)
     for name, v in expanded:
         child.bind(name, v)
     ext = cg.fresh("_e")
     cg.line(f"{ext} = {b} * {w}")
-    for p, v in zip(e.lam.params, vals):
+    for p, v in zip(lam.params, vals):
         pv = cg.fresh("_p")
         if v.kind == "B":
             cg._to_batched_checked(v, b, "batch width mismatch in map")
@@ -149,19 +182,15 @@ def map_batched(cg, e: A.MapExp, scope: _Scope, spec: bool, w: str, vals):
             cg._bind_param(
                 child, p, JVal("B", v.elem, v.rank - 1, pv, False)
             )
-    with cg.batch(ext):
-        outs = cg.gen_body(e.lam.body, child, spec)
     results = []
-    for o in outs:
-        # (Coerced after the extended batch is left, so a uniform
-        # result is broadcast to the enclosing extent: the corpus row
-        # ``map-uniform-result``.)
-        ob = cg._to_batched_checked(o, ext, "batch width mismatch")
-        out = cg.fresh()
-        cg.line(
-            f"{out} = {ob.var}.reshape(({b}, {w}) + {ob.var}.shape[1:])"
-        )
-        results.append(JVal("B", o.elem, ob.rank + 1, out, ob.owned))
+    with cg.batch(ext):
+        for o in cg.gen_body(lam.body, child, spec):
+            ob = cg._to_batched_checked(o, ext, "batch width mismatch")
+            out = cg.fresh()
+            cg.line(
+                f"{out} = {ob.var}.reshape(({b}, {w}) + {ob.var}.shape[1:])"
+            )
+            results.append(JVal("B", o.elem, ob.rank + 1, out, ob.owned))
     return results
 
 
@@ -187,9 +216,8 @@ def gen_filter(cg, e: A.FilterExp, scope: _Scope, spec: bool):
     (flag,) = enter_batch(cg, e.lam, [val], w, scope, spec)
     if not flag.elem.is_bool or flag.rank != 0:
         raise JitUnsupported("filter predicate must return bool")
-    # (Coerced after the batch is left, so a uniform predicate is
-    # refused: the corpus row ``filter-uniform-predicate``.)
-    fb = cg._to_batched_checked(flag, w, "batch width mismatch")
+    with cg.batch(w):
+        fb = cg._to_batched_checked(flag, w, "batch width mismatch")
     m = cg.fresh("_m")
     cg.line(f"{m} = {fb.var}.astype(bool)")
     data = cg.fresh()

@@ -32,13 +32,20 @@ class JVal:
     ``rank`` is the array rank (per-thread rank for ``B``); ``var`` is
     the Python expression — almost always a local name — holding the
     value; ``owned`` is True only when the buffer was provably
-    allocated by this kernel evaluation and may be mutated in place."""
+    allocated by this kernel evaluation and may be mutated in place.
+
+    ``lanes`` is set on a batched array that an inner map captured
+    only to index it (:func:`.maps.expand_captures`): ``var`` is still
+    the array at the enclosing batch's width, and ``lanes`` the local
+    holding, per lane of the extended batch, the row of it that lane
+    reads.  Only :func:`.arrays.gen_index` ever meets one."""
 
     kind: str
     elem: PrimType
     rank: int
     var: str
     owned: bool = False
+    lanes: str = ""
 
     @property
     def ndim(self) -> int:

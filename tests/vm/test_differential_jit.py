@@ -183,7 +183,9 @@ def test_pycode_from_an_older_schema_is_discarded(tmp_path):
     never served: the artifact fingerprint includes the schema (an old
     file is not even looked up), and a payload whose own tag disagrees
     with the file it sits in is ignored and re-transpiled."""
-    old_schemas = ("repro.pycode/v1", "repro.pycode/v2")
+    old_schemas = (
+        "repro.pycode/v1", "repro.pycode/v2", "repro.pycode/v3",
+    )
     assert PYCODE_SCHEMA not in old_schemas
     spec = BENCHMARKS["Pathfinder"]
     args = spec.small_args(np.random.default_rng(0))

@@ -15,9 +15,12 @@ trap (``/``, ``%``, an index) keeps the left-to-right fold, as does a
 reduce met inside a batch.
 """
 
+import re
+
 import numpy as np
 import pytest
 
+from repro.bench.suite import BENCHMARKS
 from repro.core.prim import F32, I32
 from repro.core.values import ScalarValue, array_value, values_equal
 from repro.frontend import parse
@@ -35,6 +38,9 @@ STREAM_WIDTHS = [1, 2, 3, 4, 5, 13, 16, 97, 100]
 
 #: Sequential left fold at kernel level, as ``_fold_sequential`` emits it.
 _SCALAR_FOLD = "in range(int(_w"
+#: A sequential ``for i < q`` over a ``stream_red`` chunk, as
+#: ``gen_loop``'s step emits it.
+_CHUNK_LOOP = re.compile(r"in range\(int\(_size\d+\)\)")
 
 
 def _i32(a) -> object:
@@ -84,6 +90,15 @@ def _assert_tree(sources) -> None:
     assert any("while _n" in s for s in sources), "no tree combine emitted"
     assert not any(_SCALAR_FOLD in s for s in sources), (
         "a scalar left fold was emitted"
+    )
+
+
+def _assert_accumulated(sources) -> None:
+    """An in-place accumulator is one scatter-accumulate per lane
+    group, not a step per element of the chunk."""
+    assert any(".at(" in s for s in sources), "no ufunc.at emitted"
+    assert not any(_CHUNK_LOOP.search(s) for s in sources), (
+        "a loop with the chunk size as its trip count was emitted"
     )
 
 
@@ -357,6 +372,28 @@ def test_stream_red_lanes_match_the_chunked_fold(case, n):
     sources = _agree(src, lambda: args)
     assert any("R.lane_groups(" in s for s in sources)
     assert not any("R.chunks(" in s for s in sources)
+    if case == "histogram":
+        _assert_accumulated(sources)
+
+
+def test_kmeans_cluster_sums_are_one_scatter_accumulate():
+    """The paper's running example (Fig. 4c): neither the counts nor
+    the ``[k][d]`` sums step through the chunk."""
+    spec = BENCHMARKS["K-means"]
+    compiled = compile_program(spec.program())
+    compiled.execute(
+        spec.small_args(np.random.default_rng(0)),
+        policy=ExecutionPolicy(executor="jit"),
+    )
+    sources = jit_cache_for(compiled.host).sources()
+    (stream_red,) = [
+        s
+        for kernel, by_sig in sources.items()
+        if kernel.startswith("stream_red")
+        for s in by_sig.values()
+    ]
+    assert stream_red.count(".at(") == 2
+    _assert_accumulated([stream_red])
 
 
 def test_accumulator_smaller_than_the_lane_count():
