@@ -83,6 +83,7 @@ import sys
 
 def _options_from_flags(args) -> "CompilerOptions":
     from .pipeline import CompilerOptions
+    from .runtime import DEFAULT_EXECUTOR
 
     return CompilerOptions(
         fusion=not args.no_fusion,
@@ -90,14 +91,12 @@ def _options_from_flags(args) -> "CompilerOptions":
         tiling=not args.no_tiling,
         interchange=not args.no_interchange,
         memory_planning=not args.no_memory_planning,
-        executor=args.executor,
+        executor=getattr(args, "executor", DEFAULT_EXECUTOR),
         disabled_passes=tuple(args.disable_pass or ()),
     )
 
 
 def _add_opt_flags(p: argparse.ArgumentParser) -> None:
-    from .runtime import DEFAULT_EXECUTOR, EXECUTORS
-
     p.add_argument("--no-fusion", action="store_true")
     p.add_argument("--no-coalescing", action="store_true")
     p.add_argument("--no-tiling", action="store_true")
@@ -117,6 +116,13 @@ def _add_opt_flags(p: argparse.ArgumentParser) -> None:
         "see 'repro passes' for the registry; disabling a mandatory "
         "pass is an error)",
     )
+
+
+def _add_executor_flag(p: argparse.ArgumentParser) -> None:
+    """Only on the commands that execute kernels (``compile`` and
+    ``run`` price a program, they run none)."""
+    from .runtime import DEFAULT_EXECUTOR, EXECUTORS
+
     p.add_argument(
         "--executor",
         choices=EXECUTORS,
@@ -149,8 +155,14 @@ def _add_obs_flags(p: argparse.ArgumentParser) -> None:
 
 def cmd_compile(args) -> int:
     from .core.pretty import pretty_prog
+    from .errors import ArgumentError
     from .pipeline import ArtifactCache, compile_source
 
+    if args.emit == "opencl" and args.stop_after == "core":
+        raise ArgumentError(
+            "--emit opencl renders the host program, which --stop-after "
+            "core does not build (use --emit core, or stop after host)"
+        )
     text = open(args.file).read()
     cache = (
         ArtifactCache(args.artifact_dir)
@@ -164,7 +176,6 @@ def cmd_compile(args) -> int:
         stop_after=args.stop_after,
     )
     if args.emit == "core" or args.stop_after == "core":
-        # --stop-after core has no host program to render.
         print(pretty_prog(compiled.core))
     else:
         print(compiled.opencl())
@@ -558,7 +569,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile", help="compile a source file")
     p.add_argument("file")
-    p.add_argument("--emit", choices=("core", "opencl"), default="opencl")
+    p.add_argument(
+        "--emit", choices=("core", "opencl"), default=None,
+        help="what to print (default: opencl, or core with --stop-after "
+        "core)",
+    )
     p.add_argument(
         "--stop-after",
         choices=("core", "host"),
@@ -655,6 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
         "regenerates)",
     )
     _add_opt_flags(p)
+    _add_executor_flag(p)
     _add_obs_flags(p)
     p.set_defaults(fn=cmd_bench)
 
@@ -717,6 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
         "flight bundle (requires --flight-dir)",
     )
     _add_opt_flags(p)
+    _add_executor_flag(p)
     _add_obs_flags(p)
     p.set_defaults(fn=cmd_serve_bench)
 

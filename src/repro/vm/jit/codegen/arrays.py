@@ -10,7 +10,7 @@ not itself allocate.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from ....core import ast as A
 from ....core.prim import I32
@@ -19,8 +19,27 @@ from .values import JitUnsupported, JVal, _Scope
 # -- index and update --------------------------------------------------------
 
 
+def index_range(cg, scope: _Scope, iv: JVal) -> Tuple[str, str]:
+    """The smallest and largest entry of the batched index ``iv`` as
+    two locals holding Python ints — ``(0, -1)`` when it is empty, so
+    that no bound fails — computed once per value: the first block
+    that needs them computes them, into its scope, and every block
+    nested in it reads them from there.  Computing them cannot trap,
+    so they may be computed ahead of the access they serve."""
+    fact = scope.range_of(iv.var)
+    if fact is None:
+        lo, hi = cg.fresh("_lo"), cg.fresh("_hi")
+        cg.line(
+            f"{lo}, {hi} = (int({iv.var}.min()), int({iv.var}.max())) "
+            f"if {iv.var}.size else (0, -1)"
+        )
+        fact = scope.ranges[iv.var] = (lo, hi)
+    return fact
+
+
 def checked_indices(
     cg,
+    scope: _Scope,
     arr: JVal,
     idxs: Sequence[JVal],
     first_dim: int,
@@ -36,23 +55,29 @@ def checked_indices(
     index in speculative position, which is clamped: that lane
     discards what it reads or writes.  A uniform index is out of range
     on every lane that reaches it, the ones that keep their result
-    included, so it is never clamped."""
+    included, so it is never clamped.  A batched index is checked, and
+    its clamp skipped, on its range (:func:`index_range`): two integer
+    comparisons at the access."""
     parts: List[str] = []
     for k, iv in enumerate(idxs):
         d = f"{arr.var}.shape[{k + first_dim}]"
         if iv.kind == "B":
             if iv.rank != 0:
                 raise JitUnsupported("array used as index")
-            ia = cg.fresh("_ia")
+            lo, hi = index_range(cg, scope, iv)
             if spec:
-                cg.line(f"{ia} = np.clip({iv.var}, 0, {d} - 1)")
+                ia = cg.fresh("_ia")
+                cg.line(
+                    f"{ia} = {iv.var} if 0 <= {lo} and {hi} < {d} "
+                    f"else np.clip({iv.var}, 0, {d} - 1)"
+                )
+                parts.append(ia)
             else:
-                cg.line(f"{ia} = {iv.var}")
                 cg.hand_over_if(
-                    f"{ia}.size and (({ia} < 0) | ({ia} >= {d})).any()",
+                    f"{lo} < 0 or {hi} >= {d}",
                     f"out-of-bounds {lanes} in batch",
                 )
-            parts.append(ia)
+                parts.append(iv.var)
         elif iv.kind == "S":
             ii = cg.fresh("_i")
             cg.line(f"{ii} = int({iv.var})")
@@ -92,7 +117,7 @@ def gen_index(cg, e: A.IndexExp, scope: _Scope, spec: bool):
         raise JitUnsupported(f"expected array, got scalar for {e.arr}")
     out_rank = arr.rank - len(idxs)
     if arr.kind != "B" and not any(i.kind == "B" for i in idxs):
-        parts = checked_indices(cg, arr, idxs, 0, spec, "gather")
+        parts = checked_indices(cg, scope, arr, idxs, 0, spec, "gather")
         if out_rank < 0:
             raise JitUnsupported("too many indices")
         out = cg.fresh()
@@ -105,13 +130,17 @@ def gen_index(cg, e: A.IndexExp, scope: _Scope, spec: bool):
     if out_rank < 0:
         raise JitUnsupported("too many indices")
     parts = checked_indices(
-        cg, arr, idxs, 1 if arr.kind == "B" else 0, spec, "gather"
+        cg, scope, arr, idxs, 1 if arr.kind == "B" else 0, spec, "gather"
     )
     out = cg.fresh()
     if arr.kind == "B":
         if all(i.kind == "S" for i in idxs) and not arr.lanes:
+            # A view — but a lane scalar of an array the kernel may
+            # still update in place is a copy: the update must not
+            # reach the scalar.
+            own = ".copy()" if arr.owned and out_rank == 0 else ""
             cg.line(
-                f"{out} = {arr.var}[(slice(None), {', '.join(parts)})]"
+                f"{out} = {arr.var}[(slice(None), {', '.join(parts)})]{own}"
             )
             return [JVal("B", arr.elem, out_rank, out, arr.owned)]
         rows = arr.lanes or f"R.arange({arr.var}.shape[0])"
@@ -134,7 +163,7 @@ def gen_update(cg, e: A.UpdateExp, scope: _Scope, spec: bool):
     )
     if not batched:
         parts = checked_indices(
-            cg, arr, idxs, 0, spec, "scatter",
+            cg, scope, arr, idxs, 0, spec, "scatter",
             uniform="uniform update out of bounds",
         )
         tgt = update_target(cg, arr, spec)
@@ -154,7 +183,7 @@ def gen_update(cg, e: A.UpdateExp, scope: _Scope, spec: bool):
         arr = JVal("B", arr.elem, arr.rank, ab, True)
     if len(idxs) > arr.rank:
         raise JitUnsupported("too many indices")
-    parts = checked_indices(cg, arr, idxs, 1, spec, "scatter")
+    parts = checked_indices(cg, scope, arr, idxs, 1, spec, "scatter")
     data = update_target(cg, arr, spec)
     cg.line(
         f"{data}[(R.arange({data}.shape[0]), {', '.join(parts)})]"

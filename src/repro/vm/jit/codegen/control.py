@@ -7,18 +7,20 @@ they agree only the side taken runs, as written.  One step function
 (in :func:`gen_loop`) emits that for every loop form — but one: a
 ``for`` that only accumulates into an array, ``acc[I] (+)= v``, is the
 histogram a GPU runs as one scatter-accumulate over the whole
-iteration space, and so does :func:`gen_accumulate`.
+iteration space, and so does :func:`gen_accumulate`.  Ahead of a
+stepped loop, its :func:`preheader` ranges the indices the loop reads
+but does not bind, once.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 from ....core import ast as A
 from ....core.prim import I32
-from ....core.traversal import free_vars_body
+from ....core.traversal import exp_bodies, free_vars_body, free_vars_exp
 from ....core.types import Array, Prim, array_of
-from .arrays import checked_indices, update_target
+from .arrays import checked_indices, index_range, update_target
 from .elementwise import _ufunc_src
 from .maps import map_over
 from .values import (
@@ -123,8 +125,7 @@ def gen_if(cg, e: A.IfExp, scope: _Scope, spec: bool):
     # three paths (the convergent arms broadcast into it).
     kds = widen_all_b(kds)
     outs = [cg.fresh("_o") for _ in kds]
-    mask = cg.fresh("_m")
-    cg.line(f"{mask} = {cond.var}.astype(bool)")
+    mask = cg.mask(cond)
     cg.line(f"if {mask}.all():")
     with cg.indented():
         splice_arm(cg, tc_buf, tc_vals, kds, outs)
@@ -363,7 +364,8 @@ def gen_accumulate(cg, e: A.LoopExp, scope: _Scope, spec: bool):
                 flat.append(JVal("B", o.elem, 0, f))
             *at, operand = flat
             parts = checked_indices(
-                cg, cell, at, 1 if cg.depth else 0, spec, "scatter"
+                cg, scope.child(), cell, at, 1 if cg.depth else 0, spec,
+                "scatter",
             )
             if cg.depth:
                 rows = cg.fresh("_ln")
@@ -386,10 +388,36 @@ def gen_accumulate(cg, e: A.LoopExp, scope: _Scope, spec: bool):
     return out
 
 
+def index_names(body: A.Body) -> Set[str]:
+    """The names ``body`` indexes an array with, in its own bindings
+    and in the bodies of its ``if``s and loops — not in a lambda: a
+    map expands the lane values it captures."""
+    names: Set[str] = set()
+    for bnd in body.bindings:
+        e = bnd.exp
+        if isinstance(e, (A.IndexExp, A.UpdateExp)):
+            names.update(a.name for a in e.idxs if isinstance(a, A.Var))
+        for b in exp_bodies(e):
+            names |= index_names(b)
+    return names
+
+
+def preheader(cg, e: A.LoopExp, scope: _Scope) -> None:
+    """Emit, ahead of the loop ``e`` in the block ``scope`` is, the
+    range of every batched index its body uses but the loop does not
+    bind — each step then checks an invariant index with two integer
+    comparisons, and the code after the loop reads the same facts."""
+    for name in sorted(index_names(e.body) & free_vars_exp(e)):
+        v = scope.maybe(name)
+        if v is not None and v.kind == "B" and v.rank == 0:
+            index_range(cg, scope, v)
+
+
 def gen_loop(cg, e: A.LoopExp, scope: _Scope, spec: bool):
     accumulated = gen_accumulate(cg, e, scope, spec)
     if accumulated is not None:
         return accumulated
+    preheader(cg, e, scope)
     init = [cg.atom(scope, a) for _, a in e.merge]
     params = [p for p, _ in e.merge]
     slots = [cg.fresh("_s") for _ in params]
@@ -490,11 +518,7 @@ def gen_loop(cg, e: A.LoopExp, scope: _Scope, spec: bool):
                         cg.line("break")
                     new_kds = step([], state, kds)
                 else:
-                    active = cg.fresh("_act")
-                    cg.line(
-                        f"{active} = "
-                        f"{slots[cond_index]}.astype(bool)"
-                    )
+                    active = cg.mask(state[cond_index])
                     cg.line(f"if not {active}.any():")
                     with cg.indented():
                         cg.line("break")

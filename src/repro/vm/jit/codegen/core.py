@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import replace
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ....core import ast as A
 from ....core.prim import I32, PrimType, prim_from_name
@@ -17,7 +17,7 @@ from .values import KD, JitUnsupported, JVal, _Emitter, _Scope
 
 #: Schema tag embedded in every generated module; bump on any change to
 #: the generated code's shape so stale cached artifacts are discarded.
-PYCODE_SCHEMA = "repro.pycode/v4"
+PYCODE_SCHEMA = "repro.pycode/v5"
 
 #: Hard cap on emitted statements: speculative if-arms and masked loops
 #: duplicate their bodies, so deeply nested divergence can explode.
@@ -34,7 +34,11 @@ class KernelCodegen:
         self._counter = 0
         #: Hoisted module-level names: insertion-ordered name -> init expr.
         self._hoisted: Dict[str, str] = {}
+        #: The hoisted arrays that are made read-only once built.
+        self._read_only: Set[str] = set()
         self._const_pool: Dict[Tuple[str, str], str] = {}
+        #: Hoisted constant name -> the constant it holds.
+        self._constants: Dict[str, A.Const] = {}
         #: Stack of batch extent expressions, innermost last;
         #: non-empty means "a batch is in scope", and its top is the
         #: ``B`` a nested map extends.
@@ -98,15 +102,21 @@ class KernelCodegen:
         self._t(t)
         return self._hoist(f"_CONV_{t.name}", f'ConvOp("conv", _T_{t.name})')
 
-    def _const(self, value, t: PrimType) -> str:
-        key = (repr(value), t.name)
+    def _const(self, c: A.Const) -> str:
+        key = (repr(c.value), c.type.name)
         name = self._const_pool.get(key)
         if name is None:
-            self._t(t)
+            self._t(c.type)
             name = f"_K{len(self._const_pool)}"
             self._const_pool[key] = name
-            self._hoist(name, f"_T_{t.name}.coerce({value!r})")
+            self._constants[name] = c
+            self._hoist(name, f"_T_{c.type.name}.coerce({c.value!r})")
         return name
+
+    def constant(self, v: JVal) -> Optional[A.Const]:
+        """The constant ``v`` holds when it is one (its value is known
+        at transpile time), else None."""
+        return self._constants.get(v.var) if v.kind == "S" else None
 
     # -- extents ------------------------------------------------------------
 
@@ -133,16 +143,25 @@ class KernelCodegen:
 
     def atom(self, scope: _Scope, a: A.Atom) -> JVal:
         if isinstance(a, A.Const):
-            return JVal("S", a.type, 0, self._const(a.value, a.type))
+            return JVal("S", a.type, 0, self._const(a))
         return scope.lookup(a.name)
 
     # -- kind coercion ------------------------------------------------------
 
-    def _asarray(self, v: JVal) -> str:
-        """A value as an ndarray expression."""
-        if v.kind == "S":
-            return f"np.asarray({v.var}, dtype={self._dt(v.elem)})"
-        return v.var
+    def _asarray(self, v: JVal, t: Optional[PrimType] = None) -> str:
+        """A value as an ndarray expression (a scalar as a 0-d array of
+        element type ``t``, by default its own).  A constant's is built
+        once, at module level beside it, and is read-only: every launch
+        shares it."""
+        if v.kind != "S":
+            return v.var
+        t = t or v.elem
+        expr = f"np.asarray({v.var}, dtype={self._dt(t)})"
+        if self.constant(v) is None:
+            return expr
+        name = self._hoist(f"{v.var}_{t.name}", expr)
+        self._read_only.add(name)
+        return name
 
     def _coerce(self, v: JVal, kd: KD) -> JVal:
         """Emit the code turning ``v`` into kind descriptor ``kd``
@@ -156,14 +175,22 @@ class KernelCodegen:
         out = self.fresh()
         if v.kind == "S":
             self.line(
-                f"{out} = np.broadcast_to("
-                f"np.asarray({v.var}, dtype={self._dt(elem)}), ({ext},))"
+                f"{out} = np.broadcast_to({self._asarray(v, elem)}, ({ext},))"
             )
         else:  # A -> B
             self.line(
                 f"{out} = np.broadcast_to({v.var}, ({ext},) + {v.var}.shape)"
             )
         return JVal("B", elem, rank, out, False)
+
+    def mask(self, v: JVal) -> str:
+        """The lane vector of the batched condition ``v`` as booleans:
+        ``v`` itself when its values already are."""
+        if v.elem.is_bool:
+            return v.var
+        m = self.fresh("_m")
+        self.line(f"{m} = {v.var}.astype(bool)")
+        return m
 
     def _to_batched_checked(self, v: JVal, ext: str, reason: str) -> JVal:
         """Coerce ``v`` to a batch of extent ``ext``, with a width check
@@ -267,6 +294,8 @@ class KernelCodegen:
         ]
         for name, expr in self._hoisted.items():
             lines.append(f"{name} = {expr}")
+            if name in self._read_only:
+                lines.append(f"{name}.setflags(write=False)")
         if self._hoisted:
             lines.append("")
         lines.append("")

@@ -2,15 +2,20 @@
 
 A uniform operand pair calls the interpreter's own ``eval_*``; a
 batched one emits ufuncs over the lanes.  Every batched operator that
-can trap guards its operand through :func:`trap_guard`; which
-operators those are is also what :func:`_trap_free` answers, for the
-folds that want to apply an operator out of order
-(``tests/vm/test_codegen_rules.py`` holds the two to each other).
+can trap guards its operand through :func:`trap_guard`, and a trap
+site on one operand is guarded as what that operand is
+(:func:`guarded_operand`): per lane, by a scalar comparison, or — a
+constant — not at run time at all.  Which operators can trap is also
+what :func:`_trap_free` answers, for the folds that want to apply an
+operator out of order (``tests/vm/test_codegen_rules.py`` holds the
+two to each other).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
+
+import numpy as np
 
 from ....core import ast as A
 from ....core.prim import BINOPS, BOOL, PrimType
@@ -112,12 +117,82 @@ _TRAPPING_BINOPS = frozenset(("div", "idiv", "imod", "pow", "shl", "shr"))
 _TRAPPING_UNOPS = frozenset(("exp", "log", "sqrt"))
 
 
+class _Trap(NamedTuple):
+    """A trap site on one operand: ``bad`` maps the operand's name to
+    the condition under which the operator traps on it, ``safe`` to the
+    operand with a harmless value substituted where that holds.
+    ``bad`` reads the same on an ndarray (per lane), on a Python scalar
+    and on a constant."""
+
+    bad: Callable[[str], str]
+    safe: Callable[[str], str]
+    reason: str
+
+
+#: The trap sites of the unary operators and the conversion on their
+#: (always batched) operand.
+_UNOP_TRAPS = {
+    "log": _Trap(
+        lambda v: f"({v} <= 0)",
+        lambda v: f"np.where({v} <= 0, {v}.dtype.type(1), {v})",
+        "log of non-positive value in batch",
+    ),
+    "sqrt": _Trap(
+        lambda v: f"({v} < 0)",
+        lambda v: f"np.where({v} < 0, -{v}, {v})",
+        "sqrt of negative value in batch",
+    ),
+}
+_FLOAT_TO_INT_TRAP = _Trap(
+    lambda v: f"(~np.isfinite({v}))",
+    lambda v: f"np.where(~np.isfinite({v}), {v}.dtype.type(0), {v})",
+    "non-finite float to int conversion",
+)
+
+
+def _operand_trap(op: str, t: PrimType) -> Optional[_Trap]:
+    """The trap site a binary operator has on its second operand alone
+    (divisor, integer exponent, shift count), or None."""
+    if op in ("div", "idiv", "imod"):
+        return _Trap(
+            lambda y: f"({y} == 0)",
+            lambda y: f"np.where({y} == 0, {y}.dtype.type(1), {y})",
+            "zero divisor in batch",
+        )
+    if op == "pow" and not t.is_float:
+        return _Trap(
+            lambda y: f"({y} < 0)",
+            lambda y: f"np.where({y} < 0, 0, {y})",
+            "negative integer exponent in batch",
+        )
+    if op in ("shl", "shr"):
+        return _Trap(
+            lambda y: f"(({y} < 0) | ({y} >= {t.bitwidth}))",
+            lambda y: f"np.clip({y}, 0, {t.bitwidth - 1})",
+            "out-of-range shift count in batch",
+        )
+    return None
+
+
+def _const_operand(c: A.Const, t: PrimType) -> np.ndarray:
+    """The 0-d array a constant operand is at run time, built now."""
+    return np.asarray(c.type.coerce(c.value), dtype=t.to_dtype())
+
+
+def _traps_on(trap: _Trap, value: np.ndarray) -> bool:
+    """Whether the guard of ``trap`` fires on a constant operand —
+    decided at transpile time by evaluating the very text the run-time
+    guard would."""
+    return bool(eval(trap.bad("v"), {"np": np, "v": value}))
+
+
 def _trap_free(lam: A.Lambda) -> bool:
     """True when the batched lowering of ``lam`` has no data-dependent
-    trap site: scalar operators that cannot trap, ``if``, and the same
-    lifted through ``map``.  Only such an operator may be applied to
-    partial results the left-to-right fold never forms — any other
-    could raise, or hide, a trap the interpreter's order would not."""
+    trap site: scalar operators that cannot trap — a divisor that is a
+    non-zero constant included — ``if``, and the same lifted through
+    ``map``.  Only such an operator may be applied to partial results
+    the left-to-right fold never forms — any other could raise, or
+    hide, a trap the interpreter's order would not."""
 
     def ok_body(body: A.Body) -> bool:
         return all(ok(bnd.exp) for bnd in body.bindings)
@@ -126,7 +201,14 @@ def _trap_free(lam: A.Lambda) -> bool:
         if isinstance(e, (A.AtomExp, A.CmpOpExp)):
             return True
         if isinstance(e, A.BinOpExp):
-            return e.op not in _TRAPPING_BINOPS
+            if e.op not in _TRAPPING_BINOPS:
+                return True
+            trap = _operand_trap(e.op, e.t)
+            return (
+                trap is not None
+                and isinstance(e.y, A.Const)
+                and not _traps_on(trap, _const_operand(e.y, e.t))
+            )
         if isinstance(e, A.UnOpExp):
             return e.op not in _TRAPPING_UNOPS
         if isinstance(e, A.ConvOpExp):
@@ -144,13 +226,13 @@ def _trap_free(lam: A.Lambda) -> bool:
 
 
 def trap_guard(
-    cg, var: str, bad: str, safe: str, reason: str, spec: bool
+    cg, var: str, fires: str, safe: str, reason: str, spec: bool
 ) -> None:
-    """Guard the operand held in local ``var`` against the lanes where
-    ``bad`` holds.  In speculative position they get the value ``safe``
-    — they discard their result in the merge; anywhere else they hand
-    the launch to the interpreter."""
-    cg.line(f"if {bad}.any():")
+    """Guard the operand held in local ``var``: where the condition
+    ``fires`` holds, in speculative position the operand gets the value
+    ``safe`` — the lanes it was bad on discard their result in the
+    merge; anywhere else the launch is handed to the interpreter."""
+    cg.line(f"if {fires}:")
     with cg.indented():
         if spec:
             cg.line(f"{var} = {safe}")
@@ -158,12 +240,41 @@ def trap_guard(
             cg.line(f'raise JitFallback("{reason}")')
 
 
-def scalar_operand(cg, t: PrimType, v: JVal) -> str:
-    if v.kind == "A" or (v.kind == "B" and v.rank != 0):
+def guarded_operand(
+    cg, v: JVal, t: PrimType, trap: _Trap, spec: bool, prefix: str = "_y"
+) -> str:
+    """The scalar operand ``v`` as an ndarray expression of type ``t``
+    the operator cannot trap on (:func:`trap_guard`).  The guard is
+    computed as what ``v`` is: on a batched operand, one reduction over
+    its lanes; on a uniform one, a Python comparison on the scalar; on
+    a constant, nothing at run time — decided now, it is no guard at
+    all, or the hand-over (or the substitution) unconditionally."""
+    operand = scalar_operand(cg, t, v)
+    const = cg.constant(v)
+    if const is not None:
+        if not _traps_on(trap, _const_operand(const, t)):
+            return operand
+        if not spec:
+            cg.line(f'raise JitFallback("{trap.reason}")')
+            return operand
+        out = cg.fresh(prefix)
+        cg.line(f"{out} = {trap.safe(operand)}")
+        return out
+    out = cg.fresh(prefix)
+    cg.line(f"{out} = {operand}")
+    fires = trap.bad(v.var) if v.kind == "S" else f"{trap.bad(out)}.any()"
+    trap_guard(cg, out, fires, trap.safe(out), trap.reason, spec)
+    return out
+
+
+def require_scalar(v: JVal) -> JVal:
+    if v.kind == "A" or v.rank != 0:
         raise JitUnsupported("expected scalar operand")
-    if v.kind == "B":
-        return v.var
-    return f"np.asarray({v.var}, dtype={cg._dt(t)})"
+    return v
+
+
+def scalar_operand(cg, t: PrimType, v: JVal) -> str:
+    return cg._asarray(require_scalar(v), t)
 
 
 def uniform_op(cg, call: str, op_name: str, spec: bool) -> str:
@@ -190,73 +301,61 @@ def dtype_fix(cg, var: str, t: PrimType) -> None:
         cg.line(f"{var} = {var}.astype({dt})")
 
 
-def np_binop(cg, op: str, t: PrimType, x: str, y: str, spec: bool) -> str:
+def np_binop(cg, op: str, t: PrimType, x: JVal, y: JVal, spec: bool) -> str:
     """Emit the batched operator with its trap checks, returning
-    the local holding the (pre-dtype-fix) result."""
+    the local holding the (pre-dtype-fix) result.  A trap site on the
+    second operand alone is guarded as what that operand is
+    (:func:`guarded_operand`)."""
     out = cg.fresh()
+    xd = cg._asarray(x, t)
+    trap = _operand_trap(op, t)
+    yd = guarded_operand(cg, y, t, trap, spec) if trap else cg._asarray(y, t)
     if op in ("add", "sub", "mul"):
         sym = {"add": "+", "sub": "-", "mul": "*"}[op]
-        cg.line(f"{out} = {x} {sym} {y}")
+        cg.line(f"{out} = {xd} {sym} {yd}")
         return out
     if op in ("div", "idiv", "imod"):
-        yv = cg.fresh("_y")
-        cg.line(f"{yv} = {y}")
-        trap_guard(
-            cg, yv, f"({yv} == 0)",
-            f"np.where({yv} == 0, {yv}.dtype.type(1), {yv})",
-            "zero divisor in batch", spec,
-        )
-        expr = {"div": f"{x} / {yv}", "idiv": f"{x} // {yv}",
-                "imod": f"np.mod({x}, {yv})"}[op]
+        expr = {"div": f"{xd} / {yd}", "idiv": f"{xd} // {yd}",
+                "imod": f"np.mod({xd}, {yd})"}[op]
         cg.line(f"{out} = {expr}")
         return out
     if op in _NP_BIN_SRC:
-        cg.line(f"{out} = {_NP_BIN_SRC[op]}({x}, {y})")
+        cg.line(f"{out} = {_NP_BIN_SRC[op]}({xd}, {yd})")
+        return out
+    if op == "pow" and not t.is_float:
+        cg.line(f"{out} = np.power({xd}, {yd})")
         return out
     if op == "pow":
+        # The trap depends on both operands: always per lane.
         xv, yv = cg.fresh("_x"), cg.fresh("_y")
-        cg.line(f"{xv} = {x}")
-        cg.line(f"{yv} = {y}")
-        if t.is_float:
-            bad = cg.fresh("_bad")
-            cg.line(f"{bad} = ({xv} < 0) & (np.mod({yv}, 1) != 0)")
-            trap_guard(
-                cg, xv, bad, f"np.where({bad}, -{xv}, {xv})",
-                "fractional power of negative base", spec,
-            )
-            cg.line(f"{out} = np.power({xv}, {yv})")
-            if not spec:
-                cg.hand_over_if(
-                    f"(np.isinf({out}) & np.isfinite({xv}) "
-                    f"& np.isfinite({yv})).any()",
-                    "float pow overflow in batch",
-                )
-            return out
+        cg.line(f"{xv} = {xd}")
+        cg.line(f"{yv} = {yd}")
+        bad = cg.fresh("_bad")
+        cg.line(f"{bad} = ({xv} < 0) & (np.mod({yv}, 1) != 0)")
         trap_guard(
-            cg, yv, f"({yv} < 0)", f"np.where({yv} < 0, 0, {yv})",
-            "negative integer exponent in batch", spec,
+            cg, xv, f"{bad}.any()", f"np.where({bad}, -{xv}, {xv})",
+            "fractional power of negative base", spec,
         )
         cg.line(f"{out} = np.power({xv}, {yv})")
+        if not spec:
+            cg.hand_over_if(
+                f"(np.isinf({out}) & np.isfinite({xv}) "
+                f"& np.isfinite({yv})).any()",
+                "float pow overflow in batch",
+            )
         return out
     if op in ("and", "or"):
         xv = cg.fresh("_x")
-        cg.line(f"{xv} = {x}")
+        cg.line(f"{xv} = {xd}")
         truthy = xv if t.is_bool else f"({xv} != 0)"
         if op == "and":
-            cg.line(f"{out} = np.where({truthy}, {y}, {xv})")
+            cg.line(f"{out} = np.where({truthy}, {yd}, {xv})")
         else:
-            cg.line(f"{out} = np.where({truthy}, {xv}, {y})")
+            cg.line(f"{out} = np.where({truthy}, {xv}, {yd})")
         return out
     if op in ("shl", "shr"):
-        yv = cg.fresh("_y")
-        cg.line(f"{yv} = {y}")
-        trap_guard(
-            cg, yv, f"(({yv} < 0) | ({yv} >= {t.bitwidth}))",
-            f"np.clip({yv}, 0, {t.bitwidth - 1})",
-            "out-of-range shift count in batch", spec,
-        )
         fn = "np.left_shift" if op == "shl" else "np.right_shift"
-        cg.line(f"{out} = {fn}({x}, {yv})")
+        cg.line(f"{out} = {fn}({xd}, {yd})")
         return out
     raise JitUnsupported(f"unknown binary operator {op}")
 
@@ -277,9 +376,9 @@ def gen_binop(cg, e: A.BinOpExp, scope: _Scope, spec: bool):
             f"{x.var}, {y.var})"
         )
         return [JVal("S", e.t, 0, uniform_op(cg, call, e.op, spec))]
-    xd = scalar_operand(cg, e.t, x)
-    yd = scalar_operand(cg, e.t, y)
-    out = np_binop(cg, e.op, e.t, xd, yd, spec)
+    out = np_binop(
+        cg, e.op, e.t, require_scalar(x), require_scalar(y), spec
+    )
     dtype_fix(cg, out, e.t)
     return [JVal("B", e.t, 0, out)]
 
@@ -309,18 +408,8 @@ def gen_unop(cg, e: A.UnOpExp, scope: _Scope, spec: bool):
     src = _NP_UN_SRC.get(e.op)
     if src is None:
         raise JitUnsupported(f"unknown unary operator {e.op}")
-    if e.op in ("log", "sqrt"):
-        xv = cg.fresh("_x")
-        cg.line(f"{xv} = {x.var}")
-        if e.op == "log":
-            cond = f"{xv} <= 0"
-            safe = f"np.where({cond}, {xv}.dtype.type(1), {xv})"
-            word = "log of non-positive value"
-        else:
-            cond = f"{xv} < 0"
-            safe = f"np.where({cond}, -{xv}, {xv})"
-            word = "sqrt of negative value"
-        trap_guard(cg, xv, f"({cond})", safe, f"{word} in batch", spec)
+    if e.op in _UNOP_TRAPS:
+        xv = guarded_operand(cg, x, e.t, _UNOP_TRAPS[e.op], spec, "_x")
     out = cg.fresh()
     cg.line(f"{out} = {src}({xv})")
     if e.op == "exp" and not spec:
@@ -340,12 +429,8 @@ def gen_convop(cg, e: A.ConvOpExp, scope: _Scope, spec: bool):
         return [JVal("S", e.to_t, 0, out)]
     xv = scalar_operand(cg, e.from_t, x)
     if e.from_t.is_float and e.to_t.is_integral:
-        xv = cg.fresh("_x")
-        cg.line(f"{xv} = {x.var}")
-        trap_guard(
-            cg, xv, f"(~np.isfinite({xv}))",
-            f"np.where(~np.isfinite({xv}), {xv}.dtype.type(0), {xv})",
-            "non-finite float to int conversion", spec,
+        xv = guarded_operand(
+            cg, x, e.from_t, _FLOAT_TO_INT_TRAP, spec, "_x"
         )
     out = cg.fresh()
     cg.line(f"{out} = {xv}.astype({cg._dt(e.to_t)})")

@@ -34,14 +34,15 @@ def combine(
 ) -> JVal:
     """``neutral (+) folded`` exactly as ``_combine`` computes it."""
     batched = red_batched or neutral.kind == "B"
-    nd = cg._asarray(neutral)
+    nd = neutral
     nd_ndim = neutral.ndim
     if scan and neutral.kind == "B":
         ndv = cg.fresh("_nd")
-        cg.line(f"{ndv} = {nd}[:, None]")
-        nd = ndv
+        cg.line(f"{ndv} = {neutral.var}[:, None]")
+        nd = JVal("B", neutral.elem, neutral.rank + 1, ndv)
         nd_ndim += 1
-    out = np_binop(cg, op, neutral.elem, nd, red_var, False)
+    red = JVal("A", neutral.elem, red_ndim, red_var)  # an ndarray
+    out = np_binop(cg, op, neutral.elem, nd, red, False)
     dtype_fix(cg, out, neutral.elem)
     ndim = max(nd_ndim, red_ndim)
     if batched:

@@ -53,7 +53,10 @@ def row(cg, v: JVal, i: str) -> JVal:
     """Element ``i`` of a (possibly batched) array, per thread."""
     out = cg.fresh("_r")
     if v.kind == "B":
-        cg.line(f"{out} = {v.var}[:, {i}]")
+        # A lane scalar of an array that may be updated in place is a
+        # copy (as in :func:`.arrays.gen_index`).
+        own = ".copy()" if v.owned and v.rank == 1 else ""
+        cg.line(f"{out} = {v.var}[:, {i}]{own}")
         return JVal("B", v.elem, v.rank - 1, out, v.owned)
     if v.rank - 1 == 0:
         cg.line(f"{out} = {v.var}[{i}].item()")
@@ -218,8 +221,7 @@ def gen_filter(cg, e: A.FilterExp, scope: _Scope, spec: bool):
         raise JitUnsupported("filter predicate must return bool")
     with cg.batch(w):
         fb = cg._to_batched_checked(flag, w, "batch width mismatch")
-    m = cg.fresh("_m")
-    cg.line(f"{m} = {fb.var}.astype(bool)")
+    m = cg.mask(fb)
     data = cg.fresh()
     cg.line(f"{data} = {val.var}[{m}]")
     count = cg.fresh("_cnt")

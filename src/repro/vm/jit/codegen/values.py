@@ -91,25 +91,44 @@ def _jvals(kds: Sequence[KD], names: Sequence[str]) -> List[JVal]:
 
 
 class _Scope:
-    """Lexical IR-name -> JVal bindings.
+    """Lexical IR-name -> JVal bindings, and the runtime facts
+    established in the block the scope is emitted as.
 
     ``barrier`` marks a batch-expansion boundary (entering a map
     lambda): batched values must not be read across it — the
     transpiler expands them eagerly (``np.repeat``) at the boundary
-    instead."""
+    instead.
 
-    __slots__ = ("parent", "vars", "barrier")
+    ``ranges`` maps the local holding a batched index to the two
+    locals holding its smallest and largest entry
+    (:func:`.arrays.index_range`).  A fact is visible to every child
+    of the scope that computed it and to nothing else, so it never
+    outlives the block whose code computes it — every rule that emits
+    into a nested block or a buffer it may discard gives that code a
+    child scope."""
+
+    __slots__ = ("parent", "vars", "barrier", "ranges")
 
     def __init__(self, parent: Optional["_Scope"] = None, barrier: bool = False):
         self.parent = parent
         self.vars: Dict[str, JVal] = {}
         self.barrier = barrier
+        self.ranges: Dict[str, Tuple[str, str]] = {}
 
     def child(self, barrier: bool = False) -> "_Scope":
         return _Scope(self, barrier)
 
     def bind(self, name: str, v: JVal) -> None:
         self.vars[name] = v
+
+    def range_of(self, var: str) -> Optional[Tuple[str, str]]:
+        s: Optional[_Scope] = self
+        while s is not None:
+            fact = s.ranges.get(var)
+            if fact is not None:
+                return fact
+            s = s.parent
+        return None
 
     def maybe(self, name: str) -> Optional[JVal]:
         s: Optional[_Scope] = self

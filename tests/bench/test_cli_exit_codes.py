@@ -195,6 +195,44 @@ class TestBenchReadsItsFlags:
             assert json.loads(out.read_text())["executor"] == executor
 
 
+class TestCompileAndRunReadTheirFlags:
+    """``compile`` and ``run`` execute no kernel, so neither takes
+    ``--executor``; and ``compile`` cannot render a host program it
+    stopped before building."""
+
+    @pytest.fixture
+    def source(self, tmp_path):
+        src = tmp_path / "prog.fut"
+        src.write_text(
+            "fun main (xs: [n]f32): [n]f32 = map (\\(x: f32) -> x * 2.0f32) xs"
+        )
+        return str(src)
+
+    @pytest.mark.parametrize("command", ["compile", "run"])
+    def test_executor_is_not_a_flag_of_a_command_that_runs_nothing(
+        self, command, source, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, source, "--executor", "sim"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: unrecognized arguments: --executor sim" in err
+
+    def test_opencl_of_a_compile_stopped_at_core_exits_2(
+        self, source, capsys
+    ):
+        argv = ["compile", source, "--emit", "opencl", "--stop-after", "core"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: --emit opencl renders the host program" in captured.err
+        assert captured.out == ""
+
+    def test_stop_after_core_prints_core_ir(self, source, capsys):
+        assert main(["compile", source, "--stop-after", "core"]) == 0
+        out = capsys.readouterr().out
+        assert "fun main" in out and "__kernel" not in out
+
+
 class TestServeBenchCli:
     def test_serve_bench_smoke(self, tmp_path):
         out = tmp_path / "serve.json"

@@ -371,6 +371,23 @@ fun main (is: [n]i32) (zs: *[m]i32): ([n][m]i32, [n][m]i32, [n][m]i32) =
     emits=('np.clip(',),
 )
 
+#: A lane scalar read out of a per-lane array that is then updated in
+#: place keeps the value it read (it is a copy, not a view).
+row(
+    "index-then-update",
+    r"""
+fun main (xss: [n][m]i32): [n]i32 =
+  map (\(row: [m]i32) ->
+    let r2 = copy row
+    let x = r2[0]
+    let r3 = r2 with [0] <- 100
+    in x + r3[1]) xss
+""",
+    lambda: [_i32([[0, 1], [2, 3], [4, 5]])],
+    pipeline="nest-intact",
+    emits=(")].copy()",),
+)
+
 row(
     "trap-scatter",
     r"""
@@ -556,19 +573,34 @@ fun main (vs: [n]i32): (i32, i32) =
 )
 
 #: What keeps the left-to-right fold: an operator with a trap site
-#: (``(a + b) % p``, associative on non-negative input) at kernel
-#: level, and any non-ufunc operator (``a + b + a * b``) inside a
-#: batch.
+#: (``(a + b) % p``, associative on non-negative input, ``p`` a kernel
+#: parameter) at kernel level, and any non-ufunc operator (``a + b + a
+#: * b``) inside a batch.
 row(
     "reduce-sequential",
     r"""
-fun main (xs: [n]i32) (xss: [k][m]i32): (i32, [k]i32) =
-  let a = reduce (\(a: i32) (b: i32) -> (a + b) % 7) 0 xs
+fun main (xs: [n]i32) (xss: [k][m]i32) (p: i32): (i32, [k]i32) =
+  let a = reduce (\(a: i32) (b: i32) -> (a + b) % p) 0 xs
   let b = map (\(row: [m]i32) ->
             reduce (\(a: i32) (b: i32) -> a + b + a * b) 0 row) xss
   in {a, b}
 """,
-    lambda: [_i32([3, 1, 4, 1, 5]), _i32([[1, 2], [3, 4], [5, 6]])],
+    lambda: [_i32([3, 1, 4, 1, 5]), _i32([[1, 2], [3, 4], [5, 6]]),
+             ScalarValue(7, I32)],
+    emits=("for _i",),
+)
+
+#: A divisor that is a non-zero constant has no trap site: the same
+#: fold runs as a tree.
+row(
+    "reduce-constant-divisor",
+    r"""
+fun main (xs: [n]i32): i32 =
+  reduce (\(a: i32) (b: i32) -> (a + b) % 7) 0 xs
+""",
+    lambda: [_i32([3, 1, 4, 1, 5])],
+    emits=("while _n",),
+    omits=("for _i", "zero divisor"),
 )
 
 #: A non-ufunc ``scan`` at kernel level (scalar, pair and
@@ -915,6 +947,176 @@ fun main (xs: [n]i32): [4]i32 =
 #: The rows the accumulate rule lowers (``trap-accumulate`` included:
 #: both lowerings must hand it over).
 ACCUMULATE = [r.name for r in ROWS if _AT in r.emits]
+
+
+# -- checks decided once ---------------------------------------------------------
+#
+# A batched index is checked on its range — two ints computed once per
+# value, before a loop that does not bind it — never per lane at the
+# access; a guard on a uniform operand is a comparison on the scalar,
+# on a constant it is decided at transpile time.
+
+#: What computes a range, and the per-lane check it replaced.
+_RANGE, _PER_LANE = ".min()), int(", ".size and (("
+
+#: An index the loop does not bind, read in a batch (its range is
+#: computed once, before the first loop) and in the arm of an ``if`` on
+#: it (where, divergent, the negative lanes' index is clamped).
+_INVARIANT = r"""
+fun main (is: [n]i32) (yss: [m][k]i32) (t: i32): ([n]i32, [n]i32) =
+  map (\(i: i32) ->
+    let a = loop (s = 0) for j < t do s + yss[i, j % k]
+    let b = if i >= 0
+            then loop (s = 0) for j < t do s + yss[i, j % k]
+            else 0
+    in {a, b}) is
+"""
+
+row(
+    "range-invariant",
+    _INVARIANT,
+    lambda: [_i32([0, 1, 1]), _i32([[1, 2, 3], [4, 5, 6]]),
+             ScalarValue(4, I32)],
+    pipeline="nest-intact",
+    emits=(_RANGE,),
+    omits=(_PER_LANE,),
+)
+
+#: The same loop over an index out of range: run zero times it reads
+#: nothing — computing the range ahead of it traps nothing — and run
+#: once it hands the launch over at the access.
+row(
+    "range-zero-trip",
+    _INVARIANT,
+    lambda: [_i32([0, 5, -1]), _i32([[1, 2, 3], [4, 5, 6]]),
+             ScalarValue(0, I32)],
+    pipeline="nest-intact",
+    emits=(_RANGE,),
+)
+
+row(
+    "range-trap",
+    _INVARIANT,
+    lambda: [_i32([0, 5, 1]), _i32([[1, 2, 3], [4, 5, 6]]),
+             ScalarValue(2, I32)],
+    pipeline="nest-intact",
+    fallbacks=1,
+    raises=InterpError,
+)
+
+#: An index carried through loop state: its range is the step's own.
+row(
+    "range-carried",
+    r"""
+fun main (is: [n]i32) (ys: [m]i32) (t: i32): [n]i32 =
+  map (\(i: i32) ->
+    let (c, s) = loop (c = i, s = 0) for j < t do {(c + 1) % m, s + ys[c]}
+    in s) is
+""",
+    lambda: [_i32([0, 1, 2]), _i32([10, 20, 30]), ScalarValue(5, I32)],
+    pipeline="nest-intact",
+    emits=(_RANGE,),
+    omits=(_PER_LANE,),
+)
+
+#: A speculative gather whose lanes are all in range skips the clamp
+#: (``spec-gather`` is the one that applies it).
+row(
+    "spec-gather-in-range",
+    r"""
+fun main (is: [n]i32) (ys: [m]i32): [n]i32 =
+  map (\(i: i32) -> if i > 0 then ys[i] else 0 - 1) is
+""",
+    lambda: [_i32([0, 1, 1]), _i32([10, 20])],
+    emits=("if 0 <= _lo",),
+)
+
+#: Constant divisors, exponent and shift counts that cannot trap emit
+#: no guard, in a batch and in a speculative arm.
+row(
+    "constant-operands",
+    r"""
+fun main (xs: [n]i32) (fs: [n]f32): ([n]i32, [n]f32, [n]i32) =
+  map (\(x: i32) (f: f32) ->
+    {x / 3 + x % 2 + x ^ 2, f / 2.0,
+     if x > 1 then shl x 2 + x % 3 else shr x 1}) xs fs
+""",
+    lambda: [_i32([1, -2, 3]), _f32([1.5, -2.5, 3])],
+    omits=("zero divisor", "negative integer exponent", "shift count"),
+)
+
+#: A constant zero divisor hands over unconditionally; in a speculative
+#: arm (the inner ``if``, divergent only on lanes the outer merge
+#: discards) it is the substitute, unconditionally.
+row(
+    "trap-constant-divisor",
+    r"""
+fun main (xs: [n]i32): [n]i32 =
+  map (\(x: i32) -> x / 0) xs
+""",
+    lambda: [_i32([1, 2, 3])],
+    fallbacks=1,
+    raises=ZeroDivisionError,
+    emits=('\n        raise JitFallback("zero divisor in batch")',),
+    omits=("== 0)",),
+)
+
+_DISCARDED = r"""
+fun main (xs: [n]%(t)s) (d: %(t)s): [n]%(t)s =
+  map (\(x: %(t)s) ->
+    if x < %(lim)s then (if x > %(big)s then %(op)s else x) else x) xs
+"""
+
+row(
+    "spec-constant-divisor",
+    _DISCARDED % {"t": "i32", "lim": "50", "big": "100", "op": "x / 0"},
+    lambda: [_i32([1, 200, 3]), ScalarValue(1, I32)],
+    emits=("= np.where(_K",),
+    omits=("== 0).any()",),
+)
+
+#: A uniform shift count out of range and a uniform float divisor of 0:
+#: a comparison on the scalar hands the launch over; in a speculative
+#: arm the lanes that keep their result never reach the substitute.
+row(
+    "trap-uniform-shift",
+    r"""
+fun main (xs: [n]i32) (k: i32): [n]i32 =
+  map (\(x: i32) -> shl x k) xs
+""",
+    lambda: [_i32([1, 2, 3]), ScalarValue(40, I32)],
+    fallbacks=1,
+    emits=("if ((p0 < 0) | (p0 >= 32)):",),
+    omits=(".any()",),
+)
+
+row(
+    "spec-uniform-shift",
+    _DISCARDED % {"t": "i32", "lim": "50", "big": "100", "op": "shl x d"},
+    lambda: [_i32([1, 200, 3]), ScalarValue(40, I32)],
+    emits=("if ((p0 < 0) | (p0 >= 32)):", "= np.clip(_y"),
+    omits=(">= 32)).any()",),
+)
+
+row(
+    "trap-uniform-float-divisor",
+    r"""
+fun main (xs: [n]f32) (d: f32): [n]f32 =
+  map (\(x: f32) -> x / d) xs
+""",
+    lambda: [_f32([1, 2, 3]), ScalarValue(0.0, F32)],
+    fallbacks=1,
+    raises=ZeroDivisionError,
+    emits=("if (p0 == 0):",),
+)
+
+row(
+    "spec-uniform-float-divisor",
+    _DISCARDED % {"t": "f32", "lim": "50.0", "big": "100.0", "op": "x / d"},
+    lambda: [_f32([1, 200, 3]), ScalarValue(0.0, F32)],
+    emits=("if (p0 == 0):", "= np.where(_y"),
+    omits=("== 0).any()",),
+)
 
 
 # -- outside the transpilable subset ---------------------------------------------
@@ -1277,3 +1479,51 @@ fun main (xss: [n][m]i32) (cs: [n]i32): [n]i32 =
         run_program(prog, args())
     with pytest.raises(InterpError):
         compile_program(prog).execute(args(), policy=JIT)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError)
+def test_known_divergence_a_lane_that_keeps_a_substituted_result():
+    """In speculative position a lane's trapping operand is substituted
+    because the merge is meant to discard that lane — but a lane that
+    *takes* the arm keeps what the substitute computed: ``x / y`` with
+    ``x > 0, y = 0`` answers ``x`` where the interpreter raises.  Pinned
+    as found: handing over needs the arm's lane mask at the guard."""
+    prog = parse(
+        r"""
+fun main (xs: [n]i32) (ys: [n]i32): [n]i32 =
+  map (\(x: i32) (y: i32) -> if x > 0 then x / y else 0) xs ys
+"""
+    )
+    args = lambda: [_i32([1, 2, -1]), _i32([1, 0, 1])]  # noqa: E731
+    with pytest.raises(ZeroDivisionError):
+        run_program(prog, args())
+    got = _attempt(lambda: compile_program(prog).execute(args(), policy=JIT))
+    assert isinstance(got, ZeroDivisionError), got
+
+
+def enclosing_loops(text: str, marker: str):
+    """For every line of generated ``text`` that contains ``marker``,
+    how many ``for`` blocks enclose it."""
+    lines = text.splitlines()
+    depths = []
+    for i, line in enumerate(lines):
+        if marker not in line:
+            continue
+        indent, loops = len(line) - len(line.lstrip()), 0
+        for above in reversed(lines[:i]):
+            outer = len(above) - len(above.lstrip())
+            if above.strip() and outer < indent:
+                loops += above.lstrip().startswith("for ")
+                indent = outer
+        depths.append(loops)
+    return depths
+
+
+def test_a_range_is_computed_where_its_index_lives():
+    """Before the loops an invariant index is read in (the one range
+    serves both loops, the second in an ``if`` arm, and every step of
+    each), and inside the loop that carries the index."""
+    invariant = outcome_of(BY_NAME["range-invariant"]).text
+    assert enclosing_loops(invariant, _RANGE) == [0]
+    carried = outcome_of(BY_NAME["range-carried"]).text
+    assert enclosing_loops(carried, _RANGE) == [1]

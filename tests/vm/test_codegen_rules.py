@@ -9,19 +9,37 @@ conversion the batched lowering is emitted on a bare
 :class:`KernelCodegen`: outside speculation its text hands the launch
 to the interpreter (``raise JitFallback``) iff ``_trap_free`` calls
 the operator trapping; in speculative position it never does (the
-trapping lanes are substituted, their results discarded).
+trapping lanes are substituted, their results discarded).  The same
+holds with the second operand uniform (its guard is a comparison on
+the scalar, no reduction over lanes) and a constant (decided at
+transpile time: a constant that cannot trap has no guard at all).
+
+*Checks decided once.*  Over the text generated for all 16
+benchmarks: no bounds check reduces over lanes, and the two kernels
+the rule was written for compute their checks where the value lives.
 """
 
+import numpy as np
 import pytest
 
+from repro.bench.suite import BENCHMARKS
 from repro.core import ast as A
 from repro.core.prim import (
     BINOPS, BOOL, CMPOPS, F32, FLOAT_TYPES, I32, INT_TYPES, UNOPS,
 )
 from repro.core.types import Prim
+from repro.frontend import parse
+from repro.pipeline import compile_program
+from repro.runtime import ExecutionPolicy
+from repro.vm.jit import jit_cache_for
 from repro.vm.jit.codegen.core import KernelCodegen
 from repro.vm.jit.codegen.elementwise import _trap_free
 from repro.vm.jit.codegen.values import JVal, _Scope
+
+from .test_codegen_corpus import (
+    _PER_LANE, _RANGE, BY_NAME, enclosing_loops,
+)
+from .test_golden_pycode import _generated_sources
 
 X, Y = A.Var("x"), A.Var("y")
 NUMERIC = INT_TYPES + FLOAT_TYPES
@@ -33,6 +51,20 @@ OPERATORS = (
     + [A.ConvOpExp(to, X, frm) for frm in NUMERIC for to in NUMERIC]
 )
 
+#: Constant second operands per type: ones no operator traps on, and
+#: zero, a negative and a too-wide shift count.
+CONSTANTS = {I32: (2, 0, -1, 40), F32: (2.0, 0.5, 0.0), BOOL: (True, False)}
+
+#: Every binary operator and comparison with its second operand uniform
+#: (``y`` a scalar), and with it each constant of its type.
+SECOND_OPERANDS = [
+    (e, "S") for e in OPERATORS if isinstance(e, (A.BinOpExp, A.CmpOpExp))
+] + [
+    (A.BinOpExp(e.op, X, A.Const(c, e.t), e.t), "B")
+    for e in OPERATORS if isinstance(e, A.BinOpExp)
+    for c in CONSTANTS[e.t]
+]
+
 
 def _id(e) -> str:
     if isinstance(e, A.ConvOpExp):
@@ -40,13 +72,21 @@ def _id(e) -> str:
     return f"{e.op}-{e.t}"
 
 
-def _batched_lowering(e, spec: bool) -> str:
-    """The text the lowering emits for ``e`` over lane operands."""
+def _second_id(case) -> str:
+    e, y_kind = case
+    if isinstance(e.y, A.Const):
+        return f"{_id(e)}-constant-{e.y.value}"
+    return f"{_id(e)}-uniform"
+
+
+def _batched_lowering(e, spec: bool, y_kind: str = "B") -> str:
+    """The text the lowering emits for ``e`` over lane operands (``y``
+    of kind ``y_kind``)."""
     operand_t = e.from_t if isinstance(e, A.ConvOpExp) else e.t
     cg = KernelCodegen(kernel=None, sig=())
     scope = _Scope()
-    for name in ("x", "y"):
-        scope.bind(name, JVal("B", operand_t, 0, name))
+    scope.bind("x", JVal("B", operand_t, 0, "x"))
+    scope.bind("y", JVal(y_kind, operand_t, 0, "y"))
     with cg.batch("_lanes"):
         cg.gen_exp(e, scope, spec)
     return "\n".join(text for _indent, text in cg.em.lines)
@@ -72,3 +112,83 @@ def test_trap_free_agrees_with_the_checks_the_lowering_emits(e):
     assert "raise JitFallback" not in _batched_lowering(e, spec=True), (
         f"{_id(e)}: the speculative lowering hands the launch over"
     )
+
+
+@pytest.mark.parametrize("case", SECOND_OPERANDS, ids=_second_id)
+def test_trap_free_agrees_on_uniform_and_constant_operands(case):
+    e, y_kind = case
+    plain = _batched_lowering(e, spec=False, y_kind=y_kind)
+    speculative = _batched_lowering(e, spec=True, y_kind=y_kind)
+    trap_free = _trap_free(_operator(e))
+    assert ("raise JitFallback" in plain) == (not trap_free), plain
+    assert "raise JitFallback" not in speculative, speculative
+    if e.op == "pow" and e.t.is_float:
+        return  # its trap reads both operands: per lane, as batched
+    if y_kind == "S":
+        # The scalar is compared as it is, never reduced over lanes.
+        assert ".any()" not in plain + speculative, (plain, speculative)
+    else:
+        # Decided now: no run-time condition guards a constant — the
+        # hand-over or the substitute, if any, is unconditional.
+        for text in (plain, speculative):
+            assert "\nif (" not in "\n" + text, text
+    if trap_free:
+        # No guard to substitute, so nothing depends on speculation.
+        assert plain == speculative, (plain, speculative)
+
+
+def test_hoisted_constants_are_read_only():
+    """A constant a batched operator reads is one module-level 0-d
+    array shared by every launch: nothing may write to it."""
+    row = BY_NAME["constant-operands"]
+    compiled = compile_program(parse(row.src))
+    compiled.execute(row.args(), policy=ExecutionPolicy(executor="jit"))
+    arrays = []
+    for by_sig in jit_cache_for(compiled.host).sources().values():
+        for src in by_sig.values():
+            namespace = {}
+            exec(compile(src, "<generated>", "exec"), namespace)
+            arrays += [
+                (name, v) for name, v in namespace.items()
+                if isinstance(v, np.ndarray)
+            ]
+    assert arrays
+    for name, v in arrays:
+        assert v.ndim == 0 and not v.flags.writeable, name
+        with pytest.raises(ValueError):
+            v[()] = 0
+
+
+def _loop_body(text: str, marker: str) -> str:
+    """The body of the innermost ``for`` enclosing the first line that
+    contains ``marker``."""
+    lines = text.splitlines()
+    at = next(i for i, ln in enumerate(lines) if marker in ln)
+    indent = len(lines[at]) - len(lines[at].lstrip())
+    head = next(
+        i for i in range(at - 1, -1, -1)
+        if lines[i].lstrip().startswith("for ")
+        and len(lines[i]) - len(lines[i].lstrip()) < indent
+    )
+    depth = len(lines[head]) - len(lines[head].lstrip())
+    body = []
+    for ln in lines[head + 1:]:
+        if ln.strip() and len(ln) - len(ln.lstrip()) <= depth:
+            break
+        body.append(ln)
+    return "\n".join(body)
+
+
+def test_every_benchmark_checks_its_indices_once():
+    texts = {name: _generated_sources(name) for name in BENCHMARKS.names()}
+    for name, text in texts.items():
+        assert _PER_LANE not in text, f"{name}: a per-lane bounds check"
+    # LavaMD's neighbour vector is ranged once per outer step, before
+    # the inner loop that indexes with it four times per step.
+    lava = texts["LavaMD"]
+    assert max(enclosing_loops(lava, "for _i")) == 1
+    assert sorted(set(enclosing_loops(lava, _RANGE))) == [0, 1]
+    # OptionPricing's bit loop guards a shift count that is the loop
+    # counter and a modulus by 2: nothing is reduced over lanes.
+    bits = _loop_body(texts["OptionPricing"], "np.right_shift(")
+    assert ").any()" not in bits and "astype(bool)" not in bits, bits

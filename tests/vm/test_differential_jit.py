@@ -185,6 +185,7 @@ def test_pycode_from_an_older_schema_is_discarded(tmp_path):
     with the file it sits in is ignored and re-transpiled."""
     old_schemas = (
         "repro.pycode/v1", "repro.pycode/v2", "repro.pycode/v3",
+        "repro.pycode/v4",
     )
     assert PYCODE_SCHEMA not in old_schemas
     spec = BENCHMARKS["Pathfinder"]
@@ -331,7 +332,7 @@ def test_zero_divisor_lands_on_the_interpreter_and_raises_its_error():
     assert np.array_equal(values[0].data, want.data)
 
 
-def test_vector_is_not_an_executor(tmp_path, capsys):
+def test_vector_is_not_an_executor(capsys):
     for make in (
         lambda: ExecutionPolicy(executor="vector"),
         lambda: CompilerOptions(executor="vector"),
@@ -339,10 +340,8 @@ def test_vector_is_not_an_executor(tmp_path, capsys):
     ):
         with pytest.raises(ArgumentError, match="unknown executor 'vector'"):
             make()
-    src = tmp_path / "prog.fut"
-    src.write_text(ZERO_DIVISOR)
     with pytest.raises(SystemExit) as exit_:
-        repro_main(["run", str(src), "--executor", "vector"])
+        repro_main(["bench", "validate", "--executor", "vector"])
     assert exit_.value.code == 2
     assert "invalid choice: 'vector'" in capsys.readouterr().err
 
