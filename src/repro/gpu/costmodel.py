@@ -487,27 +487,38 @@ def request_price_us(
 _REPLAY_CAP = 100_000
 
 
+def _trips(s: HostLoopStmt, size_env: Mapping[str, int], default: int) -> int:
+    """A host loop's trip count at ``size_env``: a ``for`` bound that
+    resolves, else ``default``."""
+    if isinstance(s.form, A.ForLoop):
+        resolved = _atom_value(s.form.bound, size_env)
+        if resolved is not None:
+            return resolved
+    return default
+
+
+def _heap_effect(s, size_env: Mapping[str, int], heap) -> None:
+    """Charge ``heap`` for an alloc or free statement (else nothing)."""
+    if isinstance(s, AllocStmt):
+        heap.alloc(
+            s.block.name,
+            s.block.size_bytes(size_env),
+            reuse_of=s.reuse_of,
+            recycle=s.recycle,
+        )
+    elif isinstance(s, FreeStmt):
+        heap.free(s.block)
+
+
 def _replay_heap(
     stmts, size_env: Mapping[str, int], heap, loop_trip_default: int
 ) -> None:
     """Apply only the heap effects of one execution of ``stmts``
     (nested loops replay their own trip count)."""
     for s in stmts:
-        if isinstance(s, AllocStmt):
-            heap.alloc(
-                s.block.name,
-                s.block.size_bytes(size_env),
-                reuse_of=s.reuse_of,
-                recycle=s.recycle,
-            )
-        elif isinstance(s, FreeStmt):
-            heap.free(s.block)
-        elif isinstance(s, HostLoopStmt):
-            trips = loop_trip_default
-            if isinstance(s.form, A.ForLoop):
-                resolved = _atom_value(s.form.bound, size_env)
-                if resolved is not None:
-                    trips = resolved
+        _heap_effect(s, size_env, heap)
+        if isinstance(s, HostLoopStmt):
+            trips = _trips(s, size_env, loop_trip_default)
             for _ in range(max(1, min(int(trips), _REPLAY_CAP))):
                 _replay_heap(s.body, size_env, heap, loop_trip_default)
         elif isinstance(s, HostIfStmt):
@@ -522,9 +533,10 @@ def _estimate_stmts(
     report: CostReport,
     coalescing: bool,
     loop_trip_default: int,
-    heap=None,
+    heap,
 ) -> None:
     for s in stmts:
+        _heap_effect(s, size_env, heap)
         if isinstance(s, LaunchStmt):
             if s.elide_copy is not None:
                 continue  # planner removed this copy outright
@@ -533,28 +545,13 @@ def _estimate_stmts(
                     s.kernel, size_env, device, layouts, coalescing
                 )
             )
-        elif isinstance(s, AllocStmt):
-            if heap is not None:
-                heap.alloc(
-                    s.block.name,
-                    s.block.size_bytes(size_env),
-                    reuse_of=s.reuse_of,
-                    recycle=s.recycle,
-                )
-        elif isinstance(s, FreeStmt):
-            if heap is not None:
-                heap.free(s.block)
         elif isinstance(s, HostEval):
             report.host_us += host_stmt_us(s.binding.exp, device)
             _propagate_scalar(s.binding, size_env)
         elif isinstance(s, ManifestStmt):
             report.manifest_us += manifest_price(s, size_env, device)[1]
         elif isinstance(s, HostLoopStmt):
-            trips = loop_trip_default
-            if isinstance(s.form, A.ForLoop):
-                resolved = _atom_value(s.form.bound, size_env)
-                if resolved is not None:
-                    trips = resolved
+            trips = _trips(s, size_env, loop_trip_default)
             inner = CostReport(device.name)
             _estimate_stmts(
                 s.body, size_env, device, layouts, inner, coalescing,
@@ -569,9 +566,8 @@ def _estimate_stmts(
             # remaining trips replay the body's alloc/free schedule so
             # the peak reflects what actually accumulates across
             # iterations (the naive never-free schedule leaks there).
-            if heap is not None:
-                for _ in range(max(0, min(int(trips), _REPLAY_CAP) - 1)):
-                    _replay_heap(s.body, size_env, heap, loop_trip_default)
+            for _ in range(max(0, min(int(trips), _REPLAY_CAP) - 1)):
+                _replay_heap(s.body, size_env, heap, loop_trip_default)
         elif isinstance(s, HostIfStmt):
             inner = CostReport(device.name)
             _estimate_stmts(

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from ..errors import DeviceFault
 
@@ -136,20 +136,6 @@ class ServiceFaultPlan:
         )
 
 
-@dataclass
-class FaultCounters:
-    """What an injector actually did — useful in tests and reports."""
-
-    launch_faults: int = 0
-    memory_faults: int = 0
-    timeouts: int = 0
-    fatal: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.launch_faults + self.memory_faults + self.timeouts
-
-
 class FaultInjector:
     """The stateful half of a :class:`FaultPlan`.
 
@@ -166,8 +152,6 @@ class FaultInjector:
         #: and watchdog timeouts are separate surfaces so each can
         #: exercise its own recovery path.
         self._burst: Dict[str, int] = {}
-        self.counters = FaultCounters()
-        self.log: List[str] = []
 
     # -- site bookkeeping ---------------------------------------------------
 
@@ -180,9 +164,8 @@ class FaultInjector:
             return False
         return True
 
-    def _record(self, key: str, what: str) -> None:
+    def _record(self, key: str) -> None:
         self._burst[key] = self._burst.get(key, 0) + 1
-        self.log.append(f"{key}: {what}")
 
     # -- the hooks the simulator calls --------------------------------------
 
@@ -199,17 +182,12 @@ class FaultInjector:
             return
         if draw < plan.launch_failure_rate:
             kind, msg = "launch", f"injected launch failure at {site}"
-            self.counters.launch_faults += 1
         elif draw < plan.launch_failure_rate + plan.memory_fault_rate:
             kind, msg = "memory", f"injected memory fault at {site}"
-            self.counters.memory_faults += 1
         else:
             return
-        transient = fatal_draw >= plan.fatal_rate
-        if not transient:
-            self.counters.fatal += 1
-        self._record(key, f"{kind} fault (transient={transient})")
-        raise DeviceFault(kind, msg, transient=transient)
+        self._record(key)
+        raise DeviceFault(kind, msg, transient=fatal_draw >= plan.fatal_rate)
 
     def slowdown(self, site: str) -> float:
         """Simulated-time multiplier for this launch: > 1 when the plan
@@ -219,7 +197,6 @@ class FaultInjector:
         if not self._may_fault(key):
             return 1.0
         if draw < self.plan.timeout_rate:
-            self.counters.timeouts += 1
-            self._record(key, "watchdog timeout")
+            self._record(key)
             return TIMEOUT_SLOWDOWN
         return 1.0

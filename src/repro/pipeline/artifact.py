@@ -10,16 +10,20 @@ fingerprint-verified loads, so a second process — or a restarted
 server — resumes compilation from the deepest valid stage instead of
 recompiling from source.
 
-Safety model: a load only succeeds when the file's schema, format
-version, stage, requested fingerprint and payload checksum all agree;
-anything else (truncation, corruption, a stale format, a hash
-collision in the file name) counts as a miss, and the offending file
-is evicted so it cannot fail twice.  Payloads are pickled IR trees —
-the cache directory is trusted local state, same as any build cache.
+File format (``repro.stage_artifact/v2``): one JSON header line —
+schema, stage, fingerprint, entry, meta and the payload's sha256 —
+then the pickled payload.  A load only succeeds when the header's
+schema, stage and fingerprint are the ones asked for and the checksum
+agrees, all decided before anything is unpickled; anything else
+(truncation, corruption, a stale format, a hash collision in the file
+name) counts as a miss, and the offending file is evicted so it cannot
+fail twice.  The cache directory is still trusted local state, same as
+any build cache: a writer who can recompute the checksum is trusted.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import threading
@@ -32,7 +36,7 @@ from ..obs import get_logger
 
 __all__ = ["ARTIFACT_SCHEMA", "StageArtifact", "ArtifactCache", "default_artifact_cache"]
 
-ARTIFACT_SCHEMA = "repro.stage_artifact/v1"
+ARTIFACT_SCHEMA = "repro.stage_artifact/v2"
 
 #: Environment variable that opts a whole process into on-disk
 #: artifact caching (the CLI's ``--artifact-dir`` equivalent).
@@ -61,57 +65,56 @@ class StageArtifact:
     meta: Dict[str, Any] = field(default_factory=dict)
 
     def to_bytes(self) -> bytes:
-        """Serialize with an integrity envelope: the payload is pickled
-        separately and checksummed, so a bit-flip anywhere in it is
-        caught before unpickling."""
+        """Serialize: a JSON header line carrying the payload's sha256,
+        then the pickled payload."""
         payload_bytes = pickle.dumps(self.payload, protocol=pickle.HIGHEST_PROTOCOL)
-        envelope = {
-            "schema": ARTIFACT_SCHEMA,
-            "stage": self.stage,
-            "fingerprint": self.fingerprint,
-            "entry": self.entry,
-            "meta": self.meta,
-            "payload_sha256": sha256(payload_bytes).hexdigest(),
-            "payload": payload_bytes,
-        }
-        return pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
+        header = {"schema": ARTIFACT_SCHEMA}
+        header.update((k, getattr(self, k)) for k in _HEADER)
+        header["payload_sha256"] = sha256(payload_bytes).hexdigest()
+        return json.dumps(header).encode() + b"\n" + payload_bytes
 
     @classmethod
-    def from_bytes(cls, data: bytes, expect_fingerprint: Optional[str] = None) -> "StageArtifact":
+    def from_bytes(
+        cls,
+        data: bytes,
+        expect_fingerprint: Optional[str] = None,
+        expect_stage: Optional[str] = None,
+    ) -> "StageArtifact":
         """Parse and verify; raises ``ValueError`` on any mismatch
-        (schema, checksum, or — when given — the expected fingerprint)."""
+        (schema; stage and fingerprint when given; checksum), all
+        decided on the header before the payload is unpickled."""
+        end = data.find(b"\n")
         try:
-            envelope = pickle.loads(data)
-        except Exception as e:
+            header = json.loads(data[:end]) if end >= 0 else "no header"
+        except ValueError as e:
             raise ValueError(f"undecodable artifact: {e}") from e
-        if not isinstance(envelope, dict) or envelope.get("schema") != ARTIFACT_SCHEMA:
+        if not isinstance(header, dict):
+            raise ValueError(f"undecodable artifact: {header!r}")
+        if header.get("schema") != ARTIFACT_SCHEMA:
             raise ValueError(
                 f"not a {ARTIFACT_SCHEMA} artifact "
-                f"(schema={envelope.get('schema') if isinstance(envelope, dict) else None!r})"
+                f"(schema={header.get('schema')!r})"
             )
-        payload_bytes = envelope["payload"]
-        digest = sha256(payload_bytes).hexdigest()
-        if digest != envelope["payload_sha256"]:
-            raise ValueError("artifact payload checksum mismatch")
-        if (
-            expect_fingerprint is not None
-            and envelope["fingerprint"] != expect_fingerprint
+        for key, want in (
+            ("stage", expect_stage), ("fingerprint", expect_fingerprint)
         ):
-            raise ValueError(
-                f"artifact fingerprint mismatch: stored "
-                f"{envelope['fingerprint'][:12]}…, wanted {expect_fingerprint[:12]}…"
-            )
+            if want is not None and header.get(key) != want:
+                raise ValueError(
+                    f"artifact {key} mismatch: stored "
+                    f"{str(header.get(key))[:12]!r}, wanted {want[:12]!r}"
+                )
+        payload_bytes = memoryview(data)[end + 1:]
+        if sha256(payload_bytes).hexdigest() != header.get("payload_sha256"):
+            raise ValueError("artifact payload checksum mismatch")
         try:
             payload = pickle.loads(payload_bytes)
         except Exception as e:
             raise ValueError(f"undecodable artifact payload: {e}") from e
-        return cls(
-            stage=envelope["stage"],
-            fingerprint=envelope["fingerprint"],
-            entry=envelope["entry"],
-            payload=payload,
-            meta=envelope.get("meta", {}),
-        )
+        return cls(payload=payload, **{k: header.get(k) for k in _HEADER})
+
+
+#: The fields of a :class:`StageArtifact` its header line carries.
+_HEADER = ("stage", "fingerprint", "entry", "meta")
 
 
 class ArtifactStats:
@@ -172,11 +175,9 @@ class ArtifactCache:
                 self.stats.misses += 1
             return None
         try:
-            artifact = StageArtifact.from_bytes(data, expect_fingerprint=fingerprint)
-            if artifact.stage != stage:
-                raise ValueError(
-                    f"artifact stage mismatch: {artifact.stage!r} != {stage!r}"
-                )
+            artifact = StageArtifact.from_bytes(
+                data, expect_fingerprint=fingerprint, expect_stage=stage
+            )
         except ValueError as e:
             _log.info("artifact-evict", path=str(path), error=str(e))
             with self._lock:

@@ -31,7 +31,7 @@ never held against the device.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .core import ast as A
@@ -47,7 +47,7 @@ from .errors import (
 from .gpu.costmodel import CostReport
 from .gpu.device import DeviceProfile
 from .gpu.faults import FaultPlan
-from .gpu.simulator import GpuSimulator
+from .gpu.simulator import GpuSimulator, InterpRunner
 from .interp import run_program
 from .obs import PassTiming, get_logger, get_metrics, get_tracer
 from .serve.deadline import Deadline
@@ -59,16 +59,30 @@ __all__ = [
     "ExecutionPolicy",
     "RunReport",
     "interpreter_floor",
+    "make_engine",
     "run_resilient",
 ]
 
-#: The execution engines: ``"sim"`` evaluates every kernel launch on
-#: the scalar reference interpreter behind the simulated device (the
-#: bit-exact reference for device runs); ``"jit"`` runs kernels as
-#: transpiled NumPy source (:mod:`repro.vm.jit`), re-running a launch
-#: on the interpreter when the transpiler refuses it or a trap fires.
-#: Cost clock, heap, retry, watchdog and fault semantics are identical.
-EXECUTORS = ("sim", "jit")
+
+def _jit_runner(interp, trace_track: str):
+    # Deferred: repro.vm imports the pipeline, which imports this module.
+    from .vm.jit.engine import JitRunner
+
+    return JitRunner(interp, trace_track)
+
+
+#: The executors: the kernel runner each puts under the host walk, and
+#: its trace track.  ``"sim"`` evaluates every launch on the scalar
+#: reference interpreter (the bit-exact reference); ``"jit"`` runs
+#: kernels as transpiled NumPy (:mod:`repro.vm.jit`), re-running a
+#: launch on the interpreter when the transpiler refuses it or a trap
+#: fires.  Clock, heap, watchdog and faults are the engine's books
+#: (:class:`~repro.gpu.simulator.DeviceAccounting`) under both.
+_ENGINES = {
+    "sim": (InterpRunner, "sim-gpu"),
+    "jit": (_jit_runner, "vm-jit"),
+}
+EXECUTORS = tuple(_ENGINES)
 #: What :class:`ExecutionPolicy`, :class:`repro.pipeline.CompilerOptions`
 #: (hence a :class:`repro.serve.Server`) and the CLI use when nothing
 #: is asked for.
@@ -81,6 +95,14 @@ def check_executor(name: str) -> None:
         raise ArgumentError(
             f"unknown executor {name!r} (expected one of {EXECUTORS})"
         )
+
+
+def make_engine(executor: str, device: DeviceProfile, **options):
+    """A :class:`GpuSimulator` with ``executor``'s kernel runner, its
+    spans on the executor's track unless ``options`` name another."""
+    runner, track = _ENGINES[executor]
+    options.setdefault("trace_track", track)
+    return GpuSimulator(device, runner=runner, **options)
 
 
 @dataclass(frozen=True)
@@ -199,25 +221,10 @@ class RunReport:
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-serialisable view (embedded in flight-recorder
         bundles next to the trace and metrics, joinable on run_id)."""
-        return {
-            "device": self.device,
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "transient_faults": self.transient_faults,
-            "fatal_faults": self.fatal_faults,
-            "timeouts": self.timeouts,
-            "fallbacks": self.fallbacks,
-            "ooms": self.ooms,
-            "backoff_us": self.backoff_us,
-            "events": list(self.events),
-            "run_id": self.run_id,
-            "seed": self.seed,
-            "deadline_exceeded": self.deadline_exceeded,
-            "gave_up_reason": self.gave_up_reason,
-            "backend": self.backend,
-            "abandoned": self.abandoned,
-            "pass_timings": [str(t) for t in self.pass_timings],
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["events"] = list(self.events)
+        out["pass_timings"] = [str(t) for t in self.pass_timings]
+        return out
 
 
 #: How the attempt loop treats each class of device-step error:
@@ -335,9 +342,7 @@ def run_resilient(
     seed: Optional[int] = None,
     pass_timings: Optional[List[PassTiming]] = None,
     deadline: Optional[Deadline] = None,
-    trace_track: Optional[str] = None,
-    metric_prefix: str = "gpu",
-    heap=None,
+    pool_device=None,
     breaker=None,
 ) -> Tuple[Tuple[Value, ...], CostReport, RunReport]:
     """Execute ``host`` on the simulated device with retry, watchdog
@@ -366,21 +371,14 @@ def run_resilient(
     and exactly one ``record_*`` after the last, whatever ends it —
     only device-class outcomes count against the breaker.
 
-    ``trace_track``/``metric_prefix``/``heap`` let a device pool give
-    each device its own trace track, metric namespace (``gpu.dev0.*``)
-    and persistent :class:`~repro.gpu.heap.DeviceHeap`; defaults keep
-    single-device behaviour unchanged.
+    ``pool_device`` (duck-typed: a :class:`repro.sched.PoolDevice`)
+    gives every attempt's books that device's trace track, metric
+    namespace (``gpu.dev0.*``) and persistent
+    :class:`~repro.gpu.heap.DeviceHeap`.
     """
     policy = policy or ExecutionPolicy()
     executor = policy.executor
-    if executor == "sim":
-        engine_cls, base_track = GpuSimulator, "sim-gpu"
-    else:
-        from .vm import JitEngine
-
-        engine_cls, base_track = JitEngine, "vm-jit"
-    if trace_track is not None:
-        base_track = trace_track
+    base_track = getattr(pool_device, "trace_track", _ENGINES[executor][1])
     if seed is None and fault_plan is not None:
         seed = fault_plan.seed
     if run_id is None:
@@ -427,7 +425,8 @@ def run_resilient(
                     if deadline is not None:
                         deadline.check(f"attempt {attempt + 1} of {host.name}")
                     report.attempts += 1
-                    sim = engine_cls(
+                    sim = make_engine(
+                        executor,
                         device,
                         coalescing=coalescing,
                         in_place=in_place,
@@ -439,8 +438,10 @@ def run_resilient(
                             else f"{base_track} (attempt {attempt + 1})"
                         ),
                         deadline=deadline,
-                        metric_prefix=metric_prefix,
-                        heap=heap,
+                        metric_prefix=getattr(
+                            pool_device, "metric_prefix", "gpu"
+                        ),
+                        heap=getattr(pool_device, "heap", None),
                     )
                     with tracer.span(
                         f"attempt#{attempt + 1}", "runtime", run_id=run_id

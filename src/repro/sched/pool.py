@@ -338,9 +338,7 @@ class DevicePool:
                         device=dev.profile,
                         fault_plan=task.fault_plan,
                         run_id=task.run_id,
-                        trace_track=dev.trace_track,
-                        metric_prefix=dev.metric_prefix,
-                        heap=dev.heap,
+                        pool_device=dev,
                         breaker=dev.breaker,
                         **task.shared,
                     )

@@ -11,6 +11,7 @@ lowering of the repository, and the default executor
 A launch the transpiler refuses, or whose generated code meets a
 data-dependent trap, re-runs on the interpreter (counted on the
 ``vm.fallback`` metric), so results are always interpreter-identical.
+``JitEngine`` is only the e2e harness's constructor call shape.
 """
 
 from .jit import JitEngine

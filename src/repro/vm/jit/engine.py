@@ -1,16 +1,16 @@
-"""The transpiling execution engine: a drop-in :class:`GpuSimulator`.
+"""The transpiling kernel runner.
 
-:class:`JitEngine` inherits everything about the simulated device — the
-cost-model clock, the heap, the watchdog, fault injection, the deadline
-and the observability spans — and overrides only *how kernel values are
-computed*: kernels are transpiled once (per launch signature) into
-straight-line NumPy source by :mod:`repro.vm.jit.codegen`,
-``compile()``d, and executed directly — no IR walk, no per-node
-environment lookups.  A kernel the transpiler cannot handle, or whose
-generated code hits a data-dependent trap at run time, re-runs that
-launch on the scalar interpreter (:meth:`GpuSimulator._eval_kernel`),
-counted on the ``vm.fallback`` metric with ``kind="jit"`` and marked on
-the trace.
+:class:`JitRunner` decides only *how kernel values are computed*, under
+the host walk of :class:`~repro.gpu.simulator.GpuSimulator`; the clock,
+heap, watchdog, faults, deadline and spans are the walk's
+:class:`~repro.gpu.simulator.DeviceAccounting` whichever runner runs.
+Kernels are transpiled once (per launch signature) into straight-line
+NumPy source by :mod:`repro.vm.jit.codegen`, ``compile()``d, and
+executed directly — no IR walk, no per-node environment lookups.  A
+kernel the transpiler cannot handle, or whose generated code hits a
+data-dependent trap at run time, re-runs that launch on the scalar
+interpreter, counted on the ``vm.fallback`` metric with ``kind="jit"``
+and marked on the trace.
 
 Generated source is memoized per host program
 (``HostProgram.jit_cache``) and — when the program came out of a clean
@@ -33,13 +33,14 @@ from ...core.values import ArrayValue, ScalarValue, Value, scalar
 from ...errors import ReproError
 from ...gpu.device import DeviceProfile
 from ...gpu.simulator import GpuSimulator
+from ...interp.interpreter import Interpreter
 from ...obs import get_logger, get_metrics, get_tracer
 from ...pipeline.artifact import StageArtifact, default_artifact_cache
 from ...pipeline.fingerprint import _digest
 from .codegen import JitUnsupported, PYCODE_SCHEMA, transpile_kernel
 from .runtime import JitFallback, JitRuntime
 
-__all__ = ["JitEngine", "JitProgramCache", "jit_cache_for"]
+__all__ = ["JitEngine", "JitProgramCache", "JitRunner", "jit_cache_for"]
 
 _log = get_logger("vm.jit")
 
@@ -226,35 +227,21 @@ def jit_cache_for(host) -> JitProgramCache:
     return cache
 
 
-class JitEngine(GpuSimulator):
-    """A :class:`GpuSimulator` whose kernels run as transpiled Python.
+class JitRunner:
+    """The ``jit`` kernel runner: each launch runs as transpiled
+    Python; one the jit refuses or hands over re-runs on the walk's
+    interpreter (``vm.fallback{kind="jit"}``, and a trace instant)."""
 
-    Per kernel launch the ladder is jit → interpreter; the demotion is
-    observable (``vm.fallback`` with ``kind="jit"``)."""
-
-    def __init__(
-        self,
-        device: DeviceProfile,
-        *,
-        in_place: bool = True,
-        trace_track: str = "vm-jit",
-        **simulator_options,
-    ) -> None:
-        """Takes :class:`GpuSimulator`'s options, by keyword."""
-        super().__init__(
-            device,
-            in_place=in_place,
-            trace_track=trace_track,
-            **simulator_options,
-        )
-        self._rt = JitRuntime(in_place=in_place)
+    def __init__(self, interp: Interpreter, trace_track: str) -> None:
+        self._interp = interp
+        self.trace_track = trace_track
+        self._rt = JitRuntime(in_place=interp.in_place)
         self._cache: Optional[JitProgramCache] = None
 
-    def run(self, hp, args):
+    def start(self, hp) -> None:
         self._cache = jit_cache_for(hp)
-        return super().run(hp, args)
 
-    def _eval_kernel(self, kernel, env: Dict[str, Value]) -> Tuple[Value, ...]:
+    def run(self, kernel, env: Dict[str, Value]) -> Tuple[Value, ...]:
         cache = self._cache
         sig = cache.signature(kernel, env)
         entry = cache.entry_for(kernel, sig)
@@ -286,7 +273,7 @@ class JitEngine(GpuSimulator):
                 )
         # Generated code never mutates arrays it does not own, so the
         # environment reaches the interpreter as the launch found it.
-        return super()._eval_kernel(kernel, env)
+        return self._interp.eval_exp(kernel.exp, env)
 
     def _note_fallback(self, kernel, reason: str) -> None:
         _log.debug(
@@ -307,3 +294,13 @@ class JitEngine(GpuSimulator):
                 kind="jit",
                 reason=reason,
             )
+
+
+def JitEngine(device: DeviceProfile, **options) -> GpuSimulator:
+    """The ``jit`` executor's engine, by the constructor call shape the
+    e2e harness freezes: ``JitEngine(device, coalescing=, in_place=,
+    prog=).run(host, args)``.  Takes :class:`GpuSimulator`'s options."""
+    # Deferred: the runtime imports the pipeline, which imports this.
+    from ...runtime import make_engine
+
+    return make_engine("jit", device, **options)

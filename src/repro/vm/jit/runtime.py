@@ -11,7 +11,7 @@ interpreter's chunks and the lanes of a ``stream_red``.
 :class:`JitFallback` is the generated code's escape hatch: raised at
 run time when a pre-resolved trap condition fires (zero divisor,
 out-of-bounds gather, ...), it tells
-:class:`~repro.vm.jit.engine.JitEngine` to re-run the launch on the
+:class:`~repro.vm.jit.engine.JitRunner` to re-run the launch on the
 scalar interpreter — which owns the authoritative behaviour, be that a
 value or a genuine program error.
 """

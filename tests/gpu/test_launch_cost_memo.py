@@ -2,7 +2,8 @@
 
 ``kernel_cost`` is a pure function of the kernel, the size variables
 its ``Count``s and output shapes name, the device and ``coalescing``;
-:class:`GpuSimulator` memoises it in ``HostProgram.launch_costs``.  The
+the engine's :class:`DeviceAccounting` memoises it in
+``HostProgram.launch_costs``.  The
 reference here is the formula the memo replaced — ``kernel_cost`` over
 the *whole* integer environment, on every launch — and every benchmark
 must report bit-identical costs with the memo cold and warm.
@@ -19,20 +20,36 @@ import pytest
 from repro.bench.suite import BENCHMARKS
 from repro.core import array_value, scalar
 from repro.core.prim import F32, I32
+from repro.core.values import ScalarValue
 from repro.gpu import AMD_W8100, NVIDIA_GTX780TI
 from repro.gpu.costmodel import MEMO_SIZE, KernelCost, kernel_cost
+from repro.gpu.simulator import DeviceAccounting
 from repro.pipeline import compile_program, compile_source
 from repro.vm import JitEngine
 
 
-class _PerLaunchPricing(JitEngine):
-    """The un-memoised simulator: price every launch from scratch."""
+class _PerLaunchPricing(DeviceAccounting):
+    """The un-memoised books: price every launch from scratch, over
+    the whole integer environment."""
 
-    def _launch_cost(self, kernel, env):
+    def price(self, kernel, env):
+        sizes = {
+            k: int(v.value)
+            for k, v in env.items()
+            if isinstance(v, ScalarValue) and v.type.is_integral
+        }
         return kernel_cost(
-            kernel, self._size_env(env), self.device,
-            coalescing=self.coalescing,
+            kernel, sizes, self.device, coalescing=self.coalescing
         )
+
+
+def _per_launch_engine(device, **options):
+    """A jit engine on :class:`_PerLaunchPricing` books."""
+    engine = JitEngine(device, **options)
+    engine.accounting = _PerLaunchPricing(
+        device, engine.accounting.coalescing
+    )
+    return engine
 
 
 def _signature(report):
@@ -53,7 +70,7 @@ def test_cold_and_warm_memo_report_what_per_launch_pricing_does(name):
         engine = engine_cls(NVIDIA_GTX780TI, prog=compiled.core)
         return engine.run(compiled.host, args)[1]
 
-    want = _signature(run(_PerLaunchPricing))
+    want = _signature(run(_per_launch_engine))
     memo = compiled.host.launch_costs[(NVIDIA_GTX780TI, True)]
     assert not memo
     cold = run(JitEngine)
@@ -164,7 +181,7 @@ def test_concurrent_runs_share_the_memo_without_changing_a_price():
     memo is a plain dict of pure values, so a lost update costs a
     re-pricing and never a different number."""
     compiled = compile_source(SRC)
-    want = _PerLaunchPricing(NVIDIA_GTX780TI, prog=compiled.core).run(
+    want = _per_launch_engine(NVIDIA_GTX780TI, prog=compiled.core).run(
         compiled.host, _args(32, k=4)
     )[1].total_us
     totals, errors = [], []

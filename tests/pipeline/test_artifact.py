@@ -1,6 +1,7 @@
 """Stage artifacts and the on-disk cache: round-trips, verified loads,
 corruption recovery, and the driver's resume semantics."""
 
+import json
 import os
 import pickle
 
@@ -26,6 +27,25 @@ fun main (xs: [n]f32): [n]f32 =
 """
 
 EXPECTED = [3.0, 5.0, 7.0]
+
+#: Set by unpickling a :class:`_RunsCode`: proof that a payload ran.
+UNPICKLED = []
+
+
+def _mark_unpickled():
+    UNPICKLED.append(True)
+
+
+class _RunsCode:
+    """A payload whose unpickling calls a function of our choosing."""
+
+    def __reduce__(self):
+        return (_mark_unpickled, ())
+
+
+def _split(data):
+    header, _, payload = data.partition(b"\n")
+    return json.loads(header), payload
 
 
 def _xs():
@@ -62,19 +82,36 @@ class TestStageArtifactEnvelope:
 
     def test_payload_corruption_is_rejected(self):
         art = StageArtifact("core", "a" * 64, "main", {"core": "x" * 100})
-        env = pickle.loads(art.to_bytes())
-        env["payload"] = env["payload"][:-10] + b"\x00" * 10
+        header, payload = _split(art.to_bytes())
+        corrupted = payload[:-10] + b"\x00" * 10
         with pytest.raises(ValueError, match="checksum"):
-            StageArtifact.from_bytes(pickle.dumps(env))
+            StageArtifact.from_bytes(
+                json.dumps(header).encode() + b"\n" + corrupted
+            )
 
     def test_garbage_bytes_are_rejected(self):
         with pytest.raises(ValueError, match="undecodable"):
             StageArtifact.from_bytes(b"not a pickle at all")
 
     def test_wrong_schema_is_rejected(self):
-        data = pickle.dumps({"schema": "something/else"})
+        data = json.dumps({"schema": "something/else"}).encode() + b"\n"
         with pytest.raises(ValueError, match="not a"):
             StageArtifact.from_bytes(data)
+
+    def test_the_header_is_json_and_the_payload_follows_it(self):
+        art = StageArtifact("host", "e" * 64, "main", {"host": [1]})
+        header, payload = _split(art.to_bytes())
+        assert header["schema"] == "repro.stage_artifact/v2"
+        assert (header["stage"], header["fingerprint"]) == ("host", "e" * 64)
+        assert pickle.loads(payload) == {"host": [1]}
+
+    def test_a_pickled_envelope_is_refused_without_unpickling(self):
+        """The v1 format pickled the whole envelope, header included."""
+        UNPICKLED.clear()
+        envelope = pickle.dumps({"schema": _RunsCode(), "payload": b""})
+        with pytest.raises(ValueError):
+            StageArtifact.from_bytes(envelope)
+        assert not UNPICKLED
 
 
 class TestArtifactCache:
@@ -116,6 +153,26 @@ class TestArtifactCache:
         assert cold.from_artifact is None
         assert cache.stats.snapshot()["evictions"] == 3
         assert _run(cold) == EXPECTED
+
+    def test_a_payload_that_runs_code_fails_its_checksum_unpickled(
+        self, tmp_path
+    ):
+        cache = ArtifactCache(tmp_path)
+        fp = "f" * 64
+        path = cache.store(StageArtifact("host", fp, "main", {"host": 1}))
+        header, _ = _split(path.read_bytes())
+        evil = pickle.dumps({"host": _RunsCode()})
+        UNPICKLED.clear()
+        pickle.loads(evil)
+        assert UNPICKLED, "the payload must run code when unpickled"
+        UNPICKLED.clear()
+        # The header is well formed and names this stage and fingerprint.
+        path.write_bytes(json.dumps(header).encode() + b"\n" + evil)
+        assert cache.load("host", fp) is None
+        assert not UNPICKLED
+        stats = cache.stats.snapshot()
+        assert (stats["misses"], stats["evictions"], stats["hits"]) == (1, 1, 0)
+        assert not path.exists()
 
     def test_stage_swap_is_rejected(self, tmp_path):
         """A core artifact renamed to a host path must not load."""

@@ -5,10 +5,10 @@ transpiled Python instead of on the scalar interpreter.
 Mirrors the transient-fault recipe of ``tests/pipeline/test_chaos.py``
 (every launch site is hit until its condition clears), but executes
 through ``ExecutionPolicy(executor="jit")`` — the resilient layer sits
-*above* the engine choice, and the jit engine inherits the whole
-cost-clock/watchdog/fault machinery from
-:class:`repro.gpu.GpuSimulator`, so the same seeds must recover to the
-same interpreter-identical results.
+*above* the engine choice, and the jit is only the kernel runner: the
+whole cost-clock/watchdog/fault machinery is the engine's
+:class:`repro.gpu.simulator.DeviceAccounting` under either executor, so
+the same seeds must recover to the same interpreter-identical results.
 """
 
 import os

@@ -30,7 +30,7 @@ from repro.interp import run_program
 from repro.pipeline import compile_program
 from repro.runtime import ExecutionPolicy
 from repro.vm.jit import jit_cache_for
-from repro.vm.jit.engine import JitEngine
+from repro.vm.jit.engine import JitRunner
 
 from .test_codegen_corpus import _RANGE, PIPELINES, _attempt
 
@@ -87,7 +87,7 @@ def test_random_index_ranges_agree_with_the_interpreter_exactly(
 ):
     reasons = []
     monkeypatch.setattr(
-        JitEngine, "_note_fallback",
+        JitRunner, "_note_fallback",
         lambda self, kernel, reason: reasons.append(reason),
     )
     rng = np.random.default_rng(seed)
