@@ -50,9 +50,9 @@ serve-bench [--clients N --devices SPEC --chaos --flight-dir DIR ...]
     latency percentiles.  With ``--flight-dir`` a flight recorder
     captures every request's trace/metrics; failing or SLO-busting
     requests dump Perfetto-loadable ``flightrec-<id>.json`` bundles.
-    With ``--devices`` (e.g. ``4`` or ``2xbig,2xsmall``) requests
-    run on a multi-device pool with cost-model placement and batch
-    sharding (:mod:`repro.sched`).
+    Requests run on a device pool (:mod:`repro.sched`): one GTX 780 Ti
+    unless ``--devices`` (e.g. ``4`` or ``2xbig,2xsmall``) names more,
+    which adds cost-model placement and batch sharding.
 
 obs replay BUNDLE
     Post-mortem tooling: validates a flight-recorder bundle and renders
@@ -215,6 +215,11 @@ def cmd_run(args) -> int:
     from .gpu.device import AMD_W8100, NVIDIA_GTX780TI, resolve_profile
     from .pipeline import compile_source
 
+    devices = (
+        (resolve_profile(args.device_profile),)
+        if args.device_profile
+        else (NVIDIA_GTX780TI, AMD_W8100)
+    )
     text = open(args.file).read()
     compiled = compile_source(text, _options_from_flags(args))
     # The sizes ``costmodel.size_env_from_args`` would bind from actual
@@ -241,11 +246,6 @@ def cmd_run(args) -> int:
             f"sizes not given, priced as 1: {', '.join(missing)}",
             file=sys.stderr,
         )
-    devices = (
-        (resolve_profile(args.device_profile),)
-        if args.device_profile
-        else (NVIDIA_GTX780TI, AMD_W8100)
-    )
     for device in devices:
         report = compiled.estimate(sizes, device)
         print(
@@ -418,6 +418,7 @@ def cmd_serve_bench(args) -> int:
 
     from .bench.suite import BENCHMARKS
     from .errors import ArgumentError
+    from .gpu.device import parse_pool_spec
     from .gpu.faults import ServiceFaultPlan
     from .serve import Server, ServeRequest
 
@@ -432,11 +433,7 @@ def cmd_serve_bench(args) -> int:
     fault_plans = (
         ServiceFaultPlan.chaos(seed=args.seed) if args.chaos else None
     )
-    devices = None
-    if args.devices is not None:
-        from .gpu.device import parse_pool_spec
-
-        devices = parse_pool_spec(args.devices)
+    devices = parse_pool_spec(args.devices)
     recorder = None
     dump_failures = 0
     if args.flight_dir is not None:
@@ -515,28 +512,23 @@ def cmd_serve_bench(args) -> int:
                 f"p95 {stats['p95_ms']:8.1f} ms   "
                 f"p99 {stats['p99_ms']:8.1f} ms   (n={stats['count']})"
             )
-    # One registry: per executor, or (on a pool) the per-device breakers.
-    for name, b in health["breakers"].items():
+    pool = health["pool"]
+    print(
+        f"pool: {len(pool['devices'])} devices, "
+        f"{pool['sharded']} sharded / {pool['whole']} whole, "
+        f"{pool['shards_executed']} shards, "
+        f"{pool['hedges_launched']} hedges "
+        f"({pool['hedges_won']} won), "
+        f"{pool['replacements']} replacements"
+    )
+    for d in pool["devices"]:  # each with its breaker
+        b = d["breaker"]
         print(
-            f"breaker {name}: {b['state']} "
+            f"  dev{d['id']} [{d['profile']}]: "
+            f"{d['executed']} ok / {d['failures']} failed, "
+            f"busy {d['busy_us'] / 1e3:.1f}ms; breaker {b['state']} "
             f"({b['trips']} trips, {b['refusals']} refusals)"
         )
-    if "pool" in health:
-        pool = health["pool"]
-        print(
-            f"pool: {len(pool['devices'])} devices, "
-            f"{pool['sharded']} sharded / {pool['whole']} whole, "
-            f"{pool['shards_executed']} shards, "
-            f"{pool['hedges_launched']} hedges "
-            f"({pool['hedges_won']} won), "
-            f"{pool['replacements']} replacements"
-        )
-        for d in pool["devices"]:
-            print(
-                f"  dev{d['id']} [{d['profile']}]: "
-                f"{d['executed']} ok / {d['failures']} failed, "
-                f"busy {d['busy_us'] / 1e3:.1f}ms"
-            )
     if recorder is not None:
         stats = recorder.stats()
         print(
@@ -703,10 +695,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="inject seeded per-backend device faults",
     )
     p.add_argument(
-        "--devices", default=None,
-        help="run requests on a simulated multi-device pool: a "
-        "count ('4'), profile names ('gtx780ti,w8100'), or counted "
-        "profiles ('2xbig,2xsmall'); see repro.gpu.device.PROFILES",
+        "--devices", default="1",
+        help="the simulated device pool requests run on: a count "
+        "('4'), profile names ('gtx780ti,w8100'), or counted profiles "
+        "('2xbig,2xsmall'); see repro.gpu.device.PROFILES (default: "
+        "one gtx780ti)",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(

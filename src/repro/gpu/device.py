@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from ..errors import ArgumentError
+
 __all__ = [
     "DeviceProfile",
     "NVIDIA_GTX780TI",
@@ -146,11 +148,13 @@ PROFILES: Dict[str, DeviceProfile] = {
 
 
 def resolve_profile(name: str) -> DeviceProfile:
-    """Look up a named profile; raises ``ValueError`` on unknown names."""
+    """Look up a named profile; an unknown name is an ArgumentError."""
     key = name.strip().lower()
     if key not in PROFILES:
         known = ", ".join(sorted(PROFILES))
-        raise ValueError(f"unknown device profile {name!r} (known: {known})")
+        raise ArgumentError(
+            f"unknown device profile {name!r} (known: {known})"
+        )
     return PROFILES[key]
 
 
@@ -161,21 +165,17 @@ def parse_pool_spec(spec: str) -> List[DeviceProfile]:
       - ``"4"`` — four copies of the default profile (gtx780ti)
       - ``"2xbig,2xsmall"`` — counts of named profiles
       - ``"gtx780ti,w8100"`` — one device per named profile
+
+    An unknown profile or no device at all is an ``ArgumentError``.
     """
     profiles: List[DeviceProfile] = []
-    for term in spec.split(","):
-        term = term.strip()
-        if not term:
-            continue
+    for term in filter(None, (t.strip() for t in spec.split(","))):
+        count, _, name = term.partition("x")
         if term.isdigit():
-            profiles.extend([PROFILES["gtx780ti"]] * int(term))
-            continue
-        if "x" in term:
-            head, _, tail = term.partition("x")
-            if head.isdigit():
-                profiles.extend([resolve_profile(tail)] * int(head))
-                continue
-        profiles.append(resolve_profile(term))
+            count, name = term, "gtx780ti"
+        elif not count.isdigit():
+            count, name = "1", term
+        profiles.extend([resolve_profile(name)] * int(count))
     if not profiles:
-        raise ValueError(f"empty device-pool spec {spec!r}")
+        raise ArgumentError(f"device-pool spec {spec!r} names no device")
     return profiles

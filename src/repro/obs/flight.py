@@ -243,7 +243,8 @@ class FlightRecord:
     error_message: Optional[str] = None
     run_report: Optional[Dict[str, Any]] = None
     #: The device pool's placement decision (mode, candidate scores,
-    #: per-shard assignment/timing, hedges); None for pool-less servers.
+    #: per-shard assignment/timing, hedges); None when the request
+    #: never reached the pool or ended in an error.
     placement: Optional[Dict[str, Any]] = None
     #: Why this record was dumped (an error class name or "slo_latency");
     #: None when it never was.

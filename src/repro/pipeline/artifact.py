@@ -17,8 +17,9 @@ schema, stage and fingerprint are the ones asked for and the checksum
 agrees, all decided before anything is unpickled; anything else
 (truncation, corruption, a stale format, a hash collision in the file
 name) counts as a miss, and the offending file is evicted so it cannot
-fail twice.  The cache directory is still trusted local state, same as
-any build cache: a writer who can recompute the checksum is trusted.
+fail twice.  Whoever can write the cache directory could plant a file
+whose checksum matches, so the root must be this user's alone
+(:meth:`ArtifactCache.trusted`).
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ class ArtifactStats:
     """Lifetime accounting, surfaced through ``Server.health()`` and
     the driver's ``pipeline.artifacts`` metrics."""
 
-    __slots__ = ("hits", "misses", "stores", "evictions", "errors")
+    __slots__ = ("hits", "misses", "stores", "evictions", "errors", "refusals")
 
     def __init__(self) -> None:
         self.hits = 0
@@ -132,6 +133,8 @@ class ArtifactStats:
         #: I/O failures (stores are best-effort: a full or read-only
         #: disk degrades to cold compiles, never to a failed compile).
         self.errors = 0
+        #: Loads and stores refused (:meth:`ArtifactCache.trusted`).
+        self.refusals = 0
 
     def snapshot(self) -> Dict[str, int]:
         return {s: getattr(self, s) for s in self.__slots__}
@@ -159,6 +162,22 @@ class ArtifactCache:
         self.root = Path(root)
         self.stats = ArtifactStats()
         self._lock = threading.Lock()
+        self._trusted: Optional[bool] = None
+
+    def trusted(self) -> bool:
+        """Whether the root may be read and written, decided at the first
+        load or store: created 0700, refused (every load a miss, every
+        store skipped) if another uid owns it or group/others may write."""
+        if self._trusted is None:
+            try:
+                self.root.mkdir(mode=0o700, parents=True, exist_ok=True)
+                st = self.root.stat()
+            except OSError:
+                return True  # no root to trust: loads/stores fail as before
+            self._trusted = st.st_uid == os.getuid() and not st.st_mode & 0o022
+            if not self._trusted:
+                _log.warning("artifact-root-refused", path=str(self.root))
+        return self._trusted
 
     def path_for(self, stage: str, fingerprint: str) -> Path:
         return self.root / f"{stage}-{fingerprint}.artifact"
@@ -166,7 +185,12 @@ class ArtifactCache:
     def load(self, stage: str, fingerprint: str) -> Optional[StageArtifact]:
         """The verified artifact, or None.  Corrupt, truncated or
         mismatching files are evicted so the next compile rebuilds
-        them cleanly."""
+        them cleanly; a root that is not :meth:`trusted` is never read."""
+        if not self.trusted():
+            with self._lock:
+                self.stats.refusals += 1
+                self.stats.misses += 1
+            return None
         path = self.path_for(stage, fingerprint)
         try:
             data = path.read_bytes()
@@ -194,13 +218,18 @@ class ArtifactCache:
 
     def store(self, artifact: StageArtifact) -> Optional[Path]:
         """Atomically persist; best-effort (returns None and counts an
-        error instead of raising on I/O failure)."""
+        error instead of raising on I/O failure, or a refusal when the
+        root is not :meth:`trusted`)."""
+        if not self.trusted():
+            with self._lock:
+                self.stats.refusals += 1
+            return None
         path = self.path_for(artifact.stage, artifact.fingerprint)
         tmp = path.with_name(
             f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
         )
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
+            self.root.mkdir(mode=0o700, parents=True, exist_ok=True)
             tmp.write_bytes(artifact.to_bytes())
             os.replace(tmp, path)
         except OSError as e:

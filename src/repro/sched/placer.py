@@ -115,7 +115,6 @@ class Placer:
         """
         if not candidates:
             raise ValueError("no candidate devices")
-        by_id = {c["device"]: c for c in candidates}
         plans: List[Plan] = []
         priced = True
         for c in candidates:
@@ -128,7 +127,10 @@ class Placer:
             plans.append(
                 Plan((Shard(0, 0, batch, c["device"]),), c["score"], 0.0)
             )
+        if len(plans) == 1:
+            return plans[0], plans  # one device: nothing to weigh
         if planner is not None and priced:
+            by_id = {c["device"]: c for c in candidates}
             fastest = sorted(
                 (
                     (c["device"], 1.0 / max(c["est_us"], 1e-9))

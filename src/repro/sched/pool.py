@@ -1,14 +1,16 @@
 """The device pool: N simulated devices, placement, sharding, hedging.
 
-A :class:`DevicePool` owns N heterogeneous simulated devices.  Each
-:class:`PoolDevice` has its own serial worker thread, persistent
-:class:`~repro.gpu.heap.DeviceHeap` (lifetime-accumulating),
+A :class:`DevicePool` owns N heterogeneous simulated devices (a
+:class:`repro.serve.Server` runs every request on one).  Each
+:class:`PoolDevice` has its own serial worker thread, run lock,
+persistent :class:`~repro.gpu.heap.DeviceHeap` (lifetime-accumulating),
 :class:`~repro.serve.breaker.CircuitBreaker`, optional
 :class:`~repro.gpu.faults.FaultPlan`, and its own observability
 namespace — kernel spans land on the ``gpu.dev{id}`` trace track and
 metrics under ``gpu.dev{id}.*``.
 
-:meth:`DevicePool.run` executes one request:
+:meth:`DevicePool.run` executes one request — with one healthy device,
+whole on it and on the caller's thread.  Otherwise:
 
 - the :class:`Placer` asks the cost model how to run it: whole on the
   least-estimated-completion-time device (with a program-affinity
@@ -28,11 +30,13 @@ metrics under ``gpu.dev{id}.*``.
   the request leave the devices — for the interpreter floor
   (``fallback=True``) or as the typed error.
 
-The pool keeps no retry or breaker logic of its own: a device worker
-hands its breaker to :func:`repro.runtime.run_resilient`, which claims
-and releases it around the attempt it runs (so a task cancelled before
-it starts never touches it); the coordinator only *reads* breaker
-state, and its floor is the loop's own.
+Either way a task runs through :meth:`DevicePool._run_task`, under its
+device's run lock.  The pool keeps no retry or breaker logic of its
+own: the task hands its device's breaker to
+:func:`repro.runtime.run_resilient`, which claims and releases it
+around the attempt it runs (so a task cancelled before it starts never
+touches it); the coordinator only *reads* breaker state, and its floor
+is the loop's own.
 """
 
 from __future__ import annotations
@@ -44,13 +48,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.values import Value
-from ..errors import (
-    DeadlineExceeded,
-    DeviceFault,
-    DeviceOOM,
-    KernelTimeout,
-)
-from ..gpu.costmodel import CostReport
+from ..errors import DeadlineExceeded, DeviceFault, DeviceOOM, KernelTimeout
+from ..gpu.costmodel import CostReport, request_price_us, size_env_from_args
 from ..gpu.device import DeviceProfile
 from ..gpu.faults import FaultPlan
 from ..gpu.heap import DeviceHeap
@@ -61,7 +60,6 @@ from ..obs import (
     thread_metering,
     thread_tracing,
 )
-from ..gpu.costmodel import request_price_us, size_env_from_args
 from ..runtime import (
     ExecutionPolicy,
     RunReport,
@@ -85,6 +83,9 @@ _DEVICE_ERRORS = (DeviceFault, DeviceOOM, KernelTimeout)
 #: cost model predicts for it.
 HEDGE_FACTOR = 4.0
 
+#: The cancel event of a task the caller runs at once on its own thread.
+_NEVER_CANCELLED = threading.Event()
+
 
 @dataclass
 class _Task:
@@ -103,7 +104,8 @@ class _Task:
     hi: int
     hedge: bool
     cancel: threading.Event
-    results: "queue_mod.Queue[_Outcome]"
+    #: Worker outbox and adopted instruments (None on the caller's thread).
+    results: "Optional[queue_mod.Queue[_Outcome]]"
     tracer: Any
     metrics: Any
     key: Optional[str] = None
@@ -119,6 +121,22 @@ class _Outcome:
     error: Optional[BaseException] = None
     cancelled: bool = False
     wall_s: float = 0.0
+    #: ``cost.total_us`` of a successful run.
+    sim_us: float = 0.0
+
+
+def _shard_record(out: _Outcome, replacements: int) -> Dict[str, Any]:
+    """A winning outcome's entry in ``placement["shards"]``."""
+    return {
+        "index": out.task.shard_index,
+        "lo": out.task.lo,
+        "hi": out.task.hi,
+        "device": out.device_id,
+        "sim_us": out.sim_us,
+        "wall_s": out.wall_s,
+        "hedge_won": out.task.hedge,
+        "replacements": replacements,
+    }
 
 
 class PoolDevice:
@@ -154,6 +172,8 @@ class PoolDevice:
         #: deadlines.  None until the first completed task.
         self.wall_per_sim: Optional[float] = None
         self.queue: "queue_mod.Queue[Optional[_Task]]" = queue_mod.Queue()
+        #: Held for a whole task on any thread: one run per heap at a time.
+        self.run_lock = threading.Lock()
         self.lock = threading.Lock()
         self.trace_track = f"gpu.dev{dev_id}"
         self.metric_prefix = f"gpu.dev{dev_id}"
@@ -300,55 +320,52 @@ class DevicePool:
             task = dev.queue.get()
             if task is None:
                 return
+            # Adopt the submitting request's ambient instruments so shard
+            # spans and gpu.dev{id}.* metrics land in that request's
+            # flight record, not whatever this worker saw last.
+            with thread_tracing(task.tracer), thread_metering(task.metrics):
+                task.results.put(self._run_task(dev, task))
+
+    def _run_task(self, dev: PoolDevice, task: _Task) -> _Outcome:
+        """Run one booked task on ``dev`` — the only code that does, on
+        the device's worker thread or on the caller's."""
+        with dev.run_lock:
             if task.cancel.is_set():
                 with self._lock:
                     self.counters["cancelled_before_start"] += 1
                 dev.settle(task.est_us)
-                task.results.put(
-                    _Outcome(task, dev.id, cancelled=True)
-                )
-                continue
+                return _Outcome(task, dev.id, cancelled=True)
             outcome = self._execute(dev, task)
             self._record(dev, task, outcome)
-            task.results.put(outcome)
+        return outcome
 
     def _execute(self, dev: PoolDevice, task: _Task) -> _Outcome:
         outcome = _Outcome(task, dev.id)
         t0 = time.monotonic()
-        # Adopt the submitting request's ambient instruments so shard
-        # spans and gpu.dev{id}.* metrics land in that request's
-        # flight record, not whatever this worker saw last.
-        with thread_tracing(task.tracer), thread_metering(task.metrics):
-            tracer = get_tracer()
-            label = f"shard#{task.shard_index}" + (
-                " (hedge)" if task.hedge else ""
-            )
-            with tracer.span(
-                label,
-                "sched",
-                track=dev.trace_track,
-                run_id=task.run_id,
-                device=dev.id,
-                profile=dev.profile.name,
-                rows=f"[{task.lo}:{task.hi})",
-            ) as span:
-                try:
-                    values, cost, report = run_resilient(
-                        args=task.args,
-                        device=dev.profile,
-                        fault_plan=task.fault_plan,
-                        run_id=task.run_id,
-                        pool_device=dev,
-                        breaker=dev.breaker,
-                        **task.shared,
-                    )
-                    outcome.values = values
-                    outcome.cost = cost
-                    outcome.report = report
-                    span.set(outcome="ok", sim_us=cost.total_us)
-                except BaseException as e:
-                    outcome.error = e
-                    span.set(outcome=type(e).__name__)
+        with get_tracer().span(
+            f"shard#{task.shard_index}" + (" (hedge)" if task.hedge else ""),
+            "sched",
+            track=dev.trace_track,
+            run_id=task.run_id,
+            device=dev.id,
+            profile=dev.profile.name,
+            rows=f"[{task.lo}:{task.hi})",
+        ) as span:
+            try:
+                outcome.values, outcome.cost, outcome.report = run_resilient(
+                    args=task.args,
+                    device=dev.profile,
+                    fault_plan=task.fault_plan,
+                    run_id=task.run_id,
+                    pool_device=dev,
+                    breaker=dev.breaker,
+                    **task.shared,
+                )
+                outcome.sim_us = outcome.cost.total_us
+                span.set(outcome="ok", sim_us=outcome.sim_us)
+            except BaseException as e:
+                outcome.error = e
+                span.set(outcome=type(e).__name__)
         outcome.wall_s = time.monotonic() - t0
         return outcome
 
@@ -359,12 +376,11 @@ class DevicePool:
         with dev.lock:
             if outcome.error is None:
                 dev.executed += 1
-                assert outcome.cost is not None
-                dev.busy_us += outcome.cost.total_us
+                dev.busy_us += outcome.sim_us
                 if task.key is not None:
                     dev.seen_keys.add(task.key)
-                if outcome.cost.total_us > 0:
-                    obs = outcome.wall_s / outcome.cost.total_us
+                if outcome.sim_us > 0:
+                    obs = outcome.wall_s / outcome.sim_us
                     dev.wall_per_sim = (
                         obs
                         if dev.wall_per_sim is None
@@ -474,8 +490,6 @@ class DevicePool:
                 ),
                 {"mode": "refused"},
             )
-        with self._lock:
-            self.counters["requests"] += 1
         size_env = size_env_from_args(host, args)
         batch = (
             batch_info.batch_size(args) if batch_info is not None else 0
@@ -515,6 +529,7 @@ class DevicePool:
         shards = chosen.shards
         sharded = len(shards) > 1
         with self._lock:
+            self.counters["requests"] += 1
             self.counters["sharded" if sharded else "whole"] += 1
         placement: Dict[str, Any] = {
             "mode": "sharded" if sharded else "whole",
@@ -548,8 +563,9 @@ class DevicePool:
             in_place=in_place,
             pass_timings=pass_timings,
         )
+        run = self._run_alone if len(healthy) == 1 else self._run_shards
         try:
-            values, cost, report = self._run_shards(
+            values, cost, report = run(
                 shards,
                 placement,
                 price,
@@ -563,6 +579,30 @@ class DevicePool:
         except (DeadlineExceeded, *_DEVICE_ERRORS) as e:
             return floor(e, placement)
         return values, cost, report, placement
+
+    def _run_alone(
+        self, shards, placement, price, shared, *, args, run_id,
+        batch_info, key, default_fault_plan,
+    ) -> Tuple[Tuple[Value, ...], CostReport, RunReport]:
+        """The one shard on the one healthy device, on the caller's
+        thread: no hedge or re-placement, so no result queue, shard state
+        or merge — the run's own values, cost and report are returned,
+        even if the deadline expired after its last launch."""
+        (shard,) = shards
+        dev = self.devices[shard.device_id]
+        est_us = placement["candidates"][0]["est_us"]
+        task = _Task(
+            run_id, args, shared, dev.fault_plan or default_fault_plan,
+            est_us, shard.index, shard.lo, shard.hi, False,
+            _NEVER_CANCELLED, None, None, None, key,
+        )
+        dev.book(est_us)
+        out = self._run_task(dev, task)
+        if out.error is not None:
+            raise out.error
+        placement["shards"].append(_shard_record(out, replacements=0))
+        placement["makespan_us"] = out.sim_us
+        return out.values, out.cost, out.report
 
     def _run_shards(
         self,
@@ -590,16 +630,11 @@ class DevicePool:
             else:
                 task_args = args
                 suffix = "/h" if hedge else ""
-            fault_plan = (
-                dev.fault_plan
-                if dev.fault_plan is not None
-                else default_fault_plan
-            )
             return _Task(
                 run_id=f"{run_id}{suffix}",
                 args=task_args,
                 shared=shared,
-                fault_plan=fault_plan,
+                fault_plan=dev.fault_plan or default_fault_plan,
                 # An unpriceable program still runs, just without a
                 # meaningful estimate.
                 est_us=price(dev.id, shard.size) or 0.0,
@@ -742,21 +777,12 @@ class DevicePool:
             cost.merge(out.cost)
             report.absorb(out.report)
             per_device_us[out.device_id] = (
-                per_device_us.get(out.device_id, 0.0)
-                + out.cost.total_us
+                per_device_us.get(out.device_id, 0.0) + out.sim_us
             )
-            st = state[out.task.shard_index]
             placement["shards"].append(
-                {
-                    "index": out.task.shard_index,
-                    "lo": out.task.lo,
-                    "hi": out.task.hi,
-                    "device": out.device_id,
-                    "sim_us": out.cost.total_us,
-                    "wall_s": out.wall_s,
-                    "hedge_won": out.task.hedge,
-                    "replacements": st["replacements"],
-                }
+                _shard_record(
+                    out, state[out.task.shard_index]["replacements"]
+                )
             )
         placement["makespan_us"] = max(per_device_us.values(), default=0.0)
         if pass_timings:

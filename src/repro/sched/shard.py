@@ -60,8 +60,10 @@ class BatchInfo:
     n_results: int
 
     def batch_size(self, args: Sequence[Value]) -> int:
-        """The concrete batch size of one request's arguments."""
-        v = args[self.arg_indices[0]]
+        """The concrete batch size of one request's arguments (0 when
+        they do not fit the entry point: its run reports the misuse)."""
+        i = self.arg_indices[0]
+        v = args[i] if i < len(args) else None
         if not isinstance(v, ArrayValue) or v.rank == 0:
             return 0
         return int(v.data.shape[0])

@@ -3,10 +3,11 @@
 Fronts the compiler/runtime stack with a thread-based execution
 service: bounded admission with priority lanes and load shedding,
 end-to-end request deadlines, a single-flight compile cache, and one
-attempt loop per request — *try the device, else interpret*
-(``jit → interp``), with a circuit breaker on the device step (see
-:func:`repro.runtime.run_resilient`).  See :mod:`repro.serve.server`
-for the full tour.
+serving path: every request is one call on a
+:class:`repro.sched.DevicePool` (by default a pool of one), whose
+plan is *try the device, else interpret* (``jit → interp``), with a
+circuit breaker per device (see :func:`repro.runtime.run_resilient`).
+See :mod:`repro.serve.server` for the full tour.
 
 The building blocks (:class:`Deadline`, :class:`CircuitBreaker`,
 :class:`AdmissionQueue`, :class:`CompileCache`) are importable eagerly

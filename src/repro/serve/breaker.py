@@ -1,8 +1,8 @@
-"""Circuit breakers: stop hammering a sick executor or device.
+"""Circuit breakers: stop hammering a sick device.
 
-A :class:`CircuitBreaker` guards one device step — an executor of a
-single-device server, or one device of a pool.  It is the classic
-three-state machine:
+A :class:`CircuitBreaker` guards one device of a
+:class:`repro.sched.DevicePool`, whatever executor a request runs on
+it.  It is the classic three-state machine:
 
 - **closed** — traffic flows; consecutive device-class failures are
   counted, and reaching ``failure_threshold`` trips the breaker;
@@ -18,10 +18,10 @@ device step, exactly one ``record_*`` after it — has one caller,
 :func:`repro.runtime.run_resilient`.  Everybody else hands it a
 breaker and reads :attr:`CircuitBreaker.state`/:meth:`snapshot`.
 
-All transitions are lock-protected (the server's worker pool shares
-one breaker per executor), and the clock is injectable so the state
-machine can be property-tested deterministically
-(``tests/property/test_breaker.py``).
+All transitions are lock-protected (the server's workers and the
+pool's device threads share one breaker per device), and the clock is
+injectable so the state machine can be property-tested
+deterministically (``tests/property/test_breaker.py``).
 """
 
 from __future__ import annotations

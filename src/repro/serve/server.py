@@ -16,20 +16,17 @@ the full robustness stack wired in:
   before every attempt (so a request that expired while it queued
   never touches a device), before every simulated kernel launch and
   before the interpreter floor (see :mod:`repro.serve.deadline`);
-- **one attempt loop** — a request's plan is always *try the device,
-  else interpret* (``request.executor or options.executor``, then
-  ``interp``), run by :func:`repro.runtime.run_resilient`, which owns
-  the retries, the executor's circuit breaker (it trips on consecutive
-  device-class failures, and then sends requests straight to the
-  floor) and the reference-interpreter floor, which cannot suffer
-  device faults.  A request therefore only fails outright on a
-  *program* error (or its own deadline);
-- **multi-device scheduling** — a server constructed with ``devices``
-  makes that one call on a :class:`repro.sched.DevicePool` instead:
-  cost-model placement across heterogeneous simulated devices,
-  outermost-dimension batch sharding with bit-identical merging,
-  per-device circuit breakers and hedged straggler duplicates, over
-  the same loop and the same floor (see :mod:`repro.sched`).
+- **one serving path** — every request is one call on a
+  :class:`repro.sched.DevicePool` (``devices``, by default one GTX
+  780 Ti): *try the device, else interpret* (``request.executor or
+  options.executor``, then ``interp``).  The device step is
+  :func:`repro.runtime.run_resilient` — retries, and the device's
+  circuit breaker, which trips on consecutive device-class failures —
+  and the reference-interpreter floor cannot suffer device faults, so
+  a request only fails outright on a *program* error (or its own
+  deadline).  With one healthy device the request runs on the server
+  worker's own thread; with more, the pool places, shards, re-places
+  and hedges (see :mod:`repro.sched`).
 
 Results are delivered through :class:`ResultHandle` (event-based, no
 executor framework), and ``Server.health()``/``repro.obs`` metrics
@@ -60,15 +57,8 @@ from ..pipeline import (
     compile_cache_key,
     compile_program,
 )
-from ..runtime import (
-    EXECUTORS,
-    ExecutionPolicy,
-    RunReport,
-    check_executor,
-    run_resilient,
-)
+from ..runtime import RunReport, check_executor
 from ..sched import BatchInfo, DevicePool, analyze_shardable
-from .breaker import CircuitBreaker
 from .cache import CompileCache
 from .deadline import Deadline
 from .queue import BATCH_LANE, INTERACTIVE_LANE, AdmissionQueue
@@ -137,8 +127,8 @@ class ServeResult:
     #: The attempt loop's report (None for a request that never got
     #: there, or that a program error ended).
     run_report: Optional[RunReport] = None
-    #: The device pool's placement decision (None on pool-less
-    #: servers).
+    #: The device pool's placement decision (None for a request that
+    #: never reached the pool, or that ended in an error).
     placement: Optional[Dict[str, Any]] = None
     #: Which evaluator produced the values (``"jit"``, ``"sim"``,
     #: ``"interp"``; None when nothing did), and the device step that
@@ -204,8 +194,7 @@ class _Work:
     cache_hit: bool = False
     #: The request's compile-cache key (the pool's affinity signal).
     key: str = ""
-    #: Outermost-dimension shardability of the entry point (None when
-    #: not shardable or the server has no device pool).
+    #: Outermost-dimension shardability (None: not shardable).
     batch_info: Optional[BatchInfo] = None
 
 
@@ -226,7 +215,6 @@ class Server:
         self,
         workers: int = 4,
         queue_capacity: int = 16,
-        device: DeviceProfile = NVIDIA_GTX780TI,
         options: Optional[CompilerOptions] = None,
         #: Whether a request the device cannot serve ends on the
         #: reference interpreter (the default) or as the typed device
@@ -241,11 +229,9 @@ class Server:
         #: and terminal device errors (or SLO-breaching latencies)
         #: auto-dump a ``flightrec-<run_id>.json`` bundle.
         flight_recorder: Optional[FlightRecorder] = None,
-        #: Optional multi-device pool: when set, requests execute
-        #: on these (possibly heterogeneous) simulated devices with
-        #: cost-model placement, batch sharding and hedged stragglers
-        #: instead of on the single ``device``.
-        devices: Optional[Sequence[DeviceProfile]] = None,
+        #: The simulated devices requests run on (one pool, possibly
+        #: heterogeneous); admission prices lanes on the first.
+        devices: Sequence[DeviceProfile] = (NVIDIA_GTX780TI,),
         #: Per-device fault plans for the pool (aligned with
         #: ``devices``); a device without a plan inherits the
         #: executor's ``fault_plans`` entry.
@@ -261,7 +247,6 @@ class Server:
         artifact_cache: Optional[ArtifactCache] = None,
         artifact_dir: Optional[str] = None,
     ) -> None:
-        self.device = device
         self.options = options or CompilerOptions()
         self.fallback = fallback
         self.fault_plans = fault_plans or ServiceFaultPlan()
@@ -295,32 +280,13 @@ class Server:
             "deadline_exceeded": 0,
             "errors": 0,
         }
-        self.pool: Optional[DevicePool] = (
-            DevicePool(
-                devices,
-                fault_plans=device_fault_plans,
-                breaker_threshold=breaker_threshold,
-                breaker_recovery_s=breaker_recovery_s,
-                min_shard=min_shard,
-                hedge_min_wall_s=hedge_min_wall_s,
-            )
-            if devices
-            else None
-        )
-        #: The one breaker registry ``health()`` reports: per executor
-        #: on a single device; on a pool, the pool's own per-device
-        #: breakers (no breaker wraps another).
-        self.breakers: Dict[str, CircuitBreaker] = (
-            {f"dev{d.id}": d.breaker for d in self.pool.devices}
-            if self.pool is not None
-            else {
-                name: CircuitBreaker(
-                    name,
-                    failure_threshold=breaker_threshold,
-                    recovery_s=breaker_recovery_s,
-                )
-                for name in EXECUTORS
-            }
+        self.pool = DevicePool(
+            devices,
+            fault_plans=device_fault_plans,
+            breaker_threshold=breaker_threshold,
+            breaker_recovery_s=breaker_recovery_s,
+            min_shard=min_shard,
+            hedge_min_wall_s=hedge_min_wall_s,
         )
         #: Shardability analyses, keyed by compile-cache key (the
         #: analysis runs on the pre-compilation program, once per
@@ -354,8 +320,7 @@ class Server:
             )
             t.start()
             self._threads.append(t)
-        if self.pool is not None:
-            self.pool.start()
+        self.pool.start()
         _log.info("server-start", workers=self._n_workers)
         return self
 
@@ -372,8 +337,7 @@ class Server:
         if stuck:  # pragma: no cover - would be a worker deadlock bug
             raise RuntimeError(f"worker threads failed to exit: {stuck}")
         self._threads.clear()
-        if self.pool is not None:
-            self.pool.stop(timeout=timeout)
+        self.pool.stop(timeout=timeout)
         _log.info("server-stop")
 
     def __enter__(self) -> "Server":
@@ -446,19 +410,16 @@ class Server:
             )
             return handle
         lane = self._classify(compiled, request.args)
-        batch_info: Optional[BatchInfo] = None
-        if self.pool is not None:
-            if key not in self._batch_infos:
-                # The analysis runs on the *pre-compilation* program
-                # (compilation restructures it but preserves the
-                # row-independence the analysis proves).
-                self._batch_infos[key] = analyze_shardable(
-                    request.program, request.entry
-                )
-            batch_info = self._batch_infos[key]
+        if key not in self._batch_infos:
+            # The analysis runs on the *pre-compilation* program
+            # (compilation restructures it but preserves the
+            # row-independence the analysis proves).
+            self._batch_infos[key] = analyze_shardable(
+                request.program, request.entry
+            )
         work = _Work(
             request, handle, compiled, deadline, lane, submitted_at,
-            cache_hit=cache_hit, key=key, batch_info=batch_info,
+            cache_hit=cache_hit, key=key, batch_info=self._batch_infos[key],
         )
         if not self.queue.offer(work, lane):
             self._complete_shed(handle, "admission queue full", lane)
@@ -485,13 +446,13 @@ class Server:
         self, compiled: CompiledProgram, args: Sequence[Value]
     ) -> str:
         """Priority lane from the cost model: price the program at the
-        request's actual sizes; cheap requests go interactive.  (An
-        unpriceable program is not an error — it just doesn't get
-        priority treatment.)"""
+        request's actual sizes on the first device; cheap requests go
+        interactive.  (An unpriceable program is not an error — it just
+        doesn't get priority treatment.)"""
         est = request_price_us(
             compiled.host,
             size_env_from_args(compiled.host, args),
-            self.device,
+            self.pool.devices[0].profile,
             self.options.coalescing,
         )
         if est is not None and est <= INTERACTIVE_THRESHOLD_US:
@@ -622,45 +583,26 @@ class Server:
         return result
 
     def _execute(self, work: _Work) -> ServeResult:
-        """One policy, one call into the attempt loop (directly, or
-        through the pool), and the answer read off its report."""
+        """One call into the device pool, and the answer read off its
+        report."""
         request, compiled = work.request, work.compiled
-        policy = ExecutionPolicy(
-            executor=request.executor or self.default_executor,
-            fallback=self.fallback,
-            max_retries=self.retries_per_rung,
-        )
-        common: Dict[str, Any] = dict(
-            coalescing=self.options.coalescing,
-            in_place=self.options.in_place,
-            entry=request.entry,
-            run_id=request.request_id,
-            pass_timings=compiled.pass_timings,
-            deadline=work.deadline,
-        )
-        fault_plan = self.fault_plans.for_backend(policy.executor)
-        placement: Optional[Dict[str, Any]] = None
+        executor = request.executor or self.default_executor
         try:
-            if self.pool is not None:
-                values, _cost, report, placement = self.pool.run(
-                    compiled.host, compiled.core, request.args,
-                    executor=policy.executor,
-                    retries=policy.max_retries,
-                    fallback=policy.fallback,
-                    batch_info=work.batch_info,
-                    key=work.key,
-                    default_fault_plan=fault_plan,
-                    **common,
-                )
-            else:
-                values, _cost, report = run_resilient(
-                    compiled.host, compiled.core, request.args,
-                    self.device,
-                    fault_plan=fault_plan,
-                    policy=policy,
-                    breaker=self.breakers[policy.executor],
-                    **common,
-                )
+            values, _cost, report, placement = self.pool.run(
+                compiled.host, compiled.core, request.args,
+                executor=executor,
+                entry=request.entry,
+                run_id=request.request_id,
+                coalescing=self.options.coalescing,
+                in_place=self.options.in_place,
+                retries=self.retries_per_rung,
+                deadline=work.deadline,
+                batch_info=work.batch_info,
+                key=work.key,
+                pass_timings=compiled.pass_timings,
+                default_fault_plan=self.fault_plans.for_backend(executor),
+                fallback=self.fallback,
+            )
         except ReproError as e:
             # A deadline, a program error (identical on every
             # evaluator), or — with the floor off — the device error.
@@ -689,22 +631,23 @@ class Server:
                 "p95_ms": hist.percentile(95.0) / 1e3,
                 "p99_ms": hist.percentile(99.0) / 1e3,
             }
+        pool = self.pool.stats()
         out = {
             "workers": sum(1 for t in self._threads if t.is_alive()),
             "queue_depth": len(self.queue),
             "queue_capacity": self.queue.capacity,
             "queue_depths": self.queue.depths(),
+            # The pool's: one breaker per device, whatever the executor.
             "breakers": {
-                name: b.snapshot() for name, b in self.breakers.items()
+                f"dev{d['id']}": d["breaker"] for d in pool["devices"]
             },
             "compile_cache": self.cache.stats.snapshot(),
             "lanes": lanes,
+            "pool": pool,
             **counts,
         }
         if self.artifact_cache is not None:
             out["artifact_cache"] = self.artifact_cache.stats.snapshot()
-        if self.pool is not None:
-            out["pool"] = self.pool.stats()
         if self.flight_recorder is not None:
             out["flight_recorder"] = self.flight_recorder.stats()
         return out

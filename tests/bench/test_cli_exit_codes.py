@@ -282,6 +282,33 @@ class TestServeBenchCli:
         assert message in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("serve-bench", "--devices", "0"), "device-pool spec '0' names no"),
+        (
+            ("serve-bench", "--devices", "2xnope"),
+            "unknown device profile 'nope'",
+        ),
+        (
+            ("run", "{source}", "--device-profile", "nope"),
+            "unknown device profile 'nope'",
+        ),
+    ],
+)
+def test_a_bad_device_spec_exits_2(argv, message, tmp_path):
+    # A device spec is caller text: one naming no device or an unknown
+    # profile is caller misuse, reported without a traceback.
+    source = tmp_path / "prog.fut"
+    source.write_text(
+        "fun main (xs: [n]f32): [n]f32 = map (\\(x: f32) -> x * 2.0f32) xs"
+    )
+    r = run_cli(*(a.format(source=source) for a in argv))
+    assert r.returncode == 2, (r.returncode, r.stderr)
+    assert f"error: {message}" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_obs_top_is_gone(capsys):
     with pytest.raises(SystemExit) as exit_:
         main(["obs", "top"])

@@ -189,6 +189,79 @@ class TestArtifactCache:
         assert cache.stats.snapshot()["evictions"] >= 1
 
 
+class TestCacheRootTrust:
+    """Whoever can write the cache root can plant an artifact whose
+    checksum matches, so only a root this user alone may write is read
+    or written."""
+
+    def _plant(self, root):
+        fp = "9" * 64
+        path = ArtifactCache(root).path_for("host", fp)
+        path.write_bytes(
+            StageArtifact("host", fp, "main", {"host": _RunsCode()}).to_bytes()
+        )
+        return fp, path
+
+    def test_a_planted_artifact_in_a_shared_root_is_not_loaded(
+        self, tmp_path
+    ):
+        root = tmp_path / "shared"
+        root.mkdir()
+        fp, path = self._plant(root)
+        root.chmod(0o777)
+        cache = ArtifactCache(root)
+        UNPICKLED.clear()
+        assert cache.load("host", fp) is None
+        assert not UNPICKLED
+        assert path.exists()  # refused, not evicted
+        stats = cache.stats.snapshot()
+        assert (stats["refusals"], stats["misses"], stats["hits"]) == (1, 1, 0)
+        # The same file in a root only its owner may write is a valid
+        # artifact (so the refusal, not the checksum, stopped it).
+        root.chmod(0o700)
+        assert ArtifactCache(root).load("host", fp) is not None
+        assert UNPICKLED
+
+    def test_a_refused_root_compiles_cold_and_stores_nothing(
+        self, tmp_path
+    ):
+        tmp_path.chmod(0o775)  # group-writable
+        cache = ArtifactCache(tmp_path)
+        for _ in range(2):
+            compiled = compile_source(SRC, artifact_cache=cache)
+            assert compiled.from_artifact is None
+            assert _run(compiled) == EXPECTED
+        assert len(cache) == 0
+        stats = cache.stats.snapshot()
+        assert stats["stores"] == stats["hits"] == stats["errors"] == 0
+        # Every load was refused (a miss), and so was every store.
+        assert stats["misses"] > 0 and stats["refusals"] > stats["misses"]
+
+    def test_a_root_another_uid_owns_is_refused(self, tmp_path, monkeypatch):
+        uid = os.getuid()
+        monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+        cache = ArtifactCache(tmp_path)
+        assert not cache.trusted()
+        assert cache.store(StageArtifact("core", "a" * 64, "main", {})) is None
+        assert cache.stats.snapshot()["refusals"] == 1
+
+    def test_the_root_is_created_0700(self, tmp_path):
+        cache = ArtifactCache(tmp_path / "a" / "cache")
+        assert cache.store(StageArtifact("core", "a" * 64, "main", {}))
+        assert (tmp_path / "a" / "cache").stat().st_mode & 0o777 == 0o700
+
+    def test_mkdtemp_and_tmp_path_roots_are_trusted(self, tmp_path):
+        import shutil
+        import tempfile
+
+        assert ArtifactCache(tmp_path).trusted()
+        root = tempfile.mkdtemp(prefix="artifacts-")
+        try:
+            assert ArtifactCache(root).trusted()
+        finally:
+            shutil.rmtree(root)
+
+
 class TestDriverResume:
     def test_second_compile_resumes_from_host(self, tmp_path):
         cache = ArtifactCache(tmp_path)

@@ -10,8 +10,12 @@ suite under seeded per-backend fault injection.  The contract:
   is silently dropped and no untyped exception escapes;
 - with one backend at a 100% fault rate the breaker trips and requests
   are served by the interpreter floor with zero outright failures.
+
+The headline run's fault seeds come from ``CHAOS_SEEDS`` (default
+``1234``; CI's ``chaos`` job runs three more).
 """
 
+import os
 import threading
 
 import numpy as np
@@ -26,6 +30,9 @@ from repro.serve import Server, ServeRequest
 
 CLIENTS = 32
 ALL_NAMES = list(BENCHMARKS.names())
+SEEDS = [
+    int(s) for s in os.environ.get("CHAOS_SEEDS", "1234").split(",")
+]
 
 
 def _expected(name, seed):
@@ -38,8 +45,13 @@ def _expected(name, seed):
 class TestServiceChaos:
     def test_32_clients_under_chaos_all_benchmarks(self):
         """The headline run: every accepted request is correct, every
-        rejected one is typed, under per-backend injected faults."""
-        plans = ServiceFaultPlan.chaos(seed=1234)
+        rejected one is typed, under per-backend injected faults — one
+        server per seed in ``CHAOS_SEEDS`` (default: 1234 alone)."""
+        for seed in SEEDS:
+            self._32_clients_under_chaos(seed)
+
+    def _32_clients_under_chaos(self, seed):
+        plans = ServiceFaultPlan.chaos(seed=seed)
         # Precompute per-(client) benchmark, args and expected values;
         # one benchmark per client, covering all 16 twice over.
         cases = []
@@ -90,14 +102,14 @@ class TestServiceChaos:
                 for got, want in zip(r.values, expected):
                     assert values_equal(
                         got, want, rtol=1e-4, atol=1e-4
-                    ), f"{name}: served values diverge from interpreter"
+                    ), f"seed {seed}, {name}: served values diverge"
             else:
                 # Under chaos with no deadline and an interp floor,
                 # nothing should outright fail; tolerate only typed
                 # rejections, never untyped errors.
                 assert isinstance(
                     r.error, (ServiceOverloaded, DeadlineExceeded)
-                ), f"{name}: untyped failure {r.error!r}"
+                ), f"seed {seed}, {name}: untyped failure {r.error!r}"
         ok = sum(1 for r in results if r.status == "ok")
         assert ok == CLIENTS  # capacity == CLIENTS: nothing shed
         assert health["completed"] == CLIENTS
@@ -132,8 +144,9 @@ class TestServiceChaos:
             assert r.backend == "interp"
             for got, want in zip(r.values, expected):
                 assert values_equal(got, want, rtol=1e-4, atol=1e-4)
-        assert health["breakers"]["jit"]["state"] == "open"
-        assert health["breakers"]["jit"]["trips"] >= 1
+        # The breaker guards the server's one device.
+        assert health["breakers"]["dev0"]["state"] == "open"
+        assert health["breakers"]["dev0"]["trips"] >= 1
         assert health["errors"] == 0
 
     def test_rejections_are_typed(self):

@@ -108,7 +108,7 @@ class TestTerminalErrorsDump:
         with Server(
             workers=1,
             queue_capacity=4,
-            device=tiny,
+            devices=[tiny],
             fallback=False,
             retries_per_rung=0,
             flight_recorder=recorder,

@@ -1,0 +1,131 @@
+"""One serving path: ``Server()`` is a device pool of one.
+
+A request to a one-device server is placed whole on ``dev0`` and run on
+the server worker's own thread — the run the pool returns is the one
+``compiled.execute`` would make.  The device's books hold one run at a
+time whatever thread runs it (the per-device run lock), so its heap's
+lifetime counts every request once and peaks where the largest
+standalone run peaks.
+"""
+
+import collections
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from repro.bench.suite import BENCHMARKS
+from repro.core.values import values_equal
+from repro.gpu.device import NVIDIA_GTX780TI
+from repro.pipeline import compile_program
+from repro.runtime import EXECUTORS, ExecutionPolicy
+from repro.sched import pool as pool_mod
+from repro.serve import Server, ServeRequest
+
+NAMES = list(BENCHMARKS.names())
+
+
+def _case(name):
+    spec = BENCHMARKS[name]
+    return spec.program(), spec.small_args(np.random.default_rng(0))
+
+
+@pytest.fixture(scope="module")
+def cases():
+    return {name: _case(name) for name in NAMES}
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_a_served_call_is_the_run_compiled_execute_makes(cases, executor):
+    with Server(workers=1) as server:
+        for name in NAMES:
+            prog, args = cases[name]
+            r = server.call(
+                ServeRequest(prog, args, executor=executor), timeout=120
+            )
+            assert r.ok, f"{name}: {r.error}"
+            want, _, _ = compile_program(prog).execute(
+                args, policy=ExecutionPolicy(executor=executor)
+            )
+            assert len(r.values) == len(want), name
+            for got, exp in zip(r.values, want):
+                assert values_equal(got, exp, rtol=0.0, atol=0.0), name
+            assert r.backend == executor and not r.degraded_from, name
+            assert r.run_report.attempts == 1, name
+            placement = r.placement
+            assert placement["mode"] == "whole", name
+            assert [s["device"] for s in placement["shards"]] == [0], name
+
+
+def test_a_one_device_request_runs_on_the_server_worker(cases, monkeypatch):
+    """A spy on the pool's attempt loop records which thread ran it."""
+    ran_on = []
+    real = pool_mod.run_resilient
+
+    def spy(*args, **kwargs):
+        ran_on.append(threading.current_thread().name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pool_mod, "run_resilient", spy)
+    prog, args = cases["NN"]
+    with Server(workers=2) as server:
+        threads = {t.name for t in threading.enumerate()}
+        assert "repro-sched-dev0" in threads  # the device worker idles
+        for _ in range(4):
+            assert server.call(ServeRequest(prog, args), timeout=60).ok
+    assert len(ran_on) == 4
+    assert all(n.startswith("repro-serve-worker-") for n in ran_on), ran_on
+    # With two healthy devices the request goes through their workers:
+    # the spy tells the paths apart.
+    ran_on.clear()
+    with Server(workers=1, devices=[NVIDIA_GTX780TI] * 2) as server:
+        assert server.call(ServeRequest(prog, args), timeout=60).ok
+    assert len(ran_on) == 1 and ran_on[0].startswith("repro-sched-dev")
+
+
+def test_concurrent_requests_take_the_device_one_at_a_time(cases):
+    """``serve_sat``'s shape: 4 workers, 2 clients with 4 requests each
+    in flight, every program four times.  Two runs sharing the device
+    heap at once would fold each other's blocks into one peak."""
+    peak = max(
+        compile_program(prog)
+        .execute(args, policy=ExecutionPolicy(executor="jit"))[1]
+        .mem_peak_bytes
+        for prog, args in cases.values()
+    )
+    order = NAMES * 2
+    results = []
+
+    def client(server, offset):
+        in_flight = collections.deque()
+        for k in range(len(order)):
+            if len(in_flight) == 4:
+                results.append(in_flight.popleft().result(timeout=120))
+            prog, args = cases[order[(k + offset) % len(order)]]
+            in_flight.append(server.submit(ServeRequest(prog, args)))
+        results.extend(h.result(timeout=120) for h in in_flight)
+
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the workers finely
+    try:
+        with Server(workers=4, queue_capacity=16) as server:
+            for prog, _ in cases.values():
+                server.warm(prog)
+            clients = [
+                threading.Thread(target=client, args=(server, 8 * c))
+                for c in range(2)
+            ]
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join(timeout=300)
+            assert not any(t.is_alive() for t in clients)
+            health = server.health()
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert len(results) == 2 * len(order)
+    assert all(r.ok and r.backend == "jit" for r in results)
+    life = health["pool"]["devices"][0]["heap_lifetime"]
+    assert life["runs"] == health["completed"] == len(results)
+    assert life["peak_bytes"] == peak

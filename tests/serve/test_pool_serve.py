@@ -58,15 +58,27 @@ def test_pooled_server_shards_and_reports_placement():
     }
 
 
-def test_pool_less_server_has_no_placement():
+def test_one_device_server_places_the_request_whole_on_dev0():
     prog, args = _backprop(h=64)
     with Server(workers=1) as server:
         result = server.call(
             ServeRequest(prog, args), timeout=60
         ).raise_for_status()
         health = server.health()
-    assert result.placement is None
-    assert "pool" not in health
+    placement = result.placement
+    assert placement["mode"] == "whole"
+    assert [c["device"] for c in placement["candidates"]] == [0]
+    assert placement["decision"]["considered"] == [
+        placement["decision"]["chosen"]
+    ]
+    assert placement["decision"]["chosen"]["devices"] == [0]
+    (shard,) = placement["shards"]
+    assert shard["device"] == 0 and shard["replacements"] == 0
+    assert placement["makespan_us"] == shard["sim_us"] > 0
+    pool = health["pool"]
+    assert [d["profile"] for d in pool["devices"]] == [NVIDIA_GTX780TI.name]
+    assert pool["requests"] == pool["whole"] == pool["shards_executed"] == 1
+    assert health["breakers"] == {"dev0": pool["devices"][0]["breaker"]}
 
 
 def test_flight_record_carries_placement(tmp_path):

@@ -17,7 +17,6 @@ from repro.frontend.parser import parse
 from repro.gpu.faults import ServiceFaultPlan
 from repro.interp import run_program
 from repro.pipeline import CompilerOptions
-from repro.runtime import EXECUTORS
 from repro.serve import (
     BreakerState,
     Server,
@@ -203,8 +202,9 @@ class TestErrors:
             r = s.call(ServeRequest(prog, []), timeout=30)
             assert r.status == "error"
             assert isinstance(r.error, ReproError)
-            assert s.breakers["jit"].state is BreakerState.CLOSED
-            assert s.breakers["jit"].trips == 0
+            breaker = s.pool.devices[0].breaker
+            assert breaker.state is BreakerState.CLOSED
+            assert breaker.trips == 0
 
     def test_parse_failure_surfaces_as_error(self):
         bad = parse(MAP_SRC)  # valid program...
@@ -235,9 +235,14 @@ class TestDegradation:
                 s.submit(ServeRequest(prog, xs(1.0, 2.0))) for _ in range(6)
             ]
             results = [h.result(timeout=60) for h in handles]
+            # The breaker guards the device, not the executor: once a
+            # broken jit has tripped it, a sim request is refused too.
+            on_sim = s.call(
+                ServeRequest(prog, xs(1.0, 2.0), executor="sim"), timeout=60
+            )
             health = s.health()
         expected = run_program(prog, xs(1.0, 2.0))
-        for r in results:
+        for r in results + [on_sim]:
             assert r.ok, r.error
             # One plan: the device, else the interpreter — never sim.
             assert r.backend == "interp"
@@ -245,14 +250,16 @@ class TestDegradation:
             assert r.run_report.fallbacks == 1
             assert r.degraded_from == [r.run_report.abandoned]
             assert values_equal(r.values[0], expected[0])
-        assert health["breakers"]["jit"]["trips"] >= 1
-        assert health["breakers"]["sim"]["trips"] == 0
+        assert set(health["breakers"]) == {"dev0"}
+        assert health["breakers"]["dev0"]["trips"] >= 1
         # Pre-trip requests record the fault that ended the device
         # step, post-trip ones the skip.
         trails = {d for r in results for d in r.degraded_from}
         assert trails == {"jit:DeviceFault", "jit:open"}
         skipped = [r for r in results if r.degraded_from == ["jit:open"]]
         assert all(r.run_report.attempts == 0 for r in skipped)
+        assert on_sim.degraded_from == ["sim:open"]
+        assert on_sim.run_report.attempts == 0
 
     def test_program_error_during_probe_does_not_wedge_breaker(self, prog):
         # Regression: a half-open probe that dies of a *program* error
@@ -269,21 +276,22 @@ class TestDegradation:
             breaker_recovery_s=0.0,  # open resolves to half-open at once
         ) as s:
             s.warm(prog)
+            breaker = s.pool.devices[0].breaker
             first = s.call(ServeRequest(prog, xs(1.0)), timeout=60)
             assert first.ok, first.error
-            assert s.breakers["jit"].trips >= 1
+            assert breaker.trips >= 1
             # Burn the half-open probe on a request with a caller
-            # error (wrong arity): neutral outcome for the backend.
+            # error (wrong arity): neutral outcome for the device.
             bad = s.call(ServeRequest(prog, []), timeout=60)
             assert bad.status == "error"
-            assert s.breakers["jit"].state is BreakerState.HALF_OPEN
+            assert breaker.state is BreakerState.HALF_OPEN
             # Heal the backend: the very next request must win a fresh
             # probe and succeed on jit instead of being refused.
             s.fault_plans = ServiceFaultPlan()
             healed = s.call(ServeRequest(prog, xs(2.0)), timeout=60)
             assert healed.ok, healed.error
             assert healed.backend == "jit"
-            assert s.breakers["jit"].state is BreakerState.CLOSED
+            assert breaker.state is BreakerState.CLOSED
 
     def test_interp_floor_when_everything_is_broken(self, prog):
         plans = ServiceFaultPlan(
@@ -303,6 +311,9 @@ class TestDegradation:
             fault_plans=plans,
             retries_per_rung=1,
             breaker_threshold=1,
+            # Open resolves to half-open at once: every request probes
+            # the device on the executor it asked for.
+            breaker_recovery_s=0.0,
         ) as s:
             s.warm(prog)
             # Whichever executor a request asks for, its floor is the
@@ -314,9 +325,12 @@ class TestDegradation:
                 )
                 assert r.ok, r.error
                 assert r.backend == "interp"
-                assert r.degraded_from[0].startswith(executor or "jit")
+                assert r.degraded_from == [
+                    f"{executor or 'jit'}:DeviceFault"
+                ]
                 assert values_equal(r.values[0], expected[0])
-            assert s.breakers["sim"].trips == 1
+            # Each failed probe re-opened the device's one breaker.
+            assert s.pool.devices[0].breaker.trips == 4
 
     def test_no_floor_surfaces_the_device_error(self, prog):
         """``fallback=False``: a terminal device error reaches the
@@ -409,7 +423,10 @@ class TestHealth:
         assert h["queue_capacity"] == 8
         assert h["completed"] == 1
         assert h["admitted"] == 1
-        assert set(h["breakers"]) == set(EXECUTORS)
+        # One device, one breaker: the pool's registry.
+        assert set(h["breakers"]) == {"dev0"}
+        assert h["breakers"]["dev0"] == h["pool"]["devices"][0]["breaker"]
+        assert h["pool"]["devices"][0]["executed"] == 1
         assert h["compile_cache"]["misses"] == 1
         lane = h["lanes"]["interactive"]
         assert lane["count"] == 1
