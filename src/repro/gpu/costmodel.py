@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core import ast as A
 from ..core.types import Array
@@ -327,20 +327,16 @@ def manifest_price(
 
 
 def loop_copy_us(
-    s: HostLoopStmt,
-    sizes_for: Callable[[Count], Mapping[str, int]],
-    device: DeviceProfile,
+    s: HostLoopStmt, size_env: Mapping[str, int], device: DeviceProfile
 ) -> List[float]:
     """What one iteration of ``s`` pays to copy each double-buffered
-    array of its merge state (read plus write), ``sizes_for(count)``
-    binding the sizes ``count`` names.  Per array, not summed: the
-    simulator adds them to its clock one at a time, and float
-    addition does not re-associate."""
+    array of its merge state (read plus write), at ``size_env``.  Per
+    array, not summed: the simulator adds them to its clock one at a
+    time, and float addition does not re-associate."""
     out: List[float] = []
     for p, _ in s.merge:
         if p.name in s.double_buffered and isinstance(p.type, Array):
-            count = Count.of(1.0, *p.type.shape)
-            elems = count.evaluate(sizes_for(count))
+            elems = Count.of(1.0, *p.type.shape).evaluate(size_env)
             out.append(
                 (elems * p.type.elem.nbytes * 2.0) * device.mem_us_per_byte()
             )
@@ -558,7 +554,7 @@ def _estimate_stmts(
                 loop_trip_default, heap,
             )
             copy_us = 0.0
-            for us in loop_copy_us(s, lambda count: size_env, device):
+            for us in loop_copy_us(s, size_env, device):
                 copy_us += us
             inner.copy_us += copy_us
             report.merge(inner.scaled(trips))

@@ -3,73 +3,67 @@
 An engine is three parts, composed rather than inherited: the device's
 books (:class:`DeviceAccounting`: cost clock, heap, watchdog, fault
 injector, deadline, trace track and metric prefix, with one method per
-host-statement kind), a kernel runner that computes each launch's
-values (:class:`InterpRunner`, the reference interpreter, for ``sim``;
-:class:`repro.vm.jit.engine.JitRunner` for ``jit``), and the host walk
-(:class:`GpuSimulator`), which binds names, follows control flow and
-calls the other two.  Simulated time, heap statistics and the
-fault-injection draw order are the books' alone, so they are identical
-under either runner.
+host-statement kind), a kernel runner that provides one callable per
+launch site (:class:`InterpRunner`, the reference interpreter, for
+``sim``; :class:`repro.vm.jit.engine.JitRunner` for ``jit``), and the
+program's generated host function (:mod:`repro.vm.jit.codegen.host`),
+which :class:`GpuSimulator` calls with the other two.  The function
+binds names as raw values, follows control flow and calls the books
+once per host statement with the sizes that statement names; this
+module also holds the few helpers it calls.  Simulated time, heap
+statistics and the fault-injection draw order are the books' alone,
+so they are identical under either runner.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import (
     Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
 )
 
+import numpy as np
+
 from ..core import ast as A
-from ..core.values import ArrayValue, ScalarValue, Value, scalar
+from ..core.values import ArrayValue, ScalarValue, Value
 from ..core.prim import I32
-from ..interp.interpreter import Interpreter
+from ..interp.interpreter import Interpreter, InterpError
 from ..backend.kernel_ir import (
     AllocStmt,
-    Count,
     FreeStmt,
     HostEval,
-    HostIfStmt,
     HostLoopStmt,
     HostProgram,
-    LaunchStmt,
     ManifestStmt,
 )
 from ..core.types import Array
-from ..errors import ArgumentError, CompilerBug, KernelTimeout
+from ..errors import ArgumentError, KernelTimeout
 from ..obs import get_metrics, get_tracer
 from .costmodel import (
     CostReport, KernelCost, host_stmt_us, kernel_cost, loop_copy_us,
-    manifest_price, memo_insert, size_env_from_args,
+    manifest_price, memo_insert,
 )
 from .device import DeviceProfile
 from .faults import FaultInjector
 from .heap import DeviceHeap
 
-__all__ = ["DeviceAccounting", "GpuSimulator", "InterpRunner"]
+__all__ = [
+    "DeviceAccounting",
+    "GpuSimulator",
+    "InterpRunner",
+    "check_argument",
+    "host_function",
+    "interp_launch",
+    "raw_values",
+    "reject",
+    "unbound",
+]
 
 #: The watchdog budget: a kernel may take this many times its analytic
 #: cost estimate, plus a floor so microsecond kernels aren't flaky,
 #: before being killed.
 WATCHDOG_FACTOR = 8.0
 WATCHDOG_FLOOR_US = 100.0
-
-
-def _size_of(v: Optional[Value]) -> Optional[int]:
-    """The value as a size variable (an integral scalar), else None."""
-    if isinstance(v, ScalarValue) and v.type.is_integral:
-        return int(v.value)
-    return None
-
-
-def _sizes_for(count: Count, env: Mapping[str, Value]) -> Dict[str, int]:
-    """The size variables ``count`` names, as ``env`` binds them —
-    all that ``count.evaluate`` reads of a size environment."""
-    out: Dict[str, int] = {}
-    for _, dims in count.terms:
-        for d in dims:
-            size = _size_of(env.get(d))
-            if size is not None:
-                out[d] = size
-    return out
 
 
 class DeviceAccounting:
@@ -147,16 +141,20 @@ class DeviceAccounting:
             )
         return report
 
-    def launch(self, kernel, env: Mapping[str, Value], run) -> tuple:
-        """One kernel launch, its values computed by ``run(kernel,
-        env)``: deadline check, fault draw, values, price, watchdog
-        draw, then the span and metrics — in that order."""
+    def launch(
+        self, kernel, sizes: Tuple[Optional[int], ...], run, *args
+    ) -> tuple:
+        """One kernel launch at ``sizes`` (the value of each of
+        ``kernel.size_names``, None where no integer is bound), its
+        values computed by ``run(*args)``: deadline check, fault draw,
+        values, price, watchdog draw, then the span and metrics — in
+        that order."""
         if self.deadline is not None:
             self.deadline.check(f"launch of {kernel.name}")
         if self.injector is not None:
             self.injector.before_launch(kernel.name)
-        values = run(kernel, env)
-        cost = self.price(kernel, env)
+        values = run(*args)
+        cost = self.price(kernel, sizes)
         consumed = self._watchdog(kernel.name, cost.time_us)
         report = self.report
         # The simulated-clock cursor: everything accrued so far.
@@ -165,8 +163,8 @@ class DeviceAccounting:
         self._observe_launch(cost, sim_ts, consumed)
         return values
 
-    def alloc(self, s: AllocStmt, env: Mapping[str, Value]) -> None:
-        size = s.block.size_bytes(_sizes_for(s.block.elems, env))
+    def alloc(self, s: AllocStmt, sizes: Mapping[str, int]) -> None:
+        size = s.block.size_bytes(sizes)
         self.heap.alloc(
             s.block.name, size, reuse_of=s.reuse_of, recycle=s.recycle,
         )
@@ -176,12 +174,10 @@ class DeviceAccounting:
         self.heap.free(s.block)
         self._observe_mem()
 
-    def manifest(self, s: ManifestStmt, env: Mapping[str, Value]) -> None:
+    def manifest(self, s: ManifestStmt, sizes: Mapping[str, int]) -> None:
         """A layout change: priced as a transposing copy, on the trace
         as a ``manifest`` span."""
-        bytes_moved, manifest_us = manifest_price(
-            s, _sizes_for(s.elems, env), self.device
-        )
+        bytes_moved, manifest_us = manifest_price(s, sizes, self.device)
         report = self.report
         sim_ts = report.total_us
         report.manifest_us += manifest_us
@@ -204,13 +200,13 @@ class DeviceAccounting:
     def host_eval(self, s: HostEval) -> None:
         self.report.host_us += host_stmt_us(s.binding.exp, self.device)
 
-    def loop_copies(self, s: HostLoopStmt, env) -> List[float]:
+    def loop_copies(
+        self, s: HostLoopStmt, sizes: Mapping[str, int]
+    ) -> List[float]:
         """What each iteration of ``s`` pays to copy its double-buffered
-        state, priced once per loop: ``env`` is not rebound while the
-        loop runs, so neither are the sizes the copied shapes name."""
-        return loop_copy_us(
-            s, lambda count: _sizes_for(count, env), self.device
-        )
+        state, priced once per loop at the sizes ahead of it: the loop
+        does not rebind them."""
+        return loop_copy_us(s, sizes, self.device)
 
     def loop_copy(self, copies_us: Sequence[float]) -> None:
         """Charge one iteration's copies (one addition each: float
@@ -219,22 +215,26 @@ class DeviceAccounting:
         for us in copies_us:
             report.copy_us += us
 
-    def price(self, kernel, env: Mapping[str, Value]) -> KernelCost:
-        """``kernel_cost`` of one launch.  The price is a pure function
-        of the kernel, the size variables it names, the device and
+    def price(
+        self, kernel, sizes: Tuple[Optional[int], ...]
+    ) -> KernelCost:
+        """``kernel_cost`` of one launch at ``sizes`` (aligned with
+        ``kernel.size_names``).  The price is a pure function of the
+        kernel, the size variables it names, the device and
         ``coalescing``, and a host loop or a served request replays the
         same launch every time, so it is computed once per key (shared
         through the host program, bounded and evicted like its other
         two price memos: ``costmodel.memo_insert``)."""
-        names = kernel.size_names
-        sizes = tuple(_size_of(env.get(n)) for n in names)
         memo = self._launch_costs
         key = (kernel.name, sizes)
         cost = memo.get(key)
         if cost is None:
             cost = kernel_cost(
                 kernel,
-                {n: v for n, v in zip(names, sizes) if v is not None},
+                {
+                    n: v for n, v in zip(kernel.size_names, sizes)
+                    if v is not None
+                },
                 self.device,
                 coalescing=self.coalescing,
             )
@@ -342,30 +342,112 @@ class DeviceAccounting:
         return inst
 
 
+# -- what the generated host function calls ---------------------------------
+
+
+def check_argument(hp: HostProgram, k: int, value) -> None:
+    """Raise the :class:`ArgumentError` of an argument that is not a
+    value of its parameter's declared type: a scalar for an array (or
+    the reverse), another primitive type, or an array whose data is not
+    of its element type's dtype.  The generated prologue calls this
+    where its identity test fails; an equal type passes."""
+    p = hp.params[k]
+    t = p.type
+    if isinstance(t, Array):
+        ok = (
+            isinstance(value, ArrayValue)
+            and value.elem == t.elem
+            and value.data.dtype == t.elem.to_dtype()
+        )
+    else:
+        ok = isinstance(value, ScalarValue) and value.type == t.t
+    if ok:
+        return
+    if isinstance(value, ArrayValue):
+        got = f"an array of {value.elem} holding {value.data.dtype} data"
+    elif isinstance(value, ScalarValue):
+        got = f"a scalar of {value.type}"
+    else:
+        got = f"a {type(value).__name__}"
+    raise ArgumentError(
+        f"{hp.name}: argument {k + 1} ({p.name}) must be {t}, got {got}"
+    )
+
+
+def reject(interp: Interpreter, p: A.Param, raw, sizes) -> None:
+    """A binding whose inline check failed, handed to the interpreter's
+    own ``bind_param`` with the size variables bound ahead of it: it
+    raises the error the walk over the same statements would."""
+    value = (
+        ArrayValue(raw, p.type.elem) if isinstance(raw, np.ndarray)
+        else ScalarValue(raw, I32)  # fails as a scalar; its type is not read
+    )
+    env = {d: ScalarValue(v, I32) for d, v in sizes.items()}
+    interp.bind_param(env, p, value)
+
+
+def raw_values(values: Sequence[Value]) -> tuple:
+    """Interpreter values as the raw values the host function holds."""
+    return tuple(
+        v.data if isinstance(v, ArrayValue) else v.value for v in values
+    )
+
+
+def unbound(name: str):
+    """What reading a name no statement bound raises: the
+    interpreter's error."""
+    raise InterpError(f"unbound variable {name}")
+
+
+def interp_launch(interp: Interpreter, site, *raws) -> tuple:
+    """One launch on the reference interpreter: the launch signature's
+    raw values, wrapped at their declared types, are its environment."""
+    env = {
+        name: ScalarValue(raw, prim) if scalar else ArrayValue(raw, prim)
+        for (name, scalar, prim), raw in zip(site.params, raws)
+    }
+    return raw_values(interp.eval_exp(site.kernel.exp, env))
+
+
+def host_function(hp: HostProgram):
+    """The generated function of ``hp``, from its jit cache (where its
+    kernels' sources are too)."""
+    cache = hp.jit_cache
+    if cache is None:
+        from ..vm.jit.engine import jit_cache_for  # it imports this module
+
+        cache = jit_cache_for(hp)
+    return cache.host()
+
+
 class InterpRunner:
     """The ``sim`` kernel runner: every launch on the scalar reference
     interpreter.  A runner is built as ``runner(interp, trace_track)``;
-    the walk calls ``start(hp)`` once per run, ``run(kernel, env)`` per
-    launch."""
+    ``start(hp)`` returns, once per run, one callable per launch site
+    of the host function, taking the site's raw arguments and returning
+    the kernel's raw values."""
 
     def __init__(self, interp: Interpreter, trace_track: str) -> None:
         self._interp = interp
 
-    def start(self, hp: HostProgram) -> None:
-        pass
-
-    def run(self, kernel, env: Mapping[str, Value]) -> Tuple[Value, ...]:
-        return self._interp.eval_exp(kernel.exp, env)
+    def start(self, hp: HostProgram) -> tuple:
+        interp = self._interp
+        return tuple(
+            partial(interp_launch, interp, site)
+            for site in host_function(hp).sites
+        )
 
 
 class GpuSimulator:
     """Executes a :class:`HostProgram`, producing both the result
     values and a :class:`CostReport` of simulated device time.
 
-    The walk only binds names and follows control flow.  Every price,
-    heap charge, fault draw and span is a call on :attr:`accounting`
-    (``books`` are its options), and every launch's values come from
-    ``runner`` (``repro.runtime.make_engine`` picks it per executor).
+    The program runs as its generated host function
+    (:mod:`repro.vm.jit.codegen.host`), which binds names and follows
+    control flow.  Every price, heap charge, fault draw and span is a
+    call on :attr:`accounting` (``books`` are its options), and every
+    launch's values come from ``runner`` (``repro.runtime.make_engine``
+    picks it per executor).
     """
 
     def __init__(
@@ -384,7 +466,6 @@ class GpuSimulator:
         self._interp = Interpreter(
             prog if prog is not None else A.Prog(()), in_place=in_place
         )
-        self._atom = self._interp._atom
         self.runner = runner(self._interp, self.accounting.trace_track)
 
     def run(
@@ -395,92 +476,7 @@ class GpuSimulator:
                 f"{hp.name}: expected {len(hp.params)} arguments, "
                 f"got {len(args)}"
             )
-        self.runner.start(hp)
-        env: Dict[str, Value] = {}
-        for p, arg in zip(hp.params, args):
-            if isinstance(arg, ArrayValue):
-                arg = arg.copy()
-            self._interp.bind_param(env, p, arg)
-        acct = self.accounting
-        acct.begin(hp, size_env_from_args(hp, args))
-        self._exec_stmts(hp.stmts, env)
-        results = tuple(self._atom(env, a) for a in hp.result)
-        return results, acct.finish()
-
-    # -- the walk ------------------------------------------------------------
-
-    def _exec_stmts(self, stmts: Sequence, env: Dict[str, Value]) -> None:
-        acct = self.accounting
-        run_kernel = self.runner.run
-        bind = self._interp.bind_param
-        for s in stmts:
-            if isinstance(s, LaunchStmt):
-                kernel = s.kernel
-                if s.elide_copy is not None and s.elide_copy in env:
-                    # The memory planner proved the source dies here:
-                    # the copy is a no-op and the result aliases it.
-                    src_val = env[s.elide_copy]
-                    for p in kernel.pat:
-                        bind(env, p, src_val)
-                    continue
-                values = acct.launch(kernel, env, run_kernel)
-                for p, v in zip(kernel.pat, values):
-                    bind(env, p, v)
-            elif isinstance(s, HostEval):
-                values = self._interp.eval_exp(s.binding.exp, env)
-                for p, v in zip(s.binding.pat, values):
-                    bind(env, p, v)
-                acct.host_eval(s)
-            elif isinstance(s, ManifestStmt):
-                # Layout change only; the logical value is unchanged.
-                if s.src != s.dst and s.src in env:
-                    env[s.dst] = env[s.src]
-                acct.manifest(s, env)
-            elif isinstance(s, AllocStmt):
-                acct.alloc(s, env)
-            elif isinstance(s, FreeStmt):
-                acct.free(s)
-            elif isinstance(s, HostLoopStmt):
-                self._exec_loop(s, env)
-            elif isinstance(s, HostIfStmt):
-                cond = self._atom(env, s.cond)
-                body, result = (
-                    (s.then_body, s.then_result)
-                    if cond.value
-                    else (s.else_body, s.else_result)
-                )
-                inner_env = dict(env)
-                self._exec_stmts(body, inner_env)
-                for p, a in zip(s.pat, result):
-                    bind(env, p, self._atom(inner_env, a))
-            else:  # pragma: no cover
-                raise CompilerBug(
-                    "simulate", "execute", f"unknown host statement {s!r}"
-                )
-
-    def _exec_loop(self, s: HostLoopStmt, env: Dict[str, Value]) -> None:
-        state: List[Value] = [self._atom(env, a) for _, a in s.merge]
-        params = [p for p, _ in s.merge]
-        acct = self.accounting
-        copies_us = acct.loop_copies(s, env)
-
-        def iterate(extra: Dict[str, Value]) -> None:
-            inner: Dict[str, Value] = dict(env)
-            inner.update(extra)
-            for p, v in zip(params, state):
-                self._interp.bind_param(inner, p, v)
-            self._exec_stmts(s.body, inner)
-            state[:] = [self._atom(inner, a) for a in s.body_result]
-            acct.loop_copy(copies_us)
-
-        if isinstance(s.form, A.ForLoop):
-            for i in range(int(self._atom(env, s.form.bound).value)):
-                iterate({s.form.ivar: scalar(i, I32)})
-        else:
-            cond_index = next(
-                k for k, p in enumerate(params) if p.name == s.form.cond
-            )
-            while state[cond_index].value:
-                iterate({})
-        for p, v in zip(s.pat, state):
-            self._interp.bind_param(env, p, v)
+        launchers = self.runner.start(hp)
+        return host_function(hp).fn(
+            self.accounting, launchers, self._interp, args
+        )

@@ -136,11 +136,14 @@ class Interpreter:
         self, e: A.Exp, env: Dict[str, Value]
     ) -> Tuple[Value, ...]:
         """Evaluate a single expression in an explicit environment
-        (used by the GPU simulator to execute kernel IR)."""
+        (what a generated host function runs a kernel, or a host
+        statement it does not emit itself, on)."""
         return self._eval_exp(e, env)
 
     def bind_param(self, env: Dict[str, Value], p: A.Param, v: Value) -> None:
-        """Publicly bind a parameter, unifying symbolic sizes."""
+        """Publicly bind a parameter, unifying symbolic sizes: the
+        check a generated host function hands a binding to when its
+        inline test fails (``repro.gpu.simulator.reject``)."""
         self._bind_checked(env, p, v, f"binding of {p.name}")
 
     # -- helpers ---------------------------------------------------------------

@@ -71,12 +71,13 @@ def _jit_runner(interp, trace_track: str):
     return JitRunner(interp, trace_track)
 
 
-#: The executors: the kernel runner each puts under the host walk, and
-#: its trace track.  ``"sim"`` evaluates every launch on the scalar
-#: reference interpreter (the bit-exact reference); ``"jit"`` runs
-#: kernels as transpiled NumPy (:mod:`repro.vm.jit`), re-running a
-#: launch on the interpreter when the transpiler refuses it or a trap
-#: fires.  Clock, heap, watchdog and faults are the engine's books
+#: The executors: the kernel runner each gives the program's generated
+#: host function, and its trace track.  ``"sim"`` evaluates every
+#: launch on the scalar reference interpreter (the bit-exact
+#: reference); ``"jit"`` runs kernels as transpiled NumPy
+#: (:mod:`repro.vm.jit`), re-running a launch on the interpreter when
+#: the transpiler refuses it or a trap fires.  Clock, heap, watchdog and
+#: faults are the engine's books
 #: (:class:`~repro.gpu.simulator.DeviceAccounting`) under both.
 _ENGINES = {
     "sim": (InterpRunner, "sim-gpu"),
@@ -389,9 +390,9 @@ def run_resilient(
     if pass_timings:
         report.pass_timings = list(pass_timings)
     injector = fault_plan.injector() if fault_plan is not None else None
-    backoff_rng = random.Random(
-        fault_plan.seed ^ 0x5DEECE66D if fault_plan is not None else 0
-    )
+    # The jitter source, built before the first backoff: a clean run
+    # never draws from it.
+    backoff_rng: Optional[random.Random] = None
     tracer = get_tracer()
     metrics = get_metrics()
     logger = get_logger("runtime")
@@ -484,6 +485,11 @@ def run_resilient(
                     )
                     break
                 report.retries += 1
+                if backoff_rng is None:
+                    backoff_rng = random.Random(
+                        fault_plan.seed ^ 0x5DEECE66D
+                        if fault_plan is not None else 0
+                    )
                 backoff = min(
                     _backoff_us(attempt, backoff_rng), budget
                 )

@@ -1,12 +1,14 @@
-"""Kernel transpilation: the jit executor tier.
+"""Transpilation: the jit executor tier, and the host function both
+executors run.
 
 Lowers kernel-IR kernels into specialized straight-line NumPy source
-(:mod:`~repro.vm.jit.codegen`), compiles and memoizes them per launch
-signature, persists the generated source through the artifact cache,
-and runs them as the kernel runner (:class:`~repro.vm.jit.engine.
-JitRunner`) under the host walk of :class:`repro.gpu.GpuSimulator`,
-whose accounting object keeps the clock, heap and faults.  Per launch
-the ladder is jit → interpreter.
+(:mod:`~repro.vm.jit.codegen`) and each host program into one Python
+function (:mod:`~repro.vm.jit.codegen.host`), compiles and memoizes
+them (kernels per launch signature), persists the generated source
+through the artifact cache, and runs kernels as the kernel runner
+(:class:`~repro.vm.jit.engine.JitRunner`) of that host function, whose
+accounting object keeps the clock, heap and faults.  Per launch the
+ladder is jit → interpreter.
 """
 
 from .codegen import JitUnsupported, PYCODE_SCHEMA, transpile_kernel

@@ -67,7 +67,9 @@ of ``(codegen, exp, scope, spec)`` — what the dispatch table
 :mod:`.folds`) ends with the table rows naming its rules;
 :mod:`.values` holds the value domain above and :mod:`.core` the
 :class:`~.core.KernelCodegen` the rules emit through.  DESIGN.md §14
-lists which function emits each rule.
+lists which function emits each rule.  :mod:`.host` is not a rule
+module: it transpiles the host program around the kernels into one
+function, through the same emitter and the uniform scalar rules.
 """
 
 from .core import PYCODE_SCHEMA, transpile_kernel

@@ -17,7 +17,7 @@ from .values import KD, JitUnsupported, JVal, _Emitter, _Scope
 
 #: Schema tag embedded in every generated module; bump on any change to
 #: the generated code's shape so stale cached artifacts are discarded.
-PYCODE_SCHEMA = "repro.pycode/v5"
+PYCODE_SCHEMA = "repro.pycode/v6"
 
 #: Hard cap on emitted statements: speculative if-arms and masked loops
 #: duplicate their bodies, so deeply nested divergence can explode.

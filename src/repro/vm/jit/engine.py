@@ -1,46 +1,56 @@
-"""The transpiling kernel runner.
+"""The transpiling kernel runner and the store of generated code.
 
-:class:`JitRunner` decides only *how kernel values are computed*, under
-the host walk of :class:`~repro.gpu.simulator.GpuSimulator`; the clock,
-heap, watchdog, faults, deadline and spans are the walk's
+:class:`JitRunner` decides only *how kernel values are computed*: it
+gives the program's generated host function
+(:mod:`repro.vm.jit.codegen.host`, the one the ``sim`` executor runs
+too) one callable per launch site, and the clock, heap, watchdog,
+faults, deadline and spans are the engine's
 :class:`~repro.gpu.simulator.DeviceAccounting` whichever runner runs.
-Kernels are transpiled once (per launch signature) into straight-line
-NumPy source by :mod:`repro.vm.jit.codegen`, ``compile()``d, and
-executed directly — no IR walk, no per-node environment lookups.  A
+A launch site's signature is fixed when the host function is
+transpiled, from the declared types; each kernel is transpiled once
+per signature into straight-line NumPy source by
+:mod:`repro.vm.jit.codegen`, ``compile()``d, and executed directly.  A
 kernel the transpiler cannot handle, or whose generated code hits a
 data-dependent trap at run time, re-runs that launch on the scalar
 interpreter, counted on the ``vm.fallback`` metric with ``kind="jit"``
 and marked on the trace.
 
-Generated source is memoized per host program
-(``HostProgram.jit_cache``) and — when the program came out of a clean
-compile that went through an artifact cache — persisted verbatim
-through the artifact store under the ``pycode`` stage, so a warm
-process (``$REPRO_ARTIFACT_DIR``, or a ``Server`` with
-``artifact_dir=``) skips transpilation entirely and only pays
-``compile()``.
+Generated source — every kernel's, and the host function's — is
+memoized per host program (:class:`JitProgramCache`, on
+``HostProgram.jit_cache``) and, when the program came out of a clean
+compile that went through an artifact cache, persisted verbatim
+through the artifact store under the ``pycode`` stage (``"kernels"``
+and ``"host"`` in one payload), so a warm process
+(``$REPRO_ARTIFACT_DIR``, or a ``Server`` with ``artifact_dir=``)
+transpiles nothing and only pays ``compile()``.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from ...core.prim import PrimType, prim_from_name
-from ...core.traversal import free_vars_exp
-from ...core.values import ArrayValue, ScalarValue, Value, scalar
-from ...errors import ReproError
+from ...errors import CompilerBug, ReproError
 from ...gpu.device import DeviceProfile
-from ...gpu.simulator import GpuSimulator
+from ...gpu.simulator import GpuSimulator, interp_launch
 from ...interp.interpreter import Interpreter
 from ...obs import get_logger, get_metrics, get_tracer
 from ...pipeline.artifact import StageArtifact, default_artifact_cache
 from ...pipeline.fingerprint import _digest
 from .codegen import JitUnsupported, PYCODE_SCHEMA, transpile_kernel
+from .codegen.host import host_statements, transpile_host
 from .runtime import JitFallback, JitRuntime
 
-__all__ = ["JitEngine", "JitProgramCache", "JitRunner", "jit_cache_for"]
+__all__ = [
+    "HostFunction",
+    "JitEngine",
+    "JitProgramCache",
+    "JitRunner",
+    "LaunchSite",
+    "jit_cache_for",
+]
 
 _log = get_logger("vm.jit")
 
@@ -56,28 +66,60 @@ class _CompiledKernel:
     """A ready-to-call transpiled kernel."""
 
     fn: Callable
-    #: ``("S"|"A", PrimType)`` per output, for re-wrapping raw results.
-    outs: Tuple[Tuple[str, PrimType], ...]
+    #: ``(position, PrimType)`` of each scalar output: what the kernel
+    #: returns there is coerced as the interpreter's values are.
+    scalars: Tuple[Tuple[int, PrimType], ...]
+
+    def __call__(self, rt: JitRuntime, raws) -> tuple:
+        outs = self.fn(rt, *raws)
+        if not self.scalars:
+            return outs
+        outs = list(outs)
+        for k, prim in self.scalars:
+            outs[k] = prim.coerce(outs[k])
+        return tuple(outs)
+
+
+class LaunchSite(NamedTuple):
+    """One launch of the host function: the kernel, its signature
+    (``(name, kind, element type, rank)`` per argument, the order the
+    host function passes them in), per argument ``(name, is scalar,
+    PrimType)`` for wrapping it as an interpreter value, and the key of
+    its generated source (kernel name, ``repr`` of the signature)."""
+
+    kernel: object
+    sig: tuple
+    params: tuple
+    key: Tuple[str, str]
+
+
+@dataclass
+class HostFunction:
+    """A host program's generated function and its launch sites."""
+
+    fn: Callable
+    sites: Tuple[LaunchSite, ...]
 
 
 class JitProgramCache:
-    """Per-host-program store of generated sources and compiled entries.
+    """Per-host-program store of generated sources and compiled entries:
+    the host function's, and each kernel's.
 
-    Sources are keyed by ``(kernel name, launch signature)``; a ``None``
-    source records that transpilation was attempted and the kernel is
-    unsupported, so neither this process nor (once persisted) a warm
-    restart ever retries it.
+    Kernel sources are keyed by ``(kernel name, launch signature)``; a
+    ``None`` source records that transpilation was attempted and the
+    kernel is unsupported, so neither this process nor (once persisted)
+    a warm restart ever retries it.
     """
 
     def __init__(self, host) -> None:
         self._lock = threading.Lock()
-        self._entry_name = host.name
+        self._hp = host
         #: kernel name -> sig key -> source (or None for unsupported).
         self._sources: Dict[str, Dict[str, Optional[str]]] = {}
         #: (kernel name, sig key) -> compiled entry (or None).
         self._entries: Dict[Tuple[str, str], Optional[_CompiledKernel]] = {}
-        #: kernel name -> sorted free variables (signature order).
-        self._free_vars: Dict[str, Tuple[str, ...]] = {}
+        self._host_source: Optional[str] = None
+        self._host: Optional[HostFunction] = None
         self._cache = host.artifact_cache
         if self._cache is None:
             self._cache = default_artifact_cache()
@@ -96,49 +138,101 @@ class JitProgramCache:
                     self._sources = {
                         k: dict(v) for k, v in kernels.items()
                     }
+                source = artifact.payload.get("host")
+                if isinstance(source, str):
+                    self._host_source = source
 
-    # -- signatures ---------------------------------------------------------
+    # -- the host function --------------------------------------------------
 
-    def signature(self, kernel, env) -> Tuple[Tuple[str, str, str, int], ...]:
-        """The launch signature: kind/type/rank of every free variable
-        of the kernel expression the environment binds.  Fully
-        determines the generated code."""
-        names = self._free_vars.get(kernel.name)
-        if names is None:
-            names = tuple(sorted(free_vars_exp(kernel.exp)))
-            self._free_vars[kernel.name] = names
-        sig = []
-        for name in names:
-            v = env.get(name)
-            if isinstance(v, ScalarValue):
-                sig.append((name, "S", v.type.name, 0))
-            elif isinstance(v, ArrayValue):
-                sig.append((name, "A", v.elem.name, v.data.ndim))
-            # Names the launch env does not bind are resolved inside
-            # the kernel (size unification) or reported by codegen.
-        return tuple(sig)
+    def host(self) -> HostFunction:
+        """The program's generated function, built on first use."""
+        host = self._host
+        if host is None:
+            with self._lock:
+                if self._host is None:
+                    self._host = self._build_host()
+                host = self._host
+        return host
 
-    # -- lookup / build -----------------------------------------------------
+    def host_source(self) -> Optional[str]:
+        """The host function's source, once built or loaded (the
+        golden-file tests pin it beside the kernels')."""
+        with self._lock:
+            return self._host_source
+
+    def _build_host(self) -> HostFunction:
+        source = self._host_source
+        if source is not None:
+            try:
+                return self._compile_host(source, cached=True)
+            except Exception as ex:  # stale/corrupt source: regenerate
+                _log.debug(
+                    "host-compile-error", entry=self._hp.name,
+                    error=f"{type(ex).__name__}: {ex}",
+                )
+        with get_tracer().span("jit.transpile", "vm", entry=self._hp.name):
+            source = transpile_host(self._hp)
+        self._host_source = source
+        self._persist()
+        try:
+            return self._compile_host(source, cached=False)
+        except Exception as ex:
+            raise CompilerBug(
+                "host", "transpile",
+                f"{self._hp.name}: generated host code does not run: "
+                f"{type(ex).__name__}: {ex}",
+            ) from ex
+
+    def _compile_host(self, source: str, cached: bool) -> HostFunction:
+        hp = self._hp
+        with get_tracer().span(
+            "jit.compile", "vm", entry=hp.name, cached=cached
+        ):
+            ns: Dict[str, object] = {}
+            exec(  # noqa: S102 - executing our own generated source
+                compile(source, f"<jit-host:{hp.name}>", "exec"), ns
+            )
+            stmts = host_statements(hp.stmts)
+            sites = tuple(
+                LaunchSite(
+                    stmts[k].kernel,
+                    sig,
+                    tuple(
+                        (name, kind == "S", prim_from_name(elem))
+                        for name, kind, elem, _rank in sig
+                    ),
+                    (stmts[k].kernel.name, repr(sig)),
+                )
+                for k, sig in ns["SITES"]
+            )
+            return HostFunction(ns["build"](hp, stmts), sites)
+
+    # -- kernels ------------------------------------------------------------
 
     def sources(self) -> Dict[str, Dict[str, Optional[str]]]:
-        """Snapshot of the generated sources, keyed by kernel name then
-        launch-signature key (``None`` marks an unsupported kernel) —
-        the golden-file tests pin this text."""
+        """Snapshot of the generated kernel sources, keyed by kernel
+        name then launch-signature key (``None`` marks an unsupported
+        kernel) — the golden-file tests pin this text."""
         with self._lock:
             return {k: dict(v) for k, v in self._sources.items()}
 
-    def entry_for(self, kernel, sig) -> Optional[_CompiledKernel]:
-        key = (kernel.name, repr(sig))
+    def entry_for(self, site: LaunchSite) -> Optional[_CompiledKernel]:
+        """The compiled kernel of ``site`` (None: unsupported), built
+        on first use."""
+        entry = self._entries.get(site.key, _MISS)
+        if entry is not _MISS:
+            return entry
+        kernel, (_, sig_key) = site.kernel, site.key
         with self._lock:
-            entry = self._entries.get(key, _MISS)
+            entry = self._entries.get(site.key, _MISS)
             if entry is not _MISS:
                 return entry
-            source = self._sources.get(kernel.name, {}).get(key[1], _MISS)
+            source = self._sources.get(kernel.name, {}).get(sig_key, _MISS)
             cached = source is not _MISS
             if not cached:
-                source = self._transpile(kernel, sig, key[1])
+                source = self._transpile(kernel, site.sig, sig_key)
             entry = self._compile(kernel, source, cached)
-            self._entries[key] = entry
+            self._entries[site.key] = entry
             return entry
 
     def _transpile(self, kernel, sig, sig_key: str) -> Optional[str]:
@@ -183,9 +277,10 @@ class JitProgramCache:
                     compile(source, f"<jit:{kernel.name}>", "exec"), ns
                 )
                 fn = ns["run"]
-                outs = tuple(
-                    (kind, prim_from_name(elem_name))
-                    for kind, elem_name, _rank in ns["OUTS"]
+                scalars = tuple(
+                    (k, prim_from_name(elem_name))
+                    for k, (kind, elem_name, _rank) in enumerate(ns["OUTS"])
+                    if kind == "S"
                 )
             except Exception as ex:  # stale/corrupt source: degrade
                 _log.debug(
@@ -196,7 +291,7 @@ class JitProgramCache:
                 return None
         if metrics.enabled:
             metrics.counter("jit.compiles", kernel=kernel.name).inc()
-        return _CompiledKernel(fn, outs)
+        return _CompiledKernel(fn, scalars)
 
     def _persist(self) -> None:
         if self._cache is None or self._fp is None:
@@ -204,12 +299,13 @@ class JitProgramCache:
         payload = {
             "schema": PYCODE_SCHEMA,
             "kernels": {k: dict(v) for k, v in self._sources.items()},
+            "host": self._host_source,
         }
         self._cache.store(
             StageArtifact(
                 "pycode",
                 self._fp,
-                self._entry_name,
+                self._hp.name,
                 payload,
                 meta={"schema": PYCODE_SCHEMA},
             )
@@ -229,51 +325,54 @@ def jit_cache_for(host) -> JitProgramCache:
 
 class JitRunner:
     """The ``jit`` kernel runner: each launch runs as transpiled
-    Python; one the jit refuses or hands over re-runs on the walk's
+    Python; one the jit refuses or hands over re-runs on the engine's
     interpreter (``vm.fallback{kind="jit"}``, and a trace instant)."""
 
     def __init__(self, interp: Interpreter, trace_track: str) -> None:
         self._interp = interp
         self.trace_track = trace_track
         self._rt = JitRuntime(in_place=interp.in_place)
-        self._cache: Optional[JitProgramCache] = None
 
-    def start(self, hp) -> None:
-        self._cache = jit_cache_for(hp)
+    def start(self, hp) -> tuple:
+        """One launcher per launch site of ``hp``'s host function."""
+        cache = jit_cache_for(hp)
+        return tuple(self._launcher(cache, site) for site in cache.host().sites)
 
-    def run(self, kernel, env: Dict[str, Value]) -> Tuple[Value, ...]:
-        cache = self._cache
-        sig = cache.signature(kernel, env)
-        entry = cache.entry_for(kernel, sig)
-        if entry is None:
-            self._note_fallback(kernel, "transpilation unsupported")
-        else:
-            try:
-                raws = [
-                    env[name].value if kind == "S" else env[name].data
-                    for name, kind, _elem, _rank in sig
-                ]
-                outs = entry.fn(self._rt, *raws)
-            except JitFallback as ex:
-                self._note_fallback(kernel, ex.reason)
-            except ReproError:
-                # A genuine program error: identical on the interpreter.
-                raise
-            except Exception as ex:  # unexpected: degrade, never fail
-                self._note_fallback(kernel, f"{type(ex).__name__}: {ex}")
+    def _launcher(self, cache: JitProgramCache, site: LaunchSite):
+        """The compiled kernel of ``site`` (resolved at its first launch
+        of the run), handing a launch it refuses or traps in over to the
+        interpreter."""
+        kernel = site.kernel
+        rt, interp = self._rt, self._interp
+        entry = _MISS
+
+        def launch(*raws) -> tuple:
+            nonlocal entry
+            if entry is _MISS:
+                entry = cache.entry_for(site)
+            if entry is None:
+                reason = "transpilation unsupported"
             else:
-                metrics = get_metrics()
-                if metrics.enabled:
-                    metrics.counter("jit.kernels", kind=kernel.kind).inc()
-                return tuple(
-                    scalar(raw, prim)
-                    if kind == "S"
-                    else ArrayValue(raw, prim)
-                    for (kind, prim), raw in zip(entry.outs, outs)
-                )
-        # Generated code never mutates arrays it does not own, so the
-        # environment reaches the interpreter as the launch found it.
-        return self._interp.eval_exp(kernel.exp, env)
+                try:
+                    outs = entry(rt, raws)
+                except JitFallback as ex:
+                    reason = ex.reason
+                except ReproError:
+                    # A genuine program error: identical on the interpreter.
+                    raise
+                except Exception as ex:  # unexpected: degrade, never fail
+                    reason = f"{type(ex).__name__}: {ex}"
+                else:
+                    metrics = get_metrics()
+                    if metrics.enabled:
+                        metrics.counter("jit.kernels", kind=kernel.kind).inc()
+                    return outs
+            self._note_fallback(kernel, reason)
+            # Generated code never mutates arrays it does not own, so the
+            # arguments reach the interpreter as the launch found them.
+            return interp_launch(interp, site, *raws)
+
+        return launch
 
     def _note_fallback(self, kernel, reason: str) -> None:
         _log.debug(

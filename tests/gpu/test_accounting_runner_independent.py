@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.bench.suite import BENCHMARKS
-from repro.core.values import ScalarValue
 from repro.gpu.faults import FaultPlan
 from repro.gpu.simulator import DeviceAccounting
 from repro.pipeline import compile_program
@@ -31,14 +30,6 @@ SEEDS = [
 ]
 
 
-def _sizes(env, names):
-    return tuple(
-        int(env[n].value)
-        for n in names
-        if isinstance(env.get(n), ScalarValue)
-    )
-
-
 #: Accounting method -> (what names the call, what it charged).
 RECORDED = {
     "begin": (
@@ -46,13 +37,13 @@ RECORDED = {
         lambda books, _: books.heap.live_bytes,
     ),
     "launch": (
-        lambda kernel, env, run: (
-            kernel.name, _sizes(env, kernel.size_names)
+        lambda kernel, sizes, run, *args: (
+            kernel.name, tuple(s for s in sizes if s is not None)
         ),
         lambda books, _: books.report.kernel_costs[-1].time_us,
     ),
     "alloc": (
-        lambda s, env: (s.block.name, s.reuse_of, s.recycle),
+        lambda s, sizes: (s.block.name, s.reuse_of, s.recycle),
         lambda books, _: books.heap.live_bytes,
     ),
     "free": (
@@ -60,7 +51,7 @@ RECORDED = {
         lambda books, _: books.heap.live_bytes,
     ),
     "manifest": (
-        lambda s, env: (s.src, s.dst),
+        lambda s, sizes: (s.src, s.dst),
         lambda books, _: books.report.manifest_us,
     ),
     "host_eval": (
@@ -68,7 +59,7 @@ RECORDED = {
         lambda books, _: books.report.host_us,
     ),
     "loop_copies": (
-        lambda s, env: tuple(p.name for p, _ in s.merge),
+        lambda s, sizes: tuple(p.name for p, _ in s.merge),
         lambda books, copies: tuple(copies),
     ),
     "loop_copy": (

@@ -4,9 +4,11 @@
 its ``Count``s and output shapes name, the device and ``coalescing``;
 the engine's :class:`DeviceAccounting` memoises it in
 ``HostProgram.launch_costs``.  The
-reference here is the formula the memo replaced — ``kernel_cost`` over
-the *whole* integer environment, on every launch — and every benchmark
-must report bit-identical costs with the memo cold and warm.
+reference here is the formula the memo replaced — ``kernel_cost`` on
+every launch — and every benchmark must report bit-identical costs with
+the memo cold and warm.  (That the sizes a launch names are all
+``kernel_cost`` reads is ``tests/gpu/test_estimate.py``'s: the estimate
+prices every kernel over the whole size environment.)
 """
 
 import dataclasses
@@ -20,7 +22,6 @@ import pytest
 from repro.bench.suite import BENCHMARKS
 from repro.core import array_value, scalar
 from repro.core.prim import F32, I32
-from repro.core.values import ScalarValue
 from repro.gpu import AMD_W8100, NVIDIA_GTX780TI
 from repro.gpu.costmodel import MEMO_SIZE, KernelCost, kernel_cost
 from repro.gpu.simulator import DeviceAccounting
@@ -29,17 +30,14 @@ from repro.vm import JitEngine
 
 
 class _PerLaunchPricing(DeviceAccounting):
-    """The un-memoised books: price every launch from scratch, over
-    the whole integer environment."""
+    """The un-memoised books: price every launch from scratch."""
 
-    def price(self, kernel, env):
-        sizes = {
-            k: int(v.value)
-            for k, v in env.items()
-            if isinstance(v, ScalarValue) and v.type.is_integral
+    def price(self, kernel, sizes):
+        env = {
+            n: v for n, v in zip(kernel.size_names, sizes) if v is not None
         }
         return kernel_cost(
-            kernel, sizes, self.device, coalescing=self.coalescing
+            kernel, env, self.device, coalescing=self.coalescing
         )
 
 

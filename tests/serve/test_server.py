@@ -455,8 +455,9 @@ class TestArtifactWarmStart:
             r = s1.call(ServeRequest(prog, xs(1.0, 2.0)), timeout=30)
             assert r.ok
             health = s1.health()
-        # core + host frontiers, and the jit's generated source.
-        assert health["artifact_cache"]["stores"] == 3
+        # core + host frontiers, and the generated source: written when
+        # the host function is transpiled, and again with its kernel.
+        assert health["artifact_cache"]["stores"] == 4
         assert health["artifact_cache"]["hits"] == 0
 
         with Server(workers=1, queue_capacity=8,

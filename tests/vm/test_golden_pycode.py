@@ -1,10 +1,10 @@
-"""Golden-file tests for the kernel transpiler's generated Python.
+"""Golden-file tests for the transpiler's generated Python.
 
 The exact text of every kernel the jit engine generates for two
-representative benchmarks is pinned under ``tests/vm/golden/``: any
-change to the transpiler's lowering, hoisting, naming or trap
-sequences shows up as a readable diff against the golden file instead
-of a silent drift.
+representative benchmarks, and of their host functions, is pinned under
+``tests/vm/golden/``: any change to the transpiler's lowering, hoisting,
+naming or trap sequences shows up as a readable diff against the golden
+file instead of a silent drift.
 
 The compiler's fresh-name counter is process-wide, so each golden
 compile resets it first (the codegen's own name counter is
@@ -42,15 +42,19 @@ CASES = {
 
 
 def render_sources(host) -> str:
-    """Every source the jit generated for ``host``, one text in a
-    stable order (what the golden files hold and the digests hash)."""
-    sources = jit_cache_for(host).sources()
+    """Every source generated for ``host`` — each kernel's, then the
+    host function's — one text in a stable order (what the golden files
+    hold and the digests hash)."""
+    cache = jit_cache_for(host)
+    sources = cache.sources()
     parts = []
     for kname in sorted(sources):
         for sig_key in sorted(sources[kname]):
             src = sources[kname][sig_key]
             parts.append(f"# ===== {kname} {sig_key} =====")
             parts.append(src if src is not None else "# <unsupported>\n")
+    parts.append("# ===== host =====")
+    parts.append(cache.host_source() or "# <not generated>\n")
     return "\n".join(parts)
 
 
