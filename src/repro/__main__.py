@@ -52,7 +52,9 @@ serve-bench [--clients N --devices SPEC --chaos --flight-dir DIR ...]
     requests dump Perfetto-loadable ``flightrec-<id>.json`` bundles.
     Requests run on a device pool (:mod:`repro.sched`): one GTX 780 Ti
     unless ``--devices`` (e.g. ``4`` or ``2xbig,2xsmall``) names more,
-    which adds cost-model placement and batch sharding.
+    which adds cost-model placement and batch sharding.  The server
+    runs one worker per device; ``--chaos`` gives each device its own
+    seeded fault plan.  The effective configuration is printed first.
 
 obs replay BUNDLE
     Post-mortem tooling: validates a flight-recorder bundle and renders
@@ -419,7 +421,7 @@ def cmd_serve_bench(args) -> int:
     from .bench.suite import BENCHMARKS
     from .errors import ArgumentError
     from .gpu.device import parse_pool_spec
-    from .gpu.faults import ServiceFaultPlan
+    from .gpu.faults import chaos_plans
     from .serve import Server, ServeRequest
 
     names = _benchmark_names(args) or list(BENCHMARKS.names())
@@ -430,10 +432,10 @@ def cmd_serve_bench(args) -> int:
                 raise ArgumentError(
                     f"--{flag.replace('_', '-')} requires --flight-dir"
                 )
-    fault_plans = (
-        ServiceFaultPlan.chaos(seed=args.seed) if args.chaos else None
-    )
     devices = parse_pool_spec(args.devices)
+    fault_plans = (
+        chaos_plans(args.seed, len(devices)) if args.chaos else None
+    )
     recorder = None
     dump_failures = 0
     if args.flight_dir is not None:
@@ -447,15 +449,29 @@ def cmd_serve_bench(args) -> int:
             ),
         )
     server = Server(
-        workers=args.workers,
         queue_capacity=args.queue_capacity,
         options=_options_from_flags(args),
-        fault_plans=fault_plans,
         flight_recorder=recorder,
         devices=devices,
+        fault_plans=fault_plans,
     )
     specs = []
     with server:
+        # The effective configuration, read back off the started server.
+        pool = server.pool.devices
+        config = [
+            "devices "
+            + ", ".join(f"dev{d.id} [{d.profile.name}]" for d in pool),
+            f"workers {server.health()['workers']} (one per device)",
+            f"queue capacity {server.queue.capacity}",
+            f"executor {server.default_executor}",
+        ]
+        if args.chaos:
+            config.append(
+                "chaos seeds "
+                + ", ".join(f"dev{d.id}={d.fault_plan.seed}" for d in pool)
+            )
+        print("config: " + "; ".join(config))
         for name in names:
             prog = BENCHMARKS[name].program()
             server.warm(prog)
@@ -683,16 +699,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-request wall-clock deadline (default: none)",
     )
     p.add_argument(
-        "--workers", type=int, default=4,
-        help="server worker threads",
-    )
-    p.add_argument(
         "--queue-capacity", type=int, default=32,
         help="admission queue bound (beyond it, requests are shed)",
     )
     p.add_argument(
         "--chaos", action="store_true",
-        help="inject seeded per-backend device faults",
+        help="inject seeded per-device faults (device i's seed is "
+        "--seed + 1000003 * i)",
     )
     p.add_argument(
         "--devices", default="1",

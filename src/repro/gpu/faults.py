@@ -19,18 +19,23 @@ injector's lifetime.  This mirrors real transient faults (a thermal
 glitch, an evicted TLB entry) and guarantees that a retry loop with a
 sufficiently large budget — or the interpreter fallback behind it —
 always reaches a correct result.
+
+A plan belongs to a device: a served pool takes one per device
+(``Server(fault_plans=[...])``, aligned with ``devices``).
+:func:`chaos_plans` and :func:`broken_device` are the two recipes the
+chaos suites and ``serve-bench --chaos`` use.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 from ..errors import DeviceFault
 
-__all__ = ["FaultPlan", "FaultInjector", "ServiceFaultPlan"]
+__all__ = ["FaultPlan", "FaultInjector", "chaos_plans", "broken_device"]
 
 #: Simulated-time slowdown applied to a kernel chosen for a watchdog
 #: timeout (must comfortably exceed the simulator's watchdog factor
@@ -76,64 +81,29 @@ class FaultPlan:
         return self.fatal_rate == 0.0
 
 
-@dataclass(frozen=True, eq=False)
-class ServiceFaultPlan:
-    """Service-level chaos: one :class:`FaultPlan` per executor
-    (:data:`repro.runtime.EXECUTORS`).
-
-    Where a :class:`FaultPlan` makes *one run* unreliable, a
-    ``ServiceFaultPlan`` makes specific *executors* of a server
-    unreliable — e.g. a plan that never clears on ``"jit"`` trips its
-    circuit breaker, after which requests go straight to the
-    interpreter floor.  Executors without an entry run fault-free.
-    """
-
-    plans: Mapping[str, FaultPlan] = field(default_factory=dict)
-
-    def for_backend(self, backend: str) -> Optional[FaultPlan]:
-        return self.plans.get(backend)
-
-    @classmethod
-    def chaos(
-        cls,
-        seed: int = 0,
-        backends: tuple = ("jit", "sim"),
-        launch_failure_rate: float = 0.3,
-        memory_fault_rate: float = 0.1,
-        timeout_rate: float = 0.2,
-        fatal_rate: float = 0.0,
-    ) -> "ServiceFaultPlan":
-        """The standard service-chaos recipe: every backend gets the
-        same rates but a distinct derived seed, so the two executors
-        fault on different launches."""
-        return cls(
-            {
-                backend: FaultPlan(
-                    seed=seed + 1_000_003 * i,
-                    launch_failure_rate=launch_failure_rate,
-                    memory_fault_rate=memory_fault_rate,
-                    timeout_rate=timeout_rate,
-                    fatal_rate=fatal_rate,
-                )
-                for i, backend in enumerate(backends)
-            }
+def chaos_plans(seed: int, n_devices: int) -> List[FaultPlan]:
+    """The standard service-chaos recipe, one plan per device: the same
+    transient rates everywhere, and device ``i`` seeded
+    ``seed + 1_000_003 * i`` so no two devices fault on the same
+    launches."""
+    return [
+        FaultPlan(
+            seed=seed + 1_000_003 * i,
+            launch_failure_rate=0.3,
+            memory_fault_rate=0.1,
+            timeout_rate=0.2,
         )
+        for i in range(n_devices)
+    ]
 
-    @classmethod
-    def broken_backend(
-        cls, backend: str, seed: int = 0
-    ) -> "ServiceFaultPlan":
-        """A backend forced to a 100% fault rate that never clears —
-        the breaker-trips-then-interpreter acceptance scenario."""
-        return cls(
-            {
-                backend: FaultPlan(
-                    seed=seed,
-                    launch_failure_rate=1.0,
-                    max_consecutive=1_000_000_000,
-                )
-            }
-        )
+
+def broken_device(seed: int = 0) -> FaultPlan:
+    """A device at a 100% fault rate that never clears — its breaker
+    trips and every request it would have served ends on the
+    interpreter floor."""
+    return FaultPlan(
+        seed=seed, launch_failure_rate=1.0, max_consecutive=1_000_000_000
+    )
 
 
 class FaultInjector:

@@ -1,13 +1,13 @@
 """The device pool: N simulated devices, placement, sharding, hedging.
 
 A :class:`DevicePool` owns N heterogeneous simulated devices (a
-:class:`repro.serve.Server` runs every request on one).  Each
-:class:`PoolDevice` has its own serial worker thread, run lock,
-persistent :class:`~repro.gpu.heap.DeviceHeap` (lifetime-accumulating),
-:class:`~repro.serve.breaker.CircuitBreaker`, optional
-:class:`~repro.gpu.faults.FaultPlan`, and its own observability
-namespace — kernel spans land on the ``gpu.dev{id}`` trace track and
-metrics under ``gpu.dev{id}.*``.
+:class:`repro.serve.Server` runs every request on one, with one server
+worker per device).  Each :class:`PoolDevice` has its own serial
+worker thread, run lock, persistent :class:`~repro.gpu.heap.DeviceHeap`
+(lifetime-accumulating), :class:`~repro.serve.breaker.CircuitBreaker`,
+optional :class:`~repro.gpu.faults.FaultPlan` (the only plan its tasks
+run under), and its own observability namespace — kernel spans land on
+the ``gpu.dev{id}`` trace track and metrics under ``gpu.dev{id}.*``.
 
 :meth:`DevicePool.run` executes one request — with one healthy device,
 whole on it and on the caller's thread.  Otherwise:
@@ -453,7 +453,6 @@ class DevicePool:
         batch_info: Optional[BatchInfo] = None,
         key: Optional[str] = None,
         pass_timings=None,
-        default_fault_plan: Optional[FaultPlan] = None,
         fallback: bool = False,
     ) -> Tuple[Tuple[Value, ...], CostReport, RunReport, Dict[str, Any]]:
         """Execute one request across the pool.
@@ -574,7 +573,6 @@ class DevicePool:
                 run_id=run_id,
                 batch_info=batch_info if sharded else None,
                 key=key,
-                default_fault_plan=default_fault_plan,
             )
         except (DeadlineExceeded, *_DEVICE_ERRORS) as e:
             return floor(e, placement)
@@ -582,7 +580,7 @@ class DevicePool:
 
     def _run_alone(
         self, shards, placement, price, shared, *, args, run_id,
-        batch_info, key, default_fault_plan,
+        batch_info, key,
     ) -> Tuple[Tuple[Value, ...], CostReport, RunReport]:
         """The one shard on the one healthy device, on the caller's
         thread: no hedge or re-placement, so no result queue, shard state
@@ -592,7 +590,7 @@ class DevicePool:
         dev = self.devices[shard.device_id]
         est_us = placement["candidates"][0]["est_us"]
         task = _Task(
-            run_id, args, shared, dev.fault_plan or default_fault_plan,
+            run_id, args, shared, dev.fault_plan,
             est_us, shard.index, shard.lo, shard.hi, False,
             _NEVER_CANCELLED, None, None, None, key,
         )
@@ -615,7 +613,6 @@ class DevicePool:
         run_id,
         batch_info,
         key,
-        default_fault_plan,
     ) -> Tuple[Tuple[Value, ...], CostReport, RunReport]:
         results: "queue_mod.Queue[_Outcome]" = queue_mod.Queue()
         tracer, metrics = get_tracer(), get_metrics()
@@ -634,7 +631,7 @@ class DevicePool:
                 run_id=f"{run_id}{suffix}",
                 args=task_args,
                 shared=shared,
-                fault_plan=dev.fault_plan or default_fault_plan,
+                fault_plan=dev.fault_plan,
                 # An unpriceable program still runs, just without a
                 # meaningful estimate.
                 est_us=price(dev.id, shard.size) or 0.0,

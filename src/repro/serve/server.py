@@ -1,9 +1,10 @@
 """The resilient execution service fronting the compiler and runtime.
 
 :class:`Server` turns the single-run toolchain into a concurrent
-service: a pool of worker threads executes :class:`ServeRequest`s
-drawn from a bounded :class:`~repro.serve.queue.AdmissionQueue`, with
-the full robustness stack wired in:
+service: one worker thread per device executes :class:`ServeRequest`s
+drawn from a bounded :class:`~repro.serve.queue.AdmissionQueue` (a
+device runs one request at a time, so a second worker on it could only
+wait), with the full robustness stack wired in:
 
 - **admission control** — a full queue sheds the request immediately
   with a typed :class:`ServiceOverloaded`; small requests (by the cost
@@ -26,7 +27,8 @@ the full robustness stack wired in:
   a request only fails outright on a *program* error (or its own
   deadline).  With one healthy device the request runs on the server
   worker's own thread; with more, the pool places, shards, re-places
-  and hedges (see :mod:`repro.sched`).
+  and hedges (see :mod:`repro.sched`).  Fault injection is per device
+  too: ``fault_plans`` is aligned with ``devices``.
 
 Results are delivered through :class:`ResultHandle` (event-based, no
 executor framework), and ``Server.health()``/``repro.obs`` metrics
@@ -47,7 +49,7 @@ from ..core.values import Value
 from ..errors import DeadlineExceeded, ReproError, ServiceOverloaded
 from ..gpu.costmodel import request_price_us, size_env_from_args
 from ..gpu.device import DeviceProfile, NVIDIA_GTX780TI
-from ..gpu.faults import ServiceFaultPlan
+from ..gpu.faults import FaultPlan
 from ..obs import Histogram, get_logger, get_metrics, get_tracer
 from ..obs.flight import FlightRecorder
 from ..pipeline import (
@@ -213,14 +215,12 @@ class Server:
 
     def __init__(
         self,
-        workers: int = 4,
         queue_capacity: int = 16,
         options: Optional[CompilerOptions] = None,
         #: Whether a request the device cannot serve ends on the
         #: reference interpreter (the default) or as the typed device
         #: error — :attr:`repro.runtime.ExecutionPolicy.fallback`.
         fallback: bool = True,
-        fault_plans: Optional[ServiceFaultPlan] = None,
         breaker_threshold: int = 3,
         breaker_recovery_s: float = 0.25,
         retries_per_rung: int = 2,
@@ -230,36 +230,30 @@ class Server:
         #: auto-dump a ``flightrec-<run_id>.json`` bundle.
         flight_recorder: Optional[FlightRecorder] = None,
         #: The simulated devices requests run on (one pool, possibly
-        #: heterogeneous); admission prices lanes on the first.
+        #: heterogeneous, one server worker each); admission prices
+        #: lanes on the first.
         devices: Sequence[DeviceProfile] = (NVIDIA_GTX780TI,),
-        #: Per-device fault plans for the pool (aligned with
-        #: ``devices``); a device without a plan inherits the
-        #: executor's ``fault_plans`` entry.
-        device_fault_plans: Optional[Sequence[Any]] = None,
+        #: One fault plan per device, aligned with ``devices`` (None:
+        #: every device runs fault-free).
+        fault_plans: Optional[Sequence[Optional[FaultPlan]]] = None,
         min_shard: int = 256,
         hedge_min_wall_s: float = 1.0,
         #: Optional persistent stage-artifact cache
         #: (:class:`repro.pipeline.ArtifactCache`): cache-miss compiles
         #: resume from on-disk artifacts, and a restarted server warms
         #: up from the previous process's compiles instead of starting
-        #: cold.  ``artifact_dir`` is the convenience form (a directory
-        #: path); ``artifact_cache`` wins when both are given.
+        #: cold.
         artifact_cache: Optional[ArtifactCache] = None,
-        artifact_dir: Optional[str] = None,
     ) -> None:
         self.options = options or CompilerOptions()
         self.fallback = fallback
-        self.fault_plans = fault_plans or ServiceFaultPlan()
         self.retries_per_rung = retries_per_rung
         self.queue = AdmissionQueue(queue_capacity)
         self.cache = CompileCache()
-        if artifact_cache is None and artifact_dir is not None:
-            artifact_cache = ArtifactCache(artifact_dir)
         #: The in-memory CompileCache sits in front of this persistent
         #: layer: single-flight misses compile *through* the artifact
         #: cache, so identical programs cost one disk load per process.
         self.artifact_cache = artifact_cache
-        self._n_workers = workers
         self._threads: List[threading.Thread] = []
         self._stopping = threading.Event()
         self._started = False
@@ -282,7 +276,7 @@ class Server:
         }
         self.pool = DevicePool(
             devices,
-            fault_plans=device_fault_plans,
+            fault_plans=fault_plans,
             breaker_threshold=breaker_threshold,
             breaker_recovery_s=breaker_recovery_s,
             min_shard=min_shard,
@@ -312,7 +306,7 @@ class Server:
             if self._started:
                 return self
             self._started = True
-        for i in range(self._n_workers):
+        for i in range(len(self.pool.devices)):
             t = threading.Thread(
                 target=self._worker_loop,
                 name=f"repro-serve-worker-{i}",
@@ -321,7 +315,7 @@ class Server:
             t.start()
             self._threads.append(t)
         self.pool.start()
-        _log.info("server-start", workers=self._n_workers)
+        _log.info("server-start", workers=len(self._threads))
         return self
 
     def stop(self, timeout: float = 10.0) -> None:
@@ -503,15 +497,15 @@ class Server:
             metrics.gauge("serve.queue_depth").set(len(self.queue))
         handle._complete(result)
 
-    # -- the worker pool ----------------------------------------------------
+    # -- the workers --------------------------------------------------------
 
     def _worker_loop(self) -> None:
         while True:
-            work = self.queue.take(timeout=0.05)
+            # Blocks until work arrives; None once stop() has closed
+            # the queue and drained it.
+            work = self.queue.take()
             if work is None:
-                if self._stopping.is_set():
-                    return
-                continue
+                return
             try:
                 self._process(work)
             except BaseException as e:  # pragma: no cover - backstop
@@ -600,7 +594,6 @@ class Server:
                 batch_info=work.batch_info,
                 key=work.key,
                 pass_timings=compiled.pass_timings,
-                default_fault_plan=self.fault_plans.for_backend(executor),
                 fallback=self.fallback,
             )
         except ReproError as e:

@@ -21,7 +21,7 @@ memoized per host program (:class:`JitProgramCache`, on
 compile that went through an artifact cache, persisted verbatim
 through the artifact store under the ``pycode`` stage (``"kernels"``
 and ``"host"`` in one payload), so a warm process
-(``$REPRO_ARTIFACT_DIR``, or a ``Server`` with ``artifact_dir=``)
+(``$REPRO_ARTIFACT_DIR``, or a ``Server`` with ``artifact_cache=``)
 transpiles nothing and only pays ``compile()``.
 """
 

@@ -243,10 +243,35 @@ class TestServeBenchCli:
             "--out", str(out),
         )
         assert r.returncode == 0, r.stderr
+        # The effective configuration comes first.
+        assert r.stdout.splitlines()[0] == (
+            "config: devices dev0 [NVIDIA GTX 780 Ti]; "
+            "workers 1 (one per device); queue capacity 32; executor jit"
+        )
         assert "requests from 2 clients" in r.stdout
         report = json.loads(out.read_text())
         assert report["outcomes"]["ok"] == 4
         assert report["health"]["queue_capacity"] == 32
+
+    def test_chaos_gives_each_device_its_own_seed(self, capsys):
+        argv = [
+            "serve-bench", "--clients", "1", "--requests-per-client", "1",
+            "--names", "NN", "--chaos", "--devices", "2", "--seed", "5",
+            "--executor", "sim",
+        ]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "config: devices dev0 [NVIDIA GTX 780 Ti], "
+            "dev1 [NVIDIA GTX 780 Ti]; workers 2 (one per device); "
+            "queue capacity 32; executor sim; "
+            "chaos seeds dev0=5, dev1=1000008"
+        )
+
+    def test_the_worker_count_is_not_a_flag(self):
+        # One worker per device: there is no --workers to set.
+        r = run_cli("serve-bench", "--workers", "2")
+        assert r.returncode == 2
+        assert "unrecognized arguments: --workers 2" in r.stderr
 
     def test_flight_bundles_that_cannot_be_written_exit_1(
         self, tmp_path, capsys

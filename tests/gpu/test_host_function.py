@@ -333,7 +333,7 @@ def test_an_argument_of_another_type_is_an_argument_error(
 
 
 def test_a_served_call_with_an_argument_of_another_type_is_an_error():
-    with Server(workers=1, queue_capacity=64) as server:
+    with Server(queue_capacity=64) as server:
         for name in NAMES:
             spec = BENCHMARKS[name]
             args = spec.small_args(np.random.default_rng(0))

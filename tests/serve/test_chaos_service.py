@@ -1,14 +1,14 @@
 """The service chaos suite (acceptance harness for the serving layer).
 
 32 concurrent clients hammer the server across the full benchmark
-suite under seeded per-backend fault injection.  The contract:
+suite under seeded per-device fault injection.  The contract:
 
 - every *accepted* request completes with values identical to the
   reference interpreter (within the suite's standard float tolerance);
 - every *rejected* request carries a typed error
   (:class:`ServiceOverloaded` or :class:`DeadlineExceeded`) — nothing
   is silently dropped and no untyped exception escapes;
-- with one backend at a 100% fault rate the breaker trips and requests
+- with the device at a 100% fault rate the breaker trips and requests
   are served by the interpreter floor with zero outright failures.
 
 The headline run's fault seeds come from ``CHAOS_SEEDS`` (default
@@ -24,7 +24,7 @@ import pytest
 from repro.core.values import values_equal
 from repro.bench.suite import BENCHMARKS
 from repro.errors import DeadlineExceeded, ServiceOverloaded
-from repro.gpu.faults import ServiceFaultPlan
+from repro.gpu.faults import broken_device, chaos_plans
 from repro.interp import run_program
 from repro.serve import Server, ServeRequest
 
@@ -45,13 +45,12 @@ def _expected(name, seed):
 class TestServiceChaos:
     def test_32_clients_under_chaos_all_benchmarks(self):
         """The headline run: every accepted request is correct, every
-        rejected one is typed, under per-backend injected faults — one
+        rejected one is typed, under per-device injected faults — one
         server per seed in ``CHAOS_SEEDS`` (default: 1234 alone)."""
         for seed in SEEDS:
             self._32_clients_under_chaos(seed)
 
     def _32_clients_under_chaos(self, seed):
-        plans = ServiceFaultPlan.chaos(seed=seed)
         # Precompute per-(client) benchmark, args and expected values;
         # one benchmark per client, covering all 16 twice over.
         cases = []
@@ -62,9 +61,8 @@ class TestServiceChaos:
 
         results = [None] * CLIENTS
         with Server(
-            workers=4,
             queue_capacity=CLIENTS,
-            fault_plans=plans,
+            fault_plans=chaos_plans(seed, 1),
             retries_per_rung=1,
         ) as server:
             for name in ALL_NAMES:
@@ -115,15 +113,13 @@ class TestServiceChaos:
         assert health["completed"] == CLIENTS
 
     def test_breaker_routes_around_dead_backend_zero_failures(self):
-        """With the jit backend 100% faulty, the breaker trips and
+        """With the device 100% faulty, the breaker trips and
         every request is still served, by the interpreter floor."""
-        plans = ServiceFaultPlan.broken_backend("jit", seed=7)
         names = ALL_NAMES[:6]
         cases = [(n,) + _expected(n, seed=i) for i, n in enumerate(names)]
         with Server(
-            workers=2,
             queue_capacity=32,
-            fault_plans=plans,
+            fault_plans=[broken_device(seed=7)],
             retries_per_rung=1,
             breaker_threshold=2,
             breaker_recovery_s=300.0,  # stays open for the whole test
@@ -154,9 +150,8 @@ class TestServiceChaos:
         name = "NN"
         args, _ = _expected(name, seed=0)
         prog = BENCHMARKS[name].program()
-        # Shed: no workers draining a tiny queue.
-        server = Server(workers=0, queue_capacity=1)
-        server.start()
+        # Shed: an unstarted server, so nothing drains a tiny queue.
+        server = Server(queue_capacity=1)
         try:
             server.warm(prog)
             handles = [
@@ -169,7 +164,7 @@ class TestServiceChaos:
         finally:
             server.stop()
         # Deadline: a budget no benchmark can meet.
-        with Server(workers=1, queue_capacity=4) as server:
+        with Server(queue_capacity=4) as server:
             server.warm(prog)
             r = server.call(
                 ServeRequest(prog, args, deadline_ms=0.0), timeout=60

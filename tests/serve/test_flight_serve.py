@@ -10,7 +10,7 @@ from repro.core.prim import F32
 from repro.core.values import array_value
 from repro.frontend.parser import parse
 from repro.gpu.device import NVIDIA_GTX780TI
-from repro.gpu.faults import FaultPlan, ServiceFaultPlan
+from repro.gpu.faults import FaultPlan, broken_device
 from repro.obs.export import validate_chrome_trace, validate_flight_bundle
 from repro.obs.flight import FlightRecorder, read_bundle
 from repro.pipeline import CompilerOptions
@@ -49,10 +49,9 @@ class TestTerminalErrorsDump:
     def test_device_fault_dumps_one_joinable_bundle(self, prog, tmp_path):
         recorder = FlightRecorder(capacity=8, dump_dir=str(tmp_path))
         with Server(
-            workers=1,
             queue_capacity=4,
             fallback=False,
-            fault_plans=ServiceFaultPlan.broken_backend("jit"),
+            fault_plans=[broken_device()],
             retries_per_rung=1,
             flight_recorder=recorder,
         ) as s:
@@ -79,19 +78,14 @@ class TestTerminalErrorsDump:
 
     def test_kernel_timeout_dumps(self, prog, tmp_path):
         recorder = FlightRecorder(capacity=8, dump_dir=str(tmp_path))
-        plans = ServiceFaultPlan(
-            {
-                "sim": FaultPlan(
-                    seed=0, timeout_rate=1.0, max_consecutive=1_000_000_000
-                )
-            }
+        runaway = FaultPlan(
+            seed=0, timeout_rate=1.0, max_consecutive=1_000_000_000
         )
         with Server(
-            workers=1,
             queue_capacity=4,
             fallback=False,
             options=CompilerOptions(executor="sim"),
-            fault_plans=plans,
+            fault_plans=[runaway],
             retries_per_rung=1,
             flight_recorder=recorder,
         ) as s:
@@ -106,7 +100,6 @@ class TestTerminalErrorsDump:
         recorder = FlightRecorder(capacity=8, dump_dir=str(tmp_path))
         tiny = dataclasses.replace(NVIDIA_GTX780TI, memory_bytes=8)
         with Server(
-            workers=1,
             queue_capacity=4,
             devices=[tiny],
             fallback=False,
@@ -122,9 +115,7 @@ class TestTerminalErrorsDump:
 
     def test_deadline_exceeded_dumps(self, prog, tmp_path):
         recorder = FlightRecorder(capacity=8, dump_dir=str(tmp_path))
-        with Server(
-            workers=1, queue_capacity=4, flight_recorder=recorder
-        ) as s:
+        with Server(queue_capacity=4, flight_recorder=recorder) as s:
             r = s.call(
                 ServeRequest(
                     prog, xs(1.0), deadline_ms=1e-6, request_id="req-late"
@@ -146,9 +137,7 @@ class TestTerminalErrorsDump:
 class TestHealthyTraffic:
     def test_success_is_ringed_but_not_dumped(self, prog, tmp_path):
         recorder = FlightRecorder(capacity=8, dump_dir=str(tmp_path))
-        with Server(
-            workers=2, queue_capacity=8, flight_recorder=recorder
-        ) as s:
+        with Server(queue_capacity=8, flight_recorder=recorder) as s:
             for i in range(3):
                 r = s.call(
                     ServeRequest(prog, xs(float(i)), request_id=f"ok-{i}"),
@@ -175,9 +164,7 @@ class TestHealthyTraffic:
         recorder = FlightRecorder(
             capacity=8, dump_dir=str(tmp_path), slo_latency_us=0.001
         )
-        with Server(
-            workers=1, queue_capacity=4, flight_recorder=recorder
-        ) as s:
+        with Server(queue_capacity=4, flight_recorder=recorder) as s:
             r = s.call(
                 ServeRequest(prog, xs(1.0), request_id="req-slow"), timeout=60
             )
@@ -191,10 +178,7 @@ class TestHealthyTraffic:
 
     def test_shed_requests_are_counted(self, prog, tmp_path):
         recorder = FlightRecorder(capacity=8, dump_dir=str(tmp_path))
-        s = Server(
-            workers=0, queue_capacity=1, flight_recorder=recorder
-        )
-        s.start()
+        s = Server(queue_capacity=1, flight_recorder=recorder)  # unstarted
         try:
             s.warm(prog)
             s.submit(ServeRequest(prog, xs(1.0)))
@@ -206,7 +190,7 @@ class TestHealthyTraffic:
         assert _bundles(tmp_path) == []
 
     def test_health_without_recorder_has_no_flight_section(self, prog):
-        with Server(workers=1, queue_capacity=4) as s:
+        with Server(queue_capacity=4) as s:
             s.call(ServeRequest(prog, xs(1.0)), timeout=60)
             health = s.health()
         assert "flight_recorder" not in health

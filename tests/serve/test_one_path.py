@@ -5,10 +5,13 @@ the server worker's own thread — the run the pool returns is the one
 ``compiled.execute`` would make.  The device's books hold one run at a
 time whatever thread runs it (the per-device run lock), so its heap's
 lifetime counts every request once and peaks where the largest
-standalone run peaks.
+standalone run peaks.  The server runs one worker per device, so a
+device runs its requests in the order the admission queue hands them
+out.
 """
 
 import collections
+import dataclasses
 import sys
 import threading
 
@@ -16,12 +19,15 @@ import numpy as np
 import pytest
 
 from repro.bench.suite import BENCHMARKS
-from repro.core.values import values_equal
+from repro.core.prim import F32
+from repro.core.values import array_value, values_equal
+from repro.frontend.parser import parse
 from repro.gpu.device import NVIDIA_GTX780TI
 from repro.pipeline import compile_program
 from repro.runtime import EXECUTORS, ExecutionPolicy
 from repro.sched import pool as pool_mod
-from repro.serve import Server, ServeRequest
+from repro.serve import BreakerState, Server, ServeRequest
+from repro.serve.server import INTERACTIVE_THRESHOLD_US
 
 NAMES = list(BENCHMARKS.names())
 
@@ -38,7 +44,7 @@ def cases():
 
 @pytest.mark.parametrize("executor", EXECUTORS)
 def test_a_served_call_is_the_run_compiled_execute_makes(cases, executor):
-    with Server(workers=1) as server:
+    with Server() as server:
         for name in NAMES:
             prog, args = cases[name]
             r = server.call(
@@ -69,7 +75,7 @@ def test_a_one_device_request_runs_on_the_server_worker(cases, monkeypatch):
 
     monkeypatch.setattr(pool_mod, "run_resilient", spy)
     prog, args = cases["NN"]
-    with Server(workers=2) as server:
+    with Server() as server:
         threads = {t.name for t in threading.enumerate()}
         assert "repro-sched-dev0" in threads  # the device worker idles
         for _ in range(4):
@@ -79,15 +85,28 @@ def test_a_one_device_request_runs_on_the_server_worker(cases, monkeypatch):
     # With two healthy devices the request goes through their workers:
     # the spy tells the paths apart.
     ran_on.clear()
-    with Server(workers=1, devices=[NVIDIA_GTX780TI] * 2) as server:
+    with Server(devices=[NVIDIA_GTX780TI] * 2) as server:
         assert server.call(ServeRequest(prog, args), timeout=60).ok
     assert len(ran_on) == 1 and ran_on[0].startswith("repro-sched-dev")
 
 
-def test_concurrent_requests_take_the_device_one_at_a_time(cases):
-    """``serve_sat``'s shape: 4 workers, 2 clients with 4 requests each
-    in flight, every program four times.  Two runs sharing the device
-    heap at once would fold each other's blocks into one peak."""
+def test_concurrent_requests_take_the_device_one_at_a_time(
+    cases, monkeypatch
+):
+    """``serve_sat``'s shape on two workers that share one device: 2
+    clients with 4 requests each in flight, every program four times.
+    The server has two devices and a worker each, but ``dev1``'s breaker
+    is held open, so both workers run their requests alone on ``dev0``.
+    Two runs sharing the device heap at once would fold each other's
+    blocks into one peak."""
+    ran_on = collections.Counter()
+    real = pool_mod.run_resilient
+
+    def spy(*args, **kwargs):
+        ran_on[threading.current_thread().name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pool_mod, "run_resilient", spy)
     peak = max(
         compile_program(prog)
         .execute(args, policy=ExecutionPolicy(executor="jit"))[1]
@@ -109,7 +128,15 @@ def test_concurrent_requests_take_the_device_one_at_a_time(cases):
     switch_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # interleave the workers finely
     try:
-        with Server(workers=4, queue_capacity=16) as server:
+        with Server(
+            devices=[NVIDIA_GTX780TI] * 2,
+            queue_capacity=16,
+            breaker_recovery_s=3600.0,
+        ) as server:
+            dev1 = server.pool.devices[1].breaker
+            for _ in range(dev1.failure_threshold):
+                dev1.record_failure()
+            assert dev1.state is BreakerState.OPEN
             for prog, _ in cases.values():
                 server.warm(prog)
             clients = [
@@ -126,6 +153,52 @@ def test_concurrent_requests_take_the_device_one_at_a_time(cases):
         sys.setswitchinterval(switch_interval)
     assert len(results) == 2 * len(order)
     assert all(r.ok and r.backend == "jit" for r in results)
+    # Both server workers ran requests, every one of them on dev0.
+    assert set(ran_on) == {"repro-serve-worker-0", "repro-serve-worker-1"}
+    assert all(r.placement["shards"][0]["device"] == 0 for r in results)
     life = health["pool"]["devices"][0]["heap_lifetime"]
     assert life["runs"] == health["completed"] == len(results)
     assert life["peak_bytes"] == peak
+
+
+SMALL_SRC = r"fun main (xs: [n]f32): [n]f32 = map (\(x: f32) -> x + 1.0f32) xs"
+LARGE_SRC = r"""fun main (xs: [n]f32): [n]f32 =
+  let s = reduce (\(a: f32) (b: f32) -> a + b) 0.0f32 xs
+  in map (\(x: f32) -> x / s) xs"""
+
+
+def test_a_device_runs_requests_in_admission_order(monkeypatch):
+    """One worker per device: the device runs what the admission queue
+    hands out, in its order — every interactive request first, then
+    every batch request, FIFO within each lane."""
+    ran = []
+    real = pool_mod.run_resilient
+
+    def spy(*args, **kwargs):
+        ran.append(kwargs["run_id"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pool_mod, "run_resilient", spy)
+    # Each launch is priced at 0.6x the lane threshold: the one-kernel
+    # program rides the interactive lane, the two-kernel one the batch.
+    device = dataclasses.replace(
+        NVIDIA_GTX780TI, launch_overhead_us=0.6 * INTERACTIVE_THRESHOLD_US
+    )
+    small, large = parse(SMALL_SRC), parse(LARGE_SRC)
+    args = [array_value([1.0, 2.0, 3.0], F32)]
+    server = Server(devices=[device])  # unstarted: admit only
+    handles = [
+        server.submit(ServeRequest(prog, args, request_id=f"r{i}"))
+        for i, prog in enumerate([large, small, large, small, small, large])
+    ]
+    # r1, r3, r4 interactive; r0, r2, r5 batch.
+    assert server.queue.depths() == {"interactive": 3, "batch": 3}
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave any competing workers
+    try:
+        with server:
+            results = [h.result(timeout=60) for h in handles]
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert all(r.ok for r in results), [r.error for r in results]
+    assert ran == ["r1", "r3", "r4", "r0", "r2", "r5"]

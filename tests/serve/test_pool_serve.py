@@ -28,7 +28,6 @@ def test_pooled_server_shards_and_reports_placement():
     prog, args = _backprop()
     expected = run_program(prog, args)
     with Server(
-        workers=2,
         devices=[
             split_friendly(p)
             for p in (NVIDIA_GTX780TI, AMD_W8100, SIM_SMALL)
@@ -60,7 +59,7 @@ def test_pooled_server_shards_and_reports_placement():
 
 def test_one_device_server_places_the_request_whole_on_dev0():
     prog, args = _backprop(h=64)
-    with Server(workers=1) as server:
+    with Server() as server:
         result = server.call(
             ServeRequest(prog, args), timeout=60
         ).raise_for_status()
@@ -85,7 +84,6 @@ def test_flight_record_carries_placement(tmp_path):
     prog, args = _backprop()
     recorder = FlightRecorder(dump_dir=str(tmp_path))
     with Server(
-        workers=1,
         devices=[split_friendly(NVIDIA_GTX780TI)] * 2,
         min_shard=16,
         flight_recorder=recorder,
@@ -127,9 +125,8 @@ def test_pooled_server_survives_broken_device_chaos():
     prog, args = _backprop()
     expected = run_program(prog, args)
     with Server(
-        workers=2,
         devices=[split_friendly(NVIDIA_GTX780TI)] * 4,
-        device_fault_plans=[BROKEN, None, None, None],
+        fault_plans=[BROKEN, None, None, None],
         min_shard=16,
         breaker_threshold=2,
         breaker_recovery_s=600.0,

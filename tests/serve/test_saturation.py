@@ -17,7 +17,6 @@ from repro.serve import Server, ServeRequest
 
 NAME = "NN"
 CAPACITY = 4
-WORKERS = 4
 OVERLOAD = 4 * CAPACITY
 
 
@@ -39,7 +38,7 @@ class TestSaturation:
         prog = BENCHMARKS[NAME].program()
 
         # Baseline: sequential, unloaded requests.
-        with Server(workers=WORKERS, queue_capacity=CAPACITY) as server:
+        with Server(queue_capacity=CAPACITY) as server:
             server.warm(prog)
             for i in range(6):
                 r = server.call(_request(i), timeout=120)
@@ -51,7 +50,7 @@ class TestSaturation:
         # the excess over its capacity, however fast workers drain it
         # (a burst raced against running workers shed 0-7 of 12).
         threads_before = threading.active_count()
-        server = Server(workers=WORKERS, queue_capacity=CAPACITY)
+        server = Server(queue_capacity=CAPACITY)
         server.warm(prog)
         handles = [
             server.submit(_request(100 + cid)) for cid in range(OVERLOAD)
@@ -91,7 +90,7 @@ class TestSaturation:
 
     def test_accepted_plus_shed_accounts_for_everything(self):
         prog = BENCHMARKS[NAME].program()
-        with Server(workers=2, queue_capacity=CAPACITY) as server:
+        with Server(queue_capacity=CAPACITY) as server:
             server.warm(prog)
             handles = [
                 server.submit(_request(200 + i)) for i in range(OVERLOAD)

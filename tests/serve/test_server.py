@@ -1,6 +1,8 @@
 """Server behaviour: admission, degradation, deadlines, health surfaces."""
 
+import collections
 import threading
+import time
 
 import pytest
 
@@ -14,14 +16,16 @@ from repro.errors import (
     ServiceOverloaded,
 )
 from repro.frontend.parser import parse
-from repro.gpu.faults import ServiceFaultPlan
+from repro.gpu.device import NVIDIA_GTX780TI
+from repro.gpu.faults import broken_device
 from repro.interp import run_program
-from repro.pipeline import CompilerOptions
+from repro.pipeline import ArtifactCache, CompilerOptions
 from repro.serve import (
     BreakerState,
     Server,
     ServeRequest,
 )
+from repro.serve.queue import AdmissionQueue
 
 MAP_SRC = r"fun main (xs: [n]f32): [n]f32 = map (\(x: f32) -> x + 1.0f32) xs"
 
@@ -37,7 +41,7 @@ def xs(*vals):
 
 class TestHappyPath:
     def test_submit_and_result(self, prog):
-        with Server(workers=2, queue_capacity=8) as s:
+        with Server(queue_capacity=8) as s:
             r = s.call(ServeRequest(prog, xs(1.0, 2.0, 3.0)), timeout=30)
         assert r.ok
         assert r.backend == "jit"
@@ -45,7 +49,7 @@ class TestHappyPath:
         assert values_equal(r.values[0], expected[0])
 
     def test_results_match_interpreter(self, prog):
-        with Server(workers=2, queue_capacity=16) as s:
+        with Server(queue_capacity=16) as s:
             s.warm(prog)
             inputs = [xs(*(float(i + k) for k in range(4))) for i in range(8)]
             handles = [s.submit(ServeRequest(prog, a)) for a in inputs]
@@ -56,7 +60,7 @@ class TestHappyPath:
                 assert values_equal(r.values[0], expected[0])
 
     def test_compile_cached_across_requests(self, prog):
-        with Server(workers=1, queue_capacity=8) as s:
+        with Server(queue_capacity=8) as s:
             s.call(ServeRequest(prog, xs(1.0)), timeout=30)
             s.call(ServeRequest(prog, xs(2.0)), timeout=30)
             stats = s.cache.stats
@@ -64,7 +68,7 @@ class TestHappyPath:
         assert stats.hits >= 1
 
     def test_executor_preference_respected(self, prog):
-        with Server(workers=1, queue_capacity=8) as s:
+        with Server(queue_capacity=8) as s:
             r = s.call(
                 ServeRequest(prog, xs(1.0, 2.0), executor="sim"), timeout=30
             )
@@ -72,7 +76,7 @@ class TestHappyPath:
         assert r.backend == "sim"
 
     def test_raise_for_status_passthrough(self, prog):
-        with Server(workers=1, queue_capacity=8) as s:
+        with Server(queue_capacity=8) as s:
             r = s.call(ServeRequest(prog, xs(1.0)), timeout=30)
         assert r.raise_for_status() is r
 
@@ -80,8 +84,7 @@ class TestHappyPath:
 class TestShedding:
     def test_queue_full_sheds_with_typed_error(self, prog):
         # Workers never started: the queue only fills.
-        s = Server(workers=0, queue_capacity=2)
-        s.start()
+        s = Server(queue_capacity=2)
         try:
             s.warm(prog)
             handles = [
@@ -100,8 +103,7 @@ class TestShedding:
     def test_full_queue_sheds_before_compiling(self, prog):
         from repro.core import ast as A
 
-        s = Server(workers=0, queue_capacity=1)
-        s.start()
+        s = Server(queue_capacity=1)
         try:
             s.warm(prog)
             admitted = s.submit(ServeRequest(prog, xs(1.0)))
@@ -119,8 +121,7 @@ class TestShedding:
             s.stop()
 
     def test_pending_failed_on_shutdown(self, prog):
-        s = Server(workers=0, queue_capacity=4)
-        s.start()
+        s = Server(queue_capacity=4)
         s.warm(prog)
         handles = [s.submit(ServeRequest(prog, xs(1.0))) for _ in range(3)]
         s.stop()
@@ -130,12 +131,49 @@ class TestShedding:
             assert "shutting down" in str(r.error)
 
     def test_submit_after_stop_sheds(self, prog):
-        s = Server(workers=1, queue_capacity=4)
+        s = Server(queue_capacity=4)
         s.start()
         s.warm(prog)
         s.stop()
         r = s.submit(ServeRequest(prog, xs(1.0))).result(timeout=5)
         assert r.status == "shed"
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("n_devices", [1, 2, 4])
+    def test_one_worker_per_device_blocks_until_work_arrives(
+        self, n_devices, monkeypatch
+    ):
+        """A started server has one worker per device, and an idle
+        worker waits inside one ``take`` instead of polling."""
+        takes = collections.Counter()
+        real_take = AdmissionQueue.take
+
+        def spy(queue, *args, **kwargs):
+            takes[threading.current_thread().name] += 1
+            return real_take(queue, *args, **kwargs)
+
+        monkeypatch.setattr(AdmissionQueue, "take", spy)
+        before = set(threading.enumerate())
+        s = Server(devices=[NVIDIA_GTX780TI] * n_devices).start()
+        try:
+            started = set(threading.enumerate()) - before
+            workers = {
+                t.name for t in started
+                if t.name.startswith("repro-serve-worker-")
+            }
+            assert workers == {
+                f"repro-serve-worker-{i}" for i in range(n_devices)
+            }
+            assert s.health()["workers"] == n_devices
+            time.sleep(0.5)
+            assert takes == {name: 1 for name in workers}
+        finally:
+            t0 = time.monotonic()
+            s.stop(timeout=5.0)
+            stopped_in = time.monotonic() - t0
+        assert stopped_in < 5.0
+        assert not any(t.is_alive() for t in started)
 
 
 class TestLanes:
@@ -151,8 +189,7 @@ class TestLanes:
         spec = BENCHMARKS["N-body"]
         prog = spec.program()
         rng = np.random.default_rng(0)
-        s = Server(workers=0, queue_capacity=4)  # admit, never execute
-        s.start()
+        s = Server(queue_capacity=4)  # unstarted: admit, never execute
         try:
             s.warm(prog)
             s.submit(ServeRequest(prog, spec.small_args(rng)))
@@ -169,7 +206,7 @@ class TestLanes:
 
 class TestDeadlines:
     def test_hopeless_deadline_is_typed(self, prog):
-        with Server(workers=1, queue_capacity=8) as s:
+        with Server(queue_capacity=8) as s:
             s.warm(prog)
             r = s.call(
                 ServeRequest(prog, xs(1.0), deadline_ms=0.0), timeout=30
@@ -178,7 +215,7 @@ class TestDeadlines:
         assert isinstance(r.error, DeadlineExceeded)
 
     def test_generous_deadline_succeeds(self, prog):
-        with Server(workers=1, queue_capacity=8) as s:
+        with Server(queue_capacity=8) as s:
             s.warm(prog)
             r = s.call(
                 ServeRequest(prog, xs(1.0, 2.0), deadline_ms=30_000),
@@ -187,7 +224,7 @@ class TestDeadlines:
         assert r.ok, r.error
 
     def test_deadline_counted_in_health(self, prog):
-        with Server(workers=1, queue_capacity=8) as s:
+        with Server(queue_capacity=8) as s:
             s.warm(prog)
             s.call(ServeRequest(prog, xs(1.0), deadline_ms=0.0), timeout=30)
             health = s.health()
@@ -196,7 +233,7 @@ class TestDeadlines:
 
 class TestErrors:
     def test_program_error_is_typed_and_does_not_trip_breaker(self, prog):
-        with Server(workers=1, queue_capacity=8) as s:
+        with Server(queue_capacity=8) as s:
             # Wrong arity: an ArgumentError on *every* backend — the
             # caller's fault, not the device's.
             r = s.call(ServeRequest(prog, []), timeout=30)
@@ -208,7 +245,7 @@ class TestErrors:
 
     def test_parse_failure_surfaces_as_error(self):
         bad = parse(MAP_SRC)  # valid program...
-        with Server(workers=1, queue_capacity=8) as s:
+        with Server(queue_capacity=8) as s:
             # ...but a poisoned cache key build: simulate by submitting
             # a program whose compile raises (empty program has no main).
             from repro.core import ast as A
@@ -221,11 +258,9 @@ class TestErrors:
 
 class TestDegradation:
     def test_broken_jit_backend_is_served_by_interp(self, prog):
-        plans = ServiceFaultPlan.broken_backend("jit", seed=3)
         with Server(
-            workers=2,
             queue_capacity=16,
-            fault_plans=plans,
+            fault_plans=[broken_device(seed=3)],
             retries_per_rung=1,
             breaker_threshold=2,
             breaker_recovery_s=60.0,
@@ -266,11 +301,9 @@ class TestDegradation:
         # (or deadline) used to leave the probe slot held forever,
         # permanently refusing the rung.  The neutral outcome must
         # release the slot so the next request can probe.
-        plans = ServiceFaultPlan.broken_backend("jit", seed=7)
         with Server(
-            workers=1,
             queue_capacity=8,
-            fault_plans=plans,
+            fault_plans=[broken_device(seed=7)],
             retries_per_rung=0,
             breaker_threshold=1,
             breaker_recovery_s=0.0,  # open resolves to half-open at once
@@ -285,30 +318,19 @@ class TestDegradation:
             bad = s.call(ServeRequest(prog, []), timeout=60)
             assert bad.status == "error"
             assert breaker.state is BreakerState.HALF_OPEN
-            # Heal the backend: the very next request must win a fresh
+            # Heal the device: the very next request must win a fresh
             # probe and succeed on jit instead of being refused.
-            s.fault_plans = ServiceFaultPlan()
+            s.pool.devices[0].fault_plan = None
             healed = s.call(ServeRequest(prog, xs(2.0)), timeout=60)
             assert healed.ok, healed.error
             assert healed.backend == "jit"
             assert breaker.state is BreakerState.CLOSED
 
     def test_interp_floor_when_everything_is_broken(self, prog):
-        plans = ServiceFaultPlan(
-            plans={
-                "jit": ServiceFaultPlan.broken_backend(
-                    "jit", seed=1
-                ).for_backend("jit"),
-                "sim": ServiceFaultPlan.broken_backend(
-                    "sim", seed=2
-                ).for_backend("sim"),
-            }
-        )
         expected = run_program(prog, xs(1.0, 5.0))
         with Server(
-            workers=1,
             queue_capacity=8,
-            fault_plans=plans,
+            fault_plans=[broken_device(seed=1)],
             retries_per_rung=1,
             breaker_threshold=1,
             # Open resolves to half-open at once: every request probes
@@ -336,10 +358,9 @@ class TestDegradation:
         """``fallback=False``: a terminal device error reaches the
         caller (and the flight recorder) typed, report attached."""
         with Server(
-            workers=1,
             queue_capacity=8,
             fallback=False,
-            fault_plans=ServiceFaultPlan.broken_backend("jit"),
+            fault_plans=[broken_device()],
             retries_per_rung=1,
         ) as s:
             assert tuple(s.ladder) == ("jit",)
@@ -354,7 +375,7 @@ class TestJitRung:
     def test_jit_request_serves_on_jit_backend(self, prog):
         """``executor="jit"`` runs the request on the transpiling
         engine; results still match the interpreter."""
-        with Server(workers=1, queue_capacity=8) as s:
+        with Server(queue_capacity=8) as s:
             r = s.call(
                 ServeRequest(prog, xs(1.0, 2.0), executor="jit"),
                 timeout=30,
@@ -372,7 +393,7 @@ class TestJitRung:
         ``options.executor`` (which defaults to jit)."""
         options = CompilerOptions(executor=executor)
         assert CompilerOptions().executor == "jit"
-        with Server(workers=1, queue_capacity=8, options=options) as s:
+        with Server(queue_capacity=8, options=options) as s:
             assert s.default_executor == executor
             assert tuple(s.ladder) == (executor, "interp")
             r = s.call(ServeRequest(prog, xs(1.0)), timeout=30)
@@ -387,7 +408,7 @@ class TestJitRung:
 
         with metering() as m:
             with Server(
-                workers=1, queue_capacity=8, artifact_dir=str(tmp_path)
+                queue_capacity=8, artifact_cache=ArtifactCache(tmp_path)
             ) as s:
                 r = s.call(
                     ServeRequest(prog, xs(1.0), executor="jit"), timeout=30
@@ -399,7 +420,7 @@ class TestJitRung:
         ) > 0
         with metering() as m:
             with Server(
-                workers=1, queue_capacity=8, artifact_dir=str(tmp_path)
+                queue_capacity=8, artifact_cache=ArtifactCache(tmp_path)
             ) as s:
                 r = s.call(
                     ServeRequest(prog, xs(1.0), executor="jit"), timeout=30
@@ -416,10 +437,10 @@ class TestJitRung:
 
 class TestHealth:
     def test_health_shape(self, prog):
-        with Server(workers=2, queue_capacity=8) as s:
+        with Server(queue_capacity=8) as s:
             s.call(ServeRequest(prog, xs(1.0)), timeout=30)
             h = s.health()
-            assert h["workers"] == 2
+            assert h["workers"] == 1  # one per device
         assert h["queue_capacity"] == 8
         assert h["completed"] == 1
         assert h["admitted"] == 1
@@ -435,7 +456,7 @@ class TestHealth:
     def test_health_is_json_serialisable(self, prog):
         import json
 
-        with Server(workers=1, queue_capacity=8) as s:
+        with Server(queue_capacity=8) as s:
             s.call(ServeRequest(prog, xs(1.0)), timeout=30)
             json.dumps(s.health())
 
@@ -450,8 +471,8 @@ class TestArtifactWarmStart:
     def test_restarted_server_resumes_from_artifacts(self, prog, tmp_path):
         """A server restart with the same artifact dir compiles from
         the persisted host artifact instead of rerunning the passes."""
-        with Server(workers=1, queue_capacity=8,
-                    artifact_dir=str(tmp_path)) as s1:
+        with Server(queue_capacity=8,
+                    artifact_cache=ArtifactCache(tmp_path)) as s1:
             r = s1.call(ServeRequest(prog, xs(1.0, 2.0)), timeout=30)
             assert r.ok
             health = s1.health()
@@ -460,8 +481,8 @@ class TestArtifactWarmStart:
         assert health["artifact_cache"]["stores"] == 4
         assert health["artifact_cache"]["hits"] == 0
 
-        with Server(workers=1, queue_capacity=8,
-                    artifact_dir=str(tmp_path)) as s2:
+        with Server(queue_capacity=8,
+                    artifact_cache=ArtifactCache(tmp_path)) as s2:
             r = s2.call(ServeRequest(prog, xs(3.0, 4.0)), timeout=30)
             assert r.ok
             health = s2.health()
@@ -476,7 +497,7 @@ class TestArtifactWarmStart:
         assert health["artifact_cache"]["stores"] == 0
 
     def test_no_artifact_cache_no_health_entry(self, prog):
-        with Server(workers=1, queue_capacity=8) as s:
+        with Server(queue_capacity=8) as s:
             s.call(ServeRequest(prog, xs(1.0)), timeout=30)
             health = s.health()
         assert "artifact_cache" not in health
