@@ -473,9 +473,7 @@ def cmd_serve_bench(args) -> int:
             )
         print("config: " + "; ".join(config))
         for name in names:
-            prog = BENCHMARKS[name].program()
-            server.warm(prog)
-            specs.append((name, prog))
+            specs.append((name, server.load(BENCHMARKS[name].program())))
 
         outcomes = {"ok": 0, "shed": 0, "deadline": 0, "error": 0}
         backends = {}
@@ -485,12 +483,12 @@ def cmd_serve_bench(args) -> int:
             rng = np.random.default_rng(args.seed * 10_007 + cid)
             handles = []
             for k in range(args.requests_per_client):
-                name, prog = specs[(cid + k) % len(specs)]
+                name, program = specs[(cid + k) % len(specs)]
                 bargs = BENCHMARKS[name].small_args(rng)
                 handles.append(
                     server.submit(
                         ServeRequest(
-                            prog,
+                            program,
                             bargs,
                             deadline_ms=args.deadline_ms,
                             request_id=f"c{cid}-r{k}-{name}",

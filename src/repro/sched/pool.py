@@ -45,7 +45,7 @@ import queue as queue_mod
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.values import Value
 from ..errors import DeadlineExceeded, DeviceFault, DeviceOOM, KernelTimeout
@@ -454,6 +454,7 @@ class DevicePool:
         key: Optional[str] = None,
         pass_timings=None,
         fallback: bool = False,
+        size_env: Optional[Mapping[str, int]] = None,
     ) -> Tuple[Tuple[Value, ...], CostReport, RunReport, Dict[str, Any]]:
         """Execute one request across the pool.
 
@@ -463,7 +464,9 @@ class DevicePool:
         recorder.  When every device has failed or refused, the
         request ends on :func:`repro.runtime.interpreter_floor`:
         ``fallback`` decides between the interpreter's values and the
-        underlying typed error.
+        underlying typed error.  ``size_env`` is the request's sizes
+        when the caller has already bound them from ``args`` (a
+        server's admission has); otherwise the pool binds them.
         """
         if not self._started:
             self.start()
@@ -489,7 +492,8 @@ class DevicePool:
                 ),
                 {"mode": "refused"},
             )
-        size_env = size_env_from_args(host, args)
+        if size_env is None:
+            size_env = size_env_from_args(host, args)
         batch = (
             batch_info.batch_size(args) if batch_info is not None else 0
         )

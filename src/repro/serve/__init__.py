@@ -2,8 +2,10 @@
 
 Fronts the compiler/runtime stack with a thread-based execution
 service: bounded admission with priority lanes and load shedding,
-end-to-end request deadlines, a single-flight compile cache, and one
-serving path: every request is one call on a
+end-to-end request deadlines, resident programs
+(``Server.load`` returns a :class:`ProgramHandle` a request names)
+over a single-flight compile cache, and one serving path: every
+request is one call on a
 :class:`repro.sched.DevicePool` (by default a pool of one), whose
 plan is *try the device, else interpret* (``jit → interp``), with a
 circuit breaker per device (see :func:`repro.runtime.run_resilient`).
@@ -32,6 +34,7 @@ __all__ = [
     "CompileCache",
     "Deadline",
     "INTERACTIVE_LANE",
+    "ProgramHandle",
     "ResultHandle",
     "Server",
     "ServeRequest",
@@ -39,6 +42,7 @@ __all__ = [
 ]
 
 _SERVER_SYMBOLS = (
+    "ProgramHandle",
     "Server",
     "ServeRequest",
     "ServeResult",

@@ -109,6 +109,13 @@ class CompileCache:
                 return None
             return e.value
 
+    def note_hit(self) -> None:
+        """Count a hit its caller served without a lookup (a server's
+        resident program), so ``stats`` still counts every request
+        that found its program compiled."""
+        with self._lock:
+            self.stats.hits += 1
+
     def get_or_compile(self, key: str, build: Callable[[], Any]) -> Any:
         """Return the cached result for ``key``, building it (once,
         globally) if absent.  Every caller inside the negative-TTL

@@ -8,8 +8,14 @@ wait), with the full robustness stack wired in:
 
 - **admission control** — a full queue sheds the request immediately
   with a typed :class:`ServiceOverloaded`; small requests (by the cost
-  model's analytic estimate) ride the interactive priority lane;
-- **single-flight compilation** — N concurrent requests for the same
+  model's analytic estimate) ride the interactive priority lane, and
+  the sizes admission binds from the arguments are the ones the pool
+  places with (a request binds its sizes once);
+- **resident programs** — :meth:`Server.load` fingerprints, compiles
+  and analyses a program once and returns a :class:`ProgramHandle`; a
+  request names the handle, or the same program object again (an
+  identity memo maps it to its handle), and pays none of the three;
+- **single-flight compilation** — N concurrent loads of the same
   program compile once (:class:`~repro.serve.cache.CompileCache`,
   keyed by :func:`repro.pipeline.compile_cache_key`), and a compile
   failure is cached negatively so it cannot cause a retry storm;
@@ -41,12 +47,18 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core import ast as A
 from ..core.values import Value
-from ..errors import DeadlineExceeded, ReproError, ServiceOverloaded
+from ..errors import (
+    ArgumentError,
+    DeadlineExceeded,
+    ReproError,
+    ServiceOverloaded,
+)
 from ..gpu.costmodel import request_price_us, size_env_from_args
 from ..gpu.device import DeviceProfile, NVIDIA_GTX780TI
 from ..gpu.faults import FaultPlan
@@ -66,6 +78,7 @@ from .deadline import Deadline
 from .queue import BATCH_LANE, INTERACTIVE_LANE, AdmissionQueue
 
 __all__ = [
+    "ProgramHandle",
     "ServeRequest",
     "ServeResult",
     "ResultHandle",
@@ -89,11 +102,79 @@ _log = get_logger("serve")
 _request_ids = itertools.count(1)
 
 
+@dataclass(frozen=True, eq=False)
+class ProgramHandle:
+    """A program resident in one :class:`Server`, from
+    :meth:`Server.load`: fingerprinted, compiled and analysed once.  A
+    request that names it pays none of the three."""
+
+    #: The compile-cache key (the pool's affinity signal).
+    key: str
+    entry: str
+    compiled: CompiledProgram
+    #: Outermost-dimension shardability (None: not shardable).
+    batch_info: Optional[BatchInfo]
+    #: The issuing server's token: a handle names a program only there.
+    owner: object = field(repr=False)
+
+
+class _Resident:
+    """The identity memo behind ``ServeRequest(prog, …)``: each live
+    program object's handle, keyed on ``(id(prog), entry)``.
+
+    The AST is frozen dataclasses over tuples, so one live object
+    always has one content and its fingerprint need not be taken
+    again.  An entry holds its program weakly, and the reference's
+    callback removes the entry: the memo never keeps a program alive
+    and never outgrows the live programs, and a hit requires ``ref()
+    is prog``, so a recycled ``id`` is never served.  Failed compiles
+    never get here (they keep the compile cache's negative TTL)."""
+
+    def __init__(self) -> None:
+        # Re-entrant: a collection inside ``add`` may run a callback on
+        # the same thread.
+        self._lock = threading.RLock()
+        self._entries: Dict[
+            Tuple[int, str], Tuple[weakref.ref, ProgramHandle]
+        ] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, prog: A.Prog, entry: str) -> Optional[ProgramHandle]:
+        held = self._entries.get((id(prog), entry))
+        if held is not None and held[0]() is prog:
+            return held[1]
+        return None
+
+    def add(self, prog: A.Prog, handle: ProgramHandle) -> ProgramHandle:
+        """Remember ``handle`` for ``prog``; when another thread got
+        there first, its handle wins and is returned."""
+        key = (id(prog), handle.entry)
+        entries, lock = self._entries, self._lock
+
+        def forget(ref: weakref.ref) -> None:
+            with lock:
+                held = entries.get(key)
+                if held is not None and held[0] is ref:
+                    del entries[key]
+
+        with lock:
+            held = self.get(prog, handle.entry)
+            if held is not None:
+                return held
+            entries[key] = (weakref.ref(prog, forget), handle)
+            return handle
+
+
 @dataclass
 class ServeRequest:
     """One unit of client work: a program, its arguments, a budget."""
 
-    program: A.Prog
+    #: A handle from the serving :class:`Server`'s ``load``, or a
+    #: program, which the server loads on its first request and finds
+    #: by identity afterwards.
+    program: Union[ProgramHandle, A.Prog]
     args: Sequence[Value]
     entry: str = "main"
     #: Wall-clock budget for the whole request (None = no deadline).
@@ -102,9 +183,6 @@ class ServeRequest:
     #: :data:`repro.runtime.EXECUTORS` (None = the server's default
     #: executor).
     executor: Optional[str] = None
-    #: Compile-cache key override; derived from the program text,
-    #: options and entry when omitted.
-    key: Optional[str] = None
     request_id: str = ""
 
     def __post_init__(self) -> None:
@@ -183,21 +261,20 @@ class ResultHandle:
 
 @dataclass
 class _Work:
-    """A request after admission: compiled, classified, deadlined."""
+    """A request after admission: resident, classified, deadlined."""
 
     request: ServeRequest
     handle: ResultHandle
-    compiled: CompiledProgram
+    program: ProgramHandle
+    #: The request's size variables, bound once at admission: the lane
+    #: price and the pool's placement both read them.
+    size_env: Dict[str, int]
     deadline: Optional[Deadline]
     lane: str
     submitted_at: float
-    #: Whether the compile was already cached when the request arrived
-    #: (recorded into the request's flight record).
+    #: Whether the program was already compiled when the request
+    #: arrived (recorded into the request's flight record).
     cache_hit: bool = False
-    #: The request's compile-cache key (the pool's affinity signal).
-    key: str = ""
-    #: Outermost-dimension shardability (None: not shardable).
-    batch_info: Optional[BatchInfo] = None
 
 
 class Server:
@@ -208,9 +285,9 @@ class Server:
     *execution*: it returns a :class:`ResultHandle` immediately,
     already completed with :class:`ServiceOverloaded` if the request
     was shed.  It may, however, block for the duration of one compile
-    on a cache miss (single-flight: concurrent misses for the same key
-    wait on one build) — :meth:`warm` the cache at deploy time to keep
-    the submit path non-blocking.
+    on the first request for a program (single-flight: concurrent
+    misses for the same key wait on one build) — :meth:`load` it at
+    deploy time to keep the submit path non-blocking.
     """
 
     def __init__(
@@ -282,10 +359,9 @@ class Server:
             min_shard=min_shard,
             hedge_min_wall_s=hedge_min_wall_s,
         )
-        #: Shardability analyses, keyed by compile-cache key (the
-        #: analysis runs on the pre-compilation program, once per
-        #: program rather than once per request).
-        self._batch_infos: Dict[str, Optional[BatchInfo]] = {}
+        #: Every handle this server issues carries this token.
+        self._token = object()
+        self._resident = _Resident()
 
     @property
     def default_executor(self) -> str:
@@ -342,27 +418,66 @@ class Server:
 
     # -- the client surface -------------------------------------------------
 
+    def load(self, program: A.Prog, entry: str = "main") -> ProgramHandle:
+        """Make a program resident (e.g. at deploy time): fingerprint
+        it, compile it through the single-flight cache and analyse its
+        shardability, once.  Requests naming the handle — or this same
+        program object — pay none of that.  Raises the (possibly
+        negatively cached) compile error."""
+        return self._resolve(program, entry)[0]
+
     def warm(self, program: A.Prog, entry: str = "main") -> str:
-        """Pre-compile a program into the cache (e.g. at deploy time)
-        so first requests don't spend their deadline compiling.
-        Returns the cache key."""
+        """:meth:`load`, returning the compile-cache key."""
+        return self.load(program, entry).key
+
+    def _resolve(
+        self, program: Union[ProgramHandle, A.Prog], entry: str
+    ) -> Tuple[ProgramHandle, bool]:
+        """The resident handle for ``program`` at ``entry``, and
+        whether it was compiled before this call.  Only a program this
+        server has not seen (as this object) is fingerprinted; finding
+        it resident counts as a compile-cache hit."""
+        if isinstance(program, ProgramHandle):
+            if program.owner is not self._token:
+                raise ArgumentError(
+                    "the program handle was loaded by another server"
+                )
+            if program.entry != entry:
+                raise ArgumentError(
+                    f"the program handle is loaded for entry point "
+                    f"{program.entry!r}, not {entry!r}"
+                )
+            self.cache.note_hit()
+            return program, True
+        handle = self._resident.get(program, entry)
+        if handle is not None:
+            self.cache.note_hit()
+            return handle, True
         key = compile_cache_key(program, self.options, entry)
-        self.cache.get_or_compile(
+        cache_hit = self.cache.peek(key) is not None
+        compiled = self.cache.get_or_compile(
             key,
             lambda: compile_program(
                 program, self.options, entry,
                 artifact_cache=self.artifact_cache,
             ),
         )
-        return key
+        # The analysis runs on the *pre-compilation* program
+        # (compilation restructures it but preserves the
+        # row-independence the analysis proves).
+        handle = ProgramHandle(
+            key, entry, compiled, analyze_shardable(program, entry),
+            self._token,
+        )
+        return self._resident.add(program, handle), cache_hit
 
     def submit(self, request: ServeRequest) -> ResultHandle:
         """Admit (or shed) one request.
 
         Never blocks on execution; may block for one (single-flight,
-        cached) compile on a cache miss.  Shed checks run *before* the
-        compile, so an overloaded or stopping server does not burn
-        caller time building a program it is about to refuse.
+        cached) compile on a program's first request.  Shed checks run
+        *before* the compile, so an overloaded or stopping server does
+        not burn caller time building a program it is about to refuse.
         """
         handle = ResultHandle(request.request_id)
         submitted_at = time.monotonic()
@@ -380,21 +495,12 @@ class Server:
             if request.deadline_ms is not None
             else None
         )
-        key = request.key or compile_cache_key(
-            request.program, self.options, request.entry
-        )
-        cache_hit = self.cache.peek(key) is not None
         try:
-            compiled = self.cache.get_or_compile(
-                key,
-                lambda: compile_program(
-                    request.program, self.options, request.entry,
-                    artifact_cache=self.artifact_cache,
-                ),
-            )
+            program, cache_hit = self._resolve(request.program, request.entry)
         except ReproError as e:
-            # A (possibly negatively cached) compile failure: the
-            # request is unservable, typed error straight back.
+            # A (possibly negatively cached) compile failure, or a
+            # handle this server did not issue for this entry point:
+            # the request is unservable, typed error straight back.
             self._finish(
                 handle,
                 ServeResult(
@@ -403,17 +509,11 @@ class Server:
                 ),
             )
             return handle
-        lane = self._classify(compiled, request.args)
-        if key not in self._batch_infos:
-            # The analysis runs on the *pre-compilation* program
-            # (compilation restructures it but preserves the
-            # row-independence the analysis proves).
-            self._batch_infos[key] = analyze_shardable(
-                request.program, request.entry
-            )
+        size_env = size_env_from_args(program.compiled.host, request.args)
+        lane = self._classify(program.compiled, size_env)
         work = _Work(
-            request, handle, compiled, deadline, lane, submitted_at,
-            cache_hit=cache_hit, key=key, batch_info=self._batch_infos[key],
+            request, handle, program, size_env, deadline, lane, submitted_at,
+            cache_hit=cache_hit,
         )
         if not self.queue.offer(work, lane):
             self._complete_shed(handle, "admission queue full", lane)
@@ -437,7 +537,7 @@ class Server:
     # -- admission ----------------------------------------------------------
 
     def _classify(
-        self, compiled: CompiledProgram, args: Sequence[Value]
+        self, compiled: CompiledProgram, size_env: Dict[str, int]
     ) -> str:
         """Priority lane from the cost model: price the program at the
         request's actual sizes on the first device; cheap requests go
@@ -445,7 +545,7 @@ class Server:
         doesn't get priority treatment.)"""
         est = request_price_us(
             compiled.host,
-            size_env_from_args(compiled.host, args),
+            size_env,
             self.pool.devices[0].profile,
             self.options.coalescing,
         )
@@ -518,6 +618,10 @@ class Server:
                         latency_s=time.monotonic() - work.submitted_at,
                     ),
                 )
+            # Hold nothing while waiting for the next request: the
+            # finished one's program and arguments are the client's to
+            # free (and a collected program leaves the resident memo).
+            del work
 
     def _process(self, work: _Work) -> None:
         request, handle = work.request, work.handle
@@ -533,7 +637,7 @@ class Server:
         # record too.
         queue_wait_us = (time.monotonic() - work.submitted_at) * 1e6
         with recorder.capture(
-            request.request_id, program=work.compiled.host.name
+            request.request_id, program=work.program.compiled.host.name
         ) as record:
             result = self._traced_execute(work)
             self._finish(handle, result)
@@ -579,7 +683,8 @@ class Server:
     def _execute(self, work: _Work) -> ServeResult:
         """One call into the device pool, and the answer read off its
         report."""
-        request, compiled = work.request, work.compiled
+        request, program = work.request, work.program
+        compiled = program.compiled
         executor = request.executor or self.default_executor
         try:
             values, _cost, report, placement = self.pool.run(
@@ -591,10 +696,11 @@ class Server:
                 in_place=self.options.in_place,
                 retries=self.retries_per_rung,
                 deadline=work.deadline,
-                batch_info=work.batch_info,
-                key=work.key,
+                batch_info=program.batch_info,
+                key=program.key,
                 pass_timings=compiled.pass_timings,
                 fallback=self.fallback,
+                size_env=work.size_env,
             )
         except ReproError as e:
             # A deadline, a program error (identical on every
