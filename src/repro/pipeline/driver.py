@@ -53,7 +53,7 @@ from .fingerprint import (
     fingerprint_program,
     fingerprint_text,
     options_slice,
-    stage_fingerprint,
+    salted_stage_fingerprint,
 )
 from .options import CompilerOptions, PassDiagnostic
 from .passes import REGISTRY, Pass, PassContext
@@ -459,7 +459,7 @@ def _compile(
         raise ArgumentError(
             f"stop_after must be 'core' or 'host', not {stop!r}"
         )
-    plan = REGISTRY.plan(options)
+    plan, salts = REGISTRY.planned(options)
     diagnostics: List[PassDiagnostic] = []
     guard = _PassGuard(options, diagnostics)
     ctx = PassContext(options=options, entry=entry, guard=guard)
@@ -471,11 +471,9 @@ def _compile(
             if source is not None
             else fingerprint_program(prog)
         )
-        fps = {
-            "source": source_fp,
-            "core": stage_fingerprint("core", source_fp, options, plan, entry),
-            "host": stage_fingerprint("host", source_fp, options, plan, entry),
-        }
+        fps = {"source": source_fp}
+        for stage, salt in salts.items():
+            fps[stage] = salted_stage_fingerprint(stage, source_fp, entry, salt)
         core_prog: Optional[A.Prog] = None
         host: Optional[HostProgram] = None
         loaded: Optional[str] = None

@@ -19,12 +19,20 @@ Two flavours:
   pipeline fingerprint of those passes.  Used for on-disk stage
   artifacts, so flipping a runtime-only or later-stage option never
   invalidates an earlier stage's artifact.
+
+Those two parts, a stage's *salt* (:func:`stage_salt`), depend only on
+the options and the plan, so the pass registry computes them once per
+options beside the plan
+(:meth:`~repro.pipeline.passes.PassRegistry.planned`), and a compile
+hashes only the stage, content, entry and salt
+(:func:`salted_stage_fingerprint`), in :func:`stage_fingerprint`'s
+order.  The content fingerprint is taken on every compile.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .options import CompilerOptions
 from .passes import Pass, STAGES
@@ -35,7 +43,9 @@ __all__ = [
     "fingerprint_program",
     "options_slice",
     "pipeline_fingerprint",
+    "stage_salt",
     "stage_fingerprint",
+    "salted_stage_fingerprint",
     "compile_fingerprint",
 ]
 
@@ -97,17 +107,30 @@ def stage_fingerprint(
     to and including ``stage`` (in plan order), and exactly the options
     fields those passes declare in ``Pass.option_keys``.
     """
+    return salted_stage_fingerprint(
+        stage, content_fingerprint, entry, stage_salt(stage, options, plan)
+    )
+
+
+def stage_salt(
+    stage: str, options: CompilerOptions, plan: Sequence[Pass]
+) -> Tuple[str, str]:
+    """What ``stage``'s fingerprint hashes besides the input and entry
+    point: the options slice and the pipeline fingerprint of the passes
+    up to and including ``stage``."""
     upto = STAGES.index(stage)
     prefix = [p for p in plan if STAGES.index(p.stage) <= upto]
     keys = [k for p in prefix for k in p.option_keys]
+    return options_slice(options, keys), pipeline_fingerprint(prefix)
+
+
+def salted_stage_fingerprint(
+    stage: str, content_fingerprint: str, entry: str, salt: Tuple[str, str]
+) -> str:
+    """:func:`stage_fingerprint`, given the stage's :func:`stage_salt`."""
+    sliced, pipeline = salt
     return _digest(
-        (
-            f"stage:{stage}",
-            content_fingerprint,
-            entry,
-            options_slice(options, keys),
-            pipeline_fingerprint(prefix),
-        )
+        (f"stage:{stage}", content_fingerprint, entry, sliced, pipeline)
     )
 
 

@@ -53,11 +53,19 @@ class CompilerOptions:
     #: Optional registered passes to skip by name (the generic
     #: ``--disable-pass`` ablation; see ``repro passes`` for the
     #: registry listing).  Disabling a mandatory pass is an
-    #: :class:`~repro.errors.ArgumentError`.
+    #: :class:`~repro.errors.ArgumentError`.  Stored sorted and
+    #: de-duplicated, so one set of passes is one (hashable) options
+    #: value and one compile key, whatever order or sequence type the
+    #: caller gave.
     disabled_passes: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         check_executor(self.executor)
+        # A frozen dataclass normalises a field during construction
+        # through object.__setattr__.
+        object.__setattr__(
+            self, "disabled_passes", tuple(sorted(set(self.disabled_passes)))
+        )
 
 
 @dataclass

@@ -14,12 +14,21 @@ each contribute the passes they implement — and the driver
 (:mod:`repro.pipeline.driver`) replays the dependency-ordered plan
 instead of a hardcoded sequence.  ``repro passes`` prints the live
 registry.
+
+A plan depends only on the registry and the options, and so do the
+parts of a stage fingerprint that do not depend on the program (its
+*salt*, :func:`~repro.pipeline.fingerprint.stage_salt`).
+:meth:`PassRegistry.planned` computes both once per (hashable, frozen)
+:class:`CompilerOptions` and keeps them in one memo, which
+:meth:`PassRegistry.register` empties.  Validating ``disabled_passes``
+is not memoised: a bad name raises on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..errors import ArgumentError, CompilerBug
 from .options import CompilerOptions
@@ -133,6 +142,13 @@ class PassRegistry:
 
     def __init__(self) -> None:
         self._passes: Dict[str, Pass] = {}
+        #: Per options: the enabled, ordered passes and the salt of the
+        #: ``core`` and ``host`` artifact stages.  Emptied by
+        #: :meth:`register`.
+        self._plans: Dict[
+            CompilerOptions,
+            Tuple[Tuple[Pass, ...], Mapping[str, Tuple[str, str]]],
+        ] = {}
 
     def register(self, p: Pass) -> Pass:
         if p.name in self._passes:
@@ -144,6 +160,7 @@ class PassRegistry:
                 "(register dependencies first)"
             )
         self._passes[p.name] = p
+        self._plans.clear()
         return p
 
     def get(self, name: str) -> Pass:
@@ -177,10 +194,18 @@ class PassRegistry:
     def plan(self, options: CompilerOptions) -> List[Pass]:
         """The dependency-ordered passes *enabled* under ``options``.
 
-        Validates ``options.disabled_passes``: unknown names and
-        attempts to disable a mandatory pass raise
-        :class:`~repro.errors.ArgumentError`.
+        Validates ``options.disabled_passes`` on every call: unknown
+        names and attempts to disable a mandatory pass raise
+        :class:`~repro.errors.ArgumentError`.  Each call returns a
+        fresh list.
         """
+        return list(self.planned(options)[0])
+
+    def planned(
+        self, options: CompilerOptions
+    ) -> Tuple[Tuple[Pass, ...], Mapping[str, Tuple[str, str]]]:
+        """:meth:`plan` as a tuple, with the salt of the ``core`` and
+        ``host`` artifact stages; both are computed once per options."""
         for name in options.disabled_passes:
             if name not in self._passes:
                 raise ArgumentError(
@@ -191,7 +216,19 @@ class PassRegistry:
                 raise ArgumentError(
                     f"--disable-pass {name}: pass is mandatory"
                 )
-        return [p for p in self.ordered() if p.enabled_under(options)]
+        held = self._plans.get(options)
+        if held is None:
+            # Imported here: the fingerprint module imports this one.
+            from .fingerprint import stage_salt
+
+            # Two threads may both miss; they store equal values.
+            plan = tuple(p for p in self.ordered() if p.enabled_under(options))
+            salts = MappingProxyType({
+                stage: stage_salt(stage, options, plan)
+                for stage in ("core", "host")
+            })
+            held = self._plans[options] = (plan, salts)
+        return held
 
     def _toposort(self, passes: List[Pass]) -> List[Pass]:
         """Stable Kahn's algorithm over intra-stage ``requires`` edges
