@@ -35,6 +35,8 @@ class AdmissionQueue:
         self,
         capacity: int,
         lanes: Sequence[str] = _DEFAULT_LANES,
+        #: At most this many taken or claimed items run at once.
+        slots: Optional[int] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("queue capacity must be >= 1")
@@ -42,6 +44,8 @@ class AdmissionQueue:
         self._lanes: Dict[str, deque] = {lane: deque() for lane in lanes}
         self._cv = threading.Condition()
         self._closed = False
+        self._slots = float("inf") if slots is None else slots
+        self._running = 0
         #: Requests refused because the queue was full.
         self.shed_count = 0
         #: Requests accepted (lifetime, not current depth).
@@ -84,15 +88,41 @@ class AdmissionQueue:
 
     # -- consumers ----------------------------------------------------------
 
-    def take(self, timeout: Optional[float] = None) -> Optional[Any]:
+    def claim(self) -> bool:
+        """A slot for the caller's own item: only if open and empty."""
+        with self._cv:
+            busy = self._closed or self._depth_locked()
+            if busy or self._running >= self._slots:
+                return False
+            self._running += 1
+            return True
+
+    def release(self) -> None:
+        """Return a :meth:`claim`ed slot to whoever waits for one."""
+        with self._cv:
+            self._running -= 1
+            if self._closed or self._depth_locked():
+                self._cv.notify_all()
+
+    def wait_idle(self, timeout: Optional[float] = None) -> bool:
+        """Block until no slot is held; False on timeout."""
+        with self._cv:
+            return self._cv.wait_for(lambda: not self._running, timeout)
+
+    def take(
+        self, timeout: Optional[float] = None, release: bool = False
+    ) -> Optional[Any]:
         """Pop the next item, preferring earlier lanes; blocks up to
         ``timeout`` seconds.  Returns None on timeout or once the queue
-        is closed *and* drained."""
+        is closed *and* drained; ``release`` frees the last one's slot."""
         with self._cv:
+            self._running -= release
             while True:
-                for lane in self._lanes.values():
-                    if lane:
-                        return lane.popleft()
+                if self._running < self._slots:
+                    for lane in self._lanes.values():
+                        if lane:
+                            self._running += 1
+                            return lane.popleft()
                 if self._closed:
                     return None
                 if not self._cv.wait(timeout=timeout):

@@ -1,10 +1,11 @@
 """The resilient execution service fronting the compiler and runtime.
 
 :class:`Server` turns the single-run toolchain into a concurrent
-service: one worker thread per device executes :class:`ServeRequest`s
-drawn from a bounded :class:`~repro.serve.queue.AdmissionQueue` (a
-device runs one request at a time, so a second worker on it could only
-wait), with the full robustness stack wired in:
+service with one run slot per device: a :meth:`Server.call` that finds
+the bounded :class:`~repro.serve.queue.AdmissionQueue` empty and a slot
+free runs on its caller's thread; every other request waits there for
+one of ``len(devices)`` worker threads.  The full robustness stack is
+wired in:
 
 - **admission control** — a full queue sheds the request immediately
   with a typed :class:`ServiceOverloaded`; small requests (by the cost
@@ -31,8 +32,8 @@ wait), with the full robustness stack wired in:
   circuit breaker, which trips on consecutive device-class failures —
   and the reference-interpreter floor cannot suffer device faults, so
   a request only fails outright on a *program* error (or its own
-  deadline).  With one healthy device the request runs on the server
-  worker's own thread; with more, the pool places, shards, re-places
+  deadline).  With one healthy device the request runs on the thread
+  that holds its slot; with more, the pool places, shards, re-places
   and hedges (see :mod:`repro.sched`).  Fault injection is per device
   too: ``fault_plans`` is aligned with ``devices``.
 
@@ -275,6 +276,8 @@ class _Work:
     #: Whether the program was already compiled when the request
     #: arrived (recorded into the request's flight record).
     cache_hit: bool = False
+    #: ``"caller"`` for a call run on its own thread, else ``"worker"``.
+    ran_on: str = "worker"
 
 
 class Server:
@@ -325,7 +328,7 @@ class Server:
         self.options = options or CompilerOptions()
         self.fallback = fallback
         self.retries_per_rung = retries_per_rung
-        self.queue = AdmissionQueue(queue_capacity)
+        self.queue = AdmissionQueue(queue_capacity, slots=len(devices))
         self.cache = CompileCache()
         #: The in-memory CompileCache sits in front of this persistent
         #: layer: single-flight misses compile *through* the artifact
@@ -396,7 +399,7 @@ class Server:
 
     def stop(self, timeout: float = 10.0) -> None:
         """Stop admitting, fail everything still queued with
-        :class:`ServiceOverloaded`, and join the workers."""
+        :class:`ServiceOverloaded`, join the workers and inline calls."""
         self._stopping.set()
         self.queue.close()
         for item in self.queue.drain():
@@ -404,8 +407,8 @@ class Server:
         for t in self._threads:
             t.join(timeout=timeout)
         stuck = [t.name for t in self._threads if t.is_alive()]
-        if stuck:  # pragma: no cover - would be a worker deadlock bug
-            raise RuntimeError(f"worker threads failed to exit: {stuck}")
+        if stuck or not self.queue.wait_idle(timeout):  # pragma: no cover
+            raise RuntimeError(f"requests failed to finish: {stuck}")
         self._threads.clear()
         self.pool.stop(timeout=timeout)
         _log.info("server-stop")
@@ -479,17 +482,44 @@ class Server:
         *before* the compile, so an overloaded or stopping server does
         not burn caller time building a program it is about to refuse.
         """
+        return self._admit(request, inline=False)[0]
+
+    def call(
+        self, request: ServeRequest, timeout: Optional[float] = None
+    ) -> ServeResult:
+        """Admit and wait, or run the request on this thread if the
+        started server's queue is empty and a device slot is free.
+        ``timeout`` bounds the wait, never a run (``deadline_ms`` does):
+        an inline run past it raises :class:`TimeoutError` after all."""
+        handle, work = self._admit(request, inline=True)
+        if work is None or work.ran_on == "worker":
+            return handle.result(timeout=timeout)
+        t0 = time.monotonic()
+        self._run(work)  # never raises: it has the workers' backstop
+        self.queue.release()
+        result = handle.result()
+        if isinstance(result.error, (KeyboardInterrupt, SystemExit)):
+            raise result.error  # the caller's own, not the request's
+        if timeout is not None and time.monotonic() - t0 > timeout:
+            raise TimeoutError(f"{handle.request_id}: ran past {timeout}s")
+        return result
+
+    def _admit(
+        self, request: ServeRequest, inline: bool
+    ) -> Tuple[ResultHandle, Optional[_Work]]:
+        """Admit or shed ``request``: its handle, and the admitted work
+        (``ran_on == "caller"`` if ``inline`` claimed it a slot)."""
         handle = ResultHandle(request.request_id)
         submitted_at = time.monotonic()
         if self._stopping.is_set():
             self._complete_shed(handle, "server shutting down")
-            return handle
+            return handle, None
         if len(self.queue) >= self.queue.capacity:
             # Already saturated: refuse before paying the compile cost.
             # (The post-compile offer() below still re-checks, so a
             # queue that fills *during* the compile sheds too.)
             self._complete_shed(handle, "admission queue full")
-            return handle
+            return handle, None
         deadline = (
             Deadline.after_ms(request.deadline_ms)
             if request.deadline_ms is not None
@@ -508,16 +538,18 @@ class Server:
                     latency_s=time.monotonic() - submitted_at,
                 ),
             )
-            return handle
+            return handle, None
         size_env = size_env_from_args(program.compiled.host, request.args)
         lane = self._classify(program.compiled, size_env)
         work = _Work(
             request, handle, program, size_env, deadline, lane, submitted_at,
             cache_hit=cache_hit,
         )
-        if not self.queue.offer(work, lane):
+        if inline and self._started and self.queue.claim():
+            work.ran_on = "caller"
+        elif not self.queue.offer(work, lane):
             self._complete_shed(handle, "admission queue full", lane)
-            return handle
+            return handle, None
         with self._lock:
             self._counts["admitted"] += 1
         metrics = get_metrics()
@@ -526,13 +558,7 @@ class Server:
                 "serve.admitted", lane=lane, run_id=request.request_id
             ).inc()
             metrics.gauge("serve.queue_depth").set(len(self.queue))
-        return handle
-
-    def call(
-        self, request: ServeRequest, timeout: Optional[float] = None
-    ) -> ServeResult:
-        """Synchronous convenience: submit and wait."""
-        return self.submit(request).result(timeout=timeout)
+        return handle, work
 
     # -- admission ----------------------------------------------------------
 
@@ -600,28 +626,26 @@ class Server:
     # -- the workers --------------------------------------------------------
 
     def _worker_loop(self) -> None:
-        while True:
-            # Blocks until work arrives; None once stop() has closed
-            # the queue and drained it.
-            work = self.queue.take()
-            if work is None:
-                return
-            try:
-                self._process(work)
-            except BaseException as e:  # pragma: no cover - backstop
-                # A worker must never die with a request in hand.
-                self._finish(
-                    work.handle,
-                    ServeResult(
-                        work.request.request_id, "error", error=e,
-                        lane=work.lane,
-                        latency_s=time.monotonic() - work.submitted_at,
-                    ),
-                )
+        # Blocks until work arrives and a slot is free; None once stop()
+        # has closed the queue and drained it.
+        work = self.queue.take()
+        while work is not None:
+            self._run(work)
             # Hold nothing while waiting for the next request: the
             # finished one's program and arguments are the client's to
             # free (and a collected program leaves the resident memo).
             del work
+            work = self.queue.take(release=True)  # frees the slot it held
+
+    def _run(self, work: _Work) -> None:
+        try:
+            self._process(work)
+        except BaseException as e:  # pragma: no cover - backstop
+            # No thread, worker or caller, dies with a request in hand.
+            self._finish(work.handle, ServeResult(
+                work.request.request_id, "error", error=e, lane=work.lane,
+                latency_s=time.monotonic() - work.submitted_at,
+            ))
 
     def _process(self, work: _Work) -> None:
         request, handle = work.request, work.handle
@@ -670,6 +694,7 @@ class Server:
             lane=work.lane,
             queued_ms=queued_s * 1e3,
             cache_hit=work.cache_hit,
+            ran_on=work.ran_on,
         ) as span:
             result = self._execute(work)
             result.latency_s = time.monotonic() - work.submitted_at

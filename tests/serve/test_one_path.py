@@ -1,7 +1,8 @@
 """One serving path: ``Server()`` is a device pool of one.
 
 A request to a one-device server is placed whole on ``dev0`` and run on
-the server worker's own thread — the run the pool returns is the one
+the thread holding the device's slot (an idle ``call``'s own, else the
+server worker's) — the run the pool returns is the one
 ``compiled.execute`` would make.  The device's books hold one run at a
 time whatever thread runs it (the per-device run lock), so its heap's
 lifetime counts every request once and peaks where the largest
@@ -64,8 +65,12 @@ def test_a_served_call_is_the_run_compiled_execute_makes(cases, executor):
             assert [s["device"] for s in placement["shards"]] == [0], name
 
 
-def test_a_one_device_request_runs_on_the_server_worker(cases, monkeypatch):
-    """A spy on the pool's attempt loop records which thread ran it."""
+def test_a_one_device_request_runs_on_the_thread_holding_its_slot(
+    cases, monkeypatch
+):
+    """A spy on the pool's attempt loop records which thread ran it: an
+    idle ``call`` runs on the calling thread, a ``submit`` on the server
+    worker."""
     ran_on = []
     real = pool_mod.run_resilient
 
@@ -80,8 +85,12 @@ def test_a_one_device_request_runs_on_the_server_worker(cases, monkeypatch):
         assert "repro-sched-dev0" in threads  # the device worker idles
         for _ in range(4):
             assert server.call(ServeRequest(prog, args), timeout=60).ok
-    assert len(ran_on) == 4
-    assert all(n.startswith("repro-serve-worker-") for n in ran_on), ran_on
+        assert ran_on == [threading.current_thread().name] * 4
+        ran_on.clear()
+        for _ in range(4):
+            h = server.submit(ServeRequest(prog, args))
+            assert h.result(timeout=60).ok
+    assert ran_on == ["repro-serve-worker-0"] * 4
     # With two healthy devices the request goes through their workers:
     # the spy tells the paths apart.
     ran_on.clear()
