@@ -459,12 +459,18 @@ def cmd_serve_bench(args) -> int:
     with server:
         # The effective configuration, read back off the started server.
         pool = server.pool.devices
+        breaker = pool[0].breaker
         config = [
             "devices "
             + ", ".join(f"dev{d.id} [{d.profile.name}]" for d in pool),
             f"workers {server.health()['workers']} (one per device)",
             f"queue capacity {server.queue.capacity}",
             f"executor {server.default_executor}",
+            f"breaker {breaker.failure_threshold} failures / "
+            f"{breaker.recovery_s:g} s",
+            f"retries {server.pool.retries}",
+            f"min shard {server.pool.planner.min_shard}",
+            f"hedge floor {server.pool.hedge_min_wall_s:g} s",
         ]
         if args.chaos:
             config.append(

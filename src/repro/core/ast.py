@@ -353,10 +353,6 @@ class LoopExp:
     body: Body
 
     @property
-    def merge_params(self) -> Tuple[Param, ...]:
-        return tuple(p for p, _ in self.merge)
-
-    @property
     def merge_init(self) -> Tuple[Atom, ...]:
         return tuple(a for _, a in self.merge)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from . import ast as A
-from .prim import BINOPS, BOOL, CMPOPS, I32, UNOPS, PrimType
+from .prim import BINOPS, BOOL, CMPOPS, I32, UNOPS
 from .types import (
     Array,
     Dim,
@@ -55,12 +55,6 @@ def _array_arg(a: A.Var, env: TypeEnv, what: str) -> Array:
     if not isinstance(t, Array):
         raise TypeError_(f"{what} {a.name} must be an array, has type {t}")
     return t
-
-
-def _prim_of(t: Type, what: str) -> PrimType:
-    if not isinstance(t, Prim):
-        raise TypeError_(f"{what} must be scalar, has type {t}")
-    return t.t
 
 
 def exp_types(

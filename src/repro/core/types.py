@@ -13,7 +13,7 @@ it is an attribute of function parameter and return types, modelled by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from typing import Mapping, Tuple, Union
 
 from .prim import PrimType
 
@@ -157,15 +157,3 @@ def types_compatible(a: Type, b: Type) -> bool:
             return False
         return all(dim_equal(x, y) for x, y in zip(a.shape, b.shape))
     return False
-
-
-def common_type(ts: Iterable[Type]) -> Optional[Type]:
-    """The first type if all are compatible, else ``None``."""
-    ts = list(ts)
-    if not ts:
-        return None
-    first = ts[0]
-    for t in ts[1:]:
-        if not types_compatible(first, t):
-            return None
-    return first

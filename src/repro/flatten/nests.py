@@ -100,18 +100,6 @@ def nest_of(e: A.Exp) -> Optional[NestInfo]:
         return None
 
 
-def _only_sequential_streams(body: A.Body) -> bool:
-    """Inside a kernel thread, sequential streams (and anything inside
-    loops/ifs) are fine; other parallel SOACs make the nest imperfect."""
-    for bnd in body.bindings:
-        if isinstance(
-            bnd.exp,
-            (A.MapExp, A.ReduceExp, A.ScanExp, A.StreamRedExp, A.StreamMapExp),
-        ):
-            return False
-    return True
-
-
 def perfect_nests(body: A.Body) -> List[Tuple[A.Binding, NestInfo]]:
     """All top-level parallel bindings of ``body`` with their nest
     shape (recursing into top-level sequential loops and ifs, which the

@@ -409,11 +409,10 @@ def estimate_program(
     size_env: Mapping[str, int],
     device: DeviceProfile,
     coalescing: bool = True,
-    loop_trip_default: int = 8,
 ) -> CostReport:
     """Price a host program analytically at the given sizes, without
     executing it.  Host loops multiply their body's cost by the trip
-    count (``loop_trip_default`` when it cannot be resolved)."""
+    count (:data:`LOOP_TRIP_DEFAULT` when it cannot be resolved)."""
     from .heap import DeviceHeap
 
     report = CostReport(device.name)
@@ -424,8 +423,7 @@ def estimate_program(
         if block is not None and isinstance(p.type, Array):
             heap.alloc(block.name, block.size_bytes(env))
     _estimate_stmts(
-        hp.stmts, env, device, hp.layouts, report, coalescing,
-        loop_trip_default, heap,
+        hp.stmts, env, device, hp.layouts, report, coalescing, heap
     )
     report.mem_peak_bytes = heap.stats.peak_bytes
     report.mem_alloc_count = heap.stats.alloc_count
@@ -482,15 +480,19 @@ def request_price_us(
 #: replay is exact.
 _REPLAY_CAP = 100_000
 
+#: The trip count the estimate assumes for a host loop whose bound it
+#: cannot resolve (a ``while`` loop, or a bound no size determines).
+LOOP_TRIP_DEFAULT = 8
 
-def _trips(s: HostLoopStmt, size_env: Mapping[str, int], default: int) -> int:
+
+def _trips(s: HostLoopStmt, size_env: Mapping[str, int]) -> int:
     """A host loop's trip count at ``size_env``: a ``for`` bound that
-    resolves, else ``default``."""
+    resolves, else :data:`LOOP_TRIP_DEFAULT`."""
     if isinstance(s.form, A.ForLoop):
         resolved = _atom_value(s.form.bound, size_env)
         if resolved is not None:
             return resolved
-    return default
+    return LOOP_TRIP_DEFAULT
 
 
 def _heap_effect(s, size_env: Mapping[str, int], heap) -> None:
@@ -506,19 +508,17 @@ def _heap_effect(s, size_env: Mapping[str, int], heap) -> None:
         heap.free(s.block)
 
 
-def _replay_heap(
-    stmts, size_env: Mapping[str, int], heap, loop_trip_default: int
-) -> None:
+def _replay_heap(stmts, size_env: Mapping[str, int], heap) -> None:
     """Apply only the heap effects of one execution of ``stmts``
     (nested loops replay their own trip count)."""
     for s in stmts:
         _heap_effect(s, size_env, heap)
         if isinstance(s, HostLoopStmt):
-            trips = _trips(s, size_env, loop_trip_default)
+            trips = _trips(s, size_env)
             for _ in range(max(1, min(int(trips), _REPLAY_CAP))):
-                _replay_heap(s.body, size_env, heap, loop_trip_default)
+                _replay_heap(s.body, size_env, heap)
         elif isinstance(s, HostIfStmt):
-            _replay_heap(s.then_body, size_env, heap, loop_trip_default)
+            _replay_heap(s.then_body, size_env, heap)
 
 
 def _estimate_stmts(
@@ -528,7 +528,6 @@ def _estimate_stmts(
     layouts: Mapping[str, IndexFn],
     report: CostReport,
     coalescing: bool,
-    loop_trip_default: int,
     heap,
 ) -> None:
     for s in stmts:
@@ -547,11 +546,10 @@ def _estimate_stmts(
         elif isinstance(s, ManifestStmt):
             report.manifest_us += manifest_price(s, size_env, device)[1]
         elif isinstance(s, HostLoopStmt):
-            trips = _trips(s, size_env, loop_trip_default)
+            trips = _trips(s, size_env)
             inner = CostReport(device.name)
             _estimate_stmts(
-                s.body, size_env, device, layouts, inner, coalescing,
-                loop_trip_default, heap,
+                s.body, size_env, device, layouts, inner, coalescing, heap
             )
             copy_us = 0.0
             for us in loop_copy_us(s, size_env, device):
@@ -563,11 +561,11 @@ def _estimate_stmts(
             # the peak reflects what actually accumulates across
             # iterations (the naive never-free schedule leaks there).
             for _ in range(max(0, min(int(trips), _REPLAY_CAP) - 1)):
-                _replay_heap(s.body, size_env, heap, loop_trip_default)
+                _replay_heap(s.body, size_env, heap)
         elif isinstance(s, HostIfStmt):
             inner = CostReport(device.name)
             _estimate_stmts(
                 s.then_body, size_env, device, layouts, inner,
-                coalescing, loop_trip_default, heap,
+                coalescing, heap,
             )
             report.merge(inner)

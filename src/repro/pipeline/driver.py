@@ -347,16 +347,11 @@ class CompiledProgram:
         self,
         size_env: Mapping[str, int],
         device: DeviceProfile = NVIDIA_GTX780TI,
-        loop_trip_default: int = 8,
     ) -> CostReport:
         """Price the program analytically at the given sizes (no
         execution) — used to evaluate paper-scale datasets."""
         return estimate_program(
-            self.host,
-            size_env,
-            device,
-            coalescing=self.options.coalescing,
-            loop_trip_default=loop_trip_default,
+            self.host, size_env, device, coalescing=self.options.coalescing
         )
 
 

@@ -37,6 +37,14 @@ own: the task hands its device's breaker to
 around the attempt it runs (so a task cancelled before it starts never
 touches it); the coordinator only *reads* breaker state, and its floor
 is the loop's own.
+
+A pool is built from its ``profiles``, their ``fault_plans`` and a
+``hedge_min_wall_s`` floor; each other setting has one home, the part
+that reads it — ``devices[i].breaker`` (a default
+:class:`~repro.serve.breaker.CircuitBreaker`), ``planner`` (a default
+:class:`ShardPlanner`), ``placer`` (a default :class:`Placer`) and
+``retries`` (:data:`RETRIES`).  A caller that needs another swaps the
+attribute before the pool starts.
 """
 
 from __future__ import annotations
@@ -82,6 +90,10 @@ _DEVICE_ERRORS = (DeviceFault, DeviceOOM, KernelTimeout)
 #: A task is hedged once it has run this many times the wall time the
 #: cost model predicts for it.
 HEDGE_FACTOR = 4.0
+
+#: Retries after a task's first attempt on its device, before the
+#: task is re-placed (or the request leaves the devices).
+RETRIES = 2
 
 #: The cancel event of a task the caller runs at once on its own thread.
 _NEVER_CANCELLED = threading.Event()
@@ -230,12 +242,8 @@ class DevicePool:
         self,
         profiles: Sequence[DeviceProfile],
         fault_plans: Optional[Sequence[Optional[FaultPlan]]] = None,
-        breaker_threshold: int = 3,
-        breaker_recovery_s: float = 0.25,
-        min_shard: int = 256,
+        #: The wall-clock floor of a hedge budget, seconds.
         hedge_min_wall_s: float = 1.0,
-        affinity_bonus: float = 0.15,
-        placer: Optional[Placer] = None,
     ) -> None:
         if not profiles:
             raise ValueError("a device pool needs at least one device")
@@ -248,19 +256,16 @@ class DevicePool:
             PoolDevice(
                 i,
                 profile,
-                CircuitBreaker(
-                    f"dev{i}",
-                    failure_threshold=breaker_threshold,
-                    recovery_s=breaker_recovery_s,
-                ),
+                CircuitBreaker(f"dev{i}"),
                 fault_plans[i] if fault_plans is not None else None,
             )
             for i, profile in enumerate(profiles)
         ]
         self.name = f"pool({len(self.devices)} devices)"
-        self.planner = ShardPlanner(min_shard)
-        self.placer = placer or Placer(affinity_bonus)
+        self.planner = ShardPlanner()
+        self.placer = Placer()
         self.hedge_min_wall_s = hedge_min_wall_s
+        self.retries = RETRIES
         self.counters: Dict[str, int] = {
             "requests": 0,
             "sharded": 0,
@@ -448,7 +453,6 @@ class DevicePool:
         run_id: str,
         coalescing: bool = True,
         in_place: bool = True,
-        retries: int = 2,
         deadline=None,
         batch_info: Optional[BatchInfo] = None,
         key: Optional[str] = None,
@@ -558,7 +562,7 @@ class DevicePool:
             # Never the floor per device: another device may still
             # serve the shard, and the request's floor is above.
             policy=ExecutionPolicy(
-                executor=executor, fallback=False, max_retries=retries
+                executor=executor, fallback=False, max_retries=self.retries
             ),
             entry=entry,
             deadline=deadline,

@@ -46,10 +46,6 @@ class AdmissionQueue:
         self._closed = False
         self._slots = float("inf") if slots is None else slots
         self._running = 0
-        #: Requests refused because the queue was full.
-        self.shed_count = 0
-        #: Requests accepted (lifetime, not current depth).
-        self.accepted_count = 0
 
     # -- queries ------------------------------------------------------------
 
@@ -79,10 +75,8 @@ class AdmissionQueue:
             if lane not in self._lanes:
                 raise ValueError(f"unknown lane {lane!r}")
             if self._closed or self._depth_locked() >= self.capacity:
-                self.shed_count += 1
                 return False
             self._lanes[lane].append(item)
-            self.accepted_count += 1
             self._cv.notify()
             return True
 

@@ -37,6 +37,14 @@ wired in:
   and hedges (see :mod:`repro.sched`).  Fault injection is per device
   too: ``fault_plans`` is aligned with ``devices``.
 
+A server states only its own settings: ``queue_capacity``, ``options``,
+``fallback``, ``flight_recorder``, ``devices``, ``fault_plans`` and
+``artifact_cache``.  The device step's settings — each device's
+breaker, the retry count, the shard floor, the placer and the hedge
+floor — belong to the pool's parts (see :mod:`repro.sched.pool`), with
+each part's own defaults; to change one, swap the attribute on
+``server.pool`` before :meth:`Server.start`.
+
 Results are delivered through :class:`ResultHandle` (event-based, no
 executor framework), and ``Server.health()``/``repro.obs`` metrics
 expose queue depth, shed counts, breaker states and per-lane latency
@@ -301,9 +309,6 @@ class Server:
         #: reference interpreter (the default) or as the typed device
         #: error — :attr:`repro.runtime.ExecutionPolicy.fallback`.
         fallback: bool = True,
-        breaker_threshold: int = 3,
-        breaker_recovery_s: float = 0.25,
-        retries_per_rung: int = 2,
         #: Optional :class:`repro.obs.FlightRecorder`: when set, every
         #: request is captured into a per-request trace/metrics record
         #: and terminal device errors (or SLO-breaching latencies)
@@ -316,8 +321,6 @@ class Server:
         #: One fault plan per device, aligned with ``devices`` (None:
         #: every device runs fault-free).
         fault_plans: Optional[Sequence[Optional[FaultPlan]]] = None,
-        min_shard: int = 256,
-        hedge_min_wall_s: float = 1.0,
         #: Optional persistent stage-artifact cache
         #: (:class:`repro.pipeline.ArtifactCache`): cache-miss compiles
         #: resume from on-disk artifacts, and a restarted server warms
@@ -327,7 +330,6 @@ class Server:
     ) -> None:
         self.options = options or CompilerOptions()
         self.fallback = fallback
-        self.retries_per_rung = retries_per_rung
         self.queue = AdmissionQueue(queue_capacity, slots=len(devices))
         self.cache = CompileCache()
         #: The in-memory CompileCache sits in front of this persistent
@@ -354,14 +356,9 @@ class Server:
             "deadline_exceeded": 0,
             "errors": 0,
         }
-        self.pool = DevicePool(
-            devices,
-            fault_plans=fault_plans,
-            breaker_threshold=breaker_threshold,
-            breaker_recovery_s=breaker_recovery_s,
-            min_shard=min_shard,
-            hedge_min_wall_s=hedge_min_wall_s,
-        )
+        #: Breakers, retries, sharding and hedging are the pool's own
+        #: settings: swap ``pool``'s attribute before :meth:`start`.
+        self.pool = DevicePool(devices, fault_plans=fault_plans)
         #: Every handle this server issues carries this token.
         self._token = object()
         self._resident = _Resident()
@@ -430,7 +427,8 @@ class Server:
         return self._resolve(program, entry)[0]
 
     def warm(self, program: A.Prog, entry: str = "main") -> str:
-        """:meth:`load`, returning the compile-cache key."""
+        """``load(program, entry).key``: the call the frozen end-to-end
+        harness (``benchmarks/e2e/``) makes.  New code calls :meth:`load`."""
         return self.load(program, entry).key
 
     def _resolve(
@@ -719,7 +717,6 @@ class Server:
                 run_id=request.request_id,
                 coalescing=self.options.coalescing,
                 in_place=self.options.in_place,
-                retries=self.retries_per_rung,
                 deadline=work.deadline,
                 batch_info=program.batch_info,
                 key=program.key,

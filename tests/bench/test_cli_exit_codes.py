@@ -246,7 +246,9 @@ class TestServeBenchCli:
         # The effective configuration comes first.
         assert r.stdout.splitlines()[0] == (
             "config: devices dev0 [NVIDIA GTX 780 Ti]; "
-            "workers 1 (one per device); queue capacity 32; executor jit"
+            "workers 1 (one per device); queue capacity 32; executor jit; "
+            "breaker 3 failures / 0.25 s; retries 2; min shard 256; "
+            "hedge floor 1 s"
         )
         assert "requests from 2 clients" in r.stdout
         report = json.loads(out.read_text())
@@ -264,7 +266,8 @@ class TestServeBenchCli:
             "config: devices dev0 [NVIDIA GTX 780 Ti], "
             "dev1 [NVIDIA GTX 780 Ti]; workers 2 (one per device); "
             "queue capacity 32; executor sim; "
-            "chaos seeds dev0=5, dev1=1000008"
+            "breaker 3 failures / 0.25 s; retries 2; min shard 256; "
+            "hedge floor 1 s; chaos seeds dev0=5, dev1=1000008"
         )
 
     def test_the_worker_count_is_not_a_flag(self):

@@ -1,6 +1,6 @@
 """Tests of the analytic estimator over host programs: loop trip
 resolution, host-scalar propagation, branch handling, and the
-loop_trip_default fallback."""
+LOOP_TRIP_DEFAULT fallback."""
 
 import functools
 
@@ -10,7 +10,7 @@ import pytest
 from repro.bench.suite import BENCHMARKS
 from repro.core.types import Array
 from repro.core.values import ScalarValue
-from repro.gpu.costmodel import size_env_from_args
+from repro.gpu.costmodel import LOOP_TRIP_DEFAULT, size_env_from_args
 from repro.pipeline import compile_program, compile_source
 from repro.runtime import DEFAULT_EXECUTOR, EXECUTORS, ExecutionPolicy
 
@@ -30,10 +30,10 @@ class TestLoopTrips:
 
     def test_unresolved_trip_uses_default(self):
         compiled = compile_source(self.SRC)
-        default = compiled.estimate(
-            {"n": 1_000_000}, loop_trip_default=8
+        default = compiled.estimate({"n": 1_000_000}).total_us
+        explicit = compiled.estimate(
+            {"n": 1_000_000, "k": LOOP_TRIP_DEFAULT}
         ).total_us
-        explicit = compiled.estimate({"n": 1_000_000, "k": 8}).total_us
         assert default == pytest.approx(explicit, rel=0.01)
 
 

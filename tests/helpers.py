@@ -15,6 +15,7 @@ from repro.core.prim import F32, I32
 from repro.core.types import Array, Prim
 from repro.core import ast as A
 from repro.sched import Placer
+from repro.serve.breaker import CircuitBreaker
 
 
 def split_friendly(profile):
@@ -28,10 +29,27 @@ def split_friendly(profile):
     )
 
 
+def tune(target, *, breaker=None, **attrs):
+    """Swap settings on a device pool, or on a server's pool, before it
+    starts, and return ``target``.  Each keyword names a pool attribute
+    (``retries``, ``hedge_min_wall_s``, ``planner``, ``placer``);
+    ``breaker`` is the keyword arguments of a fresh
+    :class:`CircuitBreaker` for every device."""
+    pool = getattr(target, "pool", target)
+    for name, value in attrs.items():
+        if not hasattr(pool, name):
+            raise AttributeError(f"a device pool has no {name!r}")
+        setattr(pool, name, value)
+    if breaker is not None:
+        for d in pool.devices:
+            d.breaker = CircuitBreaker(f"dev{d.id}", **breaker)
+    return target
+
+
 class KWayPlacer(Placer):
     """Always the ``k``-way plan among those the placer weighed —
-    handed to ``DevicePool(placer=...)`` by tests (and measurements)
-    that need a particular split whatever the cost model predicts."""
+    swapped in as a pool's ``placer`` by tests (and measurements) that
+    need a particular split whatever the cost model predicts."""
 
     def __init__(self, k: int) -> None:
         super().__init__()

@@ -5,8 +5,8 @@ Device 0 fails 100% of its kernel launches, forever.  Placement will
 keep picking it (it prices identically to its healthy twins) until its
 breaker trips; each failed shard must be transparently re-placed on a
 healthy device, every result must stay bit-identical to a fault-free
-run, and after ``breaker_threshold`` consecutive failures the broken
-device must be routed around entirely.
+run, and after its breaker's ``failure_threshold`` consecutive failures
+the broken device must be routed around entirely.
 """
 
 import numpy as np
@@ -17,9 +17,9 @@ from repro.gpu.device import NVIDIA_GTX780TI
 from repro.gpu.faults import FaultPlan
 from repro.pipeline import compile_cache_key, compile_program
 from repro.runtime import ExecutionPolicy, run_resilient
-from repro.sched import DevicePool, analyze_shardable
+from repro.sched import DevicePool, ShardPlanner, analyze_shardable
 from repro.serve.breaker import BreakerState
-from tests.helpers import split_friendly
+from tests.helpers import split_friendly, tune
 
 #: The cost model splits a toy batch only where a split is predicted
 #: to win.
@@ -54,13 +54,16 @@ def test_pool_survives_one_totally_broken_device():
         )[0]
         for c, _, args, _ in cases
     ]
-    with DevicePool(
-        [EAGER] * 4,
-        fault_plans=[BROKEN, None, None, None],
-        breaker_threshold=2,
-        breaker_recovery_s=600.0,  # stays open for the whole test
-        min_shard=16,
-        hedge_min_wall_s=30.0,
+    with tune(
+        DevicePool(
+            [EAGER] * 4,
+            fault_plans=[BROKEN, None, None, None],
+            hedge_min_wall_s=30.0,
+        ),
+        # Stays open for the whole test.
+        breaker=dict(failure_threshold=2, recovery_s=600.0),
+        planner=ShardPlanner(16),
+        retries=1,
     ) as pool:
         completed = 0
         for round_ in range(4):
@@ -69,7 +72,7 @@ def test_pool_survives_one_totally_broken_device():
                     compiled.host, compiled.core, args,
                     executor="sim", entry="main",
                     run_id=f"chaos-{round_}-{compiled.host.name}",
-                    batch_info=info, key=key, retries=1,
+                    batch_info=info, key=key,
                 )
                 assert report.fallbacks == 0
                 for e, g in zip(base, values):
@@ -96,7 +99,7 @@ def test_pool_survives_one_totally_broken_device():
         _, _, _, placement = pool.run(
             cases[0][0].host, cases[0][0].core, cases[0][2],
             executor="sim", entry="main", run_id="chaos-final",
-            batch_info=cases[0][1], key=cases[0][3], retries=1,
+            batch_info=cases[0][1], key=cases[0][3],
         )
         assert 0 in placement["skipped_open"]
         assert all(c["device"] != 0 for c in placement["candidates"])
@@ -114,16 +117,17 @@ def test_sharded_request_heals_across_replacement():
         policy=ExecutionPolicy(executor="sim", fallback=False),
         entry="main", run_id="heal-base",
     )
-    with DevicePool(
-        [EAGER] * 3,
-        fault_plans=[BROKEN, None, None],
-        min_shard=16,
-        hedge_min_wall_s=30.0,
+    with tune(
+        DevicePool(
+            [EAGER] * 3, fault_plans=[BROKEN, None, None], hedge_min_wall_s=30.0
+        ),
+        planner=ShardPlanner(16),
+        retries=1,
     ) as pool:
         values, _, report, placement = pool.run(
             compiled.host, compiled.core, args,
             executor="sim", entry="main", run_id="heal",
-            batch_info=info, key=key, retries=1,
+            batch_info=info, key=key,
         )
     assert placement["mode"] == "sharded"
     assert placement["replacements"] >= 1

@@ -15,8 +15,8 @@ from repro.bench.suite import BENCHMARKS
 from repro.gpu.device import AMD_W8100, NVIDIA_GTX780TI, SIM_SMALL
 from repro.pipeline import compile_cache_key, compile_program
 from repro.runtime import EXECUTORS, ExecutionPolicy, run_resilient
-from repro.sched import DevicePool, analyze_shardable
-from tests.helpers import split_friendly
+from repro.sched import DevicePool, ShardPlanner, analyze_shardable
+from tests.helpers import split_friendly, tune
 
 #: Heterogeneous pool composition, truncated to the requested count —
 #: on profiles where the cost model predicts a split wins at these
@@ -54,10 +54,11 @@ def test_pool_results_are_bit_identical(name, executor):
     assert base_report.fallbacks == 0
     sharded_runs = 0
     for count in (1, 2, 4):
-        # min_shard=2 so even small-scale batches may shard on the
-        # multi-device pools.
-        with DevicePool(
-            POOL_PROFILES[:count], min_shard=2, hedge_min_wall_s=30.0
+        # A 2-row shard floor so even small-scale batches may shard on
+        # the multi-device pools.
+        with tune(
+            DevicePool(POOL_PROFILES[:count], hedge_min_wall_s=30.0),
+            planner=ShardPlanner(2),
         ) as pool:
             values, _, report, placement = pool.run(
                 compiled.host, compiled.core, args,

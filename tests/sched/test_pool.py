@@ -17,9 +17,9 @@ from repro.gpu.device import AMD_W8100, NVIDIA_GTX780TI, SIM_SMALL
 from repro.gpu.faults import FaultPlan
 from repro.pipeline import compile_cache_key, compile_program
 from repro.runtime import ExecutionPolicy, run_resilient
-from repro.sched import DevicePool, Placer, analyze_shardable
+from repro.sched import DevicePool, Placer, ShardPlanner, analyze_shardable
 from repro.serve import BreakerState, Deadline
-from tests.helpers import KWayPlacer, split_friendly
+from tests.helpers import KWayPlacer, split_friendly, tune
 
 #: A fault plan that never succeeds and never clears: every launch on
 #: the device fails, forever.
@@ -121,12 +121,14 @@ def test_whole_request_placement(backprop):
 
 def test_sharded_run_is_bit_identical(backprop):
     compiled, info, args, baseline, key = backprop
-    with DevicePool(
-        [
-            split_friendly(p)
-            for p in (NVIDIA_GTX780TI, AMD_W8100, SIM_SMALL)
-        ],
-        min_shard=16,
+    with tune(
+        DevicePool(
+            [
+                split_friendly(p)
+                for p in (NVIDIA_GTX780TI, AMD_W8100, SIM_SMALL)
+            ],
+        ),
+        planner=ShardPlanner(16),
     ) as pool:
         values, cost, report, placement = pool.run(
             compiled.host, compiled.core, args,
@@ -171,14 +173,16 @@ def test_failed_device_is_replaced(backprop):
     compiled, _, args, baseline, key = backprop
     # Device 0 always fails; the tie-breaking placer will pick it first
     # (equal profiles, lower id), forcing a mid-request re-placement.
-    with DevicePool(
-        [NVIDIA_GTX780TI, NVIDIA_GTX780TI],
-        fault_plans=[BROKEN, None],
+    with tune(
+        DevicePool(
+            [NVIDIA_GTX780TI, NVIDIA_GTX780TI], fault_plans=[BROKEN, None]
+        ),
+        retries=1,
     ) as pool:
         values, _, report, placement = pool.run(
             compiled.host, compiled.core, args,
             executor="sim", entry="main", run_id="replaced",
-            batch_info=None, key=key, retries=1,
+            batch_info=None, key=key,
         )
     assert placement["replacements"] == 1
     assert placement["shards"][0]["device"] == 1
@@ -189,22 +193,25 @@ def test_failed_device_is_replaced(backprop):
 
 def test_all_devices_failing_raises(backprop):
     compiled, _, args, _, key = backprop
-    with DevicePool(
-        [NVIDIA_GTX780TI, NVIDIA_GTX780TI],
-        fault_plans=[BROKEN, BROKEN],
+    with tune(
+        DevicePool(
+            [NVIDIA_GTX780TI, NVIDIA_GTX780TI], fault_plans=[BROKEN, BROKEN]
+        ),
+        retries=1,
     ) as pool:
         with pytest.raises(DeviceFault):
             pool.run(
                 compiled.host, compiled.core, args,
                 executor="sim", entry="main", run_id="doomed",
-                batch_info=None, key=key, retries=1,
+                batch_info=None, key=key,
             )
 
 
 def test_all_breakers_open_refuses_transiently(backprop):
     compiled, _, args, _, key = backprop
-    pool = DevicePool(
-        [NVIDIA_GTX780TI], breaker_threshold=1, breaker_recovery_s=60.0
+    pool = tune(
+        DevicePool([NVIDIA_GTX780TI]),
+        breaker=dict(failure_threshold=1, recovery_s=60.0),
     )
     pool.devices[0].breaker.record_failure()  # trip it
     with pool:
@@ -219,15 +226,16 @@ def test_all_breakers_open_refuses_transiently(backprop):
 
 def test_every_device_failing_ends_on_the_interpreter_floor(backprop):
     compiled, _, args, baseline, key = backprop
-    with DevicePool(
-        [NVIDIA_GTX780TI, NVIDIA_GTX780TI],
-        fault_plans=[BROKEN, BROKEN],
-        breaker_threshold=1,
-        breaker_recovery_s=60.0,
+    with tune(
+        DevicePool(
+            [NVIDIA_GTX780TI, NVIDIA_GTX780TI], fault_plans=[BROKEN, BROKEN]
+        ),
+        breaker=dict(failure_threshold=1, recovery_s=60.0),
+        retries=0,
     ) as pool:
         kwargs = dict(
             executor="sim", entry="main", batch_info=None, key=key,
-            retries=0, fallback=True,
+            fallback=True,
         )
         values, cost, report, _ = pool.run(
             compiled.host, compiled.core, args, run_id="floor", **kwargs
@@ -261,8 +269,9 @@ def test_cancelled_task_does_not_wedge_the_breaker(backprop):
     breaker; the attempt loop claims and releases on the device's own
     thread."""
     compiled, _, args, baseline, key = backprop
-    pool = DevicePool(
-        [NVIDIA_GTX780TI], breaker_threshold=1, breaker_recovery_s=0.0
+    pool = tune(
+        DevicePool([NVIDIA_GTX780TI]),
+        breaker=dict(failure_threshold=1, recovery_s=0.0),
     )
     dev = pool.devices[0]
     dev.breaker.record_failure()  # trip; recovery 0: half-open at once
@@ -340,7 +349,7 @@ def test_a_shard_is_booked_at_the_price_of_its_own_rows():
     compiled = compile_program(prog)
     args = spec.args_at(np.random.default_rng(5), {"n": 16, "h": 1024})
     env = size_env_from_args(compiled.host, args)
-    pool = DevicePool([NVIDIA_GTX780TI] * 4, placer=KWayPlacer(4))
+    pool = tune(DevicePool([NVIDIA_GTX780TI] * 4), placer=KWayPlacer(4))
     # Hold every device worker at the door so the queued state can be
     # read.
     gate, execute = threading.Event(), pool._execute

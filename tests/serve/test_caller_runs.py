@@ -28,10 +28,11 @@ from repro.errors import ServiceOverloaded
 from repro.frontend.parser import parse
 from repro.gpu.device import NVIDIA_GTX780TI
 from repro.obs.flight import FlightRecorder
+from repro.sched import ShardPlanner
 from repro.sched import pool as pool_mod
 from repro.serve import Server, ServeRequest
 from repro.serve.queue import AdmissionQueue
-from tests.helpers import split_friendly
+from tests.helpers import split_friendly, tune
 
 SEEDS = [int(s) for s in os.environ.get("CHAOS_SEEDS", "0,1,2").split(",")]
 
@@ -309,9 +310,9 @@ def test_stop_waits_for_an_inline_sharded_call(monkeypatch):
     args = spec.args_at(np.random.default_rng(9), {"n": 16, "h": 512})
     gate = _Gate(monkeypatch, hold={"sharded"})
     results = []
-    server = Server(
-        devices=[split_friendly(NVIDIA_GTX780TI)] * 4,
-        min_shard=16,
+    server = tune(
+        Server(devices=[split_friendly(NVIDIA_GTX780TI)] * 4),
+        planner=ShardPlanner(16),
         hedge_min_wall_s=600.0,
     ).start()
     completed_at_pool_stop = []

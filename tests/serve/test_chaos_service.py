@@ -27,6 +27,7 @@ from repro.errors import DeadlineExceeded, ServiceOverloaded
 from repro.gpu.faults import broken_device, chaos_plans
 from repro.interp import run_program
 from repro.serve import Server, ServeRequest
+from tests.helpers import tune
 
 CLIENTS = 32
 ALL_NAMES = list(BENCHMARKS.names())
@@ -60,13 +61,12 @@ class TestServiceChaos:
             cases.append((name, args, expected))
 
         results = [None] * CLIENTS
-        with Server(
-            queue_capacity=CLIENTS,
-            fault_plans=chaos_plans(seed, 1),
-            retries_per_rung=1,
+        with tune(
+            Server(queue_capacity=CLIENTS, fault_plans=chaos_plans(seed, 1)),
+            retries=1,
         ) as server:
             for name in ALL_NAMES:
-                server.warm(BENCHMARKS[name].program())
+                server.load(BENCHMARKS[name].program())
             barrier = threading.Barrier(CLIENTS)
 
             def client(cid):
@@ -117,15 +117,14 @@ class TestServiceChaos:
         every request is still served, by the interpreter floor."""
         names = ALL_NAMES[:6]
         cases = [(n,) + _expected(n, seed=i) for i, n in enumerate(names)]
-        with Server(
-            queue_capacity=32,
-            fault_plans=[broken_device(seed=7)],
-            retries_per_rung=1,
-            breaker_threshold=2,
-            breaker_recovery_s=300.0,  # stays open for the whole test
+        with tune(
+            Server(queue_capacity=32, fault_plans=[broken_device(seed=7)]),
+            retries=1,
+            # Stays open for the whole test.
+            breaker=dict(failure_threshold=2, recovery_s=300.0),
         ) as server:
             for n in names:
-                server.warm(BENCHMARKS[n].program())
+                server.load(BENCHMARKS[n].program())
             handles = [
                 server.submit(
                     ServeRequest(BENCHMARKS[n].program(), args)
@@ -153,7 +152,7 @@ class TestServiceChaos:
         # Shed: an unstarted server, so nothing drains a tiny queue.
         server = Server(queue_capacity=1)
         try:
-            server.warm(prog)
+            server.load(prog)
             handles = [
                 server.submit(ServeRequest(prog, args)) for _ in range(3)
             ]
@@ -165,7 +164,7 @@ class TestServiceChaos:
             server.stop()
         # Deadline: a budget no benchmark can meet.
         with Server(queue_capacity=4) as server:
-            server.warm(prog)
+            server.load(prog)
             r = server.call(
                 ServeRequest(prog, args, deadline_ms=0.0), timeout=60
             )

@@ -15,6 +15,7 @@ from repro.obs.export import validate_chrome_trace, validate_flight_bundle
 from repro.obs.flight import FlightRecorder, read_bundle
 from repro.pipeline import CompilerOptions
 from repro.serve import Server, ServeRequest
+from tests.helpers import tune
 
 MAP_SRC = r"fun main (xs: [n]f32): [n]f32 = map (\(x: f32) -> x + 1.0f32) xs"
 
@@ -48,12 +49,14 @@ def _assert_one_valid_bundle(tmp_path, request_id, error_cls):
 class TestTerminalErrorsDump:
     def test_device_fault_dumps_one_joinable_bundle(self, prog, tmp_path):
         recorder = FlightRecorder(capacity=8, dump_dir=str(tmp_path))
-        with Server(
-            queue_capacity=4,
-            fallback=False,
-            fault_plans=[broken_device()],
-            retries_per_rung=1,
-            flight_recorder=recorder,
+        with tune(
+            Server(
+                queue_capacity=4,
+                fallback=False,
+                fault_plans=[broken_device()],
+                flight_recorder=recorder,
+            ),
+            retries=1,
         ) as s:
             r = s.call(
                 ServeRequest(prog, xs(1.0, 2.0), request_id="req-fault"),
@@ -81,13 +84,15 @@ class TestTerminalErrorsDump:
         runaway = FaultPlan(
             seed=0, timeout_rate=1.0, max_consecutive=1_000_000_000
         )
-        with Server(
-            queue_capacity=4,
-            fallback=False,
-            options=CompilerOptions(executor="sim"),
-            fault_plans=[runaway],
-            retries_per_rung=1,
-            flight_recorder=recorder,
+        with tune(
+            Server(
+                queue_capacity=4,
+                fallback=False,
+                options=CompilerOptions(executor="sim"),
+                fault_plans=[runaway],
+                flight_recorder=recorder,
+            ),
+            retries=1,
         ) as s:
             r = s.call(
                 ServeRequest(prog, xs(1.0), request_id="req-timeout"),
@@ -99,12 +104,14 @@ class TestTerminalErrorsDump:
     def test_device_oom_dumps(self, prog, tmp_path):
         recorder = FlightRecorder(capacity=8, dump_dir=str(tmp_path))
         tiny = dataclasses.replace(NVIDIA_GTX780TI, memory_bytes=8)
-        with Server(
-            queue_capacity=4,
-            devices=[tiny],
-            fallback=False,
-            retries_per_rung=0,
-            flight_recorder=recorder,
+        with tune(
+            Server(
+                queue_capacity=4,
+                devices=[tiny],
+                fallback=False,
+                flight_recorder=recorder,
+            ),
+            retries=0,
         ) as s:
             r = s.call(
                 ServeRequest(prog, xs(*range(64)), request_id="req-oom"),
@@ -180,7 +187,7 @@ class TestHealthyTraffic:
         recorder = FlightRecorder(capacity=8, dump_dir=str(tmp_path))
         s = Server(queue_capacity=1, flight_recorder=recorder)  # unstarted
         try:
-            s.warm(prog)
+            s.load(prog)
             s.submit(ServeRequest(prog, xs(1.0)))
             shed = s.submit(ServeRequest(prog, xs(2.0)))
             assert shed.result(timeout=5).status == "shed"

@@ -29,6 +29,7 @@ from repro.runtime import EXECUTORS, ExecutionPolicy
 from repro.sched import pool as pool_mod
 from repro.serve import BreakerState, Server, ServeRequest
 from repro.serve.server import INTERACTIVE_THRESHOLD_US
+from tests.helpers import tune
 
 NAMES = list(BENCHMARKS.names())
 
@@ -137,17 +138,16 @@ def test_concurrent_requests_take_the_device_one_at_a_time(
     switch_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # interleave the workers finely
     try:
-        with Server(
-            devices=[NVIDIA_GTX780TI] * 2,
-            queue_capacity=16,
-            breaker_recovery_s=3600.0,
+        with tune(
+            Server(devices=[NVIDIA_GTX780TI] * 2, queue_capacity=16),
+            breaker=dict(recovery_s=3600.0),
         ) as server:
             dev1 = server.pool.devices[1].breaker
             for _ in range(dev1.failure_threshold):
                 dev1.record_failure()
             assert dev1.state is BreakerState.OPEN
             for prog, _ in cases.values():
-                server.warm(prog)
+                server.load(prog)
             clients = [
                 threading.Thread(target=client, args=(server, 8 * c))
                 for c in range(2)

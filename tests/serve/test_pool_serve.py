@@ -10,9 +10,10 @@ from repro.gpu.faults import FaultPlan
 from repro.interp import run_program
 from repro.obs.export import validate_flight_bundle
 from repro.obs.flight import FlightRecorder
+from repro.sched import ShardPlanner
 from repro.serve.breaker import BreakerState
 from repro.serve.server import Server, ServeRequest
-from tests.helpers import split_friendly
+from tests.helpers import split_friendly, tune
 
 BROKEN = FaultPlan(seed=0, launch_failure_rate=1.0, max_consecutive=10**9)
 
@@ -27,12 +28,14 @@ def _backprop(h=512):
 def test_pooled_server_shards_and_reports_placement():
     prog, args = _backprop()
     expected = run_program(prog, args)
-    with Server(
-        devices=[
-            split_friendly(p)
-            for p in (NVIDIA_GTX780TI, AMD_W8100, SIM_SMALL)
-        ],
-        min_shard=16,
+    with tune(
+        Server(
+            devices=[
+                split_friendly(p)
+                for p in (NVIDIA_GTX780TI, AMD_W8100, SIM_SMALL)
+            ],
+        ),
+        planner=ShardPlanner(16),
     ) as server:
         result = server.call(
             ServeRequest(prog, args), timeout=60
@@ -83,10 +86,12 @@ def test_one_device_server_places_the_request_whole_on_dev0():
 def test_flight_record_carries_placement(tmp_path):
     prog, args = _backprop()
     recorder = FlightRecorder(dump_dir=str(tmp_path))
-    with Server(
-        devices=[split_friendly(NVIDIA_GTX780TI)] * 2,
-        min_shard=16,
-        flight_recorder=recorder,
+    with tune(
+        Server(
+            devices=[split_friendly(NVIDIA_GTX780TI)] * 2,
+            flight_recorder=recorder,
+        ),
+        planner=ShardPlanner(16),
     ) as server:
         result = server.call(
             ServeRequest(prog, args), timeout=60
@@ -124,12 +129,13 @@ def test_flight_record_carries_placement(tmp_path):
 def test_pooled_server_survives_broken_device_chaos():
     prog, args = _backprop()
     expected = run_program(prog, args)
-    with Server(
-        devices=[split_friendly(NVIDIA_GTX780TI)] * 4,
-        fault_plans=[BROKEN, None, None, None],
-        min_shard=16,
-        breaker_threshold=2,
-        breaker_recovery_s=600.0,
+    with tune(
+        Server(
+            devices=[split_friendly(NVIDIA_GTX780TI)] * 4,
+            fault_plans=[BROKEN, None, None, None],
+        ),
+        planner=ShardPlanner(16),
+        breaker=dict(failure_threshold=2, recovery_s=600.0),
     ) as server:
         handles = [
             server.submit(ServeRequest(prog, args, request_id=f"chaos-{i}"))

@@ -249,6 +249,15 @@ class TestHandles:
         assert breaker.trips == 0
 
 
+def test_warm_is_the_load_key_the_frozen_harness_reads():
+    """``benchmarks/e2e/`` (which no change may edit) makes programs
+    resident with ``server.warm(prog)``; it is ``load(prog).key``."""
+    prog = parse(MAP_SRC)
+    with Server(queue_capacity=8) as s:
+        assert s.warm(prog) == s.load(prog).key
+        assert s.cache.stats.snapshot()["misses"] == 1
+
+
 def test_a_request_binds_its_sizes_once(monkeypatch):
     """Admission binds the request's sizes, and the pool places with
     the same binding instead of making its own."""

@@ -39,7 +39,7 @@ class TestSaturation:
 
         # Baseline: sequential, unloaded requests.
         with Server(queue_capacity=CAPACITY) as server:
-            server.warm(prog)
+            server.load(prog)
             for i in range(6):
                 r = server.call(_request(i), timeout=120)
                 assert r.ok, r.error
@@ -51,7 +51,7 @@ class TestSaturation:
         # (a burst raced against running workers shed 0-7 of 12).
         threads_before = threading.active_count()
         server = Server(queue_capacity=CAPACITY)
-        server.warm(prog)
+        server.load(prog)
         handles = [
             server.submit(_request(100 + cid)) for cid in range(OVERLOAD)
         ]
@@ -91,7 +91,7 @@ class TestSaturation:
     def test_accepted_plus_shed_accounts_for_everything(self):
         prog = BENCHMARKS[NAME].program()
         with Server(queue_capacity=CAPACITY) as server:
-            server.warm(prog)
+            server.load(prog)
             handles = [
                 server.submit(_request(200 + i)) for i in range(OVERLOAD)
             ]

@@ -26,6 +26,7 @@ from repro.serve import (
     ServeRequest,
 )
 from repro.serve.queue import AdmissionQueue
+from tests.helpers import tune
 
 MAP_SRC = r"fun main (xs: [n]f32): [n]f32 = map (\(x: f32) -> x + 1.0f32) xs"
 
@@ -50,7 +51,7 @@ class TestHappyPath:
 
     def test_results_match_interpreter(self, prog):
         with Server(queue_capacity=16) as s:
-            s.warm(prog)
+            s.load(prog)
             inputs = [xs(*(float(i + k) for k in range(4))) for i in range(8)]
             handles = [s.submit(ServeRequest(prog, a)) for a in inputs]
             for a, h in zip(inputs, handles):
@@ -86,7 +87,7 @@ class TestShedding:
         # Workers never started: the queue only fills.
         s = Server(queue_capacity=2)
         try:
-            s.warm(prog)
+            s.load(prog)
             handles = [
                 s.submit(ServeRequest(prog, xs(1.0))) for _ in range(4)
             ]
@@ -105,7 +106,7 @@ class TestShedding:
 
         s = Server(queue_capacity=1)
         try:
-            s.warm(prog)
+            s.load(prog)
             admitted = s.submit(ServeRequest(prog, xs(1.0)))
             assert not admitted.done()  # queued: the queue is now full
             misses_before = s.cache.stats.misses
@@ -122,7 +123,7 @@ class TestShedding:
 
     def test_pending_failed_on_shutdown(self, prog):
         s = Server(queue_capacity=4)
-        s.warm(prog)
+        s.load(prog)
         handles = [s.submit(ServeRequest(prog, xs(1.0))) for _ in range(3)]
         s.stop()
         for h in handles:
@@ -133,7 +134,7 @@ class TestShedding:
     def test_submit_after_stop_sheds(self, prog):
         s = Server(queue_capacity=4)
         s.start()
-        s.warm(prog)
+        s.load(prog)
         s.stop()
         r = s.submit(ServeRequest(prog, xs(1.0))).result(timeout=5)
         assert r.status == "shed"
@@ -191,14 +192,14 @@ class TestLanes:
         rng = np.random.default_rng(0)
         s = Server(queue_capacity=4)  # unstarted: admit, never execute
         try:
-            s.warm(prog)
+            s.load(prog)
             s.submit(ServeRequest(prog, spec.small_args(rng)))
             assert s.queue.depths() == {"interactive": 1, "batch": 0}
             s.submit(ServeRequest(prog, spec.args_at(rng, spec.dataset.full)))
             assert s.queue.depths() == {"interactive": 1, "batch": 1}
             # Priced once per (program, sizes), on the program itself.
             s.submit(ServeRequest(prog, spec.small_args(rng)))
-            host = s.cache.peek(s.warm(prog)).host
+            host = s.cache.peek(s.load(prog).key).host
             assert len(host.price_cache) == 2
         finally:
             s.stop()
@@ -207,7 +208,7 @@ class TestLanes:
 class TestDeadlines:
     def test_hopeless_deadline_is_typed(self, prog):
         with Server(queue_capacity=8) as s:
-            s.warm(prog)
+            s.load(prog)
             r = s.call(
                 ServeRequest(prog, xs(1.0), deadline_ms=0.0), timeout=30
             )
@@ -216,7 +217,7 @@ class TestDeadlines:
 
     def test_generous_deadline_succeeds(self, prog):
         with Server(queue_capacity=8) as s:
-            s.warm(prog)
+            s.load(prog)
             r = s.call(
                 ServeRequest(prog, xs(1.0, 2.0), deadline_ms=30_000),
                 timeout=60,
@@ -225,7 +226,7 @@ class TestDeadlines:
 
     def test_deadline_counted_in_health(self, prog):
         with Server(queue_capacity=8) as s:
-            s.warm(prog)
+            s.load(prog)
             s.call(ServeRequest(prog, xs(1.0), deadline_ms=0.0), timeout=30)
             health = s.health()
         assert health["deadline_exceeded"] == 1
@@ -258,14 +259,12 @@ class TestErrors:
 
 class TestDegradation:
     def test_broken_jit_backend_is_served_by_interp(self, prog):
-        with Server(
-            queue_capacity=16,
-            fault_plans=[broken_device(seed=3)],
-            retries_per_rung=1,
-            breaker_threshold=2,
-            breaker_recovery_s=60.0,
+        with tune(
+            Server(queue_capacity=16, fault_plans=[broken_device(seed=3)]),
+            retries=1,
+            breaker=dict(failure_threshold=2, recovery_s=60.0),
         ) as s:
-            s.warm(prog)
+            s.load(prog)
             handles = [
                 s.submit(ServeRequest(prog, xs(1.0, 2.0))) for _ in range(6)
             ]
@@ -301,14 +300,13 @@ class TestDegradation:
         # (or deadline) used to leave the probe slot held forever,
         # permanently refusing the rung.  The neutral outcome must
         # release the slot so the next request can probe.
-        with Server(
-            queue_capacity=8,
-            fault_plans=[broken_device(seed=7)],
-            retries_per_rung=0,
-            breaker_threshold=1,
-            breaker_recovery_s=0.0,  # open resolves to half-open at once
+        with tune(
+            Server(queue_capacity=8, fault_plans=[broken_device(seed=7)]),
+            retries=0,
+            # Open resolves to half-open at once.
+            breaker=dict(failure_threshold=1, recovery_s=0.0),
         ) as s:
-            s.warm(prog)
+            s.load(prog)
             breaker = s.pool.devices[0].breaker
             first = s.call(ServeRequest(prog, xs(1.0)), timeout=60)
             assert first.ok, first.error
@@ -328,16 +326,14 @@ class TestDegradation:
 
     def test_interp_floor_when_everything_is_broken(self, prog):
         expected = run_program(prog, xs(1.0, 5.0))
-        with Server(
-            queue_capacity=8,
-            fault_plans=[broken_device(seed=1)],
-            retries_per_rung=1,
-            breaker_threshold=1,
+        with tune(
+            Server(queue_capacity=8, fault_plans=[broken_device(seed=1)]),
+            retries=1,
             # Open resolves to half-open at once: every request probes
             # the device on the executor it asked for.
-            breaker_recovery_s=0.0,
+            breaker=dict(failure_threshold=1, recovery_s=0.0),
         ) as s:
-            s.warm(prog)
+            s.load(prog)
             # Whichever executor a request asks for, its floor is the
             # interpreter — a broken jit never degrades *to* sim.
             for executor in (None, "jit", "sim", "sim"):
@@ -357,11 +353,13 @@ class TestDegradation:
     def test_no_floor_surfaces_the_device_error(self, prog):
         """``fallback=False``: a terminal device error reaches the
         caller (and the flight recorder) typed, report attached."""
-        with Server(
-            queue_capacity=8,
-            fallback=False,
-            fault_plans=[broken_device()],
-            retries_per_rung=1,
+        with tune(
+            Server(
+                queue_capacity=8,
+                fallback=False,
+                fault_plans=[broken_device()],
+            ),
+            retries=1,
         ) as s:
             assert tuple(s.ladder) == ("jit",)
             r = s.call(ServeRequest(prog, xs(1.0)), timeout=60)
