@@ -9,14 +9,16 @@ compile FILE [--emit core|opencl] [--no-fusion --no-coalescing ...]
     stops at a stage frontier; ``--artifact-dir`` makes compiles
     resume from (and store) persistent stage artifacts, so a second
     invocation skips the passes whose inputs haven't changed;
-    ``--disable-pass`` skips any optional registered pass by name.
+    ``--disable-pass`` skips any optional pass by name.
 
 check FILE
     Type-check (including alias and uniqueness analysis) and report.
 
 passes [--no-fusion --disable-pass NAME ...]
-    Print the registered compiler passes in plan order: stage,
-    enabled-under-the-given-flags, mandatory/optional, requirements.
+    Print the compiler's pass list in plan order: stage, whether the
+    given flags enable the pass, and whether it is mandatory.  An
+    unknown or mandatory ``--disable-pass`` name exits 2, as it does
+    for ``compile``.
 
 run FILE [--size name=value ...] [--device-profile NAME]
     Compile FILE and price it analytically at the given sizes on both
@@ -114,9 +116,8 @@ def _add_opt_flags(p: argparse.ArgumentParser) -> None:
         action="append",
         metavar="NAME",
         default=None,
-        help="skip one optional registered pass by name (repeatable; "
-        "see 'repro passes' for the registry; disabling a mandatory "
-        "pass is an error)",
+        help="skip one optional pass by name (repeatable; 'repro "
+        "passes' lists them; disabling a mandatory pass is an error)",
     )
 
 
@@ -356,21 +357,21 @@ def cmd_bench(args) -> int:
 
 
 def cmd_passes(args) -> int:
-    """Print the live pass registry: every registered pass in plan
-    order, with its stage, whether it is enabled under the options the
-    given flags produce, and its declared requirements."""
-    from .pipeline import REGISTRY
+    """Print every pass in plan order, with its stage, whether it is
+    enabled under the options the given flags produce, and whether it
+    is mandatory."""
+    from .pipeline import PASSES, plan
 
     options = _options_from_flags(args)
+    enabled = plan(options)  # rejects a bad --disable-pass name
     rows = [
         (
             p.name,
             p.stage,
-            "yes" if p.enabled_under(options) else "no",
+            "yes" if p in enabled else "no",
             "" if p.optional else "mandatory",
-            ", ".join(p.requires),
         )
-        for p in REGISTRY.ordered()
+        for p in PASSES
     ]
     widths = [
         max(len(r[i]) for r in rows + [_PASSES_HEADER])
@@ -390,7 +391,7 @@ def cmd_passes(args) -> int:
     return 0
 
 
-_PASSES_HEADER = ("pass", "stage", "enabled", "", "requires")
+_PASSES_HEADER = ("pass", "stage", "enabled", "")
 
 
 def cmd_obs(args) -> int:

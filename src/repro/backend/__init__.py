@@ -17,10 +17,10 @@ from .codegen import lower_program  # noqa: F401
 from .opencl_text import render_program  # noqa: F401
 
 
-def register_passes(registry) -> None:
-    """Register lowering (core IR → kernel IR) into the staged pass
-    manager.  Lowering is mandatory and escalating: a failure here is
-    a genuine compiler bug, reported with the offending IR attached."""
+def passes():
+    """Lowering (core IR → kernel IR).  It has no recovery: a failure
+    here is a genuine compiler bug, reported with the offending IR
+    attached."""
     from ..pipeline.passes import Pass
 
     def _lower(prog, options, ctx):
@@ -28,13 +28,13 @@ def register_passes(registry) -> None:
 
         return pl.lower_program(prog, fname=ctx.entry)
 
-    registry.register(Pass(
-        name="lower",
-        stage="host",
-        phase="backend",
-        fn=_lower,
-        requires=("flatten",),
-        invalidates=("memory",),
-        policy="escalate",
-        optional=False,
-    ))
+    return (
+        Pass(
+            name="lower",
+            stage="host",
+            phase="backend",
+            fn=_lower,
+            fallback=None,
+            optional=False,
+        ),
+    )

@@ -1,9 +1,9 @@
 """Well-formedness checking for host programs.
 
 The core-IR half of the pipeline re-typechecks after every guarded
-pass; this is the analogous check for the kernel-IR half, run by
-``_PassGuard.host`` so a broken memory pass rolls back instead of
-corrupting downstream stages.  Checked invariants:
+pass; this is the analogous check for the kernel-IR half, run by the
+driver's pass guard after every memory pass, so a broken one rolls
+back instead of corrupting downstream stages.  Checked invariants:
 
 * every referenced device block is allocated before use (parameters
   count as allocated on entry);

@@ -19,11 +19,11 @@ def check_program(prog, check_unique: bool = True):
     return tc
 
 
-def register_passes(registry) -> None:
-    """Register the frontend check into the staged pass manager.
+def passes():
+    """The frontend check, the first pass of the pipeline.
 
-    The initial check is fail-fast even in resilient mode: a malformed
-    input program is the caller's error, not a pass bug.
+    It has no recovery: a malformed input program is the caller's
+    error, not a pass bug.
     """
     from ..pipeline.passes import Pass
 
@@ -33,13 +33,15 @@ def register_passes(registry) -> None:
         pl.check_program(prog, check_unique=options.check_uniqueness)
         return prog
 
-    registry.register(Pass(
-        name="check",
-        stage="frontend",
-        phase="frontend",
-        fn=_check,
-        enabled=lambda o: o.check,
-        option_keys=("check", "check_uniqueness"),
-        policy="failfast",
-        optional=False,
-    ))
+    return (
+        Pass(
+            name="check",
+            stage="frontend",
+            phase="frontend",
+            fn=_check,
+            enabled=lambda o: o.check,
+            option_keys=("check", "check_uniqueness"),
+            fallback=None,
+            optional=False,
+        ),
+    )

@@ -8,13 +8,13 @@ from .interchange import apply_g5_body, vec_operator  # noqa: F401
 from .nests import NestInfo, perfect_nests  # noqa: F401
 
 
-def register_passes(registry) -> None:
-    """Register kernel extraction into the staged pass manager.
+def passes():
+    """Kernel extraction and its cleanup simplification.
 
     Flattening is mandatory, so a failure cannot simply be rolled
-    back; the registered fallback degrades to the most conservative
-    strategy (outermost parallelism only), and only if that also fails
-    reports a :class:`~repro.errors.CompilerBug`.
+    back; its recovery is the most conservative strategy (outermost
+    parallelism only), and only if that also fails does the compile
+    end in a :class:`~repro.errors.CompilerBug`.
     """
     from ..pipeline.passes import Pass
     from ..simplify import simplify_pass
@@ -31,46 +31,31 @@ def register_passes(registry) -> None:
 
     def _conservative(prog, options, ctx):
         import repro.pipeline as pl
-        from ..core.pretty import pretty_prog
-        from ..errors import CompilerBug
 
-        try:
-            out = pl.flatten_prog(prog, pl._CONSERVATIVE_FLATTEN)
-            ctx.guard.revalidate(out)
-            return out
-        except Exception as e:
-            raise CompilerBug(
-                "flatten",
-                "kernel-extraction",
-                f"conservative flattening also failed: {e}",
-                ir=pretty_prog(prog),
-            ) from e
+        return pl.flatten_prog(prog, pl._CONSERVATIVE_FLATTEN)
 
-    registry.register(Pass(
-        name="flatten",
-        stage="core",
-        phase="kernel-extraction",
-        fn=_flatten,
-        requires=("simplify",),
-        invalidates=("types",),
-        option_keys=(
-            "distribute",
-            "interchange",
-            "reduce_map_interchange",
-            "sequentialise_streams",
+    return (
+        Pass(
+            name="flatten",
+            stage="core",
+            phase="kernel-extraction",
+            fn=_flatten,
+            option_keys=(
+                "distribute",
+                "interchange",
+                "reduce_map_interchange",
+                "sequentialise_streams",
+            ),
+            fallback=_conservative,
+            optional=False,
         ),
-        policy="degrade",
-        fallback=_conservative,
-        fallback_action="degraded to conservative",
-        optional=False,
-    ))
-    registry.register(Pass(
-        name="post-flatten-simplify",
-        stage="core",
-        phase="kernel-extraction",
-        # Post-flattening cleanup must not hoist: pulling bindings out
-        # of lambda bodies could perturb the perfect nests just built.
-        fn=simplify_pass(hoisting=False),
-        requires=("flatten",),
-        invalidates=("types",),
-    ))
+        Pass(
+            name="post-flatten-simplify",
+            stage="core",
+            phase="kernel-extraction",
+            # Post-flattening cleanup must not hoist: pulling bindings
+            # out of lambda bodies could perturb the perfect nests just
+            # built.
+            fn=simplify_pass(hoisting=False),
+        ),
+    )

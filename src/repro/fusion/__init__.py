@@ -11,9 +11,9 @@ from .stream_rules import (  # noqa: F401
 )
 
 
-def register_passes(registry) -> None:
-    """Register producer-consumer/horizontal fusion and its cleanup
-    simplification into the staged pass manager."""
+def passes():
+    """Producer-consumer/horizontal fusion and its cleanup
+    simplification."""
     from ..pipeline.passes import Pass
     from ..simplify import simplify_pass
 
@@ -35,22 +35,20 @@ def register_passes(registry) -> None:
         metrics.counter("fusion.horizontal").inc(fstats.horizontal)
         return fused
 
-    registry.register(Pass(
-        name="fusion",
-        stage="core",
-        phase="fusion",
-        fn=_fusion,
-        requires=("simplify",),
-        invalidates=("types",),
-        enabled=lambda o: o.fusion,
-        option_keys=("fusion",),
-    ))
-    registry.register(Pass(
-        name="post-fusion-simplify",
-        stage="core",
-        phase="fusion",
-        fn=simplify_pass(),
-        requires=("fusion",),
-        invalidates=("types",),
-        enabled=lambda o: o.fusion,
-    ))
+    return (
+        Pass(
+            name="fusion",
+            stage="core",
+            phase="fusion",
+            fn=_fusion,
+            enabled=lambda o: o.fusion,
+            option_keys=("fusion",),
+        ),
+        Pass(
+            name="post-fusion-simplify",
+            stage="core",
+            phase="fusion",
+            fn=simplify_pass(),
+            enabled=lambda o: o.fusion,
+        ),
+    )

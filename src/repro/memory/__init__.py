@@ -29,13 +29,13 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def register_passes(registry) -> None:
-    """Register the locality optimisations and device-memory planning
-    into the staged pass manager.  Each pass keeps its own internal
-    ``enabled=`` switch wired to :class:`CompilerOptions`, preserving
-    the historical ablation behaviour (the pass runs and no-ops when
-    switched off, so pass timings stay comparable across ablations);
-    ``--disable-pass`` removes a pass from the plan entirely."""
+def passes():
+    """The locality optimisations and device-memory planning.  Each
+    pass keeps its own internal ``enabled=`` switch wired to
+    :class:`CompilerOptions`, preserving the historical ablation
+    behaviour (the pass runs and no-ops when switched off, so pass
+    timings stay comparable across ablations); ``--disable-pass``
+    removes a pass from the plan entirely."""
     from ..pipeline.passes import Pass
 
     def _coalesce(hp, options, ctx):
@@ -57,30 +57,26 @@ def register_passes(registry) -> None:
             allow_elision=options.in_place,
         )
 
-    registry.register(Pass(
-        name="coalescing",
-        stage="host",
-        phase="memory",
-        fn=_coalesce,
-        requires=("lower",),
-        invalidates=("memory",),
-        option_keys=("coalescing",),
-    ))
-    registry.register(Pass(
-        name="tiling",
-        stage="host",
-        phase="memory",
-        fn=_tile,
-        requires=("coalescing",),
-        invalidates=("memory",),
-        option_keys=("tiling",),
-    ))
-    registry.register(Pass(
-        name="memory-plan",
-        stage="host",
-        phase="memory",
-        fn=_plan,
-        requires=("lower",),
-        invalidates=("memory",),
-        option_keys=("memory_planning", "in_place"),
-    ))
+    return (
+        Pass(
+            name="coalescing",
+            stage="host",
+            phase="memory",
+            fn=_coalesce,
+            option_keys=("coalescing",),
+        ),
+        Pass(
+            name="tiling",
+            stage="host",
+            phase="memory",
+            fn=_tile,
+            option_keys=("tiling",),
+        ),
+        Pass(
+            name="memory-plan",
+            stage="host",
+            phase="memory",
+            fn=_plan,
+            option_keys=("memory_planning", "in_place"),
+        ),
+    )

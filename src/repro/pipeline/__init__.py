@@ -1,27 +1,28 @@
 """The compiler pipeline — the staged pass manager over Fig. 3.
 
-This package replaces the old monolithic driver module with four
-layers:
+Four layers:
 
-* :mod:`repro.pipeline.passes` — the declarative :class:`Pass`
-  descriptor and :class:`PassRegistry`; the transformation packages
+* :mod:`repro.pipeline.passes` — the :class:`Pass` descriptor and
+  :data:`PASSES`, every pass in plan order, built from the
+  ``passes()`` hooks of the transformation packages
   (:mod:`repro.checker`, :mod:`repro.simplify`, :mod:`repro.fusion`,
-  :mod:`repro.flatten`, :mod:`repro.backend`, :mod:`repro.memory`)
-  register their passes here through ``register_passes`` hooks;
-* :mod:`repro.pipeline.driver` — the dependency-ordered driver with
-  the self-healing pass guard (rollback / degrade / escalate policies);
+  :mod:`repro.flatten`, :mod:`repro.backend`, :mod:`repro.memory`);
+  :func:`plan`/:func:`planned` select the passes an options value
+  enables;
+* :mod:`repro.pipeline.driver` — the driver, which runs the plan
+  under one pass guard (revalidate and recover, or report a
+  :class:`~repro.errors.CompilerBug`);
 * :mod:`repro.pipeline.fingerprint` — the one hashing scheme behind
   every compile cache;
 * :mod:`repro.pipeline.artifact` — versioned stage artifacts and the
   persistent cross-process :class:`ArtifactCache`.
 
-The public API is unchanged: ``compile_program`` / ``compile_source``
-take a program through the full pipeline under
-:class:`CompilerOptions`, returning a :class:`CompiledProgram`.  The
-transformation entry points (``fuse_prog``, ``simplify_prog``, ...)
-are re-exported here and looked up *late* by the registered passes, so
-tests can monkeypatch ``repro.pipeline.fuse_prog`` etc. exactly as
-before.
+``compile_program`` / ``compile_source`` take a program through the
+full pipeline under :class:`CompilerOptions`, returning a
+:class:`CompiledProgram`.  The transformation entry points
+(``fuse_prog``, ``simplify_prog``, ...) are re-exported here and looked
+up *late* by the passes, so tests can monkeypatch
+``repro.pipeline.fuse_prog`` etc.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from ..memory.tiling import tile_program
 from ..simplify import inline_prog, simplify_prog
 
 from .options import CompilerOptions, PassDiagnostic
-from .passes import REGISTRY, Pass, PassContext, PassRegistry, STAGES
+from .passes import PASSES, STAGES, Pass, PassContext, plan, planned
 from .fingerprint import (
     ARTIFACT_VERSION,
     compile_fingerprint,
@@ -58,12 +59,7 @@ from .artifact import (
     StageArtifact,
     default_artifact_cache,
 )
-from .driver import (
-    CompiledProgram,
-    compile_program,
-    compile_source,
-    compile_to_stage,
-)
+from .driver import CompiledProgram, compile_program, compile_source
 
 __all__ = [
     # the stable public API
@@ -74,12 +70,12 @@ __all__ = [
     "compile_source",
     "compile_cache_key",
     # the staged pass manager
+    "PASSES",
     "Pass",
     "PassContext",
-    "PassRegistry",
-    "REGISTRY",
     "STAGES",
-    "compile_to_stage",
+    "plan",
+    "planned",
     # fingerprints & artifacts
     "ARTIFACT_VERSION",
     "ARTIFACT_DIR_ENV",
@@ -117,21 +113,3 @@ def compile_cache_key(
     ``compile_fingerprint(fingerprint_program(prog), options, entry)``.
     """
     return compile_fingerprint(fingerprint_program(prog), options, entry)
-
-
-# -- registry population ----------------------------------------------------
-
-
-def _register_all() -> None:
-    """Populate :data:`REGISTRY` from the transformation packages'
-    ``register_passes`` hooks.  Registration order is the plan-order
-    tiebreak, and ``requires`` must already be registered, so the hook
-    order below mirrors the pipeline: frontend check, core simplify /
-    fusion / flatten chain, then lowering and the memory passes."""
-    from .. import backend, checker, flatten, fusion, memory, simplify
-
-    for package in (checker, simplify, fusion, flatten, backend, memory):
-        package.register_passes(REGISTRY)
-
-
-_register_all()

@@ -1,23 +1,21 @@
-"""The staged, dependency-ordered compile driver.
+"""The compile driver.
 
-Replaces the old hardcoded pass sequence: the driver asks the registry
-(:data:`repro.pipeline.passes.REGISTRY`) for the plan enabled under the
-given :class:`CompilerOptions` and replays it stage by stage, with the
-self-healing guard semantics applied as *policy* declared on each
-:class:`~repro.pipeline.passes.Pass`:
+The driver takes the passes of :data:`repro.pipeline.passes.PASSES`
+enabled under the given :class:`CompilerOptions` and runs them in
+order, stage by stage, each under one guard rule (:class:`_PassGuard`):
 
-* ``guarded`` passes are re-validated (re-typecheck for core IR,
-  memory validation for host programs) and rolled back on any failure,
-  recording a :class:`PassDiagnostic` — a buggy optimisation degrades
-  performance instead of crashing the compile;
-* ``degrade`` passes (flattening) retry their conservative fallback
-  before escalating to :class:`CompilerBug`;
-* ``escalate`` passes (lowering) report failures as
+* a pass with a recovery is revalidated (re-typecheck for core IR,
+  memory validation for host programs) and, on any failure, records a
+  :class:`PassDiagnostic` and recovers — it rolls back to its input,
+  or flattening degrades to its conservative variant — so a buggy
+  optimisation degrades performance instead of crashing the compile;
+  a recovery that also fails is a :class:`CompilerBug`;
+* a pass without a recovery (the initial check, lowering) lets a
+  :class:`ReproError` propagate — a malformed input program is the
+  caller's error — and reports anything else as a
   :class:`CompilerBug` with the offending IR attached;
-* ``failfast`` passes (the initial check) always propagate — a
-  malformed input program is the caller's error, not a pass bug;
-* ``CompilerOptions(strict=True)`` restores fail-fast behaviour
-  everywhere, for tests that want to *see* pass bugs.
+* ``CompilerOptions(strict=True)`` propagates every failure raw, for
+  tests that want to *see* pass bugs.
 
 With an :class:`~repro.pipeline.artifact.ArtifactCache` attached
 (explicitly, via ``$REPRO_ARTIFACT_DIR``, or the CLI's
@@ -56,13 +54,12 @@ from .fingerprint import (
     salted_stage_fingerprint,
 )
 from .options import CompilerOptions, PassDiagnostic
-from .passes import REGISTRY, Pass, PassContext
+from .passes import Pass, PassContext, planned, rollback
 
 __all__ = [
     "CompiledProgram",
     "compile_program",
     "compile_source",
-    "compile_to_stage",
 ]
 
 #: Sentinel distinguishing "no cache" (None) from "use the process
@@ -71,11 +68,12 @@ _DEFAULT_CACHE = object()
 
 
 class _PassGuard:
-    """Runs passes; on failure rolls back and records a diagnostic.
+    """Runs passes under the module's one recovery rule, keyed on
+    :attr:`Pass.fallback`, and records their timings.
 
     Every pass is also the observability layer's unit of account: the
-    guard opens a span per pass (with IR-size-delta attributes when a
-    tracer is installed), appends a :class:`PassTiming` to the compile's
+    guard opens a span per pass (with IR-size attributes when a tracer
+    is installed), appends a :class:`PassTiming` to the compile's
     timing breakdown, and emits rollback instants/counters when it has
     to intervene.  Timing costs two monotonic-clock reads per pass and
     is always on; IR statistics cost an IR walk and are computed only
@@ -118,59 +116,52 @@ class _PassGuard:
         if self.last_span is not None:
             self.last_span.set(**attrs)
 
-    def guarded(
-        self,
-        name: str,
-        phase: str,
-        fn,
-        arg,
-        revalidate=None,
-        stats_of=None,
-        fallback=None,
-        fallback_action: str = "rolled back",
-    ):
-        """The shared pass-guard machinery: run ``fn`` inside a span,
-        validate its output, recover on failure, and record one
-        :class:`PassTiming` with optional IR-size attributes.
-
-        ``revalidate(out)`` raises when the pass produced bad IR (it is
-        skipped when a core pass returned ``arg`` itself);
-        ``stats_of(ir)`` (called only when tracing) returns a dict of
-        size figures attached as ``<key>_before``/``<key>_after`` span
-        attributes; ``fallback()`` produces the recovery value (default:
-        roll back to ``arg``) and may itself raise to escalate.
-        """
+    def run_pass(self, p: Pass, ir, ctx: PassContext):
+        """Run one pass under the recovery rule, inside its span, and
+        append its :class:`PassTiming`."""
         tracer = get_tracer()
-        before = (
-            stats_of(arg) if stats_of is not None and tracer.enabled
-            else None
-        )
+        before = _ir_stats(ir) if tracer.enabled else None
         rolled = False
         t0 = time.perf_counter()
-        with tracer.span(f"pass:{name}", "pipeline", phase=phase) as span:
+        with tracer.span(f"pass:{p.name}", "pipeline", phase=p.phase) as span:
             self.last_span = span
             if self.options.strict:
-                out = fn(arg)
+                out = p.fn(ir, self.options, ctx)
+            elif p.fallback is None:
+                try:
+                    out = p.fn(ir, self.options, ctx)
+                except ReproError:
+                    raise
+                except Exception as e:
+                    raise _bug(p, str(e), ir) from e
             else:
                 try:
-                    out = fn(arg)
-                    # A core pass that hands back the very (frozen)
-                    # program it was given changed nothing, and that IR
-                    # was validated as the previous pass's output.
-                    # Identity only — an equal-looking new object is
-                    # re-checked — and never for host programs, which
-                    # passes update in place.
-                    unchanged = out is arg and isinstance(arg, A.Prog)
-                    if revalidate is not None and not unchanged:
-                        revalidate(out)
+                    out = self._checked(p.fn, ir, ctx)
                 except Exception as e:
-                    self._note(name, phase, e, fallback_action)
                     rolled = True
-                    out = arg if fallback is None else fallback()
-            dur_us = (time.perf_counter() - t0) * 1e6
-            timing = PassTiming(name, phase, dur_us, rolled_back=rolled)
+                    if p.fallback is rollback:
+                        self._note(p.name, p.phase, e, "rolled back")
+                        out = ir
+                    else:
+                        self._note(
+                            p.name, p.phase, e, "degraded to conservative"
+                        )
+                        try:
+                            out = self._checked(p.fallback, ir, ctx)
+                        except Exception as e2:
+                            raise _bug(
+                                p, f"recovery also failed: {e2}", ir
+                            ) from e2
+            timing = PassTiming(
+                p.name, p.phase, (time.perf_counter() - t0) * 1e6,
+                rolled_back=rolled,
+            )
             if before is not None:
-                after = stats_of(out)
+                after = _ir_stats(out)
+                if after.keys() != before.keys():
+                    # Lowering: a core figure does not compare with a
+                    # host one, so only the output's is attached.
+                    before = {}
                 timing.bindings_before = before.get("bindings")
                 timing.bindings_after = after.get("bindings")
                 timing.soacs_before = before.get("soacs")
@@ -179,98 +170,47 @@ class _PassGuard:
                 attrs.update({f"{k}_after": v for k, v in after.items()})
                 span.set(rolled_back=rolled, **attrs)
             self.timings.append(timing)
-        get_metrics().counter("pipeline.passes", phase=phase).inc()
+        get_metrics().counter("pipeline.passes", phase=p.phase).inc()
         return out
 
-    @staticmethod
-    def _core_stats(prog: A.Prog) -> Dict[str, int]:
-        stats = ir_stats(prog)
-        return {"bindings": stats.bindings, "soacs": stats.soacs}
+    def _checked(self, fn, ir, ctx: PassContext):
+        """``fn``'s output, revalidated by IR type.
 
-    @staticmethod
-    def _host_stats(hp: HostProgram) -> Dict[str, int]:
-        return {"kernels": len(hp.kernels())}
-
-    def revalidate(self, prog: A.Prog) -> None:
-        """Re-typecheck the IR a pass just produced (uniqueness is a
-        front-end property and is not re-checked here)."""
-        if self.options.check:
-            check_program(prog, check_unique=False)
-
-    def revalidate_host(self, hp: HostProgram) -> None:
-        """Check memory well-formedness of the host program a pass just
-        produced (every referenced block allocated, no use-after-free,
-        layout ranks consistent)."""
-        if self.options.check:
-            problems = validate_host_program(hp)
+        A core pass that hands back the very (frozen) program it was
+        given changed nothing, and that IR was validated as the
+        previous pass's output, so it is not re-checked.  Identity only
+        — an equal-looking new object is re-checked — and never for
+        host programs, which passes update in place.  Uniqueness is a
+        front-end property and is not re-checked here.
+        """
+        out = fn(ir, self.options, ctx)
+        if not self.options.check:
+            return out
+        if isinstance(ir, HostProgram):
+            problems = validate_host_program(out)
             if problems:
                 raise CompilerBug(
                     "validate-host", "memory", "; ".join(problems[:5])
                 )
-
-    # -- pass-descriptor dispatch -------------------------------------------
-
-    def run_pass(self, p: Pass, ir, ctx: PassContext):
-        """Execute one registered pass under its declared policy."""
-        ctx.guard = self
-        fn = lambda arg: p.fn(arg, self.options, ctx)
-        if p.policy == "failfast":
-            with get_tracer().span(
-                f"pass:{p.name}", "pipeline", phase=p.phase
-            ) as span:
-                self.last_span = span
-                return fn(ir)
-        if p.policy == "escalate":
-            return self._escalating(p, fn, ir)
-        revalidate, stats_of = self._validators(p, ir)
-        fallback = None
-        if p.policy == "degrade" and p.fallback is not None:
-            def fallback():  # noqa: E731 - closure over p/ir/ctx
-                return p.fallback(ir, self.options, ctx)
-        return self.guarded(
-            p.name, p.phase, fn, ir,
-            revalidate=revalidate,
-            stats_of=stats_of,
-            fallback=fallback,
-            fallback_action=p.fallback_action if fallback else "rolled back",
-        )
-
-    def _validators(self, p: Pass, ir):
-        """(revalidate, stats_of) from the pass's declared facts: a
-        pass that invalidates ``types`` gets a core re-typecheck, one
-        that invalidates ``memory`` gets host-program validation."""
-        if "memory" in p.invalidates or isinstance(ir, HostProgram):
-            return self.revalidate_host, self._host_stats
-        if "types" in p.invalidates:
-            return self.revalidate, self._core_stats
-        return None, self._core_stats if isinstance(ir, A.Prog) else None
-
-    def _escalating(self, p: Pass, fn, ir):
-        """Mandatory lowering-style passes: a failure here is a genuine
-        compiler bug and is reported with the offending IR attached."""
-        tracer = get_tracer()
-        t0 = time.perf_counter()
-        with tracer.span(f"pass:{p.name}", "pipeline", phase=p.phase) as span:
-            self.last_span = span
-            if self.options.strict:
-                out = fn(ir)
-            else:
-                try:
-                    out = fn(ir)
-                except ReproError:
-                    raise
-                except Exception as e:
-                    raise CompilerBug(
-                        p.name, p.phase, str(e),
-                        ir=pretty_prog(ir) if isinstance(ir, A.Prog) else None,
-                    ) from e
-            if tracer.enabled and isinstance(out, HostProgram):
-                span.set(kernels=len(out.kernels()))
-            self.timings.append(
-                PassTiming(p.name, p.phase, (time.perf_counter() - t0) * 1e6)
-            )
-        get_metrics().counter("pipeline.passes", phase=p.phase).inc()
+        elif out is not ir:
+            check_program(out, check_unique=False)
         return out
+
+
+def _bug(p: Pass, message: str, ir) -> CompilerBug:
+    return CompilerBug(
+        p.name, p.phase, message,
+        ir=pretty_prog(ir) if isinstance(ir, A.Prog) else None,
+    )
+
+
+def _ir_stats(ir) -> Dict[str, int]:
+    """Size figures of a core program or host program, for the pass
+    span's ``<key>_before``/``<key>_after`` attributes."""
+    if isinstance(ir, HostProgram):
+        return {"kernels": len(ir.kernels())}
+    stats = ir_stats(ir)
+    return {"bindings": stats.bindings, "soacs": stats.soacs}
 
 
 @dataclass
@@ -454,7 +394,7 @@ def _compile(
         raise ArgumentError(
             f"stop_after must be 'core' or 'host', not {stop!r}"
         )
-    plan, salts = REGISTRY.planned(options)
+    plan, salts = planned(options)
     diagnostics: List[PassDiagnostic] = []
     guard = _PassGuard(options, diagnostics)
     ctx = PassContext(options=options, entry=entry, guard=guard)
@@ -542,8 +482,7 @@ def compile_program(
     artifact_cache=_DEFAULT_CACHE,
     stop_after: Optional[str] = None,
 ) -> CompiledProgram:
-    """Run the full Fig. 3 pipeline (now the registry's dependency-
-    ordered plan).
+    """Run the full Fig. 3 pipeline.
 
     ``artifact_cache`` opts into on-disk stage-artifact reuse (default:
     the ``$REPRO_ARTIFACT_DIR`` process default, i.e. off unless the
@@ -567,35 +506,3 @@ def compile_source(
     keyed on the source text."""
     return _compile(None, text, options, entry, artifact_cache, stop_after)
 
-
-def compile_to_stage(
-    text: str,
-    stage: str,
-    options: Optional[CompilerOptions] = None,
-    entry: str = "main",
-    artifact_cache=_DEFAULT_CACHE,
-) -> Tuple[CompiledProgram, StageArtifact]:
-    """Staged compilation for the CLI's ``--stop-after``: compile
-    ``text`` up to ``stage`` and return the compile plus the (possibly
-    just stored) :class:`StageArtifact` describing that frontier."""
-    if stage not in ("core", "host"):
-        raise ArgumentError(
-            f"--stop-after must be 'core' or 'host', not {stage!r}"
-        )
-    compiled = compile_source(
-        text, options, entry,
-        artifact_cache=artifact_cache,
-        stop_after=stage,
-    )
-    payload: Dict[str, Any] = {
-        "core": compiled.core,
-        "fusion_stats": compiled.fusion_stats,
-    }
-    if stage == "host":
-        payload["host"] = compiled.host
-    return compiled, StageArtifact(
-        stage=stage,
-        fingerprint=compiled.fingerprints[stage],
-        entry=entry,
-        payload=payload,
-    )

@@ -21,9 +21,8 @@ Two flavours:
   invalidates an earlier stage's artifact.
 
 Those two parts, a stage's *salt* (:func:`stage_salt`), depend only on
-the options and the plan, so the pass registry computes them once per
-options beside the plan
-(:meth:`~repro.pipeline.passes.PassRegistry.planned`), and a compile
+the options and the plan, so they are computed once per options beside
+the plan (:func:`~repro.pipeline.passes.planned`), and a compile
 hashes only the stage, content, entry and salt
 (:func:`salted_stage_fingerprint`), in :func:`stage_fingerprint`'s
 order.  The content fingerprint is taken on every compile.

@@ -15,11 +15,11 @@ __all__ = ["CompilerOptions", "PassDiagnostic"]
 class CompilerOptions:
     """Pipeline switches (all on by default, as in the paper).
 
-    Every named switch gates one or more registered passes through the
-    pass's declared ``enabled`` predicate (see
-    :mod:`repro.pipeline.passes`); ``disabled_passes`` is the generic
-    escape hatch — any *optional* registered pass can be switched off
-    by name (the CLI's ``--disable-pass``) without a dedicated flag.
+    Every named switch gates one or more passes through the pass's
+    ``enabled`` predicate (see :mod:`repro.pipeline.passes`);
+    ``disabled_passes`` is the generic escape hatch — any *optional*
+    pass can be switched off by name (the CLI's ``--disable-pass``)
+    without a dedicated flag.
     """
 
     fusion: bool = True
@@ -50,11 +50,10 @@ class CompilerOptions:
     #: tries before its interpreter floor.  Runtime-only: does not affect the
     #: generated code or the stage artifacts.
     executor: str = DEFAULT_EXECUTOR
-    #: Optional registered passes to skip by name (the generic
-    #: ``--disable-pass`` ablation; see ``repro passes`` for the
-    #: registry listing).  Disabling a mandatory pass is an
-    #: :class:`~repro.errors.ArgumentError`.  Stored sorted and
-    #: de-duplicated, so one set of passes is one (hashable) options
+    #: Optional passes to skip by name (the generic ``--disable-pass``
+    #: ablation; ``repro passes`` lists them).  Disabling a mandatory
+    #: pass is an :class:`~repro.errors.ArgumentError`.  Stored sorted
+    #: and de-duplicated, so one set of passes is one (hashable) options
     #: value and one compile key, whatever order or sequence type the
     #: caller gave.
     disabled_passes: Tuple[str, ...] = ()

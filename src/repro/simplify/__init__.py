@@ -30,9 +30,8 @@ def simplify_pass(hoisting: bool = True):
     return run
 
 
-def register_passes(registry) -> None:
-    """Register inlining and the simplification fixpoint into the
-    staged pass manager."""
+def passes():
+    """Inlining and the first simplification fixpoint."""
     from ..pipeline.passes import Pass
 
     def _inline(prog, options, ctx):
@@ -40,20 +39,18 @@ def register_passes(registry) -> None:
 
         return pl.inline_prog(prog, keep=ctx.entry)
 
-    registry.register(Pass(
-        name="inline",
-        stage="core",
-        phase="simplify",
-        fn=_inline,
-        requires=("check",),
-        invalidates=("types",),
-        optional=False,
-    ))
-    registry.register(Pass(
-        name="simplify",
-        stage="core",
-        phase="simplify",
-        fn=simplify_pass(),
-        requires=("inline",),
-        invalidates=("types",),
-    ))
+    return (
+        Pass(
+            name="inline",
+            stage="core",
+            phase="simplify",
+            fn=_inline,
+            optional=False,
+        ),
+        Pass(
+            name="simplify",
+            stage="core",
+            phase="simplify",
+            fn=simplify_pass(),
+        ),
+    )

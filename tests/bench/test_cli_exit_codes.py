@@ -310,6 +310,38 @@ class TestServeBenchCli:
         assert message in captured.err and captured.out == ""
 
 
+class TestPassesCli:
+    PLAN_ORDER = [
+        "check", "inline", "simplify", "fusion", "post-fusion-simplify",
+        "flatten", "post-flatten-simplify", "lower", "coalescing",
+        "tiling", "memory-plan",
+    ]
+
+    @staticmethod
+    def _rows(capsys, *flags):
+        assert main(["passes", *flags]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.split() == ["pass", "stage", "enabled"]
+        return {row.split()[0]: row.split()[1:] for row in rows}, [
+            row.split()[0] for row in rows
+        ]
+
+    def test_rows_are_in_plan_order_and_all_enabled_by_default(self, capsys):
+        rows, order = self._rows(capsys)
+        assert order == self.PLAN_ORDER
+        assert all(cells[1] == "yes" for cells in rows.values())
+        assert rows["lower"] == ["host", "yes", "mandatory"]
+        assert rows["tiling"] == ["host", "yes"]
+
+    def test_flags_flip_the_enabled_column(self, capsys):
+        rows, order = self._rows(
+            capsys, "--no-fusion", "--disable-pass", "tiling"
+        )
+        assert order == self.PLAN_ORDER
+        off = {name for name, cells in rows.items() if cells[1] == "no"}
+        assert off == {"fusion", "post-fusion-simplify", "tiling"}
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -322,11 +354,28 @@ class TestServeBenchCli:
             ("run", "{source}", "--device-profile", "nope"),
             "unknown device profile 'nope'",
         ),
+        (
+            ("passes", "--disable-pass", "lower"),
+            "--disable-pass lower: pass is mandatory",
+        ),
+        (
+            ("passes", "--disable-pass", "frobnicate"),
+            "--disable-pass frobnicate: no such pass",
+        ),
+        (
+            ("compile", "{source}", "--disable-pass", "lower"),
+            "--disable-pass lower: pass is mandatory",
+        ),
+        (
+            ("compile", "{source}", "--disable-pass", "frobnicate"),
+            "--disable-pass frobnicate: no such pass",
+        ),
     ],
 )
-def test_a_bad_device_spec_exits_2(argv, message, tmp_path):
-    # A device spec is caller text: one naming no device or an unknown
-    # profile is caller misuse, reported without a traceback.
+def test_a_bad_device_spec_or_pass_name_exits_2(argv, message, tmp_path):
+    # A device spec or pass name is caller text: one naming no device,
+    # an unknown profile or pass, or a mandatory pass is caller misuse,
+    # reported without a traceback.
     source = tmp_path / "prog.fut"
     source.write_text(
         "fun main (xs: [n]f32): [n]f32 = map (\\(x: f32) -> x * 2.0f32) xs"

@@ -1,8 +1,8 @@
-"""Ablation sweep over the pass registry.
+"""Ablation sweep over the pass list.
 
-Disabling any *optional* registered pass must leave every benchmark
+Disabling any *optional* pass must leave every benchmark
 interpreter-identical — the passes are performance, not semantics.
-Also covers the registry's plan validation (unknown / mandatory
+Also covers the plan's validation (unknown / mandatory
 disables are caller errors) and the ``disabled_passes`` plumbing.
 """
 
@@ -11,10 +11,10 @@ import pytest
 from repro.bench.runner import validate_benchmark
 from repro.bench.suite import BENCHMARKS
 from repro.errors import ArgumentError
-from repro.pipeline import REGISTRY, CompilerOptions, compile_program
+from repro.pipeline import PASSES, CompilerOptions, compile_program, plan
 
-OPTIONAL_PASSES = [p.name for p in REGISTRY.ordered() if p.optional]
-MANDATORY_PASSES = [p.name for p in REGISTRY.ordered() if not p.optional]
+OPTIONAL_PASSES = [p.name for p in PASSES if p.optional]
+MANDATORY_PASSES = [p.name for p in PASSES if not p.optional]
 
 
 class TestRegistryPlan:
@@ -31,7 +31,7 @@ class TestRegistryPlan:
         }
 
     def test_plan_preserves_pipeline_order(self):
-        names = [p.name for p in REGISTRY.plan(CompilerOptions())]
+        names = [p.name for p in plan(CompilerOptions())]
         assert names == [
             "check",
             "inline",
@@ -48,19 +48,19 @@ class TestRegistryPlan:
 
     def test_no_fusion_drops_both_fusion_passes(self):
         names = [
-            p.name for p in REGISTRY.plan(CompilerOptions(fusion=False))
+            p.name for p in plan(CompilerOptions(fusion=False))
         ]
         assert "fusion" not in names
         assert "post-fusion-simplify" not in names
 
     def test_disable_unknown_pass_is_an_argument_error(self):
         with pytest.raises(ArgumentError, match="no such pass"):
-            REGISTRY.plan(CompilerOptions(disabled_passes=("frobnicate",)))
+            plan(CompilerOptions(disabled_passes=("frobnicate",)))
 
     @pytest.mark.parametrize("name", MANDATORY_PASSES)
     def test_disable_mandatory_pass_is_an_argument_error(self, name):
         with pytest.raises(ArgumentError, match="mandatory"):
-            REGISTRY.plan(CompilerOptions(disabled_passes=(name,)))
+            plan(CompilerOptions(disabled_passes=(name,)))
 
     def test_disabled_pass_is_not_run(self):
         spec = BENCHMARKS["Backprop"]

@@ -14,7 +14,6 @@ from repro.pipeline import (
     CompilerOptions,
     StageArtifact,
     compile_source,
-    compile_to_stage,
     default_artifact_cache,
 )
 from repro.pipeline.artifact import ARTIFACT_DIR_ENV
@@ -325,15 +324,6 @@ class TestDriverResume:
     def test_stop_after_bad_stage_is_an_argument_error(self):
         with pytest.raises(ArgumentError, match="stop_after"):
             compile_source(SRC, stop_after="backend")
-
-    def test_compile_to_stage_returns_the_artifact(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        compiled, art = compile_to_stage(
-            SRC, "core", artifact_cache=cache
-        )
-        assert art.stage == "core"
-        assert art.fingerprint == compiled.fingerprints["core"]
-        assert cache.path_for("core", art.fingerprint).is_file()
 
 
 class TestDefaultCache:
