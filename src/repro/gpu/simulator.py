@@ -73,8 +73,9 @@ class DeviceAccounting:
     kernel run away; the watchdog kills a kernel whose simulated time
     exceeds :data:`WATCHDOG_FACTOR` times the cost model's estimate
     plus :data:`WATCHDOG_FLOOR_US` (:class:`KernelTimeout`).
-    ``deadline`` (a :class:`repro.serve.Deadline`, duck-typed) is
-    checked before every launch.  ``heap`` is a pooled device's
+    ``deadline`` (a :class:`repro.serve.Deadline`, duck-typed: a pool
+    task's checkpoint also stops a cancelled task here) is checked
+    before every launch.  ``heap`` is a pooled device's
     persistent :class:`DeviceHeap`, else one of the device's capacity;
     :meth:`begin` ``reset_run()``s it either way.  Spans land on
     ``trace_track`` (one per retry attempt), metrics under

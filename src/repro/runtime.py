@@ -362,7 +362,10 @@ def run_resilient(
     every kernel launch, retry backoff is clamped to its remaining
     budget, and once it expires the executor raises
     :class:`DeadlineExceeded` instead of falling back (the fallback
-    would arrive too late to matter).  On failure paths the
+    would arrive too late to matter).  It is duck-typed — ``check``,
+    ``remaining_us`` and ``expired`` — and a device pool passes each
+    task's checkpoint in its place, which also stops a cancelled task
+    at those same points.  On failure paths the
     :class:`RunReport` is attached to the raised error as ``.report``.
 
     ``breaker`` (duck-typed: a :class:`repro.serve.CircuitBreaker`)

@@ -9,8 +9,7 @@ optional :class:`~repro.gpu.faults.FaultPlan` (the only plan its tasks
 run under), and its own observability namespace — kernel spans land on
 the ``gpu.dev{id}`` trace track and metrics under ``gpu.dev{id}.*``.
 
-:meth:`DevicePool.run` executes one request — with one healthy device,
-whole on it and on the caller's thread.  Otherwise:
+:meth:`DevicePool.run` executes one request:
 
 - the :class:`Placer` asks the cost model how to run it: whole on the
   least-estimated-completion-time device (with a program-affinity
@@ -20,23 +19,32 @@ whole on it and on the caller's thread.  Otherwise:
   after paying one more launch per extra device — ``k`` ways by the
   :class:`ShardPlanner` (weights = per-device speed from the cost
   model), executed concurrently, and merged bit-identically;
-- a shard that exceeds the cost model's predicted wall time by
+- a whole placement runs on the **caller's thread** when its device
+  is idle (claimed atomically, so two callers never both take it) or
+  is the only healthy one; a task for a busy device, and every shard
+  of a split, goes to that device's worker;
+- a task that exceeds the cost model's predicted wall time by
   :data:`HEDGE_FACTOR` gets a **hedged duplicate** on another device —
-  first result wins, the loser is cancelled (before start) or
-  discarded (mid-flight), with explicit accounting;
-- a shard whose device *fails* (after the resilient executor's own
+  first result wins, and the loser is cancelled: skipped if it has
+  not started, stopped at its next launch boundary if it has;
+- a task whose device *fails* (after the resilient executor's own
   retries) or *refuses* (its breaker is open) is re-placed on another
   healthy device; only when every device has failed or refused does
   the request leave the devices — for the interpreter floor
   (``fallback=True``) or as the typed error.
 
-Either way a task runs through :meth:`DevicePool._run_task`, under its
-device's run lock.  The pool keeps no retry or breaker logic of its
-own: the task hands its device's breaker to
+Every task runs through :meth:`DevicePool._run_task`, under its
+device's run lock, with a checkpoint in its deadline's place: the
+attempt loop and the device's books check it before every attempt and
+every launch, so a cancelled task stops there, and the caller watches a
+task it runs itself from there (it launches the hedge once due, and
+stops once the hedge has won).  The pool keeps no retry or breaker
+logic of its own: the task hands its device's breaker to
 :func:`repro.runtime.run_resilient`, which claims and releases it
 around the attempt it runs (so a task cancelled before it starts never
-touches it); the coordinator only *reads* breaker state, and its floor
-is the loop's own.
+touches it, and one stopped part-way counts as neutral); the
+coordinator only *reads* breaker state, and its floor is the loop's
+own.
 
 A pool is built from its ``profiles``, their ``fault_plans`` and a
 ``hedge_min_wall_s`` floor; each other setting has one home, the part
@@ -49,6 +57,7 @@ attribute before the pool starts.
 
 from __future__ import annotations
 
+import math
 import queue as queue_mod
 import threading
 import time
@@ -95,8 +104,48 @@ HEDGE_FACTOR = 4.0
 #: task is re-placed (or the request leaves the devices).
 RETRIES = 2
 
-#: The cancel event of a task the caller runs at once on its own thread.
-_NEVER_CANCELLED = threading.Event()
+
+class _Cancelled(Exception):
+    """Raised at a launch boundary of a task that has been cancelled:
+    no one wants its result any more.  Not a ``ReproError``, so the
+    attempt loop neither retries it nor lets it count against the
+    device's breaker."""
+
+
+class _Checkpoint:
+    """What a task's run checks, in its request deadline's place,
+    before every attempt and every kernel launch (the attempt loop and
+    the device's books check a deadline there): ``poll`` first (the
+    hedge monitor of a task the caller runs, which may cancel it), then
+    the task's own cancel flag, then the request's deadline."""
+
+    __slots__ = ("deadline", "cancelled", "poll")
+
+    def __init__(self, deadline) -> None:
+        self.deadline = deadline
+        #: Set, never cleared, by the request's coordinator once no one
+        #: wants the task's result.  A plain flag: nothing waits on it,
+        #: and building a ``threading.Event`` per task was a measurable
+        #: cost on the one-device serving path.
+        self.cancelled = False
+        self.poll = None
+
+    def check(self, where: str) -> None:
+        if self.poll is not None:
+            self.poll()
+        if self.cancelled:
+            raise _Cancelled(where)
+        if self.deadline is not None:
+            self.deadline.check(where)
+
+    def remaining_us(self) -> float:
+        if self.deadline is None:
+            return math.inf
+        return self.deadline.remaining_us()
+
+    @property
+    def expired(self) -> bool:
+        return self.deadline is not None and self.deadline.expired
 
 
 @dataclass
@@ -106,8 +155,8 @@ class _Task:
     run_id: str
     args: Sequence[Value]
     #: What every task of the request hands ``run_resilient``
-    #: unchanged: host, core, policy, entry, deadline, coalescing,
-    #: in_place, pass_timings.
+    #: unchanged: host, core, policy, entry, coalescing, in_place,
+    #: pass_timings.
     shared: Dict[str, Any]
     fault_plan: Optional[FaultPlan]
     est_us: float
@@ -115,7 +164,8 @@ class _Task:
     lo: int
     hi: int
     hedge: bool
-    cancel: threading.Event
+    #: Handed to ``run_resilient`` as the task's deadline.
+    checkpoint: _Checkpoint
     #: Worker outbox and adopted instruments (None on the caller's thread).
     results: "Optional[queue_mod.Queue[_Outcome]]"
     tracer: Any
@@ -131,6 +181,7 @@ class _Outcome:
     cost: Optional[CostReport] = None
     report: Optional[RunReport] = None
     error: Optional[BaseException] = None
+    #: Skipped before its start, or stopped at a launch boundary.
     cancelled: bool = False
     wall_s: float = 0.0
     #: ``cost.total_us`` of a successful run.
@@ -195,6 +246,17 @@ class PoolDevice:
         with self.lock:
             self.queued += 1
             self.backlog_us += est_us
+
+    def claim(self, est_us: float) -> bool:
+        """Book one task only if nothing is queued or running here —
+        the caller then runs it itself.  Atomic: two callers never both
+        find the device idle."""
+        with self.lock:
+            if self.queued:
+                return False
+            self.queued = 1
+            self.backlog_us = est_us
+            return True
 
     def settle(self, est_us: float) -> None:
         """Take a finished or cancelled task's estimate back off.  A
@@ -275,6 +337,7 @@ class DevicePool:
             "hedges_won": 0,
             "hedges_wasted": 0,
             "cancelled_before_start": 0,
+            "stopped_mid_flight": 0,
             "replacements": 0,
         }
         self._lock = threading.Lock()
@@ -335,7 +398,7 @@ class DevicePool:
         """Run one booked task on ``dev`` — the only code that does, on
         the device's worker thread or on the caller's."""
         with dev.run_lock:
-            if task.cancel.is_set():
+            if task.checkpoint.cancelled:
                 with self._lock:
                     self.counters["cancelled_before_start"] += 1
                 dev.settle(task.est_us)
@@ -355,6 +418,7 @@ class DevicePool:
             device=dev.id,
             profile=dev.profile.name,
             rows=f"[{task.lo}:{task.hi})",
+            ran_on="caller" if task.results is None else "worker",
         ) as span:
             try:
                 outcome.values, outcome.cost, outcome.report = run_resilient(
@@ -364,10 +428,14 @@ class DevicePool:
                     run_id=task.run_id,
                     pool_device=dev,
                     breaker=dev.breaker,
+                    deadline=task.checkpoint,
                     **task.shared,
                 )
                 outcome.sim_us = outcome.cost.total_us
                 span.set(outcome="ok", sim_us=outcome.sim_us)
+            except _Cancelled:
+                outcome.cancelled = True
+                span.set(outcome="cancelled")
             except BaseException as e:
                 outcome.error = e
                 span.set(outcome=type(e).__name__)
@@ -379,7 +447,9 @@ class DevicePool:
     ) -> None:
         dev.settle(task.est_us)
         with dev.lock:
-            if outcome.error is None:
+            if outcome.cancelled:
+                pass  # stopped part-way: says nothing about the device
+            elif outcome.error is None:
                 dev.executed += 1
                 dev.busy_us += outcome.sim_us
                 if task.key is not None:
@@ -395,6 +465,8 @@ class DevicePool:
                 dev.failures += 1
         with self._lock:
             self.counters["shards_executed"] += 1
+            if outcome.cancelled:
+                self.counters["stopped_mid_flight"] += 1
 
     # -- placement helpers --------------------------------------------------
 
@@ -417,16 +489,12 @@ class DevicePool:
         else the least-backlogged healthy device not yet tried for this
         shard.  (Should its breaker refuse after all, the task comes
         back as a transient fault and is re-placed.)"""
+        if preferred is not None and preferred not in tried:
+            dev = self.devices[preferred]
+            if dev.breaker.state is not BreakerState.OPEN:
+                return dev
         healthy = [d for d in self._healthy() if d.id not in tried]
-        return min(
-            healthy,
-            key=lambda d: (d.id != preferred, d.backlog_us, d.id),
-            default=None,
-        )
-
-    def _submit(self, dev: PoolDevice, task: _Task) -> None:
-        dev.book(task.est_us)
-        dev.queue.put(task)
+        return min(healthy, key=lambda d: (d.backlog_us, d.id), default=None)
 
     def _hedge_budget_s(self, dev: PoolDevice, est_us: float) -> float:
         """How long a task on ``dev`` may run (wall clock) before a
@@ -565,52 +633,28 @@ class DevicePool:
                 executor=executor, fallback=False, max_retries=self.retries
             ),
             entry=entry,
-            deadline=deadline,
             coalescing=coalescing,
             in_place=in_place,
             pass_timings=pass_timings,
         )
-        run = self._run_alone if len(healthy) == 1 else self._run_shards
         try:
-            values, cost, report = run(
+            values, cost, report = self._run_plan(
                 shards,
                 placement,
                 price,
                 shared,
                 args=args,
                 run_id=run_id,
+                deadline=deadline,
                 batch_info=batch_info if sharded else None,
                 key=key,
+                alone=len(healthy) == 1,
             )
         except (DeadlineExceeded, *_DEVICE_ERRORS) as e:
             return floor(e, placement)
         return values, cost, report, placement
 
-    def _run_alone(
-        self, shards, placement, price, shared, *, args, run_id,
-        batch_info, key,
-    ) -> Tuple[Tuple[Value, ...], CostReport, RunReport]:
-        """The one shard on the one healthy device, on the caller's
-        thread: no hedge or re-placement, so no result queue, shard state
-        or merge — the run's own values, cost and report are returned,
-        even if the deadline expired after its last launch."""
-        (shard,) = shards
-        dev = self.devices[shard.device_id]
-        est_us = placement["candidates"][0]["est_us"]
-        task = _Task(
-            run_id, args, shared, dev.fault_plan,
-            est_us, shard.index, shard.lo, shard.hi, False,
-            _NEVER_CANCELLED, None, None, None, key,
-        )
-        dev.book(est_us)
-        out = self._run_task(dev, task)
-        if out.error is not None:
-            raise out.error
-        placement["shards"].append(_shard_record(out, replacements=0))
-        placement["makespan_us"] = out.sim_us
-        return out.values, out.cost, out.report
-
-    def _run_shards(
+    def _run_plan(
         self,
         shards: Sequence[Shard],
         placement: Dict[str, Any],
@@ -619,12 +663,23 @@ class DevicePool:
         *,
         args,
         run_id,
+        deadline,
         batch_info,
         key,
+        alone: bool,
     ) -> Tuple[Tuple[Value, ...], CostReport, RunReport]:
-        results: "queue_mod.Queue[_Outcome]" = queue_mod.Queue()
-        tracer, metrics = get_tracer(), get_metrics()
-        deadline, pass_timings = shared["deadline"], shared["pass_timings"]
+        """Run the plan's tasks until every shard has a winner.
+
+        A whole placement runs on the caller's thread when its device
+        is idle (claimed atomically) or is the only healthy one; every
+        other task goes to its device's worker.  The caller watches its
+        own task from the task's checkpoint: at each launch boundary it
+        launches the hedge once due and stops once the hedge has won.
+        Whatever is still open when the task returns — a re-placement
+        after a device error, a hedge in flight — goes on in the
+        coordinator loop below."""
+        #: The workers' outbox, made with the first task one is handed.
+        results: "Optional[queue_mod.Queue[_Outcome]]" = None
 
         def make_task(
             shard: Shard, dev: PoolDevice, hedge: bool
@@ -647,15 +702,27 @@ class DevicePool:
                 lo=shard.lo,
                 hi=shard.hi,
                 hedge=hedge,
-                cancel=threading.Event(),
-                results=results,
-                tracer=tracer,
-                metrics=metrics,
+                checkpoint=_Checkpoint(deadline),
+                results=None,
+                tracer=None,
+                metrics=None,
                 key=key,
             )
 
+        def submit(dev: PoolDevice, task: _Task) -> None:
+            """Book ``task`` on ``dev`` and queue it for the worker, with
+            this request's outbox and instruments."""
+            nonlocal results
+            if results is None:
+                results = queue_mod.Queue()
+            task.results = results
+            task.tracer, task.metrics = get_tracer(), get_metrics()
+            dev.book(task.est_us)
+            dev.queue.put(task)
+
         # Per-shard coordination state.
         state: Dict[int, Dict[str, Any]] = {}
+        inline: Optional[_Task] = None
         for shard in shards:
             dev = self._admit(shard.device_id, set())
             if dev is None:
@@ -665,20 +732,135 @@ class DevicePool:
                     transient=True,
                 )
             task = make_task(shard, dev, hedge=False)
-            st = {
+            state[shard.index] = {
                 "shard": shard,
                 "done": False,
                 "outcome": None,
                 "tasks": [task],
                 "tried": {dev.id},
                 "hedged": False,
-                "hedge_at": time.monotonic()
+                # (Nothing to hedge on with one healthy device.)
+                "hedge_at": math.inf if alone else time.monotonic()
                 + self._hedge_budget_s(dev, task.est_us),
                 "replacements": 0,
             }
-            state[shard.index] = st
-            self._submit(dev, task)
+            if len(shards) > 1:
+                submit(dev, task)
+            elif alone:
+                # No other device: wait for this one's run lock here.
+                dev.book(task.est_us)
+                inline = task
+            elif dev.claim(task.est_us):
+                inline = task
+            else:
+                submit(dev, task)
         pending = len(shards)
+
+        def take(out: _Outcome) -> None:
+            """Settle one finished task's outcome into its shard."""
+            nonlocal pending
+            st = state[out.task.shard_index]
+            if out.cancelled:
+                pass  # accounted by the device
+            elif st["done"]:
+                # A duplicate finishing after the shard's winner.
+                if out.error is None:
+                    with self._lock:
+                        self.counters["hedges_wasted"] += 1
+            elif out.error is None:
+                st["done"] = True
+                st["outcome"] = out
+                pending -= 1
+                if out.task.hedge:
+                    with self._lock:
+                        self.counters["hedges_won"] += 1
+                    placement["hedges_won"] += 1
+                for t in st["tasks"]:
+                    if t is not out.task:
+                        t.checkpoint.cancelled = True
+            elif isinstance(out.error, _DEVICE_ERRORS):
+                # Re-place the shard on another healthy device; the
+                # error only propagates when every device failed.
+                replacement = self._admit(None, st["tried"])
+                if replacement is None:
+                    self._abort(state)
+                    raise out.error
+                st["tried"].add(replacement.id)
+                st["replacements"] += 1
+                with self._lock:
+                    self.counters["replacements"] += 1
+                placement["replacements"] += 1
+                task = make_task(
+                    st["shard"], replacement, hedge=out.task.hedge
+                )
+                st["tasks"].append(task)
+                submit(replacement, task)
+                _log.debug(
+                    "shard-replaced",
+                    run_id=run_id,
+                    shard=out.task.shard_index,
+                    failed_device=out.device_id,
+                    new_device=replacement.id,
+                )
+            else:
+                # Deadline or program error: identical everywhere.
+                self._abort(state)
+                raise out.error
+
+        def launch_hedge(st: Dict[str, Any]) -> None:
+            """Straggler mitigation: one duplicate of a shard past its
+            hedge deadline, on a device it has not tried."""
+            dev = self._admit(None, st["tried"])
+            st["hedged"] = True  # one hedge per shard, tops
+            if dev is None:
+                return
+            st["tried"].add(dev.id)
+            hedge_task = make_task(st["shard"], dev, hedge=True)
+            st["tasks"].append(hedge_task)
+            with self._lock:
+                self.counters["hedges_launched"] += 1
+            placement["hedges_launched"] += 1
+            submit(dev, hedge_task)
+            _log.debug(
+                "hedge-launched",
+                run_id=run_id,
+                shard=st["shard"].index,
+                device=dev.id,
+            )
+
+        if inline is not None:
+            (st,) = state.values()
+            early: List[_Outcome] = []
+
+            def drain() -> None:
+                """Take in the hedge's outcome: once it has won, the
+                caller's own run stops at its next launch."""
+                while results is not None:
+                    try:
+                        got = results.get_nowait()
+                    except queue_mod.Empty:
+                        return
+                    early.append(got)
+                    if got.error is None and not got.cancelled:
+                        inline.checkpoint.cancelled = True
+
+            def poll() -> None:
+                if not st["hedged"]:
+                    if time.monotonic() >= st["hedge_at"]:
+                        launch_hedge(st)
+                else:
+                    drain()
+
+            if not alone:
+                inline.checkpoint.poll = poll
+            out = self._run_task(dev, inline)  # the one shard's device
+            inline.checkpoint.poll = None  # drop the task → poll → task cycle
+            drain()  # a hedge that finished first wins
+            early.append(out)
+            # Wins first: a failure that lands after one leaves nothing
+            # to re-place.
+            for got in sorted(early, key=lambda o: o.error is not None):
+                take(got)
 
         while pending > 0:
             if deadline is not None and deadline.expired:
@@ -695,81 +877,24 @@ class DevicePool:
             )
             timeout = min(max(next_hedge - now, 0.01), 0.5)
             try:
-                out = results.get(timeout=timeout)
+                take(results.get(timeout=timeout))
             except queue_mod.Empty:
-                out = None
-            if out is not None:
-                st = state[out.task.shard_index]
-                if out.cancelled:
-                    pass  # accounted by the worker
-                elif st["done"]:
-                    # A duplicate finishing after the shard's winner.
-                    if out.error is None:
-                        with self._lock:
-                            self.counters["hedges_wasted"] += 1
-                elif out.error is None:
-                    st["done"] = True
-                    st["outcome"] = out
-                    pending -= 1
-                    if out.task.hedge:
-                        with self._lock:
-                            self.counters["hedges_won"] += 1
-                        placement["hedges_won"] += 1
-                    for t in st["tasks"]:
-                        if t is not out.task:
-                            t.cancel.set()
-                elif isinstance(out.error, _DEVICE_ERRORS):
-                    # Re-place the shard on another healthy device; the
-                    # error only propagates when every device failed.
-                    replacement = self._admit(None, st["tried"])
-                    if replacement is None:
-                        self._abort(state)
-                        raise out.error
-                    st["tried"].add(replacement.id)
-                    st["replacements"] += 1
-                    with self._lock:
-                        self.counters["replacements"] += 1
-                    placement["replacements"] += 1
-                    task = make_task(
-                        st["shard"], replacement, hedge=out.task.hedge
-                    )
-                    st["tasks"].append(task)
-                    self._submit(replacement, task)
-                    _log.debug(
-                        "shard-replaced",
-                        run_id=run_id,
-                        shard=out.task.shard_index,
-                        failed_device=out.device_id,
-                        new_device=replacement.id,
-                    )
-                else:
-                    # Deadline or program error: identical everywhere.
-                    self._abort(state)
-                    raise out.error
-            # Straggler mitigation: any shard past its hedge deadline
-            # gets one duplicate on a different device.
+                pass
             now = time.monotonic()
             for st in state.values():
-                if st["done"] or st["hedged"] or now < st["hedge_at"]:
-                    continue
-                dev = self._admit(None, st["tried"])
-                st["hedged"] = True  # one hedge per shard, tops
-                if dev is None:
-                    continue
-                st["tried"].add(dev.id)
-                hedge_task = make_task(st["shard"], dev, hedge=True)
-                st["tasks"].append(hedge_task)
-                with self._lock:
-                    self.counters["hedges_launched"] += 1
-                placement["hedges_launched"] += 1
-                self._submit(dev, hedge_task)
-                _log.debug(
-                    "hedge-launched",
-                    run_id=run_id,
-                    shard=st["shard"].index,
-                    device=dev.id,
-                )
+                if not (st["done"] or st["hedged"] or now < st["hedge_at"]):
+                    launch_hedge(st)
 
+        if len(shards) == 1:
+            # A whole placement answers with its winning run's own
+            # values, cost and report.
+            (st,) = state.values()
+            out = st["outcome"]
+            placement["shards"].append(
+                _shard_record(out, st["replacements"])
+            )
+            placement["makespan_us"] = out.sim_us
+            return out.values, out.cost, out.report
         # Every shard has a winner: merge in shard order, aggregate the
         # winning outcomes' cost/report, compute the parallel makespan.
         ordered = [state[s.index]["outcome"] for s in shards]
@@ -790,28 +915,25 @@ class DevicePool:
                 )
             )
         placement["makespan_us"] = max(per_device_us.values(), default=0.0)
-        if pass_timings:
-            report.pass_timings = list(pass_timings)
-        if batch_info is not None:
-            values = merge_results(
-                [out.values for out in ordered], batch_info.n_results
-            )
-            report.events.append(
-                f"sharded over {len(shards)} devices "
-                f"(batch {placement['batch']}, makespan "
-                f"{placement['makespan_us']:.0f}us)"
-            )
-        else:
-            values = ordered[0].values
+        if shared["pass_timings"]:
+            report.pass_timings = list(shared["pass_timings"])
+        values = merge_results(
+            [out.values for out in ordered], batch_info.n_results
+        )
+        report.events.append(
+            f"sharded over {len(shards)} devices "
+            f"(batch {placement['batch']}, makespan "
+            f"{placement['makespan_us']:.0f}us)"
+        )
         return values, cost, report
 
     def _abort(self, state: Dict[int, Dict[str, Any]]) -> None:
         """Cancel everything still outstanding for this request (tasks
-        not yet started are skipped by their worker; mid-flight tasks
-        finish and are discarded)."""
+        not yet started are skipped; running ones stop at their next
+        launch boundary)."""
         for st in state.values():
             for t in st["tasks"]:
-                t.cancel.set()
+                t.checkpoint.cancelled = True
 
     # -- health -------------------------------------------------------------
 

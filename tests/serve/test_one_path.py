@@ -92,12 +92,12 @@ def test_a_one_device_request_runs_on_the_thread_holding_its_slot(
             h = server.submit(ServeRequest(prog, args))
             assert h.result(timeout=60).ok
     assert ran_on == ["repro-serve-worker-0"] * 4
-    # With two healthy devices the request goes through their workers:
-    # the spy tells the paths apart.
+    # With two healthy devices an idle call runs on the calling thread
+    # too: its whole placement finds its device idle.
     ran_on.clear()
     with Server(devices=[NVIDIA_GTX780TI] * 2) as server:
         assert server.call(ServeRequest(prog, args), timeout=60).ok
-    assert len(ran_on) == 1 and ran_on[0].startswith("repro-sched-dev")
+    assert ran_on == [threading.current_thread().name]
 
 
 def test_concurrent_requests_take_the_device_one_at_a_time(
