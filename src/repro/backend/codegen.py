@@ -20,7 +20,6 @@ from ..core import ast as A
 from ..core.types import Array, Dim, Prim, Type
 from ..core.traversal import exp_atoms
 from ..flatten.nests import NestInfo, nest_of
-from ..memory.index_fn import IndexFn
 from .kernel_ir import (
     AccessInfo,
     AllocStmt,
@@ -63,10 +62,8 @@ def lower_program(prog: A.Prog, fname: str = "main") -> HostProgram:
                 name=p.name,
                 elem_bytes=_elem_bytes(p.type),
                 elems=Count.of(1.0, *p.type.shape),
-                layout=IndexFn.identity(len(p.type.shape)),
                 shape=p.type.shape,
                 space="param",
-                tracked=True,
             )
     for name, t in type_env.items():
         if isinstance(t, Array):
@@ -182,7 +179,6 @@ def _allocs_for(pat: Sequence[A.Param]) -> List[AllocStmt]:
                     name=p.name,
                     elem_bytes=_elem_bytes(p.type),
                     elems=Count.of(1.0, *p.type.shape),
-                    layout=IndexFn.identity(len(p.type.shape)),
                     shape=p.type.shape,
                 )
             )

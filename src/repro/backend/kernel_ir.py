@@ -10,17 +10,15 @@ needs: grid, per-thread work, and the classified global-memory accesses
 of Section 5.2.
 
 Memory is explicit: every device-resident array is backed by a
-:class:`MemBlock` (element size, symbolic element count, physical
-layout), brought live by an :class:`AllocStmt` and released by a
-:class:`FreeStmt`.  The per-array layout table of earlier revisions is
-folded into the blocks; :attr:`HostProgram.layouts` remains as a
-mutable view over them for the passes (and tests) that speak in terms
-of layouts.
+:class:`MemBlock` (element size, symbolic element count), brought live
+by an :class:`AllocStmt` and released by a :class:`FreeStmt`.  A block
+has no layout: the coalescing pass records each layout decision once,
+on the kernel that expects it (:attr:`Kernel.layouts`) or on the
+transposition that makes it (:attr:`ManifestStmt.layout`).
 """
 
 from __future__ import annotations
 
-from collections.abc import MutableMapping
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from typing import (
@@ -211,22 +209,17 @@ class MemBlock:
     """A device-memory block backing one array.
 
     ``elems`` is symbolic (a :class:`Count` over the program's size
-    variables) so footprints can be priced without running the program;
-    ``layout`` is the physical layout of the data inside the block.
+    variables) so footprints can be priced without running the program.
     ``space`` distinguishes blocks the program must allocate
     (``device``) from blocks backing entry-point parameters
-    (``param``).  ``tracked`` marks blocks whose layout belongs in the
-    legacy :attr:`HostProgram.layouts` view (parameters and arrays the
-    coalescing pass assigned a layout).
+    (``param``).
     """
 
     name: str
     elem_bytes: int
     elems: Count
-    layout: IndexFn
     shape: Tuple[Dim, ...] = ()
     space: str = "device"  # device | param
-    tracked: bool = False
 
     def size_bytes(self, env: Mapping[str, int]) -> int:
         return int(self.elems.evaluate(env)) * self.elem_bytes
@@ -320,61 +313,6 @@ HostStmt = Union[
 ]
 
 
-class _LayoutView(MutableMapping):
-    """The legacy per-array layout table, as a live view over the
-    tracked memory blocks of a :class:`HostProgram`."""
-
-    def __init__(self, hp: "HostProgram") -> None:
-        self._hp = hp
-
-    def _tracked(self) -> Dict[str, "MemBlock"]:
-        return {
-            name: b for name, b in self._hp.blocks.items() if b.tracked
-        }
-
-    def __getitem__(self, name: str) -> IndexFn:
-        block = self._hp.blocks.get(name)
-        if block is None or not block.tracked:
-            raise KeyError(name)
-        return block.layout
-
-    def __setitem__(self, name: str, layout: IndexFn) -> None:
-        block = self._hp.blocks.get(name)
-        if block is None:
-            shape = self._hp.array_shapes.get(name, ())
-            block = MemBlock(
-                name=name,
-                elem_bytes=4,
-                elems=Count.of(1.0, *shape) if shape else Count.of(1.0),
-                layout=layout,
-                shape=tuple(shape),
-            )
-            self._hp.blocks[name] = block
-        block.layout = layout
-        block.tracked = True
-
-    def __delitem__(self, name: str) -> None:
-        block = self._hp.blocks.get(name)
-        if block is None or not block.tracked:
-            raise KeyError(name)
-        block.tracked = False
-
-    def __iter__(self):
-        return iter(self._tracked())
-
-    def __len__(self) -> int:
-        return len(self._tracked())
-
-    def __repr__(self) -> str:
-        return repr({n: b.layout for n, b in self._tracked().items()})
-
-    def __eq__(self, other: object) -> bool:
-        return {n: b.layout for n, b in self._tracked().items()} == other
-
-    def __ne__(self, other: object) -> bool:
-        return not self.__eq__(other)
-
-
 def _process_state(hp: "HostProgram"):
     """The process-state fields of a host program: exactly the ones
     declared ``compare=False``."""
@@ -439,21 +377,6 @@ class HostProgram:
                 f.default if f.default_factory is MISSING
                 else f.default_factory(),
             )
-
-    @property
-    def layouts(self) -> _LayoutView:
-        """Current physical layout of every array (default: row-major),
-        as a mutable view over the tracked blocks."""
-        return _LayoutView(self)
-
-    @layouts.setter
-    def layouts(self, value: Mapping[str, IndexFn]) -> None:
-        view = _LayoutView(self)
-        for name in [n for n, b in self.blocks.items() if b.tracked]:
-            if name not in value:
-                del view[name]
-        for name, layout in value.items():
-            view[name] = layout
 
     def kernels(self) -> List[Kernel]:
         out: List[Kernel] = []

@@ -11,7 +11,8 @@ back instead of corrupting downstream stages.  Checked invariants:
   twice, so a block freed in iteration *i* and used in iteration
   *i + 1* before its re-allocation is caught);
 * ``AllocStmt.reuse_of`` names a live block;
-* a block's layout permutation rank matches its logical shape rank.
+* a manifestation's layout permutation rank matches the shape rank of
+  the block it fills.
 
 The checker is deliberately lenient about arrays it cannot map to a
 block (scalars, loop merge parameters, kernel-internal scratch): only
@@ -41,12 +42,6 @@ def validate_host_program(hp: HostProgram) -> List[str]:
     """Check the memory well-formedness of ``hp``; returns a list of
     problems (empty = valid)."""
     errors: List[str] = []
-    for name, block in hp.blocks.items():
-        if block.shape and len(block.layout.perm) != len(block.shape):
-            errors.append(
-                f"block {name!r}: layout rank {len(block.layout.perm)} "
-                f"!= shape rank {len(block.shape)}"
-            )
     live: Set[str] = {
         name for name, b in hp.blocks.items() if b.space == "param"
     }
@@ -133,6 +128,13 @@ def _walk(
                 f"manifest {s.dst!r}",
             )
             if s.block is not None:
+                rank = len(s.layout.perm)
+                if s.block.shape and rank != len(s.block.shape):
+                    errors.append(
+                        f"manifest {s.dst!r}: layout rank {rank} != "
+                        f"shape rank {len(s.block.shape)} of block "
+                        f"{s.block.name!r}"
+                    )
                 if s.block.name not in live:
                     errors.append(
                         f"manifest {s.dst!r} into unallocated "

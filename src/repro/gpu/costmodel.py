@@ -186,10 +186,8 @@ def kernel_cost(
     kernel: Kernel,
     size_env: Mapping[str, int],
     device: DeviceProfile,
-    layouts: Optional[Mapping[str, IndexFn]] = None,
     coalescing: bool = True,
 ) -> KernelCost:
-    layouts = layouts or {}
     threads = max(1.0, kernel.threads().evaluate(size_env))
     flops = kernel.flops_per_thread.evaluate(size_env) * threads
 
@@ -212,11 +210,7 @@ def kernel_cost(
             eff = raw * device.gather_penalty
         else:
             layout = kernel.layouts.get(
-                acc.array,
-                layouts.get(
-                    acc.array,
-                    IndexFn.identity(acc.thread_dims + acc.seq_rank),
-                ),
+                acc.array, IndexFn.identity(acc.thread_dims + acc.seq_rank)
             )
             if coalescing is False:
                 layout = IndexFn.identity(acc.thread_dims + acc.seq_rank)
@@ -422,9 +416,7 @@ def estimate_program(
         block = hp.blocks.get(p.name)
         if block is not None and isinstance(p.type, Array):
             heap.alloc(block.name, block.size_bytes(env))
-    _estimate_stmts(
-        hp.stmts, env, device, hp.layouts, report, coalescing, heap
-    )
+    _estimate_stmts(hp.stmts, env, device, report, coalescing, heap)
     report.mem_peak_bytes = heap.stats.peak_bytes
     report.mem_alloc_count = heap.stats.alloc_count
     report.mem_reuse_count = heap.stats.reuse_count
@@ -525,7 +517,6 @@ def _estimate_stmts(
     stmts,
     size_env: Mapping[str, int],
     device: DeviceProfile,
-    layouts: Mapping[str, IndexFn],
     report: CostReport,
     coalescing: bool,
     heap,
@@ -536,9 +527,7 @@ def _estimate_stmts(
             if s.elide_copy is not None:
                 continue  # planner removed this copy outright
             report.kernel_costs.append(
-                kernel_cost(
-                    s.kernel, size_env, device, layouts, coalescing
-                )
+                kernel_cost(s.kernel, size_env, device, coalescing)
             )
         elif isinstance(s, HostEval):
             report.host_us += host_stmt_us(s.binding.exp, device)
@@ -549,7 +538,7 @@ def _estimate_stmts(
             trips = _trips(s, size_env)
             inner = CostReport(device.name)
             _estimate_stmts(
-                s.body, size_env, device, layouts, inner, coalescing, heap
+                s.body, size_env, device, inner, coalescing, heap
             )
             copy_us = 0.0
             for us in loop_copy_us(s, size_env, device):
@@ -565,7 +554,6 @@ def _estimate_stmts(
         elif isinstance(s, HostIfStmt):
             inner = CostReport(device.name)
             _estimate_stmts(
-                s.then_body, size_env, device, layouts, inner,
-                coalescing, heap,
+                s.then_body, size_env, device, inner, coalescing, heap
             )
             report.merge(inner)

@@ -58,11 +58,12 @@ def coalesce_program(hp: HostProgram, enabled: bool = True) -> HostProgram:
     layout changes happen and strided accesses pay full penalty."""
     if not enabled:
         return hp
-    layouts: Dict[str, IndexFn] = dict(hp.layouts)
+    # Each array's current layout; parameters are row-major, the
+    # default of an array not in here.
+    layouts: Dict[str, IndexFn] = {}
     produced_by: Dict[str, Kernel] = {}
     counter = [0]
     hp.stmts = _walk(hp.stmts, layouts, produced_by, hp, counter)
-    hp.layouts = layouts
     return hp
 
 
@@ -124,7 +125,6 @@ def _walk(
                     name=f"{acc.array}_mem{counter[0]}",
                     elem_bytes=elem_bytes,
                     elems=elems,
-                    layout=desired,
                     shape=tuple(shape) if shape is not None else (),
                 )
                 hp.blocks[block.name] = block

@@ -20,13 +20,11 @@ the ``gpu.dev{id}`` trace track and metrics under ``gpu.dev{id}.*``.
   :class:`ShardPlanner` (weights = per-device speed from the cost
   model), executed concurrently, and merged bit-identically;
 - a whole placement runs on the **caller's thread** when its device
-  is idle (claimed atomically, so two callers never both take it) or
+  is idle (booked atomically, so two callers never both take it) or
   is the only healthy one; a task for a busy device, and every shard
   of a split, goes to that device's worker;
 - a task that exceeds the cost model's predicted wall time by
-  :data:`HEDGE_FACTOR` gets a **hedged duplicate** on another device —
-  first result wins, and the loser is cancelled: skipped if it has
-  not started, stopped at its next launch boundary if it has;
+  :data:`HEDGE_FACTOR` gets a **hedged duplicate** on another device;
 - a task whose device *fails* (after the resilient executor's own
   retries) or *refuses* (its breaker is open) is re-placed on another
   healthy device; only when every device has failed or refused does
@@ -34,17 +32,21 @@ the ``gpu.dev{id}`` trace track and metrics under ``gpu.dev{id}.*``.
   (``fallback=True``) or as the typed error.
 
 Every task runs through :meth:`DevicePool._run_task`, under its
-device's run lock, with a checkpoint in its deadline's place: the
-attempt loop and the device's books check it before every attempt and
-every launch, so a cancelled task stops there, and the caller watches a
-task it runs itself from there (it launches the hedge once due, and
-stops once the hedge has won).  The pool keeps no retry or breaker
-logic of its own: the task hands its device's breaker to
-:func:`repro.runtime.run_resilient`, which claims and releases it
-around the attempt it runs (so a task cancelled before it starts never
-touches it, and one stopped part-way counts as neutral); the
-coordinator only *reads* breaker state, and its floor is the loop's
-own.
+device's run lock, and one rule picks a shard's winner: the first of
+its tasks to finish it successfully closes the shard and wins
+(:meth:`DevicePool._record`, under the pool lock, on whichever thread
+ran the task).  A request that gives up closes all its shards.  Each
+task has a checkpoint in its deadline's place, which the attempt loop
+and the device's books check before every attempt and every launch:
+a task of a closed shard is skipped if it has not started and stops
+at its next launch boundary if it has, and the caller launches the
+hedge of a task it runs itself from there once due.  The pool keeps
+no retry or breaker logic of its own: the task hands its device's
+breaker to :func:`repro.runtime.run_resilient`, which claims and
+releases it around the attempt it runs (so a task skipped before it
+starts never touches it, and one stopped part-way counts as neutral);
+the coordinator only *reads* breaker state, and its floor is the
+loop's own.
 
 A pool is built from its ``profiles``, their ``fault_plans`` and a
 ``hedge_min_wall_s`` floor; each other setting has one home, the part
@@ -106,34 +108,52 @@ RETRIES = 2
 
 
 class _Cancelled(Exception):
-    """Raised at a launch boundary of a task that has been cancelled:
+    """Raised at a launch boundary of a task whose shard is closed:
     no one wants its result any more.  Not a ``ReproError``, so the
     attempt loop neither retries it nor lets it count against the
     device's breaker."""
+
+
+class _ShardState:
+    """One shard of a request and the race to finish it: the devices
+    tried, the hedge time, the replacement count, and — set once, under
+    the pool lock, by whichever task finishes the shard first — the
+    ``closed`` flag and the winning outcome.  A request that gives up
+    closes its shards without a winner.  Every task of the shard points
+    here."""
+
+    __slots__ = ("shard", "tried", "hedge_at", "replacements", "closed",
+                 "winner")
+
+    def __init__(self, shard: Shard, dev_id: int) -> None:
+        self.shard = shard
+        self.tried = {dev_id}
+        #: When to launch the shard's one hedge; inf once launched (or
+        #: with nothing to hedge on).
+        self.hedge_at = math.inf
+        self.replacements = 0
+        self.closed = False
+        self.winner: Optional[_Outcome] = None
 
 
 class _Checkpoint:
     """What a task's run checks, in its request deadline's place,
     before every attempt and every kernel launch (the attempt loop and
     the device's books check a deadline there): ``poll`` first (the
-    hedge monitor of a task the caller runs, which may cancel it), then
-    the task's own cancel flag, then the request's deadline."""
+    hedge monitor of a task the caller runs), then whether its shard is
+    closed, then the request's deadline."""
 
-    __slots__ = ("deadline", "cancelled", "poll")
+    __slots__ = ("deadline", "state", "poll")
 
-    def __init__(self, deadline) -> None:
+    def __init__(self, deadline, state: _ShardState) -> None:
         self.deadline = deadline
-        #: Set, never cleared, by the request's coordinator once no one
-        #: wants the task's result.  A plain flag: nothing waits on it,
-        #: and building a ``threading.Event`` per task was a measurable
-        #: cost on the one-device serving path.
-        self.cancelled = False
+        self.state = state
         self.poll = None
 
     def check(self, where: str) -> None:
         if self.poll is not None:
             self.poll()
-        if self.cancelled:
+        if self.state.closed:
             raise _Cancelled(where)
         if self.deadline is not None:
             self.deadline.check(where)
@@ -158,16 +178,13 @@ class _Task:
     #: unchanged: host, core, policy, entry, coalescing, in_place,
     #: pass_timings.
     shared: Dict[str, Any]
-    fault_plan: Optional[FaultPlan]
     est_us: float
-    shard_index: int
-    lo: int
-    hi: int
     hedge: bool
-    #: Handed to ``run_resilient`` as the task's deadline.
+    #: Handed to ``run_resilient`` as the task's deadline; its
+    #: ``state`` is the task's shard.
     checkpoint: _Checkpoint
     #: Worker outbox and adopted instruments (None on the caller's thread).
-    results: "Optional[queue_mod.Queue[_Outcome]]"
+    results: "Optional[queue_mod.Queue[Tuple[_Task, _Outcome]]]"
     tracer: Any
     metrics: Any
     key: Optional[str] = None
@@ -175,8 +192,13 @@ class _Task:
 
 @dataclass
 class _Outcome:
-    task: _Task
+    """How one task ran.  It does not point back at its task: a
+    shard's winner is held by the shard, which its tasks point at, and
+    that cycle would keep every request's values alive until the
+    cyclic garbage collector ran."""
+
     device_id: int
+    hedge: bool
     values: Optional[Tuple[Value, ...]] = None
     cost: Optional[CostReport] = None
     report: Optional[RunReport] = None
@@ -188,17 +210,18 @@ class _Outcome:
     sim_us: float = 0.0
 
 
-def _shard_record(out: _Outcome, replacements: int) -> Dict[str, Any]:
-    """A winning outcome's entry in ``placement["shards"]``."""
+def _shard_record(st: _ShardState) -> Dict[str, Any]:
+    """A shard's entry in ``placement["shards"]``: its winner's."""
+    out = st.winner
     return {
-        "index": out.task.shard_index,
-        "lo": out.task.lo,
-        "hi": out.task.hi,
+        "index": st.shard.index,
+        "lo": st.shard.lo,
+        "hi": st.shard.hi,
         "device": out.device_id,
         "sim_us": out.sim_us,
         "wall_s": out.wall_s,
-        "hedge_won": out.task.hedge,
-        "replacements": replacements,
+        "hedge_won": out.hedge,
+        "replacements": st.replacements,
     }
 
 
@@ -241,22 +264,15 @@ class PoolDevice:
         self.trace_track = f"gpu.dev{dev_id}"
         self.metric_prefix = f"gpu.dev{dev_id}"
 
-    def book(self, est_us: float) -> None:
-        """Add one task's estimate to the backlog."""
+    def book(self, est_us: float) -> bool:
+        """Add one task's estimate to the backlog; True if nothing was
+        queued or running here (the caller may then run the task
+        itself).  Atomic: two callers never both find the device idle."""
         with self.lock:
+            idle = not self.queued
             self.queued += 1
             self.backlog_us += est_us
-
-    def claim(self, est_us: float) -> bool:
-        """Book one task only if nothing is queued or running here —
-        the caller then runs it itself.  Atomic: two callers never both
-        find the device idle."""
-        with self.lock:
-            if self.queued:
-                return False
-            self.queued = 1
-            self.backlog_us = est_us
-            return True
+            return idle
 
     def settle(self, est_us: float) -> None:
         """Take a finished or cancelled task's estimate back off.  A
@@ -392,39 +408,40 @@ class DevicePool:
             # spans and gpu.dev{id}.* metrics land in that request's
             # flight record, not whatever this worker saw last.
             with thread_tracing(task.tracer), thread_metering(task.metrics):
-                task.results.put(self._run_task(dev, task))
+                task.results.put((task, self._run_task(dev, task)))
 
     def _run_task(self, dev: PoolDevice, task: _Task) -> _Outcome:
         """Run one booked task on ``dev`` — the only code that does, on
         the device's worker thread or on the caller's."""
         with dev.run_lock:
-            if task.checkpoint.cancelled:
+            if task.checkpoint.state.closed:
                 with self._lock:
                     self.counters["cancelled_before_start"] += 1
                 dev.settle(task.est_us)
-                return _Outcome(task, dev.id, cancelled=True)
+                return _Outcome(dev.id, task.hedge, cancelled=True)
             outcome = self._execute(dev, task)
             self._record(dev, task, outcome)
         return outcome
 
     def _execute(self, dev: PoolDevice, task: _Task) -> _Outcome:
-        outcome = _Outcome(task, dev.id)
+        outcome = _Outcome(dev.id, task.hedge)
+        shard = task.checkpoint.state.shard
         t0 = time.monotonic()
         with get_tracer().span(
-            f"shard#{task.shard_index}" + (" (hedge)" if task.hedge else ""),
+            f"shard#{shard.index}" + (" (hedge)" if task.hedge else ""),
             "sched",
             track=dev.trace_track,
             run_id=task.run_id,
             device=dev.id,
             profile=dev.profile.name,
-            rows=f"[{task.lo}:{task.hi})",
+            rows=f"[{shard.lo}:{shard.hi})",
             ran_on="caller" if task.results is None else "worker",
         ) as span:
             try:
                 outcome.values, outcome.cost, outcome.report = run_resilient(
                     args=task.args,
                     device=dev.profile,
-                    fault_plan=task.fault_plan,
+                    fault_plan=dev.fault_plan,
                     run_id=task.run_id,
                     pool_device=dev,
                     breaker=dev.breaker,
@@ -445,6 +462,9 @@ class DevicePool:
     def _record(
         self, dev: PoolDevice, task: _Task, outcome: _Outcome
     ) -> None:
+        """Book a finished run on its device and into its shard: the
+        first success closes the shard and wins it, a later one is a
+        wasted duplicate."""
         dev.settle(task.est_us)
         with dev.lock:
             if outcome.cancelled:
@@ -463,10 +483,19 @@ class DevicePool:
                     )
             else:
                 dev.failures += 1
+        st = task.checkpoint.state
         with self._lock:
             self.counters["shards_executed"] += 1
             if outcome.cancelled:
                 self.counters["stopped_mid_flight"] += 1
+            elif outcome.error is not None:
+                pass  # for the coordinator: re-place it or give up
+            elif not st.closed:
+                st.closed, st.winner = True, outcome
+                if task.hedge:
+                    self.counters["hedges_won"] += 1
+            elif st.winner is not None:
+                self.counters["hedges_wasted"] += 1
 
     # -- placement helpers --------------------------------------------------
 
@@ -671,19 +700,18 @@ class DevicePool:
         """Run the plan's tasks until every shard has a winner.
 
         A whole placement runs on the caller's thread when its device
-        is idle (claimed atomically) or is the only healthy one; every
-        other task goes to its device's worker.  The caller watches its
-        own task from the task's checkpoint: at each launch boundary it
-        launches the hedge once due and stops once the hedge has won.
-        Whatever is still open when the task returns — a re-placement
-        after a device error, a hedge in flight — goes on in the
-        coordinator loop below."""
+        is idle or is the only healthy one; every other task goes to its
+        device's worker.  The caller's task launches its hedge from its
+        checkpoint once due, and a hedge that wins closes the shard,
+        which stops the caller's run at its next launch.  Whatever is
+        still open when the task returns — a re-placement after a
+        device error, a hedge in flight — goes on in the coordinator
+        loop below."""
         #: The workers' outbox, made with the first task one is handed.
-        results: "Optional[queue_mod.Queue[_Outcome]]" = None
+        results: "Optional[queue_mod.Queue[Tuple[_Task, _Outcome]]]" = None
 
-        def make_task(
-            shard: Shard, dev: PoolDevice, hedge: bool
-        ) -> _Task:
+        def make_task(st: _ShardState, dev: PoolDevice, hedge: bool) -> _Task:
+            shard = st.shard
             if batch_info is not None:
                 task_args = slice_args(args, batch_info, shard.lo, shard.hi)
                 suffix = f"/s{shard.index}" + ("h" if hedge else "")
@@ -694,15 +722,11 @@ class DevicePool:
                 run_id=f"{run_id}{suffix}",
                 args=task_args,
                 shared=shared,
-                fault_plan=dev.fault_plan,
                 # An unpriceable program still runs, just without a
                 # meaningful estimate.
                 est_us=price(dev.id, shard.size) or 0.0,
-                shard_index=shard.index,
-                lo=shard.lo,
-                hi=shard.hi,
                 hedge=hedge,
-                checkpoint=_Checkpoint(deadline),
+                checkpoint=_Checkpoint(deadline, st),
                 results=None,
                 tracer=None,
                 metrics=None,
@@ -710,215 +734,160 @@ class DevicePool:
             )
 
         def submit(dev: PoolDevice, task: _Task) -> None:
-            """Book ``task`` on ``dev`` and queue it for the worker, with
-            this request's outbox and instruments."""
+            """Queue a booked ``task`` for ``dev``'s worker, with this
+            request's outbox and instruments."""
             nonlocal results
             if results is None:
                 results = queue_mod.Queue()
             task.results = results
             task.tracer, task.metrics = get_tracer(), get_metrics()
-            dev.book(task.est_us)
             dev.queue.put(task)
 
-        # Per-shard coordination state.
-        state: Dict[int, Dict[str, Any]] = {}
+        def launch(st: _ShardState, hedge: bool) -> Optional[PoolDevice]:
+            """Admit a device the shard has not tried, make its task
+            there, book and submit it; None when no device is left.
+            Serves a hedge and a re-placement alike."""
+            dev = self._admit(None, st.tried)
+            if dev is not None:
+                st.tried.add(dev.id)
+                task = make_task(st, dev, hedge)
+                dev.book(task.est_us)
+                submit(dev, task)
+            return dev
+
+        states: List[_ShardState] = []
         inline: Optional[_Task] = None
         for shard in shards:
             dev = self._admit(shard.device_id, set())
             if dev is None:
-                self._abort(state)
+                self._abort(states)
                 raise DeviceFault(
                     "breaker", "no device admitted the request",
                     transient=True,
                 )
-            task = make_task(shard, dev, hedge=False)
-            state[shard.index] = {
-                "shard": shard,
-                "done": False,
-                "outcome": None,
-                "tasks": [task],
-                "tried": {dev.id},
-                "hedged": False,
-                # (Nothing to hedge on with one healthy device.)
-                "hedge_at": math.inf if alone else time.monotonic()
-                + self._hedge_budget_s(dev, task.est_us),
-                "replacements": 0,
-            }
-            if len(shards) > 1:
-                submit(dev, task)
-            elif alone:
-                # No other device: wait for this one's run lock here.
-                dev.book(task.est_us)
-                inline = task
-            elif dev.claim(task.est_us):
+            st = _ShardState(shard, dev.id)
+            states.append(st)
+            task = make_task(st, dev, hedge=False)
+            if not alone:  # (nothing to hedge on with one healthy device)
+                st.hedge_at = time.monotonic() + self._hedge_budget_s(
+                    dev, task.est_us
+                )
+            idle = dev.book(task.est_us)
+            if len(shards) == 1 and (idle or alone):
+                # Alone: no other device, so wait for its run lock here.
                 inline = task
             else:
                 submit(dev, task)
         pending = len(shards)
 
-        def take(out: _Outcome) -> None:
-            """Settle one finished task's outcome into its shard."""
+        def take(task: _Task, out: _Outcome) -> None:
+            """Settle one finished task's outcome into the request."""
             nonlocal pending
-            st = state[out.task.shard_index]
-            if out.cancelled:
-                pass  # accounted by the device
-            elif st["done"]:
-                # A duplicate finishing after the shard's winner.
-                if out.error is None:
-                    with self._lock:
-                        self.counters["hedges_wasted"] += 1
-            elif out.error is None:
-                st["done"] = True
-                st["outcome"] = out
+            st = task.checkpoint.state
+            if st.winner is out:
                 pending -= 1
-                if out.task.hedge:
-                    with self._lock:
-                        self.counters["hedges_won"] += 1
+                if out.hedge:
                     placement["hedges_won"] += 1
-                for t in st["tasks"]:
-                    if t is not out.task:
-                        t.checkpoint.cancelled = True
+            elif st.closed:
+                pass  # skipped, stopped, or finished after the winner
             elif isinstance(out.error, _DEVICE_ERRORS):
                 # Re-place the shard on another healthy device; the
                 # error only propagates when every device failed.
-                replacement = self._admit(None, st["tried"])
-                if replacement is None:
-                    self._abort(state)
+                dev = launch(st, task.hedge)
+                if dev is None:
+                    self._abort(states)
                     raise out.error
-                st["tried"].add(replacement.id)
-                st["replacements"] += 1
+                st.replacements += 1
                 with self._lock:
                     self.counters["replacements"] += 1
                 placement["replacements"] += 1
-                task = make_task(
-                    st["shard"], replacement, hedge=out.task.hedge
-                )
-                st["tasks"].append(task)
-                submit(replacement, task)
                 _log.debug(
                     "shard-replaced",
                     run_id=run_id,
-                    shard=out.task.shard_index,
+                    shard=st.shard.index,
                     failed_device=out.device_id,
-                    new_device=replacement.id,
+                    new_device=dev.id,
                 )
             else:
                 # Deadline or program error: identical everywhere.
-                self._abort(state)
+                self._abort(states)
                 raise out.error
 
-        def launch_hedge(st: Dict[str, Any]) -> None:
+        def launch_hedge(st: _ShardState) -> None:
             """Straggler mitigation: one duplicate of a shard past its
-            hedge deadline, on a device it has not tried."""
-            dev = self._admit(None, st["tried"])
-            st["hedged"] = True  # one hedge per shard, tops
+            hedge time, on a device it has not tried."""
+            st.hedge_at = math.inf  # one hedge per shard, tops
+            dev = launch(st, hedge=True)
             if dev is None:
                 return
-            st["tried"].add(dev.id)
-            hedge_task = make_task(st["shard"], dev, hedge=True)
-            st["tasks"].append(hedge_task)
             with self._lock:
                 self.counters["hedges_launched"] += 1
             placement["hedges_launched"] += 1
-            submit(dev, hedge_task)
             _log.debug(
                 "hedge-launched",
                 run_id=run_id,
-                shard=st["shard"].index,
+                shard=st.shard.index,
                 device=dev.id,
             )
 
         if inline is not None:
-            (st,) = state.values()
-            early: List[_Outcome] = []
-
-            def drain() -> None:
-                """Take in the hedge's outcome: once it has won, the
-                caller's own run stops at its next launch."""
-                while results is not None:
-                    try:
-                        got = results.get_nowait()
-                    except queue_mod.Empty:
-                        return
-                    early.append(got)
-                    if got.error is None and not got.cancelled:
-                        inline.checkpoint.cancelled = True
+            (mine,) = states
 
             def poll() -> None:
-                if not st["hedged"]:
-                    if time.monotonic() >= st["hedge_at"]:
-                        launch_hedge(st)
-                else:
-                    drain()
+                if time.monotonic() >= mine.hedge_at:
+                    launch_hedge(mine)
 
             if not alone:
                 inline.checkpoint.poll = poll
-            out = self._run_task(dev, inline)  # the one shard's device
-            inline.checkpoint.poll = None  # drop the task → poll → task cycle
-            drain()  # a hedge that finished first wins
-            early.append(out)
-            # Wins first: a failure that lands after one leaves nothing
-            # to re-place.
-            for got in sorted(early, key=lambda o: o.error is not None):
-                take(got)
+            take(inline, self._run_task(dev, inline))  # the one device
 
         while pending > 0:
             if deadline is not None and deadline.expired:
-                self._abort(state)
+                self._abort(states)
                 raise DeadlineExceeded(f"{run_id} in the device pool")
             now = time.monotonic()
             next_hedge = min(
-                (
-                    st["hedge_at"]
-                    for st in state.values()
-                    if not st["done"] and not st["hedged"]
-                ),
-                default=now + 0.5,
+                (st.hedge_at for st in states if not st.closed),
+                default=math.inf,
             )
             timeout = min(max(next_hedge - now, 0.01), 0.5)
             try:
-                take(results.get(timeout=timeout))
+                take(*results.get(timeout=timeout))
             except queue_mod.Empty:
                 pass
             now = time.monotonic()
-            for st in state.values():
-                if not (st["done"] or st["hedged"] or now < st["hedge_at"]):
+            for st in states:
+                if not st.closed and now >= st.hedge_at:
                     launch_hedge(st)
 
-        if len(shards) == 1:
+        if len(states) == 1:
             # A whole placement answers with its winning run's own
             # values, cost and report.
-            (st,) = state.values()
-            out = st["outcome"]
-            placement["shards"].append(
-                _shard_record(out, st["replacements"])
-            )
+            (st,) = states
+            out = st.winner
+            placement["shards"].append(_shard_record(st))
             placement["makespan_us"] = out.sim_us
             return out.values, out.cost, out.report
         # Every shard has a winner: merge in shard order, aggregate the
         # winning outcomes' cost/report, compute the parallel makespan.
-        ordered = [state[s.index]["outcome"] for s in shards]
         cost = CostReport(self.name)
         report = RunReport(
             self.name, run_id=run_id, backend=shared["policy"].executor
         )
         per_device_us: Dict[int, float] = {}
-        for out in ordered:
+        for st in states:
+            out = st.winner
             cost.merge(out.cost)
             report.absorb(out.report)
             per_device_us[out.device_id] = (
                 per_device_us.get(out.device_id, 0.0) + out.sim_us
             )
-            placement["shards"].append(
-                _shard_record(
-                    out, state[out.task.shard_index]["replacements"]
-                )
-            )
+            placement["shards"].append(_shard_record(st))
         placement["makespan_us"] = max(per_device_us.values(), default=0.0)
         if shared["pass_timings"]:
             report.pass_timings = list(shared["pass_timings"])
         values = merge_results(
-            [out.values for out in ordered], batch_info.n_results
+            [st.winner.values for st in states], batch_info.n_results
         )
         report.events.append(
             f"sharded over {len(shards)} devices "
@@ -927,13 +896,13 @@ class DevicePool:
         )
         return values, cost, report
 
-    def _abort(self, state: Dict[int, Dict[str, Any]]) -> None:
-        """Cancel everything still outstanding for this request (tasks
-        not yet started are skipped; running ones stop at their next
-        launch boundary)."""
-        for st in state.values():
-            for t in st["tasks"]:
-                t.checkpoint.cancelled = True
+    def _abort(self, states: Sequence[_ShardState]) -> None:
+        """Close every shard of a request that gives up: its tasks not
+        yet started are skipped, running ones stop at their next launch
+        boundary."""
+        with self._lock:
+            for st in states:
+                st.closed = True
 
     # -- health -------------------------------------------------------------
 

@@ -4,16 +4,21 @@ import pytest
 
 from repro.backend.kernel_ir import (
     AccessInfo,
+    AllocStmt,
     Count,
     HostIfStmt,
     HostLoopStmt,
     HostProgram,
     Kernel,
     LaunchStmt,
+    ManifestStmt,
 )
+from repro.bench.programs import ALL_NAMES
+from repro.bench.suite import BENCHMARKS
 from repro.core import ast as A
 from repro.core.prim import I32
 from repro.memory.index_fn import IndexFn
+from repro.pipeline import compile_program
 
 
 def _kernel(name="k", grid=("n",)):
@@ -89,3 +94,28 @@ class TestHostProgram:
             result=(),
         )
         assert [k.name for k in hp.kernels()] == ["a", "b", "c"]
+
+
+def _stmt_blocks(stmts):
+    """The blocks an ``AllocStmt`` or a ``ManifestStmt`` brings live,
+    through host loops and branches."""
+    for s in stmts:
+        if isinstance(s, AllocStmt):
+            yield s.block.name
+        elif isinstance(s, ManifestStmt) and s.block is not None:
+            yield s.block.name
+        elif isinstance(s, HostLoopStmt):
+            yield from _stmt_blocks(s.body)
+        elif isinstance(s, HostIfStmt):
+            yield from _stmt_blocks(s.then_body)
+            yield from _stmt_blocks(s.else_body)
+
+
+@pytest.mark.parametrize("name", list(ALL_NAMES))
+def test_every_block_is_a_parameter_or_brought_live_by_a_statement(name):
+    """A lowered program has no block that nothing allocates: each is
+    a parameter's, or an ``AllocStmt``'s or a ``ManifestStmt``'s."""
+    hp = compile_program(BENCHMARKS[name].program()).host
+    params = {p.name for p in hp.params if p.name in hp.blocks}
+    assert {n for n, b in hp.blocks.items() if b.space == "param"} == params
+    assert set(hp.blocks) == params | set(_stmt_blocks(hp.stmts))

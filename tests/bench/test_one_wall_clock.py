@@ -186,6 +186,23 @@ def test_ci_runs_only_tests_and_commands_that_exist():
     assert found and not refused, refused
 
 
+def _reads_chaos_seeds(node):
+    return isinstance(node, ast.Constant) and node.value == "CHAOS_SEEDS"
+
+
+def test_the_chaos_job_runs_every_suite_that_reads_chaos_seeds():
+    """A seeded suite that CI's ``chaos`` job does not list only ever
+    runs on tier-1's default seeds."""
+    seeded = {
+        path.relative_to(ROOT).as_posix()
+        for path in (ROOT / "tests").rglob("*.py")
+        if path != Path(__file__) and _hits([path], _reads_chaos_seeds)
+    }
+    job = re.search(r"^  chaos:\n(.*?)^  \w", CI, re.M | re.S)
+    listed = set(re.findall(r"\btests/[\w./-]+\.py", job.group(1)))
+    assert seeded and seeded == listed, (seeded, listed)
+
+
 @pytest.mark.parametrize(
     "doc",
     ["README.md", "DESIGN.md", "EXPERIMENTS.md",

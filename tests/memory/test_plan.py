@@ -9,10 +9,12 @@ from repro.backend.kernel_ir import (
     FreeStmt,
     HostLoopStmt,
     LaunchStmt,
+    ManifestStmt,
 )
 from repro.backend.validate import validate_host_program
 from repro.core import array_value, scalar
 from repro.core.prim import F32, I32
+from repro.memory.index_fn import IndexFn
 from repro.pipeline import CompilerOptions, compile_source
 
 CHAIN = """
@@ -27,6 +29,13 @@ fun main (xs: [n]f32): [n]f32 =
   let a = map (\\(x: f32) -> x + 1.0f32) xs
   let b = copy a
   in map (\\(x: f32) -> x * 2.0f32) b
+"""
+
+#: A row traversal: the coalescing pass transposes ``m`` (§5.2).
+ROWS = """
+fun main (m: [a][b]f32): [a]f32 =
+  map (\\(row: [b]f32) ->
+    loop (acc = 0.0f32) for j < b do acc + row[j]) m
 """
 
 LOOP = """
@@ -247,6 +256,14 @@ class TestValidator:
         hp.stmts.append(FreeStmt(result))
         problems = validate_host_program(hp)
         assert any("result" in p for p in problems)
+
+    def test_manifest_layout_of_another_rank_than_its_block_detected(self):
+        hp = self._program(ROWS)
+        assert validate_host_program(hp) == []
+        manifest = next(s for s in hp.stmts if isinstance(s, ManifestStmt))
+        manifest.layout = IndexFn.identity(3)
+        problems = validate_host_program(hp)
+        assert any("layout rank 3 != shape rank 2" in p for p in problems)
 
 
 class TestExecutionAccounting:
