@@ -41,7 +41,7 @@ def check_program(prog, **kwargs):
 def compile_program(prog, options=None):
     """Run the full compiler pipeline (Fig. 3) on a core program.
 
-    Returns a :class:`repro.backend.kernel_ir.HostProgram`."""
+    Returns a :class:`repro.pipeline.CompiledProgram`."""
     from .pipeline import compile_program as _compile
 
     return _compile(prog, options)

@@ -76,7 +76,9 @@ optimisation pass with IR-size deltas, one span per simulated kernel
 launch with cycle/traffic attributes) loadable in chrome://tracing or
 https://ui.perfetto.dev; ``--metrics-out metrics.json`` dumps the
 counters/histograms; either flag also prints the terminal summary.
-``--verbose`` turns on the structured debug log.
+``--verbose`` prints that summary, with its events section (faults,
+rollbacks, jit hand-overs, shard re-placements, hedges), and writes no
+file.
 """
 
 from __future__ import annotations
@@ -152,7 +154,8 @@ def _add_obs_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--verbose",
         action="store_true",
-        help="enable the structured debug log (stderr)",
+        help="print the trace summary, events included, to stderr "
+        "(writes no file)",
     )
 
 
@@ -318,25 +321,22 @@ def cmd_bench(args) -> int:
         return 0
 
     from .bench.runner import validate_benchmark
-    from .gpu.faults import FaultPlan
+    from .gpu.faults import FaultPlan, chaos_plans
     from .runtime import ExecutionPolicy
 
     profiles = {
-        "mixed": dict(
-            launch_failure_rate=0.3,
-            memory_fault_rate=0.1,
-            timeout_rate=0.2,
-        ),
         "fatal": dict(launch_failure_rate=1.0, fatal_rate=1.0),
         "timeout": dict(
             timeout_rate=1.0, max_consecutive=1_000_000_000
         ),
     }
-    fault_plan = (
-        FaultPlan(seed=args.seed, **profiles[args.chaos_profile])
-        if args.chaos
-        else None
-    )
+    fault_plan = None
+    if args.chaos:
+        fault_plan = (
+            chaos_plans(args.seed, 1)[0]
+            if args.chaos_profile == "mixed"
+            else FaultPlan(seed=args.seed, **profiles[args.chaos_profile])
+        )
     policy = (
         ExecutionPolicy(fallback=False, executor=args.executor)
         if args.no_fallback
@@ -779,16 +779,13 @@ def main(argv=None) -> int:
 def _dispatch_observed(args) -> int:
     """Run the selected command, wrapped in an observability session
     when any of the ``--trace-out``/``--metrics-out``/``--verbose``
-    flags were given."""
-    from .obs import observe, set_verbose
-
-    if getattr(args, "verbose", False):
-        set_verbose(True)
+    flags were given; each prints the session's summary to stderr."""
     trace_out = getattr(args, "trace_out", None)
     metrics_out = getattr(args, "metrics_out", None)
-    if not trace_out and not metrics_out:
+    if not (trace_out or metrics_out or getattr(args, "verbose", False)):
         return args.fn(args)
 
+    from .obs import observe
     from .obs.export import summary, write_chrome_trace, write_metrics
 
     with observe() as session:

@@ -25,7 +25,6 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..gpu.device import NVIDIA_GTX780TI, DeviceProfile
-from ..obs import get_logger
 from ..pipeline import CompilerOptions, compile_program
 from ..runtime import DEFAULT_EXECUTOR
 from .figures import (
@@ -53,7 +52,6 @@ def mem_suite(
     for that schedule, deterministic, and independent of simulated
     execution time.  The returned dict is the ``BENCH_mem.json``
     payload."""
-    logger = get_logger("bench")
     names = names or list(BENCHMARKS.names())
     planned_opts = CompilerOptions()
     naive_opts = CompilerOptions(memory_planning=False)
@@ -88,10 +86,6 @@ def mem_suite(
             "reuse_count": planned.mem_reuse_count,
             "peak_ratio": ratio,
         }
-        logger.debug(
-            "mem-row", benchmark=name,
-            naive=naive.mem_peak_bytes, planned=planned.mem_peak_bytes,
-        )
     geomean_ratio = (
         float(np.exp(np.mean(np.log(ratios)))) if ratios else 1.0
     )
@@ -150,7 +144,6 @@ def shard_suite(
     from ..pipeline import compile_cache_key
     from ..sched import DevicePool, analyze_shardable
 
-    logger = get_logger("bench")
     names = [n for n in (names or list(SHARD_SIZES)) if n in SHARD_SIZES]
     max_count = max(device_counts)
     benchmarks: Dict[str, Dict] = {}
@@ -209,10 +202,6 @@ def shard_suite(
                 "makespan_us": makespan,
                 "total_us": cost.total_us,
             }
-            logger.debug(
-                "shard-row", benchmark=name, devices=count,
-                makespan_us=makespan, mode=placement["mode"],
-            )
         base_us = row["devices"][str(device_counts[0])]["makespan_us"]
         top_us = row["devices"][str(max_count)]["makespan_us"]
         row["speedup_4x"] = base_us / top_us if top_us > 0 else 0.0

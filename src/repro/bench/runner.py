@@ -24,7 +24,7 @@ from ..errors import ArgumentError, ValidationError
 from ..gpu.device import AMD_W8100, NVIDIA_GTX780TI, DeviceProfile
 from ..gpu.faults import FaultPlan
 from ..interp import run_program
-from ..obs import get_logger, get_tracer
+from ..obs import get_tracer
 from ..pipeline import CompilerOptions, compile_program
 from ..runtime import ExecutionPolicy, RunReport
 from .datasets import TABLE2, Dataset
@@ -72,7 +72,6 @@ def validate_benchmark(
     report also carries the compile's per-pass timing breakdown and a
     ``run_id``/``seed`` that names the exact :class:`FaultPlan` used,
     so a chaos failure is correlatable with its trace."""
-    logger = get_logger("bench")
     spec = BENCHMARKS[name]
     rng = np.random.default_rng(seed)
     args = spec.small_args(rng)
@@ -81,7 +80,6 @@ def validate_benchmark(
         run_id = f"{name}/seed{seed}"
         if fault_plan is not None:
             run_id += f"/faultseed{fault_plan.seed}"
-    logger.debug("validate-start", benchmark=name, run_id=run_id)
     with get_tracer().span(
         "validate-benchmark", "bench", benchmark=name, run_id=run_id
     ):
@@ -106,15 +104,6 @@ def validate_benchmark(
                 )
         if report.fallbacks == 0 and cost.total_us <= 0:
             raise ValidationError(f"{name}: device run reported no time")
-    logger.debug(
-        "validate-done",
-        benchmark=name,
-        run_id=run_id,
-        attempts=report.attempts,
-        fallbacks=report.fallbacks,
-        sim_us=cost.total_us,
-        compile_passes=len(report.pass_timings),
-    )
     return report
 
 
@@ -164,7 +153,6 @@ def table1_runtimes(
     devices: Tuple[DeviceProfile, ...] = _DEVICES,
 ) -> List[Row]:
     """Reference vs Futhark runtimes at paper scale (Table 1)."""
-    logger = get_logger("bench")
     names = names or list(BENCHMARKS.names())
     rows: List[Row] = []
     for name in names:
@@ -181,13 +169,6 @@ def table1_runtimes(
             row.ref_ms[device.name] = ref_impl.estimate(
                 sizes, device
             ).total_ms
-            logger.debug(
-                "table1-row",
-                benchmark=name,
-                device=device.name,
-                ref_ms=row.ref_ms[device.name],
-                fut_ms=row.fut_ms[device.name],
-            )
         rows.append(row)
     return rows
 

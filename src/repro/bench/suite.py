@@ -5,15 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from ..obs import get_logger
 from .datasets import TABLE2, Dataset
 from .programs import ALL_NAMES, module_for
 
 __all__ = ["BenchmarkSpec", "BENCHMARKS", "get_benchmark"]
-
-#: Structured replacement for ad-hoc debug prints: suite loading is
-#: silent by default and visible under ``--verbose``.
-_log = get_logger("bench.suite")
 
 
 @dataclass
@@ -67,7 +62,6 @@ _SUITES = {
 
 
 def get_benchmark(name: str) -> BenchmarkSpec:
-    _log.debug("load-benchmark", benchmark=name, suite=_SUITES[name])
     return BenchmarkSpec(
         name=name,
         suite=_SUITES[name],

@@ -1,6 +1,6 @@
 """``repro.obs`` — the zero-dependency observability layer.
 
-Three cooperating pieces, all opt-in with no-op defaults:
+Two cooperating pieces, both opt-in with no-op defaults:
 
 * :mod:`repro.obs.trace` — span-based tracing.  The pipeline wraps a
   span around every optimisation pass (with IR-size-delta attributes
@@ -11,12 +11,16 @@ Three cooperating pieces, all opt-in with no-op defaults:
   labels, populated by the simulator (cycles, memory traffic,
   occupancy, watchdog budget) and the runtime (retries, faults,
   fallbacks).
-* :mod:`repro.obs.log` — a structured logger, quiet by default.
+
+The trace is the one event channel: a fault, a rollback, a jit
+hand-over, a shard re-placement or a hedge is one instant on it, and
+nothing else records it again.
 
 Exporters (:mod:`repro.obs.export`): Chrome ``trace.json`` for
 chrome://tracing / Perfetto, a flat JSON metrics dump, and a terminal
-summary table.  The CLI surface is ``python -m repro ... --trace-out
-trace.json --metrics-out metrics.json``.
+summary table (whose events section lists the instants).  The CLI
+surface is ``python -m repro ... --trace-out trace.json --metrics-out
+metrics.json``, or ``--verbose`` for the summary alone.
 
 Typical embedding::
 
@@ -44,7 +48,6 @@ from .flight import (  # noqa: F401
     TeeMetrics,
     TeeTracer,
 )
-from .log import StructuredLogger, get_logger, set_verbose, verbose  # noqa: F401
 from .metrics import (  # noqa: F401
     DEFAULT_BUCKETS,
     Counter,
@@ -76,7 +79,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "StructuredLogger",
     "FlightRecord",
     "FlightRecorder",
     "TeeTracer",
@@ -91,9 +93,6 @@ __all__ = [
     "set_metrics",
     "metering",
     "thread_metering",
-    "get_logger",
-    "set_verbose",
-    "verbose",
     "ObsSession",
     "observe",
 ]

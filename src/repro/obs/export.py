@@ -8,7 +8,8 @@ Format spec; we emit:
 * ``M`` (metadata) events naming the process and each track (thread);
 * ``X`` (complete) events for spans — ``ts``/``dur`` in microseconds,
   attributes under ``args``;
-* ``i`` (instant) events for markers (rollbacks, faults, log events).
+* ``i`` (instant) events for markers (rollbacks, faults, jit
+  hand-overs, shard re-placements, hedges).
 
 Wall-clock spans live on the ``main`` track; the GPU simulator emits
 its kernels on per-attempt ``sim-gpu`` tracks stamped with *simulated*
@@ -283,6 +284,10 @@ def validate_flight_bundle(obj: Any) -> List[str]:
 # -- terminal summary -------------------------------------------------------
 
 
+def _cell(value: Any) -> str:
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
+
+
 def _table(rows: List[List[str]], header: List[str]) -> List[str]:
     widths = [
         max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
@@ -301,8 +306,9 @@ def summary(
     top: int = 10,
 ) -> str:
     """A human-readable digest: slowest spans per category, kernel
-    launches, and every counter — the terminal-friendly view of the
-    same data the JSON exporters write."""
+    launches, the first ``top`` instants in emission order, and every
+    counter — the terminal-friendly view of the same data the JSON
+    exporters write."""
     lines: List[str] = []
     if tracer is not None and tracer.spans:
         lines.append("== spans (wall clock) ==")
@@ -345,6 +351,19 @@ def summary(
                     ["kernel", "kind", "sim time", "cycles", "bytes", "occ"],
                 )
             )
+        # Faults, rollbacks, jit hand-overs, re-placements and hedges.
+        events = list(tracer.instants)
+        lines.append("")
+        lines.append("== events ==")
+        rows = [
+            [s.name, " ".join(f"{k}={_cell(v)}" for k, v in s.attrs.items())]
+            for s in events[:top]
+        ]
+        lines.extend(
+            _table(rows, ["event", "attributes"]) if rows else ["(none)"]
+        )
+        if len(events) > top:
+            lines.append(f"... and {len(events) - top} more")
     if registry is not None:
         snap = registry.snapshot()
         if snap["counters"]:

@@ -4,8 +4,8 @@ A :class:`StageArtifact` snapshots one stage frontier of a clean
 compile — the core IR after the core passes, or the finished host
 program — identified by its :func:`~repro.pipeline.fingerprint.stage_fingerprint`
 and integrity-checked by a sha256 over the serialized payload.  The
-:class:`ArtifactCache` persists artifacts under ``~/.cache/repro`` (or
-``$REPRO_ARTIFACT_DIR`` / ``--artifact-dir``) with atomic writes and
+:class:`ArtifactCache` persists artifacts under the root it is given
+(``$REPRO_ARTIFACT_DIR`` / ``--artifact-dir``) with atomic writes and
 fingerprint-verified loads, so a second process — or a restarted
 server — resumes compilation from the deepest valid stage instead of
 recompiling from source.
@@ -28,12 +28,13 @@ import json
 import os
 import pickle
 import threading
+import warnings
 from dataclasses import dataclass, field
 from hashlib import sha256
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-from ..obs import get_logger
+from ..obs import get_tracer
 
 __all__ = ["ARTIFACT_SCHEMA", "StageArtifact", "ArtifactCache", "default_artifact_cache"]
 
@@ -42,8 +43,6 @@ ARTIFACT_SCHEMA = "repro.stage_artifact/v2"
 #: Environment variable that opts a whole process into on-disk
 #: artifact caching (the CLI's ``--artifact-dir`` equivalent).
 ARTIFACT_DIR_ENV = "REPRO_ARTIFACT_DIR"
-
-_log = get_logger("pipeline.artifact")
 
 
 @dataclass
@@ -150,15 +149,7 @@ class ArtifactCache:
     envelope and evict anything invalid.
     """
 
-    def __init__(self, root: Optional[os.PathLike] = None) -> None:
-        if root is None:
-            root = os.path.join(
-                os.environ.get(
-                    "XDG_CACHE_HOME",
-                    os.path.join(os.path.expanduser("~"), ".cache"),
-                ),
-                "repro",
-            )
+    def __init__(self, root: os.PathLike) -> None:
         self.root = Path(root)
         self.stats = ArtifactStats()
         self._lock = threading.Lock()
@@ -176,7 +167,11 @@ class ArtifactCache:
                 return True  # no root to trust: loads/stores fail as before
             self._trusted = st.st_uid == os.getuid() and not st.st_mode & 0o022
             if not self._trusted:
-                _log.warning("artifact-root-refused", path=str(self.root))
+                warnings.warn(
+                    f"artifact cache root {self.root} refused: another "
+                    "user owns it, or group or others may write it",
+                    RuntimeWarning,
+                )
         return self._trusted
 
     def path_for(self, stage: str, fingerprint: str) -> Path:
@@ -203,7 +198,9 @@ class ArtifactCache:
                 data, expect_fingerprint=fingerprint, expect_stage=stage
             )
         except ValueError as e:
-            _log.info("artifact-evict", path=str(path), error=str(e))
+            get_tracer().instant(
+                "artifact-evict", "pipeline", path=str(path), error=str(e)
+            )
             with self._lock:
                 self.stats.evictions += 1
                 self.stats.misses += 1
@@ -233,7 +230,10 @@ class ArtifactCache:
             tmp.write_bytes(artifact.to_bytes())
             os.replace(tmp, path)
         except OSError as e:
-            _log.info("artifact-store-failed", path=str(path), error=str(e))
+            get_tracer().instant(
+                "artifact-store-failed", "pipeline",
+                path=str(path), error=str(e),
+            )
             with self._lock:
                 self.stats.errors += 1
             try:

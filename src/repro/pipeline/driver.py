@@ -43,7 +43,7 @@ from ..gpu.costmodel import CostReport, estimate_program
 from ..gpu.device import DeviceProfile, NVIDIA_GTX780TI
 from ..gpu.faults import FaultPlan
 from ..backend.validate import validate_host_program
-from ..obs import PassTiming, get_logger, get_metrics, get_tracer
+from ..obs import PassTiming, get_metrics, get_tracer
 from ..obs.irstats import ir_stats
 from ..runtime import ExecutionPolicy, RunReport, run_resilient
 from .artifact import ArtifactCache, StageArtifact, default_artifact_cache
@@ -92,22 +92,14 @@ class _PassGuard:
         self.last_span = None
 
     def _note(self, name: str, phase: str, exc: Exception, action: str) -> None:
-        self.diagnostics.append(
-            PassDiagnostic(name, phase, f"{type(exc).__name__}: {exc}", action)
-        )
+        error = f"{type(exc).__name__}: {exc}"
+        self.diagnostics.append(PassDiagnostic(name, phase, error, action))
         get_metrics().counter(
             "pipeline.rollbacks", pass_name=name, phase=phase
         ).inc()
         get_tracer().instant(
-            f"rollback:{name}",
-            "pipeline",
-            phase=phase,
-            action=action,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-        get_logger("pipeline").info(
-            "pass-guard", pass_name=name, phase=phase, action=action,
-            error=str(exc),
+            f"rollback:{name}", "pipeline",
+            phase=phase, action=action, error=error,
         )
 
     def annotate_last(self, **attrs) -> None:

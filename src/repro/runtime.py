@@ -49,7 +49,7 @@ from .gpu.device import DeviceProfile
 from .gpu.faults import FaultPlan
 from .gpu.simulator import GpuSimulator, InterpRunner
 from .interp import run_program
-from .obs import PassTiming, get_logger, get_metrics, get_tracer
+from .obs import PassTiming, get_metrics, get_tracer
 from .serve.deadline import Deadline
 
 __all__ = [
@@ -319,10 +319,9 @@ def interpreter_floor(
         f"falling back to the reference interpreter after: {error}"
     )
     metrics.counter("runtime.fallbacks").inc()
-    get_logger("runtime").info(
-        "interpreter-fallback", run_id=run_id, after=str(error)
-    )
-    with tracer.span("interpreter-fallback", "runtime", run_id=run_id):
+    with tracer.span(
+        "interpreter-fallback", "runtime", run_id=run_id, after=str(error)
+    ):
         values = run_program(core, args, fname=entry, in_place=in_place)
     # The device never produced a result; the cost report carries
     # nothing (the wasted backoff time is in the run report).
@@ -398,7 +397,6 @@ def run_resilient(
     backoff_rng: Optional[random.Random] = None
     tracer = get_tracer()
     metrics = get_metrics()
-    logger = get_logger("runtime")
 
     with tracer.span(
         "execute",
@@ -463,11 +461,12 @@ def run_resilient(
                 counter, retryable, verdict, gave_up = _FAULTS[kind]
                 if counter is not None:
                     setattr(report, counter, getattr(report, counter) + 1)
-                note = {"error": str(last_error), "run_id": run_id}
-                report.events.append(note["error"])
-                tracer.instant(f"fault:{kind}", "runtime", **note)
+                message = str(last_error)
+                report.events.append(message)
+                tracer.instant(
+                    f"fault:{kind}", "runtime", error=message, run_id=run_id
+                )
                 metrics.counter("runtime.faults", kind=kind).inc()
-                logger.debug("device-fault", kind=kind, **note)
                 if not retryable or attempt == policy.max_retries:
                     report.gave_up_reason = gave_up
                     break

@@ -72,13 +72,7 @@ from ..gpu.costmodel import CostReport, request_price_us, size_env_from_args
 from ..gpu.device import DeviceProfile
 from ..gpu.faults import FaultPlan
 from ..gpu.heap import DeviceHeap
-from ..obs import (
-    get_logger,
-    get_metrics,
-    get_tracer,
-    thread_metering,
-    thread_tracing,
-)
+from ..obs import get_metrics, get_tracer, thread_metering, thread_tracing
 from ..runtime import (
     ExecutionPolicy,
     RunReport,
@@ -90,8 +84,6 @@ from .placer import Placer
 from .shard import BatchInfo, Shard, ShardPlanner, merge_results, slice_args
 
 __all__ = ["PoolDevice", "DevicePool"]
-
-_log = get_logger("sched")
 
 #: Error classes that indicate *device* trouble (worth re-placing on
 #: another device), as opposed to program errors or the request's own
@@ -376,7 +368,6 @@ class DevicePool:
             )
             t.start()
             self._threads.append(t)
-        _log.info("pool-start", devices=len(self.devices))
         return self
 
     def stop(self, timeout: float = 10.0) -> None:
@@ -389,7 +380,6 @@ class DevicePool:
         for t in self._threads:
             t.join(timeout=timeout)
         self._threads.clear()
-        _log.info("pool-stop")
 
     def __enter__(self) -> "DevicePool":
         return self.start()
@@ -801,8 +791,9 @@ class DevicePool:
                 with self._lock:
                     self.counters["replacements"] += 1
                 placement["replacements"] += 1
-                _log.debug(
+                get_tracer().instant(
                     "shard-replaced",
+                    "sched",
                     run_id=run_id,
                     shard=st.shard.index,
                     failed_device=out.device_id,
@@ -823,8 +814,9 @@ class DevicePool:
             with self._lock:
                 self.counters["hedges_launched"] += 1
             placement["hedges_launched"] += 1
-            _log.debug(
+            get_tracer().instant(
                 "hedge-launched",
+                "sched",
                 run_id=run_id,
                 shard=st.shard.index,
                 device=dev.id,

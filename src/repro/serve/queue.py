@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 __all__ = ["AdmissionQueue", "INTERACTIVE_LANE", "BATCH_LANE"]
 
@@ -25,7 +25,7 @@ INTERACTIVE_LANE = "interactive"
 BATCH_LANE = "batch"
 
 #: Drain order: interactive requests always preempt queued batch work.
-_DEFAULT_LANES: Tuple[str, ...] = (INTERACTIVE_LANE, BATCH_LANE)
+_LANES: Tuple[str, ...] = (INTERACTIVE_LANE, BATCH_LANE)
 
 
 class AdmissionQueue:
@@ -34,14 +34,13 @@ class AdmissionQueue:
     def __init__(
         self,
         capacity: int,
-        lanes: Sequence[str] = _DEFAULT_LANES,
         #: At most this many taken or claimed items run at once.
         slots: Optional[int] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("queue capacity must be >= 1")
         self.capacity = capacity
-        self._lanes: Dict[str, deque] = {lane: deque() for lane in lanes}
+        self._lanes: Dict[str, deque] = {lane: deque() for lane in _LANES}
         self._cv = threading.Condition()
         self._closed = False
         self._slots = float("inf") if slots is None else slots

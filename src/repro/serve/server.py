@@ -71,7 +71,7 @@ from ..errors import (
 from ..gpu.costmodel import request_price_us, size_env_from_args
 from ..gpu.device import DeviceProfile, NVIDIA_GTX780TI
 from ..gpu.faults import FaultPlan
-from ..obs import Histogram, get_logger, get_metrics, get_tracer
+from ..obs import Histogram, get_metrics, get_tracer
 from ..obs.flight import FlightRecorder
 from ..pipeline import (
     ArtifactCache,
@@ -105,8 +105,6 @@ _LATENCY_BUCKETS_US: Tuple[float, ...] = tuple(
 #: Requests whose analytic cost estimate is at or below this ride the
 #: interactive priority lane.
 INTERACTIVE_THRESHOLD_US = 50_000.0
-
-_log = get_logger("serve")
 
 _request_ids = itertools.count(1)
 
@@ -391,7 +389,6 @@ class Server:
             t.start()
             self._threads.append(t)
         self.pool.start()
-        _log.info("server-start", workers=len(self._threads))
         return self
 
     def stop(self, timeout: float = 10.0) -> None:
@@ -408,7 +405,6 @@ class Server:
             raise RuntimeError(f"requests failed to finish: {stuck}")
         self._threads.clear()
         self.pool.stop(timeout=timeout)
-        _log.info("server-stop")
 
     def __enter__(self) -> "Server":
         return self.start()

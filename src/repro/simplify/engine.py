@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 
 from ..core import ast as A
 from ..core.traversal import FreeVars
-from ..obs import get_logger
+from ..obs import get_tracer
 from .cse import cse_body
 from .dce import dce_body
 from .hoist import hoist_body
@@ -30,7 +30,7 @@ def _fixpoint(
 ) -> Tuple[A.Body, int]:
     """Run rounds of the four sub-passes until one changes nothing;
     returns the body and the number of rounds run (``_MAX_ROUNDS`` when
-    the iteration was cut off, which is logged)."""
+    the iteration was cut off, which is recorded on the trace)."""
     for rounds in range(1, _MAX_ROUNDS + 1):
         before = body
         body, _ = simplify_body_once(body)
@@ -40,7 +40,7 @@ def _fixpoint(
         body, _ = dce_body(body, free_vars)
         if body is before:
             return body, rounds
-    get_logger("simplify").info("no-fixpoint", rounds=_MAX_ROUNDS)
+    get_tracer().instant("no-fixpoint", "simplify", rounds=_MAX_ROUNDS)
     return body, _MAX_ROUNDS
 
 

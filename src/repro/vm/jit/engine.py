@@ -36,7 +36,7 @@ from ...errors import CompilerBug, ReproError
 from ...gpu.device import DeviceProfile
 from ...gpu.simulator import GpuSimulator, interp_launch
 from ...interp.interpreter import Interpreter
-from ...obs import get_logger, get_metrics, get_tracer
+from ...obs import get_metrics, get_tracer
 from ...pipeline.artifact import StageArtifact, default_artifact_cache
 from ...pipeline.fingerprint import _digest
 from .codegen import JitUnsupported, PYCODE_SCHEMA, transpile_kernel
@@ -51,8 +51,6 @@ __all__ = [
     "LaunchSite",
     "jit_cache_for",
 ]
-
-_log = get_logger("vm.jit")
 
 #: Guards the lazy attach of ``host.jit_cache`` (hosts are shared
 #: across serving threads; the cache itself has its own lock).
@@ -166,8 +164,8 @@ class JitProgramCache:
             try:
                 return self._compile_host(source, cached=True)
             except Exception as ex:  # stale/corrupt source: regenerate
-                _log.debug(
-                    "host-compile-error", entry=self._hp.name,
+                get_tracer().instant(
+                    "host-compile-error", "vm", entry=self._hp.name,
                     error=f"{type(ex).__name__}: {ex}",
                 )
         with get_tracer().span("jit.transpile", "vm", entry=self._hp.name):
@@ -240,22 +238,16 @@ class JitProgramCache:
         metrics = get_metrics()
         with tracer.span(
             "jit.transpile", "vm", kernel=kernel.name, kind=kernel.kind
-        ):
+        ) as span:
             if metrics.enabled:
                 metrics.counter("jit.transpiles", kernel=kernel.name).inc()
             try:
                 source: Optional[str] = transpile_kernel(kernel, sig)
             except JitUnsupported as ex:
-                _log.debug(
-                    "jit-unsupported", kernel=kernel.name, reason=ex.reason
-                )
+                span.set(unsupported=ex.reason)
                 source = None
             except Exception as ex:  # codegen bug: degrade, never fail
-                _log.debug(
-                    "jit-transpile-error",
-                    kernel=kernel.name,
-                    error=f"{type(ex).__name__}: {ex}",
-                )
+                span.set(error=f"{type(ex).__name__}: {ex}")
                 source = None
         self._sources.setdefault(kernel.name, {})[sig_key] = source
         self._persist()
@@ -270,7 +262,7 @@ class JitProgramCache:
         metrics = get_metrics()
         with tracer.span(
             "jit.compile", "vm", kernel=kernel.name, cached=cached
-        ):
+        ) as span:
             try:
                 ns: Dict[str, object] = {}
                 exec(  # noqa: S102 - executing our own generated source
@@ -283,11 +275,7 @@ class JitProgramCache:
                     if kind == "S"
                 )
             except Exception as ex:  # stale/corrupt source: degrade
-                _log.debug(
-                    "jit-compile-error",
-                    kernel=kernel.name,
-                    error=f"{type(ex).__name__}: {ex}",
-                )
+                span.set(error=f"{type(ex).__name__}: {ex}")
                 return None
         if metrics.enabled:
             metrics.counter("jit.compiles", kernel=kernel.name).inc()
@@ -375,10 +363,6 @@ class JitRunner:
         return launch
 
     def _note_fallback(self, kernel, reason: str) -> None:
-        _log.debug(
-            "jit-fallback", kernel=kernel.name, kind=kernel.kind,
-            reason=reason,
-        )
         metrics = get_metrics()
         if metrics.enabled:
             metrics.counter(
