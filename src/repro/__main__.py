@@ -77,7 +77,7 @@ launch with cycle/traffic attributes) loadable in chrome://tracing or
 https://ui.perfetto.dev; ``--metrics-out metrics.json`` dumps the
 counters/histograms; either flag also prints the terminal summary.
 ``--verbose`` prints that summary, with its events section (faults,
-rollbacks, jit hand-overs, shard re-placements, hedges), and writes no
+rollbacks, jit hand-overs, shard re-placements), and writes no
 file.
 """
 
@@ -471,7 +471,6 @@ def cmd_serve_bench(args) -> int:
             f"{breaker.recovery_s:g} s",
             f"retries {server.pool.retries}",
             f"min shard {server.pool.planner.min_shard}",
-            f"hedge floor {server.pool.hedge_min_wall_s:g} s",
         ]
         if args.chaos:
             config.append(
@@ -538,8 +537,6 @@ def cmd_serve_bench(args) -> int:
         f"pool: {len(pool['devices'])} devices, "
         f"{pool['sharded']} sharded / {pool['whole']} whole, "
         f"{pool['shards_executed']} shards, "
-        f"{pool['hedges_launched']} hedges "
-        f"({pool['hedges_won']} won), "
         f"{pool['replacements']} replacements"
     )
     for d in pool["devices"]:  # each with its breaker

@@ -167,10 +167,7 @@ def shard_suite(
             "devices": {},
         }
         for count in device_counts:
-            # A tall hedge floor: this suite measures the *schedule*,
-            # and a spurious hedge would double-count shard work.
-            pool = DevicePool([device] * count, hedge_min_wall_s=30.0)
-            with pool:
+            with DevicePool([device] * count) as pool:
                 values, cost, report, placement = pool.run(
                     compiled.host,
                     compiled.core,

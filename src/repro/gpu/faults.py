@@ -29,7 +29,6 @@ chaos suites and ``serve-bench --chaos`` use.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -65,11 +64,6 @@ class FaultPlan:
     #: A transient condition at one site clears after this many
     #: consecutive injections.
     max_consecutive: int = 2
-    #: Real wall-clock delay (seconds) inserted before every kernel
-    #: launch.  Unlike every other knob — which operates on *simulated*
-    #: time — this one actually sleeps, making the device a wall-clock
-    #: straggler; the pool's hedging layer is tested against it.
-    wall_delay_s: float = 0.0
 
     def injector(self) -> "FaultInjector":
         """A fresh, deterministic injector for one resilient execution
@@ -143,8 +137,6 @@ class FaultInjector:
         """Called before a kernel launch; raises :class:`DeviceFault`
         when the plan injects a launch or memory fault here."""
         plan = self.plan
-        if plan.wall_delay_s > 0.0:
-            time.sleep(plan.wall_delay_s)
         draw = self._rng.random()
         fatal_draw = self._rng.random()
         key = f"{site}#device"

@@ -13,7 +13,7 @@ Two cooperating pieces, both opt-in with no-op defaults:
   fallbacks).
 
 The trace is the one event channel: a fault, a rollback, a jit
-hand-over, a shard re-placement or a hedge is one instant on it, and
+hand-over or a shard re-placement is one instant on it, and
 nothing else records it again.
 
 Exporters (:mod:`repro.obs.export`): Chrome ``trace.json`` for

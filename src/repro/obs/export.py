@@ -9,7 +9,7 @@ Format spec; we emit:
 * ``X`` (complete) events for spans — ``ts``/``dur`` in microseconds,
   attributes under ``args``;
 * ``i`` (instant) events for markers (rollbacks, faults, jit
-  hand-overs, shard re-placements, hedges).
+  hand-overs, shard re-placements).
 
 Wall-clock spans live on the ``main`` track; the GPU simulator emits
 its kernels on per-attempt ``sim-gpu`` tracks stamped with *simulated*
@@ -351,7 +351,7 @@ def summary(
                     ["kernel", "kind", "sim time", "cycles", "bytes", "occ"],
                 )
             )
-        # Faults, rollbacks, jit hand-overs, re-placements and hedges.
+        # Faults, rollbacks, jit hand-overs and re-placements.
         events = list(tracer.instants)
         lines.append("")
         lines.append("== events ==")

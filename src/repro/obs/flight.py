@@ -243,7 +243,7 @@ class FlightRecord:
     error_message: Optional[str] = None
     run_report: Optional[Dict[str, Any]] = None
     #: The device pool's placement decision (mode, candidate scores,
-    #: per-shard assignment/timing, hedges); None when the request
+    #: per-shard assignment/timing); None when the request
     #: never reached the pool or ended in an error.
     placement: Optional[Dict[str, Any]] = None
     #: Why this record was dumped (an error class name or "slo_latency");
@@ -509,8 +509,7 @@ def render_bundle(bundle: Dict[str, Any], top: int = 10) -> str:
             f"mode={placement.get('mode')} "
             f"batch_dim={placement.get('batch_dim')} "
             f"batch={placement.get('batch')} "
-            f"makespan={_fmt_us(placement.get('makespan_us'))} "
-            f"hedges={placement.get('hedges_launched', 0)}"
+            f"makespan={_fmt_us(placement.get('makespan_us'))}"
         )
         shard_rows = [
             [
@@ -518,13 +517,12 @@ def render_bundle(bundle: Dict[str, Any], top: int = 10) -> str:
                 f"[{s.get('lo')}:{s.get('hi')})",
                 str(s.get("device")),
                 _fmt_us(s.get("sim_us")),
-                "yes" if s.get("hedge_won") else "",
             ]
             for s in placement.get("shards") or []
         ]
         if shard_rows:
             lines.extend(
-                _table(shard_rows, ["shard", "rows", "dev", "sim", "hedge"])
+                _table(shard_rows, ["shard", "rows", "dev", "sim"])
             )
     trace = bundle.get("trace") or {}
     events = [

@@ -118,12 +118,6 @@ class ExecutionPolicy:
     fallback: bool = True
     #: Which engine computes kernel values: one of :data:`EXECUTORS`.
     executor: str = DEFAULT_EXECUTOR
-    #: Cap on the *cumulative* backoff spent across all retries,
-    #: microseconds (None = unlimited).  When a deadline is supplied to
-    #: :func:`run_resilient` the effective cap is further clamped to
-    #: the deadline's remaining budget, so retries never outlive the
-    #: request.
-    retry_budget_us: Optional[float] = None
 
     def __post_init__(self) -> None:
         check_executor(self.executor)
@@ -470,16 +464,14 @@ def run_resilient(
                 if not retryable or attempt == policy.max_retries:
                     report.gave_up_reason = gave_up
                     break
-                # The remaining backoff budget: the policy's cumulative
-                # cap and (tighter) the deadline's remaining wall time.
-                budget = float("inf")
-                if policy.retry_budget_us is not None:
-                    budget = policy.retry_budget_us - report.backoff_us
-                if deadline is not None:
-                    budget = min(budget, deadline.remaining_us())
+                # The remaining backoff budget: the deadline's
+                # remaining wall time.
+                budget = (
+                    float("inf") if deadline is None
+                    else deadline.remaining_us()
+                )
                 if budget <= 0.0:
-                    # (When it was the deadline that ran the budget
-                    # out, the floor says so.)
+                    # (The deadline has expired: the floor says so.)
                     report.gave_up_reason = "retry budget exhausted"
                     report.events.append(
                         "retry budget exhausted: stopped retrying "

@@ -28,6 +28,10 @@ from .shard import Shard, ShardPlanner
 
 __all__ = ["Plan", "Placer"]
 
+#: The share of its estimate a device that already ran the program's
+#: compile-cache key is let off when the placer scores it.
+AFFINITY_BONUS = 0.15
+
 
 @dataclass(frozen=True)
 class Plan:
@@ -61,15 +65,10 @@ class Plan:
 class Placer:
     """Least-predicted-completion choice between whole and k-way."""
 
-    def __init__(self, affinity_bonus: float = 0.15) -> None:
-        if not 0.0 <= affinity_bonus < 1.0:
-            raise ValueError("affinity_bonus must be in [0, 1)")
-        self.affinity_bonus = affinity_bonus
-
     def score(
         self, backlog_us: float, est_us: float, affinity: bool
     ) -> float:
-        factor = 1.0 - (self.affinity_bonus if affinity else 0.0)
+        factor = 1.0 - (AFFINITY_BONUS if affinity else 0.0)
         return backlog_us + est_us * factor
 
     def _priced(self, shards, by_id, price) -> Optional[Plan]:

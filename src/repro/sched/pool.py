@@ -1,4 +1,4 @@
-"""The device pool: N simulated devices, placement, sharding, hedging.
+"""The device pool: N simulated devices, placement, sharding.
 
 A :class:`DevicePool` owns N heterogeneous simulated devices (a
 :class:`repro.serve.Server` runs every request on one, with one server
@@ -23,34 +23,31 @@ the ``gpu.dev{id}`` trace track and metrics under ``gpu.dev{id}.*``.
   is idle (booked atomically, so two callers never both take it) or
   is the only healthy one; a task for a busy device, and every shard
   of a split, goes to that device's worker;
-- a task that exceeds the cost model's predicted wall time by
-  :data:`HEDGE_FACTOR` gets a **hedged duplicate** on another device;
 - a task whose device *fails* (after the resilient executor's own
   retries) or *refuses* (its breaker is open) is re-placed on another
   healthy device; only when every device has failed or refused does
   the request leave the devices — for the interpreter floor
   (``fallback=True``) or as the typed error.
 
-Every task runs through :meth:`DevicePool._run_task`, under its
-device's run lock, and one rule picks a shard's winner: the first of
-its tasks to finish it successfully closes the shard and wins
-(:meth:`DevicePool._record`, under the pool lock, on whichever thread
-ran the task).  A request that gives up closes all its shards.  Each
-task has a checkpoint in its deadline's place, which the attempt loop
-and the device's books check before every attempt and every launch:
-a task of a closed shard is skipped if it has not started and stops
-at its next launch boundary if it has, and the caller launches the
-hedge of a task it runs itself from there once due.  The pool keeps
-no retry or breaker logic of its own: the task hands its device's
-breaker to :func:`repro.runtime.run_resilient`, which claims and
-releases it around the attempt it runs (so a task skipped before it
-starts never touches it, and one stopped part-way counts as neutral);
-the coordinator only *reads* breaker state, and its floor is the
-loop's own.
+A shard has one live task at a time: the next is launched only after
+the last one failed on its device.  Every task runs through
+:meth:`DevicePool._run_task`, under its device's run lock, and its
+success closes its shard (:meth:`DevicePool._record`, under the pool
+lock, on whichever thread ran the task).  A request that gives up
+closes all its shards.  Each task has a checkpoint in its deadline's
+place, which the attempt loop and the device's books check before
+every attempt and every launch: a task of a closed shard is skipped if
+it has not started and stops at its next launch boundary if it has.
+The pool keeps no retry or breaker logic of its own: the task hands
+its device's breaker to :func:`repro.runtime.run_resilient`, which
+claims and releases it around the attempt it runs (so a task skipped
+before it starts never touches it, and one stopped part-way counts as
+neutral); the coordinator only *reads* breaker state, and its floor is
+the loop's own.
 
-A pool is built from its ``profiles``, their ``fault_plans`` and a
-``hedge_min_wall_s`` floor; each other setting has one home, the part
-that reads it — ``devices[i].breaker`` (a default
+A pool is built from its ``profiles`` and their ``fault_plans``; each
+other setting has one home, the part that reads it —
+``devices[i].breaker`` (a default
 :class:`~repro.serve.breaker.CircuitBreaker`), ``planner`` (a default
 :class:`ShardPlanner`), ``placer`` (a default :class:`Placer`) and
 ``retries`` (:data:`RETRIES`).  A caller that needs another swaps the
@@ -90,10 +87,6 @@ __all__ = ["PoolDevice", "DevicePool"]
 #: deadline.
 _DEVICE_ERRORS = (DeviceFault, DeviceOOM, KernelTimeout)
 
-#: A task is hedged once it has run this many times the wall time the
-#: cost model predicts for it.
-HEDGE_FACTOR = 4.0
-
 #: Retries after a task's first attempt on its device, before the
 #: task is re-placed (or the request leaves the devices).
 RETRIES = 2
@@ -107,22 +100,17 @@ class _Cancelled(Exception):
 
 
 class _ShardState:
-    """One shard of a request and the race to finish it: the devices
-    tried, the hedge time, the replacement count, and — set once, under
-    the pool lock, by whichever task finishes the shard first — the
-    ``closed`` flag and the winning outcome.  A request that gives up
-    closes its shards without a winner.  Every task of the shard points
-    here."""
+    """One shard of a request: the devices tried, the replacement
+    count, and — set once, under the pool lock, by the task that
+    finishes the shard — the ``closed`` flag and the winning outcome.
+    A request that gives up closes its shards without a winner.  Every
+    task of the shard points here."""
 
-    __slots__ = ("shard", "tried", "hedge_at", "replacements", "closed",
-                 "winner")
+    __slots__ = ("shard", "tried", "replacements", "closed", "winner")
 
     def __init__(self, shard: Shard, dev_id: int) -> None:
         self.shard = shard
         self.tried = {dev_id}
-        #: When to launch the shard's one hedge; inf once launched (or
-        #: with nothing to hedge on).
-        self.hedge_at = math.inf
         self.replacements = 0
         self.closed = False
         self.winner: Optional[_Outcome] = None
@@ -131,20 +119,16 @@ class _ShardState:
 class _Checkpoint:
     """What a task's run checks, in its request deadline's place,
     before every attempt and every kernel launch (the attempt loop and
-    the device's books check a deadline there): ``poll`` first (the
-    hedge monitor of a task the caller runs), then whether its shard is
+    the device's books check a deadline there): whether its shard is
     closed, then the request's deadline."""
 
-    __slots__ = ("deadline", "state", "poll")
+    __slots__ = ("deadline", "state")
 
     def __init__(self, deadline, state: _ShardState) -> None:
         self.deadline = deadline
         self.state = state
-        self.poll = None
 
     def check(self, where: str) -> None:
-        if self.poll is not None:
-            self.poll()
         if self.state.closed:
             raise _Cancelled(where)
         if self.deadline is not None:
@@ -171,7 +155,6 @@ class _Task:
     #: pass_timings.
     shared: Dict[str, Any]
     est_us: float
-    hedge: bool
     #: Handed to ``run_resilient`` as the task's deadline; its
     #: ``state`` is the task's shard.
     checkpoint: _Checkpoint
@@ -190,7 +173,6 @@ class _Outcome:
     cyclic garbage collector ran."""
 
     device_id: int
-    hedge: bool
     values: Optional[Tuple[Value, ...]] = None
     cost: Optional[CostReport] = None
     report: Optional[RunReport] = None
@@ -212,7 +194,6 @@ def _shard_record(st: _ShardState) -> Dict[str, Any]:
         "device": out.device_id,
         "sim_us": out.sim_us,
         "wall_s": out.wall_s,
-        "hedge_won": out.hedge,
         "replacements": st.replacements,
     }
 
@@ -245,10 +226,6 @@ class PoolDevice:
         self.busy_us = 0.0
         self.executed = 0
         self.failures = 0
-        #: EMA of wall seconds per simulated µs on this device — the
-        #: bridge from cost-model predictions to wall-clock hedge
-        #: deadlines.  None until the first completed task.
-        self.wall_per_sim: Optional[float] = None
         self.queue: "queue_mod.Queue[Optional[_Task]]" = queue_mod.Queue()
         #: Held for a whole task on any thread: one run per heap at a time.
         self.run_lock = threading.Lock()
@@ -278,7 +255,6 @@ class PoolDevice:
 
     def snapshot(self) -> Dict[str, Any]:
         with self.lock:
-            wall_per_sim = self.wall_per_sim
             backlog_us = self.backlog_us
             busy_us = self.busy_us
             executed = self.executed
@@ -294,7 +270,6 @@ class PoolDevice:
             "busy_us": busy_us,
             "backlog_us": backlog_us,
             "programs_seen": seen,
-            "wall_per_sim_us": wall_per_sim,
             "heap_lifetime": {
                 "runs": life.runs,
                 "alloc_count": life.alloc_count,
@@ -312,8 +287,6 @@ class DevicePool:
         self,
         profiles: Sequence[DeviceProfile],
         fault_plans: Optional[Sequence[Optional[FaultPlan]]] = None,
-        #: The wall-clock floor of a hedge budget, seconds.
-        hedge_min_wall_s: float = 1.0,
     ) -> None:
         if not profiles:
             raise ValueError("a device pool needs at least one device")
@@ -334,16 +307,12 @@ class DevicePool:
         self.name = f"pool({len(self.devices)} devices)"
         self.planner = ShardPlanner()
         self.placer = Placer()
-        self.hedge_min_wall_s = hedge_min_wall_s
         self.retries = RETRIES
         self.counters: Dict[str, int] = {
             "requests": 0,
             "sharded": 0,
             "whole": 0,
             "shards_executed": 0,
-            "hedges_launched": 0,
-            "hedges_won": 0,
-            "hedges_wasted": 0,
             "cancelled_before_start": 0,
             "stopped_mid_flight": 0,
             "replacements": 0,
@@ -408,17 +377,17 @@ class DevicePool:
                 with self._lock:
                     self.counters["cancelled_before_start"] += 1
                 dev.settle(task.est_us)
-                return _Outcome(dev.id, task.hedge, cancelled=True)
+                return _Outcome(dev.id, cancelled=True)
             outcome = self._execute(dev, task)
             self._record(dev, task, outcome)
         return outcome
 
     def _execute(self, dev: PoolDevice, task: _Task) -> _Outcome:
-        outcome = _Outcome(dev.id, task.hedge)
+        outcome = _Outcome(dev.id)
         shard = task.checkpoint.state.shard
         t0 = time.monotonic()
         with get_tracer().span(
-            f"shard#{shard.index}" + (" (hedge)" if task.hedge else ""),
+            f"shard#{shard.index}",
             "sched",
             track=dev.trace_track,
             run_id=task.run_id,
@@ -452,9 +421,9 @@ class DevicePool:
     def _record(
         self, dev: PoolDevice, task: _Task, outcome: _Outcome
     ) -> None:
-        """Book a finished run on its device and into its shard: the
-        first success closes the shard and wins it, a later one is a
-        wasted duplicate."""
+        """Book a finished run on its device and into its shard: a
+        success closes the shard and wins it, unless the request has
+        already given up."""
         dev.settle(task.est_us)
         with dev.lock:
             if outcome.cancelled:
@@ -464,13 +433,6 @@ class DevicePool:
                 dev.busy_us += outcome.sim_us
                 if task.key is not None:
                     dev.seen_keys.add(task.key)
-                if outcome.sim_us > 0:
-                    obs = outcome.wall_s / outcome.sim_us
-                    dev.wall_per_sim = (
-                        obs
-                        if dev.wall_per_sim is None
-                        else 0.5 * dev.wall_per_sim + 0.5 * obs
-                    )
             else:
                 dev.failures += 1
         st = task.checkpoint.state
@@ -482,10 +444,6 @@ class DevicePool:
                 pass  # for the coordinator: re-place it or give up
             elif not st.closed:
                 st.closed, st.winner = True, outcome
-                if task.hedge:
-                    self.counters["hedges_won"] += 1
-            elif st.winner is not None:
-                self.counters["hedges_wasted"] += 1
 
     # -- placement helpers --------------------------------------------------
 
@@ -515,18 +473,6 @@ class DevicePool:
         healthy = [d for d in self._healthy() if d.id not in tried]
         return min(healthy, key=lambda d: (d.backlog_us, d.id), default=None)
 
-    def _hedge_budget_s(self, dev: PoolDevice, est_us: float) -> float:
-        """How long a task on ``dev`` may run (wall clock) before a
-        hedged duplicate is launched: the cost model's predicted time,
-        converted with the device's observed wall-per-simulated-µs
-        rate, times :data:`HEDGE_FACTOR` — floored so cold pools and
-        tiny requests don't hedge spuriously."""
-        with dev.lock:
-            rate = dev.wall_per_sim
-        if rate is None or est_us <= 0.0:
-            return self.hedge_min_wall_s
-        return max(est_us * rate * HEDGE_FACTOR, self.hedge_min_wall_s)
-
     # -- the request path ---------------------------------------------------
 
     def run(
@@ -551,7 +497,7 @@ class DevicePool:
 
         Returns ``(values, cost, report, placement)`` where
         ``placement`` is a JSON-serialisable record of the decision
-        (candidates, scores, shards, hedges, makespan) for the flight
+        (candidates, scores, shards, makespan) for the flight
         recorder.  When every device has failed or refused, the
         request ends on :func:`repro.runtime.interpreter_floor`:
         ``fallback`` decides between the interpreter's values and the
@@ -639,8 +585,6 @@ class DevicePool:
             ],
             "shards": [],
             "makespan_us": 0.0,
-            "hedges_launched": 0,
-            "hedges_won": 0,
             "replacements": 0,
         }
         shared = dict(
@@ -691,23 +635,20 @@ class DevicePool:
 
         A whole placement runs on the caller's thread when its device
         is idle or is the only healthy one; every other task goes to its
-        device's worker.  The caller's task launches its hedge from its
-        checkpoint once due, and a hedge that wins closes the shard,
-        which stops the caller's run at its next launch.  Whatever is
-        still open when the task returns — a re-placement after a
-        device error, a hedge in flight — goes on in the coordinator
-        loop below."""
+        device's worker.  A task that failed on its device is re-placed
+        from the coordinator loop below, which takes each shard's
+        outcomes until it is won."""
         #: The workers' outbox, made with the first task one is handed.
         results: "Optional[queue_mod.Queue[Tuple[_Task, _Outcome]]]" = None
 
-        def make_task(st: _ShardState, dev: PoolDevice, hedge: bool) -> _Task:
+        def make_task(st: _ShardState, dev: PoolDevice) -> _Task:
             shard = st.shard
             if batch_info is not None:
                 task_args = slice_args(args, batch_info, shard.lo, shard.hi)
-                suffix = f"/s{shard.index}" + ("h" if hedge else "")
+                suffix = f"/s{shard.index}"
             else:
                 task_args = args
-                suffix = "/h" if hedge else ""
+                suffix = ""
             return _Task(
                 run_id=f"{run_id}{suffix}",
                 args=task_args,
@@ -715,7 +656,6 @@ class DevicePool:
                 # An unpriceable program still runs, just without a
                 # meaningful estimate.
                 est_us=price(dev.id, shard.size) or 0.0,
-                hedge=hedge,
                 checkpoint=_Checkpoint(deadline, st),
                 results=None,
                 tracer=None,
@@ -733,14 +673,13 @@ class DevicePool:
             task.tracer, task.metrics = get_tracer(), get_metrics()
             dev.queue.put(task)
 
-        def launch(st: _ShardState, hedge: bool) -> Optional[PoolDevice]:
+        def replace(st: _ShardState) -> Optional[PoolDevice]:
             """Admit a device the shard has not tried, make its task
-            there, book and submit it; None when no device is left.
-            Serves a hedge and a re-placement alike."""
+            there, book and submit it; None when no device is left."""
             dev = self._admit(None, st.tried)
             if dev is not None:
                 st.tried.add(dev.id)
-                task = make_task(st, dev, hedge)
+                task = make_task(st, dev)
                 dev.book(task.est_us)
                 submit(dev, task)
             return dev
@@ -757,11 +696,7 @@ class DevicePool:
                 )
             st = _ShardState(shard, dev.id)
             states.append(st)
-            task = make_task(st, dev, hedge=False)
-            if not alone:  # (nothing to hedge on with one healthy device)
-                st.hedge_at = time.monotonic() + self._hedge_budget_s(
-                    dev, task.est_us
-                )
+            task = make_task(st, dev)
             idle = dev.book(task.est_us)
             if len(shards) == 1 and (idle or alone):
                 # Alone: no other device, so wait for its run lock here.
@@ -771,19 +706,17 @@ class DevicePool:
         pending = len(shards)
 
         def take(task: _Task, out: _Outcome) -> None:
-            """Settle one finished task's outcome into the request."""
+            """Settle one finished task's outcome into the request.  (A
+            task is only skipped or stopped once the request has given
+            up, and then nothing takes its outcome.)"""
             nonlocal pending
             st = task.checkpoint.state
             if st.winner is out:
                 pending -= 1
-                if out.hedge:
-                    placement["hedges_won"] += 1
-            elif st.closed:
-                pass  # skipped, stopped, or finished after the winner
             elif isinstance(out.error, _DEVICE_ERRORS):
                 # Re-place the shard on another healthy device; the
                 # error only propagates when every device failed.
-                dev = launch(st, task.hedge)
+                dev = replace(st)
                 if dev is None:
                     self._abort(states)
                     raise out.error
@@ -804,53 +737,17 @@ class DevicePool:
                 self._abort(states)
                 raise out.error
 
-        def launch_hedge(st: _ShardState) -> None:
-            """Straggler mitigation: one duplicate of a shard past its
-            hedge time, on a device it has not tried."""
-            st.hedge_at = math.inf  # one hedge per shard, tops
-            dev = launch(st, hedge=True)
-            if dev is None:
-                return
-            with self._lock:
-                self.counters["hedges_launched"] += 1
-            placement["hedges_launched"] += 1
-            get_tracer().instant(
-                "hedge-launched",
-                "sched",
-                run_id=run_id,
-                shard=st.shard.index,
-                device=dev.id,
-            )
-
         if inline is not None:
-            (mine,) = states
-
-            def poll() -> None:
-                if time.monotonic() >= mine.hedge_at:
-                    launch_hedge(mine)
-
-            if not alone:
-                inline.checkpoint.poll = poll
             take(inline, self._run_task(dev, inline))  # the one device
 
         while pending > 0:
             if deadline is not None and deadline.expired:
                 self._abort(states)
                 raise DeadlineExceeded(f"{run_id} in the device pool")
-            now = time.monotonic()
-            next_hedge = min(
-                (st.hedge_at for st in states if not st.closed),
-                default=math.inf,
-            )
-            timeout = min(max(next_hedge - now, 0.01), 0.5)
             try:
-                take(*results.get(timeout=timeout))
+                take(*results.get(timeout=0.5))
             except queue_mod.Empty:
-                pass
-            now = time.monotonic()
-            for st in states:
-                if not st.closed and now >= st.hedge_at:
-                    launch_hedge(st)
+                pass  # look at the deadline again
 
         if len(states) == 1:
             # A whole placement answers with its winning run's own
@@ -905,6 +802,8 @@ class DevicePool:
         return {
             "devices": [d.snapshot() for d in self.devices],
             "min_shard": self.planner.min_shard,
-            "hedge_factor": HEDGE_FACTOR,
             **counters,
+            # Nothing is hedged; benchmarks/e2e/probes.py still reads
+            # this key.
+            "hedges_launched": 0,
         }

@@ -33,15 +33,15 @@ wired in:
   and the reference-interpreter floor cannot suffer device faults, so
   a request only fails outright on a *program* error (or its own
   deadline).  With one healthy device the request runs on the thread
-  that holds its slot; with more, the pool places, shards, re-places
-  and hedges (see :mod:`repro.sched`).  Fault injection is per device
+  that holds its slot; with more, the pool places, shards and
+  re-places (see :mod:`repro.sched`).  Fault injection is per device
   too: ``fault_plans`` is aligned with ``devices``.
 
 A server states only its own settings: ``queue_capacity``, ``options``,
 ``fallback``, ``flight_recorder``, ``devices``, ``fault_plans`` and
 ``artifact_cache``.  The device step's settings — each device's
-breaker, the retry count, the shard floor, the placer and the hedge
-floor — belong to the pool's parts (see :mod:`repro.sched.pool`), with
+breaker, the retry count, the shard floor and the placer — belong to
+the pool's parts (see :mod:`repro.sched.pool`), with
 each part's own defaults; to change one, swap the attribute on
 ``server.pool`` before :meth:`Server.start`.
 
@@ -354,7 +354,7 @@ class Server:
             "deadline_exceeded": 0,
             "errors": 0,
         }
-        #: Breakers, retries, sharding and hedging are the pool's own
+        #: Breakers, retries, sharding and placement are the pool's own
         #: settings: swap ``pool``'s attribute before :meth:`start`.
         self.pool = DevicePool(devices, fault_plans=fault_plans)
         #: Every handle this server issues carries this token.

@@ -149,37 +149,6 @@ class TestGenerousDeadline:
 class TestRetryBudget:
     FLAKY = FaultPlan(seed=5, launch_failure_rate=1.0, max_consecutive=2)
 
-    def test_zero_budget_stops_retries(self, compiled):
-        # Every launch fails; with no backoff budget the executor must
-        # give up after the first attempt and fall back.
-        values, _cost, report = _run(
-            compiled,
-            fault_plan=self.FLAKY,
-            policy=ExecutionPolicy(retry_budget_us=0.0, fallback=True),
-        )
-        assert report.attempts == 1
-        assert report.retries == 0
-        assert report.gave_up_reason == "retry budget exhausted"
-        assert report.fallbacks == 1
-        assert list(values[0].data) == [3.0, 5.0, 7.0, 9.0]
-
-    def test_budget_caps_cumulative_backoff(self, compiled):
-        budget = 120.0
-        _values, _cost, report = _run(
-            compiled,
-            fault_plan=self.FLAKY,
-            policy=ExecutionPolicy(
-                retry_budget_us=budget, fallback=True, max_retries=8
-            ),
-        )
-        assert report.backoff_us <= budget
-        # The budget bit before the retry limit did.
-        assert report.retries < 8
-        assert report.gave_up_reason in (
-            "retry budget exhausted",
-            None,
-        )
-
     def test_unlimited_budget_retries_through(self, compiled):
         # max_consecutive=2 means the transient clears: with free
         # retries the device eventually succeeds, no fallback.

@@ -32,7 +32,7 @@ def split_friendly(profile):
 def tune(target, *, breaker=None, **attrs):
     """Swap settings on a device pool, or on a server's pool, before it
     starts, and return ``target``.  Each keyword names a pool attribute
-    (``retries``, ``hedge_min_wall_s``, ``planner``, ``placer``);
+    (``retries``, ``planner``, ``placer``);
     ``breaker`` is the keyword arguments of a fresh
     :class:`CircuitBreaker` for every device."""
     pool = getattr(target, "pool", target)

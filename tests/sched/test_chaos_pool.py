@@ -58,7 +58,6 @@ def test_pool_survives_one_totally_broken_device():
         DevicePool(
             [EAGER] * 4,
             fault_plans=[BROKEN, None, None, None],
-            hedge_min_wall_s=30.0,
         ),
         # Stays open for the whole test.
         breaker=dict(failure_threshold=2, recovery_s=600.0),
@@ -118,9 +117,7 @@ def test_sharded_request_heals_across_replacement():
         entry="main", run_id="heal-base",
     )
     with tune(
-        DevicePool(
-            [EAGER] * 3, fault_plans=[BROKEN, None, None], hedge_min_wall_s=30.0
-        ),
+        DevicePool([EAGER] * 3, fault_plans=[BROKEN, None, None]),
         planner=ShardPlanner(16),
         retries=1,
     ) as pool:

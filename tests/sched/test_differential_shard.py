@@ -57,7 +57,7 @@ def test_pool_results_are_bit_identical(name, executor):
         # A 2-row shard floor so even small-scale batches may shard on
         # the multi-device pools.
         with tune(
-            DevicePool(POOL_PROFILES[:count], hedge_min_wall_s=30.0),
+            DevicePool(POOL_PROFILES[:count]),
             planner=ShardPlanner(2),
         ) as pool:
             values, _, report, placement = pool.run(

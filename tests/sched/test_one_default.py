@@ -5,15 +5,21 @@ A :class:`~repro.serve.Server` states only its own settings and a
 breaker, shard floor and placer of a default pool are those classes'
 own defaults, and no constructor passes them through.  A caller that
 needs another value swaps the pool's attribute before it starts.
-The environment holds one setting too: the artifact cache's root.
+A fault plan and an execution policy hold only their own fields (no
+wall-clock fault, one retry cap).  The environment holds one setting
+too: the artifact cache's root.
 """
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
 import repro
+from repro.gpu.faults import FaultPlan
+from repro.runtime import ExecutionPolicy
 from repro.sched import DevicePool, Placer, ShardPlanner
+from repro.sched import placer as placer_mod
 from repro.sched import pool as pool_mod
 from repro.serve import Server
 from repro.serve.breaker import CircuitBreaker
@@ -28,7 +34,8 @@ def test_a_default_server_pool_uses_each_part_default():
         assert dev.breaker.failure_threshold == stock.failure_threshold
         assert dev.breaker.recovery_s == stock.recovery_s
     assert pool.planner.min_shard == ShardPlanner().min_shard
-    assert pool.placer.affinity_bonus == Placer().affinity_bonus
+    assert type(pool.placer) is Placer
+    assert pool.placer.score(0.0, 1.0, True) == 1.0 - placer_mod.AFFINITY_BONUS
     assert pool.retries == pool_mod.RETRIES
 
 
@@ -41,13 +48,25 @@ def test_no_constructor_passes_a_part_setting_through():
         "queue_capacity", "options", "fallback", "flight_recorder",
         "devices", "fault_plans", "artifact_cache",
     ]
-    assert _params(DevicePool.__init__) == [
-        "profiles", "fault_plans", "hedge_min_wall_s",
-    ]
+    assert _params(DevicePool.__init__) == ["profiles", "fault_plans"]
     assert _params(DevicePool.run) == [
         "host", "core", "args", "executor", "entry", "run_id",
         "coalescing", "in_place", "deadline", "batch_info", "key",
         "pass_timings", "fallback", "size_env",
+    ]
+
+
+def _fields(cls):
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+def test_a_fault_plan_and_a_policy_hold_only_their_own_fields():
+    assert _fields(FaultPlan) == [
+        "seed", "launch_failure_rate", "memory_fault_rate",
+        "timeout_rate", "fatal_rate", "max_consecutive",
+    ]
+    assert _fields(ExecutionPolicy) == [
+        "max_retries", "fallback", "executor",
     ]
 
 

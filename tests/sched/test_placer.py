@@ -20,6 +20,7 @@ from repro.sched import (
     ShardPlanner,
     analyze_shardable,
 )
+from repro.sched.placer import AFFINITY_BONUS
 
 LAUNCH_US = 35.0
 
@@ -157,20 +158,20 @@ def test_a_request_that_is_not_shardable_is_placed_whole():
 
 
 def test_the_record_prices_a_split_at_one_launch_per_extra_shard():
-    chosen, considered = Placer(affinity_bonus=0.25).plan(
+    chosen, considered = Placer().plan(
         [device(0, backlog_us=8.0, affinity=True), device(1, launch_us=60.0)],
         linear(10.0, 1.0), 1024, ShardPlanner(256),
     )
     assert chosen.record() == {
         "k": 2,
         "devices": [0, 1],
-        # Device 0: 8 + 522 * 0.75 = 399.5; device 1: 522.
+        # Device 0: 8 + 522 * 0.85 = 451.7; device 1: 522.
         "makespan_us": 522.0,
         "split_cost_us": 60.0,
         "completion_us": 582.0,
     }
     assert [p.record()["completion_us"] for p in considered] == [
-        8.0 + 1034.0 * 0.75, 1034.0, 582.0,
+        8.0 + 1034.0 * (1.0 - AFFINITY_BONUS), 1034.0, 582.0,
     ]
 
 

@@ -1,8 +1,6 @@
 """Unit tests for the placer and the device pool: placement scoring,
-whole-request and sharded execution, failure re-placement, and hedged
-straggler duplicates."""
+whole-request and sharded execution, and failure re-placement."""
 
-import queue
 import threading
 import time
 
@@ -77,7 +75,7 @@ def _device(dev_id, backlog_us=0.0, affinity=False):
 
 
 def test_choose_prefers_least_completion_time():
-    placer = Placer(affinity_bonus=0.2)
+    placer = Placer()
     candidates = [_device(0, backlog_us=500.0), _device(1)]
     chosen, _ = placer.plan(candidates, lambda dev, rows: 100.0)
     assert chosen.devices == [1]
@@ -90,13 +88,6 @@ def test_choose_prefers_least_completion_time():
     chosen, _ = placer.plan(candidates, lambda dev, rows: 100.0)
     assert chosen.devices == [1]
     # (The whole-vs-split decision table is tests/sched/test_placer.py.)
-
-
-def test_affinity_bonus_validation():
-    with pytest.raises(ValueError):
-        Placer(affinity_bonus=1.0)
-    with pytest.raises(ValueError):
-        Placer(affinity_bonus=-0.1)
 
 
 # -- DevicePool: happy paths ------------------------------------------------
@@ -300,35 +291,6 @@ def test_cancelled_task_does_not_wedge_the_breaker(backprop):
     assert all(values_equal(a, b) for a, b in zip(baseline, values))
 
 
-# -- DevicePool: hedging ----------------------------------------------------
-
-
-def test_straggler_is_hedged_and_hedge_wins(backprop):
-    compiled, _, args, baseline, key = backprop
-    # Device 0 sleeps 150ms of real wall time before every kernel
-    # launch; with a 30ms hedge floor the monitor duplicates the work
-    # onto device 1, which finishes first.
-    straggler = FaultPlan(seed=0, wall_delay_s=0.15)
-    with DevicePool(
-        [NVIDIA_GTX780TI, NVIDIA_GTX780TI],
-        fault_plans=[straggler, None],
-        hedge_min_wall_s=0.03,
-    ) as pool:
-        values, _, report, placement = pool.run(
-            compiled.host, compiled.core, args,
-            executor="sim", entry="main", run_id="hedged",
-            batch_info=None, key=key,
-        )
-    assert placement["hedges_launched"] == 1
-    assert placement["hedges_won"] == 1
-    assert placement["shards"][0]["device"] == 1
-    assert placement["shards"][0]["hedge_won"] is True
-    assert all(values_equal(a, b) for a, b in zip(baseline, values))
-    stats = pool.stats()
-    assert stats["hedges_launched"] == 1
-    assert stats["hedges_won"] == 1
-
-
 # -- DevicePool: backlog bookkeeping ----------------------------------------
 
 
@@ -400,46 +362,6 @@ def test_backlog_settles_to_exactly_zero():
     for est in (0.1, 0.2, 0.3):
         dev.settle(est)
     assert dev.backlog_us == 0.0 and dev.queued == 0
-
-
-def test_hedge_cancelled_before_start_settles_its_backlog(backprop):
-    """The cancelled-before-start path and the completed path take a
-    task's estimate off the backlog the same way."""
-    compiled, _, args, baseline, key = backprop
-
-    class GatedQueue(queue.Queue):
-        gate = threading.Event()
-
-        def get(self, *a, **kw):
-            self.gate.wait(30.0)
-            return super().get(*a, **kw)
-
-    # Device 0 straggles (150 ms of wall time per launch), so its task
-    # is hedged onto device 1 — whose worker is held at its queue, so
-    # the original wins and the duplicate is cancelled before it starts.
-    pool = DevicePool(
-        [NVIDIA_GTX780TI, NVIDIA_GTX780TI],
-        fault_plans=[FaultPlan(seed=0, wall_delay_s=0.15), None],
-        hedge_min_wall_s=0.03,
-    )
-    pool.devices[1].queue = GatedQueue()
-    with pool:
-        try:
-            values, _, _, placement = pool.run(
-                compiled.host, compiled.core, args,
-                executor="sim", entry="main", run_id="cancelled-hedge",
-                batch_info=None, key=key,
-            )
-            assert placement["hedges_launched"] == 1
-            assert placement["hedges_won"] == 0
-            assert placement["shards"][0]["device"] == 0
-            assert pool.devices[1].backlog_us > 0.0  # still queued
-        finally:
-            GatedQueue.gate.set()
-        _wait_for(lambda: pool.stats()["cancelled_before_start"] == 1)
-        assert [d.backlog_us for d in pool.devices] == [0.0, 0.0]
-        assert [d.queued for d in pool.devices] == [0, 0]
-    assert all(values_equal(a, b) for a, b in zip(baseline, values))
 
 
 def test_pool_validates_construction():

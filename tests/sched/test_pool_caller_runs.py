@@ -3,11 +3,8 @@ on the thread that called :meth:`DevicePool.run`.
 
 The device is claimed atomically, so two callers never both run on the
 same idle one; a task on a busy device, and every shard of a split,
-still goes to the device workers.  The caller watches its own task from
-the task's checkpoint, which runs at every launch boundary: the hedge
-is launched from there, and the caller's run stops once the hedge has
-won.  A device error on the caller's run is re-placed by the same
-coordinator loop a worker's would be.  The stress test takes its
+still goes to the device workers.  A device error on the caller's run
+is re-placed by the same coordinator loop a worker's would be.  The stress test takes its
 interleaving seeds from ``CHAOS_SEEDS`` (default ``0,1,2``; CI's
 ``chaos`` job runs three more).
 """
@@ -26,7 +23,7 @@ from repro.bench.suite import BENCHMARKS
 from repro.core.values import values_equal
 from repro.errors import DeadlineExceeded
 from repro.gpu.device import NVIDIA_GTX780TI
-from repro.gpu.faults import FaultInjector, FaultPlan
+from repro.gpu.faults import FaultPlan
 from repro.obs import Tracer, thread_tracing
 from repro.pipeline import compile_cache_key, compile_program
 from repro.runtime import ExecutionPolicy, run_resilient
@@ -41,10 +38,6 @@ SEEDS = [int(s) for s in os.environ.get("CHAOS_SEEDS", "0,1,2").split(",")]
 BROKEN = FaultPlan(seed=0, launch_failure_rate=1.0, max_consecutive=10**9)
 
 GTX2 = [NVIDIA_GTX780TI, NVIDIA_GTX780TI]
-
-#: A hedge floor no test run reaches: the run lists below stay exact on
-#: a slow machine.
-NO_HEDGE = 600.0
 
 
 Case = collections.namedtuple("Case", "compiled info args want key")
@@ -138,7 +131,7 @@ def test_a_whole_request_on_an_idle_pool_runs_on_the_caller(
 ):
     spy = _Spy(monkeypatch)
     tracer = Tracer()
-    pool = DevicePool(GTX2, hedge_min_wall_s=NO_HEDGE)
+    pool = DevicePool(GTX2)
     with pool, thread_tracing(tracer):
         values, _, report, placement = _run(pool, nn, "idle")
     assert placement["mode"] == "whole"
@@ -157,7 +150,7 @@ def test_a_request_for_a_busy_device_goes_to_its_worker(nn, monkeypatch):
     request to its worker."""
     spy = _Spy(monkeypatch)
     tracer = Tracer()
-    pool = DevicePool(GTX2, hedge_min_wall_s=NO_HEDGE)
+    pool = DevicePool(GTX2)
     busy = pool.devices[0]
     busy.seen_keys.add(nn.key)
     busy.book(1.0)
@@ -177,9 +170,7 @@ def test_a_sharded_plan_still_fans_out_to_the_workers(
     spy = _Spy(monkeypatch)
     tracer = Tracer()
     with tune(
-        DevicePool(
-            [split_friendly(NVIDIA_GTX780TI)] * 3, hedge_min_wall_s=NO_HEDGE
-        ),
+        DevicePool([split_friendly(NVIDIA_GTX780TI)] * 3),
         planner=ShardPlanner(16),
     ) as pool, thread_tracing(tracer):
         values, _, _, placement = _run(
@@ -192,7 +183,7 @@ def test_a_sharded_plan_still_fans_out_to_the_workers(
     assert _identical(backprop, values)
 
 
-# -- re-placement, hedging and deadlines on the caller's run ----------------
+# -- re-placement and deadlines on the caller's run -------------------------
 
 
 def test_a_device_fault_on_the_callers_run_is_re_placed(
@@ -200,9 +191,7 @@ def test_a_device_fault_on_the_callers_run_is_re_placed(
 ):
     spy = _Spy(monkeypatch)
     with tune(
-        DevicePool(
-            GTX2, fault_plans=[BROKEN, None], hedge_min_wall_s=NO_HEDGE
-        ),
+        DevicePool(GTX2, fault_plans=[BROKEN, None]),
         retries=1,
     ) as pool:
         values, _, report, placement = _run(pool, backprop, "replaced")
@@ -216,82 +205,6 @@ def test_a_device_fault_on_the_callers_run_is_re_placed(
     assert _identical(backprop, values)
     assert pool.devices[0].failures == 1
     assert pool.devices[1].executed == 1
-
-
-def test_a_straggling_callers_run_is_hedged_and_stops_early(
-    backprop, monkeypatch
-):
-    """Device 0 sleeps 250 ms before each of its four launches.  The
-    caller's run launches the hedge from its second launch boundary,
-    and at its third finds the (jit-fast) hedge won and stops: it never
-    reaches its last launch, and the stop counts against neither the
-    device nor its breaker."""
-    straggler = FaultPlan(seed=0, wall_delay_s=0.25)
-    launches = collections.Counter()
-    real = FaultInjector.before_launch
-
-    def counting(self, site):
-        launches[self.plan is straggler] += 1
-        return real(self, site)
-
-    monkeypatch.setattr(FaultInjector, "before_launch", counting)
-    spy = _Spy(monkeypatch)
-    with DevicePool(
-        GTX2, fault_plans=[straggler, None], hedge_min_wall_s=0.03
-    ) as pool:
-        values, cost, _, placement = _run(
-            pool, backprop, "slow", executor="jit"
-        )
-        stats = pool.stats()
-    me = threading.current_thread().name
-    assert spy.runs == [("slow", 0, me), ("slow/h", 1, "repro-sched-dev1")]
-    assert placement["hedges_launched"] == placement["hedges_won"] == 1
-    assert placement["shards"][0]["device"] == 1
-    assert _identical(backprop, values, "jit")
-    assert 0 < launches[True] < len(cost.kernel_costs)
-    assert stats["stopped_mid_flight"] == 1
-    dev0 = pool.devices[0]
-    assert dev0.failures == 0 and dev0.executed == 0
-    assert dev0.breaker.state is BreakerState.CLOSED
-    assert dev0.breaker.snapshot() == pool.devices[1].breaker.snapshot()
-    assert [d.queued for d in pool.devices] == [0, 0]
-
-
-def test_a_worker_run_loser_stops_at_its_next_launch(backprop, monkeypatch):
-    """The same straggler, on a device the caller finds busy: its worker
-    runs it, the monitor loop hedges it, and once the hedge has won the
-    worker's run stops at its next launch boundary instead of running
-    to the end."""
-    straggler = FaultPlan(seed=0, wall_delay_s=0.25)
-    launches = collections.Counter()
-    real = FaultInjector.before_launch
-
-    def counting(self, site):
-        launches[self.plan is straggler] += 1
-        return real(self, site)
-
-    monkeypatch.setattr(FaultInjector, "before_launch", counting)
-    spy = _Spy(monkeypatch)
-    pool = DevicePool(
-        GTX2, fault_plans=[straggler, None], hedge_min_wall_s=0.03
-    )
-    busy = pool.devices[0]
-    busy.seen_keys.add(backprop.key)
-    busy.book(1.0)
-    with pool:
-        values, cost, _, placement = _run(
-            pool, backprop, "queued", executor="jit"
-        )
-        busy.settle(1.0)
-        _wait_for(lambda: pool.stats()["stopped_mid_flight"] == 1)
-    assert spy.runs == [
-        ("queued", 0, "repro-sched-dev0"), ("queued/h", 1, "repro-sched-dev1")
-    ]
-    assert placement["hedges_won"] == 1
-    assert _identical(backprop, values, "jit")
-    assert 0 < launches[True] < len(cost.kernel_costs)
-    assert busy.failures == 0 and busy.executed == 0
-    assert [d.queued for d in pool.devices] == [0, 0]
 
 
 def test_an_expired_deadline_is_never_rescued_by_the_floor(

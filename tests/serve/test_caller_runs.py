@@ -313,7 +313,6 @@ def test_stop_waits_for_an_inline_sharded_call(monkeypatch):
     server = tune(
         Server(devices=[split_friendly(NVIDIA_GTX780TI)] * 4),
         planner=ShardPlanner(16),
-        hedge_min_wall_s=600.0,
     ).start()
     completed_at_pool_stop = []
     pool_stop = server.pool.stop
