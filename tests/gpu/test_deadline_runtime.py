@@ -14,7 +14,14 @@ from repro.errors import DeadlineExceeded
 from repro.gpu.device import NVIDIA_GTX780TI
 from repro.gpu.faults import FaultPlan
 from repro.pipeline import compile_source
-from repro.runtime import EXECUTORS, ExecutionPolicy, run_resilient
+from repro.runtime import (
+    BACKOFF_FACTOR,
+    BACKOFF_JITTER,
+    BASE_BACKOFF_US,
+    EXECUTORS,
+    ExecutionPolicy,
+    run_resilient,
+)
 from repro.serve import Deadline
 
 SRC = """
@@ -159,6 +166,43 @@ class TestRetryBudget:
         )
         assert report.fallbacks == 0
         assert report.retries >= 1
+
+    def test_without_a_deadline_each_backoff_is_the_schedules(
+        self, compiled
+    ):
+        # Nothing but a deadline caps the backoff: two failures wait
+        # the first two steps of the jittered schedule.
+        _values, _cost, report = _run(
+            compiled,
+            fault_plan=self.FLAKY,
+            policy=ExecutionPolicy(fallback=False, max_retries=8),
+        )
+        assert report.retries == 2 and report.gave_up_reason is None
+        steps = [BASE_BACKOFF_US * BACKOFF_FACTOR**a for a in range(2)]
+        assert (
+            sum(steps) * (1.0 - BACKOFF_JITTER)
+            <= report.backoff_us
+            <= sum(steps) * (1.0 + BACKOFF_JITTER)
+        )
+
+    def test_a_live_deadline_caps_each_backoff_at_its_remaining_time(
+        self, compiled
+    ):
+        # 2**-15 s (30.517578125 us, exact in binary) is left and the
+        # clock stands still: each of the two backoffs, at least
+        # 37.5 us on the schedule, waits exactly what is left, and the
+        # run still succeeds on the device.
+        deadline = Deadline(2.0**-15, clock=FakeClock())
+        values, _cost, report = _run(
+            compiled,
+            fault_plan=self.FLAKY,
+            deadline=deadline,
+            policy=ExecutionPolicy(fallback=True, max_retries=8),
+        )
+        assert report.retries == 2 and report.fallbacks == 0
+        assert report.backoff_us == 2 * 30.517578125
+        assert not report.deadline_exceeded
+        assert list(values[0].data) == [3.0, 5.0, 7.0, 9.0]
 
     def test_deadline_clamps_backoff(self, compiled):
         # A deadline that expires right after the first failure: the

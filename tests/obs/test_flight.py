@@ -346,3 +346,28 @@ class TestRenderBundle:
         assert "breaker:jit opened" in text
         assert "runtime.attempts" in text
         assert "fault at k0" in text
+
+    def test_replay_renders_one_placement_row_per_shard(self):
+        """The placement section of ``obs replay``: the plan's line, then
+        each shard's rows, device and simulated time — one row a shard,
+        since a shard has one live task at a time."""
+        placement = {
+            "mode": "sharded", "batch_dim": 0, "batch": 512,
+            "makespan_us": 300.0,
+            "shards": [
+                {"index": 0, "lo": 0, "hi": 256, "device": 0,
+                 "sim_us": 150.0, "replacements": 0},
+                {"index": 1, "lo": 256, "hi": 512, "device": 2,
+                 "sim_us": 300.0, "replacements": 1},
+            ],
+        }
+        text = render_bundle({"run_id": "r", "placement": placement})
+        lines = text.splitlines()
+        at = lines.index("== placement ==")
+        assert lines[at + 1:at + 6] == [
+            "mode=sharded batch_dim=0 batch=512 makespan=300us",
+            "shard  rows       dev  sim",
+            "-----  ---------  ---  -----",
+            "0      [0:256)    0    150us",
+            "1      [256:512)  2    300us",
+        ]

@@ -243,3 +243,17 @@ def test_a_batch_past_saturation_is_split(name, count):
     )
     assert 2 <= len(chosen.shards) <= count
     assert chosen.completion_us < price(0, sizes[dim])
+
+
+def test_the_affinity_bonus_is_a_constant_discount_below_one():
+    """The bonus has one home, the constant: a placer takes no setting,
+    and a device that already ran the program is priced at that
+    fraction off its estimate, behind its own backlog."""
+    assert 0.0 < AFFINITY_BONUS < 1.0
+    with pytest.raises(TypeError):
+        Placer(affinity_bonus=0.2)
+    placer = Placer()
+    assert placer.score(10.0, 100.0, False) == 110.0
+    assert placer.score(10.0, 100.0, True) == 10.0 + 100.0 * (
+        1.0 - AFFINITY_BONUS
+    )

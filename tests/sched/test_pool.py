@@ -13,6 +13,7 @@ from repro.errors import DeadlineExceeded, DeviceFault
 from repro.gpu.costmodel import request_price_us, size_env_from_args
 from repro.gpu.device import AMD_W8100, NVIDIA_GTX780TI, SIM_SMALL
 from repro.gpu.faults import FaultPlan
+from repro.gpu.simulator import DeviceAccounting
 from repro.pipeline import compile_cache_key, compile_program
 from repro.runtime import ExecutionPolicy, run_resilient
 from repro.sched import DevicePool, Placer, ShardPlanner, analyze_shardable
@@ -180,6 +181,134 @@ def test_failed_device_is_replaced(backprop):
     assert all(values_equal(a, b) for a, b in zip(baseline, values))
     assert pool.devices[0].failures == 1
     assert pool.devices[1].executed == 1
+
+
+@pytest.mark.parametrize("broken", [0, 1, 2])
+def test_a_shard_has_one_live_task_at_a_time(backprop, broken):
+    """Backprop splits three ways, and one device always fails.  Its
+    shard is re-placed only after its run there has ended, so no two
+    runs of one shard ever overlap, and every run of a shard carries
+    that shard's own run id."""
+    compiled, info, args, baseline, key = backprop
+    plans = [None] * 3
+    plans[broken] = BROKEN
+    pool = tune(
+        DevicePool(
+            [split_friendly(NVIDIA_GTX780TI)] * 3, fault_plans=plans
+        ),
+        placer=KWayPlacer(3),
+        planner=ShardPlanner(16),
+        retries=1,
+    )
+    runs, lock, execute = [], threading.Lock(), pool._execute
+
+    def timed(dev, task):
+        t0 = time.monotonic()
+        out = execute(dev, task)
+        with lock:
+            runs.append(
+                (
+                    task.checkpoint.state.shard.index, task.run_id, dev.id,
+                    t0, time.monotonic(), out.error is None,
+                )
+            )
+        return out
+
+    pool._execute = timed
+    with pool:
+        values, _, _, placement = pool.run(
+            compiled.host, compiled.core, args,
+            executor="sim", entry="main", run_id="live",
+            batch_info=info, key=key,
+        )
+        stats = pool.stats()
+    assert placement["replacements"] == stats["replacements"] == 1
+    assert len(runs) == 4
+    for index in range(3):
+        mine = sorted(
+            (r for r in runs if r[0] == index), key=lambda r: r[3]
+        )
+        assert {r[1] for r in mine} == {f"live/s{index}"}
+        assert [r[5] for r in mine] == [False] * (len(mine) - 1) + [True]
+        for before, after in zip(mine, mine[1:]):
+            assert before[2] == broken and after[2] != broken
+            assert before[4] <= after[3]
+    assert broken not in [s["device"] for s in placement["shards"]]
+    assert pool.devices[broken].failures == 1
+    assert stats["hedges_launched"] == 0
+    for a, b in zip(baseline, values):
+        assert np.array_equal(a.data, b.data)
+
+
+def test_a_stalled_run_is_not_duplicated(backprop, monkeypatch):
+    """The first kernel launch of a whole request stalls for 1.5 s of
+    wall time.  The run is left to finish: no second copy of its task
+    starts on the idle device, however long it takes."""
+    compiled, _, args, baseline, key = backprop
+    stalled = []
+    real = DeviceAccounting.launch
+
+    def stall(self, *a, **kw):
+        if not stalled:
+            stalled.append(threading.current_thread().name)
+            time.sleep(1.5)
+        return real(self, *a, **kw)
+
+    monkeypatch.setattr(DeviceAccounting, "launch", stall)
+    pool = DevicePool([NVIDIA_GTX780TI, NVIDIA_GTX780TI])
+    runs, execute = [], pool._execute
+
+    def counted(dev, task):
+        runs.append((task.run_id, dev.id))
+        return execute(dev, task)
+
+    pool._execute = counted
+    with pool:
+        values, _, _, placement = pool.run(
+            compiled.host, compiled.core, args,
+            executor="sim", entry="main", run_id="stalled",
+            batch_info=None, key=key,
+        )
+        stats = pool.stats()
+    assert stalled == [threading.current_thread().name]
+    assert runs == [("stalled", 0)]
+    assert placement["shards"][0]["device"] == 0
+    assert [d.executed for d in pool.devices] == [1, 0]
+    assert stats["shards_executed"] == 1
+    assert stats["replacements"] == stats["hedges_launched"] == 0
+    assert all(values_equal(a, b) for a, b in zip(baseline, values))
+
+
+def test_the_placement_record_and_stats_name_no_hedge(backprop):
+    """A placement, its shards and the pool's stats hold what one live
+    task per shard can tell; ``hedges_launched`` stays at 0 for the
+    readers of older stats."""
+    compiled, _, args, _, key = backprop
+    with DevicePool([NVIDIA_GTX780TI, AMD_W8100]) as pool:
+        _, _, _, placement = pool.run(
+            compiled.host, compiled.core, args,
+            executor="sim", entry="main", run_id="fields",
+            batch_info=None, key=key,
+        )
+        stats = pool.stats()
+    assert sorted(placement) == [
+        "batch", "batch_dim", "candidates", "decision", "makespan_us",
+        "mode", "replacements", "shards", "skipped_open",
+    ]
+    assert sorted(placement["shards"][0]) == [
+        "device", "hi", "index", "lo", "replacements", "sim_us", "wall_s",
+    ]
+    assert sorted(stats) == [
+        "cancelled_before_start", "devices", "hedges_launched",
+        "min_shard", "replacements", "requests", "sharded",
+        "shards_executed", "stopped_mid_flight", "whole",
+    ]
+    assert stats["hedges_launched"] == 0
+    for dev in stats["devices"]:
+        assert sorted(dev) == [
+            "backlog_us", "breaker", "busy_us", "executed", "failures",
+            "heap_lifetime", "id", "profile", "programs_seen",
+        ]
 
 
 def test_all_devices_failing_raises(backprop):

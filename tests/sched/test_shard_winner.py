@@ -4,6 +4,8 @@ the request has already given up.  Every task of the shard reads that
 one flag: one not yet started is skipped."""
 
 import gc
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -62,6 +64,43 @@ def test_a_success_closes_its_shard_unless_the_request_gave_up():
     assert given_up.closed and given_up.winner is None
     assert [d.queued for d in pool.devices] == [0, 0, 0]
     assert [d.backlog_us for d in pool.devices] == [0.0, 0.0, 0.0]
+
+
+def test_concurrent_finishes_of_one_shard_have_exactly_one_winner():
+    """Eight threads record a success of the same shard at once, 100
+    times over, under a fine switch interval: the shard is closed and
+    won exactly once, whichever thread got there first."""
+    pool = DevicePool([NVIDIA_GTX780TI] * 8)
+    states = [pool_mod._ShardState(Shard(0, 0, 8, 0), 0) for _ in range(100)]
+    wins = [[] for _ in states]
+    start = threading.Barrier(len(pool.devices), timeout=60)
+
+    def finisher(dev):
+        start.wait()
+        for st, won in zip(states, wins):
+            dev.book(1.0)
+            out = pool_mod._Outcome(dev.id, sim_us=1.0)
+            pool._record(dev, _task(st), out)
+            if st.winner is out:
+                won.append(dev.id)
+
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=finisher, args=(d,)) for d in pool.devices
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert all(len(won) == 1 for won in wins)
+    assert all(st.closed for st in states)
+    assert pool.stats()["shards_executed"] == len(states) * len(pool.devices)
+    assert [d.queued for d in pool.devices] == [0] * len(pool.devices)
 
 
 @pytest.mark.parametrize("executor", ["sim", "jit"])
