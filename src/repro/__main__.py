@@ -793,12 +793,12 @@ def _dispatch_observed(args) -> int:
         print(f"trace written to {trace_out}", file=sys.stderr)
     if metrics_out:
         write_metrics(
-            session.metrics,
+            session.tracer,
             metrics_out,
             metadata={"argv": " ".join(sys.argv[1:])},
         )
         print(f"metrics written to {metrics_out}", file=sys.stderr)
-    print(summary(session.tracer, session.metrics), file=sys.stderr)
+    print(summary(session.tracer), file=sys.stderr)
     return rc
 
 

@@ -19,7 +19,6 @@ def passes():
 
     def _fusion(prog, options, ctx):
         import repro.pipeline as pl
-        from ..obs import get_metrics
 
         fused, fstats = pl.fuse_prog(prog)
         # Publish before the driver revalidates: the stats describe
@@ -30,9 +29,6 @@ def passes():
             fused_vertical=fstats.vertical,
             fused_horizontal=fstats.horizontal,
         )
-        metrics = get_metrics()
-        metrics.counter("fusion.vertical").inc(fstats.vertical)
-        metrics.counter("fusion.horizontal").inc(fstats.horizontal)
         return fused
 
     return (

@@ -38,7 +38,7 @@ from ..backend.kernel_ir import (
 )
 from ..core.types import Array
 from ..errors import ArgumentError, KernelTimeout
-from ..obs import get_metrics, get_tracer
+from ..obs import get_tracer
 from .costmodel import (
     CostReport, KernelCost, host_stmt_us, kernel_cost, loop_copy_us,
     manifest_price, memo_insert,
@@ -78,8 +78,9 @@ class DeviceAccounting:
     before every launch.  ``heap`` is a pooled device's
     persistent :class:`DeviceHeap`, else one of the device's capacity;
     :meth:`begin` ``reset_run()``s it either way.  Spans land on
-    ``trace_track`` (one per retry attempt), metrics under
-    ``metric_prefix`` (``gpu.dev{id}`` on a pooled device).
+    ``trace_track`` (one per retry attempt) and carry ``metric_prefix``
+    (``gpu.dev{id}`` on a pooled device) as the ``namespace`` their
+    metrics fold under.
     """
 
     def __init__(
@@ -102,11 +103,10 @@ class DeviceAccounting:
         self.heap = (
             heap if heap is not None else DeviceHeap(device.memory_bytes)
         )
-        # Resolved metric instruments per kernel kind, keyed by the
-        # registry they came from: launches re-use the same instruments
-        # run after run, and re-rendering label keys on every launch is
-        # measurable on the serving hot path.
-        self._instrument_cache: Optional[Tuple[Any, Dict[str, Any]]] = None
+        #: The kernel runner computing launches' values (set by
+        #: :class:`GpuSimulator`); its ``computed_by`` is each kernel
+        #: span's ``runner``.
+        self.runner: Any = None
 
     def begin(self, hp: HostProgram, size_env: Mapping[str, int]) -> None:
         """Open the books for one run of ``hp``: a fresh clock, the
@@ -124,21 +124,25 @@ class DeviceAccounting:
 
     def finish(self) -> CostReport:
         """Close the books: the run's heap statistics onto the clock
-        (and the metrics registry); returns the run's report."""
+        (and the trace, as a ``heap`` instant); returns the run's
+        report."""
         report = self.report
         stats = self.heap.stats
         report.mem_peak_bytes = stats.peak_bytes
         report.mem_alloc_count = stats.alloc_count
         report.mem_reuse_count = stats.reuse_count
-        metrics = get_metrics()
-        if metrics.enabled:
-            pfx = self.metric_prefix
-            metrics.gauge(f"{pfx}.mem.peak_bytes").set(stats.peak_bytes)
-            metrics.counter(f"{pfx}.mem.allocs").inc(stats.alloc_count)
-            metrics.counter(f"{pfx}.mem.frees").inc(stats.free_count)
-            metrics.counter(f"{pfx}.mem.reuses").inc(stats.reuse_count)
-            metrics.counter(f"{pfx}.mem.alloc_bytes").inc(
-                stats.total_alloc_bytes
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.instant(
+                "heap",
+                "mem",
+                track=self.trace_track,
+                namespace=self.metric_prefix,
+                peak_bytes=stats.peak_bytes,
+                allocs=stats.alloc_count,
+                frees=stats.free_count,
+                reuses=stats.reuse_count,
+                alloc_bytes=stats.total_alloc_bytes,
             )
         return report
 
@@ -148,18 +152,25 @@ class DeviceAccounting:
         """One kernel launch at ``sizes`` (the value of each of
         ``kernel.size_names``, None where no integer is bound), its
         values computed by ``run(*args)``: deadline check, fault draw,
-        values, price, watchdog draw, then the span and metrics — in
-        that order."""
+        values, price, watchdog draw, then the span — in that order."""
         if self.deadline is not None:
             self.deadline.check(f"launch of {kernel.name}")
         if self.injector is not None:
             self.injector.before_launch(kernel.name)
         values = run(*args)
         cost = self.price(kernel, sizes)
-        consumed = self._watchdog(kernel.name, cost.time_us)
         report = self.report
         # The simulated-clock cursor: everything accrued so far.
         sim_ts = report.total_us
+        try:
+            consumed = self._watchdog(kernel.name, cost.time_us)
+        except KernelTimeout as e:
+            # The launch ran and was killed: on the trace with its
+            # error, on no report.
+            self._observe_launch(
+                cost, sim_ts, e.elapsed_us / e.budget_us, error=str(e)
+            )
+            raise
         report.kernel_costs.append(cost)
         self._observe_launch(cost, sim_ts, consumed)
         return values
@@ -190,13 +201,9 @@ class DeviceAccounting:
                 ts_us=sim_ts,
                 dur_us=manifest_us,
                 track=self.trace_track,
+                namespace=self.metric_prefix,
                 bytes_moved=bytes_moved,
             )
-        metrics = get_metrics()
-        if metrics.enabled:
-            pfx = self.metric_prefix
-            metrics.counter(f"{pfx}.manifests").inc()
-            metrics.counter(f"{pfx}.manifest_bytes").inc(bytes_moved)
 
     def host_eval(self, s: HostEval) -> None:
         self.report.host_us += host_stmt_us(s.binding.exp, self.device)
@@ -271,13 +278,13 @@ class DeviceAccounting:
             )
 
     def _observe_launch(
-        self, cost, sim_ts: float, watchdog_consumed: float
+        self, cost, sim_ts: float, watchdog_consumed: float, **outcome
     ) -> None:
-        """Record one kernel launch on the trace (a span on this
-        device's simulated-time track) and in the metrics registry.
-        With observability off this costs two guard checks."""
+        """Record one kernel launch on the trace: a span on this
+        device's simulated-time track (``outcome`` is the ``error`` of
+        one the watchdog killed).  With tracing off this costs one
+        guard check."""
         tracer = get_tracer()
-        cycles = cost.cycles(self.device)
         if tracer.enabled:
             tracer.complete(
                 f"kernel:{cost.name}",
@@ -285,10 +292,12 @@ class DeviceAccounting:
                 ts_us=sim_ts,
                 dur_us=cost.time_us,
                 track=self.trace_track,
+                namespace=self.metric_prefix,
+                runner=self.runner.computed_by,
                 kind=cost.kind,
                 launches=cost.launches,
                 threads=cost.threads,
-                cycles=cycles,
+                cycles=cost.cycles(self.device),
                 mem_us=cost.mem_us,
                 compute_us=cost.compute_us,
                 bytes_effective=cost.bytes_effective,
@@ -297,50 +306,8 @@ class DeviceAccounting:
                 occupancy=cost.occupancy,
                 watchdog_consumed=watchdog_consumed,
                 heap_live_bytes=self.heap.live_bytes,
+                **outcome,
             )
-        metrics = get_metrics()
-        if metrics.enabled:
-            counters, histograms = self._launch_instruments(metrics, cost.kind)
-            for counter, v in zip(counters, (
-                cost.launches, cost.time_us, cycles, cost.bytes_effective,
-                cost.bytes_raw, cost.flops,
-            )):
-                counter.inc(v)
-            for histogram, v in zip(histograms, (
-                cost.time_us, cost.occupancy, watchdog_consumed,
-            )):
-                histogram.observe(v)
-
-    def _launch_instruments(self, metrics, kind: str):
-        """``(counters, histograms)`` of a kernel kind, in the order
-        ``_observe_launch`` feeds them, resolved once per (registry,
-        kind) and reused on every later launch."""
-        cache = self._instrument_cache
-        if cache is None or cache[0] is not metrics:
-            cache = self._instrument_cache = (metrics, {})
-        inst = cache[1].get(kind)
-        if inst is None:
-            pfx = self.metric_prefix
-            inst = cache[1][kind] = (
-                [metrics.counter(f"{pfx}.launches", kind=kind)] + [
-                    metrics.counter(f"{pfx}.{name}") for name in (
-                        "sim_time_us", "cycles", "bytes_effective",
-                        "bytes_raw", "flops",
-                    )
-                ],
-                [
-                    metrics.histogram(f"{pfx}.kernel_time_us"),
-                    metrics.histogram(
-                        f"{pfx}.occupancy",
-                        buckets=(0.1, 0.25, 0.5, 0.75, 0.9, 1.0),
-                    ),
-                    metrics.histogram(
-                        f"{pfx}.watchdog_consumed",
-                        buckets=(0.05, 0.125, 0.25, 0.5, 0.75, 1.0),
-                    ),
-                ],
-            )
-        return inst
 
 
 # -- what the generated host function calls ---------------------------------
@@ -428,6 +395,8 @@ class InterpRunner:
     of the host function, taking the site's raw arguments and returning
     the kernel's raw values."""
 
+    computed_by = "interp"
+
     def __init__(self, interp: Interpreter, trace_track: str) -> None:
         self._interp = interp
 
@@ -467,7 +436,9 @@ class GpuSimulator:
         self._interp = Interpreter(
             prog if prog is not None else A.Prog(()), in_place=in_place
         )
-        self.runner = runner(self._interp, self.accounting.trace_track)
+        self.runner = self.accounting.runner = runner(
+            self._interp, self.accounting.trace_track
+        )
 
     def run(
         self, hp: HostProgram, args: Sequence[Value]

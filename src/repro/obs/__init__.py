@@ -1,19 +1,18 @@
 """``repro.obs`` — the zero-dependency observability layer.
 
-Two cooperating pieces, both opt-in with no-op defaults:
+* :mod:`repro.obs.trace` — span-based tracing, opt-in with a no-op
+  default.  The pipeline wraps a span around every optimisation pass
+  (with IR-size-delta attributes and rollback instants); the GPU
+  simulator stamps one span per kernel launch on a simulated-time
+  track; the resilient executor spans each attempt, backoff and
+  fallback; the server marks each admission, shed and finish.
+* :mod:`repro.obs.metrics` — metrics as a view of the trace: a
+  snapshot is the fold of one tracer's records into counters, gauges
+  and histograms with labels (launches, cycles, memory traffic,
+  occupancy, watchdog budget, retries, faults, fallbacks, ...).
 
-* :mod:`repro.obs.trace` — span-based tracing.  The pipeline wraps a
-  span around every optimisation pass (with IR-size-delta attributes
-  and rollback instants); the GPU simulator stamps one span per kernel
-  launch on a simulated-time track; the resilient executor spans each
-  attempt, backoff and fallback.
-* :mod:`repro.obs.metrics` — counters / gauges / histograms with
-  labels, populated by the simulator (cycles, memory traffic,
-  occupancy, watchdog budget) and the runtime (retries, faults,
-  fallbacks).
-
-The trace is the one event channel: a fault, a rollback, a jit
-hand-over or a shard re-placement is one instant on it, and
+The trace is the one event channel: a launch, a fault, a rollback, a
+jit hand-over or a shard re-placement is recorded once, on it, and
 nothing else records it again.
 
 Exporters (:mod:`repro.obs.export`): Chrome ``trace.json`` for
@@ -31,7 +30,7 @@ Typical embedding::
         compiled = compile_program(prog)
         compiled.execute(args)
     write_chrome_trace(session.tracer, "trace.json")
-    write_metrics(session.metrics, "metrics.json")
+    write_metrics(session.tracer, "metrics.json")
 """
 
 from __future__ import annotations
@@ -45,20 +44,13 @@ from .flight import (  # noqa: F401
     FLIGHT_SCHEMA,
     FlightRecord,
     FlightRecorder,
-    TeeMetrics,
     TeeTracer,
 )
 from .metrics import (  # noqa: F401
     DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
     Histogram,
-    MetricsRegistry,
-    NULL_METRICS,
-    get_metrics,
+    MetricsView,
     metering,
-    set_metrics,
-    thread_metering,
 )
 from .trace import (  # noqa: F401
     NULL_TRACER,
@@ -75,24 +67,18 @@ __all__ = [
     "Tracer",
     "Span",
     "PassTiming",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
     "Histogram",
+    "MetricsView",
     "FlightRecord",
     "FlightRecorder",
     "TeeTracer",
-    "TeeMetrics",
     "DUMP_TRIGGERS",
     "FLIGHT_SCHEMA",
     "get_tracer",
     "set_tracer",
     "tracing",
     "thread_tracing",
-    "get_metrics",
-    "set_metrics",
     "metering",
-    "thread_metering",
     "ObsSession",
     "observe",
 ]
@@ -100,18 +86,19 @@ __all__ = [
 
 @dataclass
 class ObsSession:
-    """One enabled observation window: a live tracer + registry pair."""
+    """One enabled observation window: a live tracer, and the metrics
+    view of it."""
 
     tracer: Tracer
-    metrics: MetricsRegistry
+
+    @property
+    def metrics(self) -> MetricsView:
+        return MetricsView(self.tracer)
 
 
 @contextmanager
-def observe(
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
-):
-    """Install a tracer and a metrics registry for the block; yields
-    the :class:`ObsSession` holding both for export afterwards."""
-    with tracing(tracer) as tr, metering(metrics) as m:
-        yield ObsSession(tr, m)
+def observe(tracer: Optional[Tracer] = None):
+    """Install a tracer for the block; yields the :class:`ObsSession`
+    holding it (and its metrics view) for export afterwards."""
+    with tracing(tracer) as tr:
+        yield ObsSession(tr)

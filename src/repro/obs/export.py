@@ -16,7 +16,8 @@ its kernels on per-attempt ``sim-gpu`` tracks stamped with *simulated*
 microseconds, so the two timelines are visually separate in Perfetto.
 
 :func:`validate_chrome_trace` is the schema check used by the golden
-trace test and by the CI observability job on real artefacts.
+trace test and by the test that runs the CI artefacts job's command on
+real artefacts (``tests/obs/test_ci_artefacts.py``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
-from .metrics import MetricsRegistry
+from .metrics import fold
 from .trace import MAIN_TRACK, Span, Tracer
 
 __all__ = [
@@ -117,26 +118,27 @@ def write_chrome_trace(
 
 
 def metrics_dump(
-    registry: MetricsRegistry, metadata: Optional[Dict[str, Any]] = None
+    tracer: Tracer, metadata: Optional[Dict[str, Any]] = None
 ) -> Dict[str, Any]:
-    """The registry snapshot wrapped with identifying metadata."""
+    """The metrics of ``tracer``'s records (:func:`repro.obs.metrics.fold`)
+    wrapped with identifying metadata."""
     out = {"schema": "repro.metrics/v1"}
-    out.update(registry.snapshot())
+    out.update(fold(tracer))
     if metadata:
         out["metadata"] = {k: _json_safe(v) for k, v in metadata.items()}
     return out
 
 
 def write_metrics(
-    registry: MetricsRegistry,
+    tracer: Tracer,
     path: str,
     metadata: Optional[Dict[str, Any]] = None,
 ) -> None:
     with open(path, "w") as f:
-        json.dump(metrics_dump(registry, metadata), f, indent=1, sort_keys=True)
+        json.dump(metrics_dump(tracer, metadata), f, indent=1, sort_keys=True)
 
 
-# -- validation (used by tests and the CI observability job) ---------------
+# -- validation (used by tests, on the CI artefacts too) --------------------
 
 _VALID_PHASES = {"X", "i", "M", "B", "E", "C"}
 
@@ -300,15 +302,11 @@ def _table(rows: List[List[str]], header: List[str]) -> List[str]:
     return lines
 
 
-def summary(
-    tracer: Optional[Tracer] = None,
-    registry: Optional[MetricsRegistry] = None,
-    top: int = 10,
-) -> str:
+def summary(tracer: Optional[Tracer] = None, top: int = 10) -> str:
     """A human-readable digest: slowest spans per category, kernel
-    launches, the first ``top`` instants in emission order, and every
-    counter — the terminal-friendly view of the same data the JSON
-    exporters write."""
+    launches, the first ``top`` instants in emission order, and the
+    counters and histograms the trace folds to — the terminal-friendly
+    view of the same data the JSON exporters write."""
     lines: List[str] = []
     if tracer is not None and tracer.spans:
         lines.append("== spans (wall clock) ==")
@@ -364,8 +362,8 @@ def summary(
         )
         if len(events) > top:
             lines.append(f"... and {len(events) - top} more")
-    if registry is not None:
-        snap = registry.snapshot()
+    if tracer is not None:
+        snap = fold(tracer)
         if snap["counters"]:
             lines.append("")
             lines.append("== counters ==")

@@ -4,12 +4,13 @@ serving layer, with automatic post-mortem dumps.
 A :class:`FlightRecorder` keeps a thread-safe ring buffer of the last
 ``capacity`` fully-materialized request records.  For every request the
 serving worker opens a :meth:`~FlightRecorder.capture` window, which
-installs a *thread-local* :class:`TeeTracer`/:class:`TeeMetrics` pair:
-everything the pipeline, resilient executor and simulator record on
-that thread (queue wait, compile-cache outcome, evaluator, breaker
-refusals, per-attempt spans, per-kernel launch spans with heap bytes)
-lands in the request's private capture *and* is mirrored into the
-process-wide tracer/registry, so global observability is unchanged.
+installs a *thread-local* :class:`TeeTracer`: everything the
+pipeline, resilient executor and simulator record on that thread
+(queue wait, compile-cache outcome, evaluator, breaker refusals,
+per-attempt spans, per-kernel launch spans with heap bytes) lands in
+the request's private capture *and* is mirrored into the process-wide
+tracer, so global observability is unchanged.  The bundle's metrics
+are the fold of the private capture alone.
 
 When a request ends in one of the terminal device errors in
 :data:`DUMP_TRIGGERS`, or its latency exceeds the recorder's SLO
@@ -37,7 +38,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .metrics import MetricsRegistry, get_metrics, thread_metering
 from .trace import Tracer, get_tracer, thread_tracing
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "FlightRecord",
     "FlightRecorder",
     "TeeTracer",
-    "TeeMetrics",
     "read_bundle",
     "render_bundle",
 ]
@@ -70,7 +69,7 @@ SLO_TRIGGER = "slo_latency"
 PROCESS_NAME = "repro-serve"
 
 
-# -- tee instruments --------------------------------------------------------
+# -- the tee tracer ---------------------------------------------------------
 
 
 class TeeTracer(Tracer):
@@ -144,79 +143,6 @@ class TeeTracer(Tracer):
         return s
 
 
-class _TeeInstrument:
-    """Forwards every update to the local and the mirrored instrument;
-    reads come from the local one."""
-
-    __slots__ = ("_local", "_mirrored")
-
-    def __init__(self, local: Any, mirrored: Any) -> None:
-        self._local = local
-        self._mirrored = mirrored
-
-    def inc(self, n: float = 1.0) -> None:
-        self._local.inc(n)
-        self._mirrored.inc(n)
-
-    def set(self, v: float) -> None:
-        self._local.set(v)
-        self._mirrored.set(v)
-
-    def observe(self, v: float) -> None:
-        self._local.observe(v)
-        self._mirrored.observe(v)
-
-    @property
-    def value(self) -> float:
-        return self._local.value
-
-    @property
-    def sum(self) -> float:
-        return self._local.sum
-
-    @property
-    def count(self) -> int:
-        return self._local.count
-
-
-class TeeMetrics(MetricsRegistry):
-    """A registry that records locally and mirrors updates into the
-    process-wide registry.  ``snapshot()`` sees only the request-local
-    instruments, so a bundle's metrics section is exactly what *this*
-    request did."""
-
-    def __init__(self, mirror: Optional[Any] = None) -> None:
-        super().__init__()
-        if mirror is None or not getattr(mirror, "enabled", False):
-            mirror = None
-        self._mirror = mirror
-
-    def counter(self, name: str, **labels: Any):
-        local = super().counter(name, **labels)
-        if self._mirror is None:
-            return local
-        return _TeeInstrument(local, self._mirror.counter(name, **labels))
-
-    def gauge(self, name: str, **labels: Any):
-        local = super().gauge(name, **labels)
-        if self._mirror is None:
-            return local
-        return _TeeInstrument(local, self._mirror.gauge(name, **labels))
-
-    def histogram(
-        self,
-        name: str,
-        buckets: Optional[Sequence[float]] = None,
-        **labels: Any,
-    ):
-        local = super().histogram(name, buckets, **labels)
-        if self._mirror is None:
-            return local
-        return _TeeInstrument(
-            local, self._mirror.histogram(name, buckets, **labels)
-        )
-
-
 # -- records ----------------------------------------------------------------
 
 
@@ -227,7 +153,6 @@ class FlightRecord:
     request_id: str
     program: str = ""
     tracer: Optional[TeeTracer] = None
-    metrics: Optional[TeeMetrics] = None
     wall_s: float = 0.0
     status: str = "open"  # open | ok | error | shed
     lane: str = ""
@@ -291,9 +216,9 @@ class FlightRecorder:
     def capture(self, request_id: str, program: str = ""):
         """Open a per-request capture window on the calling thread.
 
-        Installs a :class:`TeeTracer`/:class:`TeeMetrics` pair as the
-        thread's ambient observability (mirroring into whatever was
-        ambient before), and yields the open :class:`FlightRecord`.
+        Installs a :class:`TeeTracer` as the thread's ambient tracer
+        (mirroring into whatever was ambient before), and yields the
+        open :class:`FlightRecord`.
         The caller must :meth:`finish` the record — typically inside
         the window so the final spans are part of the capture.
         """
@@ -301,11 +226,10 @@ class FlightRecorder:
             request_id=request_id,
             program=program,
             tracer=TeeTracer(mirror=get_tracer()),
-            metrics=TeeMetrics(mirror=get_metrics()),
             wall_s=time.time(),
         )
         record.tracer.metadata["run_id"] = request_id
-        with thread_tracing(record.tracer), thread_metering(record.metrics):
+        with thread_tracing(record.tracer):
             yield record
 
     def note_shed(self, request_id: str) -> None:
@@ -379,9 +303,6 @@ class FlightRecorder:
         from .export import chrome_trace, metrics_dump
 
         tracer = record.tracer if record.tracer is not None else Tracer()
-        metrics = (
-            record.metrics if record.metrics is not None else MetricsRegistry()
-        )
         return {
             "schema": FLIGHT_SCHEMA,
             "run_id": record.request_id,
@@ -400,7 +321,7 @@ class FlightRecorder:
             "wall_time_s": record.wall_s,
             "trace": chrome_trace(tracer, process_name=PROCESS_NAME),
             "metrics": metrics_dump(
-                metrics, metadata={"run_id": record.request_id}
+                tracer, metadata={"run_id": record.request_id}
             ),
             "run_report": record.run_report,
             "placement": record.placement,

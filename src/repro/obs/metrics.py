@@ -1,41 +1,34 @@
-"""The metrics registry: counters, gauges and histograms with labels.
+"""Metrics: a view of the trace.
 
-Instruments are identified by ``(name, labels)`` and memoised, so
-``registry.counter("gpu.launches", kind="map").inc()`` is cheap to call
-from a hot loop.  The default ambient registry is
-:data:`NULL_METRICS`, whose accessors return shared no-op instruments —
-with metrics disabled the instrumented code allocates nothing.
+Every event is recorded once, on the trace.  A metrics snapshot is
+:func:`fold` of one tracer's spans and instants into the
+``repro.metrics/v1`` sections — ``counters``, ``gauges`` and
+``histograms``, keyed ``name{label=value,...}`` with the labels sorted.
+Each record kind folds by one branch of :class:`_Fold` (DESIGN.md §7
+lists the rules); a span is "finished" when it carries no ``error``.  Sums
+run in emission order, so a snapshot holds the floats an
+event-by-event count would.  ``repro.obs.export`` writes snapshots; the
+test of the CI artefacts job validates the file that job uploads.
 
-The snapshot format (:meth:`MetricsRegistry.snapshot`) is a flat,
-JSON-serialisable dict; ``repro.obs.export`` writes it to disk and the
-CI observability job validates it.
-
-The registry and every instrument are thread-safe: instrument creation
-is serialised by a registry lock and each counter/gauge/histogram
-guards its mutation with its own lock (``+=`` on an attribute is a
-read-modify-write and loses updates under concurrency), so the serving
-layer's worker pool can share one ambient registry.  The hammer test
-in ``tests/obs/test_thread_safety.py`` asserts no update is lost.
+:class:`Histogram` is also the serving layer's always-on per-lane
+latency distribution (``Server.health()``).
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from .trace import tracing
+
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullMetrics",
-    "NULL_METRICS",
-    "get_metrics",
-    "set_metrics",
-    "metering",
-    "thread_metering",
     "DEFAULT_BUCKETS",
+    "Histogram",
+    "MetricsView",
+    "fold",
+    "metering",
 ]
 
 #: Default histogram bucket upper bounds — log-spaced, suitable for
@@ -51,33 +44,12 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
     1_000_000.0,
 )
 
+_OCCUPANCY_BUCKETS = (0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
+_WATCHDOG_BUCKETS = (0.05, 0.125, 0.25, 0.5, 0.75, 1.0)
 
-class Counter:
-    """A monotonically increasing value."""
-
-    __slots__ = ("value", "_lock")
-
-    def __init__(self) -> None:
-        self.value = 0.0
-        self._lock = threading.Lock()
-
-    def inc(self, n: float = 1.0) -> None:
-        with self._lock:
-            self.value += n
-
-
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    __slots__ = ("value", "_lock")
-
-    def __init__(self) -> None:
-        self.value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, v: float) -> None:
-        with self._lock:
-            self.value = float(v)
+#: The books' summed launch attributes, by metric suffix.
+_LAUNCH_SUMS = ("cycles", "bytes_effective", "bytes_raw", "flops")
+_HEAP_SUMS = ("allocs", "frees", "reuses", "alloc_bytes")
 
 
 class Histogram:
@@ -138,181 +110,155 @@ class Histogram:
             return self.bounds[-1]
 
 
-def _key(name: str, labels: Dict[str, Any]) -> Tuple:
-    return (name,) + tuple(sorted((k, str(v)) for k, v in labels.items()))
-
-
-def _render_key(key: Tuple) -> str:
-    name, *labels = key
+def _key(name: str, labels: Dict[str, Any]) -> str:
     if not labels:
         return name
-    inner = ",".join(f"{k}={v}" for k, v in labels)
+    inner = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
     return f"{name}{{{inner}}}"
 
 
-class MetricsRegistry:
-    """Holds every instrument created during one observed session."""
-
-    enabled = True
+class _Fold:
+    """The three snapshot sections, filled one record at a time."""
 
     def __init__(self) -> None:
-        self._counters: Dict[Tuple, Counter] = {}
-        self._gauges: Dict[Tuple, Gauge] = {}
-        self._histograms: Dict[Tuple, Histogram] = {}
-        #: Serialises instrument creation (two threads racing on the
-        #: same new key must receive the *same* instrument, or one of
-        #: their update streams would be lost with it).
-        self._lock = threading.Lock()
+        self.counters: Dict[str, float] = {}
+        self.gauges: Dict[str, float] = {}
+        self.histograms: Dict[str, Histogram] = {}
 
-    def counter(self, name: str, **labels: Any) -> Counter:
+    def count(self, name: str, n: float = 1.0, **labels: Any) -> None:
         key = _key(name, labels)
-        c = self._counters.get(key)
-        if c is None:
-            with self._lock:
-                c = self._counters.setdefault(key, Counter())
-        return c
+        self.counters[key] = self.counters.get(key, 0.0) + n
 
-    def gauge(self, name: str, **labels: Any) -> Gauge:
+    def observe(
+        self, name: str, v: float, bounds=DEFAULT_BUCKETS, **labels: Any
+    ) -> None:
         key = _key(name, labels)
-        g = self._gauges.get(key)
-        if g is None:
-            with self._lock:
-                g = self._gauges.setdefault(key, Gauge())
-        return g
-
-    def histogram(
-        self,
-        name: str,
-        buckets: Optional[Sequence[float]] = None,
-        **labels: Any,
-    ) -> Histogram:
-        key = _key(name, labels)
-        h = self._histograms.get(key)
+        h = self.histograms.get(key)
         if h is None:
-            with self._lock:
-                h = self._histograms.setdefault(
-                    key, Histogram(buckets or DEFAULT_BUCKETS)
-                )
-        return h
+            h = self.histograms[key] = Histogram(bounds)
+        h.observe(v)
 
-    # -- export -------------------------------------------------------------
+    def span(self, s) -> None:
+        a, name, cat = s.attrs, s.name, s.category
+        finished = "error" not in a
+        if cat == "kernel" and "namespace" in a:
+            # A launch on one device's books (``gpu``, or ``gpu.dev<id>``
+            # on a pooled device); one the watchdog killed ran, but was
+            # never accounted.
+            if a["runner"] == "jit":
+                self.count("jit.kernels", kind=a["kind"])
+            if not finished:
+                return
+            ns = a["namespace"]
+            self.count(f"{ns}.launches", a["launches"], kind=a["kind"])
+            self.count(f"{ns}.sim_time_us", s.dur_us)
+            for field in _LAUNCH_SUMS:
+                self.count(f"{ns}.{field}", a[field])
+            self.observe(f"{ns}.kernel_time_us", s.dur_us)
+            self.observe(f"{ns}.occupancy", a["occupancy"], _OCCUPANCY_BUCKETS)
+            self.observe(
+                f"{ns}.watchdog_consumed", a["watchdog_consumed"],
+                _WATCHDOG_BUCKETS,
+            )
+        elif cat == "manifest" and "namespace" in a:
+            self.count(f"{a['namespace']}.manifests")
+            self.count(f"{a['namespace']}.manifest_bytes", a["bytes_moved"])
+        elif cat == "pipeline" and name.startswith("pass:"):
+            if finished and "phase" in a:
+                self.count("pipeline.passes", phase=a["phase"])
+            for field in ("vertical", "horizontal"):
+                if f"fused_{field}" in a:
+                    self.count(f"fusion.{field}", a[f"fused_{field}"])
+        elif cat == "pipeline" and name == "compile" and finished:
+            self.count("pipeline.compiles")
+        elif cat == "vm" and name == "jit.transpile" and "kernel" in a:
+            self.count("jit.transpiles", kernel=a["kernel"])
+        elif cat == "vm" and name == "jit.compile" and "kernel" in a:
+            if finished:
+                self.count("jit.compiles", kernel=a["kernel"])
+        elif cat == "runtime" and name == "interpreter-fallback":
+            self.count("runtime.fallbacks")
+        elif cat == "runtime" and name == "execute" and "refused" in a:
+            self.count("runtime.breaker_refusals", backend=a["refused"])
+
+    def instant(self, s) -> None:
+        a, name, cat = s.attrs, s.name, s.category
+        kind, _, what = name.partition(":")
+        if cat == "runtime" and kind == "fault":
+            self.count("runtime.faults", kind=what)
+        elif cat == "runtime" and name == "backoff":
+            self.count("runtime.retries")
+            self.count("runtime.backoff_us", a["us"])
+        elif cat == "pipeline" and kind == "rollback":
+            self.count("pipeline.rollbacks", pass_name=what, phase=a["phase"])
+        elif cat == "pipeline" and kind.startswith("artifact-") and what:
+            self.count(
+                "pipeline.artifacts", stage=what, event=kind[len("artifact-"):]
+            )
+        elif cat == "vm" and kind == "vm.fallback":
+            self.count("vm.fallback", kernel=what, kind=a["kind"])
+        elif cat == "mem" and name == "heap":
+            ns = a["namespace"]
+            self.gauges[f"{ns}.mem.peak_bytes"] = float(a["peak_bytes"])
+            for field in _HEAP_SUMS:
+                self.count(f"{ns}.mem.{field}", a[field])
+        elif cat == "serve" and name == "shed":
+            self.count("serve.shed", run_id=a["run_id"])
+        elif cat == "serve" and name == "admitted":
+            self.count("serve.admitted", lane=a["lane"], run_id=a["run_id"])
+            self.gauges["serve.queue_depth"] = float(a["queue_depth"])
+        elif cat == "serve" and name == "finished":
+            self.count(
+                "serve.requests", status=a["status"], backend=a["backend"],
+                run_id=a["run_id"],
+            )
+            self.observe(
+                "serve.latency_us", a["latency_us"], lane=a["lane"],
+                run_id=a["run_id"],
+            )
+            self.gauges["serve.queue_depth"] = float(a["queue_depth"])
 
     def snapshot(self) -> Dict[str, Any]:
-        """A flat JSON-serialisable dump of every instrument."""
-        with self._lock:
-            counters = sorted(self._counters.items())
-            gauges = sorted(self._gauges.items())
-            histograms = sorted(self._histograms.items())
         return {
-            "counters": {_render_key(k): c.value for k, c in counters},
-            "gauges": {_render_key(k): g.value for k, g in gauges},
+            "counters": dict(sorted(self.counters.items())),
+            "gauges": dict(sorted(self.gauges.items())),
             "histograms": {
-                _render_key(k): {
+                k: {
                     "bounds": list(h.bounds),
                     "counts": list(h.counts),
                     "sum": h.sum,
                     "count": h.count,
                 }
-                for k, h in histograms
+                for k, h in sorted(self.histograms.items())
             },
         }
 
 
-class _NullInstrument:
-    """Shared do-nothing counter/gauge/histogram."""
-
-    __slots__ = ()
-    value = 0.0
-    sum = 0.0
-    count = 0
-
-    def inc(self, n: float = 1.0) -> None:
-        return None
-
-    def set(self, v: float) -> None:
-        return None
-
-    def observe(self, v: float) -> None:
-        return None
+def fold(tracer) -> Dict[str, Any]:
+    """The metrics snapshot of ``tracer``'s records: a flat
+    JSON-serialisable dict."""
+    f = _Fold()
+    for s in list(tracer.spans):
+        f.span(s)
+    for s in list(tracer.instants):
+        f.instant(s)
+    return f.snapshot()
 
 
-_NULL_INSTRUMENT = _NullInstrument()
+@dataclass(frozen=True)
+class MetricsView:
+    """The metrics of one tracer: :meth:`snapshot` folds its records
+    as they stand."""
 
-
-class NullMetrics:
-    """The disabled registry: every accessor returns one shared no-op
-    instrument and nothing is recorded."""
-
-    enabled = False
-
-    def counter(self, name: str, **labels: Any) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, **labels: Any) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(
-        self,
-        name: str,
-        buckets: Optional[Sequence[float]] = None,
-        **labels: Any,
-    ) -> _NullInstrument:
-        return _NULL_INSTRUMENT
+    tracer: Any
 
     def snapshot(self) -> Dict[str, Any]:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-
-NULL_METRICS = NullMetrics()
-
-_CURRENT: Any = NULL_METRICS
-
-#: Thread-local registry override (mirrors ``trace._TLS``): a serve
-#: worker capturing a flight record diverts its own metric updates
-#: without disturbing other threads' view of the global registry.
-_TLS = threading.local()
-
-
-def get_metrics():
-    """The ambient registry for the calling thread.
-
-    A thread-local override installed by :func:`thread_metering` wins
-    over the process-wide registry; otherwise the global one (default
-    :data:`NULL_METRICS`) is returned.
-    """
-    override = getattr(_TLS, "metrics", None)
-    return override if override is not None else _CURRENT
-
-
-def set_metrics(registry) -> None:
-    """Install ``registry`` as the ambient registry (None resets)."""
-    global _CURRENT
-    _CURRENT = registry if registry is not None else NULL_METRICS
+        return fold(self.tracer)
 
 
 @contextmanager
-def metering(registry: Optional[MetricsRegistry] = None):
-    """Install a metrics registry for the duration of the block."""
-    registry = registry if registry is not None else MetricsRegistry()
-    previous = _CURRENT
-    set_metrics(registry)
-    try:
-        yield registry
-    finally:
-        set_metrics(previous)
-
-
-@contextmanager
-def thread_metering(registry):
-    """Install ``registry`` as *this thread's* ambient registry.
-
-    The thread-local counterpart of :func:`metering` — other threads
-    keep seeing the process-wide registry.  Nests: the previous
-    thread-local override (if any) is restored on exit.
-    """
-    previous = getattr(_TLS, "metrics", None)
-    _TLS.metrics = registry
-    try:
-        yield registry
-    finally:
-        _TLS.metrics = previous
+def metering(tracer: Optional[Any] = None):
+    """Install a tracer for the duration of the block; yields the
+    :class:`MetricsView` of it."""
+    with tracing(tracer) as tr:
+        yield MetricsView(tr)

@@ -217,13 +217,19 @@ class Tracer:
                     self._stack.pop()
             self.spans.append(s)
 
-    def instant(self, name: str, category: str = "", **attrs: Any) -> Span:
+    def instant(
+        self,
+        name: str,
+        category: str = "",
+        track: str = MAIN_TRACK,
+        **attrs: Any,
+    ) -> Span:
         """A zero-duration marker event."""
         s = Span(
             None,
             name,
             category,
-            MAIN_TRACK,
+            track,
             self.now_us(),
             time.time(),
             len(self._stack),
@@ -291,7 +297,7 @@ class Tracer:
     def tracks(self) -> List[str]:
         """All track names, main track first."""
         with self._lock:
-            spans = list(self.spans) + list(self.counters)
+            spans = self.spans + self.counters + self.instants
         seen = [MAIN_TRACK]
         for s in spans:
             if s.track not in seen:

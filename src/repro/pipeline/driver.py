@@ -43,7 +43,7 @@ from ..gpu.costmodel import CostReport, estimate_program
 from ..gpu.device import DeviceProfile, NVIDIA_GTX780TI
 from ..gpu.faults import FaultPlan
 from ..backend.validate import validate_host_program
-from ..obs import PassTiming, get_metrics, get_tracer
+from ..obs import PassTiming, get_tracer
 from ..obs.irstats import ir_stats
 from ..runtime import ExecutionPolicy, RunReport, run_resilient
 from .artifact import ArtifactCache, StageArtifact, default_artifact_cache
@@ -94,9 +94,6 @@ class _PassGuard:
     def _note(self, name: str, phase: str, exc: Exception, action: str) -> None:
         error = f"{type(exc).__name__}: {exc}"
         self.diagnostics.append(PassDiagnostic(name, phase, error, action))
-        get_metrics().counter(
-            "pipeline.rollbacks", pass_name=name, phase=phase
-        ).inc()
         get_tracer().instant(
             f"rollback:{name}", "pipeline",
             phase=phase, action=action, error=error,
@@ -162,7 +159,6 @@ class _PassGuard:
                 attrs.update({f"{k}_after": v for k, v in after.items()})
                 span.set(rolled_back=rolled, **attrs)
             self.timings.append(timing)
-        get_metrics().counter("pipeline.passes", phase=p.phase).inc()
         return out
 
     def _checked(self, fn, ir, ctx: PassContext):
@@ -295,11 +291,9 @@ def _artifact_event(
     dur_us: Optional[float] = None,
 ) -> None:
     """One uniform observability record per artifact interaction: a
-    counter, a trace instant, and — for loads — a :class:`PassTiming`
-    entry so warm compiles show where their time went."""
-    get_metrics().counter(
-        "pipeline.artifacts", stage=stage, event=event
-    ).inc()
+    trace instant (``pipeline.artifacts`` counts them) and — for loads
+    — a :class:`PassTiming` entry so warm compiles show where their
+    time went."""
     get_tracer().instant(
         f"artifact-{event}:{stage}",
         "pipeline",
@@ -459,7 +453,6 @@ def _compile(
             rollbacks=len(diagnostics),
             from_artifact=loaded,
         )
-    get_metrics().counter("pipeline.compiles").inc()
     return CompiledProgram(
         core_prog, host, options, ctx.fusion_stats, diagnostics,
         guard.timings, from_artifact=loaded, fingerprints=fps,

@@ -49,7 +49,7 @@ from .gpu.device import DeviceProfile
 from .gpu.faults import FaultPlan
 from .gpu.simulator import GpuSimulator, InterpRunner
 from .interp import run_program
-from .obs import PassTiming, get_metrics, get_tracer
+from .obs import PassTiming, get_tracer
 from .serve.deadline import Deadline
 
 __all__ = [
@@ -286,7 +286,7 @@ def interpreter_floor(
     unless ``fallback`` is off or the deadline is gone (a late answer
     is no answer): those raise the typed error, ``.report`` attached.
     """
-    tracer, metrics = get_tracer(), get_metrics()
+    tracer = get_tracer()
     run_id = report.run_id
     if isinstance(error, DeadlineExceeded):
         report.deadline_exceeded = True
@@ -296,7 +296,6 @@ def interpreter_floor(
         report.deadline_exceeded = True
         report.events.append("deadline expired after the final attempt")
         tracer.instant("fault:deadline", "runtime", run_id=run_id)
-        metrics.counter("runtime.faults", kind="deadline").inc()
         error = DeadlineExceeded(entry)
     refused = isinstance(error, DeviceFault) and error.kind == "breaker"
     report.abandoned = (
@@ -312,7 +311,6 @@ def interpreter_floor(
     report.events.append(
         f"falling back to the reference interpreter after: {error}"
     )
-    metrics.counter("runtime.fallbacks").inc()
     with tracer.span(
         "interpreter-fallback", "runtime", run_id=run_id, after=str(error)
     ):
@@ -390,7 +388,6 @@ def run_resilient(
     # never draws from it.
     backoff_rng: Optional[random.Random] = None
     tracer = get_tracer()
-    metrics = get_metrics()
 
     with tracer.span(
         "execute",
@@ -412,9 +409,7 @@ def run_resilient(
                 )
                 report.gave_up_reason = "breaker open"
                 report.events.append(str(last_error))
-                metrics.counter(
-                    "runtime.breaker_refusals", backend=executor
-                ).inc()
+                exec_span.set(refused=executor)
             for attempt in range(policy.max_retries + 1 if admitted else 0):
                 verdict = "neutral"
                 try:
@@ -460,7 +455,6 @@ def run_resilient(
                 tracer.instant(
                     f"fault:{kind}", "runtime", error=message, run_id=run_id
                 )
-                metrics.counter("runtime.faults", kind=kind).inc()
                 if not retryable or attempt == policy.max_retries:
                     report.gave_up_reason = gave_up
                     break
@@ -488,8 +482,6 @@ def run_resilient(
                     _backoff_us(attempt, backoff_rng), budget
                 )
                 report.backoff_us += backoff
-                metrics.counter("runtime.retries").inc()
-                metrics.counter("runtime.backoff_us").inc(backoff)
                 tracer.instant(
                     "backoff", "runtime", us=backoff, run_id=run_id
                 )

@@ -7,7 +7,8 @@ worker thread, run lock, persistent :class:`~repro.gpu.heap.DeviceHeap`
 (lifetime-accumulating), :class:`~repro.serve.breaker.CircuitBreaker`,
 optional :class:`~repro.gpu.faults.FaultPlan` (the only plan its tasks
 run under), and its own observability namespace — kernel spans land on
-the ``gpu.dev{id}`` trace track and metrics under ``gpu.dev{id}.*``.
+the ``gpu.dev{id}`` trace track, and their metrics fold under
+``gpu.dev{id}.*``.
 
 :meth:`DevicePool.run` executes one request:
 
@@ -69,7 +70,7 @@ from ..gpu.costmodel import CostReport, request_price_us, size_env_from_args
 from ..gpu.device import DeviceProfile
 from ..gpu.faults import FaultPlan
 from ..gpu.heap import DeviceHeap
-from ..obs import get_metrics, get_tracer, thread_metering, thread_tracing
+from ..obs import get_tracer, thread_tracing
 from ..runtime import (
     ExecutionPolicy,
     RunReport,
@@ -158,10 +159,9 @@ class _Task:
     #: Handed to ``run_resilient`` as the task's deadline; its
     #: ``state`` is the task's shard.
     checkpoint: _Checkpoint
-    #: Worker outbox and adopted instruments (None on the caller's thread).
+    #: Worker outbox and adopted tracer (None on the caller's thread).
     results: "Optional[queue_mod.Queue[Tuple[_Task, _Outcome]]]"
     tracer: Any
-    metrics: Any
     key: Optional[str] = None
 
 
@@ -363,10 +363,10 @@ class DevicePool:
             task = dev.queue.get()
             if task is None:
                 return
-            # Adopt the submitting request's ambient instruments so shard
-            # spans and gpu.dev{id}.* metrics land in that request's
-            # flight record, not whatever this worker saw last.
-            with thread_tracing(task.tracer), thread_metering(task.metrics):
+            # Adopt the submitting request's ambient tracer so shard
+            # spans land in that request's flight record, not whatever
+            # this worker saw last.
+            with thread_tracing(task.tracer):
                 task.results.put((task, self._run_task(dev, task)))
 
     def _run_task(self, dev: PoolDevice, task: _Task) -> _Outcome:
@@ -659,18 +659,17 @@ class DevicePool:
                 checkpoint=_Checkpoint(deadline, st),
                 results=None,
                 tracer=None,
-                metrics=None,
                 key=key,
             )
 
         def submit(dev: PoolDevice, task: _Task) -> None:
             """Queue a booked ``task`` for ``dev``'s worker, with this
-            request's outbox and instruments."""
+            request's outbox and tracer."""
             nonlocal results
             if results is None:
                 results = queue_mod.Queue()
             task.results = results
-            task.tracer, task.metrics = get_tracer(), get_metrics()
+            task.tracer = get_tracer()
             dev.queue.put(task)
 
         def replace(st: _ShardState) -> Optional[PoolDevice]:

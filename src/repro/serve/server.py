@@ -71,7 +71,7 @@ from ..errors import (
 from ..gpu.costmodel import request_price_us, size_env_from_args
 from ..gpu.device import DeviceProfile, NVIDIA_GTX780TI
 from ..gpu.faults import FaultPlan
-from ..obs import Histogram, get_metrics, get_tracer
+from ..obs import Histogram, get_tracer
 from ..obs.flight import FlightRecorder
 from ..pipeline import (
     ArtifactCache,
@@ -546,12 +546,13 @@ class Server:
             return handle, None
         with self._lock:
             self._counts["admitted"] += 1
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter(
-                "serve.admitted", lane=lane, run_id=request.request_id
-            ).inc()
-            metrics.gauge("serve.queue_depth").set(len(self.queue))
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.instant(
+                "admitted", "serve", track="serve",
+                run_id=request.request_id, lane=lane,
+                queue_depth=len(self.queue),
+            )
         return handle, work
 
     # -- admission ----------------------------------------------------------
@@ -582,11 +583,10 @@ class Server:
             self._counts["shed"] += 1
         if self.flight_recorder is not None:
             self.flight_recorder.note_shed(handle.request_id)
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter(
-                "serve.shed", run_id=handle.request_id
-            ).inc()
+        get_tracer().instant(
+            "shed", "serve", track="serve",
+            run_id=handle.request_id, reason=reason,
+        )
         error = ServiceOverloaded(
             reason, queue_depth=len(self.queue), capacity=self.queue.capacity
         )
@@ -602,19 +602,16 @@ class Server:
                 self._counts["deadline_exceeded"] += 1
             else:
                 self._counts["errors"] += 1
-        self._latencies[result.lane].observe(result.latency_s * 1e6)
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter(
-                "serve.requests", status=result.status,
-                backend=result.backend or "none",
-                run_id=result.request_id,
-            ).inc()
-            metrics.histogram(
-                "serve.latency_us", lane=result.lane,
-                run_id=result.request_id,
-            ).observe(result.latency_s * 1e6)
-            metrics.gauge("serve.queue_depth").set(len(self.queue))
+        latency_us = result.latency_s * 1e6
+        self._latencies[result.lane].observe(latency_us)
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.instant(
+                "finished", "serve", track="serve",
+                run_id=result.request_id, lane=result.lane,
+                status=result.status, backend=result.backend or "none",
+                latency_us=latency_us, queue_depth=len(self.queue),
+            )
         handle._complete(result)
 
     # -- the workers --------------------------------------------------------
@@ -648,11 +645,10 @@ class Server:
             self._finish(handle, self._traced_execute(work))
             return
         # Everything inside the capture window — the request span, the
-        # executor's attempt spans, the simulator's kernel launches and
-        # every metric update — lands in the request's private record
-        # (and is mirrored to the global tracer/registry).  _finish runs
-        # inside the window so its serve.* metrics are part of the
-        # record too.
+        # executor's attempt spans, the simulator's kernel launches —
+        # lands in the request's private record (and is mirrored to the
+        # global tracer).  _finish runs inside the window so its
+        # ``finished`` instant is part of the record too.
         queue_wait_us = (time.monotonic() - work.submitted_at) * 1e6
         with recorder.capture(
             request.request_id, program=work.program.compiled.host.name

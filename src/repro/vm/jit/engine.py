@@ -12,8 +12,8 @@ per signature into straight-line NumPy source by
 :mod:`repro.vm.jit.codegen`, ``compile()``d, and executed directly.  A
 kernel the transpiler cannot handle, or whose generated code hits a
 data-dependent trap at run time, re-runs that launch on the scalar
-interpreter, counted on the ``vm.fallback`` metric with ``kind="jit"``
-and marked on the trace.
+interpreter, marked on the trace with a ``vm.fallback:<kernel>``
+instant (the ``vm.fallback{kind="jit"}`` metric counts them).
 
 Generated source — every kernel's, and the host function's — is
 memoized per host program (:class:`JitProgramCache`, on
@@ -36,7 +36,7 @@ from ...errors import CompilerBug, ReproError
 from ...gpu.device import DeviceProfile
 from ...gpu.simulator import GpuSimulator, interp_launch
 from ...interp.interpreter import Interpreter
-from ...obs import get_metrics, get_tracer
+from ...obs import get_tracer
 from ...pipeline.artifact import StageArtifact, default_artifact_cache
 from ...pipeline.fingerprint import _digest
 from .codegen import JitUnsupported, PYCODE_SCHEMA, transpile_kernel
@@ -234,13 +234,9 @@ class JitProgramCache:
             return entry
 
     def _transpile(self, kernel, sig, sig_key: str) -> Optional[str]:
-        tracer = get_tracer()
-        metrics = get_metrics()
-        with tracer.span(
+        with get_tracer().span(
             "jit.transpile", "vm", kernel=kernel.name, kind=kernel.kind
         ) as span:
-            if metrics.enabled:
-                metrics.counter("jit.transpiles", kernel=kernel.name).inc()
             try:
                 source: Optional[str] = transpile_kernel(kernel, sig)
             except JitUnsupported as ex:
@@ -258,9 +254,7 @@ class JitProgramCache:
     ) -> Optional[_CompiledKernel]:
         if source is None:
             return None
-        tracer = get_tracer()
-        metrics = get_metrics()
-        with tracer.span(
+        with get_tracer().span(
             "jit.compile", "vm", kernel=kernel.name, cached=cached
         ) as span:
             try:
@@ -277,8 +271,6 @@ class JitProgramCache:
             except Exception as ex:  # stale/corrupt source: degrade
                 span.set(error=f"{type(ex).__name__}: {ex}")
                 return None
-        if metrics.enabled:
-            metrics.counter("jit.compiles", kernel=kernel.name).inc()
         return _CompiledKernel(fn, scalars)
 
     def _persist(self) -> None:
@@ -314,12 +306,15 @@ def jit_cache_for(host) -> JitProgramCache:
 class JitRunner:
     """The ``jit`` kernel runner: each launch runs as transpiled
     Python; one the jit refuses or hands over re-runs on the engine's
-    interpreter (``vm.fallback{kind="jit"}``, and a trace instant)."""
+    interpreter (a ``vm.fallback:<kernel>`` trace instant).
+    ``computed_by`` names what computed the latest launch, ``"jit"`` or
+    ``"interp"``: the books' kernel span carries it as ``runner``."""
 
     def __init__(self, interp: Interpreter, trace_track: str) -> None:
         self._interp = interp
         self.trace_track = trace_track
         self._rt = JitRuntime(in_place=interp.in_place)
+        self.computed_by = "interp"
 
     def start(self, hp) -> tuple:
         """One launcher per launch site of ``hp``'s host function."""
@@ -351,9 +346,7 @@ class JitRunner:
                 except Exception as ex:  # unexpected: degrade, never fail
                     reason = f"{type(ex).__name__}: {ex}"
                 else:
-                    metrics = get_metrics()
-                    if metrics.enabled:
-                        metrics.counter("jit.kernels", kind=kernel.kind).inc()
+                    self.computed_by = "jit"
                     return outs
             self._note_fallback(kernel, reason)
             # Generated code never mutates arrays it does not own, so the
@@ -363,11 +356,7 @@ class JitRunner:
         return launch
 
     def _note_fallback(self, kernel, reason: str) -> None:
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter(
-                "vm.fallback", kernel=kernel.name, kind="jit"
-            ).inc()
+        self.computed_by = "interp"
         tracer = get_tracer()
         if tracer.enabled:
             tracer.instant(

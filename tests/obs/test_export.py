@@ -4,8 +4,13 @@ file), metrics dumps, and the terminal summary."""
 import json
 import os
 
+import numpy as np
 import pytest
 
+from repro.core.prim import I32
+from repro.core.values import ScalarValue, array_value
+from repro.frontend import parse
+from repro.obs import observe
 from repro.obs.export import (
     chrome_trace,
     metrics_dump,
@@ -15,8 +20,9 @@ from repro.obs.export import (
     write_chrome_trace,
     write_metrics,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
+from repro.pipeline import compile_program
+from repro.runtime import ExecutionPolicy
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_trace.json")
 
@@ -117,59 +123,111 @@ def test_non_json_attribute_values_are_stringified():
     assert validate_chrome_trace(trace) == []
 
 
+def _launch(tracer: Tracer, dur_us: float) -> None:
+    tracer.complete(
+        "kernel:map_1", "kernel", ts_us=0.0, dur_us=dur_us,
+        track="sim-gpu", namespace="gpu", runner="interp", kind="map",
+        launches=1, cycles=1.0, bytes_effective=1.0, bytes_raw=1.0,
+        flops=1.0, occupancy=0.5, watchdog_consumed=0.1,
+    )
+
+
 def test_metrics_dump_and_validation(tmp_path):
-    m = MetricsRegistry()
-    m.counter("runtime.retries").inc(2)
-    m.histogram("gpu.kernel_time_us", buckets=(10.0, 100.0)).observe(42.0)
-    dump = metrics_dump(m, metadata={"run_id": "golden/seed0"})
+    tr = Tracer()
+    tr.instant("backoff", "runtime", us=1.0)
+    tr.instant("backoff", "runtime", us=1.0)
+    _launch(tr, 42.0)
+    dump = metrics_dump(tr, metadata={"run_id": "golden/seed0"})
     assert validate_metrics_dump(dump) == []
     assert dump["schema"] == "repro.metrics/v1"
     assert dump["metadata"]["run_id"] == "golden/seed0"
+    assert dump["counters"]["runtime.retries"] == 2
     path = tmp_path / "metrics.json"
-    write_metrics(m, str(path))
+    write_metrics(tr, str(path))
     with open(path) as f:
         assert validate_metrics_dump(json.load(f)) == []
     # Malformed dumps are rejected.
     assert validate_metrics_dump({"schema": "nope"}) != []
-    broken = metrics_dump(m)
+    broken = metrics_dump(tr)
     broken["histograms"]["gpu.kernel_time_us"]["counts"] = [1]
     assert validate_metrics_dump(broken) != []
 
 
 def test_summary_renders_passes_kernels_and_counters():
     tr = _golden_tracer()
-    m = MetricsRegistry()
-    m.counter("runtime.retries").inc(4)
-    m.histogram("gpu.kernel_time_us").observe(35.5)
-    text = summary(tr, m)
+    for _ in range(4):
+        tr.instant("backoff", "runtime", us=2.0)
+    _launch(tr, 35.5)
+    text = summary(tr)
     assert "pass:fusion" in text
     assert "kernel:map_1" in text
     assert "runtime.retries" in text
     assert "gpu.kernel_time_us" in text
-    assert summary(None, None) == "(no observability data recorded)"
+    assert summary(None) == "(no observability data recorded)"
 
 
 def test_metrics_dump_carries_bucket_bounds():
-    m = MetricsRegistry()
-    m.histogram("h", buckets=(1.0, 2.0)).observe(1.5)
-    dump = metrics_dump(m)
-    assert dump["histograms"]["h"]["bounds"] == [1.0, 2.0]
-    assert len(dump["histograms"]["h"]["counts"]) == 3
+    tr = Tracer()
+    _launch(tr, 1.5)
+    dump = metrics_dump(tr)
+    h = dump["histograms"]["gpu.occupancy"]
+    assert h["bounds"] == [0.1, 0.25, 0.5, 0.75, 0.9, 1.0]
+    assert len(h["counts"]) == len(h["bounds"]) + 1
 
 
 def test_metrics_validator_rejects_inconsistent_bucket_counts():
-    m = MetricsRegistry()
-    m.histogram("h", buckets=(1.0, 2.0)).observe(1.5)
-    dump = metrics_dump(m)
+    tr = Tracer()
+    _launch(tr, 1.5)
+    dump = metrics_dump(tr)
     assert validate_metrics_dump(dump) == []
     # Bucket counts that do not sum to the observation count.
-    broken = metrics_dump(m)
-    broken["histograms"]["h"]["count"] = 5
+    broken = metrics_dump(tr)
+    broken["histograms"]["gpu.kernel_time_us"]["count"] = 5
     errs = validate_metrics_dump(broken)
     assert any("sum to" in e for e in errs)
     # Non-ascending bounds.
-    broken = metrics_dump(m)
-    broken["histograms"]["h"]["bounds"] = [2.0, 1.0]
-    broken["histograms"]["h"]["counts"] = [0, 1, 0]
+    broken = metrics_dump(tr)
+    h = broken["histograms"]["gpu.kernel_time_us"]
+    h["bounds"] = list(reversed(h["bounds"]))
     errs = validate_metrics_dump(broken)
     assert any("ascending" in e for e in errs)
+
+
+def test_an_instant_is_drawn_on_its_track():
+    tr = Tracer()
+    tr.instant("vm.fallback:k", "vm", track="vm-jit", kind="jit")
+    trace = chrome_trace(tr)
+    tids = {
+        e["args"]["name"]: e["tid"]
+        for e in trace["traceEvents"] if e["name"] == "thread_name"
+    }
+    (ev,) = [e for e in trace["traceEvents"] if e["ph"] == "i"]
+    assert ev["tid"] == tids["vm-jit"] != tids["main"]
+    assert ev["args"] == {"kind": "jit"}
+
+
+def test_a_jit_hand_over_is_marked_on_the_jit_track():
+    """``vm.fallback:<kernel>`` lands on the ``vm-jit`` track of the
+    kernel it hands over, with no ``track`` among its attributes."""
+    compiled = compile_program(parse(
+        "fun main (xs: [n]i32) (k: i32): [n]i32 =\n"
+        "  map (\\(x: i32) -> shl x k) xs\n"
+    ), artifact_cache=None)
+    args = [
+        array_value(np.array([1, 2, 3], dtype=np.int32), I32),
+        ScalarValue(40, I32),
+    ]
+    with observe() as session:
+        compiled.execute(args, policy=ExecutionPolicy(executor="jit"))
+    trace = chrome_trace(session.tracer)
+    tids = {
+        e["args"]["name"]: e["tid"]
+        for e in trace["traceEvents"] if e["name"] == "thread_name"
+    }
+    (ev,) = [
+        e for e in trace["traceEvents"]
+        if e["ph"] == "i" and e["name"].startswith("vm.fallback:")
+    ]
+    assert ev["tid"] == tids["vm-jit"] != tids["main"]
+    assert "track" not in ev["args"]
+    assert ev["args"]["kind"] == "jit"

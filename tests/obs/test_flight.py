@@ -1,26 +1,26 @@
-"""The flight recorder in isolation: tee mirroring, ring eviction
-(including under a concurrent hammer), dump triggers per terminal
-error class, bundle validation and terminal replay."""
+"""The flight recorder in isolation: tee mirroring, per-request
+metrics, ring eviction (including under a concurrent hammer), dump
+triggers per terminal error class, bundle validation and terminal
+replay."""
 
 import json
 import threading
 
 import pytest
 
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import Tracer
 from repro.obs.export import validate_flight_bundle
 from repro.obs.flight import (
     DUMP_TRIGGERS,
     FLIGHT_SCHEMA,
     SLO_TRIGGER,
     FlightRecorder,
-    TeeMetrics,
     TeeTracer,
     read_bundle,
     render_bundle,
 )
-from repro.obs.metrics import get_metrics
-from repro.obs.trace import get_tracer
+from repro.obs.metrics import fold
+from repro.obs.trace import get_tracer, tracing
 
 
 class _Err(Exception):
@@ -52,7 +52,6 @@ def _finish_one(recorder, request_id, error=None, latency_us=1_000.0,
     with recorder.capture(request_id, program="p") as record:
         get_tracer().complete("kernel:k0", "kernel", ts_us=0.0, dur_us=5.0,
                               track="gpu")
-        get_metrics().counter("test.launches").inc()
         recorder.finish(
             record,
             status=status or ("error" if error is not None else "ok"),
@@ -105,26 +104,47 @@ class TestTeeTracer:
         assert [s.name for s in tee.spans] == ["work"]
 
 
-class TestTeeMetrics:
-    def test_updates_land_locally_and_in_mirror(self):
-        mirror = MetricsRegistry()
-        tee = TeeMetrics(mirror=mirror)
-        tee.counter("c").inc(3)
-        tee.gauge("g").set(7.0)
-        tee.histogram("h").observe(1.0)
-        assert tee.counter("c").value == 3
-        assert mirror.counter("c").value == 3
-        assert mirror.gauge("g").value == 7.0
-        assert mirror.histogram("h").count == 1
+class TestBundleMetrics:
+    def test_a_bundles_metrics_are_its_own_requests(self, tmp_path):
+        recorder = FlightRecorder(capacity=8, dump_dir=str(tmp_path))
+        with tracing() as ambient:
+            get_tracer().instant("fault:oom", "runtime")
+            with recorder.capture("mine", program="p") as record:
+                get_tracer().instant("fault:transient", "runtime")
+                recorder.finish(record, status="ok", latency_us=1.0)
+        counters = recorder.bundle(record)["metrics"]["counters"]
+        assert counters == {"runtime.faults{kind=transient}": 1.0}
+        # Mirrored: the ambient tracer saw the request's event too.
+        assert fold(ambient)["counters"] == {
+            "runtime.faults{kind=oom}": 1.0,
+            "runtime.faults{kind=transient}": 1.0,
+        }
 
-    def test_snapshot_is_request_local(self):
-        mirror = MetricsRegistry()
-        mirror.counter("global.only").inc()
-        tee = TeeMetrics(mirror=mirror)
-        tee.counter("local").inc()
-        snap = tee.snapshot()
-        assert "local" in snap["counters"]
-        assert "global.only" not in snap["counters"]
+    def test_concurrent_captures_keep_their_own_metrics(self, tmp_path):
+        recorder = FlightRecorder(capacity=8, dump_dir=str(tmp_path))
+        barrier = threading.Barrier(2)
+        records = {}
+
+        def serve(kind):
+            with recorder.capture(kind, program="p") as record:
+                barrier.wait()
+                for _ in range(50):
+                    get_tracer().instant(f"fault:{kind}", "runtime")
+                barrier.wait()
+                recorder.finish(record, status="ok", latency_us=1.0)
+            records[kind] = record
+
+        threads = [
+            threading.Thread(target=serve, args=(kind,))
+            for kind in ("oom", "timeout")
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for kind, record in records.items():
+            counters = recorder.bundle(record)["metrics"]["counters"]
+            assert counters == {f"runtime.faults{{kind={kind}}}": 50.0}
 
 
 class TestRingEviction:
@@ -260,7 +280,9 @@ class TestBundle:
     def test_bundle_is_joinable_on_run_id(self, tmp_path):
         recorder = FlightRecorder(capacity=8, dump_dir=str(tmp_path))
         with recorder.capture("join-me", program="p") as record:
-            get_metrics().counter("runtime.attempts", run_id="join-me").inc()
+            get_tracer().instant(
+                "backoff", "runtime", us=1.0, run_id="join-me"
+            )
             recorder.finish(
                 record,
                 status="error",
@@ -318,7 +340,7 @@ class TestRenderBundle:
                 "kernel:map_1", "kernel", ts_us=0.0, dur_us=50.0, track="gpu"
             )
             get_tracer().instant("breaker:jit opened", "serve")
-            get_metrics().counter("runtime.attempts").inc()
+            get_tracer().instant("backoff", "runtime", us=3.0)
             recorder.finish(
                 record,
                 status="error",
@@ -344,7 +366,7 @@ class TestRenderBundle:
         assert "jit -> sim" in text
         assert "kernel:map_1" in text
         assert "breaker:jit opened" in text
-        assert "runtime.attempts" in text
+        assert "runtime.retries" in text
         assert "fault at k0" in text
 
     def test_replay_renders_one_placement_row_per_shard(self):

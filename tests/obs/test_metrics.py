@@ -1,35 +1,9 @@
-"""Metrics registry unit tests: counters/gauges/histograms, label
-identity, bucketing, snapshots and the no-op registry."""
+"""Metrics unit tests: histogram bucketing and percentiles, and the
+fold of a tracer's records into a snapshot (label rendering, the
+``namespace`` of the books, killed launches, last-write gauges)."""
 
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Histogram,
-    MetricsRegistry,
-    NULL_METRICS,
-    get_metrics,
-    metering,
-    set_metrics,
-)
-
-
-def test_counter_is_memoised_by_name_and_labels():
-    m = MetricsRegistry()
-    a = m.counter("gpu.launches", kind="map")
-    b = m.counter("gpu.launches", kind="map")
-    c = m.counter("gpu.launches", kind="reduce")
-    assert a is b and a is not c
-    a.inc()
-    a.inc(2.5)
-    assert a.value == 3.5
-    assert c.value == 0.0
-
-
-def test_gauge_last_write_wins():
-    m = MetricsRegistry()
-    g = m.gauge("occupancy")
-    g.set(0.25)
-    g.set(0.75)
-    assert g.value == 0.75
+from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, fold, metering
+from repro.obs.trace import Tracer, get_tracer
 
 
 def test_histogram_bucketing():
@@ -49,20 +23,93 @@ def test_histogram_boundary_values_fall_in_lower_bucket():
     assert h.counts == [1, 1, 0]
 
 
+def _launch(tracer, name="map_1", namespace="gpu", **attrs):
+    fields = dict(
+        namespace=namespace, runner="interp", kind="map", launches=1,
+        cycles=100.0, bytes_effective=64.0, bytes_raw=64.0, flops=8.0,
+        occupancy=0.5, watchdog_consumed=0.1,
+    )
+    fields.update(attrs)
+    tracer.complete(
+        f"kernel:{name}", "kernel", ts_us=0.0, dur_us=2.5,
+        track="sim-gpu", **fields,
+    )
+
+
 def test_snapshot_shape_and_label_rendering():
-    m = MetricsRegistry()
-    m.counter("runtime.retries").inc(3)
-    m.counter("gpu.launches", kind="map").inc()
-    m.gauge("x").set(1.5)
-    m.histogram("t", buckets=(1.0,)).observe(0.5)
-    snap = m.snapshot()
-    assert snap["counters"]["runtime.retries"] == 3
+    tr = Tracer()
+    tr.instant("backoff", "runtime", us=1.5)
+    tr.instant("backoff", "runtime", us=1.5)
+    tr.instant("fault:transient", "runtime")
+    _launch(tr)
+    snap = fold(tr)
+    assert snap["counters"]["runtime.retries"] == 2
+    assert snap["counters"]["runtime.backoff_us"] == 3.0
+    assert snap["counters"]["runtime.faults{kind=transient}"] == 1
     assert snap["counters"]["gpu.launches{kind=map}"] == 1
-    assert snap["gauges"]["x"] == 1.5
-    h = snap["histograms"]["t"]
-    assert h["bounds"] == [1.0]
-    assert h["counts"] == [1, 0]
+    assert snap["counters"]["gpu.sim_time_us"] == 2.5
+    h = snap["histograms"]["gpu.occupancy"]
+    assert h["bounds"] == [0.1, 0.25, 0.5, 0.75, 0.9, 1.0]
+    assert h["counts"] == [0, 0, 1, 0, 0, 0, 0]
     assert h["count"] == 1
+    assert list(snap) == ["counters", "gauges", "histograms"]
+
+
+def test_labels_render_sorted_by_name():
+    tr = Tracer()
+    tr.instant("admitted", "serve", run_id="r1", lane="batch", queue_depth=3)
+    snap = fold(tr)
+    assert snap["counters"] == {"serve.admitted{lane=batch,run_id=r1}": 1.0}
+    assert snap["gauges"] == {"serve.queue_depth": 3.0}
+
+
+def test_the_books_namespace_names_the_metrics():
+    tr = Tracer()
+    _launch(tr)
+    _launch(tr, namespace="gpu.dev1", kind="reduce", launches=2)
+    counters = fold(tr)["counters"]
+    assert counters["gpu.launches{kind=map}"] == 1
+    assert counters["gpu.dev1.launches{kind=reduce}"] == 2
+    # A kernel span the books did not record folds to nothing.
+    bare = Tracer()
+    bare.complete("kernel:k", "kernel", ts_us=0.0, dur_us=1.0)
+    assert fold(bare)["counters"] == {}
+
+
+def test_a_killed_launch_counts_as_jitted_and_as_no_launch():
+    tr = Tracer()
+    _launch(tr, runner="jit")
+    _launch(tr, runner="jit", watchdog_consumed=3.0, error="killed")
+    counters = fold(tr)["counters"]
+    assert counters["jit.kernels{kind=map}"] == 2
+    assert counters["gpu.launches{kind=map}"] == 1
+
+
+def test_the_last_heap_instant_sets_the_peak():
+    tr = Tracer()
+    for peak in (512, 256):
+        tr.instant(
+            "heap", "mem", namespace="gpu", peak_bytes=peak, allocs=2,
+            frees=1, reuses=0, alloc_bytes=peak,
+        )
+    snap = fold(tr)
+    assert snap["gauges"] == {"gpu.mem.peak_bytes": 256.0}
+    assert snap["counters"]["gpu.mem.allocs"] == 4
+    assert snap["counters"]["gpu.mem.alloc_bytes"] == 768
+
+
+def test_an_errored_span_is_not_a_finished_one():
+    tr = Tracer()
+    tr.complete("pass:fusion", "pipeline", phase="fusion", fused_vertical=2)
+    tr.complete(
+        "pass:tiling", "pipeline", phase="memory", error="CompilerBug: x"
+    )
+    tr.complete("compile", "pipeline", error="CompilerBug: x")
+    counters = fold(tr)["counters"]
+    assert counters == {
+        "pipeline.passes{phase=fusion}": 1.0,
+        "fusion.vertical": 2.0,
+    }
 
 
 def test_default_buckets_are_sorted():
@@ -72,29 +119,13 @@ def test_default_buckets_are_sorted():
     assert h.counts[-1] == 1
 
 
-def test_null_registry_is_inert_and_shared():
-    a = NULL_METRICS.counter("x")
-    b = NULL_METRICS.histogram("y")
-    assert a is b  # one shared no-op instrument
-    a.inc(100)
-    b.observe(5)
-    assert a.value == 0.0
-    assert NULL_METRICS.snapshot() == {
-        "counters": {},
-        "gauges": {},
-        "histograms": {},
-    }
-    assert not NULL_METRICS.enabled
-
-
-def test_ambient_registry_install_and_restore():
-    assert get_metrics() is NULL_METRICS
+def test_metering_installs_a_tracer_and_views_it():
+    before = get_tracer()
     with metering() as m:
-        assert get_metrics() is m
-        m.counter("c").inc()
-    assert get_metrics() is NULL_METRICS
-    set_metrics(None)
-    assert get_metrics() is NULL_METRICS
+        assert get_tracer() is m.tracer
+        get_tracer().instant("fault:oom", "runtime")
+    assert get_tracer() is before
+    assert m.snapshot()["counters"] == {"runtime.faults{kind=oom}": 1.0}
 
 
 class TestPercentile:

@@ -1,7 +1,10 @@
 """The trace is the one event channel: each event is recorded once,
-and ``--verbose`` prints the trace summary instead of a second log."""
+metrics are a view of it, and ``--verbose`` prints the trace summary
+instead of a second log."""
 
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -10,6 +13,7 @@ import pytest
 
 from repro.bench.suite import BENCHMARKS
 from repro.gpu.faults import FaultPlan, chaos_plans
+import repro.obs
 from repro.obs import Tracer, observe
 from repro.obs.export import summary
 from repro.pipeline import compile_program
@@ -96,3 +100,40 @@ def test_a_refused_artifact_root_warns_once(tmp_path):
         assert cache.store(StageArtifact("core", "a" * 64, "main", {})) is None
     assert len(caught) == 1
     assert cache.stats.snapshot()["refusals"] == 2
+
+
+def test_nothing_outside_obs_names_a_second_recording_path():
+    src = pathlib.Path(REPO) / "src" / "repro"
+    banned = re.compile(
+        r"\b(get_metrics|thread_metering|MetricsRegistry|TeeMetrics)\b"
+    )
+    offenders = [
+        str(path.relative_to(src))
+        for path in sorted(src.rglob("*.py"))
+        if path.parent.name != "obs" and banned.search(path.read_text())
+    ]
+    assert offenders == []
+
+
+def test_the_obs_surface_is_pinned():
+    assert sorted(repro.obs.__all__) == sorted([
+        "DUMP_TRIGGERS",
+        "FLIGHT_SCHEMA",
+        "FlightRecord",
+        "FlightRecorder",
+        "Histogram",
+        "MetricsView",
+        "ObsSession",
+        "PassTiming",
+        "Span",
+        "TeeTracer",
+        "Tracer",
+        "get_tracer",
+        "metering",
+        "observe",
+        "set_tracer",
+        "thread_tracing",
+        "tracing",
+    ])
+    for name in repro.obs.__all__:
+        assert hasattr(repro.obs, name), name

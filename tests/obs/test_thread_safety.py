@@ -1,15 +1,17 @@
 """Concurrent hammer tests: the observability layer under threads.
 
-The serving layer's worker pool shares one ambient registry/tracer, so
-counter increments, histogram observations, instrument creation and
-span emission must not lose updates or corrupt internal state under
-concurrency.  These tests drive enough iterations that the unlocked
-read-modify-write implementations reliably fail them.
+The serving layer's worker pool shares one ambient tracer, and its
+per-lane latency histograms are always on, so span and instant
+emission, the fold of a live tracer and histogram observations must
+not lose updates or corrupt internal state under concurrency.  These
+tests drive enough iterations that the unlocked read-modify-write
+implementations reliably fail them.
 """
 
 import threading
 
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import Histogram, Tracer
+from repro.obs.metrics import fold
 
 THREADS = 8
 ITERS = 4_000
@@ -37,63 +39,54 @@ def _hammer(n_threads, fn):
 
 
 class TestMetricsThreadSafety:
-    def test_counter_increments_are_not_lost(self):
-        registry = MetricsRegistry()
+    def test_concurrent_events_fold_to_exact_counts(self):
+        tracer = Tracer()
 
         def work(_):
             for _ in range(ITERS):
-                registry.counter("hammer.count").inc()
+                tracer.instant("backoff", "runtime", us=1.0)
 
         _hammer(THREADS, work)
-        assert registry.counter("hammer.count").value == THREADS * ITERS
-
-    def test_racing_instrument_creation_yields_one_instrument(self):
-        registry = MetricsRegistry()
-
-        def work(i):
-            # Everyone creates-or-gets the same labelled counter.
-            for _ in range(ITERS):
-                registry.counter("hammer.labelled", lane="x").inc()
-
-        _hammer(THREADS, work)
-        snap = registry.snapshot()
-        assert snap["counters"]["hammer.labelled{lane=x}"] == THREADS * ITERS
+        counters = fold(tracer)["counters"]
+        assert counters["runtime.retries"] == THREADS * ITERS
+        assert counters["runtime.backoff_us"] == THREADS * ITERS
 
     def test_histogram_observations_are_not_lost(self):
-        registry = MetricsRegistry()
+        h = Histogram()
 
         def work(i):
-            h = registry.histogram("hammer.hist")
             for k in range(ITERS):
                 h.observe(float(k % 100))
 
         _hammer(THREADS, work)
-        h = registry.histogram("hammer.hist")
         assert h.count == THREADS * ITERS
         assert sum(h.counts) == THREADS * ITERS
 
-    def test_snapshot_during_mutation_does_not_crash(self):
-        registry = MetricsRegistry()
-        stop = threading.Event()
+    def test_fold_during_emission_does_not_crash(self):
+        tracer = Tracer()
+        per_thread = 1_000
+        done = threading.Event()
 
-        def mutate(i):
-            k = 0
-            while not stop.is_set():
-                registry.counter(f"hammer.dynamic{k % 64}", t=i).inc()
-                k += 1
+        def emit(i):
+            for k in range(per_thread):
+                tracer.instant(f"fault:kind{k % 64}", "runtime", t=i)
 
         def snapshot(_):
-            for _ in range(200):
-                registry.snapshot()
-            stop.set()
+            while not done.is_set():
+                fold(tracer)
 
-        threads = [
-            threading.Thread(target=mutate, args=(i,)) for i in range(4)
-        ] + [threading.Thread(target=snapshot, args=(0,))]
-        for t in threads:
+        emitters = [
+            threading.Thread(target=emit, args=(i,)) for i in range(4)
+        ]
+        reader = threading.Thread(target=snapshot, args=(0,))
+        for t in emitters + [reader]:
             t.start()
-        for t in threads:
+        for t in emitters:
             t.join()
+        done.set()
+        reader.join()
+        counters = fold(tracer)["counters"]
+        assert sum(counters.values()) == 4 * per_thread
 
 
 class TestTracerThreadSafety:

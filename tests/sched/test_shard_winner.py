@@ -31,7 +31,6 @@ def _task(state):
         checkpoint=pool_mod._Checkpoint(None, state),
         results=None,
         tracer=None,
-        metrics=None,
     )
 
 
