@@ -97,6 +97,15 @@ class TestTeeTracer:
         assert mirror.spans[-1].ts_us == 123.0
         assert mirror.spans[-1].dur_us == 7.0
 
+    def test_instants_keep_their_track_locally_and_in_mirror(self):
+        mirror = Tracer()
+        tee = TeeTracer(mirror=mirror)
+        tee.instant("vm.fallback:k", "vm", track="vm-jit", kind="jit")
+        for tracer in (tee, mirror):
+            (inst,) = tracer.instants
+            assert inst.track == "vm-jit"
+            assert inst.attrs == {"kind": "jit"}
+
     def test_disabled_mirror_is_dropped(self):
         tee = TeeTracer(mirror=get_tracer())  # ambient NullTracer
         with tee.span("work", "test"):
