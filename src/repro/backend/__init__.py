@@ -26,7 +26,7 @@ def passes():
     def _lower(prog, options, ctx):
         import repro.pipeline as pl
 
-        return pl.lower_program(prog, fname=ctx.entry)
+        return pl.lower_program(prog, ctx.entry, options.in_place)
 
     return (
         Pass(
@@ -34,6 +34,7 @@ def passes():
             stage="host",
             phase="backend",
             fn=_lower,
+            option_keys=("in_place",),
             fallback=None,
             optional=False,
         ),

@@ -45,7 +45,9 @@ _BUILTIN_PARALLEL = (
 )
 
 
-def lower_program(prog: A.Prog, fname: str = "main") -> HostProgram:
+def lower_program(
+    prog: A.Prog, fname: str = "main", in_place: bool = True
+) -> HostProgram:
     fun = prog.fun(fname)
     type_env: Dict[str, Type] = {p.name: p.type for p in fun.params}
     counter = [0]
@@ -55,6 +57,7 @@ def lower_program(prog: A.Prog, fname: str = "main") -> HostProgram:
         params=fun.params,
         stmts=stmts,
         result=fun.body.result,
+        in_place=in_place,
     )
     for p in fun.params:
         if isinstance(p.type, Array):

@@ -177,7 +177,7 @@ class Kernel:
     flops_per_thread: Count = field(default_factory=Count.zero)
     tiles: List[TileInfo] = field(default_factory=list)
     #: Arrays whose accesses this kernel expects in a specific layout
-    #: (filled in by the coalescing pass).
+    #: (filled in by the coalescing pass: the only record of a layout).
     layouts: Dict[str, IndexFn] = field(default_factory=dict)
 
     def grid_dims(self) -> Tuple[Dim, ...]:
@@ -333,20 +333,22 @@ class HostProgram:
     #: Logical shape of every array (symbolic dims), for sizing
     #: manifestation traffic.
     array_shapes: Dict[str, Tuple[Dim, ...]] = field(default_factory=dict)
+    #: Perform uniqueness-checked updates by mutation (§3): lowering
+    #: sets it from ``CompilerOptions.in_place``.
+    in_place: bool = True
     # -- process state ------------------------------------------------------
     # What executors and the driver remember about this program while
     # the process lives.  Not part of the program: never compared,
     # never persisted (``__getstate__`` drops them, ``__setstate__``
     # recreates them empty).
-    #: The simulator's launch-price memo: ``(device, coalescing) ->
-    #: (kernel name, values of Kernel.size_names) -> KernelCost``.
+    #: The simulator's launch-price memo: ``device -> (kernel name,
+    #: values of Kernel.size_names) -> KernelCost``.
     launch_costs: Dict[tuple, Dict[tuple, Any]] = field(
         default_factory=dict, repr=False, compare=False
     )
     #: The request-price memo (:func:`repro.gpu.costmodel.
-    #: request_price_us`): ``(device, coalescing, entry sizes) ->
-    #: estimate_program(...).total_us``, shared by admission and
-    #: placement.
+    #: request_price_us`): ``(device, entry sizes) -> estimate_program
+    #: (...).total_us``, shared by admission and placement.
     price_cache: Dict[tuple, Any] = field(
         default_factory=dict, repr=False, compare=False
     )

@@ -186,7 +186,6 @@ def kernel_cost(
     kernel: Kernel,
     size_env: Mapping[str, int],
     device: DeviceProfile,
-    coalescing: bool = True,
 ) -> KernelCost:
     threads = max(1.0, kernel.threads().evaluate(size_env))
     flops = kernel.flops_per_thread.evaluate(size_env) * threads
@@ -212,8 +211,6 @@ def kernel_cost(
             layout = kernel.layouts.get(
                 acc.array, IndexFn.identity(acc.thread_dims + acc.seq_rank)
             )
-            if coalescing is False:
-                layout = IndexFn.identity(acc.thread_dims + acc.seq_rank)
             if acc.coalesced_under(layout, len(kernel.grid)):
                 eff = raw
             else:
@@ -402,7 +399,6 @@ def estimate_program(
     hp: HostProgram,
     size_env: Mapping[str, int],
     device: DeviceProfile,
-    coalescing: bool = True,
 ) -> CostReport:
     """Price a host program analytically at the given sizes, without
     executing it.  Host loops multiply their body's cost by the trip
@@ -416,7 +412,7 @@ def estimate_program(
         block = hp.blocks.get(p.name)
         if block is not None and isinstance(p.type, Array):
             heap.alloc(block.name, block.size_bytes(env))
-    _estimate_stmts(hp.stmts, env, device, report, coalescing, heap)
+    _estimate_stmts(hp.stmts, env, device, report, heap)
     report.mem_peak_bytes = heap.stats.peak_bytes
     report.mem_alloc_count = heap.stats.alloc_count
     report.mem_reuse_count = heap.stats.reuse_count
@@ -447,20 +443,17 @@ def request_price_us(
     hp: HostProgram,
     size_env: Mapping[str, int],
     device: DeviceProfile,
-    coalescing: bool = True,
 ) -> Optional[float]:
     """What one request for ``hp`` at these sizes costs on ``device``
     (``estimate_program(...).total_us``), memoised on the program:
     admission and placement price the same few (program, sizes) pairs
     constantly.  None for a program the model cannot price (not an
     error — it just gets no priority and no meaningful estimate)."""
-    key = (device, coalescing, tuple(sorted(size_env.items())))
+    key = (device, tuple(sorted(size_env.items())))
     hit = hp.price_cache.get(key, _UNPRICED)
     if hit is _UNPRICED:
         try:
-            hit = estimate_program(
-                hp, size_env, device, coalescing=coalescing
-            ).total_us
+            hit = estimate_program(hp, size_env, device).total_us
         except Exception:
             hit = None
         memo_insert(hp.price_cache, key, hit)
@@ -518,7 +511,6 @@ def _estimate_stmts(
     size_env: Mapping[str, int],
     device: DeviceProfile,
     report: CostReport,
-    coalescing: bool,
     heap,
 ) -> None:
     for s in stmts:
@@ -527,7 +519,7 @@ def _estimate_stmts(
             if s.elide_copy is not None:
                 continue  # planner removed this copy outright
             report.kernel_costs.append(
-                kernel_cost(s.kernel, size_env, device, coalescing)
+                kernel_cost(s.kernel, size_env, device)
             )
         elif isinstance(s, HostEval):
             report.host_us += host_stmt_us(s.binding.exp, device)
@@ -537,9 +529,7 @@ def _estimate_stmts(
         elif isinstance(s, HostLoopStmt):
             trips = _trips(s, size_env)
             inner = CostReport(device.name)
-            _estimate_stmts(
-                s.body, size_env, device, inner, coalescing, heap
-            )
+            _estimate_stmts(s.body, size_env, device, inner, heap)
             copy_us = 0.0
             for us in loop_copy_us(s, size_env, device):
                 copy_us += us
@@ -553,7 +543,5 @@ def _estimate_stmts(
                 _replay_heap(s.body, size_env, heap)
         elif isinstance(s, HostIfStmt):
             inner = CostReport(device.name)
-            _estimate_stmts(
-                s.then_body, size_env, device, inner, coalescing, heap
-            )
+            _estimate_stmts(s.then_body, size_env, device, inner, heap)
             report.merge(inner)

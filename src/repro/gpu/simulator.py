@@ -86,7 +86,6 @@ class DeviceAccounting:
     def __init__(
         self,
         device: DeviceProfile,
-        coalescing: bool = True,
         *,
         injector: Optional[FaultInjector] = None,
         deadline=None,
@@ -95,7 +94,6 @@ class DeviceAccounting:
         heap: Optional[DeviceHeap] = None,
     ) -> None:
         self.device = device
-        self.coalescing = coalescing
         self.injector = injector
         self.deadline = deadline
         self.trace_track = trace_track
@@ -119,7 +117,7 @@ class DeviceAccounting:
             if block is not None and isinstance(p.type, Array):
                 self.heap.alloc(block.name, block.size_bytes(size_env))
         self._launch_costs: Dict[tuple, KernelCost] = (
-            hp.launch_costs.setdefault((self.device, self.coalescing), {})
+            hp.launch_costs.setdefault(self.device, {})
         )
 
     def finish(self) -> CostReport:
@@ -228,9 +226,9 @@ class DeviceAccounting:
     ) -> KernelCost:
         """``kernel_cost`` of one launch at ``sizes`` (aligned with
         ``kernel.size_names``).  The price is a pure function of the
-        kernel, the size variables it names, the device and
-        ``coalescing``, and a host loop or a served request replays the
-        same launch every time, so it is computed once per key (shared
+        kernel (layouts included), the size variables it names and the
+        device, and a host loop or a served request replays the same
+        launch every time, so it is computed once per key (shared
         through the host program, bounded and evicted like its other
         two price memos: ``costmodel.memo_insert``)."""
         memo = self._launch_costs
@@ -244,7 +242,6 @@ class DeviceAccounting:
                     if v is not None
                 },
                 self.device,
-                coalescing=self.coalescing,
             )
             memo_insert(memo, key, cost)
         return cost
@@ -423,19 +420,15 @@ class GpuSimulator:
     def __init__(
         self,
         device: DeviceProfile,
-        coalescing: bool = True,
-        in_place: bool = True,
         prog: Optional[A.Prog] = None,
         runner: Callable[[Interpreter, str], Any] = InterpRunner,
         **books,
     ) -> None:
-        self.accounting = DeviceAccounting(device, coalescing, **books)
+        self.accounting = DeviceAccounting(device, **books)
         # Kernels normally contain no function calls (inlining runs
         # first), but when the pass guard rolls inlining back the
         # remaining calls must still resolve.
-        self._interp = Interpreter(
-            prog if prog is not None else A.Prog(()), in_place=in_place
-        )
+        self._interp = Interpreter(prog if prog is not None else A.Prog(()))
         self.runner = self.accounting.runner = runner(
             self._interp, self.accounting.trace_track
         )
@@ -448,6 +441,7 @@ class GpuSimulator:
                 f"{hp.name}: expected {len(hp.params)} arguments, "
                 f"got {len(args)}"
             )
+        self._interp.in_place = hp.in_place
         launchers = self.runner.start(hp)
         return host_function(hp).fn(
             self.accounting, launchers, self._interp, args

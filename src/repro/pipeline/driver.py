@@ -262,8 +262,6 @@ class CompiledProgram:
             self.core,
             args,
             device,
-            coalescing=self.options.coalescing,
-            in_place=self.options.in_place,
             fault_plan=fault_plan,
             policy=policy,
             run_id=run_id,
@@ -278,9 +276,7 @@ class CompiledProgram:
     ) -> CostReport:
         """Price the program analytically at the given sizes (no
         execution) — used to evaluate paper-scale datasets."""
-        return estimate_program(
-            self.host, size_env, device, coalescing=self.options.coalescing
-        )
+        return estimate_program(self.host, size_env, device)
 
 
 # -- artifact plumbing ------------------------------------------------------

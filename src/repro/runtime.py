@@ -268,6 +268,7 @@ def _backoff_us(attempt: int, rng: random.Random) -> float:
 
 
 def interpreter_floor(
+    host,
     core: A.Prog,
     args: Sequence[Value],
     report: RunReport,
@@ -276,15 +277,15 @@ def interpreter_floor(
     executor: str,
     fallback: bool,
     entry: str,
-    in_place: bool = True,
     deadline: Optional[Deadline] = None,
 ) -> Tuple[Tuple[Value, ...], CostReport]:
     """Where an abandoned device step ends — :func:`run_resilient`'s,
     or a :class:`repro.sched.DevicePool`'s whose every device failed
     or refused.  ``report.abandoned`` records ``error``, which ended
-    the step; then ``core`` is evaluated on the reference interpreter,
-    unless ``fallback`` is off or the deadline is gone (a late answer
-    is no answer): those raise the typed error, ``.report`` attached.
+    the step; then ``core`` is evaluated on the reference interpreter
+    (in ``host``'s in-place mode), unless ``fallback`` is off or the
+    deadline is gone (a late answer is no answer): those raise the
+    typed error, ``.report`` attached.
     """
     tracer = get_tracer()
     run_id = report.run_id
@@ -314,7 +315,7 @@ def interpreter_floor(
     with tracer.span(
         "interpreter-fallback", "runtime", run_id=run_id, after=str(error)
     ):
-        values = run_program(core, args, fname=entry, in_place=in_place)
+        values = run_program(core, args, fname=entry, in_place=host.in_place)
     # The device never produced a result; the cost report carries
     # nothing (the wasted backoff time is in the run report).
     return values, CostReport(report.device)
@@ -325,8 +326,6 @@ def run_resilient(
     core: A.Prog,
     args: Sequence[Value],
     device: DeviceProfile,
-    coalescing: bool = True,
-    in_place: bool = True,
     fault_plan: Optional[FaultPlan] = None,
     policy: Optional[ExecutionPolicy] = None,
     entry: Optional[str] = None,
@@ -419,8 +418,6 @@ def run_resilient(
                     sim = make_engine(
                         executor,
                         device,
-                        coalescing=coalescing,
-                        in_place=in_place,
                         injector=injector,
                         prog=core,
                         trace_track=(
@@ -495,6 +492,7 @@ def run_resilient(
                 else:
                     breaker.record_neutral()
         values, cost = interpreter_floor(
+            host,
             core,
             args,
             report,
@@ -502,7 +500,6 @@ def run_resilient(
             executor=executor,
             fallback=policy.fallback,
             entry=entry or host.name,
-            in_place=in_place,
             deadline=deadline,
         )
         return values, cost, report

@@ -152,8 +152,7 @@ class _Task:
     run_id: str
     args: Sequence[Value]
     #: What every task of the request hands ``run_resilient``
-    #: unchanged: host, core, policy, entry, coalescing, in_place,
-    #: pass_timings.
+    #: unchanged: host, core, policy, entry, pass_timings.
     shared: Dict[str, Any]
     est_us: float
     #: Handed to ``run_resilient`` as the task's deadline; its
@@ -484,8 +483,8 @@ class DevicePool:
         executor: str,
         entry: str,
         run_id: str,
-        coalescing: bool = True,
-        in_place: bool = True,
+        coalescing=None,
+        in_place=None,
         deadline=None,
         batch_info: Optional[BatchInfo] = None,
         key: Optional[str] = None,
@@ -504,6 +503,9 @@ class DevicePool:
         underlying typed error.  ``size_env`` is the request's sizes
         when the caller has already bound them from ``args`` (a
         server's admission has); otherwise the pool binds them.
+        ``coalescing`` and ``in_place`` are accepted and unused: the
+        host program carries both decisions, and
+        benchmarks/e2e/probes.py still passes them.
         """
         if not self._started:
             self.start()
@@ -515,9 +517,9 @@ class DevicePool:
             if pass_timings:
                 report.pass_timings = list(pass_timings)
             values, cost = interpreter_floor(
-                core, args, report, error,
+                host, core, args, report, error,
                 executor=executor, fallback=fallback, entry=entry,
-                in_place=in_place, deadline=deadline,
+                deadline=deadline,
             )
             return values, cost, report, placement
 
@@ -542,9 +544,7 @@ class DevicePool:
             env = size_env
             if batch_info is not None and rows != batch:
                 env = {**size_env, batch_info.dim: rows}
-            return request_price_us(
-                host, env, self.devices[dev_id].profile, coalescing
-            )
+            return request_price_us(host, env, self.devices[dev_id].profile)
 
         candidates: List[Dict[str, Any]] = []
         for d in healthy:
@@ -596,8 +596,6 @@ class DevicePool:
                 executor=executor, fallback=False, max_retries=self.retries
             ),
             entry=entry,
-            coalescing=coalescing,
-            in_place=in_place,
             pass_timings=pass_timings,
         )
         try:

@@ -6,7 +6,8 @@ the in-flight entry and share its result.  A failed compile is cached
 *negatively* for ``negative_ttl_s`` so a popular-but-broken program
 cannot trigger a compile retry storm — every caller inside the window
 gets the same typed error instantly, and the first caller after expiry
-retries the build.
+retries the build.  Only an ``Exception`` is cached: an interrupt
+(``KeyboardInterrupt``, ``SystemExit``) drops the entry instead.
 
 Successful entries never expire (a compile is deterministic in its
 key, which covers source, options and entry point — see
@@ -29,6 +30,9 @@ import time
 from typing import Any, Callable, Dict, Optional
 
 __all__ = ["CompileCache", "CacheStats"]
+
+#: The value of an entry whose build was interrupted (not failed).
+_ABANDONED = object()
 
 
 def _replay(error: BaseException) -> BaseException:
@@ -148,7 +152,9 @@ class CompileCache:
             # next *lookup*, whose caller then becomes the new leader.
             if e.error is not None:
                 raise _replay(e.error)
-            return e.value
+            if e.value is not _ABANDONED:
+                return e.value
+            # The leader was interrupted: the next pass leads.
 
     def _build_locked_entry(
         self, key: str, e: _Entry, build: Callable[[], Any]
@@ -157,8 +163,13 @@ class CompileCache:
             value = build()
         except BaseException as ex:
             with self._lock:
-                e.error = ex
-                e.expires_at = self._clock() + self.negative_ttl_s
+                if isinstance(ex, Exception):
+                    e.error = ex
+                    e.expires_at = self._clock() + self.negative_ttl_s
+                else:
+                    e.value = _ABANDONED
+                    if self._entries.get(key) is e:
+                        del self._entries[key]
             e.event.set()
             raise
         else:

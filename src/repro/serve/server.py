@@ -565,10 +565,7 @@ class Server:
         interactive.  (An unpriceable program is not an error — it just
         doesn't get priority treatment.)"""
         est = request_price_us(
-            compiled.host,
-            size_env,
-            self.pool.devices[0].profile,
-            self.options.coalescing,
+            compiled.host, size_env, self.pool.devices[0].profile
         )
         if est is not None and est <= INTERACTIVE_THRESHOLD_US:
             return INTERACTIVE_LANE
@@ -707,8 +704,6 @@ class Server:
                 executor=executor,
                 entry=request.entry,
                 run_id=request.request_id,
-                coalescing=self.options.coalescing,
-                in_place=self.options.in_place,
                 deadline=work.deadline,
                 batch_info=program.batch_info,
                 key=program.key,

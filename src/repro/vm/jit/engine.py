@@ -313,11 +313,12 @@ class JitRunner:
     def __init__(self, interp: Interpreter, trace_track: str) -> None:
         self._interp = interp
         self.trace_track = trace_track
-        self._rt = JitRuntime(in_place=interp.in_place)
+        self._rt = JitRuntime()
         self.computed_by = "interp"
 
     def start(self, hp) -> tuple:
         """One launcher per launch site of ``hp``'s host function."""
+        self._rt.in_place = hp.in_place
         cache = jit_cache_for(hp)
         return tuple(self._launcher(cache, site) for site in cache.host().sites)
 
@@ -368,10 +369,13 @@ class JitRunner:
             )
 
 
-def JitEngine(device: DeviceProfile, **options) -> GpuSimulator:
+def JitEngine(
+    device: DeviceProfile, coalescing=None, in_place=None, **options
+) -> GpuSimulator:
     """The ``jit`` executor's engine, by the constructor call shape the
     e2e harness freezes: ``JitEngine(device, coalescing=, in_place=,
-    prog=).run(host, args)``.  Takes :class:`GpuSimulator`'s options."""
+    prog=).run(host, args)``.  Takes :class:`GpuSimulator`'s options;
+    the host program carries the two flags' decisions."""
     # Deferred: the runtime imports the pipeline, which imports this.
     from ...runtime import make_engine
 

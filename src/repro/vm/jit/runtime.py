@@ -4,7 +4,7 @@ Generated kernel modules (see :mod:`repro.vm.jit.codegen`) are
 self-contained Python source: they import NumPy and the scalar
 primitive-operator tables directly, and receive one :class:`JitRuntime`
 instance (``R``) carrying what the source must not bake in — the
-``in_place`` execution mode and the shared ``arange`` cache used by
+host program's ``in_place`` mode and the shared ``arange`` cache used by
 gather/scatter index vectors — and the two stream partitions: the
 interpreter's chunks and the lanes of a ``stream_red``.
 
@@ -43,8 +43,8 @@ class JitRuntime:
 
     __slots__ = ("in_place", "_aranges")
 
-    def __init__(self, in_place: bool = True):
-        self.in_place = in_place
+    def __init__(self) -> None:
+        self.in_place = True  # the running host program's
         self._aranges: Dict[int, np.ndarray] = {}
 
     def arange(self, n: int) -> np.ndarray:

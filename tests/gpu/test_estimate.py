@@ -112,7 +112,7 @@ class TestPriceMemoEviction:
         for n in range(1, 66):
             price(host, {"n": n}, NVIDIA_GTX780TI)
         assert len(memo) == 64
-        sizes = [dict(key[2])["n"] for key in memo]
+        sizes = [dict(key[1])["n"] for key in memo]
         assert sizes == list(range(2, 66))  # entry 1 is gone
         before = list(memo.items())
         for n in range(2, 66):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import repro.runtime as runtime
 from repro.core import array_value
 from repro.core.prim import F32
 from repro.errors import (
@@ -199,16 +198,22 @@ class TestResilientExecutor:
         assert r1.events == r2.events
 
     def test_in_place_is_threaded_from_options(self, monkeypatch):
-        seen = {}
-        real = runtime.GpuSimulator
+        """Options -> lowering -> the host program -> the engine: every
+        launch runs in the mode the program was compiled in."""
+        from repro.gpu import simulator
 
-        class Spy(real):
-            def __init__(self, *args, **kwargs):
-                seen.update(kwargs)
-                real.__init__(self, *args, **kwargs)
+        seen = []
+        real = simulator.interp_launch
 
-        monkeypatch.setattr(runtime, "GpuSimulator", Spy)
-        _compiled(in_place=False, executor="sim").run([_xs()])
-        assert seen["in_place"] is False
+        def spy(interp, site, *raws):
+            seen.append(interp.in_place)
+            return real(interp, site, *raws)
+
+        monkeypatch.setattr(simulator, "interp_launch", spy)
+        copying = _compiled(in_place=False, executor="sim")
+        assert copying.host.in_place is False
+        copying.run([_xs()])
+        assert seen and set(seen) == {False}
+        seen.clear()
         _compiled(executor="sim").run([_xs()])
-        assert seen["in_place"] is True
+        assert seen and set(seen) == {True}

@@ -1,8 +1,8 @@
 """The simulator prices a launch once per (kernel, sizes).
 
-``kernel_cost`` is a pure function of the kernel, the size variables
-its ``Count``s and output shapes name, the device and ``coalescing``;
-the engine's :class:`DeviceAccounting` memoises it in
+``kernel_cost`` is a pure function of the kernel (its layouts
+included), the size variables its ``Count``s and output shapes name and
+the device; the engine's :class:`DeviceAccounting` memoises it in
 ``HostProgram.launch_costs``.  The
 reference here is the formula the memo replaced — ``kernel_cost`` on
 every launch — and every benchmark must report bit-identical costs with
@@ -25,7 +25,7 @@ from repro.core.prim import F32, I32
 from repro.gpu import AMD_W8100, NVIDIA_GTX780TI
 from repro.gpu.costmodel import MEMO_SIZE, KernelCost, kernel_cost
 from repro.gpu.simulator import DeviceAccounting
-from repro.pipeline import compile_program, compile_source
+from repro.pipeline import CompilerOptions, compile_program, compile_source
 from repro.vm import JitEngine
 
 
@@ -36,17 +36,13 @@ class _PerLaunchPricing(DeviceAccounting):
         env = {
             n: v for n, v in zip(kernel.size_names, sizes) if v is not None
         }
-        return kernel_cost(
-            kernel, env, self.device, coalescing=self.coalescing
-        )
+        return kernel_cost(kernel, env, self.device)
 
 
 def _per_launch_engine(device, **options):
     """A jit engine on :class:`_PerLaunchPricing` books."""
     engine = JitEngine(device, **options)
-    engine.accounting = _PerLaunchPricing(
-        device, engine.accounting.coalescing
-    )
+    engine.accounting = _PerLaunchPricing(device)
     return engine
 
 
@@ -69,7 +65,7 @@ def test_cold_and_warm_memo_report_what_per_launch_pricing_does(name):
         return engine.run(compiled.host, args)[1]
 
     want = _signature(run(_per_launch_engine))
-    memo = compiled.host.launch_costs[(NVIDIA_GTX780TI, True)]
+    memo = compiled.host.launch_costs[NVIDIA_GTX780TI]
     assert not memo
     cold = run(JitEngine)
     assert memo, "the run priced nothing"
@@ -98,30 +94,60 @@ def test_key_is_the_sizes_the_kernel_names_and_the_device():
     (kernel,) = {k.name: k for k in host.kernels()}.values()
     assert kernel.size_names == ("n",)
 
-    def run(n, k=3, device=NVIDIA_GTX780TI, coalescing=True):
-        engine = JitEngine(
-            device, coalescing=coalescing, prog=compiled.core
-        )
+    def run(n, k=3, device=NVIDIA_GTX780TI):
+        engine = JitEngine(device, prog=compiled.core)
         return engine.run(host, _args(n, k))[1]
 
     a = run(8)
-    nv = host.launch_costs[(NVIDIA_GTX780TI, True)]
+    nv = host.launch_costs[NVIDIA_GTX780TI]
     assert list(nv) == [(kernel.name, (8,))]
     # The host loop replayed one price; a different trip count (a
     # variable the kernel does not name) still hits it.
     assert len({id(c) for c in a.kernel_costs}) == 1
     assert run(8, k=5).kernel_costs[0] is a.kernel_costs[0]
-    # Another size, device or coalescing setting is another price.
+    # Another size or device is another price.
     assert run(16).kernel_costs[0].threads == 16.0
     assert len(nv) == 2
     amd = run(8, device=AMD_W8100).kernel_costs[0]
     assert amd is not a.kernel_costs[0]
     assert amd.time_us != a.kernel_costs[0].time_us
-    run(8, coalescing=False)
-    assert set(host.launch_costs) == {
-        (NVIDIA_GTX780TI, True), (AMD_W8100, True),
-        (NVIDIA_GTX780TI, False),
-    }
+    assert set(host.launch_costs) == {NVIDIA_GTX780TI, AMD_W8100}
+
+
+#: A row traversal (§5.2): each thread walks its row.
+ROWS = r"""
+fun main (m: [a][b]f32): [a]f32 =
+  map (\(row: [b]f32) ->
+    loop (acc = 0.0f32) for j < b do acc + row[j]) m
+"""
+
+
+def test_a_layout_is_the_compiles_not_the_memo_keys():
+    """Coalescing is decided where the pass records a layout: a program
+    compiled without it is another program, with its own memo and its
+    own prices, and the harness shim's ``coalescing=`` changes
+    nothing."""
+    args = [array_value(np.ones((64, 32), dtype=np.float32), F32)]
+    on = compile_source(ROWS)
+    off = compile_source(ROWS, CompilerOptions(coalescing=False))
+    assert any(k.layouts for k in on.host.kernels())
+    assert not any(k.layouts for k in off.host.kernels())
+
+    def price(compiled, **shim):
+        engine = JitEngine(NVIDIA_GTX780TI, prog=compiled.core, **shim)
+        return engine.run(compiled.host, args)[1]
+
+    fast, slow = price(on), price(off)
+    # (At this size the transposition itself costs more than it saves.)
+    assert slow.kernel_costs[0].time_us > fast.kernel_costs[0].time_us
+    assert set(on.host.launch_costs) == {NVIDIA_GTX780TI}
+    assert set(off.host.launch_costs) == {NVIDIA_GTX780TI}
+    # A contradicting run-time flag hits the same memo entries.
+    contradicted = price(on, coalescing=False)
+    assert contradicted.kernel_costs == fast.kernel_costs
+    assert all(
+        a is b for a, b in zip(contradicted.kernel_costs, fast.kernel_costs)
+    )
 
 
 def test_memo_is_bounded():

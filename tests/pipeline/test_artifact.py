@@ -5,10 +5,11 @@ import json
 import os
 import pickle
 
+import numpy as np
 import pytest
 
-from repro.core import array_value, to_python
-from repro.core.prim import F32
+from repro.core import array_value, scalar, to_python
+from repro.core.prim import F32, I32
 from repro.pipeline import (
     ArtifactCache,
     CompilerOptions,
@@ -18,6 +19,7 @@ from repro.pipeline import (
 )
 from repro.pipeline.artifact import ARTIFACT_DIR_ENV
 from repro.errors import ArgumentError
+from repro.runtime import ExecutionPolicy
 
 SRC = """
 fun main (xs: [n]f32): [n]f32 =
@@ -26,6 +28,13 @@ fun main (xs: [n]f32): [n]f32 =
 """
 
 EXPECTED = [3.0, 5.0, 7.0]
+
+#: A host loop of in-place updates.
+UPDATES = """
+fun main (xs: *[n]f32) (k: i32): [n]f32 =
+  loop (ys: *[n]f32 = xs) for i < k do
+    ys with [i] <- f32 (i % 2 + 1)
+"""
 
 #: Set by unpickling a :class:`_RunsCode`: proof that a payload ran.
 UNPICKLED = []
@@ -300,6 +309,43 @@ class TestDriverResume:
             SRC, CompilerOptions(executor="sim"), artifact_cache=cache
         )
         assert warm.from_artifact == "host"
+
+    def test_a_warm_load_keeps_the_in_place_mode(self, tmp_path):
+        """``in_place`` is compiled into the host program: a warm load
+        runs in the mode it was compiled in, bit-identically."""
+        cache = ArtifactCache(tmp_path)
+        options = CompilerOptions(in_place=False)
+        cold = compile_source(UPDATES, options, artifact_cache=cache)
+        warm = compile_source(UPDATES, options, artifact_cache=cache)
+        assert warm.from_artifact == "host"
+        assert cold.host.in_place is False and warm.host.in_place is False
+        args = [
+            array_value(np.arange(6, dtype=np.float32), F32),
+            scalar(3, I32),
+        ]
+        for executor in ("jit", "sim"):
+            policy = ExecutionPolicy(executor=executor)
+            want, want_cost, _ = cold.execute(args, policy=policy)
+            got, cost, _ = warm.execute(args, policy=policy)
+            assert to_python(got[0]) == to_python(want[0])
+            assert to_python(got[0])[:4] == [1.0, 2.0, 1.0, 3.0]
+            assert cost == want_cost
+
+    def test_in_place_is_in_the_host_fingerprint(self):
+        """Lowering reads ``in_place``, so the host stage's fingerprint
+        covers it even with the memory planner (its other reader)
+        disabled."""
+        unplanned = ("memory-plan",)
+        on = compile_source(
+            UPDATES, CompilerOptions(disabled_passes=unplanned)
+        )
+        off = compile_source(
+            UPDATES,
+            CompilerOptions(in_place=False, disabled_passes=unplanned),
+        )
+        assert on.fingerprints["core"] == off.fingerprints["core"]
+        assert on.fingerprints["host"] != off.fingerprints["host"]
+        assert (on.host.in_place, off.host.in_place) == (True, False)
 
     def test_source_change_invalidates_artifacts(self, tmp_path):
         cache = ArtifactCache(tmp_path)

@@ -7,12 +7,15 @@ own defaults, and no constructor passes them through.  A caller that
 needs another value swaps the pool's attribute before it starts.
 A fault plan and an execution policy hold only their own fields (no
 wall-clock fault, one retry cap).  The environment holds one setting
-too: the artifact cache's root.
+too: the artifact cache's root.  A layout and the in-place mode are
+compile decisions, so no run-time signature names them.
 """
 
 import ast
 import dataclasses
+import importlib
 import inspect
+import textwrap
 from pathlib import Path
 
 import repro
@@ -54,6 +57,81 @@ def test_no_constructor_passes_a_part_setting_through():
         "coalescing", "in_place", "deadline", "batch_info", "key",
         "pass_timings", "fallback", "size_env",
     ]
+
+
+#: Where a layout or the in-place mode was once also a run-time flag.
+#: Both are compile decisions now: a layout lives on ``Kernel.layouts``
+#: and ``ManifestStmt``, the mode on ``HostProgram.in_place``.
+_DECIDED_AT_COMPILE = (
+    "repro.gpu.costmodel:kernel_cost",
+    "repro.gpu.costmodel:estimate_program",
+    "repro.gpu.costmodel:_estimate_stmts",
+    "repro.gpu.costmodel:request_price_us",
+    "repro.gpu.simulator:DeviceAccounting.__init__",
+    "repro.gpu.simulator:GpuSimulator.__init__",
+    "repro.runtime:make_engine",
+    "repro.runtime:run_resilient",
+    "repro.runtime:interpreter_floor",
+    "repro.pipeline.driver:CompiledProgram.execute",
+    "repro.pipeline.driver:CompiledProgram.estimate",
+    "repro.serve.server:Server._classify",
+    "repro.serve.server:Server._execute",
+)
+
+
+def _resolve(path):
+    module, _, qualname = path.partition(":")
+    obj = importlib.import_module(module)
+    for part in qualname.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+def _names_used(fn):
+    """Every parameter, keyword, attribute and variable name in ``fn``."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.keyword) and node.arg:
+            names.add(node.arg)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    return names
+
+
+def test_layout_and_in_place_are_not_run_time_flags():
+    flags = {"coalescing", "in_place"}
+    for path in _DECIDED_AT_COMPILE:
+        fn = _resolve(path)
+        assert not flags & set(inspect.signature(fn).parameters), path
+        if not path.endswith(":interpreter_floor"):
+            # (The floor evaluates in the mode its host program says.)
+            assert not flags & _names_used(fn), path
+
+
+def test_only_the_compile_and_the_frozen_harness_take_them():
+    """Lowering sets the mode and the reference interpreter has one;
+    ``DevicePool.run`` and the ``JitEngine`` shim accept both flags,
+    unused, for ``benchmarks/e2e/probes.py`` alone."""
+    root = Path(repro.__file__).parent
+    takers = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args.args + node.args.kwonlyargs
+                if {"coalescing", "in_place"} & {a.arg for a in args}:
+                    takers.add(f"{path.relative_to(root)}:{node.name}")
+    assert takers == {
+        "backend/codegen.py:lower_program",
+        "interp/interpreter.py:__init__",
+        "interp/interpreter.py:run_program",
+        "sched/pool.py:run",
+        "vm/jit/engine.py:JitEngine",
+    }
 
 
 def _fields(cls):

@@ -230,21 +230,33 @@ def test_concurrent_callers_never_share_a_device(
     """Four threads make 25 calls each to a 2-device pool under a fine
     switch interval: no device ever runs two attempt loops at once,
     both paths are taken, and every result is bit-identical to a lone
-    run."""
+    run.  Caller runs wait until some call has booked a busy device, so
+    the worker path is taken whatever the scheduling: two waiting
+    callers hold both devices, and the third call finds them busy."""
     running = collections.Counter()
     peak = collections.Counter()
     threads = collections.Counter()
     lock = threading.Lock()
     real = pool_mod.run_resilient
+    real_book = pool_mod.PoolDevice.book
+    booked_busy = threading.Event()
+
+    def book(self, est_us):
+        idle = real_book(self, est_us)
+        if not idle:
+            booked_busy.set()
+        return idle
 
     def spy(*args, **kwargs):
         dev = kwargs["pool_device"].id
+        on_worker = threading.current_thread().name.startswith(
+            "repro-sched-dev"
+        )
+        if not on_worker:
+            booked_busy.wait(timeout=60)
         with lock:
             running[dev] += 1
             peak[dev] = max(peak[dev], running[dev])
-            on_worker = threading.current_thread().name.startswith(
-                "repro-sched-dev"
-            )
             threads["worker" if on_worker else "caller"] += 1
         try:
             return real(*args, **kwargs)
@@ -252,6 +264,7 @@ def test_concurrent_callers_never_share_a_device(
             with lock:
                 running[dev] -= 1
 
+    monkeypatch.setattr(pool_mod.PoolDevice, "book", book)
     monkeypatch.setattr(pool_mod, "run_resilient", spy)
     rng = random.Random(seed)
     plans = [[rng.choice([backprop, nn]) for _ in range(25)] for _ in range(4)]

@@ -125,6 +125,67 @@ class TestNegativeCaching:
         assert cache.peek("k") is None
 
 
+class TestInterruptedBuild:
+    """A ``KeyboardInterrupt``/``SystemExit`` in one caller's compile is
+    that caller's: it is not cached as a failure of the program."""
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+    def test_the_next_caller_builds(self, exc):
+        cache = CompileCache()
+
+        def interrupted():
+            raise exc
+
+        with pytest.raises(exc):
+            cache.get_or_compile("k", interrupted)
+        assert cache.peek("k") is None
+        try:
+            got = cache.get_or_compile("k", lambda: "compiled")
+        except BaseException as ex:  # a replayed interrupt
+            pytest.fail(f"the interrupt was cached: {ex!r}")
+        assert got == "compiled"
+        assert cache.stats.negative_hits == 0
+        assert cache.stats.misses == 2
+
+    def test_a_waiter_becomes_the_leader(self):
+        cache = CompileCache()
+        entered, release = threading.Event(), threading.Event()
+        outcomes = {}
+
+        def interrupted():
+            entered.set()
+            release.wait(timeout=10)
+            raise KeyboardInterrupt
+
+        def leader():
+            try:
+                cache.get_or_compile("k", interrupted)
+            except KeyboardInterrupt:
+                outcomes["leader"] = "interrupted"
+
+        def waiter():
+            try:
+                outcomes["waiter"] = cache.get_or_compile(
+                    "k", lambda: "compiled"
+                )
+            except BaseException as ex:  # a replayed interrupt
+                outcomes["waiter"] = ex
+
+        first = threading.Thread(target=leader)
+        first.start()
+        assert entered.wait(timeout=10)
+        second = threading.Thread(target=waiter)
+        second.start()
+        while cache.stats.waits == 0:
+            pass
+        release.set()
+        for t in (first, second):
+            t.join(timeout=10)
+        assert outcomes == {"leader": "interrupted", "waiter": "compiled"}
+        assert cache.stats.negative_hits == 0
+        assert cache.peek("k") == "compiled"
+
+
 class TestSingleFlight:
     def test_concurrent_same_key_builds_once(self):
         cache = CompileCache()
