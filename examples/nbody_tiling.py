@@ -51,7 +51,9 @@ def main() -> None:
     print(f"\nsimulated result matches numpy at n={n}")
 
     # The tiling ablation at paper scale (N = 1e5).
-    untiled = compile_source(SOURCE, CompilerOptions(tiling=False))
+    untiled = compile_source(
+        SOURCE, CompilerOptions(disabled_passes=("tiling",))
+    )
     sizes = {"n": 100_000}
     t_tiled = compiled.estimate(sizes).total_ms
     t_untiled = untiled.estimate(sizes).total_ms

@@ -2,19 +2,21 @@
 
 Commands
 --------
-compile FILE [--emit core|opencl] [--no-fusion --no-coalescing ...]
-        [--stop-after core|host] [--artifact-dir DIR] [--disable-pass NAME]
+compile FILE [--emit core|opencl] [--disable-pass NAME ...]
+        [--stop-after core|host] [--artifact-dir DIR]
     Compile a core-language source file and print the core IR after
     optimisation or the pseudo-OpenCL rendering.  ``--stop-after``
     stops at a stage frontier; ``--artifact-dir`` makes compiles
     resume from (and store) persistent stage artifacts, so a second
     invocation skips the passes whose inputs haven't changed;
-    ``--disable-pass`` skips any optional pass by name.
+    ``--disable-pass`` skips any optional pass by name (the §6.1.1
+    ablations are ``fusion``, ``coalescing``, ``tiling`` and
+    ``memory-plan``).
 
 check FILE
     Type-check (including alias and uniqueness analysis) and report.
 
-passes [--no-fusion --disable-pass NAME ...]
+passes [--disable-pass NAME ...]
     Print the compiler's pass list in plan order: stage, whether the
     given flags enable the pass, and whether it is mandatory.  An
     unknown or mandatory ``--disable-pass`` name exits 2, as it does
@@ -89,36 +91,22 @@ import sys
 
 def _options_from_flags(args) -> "CompilerOptions":
     from .pipeline import CompilerOptions
-    from .runtime import DEFAULT_EXECUTOR
 
     return CompilerOptions(
-        fusion=not args.no_fusion,
-        coalescing=not args.no_coalescing,
-        tiling=not args.no_tiling,
         interchange=not args.no_interchange,
-        memory_planning=not args.no_memory_planning,
-        executor=getattr(args, "executor", DEFAULT_EXECUTOR),
         disabled_passes=tuple(args.disable_pass or ()),
     )
 
 
 def _add_opt_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--no-fusion", action="store_true")
-    p.add_argument("--no-coalescing", action="store_true")
-    p.add_argument("--no-tiling", action="store_true")
     p.add_argument("--no-interchange", action="store_true")
-    p.add_argument(
-        "--no-memory-planning",
-        action="store_true",
-        help="ablation: keep the naive never-free allocation behaviour "
-        "(no liveness frees, no block reuse, no copy elision)",
-    )
     p.add_argument(
         "--disable-pass",
         action="append",
         metavar="NAME",
         default=None,
-        help="skip one optional pass by name (repeatable; 'repro "
+        help="skip one optional pass by name, e.g. the ablations "
+        "fusion, coalescing, tiling, memory-plan (repeatable; 'repro "
         "passes' lists them; disabling a mandatory pass is an error)",
     )
 
@@ -337,10 +325,8 @@ def cmd_bench(args) -> int:
             if args.chaos_profile == "mixed"
             else FaultPlan(seed=args.seed, **profiles[args.chaos_profile])
         )
-    policy = (
-        ExecutionPolicy(fallback=False, executor=args.executor)
-        if args.no_fallback
-        else None
+    policy = ExecutionPolicy(
+        fallback=not args.no_fallback, executor=args.executor
     )
     for name in names or list(BENCHMARKS.names()):
         report = validate_benchmark(
@@ -466,7 +452,7 @@ def cmd_serve_bench(args) -> int:
             + ", ".join(f"dev{d.id} [{d.profile.name}]" for d in pool),
             f"workers {server.health()['workers']} (one per device)",
             f"queue capacity {server.queue.capacity}",
-            f"executor {server.default_executor}",
+            f"executor {args.executor}",
             f"breaker {breaker.failure_threshold} failures / "
             f"{breaker.recovery_s:g} s",
             f"retries {server.pool.retries}",
@@ -497,6 +483,7 @@ def cmd_serve_bench(args) -> int:
                             program,
                             bargs,
                             deadline_ms=args.deadline_ms,
+                            executor=args.executor,
                             request_id=f"c{cid}-r{k}-{name}",
                         )
                     )

@@ -37,5 +37,8 @@ def passes():
             option_keys=("in_place",),
             fallback=None,
             optional=False,
+            # 2: lowering records ``Kernel.tile_candidates``; only the
+            # tiling pass sets ``Kernel.tiles``.
+            version=2,
         ),
     )

@@ -340,7 +340,7 @@ class _Analyser:
         self.unit_dims: Set[str] = set()
         self.flops = Count.zero()
         self.accesses: List[AccessInfo] = []
-        self.tiles: List[TileInfo] = []
+        self.tile_candidates: List[TileInfo] = []
 
     # -- plumbing --------------------------------------------------------
 
@@ -555,7 +555,7 @@ class _Analyser:
     def _finish(self) -> None:
         self.kernel.accesses = self.accesses
         self.kernel.flops_per_thread = self.flops
-        self.kernel.tiles = self.tiles
+        self.kernel.tile_candidates = self.tile_candidates
 
     # -- thread-body walking ------------------------------------------------
 
@@ -750,7 +750,7 @@ class _Analyser:
                 )
             )
             if streamed:
-                self.tiles.append(
+                self.tile_candidates.append(
                     TileInfo(array=arr.name, elem_bytes=t.elem.nbytes)
                 )
 
@@ -813,9 +813,11 @@ class _Analyser:
                 )
             )
             if not write and not any(
-                ti.array == arr.name for ti in self.tiles
+                ti.array == arr.name for ti in self.tile_candidates
             ):
-                self.tiles.append(TileInfo(array=arr.name, elem_bytes=eb))
+                self.tile_candidates.append(
+                    TileInfo(array=arr.name, elem_bytes=eb)
+                )
             return
         origin = self.origin_of(arr.name)
         if origin is not None:
@@ -860,9 +862,11 @@ class _Analyser:
                 )
             )
             if not write and not any(
-                ti.array == arr.name for ti in self.tiles
+                ti.array == arr.name for ti in self.tile_candidates
             ):
-                self.tiles.append(TileInfo(array=arr.name, elem_bytes=eb))
+                self.tile_candidates.append(
+                    TileInfo(array=arr.name, elem_bytes=eb)
+                )
         elif any(not isinstance(i, A.Const) for i in idxs):
             # A free array indexed by affine thread-derived indices:
             # effectively a coalesced (cached) access — the stencil

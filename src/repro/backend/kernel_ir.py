@@ -175,6 +175,10 @@ class Kernel:
     pat: Tuple[A.Param, ...]
     accesses: List[AccessInfo] = field(default_factory=list)
     flops_per_thread: Count = field(default_factory=Count.zero)
+    #: Where a tile could go (filled in by lowering).
+    tile_candidates: List[TileInfo] = field(default_factory=list)
+    #: The arrays staged through local memory (filled in by the tiling
+    #: pass from ``tile_candidates``: the only record a price reads).
     tiles: List[TileInfo] = field(default_factory=list)
     #: Arrays whose accesses this kernel expects in a specific layout
     #: (filled in by the coalescing pass: the only record of a layout).

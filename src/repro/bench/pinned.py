@@ -42,8 +42,8 @@ def mem_suite(
     device: DeviceProfile = NVIDIA_GTX780TI,
 ) -> Dict:
     """Device-memory footprint of every benchmark at paper-scale sizes,
-    with the memory planner on versus off (the ``--no-memory-planning``
-    ablation).
+    with the memory planner on versus off (the ``--disable-pass
+    memory-plan`` ablation).
 
     Peaks come from the static heap walk in
     :func:`repro.gpu.costmodel.estimate_program`: both variants replay
@@ -54,7 +54,7 @@ def mem_suite(
     payload."""
     names = names or list(BENCHMARKS.names())
     planned_opts = CompilerOptions()
-    naive_opts = CompilerOptions(memory_planning=False)
+    naive_opts = CompilerOptions(disabled_passes=("memory-plan",))
     benchmarks: Dict[str, Dict] = {}
     ratios: List[float] = []
     for name in names:

@@ -37,14 +37,14 @@ def passes():
             stage="core",
             phase="fusion",
             fn=_fusion,
-            enabled=lambda o: o.fusion,
-            option_keys=("fusion",),
         ),
         Pass(
             name="post-fusion-simplify",
             stage="core",
             phase="fusion",
             fn=simplify_pass(),
-            enabled=lambda o: o.fusion,
+            # Without fusion there is nothing to clean up: its output
+            # would equal its input.
+            enabled=lambda o: "fusion" not in o.disabled_passes,
         ),
     )

@@ -13,8 +13,8 @@ fresh array value.  When a host loop re-runs an allocation while the
 previous iteration's block is still live, the old generation does not
 silently disappear — its bytes stay charged (an unreachable-but-never-
 collected value, ``HeapStats.leaked_bytes``).  That is exactly the
-naive never-free behaviour of ``--no-memory-planning``: loop footprint
-grows with the trip count.  The memory planner bounds it two ways:
+naive never-free behaviour of ``--disable-pass memory-plan``: loop
+footprint grows with the trip count.  The memory planner bounds it two ways:
 
 * ``FreeStmt`` releases the current generation of a block (a free of a
   non-live name is a no-op — the block may already have been recycled

@@ -30,32 +30,26 @@ def __getattr__(name):
 
 
 def passes():
-    """The locality optimisations and device-memory planning.  Each
-    pass keeps its own internal ``enabled=`` switch wired to
-    :class:`CompilerOptions`, preserving the historical ablation
-    behaviour (the pass runs and no-ops when switched off, so pass
-    timings stay comparable across ablations); ``--disable-pass``
-    removes a pass from the plan entirely."""
+    """The locality optimisations and device-memory planning.  Each is
+    optional: ``disabled_passes`` removes it from the plan, which is
+    its §6.1.1 ablation (no layout changes, no local-memory tiles, the
+    naive never-free allocation schedule)."""
     from ..pipeline.passes import Pass
 
     def _coalesce(hp, options, ctx):
         import repro.pipeline as pl
 
-        return pl.coalesce_program(hp, enabled=options.coalescing)
+        return pl.coalesce_program(hp)
 
     def _tile(hp, options, ctx):
         import repro.pipeline as pl
 
-        return pl.tile_program(hp, enabled=options.tiling)
+        return pl.tile_program(hp)
 
     def _plan(hp, options, ctx):
         import repro.pipeline as pl
 
-        return pl.plan_memory(
-            hp,
-            enabled=options.memory_planning,
-            allow_elision=options.in_place,
-        )
+        return pl.plan_memory(hp, allow_elision=options.in_place)
 
     return (
         Pass(
@@ -63,20 +57,18 @@ def passes():
             stage="host",
             phase="memory",
             fn=_coalesce,
-            option_keys=("coalescing",),
         ),
         Pass(
             name="tiling",
             stage="host",
             phase="memory",
             fn=_tile,
-            option_keys=("tiling",),
         ),
         Pass(
             name="memory-plan",
             stage="host",
             phase="memory",
             fn=_plan,
-            option_keys=("memory_planning", "in_place"),
+            option_keys=("in_place",),
         ),
     )

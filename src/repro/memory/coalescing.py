@@ -52,12 +52,10 @@ def _desired_layout(acc: AccessInfo) -> IndexFn:
     return IndexFn(perm)
 
 
-def coalesce_program(hp: HostProgram, enabled: bool = True) -> HostProgram:
+def coalesce_program(hp: HostProgram) -> HostProgram:
     """Annotate kernels with layout decisions and insert manifestation
-    statements.  With ``enabled=False`` this is the §6.1.1 ablation: no
-    layout changes happen and strided accesses pay full penalty."""
-    if not enabled:
-        return hp
+    statements.  Disabling the pass is the §6.1.1 ablation: no layout
+    changes happen and strided accesses pay full penalty."""
     # Each array's current layout; parameters are row-major, the
     # default of an array not in here.
     layouts: Dict[str, IndexFn] = {}

@@ -2,8 +2,8 @@
 
 Codegen allocates one fresh block per kernel output and the coalescing
 pass one per manifestation, and nothing is ever freed — the *naive*
-memory behaviour (what ``--no-memory-planning`` runs).  This pass turns
-that into a plan:
+memory behaviour (what ``--disable-pass memory-plan`` runs).  This pass
+turns that into a plan:
 
 1. **Liveness** — a per-scope analysis over the host statements.
    Alias classes are tracked through host-eval views (``rearrange``,
@@ -53,14 +53,10 @@ from ..core.traversal import free_vars_exp
 __all__ = ["plan_memory"]
 
 
-def plan_memory(
-    hp: HostProgram, enabled: bool = True, allow_elision: bool = True
-) -> HostProgram:
+def plan_memory(hp: HostProgram, allow_elision: bool = True) -> HostProgram:
     """Insert frees at last use, elide dead-source copies and recycle
-    dead blocks.  ``enabled=False`` is the ablation: the naive
+    dead blocks.  Disabling the pass is the ablation: the naive
     never-free allocation behaviour is left untouched."""
-    if not enabled:
-        return hp
     backing = _initial_backing(hp)
     manifest_srcs: Dict[int, str] = {}
     _extend_backing(backing, hp.stmts, manifest_srcs)

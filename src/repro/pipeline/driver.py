@@ -254,9 +254,9 @@ class CompiledProgram:
         from the cost model, and graceful degradation to the reference
         interpreter.  Returns ``(values, cost_report, run_report)``;
         the run report carries this compile's per-pass timing breakdown
-        plus the ``run_id``/``seed`` identifying the execution."""
-        if policy is None:
-            policy = ExecutionPolicy(executor=self.options.executor)
+        plus the ``run_id``/``seed`` identifying the execution.
+        ``policy`` (default :class:`ExecutionPolicy`) also names the
+        executor."""
         return run_resilient(
             self.host,
             self.core,

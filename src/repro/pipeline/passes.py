@@ -92,8 +92,9 @@ class Pass:
     enabled: Callable[[CompilerOptions], bool] = lambda _o: True
     #: The :class:`CompilerOptions` fields this pass's *output* depends
     #: on — the fingerprint slice: stage artifacts hash exactly these,
-    #: so runtime-only options (e.g. ``executor``) never invalidate
-    #: cached artifacts.
+    #: so a field no pass's output reads (``strict``, which only says
+    #: how the driver treats a failure) never invalidates cached
+    #: artifacts.
     option_keys: Tuple[str, ...] = ()
     #: What the guard runs instead when the pass fails or produces
     #: invalid IR; same signature as ``fn``.  :func:`rollback` (the

@@ -84,9 +84,8 @@ _ENGINES = {
     "jit": (_jit_runner, "vm-jit"),
 }
 EXECUTORS = tuple(_ENGINES)
-#: What :class:`ExecutionPolicy`, :class:`repro.pipeline.CompilerOptions`
-#: (hence a :class:`repro.serve.Server`) and the CLI use when nothing
-#: is asked for.
+#: What :class:`ExecutionPolicy`, a :class:`repro.serve.Server` and the
+#: CLI use when nothing is asked for.
 DEFAULT_EXECUTOR = "jit"
 
 

@@ -26,16 +26,17 @@ wired in:
   before the interpreter floor (see :mod:`repro.serve.deadline`);
 - **one serving path** — every request is one call on a
   :class:`repro.sched.DevicePool` (``devices``, by default one GTX
-  780 Ti): *try the device, else interpret* (``request.executor or
-  options.executor``, then ``interp``).  The device step is
-  :func:`repro.runtime.run_resilient` — retries, and the device's
-  circuit breaker, which trips on consecutive device-class failures —
-  and the reference-interpreter floor cannot suffer device faults, so
-  a request only fails outright on a *program* error (or its own
-  deadline).  With one healthy device the request runs on the thread
-  that holds its slot; with more, the pool places, shards and
-  re-places (see :mod:`repro.sched`).  Fault injection is per device
-  too: ``fault_plans`` is aligned with ``devices``.
+  780 Ti): *try the device, else interpret* (``request.executor``, by
+  default :data:`~repro.runtime.DEFAULT_EXECUTOR`, then ``interp``).
+  The device step is :func:`repro.runtime.run_resilient` — retries,
+  and the device's circuit breaker, which trips on consecutive
+  device-class failures — and the reference-interpreter floor cannot
+  suffer device faults, so a request only fails outright on a
+  *program* error (or its own deadline).  With one healthy device the
+  request runs on the thread that holds its slot; with more, the pool
+  places, shards and re-places (see :mod:`repro.sched`).  Fault
+  injection is per device too: ``fault_plans`` is aligned with
+  ``devices``.
 
 A server states only its own settings: ``queue_capacity``, ``options``,
 ``fallback``, ``flight_recorder``, ``devices``, ``fault_plans`` and
@@ -80,7 +81,7 @@ from ..pipeline import (
     compile_cache_key,
     compile_program,
 )
-from ..runtime import RunReport, check_executor
+from ..runtime import DEFAULT_EXECUTOR, RunReport, check_executor
 from ..sched import BatchInfo, DevicePool, analyze_shardable
 from .cache import CompileCache
 from .deadline import Deadline
@@ -187,8 +188,8 @@ class ServeRequest:
     #: Wall-clock budget for the whole request (None = no deadline).
     deadline_ms: Optional[float] = None
     #: The executor to try before the interpreter floor: one of
-    #: :data:`repro.runtime.EXECUTORS` (None = the server's default
-    #: executor).
+    #: :data:`repro.runtime.EXECUTORS` (None =
+    #: :data:`repro.runtime.DEFAULT_EXECUTOR`).
     executor: Optional[str] = None
     request_id: str = ""
 
@@ -361,17 +362,16 @@ class Server:
         self._token = object()
         self._resident = _Resident()
 
+    # Frozen-harness reads (benchmarks/e2e/workloads.py, probes.py):
+    # what a request that asks for nothing tries, and in what order.
+
     @property
     def default_executor(self) -> str:
-        """The executor of a request that asks for none."""
-        return self.options.executor
+        return DEFAULT_EXECUTOR
 
     @property
     def ladder(self) -> Tuple[str, ...]:
-        """The plan of a request that asks for nothing."""
-        return (self.default_executor,) + (
-            ("interp",) if self.fallback else ()
-        )
+        return (DEFAULT_EXECUTOR,) + (("interp",) if self.fallback else ())
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -697,7 +697,7 @@ class Server:
         report."""
         request, program = work.request, work.program
         compiled = program.compiled
-        executor = request.executor or self.default_executor
+        executor = request.executor or DEFAULT_EXECUTOR
         try:
             values, _cost, report, placement = self.pool.run(
                 compiled.host, compiled.core, request.args,

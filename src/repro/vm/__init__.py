@@ -6,8 +6,8 @@ kernel once per launch signature into straight-line NumPy source that
 evaluates it over whole batches (one ufunc application per scalar
 operation, for the entire flat index space at once) — the one kernel
 lowering of the repository, and the default executor
-(``executor="jit"`` on :class:`repro.pipeline.CompilerOptions` /
-:class:`repro.runtime.ExecutionPolicy`, ``--executor jit`` on the CLI).
+(``executor="jit"`` on :class:`repro.runtime.ExecutionPolicy` /
+:class:`repro.serve.ServeRequest`, ``--executor jit`` on the CLI).
 A launch the transpiler refuses, or whose generated code meets a
 data-dependent trap, re-runs on the interpreter (counted on the
 ``vm.fallback`` metric), so results are always interpreter-identical.

@@ -59,9 +59,9 @@ class TestEndToEnd:
         prog = mk()
         expected = run_program(prog, args, in_place=True)
         for opts in (
-            CompilerOptions(fusion=False),
-            CompilerOptions(coalescing=False),
-            CompilerOptions(tiling=False),
+            CompilerOptions(disabled_passes=("fusion",)),
+            CompilerOptions(disabled_passes=("coalescing",)),
+            CompilerOptions(disabled_passes=("tiling",)),
             CompilerOptions(distribute=False),
             CompilerOptions(interchange=False),
             CompilerOptions(reduce_map_interchange=False),
@@ -111,7 +111,9 @@ class TestCostModelShape:
           in map (\\(x: f32) -> x - 3.0f32) b
         """
         fused = compile_source(src)
-        unfused = compile_source(src, CompilerOptions(fusion=False))
+        unfused = compile_source(
+            src, CompilerOptions(disabled_passes=("fusion",))
+        )
         n = {"n": 4_000_000}
         t_fused = fused.estimate(n).total_us
         t_unfused = unfused.estimate(n).total_us
@@ -128,7 +130,9 @@ class TestCostModelShape:
             loop (acc = 0.0f32) for j < b do acc + row[j]) m
         """
         on = compile_source(src)
-        off = compile_source(src, CompilerOptions(coalescing=False))
+        off = compile_source(
+            src, CompilerOptions(disabled_passes=("coalescing",))
+        )
         sizes = {"a": 4096, "b": 4096}
         t_on = on.estimate(sizes).total_us
         t_off = off.estimate(sizes).total_us

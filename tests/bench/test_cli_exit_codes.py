@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import build_parser, main
 from repro.errors import (
     ArgumentError,
     CompilerBug,
@@ -131,7 +131,8 @@ class TestBenchReadsItsFlags:
             # The rule holds for every flag, not only those three.
             (("table2", "--chaos-profile", "fatal"), "--chaos-profile"),
             (("mem", "--kind", "tiling"), "does not read --kind"),
-            (("table1", "--no-fusion"), "does not read --no-fusion"),
+            (("table1", "--disable-pass", "fusion"),
+             "does not read --disable-pass"),
         ],
     )
     def test_unread_flag_or_deleted_suite_exits_2(self, argv, message):
@@ -334,11 +335,27 @@ class TestPassesCli:
 
     def test_flags_flip_the_enabled_column(self, capsys):
         rows, order = self._rows(
-            capsys, "--no-fusion", "--disable-pass", "tiling"
+            capsys, "--disable-pass", "fusion", "--disable-pass", "tiling"
         )
         assert order == self.PLAN_ORDER
         off = {name for name, cells in rows.items() if cells[1] == "no"}
         assert off == {"fusion", "post-fusion-simplify", "tiling"}
+
+    def test_a_pass_is_switched_off_only_by_its_name(self):
+        """``--disable-pass NAME`` is the one ablation flag: no command
+        takes a per-optimisation ``--no-*`` flag."""
+        gone = {
+            "--no-fusion", "--no-coalescing", "--no-tiling",
+            "--no-memory-planning",
+        }
+        (commands,) = build_parser()._subparsers._group_actions
+        takers = set()
+        for name, sub in commands.choices.items():
+            flags = set(sub._option_string_actions)
+            assert not gone & flags, name
+            if "--disable-pass" in flags:
+                takers.add(name)
+        assert takers == {"compile", "passes", "run", "bench", "serve-bench"}
 
 
 @pytest.mark.parametrize(

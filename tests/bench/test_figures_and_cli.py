@@ -70,12 +70,8 @@ class TestCli:
         assert "stream_red" in out  # the fused map-reduce
 
     def test_compile_no_fusion(self, source_file, capsys):
-        assert (
-            cli_main(
-                ["compile", source_file, "--emit", "core", "--no-fusion"]
-            )
-            == 0
-        )
+        argv = ["compile", source_file, "--emit", "core"]
+        assert cli_main([*argv, "--disable-pass", "fusion"]) == 0
         out = capsys.readouterr().out
         assert "stream_red" not in out
 
@@ -98,7 +94,8 @@ class TestCli:
         assert captured.out == ""
 
     def test_run_lists_the_sizes_it_was_not_given(self, source_file, capsys):
-        assert cli_main(["run", source_file, "--no-memory-planning"]) == 0
+        argv = ["run", source_file, "--disable-pass", "memory-plan"]
+        assert cli_main(argv) == 0
         captured = capsys.readouterr()
         assert "sizes not given, priced as 1: n\n" in captured.err
         assert "NVIDIA" in captured.out

@@ -210,10 +210,11 @@ class TestResilientExecutor:
             return real(interp, site, *raws)
 
         monkeypatch.setattr(simulator, "interp_launch", spy)
-        copying = _compiled(in_place=False, executor="sim")
+        sim = ExecutionPolicy(executor="sim")
+        copying = _compiled(in_place=False)
         assert copying.host.in_place is False
-        copying.run([_xs()])
+        copying.run([_xs()], policy=sim)
         assert seen and set(seen) == {False}
         seen.clear()
-        _compiled(executor="sim").run([_xs()])
+        _compiled().run([_xs()], policy=sim)
         assert seen and set(seen) == {True}

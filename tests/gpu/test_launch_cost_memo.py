@@ -129,7 +129,9 @@ def test_a_layout_is_the_compiles_not_the_memo_keys():
     nothing."""
     args = [array_value(np.ones((64, 32), dtype=np.float32), F32)]
     on = compile_source(ROWS)
-    off = compile_source(ROWS, CompilerOptions(coalescing=False))
+    off = compile_source(
+        ROWS, CompilerOptions(disabled_passes=("coalescing",))
+    )
     assert any(k.layouts for k in on.host.kernels())
     assert not any(k.layouts for k in off.host.kernels())
 

@@ -43,7 +43,7 @@ class TestManifestation:
 
     def test_disabled_pass_changes_nothing(self):
         compiled = compile_source(
-            ROW_TRAVERSAL, CompilerOptions(coalescing=False)
+            ROW_TRAVERSAL, CompilerOptions(disabled_passes=("coalescing",))
         )
         assert _manifests(compiled) == []
         (kernel,) = compiled.host.kernels()
@@ -89,7 +89,7 @@ class TestManifestation:
     def test_estimate_reflects_penalty(self):
         on = compile_source(ROW_TRAVERSAL)
         off = compile_source(
-            ROW_TRAVERSAL, CompilerOptions(coalescing=False)
+            ROW_TRAVERSAL, CompilerOptions(disabled_passes=("coalescing",))
         )
         sizes = {"a": 4096, "b": 4096}
         assert (

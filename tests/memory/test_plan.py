@@ -60,7 +60,7 @@ def _flat(stmts):
 
 class TestFrees:
     def test_naive_schedule_never_frees(self):
-        _, stmts = _stmts_of(CHAIN, memory_planning=False)
+        _, stmts = _stmts_of(CHAIN, disabled_passes=("memory-plan",))
         assert not [s for s in _flat(stmts) if isinstance(s, FreeStmt)]
 
     def test_planned_chain_frees_dead_intermediates(self):
@@ -85,7 +85,7 @@ class TestFrees:
 
     def test_planned_peak_not_above_naive(self):
         planned, _ = _stmts_of(CHAIN)
-        naive, _ = _stmts_of(CHAIN, memory_planning=False)
+        naive, _ = _stmts_of(CHAIN, disabled_passes=("memory-plan",))
         sizes = {"n": 4096}
         assert (
             planned.estimate(sizes).mem_peak_bytes
@@ -133,7 +133,7 @@ class TestLoopLiveness:
         assert any(s.recycle for s in body_allocs)
 
     def test_naive_loop_footprint_grows_with_trip_count(self):
-        naive, _ = _stmts_of(LOOP, memory_planning=False)
+        naive, _ = _stmts_of(LOOP, disabled_passes=("memory-plan",))
         planned, _ = _stmts_of(LOOP)
         few = {"n": 1024, "iters": 2}
         many = {"n": 1024, "iters": 64}
@@ -169,7 +169,7 @@ class TestElisionAndReuse:
 
     def test_elided_copy_is_bit_identical(self):
         compiled, _ = _stmts_of(COPY_CHAIN)
-        naive, _ = _stmts_of(COPY_CHAIN, memory_planning=False)
+        naive, _ = _stmts_of(COPY_CHAIN, disabled_passes=("memory-plan",))
         xs = array_value(
             np.arange(16, dtype=np.float32), F32
         )
@@ -181,7 +181,7 @@ class TestElisionAndReuse:
     def test_same_extent_alloc_reuses_freed_block(self):
         # Fusion would collapse the chain into one kernel; disable it
         # so the same-extent intermediates actually exist.
-        _, stmts = _stmts_of(CHAIN, fusion=False)
+        _, stmts = _stmts_of(CHAIN, disabled_passes=("fusion",))
         reused = [
             s
             for s in stmts
@@ -191,16 +191,18 @@ class TestElisionAndReuse:
 
 
 class TestValidator:
-    def _program(self, src=CHAIN, **opts):
+    def _program(self, src=CHAIN, planning=True):
         # Keep the unfused three-kernel chain: its schedule has frees
         # and a reuse alloc to corrupt.
-        opts.setdefault("fusion", False)
-        return compile_source(src, CompilerOptions(**opts)).host
+        disabled = ("fusion",) + (() if planning else ("memory-plan",))
+        return compile_source(
+            src, CompilerOptions(disabled_passes=disabled)
+        ).host
 
     def test_clean_programs_validate(self):
         for src in (CHAIN, COPY_CHAIN, LOOP):
             for planning in (True, False):
-                hp = self._program(src, memory_planning=planning)
+                hp = self._program(src, planning)
                 assert validate_host_program(hp) == []
 
     def test_use_after_free_detected(self):
@@ -269,7 +271,7 @@ class TestValidator:
 class TestExecutionAccounting:
     def test_simulator_reports_lower_peak_with_planning(self):
         planned, _ = _stmts_of(LOOP)
-        naive, _ = _stmts_of(LOOP, memory_planning=False)
+        naive, _ = _stmts_of(LOOP, disabled_passes=("memory-plan",))
         xs = array_value(np.ones(256, dtype=np.float32), F32)
         it = scalar(16, I32)
         _, cost_p, rep_p = planned.execute([xs, it])

@@ -43,7 +43,7 @@ def test_planning_differential(name):
     prog = spec.program()
     planned = compile_program(prog, CompilerOptions())
     naive = compile_program(
-        prog, CompilerOptions(memory_planning=False)
+        prog, CompilerOptions(disabled_passes=("memory-plan",))
     )
     for seed in SEEDS:
         args = spec.small_args(np.random.default_rng(seed))

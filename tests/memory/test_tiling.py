@@ -32,14 +32,18 @@ class TestTilingDetection:
 
     def test_ablation_strips_tiles(self):
         compiled = compile_source(
-            NBODY_LIKE, CompilerOptions(tiling=False)
+            NBODY_LIKE, CompilerOptions(disabled_passes=("tiling",))
         )
         (kernel,) = compiled.host.kernels()
         assert kernel.tiles == []
+        # Lowering records where a tile could go; only the pass tiles.
+        assert [t.array for t in kernel.tile_candidates] == ["xs"]
 
     def test_tiling_lowers_estimated_time(self):
         on = compile_source(NBODY_LIKE)
-        off = compile_source(NBODY_LIKE, CompilerOptions(tiling=False))
+        off = compile_source(
+            NBODY_LIKE, CompilerOptions(disabled_passes=("tiling",))
+        )
         sizes = {"n": 100_000}
         assert (
             on.estimate(sizes).total_us < off.estimate(sizes).total_us

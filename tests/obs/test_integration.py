@@ -9,14 +9,14 @@ from repro.bench.runner import validate_benchmark
 from repro.gpu.faults import FaultPlan
 from repro.obs import observe
 from repro.obs.export import chrome_trace, validate_chrome_trace
-from repro.pipeline import CompilerOptions
+from repro.runtime import ExecutionPolicy
 
 
 @pytest.fixture(scope="module")
 def observed_run():
     with observe() as session:
         report = validate_benchmark(
-            "HotSpot", seed=0, options=CompilerOptions(executor="sim")
+            "HotSpot", seed=0, policy=ExecutionPolicy(executor="sim")
         )
     return session, report
 

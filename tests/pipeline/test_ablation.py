@@ -3,12 +3,13 @@
 Disabling any *optional* pass must leave every benchmark
 interpreter-identical — the passes are performance, not semantics.
 Also covers the plan's validation (unknown / mandatory
-disables are caller errors) and the ``disabled_passes`` plumbing.
+disables are caller errors) and the ``disabled_passes`` plumbing, the
+one way to switch a pass off: disabling a pass is its §6.1.1 ablation.
 """
 
 import pytest
 
-from repro.bench.runner import validate_benchmark
+from repro.bench.runner import run_impact, validate_benchmark
 from repro.bench.suite import BENCHMARKS
 from repro.errors import ArgumentError
 from repro.pipeline import PASSES, CompilerOptions, compile_program, plan
@@ -48,7 +49,7 @@ class TestRegistryPlan:
 
     def test_no_fusion_drops_both_fusion_passes(self):
         names = [
-            p.name for p in plan(CompilerOptions(fusion=False))
+            p.name for p in plan(CompilerOptions(disabled_passes=("fusion",)))
         ]
         assert "fusion" not in names
         assert "post-fusion-simplify" not in names
@@ -82,3 +83,33 @@ def test_ablated_compile_matches_interpreter(pass_name, bench):
         options=CompilerOptions(disabled_passes=(pass_name,)),
     )
     assert report.attempts >= 1
+
+
+#: The programs lowering finds a tile for.
+TILED = ["K-means", "LavaMD", "OptionPricing", "MRI-Q", "N-body"]
+
+
+def test_only_the_tiled_programs_have_tiles():
+    def tiled(name):
+        host = compile_program(BENCHMARKS[name].program()).host
+        return any(k.tiles for k in host.kernels())
+
+    assert [name for name in BENCHMARKS.names() if tiled(name)] == TILED
+
+
+@pytest.mark.parametrize("name", TILED)
+def test_disabling_the_tiling_pass_is_the_tiling_ablation(name):
+    """Only the tiling pass sets ``Kernel.tiles``: without it no kernel
+    is tiled, and ``bench impact --kind tiling`` prices that compile."""
+    spec = BENCHMARKS[name]
+    sizes = spec.dataset.full
+    untiled = compile_program(
+        spec.program(), CompilerOptions(disabled_passes=("tiling",))
+    )
+    assert not any(k.tiles for k in untiled.host.kernels())
+    factor = (
+        untiled.estimate(sizes).total_ms
+        / compile_program(spec.program()).estimate(sizes).total_ms
+    )
+    assert factor > 1.1
+    assert run_impact([name], kind="tiling")["factors"] == {name: factor}

@@ -11,6 +11,7 @@ import pytest
 from repro.core import array_value, scalar, to_python
 from repro.core.prim import F32, I32
 from repro.pipeline import (
+    PASSES,
     ArtifactCache,
     CompilerOptions,
     StageArtifact,
@@ -34,6 +35,14 @@ UPDATES = """
 fun main (xs: *[n]f32) (k: i32): [n]f32 =
   loop (ys: *[n]f32 = xs) for i < k do
     ys with [i] <- f32 (i % 2 + 1)
+"""
+
+#: The N-body pattern: ``xs`` is streamed by every thread, a tile.
+NBODY_LIKE = """
+fun main (xs: [n]f32): [n]f32 =
+  map (\\(xi: f32) ->
+    loop (acc = 0.0f32) for j < n do
+      acc + xs[j] * xi) xs
 """
 
 #: Set by unpickling a :class:`_RunsCode`: proof that a payload ran.
@@ -296,17 +305,20 @@ class TestDriverResume:
         cache = ArtifactCache(tmp_path)
         compile_source(SRC, artifact_cache=cache)
         other = compile_source(
-            SRC, CompilerOptions(fusion=False), artifact_cache=cache
+            SRC,
+            CompilerOptions(disabled_passes=("fusion",)),
+            artifact_cache=cache,
         )
         assert other.from_artifact is None
 
     def test_runtime_only_options_share_artifacts(self, tmp_path):
-        """`executor` doesn't affect generated code, so it must not
-        invalidate stage artifacts."""
+        """`strict` says only how the driver treats a failing pass;
+        it doesn't affect generated code, so it must not invalidate
+        stage artifacts."""
         cache = ArtifactCache(tmp_path)
         compile_source(SRC, artifact_cache=cache)
         warm = compile_source(
-            SRC, CompilerOptions(executor="sim"), artifact_cache=cache
+            SRC, CompilerOptions(strict=True), artifact_cache=cache
         )
         assert warm.from_artifact == "host"
 
@@ -346,6 +358,26 @@ class TestDriverResume:
         assert on.fingerprints["core"] == off.fingerprints["core"]
         assert on.fingerprints["host"] != off.fingerprints["host"]
         assert (on.host.in_place, off.host.in_place) == (True, False)
+
+    def test_a_warm_untiled_compile_has_no_tiles(self, tmp_path):
+        """Lowering records only where a tile could go (``lower``
+        version 2): the host artifact of a compile without the tiling
+        pass holds no tiles, and it is not the default compile's."""
+        lower = next(p for p in PASSES if p.name == "lower")
+        assert lower.fingerprint_token() == "host:lower@2"
+        cache = ArtifactCache(tmp_path)
+        untiled = CompilerOptions(disabled_passes=("tiling",))
+        tiled = compile_source(NBODY_LIKE, artifact_cache=cache)
+        cold = compile_source(NBODY_LIKE, untiled, artifact_cache=cache)
+        warm = compile_source(NBODY_LIKE, untiled, artifact_cache=cache)
+        # Tiling is a host pass: the two share the core stage only.
+        assert (cold.from_artifact, warm.from_artifact) == ("core", "host")
+        assert [t.array for t in tiled.host.kernels()[0].tiles] == ["xs"]
+        (kernel,) = warm.host.kernels()
+        assert kernel.tiles == []
+        assert [t.array for t in kernel.tile_candidates] == ["xs"]
+        assert warm.fingerprints["core"] == tiled.fingerprints["core"]
+        assert warm.fingerprints["host"] != tiled.fingerprints["host"]
 
     def test_source_change_invalidates_artifacts(self, tmp_path):
         cache = ArtifactCache(tmp_path)

@@ -71,7 +71,7 @@ fun other (xs: [n]f32): f32 =
         assert compiled.fusion_stats.vertical == 1
 
     def test_options_recorded(self):
-        options = CompilerOptions(coalescing=False)
+        options = CompilerOptions(disabled_passes=("coalescing",))
         compiled = compile_source(SRC, options)
         assert compiled.options is options
 
@@ -94,13 +94,12 @@ class TestOptionIndependence:
             )
         ]
         reference = None
-        for fusion, coalescing, tiling in itertools.product(
-            (True, False), repeat=3
-        ):
+        passes = ("fusion", "coalescing", "tiling")
+        for off in itertools.product((True, False), repeat=3):
             compiled = compile_source(
                 self.ROW,
                 CompilerOptions(
-                    fusion=fusion, coalescing=coalescing, tiling=tiling
+                    disabled_passes=[p for p, o in zip(passes, off) if o]
                 ),
             )
             (out,), _ = compiled.run(args)

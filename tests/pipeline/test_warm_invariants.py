@@ -40,7 +40,7 @@ fun main (xs: [n]f32): [n]f32 =
 NAMES = list(BENCHMARKS.names())
 OPTIONS = {
     "default": CompilerOptions(),
-    "no-fusion": CompilerOptions(fusion=False),
+    "no-fusion": CompilerOptions(disabled_passes=("fusion",)),
     "no-tiling": CompilerOptions(disabled_passes=("tiling",)),
 }
 
@@ -129,162 +129,162 @@ class TestByteIdenticalFingerprints:
 PINNED_STAGE_FINGERPRINTS = {
     "Backprop": {
         "default": (
-            "6ac1360c5980ea5f9e68bd0c311bf474d4ed4b4b7a3a7de83ff2f01b34e4c742",
-            "06ceec54fa3777b339aaf6b51f721b9f08129efc312019792e5fabdebfb3c5e3",
+            "48195eb2afa5a565a024d4cb9579140051262760be73926d703d103897af7237",
+            "097a0c68b09aa3fbd41e6a41c1b3347f3ba9742b83474411d81b26ce7d978e00",
         ),
         "no-fusion": (
             "3b9c345495ff2ea2cf6419e0d617140afb9265a10c0a02b4354abe7d6a1599df",
-            "b7007d77adde9e97bc0d35ebd70e84c36234dcd1f5ca119518a91c2d95290fab",
+            "047598c42ba43889142236177940f496aa8635947e15ecbc3072158fed084abc",
         ),
     },
     "CFD": {
         "default": (
-            "a6952d7b94ec9cbf27b0980888dd8281451a7d1b04e7096437a9f569818a22a8",
-            "46502ccb67909ba10bb95d78fb25cf0ff3f6fb1d1c47c05898080370d1de6055",
+            "c1910464b26b443c2633f6131979382cee9c0ed231f4fd74919f20cb6e777823",
+            "67716dd7687778e87c57e2d27b5c5fdc8033849545f7ad176a8c0196dad59511",
         ),
         "no-fusion": (
             "c5d9c1883a21d307b1e22bef9e76935cc4f6c0553391ff8a4137bdb1c420e18d",
-            "2df20d922094d5b4d38821dcd2940d7ad4cc0ef3b7061fd052953400c7e2b75e",
+            "9dca05cc8aa88854c38bcf8e59cfd821abb7c703da8a12504e184248c8c3031e",
         ),
     },
     "HotSpot": {
         "default": (
-            "44cba433e9e5b518c53e68c1922646a177effb48db394e7fd0971df69bfbd05f",
-            "111e43d116e812bd9bce37a0928201669065df2854464ad0eab7a264232266f9",
+            "c29d7f008744d0201e443951a15e1b86535d3d65901e7bc18363d49a62e04efa",
+            "7e5e7143fb016f8160569e2dea34c8e6163c9fa8e1e80ad2d3cea5c10d8fb8b9",
         ),
         "no-fusion": (
             "e40ffd4a9f4bc358648502e3fcd9325f379746ec063e91155bd06dccc7ec443a",
-            "33f427975e56a0fecf54b068162e5d20ce84233a4424ca2aeeb377a5464908dd",
+            "feaa44a0614dd138dc64167d8d3b6a0f31621d972802472a4c4eae4a27dd695e",
         ),
     },
     "K-means": {
         "default": (
-            "0fb88536ea7555b959d12cd8befb8f5a1e62871b59f1e69d1b87f1a978fbbad8",
-            "7dee15bb7f5bfbd8f3dd61349133c195d5e4564aa322b105b9cdb6f81d772c6d",
+            "47b7d7d61f97cafbf718a87a5fb4782bb419f369c5c628c11635987137f6c668",
+            "715aa63170f7f7b3e6ddf7b0584d8993ca54145fb06c7ea5f57ab250ad597132",
         ),
         "no-fusion": (
             "a45d5a2868c5dfaf8e525979490982122515f6eeb19552a3edf38745e2be6439",
-            "1be629070fa07a8711044f2474ac438f78411173b635fb930eb722fdd862a507",
+            "7137315ec74ada32b80f10250d1285a03d51d5141a6a3e9fb1d8d6cb6311d164",
         ),
     },
     "LavaMD": {
         "default": (
-            "3081e5aa9dce7ef83bf4fb311d63ed474348136ad80b392b11c5fc3620fb1ac1",
-            "a2b181aa26365338f2e3eb235183d33f9957c24715c72cf8a3abe42b31910835",
+            "fffc2f72cdc04732486a13c8accf73bace9fef991d4690ae2c88b69546f263dd",
+            "28fc15ef142e7eaf9dbff309d77dc4af0eec4ece82bb33b054c5bb3168756564",
         ),
         "no-fusion": (
             "9ee7273d3006f537b0426d8d24c46ad84097bf20436e2c897b0c43c6fb1ee4c9",
-            "bfaacf4a66eca9679788bcc7d4c16831bd3fa889147352b1de8cbef49ee6bb77",
+            "1dbf05a149de0a31ae4dda4dc15e62f3261477ac3b3b21f86e11547b655c5e94",
         ),
     },
     "Myocyte": {
         "default": (
-            "570170ede72b657d9076544b670e7c6de00ad4d3d967036c23b455e80826628d",
-            "c531697457bc4564d65eb39f5bd04752fe9b80faadfe4ab10d040e057acb33d6",
+            "a0004f9f00b8f18aeeb45421b2ecd06dbeba57f10a827f7d1813a8422a3bc0fe",
+            "701d511017cdcc90e7335c028cec38e488e8a772de8c9fb82e0b0c3dce5240e8",
         ),
         "no-fusion": (
             "4895671c497d7f73c45209e00340a19a0eaaefd151cacd3eb8671465aac17a46",
-            "4360caeb0e23de3a85deefc841f2eed85185abfa95155cd085dd3ff608e6fbb9",
+            "90728dda9cd2d2611150dd08053f72a622b78beb8fe20bdaf1ca405dabf1490c",
         ),
     },
     "NN": {
         "default": (
-            "7d33cc38675ac8c73c8811c9ebf0ad2291a6e7ce24480aa300c313c931cfb622",
-            "9c67ff04c82ae153455a3cbfd480297d37603c2a7e9cd1c976e746187a2acdd7",
+            "2b28e3f8a7a062b70e6ed323392e6fdecc2fcd5896efde9cf494f93037960621",
+            "08f27b9b1ebfe58075f896ea5465ea892b707ec3c7075f6529961c248203254a",
         ),
         "no-fusion": (
             "806a5ad17c28fd3d5bfe140845a73307c489758025e75d3965bf6052cf62bb67",
-            "be12476c421c8850bcdd6bc9897fee33a5a413bf616eb8645d4b4eaa637c9d09",
+            "31ecf1bc838e495dfc0472bbeff6f1633594ab6ee8c03d73527cf062f11c2285",
         ),
     },
     "Pathfinder": {
         "default": (
-            "44fd30f0ac12366c42cf76404e1785bbe3d25e9678d11578ee2afe81bfd7db3d",
-            "05bb9390759f0267e33f515a4353861f8227858d30695eeb7337179d72557b74",
+            "ba4c5475f03695604ad7260e7daaedb3ba82db0d2e0b0784c54cc7c9b4e22038",
+            "06fc999a2a3bd36fd53640fb34ab9e633b878c76367ba0857e5e1925f39c17a7",
         ),
         "no-fusion": (
             "e123f02bb422f526c50eb382e9ad1434e09a7646198df90625f47d7dde1313fb",
-            "ae2c2412e438f3a739337850c80e1eb55e3dcf5a762e5d608b88ad61f9b4b6ae",
+            "53a476cff03d3e1f79416fd14361e7efb7619d10909065a98ade7630c9ac7bf3",
         ),
     },
     "SRAD": {
         "default": (
-            "9d5454195d9108a2154a16aed6514d05ca11446e36757403dd05b6ea2b0a0508",
-            "d4b97de1a20d2bf93c10aae6df4ee147315d6ac358afa44662ed09eee3e9a5ab",
+            "8db9906de538cfb5dee8497a34fe83256570fa9be5fa4b29593dd64b169e45e1",
+            "cf6f1f39f15380abcbefd1189cc09f409b656cf4c76d6f822fa26adc925d4b5d",
         ),
         "no-fusion": (
             "5fdf3a2a7fd549b2ba3a5dc60abcdd365e609943daa12067afb343581dd1524f",
-            "d8d5024236fc53a2242c15e7234cad2c8a60d16a98c177b2a9e270c4c4fc3b24",
+            "32e54153c142c1343c7e9890be9cbb917d97c41aeb0ef76a2dd04e98c239e4c8",
         ),
     },
     "LocVolCalib": {
         "default": (
-            "47add5a064c9a2874ed39a2a92cddefea545697de1b23f23a6d0dbdddae38920",
-            "4ff84a07e2ba49d77daebd1d2fd2b0848c075e37c27ba2b7c5de42a01d09d3c6",
+            "df708f3dfa565ab6f12cae1e0f63d0154f97b3f531cddf3e1daf4d9e5834caaf",
+            "9282a9229d4f3b93e5910c8ded05dfc8d72e2a7ab0cdfaf88d14ec7ec128062e",
         ),
         "no-fusion": (
             "140455a13b13bda3f8e840c67124d27050074a61d8b264db27b5f2926f7507c2",
-            "c1a4b8d01ad2a7b2e9df45f90a830762262d911d51c04b662b17b66a0a268ab3",
+            "891d36901964dc296a7e52d72febb476525de9043f8c9dff17d2e165ef4dff72",
         ),
     },
     "OptionPricing": {
         "default": (
-            "bbca8fdf23be807a9fc79a733062202a89cfe072a45544059c775d563cc7fc30",
-            "9c0ff3c5ed523b8a9c73ba79c37e62be073b61b0e4c3a94f0c0779025ec89056",
+            "656af2f1c686ee24f2f08f1fed529be5186755ea75164a0473cf11abda940a24",
+            "ac254e0c7704d7b92af1c19e98085797d57e6c9c6aca4dafbf94705f95b66ebf",
         ),
         "no-fusion": (
             "1b1916bfad6682cef0501cce370703a4bb95bada3f53de369e1eb822195c0805",
-            "1f7f53ca67507cb2bc61c3b6a0261d05952494030107f528321c7ce68c5a38a7",
+            "0fdcf10cf5d4ca337bcb3a742aa1a00d4c1b25fe399f271f69e71578849e33b3",
         ),
     },
     "MRI-Q": {
         "default": (
-            "ce3b5c6861fd08e20670deb3d854600729a601f04ad2354395545cbae31103f8",
-            "3b650c96f27ca29ca8e38a51b2853f84e7f91405fb72cb866d1d900892bd66b2",
+            "6734f2dc4dcc0323de75591f9c2abd9b1c129aa6b1c9d79c76a78fb89a7895ab",
+            "1551a0cc31a0735c713ba4135177a69895043f8b9ddbcbb345dcdab8f5a42a51",
         ),
         "no-fusion": (
             "3c582694b6c9fa8deac3e3275b0ab5916ca4a17aa35e90127b41455394fd3af9",
-            "381c7a754bf0955a362809b4e4389be0069ff553621a42d1bed5262cb29e7e74",
+            "975a2fc811e55abcafacaf8280de1f92e11d864154e22e75f36d9afe20b20618",
         ),
     },
     "Crystal": {
         "default": (
-            "a26e5130e71323adc41edbf3efcd5f8ebcc69e504a0787fd907b8e3b7dc72665",
-            "042212460d6a307f472ef4b897bc3870879a6da6f238168b1da706ae15d5ef81",
+            "69e30402fea05ba56e4b699311186e975a55bdae8544502d5b9e38e1d1d45545",
+            "1efabff984f9850b813b586f0f65a916926eebc063ed19c4836dd20abe7ee978",
         ),
         "no-fusion": (
             "39cc42e8a6f2a7bde7c7cf55baae0bea67c986010f6240c1736063372afcfc3f",
-            "c3ec6ccf4dbcae293fa8603e3885f79f67c224c59bc70d77fc0c48213c9c407a",
+            "00a7410129cb490cb1f7e84a3f145f8f22f9adf5deaadbc67e932d7e59ef9a18",
         ),
     },
     "Fluid": {
         "default": (
-            "db83c1b90203b87a5f155814bc8cc522bf47090a10be8916e641efe21b0736ea",
-            "60ff6e35bcdb836a3b48e513e4c485190deed290edc8001ad1992016eaa87f71",
+            "fd81e5b6eef6bd5c9e678dec9c7dcc232212065472b582e0d4145494ad3e738b",
+            "08f0989f01f6be4bd98f9b8b668d909f92b6c1f34eded0fcdbd019f41dfd2b20",
         ),
         "no-fusion": (
             "51c49890c14ee8d73b601324d82a0fb7a12ffee65bd805824c112070fa59adac",
-            "159c26b23e5ad3fe24970cf86e91574e5db6e2e79f7ca2a2f8ae886a68165307",
+            "1974a631657becf8d03bab08287c1b3e9036aabc8a7f9aeab17ea81fdc95d186",
         ),
     },
     "Mandelbrot": {
         "default": (
-            "c3d141707f2e52a5e7719bcff567979644bd94da89023b6bbe8168dbffadecb8",
-            "1e23ff873ec19298a979f4b11501408d584b6f55c7a494c6de3e4334b50fb622",
+            "40bc1d3481dfb0cb3a339cf2d6a7438e338f6b873ae0fdbeb316dc826317605e",
+            "08eadd46a490d5f71b6dd414f73d5dcd2dae54618faaa7a7fdb4a8bfabad376d",
         ),
         "no-fusion": (
             "1972392cc86478c0d5db1582344550bdf8d1ebef74fff57eb2a596445ab935d7",
-            "27b174ce83aa19cf14f52c0cc8a6d1157120bb86822b5e75053241e6d061157c",
+            "546efc6581cfa1e240cb4e035a1f9ef18ce3746821edcfaced7591429e1936a2",
         ),
     },
     "N-body": {
         "default": (
-            "2d26b8dfa664c1ae8e046debc2e34bfe4c2d85beafc14630c986a311432221a6",
-            "1c9d906569f1b719188dee0a5bad5c979a9dbf3d097fba6b395137fd1767416f",
+            "98aa30a0c7469930c97d1ae1a5b7d75974ba8c9d3e34f5eba0f7d6234611d39a",
+            "fb184027d0e37728b40a70f6766c59beaff0b124e3622aa4589401e7f5ce5baf",
         ),
         "no-fusion": (
             "3edf158a7a3bbd9c6584e4df7437d01e811e81f6b57ae8dd27956273b97addd0",
-            "ca097808c765c2c493d03cc4c209daeff10e000859c3a8ac36b3207be4713776",
+            "c17957bb46eb6ed77729242fc496479193b2cbe3548f7a7a5232a7505bcdeb49",
         ),
     },
 }

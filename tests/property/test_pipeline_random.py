@@ -135,9 +135,9 @@ def test_all_ablations_agree(spec, data):
     arr = array_value(np.array(data, dtype=np.int32), I32)
     expected = run_program(prog, [arr])
     for options in (
-        CompilerOptions(fusion=False),
+        CompilerOptions(disabled_passes=("fusion",)),
         CompilerOptions(distribute=False),
-        CompilerOptions(coalescing=False, tiling=False),
+        CompilerOptions(disabled_passes=("coalescing", "tiling")),
     ):
         got, _ = compile_program(prog, options).run([arr])
         for e, g in zip(expected, got):

@@ -116,19 +116,23 @@ def test_layout_and_in_place_are_not_run_time_flags():
 def test_only_the_compile_and_the_frozen_harness_take_them():
     """Lowering sets the mode and the reference interpreter has one;
     ``DevicePool.run`` and the ``JitEngine`` shim accept both flags,
-    unused, for ``benchmarks/e2e/probes.py`` alone."""
+    unused, and ``CompilerOptions.coalescing`` reads ``disabled_passes``
+    back, for ``benchmarks/e2e/probes.py`` alone.  No function is
+    named after a flag and no parameter takes one otherwise."""
     root = Path(repro.__file__).parent
+    flags = {"coalescing", "in_place"}
     takers = set()
     for path in sorted(root.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.FunctionDef):
                 args = node.args.args + node.args.kwonlyargs
-                if {"coalescing", "in_place"} & {a.arg for a in args}:
+                if flags & ({a.arg for a in args} | {node.name}):
                     takers.add(f"{path.relative_to(root)}:{node.name}")
     assert takers == {
         "backend/codegen.py:lower_program",
         "interp/interpreter.py:__init__",
         "interp/interpreter.py:run_program",
+        "pipeline/options.py:coalescing",
         "sched/pool.py:run",
         "vm/jit/engine.py:JitEngine",
     }

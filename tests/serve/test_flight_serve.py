@@ -13,7 +13,6 @@ from repro.gpu.device import NVIDIA_GTX780TI
 from repro.gpu.faults import FaultPlan, broken_device
 from repro.obs.export import validate_chrome_trace, validate_flight_bundle
 from repro.obs.flight import FlightRecorder, read_bundle
-from repro.pipeline import CompilerOptions
 from repro.serve import Server, ServeRequest
 from tests.helpers import tune
 
@@ -88,14 +87,15 @@ class TestTerminalErrorsDump:
             Server(
                 queue_capacity=4,
                 fallback=False,
-                options=CompilerOptions(executor="sim"),
                 fault_plans=[runaway],
                 flight_recorder=recorder,
             ),
             retries=1,
         ) as s:
             r = s.call(
-                ServeRequest(prog, xs(1.0), request_id="req-timeout"),
+                ServeRequest(
+                    prog, xs(1.0), executor="sim", request_id="req-timeout"
+                ),
                 timeout=60,
             )
         assert not r.ok

@@ -19,7 +19,8 @@ from repro.frontend.parser import parse
 from repro.gpu.device import NVIDIA_GTX780TI
 from repro.gpu.faults import broken_device
 from repro.interp import run_program
-from repro.pipeline import ArtifactCache, CompilerOptions
+from repro.pipeline import ArtifactCache
+from repro.runtime import DEFAULT_EXECUTOR, ExecutionPolicy
 from repro.serve import (
     BreakerState,
     Server,
@@ -383,20 +384,22 @@ class TestJitRung:
         expected = run_program(prog, xs(1.0, 2.0))
         assert values_equal(r.values[0], expected[0])
 
-    @pytest.mark.parametrize("executor", ["jit", "sim"])
-    def test_default_requests_start_on_the_options_executor(
+    @pytest.mark.parametrize("executor", [None, "jit", "sim"])
+    def test_a_request_starts_on_its_executor_or_the_default(
         self, prog, executor
     ):
-        """A request that asks for nothing is served on
-        ``options.executor`` (which defaults to jit)."""
-        options = CompilerOptions(executor=executor)
-        assert CompilerOptions().executor == "jit"
-        with Server(queue_capacity=8, options=options) as s:
-            assert s.default_executor == executor
-            assert tuple(s.ladder) == (executor, "interp")
-            r = s.call(ServeRequest(prog, xs(1.0)), timeout=30)
+        """A request is served on the executor it asks for, and one
+        that asks for none on ``DEFAULT_EXECUTOR`` (jit): the executor
+        is not a compile option."""
+        assert DEFAULT_EXECUTOR == "jit"
+        with Server(queue_capacity=8) as s:
+            assert s.default_executor == DEFAULT_EXECUTOR
+            assert tuple(s.ladder) == (DEFAULT_EXECUTOR, "interp")
+            r = s.call(
+                ServeRequest(prog, xs(1.0), executor=executor), timeout=30
+            )
         assert r.ok
-        assert r.backend == executor
+        assert r.backend == (executor or DEFAULT_EXECUTOR)
         assert not r.degraded_from
 
     def test_jit_warm_restart_skips_transpilation(self, prog, tmp_path):
@@ -460,7 +463,7 @@ class TestHealth:
 
     def test_unknown_executor_is_rejected_at_construction(self, prog):
         with pytest.raises(ArgumentError, match="unknown executor"):
-            Server(options=CompilerOptions(executor="tpu"))
+            ExecutionPolicy(executor="tpu")
         with pytest.raises(ArgumentError, match="unknown executor"):
             ServeRequest(prog, xs(1.0), executor="tpu")
 

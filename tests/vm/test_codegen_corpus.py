@@ -70,7 +70,7 @@ _LOWERING = sys.modules[transpile_kernel.__module__]
 PIPELINES = {
     "default": CompilerOptions(),
     "nest-intact": CompilerOptions(distribute=False, interchange=False),
-    "unfused": CompilerOptions(fusion=False),
+    "unfused": CompilerOptions(disabled_passes=("fusion",)),
     "vector-folds": CompilerOptions(reduce_map_interchange=False),
     "unsimplified": CompilerOptions(
         disabled_passes=(

@@ -46,7 +46,7 @@ from repro.frontend import parse
 from repro.interp import run_program
 from repro.obs import metering, observe
 from repro.obs.export import validate_chrome_trace, write_chrome_trace
-from repro.pipeline import CompilerOptions, compile_program
+from repro.pipeline import compile_program
 from repro.pipeline.artifact import ArtifactCache, StageArtifact
 from repro.pipeline.fingerprint import _digest
 from repro.gpu.device import NVIDIA_GTX780TI
@@ -59,7 +59,6 @@ SEEDS = [
     int(s) for s in os.environ.get("VM_SEEDS", "0,1,2").split(",")
 ]
 NAMES = list(BENCHMARKS.names())
-JIT = CompilerOptions(executor="jit")
 JIT_POLICY = ExecutionPolicy(executor="jit")
 
 
@@ -67,7 +66,7 @@ JIT_POLICY = ExecutionPolicy(executor="jit")
 @pytest.mark.parametrize("seed", SEEDS)
 def test_jit_matches_interpreter(name, seed):
     with metering() as m:
-        report = validate_benchmark(name, seed=seed, options=JIT)
+        report = validate_benchmark(name, seed=seed, policy=JIT_POLICY)
     assert report.fallbacks == 0, f"{name}: {report.summary()}"
     counters = m.snapshot()["counters"]
     fallbacks = {
@@ -108,7 +107,7 @@ def test_jit_run_is_traceable(tmp_path):
     """A jit-executor run emits kernel spans on the ``vm-jit`` track
     and exports a schema-valid Chrome trace."""
     with observe() as session:
-        validate_benchmark("HotSpot", options=JIT)
+        validate_benchmark("HotSpot", policy=JIT_POLICY)
     assert "vm-jit" in session.tracer.tracks()
     vm_spans = [
         s for s in session.tracer.spans
@@ -125,10 +124,10 @@ _WARM_START_SCRIPT = """\
 import json
 from repro.bench.runner import validate_benchmark
 from repro.obs import metering
-from repro.pipeline import CompilerOptions
+from repro.runtime import ExecutionPolicy
 
 with metering() as m:
-    validate_benchmark("Pathfinder", options=CompilerOptions(executor="jit"))
+    validate_benchmark("Pathfinder", policy=ExecutionPolicy(executor="jit"))
 c = m.snapshot()["counters"]
 print(json.dumps({
     "transpiles": sum(
@@ -335,7 +334,6 @@ def test_zero_divisor_lands_on_the_interpreter_and_raises_its_error():
 def test_vector_is_not_an_executor(capsys):
     for make in (
         lambda: ExecutionPolicy(executor="vector"),
-        lambda: CompilerOptions(executor="vector"),
         lambda: ServeRequest(parse(ZERO_DIVISOR), [], executor="vector"),
     ):
         with pytest.raises(ArgumentError, match="unknown executor 'vector'"):

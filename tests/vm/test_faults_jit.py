@@ -18,7 +18,6 @@ import pytest
 from repro.bench.runner import validate_benchmark
 from repro.gpu.faults import FaultPlan
 from repro.obs import observe
-from repro.pipeline import CompilerOptions
 from repro.runtime import ExecutionPolicy
 
 SEEDS = [
@@ -27,7 +26,6 @@ SEEDS = [
 #: A representative slice: stencil (HotSpot), scan-heavy (Pathfinder),
 #: irregular/filter (K-means) and deep host loops (Fluid).
 NAMES = ("HotSpot", "Pathfinder", "K-means", "Fluid")
-JIT = CompilerOptions(executor="jit")
 CHAOS_PLAN_RATES = dict(
     launch_failure_rate=0.7,
     memory_fault_rate=0.3,
@@ -51,7 +49,6 @@ def test_chaos_jit(seed):
             seed=seed,
             fault_plan=plan,
             policy=CHAOS_POLICY,
-            options=JIT,
         )
         assert report.faults > 0, f"{name}/seed{seed}: no faults injected"
         engaged += int(report.degraded)
@@ -73,7 +70,6 @@ def test_fatal_fault_degrades_jit_to_interpreter(seed):
         seed=seed,
         fault_plan=plan,
         policy=CHAOS_POLICY,
-        options=JIT,
     )
     assert report.fatal_faults >= 1
     assert report.fallbacks == 1
@@ -88,7 +84,6 @@ def test_jit_retries_land_on_attempt_tracks():
             "HotSpot",
             fault_plan=plan,
             policy=CHAOS_POLICY,
-            options=JIT,
         )
     tracks = session.tracer.tracks()
     assert any(t.startswith("vm-jit") for t in tracks), tracks
