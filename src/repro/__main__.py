@@ -5,10 +5,10 @@ Commands
 compile FILE [--emit core|opencl] [--disable-pass NAME ...]
         [--stop-after core|host] [--artifact-dir DIR]
     Compile a core-language source file and print the core IR after
-    optimisation or the pseudo-OpenCL rendering.  ``--stop-after``
-    stops at a stage frontier; ``--artifact-dir`` makes compiles
-    resume from (and store) persistent stage artifacts, so a second
-    invocation skips the passes whose inputs haven't changed;
+    optimisation or the pseudo-OpenCL rendering.  ``--stop-after
+    core`` stops before the host stage and is never cached;
+    ``--artifact-dir`` makes compiles load (and store) the persistent
+    host artifact, so a second invocation runs no pass;
     ``--disable-pass`` skips any optional pass by name (the §6.1.1
     ablations are ``fusion``, ``coalescing``, ``tiling`` and
     ``memory-plan``).
@@ -152,11 +152,19 @@ def cmd_compile(args) -> int:
     from .errors import ArgumentError
     from .pipeline import ArtifactCache, compile_source
 
-    if args.emit == "opencl" and args.stop_after == "core":
-        raise ArgumentError(
-            "--emit opencl renders the host program, which --stop-after "
-            "core does not build (use --emit core, or stop after host)"
-        )
+    if args.stop_after == "core":
+        if args.emit == "opencl":
+            raise ArgumentError(
+                "--emit opencl renders the host program, which "
+                "--stop-after core does not build (use --emit core, or "
+                "stop after host)"
+            )
+        if args.artifact_dir is not None:
+            raise ArgumentError(
+                "--artifact-dir caches the host program, which "
+                "--stop-after core does not build (a core compile is "
+                "never cached)"
+            )
     text = open(args.file).read()
     cache = (
         ArtifactCache(args.artifact_dir)
@@ -575,17 +583,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--stop-after",
         choices=("core", "host"),
         default=None,
-        help="staged compilation: stop at the named stage frontier "
-        "(core prints the optimised core IR; with --artifact-dir the "
-        "stage artifact is persisted for later compiles to resume from)",
+        help="stop after the named stage: core runs the frontend and "
+        "core passes only and prints the optimised core IR (never "
+        "cached); host, the default, builds the host program",
     )
     p.add_argument(
         "--artifact-dir",
         metavar="DIR",
         default=None,
-        help="persistent stage-artifact cache directory: compiles "
-        "resume from the deepest valid artifact found here and store "
-        "their own stage frontiers (see also $REPRO_ARTIFACT_DIR)",
+        help="persistent artifact cache directory: a compile loads its "
+        "host program from here when a valid artifact is present, and "
+        "stores it otherwise (see also $REPRO_ARTIFACT_DIR)",
     )
     _add_opt_flags(p)
     _add_obs_flags(p)
@@ -761,31 +769,31 @@ def main(argv=None) -> int:
 
 
 def _dispatch_observed(args) -> int:
-    """Run the selected command, wrapped in an observability session
-    when any of the ``--trace-out``/``--metrics-out``/``--verbose``
-    flags were given; each prints the session's summary to stderr."""
+    """Run the selected command under a tracer when any of the
+    ``--trace-out``/``--metrics-out``/``--verbose`` flags were given;
+    each prints the trace's summary to stderr."""
     trace_out = getattr(args, "trace_out", None)
     metrics_out = getattr(args, "metrics_out", None)
     if not (trace_out or metrics_out or getattr(args, "verbose", False)):
         return args.fn(args)
 
-    from .obs import observe
+    from .obs import tracing
     from .obs.export import summary, write_chrome_trace, write_metrics
 
-    with observe() as session:
-        session.tracer.metadata["argv"] = " ".join(sys.argv[1:])
+    with tracing() as tracer:
+        tracer.metadata["argv"] = " ".join(sys.argv[1:])
         rc = args.fn(args)
     if trace_out:
-        write_chrome_trace(session.tracer, trace_out)
+        write_chrome_trace(tracer, trace_out)
         print(f"trace written to {trace_out}", file=sys.stderr)
     if metrics_out:
         write_metrics(
-            session.tracer,
+            tracer,
             metrics_out,
             metadata={"argv": " ".join(sys.argv[1:])},
         )
         print(f"metrics written to {metrics_out}", file=sys.stderr)
-    print(summary(session.tracer), file=sys.stderr)
+    print(summary(tracer), file=sys.stderr)
     return rc
 
 

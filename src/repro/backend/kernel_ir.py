@@ -356,10 +356,10 @@ class HostProgram:
     price_cache: Dict[tuple, Any] = field(
         default_factory=dict, repr=False, compare=False
     )
-    #: Per-stage artifact fingerprints of the clean compile that
-    #: produced this program (empty otherwise), and the artifact cache
-    #: it went through: the jit engine persists generated source under
-    #: the ``host`` fingerprint.
+    #: The ``source`` and ``host`` fingerprints of the clean compile
+    #: that produced this program (empty otherwise), and the artifact
+    #: cache it went through: the jit engine persists generated source
+    #: under the ``host`` fingerprint.
     stage_fingerprints: Dict[str, str] = field(
         default_factory=dict, repr=False, compare=False
     )

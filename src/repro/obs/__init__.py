@@ -23,21 +23,21 @@ metrics.json``, or ``--verbose`` for the summary alone.
 
 Typical embedding::
 
-    from repro.obs import observe
+    from repro.obs import metering
     from repro.obs.export import write_chrome_trace, write_metrics
 
-    with observe() as session:
+    with metering() as m:
         compiled = compile_program(prog)
         compiled.execute(args)
-    write_chrome_trace(session.tracer, "trace.json")
-    write_metrics(session.tracer, "metrics.json")
+    print(m.snapshot()["counters"])
+    write_chrome_trace(m.tracer, "trace.json")
+    write_metrics(m.tracer, "metrics.json")
+
+(:func:`tracing` installs a tracer the same way and yields the tracer
+itself.)
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Optional
 
 from .flight import (  # noqa: F401
     DUMP_TRIGGERS,
@@ -79,26 +79,5 @@ __all__ = [
     "tracing",
     "thread_tracing",
     "metering",
-    "ObsSession",
-    "observe",
 ]
 
-
-@dataclass
-class ObsSession:
-    """One enabled observation window: a live tracer, and the metrics
-    view of it."""
-
-    tracer: Tracer
-
-    @property
-    def metrics(self) -> MetricsView:
-        return MetricsView(self.tracer)
-
-
-@contextmanager
-def observe(tracer: Optional[Tracer] = None):
-    """Install a tracer for the block; yields the :class:`ObsSession`
-    holding it (and its metrics view) for export afterwards."""
-    with tracing(tracer) as tr:
-        yield ObsSession(tr)

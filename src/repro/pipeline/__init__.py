@@ -12,9 +12,9 @@ Four layers:
 * :mod:`repro.pipeline.driver` — the driver, which runs the plan
   under one pass guard (revalidate and recover, or report a
   :class:`~repro.errors.CompilerBug`);
-* :mod:`repro.pipeline.fingerprint` — the one hashing scheme behind
-  every compile cache;
-* :mod:`repro.pipeline.artifact` — versioned stage artifacts and the
+* :mod:`repro.pipeline.fingerprint` — the one compile identity, the
+  host fingerprint, behind every compile cache;
+* :mod:`repro.pipeline.artifact` — the versioned host artifact and the
   persistent cross-process :class:`ArtifactCache`.
 
 ``compile_program`` / ``compile_source`` take a program through the
@@ -45,12 +45,11 @@ from .options import CompilerOptions, PassDiagnostic
 from .passes import PASSES, STAGES, Pass, PassContext, plan, planned
 from .fingerprint import (
     ARTIFACT_VERSION,
-    compile_fingerprint,
     fingerprint_program,
     fingerprint_text,
     options_slice,
     pipeline_fingerprint,
-    stage_fingerprint,
+    salted_stage_fingerprint,
 )
 from .artifact import (
     ARTIFACT_DIR_ENV,
@@ -83,12 +82,10 @@ __all__ = [
     "ArtifactCache",
     "StageArtifact",
     "default_artifact_cache",
-    "compile_fingerprint",
     "fingerprint_program",
     "fingerprint_text",
     "options_slice",
     "pipeline_fingerprint",
-    "stage_fingerprint",
 ]
 
 #: The most conservative kernel-extraction strategy: exploit only the
@@ -107,9 +104,14 @@ def compile_cache_key(
     options: Optional[CompilerOptions] = None,
     entry: str = "main",
 ) -> str:
-    """A stable cache key for compiling ``prog`` — used by the serving
-    layer's single-flight compile cache (:mod:`repro.serve.cache`) so
-    N concurrent requests for the same program compile once:
-    ``compile_fingerprint(fingerprint_program(prog), options, entry)``.
+    """The compile's identity, its host fingerprint — used by the
+    serving layer's single-flight compile cache (:mod:`repro.serve.cache`)
+    so N concurrent requests for the same program compile once, and
+    equal to ``compile_program(prog, options, entry).fingerprints["host"]``,
+    the name of its on-disk artifact.  Options that differ only in a
+    field no enabled pass reads (``strict``) share a key.
     """
-    return compile_fingerprint(fingerprint_program(prog), options, entry)
+    _, salt = planned(options or CompilerOptions())
+    return salted_stage_fingerprint(
+        "host", fingerprint_program(prog), entry, salt
+    )

@@ -1,14 +1,15 @@
-"""Versioned, serializable stage artifacts and the on-disk cache.
+"""The versioned, serializable host artifact and the on-disk cache.
 
-A :class:`StageArtifact` snapshots one stage frontier of a clean
-compile — the core IR after the core passes, or the finished host
-program — identified by its :func:`~repro.pipeline.fingerprint.stage_fingerprint`
-and integrity-checked by a sha256 over the serialized payload.  The
-:class:`ArtifactCache` persists artifacts under the root it is given
-(``$REPRO_ARTIFACT_DIR`` / ``--artifact-dir``) with atomic writes and
-fingerprint-verified loads, so a second process — or a restarted
-server — resumes compilation from the deepest valid stage instead of
-recompiling from source.
+The compiler's one artifact is the finished host program of a clean
+compile: a :class:`StageArtifact` of stage ``host``, named by the
+compile's host fingerprint
+(:func:`~repro.pipeline.compile_cache_key`) and integrity-checked by a
+sha256 over the serialized payload.  The :class:`ArtifactCache`
+persists artifacts under the root it is given (``$REPRO_ARTIFACT_DIR``
+/ ``--artifact-dir``) with atomic writes and fingerprint-verified
+loads, so a second process — or a restarted server — loads the host
+program instead of recompiling from source.  The jit files its
+generated source in the same cache, as stage ``pycode``.
 
 File format (``repro.stage_artifact/v2``): one JSON header line —
 schema, stage, fingerprint, entry, meta and the payload's sha256 —
@@ -47,18 +48,15 @@ ARTIFACT_DIR_ENV = "REPRO_ARTIFACT_DIR"
 
 @dataclass
 class StageArtifact:
-    """One serialized stage frontier of a clean compile."""
+    """One serialized artifact."""
 
-    #: ``core`` or ``host`` (the ``source`` stage is the input itself
-    #: and is never materialised).
+    #: ``host`` (the compiler's) or ``pycode`` (the jit's).
     stage: str
-    #: Identity: the stage fingerprint this artifact answers for.
+    #: Identity: the fingerprint this artifact answers for.
     fingerprint: str
     entry: str
-    #: The payload, stage-dependent:
-    #: ``core`` → ``{"core": A.Prog, "fusion_stats": ...}``;
-    #: ``host`` → ``{"core": A.Prog, "host": HostProgram,
-    #: "fusion_stats": ...}``.
+    #: The payload, stage-dependent: ``host`` → ``{"core": A.Prog,
+    #: "host": HostProgram, "fusion_stats": ...}``.
     payload: Dict[str, Any]
     #: Provenance breadcrumbs (options slice, pass list); informational
     #: only — identity lives entirely in ``fingerprint``.
@@ -140,7 +138,7 @@ class ArtifactStats:
 
 
 class ArtifactCache:
-    """A content-addressed on-disk store of stage artifacts.
+    """A content-addressed on-disk store of artifacts.
 
     Concurrency-safe by construction: files are named by fingerprint,
     written to a temp name and published with ``os.replace`` (atomic on

@@ -19,10 +19,11 @@ order, stage by stage, each under one guard rule (:class:`_PassGuard`):
 
 With an :class:`~repro.pipeline.artifact.ArtifactCache` attached
 (explicitly, via ``$REPRO_ARTIFACT_DIR``, or the CLI's
-``--artifact-dir``), the driver resumes from the deepest stage whose
-fingerprint-verified artifact is on disk — a warm process skips
-straight to the finished host program — and stores the stage frontiers
-of every clean compile for the next process.
+``--artifact-dir``), the driver loads the fingerprint-verified host
+artifact when one is on disk — a warm process skips straight to the
+finished host program, running no pass — and stores the host program
+of every clean compile for the next process.  There is no other
+frontier: a compile stopped after ``core`` is never cached.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .artifact import ArtifactCache, StageArtifact, default_artifact_cache
 from .fingerprint import (
     fingerprint_program,
     fingerprint_text,
-    options_slice,
     salted_stage_fingerprint,
 )
 from .options import CompilerOptions, PassDiagnostic
@@ -212,14 +212,14 @@ class CompiledProgram:
     #: Pass-guard interventions (empty for a clean compile).
     diagnostics: List[PassDiagnostic] = field(default_factory=list)
     #: Per-pass wall-clock (and, when traced, IR-size) breakdown; a
-    #: warm compile shows ``artifact:<stage>`` load entries instead of
+    #: warm compile shows one ``artifact:host`` load entry instead of
     #: the skipped passes.
     pass_timings: List[PassTiming] = field(default_factory=list)
-    #: The deepest stage artifact this compile resumed from (``None``
-    #: for a cold compile, ``"core"`` or ``"host"``).
+    #: ``"host"`` when this compile loaded the host artifact, ``None``
+    #: for a cold compile.
     from_artifact: Optional[str] = None
-    #: The per-stage artifact fingerprints of this compile
-    #: (``source``/``core``/``host``).
+    #: The content fingerprint (``source``) and the compile's identity
+    #: (``host``: the artifact name and the serving layer's key).
     fingerprints: Dict[str, str] = field(default_factory=dict)
 
     def opencl(self) -> str:
@@ -283,7 +283,7 @@ class CompiledProgram:
 
 
 def _artifact_event(
-    guard: _PassGuard, stage: str, event: str, fingerprint: str,
+    guard: _PassGuard, event: str, fingerprint: str,
     dur_us: Optional[float] = None,
 ) -> None:
     """One uniform observability record per artifact interaction: a
@@ -291,31 +291,27 @@ def _artifact_event(
     — a :class:`PassTiming` entry so warm compiles show where their
     time went."""
     get_tracer().instant(
-        f"artifact-{event}:{stage}",
+        f"artifact-{event}:host",
         "pipeline",
-        stage=stage,
+        stage="host",
         fingerprint=fingerprint[:12],
     )
     if dur_us is not None:
-        guard.timings.append(PassTiming(f"artifact:{stage}", "cache", dur_us))
+        guard.timings.append(PassTiming("artifact:host", "cache", dur_us))
 
 
 def _try_load(
-    cache: Optional[ArtifactCache],
-    guard: _PassGuard,
-    stage: str,
-    fingerprint: str,
+    cache: Optional[ArtifactCache], guard: _PassGuard, fingerprint: str
 ) -> Optional[StageArtifact]:
     if cache is None:
         return None
     t0 = time.perf_counter()
-    artifact = cache.load(stage, fingerprint)
+    artifact = cache.load("host", fingerprint)
     if artifact is None:
-        _artifact_event(guard, stage, "miss", fingerprint)
+        _artifact_event(guard, "miss", fingerprint)
         return None
     _artifact_event(
-        guard, stage, "hit", fingerprint,
-        dur_us=(time.perf_counter() - t0) * 1e6,
+        guard, "hit", fingerprint, dur_us=(time.perf_counter() - t0) * 1e6
     )
     return artifact
 
@@ -323,31 +319,26 @@ def _try_load(
 def _maybe_store(
     cache: Optional[ArtifactCache],
     guard: _PassGuard,
-    stage: str,
     fingerprint: str,
     entry: str,
     payload: Dict[str, Any],
-    options: CompilerOptions,
     plan: Sequence[Pass],
+    salt: Tuple[str, str],
 ) -> None:
-    """Persist one stage frontier — only for *clean* compiles: a
+    """Persist the host artifact — only for *clean* compiles: a
     rollback means the output depends on a transient pass bug, which
     must not be immortalised on disk."""
     if cache is None or guard.diagnostics:
         return
-    keys = [k for p in plan for k in p.option_keys]
     artifact = StageArtifact(
-        stage=stage,
+        stage="host",
         fingerprint=fingerprint,
         entry=entry,
         payload=payload,
-        meta={
-            "passes": [p.name for p in plan],
-            "options_slice": options_slice(options, keys),
-        },
+        meta={"passes": [p.name for p in plan], "options_slice": salt[0]},
     )
     if cache.store(artifact) is not None:
-        _artifact_event(guard, stage, "store", fingerprint)
+        _artifact_event(guard, "store", fingerprint)
 
 
 # -- the driver -------------------------------------------------------------
@@ -366,17 +357,18 @@ def _compile(
     stop_after: Optional[str],
 ) -> CompiledProgram:
     options = options or CompilerOptions()
-    cache = (
-        default_artifact_cache()
-        if artifact_cache is _DEFAULT_CACHE
-        else artifact_cache
-    )
     stop = stop_after or "host"
     if stop not in ("core", "host"):
         raise ArgumentError(
             f"stop_after must be 'core' or 'host', not {stop!r}"
         )
-    plan, salts = planned(options)
+    if stop == "core":
+        cache = None  # a core compile is never cached
+    elif artifact_cache is _DEFAULT_CACHE:
+        cache = default_artifact_cache()
+    else:
+        cache = artifact_cache
+    plan, salt = planned(options)
     diagnostics: List[PassDiagnostic] = []
     guard = _PassGuard(options, diagnostics)
     ctx = PassContext(options=options, entry=entry, guard=guard)
@@ -388,28 +380,17 @@ def _compile(
             if source is not None
             else fingerprint_program(prog)
         )
-        fps = {"source": source_fp}
-        for stage, salt in salts.items():
-            fps[stage] = salted_stage_fingerprint(stage, source_fp, entry, salt)
-        core_prog: Optional[A.Prog] = None
+        fps = {
+            "source": source_fp,
+            "host": salted_stage_fingerprint("host", source_fp, entry, salt),
+        }
         host: Optional[HostProgram] = None
-        loaded: Optional[str] = None
-
-        if stop == "host":
-            artifact = _try_load(cache, guard, "host", fps["host"])
-            if artifact is not None:
-                core_prog = artifact.payload["core"]
-                host = artifact.payload["host"]
-                ctx.fusion_stats = artifact.payload.get("fusion_stats")
-                loaded = "host"
-        if loaded is None:
-            artifact = _try_load(cache, guard, "core", fps["core"])
-            if artifact is not None:
-                core_prog = artifact.payload["core"]
-                ctx.fusion_stats = artifact.payload.get("fusion_stats")
-                loaded = "core"
-
-        if core_prog is None:
+        artifact = _try_load(cache, guard, fps["host"])
+        if artifact is not None:
+            core_prog = artifact.payload["core"]
+            host = artifact.payload["host"]
+            ctx.fusion_stats = artifact.payload.get("fusion_stats")
+        else:
             if prog is None:
                 from ..frontend import parse
 
@@ -418,26 +399,21 @@ def _compile(
             core_prog = prog
             for p in _stage_passes(plan, "frontend", "core"):
                 core_prog = guard.run_pass(p, core_prog, ctx)
-            _maybe_store(
-                cache, guard, "core", fps["core"], entry,
-                {"core": core_prog, "fusion_stats": ctx.fusion_stats},
-                options, _stage_passes(plan, "frontend", "core"),
-            )
-
-        if stop == "host" and host is None:
-            ir: Any = core_prog
-            for p in _stage_passes(plan, "host"):
-                ir = guard.run_pass(p, ir, ctx)
-            host = ir
-            _maybe_store(
-                cache, guard, "host", fps["host"], entry,
-                {
-                    "core": core_prog,
-                    "host": host,
-                    "fusion_stats": ctx.fusion_stats,
-                },
-                options, plan,
-            )
+            if stop == "host":
+                ir: Any = core_prog
+                for p in _stage_passes(plan, "host"):
+                    ir = guard.run_pass(p, ir, ctx)
+                host = ir
+                _maybe_store(
+                    cache, guard, fps["host"], entry,
+                    {
+                        "core": core_prog,
+                        "host": host,
+                        "fusion_stats": ctx.fusion_stats,
+                    },
+                    plan, salt,
+                )
+        loaded = None if artifact is None else "host"
         if host is not None and not diagnostics:
             # Breadcrumbs for downstream per-program caches (the jit
             # engine keys its generated-source artifacts off the host
@@ -465,11 +441,12 @@ def compile_program(
 ) -> CompiledProgram:
     """Run the full Fig. 3 pipeline.
 
-    ``artifact_cache`` opts into on-disk stage-artifact reuse (default:
+    ``artifact_cache`` opts into on-disk host-artifact reuse (default:
     the ``$REPRO_ARTIFACT_DIR`` process default, i.e. off unless the
     environment enables it; pass ``None`` to force a cold compile).
-    ``stop_after="core"`` runs only the frontend/core stages and
-    returns a :class:`CompiledProgram` whose ``host`` is ``None``.
+    ``stop_after="core"`` runs only the frontend/core stages, with no
+    artifact read or written, and returns a :class:`CompiledProgram`
+    whose ``host`` is ``None``.
     """
     return _compile(prog, None, options, entry, artifact_cache, stop_after)
 

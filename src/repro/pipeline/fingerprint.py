@@ -1,40 +1,32 @@
-"""The fingerprint API: one hashing scheme for every compile cache.
+"""The fingerprint API: one compile identity.
 
-Compilation is deterministic in (program content, the options slice
-the enabled passes read, the enabled pass pipeline, entry point), so
-that tuple *is* the cache identity — for the in-memory single-flight
-compile cache (:mod:`repro.serve.cache`), for the on-disk
-:class:`~repro.pipeline.artifact.ArtifactCache`, and for the per-stage
-resume fingerprints.  (:func:`repro.pipeline.compile_cache_key`, the
-serving layer's key, is :func:`compile_fingerprint` of a program.)
+A compile's product is its host program, and compilation is
+deterministic in (program content, entry point, the enabled pass
+pipeline, the options slice those passes read).  The host-stage
+fingerprint over that tuple is the one identity of a compile: the key
+of the serving layer's in-memory single-flight compile cache
+(:mod:`repro.serve.cache`, through
+:func:`repro.pipeline.compile_cache_key`), the name of the on-disk
+host artifact (:class:`~repro.pipeline.artifact.ArtifactCache`), and
+the key the jit files its generated source under.  A field no enabled
+pass's output reads (``strict``) is outside the slice, so it never
+splits a cache.
 
-Two flavours:
-
-* :func:`compile_fingerprint` — keyed on the *full* options repr.
-  Used for in-memory :class:`~repro.pipeline.driver.CompiledProgram`
-  caching, where runtime-only options (``executor``) legitimately
-  distinguish entries.
-* :func:`stage_fingerprint` — keyed on the *slice* of options the
-  passes up to that stage declare via ``Pass.option_keys``, plus the
-  pipeline fingerprint of those passes.  Used for on-disk stage
-  artifacts, so flipping a runtime-only or later-stage option never
-  invalidates an earlier stage's artifact.
-
-Those two parts, a stage's *salt* (:func:`stage_salt`), depend only on
-the options and the plan, so they are computed once per options beside
-the plan (:func:`~repro.pipeline.passes.planned`), and a compile
-hashes only the stage, content, entry and salt
-(:func:`salted_stage_fingerprint`), in :func:`stage_fingerprint`'s
-order.  The content fingerprint is taken on every compile.
+Everything the fingerprint hashes besides the content and the entry
+point, the *salt* (:func:`stage_salt`), depends only on the options,
+so it is computed once per options beside the plan
+(:func:`~repro.pipeline.passes.planned`), and a compile hashes only
+the content, entry and salt (:func:`salted_stage_fingerprint`).  The
+content fingerprint is taken on every compile.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from .options import CompilerOptions
-from .passes import Pass, STAGES
+from .passes import Pass
 
 __all__ = [
     "ARTIFACT_VERSION",
@@ -43,13 +35,11 @@ __all__ = [
     "options_slice",
     "pipeline_fingerprint",
     "stage_salt",
-    "stage_fingerprint",
     "salted_stage_fingerprint",
-    "compile_fingerprint",
 ]
 
 #: Bumped when the artifact payload layout (not an individual pass)
-#: changes incompatibly; baked into every stage fingerprint so stale
+#: changes incompatibly; baked into the host fingerprint so stale
 #: on-disk artifacts miss instead of mis-loading.
 ARTIFACT_VERSION = 1
 
@@ -93,62 +83,23 @@ def pipeline_fingerprint(passes: Sequence[Pass]) -> str:
     )
 
 
-def stage_fingerprint(
-    stage: str,
-    content_fingerprint: str,
-    options: CompilerOptions,
-    plan: Sequence[Pass],
-    entry: str = "main",
-) -> str:
-    """The artifact fingerprint for one stage frontier.
-
-    Hashes the input content, the entry point, the enabled passes up
-    to and including ``stage`` (in plan order), and exactly the options
-    fields those passes declare in ``Pass.option_keys``.
-    """
-    return salted_stage_fingerprint(
-        stage, content_fingerprint, entry, stage_salt(stage, options, plan)
-    )
-
-
 def stage_salt(
-    stage: str, options: CompilerOptions, plan: Sequence[Pass]
+    options: CompilerOptions, plan: Sequence[Pass]
 ) -> Tuple[str, str]:
-    """What ``stage``'s fingerprint hashes besides the input and entry
-    point: the options slice and the pipeline fingerprint of the passes
-    up to and including ``stage``."""
-    upto = STAGES.index(stage)
-    prefix = [p for p in plan if STAGES.index(p.stage) <= upto]
-    keys = [k for p in prefix for k in p.option_keys]
-    return options_slice(options, keys), pipeline_fingerprint(prefix)
+    """What the host fingerprint hashes besides the input and entry
+    point: the options slice the enabled passes read and the pipeline
+    fingerprint of the whole plan."""
+    keys = [k for p in plan for k in p.option_keys]
+    return options_slice(options, keys), pipeline_fingerprint(plan)
 
 
 def salted_stage_fingerprint(
     stage: str, content_fingerprint: str, entry: str, salt: Tuple[str, str]
 ) -> str:
-    """:func:`stage_fingerprint`, given the stage's :func:`stage_salt`."""
+    """The fingerprint of ``stage`` given its :func:`stage_salt`.  The
+    driver names only the ``host`` stage; the stage token stays in the
+    digest, so host artifacts on disk keep their names."""
     sliced, pipeline = salt
     return _digest(
         (f"stage:{stage}", content_fingerprint, entry, sliced, pipeline)
-    )
-
-
-def compile_fingerprint(
-    content_fingerprint: str,
-    options: Optional[CompilerOptions] = None,
-    entry: str = "main",
-) -> str:
-    """The full-options compile key (in-memory caching).
-
-    ``CompilerOptions`` is a frozen dataclass whose repr enumerates
-    every switch, which makes the key automatically sensitive to any
-    option added later.
-    """
-    return _digest(
-        (
-            "compile",
-            content_fingerprint,
-            repr(options or CompilerOptions()),
-            entry,
-        )
     )

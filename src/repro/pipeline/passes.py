@@ -3,7 +3,7 @@
 A :class:`Pass` is a *descriptor*: name, stage, observability phase,
 the transformation callable, an options gate, the slice of
 :class:`CompilerOptions` fields its output depends on (which feeds the
-stage-artifact fingerprints) and its recovery.
+host fingerprint) and its recovery.
 
 :data:`PASSES` holds every pass in plan order (Fig. 3).  It is built
 once, at import, from the ``passes()`` hooks of the transformation
@@ -13,8 +13,8 @@ packages — :mod:`repro.checker`, :mod:`repro.simplify`,
 implements.  The driver (:mod:`repro.pipeline.driver`) runs the
 enabled ones in that order; ``repro passes`` prints the list.
 
-A plan depends only on the options, and so do the parts of a stage
-fingerprint that do not depend on the program (its *salt*,
+A plan depends only on the options, and so does the part of the host
+fingerprint that does not depend on the program (its *salt*,
 :func:`~repro.pipeline.fingerprint.stage_salt`).  :func:`planned`
 computes both once per (hashable, frozen) :class:`CompilerOptions` and
 keeps them in one memo.  Validating ``disabled_passes`` is not
@@ -24,8 +24,7 @@ memoised: a bad name raises on every call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ArgumentError
 from .options import CompilerOptions
@@ -41,8 +40,8 @@ __all__ = [
 ]
 
 #: Stage order: frontend validation, core-IR transformations, then the
-#: kernel-IR (host program) transformations.  Artifacts snapshot the
-#: frontier between ``core`` and ``host``.
+#: kernel-IR (host program) transformations.  The one artifact is the
+#: finished ``host`` stage.
 STAGES: Tuple[str, ...] = ("frontend", "core", "host")
 
 
@@ -59,7 +58,7 @@ class PassContext:
     #: The driver's guard; gives passes span-attribute access.
     guard: object = None
     #: Published by the fusion pass, carried onto the compile result
-    #: (and into the stage artifacts).
+    #: (and into the host artifact).
     fusion_stats: object = None
 
     def annotate(self, **attrs) -> None:
@@ -91,10 +90,9 @@ class Pass:
     #: Options gate: the pass runs only when this predicate holds.
     enabled: Callable[[CompilerOptions], bool] = lambda _o: True
     #: The :class:`CompilerOptions` fields this pass's *output* depends
-    #: on — the fingerprint slice: stage artifacts hash exactly these,
-    #: so a field no pass's output reads (``strict``, which only says
-    #: how the driver treats a failure) never invalidates cached
-    #: artifacts.
+    #: on — the fingerprint slice: the host fingerprint hashes exactly
+    #: these, so a field no pass's output reads (``strict``, which only
+    #: says how the driver treats a failure) never splits a cache.
     option_keys: Tuple[str, ...] = ()
     #: What the guard runs instead when the pass fails or produces
     #: invalid IR; same signature as ``fn``.  :func:`rollback` (the
@@ -135,10 +133,9 @@ def _collect() -> Tuple[Pass, ...]:
 PASSES: Tuple[Pass, ...] = _collect()
 _BY_NAME: Dict[str, Pass] = {p.name: p for p in PASSES}
 
-#: Per options: the enabled passes and the salt of the ``core`` and
-#: ``host`` artifact stages.
+#: Per options: the enabled passes and the host fingerprint's salt.
 _PLANS: Dict[
-    CompilerOptions, Tuple[Tuple[Pass, ...], Mapping[str, Tuple[str, str]]]
+    CompilerOptions, Tuple[Tuple[Pass, ...], Tuple[str, str]]
 ] = {}
 
 
@@ -155,9 +152,9 @@ def plan(options: CompilerOptions) -> List[Pass]:
 
 def planned(
     options: CompilerOptions,
-) -> Tuple[Tuple[Pass, ...], Mapping[str, Tuple[str, str]]]:
-    """:func:`plan` as a tuple, with the salt of the ``core`` and
-    ``host`` artifact stages; both are computed once per options."""
+) -> Tuple[Tuple[Pass, ...], Tuple[str, str]]:
+    """:func:`plan` as a tuple, with the host fingerprint's salt;
+    both are computed once per options."""
     for name in options.disabled_passes:
         if name not in _BY_NAME:
             raise ArgumentError(
@@ -173,9 +170,5 @@ def planned(
 
         # Two threads may both miss; they store equal values.
         steps = tuple(p for p in PASSES if p.enabled_under(options))
-        salts = MappingProxyType({
-            stage: stage_salt(stage, options, steps)
-            for stage in ("core", "host")
-        })
-        held = _PLANS[options] = (steps, salts)
+        held = _PLANS[options] = (steps, stage_salt(options, steps))
     return held

@@ -10,15 +10,17 @@ retries the build.  Only an ``Exception`` is cached: an interrupt
 (``KeyboardInterrupt``, ``SystemExit``) drops the entry instead.
 
 Successful entries never expire (a compile is deterministic in its
-key, which covers source, options and entry point — see
+key, the host fingerprint: program content, entry point, the enabled
+passes and the options they read — see
 :func:`repro.pipeline.compile_cache_key`).
 
 This cache is the *in-memory, per-process* layer of a two-level
-scheme: when the server is given a persistent
-:class:`repro.pipeline.ArtifactCache`, the build function it
-deduplicates compiles *through* the on-disk stage artifacts, so a
-cache-miss compile in a warm-started process loads the finished host
-program from disk instead of rerunning the pass pipeline.  The
+scheme keyed on that one identity: when the server is given a
+persistent :class:`repro.pipeline.ArtifactCache`, the build function
+it deduplicates compiles *through* the on-disk host artifact of the
+same name, so a cache-miss compile in a warm-started process loads the
+finished host program from disk instead of rerunning the pass
+pipeline.  The
 layering keeps concerns separate — single-flight and negative TTL
 here, fingerprint-verified persistence there.
 """

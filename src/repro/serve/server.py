@@ -18,7 +18,8 @@ wired in:
   identity memo maps it to its handle), and pays none of the three;
 - **single-flight compilation** — N concurrent loads of the same
   program compile once (:class:`~repro.serve.cache.CompileCache`,
-  keyed by :func:`repro.pipeline.compile_cache_key`), and a compile
+  keyed by :func:`repro.pipeline.compile_cache_key`, the compile's host
+  fingerprint and the name of its on-disk artifact), and a compile
   failure is cached negatively so it cannot cause a retry storm;
 - **deadlines** — each request's wall-clock budget is checked
   before every attempt (so a request that expired while it queued
@@ -320,9 +321,9 @@ class Server:
         #: One fault plan per device, aligned with ``devices`` (None:
         #: every device runs fault-free).
         fault_plans: Optional[Sequence[Optional[FaultPlan]]] = None,
-        #: Optional persistent stage-artifact cache
+        #: Optional persistent artifact cache
         #: (:class:`repro.pipeline.ArtifactCache`): cache-miss compiles
-        #: resume from on-disk artifacts, and a restarted server warms
+        #: load the on-disk host artifact, and a restarted server warms
         #: up from the previous process's compiles instead of starting
         #: cold.
         artifact_cache: Optional[ArtifactCache] = None,

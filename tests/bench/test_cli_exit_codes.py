@@ -198,8 +198,8 @@ class TestBenchReadsItsFlags:
 
 class TestCompileAndRunReadTheirFlags:
     """``compile`` and ``run`` execute no kernel, so neither takes
-    ``--executor``; and ``compile`` cannot render a host program it
-    stopped before building."""
+    ``--executor``; and ``compile`` cannot render or cache a host
+    program it stopped before building."""
 
     @pytest.fixture
     def source(self, tmp_path):
@@ -227,6 +227,20 @@ class TestCompileAndRunReadTheirFlags:
         captured = capsys.readouterr()
         assert "error: --emit opencl renders the host program" in captured.err
         assert captured.out == ""
+
+    def test_an_artifact_dir_for_a_compile_stopped_at_core_exits_2(
+        self, source, tmp_path, capsys
+    ):
+        artifacts = tmp_path / "artifacts"
+        argv = [
+            "compile", source, "--stop-after", "core",
+            "--artifact-dir", str(artifacts),
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: --artifact-dir caches the host program" in captured.err
+        assert captured.out == ""
+        assert not artifacts.exists()
 
     def test_stop_after_core_prints_core_ir(self, source, capsys):
         assert main(["compile", source, "--stop-after", "core"]) == 0

@@ -10,7 +10,7 @@ import pytest
 from repro.core.prim import I32
 from repro.core.values import ScalarValue, array_value
 from repro.frontend import parse
-from repro.obs import observe
+from repro.obs import metering
 from repro.obs.export import (
     chrome_trace,
     metrics_dump,
@@ -217,7 +217,7 @@ def test_a_jit_hand_over_is_marked_on_the_jit_track():
         array_value(np.array([1, 2, 3], dtype=np.int32), I32),
         ScalarValue(40, I32),
     ]
-    with observe() as session:
+    with metering() as session:
         compiled.execute(args, policy=ExecutionPolicy(executor="jit"))
     trace = chrome_trace(session.tracer)
     tids = {

@@ -7,14 +7,14 @@ import pytest
 
 from repro.bench.runner import validate_benchmark
 from repro.gpu.faults import FaultPlan
-from repro.obs import observe
+from repro.obs import metering
 from repro.obs.export import chrome_trace, validate_chrome_trace
 from repro.runtime import ExecutionPolicy
 
 
 @pytest.fixture(scope="module")
 def observed_run():
-    with observe() as session:
+    with metering() as session:
         report = validate_benchmark(
             "HotSpot", seed=0, policy=ExecutionPolicy(executor="sim")
         )
@@ -66,7 +66,7 @@ def test_execute_span_and_metrics_recorded(observed_run):
     session, _ = observed_run
     (ex,) = session.tracer.find("execute")
     assert ex.attrs["run_id"] == "HotSpot/seed0"
-    snap = session.metrics.snapshot()
+    snap = session.snapshot()
     launches = [
         k for k in snap["counters"] if k.startswith("gpu.launches")
     ]
@@ -85,7 +85,7 @@ def test_exported_trace_is_valid_chrome_trace(observed_run):
 
 def test_chaos_run_id_correlates_with_fault_plan():
     plan = FaultPlan(seed=7, launch_failure_rate=0.3)
-    with observe() as session:
+    with metering() as session:
         report = validate_benchmark("HotSpot", seed=0, fault_plan=plan)
     assert report.run_id == "HotSpot/seed0/faultseed7"
     assert report.fatal_faults == 0

@@ -32,7 +32,7 @@ from repro.core.values import ScalarValue, array_value
 from repro.frontend import parse
 from repro.gpu.device import NVIDIA_GTX780TI
 from repro.gpu.faults import FaultPlan
-from repro.obs import FlightRecorder, observe
+from repro.obs import FlightRecorder, metering
 from repro.pipeline import ArtifactCache, compile_program
 from repro.runtime import ExecutionPolicy, run_resilient
 from repro.serve import CircuitBreaker, Server, ServeRequest
@@ -67,7 +67,7 @@ def _scenario(tmp_path, monkeypatch) -> dict:
     ]
     refusing = CircuitBreaker("jit", failure_threshold=1, recovery_s=3600.0)
     refusing.record_failure()
-    with observe() as session:
+    with metering() as session:
         cache = ArtifactCache(tmp_path / "artifacts")
         cold = compile_program(kmeans.program(), artifact_cache=cache)
         warm = compile_program(kmeans.program(), artifact_cache=cache)
@@ -119,7 +119,7 @@ def _scenario(tmp_path, monkeypatch) -> dict:
                 assert served.ok, served.error
         shed = server.submit(ServeRequest(hprog, hargs, request_id="late"))
         assert shed.result(timeout=5).status == "shed"
-    return session.metrics.snapshot()
+    return session.snapshot()
 
 
 def _comparable(snapshot: dict) -> dict:

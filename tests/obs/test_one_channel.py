@@ -14,7 +14,7 @@ import pytest
 from repro.bench.suite import BENCHMARKS
 from repro.gpu.faults import FaultPlan, chaos_plans
 import repro.obs
-from repro.obs import Tracer, observe
+from repro.obs import Tracer, metering
 from repro.obs.export import summary
 from repro.pipeline import compile_program
 from repro.pipeline.artifact import ArtifactCache, StageArtifact
@@ -33,7 +33,7 @@ def test_a_traced_fault_run_records_each_fault_once():
         memory_fault_rate=0.1,
         timeout_rate=0.2,
     )
-    with observe() as session:
+    with metering() as session:
         compiled = compile_program(prog, artifact_cache=None)
         _, _, report = compiled.execute(args, fault_plan=plan)
         faults = [
@@ -96,8 +96,8 @@ def test_a_refused_artifact_root_warns_once(tmp_path):
     tmp_path.chmod(0o777)
     cache = ArtifactCache(tmp_path)
     with pytest.warns(RuntimeWarning, match="refused") as caught:
-        assert cache.load("core", "a" * 64) is None
-        assert cache.store(StageArtifact("core", "a" * 64, "main", {})) is None
+        assert cache.load("host", "a" * 64) is None
+        assert cache.store(StageArtifact("host", "a" * 64, "main", {})) is None
     assert len(caught) == 1
     assert cache.stats.snapshot()["refusals"] == 2
 
@@ -123,14 +123,12 @@ def test_the_obs_surface_is_pinned():
         "FlightRecorder",
         "Histogram",
         "MetricsView",
-        "ObsSession",
         "PassTiming",
         "Span",
         "TeeTracer",
         "Tracer",
         "get_tracer",
         "metering",
-        "observe",
         "set_tracer",
         "thread_tracing",
         "tracing",

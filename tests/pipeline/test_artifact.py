@@ -1,5 +1,5 @@
-"""Stage artifacts and the on-disk cache: round-trips, verified loads,
-corruption recovery, and the driver's resume semantics."""
+"""The host artifact and the on-disk cache: round-trips, verified
+loads, corruption recovery, and the driver's one resume path."""
 
 import json
 import os
@@ -77,28 +77,28 @@ def _run(compiled):
 class TestStageArtifactEnvelope:
     def test_round_trip(self):
         art = StageArtifact(
-            stage="core",
+            stage="host",
             fingerprint="f" * 64,
             entry="main",
             payload={"core": [1, 2, 3]},
             meta={"passes": ["inline"]},
         )
         back = StageArtifact.from_bytes(art.to_bytes())
-        assert back.stage == "core"
+        assert back.stage == "host"
         assert back.fingerprint == art.fingerprint
         assert back.entry == "main"
         assert back.payload == {"core": [1, 2, 3]}
         assert back.meta == {"passes": ["inline"]}
 
     def test_fingerprint_mismatch_is_rejected(self):
-        art = StageArtifact("core", "a" * 64, "main", {"core": None})
+        art = StageArtifact("host", "a" * 64, "main", {"core": None})
         with pytest.raises(ValueError, match="fingerprint mismatch"):
             StageArtifact.from_bytes(
                 art.to_bytes(), expect_fingerprint="b" * 64
             )
 
     def test_payload_corruption_is_rejected(self):
-        art = StageArtifact("core", "a" * 64, "main", {"core": "x" * 100})
+        art = StageArtifact("host", "a" * 64, "main", {"core": "x" * 100})
         header, payload = _split(art.to_bytes())
         corrupted = payload[:-10] + b"\x00" * 10
         with pytest.raises(ValueError, match="checksum"):
@@ -155,21 +155,16 @@ class TestArtifactCache:
         path.write_bytes(b"truncated garbage")
         again = compile_source(SRC, artifact_cache=cache)
         # The corrupt host artifact counts as a miss and is removed;
-        # the compile falls back to the next-deepest valid stage (the
-        # core artifact), reruns the host passes, and re-stores.
-        assert again.from_artifact == "core"
-        assert cache.stats.snapshot()["evictions"] == 1
+        # the compile runs cold and stores a good one again.
+        assert again.from_artifact is None
+        assert "lower" in [t.name for t in again.pass_timings]
+        stats = cache.stats.snapshot()
+        assert (stats["evictions"], stats["stores"]) == (1, 2)
         assert _run(again) == EXPECTED
         assert path.is_file()  # re-stored by the recompile
-        # With the core artifact corrupted too, the compile goes cold.
-        path.write_bytes(b"junk")
-        cache.path_for("core", compiled.fingerprints["core"]).write_bytes(
-            b"junk"
-        )
-        cold = compile_source(SRC, artifact_cache=cache)
-        assert cold.from_artifact is None
-        assert cache.stats.snapshot()["evictions"] == 3
-        assert _run(cold) == EXPECTED
+        warm = compile_source(SRC, artifact_cache=cache)
+        assert warm.from_artifact == "host"
+        assert _run(warm) == EXPECTED
 
     def test_a_payload_that_runs_code_fails_its_checksum_unpickled(
         self, tmp_path
@@ -192,18 +187,22 @@ class TestArtifactCache:
         assert not path.exists()
 
     def test_stage_swap_is_rejected(self, tmp_path):
-        """A core artifact renamed to a host path must not load."""
+        """The jit's artifact renamed to the host path must not load:
+        the compile goes cold and stores the host artifact again."""
         cache = ArtifactCache(tmp_path)
         compiled = compile_source(SRC, artifact_cache=cache)
-        core_path = cache.path_for("core", compiled.fingerprints["core"])
+        assert _run(compiled) == EXPECTED  # the jit stores its pycode
+        (pycode_path,) = tmp_path.glob("pycode-*.artifact")
         host_path = cache.path_for("host", compiled.fingerprints["host"])
-        host_path.unlink()
-        os.replace(core_path, host_path)
+        os.replace(pycode_path, host_path)
         again = compile_source(SRC, artifact_cache=cache)
-        # Host load fails (fingerprint mismatch -> evicted), core was
-        # renamed away, so this is a cold compile.
+        # The host load fails its stage check and evicts the file.
         assert again.from_artifact is None
-        assert cache.stats.snapshot()["evictions"] >= 1
+        assert cache.stats.snapshot()["evictions"] == 1
+        assert _run(again) == EXPECTED
+        assert StageArtifact.from_bytes(
+            host_path.read_bytes(), expect_stage="host"
+        ).payload["host"] is not None
 
 
 class TestCacheRootTrust:
@@ -259,12 +258,12 @@ class TestCacheRootTrust:
         monkeypatch.setattr(os, "getuid", lambda: uid + 1)
         cache = ArtifactCache(tmp_path)
         assert not cache.trusted()
-        assert cache.store(StageArtifact("core", "a" * 64, "main", {})) is None
+        assert cache.store(StageArtifact("host", "a" * 64, "main", {})) is None
         assert cache.stats.snapshot()["refusals"] == 1
 
     def test_the_root_is_created_0700(self, tmp_path):
         cache = ArtifactCache(tmp_path / "a" / "cache")
-        assert cache.store(StageArtifact("core", "a" * 64, "main", {}))
+        assert cache.store(StageArtifact("host", "a" * 64, "main", {}))
         assert (tmp_path / "a" / "cache").stat().st_mode & 0o777 == 0o700
 
     def test_mkdtemp_and_tmp_path_roots_are_trusted(self, tmp_path):
@@ -290,16 +289,54 @@ class TestDriverResume:
         assert _run(warm) == EXPECTED
         assert warm.opencl() == cold.opencl()
 
-    def test_core_artifact_resumes_host_passes_only(self, tmp_path):
+    def test_a_clean_compile_stores_only_the_host_artifact(self, tmp_path):
         cache = ArtifactCache(tmp_path)
-        compile_source(SRC, artifact_cache=cache, stop_after="core")
+        cold = compile_source(SRC, artifact_cache=cache)
+        assert sorted(p.name for p in tmp_path.glob("*.artifact")) == [
+            f"host-{cold.fingerprints['host']}.artifact"
+        ]
+        assert sorted(cold.fingerprints) == ["host", "source"]
+        assert sorted(cold.host.stage_fingerprints) == ["host", "source"]
+
+    def test_a_core_compile_is_never_cached(self, tmp_path, monkeypatch):
+        cache = ArtifactCache(tmp_path)
+        loads = []
+        real_load = cache.load
+        monkeypatch.setattr(
+            cache, "load",
+            lambda stage, fp: loads.append(stage) or real_load(stage, fp),
+        )
+        for _ in range(2):
+            core = compile_source(SRC, artifact_cache=cache, stop_after="core")
+            assert core.from_artifact is None and core.host is None
+        assert loads == [] and len(cache) == 0
         warm = compile_source(SRC, artifact_cache=cache)
-        assert warm.from_artifact == "core"
+        # Nothing to resume from: every pass runs, and only the host
+        # artifact is looked up.
+        assert warm.from_artifact is None
         names = [t.name for t in warm.pass_timings]
-        assert names[0] == "artifact:core"
-        assert "fusion" not in names  # core passes skipped
-        assert "lower" in names  # host passes ran
+        assert "fusion" in names and "lower" in names
+        assert loads == ["host"]
         assert _run(warm) == EXPECTED
+
+    def test_an_older_core_artifact_is_never_read(self, tmp_path):
+        """An older tree also stored a ``core-*`` frontier.  The driver
+        never opens it, and ``clear()`` still removes it."""
+        cache = ArtifactCache(tmp_path)
+        stale = cache.path_for("core", "c" * 64)
+        cache.store(
+            StageArtifact("core", "c" * 64, "main", {"core": _RunsCode()})
+        )
+        UNPICKLED.clear()
+        compiled = compile_source(SRC, artifact_cache=cache)
+        warm = compile_source(SRC, artifact_cache=cache)
+        assert (compiled.from_artifact, warm.from_artifact) == (None, "host")
+        assert not UNPICKLED
+        assert stale.is_file()
+        stats = cache.stats.snapshot()
+        assert (stats["hits"], stats["misses"], stats["evictions"]) == (1, 1, 0)
+        assert cache.clear() == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_compile_options_invalidate_artifacts(self, tmp_path):
         cache = ArtifactCache(tmp_path)
@@ -355,7 +392,7 @@ class TestDriverResume:
             UPDATES,
             CompilerOptions(in_place=False, disabled_passes=unplanned),
         )
-        assert on.fingerprints["core"] == off.fingerprints["core"]
+        assert on.fingerprints["source"] == off.fingerprints["source"]
         assert on.fingerprints["host"] != off.fingerprints["host"]
         assert (on.host.in_place, off.host.in_place) == (True, False)
 
@@ -370,13 +407,11 @@ class TestDriverResume:
         tiled = compile_source(NBODY_LIKE, artifact_cache=cache)
         cold = compile_source(NBODY_LIKE, untiled, artifact_cache=cache)
         warm = compile_source(NBODY_LIKE, untiled, artifact_cache=cache)
-        # Tiling is a host pass: the two share the core stage only.
-        assert (cold.from_artifact, warm.from_artifact) == ("core", "host")
+        assert (cold.from_artifact, warm.from_artifact) == (None, "host")
         assert [t.array for t in tiled.host.kernels()[0].tiles] == ["xs"]
         (kernel,) = warm.host.kernels()
         assert kernel.tiles == []
         assert [t.array for t in kernel.tile_candidates] == ["xs"]
-        assert warm.fingerprints["core"] == tiled.fingerprints["core"]
         assert warm.fingerprints["host"] != tiled.fingerprints["host"]
 
     def test_source_change_invalidates_artifacts(self, tmp_path):

@@ -1,6 +1,6 @@
 """Cross-process artifact-cache behaviour: a fresh interpreter must
-warm-start from artifacts a previous process stored, skipping the core
-passes entirely."""
+warm-start from the host artifact a previous process stored, skipping
+every pass."""
 
 import json
 import os
@@ -56,8 +56,8 @@ def test_fresh_process_resumes_from_host_artifact(tmp_path):
     assert "lower" in first["pass_names"]
     assert first["result"] == [3.0, 5.0, 7.0]
     stored = sorted(p.name.split("-")[0] for p in tmp_path.glob("*.artifact"))
-    # The two compile frontiers, and the jit's generated source.
-    assert stored == ["core", "host", "pycode"]
+    # The compile's one artifact, and the jit's generated source.
+    assert stored == ["host", "pycode"]
 
     second = _compile_in_subprocess(tmp_path)
     # The whole pass pipeline is skipped: the fresh process loads the

@@ -477,9 +477,9 @@ class TestArtifactWarmStart:
             r = s1.call(ServeRequest(prog, xs(1.0, 2.0)), timeout=30)
             assert r.ok
             health = s1.health()
-        # core + host frontiers, and the generated source: written when
+        # The host artifact, and the generated source: written when
         # the host function is transpiled, and again with its kernel.
-        assert health["artifact_cache"]["stores"] == 4
+        assert health["artifact_cache"]["stores"] == 3
         assert health["artifact_cache"]["hits"] == 0
 
         with Server(queue_capacity=8,

@@ -44,7 +44,7 @@ from repro.core.values import array_value, scalar, values_equal
 from repro.errors import ArgumentError
 from repro.frontend import parse
 from repro.interp import run_program
-from repro.obs import metering, observe
+from repro.obs import metering
 from repro.obs.export import validate_chrome_trace, write_chrome_trace
 from repro.pipeline import compile_program
 from repro.pipeline.artifact import ArtifactCache, StageArtifact
@@ -106,7 +106,7 @@ def test_no_launch_leaves_the_jit_at_perf_scale(name):
 def test_jit_run_is_traceable(tmp_path):
     """A jit-executor run emits kernel spans on the ``vm-jit`` track
     and exports a schema-valid Chrome trace."""
-    with observe() as session:
+    with metering() as session:
         validate_benchmark("HotSpot", policy=JIT_POLICY)
     assert "vm-jit" in session.tracer.tracks()
     vm_spans = [

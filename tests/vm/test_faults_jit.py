@@ -17,7 +17,7 @@ import pytest
 
 from repro.bench.runner import validate_benchmark
 from repro.gpu.faults import FaultPlan
-from repro.obs import observe
+from repro.obs import metering
 from repro.runtime import ExecutionPolicy
 
 SEEDS = [
@@ -79,7 +79,7 @@ def test_jit_retries_land_on_attempt_tracks():
     """Retried jit attempts get their own trace tracks, so a chaos
     trace shows which attempt produced the result."""
     plan = FaultPlan(seed=0, **CHAOS_PLAN_RATES)
-    with observe() as session:
+    with metering() as session:
         validate_benchmark(
             "HotSpot",
             fault_plan=plan,
