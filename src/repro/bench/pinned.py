@@ -167,17 +167,17 @@ def shard_suite(
             "devices": {},
         }
         for count in device_counts:
-            with DevicePool([device] * count) as pool:
-                values, cost, report, placement = pool.run(
-                    compiled.host,
-                    compiled.core,
-                    args,
-                    executor=executor,
-                    entry="main",
-                    run_id=f"shard/{name}/x{count}",
-                    batch_info=info,
-                    key=key,
-                )
+            pool = DevicePool([device] * count)
+            values, cost, report, placement = pool.run(
+                compiled.host,
+                compiled.core,
+                args,
+                executor=executor,
+                entry="main",
+                run_id=f"shard/{name}/x{count}",
+                batch_info=info,
+                key=key,
+            )
             if report.fallbacks:
                 raise ValidationError(
                     f"{name} x{count}: sharded run degraded to the "

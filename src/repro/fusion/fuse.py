@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core import ast as A
 from ..core.prim import I32
-from ..core.types import Array, Prim
+from ..core.types import Array, Prim, substitute_dims
 from ..core.traversal import (
     NameSource,
     alpha_rename_lambda,
@@ -627,10 +627,18 @@ def _merge_stream_reds(
     )
 
     # Combined fold: share the chunk-size parameter, deduplicate chunk
-    # inputs for identical arrays.
+    # inputs for identical arrays.  f2 sized its chunk inputs and array
+    # results by its own chunk parameter, in its types as well as its
+    # body: both are renamed to the shared one.
     q = f1.params[0]
-    f2_body = substitute_body(
-        f2.body, {f2.params[0].name: A.Var(q.name)}
+    dims = {f2.params[0].name: q.name}
+    f2 = A.Lambda(
+        tuple(
+            A.Param(p.name, substitute_dims(p.type, dims), p.unique)
+            for p in f2.params
+        ),
+        substitute_body(f2.body, {f2.params[0].name: A.Var(q.name)}),
+        tuple(substitute_dims(t, dims) for t in f2.ret_types),
     )
     acc_params = tuple(f1.params[1 : 1 + n1]) + tuple(
         f2.params[1 : 1 + n2]
@@ -648,7 +656,7 @@ def _merge_stream_reds(
         else:
             arr_params[arr.name] = p
             new_arrs.append(arr)
-    f2_body = substitute_body(f2_body, subst2)
+    f2_body = substitute_body(f2.body, subst2)
     fold_lam = A.Lambda(
         (q,)
         + acc_params

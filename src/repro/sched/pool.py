@@ -1,9 +1,9 @@
 """The device pool: N simulated devices, placement, sharding.
 
 A :class:`DevicePool` owns N heterogeneous simulated devices (a
-:class:`repro.serve.Server` runs every request on one, with one server
-worker per device).  Each :class:`PoolDevice` has its own serial
-worker thread, run lock, persistent :class:`~repro.gpu.heap.DeviceHeap`
+:class:`repro.serve.Server` runs every request on one) and no thread.
+Each :class:`PoolDevice` has its own run lock, persistent
+:class:`~repro.gpu.heap.DeviceHeap`
 (lifetime-accumulating), :class:`~repro.serve.breaker.CircuitBreaker`,
 optional :class:`~repro.gpu.faults.FaultPlan` (the only plan its tasks
 run under), and its own observability namespace — kernel spans land on
@@ -20,31 +20,34 @@ the ``gpu.dev{id}`` trace track, and their metrics fold under
   after paying one more launch per extra device — ``k`` ways by the
   :class:`ShardPlanner` (weights = per-device speed from the cost
   model), executed concurrently, and merged bit-identically;
-- a whole placement runs on the **caller's thread** when its device
-  is idle (booked atomically, so two callers never both take it) or
-  is the only healthy one; a task for a busy device, and every shard
-  of a split, goes to that device's worker;
+- every task runs on the **thread that needs its result**: a whole
+  placement, and shard 0 of a split, on the thread that called
+  ``run``; each other shard of a ``k``-way split on one of ``k - 1``
+  threads started for the request, which adopt the caller's tracer
+  and have all finished when ``run`` returns its result.  A task
+  waits for its device's run lock, but no longer than its deadline;
 - a task whose device *fails* (after the resilient executor's own
-  retries) or *refuses* (its breaker is open) is re-placed on another
-  healthy device; only when every device has failed or refused does
-  the request leave the devices — for the interpreter floor
-  (``fallback=True``) or as the typed error.
+  retries) or *refuses* (its breaker is open) is re-placed, by the
+  same thread, on another healthy device; only when every device has
+  failed or refused does the request leave the devices — for the
+  interpreter floor (``fallback=True``) or as the typed error.
 
-A shard has one live task at a time: the next is launched only after
+A shard has one live task at a time, run by one loop
+(:meth:`DevicePool._run_shard`): the next task is launched only after
 the last one failed on its device.  Every task runs through
 :meth:`DevicePool._run_task`, under its device's run lock, and its
 success closes its shard (:meth:`DevicePool._record`, under the pool
-lock, on whichever thread ran the task).  A request that gives up
-closes all its shards.  Each task has a checkpoint in its deadline's
-place, which the attempt loop and the device's books check before
-every attempt and every launch: a task of a closed shard is skipped if
-it has not started and stops at its next launch boundary if it has.
-The pool keeps no retry or breaker logic of its own: the task hands
-its device's breaker to :func:`repro.runtime.run_resilient`, which
-claims and releases it around the attempt it runs (so a task skipped
-before it starts never touches it, and one stopped part-way counts as
-neutral); the coordinator only *reads* breaker state, and its floor is
-the loop's own.
+lock).  A request that gives up — on an error on any of its threads,
+or at its deadline — closes all its shards.  Each task has a
+checkpoint in its deadline's place, which the attempt loop and the
+device's books check before every attempt and every launch: a task of
+a closed shard is skipped if it has not started and stops at its next
+launch boundary if it has.  The pool keeps no retry or breaker logic
+of its own: the task hands its device's breaker to
+:func:`repro.runtime.run_resilient`, which claims and releases it
+around the attempt it runs (so a task skipped before it starts never
+touches it, and one stopped part-way counts as neutral); placement
+only *reads* breaker state, and its floor is the loop's own.
 
 A pool is built from its ``profiles`` and their ``fault_plans``; each
 other setting has one home, the part that reads it —
@@ -52,13 +55,12 @@ other setting has one home, the part that reads it —
 :class:`~repro.serve.breaker.CircuitBreaker`), ``planner`` (a default
 :class:`ShardPlanner`), ``placer`` (a default :class:`Placer`) and
 ``retries`` (:data:`RETRIES`).  A caller that needs another swaps the
-attribute before the pool starts.
+attribute before its first request.
 """
 
 from __future__ import annotations
 
 import math
-import queue as queue_mod
 import threading
 import time
 from dataclasses import dataclass
@@ -158,10 +160,10 @@ class _Task:
     #: Handed to ``run_resilient`` as the task's deadline; its
     #: ``state`` is the task's shard.
     checkpoint: _Checkpoint
-    #: Worker outbox and adopted tracer (None on the caller's thread).
-    results: "Optional[queue_mod.Queue[Tuple[_Task, _Outcome]]]"
-    tracer: Any
     key: Optional[str] = None
+    #: ``"caller"`` on the thread that called ``run``, ``"split"`` on
+    #: one started for a shard of a split (the shard span says which).
+    ran_on: str = "caller"
 
 
 @dataclass
@@ -181,6 +183,14 @@ class _Outcome:
     wall_s: float = 0.0
     #: ``cost.total_us`` of a successful run.
     sim_us: float = 0.0
+
+
+def _wait_s(deadline) -> float:
+    """How long a thread may block for a device or a shard: until
+    ``deadline``; without one, as long as a wait can be (its caller
+    waits again)."""
+    left = math.inf if deadline is None else deadline.remaining_us() / 1e6
+    return min(max(0.0, left), threading.TIMEOUT_MAX)
 
 
 def _shard_record(st: _ShardState) -> Dict[str, Any]:
@@ -217,30 +227,26 @@ class PoolDevice:
         #: Compile-cache keys this device has executed (the placer's
         #: program-affinity signal).
         self.seen_keys: set = set()
-        #: Estimated simulated work queued or in flight, µs.
+        #: Estimated simulated work waiting or in flight, µs.
         self.backlog_us = 0.0
-        #: Tasks behind ``backlog_us`` (queued or in flight).
+        #: Tasks behind ``backlog_us`` (waiting for the run lock or
+        #: running).
         self.queued = 0
         #: Cumulative simulated execution time of completed work, µs.
         self.busy_us = 0.0
         self.executed = 0
         self.failures = 0
-        self.queue: "queue_mod.Queue[Optional[_Task]]" = queue_mod.Queue()
         #: Held for a whole task on any thread: one run per heap at a time.
         self.run_lock = threading.Lock()
         self.lock = threading.Lock()
         self.trace_track = f"gpu.dev{dev_id}"
         self.metric_prefix = f"gpu.dev{dev_id}"
 
-    def book(self, est_us: float) -> bool:
-        """Add one task's estimate to the backlog; True if nothing was
-        queued or running here (the caller may then run the task
-        itself).  Atomic: two callers never both find the device idle."""
+    def book(self, est_us: float) -> None:
+        """Add one task's estimate to the backlog."""
         with self.lock:
-            idle = not self.queued
             self.queued += 1
             self.backlog_us += est_us
-            return idle
 
     def settle(self, est_us: float) -> None:
         """Take a finished or cancelled task's estimate back off.  A
@@ -317,69 +323,44 @@ class DevicePool:
             "replacements": 0,
         }
         self._lock = threading.Lock()
-        self._threads: List[threading.Thread] = []
-        self._started = False
 
-    # -- lifecycle ----------------------------------------------------------
+    # Harness shims: a pool owns no thread, so there is nothing to
+    # start or stop; benchmarks/e2e/probes.py still calls both.
 
     def start(self) -> "DevicePool":
-        with self._lock:
-            if self._started:
-                return self
-            self._started = True
-        for dev in self.devices:
-            t = threading.Thread(
-                target=self._worker,
-                args=(dev,),
-                name=f"repro-sched-dev{dev.id}",
-                daemon=True,
-            )
-            t.start()
-            self._threads.append(t)
         return self
 
-    def stop(self, timeout: float = 10.0) -> None:
-        with self._lock:
-            if not self._started:
-                return
-            self._started = False
-        for dev in self.devices:
-            dev.queue.put(None)
-        for t in self._threads:
-            t.join(timeout=timeout)
-        self._threads.clear()
+    def stop(self) -> None:
+        pass
 
-    def __enter__(self) -> "DevicePool":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
-
-    # -- the device workers -------------------------------------------------
-
-    def _worker(self, dev: PoolDevice) -> None:
-        while True:
-            task = dev.queue.get()
-            if task is None:
-                return
-            # Adopt the submitting request's ambient tracer so shard
-            # spans land in that request's flight record, not whatever
-            # this worker saw last.
-            with thread_tracing(task.tracer):
-                task.results.put((task, self._run_task(dev, task)))
+    # -- running a task -----------------------------------------------------
 
     def _run_task(self, dev: PoolDevice, task: _Task) -> _Outcome:
-        """Run one booked task on ``dev`` — the only code that does, on
-        the device's worker thread or on the caller's."""
-        with dev.run_lock:
-            if task.checkpoint.state.closed:
-                with self._lock:
-                    self.counters["cancelled_before_start"] += 1
-                dev.settle(task.est_us)
-                return _Outcome(dev.id, cancelled=True)
-            outcome = self._execute(dev, task)
-            self._record(dev, task, outcome)
-        return outcome
+        """Run one booked task on ``dev`` — the only code that does — on
+        the thread that needs its result, once the device's run lock is
+        free.  The wait ends with the task's deadline: a task whose
+        deadline passes first is skipped with :class:`DeadlineExceeded`,
+        having touched neither the device nor its breaker."""
+        cp, acquire = task.checkpoint, dev.run_lock.acquire
+        while not (locked := acquire(timeout=_wait_s(cp.deadline))):
+            if cp.state.closed or cp.expired:
+                break
+        try:
+            if locked and not cp.state.closed:
+                outcome = self._execute(dev, task)
+                self._record(dev, task, outcome)
+                return outcome
+        finally:
+            if locked:
+                dev.run_lock.release()
+        # Skipped before its start: its shard is closed, or its
+        # deadline passed while it waited.
+        dev.settle(task.est_us)
+        with self._lock:
+            self.counters["cancelled_before_start"] += 1
+        where = f"{task.run_id} waiting for {dev.trace_track}"
+        late = None if cp.state.closed else DeadlineExceeded(where)
+        return _Outcome(dev.id, error=late, cancelled=True)
 
     def _execute(self, dev: PoolDevice, task: _Task) -> _Outcome:
         outcome = _Outcome(dev.id)
@@ -393,7 +374,7 @@ class DevicePool:
             device=dev.id,
             profile=dev.profile.name,
             rows=f"[{shard.lo}:{shard.hi})",
-            ran_on="caller" if task.results is None else "worker",
+            ran_on=task.ran_on,
         ) as span:
             try:
                 outcome.values, outcome.cost, outcome.report = run_resilient(
@@ -440,7 +421,7 @@ class DevicePool:
             if outcome.cancelled:
                 self.counters["stopped_mid_flight"] += 1
             elif outcome.error is not None:
-                pass  # for the coordinator: re-place it or give up
+                pass  # for the shard's loop: re-place it or give up
             elif not st.closed:
                 st.closed, st.winner = True, outcome
 
@@ -449,7 +430,7 @@ class DevicePool:
     def _healthy(self) -> List[PoolDevice]:
         """Devices whose breaker is not OPEN.  A read, not a claim:
         admission (and the half-open probe slot) belongs to the attempt
-        loop on the device's own thread."""
+        loop that runs the task."""
         return [
             d
             for d in self.devices
@@ -507,9 +488,6 @@ class DevicePool:
         host program carries both decisions, and
         benchmarks/e2e/probes.py still passes them.
         """
-        if not self._started:
-            self.start()
-
         def floor(error, placement):
             report = RunReport(self.name, run_id=run_id)
             if getattr(error, "report", None) is not None:
@@ -598,50 +576,10 @@ class DevicePool:
             entry=entry,
             pass_timings=pass_timings,
         )
-        try:
-            values, cost, report = self._run_plan(
-                shards,
-                placement,
-                price,
-                shared,
-                args=args,
-                run_id=run_id,
-                deadline=deadline,
-                batch_info=batch_info if sharded else None,
-                key=key,
-                alone=len(healthy) == 1,
-            )
-        except (DeadlineExceeded, *_DEVICE_ERRORS) as e:
-            return floor(e, placement)
-        return values, cost, report, placement
-
-    def _run_plan(
-        self,
-        shards: Sequence[Shard],
-        placement: Dict[str, Any],
-        price,
-        shared: Dict[str, Any],
-        *,
-        args,
-        run_id,
-        deadline,
-        batch_info,
-        key,
-        alone: bool,
-    ) -> Tuple[Tuple[Value, ...], CostReport, RunReport]:
-        """Run the plan's tasks until every shard has a winner.
-
-        A whole placement runs on the caller's thread when its device
-        is idle or is the only healthy one; every other task goes to its
-        device's worker.  A task that failed on its device is re-placed
-        from the coordinator loop below, which takes each shard's
-        outcomes until it is won."""
-        #: The workers' outbox, made with the first task one is handed.
-        results: "Optional[queue_mod.Queue[Tuple[_Task, _Outcome]]]" = None
 
         def make_task(st: _ShardState, dev: PoolDevice) -> _Task:
             shard = st.shard
-            if batch_info is not None:
+            if sharded:
                 task_args = slice_args(args, batch_info, shard.lo, shard.hi)
                 suffix = f"/s{shard.index}"
             else:
@@ -655,111 +593,28 @@ class DevicePool:
                 # meaningful estimate.
                 est_us=price(dev.id, shard.size) or 0.0,
                 checkpoint=_Checkpoint(deadline, st),
-                results=None,
-                tracer=None,
                 key=key,
+                ran_on="caller" if shard is shards[0] else "split",
             )
 
-        def submit(dev: PoolDevice, task: _Task) -> None:
-            """Queue a booked ``task`` for ``dev``'s worker, with this
-            request's outbox and tracer."""
-            nonlocal results
-            if results is None:
-                results = queue_mod.Queue()
-            task.results = results
-            task.tracer = get_tracer()
-            dev.queue.put(task)
-
-        def replace(st: _ShardState) -> Optional[PoolDevice]:
-            """Admit a device the shard has not tried, make its task
-            there, book and submit it; None when no device is left."""
-            dev = self._admit(None, st.tried)
-            if dev is not None:
-                st.tried.add(dev.id)
-                task = make_task(st, dev)
-                dev.book(task.est_us)
-                submit(dev, task)
-            return dev
-
-        states: List[_ShardState] = []
-        inline: Optional[_Task] = None
-        for shard in shards:
-            dev = self._admit(shard.device_id, set())
-            if dev is None:
-                self._abort(states)
-                raise DeviceFault(
-                    "breaker", "no device admitted the request",
-                    transient=True,
-                )
-            st = _ShardState(shard, dev.id)
-            states.append(st)
-            task = make_task(st, dev)
-            idle = dev.book(task.est_us)
-            if len(shards) == 1 and (idle or alone):
-                # Alone: no other device, so wait for its run lock here.
-                inline = task
-            else:
-                submit(dev, task)
-        pending = len(shards)
-
-        def take(task: _Task, out: _Outcome) -> None:
-            """Settle one finished task's outcome into the request.  (A
-            task is only skipped or stopped once the request has given
-            up, and then nothing takes its outcome.)"""
-            nonlocal pending
-            st = task.checkpoint.state
-            if st.winner is out:
-                pending -= 1
-            elif isinstance(out.error, _DEVICE_ERRORS):
-                # Re-place the shard on another healthy device; the
-                # error only propagates when every device failed.
-                dev = replace(st)
-                if dev is None:
-                    self._abort(states)
-                    raise out.error
-                st.replacements += 1
-                with self._lock:
-                    self.counters["replacements"] += 1
-                placement["replacements"] += 1
-                get_tracer().instant(
-                    "shard-replaced",
-                    "sched",
-                    run_id=run_id,
-                    shard=st.shard.index,
-                    failed_device=out.device_id,
-                    new_device=dev.id,
-                )
-            else:
-                # Deadline or program error: identical everywhere.
-                self._abort(states)
-                raise out.error
-
-        if inline is not None:
-            take(inline, self._run_task(dev, inline))  # the one device
-
-        while pending > 0:
-            if deadline is not None and deadline.expired:
-                self._abort(states)
-                raise DeadlineExceeded(f"{run_id} in the device pool")
-            try:
-                take(*results.get(timeout=0.5))
-            except queue_mod.Empty:
-                pass  # look at the deadline again
-
-        if len(states) == 1:
+        try:
+            states = self._run_plan(
+                shards, make_task, placement, deadline, run_id
+            )
+        except (DeadlineExceeded, *_DEVICE_ERRORS) as e:
+            return floor(e, placement)
+        if not sharded:
             # A whole placement answers with its winning run's own
             # values, cost and report.
             (st,) = states
             out = st.winner
             placement["shards"].append(_shard_record(st))
             placement["makespan_us"] = out.sim_us
-            return out.values, out.cost, out.report
+            return out.values, out.cost, out.report, placement
         # Every shard has a winner: merge in shard order, aggregate the
         # winning outcomes' cost/report, compute the parallel makespan.
         cost = CostReport(self.name)
-        report = RunReport(
-            self.name, run_id=run_id, backend=shared["policy"].executor
-        )
+        report = RunReport(self.name, run_id=run_id, backend=executor)
         per_device_us: Dict[int, float] = {}
         for st in states:
             out = st.winner
@@ -770,8 +625,8 @@ class DevicePool:
             )
             placement["shards"].append(_shard_record(st))
         placement["makespan_us"] = max(per_device_us.values(), default=0.0)
-        if shared["pass_timings"]:
-            report.pass_timings = list(shared["pass_timings"])
+        if pass_timings:
+            report.pass_timings = list(pass_timings)
         values = merge_results(
             [st.winner.values for st in states], batch_info.n_results
         )
@@ -780,7 +635,91 @@ class DevicePool:
             f"(batch {placement['batch']}, makespan "
             f"{placement['makespan_us']:.0f}us)"
         )
-        return values, cost, report
+        return values, cost, report, placement
+
+    def _run_plan(
+        self, shards, make_task, placement, deadline, run_id
+    ) -> List[_ShardState]:
+        """Run the plan's shards until each has a winner; their states.
+
+        Shard 0 runs on this thread; each other shard of a split runs
+        on a thread started for it, under this thread's tracer.  This
+        thread then waits for them, no longer than the deadline."""
+        devs = [self._admit(shard.device_id, set()) for shard in shards]
+        if None in devs:
+            raise DeviceFault(
+                "breaker", "no device admitted the request", transient=True
+            )
+        runs = [
+            (dev, make_task(_ShardState(shard, dev.id), dev))
+            for shard, dev in zip(shards, devs)
+        ]
+        for dev, task in runs:
+            dev.book(task.est_us)
+        states = [task.checkpoint.state for _, task in runs]
+        shard_loop = (make_task, states, placement, run_id)
+        errors: List[BaseException] = []
+        threads = [
+            threading.Thread(
+                target=self._run_split_shard, name=task.run_id, daemon=True,
+                args=(get_tracer(), errors, dev, task, *shard_loop),
+            )
+            for dev, task in runs[1:]
+        ]
+        for t in threads:
+            t.start()
+        self._run_shard(*runs[0], *shard_loop)
+        for t in threads:
+            while t.is_alive():
+                if deadline is not None and deadline.expired:
+                    self._abort(states)
+                    raise DeadlineExceeded(f"{run_id} in the device pool")
+                t.join(_wait_s(deadline))
+        if errors:
+            raise errors[0]
+        return states
+
+    def _run_shard(
+        self, dev: PoolDevice, task: _Task, make_task, states, placement,
+        run_id: str,
+    ) -> None:
+        """Run one shard on this thread until it is closed: its booked
+        ``task`` on ``dev``, then, after each device error, a new task on
+        a healthy device the shard has not tried.  Any other error
+        (deadline or program: identical everywhere), or a device error
+        with no device left, closes every shard of the request and is
+        raised."""
+        st = task.checkpoint.state
+        while True:
+            out = self._run_task(dev, task)
+            if st.closed:
+                return  # won here, or the request gave up
+            device_error = isinstance(out.error, _DEVICE_ERRORS)
+            new = self._admit(None, st.tried) if device_error else None
+            if new is None:
+                self._abort(states)
+                raise out.error
+            st.tried.add(new.id)
+            st.replacements += 1
+            with self._lock:
+                self.counters["replacements"] += 1
+                placement["replacements"] += 1
+            get_tracer().instant(
+                "shard-replaced", "sched", run_id=run_id,
+                shard=st.shard.index, failed_device=out.device_id,
+                new_device=new.id,
+            )
+            dev, task = new, make_task(st, new)
+            dev.book(task.est_us)
+
+    def _run_split_shard(self, tracer, errors, *shard_loop) -> None:
+        """:meth:`_run_shard` on a thread started for a split: under
+        the caller's tracer, its error handed back through ``errors``."""
+        with thread_tracing(tracer):
+            try:
+                self._run_shard(*shard_loop)
+            except BaseException as e:
+                errors.append(e)
 
     def _abort(self, states: Sequence[_ShardState]) -> None:
         """Close every shard of a request that gives up: its tasks not

@@ -18,8 +18,9 @@ device step, exactly one ``record_*`` after it — has one caller,
 :func:`repro.runtime.run_resilient`.  Everybody else hands it a
 breaker and reads :attr:`CircuitBreaker.state`/:meth:`snapshot`.
 
-All transitions are lock-protected (the server's workers and the
-pool's device threads share one breaker per device), and the clock is
+All transitions are lock-protected (every thread that runs a task on
+a device — a caller, a server worker, a split's shard thread — shares
+that device's one breaker), and the clock is
 injectable so the state machine can be property-tested
 deterministically (``tests/property/test_breaker.py``).
 """

@@ -33,9 +33,11 @@ wired in:
   and the device's circuit breaker, which trips on consecutive
   device-class failures — and the reference-interpreter floor cannot
   suffer device faults, so a request only fails outright on a
-  *program* error (or its own deadline).  With one healthy device the
-  request runs on the thread that holds its slot; with more, the pool
-  places, shards and re-places (see :mod:`repro.sched`).  Fault
+  *program* error (or its own deadline).  The request runs on the
+  thread that holds its slot — the pool starts no thread of its own
+  but for the other shards of a split — and with more than one healthy
+  device the pool places, shards and re-places (see
+  :mod:`repro.sched`).  Fault
   injection is per device too: ``fault_plans`` is aligned with
   ``devices``.
 
@@ -45,7 +47,7 @@ A server states only its own settings: ``queue_capacity``, ``options``,
 breaker, the retry count, the shard floor and the placer — belong to
 the pool's parts (see :mod:`repro.sched.pool`), with
 each part's own defaults; to change one, swap the attribute on
-``server.pool`` before :meth:`Server.start`.
+``server.pool`` before the first request.
 
 Results are delivered through :class:`ResultHandle` (event-based, no
 executor framework), and ``Server.health()``/``repro.obs`` metrics
@@ -81,6 +83,7 @@ from ..pipeline import (
     CompilerOptions,
     compile_cache_key,
     compile_program,
+    plan,
 )
 from ..runtime import DEFAULT_EXECUTOR, RunReport, check_executor
 from ..sched import BatchInfo, DevicePool, analyze_shardable
@@ -329,6 +332,7 @@ class Server:
         artifact_cache: Optional[ArtifactCache] = None,
     ) -> None:
         self.options = options or CompilerOptions()
+        plan(self.options)  # a bad pass name fails here, not per request
         self.fallback = fallback
         self.queue = AdmissionQueue(queue_capacity, slots=len(devices))
         self.cache = CompileCache()
@@ -357,7 +361,7 @@ class Server:
             "errors": 0,
         }
         #: Breakers, retries, sharding and placement are the pool's own
-        #: settings: swap ``pool``'s attribute before :meth:`start`.
+        #: settings: swap ``pool``'s attribute before the first request.
         self.pool = DevicePool(devices, fault_plans=fault_plans)
         #: Every handle this server issues carries this token.
         self._token = object()
@@ -389,7 +393,6 @@ class Server:
             )
             t.start()
             self._threads.append(t)
-        self.pool.start()
         return self
 
     def stop(self, timeout: float = 10.0) -> None:
@@ -405,7 +408,6 @@ class Server:
         if stuck or not self.queue.wait_idle(timeout):  # pragma: no cover
             raise RuntimeError(f"requests failed to finish: {stuck}")
         self._threads.clear()
-        self.pool.stop(timeout=timeout)
 
     def __enter__(self) -> "Server":
         return self.start()

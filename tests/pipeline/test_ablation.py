@@ -85,6 +85,22 @@ def test_ablated_compile_matches_interpreter(pass_name, bench):
     assert report.attempts >= 1
 
 
+@pytest.mark.parametrize("pass_name", OPTIONAL_PASSES)
+@pytest.mark.parametrize("bench", list(BENCHMARKS.names()))
+def test_an_ablated_compile_rolls_nothing_back(pass_name, bench):
+    """Agreeing with the interpreter is not enough: a pass whose output
+    the checker rejects is rolled back, and the ablation then measures
+    the pipeline without that pass too.  (K-means without ``simplify``
+    merged its two ``stream_red``s into a fold whose second chunk input
+    was still sized by the second fold's own chunk parameter.)"""
+    compiled = compile_program(
+        BENCHMARKS[bench].program(),
+        CompilerOptions(disabled_passes=(pass_name,)),
+        artifact_cache=None,
+    )
+    assert compiled.diagnostics == []
+
+
 #: The programs lowering finds a tile for.
 TILED = ["K-means", "LavaMD", "OptionPricing", "MRI-Q", "N-body"]
 

@@ -54,7 +54,7 @@ def test_pool_survives_one_totally_broken_device():
         )[0]
         for c, _, args, _ in cases
     ]
-    with tune(
+    pool = tune(
         DevicePool(
             [EAGER] * 4,
             fault_plans=[BROKEN, None, None, None],
@@ -63,45 +63,45 @@ def test_pool_survives_one_totally_broken_device():
         breaker=dict(failure_threshold=2, recovery_s=600.0),
         planner=ShardPlanner(16),
         retries=1,
-    ) as pool:
-        completed = 0
-        for round_ in range(4):
-            for (compiled, info, args, key), base in zip(cases, baselines):
-                values, _, report, placement = pool.run(
-                    compiled.host, compiled.core, args,
-                    executor="sim", entry="main",
-                    run_id=f"chaos-{round_}-{compiled.host.name}",
-                    batch_info=info, key=key,
-                )
-                assert report.fallbacks == 0
-                for e, g in zip(base, values):
-                    ed = getattr(e, "data", None)
-                    if ed is not None:
-                        assert np.array_equal(ed, g.data)
-                    else:
-                        assert e.value == g.value
-                completed += 1
-        stats = pool.stats()
-        dev0 = pool.devices[0]
-        # Every request completed despite the broken device...
-        assert completed == 8
-        assert stats["requests"] == 8
-        # ...which really was exercised and really did fail...
-        assert dev0.failures >= 2
-        assert dev0.executed == 0
-        assert stats["replacements"] >= 2
-        # ...until its breaker opened and the pool routed around it.
-        assert dev0.breaker.state is BreakerState.OPEN
-        assert dev0.breaker.transitions.get("closed->open", 0) >= 1
-        # Later requests never see the broken device in their
-        # candidate set (its breaker refuses at placement time).
-        _, _, _, placement = pool.run(
-            cases[0][0].host, cases[0][0].core, cases[0][2],
-            executor="sim", entry="main", run_id="chaos-final",
-            batch_info=cases[0][1], key=cases[0][3],
-        )
-        assert 0 in placement["skipped_open"]
-        assert all(c["device"] != 0 for c in placement["candidates"])
+    )
+    completed = 0
+    for round_ in range(4):
+        for (compiled, info, args, key), base in zip(cases, baselines):
+            values, _, report, placement = pool.run(
+                compiled.host, compiled.core, args,
+                executor="sim", entry="main",
+                run_id=f"chaos-{round_}-{compiled.host.name}",
+                batch_info=info, key=key,
+            )
+            assert report.fallbacks == 0
+            for e, g in zip(base, values):
+                ed = getattr(e, "data", None)
+                if ed is not None:
+                    assert np.array_equal(ed, g.data)
+                else:
+                    assert e.value == g.value
+            completed += 1
+    stats = pool.stats()
+    dev0 = pool.devices[0]
+    # Every request completed despite the broken device...
+    assert completed == 8
+    assert stats["requests"] == 8
+    # ...which really was exercised and really did fail...
+    assert dev0.failures >= 2
+    assert dev0.executed == 0
+    assert stats["replacements"] >= 2
+    # ...until its breaker opened and the pool routed around it.
+    assert dev0.breaker.state is BreakerState.OPEN
+    assert dev0.breaker.transitions.get("closed->open", 0) >= 1
+    # Later requests never see the broken device in their
+    # candidate set (its breaker refuses at placement time).
+    _, _, _, placement = pool.run(
+        cases[0][0].host, cases[0][0].core, cases[0][2],
+        executor="sim", entry="main", run_id="chaos-final",
+        batch_info=cases[0][1], key=cases[0][3],
+    )
+    assert 0 in placement["skipped_open"]
+    assert all(c["device"] != 0 for c in placement["candidates"])
     # Healthy devices absorbed all the work.
     assert sum(d.executed for d in pool.devices[1:]) > 0
 
@@ -116,16 +116,16 @@ def test_sharded_request_heals_across_replacement():
         policy=ExecutionPolicy(executor="sim", fallback=False),
         entry="main", run_id="heal-base",
     )
-    with tune(
+    pool = tune(
         DevicePool([EAGER] * 3, fault_plans=[BROKEN, None, None]),
         planner=ShardPlanner(16),
         retries=1,
-    ) as pool:
-        values, _, report, placement = pool.run(
-            compiled.host, compiled.core, args,
-            executor="sim", entry="main", run_id="heal",
-            batch_info=info, key=key,
-        )
+    )
+    values, _, report, placement = pool.run(
+        compiled.host, compiled.core, args,
+        executor="sim", entry="main", run_id="heal",
+        batch_info=info, key=key,
+    )
     assert placement["mode"] == "sharded"
     assert placement["replacements"] >= 1
     assert report.fallbacks == 0

@@ -56,16 +56,16 @@ def test_pool_results_are_bit_identical(name, executor):
     for count in (1, 2, 4):
         # A 2-row shard floor so even small-scale batches may shard on
         # the multi-device pools.
-        with tune(
+        pool = tune(
             DevicePool(POOL_PROFILES[:count]),
             planner=ShardPlanner(2),
-        ) as pool:
-            values, _, report, placement = pool.run(
-                compiled.host, compiled.core, args,
-                executor=executor, entry="main",
-                run_id=f"{name}/{executor}/x{count}",
-                batch_info=info, key=key,
-            )
+        )
+        values, _, report, placement = pool.run(
+            compiled.host, compiled.core, args,
+            executor=executor, entry="main",
+            run_id=f"{name}/{executor}/x{count}",
+            batch_info=info, key=key,
+        )
         assert report.fallbacks == 0, (
             f"{name} x{count} {executor}: fell back to the interpreter"
         )

@@ -4,7 +4,8 @@ A :class:`~repro.serve.Server` states only its own settings and a
 :class:`~repro.sched.DevicePool` only the ones it reads itself; the
 breaker, shard floor and placer of a default pool are those classes'
 own defaults, and no constructor passes them through.  A caller that
-needs another value swaps the pool's attribute before it starts.
+needs another value swaps the pool's attribute before its first
+request; a pool owns no thread.
 A fault plan and an execution policy hold only their own fields (no
 wall-clock fault, one retry cap).  The environment holds one setting
 too: the artifact cache's root.  A layout and the in-place mode are
@@ -19,6 +20,7 @@ import textwrap
 from pathlib import Path
 
 import repro
+from repro.gpu.device import NVIDIA_GTX780TI
 from repro.gpu.faults import FaultPlan
 from repro.runtime import ExecutionPolicy
 from repro.sched import DevicePool, Placer, ShardPlanner
@@ -136,6 +138,20 @@ def test_only_the_compile_and_the_frozen_harness_take_them():
         "sched/pool.py:run",
         "vm/jit/engine.py:JitEngine",
     }
+
+
+def test_the_pool_owns_no_thread():
+    """A task runs on the thread that needs its result: a device has no
+    queue, and no module starts a per-device pool thread."""
+    pool = DevicePool([NVIDIA_GTX780TI] * 2)
+    assert not any(hasattr(d, "queue") for d in pool.devices)
+    assert pool.start() is pool and pool.stop() is None  # harness shims
+    root = Path(repro.__file__).parent
+    assert [
+        str(path.relative_to(root))
+        for path in sorted(root.rglob("*.py"))
+        if "repro-sched-dev" in path.read_text()
+    ] == []
 
 
 def _fields(cls):

@@ -200,14 +200,14 @@ def test_a_batch_that_does_not_fill_one_device_is_placed_whole(name):
     prog = spec.program()
     compiled = compile_program(prog)
     args = spec.args_at(np.random.default_rng(3), POOL_SIZES[name])
-    with DevicePool([NVIDIA_GTX780TI] * 4) as pool:
-        _, cost, _, placement = pool.run(
-            compiled.host, compiled.core, args,
-            executor="jit", entry="main", run_id=f"whole/{name}",
-            batch_info=analyze_shardable(prog),
-            key=compile_cache_key(prog),
-        )
-        stats = pool.stats()
+    pool = DevicePool([NVIDIA_GTX780TI] * 4)
+    _, cost, _, placement = pool.run(
+        compiled.host, compiled.core, args,
+        executor="jit", entry="main", run_id=f"whole/{name}",
+        batch_info=analyze_shardable(prog),
+        key=compile_cache_key(prog),
+    )
+    stats = pool.stats()
     assert placement["mode"] == "whole"
     assert placement["batch"] == 1024
     assert len(placement["shards"]) == 1

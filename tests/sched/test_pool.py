@@ -96,12 +96,12 @@ def test_choose_prefers_least_completion_time():
 
 def test_whole_request_placement(backprop):
     compiled, _, args, baseline, key = backprop
-    with DevicePool([NVIDIA_GTX780TI, AMD_W8100]) as pool:
-        values, cost, report, placement = pool.run(
-            compiled.host, compiled.core, args,
-            executor="sim", entry="main", run_id="whole",
-            batch_info=None, key=key,
-        )
+    pool = DevicePool([NVIDIA_GTX780TI, AMD_W8100])
+    values, cost, report, placement = pool.run(
+        compiled.host, compiled.core, args,
+        executor="sim", entry="main", run_id="whole",
+        batch_info=None, key=key,
+    )
     assert placement["mode"] == "whole"
     assert len(placement["shards"]) == 1
     assert report.fallbacks == 0
@@ -113,7 +113,7 @@ def test_whole_request_placement(backprop):
 
 def test_sharded_run_is_bit_identical(backprop):
     compiled, info, args, baseline, key = backprop
-    with tune(
+    pool = tune(
         DevicePool(
             [
                 split_friendly(p)
@@ -121,12 +121,12 @@ def test_sharded_run_is_bit_identical(backprop):
             ],
         ),
         planner=ShardPlanner(16),
-    ) as pool:
-        values, cost, report, placement = pool.run(
-            compiled.host, compiled.core, args,
-            executor="sim", entry="main", run_id="sharded",
-            batch_info=info, key=key,
-        )
+    )
+    values, cost, report, placement = pool.run(
+        compiled.host, compiled.core, args,
+        executor="sim", entry="main", run_id="sharded",
+        batch_info=info, key=key,
+    )
     assert placement["mode"] == "sharded"
     assert len(placement["shards"]) > 1
     # Exact partition, in order.
@@ -142,18 +142,18 @@ def test_sharded_run_is_bit_identical(backprop):
 
 def test_affinity_is_recorded_on_repeat_requests(backprop):
     compiled, _, args, _, key = backprop
-    with DevicePool([NVIDIA_GTX780TI, AMD_W8100]) as pool:
-        _, _, _, first = pool.run(
-            compiled.host, compiled.core, args,
-            executor="sim", entry="main", run_id="a",
-            batch_info=None, key=key,
-        )
-        chosen = first["shards"][0]["device"]
-        _, _, _, second = pool.run(
-            compiled.host, compiled.core, args,
-            executor="sim", entry="main", run_id="b",
-            batch_info=None, key=key,
-        )
+    pool = DevicePool([NVIDIA_GTX780TI, AMD_W8100])
+    _, _, _, first = pool.run(
+        compiled.host, compiled.core, args,
+        executor="sim", entry="main", run_id="a",
+        batch_info=None, key=key,
+    )
+    chosen = first["shards"][0]["device"]
+    _, _, _, second = pool.run(
+        compiled.host, compiled.core, args,
+        executor="sim", entry="main", run_id="b",
+        batch_info=None, key=key,
+    )
     by_dev = {c["device"]: c for c in second["candidates"]}
     assert by_dev[chosen]["affinity"] is True
 
@@ -165,17 +165,17 @@ def test_failed_device_is_replaced(backprop):
     compiled, _, args, baseline, key = backprop
     # Device 0 always fails; the tie-breaking placer will pick it first
     # (equal profiles, lower id), forcing a mid-request re-placement.
-    with tune(
+    pool = tune(
         DevicePool(
             [NVIDIA_GTX780TI, NVIDIA_GTX780TI], fault_plans=[BROKEN, None]
         ),
         retries=1,
-    ) as pool:
-        values, _, report, placement = pool.run(
-            compiled.host, compiled.core, args,
-            executor="sim", entry="main", run_id="replaced",
-            batch_info=None, key=key,
-        )
+    )
+    values, _, report, placement = pool.run(
+        compiled.host, compiled.core, args,
+        executor="sim", entry="main", run_id="replaced",
+        batch_info=None, key=key,
+    )
     assert placement["replacements"] == 1
     assert placement["shards"][0]["device"] == 1
     assert all(values_equal(a, b) for a, b in zip(baseline, values))
@@ -215,13 +215,12 @@ def test_a_shard_has_one_live_task_at_a_time(backprop, broken):
         return out
 
     pool._execute = timed
-    with pool:
-        values, _, _, placement = pool.run(
-            compiled.host, compiled.core, args,
-            executor="sim", entry="main", run_id="live",
-            batch_info=info, key=key,
-        )
-        stats = pool.stats()
+    values, _, _, placement = pool.run(
+        compiled.host, compiled.core, args,
+        executor="sim", entry="main", run_id="live",
+        batch_info=info, key=key,
+    )
+    stats = pool.stats()
     assert placement["replacements"] == stats["replacements"] == 1
     assert len(runs) == 4
     for index in range(3):
@@ -263,13 +262,12 @@ def test_a_stalled_run_is_not_duplicated(backprop, monkeypatch):
         return execute(dev, task)
 
     pool._execute = counted
-    with pool:
-        values, _, _, placement = pool.run(
-            compiled.host, compiled.core, args,
-            executor="sim", entry="main", run_id="stalled",
-            batch_info=None, key=key,
-        )
-        stats = pool.stats()
+    values, _, _, placement = pool.run(
+        compiled.host, compiled.core, args,
+        executor="sim", entry="main", run_id="stalled",
+        batch_info=None, key=key,
+    )
+    stats = pool.stats()
     assert stalled == [threading.current_thread().name]
     assert runs == [("stalled", 0)]
     assert placement["shards"][0]["device"] == 0
@@ -284,13 +282,13 @@ def test_the_placement_record_and_stats_name_no_hedge(backprop):
     task per shard can tell; ``hedges_launched`` stays at 0 for the
     readers of older stats."""
     compiled, _, args, _, key = backprop
-    with DevicePool([NVIDIA_GTX780TI, AMD_W8100]) as pool:
-        _, _, _, placement = pool.run(
-            compiled.host, compiled.core, args,
-            executor="sim", entry="main", run_id="fields",
-            batch_info=None, key=key,
-        )
-        stats = pool.stats()
+    pool = DevicePool([NVIDIA_GTX780TI, AMD_W8100])
+    _, _, _, placement = pool.run(
+        compiled.host, compiled.core, args,
+        executor="sim", entry="main", run_id="fields",
+        batch_info=None, key=key,
+    )
+    stats = pool.stats()
     assert sorted(placement) == [
         "batch", "batch_dim", "candidates", "decision", "makespan_us",
         "mode", "replacements", "shards", "skipped_open",
@@ -313,18 +311,18 @@ def test_the_placement_record_and_stats_name_no_hedge(backprop):
 
 def test_all_devices_failing_raises(backprop):
     compiled, _, args, _, key = backprop
-    with tune(
+    pool = tune(
         DevicePool(
             [NVIDIA_GTX780TI, NVIDIA_GTX780TI], fault_plans=[BROKEN, BROKEN]
         ),
         retries=1,
-    ) as pool:
-        with pytest.raises(DeviceFault):
-            pool.run(
-                compiled.host, compiled.core, args,
-                executor="sim", entry="main", run_id="doomed",
-                batch_info=None, key=key,
-            )
+    )
+    with pytest.raises(DeviceFault):
+        pool.run(
+            compiled.host, compiled.core, args,
+            executor="sim", entry="main", run_id="doomed",
+            batch_info=None, key=key,
+        )
 
 
 def test_all_breakers_open_refuses_transiently(backprop):
@@ -334,50 +332,49 @@ def test_all_breakers_open_refuses_transiently(backprop):
         breaker=dict(failure_threshold=1, recovery_s=60.0),
     )
     pool.devices[0].breaker.record_failure()  # trip it
-    with pool:
-        with pytest.raises(DeviceFault) as exc:
-            pool.run(
-                compiled.host, compiled.core, args,
-                executor="sim", entry="main", run_id="refused",
-                batch_info=None, key=key,
-            )
+    with pytest.raises(DeviceFault) as exc:
+        pool.run(
+            compiled.host, compiled.core, args,
+            executor="sim", entry="main", run_id="refused",
+            batch_info=None, key=key,
+        )
     assert exc.value.transient
 
 
 def test_every_device_failing_ends_on_the_interpreter_floor(backprop):
     compiled, _, args, baseline, key = backprop
-    with tune(
+    pool = tune(
         DevicePool(
             [NVIDIA_GTX780TI, NVIDIA_GTX780TI], fault_plans=[BROKEN, BROKEN]
         ),
         breaker=dict(failure_threshold=1, recovery_s=60.0),
         retries=0,
-    ) as pool:
-        kwargs = dict(
-            executor="sim", entry="main", batch_info=None, key=key,
-            fallback=True,
+    )
+    kwargs = dict(
+        executor="sim", entry="main", batch_info=None, key=key,
+        fallback=True,
+    )
+    values, cost, report, _ = pool.run(
+        compiled.host, compiled.core, args, run_id="floor", **kwargs
+    )
+    assert report.backend == "interp" and report.fallbacks == 1
+    assert report.abandoned == "sim:DeviceFault"
+    assert report.transient_faults >= 1  # the last device's trail
+    assert cost.total_us == 0
+    assert all(values_equal(a, b) for a, b in zip(baseline, values))
+    # Both breakers are open now: refused without touching a device.
+    _, _, report, placement = pool.run(
+        compiled.host, compiled.core, args, run_id="open", **kwargs
+    )
+    assert report.abandoned == "sim:open" and report.attempts == 0
+    assert placement == {"mode": "refused"}
+    # ...and an expired deadline is never rescued by the floor.
+    with pytest.raises(DeadlineExceeded) as exc:
+        pool.run(
+            compiled.host, compiled.core, args, run_id="late",
+            deadline=Deadline(0.0), **kwargs
         )
-        values, cost, report, _ = pool.run(
-            compiled.host, compiled.core, args, run_id="floor", **kwargs
-        )
-        assert report.backend == "interp" and report.fallbacks == 1
-        assert report.abandoned == "sim:DeviceFault"
-        assert report.transient_faults >= 1  # the last device's trail
-        assert cost.total_us == 0
-        assert all(values_equal(a, b) for a, b in zip(baseline, values))
-        # Both breakers are open now: refused without touching a device.
-        _, _, report, placement = pool.run(
-            compiled.host, compiled.core, args, run_id="open", **kwargs
-        )
-        assert report.abandoned == "sim:open" and report.attempts == 0
-        assert placement == {"mode": "refused"}
-        # ...and an expired deadline is never rescued by the floor.
-        with pytest.raises(DeadlineExceeded) as exc:
-            pool.run(
-                compiled.host, compiled.core, args, run_id="late",
-                deadline=Deadline(0.0), **kwargs
-            )
-        assert exc.value.report.deadline_exceeded
+    assert exc.value.report.deadline_exceeded
 
 
 def test_cancelled_task_does_not_wedge_the_breaker(backprop):
@@ -386,8 +383,8 @@ def test_cancelled_task_does_not_wedge_the_breaker(backprop):
     released it — a task cancelled before it started (its hedge
     sibling won, its request was aborted) left the slot held and the
     device refused forever.  Choosing a device now only reads the
-    breaker; the attempt loop claims and releases on the device's own
-    thread."""
+    breaker; the attempt loop claims and releases on the thread that
+    runs the task."""
     compiled, _, args, baseline, key = backprop
     pool = tune(
         DevicePool([NVIDIA_GTX780TI]),
@@ -396,25 +393,24 @@ def test_cancelled_task_does_not_wedge_the_breaker(backprop):
     dev = pool.devices[0]
     dev.breaker.record_failure()  # trip; recovery 0: half-open at once
     assert dev.breaker.state is BreakerState.HALF_OPEN
-    # The coordinator picks the device for a task that is then
-    # cancelled before the worker starts it: nothing ever runs.
+    # A device is chosen for a task that is then cancelled before it
+    # starts: nothing ever runs.
     assert pool._admit(0, set()) is dev
     assert dev.breaker.allow(), "the probe slot leaked"
     dev.breaker.record_neutral()
     # End to end: an aborted request (its deadline is already gone),
     # then a live one, which must win the probe and close the breaker.
-    with pool:
-        with pytest.raises(DeadlineExceeded):
-            pool.run(
-                compiled.host, compiled.core, args,
-                executor="sim", entry="main", run_id="aborted",
-                batch_info=None, key=key, deadline=Deadline(0.0),
-            )
-        values, _, report, _ = pool.run(
+    with pytest.raises(DeadlineExceeded):
+        pool.run(
             compiled.host, compiled.core, args,
-            executor="sim", entry="main", run_id="probe",
-            batch_info=None, key=key,
+            executor="sim", entry="main", run_id="aborted",
+            batch_info=None, key=key, deadline=Deadline(0.0),
         )
+    values, _, report, _ = pool.run(
+        compiled.host, compiled.core, args,
+        executor="sim", entry="main", run_id="probe",
+        batch_info=None, key=key,
+    )
     assert report.backend == "sim"
     assert dev.breaker.state is BreakerState.CLOSED
     assert all(values_equal(a, b) for a, b in zip(baseline, values))
@@ -441,7 +437,7 @@ def test_a_shard_is_booked_at_the_price_of_its_own_rows():
     args = spec.args_at(np.random.default_rng(5), {"n": 16, "h": 1024})
     env = size_env_from_args(compiled.host, args)
     pool = tune(DevicePool([NVIDIA_GTX780TI] * 4), placer=KWayPlacer(4))
-    # Hold every device worker at the door so the queued state can be
+    # Hold every shard's run at the door so the booked state can be
     # read.
     gate, execute = threading.Event(), pool._execute
 
@@ -460,14 +456,13 @@ def test_a_shard_is_booked_at_the_price_of_its_own_rows():
             )
         )
     )
-    with pool:
-        request.start()
-        try:
-            _wait_for(lambda: all(d.queued == 1 for d in pool.devices))
-            booked = [d.backlog_us for d in pool.devices]
-        finally:
-            gate.set()
-            request.join(30.0)
+    request.start()
+    try:
+        _wait_for(lambda: all(d.queued == 1 for d in pool.devices))
+        booked = [d.backlog_us for d in pool.devices]
+    finally:
+        gate.set()
+        request.join(30.0)
     assert done, "the request did not complete"
     placement = done[0][3]
     assert [(s["lo"], s["hi"]) for s in placement["shards"]] == [

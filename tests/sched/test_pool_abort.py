@@ -1,7 +1,8 @@
 """A request that gives up closes every shard it still has open: a task
-already running stops at its next launch boundary, and one still queued
-is skipped when its worker reaches it.  Neither counts against its
-device, its breaker or its books."""
+already running stops at its next launch boundary, and one still
+waiting for its device is skipped when it gets the device's run lock
+(or its deadline ends the wait).  Neither counts against its device,
+its breaker or its books."""
 
 import threading
 import time
@@ -29,10 +30,11 @@ def test_an_aborted_request_stops_its_running_shard_and_skips_its_queued_one(
     monkeypatch,
 ):
     """Backprop splits three ways.  Device 0's shard wins; device 1's is
-    held at its second kernel launch; device 2's worker is held at its
-    queue.  Then the request's deadline passes: the coordinator gives
-    up, and on release device 1's run stops at the launch it was held
-    at and device 2's task is skipped without starting."""
+    held at its second kernel launch; device 2's waits for the device's
+    run lock, which the test holds.  Then the request's deadline
+    passes: the caller gives up, and on release device 1's run stops at
+    the launch it was held at and device 2's task is skipped without
+    starting."""
     spec = BENCHMARKS["Backprop"]
     prog = spec.program()
     compiled = compile_program(prog)
@@ -43,7 +45,7 @@ def test_an_aborted_request_stops_its_running_shard_and_skips_its_queued_one(
     real_launch = DeviceAccounting.launch
 
     def hooked(self, *a, **kw):
-        if threading.current_thread().name == "repro-sched-dev1":
+        if threading.current_thread().name == "aborted/s1":
             launches.append(1)
             if len(launches) == 2:
                 held.set()
@@ -52,18 +54,12 @@ def test_an_aborted_request_stops_its_running_shard_and_skips_its_queued_one(
 
     monkeypatch.setattr(DeviceAccounting, "launch", hooked)
 
-    gate = threading.Event()
     pool = tune(
         DevicePool([split_friendly(NVIDIA_GTX780TI)] * 3),
         planner=ShardPlanner(16),
     )
-    queue, get = pool.devices[2].queue, pool.devices[2].queue.get
-
-    def gated_get(*a, **kw):
-        assert gate.wait(60)
-        return get(*a, **kw)
-
-    monkeypatch.setattr(queue, "get", gated_get)
+    gate = pool.devices[2].run_lock
+    gate.acquire()
 
     now = [0.0]
     deadline = Deadline(1.0, clock=lambda: now[0])
@@ -80,24 +76,23 @@ def test_an_aborted_request_stops_its_running_shard_and_skips_its_queued_one(
             raised.append(e)
 
     caller = threading.Thread(target=request)
-    with pool:
-        try:
-            caller.start()
-            _wait_for(
-                lambda: held.is_set()
-                and pool.devices[0].executed == 1
-                and pool.devices[2].queued == 1
-            )
-            now[0] = 2.0  # the deadline passes
-            caller.join(30.0)
-            assert not caller.is_alive() and len(raised) == 1
-        finally:
-            release.set()
-            gate.set()
+    try:
+        caller.start()
         _wait_for(
-            lambda: pool.stats()["stopped_mid_flight"] == 1
-            and pool.stats()["cancelled_before_start"] == 1
+            lambda: held.is_set()
+            and pool.devices[0].executed == 1
+            and pool.devices[2].queued == 1
         )
+        now[0] = 2.0  # the deadline passes
+        caller.join(30.0)
+        assert not caller.is_alive() and len(raised) == 1
+    finally:
+        release.set()
+        gate.release()
+    _wait_for(
+        lambda: pool.stats()["stopped_mid_flight"] == 1
+        and pool.stats()["cancelled_before_start"] == 1
+    )
     stats = pool.stats()
     assert stats["stopped_mid_flight"] == 1
     assert stats["cancelled_before_start"] == 1

@@ -1,10 +1,12 @@
-"""Caller-runs on any pool: a whole placement whose device is idle runs
-on the thread that called :meth:`DevicePool.run`.
+"""Caller-runs on any pool: a task runs on the thread that needs its
+result, and the pool owns no thread.
 
-The device is claimed atomically, so two callers never both run on the
-same idle one; a task on a busy device, and every shard of a split,
-still goes to the device workers.  A device error on the caller's run
-is re-placed by the same coordinator loop a worker's would be.  The stress test takes its
+A whole placement runs on the thread that called :meth:`DevicePool.run`,
+waiting there for a busy device's run lock (no longer than its
+deadline); a ``k``-way split runs shard 0 there and each other shard on
+one of ``k - 1`` threads started for the request.  A device error is
+re-placed by the loop of the thread that ran the shard.  Two callers
+never run on one device at once.  The stress test takes its
 interleaving seeds from ``CHAOS_SEEDS`` (default ``0,1,2``; CI's
 ``chaos`` job runs three more).
 """
@@ -103,6 +105,20 @@ class _Spy:
         monkeypatch.setattr(pool_mod, "run_resilient", spy)
 
 
+@pytest.fixture
+def started(monkeypatch):
+    """Every thread started while the test runs."""
+    threads = []
+    real = threading.Thread.start
+
+    def start(self):
+        threads.append(self)
+        return real(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return threads
+
+
 def _run(pool, case, run_id, **kwargs):
     kwargs.setdefault("batch_info", None)
     kwargs.setdefault("executor", "sim")
@@ -127,13 +143,14 @@ def _shard_spans(tracer):
 
 
 def test_a_whole_request_on_an_idle_pool_runs_on_the_caller(
-    nn, monkeypatch
+    nn, monkeypatch, started
 ):
     spy = _Spy(monkeypatch)
     tracer = Tracer()
     pool = DevicePool(GTX2)
-    with pool, thread_tracing(tracer):
+    with thread_tracing(tracer):
         values, _, report, placement = _run(pool, nn, "idle")
+    assert started == []
     assert placement["mode"] == "whole"
     me = threading.current_thread().name
     assert spy.runs == [("idle", placement["shards"][0]["device"], me)]
@@ -144,42 +161,72 @@ def test_a_whole_request_on_an_idle_pool_runs_on_the_caller(
     assert [d.backlog_us for d in pool.devices] == [0.0, 0.0]
 
 
-def test_a_request_for_a_busy_device_goes_to_its_worker(nn, monkeypatch):
-    """Device 0 has work booked and the program's affinity, so the
-    placer still picks it: the caller cannot claim it and hands the
-    request to its worker."""
+def test_a_request_for_a_busy_device_waits_on_the_callers_thread(
+    nn, monkeypatch, started
+):
+    """Device 0 has work booked, its run lock held, and the program's
+    affinity, so the placer still picks it: the caller books it and
+    waits for the run lock on its own thread, then runs there."""
     spy = _Spy(monkeypatch)
     tracer = Tracer()
     pool = DevicePool(GTX2)
     busy = pool.devices[0]
     busy.seen_keys.add(nn.key)
     busy.book(1.0)
-    with pool, thread_tracing(tracer):
-        values, _, _, placement = _run(pool, nn, "busy")
+    busy.run_lock.acquire()
+    done = []
+
+    def client():
+        with thread_tracing(tracer):
+            done.append(_run(pool, nn, "busy"))
+
+    caller = threading.Thread(target=client, name="client")
+    caller.start()
+    try:
+        _wait_for(lambda: busy.queued == 2)
+        assert spy.runs == []
+    finally:
+        busy.run_lock.release()
+    caller.join(timeout=60)
     busy.settle(1.0)
+    assert not caller.is_alive()
+    assert started == [caller]
+    ((values, _, _, placement),) = done
     assert placement["shards"][0]["device"] == 0
-    assert spy.runs == [("busy", 0, "repro-sched-dev0")]
+    assert spy.runs == [("busy", 0, "client")]
     assert _identical(nn, values)
     (span,) = _shard_spans(tracer)
-    assert span.attrs["ran_on"] == "worker"
+    assert span.attrs["ran_on"] == "caller"
+    assert [d.queued for d in pool.devices] == [0, 0]
+    assert [d.backlog_us for d in pool.devices] == [0.0, 0.0]
 
 
-def test_a_sharded_plan_still_fans_out_to_the_workers(
-    backprop, monkeypatch
+def test_a_k_way_split_starts_exactly_k_minus_1_threads(
+    backprop, monkeypatch, started
 ):
+    """Shard 0 runs on the caller; each other shard on a thread started
+    for it, which has finished when ``run`` returns."""
     spy = _Spy(monkeypatch)
     tracer = Tracer()
-    with tune(
+    pool = tune(
         DevicePool([split_friendly(NVIDIA_GTX780TI)] * 3),
         planner=ShardPlanner(16),
-    ) as pool, thread_tracing(tracer):
+    )
+    with thread_tracing(tracer):
         values, _, _, placement = _run(
             pool, backprop, "split", batch_info=backprop.info
         )
-    assert placement["mode"] == "sharded"
-    assert len(spy.runs) == len(placement["shards"]) > 1
-    assert all(t.startswith("repro-sched-dev") for _, _, t in spy.runs)
-    assert {s.attrs["ran_on"] for s in _shard_spans(tracer)} == {"worker"}
+    k = len(placement["shards"])
+    assert placement["mode"] == "sharded" and k > 1
+    assert len(started) == k - 1
+    assert not any(t.is_alive() for t in started)
+    me = threading.current_thread().name
+    assert sorted(t for _, _, t in spy.runs) == sorted(
+        [me] + [t.name for t in started]
+    )
+    assert sorted(s.attrs["ran_on"] for s in _shard_spans(tracer)) == (
+        ["caller"] + ["split"] * (k - 1)
+    )
     assert _identical(backprop, values)
 
 
@@ -190,15 +237,13 @@ def test_a_device_fault_on_the_callers_run_is_re_placed(
     backprop, monkeypatch
 ):
     spy = _Spy(monkeypatch)
-    with tune(
+    pool = tune(
         DevicePool(GTX2, fault_plans=[BROKEN, None]),
         retries=1,
-    ) as pool:
-        values, _, report, placement = _run(pool, backprop, "replaced")
+    )
+    values, _, report, placement = _run(pool, backprop, "replaced")
     me = threading.current_thread().name
-    assert spy.runs == [
-        ("replaced", 0, me), ("replaced", 1, "repro-sched-dev1")
-    ]
+    assert spy.runs == [("replaced", 0, me), ("replaced", 1, me)]
     assert placement["replacements"] == 1
     assert placement["shards"][0]["device"] == 1
     assert report.fallbacks == 0 and report.backend == "sim"
@@ -211,13 +256,52 @@ def test_an_expired_deadline_is_never_rescued_by_the_floor(
     backprop, monkeypatch
 ):
     spy = _Spy(monkeypatch)
-    with DevicePool(GTX2) as pool:
-        with pytest.raises(DeadlineExceeded) as exc:
-            _run(pool, backprop, "late", deadline=Deadline(0.0), fallback=True)
+    pool = DevicePool(GTX2)
+    with pytest.raises(DeadlineExceeded) as exc:
+        _run(pool, backprop, "late", deadline=Deadline(0.0), fallback=True)
     me = threading.current_thread().name
     assert [(r, t) for r, _, t in spy.runs] == [("late", me)]
     assert exc.value.report.deadline_exceeded
     assert all(d.breaker.state is BreakerState.CLOSED for d in pool.devices)
+
+
+@pytest.mark.parametrize("n_devices", [1, 2])
+def test_a_deadline_ends_the_wait_for_a_busy_device(nn, n_devices):
+    """A run holds device 0 (its books and its run lock); a request the
+    placer sends there anyway, with a 50 ms deadline, raises
+    ``DeadlineExceeded`` once its deadline passes, not when the run
+    ends.  The waiting task never touched the device: its breaker
+    stays closed and its books end empty."""
+    pool = DevicePool([NVIDIA_GTX780TI] * n_devices)
+    busy = pool.devices[0]
+    busy.seen_keys.add(nn.key)  # the placer prefers it, though busy
+    busy.book(1.0)
+    busy.run_lock.acquire()
+    outcome = []
+
+    def late():
+        t0 = time.monotonic()
+        try:
+            _run(pool, nn, "late", deadline=Deadline.after_ms(50))
+        except DeadlineExceeded as e:
+            outcome.append((time.monotonic() - t0, e))
+
+    caller = threading.Thread(target=late)
+    caller.start()
+    try:
+        caller.join(timeout=2.0)
+    finally:
+        busy.run_lock.release()
+        caller.join(timeout=60)
+        busy.settle(1.0)
+    ((elapsed, error),) = outcome
+    assert elapsed < 0.3, elapsed
+    assert error.report.deadline_exceeded
+    assert busy.breaker.state is BreakerState.CLOSED
+    assert (busy.executed, busy.failures) == (0, 0)
+    assert pool.stats()["cancelled_before_start"] == 1
+    assert [d.queued for d in pool.devices] == [0] * n_devices
+    assert [d.backlog_us for d in pool.devices] == [0.0] * n_devices
 
 
 # -- one run per device, whoever runs it ------------------------------------
@@ -229,42 +313,26 @@ def test_concurrent_callers_never_share_a_device(
 ):
     """Four threads make 25 calls each to a 2-device pool under a fine
     switch interval: no device ever runs two attempt loops at once,
-    both paths are taken, and every result is bit-identical to a lone
-    run.  Caller runs wait until some call has booked a busy device, so
-    the worker path is taken whatever the scheduling: two waiting
-    callers hold both devices, and the third call finds them busy."""
+    and every result is bit-identical to a lone run.  A caller that
+    finds its device busy waits for it on its own thread."""
     running = collections.Counter()
     peak = collections.Counter()
     threads = collections.Counter()
     lock = threading.Lock()
     real = pool_mod.run_resilient
-    real_book = pool_mod.PoolDevice.book
-    booked_busy = threading.Event()
-
-    def book(self, est_us):
-        idle = real_book(self, est_us)
-        if not idle:
-            booked_busy.set()
-        return idle
 
     def spy(*args, **kwargs):
         dev = kwargs["pool_device"].id
-        on_worker = threading.current_thread().name.startswith(
-            "repro-sched-dev"
-        )
-        if not on_worker:
-            booked_busy.wait(timeout=60)
         with lock:
             running[dev] += 1
             peak[dev] = max(peak[dev], running[dev])
-            threads["worker" if on_worker else "caller"] += 1
+            threads[threading.current_thread().name] += 1
         try:
             return real(*args, **kwargs)
         finally:
             with lock:
                 running[dev] -= 1
 
-    monkeypatch.setattr(pool_mod.PoolDevice, "book", book)
     monkeypatch.setattr(pool_mod, "run_resilient", spy)
     rng = random.Random(seed)
     plans = [[rng.choice([backprop, nn]) for _ in range(25)] for _ in range(4)]
@@ -281,21 +349,20 @@ def test_concurrent_callers_never_share_a_device(
     switch_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with DevicePool(GTX2) as pool:
-            clients = [
-                threading.Thread(target=client, args=(c, p))
-                for c, p in enumerate(plans)
-            ]
-            for t in clients:
-                t.start()
-            for t in clients:
-                t.join(timeout=300)
-            assert not any(t.is_alive() for t in clients)
+        pool = DevicePool(GTX2)
+        clients = [
+            threading.Thread(target=client, args=(c, p))
+            for c, p in enumerate(plans)
+        ]
+        for t in clients:
+            t.start()
+        for t in clients:
+            t.join(timeout=300)
+        assert not any(t.is_alive() for t in clients)
     finally:
         sys.setswitchinterval(switch_interval)
     assert not failures
     assert max(peak.values()) == 1, dict(peak)
     assert sum(threads.values()) >= 100
-    assert threads["caller"] > 0 and threads["worker"] > 0
     assert [d.queued for d in pool.devices] == [0, 0]
     assert [d.backlog_us for d in pool.devices] == [0.0, 0.0]

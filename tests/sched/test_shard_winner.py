@@ -29,8 +29,6 @@ def _task(state):
         shared={},
         est_us=1.0,
         checkpoint=pool_mod._Checkpoint(None, state),
-        results=None,
-        tracer=None,
     )
 
 
@@ -117,13 +115,13 @@ def test_a_finished_request_leaves_no_reference_cycle(executor):
             executor=executor, entry="main", run_id=run_id,
         )
 
-    with DevicePool(GTX3) as pool:
-        run("warm")
-        gc.collect()
-        gc.disable()
-        try:
-            for i in range(5):
-                run(f"r{i}")
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+    pool = DevicePool(GTX3)
+    run("warm")
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(5):
+            run(f"r{i}")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -303,8 +303,9 @@ def test_an_unstarted_or_stopping_server_never_runs_a_call_inline(prog):
 
 def test_stop_waits_for_an_inline_sharded_call(monkeypatch):
     """A 4-device server splits the call across its devices; ``stop()``
-    issued while a shard runs waits for the call before it stops the
-    pool, and the call completes."""
+    issued while a shard runs returns only after the call completed,
+    which ran shard 0 on the caller's thread and each other shard on a
+    thread started for it."""
     spec = BENCHMARKS["Backprop"]
     prog = spec.program()
     args = spec.args_at(np.random.default_rng(9), {"n": 16, "h": 512})
@@ -314,19 +315,17 @@ def test_stop_waits_for_an_inline_sharded_call(monkeypatch):
         Server(devices=[split_friendly(NVIDIA_GTX780TI)] * 4),
         planner=ShardPlanner(16),
     ).start()
-    completed_at_pool_stop = []
-    pool_stop = server.pool.stop
+    completed_at_stop = []
 
-    def spy_pool_stop(*args, **kwargs):
-        completed_at_pool_stop.append(server.health()["completed"])
-        return pool_stop(*args, **kwargs)
+    def stop():
+        server.stop()
+        completed_at_stop.append(server.health()["completed"])
 
-    server.pool.stop = spy_pool_stop
     caller = _call_in_thread(
         server, ServeRequest(prog, args, request_id="sharded"), results
     )
     assert gate.entered.wait(timeout=60)
-    stopper = threading.Thread(target=server.stop)
+    stopper = threading.Thread(target=stop)
     stopper.start()
     _wait_for(server._stopping.is_set)
     time.sleep(0.1)
@@ -335,12 +334,16 @@ def test_stop_waits_for_an_inline_sharded_call(monkeypatch):
     stopper.join(timeout=60)
     caller.join(timeout=60)
     assert not stopper.is_alive() and not caller.is_alive()
-    assert completed_at_pool_stop == [1]
+    assert completed_at_stop == [1]
     (r,) = results
     assert r.ok, r.error
     assert r.placement["mode"] == "sharded"
-    assert len(r.placement["shards"]) > 1
-    assert all(n.startswith("repro-sched-dev") for n in gate.threads.values())
+    k = len(r.placement["shards"])
+    assert k > 1
+    assert gate.threads == {
+        f"sharded/s{i}": caller.name if i == 0 else f"sharded/s{i}"
+        for i in range(k)
+    }
 
 
 # -- the same request, whichever thread runs it -----------------------------

@@ -81,9 +81,10 @@ def test_a_one_device_request_runs_on_the_thread_holding_its_slot(
 
     monkeypatch.setattr(pool_mod, "run_resilient", spy)
     prog, args = cases["NN"]
+    before = set(threading.enumerate())
     with Server() as server:
-        threads = {t.name for t in threading.enumerate()}
-        assert "repro-sched-dev0" in threads  # the device worker idles
+        threads = {t.name for t in set(threading.enumerate()) - before}
+        assert threads == {"repro-serve-worker-0"}  # the pool has none
         for _ in range(4):
             assert server.call(ServeRequest(prog, args), timeout=60).ok
         assert ran_on == [threading.current_thread().name] * 4

@@ -19,7 +19,7 @@ from repro.frontend.parser import parse
 from repro.gpu.device import NVIDIA_GTX780TI
 from repro.gpu.faults import broken_device
 from repro.interp import run_program
-from repro.pipeline import ArtifactCache
+from repro.pipeline import ArtifactCache, CompilerOptions
 from repro.runtime import DEFAULT_EXECUTOR, ExecutionPolicy
 from repro.serve import (
     BreakerState,
@@ -466,6 +466,14 @@ class TestHealth:
             ExecutionPolicy(executor="tpu")
         with pytest.raises(ArgumentError, match="unknown executor"):
             ServeRequest(prog, xs(1.0), executor="tpu")
+
+    def test_unknown_disabled_pass_is_rejected_at_construction(self):
+        """Options no compile can use fail once, where the server is
+        built, not as an error result on every request."""
+        with pytest.raises(ArgumentError, match="no such pass"):
+            Server(options=CompilerOptions(disabled_passes=("nope",)))
+        with pytest.raises(ArgumentError, match="mandatory"):
+            Server(options=CompilerOptions(disabled_passes=("flatten",)))
 
 
 class TestArtifactWarmStart:

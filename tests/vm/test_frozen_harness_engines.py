@@ -50,8 +50,7 @@ def test_harness_engines_run_what_execute_runs(name):
 
 @pytest.fixture(scope="module")
 def pool():
-    with DevicePool([DEVICE] * 4) as pool:
-        yield pool
+    return DevicePool([DEVICE] * 4)
 
 
 @pytest.mark.parametrize("contradict", [False, True])
