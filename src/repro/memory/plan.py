@@ -266,11 +266,12 @@ def _plan_scope(
                 for _, init in s.merge
                 if isinstance(init, A.Var) and init.name in backing
             }
+            rebound = _rebound_across_iterations(s)
             s.body = _plan_scope(
-                hp, s.body, backing, inner_out, set(), allow_elision,
-                manifest_srcs,
+                hp, s.body, backing, inner_out | rebound, set(),
+                allow_elision, manifest_srcs,
             )
-            _mark_recycled(s, backing)
+            _mark_recycled(s, backing, rebound)
         elif isinstance(s, HostIfStmt):
             inner_out = set(live_out)
             inner_out |= {
@@ -331,28 +332,69 @@ def _escaped_blocks(hp: HostProgram, s, backing: Dict[str, str]) -> Set[str]:
     one."""
     if isinstance(s, HostLoopStmt):
         inner = _allocated_within(s.body)
+        escaping = _rebound_across_iterations(s)
     elif isinstance(s, HostIfStmt):
         inner = _allocated_within(s.then_body) | _allocated_within(
             s.else_body
         )
+        escaping = set()
     else:
         return set()
+    escaping |= {backing[p.name] for p in s.pat if p.name in backing}
     return {
-        backing[p.name]
-        for p in s.pat
-        if p.name in backing
-        and backing[p.name] in inner
-        and hp.blocks.get(backing[p.name]) is not None
-        and hp.blocks[backing[p.name]].space == "device"
+        block
+        for block in escaping
+        if block in inner
+        and hp.blocks.get(block) is not None
+        and hp.blocks[block].space == "device"
     }
 
 
-def _mark_recycled(s: HostLoopStmt, backing: Dict[str, str]) -> None:
+def _rebound_across_iterations(s: HostLoopStmt) -> Set[str]:
+    """The blocks a loop body leaves names from outside the loop in,
+    rebound by its manifests.
+
+    Such a name enters iteration *i + 1* still bound to that block, and
+    the body's first manifest of it reads it there: the block is live
+    across the back-edge, and owned by the enclosing scope once the
+    loop ends.  Only blocks that first read precedes the body's
+    re-allocation of are returned (the re-allocation then recycles the
+    consumed generation); a merge parameter is rebound by the loop
+    itself and never qualifies.
+    """
+    bound = {p.name for p, _ in s.merge}
+    first_read: Dict[str, int] = {}
+    last_block: Dict[str, str] = {}
+    alloc_at: Dict[str, int] = {}
+    for i, sub in enumerate(s.body):
+        if isinstance(sub, ManifestStmt) and sub.block is not None:
+            if sub.src == sub.dst and sub.src not in bound:
+                first_read.setdefault(sub.src, i)
+                last_block[sub.dst] = sub.block.name
+        elif isinstance(sub, AllocStmt):
+            alloc_at[sub.block.name] = i
+        elif isinstance(sub, LaunchStmt):
+            bound |= {p.name for p in sub.kernel.pat}
+        elif isinstance(sub, HostEval):
+            bound |= {p.name for p in sub.binding.pat}
+        elif isinstance(sub, (HostLoopStmt, HostIfStmt)):
+            bound |= {p.name for p in sub.pat}
+    return {
+        block
+        for name, block in last_block.items()
+        if name not in bound and first_read[name] < alloc_at.get(block, -1)
+    }
+
+
+def _mark_recycled(
+    s: HostLoopStmt, backing: Dict[str, str], rebound: Set[str]
+) -> None:
     """Mark loop-body allocations of double-buffered carried results
     ``recycle``: by the time the body re-runs, the previous generation
     was copied into the merge state, so the heap may release it instead
-    of leaking it."""
-    carried: Set[str] = set()
+    of leaking it.  So are the ``rebound`` blocks, whose previous
+    generation the body's first manifest consumed."""
+    carried: Set[str] = set(rebound)
     for (p, _), a in zip(s.merge, s.body_result):
         if (
             p.name in s.double_buffered

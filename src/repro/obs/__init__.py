@@ -10,6 +10,11 @@
   snapshot is the fold of one tracer's records into counters, gauges
   and histograms with labels (launches, cycles, memory traffic,
   occupancy, watchdog budget, retries, faults, fallbacks, ...).
+* :mod:`repro.obs.flight` — the serving layer's opt-in flight
+  recorder: a record is a request's result plus its own tracer, which
+  the serving thread records into and the ambient tracer (if any)
+  absorbs when the request's capture window closes; a failing or slow
+  request dumps a self-contained bundle.
 
 The trace is the one event channel: a launch, a fault, a rollback, a
 jit hand-over or a shard re-placement is recorded once, on it, and
@@ -44,7 +49,6 @@ from .flight import (  # noqa: F401
     FLIGHT_SCHEMA,
     FlightRecord,
     FlightRecorder,
-    TeeTracer,
 )
 from .metrics import (  # noqa: F401
     DEFAULT_BUCKETS,
@@ -71,7 +75,6 @@ __all__ = [
     "MetricsView",
     "FlightRecord",
     "FlightRecorder",
-    "TeeTracer",
     "DUMP_TRIGGERS",
     "FLIGHT_SCHEMA",
     "get_tracer",

@@ -2,15 +2,20 @@
 serving layer, with automatic post-mortem dumps.
 
 A :class:`FlightRecorder` keeps a thread-safe ring buffer of the last
-``capacity`` fully-materialized request records.  For every request the
-serving worker opens a :meth:`~FlightRecorder.capture` window, which
-installs a *thread-local* :class:`TeeTracer`: everything the
-pipeline, resilient executor and simulator record on that thread
-(queue wait, compile-cache outcome, evaluator, breaker refusals,
-per-attempt spans, per-kernel launch spans with heap bytes) lands in
-the request's private capture *and* is mirrored into the process-wide
-tracer, so global observability is unchanged.  The bundle's metrics
-are the fold of the private capture alone.
+``capacity`` finished requests.  A :class:`FlightRecord` is two things:
+the request's finished result (a :class:`repro.serve.ServeResult`, read
+by attribute, so this module imports nothing from :mod:`repro.serve`)
+and the request's own :class:`~repro.obs.trace.Tracer`.
+
+For every request the server opens a :meth:`~FlightRecorder.capture`
+window, which installs that tracer as the *thread's* ambient tracer:
+everything the pipeline, device pool, resilient executor and simulator
+record on that thread (and on the split-shard threads, which adopt it)
+lands in the capture.  When a process-wide tracer is enabled, the
+capture starts on its epoch and, when the window closes, that tracer
+absorbs the capture's records — the same objects, each once — so
+global observability is unchanged and no timestamp is translated.  The
+bundle's metrics are the fold of the capture alone.
 
 When a request ends in one of the terminal device errors in
 :data:`DUMP_TRIGGERS`, or its latency exceeds the recorder's SLO
@@ -35,8 +40,8 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from .trace import Tracer, get_tracer, thread_tracing
 
@@ -46,7 +51,6 @@ __all__ = [
     "SLO_TRIGGER",
     "FlightRecord",
     "FlightRecorder",
-    "TeeTracer",
     "read_bundle",
     "render_bundle",
 ]
@@ -69,108 +73,21 @@ SLO_TRIGGER = "slo_latency"
 PROCESS_NAME = "repro-serve"
 
 
-# -- the tee tracer ---------------------------------------------------------
-
-
-class TeeTracer(Tracer):
-    """A tracer that records locally *and* mirrors into another tracer.
-
-    The local copy is the per-request capture (its epoch is the
-    request's start, so bundle timestamps begin near zero); the mirror
-    is the process-wide tracer, which must keep seeing every span so
-    enabling the flight recorder does not blind global tracing.
-
-    Timestamp translation: both clocks tick ``time.perf_counter``, so
-    a local wall-clock timestamp maps into the mirror's epoch by
-    adding the mirror time at this tracer's construction.  Spans
-    recorded through :meth:`complete` and counters with explicit
-    timestamps carry *simulated* clocks on their own tracks and are
-    mirrored unchanged.
-    """
-
-    def __init__(self, mirror: Optional[Any] = None) -> None:
-        super().__init__()
-        if mirror is None or not getattr(mirror, "enabled", False):
-            mirror = None
-        self._mirror = mirror
-        self._offset_us = mirror.now_us() if mirror is not None else 0.0
-
-    def _finish(self, s) -> None:
-        super()._finish(s)
-        if self._mirror is not None:
-            self._mirror.complete(
-                s.name,
-                s.category,
-                ts_us=s.ts_us + self._offset_us,
-                dur_us=s.dur_us or 0.0,
-                track=s.track,
-                **s.attrs,
-            )
-
-    def instant(self, name: str, category: str = "", **attrs: Any):
-        s = super().instant(name, category, **attrs)
-        if self._mirror is not None:
-            self._mirror.instant(name, category, **attrs)
-        return s
-
-    def complete(
-        self,
-        name: str,
-        category: str = "",
-        ts_us: float = 0.0,
-        dur_us: float = 0.0,
-        track: str = "main",
-        **attrs: Any,
-    ):
-        s = super().complete(name, category, ts_us, dur_us, track, **attrs)
-        if self._mirror is not None:
-            # Simulated-clock spans: the timestamp is not wall time,
-            # so no epoch translation applies.
-            self._mirror.complete(name, category, ts_us, dur_us, track, **attrs)
-        return s
-
-    def counter(
-        self,
-        name: str,
-        value: float,
-        ts_us: Optional[float] = None,
-        track: str = "main",
-        **attrs: Any,
-    ):
-        s = super().counter(name, value, ts_us, track, **attrs)
-        if self._mirror is not None:
-            self._mirror.counter(name, value, ts_us, track, **attrs)
-        return s
-
-
-# -- records ----------------------------------------------------------------
-
-
 @dataclass
 class FlightRecord:
-    """One request's fully-materialized telemetry."""
+    """One request: its result and its own trace."""
 
     request_id: str
-    program: str = ""
-    tracer: Optional[TeeTracer] = None
-    wall_s: float = 0.0
-    status: str = "open"  # open | ok | error | shed
-    lane: str = ""
-    backend: str = ""
-    #: Evaluators the request went through, in order (off the
-    #: :class:`repro.runtime.RunReport`): the device step that was
-    #: skipped or abandoned, then whichever produced the values.
-    rungs: List[str] = field(default_factory=list)
+    program: str
+    #: The request's own trace (on the ambient tracer's epoch when one
+    #: was enabled at capture, else starting near zero).
+    tracer: Tracer
+    wall_s: float
+    #: The request's :class:`repro.serve.ServeResult`; None until
+    #: :meth:`FlightRecorder.finish`.
+    result: Any = None
     queue_wait_us: Optional[float] = None
     cache_hit: Optional[bool] = None
-    latency_us: Optional[float] = None
-    error: Optional[str] = None
-    error_message: Optional[str] = None
-    run_report: Optional[Dict[str, Any]] = None
-    #: The device pool's placement decision (mode, candidate scores,
-    #: per-shard assignment/timing); None when the request
-    #: never reached the pool or ended in an error.
-    placement: Optional[Dict[str, Any]] = None
     #: Why this record was dumped (an error class name or "slo_latency");
     #: None when it never was.
     dump_trigger: Optional[str] = None
@@ -179,6 +96,10 @@ class FlightRecord:
 
 def _sanitize(run_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", run_id) or "unnamed"
+
+
+def _error_name(result: Any) -> Optional[str]:
+    return type(result.error).__name__ if result.error is not None else None
 
 
 class FlightRecorder:
@@ -206,7 +127,6 @@ class FlightRecorder:
         self._lock = threading.Lock()
         self._completed = 0
         self._evicted = 0
-        self._shed = 0
         self._dumps = 0
         self._dump_failures = 0
 
@@ -216,64 +136,38 @@ class FlightRecorder:
     def capture(self, request_id: str, program: str = ""):
         """Open a per-request capture window on the calling thread.
 
-        Installs a :class:`TeeTracer` as the thread's ambient tracer
-        (mirroring into whatever was ambient before), and yields the
-        open :class:`FlightRecord`.
-        The caller must :meth:`finish` the record — typically inside
-        the window so the final spans are part of the capture.
+        Installs the record's own :class:`Tracer` as the thread's
+        ambient tracer and yields the open :class:`FlightRecord`.  An
+        enabled tracer that was ambient before shares its epoch with
+        the capture and absorbs its records when the window closes.
+        The caller hands the record and the request's result to
+        :meth:`finish`.
         """
-        record = FlightRecord(
-            request_id=request_id,
-            program=program,
-            tracer=TeeTracer(mirror=get_tracer()),
-            wall_s=time.time(),
-        )
-        record.tracer.metadata["run_id"] = request_id
-        with thread_tracing(record.tracer):
-            yield record
-
-    def note_shed(self, request_id: str) -> None:
-        """Count a request shed at admission (no capture window ever
-        opened for it)."""
-        with self._lock:
-            self._shed += 1
+        ambient = get_tracer()
+        tracer = ambient.fork() if ambient.enabled else Tracer()
+        tracer.metadata["run_id"] = request_id
+        record = FlightRecord(request_id, program, tracer, time.time())
+        try:
+            with thread_tracing(tracer):
+                yield record
+        finally:
+            if ambient.enabled:
+                ambient.absorb(tracer)
 
     def finish(
         self,
         record: FlightRecord,
-        status: str,
-        latency_us: Optional[float] = None,
-        error: Optional[BaseException] = None,
-        run_report: Optional[Dict[str, Any]] = None,
-        lane: Optional[str] = None,
-        backend: Optional[str] = None,
-        rungs: Optional[Sequence[str]] = None,
+        result: Any,
         queue_wait_us: Optional[float] = None,
         cache_hit: Optional[bool] = None,
-        placement: Optional[Dict[str, Any]] = None,
     ) -> FlightRecord:
-        """Finalize ``record``, append it to the ring, and dump a
-        bundle if a trigger fires.  Never raises from the dump path."""
-        record.status = status
-        record.latency_us = latency_us
-        if error is not None:
-            record.error = type(error).__name__
-            record.error_message = str(error)
-        if run_report is not None:
-            record.run_report = run_report
-        if lane is not None:
-            record.lane = lane
-        if backend is not None:
-            record.backend = backend
-        if rungs is not None:
-            record.rungs = list(rungs)
-        if queue_wait_us is not None:
-            record.queue_wait_us = queue_wait_us
-        if cache_hit is not None:
-            record.cache_hit = cache_hit
-        if placement is not None:
-            record.placement = placement
-        record.dump_trigger = self._trigger_for(record)
+        """Give ``record`` the request's finished ``result``, append it
+        to the ring, and dump a bundle if a trigger fires.  Never
+        raises from the dump path."""
+        record.result = result
+        record.queue_wait_us = queue_wait_us
+        record.cache_hit = cache_hit
+        record.dump_trigger = self._trigger_for(result)
         with self._lock:
             if len(self._ring) == self.capacity:
                 self._evicted += 1
@@ -283,13 +177,13 @@ class FlightRecorder:
             self._dump(record)
         return record
 
-    def _trigger_for(self, record: FlightRecord) -> Optional[str]:
-        if record.error in DUMP_TRIGGERS:
-            return record.error
+    def _trigger_for(self, result: Any) -> Optional[str]:
+        error = _error_name(result)
+        if error in DUMP_TRIGGERS:
+            return error
         if (
             self.slo_latency_us is not None
-            and record.latency_us is not None
-            and record.latency_us > self.slo_latency_us
+            and result.latency_s * 1e6 > self.slo_latency_us
         ):
             return SLO_TRIGGER
         return None
@@ -297,34 +191,42 @@ class FlightRecorder:
     # -- dumping ------------------------------------------------------------
 
     def bundle(self, record: FlightRecord) -> Dict[str, Any]:
-        """The self-contained JSON bundle for one record."""
+        """The self-contained JSON bundle for one finished record."""
         # Imported here (not at module top) to avoid an export<->flight
         # import cycle: export validates bundles, flight builds them.
         from .export import chrome_trace, metrics_dump
 
-        tracer = record.tracer if record.tracer is not None else Tracer()
+        result, tracer = record.result, record.tracer
+        report = result.run_report
+        backend = result.backend or ""
         return {
             "schema": FLIGHT_SCHEMA,
             "run_id": record.request_id,
             "program": record.program,
-            "status": record.status,
+            "status": "ok" if result.ok else "error",
             "trigger": record.dump_trigger,
-            "error": record.error,
-            "error_message": record.error_message,
-            "latency_us": record.latency_us,
+            "error": _error_name(result),
+            "error_message": (
+                str(result.error) if result.error is not None else None
+            ),
+            "latency_us": result.latency_s * 1e6,
             "queue_wait_us": record.queue_wait_us,
             "cache_hit": record.cache_hit,
-            "lane": record.lane,
-            "backend": record.backend,
-            "rungs": list(record.rungs),
+            "lane": result.lane,
+            "backend": backend,
+            # The evaluators the request went through, in order: the
+            # device step skipped or abandoned, then whichever produced
+            # the values.
+            "rungs": [d.split(":", 1)[0] for d in result.degraded_from]
+            + ([backend] if backend else []),
             "slo_latency_us": self.slo_latency_us,
             "wall_time_s": record.wall_s,
             "trace": chrome_trace(tracer, process_name=PROCESS_NAME),
             "metrics": metrics_dump(
                 tracer, metadata={"run_id": record.request_id}
             ),
-            "run_report": record.run_report,
-            "placement": record.placement,
+            "run_report": report.to_dict() if report is not None else None,
+            "placement": result.placement,
         }
 
     def _dump(self, record: FlightRecord) -> None:
@@ -344,7 +246,7 @@ class FlightRecorder:
         with self._lock:
             self._dumps += 1
 
-    # -- inspection ---------------------------------------------------------
+# -- inspection ---------------------------------------------------------
 
     def records(self) -> List[FlightRecord]:
         """A snapshot of the ring, oldest first."""
@@ -360,7 +262,6 @@ class FlightRecorder:
                 "occupancy": len(self._ring),
                 "completed": self._completed,
                 "evicted": self._evicted,
-                "shed": self._shed,
                 "dumps": self._dumps,
                 "dump_failures": self._dump_failures,
                 "slo_latency_us": self.slo_latency_us,

@@ -147,11 +147,11 @@ _NULL_SPAN = _NullSpan()
 
 class Tracer:
     """Records spans and instants.  Emission is thread-safe (span
-    lists and the nesting stack are lock-protected) so the serving
-    layer's worker pool can share one ambient tracer; note the nesting
-    *stack* is still one global — concurrent workers should prefer
-    :meth:`complete` with explicit timestamps on per-worker tracks
-    over deeply interleaved ``span()`` nesting."""
+    lists and the nesting stack are lock-protected) so every thread
+    serving requests can share one ambient tracer; note the nesting
+    *stack* is still one per tracer — concurrent threads should prefer
+    :meth:`complete` with explicit timestamps on their own tracks over
+    deeply interleaved ``span()`` nesting."""
 
     #: Cheap guard for callers that want to skip attribute computation
     #: entirely when tracing is off.
@@ -159,7 +159,6 @@ class Tracer:
 
     def __init__(self) -> None:
         self._t0 = time.perf_counter()
-        self._wall0 = time.time()
         #: Finished spans, in *finish* order (children before parents).
         self.spans: List[Span] = []
         #: Instant events, in emission order.
@@ -179,6 +178,22 @@ class Tracer:
     def now_us(self) -> float:
         """Microseconds since this tracer's epoch (monotonic)."""
         return (time.perf_counter() - self._t0) * 1e6
+
+    def fork(self) -> "Tracer":
+        """An empty tracer on this tracer's epoch, whose records
+        :meth:`absorb` can take over unchanged."""
+        child = Tracer()
+        child._t0 = self._t0
+        return child
+
+    def absorb(self, other: "Tracer") -> None:
+        """Take over ``other``'s records — the same objects, each once,
+        after this tracer's own.  ``other`` is a :meth:`fork` of this
+        tracer, so their timestamps are already on its epoch."""
+        with self._lock:
+            self.spans.extend(other.spans)
+            self.instants.extend(other.instants)
+            self.counters.extend(other.counters)
 
     # -- recording ----------------------------------------------------------
 
@@ -353,8 +368,8 @@ NULL_TRACER = NullTracer()
 
 _CURRENT: Any = NULL_TRACER
 
-#: Thread-local tracer override: lets one thread (a serve worker
-#: capturing a per-request flight record) divert its own telemetry
+#: Thread-local tracer override: lets one thread (the thread serving
+#: a request under a flight-recorder capture) divert its own telemetry
 #: without disturbing the process-wide ambient tracer.
 _TLS = threading.local()
 
@@ -394,10 +409,11 @@ def thread_tracing(tracer):
 
     Unlike :func:`tracing` (which swaps the process-wide tracer), the
     override is invisible to other threads — the flight recorder uses
-    this so each serve worker diverts exactly its own request's spans
-    into a per-request capture while unrelated workers keep writing to
-    the global tracer.  Nests: the previous thread-local override (if
-    any) is restored on exit.
+    this so the thread serving a request (a worker, or a caller running
+    its own) records exactly that request's spans in its capture, while
+    other threads keep writing to the global tracer; a split request's
+    shard threads install the caller's tracer the same way.  Nests: the
+    previous thread-local override (if any) is restored on exit.
     """
     previous = getattr(_TLS, "tracer", None)
     _TLS.tracer = tracer

@@ -61,6 +61,7 @@ import itertools
 import threading
 import time
 import weakref
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -528,13 +529,12 @@ class Server:
             # A (possibly negatively cached) compile failure, or a
             # handle this server did not issue for this entry point:
             # the request is unservable, typed error straight back.
-            self._finish(
-                handle,
-                ServeResult(
-                    request.request_id, "error", error=e, lane=BATCH_LANE,
-                    latency_s=time.monotonic() - submitted_at,
-                ),
+            result = ServeResult(
+                request.request_id, "error", error=e, lane=BATCH_LANE,
+                latency_s=time.monotonic() - submitted_at,
             )
+            self._account(result)
+            handle._complete(result)
             return handle, None
         size_env = size_env_from_args(program.compiled.host, request.args)
         lane = self._classify(program.compiled, size_env)
@@ -581,8 +581,6 @@ class Server:
     ) -> None:
         with self._lock:
             self._counts["shed"] += 1
-        if self.flight_recorder is not None:
-            self.flight_recorder.note_shed(handle.request_id)
         get_tracer().instant(
             "shed", "serve", track="serve",
             run_id=handle.request_id, reason=reason,
@@ -594,7 +592,9 @@ class Server:
             ServeResult(handle.request_id, "shed", error=error, lane=lane)
         )
 
-    def _finish(self, handle: ResultHandle, result: ServeResult) -> None:
+    def _account(self, result: ServeResult) -> None:
+        """Count an answered request, observe its latency and mark it
+        ``finished`` on the trace."""
         with self._lock:
             if result.status == "ok":
                 self._counts["completed"] += 1
@@ -612,7 +612,6 @@ class Server:
                 status=result.status, backend=result.backend or "none",
                 latency_us=latency_us, queue_depth=len(self.queue),
             )
-        handle._complete(result)
 
     # -- the workers --------------------------------------------------------
 
@@ -629,71 +628,46 @@ class Server:
             work = self.queue.take(release=True)  # frees the slot it held
 
     def _run(self, work: _Work) -> None:
-        try:
-            self._process(work)
-        except BaseException as e:  # pragma: no cover - backstop
-            # No thread, worker or caller, dies with a request in hand.
-            self._finish(work.handle, ServeResult(
-                work.request.request_id, "error", error=e, lane=work.lane,
-                latency_s=time.monotonic() - work.submitted_at,
-            ))
-
-    def _process(self, work: _Work) -> None:
-        request, handle = work.request, work.handle
-        recorder = self.flight_recorder
-        if recorder is None:
-            self._finish(handle, self._traced_execute(work))
-            return
-        # Everything inside the capture window — the request span, the
-        # executor's attempt spans, the simulator's kernel launches —
-        # lands in the request's private record (and is mirrored to the
-        # global tracer).  _finish runs inside the window so its
-        # ``finished`` instant is part of the record too.
-        queue_wait_us = (time.monotonic() - work.submitted_at) * 1e6
-        with recorder.capture(
-            request.request_id, program=work.program.compiled.host.name
-        ) as record:
-            result = self._traced_execute(work)
-            self._finish(handle, result)
-            recorder.finish(
-                record,
-                status="ok" if result.ok else "error",
-                latency_us=result.latency_s * 1e6,
-                error=result.error,
-                run_report=result.run_report and result.run_report.to_dict(),
-                lane=result.lane,
-                backend=result.backend or "",
-                rungs=[d.split(":", 1)[0] for d in result.degraded_from]
-                + ([result.backend] if result.backend else []),
-                queue_wait_us=queue_wait_us,
-                cache_hit=work.cache_hit,
-                placement=result.placement,
-            )
-
-    def _traced_execute(self, work: _Work) -> ServeResult:
-        """Execute under the request span, stamping the result and
-        its latency."""
-        request = work.request
-        tracer = get_tracer()
+        """Serve one admitted request on this thread, under its span
+        and inside the flight recorder's capture window (if any), then
+        answer it — after the window closed, so its waiter finds the
+        request in the ambient trace and the ring.  Never raises."""
+        request, recorder = work.request, self.flight_recorder
         queued_s = time.monotonic() - work.submitted_at
-        with tracer.span(
-            f"request:{request.request_id}",
-            "serve",
-            track="serve",
-            run_id=request.request_id,
-            lane=work.lane,
-            queued_ms=queued_s * 1e3,
-            cache_hit=work.cache_hit,
-            ran_on=work.ran_on,
-        ) as span:
-            result = self._execute(work)
-            result.latency_s = time.monotonic() - work.submitted_at
-            span.set(
-                status=result.status,
-                backend=result.backend,
-                degraded_from=",".join(result.degraded_from) or None,
+        record = None
+        try:
+            window = nullcontext() if recorder is None else recorder.capture(
+                request.request_id, work.program.compiled.host.name
             )
-        return result
+            with window as record:
+                with get_tracer().span(
+                    f"request:{request.request_id}",
+                    "serve",
+                    track="serve",
+                    run_id=request.request_id,
+                    lane=work.lane,
+                    queued_ms=queued_s * 1e3,
+                    cache_hit=work.cache_hit,
+                    ran_on=work.ran_on,
+                ) as span:
+                    result = self._execute(work)
+                    result.latency_s = time.monotonic() - work.submitted_at
+                    span.set(
+                        status=result.status,
+                        backend=result.backend,
+                        degraded_from=",".join(result.degraded_from) or None,
+                    )
+                self._account(result)  # its instant is in the capture
+        except BaseException as e:
+            # No thread, worker or caller, dies with a request in hand.
+            result = ServeResult(
+                request.request_id, "error", error=e, lane=work.lane,
+                latency_s=time.monotonic() - work.submitted_at,
+            )
+            self._account(result)
+        if record is not None:
+            recorder.finish(record, result, queued_s * 1e6, work.cache_hit)
+        work.handle._complete(result)
 
     def _execute(self, work: _Work) -> ServeResult:
         """One call into the device pool, and the answer read off its

@@ -99,3 +99,33 @@ def test_executors_agree_on_planned_schedule(name):
     assert rep_sim.fallbacks == 0 and rep_jit.fallbacks == 0
     for vs, vj in zip(got_sim, got_jit):
         assert values_equal(vs, vj, rtol=1e-4, atol=1e-4)
+
+
+#: The programs with a ``no_inplace`` ablation variant (what ``repro
+#: bench impact --kind inplace`` prices).
+NO_INPLACE = [
+    name for name in sorted(BENCHMARKS.names())
+    if BENCHMARKS[name].variant("no_inplace") is not None
+]
+
+
+@pytest.mark.parametrize("name", NO_INPLACE)
+def test_no_inplace_variants_are_planned(name):
+    """The ablation is priced with memory planning, like the program it
+    is compared with: the plan passes the validator (nothing rolled
+    back), changes no value and lowers the peak."""
+    spec = BENCHMARKS[name]
+    prog = spec.variant("no_inplace")
+    planned = compile_program(prog)
+    assert planned.diagnostics == []
+    naive = compile_program(
+        prog, CompilerOptions(disabled_passes=("memory-plan",))
+    )
+    args = spec.small_args(np.random.default_rng(0))
+    policy = ExecutionPolicy(executor="sim")
+    got_p, cost_p, rep_p = planned.execute(args, policy=policy)
+    got_n, cost_n, rep_n = naive.execute(args, policy=policy)
+    assert rep_p.fallbacks == 0 and rep_n.fallbacks == 0
+    for vp, vn in zip(got_p, got_n):
+        assert _bit_identical(vp, vn)
+    assert cost_p.mem_peak_bytes < cost_n.mem_peak_bytes

@@ -1,7 +1,7 @@
-"""The flight recorder in isolation: tee mirroring, per-request
-metrics, ring eviction (including under a concurrent hammer), dump
-triggers per terminal error class, bundle validation and terminal
-replay."""
+"""The flight recorder in isolation: the capture window and the
+ambient tracer's absorption of it, per-request metrics, ring eviction
+(including under a concurrent hammer), dump triggers per terminal error
+class, bundle validation and terminal replay."""
 
 import json
 import threading
@@ -15,12 +15,13 @@ from repro.obs.flight import (
     FLIGHT_SCHEMA,
     SLO_TRIGGER,
     FlightRecorder,
-    TeeTracer,
     read_bundle,
     render_bundle,
 )
 from repro.obs.metrics import fold
 from repro.obs.trace import get_tracer, tracing
+from repro.runtime import RunReport
+from repro.serve import ServeResult
 
 
 class _Err(Exception):
@@ -47,70 +48,118 @@ class CompilerBug(_Err):
     """Not a dump trigger: compiler bugs are reproducible offline."""
 
 
-def _finish_one(recorder, request_id, error=None, latency_us=1_000.0,
-                status=None):
+def _result(request_id, error=None, latency_us=1.0, lane="batch",
+            **report):
+    """A finished request as the server hands it to the recorder; the
+    ``report`` fields (``backend``, ``abandoned``, ...) make its
+    :class:`RunReport`."""
+    return ServeResult(
+        request_id,
+        "error" if error is not None else "ok",
+        error=error,
+        lane=lane,
+        latency_s=latency_us / 1e6,
+        run_report=(
+            RunReport("gpu", run_id=request_id, **report) if report else None
+        ),
+    )
+
+
+def _finish_one(recorder, request_id, error=None, latency_us=1_000.0):
     with recorder.capture(request_id, program="p") as record:
         get_tracer().complete("kernel:k0", "kernel", ts_us=0.0, dur_us=5.0,
                               track="gpu")
-        recorder.finish(
-            record,
-            status=status or ("error" if error is not None else "ok"),
-            latency_us=latency_us,
-            error=error,
-            lane="interactive",
-            backend="jit",
-            rungs=["jit"],
-            queue_wait_us=10.0,
-            cache_hit=True,
-        )
+    recorder.finish(
+        record,
+        _result(request_id, error, latency_us, lane="interactive",
+                backend="jit"),
+        queue_wait_us=10.0,
+        cache_hit=True,
+    )
     return record
 
 
-class TestTeeTracer:
-    def test_spans_land_locally_and_in_mirror(self):
-        mirror = Tracer()
-        tee = TeeTracer(mirror=mirror)
-        with tee.span("work", "test"):
-            pass
-        assert [s.name for s in tee.spans] == ["work"]
-        assert [s.name for s in mirror.spans] == ["work"]
+def _records(tracer):
+    return tracer.spans + tracer.instants + tracer.counters
 
-    def test_mirror_timestamps_are_offset_into_mirror_epoch(self):
-        mirror = Tracer()
-        with mirror.span("earlier", "test"):
-            pass
-        tee = TeeTracer(mirror=mirror)
-        with tee.span("later", "test"):
-            pass
-        local = next(s for s in tee.spans if s.name == "later")
-        mirrored = next(s for s in mirror.spans if s.name == "later")
-        # Local capture starts near zero; the mirror sees wall order.
-        assert mirrored.ts_us >= local.ts_us
-        earlier = next(s for s in mirror.spans if s.name == "earlier")
-        assert mirrored.ts_us >= earlier.ts_us
 
-    def test_simulated_clock_spans_mirror_unchanged(self):
-        mirror = Tracer()
-        tee = TeeTracer(mirror=mirror)
-        tee.complete("kernel:k", "kernel", ts_us=123.0, dur_us=7.0,
-                     track="gpu")
-        assert mirror.spans[-1].ts_us == 123.0
-        assert mirror.spans[-1].dur_us == 7.0
+class TestCaptureWindow:
+    def test_spans_land_in_the_capture_and_the_ambient_tracer(self):
+        recorder = FlightRecorder()
+        with tracing() as ambient:
+            with recorder.capture("r") as record:
+                with get_tracer().span("work", "test"):
+                    pass
+        assert [s.name for s in record.tracer.spans] == ["work"]
+        assert [s.name for s in ambient.spans] == ["work"]
 
-    def test_instants_keep_their_track_locally_and_in_mirror(self):
-        mirror = Tracer()
-        tee = TeeTracer(mirror=mirror)
-        tee.instant("vm.fallback:k", "vm", track="vm-jit", kind="jit")
-        for tracer in (tee, mirror):
+    def test_absorbed_spans_follow_the_ambient_tracers_in_wall_order(self):
+        recorder = FlightRecorder()
+        with tracing() as ambient:
+            with ambient.span("earlier", "test"):
+                pass
+            with recorder.capture("r") as record:
+                with get_tracer().span("later", "test"):
+                    pass
+        earlier, later = ambient.spans
+        assert (earlier.name, later.name) == ("earlier", "later")
+        # One epoch: the capture's timestamps are the ambient tracer's.
+        assert later.ts_us >= earlier.ts_us + earlier.dur_us
+        assert record.tracer.spans == [later]
+
+    def test_simulated_clock_spans_and_counters_keep_their_timestamps(self):
+        recorder = FlightRecorder()
+        with tracing() as ambient:
+            with recorder.capture("r"):
+                get_tracer().complete("kernel:k", "kernel", ts_us=123.0,
+                                      dur_us=7.0, track="gpu")
+                get_tracer().counter("gpu.mem", 64.0, ts_us=130.0,
+                                     track="gpu")
+        (span,) = ambient.spans
+        assert (span.ts_us, span.dur_us, span.track) == (123.0, 7.0, "gpu")
+        (counter,) = ambient.counters
+        assert (counter.ts_us, counter.attrs["value"]) == (130.0, 64.0)
+
+    def test_instants_keep_their_track_and_attributes(self):
+        recorder = FlightRecorder()
+        with tracing() as ambient:
+            with recorder.capture("r") as record:
+                get_tracer().instant("vm.fallback:k", "vm", track="vm-jit",
+                                     kind="jit")
+        for tracer in (record.tracer, ambient):
             (inst,) = tracer.instants
             assert inst.track == "vm-jit"
             assert inst.attrs == {"kind": "jit"}
 
-    def test_disabled_mirror_is_dropped(self):
-        tee = TeeTracer(mirror=get_tracer())  # ambient NullTracer
-        with tee.span("work", "test"):
-            pass
-        assert [s.name for s in tee.spans] == ["work"]
+    def test_without_an_ambient_tracer_only_the_capture_records(self):
+        recorder = FlightRecorder()
+        assert not get_tracer().enabled
+        with recorder.capture("r") as record:
+            with get_tracer().span("work", "test"):
+                pass
+        assert [s.name for s in record.tracer.spans] == ["work"]
+        assert not get_tracer().enabled
+
+    def test_the_ambient_tracer_holds_each_captured_record_once(self):
+        recorder = FlightRecorder()
+        with tracing() as ambient:
+            get_tracer().instant("before", "test")
+            with recorder.capture("r") as record:
+                with get_tracer().span("outer", "test"):
+                    with get_tracer().span("inner", "test"):
+                        get_tracer().instant("mark", "test")
+                get_tracer().complete("kernel:k", "kernel", ts_us=1.0,
+                                      dur_us=2.0, track="gpu")
+                get_tracer().counter("gpu.mem", 8.0, track="gpu")
+                # Nothing reaches the ambient tracer while the window
+                # is open.
+                assert [s.name for s in _records(ambient)] == ["before"]
+        captured = _records(record.tracer)
+        assert len(captured) == 5
+        ids = [id(s) for s in _records(ambient)]
+        assert len(ids) == len(set(ids)) == 6
+        for s in captured:
+            assert ids.count(id(s)) == 1
 
 
 class TestBundleMetrics:
@@ -120,10 +169,10 @@ class TestBundleMetrics:
             get_tracer().instant("fault:oom", "runtime")
             with recorder.capture("mine", program="p") as record:
                 get_tracer().instant("fault:transient", "runtime")
-                recorder.finish(record, status="ok", latency_us=1.0)
+            recorder.finish(record, _result("mine"))
         counters = recorder.bundle(record)["metrics"]["counters"]
         assert counters == {"runtime.faults{kind=transient}": 1.0}
-        # Mirrored: the ambient tracer saw the request's event too.
+        # Absorbed: the ambient tracer saw the request's event too.
         assert fold(ambient)["counters"] == {
             "runtime.faults{kind=oom}": 1.0,
             "runtime.faults{kind=transient}": 1.0,
@@ -140,7 +189,7 @@ class TestBundleMetrics:
                 for _ in range(50):
                     get_tracer().instant(f"fault:{kind}", "runtime")
                 barrier.wait()
-                recorder.finish(record, status="ok", latency_us=1.0)
+            recorder.finish(record, _result(kind))
             records[kind] = record
 
         threads = [
@@ -201,12 +250,6 @@ class TestRingEviction:
         assert stats["occupancy"] == 16
         assert stats["evicted"] == total - 16
         assert len(recorder.records()) == 16
-
-    def test_shed_requests_are_counted_not_ringed(self, tmp_path):
-        recorder = FlightRecorder(capacity=4, dump_dir=str(tmp_path))
-        recorder.note_shed("nope")
-        assert recorder.stats()["shed"] == 1
-        assert recorder.records() == []
 
 
 class TestDumpTriggers:
@@ -292,13 +335,9 @@ class TestBundle:
             get_tracer().instant(
                 "backoff", "runtime", us=1.0, run_id="join-me"
             )
-            recorder.finish(
-                record,
-                status="error",
-                latency_us=1.0,
-                error=DeviceFault("x"),
-                run_report={"run_id": "join-me", "attempts": 1},
-            )
+        recorder.finish(
+            record, _result("join-me", DeviceFault("x"), attempts=1)
+        )
         bundle = recorder.bundle(record)
         assert validate_flight_bundle(bundle) == []
         assert bundle["run_id"] == "join-me"
@@ -350,29 +389,23 @@ class TestRenderBundle:
             )
             get_tracer().instant("breaker:jit opened", "serve")
             get_tracer().instant("backoff", "runtime", us=3.0)
-            recorder.finish(
-                record,
-                status="error",
-                latency_us=2_000.0,
-                error=DeviceFault("bad launch"),
-                run_report={
-                    "run_id": "req-render",
-                    "attempts": 2,
-                    "retries": 1,
-                    "events": ["fault at k0"],
-                },
-                lane="interactive",
-                backend="",
-                rungs=["jit", "sim"],
-                queue_wait_us=100.0,
-                cache_hit=False,
-            )
+        recorder.finish(
+            record,
+            _result(
+                "req-render", DeviceFault("bad launch"), 2_000.0,
+                lane="interactive", attempts=2, retries=1,
+                events=["fault at k0"], backend="interp",
+                abandoned="jit:DeviceFault",
+            ),
+            queue_wait_us=100.0,
+            cache_hit=False,
+        )
         text = render_bundle(recorder.bundle(record))
         assert "req-render" in text
         assert "myprog" in text
         assert "DeviceFault" in text
         assert "bad launch" in text
-        assert "jit -> sim" in text
+        assert "jit -> interp" in text
         assert "kernel:map_1" in text
         assert "breaker:jit opened" in text
         assert "runtime.retries" in text

@@ -125,7 +125,6 @@ def test_the_obs_surface_is_pinned():
         "MetricsView",
         "PassTiming",
         "Span",
-        "TeeTracer",
         "Tracer",
         "get_tracer",
         "metering",

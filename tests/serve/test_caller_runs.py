@@ -400,16 +400,22 @@ def test_an_inline_flight_record_has_every_field(prog, tmp_path):
     def fields(record):
         return {
             k for k, v in vars(record).items()
-            if v is not None and k not in ("tracer", "metrics")
+            if v is not None and k != "tracer"
+        } | {
+            f"result.{k}" for k, v in vars(record.result).items()
+            if v is not None
         }
 
     assert fields(inline) == fields(queued)
-    assert inline.status == "ok" and inline.backend == "jit"
-    assert inline.rungs == ["jit"] and inline.cache_hit is True
-    assert inline.placement["mode"] == "whole"
-    assert inline.run_report is not None
+    result = inline.result
+    assert result.status == "ok" and result.backend == "jit"
+    assert result.degraded_from == [] and inline.cache_hit is True
+    assert result.placement["mode"] == "whole"
+    assert result.run_report is not None
     assert 0.0 <= inline.queue_wait_us < 10_000.0
-    assert inline.queue_wait_us < inline.latency_us
+    assert inline.queue_wait_us < result.latency_s * 1e6
+    bundle = recorder.bundle(inline)
+    assert bundle["rungs"] == ["jit"] and bundle["status"] == "ok"
 
     def ran_on(record):
         (span,) = [

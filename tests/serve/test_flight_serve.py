@@ -4,8 +4,10 @@ stays in the ring without dumping."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 
+from repro.bench.suite import BENCHMARKS
 from repro.core.prim import F32
 from repro.core.values import array_value
 from repro.frontend.parser import parse
@@ -13,8 +15,10 @@ from repro.gpu.device import NVIDIA_GTX780TI
 from repro.gpu.faults import FaultPlan, broken_device
 from repro.obs.export import validate_chrome_trace, validate_flight_bundle
 from repro.obs.flight import FlightRecorder, read_bundle
+from repro.obs.trace import tracing
+from repro.sched import ShardPlanner
 from repro.serve import Server, ServeRequest
-from tests.helpers import tune
+from tests.helpers import KWayPlacer, split_friendly, tune
 
 MAP_SRC = r"fun main (xs: [n]f32): [n]f32 = map (\(x: f32) -> x + 1.0f32) xs"
 
@@ -160,9 +164,9 @@ class TestHealthyTraffic:
         ids = [rec.request_id for rec in recorder.records()]
         assert ids == ["ok-0", "ok-1", "ok-2"]
         rec = recorder.records()[-1]
-        assert rec.status == "ok"
-        assert rec.backend == "jit"
-        assert rec.latency_us > 0
+        assert rec.result.status == "ok"
+        assert rec.result.backend == "jit"
+        assert rec.result.latency_s > 0
         assert rec.queue_wait_us >= 0
         # The second call of the same program hits the compile cache.
         assert recorder.records()[1].cache_hit is True
@@ -183,7 +187,9 @@ class TestHealthyTraffic:
         assert bundle["status"] == "ok"
         assert bundle["trigger"] == "slo_latency"
 
-    def test_shed_requests_are_counted(self, prog, tmp_path):
+    def test_shed_requests_are_counted_once_by_the_server(
+        self, prog, tmp_path
+    ):
         recorder = FlightRecorder(capacity=8, dump_dir=str(tmp_path))
         s = Server(queue_capacity=1, flight_recorder=recorder)  # unstarted
         try:
@@ -192,8 +198,12 @@ class TestHealthyTraffic:
             shed = s.submit(ServeRequest(prog, xs(2.0)))
             assert shed.result(timeout=5).status == "shed"
         finally:
-            s.stop()
-        assert recorder.stats()["shed"] >= 1
+            s.stop()  # sheds the queued one too
+        health = s.health()
+        assert health["shed"] == 2
+        # No capture window ever opened for a shed request.
+        assert recorder.records() == []
+        assert "shed" not in health["flight_recorder"]
         assert _bundles(tmp_path) == []
 
     def test_health_without_recorder_has_no_flight_section(self, prog):
@@ -201,3 +211,56 @@ class TestHealthyTraffic:
             s.call(ServeRequest(prog, xs(1.0)), timeout=60)
             health = s.health()
         assert "flight_recorder" not in health
+
+
+class TestSplitUnderCapture:
+    def test_a_split_threads_records_are_captured_and_absorbed_once(
+        self, tmp_path
+    ):
+        """A forced 2-way split: shard 1 runs on a thread the pool
+        starts, under the caller's capture.  Its shard span and kernel
+        spans are in the request's bundle, and the ambient tracer holds
+        each of them exactly once."""
+        spec = BENCHMARKS["Backprop"]
+        args = spec.args_at(np.random.default_rng(9), {"n": 16, "h": 64})
+        recorder = FlightRecorder(
+            capacity=4, dump_dir=str(tmp_path), slo_latency_us=0.001
+        )
+        with tracing() as ambient:
+            with tune(
+                Server(
+                    devices=[split_friendly(NVIDIA_GTX780TI)] * 2,
+                    flight_recorder=recorder,
+                ),
+                planner=ShardPlanner(16),
+                placer=KWayPlacer(2),
+            ) as server:
+                result = server.call(
+                    ServeRequest(spec.program(), args, request_id="split"),
+                    timeout=60,
+                ).raise_for_status()
+        assert len(result.placement["shards"]) == 2
+        (record,) = recorder.records()
+        (shard,) = [s for s in record.tracer.spans if s.name == "shard#1"]
+        assert shard.attrs["ran_on"] == "split"
+        kernels = [
+            s for s in record.tracer.spans
+            if s.category == "kernel" and s.track == shard.track
+        ]
+        assert kernels
+        split_spans = [shard] + kernels
+        ids = [id(s) for s in ambient.spans]
+        assert len(ids) == len(set(ids))
+        for span in split_spans:
+            assert ids.count(id(span)) == 1, span.name
+        bundle = read_bundle(record.dump_path)
+        assert validate_flight_bundle(bundle) == []
+        events = bundle["trace"]["traceEvents"]
+        assert [ev["args"]["ran_on"] for ev in events
+                if ev.get("name") == "shard#1"] == ["split"]
+        split_kernels = [
+            ev["name"] for ev in events
+            if ev.get("cat") == "kernel"
+            and ev["args"].get("namespace") == shard.track
+        ]
+        assert split_kernels == [k.name for k in kernels]

@@ -97,8 +97,8 @@ def test_flight_record_carries_placement(tmp_path):
             ServeRequest(prog, args), timeout=60
         ).raise_for_status()
     (record,) = recorder.records()
-    assert record.placement is not None
-    assert record.placement["mode"] == "sharded"
+    assert record.result is result
+    assert record.result.placement["mode"] == "sharded"
     bundle = recorder.bundle(record)
     assert bundle["placement"]["mode"] == "sharded"
     assert validate_flight_bundle(bundle) == []
@@ -106,7 +106,7 @@ def test_flight_record_carries_placement(tmp_path):
     # everything weighed (whole on each device, then the 2-way split),
     # each with its price, and the one chosen.
     decision = result.placement["decision"]
-    assert record.placement["decision"] == decision
+    assert record.result.placement["decision"] == decision
     assert bundle["placement"]["decision"] == decision
     assert [c["k"] for c in decision["considered"]] == [1, 1, 2]
     for c in decision["considered"]:
