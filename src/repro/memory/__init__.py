@@ -57,6 +57,9 @@ def passes():
             stage="host",
             phase="memory",
             fn=_coalesce,
+            # 2: manifests of loop-invariant arrays are hoisted out of
+            # host loops.
+            version=2,
         ),
         Pass(
             name="tiling",
@@ -70,5 +73,9 @@ def passes():
             phase="memory",
             fn=_plan,
             option_keys=("in_place",),
+            # 2: no rule of its own for manifests in host loops
+            # (coalescing places them); a version-1 plan of K-means
+            # freed a block its next iteration's manifest read.
+            version=2,
         ),
     )

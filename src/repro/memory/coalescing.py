@@ -14,6 +14,9 @@ rank-2 example):
   inputs, or values flowing around a host loop) are *manifested*: an
   explicit transposition statement is inserted — whose cost is real,
   and relatively higher on the AMD device (the LocVolCalib effect).
+  One of an array a host loop neither carries nor binds, which its
+  body manifests once, is hoisted before the loop: K-means transposes
+  its ``points`` once, not on each of its iterations.
 
 Gathers (data-dependent indices) cannot be fixed this way and are left
 alone — though the transposition-based approach still succeeds where
@@ -38,6 +41,7 @@ from ..backend.kernel_ir import (
     MemBlock,
 )
 from .index_fn import IndexFn
+from .plan import _nested
 
 __all__ = ["coalesce_program"]
 
@@ -144,10 +148,12 @@ def _walk(
             out.append(s)
         elif isinstance(s, HostLoopStmt):
             # Loop-carried arrays may flow through kernels that want a
-            # different layout; conservatively process the body with
-            # the current tables (manifests inside loops repeat every
-            # iteration, as in LocVolCalib).
+            # different layout; process the body with the current
+            # tables.  A manifest of a carried array repeats every
+            # iteration (as in LocVolCalib); one of an invariant array
+            # is hoisted, so it transposes once.
             s.body = _walk(s.body, layouts, produced_by, hp, counter)
+            out.extend(_hoist_invariant_manifests(s))
             out.append(s)
         elif isinstance(s, HostIfStmt):
             s.then_body = _walk(
@@ -160,6 +166,52 @@ def _walk(
         else:
             out.append(s)
     return out
+
+
+def _hoist_invariant_manifests(loop: HostLoopStmt) -> List:
+    """Take out of ``loop``'s body, and return, what the manifests of
+    its loop-invariant arrays do alike on every iteration (Fig. 3's
+    hoisting, of a layout change).  Of an array the body manifests
+    once, the allocation and the manifest: one transposed copy made
+    before the loop serves every iteration.  Of one it manifests to
+    several layouts, the allocation the last manifest fills: the array
+    enters the next iteration bound to that block, so the block lives
+    across the back-edge, and is allocated once."""
+    top = {id(s) for s in loop.body}
+    blocks: Set[int] = set()
+    manifests: Set[int] = set()
+    for ms in _invariant_manifests(loop).values():
+        if id(ms[-1]) in top:
+            blocks.add(id(ms[-1].block))
+            if len(ms) == 1:
+                manifests.add(id(ms[0]))
+
+    def moves(s) -> bool:
+        if isinstance(s, AllocStmt):
+            return id(s.block) in blocks
+        return id(s) in manifests
+
+    hoisted = [s for s in loop.body if moves(s)]
+    loop.body = [s for s in loop.body if not moves(s)]
+    return hoisted
+
+
+def _invariant_manifests(loop: HostLoopStmt) -> Dict[str, List[ManifestStmt]]:
+    """The manifests in ``loop``'s body (nested scopes' included, in
+    order) of each array the body reads but neither carries nor binds."""
+    bound = {p.name for p, _ in loop.merge}
+    manifests: Dict[str, List[ManifestStmt]] = {}
+    for s in _nested(loop.body):
+        if isinstance(s, ManifestStmt):
+            manifests.setdefault(s.src, []).append(s)
+        elif isinstance(s, LaunchStmt):
+            bound |= {p.name for p in s.kernel.pat}
+        elif isinstance(s, HostEval):
+            bound |= {p.name for p in s.binding.pat}
+        elif isinstance(s, (HostLoopStmt, HostIfStmt)):
+            bound |= {p.name for p in s.pat}
+            bound |= {p.name for p, _ in getattr(s, "merge", ())}
+    return {src: ms for src, ms in manifests.items() if src not in bound}
 
 
 def _can_retarget(producer: Kernel, array: str) -> bool:

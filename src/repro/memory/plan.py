@@ -35,7 +35,7 @@ off (asserted benchmark-by-benchmark by
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..backend.kernel_ir import (
     AllocStmt,
@@ -206,18 +206,15 @@ def _stmt_refs(s) -> Set[str]:
     return set()
 
 
-def _manifests_within(s) -> List[ManifestStmt]:
-    if isinstance(s, ManifestStmt):
-        return [s]
-    if isinstance(s, HostLoopStmt):
-        return [m for sub in s.body for m in _manifests_within(sub)]
-    if isinstance(s, HostIfStmt):
-        return [
-            m
-            for sub in list(s.then_body) + list(s.else_body)
-            for m in _manifests_within(sub)
-        ]
-    return []
+def _nested(stmts: Sequence) -> Iterator:
+    """Every statement of ``stmts`` and of their nested scopes."""
+    for s in stmts:
+        yield s
+        if isinstance(s, HostLoopStmt):
+            yield from _nested(s.body)
+        elif isinstance(s, HostIfStmt):
+            yield from _nested(s.then_body)
+            yield from _nested(s.else_body)
 
 
 def _used_blocks(
@@ -227,7 +224,9 @@ def _used_blocks(
 ) -> Set[str]:
     blocks = {backing[n] for n in _stmt_refs(s) if n in backing}
     if manifest_srcs:
-        for m in _manifests_within(s):
+        for m in _nested([s]):
+            if not isinstance(m, ManifestStmt):
+                continue
             src_block = manifest_srcs.get(id(m))
             if src_block is not None:
                 blocks.add(src_block)
@@ -266,12 +265,11 @@ def _plan_scope(
                 for _, init in s.merge
                 if isinstance(init, A.Var) and init.name in backing
             }
-            rebound = _rebound_across_iterations(s)
             s.body = _plan_scope(
-                hp, s.body, backing, inner_out | rebound, set(),
-                allow_elision, manifest_srcs,
+                hp, s.body, backing, inner_out, set(), allow_elision,
+                manifest_srcs,
             )
-            _mark_recycled(s, backing, rebound)
+            _mark_recycled(s, backing)
         elif isinstance(s, HostIfStmt):
             inner_out = set(live_out)
             inner_out |= {
@@ -314,16 +312,7 @@ def _plan_scope(
 
 
 def _allocated_within(stmts) -> Set[str]:
-    out: Set[str] = set()
-    for s in stmts:
-        if isinstance(s, AllocStmt):
-            out.add(s.block.name)
-        elif isinstance(s, HostLoopStmt):
-            out |= _allocated_within(s.body)
-        elif isinstance(s, HostIfStmt):
-            out |= _allocated_within(s.then_body)
-            out |= _allocated_within(s.else_body)
-    return out
+    return {s.block.name for s in _nested(stmts) if isinstance(s, AllocStmt)}
 
 
 def _escaped_blocks(hp: HostProgram, s, backing: Dict[str, str]) -> Set[str]:
@@ -332,15 +321,13 @@ def _escaped_blocks(hp: HostProgram, s, backing: Dict[str, str]) -> Set[str]:
     one."""
     if isinstance(s, HostLoopStmt):
         inner = _allocated_within(s.body)
-        escaping = _rebound_across_iterations(s)
     elif isinstance(s, HostIfStmt):
         inner = _allocated_within(s.then_body) | _allocated_within(
             s.else_body
         )
-        escaping = set()
     else:
         return set()
-    escaping |= {backing[p.name] for p in s.pat if p.name in backing}
+    escaping = {backing[p.name] for p in s.pat if p.name in backing}
     return {
         block
         for block in escaping
@@ -350,60 +337,18 @@ def _escaped_blocks(hp: HostProgram, s, backing: Dict[str, str]) -> Set[str]:
     }
 
 
-def _rebound_across_iterations(s: HostLoopStmt) -> Set[str]:
-    """The blocks a loop body leaves names from outside the loop in,
-    rebound by its manifests.
-
-    Such a name enters iteration *i + 1* still bound to that block, and
-    the body's first manifest of it reads it there: the block is live
-    across the back-edge, and owned by the enclosing scope once the
-    loop ends.  Only blocks that first read precedes the body's
-    re-allocation of are returned (the re-allocation then recycles the
-    consumed generation); a merge parameter is rebound by the loop
-    itself and never qualifies.
-    """
-    bound = {p.name for p, _ in s.merge}
-    first_read: Dict[str, int] = {}
-    last_block: Dict[str, str] = {}
-    alloc_at: Dict[str, int] = {}
-    for i, sub in enumerate(s.body):
-        if isinstance(sub, ManifestStmt) and sub.block is not None:
-            if sub.src == sub.dst and sub.src not in bound:
-                first_read.setdefault(sub.src, i)
-                last_block[sub.dst] = sub.block.name
-        elif isinstance(sub, AllocStmt):
-            alloc_at[sub.block.name] = i
-        elif isinstance(sub, LaunchStmt):
-            bound |= {p.name for p in sub.kernel.pat}
-        elif isinstance(sub, HostEval):
-            bound |= {p.name for p in sub.binding.pat}
-        elif isinstance(sub, (HostLoopStmt, HostIfStmt)):
-            bound |= {p.name for p in sub.pat}
-    return {
-        block
-        for name, block in last_block.items()
-        if name not in bound and first_read[name] < alloc_at.get(block, -1)
-    }
-
-
-def _mark_recycled(
-    s: HostLoopStmt, backing: Dict[str, str], rebound: Set[str]
-) -> None:
+def _mark_recycled(s: HostLoopStmt, backing: Dict[str, str]) -> None:
     """Mark loop-body allocations of double-buffered carried results
     ``recycle``: by the time the body re-runs, the previous generation
     was copied into the merge state, so the heap may release it instead
-    of leaking it.  So are the ``rebound`` blocks, whose previous
-    generation the body's first manifest consumed."""
-    carried: Set[str] = set(rebound)
-    for (p, _), a in zip(s.merge, s.body_result):
-        if (
-            p.name in s.double_buffered
-            and isinstance(a, A.Var)
-            and a.name in backing
-        ):
-            carried.add(backing[a.name])
-    if not carried:
-        return
+    of leaking it."""
+    carried = {
+        backing[a.name]
+        for (p, _), a in zip(s.merge, s.body_result)
+        if p.name in s.double_buffered
+        and isinstance(a, A.Var)
+        and a.name in backing
+    }
     for sub in s.body:
         if isinstance(sub, AllocStmt) and sub.block.name in carried:
             sub.recycle = True

@@ -203,19 +203,15 @@ class _Fold:
             for field in _HEAP_SUMS:
                 self.count(f"{ns}.mem.{field}", a[field])
         elif cat == "serve" and name == "shed":
-            self.count("serve.shed", run_id=a["run_id"])
+            self.count("serve.shed")
         elif cat == "serve" and name == "admitted":
-            self.count("serve.admitted", lane=a["lane"], run_id=a["run_id"])
+            self.count("serve.admitted", lane=a["lane"])
             self.gauges["serve.queue_depth"] = float(a["queue_depth"])
         elif cat == "serve" and name == "finished":
             self.count(
-                "serve.requests", status=a["status"], backend=a["backend"],
-                run_id=a["run_id"],
+                "serve.requests", status=a["status"], backend=a["backend"]
             )
-            self.observe(
-                "serve.latency_us", a["latency_us"], lane=a["lane"],
-                run_id=a["run_id"],
-            )
+            self.observe("serve.latency_us", a["latency_us"], lane=a["lane"])
             self.gauges["serve.queue_depth"] = float(a["queue_depth"])
 
     def snapshot(self) -> Dict[str, Any]:

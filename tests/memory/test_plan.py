@@ -5,16 +5,23 @@ import numpy as np
 import pytest
 
 from repro.backend.kernel_ir import (
+    AccessInfo,
     AllocStmt,
+    Count,
     FreeStmt,
     HostLoopStmt,
+    HostProgram,
+    Kernel,
     LaunchStmt,
     ManifestStmt,
+    MemBlock,
 )
 from repro.backend.validate import validate_host_program
 from repro.core import array_value, scalar
+from repro.core import ast as A
 from repro.core.prim import F32, I32
 from repro.memory.index_fn import IndexFn
+from repro.memory.plan import plan_memory
 from repro.pipeline import CompilerOptions, compile_source
 
 CHAIN = """
@@ -266,6 +273,116 @@ class TestValidator:
         manifest.layout = IndexFn.identity(3)
         problems = validate_host_program(hp)
         assert any("layout rank 3 != shape rank 2" in p for p in problems)
+
+
+def _block(name, space="device"):
+    return MemBlock(
+        name=name, elem_bytes=4, elems=Count.of(1.0, "n", "d"),
+        shape=("n", "d"), space=space,
+    )
+
+
+def _reads(name, array):
+    return LaunchStmt(
+        Kernel(
+            name=name, kind="map", grid=(A.Var("n"),), seg_width=None,
+            exp=A.AtomExp(A.Var(array)), pat=(),
+            accesses=[AccessInfo(array, 4, Count.of(1.0, "d"), 1, 1)],
+        )
+    )
+
+
+def _manifest(block, layout):
+    return ManifestStmt(
+        src="points", dst="points", layout=IndexFn(layout), elem_bytes=4,
+        elems=block.elems, block=block,
+    )
+
+
+def _points_loop(body, before=()):
+    """A host program over an input ``points`` whose host loop runs
+    ``body``, after ``before``."""
+    blocks = [_block("points", "param")] + [
+        s.block for s in list(before) + body if isinstance(s, AllocStmt)
+    ]
+    loop = HostLoopStmt(
+        merge=(), form=A.ForLoop("i", A.Var("iters")), body=body,
+        body_result=(), pat=(),
+    )
+    return HostProgram(
+        name="main", params=(), stmts=list(before) + [loop], result=(),
+        blocks={b.name: b for b in blocks},
+    )
+
+
+class TestGenerations:
+    """The validator binds names to generations of a block: a read
+    through a freed generation is a use-after-free even after the block
+    is allocated again."""
+
+    def test_the_per_iteration_transpose_reads_a_freed_generation(self):
+        # Alloc, transpose ``points`` into it, read, free, all in the
+        # body: the next iteration's transpose reads ``points`` through
+        # the previous iteration's freed ``points_mem1``.
+        mem1 = _block("points_mem1")
+        hp = _points_loop([
+            AllocStmt(mem1), _manifest(mem1, (1, 0)), _reads("k", "points"),
+            FreeStmt("points_mem1"),
+        ])
+        assert validate_host_program(hp) == [
+            "manifest 'points': use of 'points' after free of "
+            "'points_mem1'"
+        ]
+
+    def test_the_hoisted_transpose_is_valid(self):
+        mem1 = _block("points_mem1")
+        hp = _points_loop(
+            [_reads("k", "points")],
+            before=[AllocStmt(mem1), _manifest(mem1, (1, 0))],
+        )
+        hp.stmts += [FreeStmt("points_mem1")]
+        assert validate_host_program(hp) == []
+
+    def test_the_planner_never_plans_the_per_iteration_transpose(self):
+        mem1 = _block("points_mem1")
+        hp = _points_loop([
+            AllocStmt(mem1), _manifest(mem1, (1, 0)), _reads("k", "points"),
+        ])
+        assert validate_host_program(plan_memory(hp)) != []
+
+    def _two_layouts(self, hoisted):
+        # ``points`` read transposed, then row-major, in one body; it
+        # enters the next iteration bound to ``points_mem2``.
+        mem1, mem2 = _block("points_mem1"), _block("points_mem2")
+        alloc2 = [AllocStmt(mem2)]
+        return _points_loop(
+            [
+                AllocStmt(mem1), _manifest(mem1, (1, 0)),
+                _reads("k1", "points"),
+                *([] if hoisted else alloc2),
+                _manifest(mem2, (0, 1)), _reads("k2", "points"),
+            ],
+            before=alloc2 if hoisted else (),
+        )
+
+    def test_two_layouts_keep_the_last_block_across_the_back_edge(self):
+        # Coalescing allocates the block of the last manifest before
+        # the loop: the planner frees it after the loop.
+        hp = plan_memory(self._two_layouts(hoisted=True))
+        assert validate_host_program(hp) == []
+        assert [s.block for s in hp.stmts if isinstance(s, FreeStmt)] == [
+            "points", "points_mem2"
+        ]
+
+    def test_two_layouts_allocated_in_the_body_are_never_planned(self):
+        # Allocated in the body, the block is freed there, and the next
+        # iteration's first manifest reads ``points`` through it: the
+        # validator rejects the plan (the pass guard rolls it back).
+        hp = plan_memory(self._two_layouts(hoisted=False))
+        assert (
+            "manifest 'points': use of 'points' after free of "
+            "'points_mem2'"
+        ) in validate_host_program(hp)
 
 
 class TestExecutionAccounting:

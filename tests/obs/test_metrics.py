@@ -57,10 +57,33 @@ def test_snapshot_shape_and_label_rendering():
 
 def test_labels_render_sorted_by_name():
     tr = Tracer()
-    tr.instant("admitted", "serve", run_id="r1", lane="batch", queue_depth=3)
+    tr.instant(
+        "finished", "serve", run_id="r1", status="ok", backend="sim",
+        lane="batch", latency_us=5.0, queue_depth=3,
+    )
     snap = fold(tr)
-    assert snap["counters"] == {"serve.admitted{lane=batch,run_id=r1}": 1.0}
+    assert snap["counters"] == {"serve.requests{backend=sim,status=ok}": 1.0}
     assert snap["gauges"] == {"serve.queue_depth": 3.0}
+
+
+def test_served_runs_fold_to_one_series_per_lane():
+    tr = Tracer()
+    for run_id in ("r1", "r2"):
+        tr.instant("admitted", "serve", run_id=run_id, lane="batch",
+                   queue_depth=1)
+        tr.instant(
+            "finished", "serve", run_id=run_id, status="ok", backend="sim",
+            lane="batch", latency_us=5.0, queue_depth=0,
+        )
+    tr.instant("shed", "serve", run_id="r3")
+    snap = fold(tr)
+    assert snap["counters"] == {
+        "serve.admitted{lane=batch}": 2.0,
+        "serve.requests{backend=sim,status=ok}": 2.0,
+        "serve.shed": 1.0,
+    }
+    assert list(snap["histograms"]) == ["serve.latency_us{lane=batch}"]
+    assert snap["histograms"]["serve.latency_us{lane=batch}"]["count"] == 2
 
 
 def test_the_books_namespace_names_the_metrics():

@@ -1,6 +1,7 @@
 """The host artifact and the on-disk cache: round-trips, verified
 loads, corruption recovery, and the driver's one resume path."""
 
+import dataclasses
 import json
 import os
 import pickle
@@ -413,6 +414,31 @@ class TestDriverResume:
         assert kernel.tiles == []
         assert [t.array for t in kernel.tile_candidates] == ["xs"]
         assert warm.fingerprints["host"] != tiled.fingerprints["host"]
+
+    def test_a_stale_pass_token_misses(self, tmp_path, monkeypatch):
+        """A host artifact written by a tree whose coalescing and
+        memory-plan passes were at version 1 (transposes repeated in
+        host loops, and the plan that freed one an iteration still
+        read) is never loaded."""
+        from repro.pipeline import passes
+
+        tokens = {p.name: p.fingerprint_token() for p in PASSES}
+        assert tokens["coalescing"] == "host:coalescing@2"
+        assert tokens["memory-plan"] == "host:memory-plan@2"
+        older = tuple(
+            dataclasses.replace(p, version=1)
+            if p.name in ("coalescing", "memory-plan") else p
+            for p in PASSES
+        )
+        cache = ArtifactCache(tmp_path)
+        monkeypatch.setattr(passes, "PASSES", older)
+        monkeypatch.setattr(passes, "_PLANS", {})
+        stale = compile_source(SRC, artifact_cache=cache)
+        monkeypatch.undo()
+        fresh = compile_source(SRC, artifact_cache=cache)
+        assert (stale.from_artifact, fresh.from_artifact) == (None, None)
+        assert fresh.fingerprints["host"] != stale.fingerprints["host"]
+        assert cache.stats.snapshot()["hits"] == 0
 
     def test_source_change_invalidates_artifacts(self, tmp_path):
         cache = ArtifactCache(tmp_path)

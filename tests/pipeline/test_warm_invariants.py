@@ -117,68 +117,68 @@ class TestByteIdenticalFingerprints:
 #: misses.
 PINNED_STAGE_FINGERPRINTS = {
     "Backprop": {
-        "default": "097a0c68b09aa3fbd41e6a41c1b3347f3ba9742b83474411d81b26ce7d978e00",
-        "no-fusion": "047598c42ba43889142236177940f496aa8635947e15ecbc3072158fed084abc",
+        "default": "1a2762b0ce7cc20a1e144be74399d0c66d109e28ca4dcdc01777202e83a10260",
+        "no-fusion": "f39e7e73cf2bfd2850d2fe4b5581112803530773295b2f0043979c97af032ffd",
     },
     "CFD": {
-        "default": "67716dd7687778e87c57e2d27b5c5fdc8033849545f7ad176a8c0196dad59511",
-        "no-fusion": "9dca05cc8aa88854c38bcf8e59cfd821abb7c703da8a12504e184248c8c3031e",
+        "default": "6620daf33114a94be64e2c3d6beedc04f08ed0ab06d03450d5d608d908c40554",
+        "no-fusion": "da433072ef72b5d9e213901d436fae09cf409b37e2ebaf8a4eebf5eaf0cb2fa5",
     },
     "HotSpot": {
-        "default": "7e5e7143fb016f8160569e2dea34c8e6163c9fa8e1e80ad2d3cea5c10d8fb8b9",
-        "no-fusion": "feaa44a0614dd138dc64167d8d3b6a0f31621d972802472a4c4eae4a27dd695e",
+        "default": "4d0bbad375fdef3ae958faf7f6d82fa92b8423ddb1d699356bab202f54f1ed2e",
+        "no-fusion": "9b706a39a839dee61443c3feb210ad1f2b652097a0ceef7dc0a285300b705c49",
     },
     "K-means": {
-        "default": "715aa63170f7f7b3e6ddf7b0584d8993ca54145fb06c7ea5f57ab250ad597132",
-        "no-fusion": "7137315ec74ada32b80f10250d1285a03d51d5141a6a3e9fb1d8d6cb6311d164",
+        "default": "c0d5fc21ff997cfcf62860ec1583cf5bd2c5b04c2a37108ffce26cfdfd354704",
+        "no-fusion": "8dc8829421891650bdef231548c220ab02e60a0d82fb0df7b27a9430cc77c1c3",
     },
     "LavaMD": {
-        "default": "28fc15ef142e7eaf9dbff309d77dc4af0eec4ece82bb33b054c5bb3168756564",
-        "no-fusion": "1dbf05a149de0a31ae4dda4dc15e62f3261477ac3b3b21f86e11547b655c5e94",
+        "default": "36f66139b4b48b0073c1d5eace15553a9e56902b63214dc60ef6b739941fdf79",
+        "no-fusion": "f1dd5b577b8d69fb894704bcfa007a090d4976df029afa71a3674359fb5b583f",
     },
     "Myocyte": {
-        "default": "701d511017cdcc90e7335c028cec38e488e8a772de8c9fb82e0b0c3dce5240e8",
-        "no-fusion": "90728dda9cd2d2611150dd08053f72a622b78beb8fe20bdaf1ca405dabf1490c",
+        "default": "9fd520dbfff4a479e93213bf44373271477e5d10789dd07b7b935596b459ae0c",
+        "no-fusion": "1c13742b63c4f1e2b31eb79724b6a048b96c1c14e3edd0d8074af2629776b09e",
     },
     "NN": {
-        "default": "08f27b9b1ebfe58075f896ea5465ea892b707ec3c7075f6529961c248203254a",
-        "no-fusion": "31ecf1bc838e495dfc0472bbeff6f1633594ab6ee8c03d73527cf062f11c2285",
+        "default": "22f01a2b11af9588ec88d24edd221f1f4c21b1a4e94df1710e6282b7efcb6804",
+        "no-fusion": "26a14f05a11bad46634914bf5100fa1719cbbd5e81fa91edd1332fc7c13c6ba0",
     },
     "Pathfinder": {
-        "default": "06fc999a2a3bd36fd53640fb34ab9e633b878c76367ba0857e5e1925f39c17a7",
-        "no-fusion": "53a476cff03d3e1f79416fd14361e7efb7619d10909065a98ade7630c9ac7bf3",
+        "default": "ed60a861a2227b182d08369ee62346ac996138aef9b427276ea41c0d5e01c04a",
+        "no-fusion": "f50993203b83e9ae8388faa5330bc6d11b2fcdcd0a5bcdc60ed3b8a5bb4c3c58",
     },
     "SRAD": {
-        "default": "cf6f1f39f15380abcbefd1189cc09f409b656cf4c76d6f822fa26adc925d4b5d",
-        "no-fusion": "32e54153c142c1343c7e9890be9cbb917d97c41aeb0ef76a2dd04e98c239e4c8",
+        "default": "1c4442c6354bd2bee87ad17539fab5eadcce9ec01b3c3a071503a9c5d470705f",
+        "no-fusion": "cb372db14afceff4eb36b325bf6cd29921b3b24bcf9a68a42a2395b9d22acbf3",
     },
     "LocVolCalib": {
-        "default": "9282a9229d4f3b93e5910c8ded05dfc8d72e2a7ab0cdfaf88d14ec7ec128062e",
-        "no-fusion": "891d36901964dc296a7e52d72febb476525de9043f8c9dff17d2e165ef4dff72",
+        "default": "41933683b11f783db68177e88c20a0f93b7b24afbd38e314759e1f81b56592c6",
+        "no-fusion": "24671d90f5ecc9c3a08f6c5fd46c2337ba8e50738cced56b48dae2c275847774",
     },
     "OptionPricing": {
-        "default": "ac254e0c7704d7b92af1c19e98085797d57e6c9c6aca4dafbf94705f95b66ebf",
-        "no-fusion": "0fdcf10cf5d4ca337bcb3a742aa1a00d4c1b25fe399f271f69e71578849e33b3",
+        "default": "aa2170fad9b9ad5116d742deff896c65b2050b68cbd82ca848a6419eb115056c",
+        "no-fusion": "d723b2771089235e4c86fd245ce952037884a0536b0f27ed7f35728e8d5f91eb",
     },
     "MRI-Q": {
-        "default": "1551a0cc31a0735c713ba4135177a69895043f8b9ddbcbb345dcdab8f5a42a51",
-        "no-fusion": "975a2fc811e55abcafacaf8280de1f92e11d864154e22e75f36d9afe20b20618",
+        "default": "068159c8638cf734e52ae8a124977fb31439e270c5af8c53dd035860257bd49f",
+        "no-fusion": "95ce2150b41e8522615dae8f1d6e13eac77a2ca0404009da12bc605da24cd41a",
     },
     "Crystal": {
-        "default": "1efabff984f9850b813b586f0f65a916926eebc063ed19c4836dd20abe7ee978",
-        "no-fusion": "00a7410129cb490cb1f7e84a3f145f8f22f9adf5deaadbc67e932d7e59ef9a18",
+        "default": "f186226d450778ac39b42c6e69569f89ed8f80effa5ef6938b213ff9ac4e58b8",
+        "no-fusion": "d6db357591dd796031b67394be4962b0c38203bf58fabc41b014e40012d3fb4d",
     },
     "Fluid": {
-        "default": "08f0989f01f6be4bd98f9b8b668d909f92b6c1f34eded0fcdbd019f41dfd2b20",
-        "no-fusion": "1974a631657becf8d03bab08287c1b3e9036aabc8a7f9aeab17ea81fdc95d186",
+        "default": "0026026e45392adeb09d56870cbfddedd43ebc93aa70c7e5f0ae6140e14ab63e",
+        "no-fusion": "1470b31d0c183fc13a8cbdb5d646c6108fc3cde38ec58c67a7be528a7972ed22",
     },
     "Mandelbrot": {
-        "default": "08eadd46a490d5f71b6dd414f73d5dcd2dae54618faaa7a7fdb4a8bfabad376d",
-        "no-fusion": "546efc6581cfa1e240cb4e035a1f9ef18ce3746821edcfaced7591429e1936a2",
+        "default": "e01879c2ecdc150e23d6bcb6aa5a8f1713cf77794ff85c6101b59ebeaf5c8012",
+        "no-fusion": "57e490c545d921dfb76be6b14df2fb1b8f3a483470d02d4734d81882901ec6f7",
     },
     "N-body": {
-        "default": "fb184027d0e37728b40a70f6766c59beaff0b124e3622aa4589401e7f5ce5baf",
-        "no-fusion": "c17957bb46eb6ed77729242fc496479193b2cbe3548f7a7a5232a7505bcdeb49",
+        "default": "62a94c34b9b36bab77c903e58f4777dc3fbbe32ab7a32ddb9c048767f3025b9a",
+        "no-fusion": "b986b1833856638c7dfff0dfe780bac47b060981d0b0e0e8655215c04e48ad2d",
     },
 }
 

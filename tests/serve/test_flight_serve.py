@@ -70,10 +70,10 @@ class TestTerminalErrorsDump:
         # The trace, metrics and run report all join on the request id.
         assert bundle["trace"]["otherData"]["run_id"] == "req-fault"
         assert bundle["metrics"]["metadata"]["run_id"] == "req-fault"
-        assert any(
-            "run_id=req-fault" in key
-            for key in bundle["metrics"]["counters"]
-        )
+        # The metrics are the request's own: its serve series carry
+        # no run id (the metadata does).
+        counters = bundle["metrics"]["counters"]
+        assert counters["serve.requests{backend=none,status=error}"] == 1.0
         assert bundle["run_report"] is not None
         assert bundle["run_report"]["run_id"] == "req-fault"
         assert (
