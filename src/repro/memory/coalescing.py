@@ -111,6 +111,10 @@ def _walk(
                     layouts[acc.array] = desired
                     kernel.layouts[acc.array] = desired
                     continue
+                if rank != len(hp.array_shapes[acc.array]):
+                    # A layout of another rank than the array's own
+                    # cannot describe its block: leave it as it is.
+                    continue
                 # Manifest: insert an explicit transposition, moving
                 # the array once (its true size, not the access count).
                 elem_bytes = acc.elem_bytes

@@ -126,10 +126,12 @@ def gen_if(cg, e: A.IfExp, scope: _Scope, spec: bool):
     kds = widen_all_b(kds)
     outs = [cg.fresh("_o") for _ in kds]
     mask = cg.mask(cond)
-    cg.line(f"if {mask}.all():")
+    taken = cg.fresh("_c")  # one count answers "all?" and "none?"
+    cg.line(f"{taken} = np.count_nonzero({mask})")
+    cg.line(f"if {taken} == {mask}.size:")
     with cg.indented():
         splice_arm(cg, tc_buf, tc_vals, kds, outs)
-    cg.line(f"elif not {mask}.any():")
+    cg.line(f"elif {taken} == 0:")
     with cg.indented():
         splice_arm(cg, fc_buf, fc_vals, kds, outs)
     cg.line("else:")
@@ -436,10 +438,9 @@ def gen_loop(cg, e: A.LoopExp, scope: _Scope, spec: bool):
     ) -> List[KD]:
         """Emit one iteration — of every loop form — and return the
         state kinds it produces.  ``active`` is the lane mask of a loop
-        whose lanes may have stopped (None: every lane runs every
-        iteration).  While all of them are still running the body runs
-        as written; once some have stopped it runs speculatively and
-        only the running lanes take its results."""
+        whose lanes may stop (None: none does), counted once: with none
+        running the loop ends, with all the body runs as written, and
+        else speculatively, only the running lanes taking its results."""
 
         def run(sp: bool, seen: List[KD], merge: bool) -> List[KD]:
             child = scope.child()
@@ -461,7 +462,12 @@ def gen_loop(cg, e: A.LoopExp, scope: _Scope, spec: bool):
 
         if active is None:
             return run(spec, kds, False)
-        cg.line(f"if {active}.all():")
+        running = cg.fresh("_c")
+        cg.line(f"{running} = np.count_nonzero({active})")
+        cg.line(f"if {running} == 0:")
+        with cg.indented():
+            cg.line("break")
+        cg.line(f"if {running} == {active}.size:")
         with cg.indented():
             new_kds = run(spec, kds, False)
         cg.line("else:")
@@ -519,9 +525,6 @@ def gen_loop(cg, e: A.LoopExp, scope: _Scope, spec: bool):
                     new_kds = step([], state, kds)
                 else:
                     active = cg.mask(state[cond_index])
-                    cg.line(f"if not {active}.any():")
-                    with cg.indented():
-                        cg.line("break")
                     new_kds = step([], state, kds, active)
                 cg.line(f"{guard} += 1")
                 cg.hand_over_if(

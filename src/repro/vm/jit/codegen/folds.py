@@ -2,12 +2,12 @@
 
 An operator NumPy has a ufunc for folds natively.  Any other
 associative fold runs the way a GPU runs it where that cannot move a
-trap: a kernel-level ``reduce`` as an order-preserving pairwise tree,
-a ``stream_red`` with one chunk per lane and a tree over the lane
-accumulators (:func:`tree_combine`).  What is left — operators with a
-trap site, every non-ufunc ``scan``, a reduce met inside a batch,
-``stream_seq`` — keeps the interpreter's left-to-right order
-(:func:`fold_sequential`).
+trap: a kernel-level ``reduce`` as an order-preserving pairwise tree
+that copies only at odd levels, a ``stream_red`` with one chunk per
+lane — one batch of lanes where ``R.lane_groups`` finds one — and a
+tree over the lane accumulators (:func:`tree_combine`).  The rest —
+trap sites, every non-ufunc ``scan``, a reduce inside a batch,
+``stream_seq`` — keep the interpreter's order (:func:`fold_sequential`).
 """
 
 from __future__ import annotations
@@ -116,9 +116,10 @@ def tree_combine(
     """Fold the ``n >= 1`` rows of the uniform arrays ``vals`` with
     ``lam`` as a pairwise tree: each step applies ``lam`` once, in
     batched mode, to ``x[0:2h:2]`` and ``x[1:2h:2]`` and carries an
-    odd last row over, so the rows stay in order and only
-    associativity is assumed — never commutativity.  Returns
-    one-row arrays after ``ceil(log2 n)`` steps."""
+    odd last row over (the one copy), so the rows stay in order and
+    only associativity is assumed — never commutativity.  Returns
+    the row left after ``ceil(log2 n)`` steps, copied if an array: it
+    may be a view of ``vals`` (an ``if`` arm returns its operand)."""
     cur = [cg.fresh("_s") for _ in vals]
     for s, v in zip(cur, vals):
         cg.line(f"{s} = {v.var}")
@@ -142,12 +143,18 @@ def tree_combine(
                     "fold operator changes its operand type"
                 )
             cg.line(
-                f"{s} = np.concatenate(({o.var}, {s}[2 * {half}:]))"
+                f"{s} = np.concatenate(({o.var}, {s}[2 * {half}:])) "
+                f"if {count} & 1 else {o.var}"
             )
         cg.line(f"{count} -= {half}")
-    return [
-        JVal("A", v.elem, v.rank, s) for s, v in zip(cur, vals)
-    ]
+    firsts = []
+    for s, v in zip(cur, vals):
+        f = row(cg, JVal("A", v.elem, v.rank, s), "0")
+        if f.kind == "A":
+            cg.line(f"{f.var} = {f.var}.copy()")
+            f = JVal("A", f.elem, f.rank, f.var, True)
+        firsts.append(f)
+    return firsts
 
 
 def reduce_tree(
@@ -158,8 +165,7 @@ def reduce_tree(
     then one uniform ``neutral (+) folded`` application."""
 
     def folded() -> List[JVal]:
-        rows = tree_combine(cg, lam, vals, w, scope, spec)
-        firsts = [row(cg, r, "0") for r in rows]
+        firsts = tree_combine(cg, lam, vals, w, scope, spec)
         return cg.gen_lambda(lam, neutral + firsts, scope, spec)
 
     return unless_empty(cg, w, neutral, folded)
@@ -325,7 +331,7 @@ def gen_stream_red(cg, e: A.StreamRedExp, scope: _Scope, spec: bool):
             )
     rows = []
     for p, a in zip(lane_accs, init):
-        cg.line(f"{p} = np.concatenate({p}, axis=0)")
+        cg.line(f"{p} = {p}[0] if len({p}) == 1 else np.concatenate({p})")
         rows.append(JVal("A", a.elem, a.rank + 1, p))
     if rows:
         rows = tree_combine(
@@ -335,7 +341,7 @@ def gen_stream_red(cg, e: A.StreamRedExp, scope: _Scope, spec: bool):
         concat_pieces(cg, p, w, o.elem, o.rank)
         for p, o in zip(pieces, outs[n_acc:])
     ]
-    return [row(cg, r, "0") for r in rows] + arrays
+    return rows + arrays
 
 
 def chunked_stream(cg, e, accs, what: str, scope: _Scope, spec: bool):

@@ -41,11 +41,12 @@ class JitFallback(Exception):
 class JitRuntime:
     """The per-engine context passed to every generated kernel."""
 
-    __slots__ = ("in_place", "_aranges")
+    __slots__ = ("in_place", "_aranges", "_lanes")
 
     def __init__(self) -> None:
         self.in_place = True  # the running host program's
         self._aranges: Dict[int, np.ndarray] = {}
+        self._lanes: Dict[int, List[Tuple[int, int, int]]] = {}
 
     def arange(self, n: int) -> np.ndarray:
         r = self._aranges.get(n)
@@ -62,21 +63,33 @@ class JitRuntime:
             yield size, offset
             offset += size
 
-    @staticmethod
-    def lane_groups(width: int) -> List[Tuple[int, int, int]]:
+    def lane_groups(self, width: int) -> List[Tuple[int, int, int]]:
         """The lane partition of a ``stream_red`` over ``width >= 1``
-        elements: ``ceil(sqrt(width))`` chunks in stream order, each
-        folded on its own lane, the first ``width mod lanes`` of them
-        one element longer — so at most two ``(lanes, size, offset)``
-        groups of equal-size chunks, each a ``(lanes, size)`` reshape
-        of a contiguous run of the stream.  A function of the width
-        alone: Section 2.1 obliges a ``stream_red`` to mean the same
-        under every chunking, so the interpreter's (deliberately
-        irregular) policy is not consulted."""
-        lanes = math.isqrt(width - 1) + 1
-        size, longer = divmod(width, lanes)
-        groups = [
-            (longer, size + 1, 0),
-            (lanes - longer, size, longer * (size + 1)),
-        ]
-        return [g for g in groups if g[0]]
+        elements, as ``(lanes, size, offset)`` groups of equal-size
+        chunks in stream order, each a ``(lanes, size)`` reshape of a
+        contiguous run of the stream.  With ``r = ceil(sqrt(width))``:
+        one group of ``d`` lanes when a divisor ``d`` of the width lies
+        in ``[r, 2r]`` (the least such), so the fold body runs once per
+        launch; otherwise ``r`` chunks, the first ``width mod r`` of
+        them one element longer — two groups.  A function of the width
+        alone (memoised per width): Section 2.1 obliges a
+        ``stream_red`` to mean the same under every chunking, so the
+        interpreter's (deliberately irregular) policy is not
+        consulted."""
+        groups = self._lanes.get(width)
+        if groups is None:
+            lanes = math.isqrt(width - 1) + 1
+            d = next(
+                (d for d in range(lanes, 2 * lanes + 1) if width % d == 0),
+                None,
+            )
+            if d is not None:
+                groups = [(d, width // d, 0)]
+            else:  # r does not divide the width: both groups are used
+                size, longer = divmod(width, lanes)
+                groups = [
+                    (longer, size + 1, 0),
+                    (lanes - longer, size, longer * (size + 1)),
+                ]
+            self._lanes[width] = groups
+        return groups

@@ -164,19 +164,8 @@ def _invariant_loop_manifests(stmts):
 def _cases():
     for name, variant in _programs():
         for disabled in _ABLATIONS:
-            marks = ()
-            if (name, variant, disabled) == (
-                "K-means", "no_inplace", ("post-flatten-simplify",)
-            ):
-                # Unsimplified, its ``m_55`` (rank 3) is read as a rank-2
-                # array: the manifest's layout rank does not match its
-                # block, validate-host rejects it and coalescing rolls
-                # back.
-                marks = pytest.mark.xfail(
-                    strict=True, reason="manifest rank != block rank"
-                )
             yield pytest.param(
-                name, variant, disabled, marks=marks,
+                name, variant, disabled,
                 id=f"{name}-{variant}-{','.join(disabled) or 'none'}",
             )
 

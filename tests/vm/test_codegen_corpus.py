@@ -30,6 +30,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set, Tuple, get_args
@@ -299,6 +300,38 @@ fun main (ks: [n]i32) (lim: i32): ([n]i32, [n]i32) =
     in {steps, t}) ks
 """,
     lambda: [_i32([3, 1, 6, 2]), ScalarValue(3, I32)],
+)
+
+#: A divergent ``if`` tests its mask with one count: every lane true,
+#: none, some.  A batch of no lanes never reaches the test: a map of
+#: width 0 is the interpreter's (one launch falls back).
+_IF_MASK = r"""
+fun main (xs: [n]i32): [n]i32 =
+  map (\(x: i32) -> if x > 0 then x * 2 else 0 - x) xs
+"""
+for _case, _xs in (
+    ("all", [1, 2, 3]), ("none", [0, -1, -2]), ("mixed", [4, -5, 0, 6]),
+    ("empty", []),
+):
+    row(
+        f"if-mask-{_case}", _IF_MASK, lambda xs=_xs: [_i32(xs)],
+        fallbacks=int(not _xs),
+        emits=('np.count_nonzero(',), omits=('.all()', '.any()'),
+    )
+
+#: A masked ``while`` counts its running lanes once per iteration, to
+#: stop and to take the fast path: lanes that never start, lanes that
+#: stop at different trips.
+row(
+    "while-mask-counted",
+    r"""
+fun main (ks: [n]i32): [n]i32 =
+  map (\(k: i32) ->
+    let (c, s) = loop (c = k > 0, s = 0) while c do {s + 1 < k, s + 1}
+    in s) ks
+""",
+    lambda: [_i32([0, 3, 1, 5, -2, 3])],
+    emits=('np.count_nonzero(',), omits=('.all()', '.any()'),
 )
 
 
@@ -1322,9 +1355,34 @@ def test_row_agrees_with_the_interpreter_and_its_digest(name, tmp_path):
     check_row(row, outcome_of(row), tmp_path)
 
 
+_BENCHMARK_SOURCES: Dict[str, str] = {}
+
+
+def benchmark_sources(name: str) -> str:
+    """``_generated_sources``, once per benchmark per session."""
+    if name not in _BENCHMARK_SOURCES:
+        _BENCHMARK_SOURCES[name] = _generated_sources(name)
+    return _BENCHMARK_SOURCES[name]
+
+
 @pytest.mark.parametrize("name", list(BENCHMARKS.names()))
 def test_benchmark_matches_its_digest(name, tmp_path):
-    check_digest("benchmarks", name, _generated_sources(name), tmp_path)
+    check_digest("benchmarks", name, benchmark_sources(name), tmp_path)
+
+
+#: A lane mask tested whole: ``.all()`` of anything, or ``.any()`` of
+#: a local other than a trap guard's ``_bad`` (the other guards test a
+#: parenthesised expression).
+_WHOLE_MASK_TEST = re.compile(r"\.all\(\)|\b(?!_bad\d)\w+\.any\(\)")
+
+
+@pytest.mark.parametrize("name", list(BENCHMARKS.names()))
+def test_branch_and_loop_masks_are_counted_once(name):
+    """A divergent ``if`` and a masked loop step read one
+    ``np.count_nonzero`` of their mask, never ``.all()`` then
+    ``.any()``; trap guards keep their ``.any()``."""
+    found = _WHOLE_MASK_TEST.findall(benchmark_sources(name))
+    assert not found, found
 
 
 #: Where the corpus reaches each emitter (``U`` outside any batch,

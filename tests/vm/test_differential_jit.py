@@ -184,7 +184,7 @@ def test_pycode_from_an_older_schema_is_discarded(tmp_path):
     with the file it sits in is ignored and re-transpiled."""
     old_schemas = (
         "repro.pycode/v1", "repro.pycode/v2", "repro.pycode/v3",
-        "repro.pycode/v4", "repro.pycode/v5",
+        "repro.pycode/v4", "repro.pycode/v5", "repro.pycode/v6",
     )
     assert PYCODE_SCHEMA not in old_schemas
     spec = BENCHMARKS["Pathfinder"]

@@ -15,6 +15,7 @@ trap (``/``, ``%``, an index) keeps the left-to-right fold, as does a
 reduce met inside a batch.
 """
 
+import math
 import re
 
 import numpy as np
@@ -404,16 +405,122 @@ def test_accumulator_smaller_than_the_lane_count():
     _agree(src, lambda: [_i32(bins)])
 
 
-@pytest.mark.parametrize("width", list(range(1, 40)) + [97, 100, 1024, 10007])
+def _band_divisors(width: int) -> list:
+    root = math.isqrt(width - 1) + 1
+    return [d for d in range(root, 2 * root + 1) if width % d == 0]
+
+
+@pytest.mark.parametrize(
+    "width", list(range(1, 40)) + [48, 97, 100, 1024, 2048, 10007]
+)
 def test_lane_groups_partition_the_stream_in_order(width):
-    groups = JitRuntime.lane_groups(width)
+    groups = JitRuntime().lane_groups(width)
     assert 1 <= len(groups) <= 2
     offset = 0
     for lanes, size, off in groups:
         assert lanes > 0 and size > 0 and off == offset
         offset += lanes * size
     assert offset == width
-    lanes = sum(g[0] for g in groups)
-    assert (lanes - 1) ** 2 < width <= lanes**2
-    if len(groups) == 2:
+    # One group exactly when a divisor of the width lies in
+    # [ceil(sqrt w), 2 ceil(sqrt w)]: the least of them is the lanes.
+    band = _band_divisors(width)
+    assert (len(groups) == 1) == bool(band)
+    if band:
+        assert groups == [(band[0], width // band[0], 0)]
+    else:
+        lanes = sum(g[0] for g in groups)
+        assert (lanes - 1) ** 2 < width <= lanes**2
         assert groups[0][1] == groups[1][1] + 1
+
+
+@pytest.mark.parametrize("width,lanes,size", [
+    (2048, 64, 32),  # K-means at perf
+    (48, 8, 6),      # Mandelbrot at perf
+    (40, 8, 5),      # K-means at small
+    (32, 8, 4),      # OptionPricing at small
+    (8, 4, 2),       # Mandelbrot at small
+])
+def test_benchmark_widths_run_the_fold_body_once(width, lanes, size):
+    runtime = JitRuntime()
+    assert runtime.lane_groups(width) == [(lanes, size, 0)]
+    assert runtime.lane_groups(width) is runtime.lane_groups(width)
+
+
+# -- both partitions and every tree shape, against the interpreter -----------
+
+#: A stream of 2x2 integer matrices multiplied in order: associative
+#: (mod 2**32) and not commutative, so a lane or a tree level taken
+#: out of order shows in the bits.
+STREAM_MATMUL = r"""
+fun main (as: [n]i32) (bs: [n]i32) (cs: [n]i32) (ds: [n]i32)
+    : (i32, i32, i32, i32) =
+  stream_red
+    (\(a: i32) (b: i32) (c: i32) (d: i32)
+      (e: i32) (f: i32) (g: i32) (h: i32) ->
+       {a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h})
+    (\(q: i32) (a0: i32) (b0: i32) (c0: i32) (d0: i32)
+      (qa: [q]i32) (qb: [q]i32) (qc: [q]i32) (qd: [q]i32) ->
+       loop (a = a0, b = b0, c = c0, d = d0) for j < q do
+         {a * qa[j] + b * qc[j], a * qb[j] + b * qd[j],
+          c * qa[j] + d * qc[j], c * qb[j] + d * qd[j]})
+    (1, 0, 0, 1) as bs cs ds
+"""
+
+
+def _matrices(n: int):
+    rng = np.random.default_rng(n)
+    return [_i32(rng.integers(-3, 4, n)) for _ in range(4)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 40, 48, 97, 2048, 10007])
+def test_stream_red_partitions_match_the_interpreter(n):
+    """One lane group (1, 2, 40, 48, 2048) and two (97, 10007)."""
+    groups = JitRuntime().lane_groups(n)
+    assert len(groups) == (2 if n in (97, 10007) else 1)
+    sources = _agree(STREAM_MATMUL, lambda: _matrices(n))
+    assert any("R.lane_groups(" in s for s in sources)
+    args = _i32(_tied(n, np.random.default_rng(n))), _i32(np.arange(n))
+    _agree(STREAM_ARGMIN, lambda: list(args))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16384, 16385])
+def test_tree_levels_match_the_interpreter(n):
+    """Even counts rebind a level, odd ones carry the last row over:
+    16384 is even at every level, 16385 odd at the first."""
+    _assert_tree(_agree(MATMUL_2X2, lambda: _matrices(n)))
+    args = _i32(_tied(n, np.random.default_rng(n))), _i32(np.arange(n))
+    _assert_tree(_agree(ARGMIN_KEEP_LEFT, lambda: list(args)))
+
+
+#: The least-keyed row of ``xss``, then ``xss[0]`` overwritten in
+#: place: the kept row is a row of the input, so a result that still
+#: aliased it would change.
+ROW_ARGMIN_THEN_UPDATE = r"""
+fun main (ks: [n]i32) (xss: *[n][m]i32): ([m]i32, [n][m]i32) =
+  let (k, r) = reduce (\(ak: i32) (ar: [m]i32) (bk: i32) (br: [m]i32) ->
+                        if bk < ak then {bk, br} else {ak, ar})
+                      (2147483647, replicate m 0) ks xss
+  let xss[0] = replicate m 0
+  in {r, xss}
+"""
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_a_kept_row_does_not_alias_the_updated_input(n):
+    def args():
+        rows = np.arange(3 * n).reshape(n, 3) + 1
+        return [_i32(np.arange(n)), _i32(rows)]
+
+    prog = parse(ROW_ARGMIN_THEN_UPDATE)
+    want = run_program(prog, args())[0]
+    compiled = compile_program(prog)
+    got, _cost, report = compiled.execute(
+        args(), policy=ExecutionPolicy(executor="jit")
+    )
+    assert report.fallbacks == 0
+    assert got[0].data.tolist() == want.data.tolist() == [1, 2, 3]
+    _assert_tree([
+        s
+        for by_sig in jit_cache_for(compiled.host).sources().values()
+        for s in by_sig.values()
+    ])
