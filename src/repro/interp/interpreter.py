@@ -545,7 +545,14 @@ class Interpreter:
         for i in range(width):
             args = acc + [_index_row(v, i) for v in vals]
             acc = list(self._apply_lambda(e.lam, args, env))
-        return tuple(acc)
+        # The operator may return a row of an input as it is: the
+        # result is a copy, which a later in-place update of that input
+        # does not reach.
+        return tuple(
+            ArrayValue(a.data.copy(), a.elem) if isinstance(a, ArrayValue)
+            else a
+            for a in acc
+        )
 
     def _eval_scan(self, e: A.ScanExp, env: Env) -> Tuple[Value, ...]:
         width, vals = self._soac_inputs(env, e.width, e.arrs, "scan")

@@ -28,7 +28,10 @@ chunk per lane and a tree over the lane accumulators
 (:func:`.folds.tree_combine`), and a loop that accumulates into an
 array — the in-place histogram of the paper's Fig. 4c — as one ordered
 scatter-accumulate over its whole iteration space
-(:func:`.control.gen_accumulate`).
+(:func:`.control.gen_accumulate`).  A thread's loop that sums into
+scalars runs as its lanes would, in lockstep: its terms as a map over
+blocks of the iteration space, its sums added in loop order
+(:func:`.control.gen_sum`).
 
 Divergent control flow is handled GPU-style: both branches of a
 batched ``if`` run speculatively and merge with ``np.where``;

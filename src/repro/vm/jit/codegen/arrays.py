@@ -10,7 +10,7 @@ not itself allocate.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ....core import ast as A
 from ....core.prim import I32
@@ -46,6 +46,7 @@ def checked_indices(
     spec: bool,
     lanes: str,
     uniform: str = "uniform index out of bounds",
+    span: Optional[Tuple[str, str]] = None,
 ) -> List[str]:
     """The indices of one access to ``arr`` as bounds-checked locals:
     a lane vector per batched index, a Python int per uniform one
@@ -57,7 +58,9 @@ def checked_indices(
     on every lane that reaches it, the ones that keep their result
     included, so it is never clamped.  A batched index is checked, and
     its clamp skipped, on its range (:func:`index_range`): two integer
-    comparisons at the access."""
+    comparisons at the access.  A ``span`` ``(lo, hi)`` of uniform
+    counters, ``0 <= lo < hi`` by construction, follows the indices as
+    one more, checked by ``hi`` against its axis."""
     parts: List[str] = []
     for k, iv in enumerate(idxs):
         d = f"{arr.var}.shape[{k + first_dim}]"
@@ -85,6 +88,11 @@ def checked_indices(
             parts.append(ii)
         else:
             raise JitUnsupported("array used as index")
+    if span is not None:
+        lo, hi = span
+        d = f"{arr.var}.shape[{len(idxs) + first_dim}]"
+        cg.hand_over_if(f"{hi} > {d}", uniform)
+        parts.append(f"slice({lo}, {hi})")
     return parts
 
 
@@ -112,27 +120,33 @@ def update_target(cg, arr: JVal, spec: bool) -> str:
 
 def gen_index(cg, e: A.IndexExp, scope: _Scope, spec: bool):
     arr = scope.lookup(e.arr.name)
-    idxs = [cg.atom(scope, i) for i in e.idxs]
     if arr.kind == "S":
         raise JitUnsupported(f"expected array, got scalar for {e.arr}")
+    return [gather(cg, scope, arr, [cg.atom(scope, i) for i in e.idxs], spec)]
+
+
+def gather(
+    cg, scope: _Scope, arr: JVal, idxs: List[JVal], spec: bool,
+    span: Optional[Tuple[str, str]] = None,
+) -> JVal:
+    """``arr[idxs...]`` — with ``span``, ``arr[idxs..., lo:hi]``, the
+    row a block of counters ``lo <= i < hi`` reads along the next axis
+    (:func:`checked_indices`)."""
     out_rank = arr.rank - len(idxs)
+    if out_rank < (1 if span else 0):
+        raise JitUnsupported("too many indices")
+    parts = checked_indices(
+        cg, scope, arr, idxs, 1 if arr.kind == "B" else 0, spec, "gather",
+        span=span,
+    )
+    out = cg.fresh()
     if arr.kind != "B" and not any(i.kind == "B" for i in idxs):
-        parts = checked_indices(cg, scope, arr, idxs, 0, spec, "gather")
-        if out_rank < 0:
-            raise JitUnsupported("too many indices")
-        out = cg.fresh()
         sub = f"{arr.var}[{', '.join(parts)}]"
         if out_rank == 0:
             cg.line(f"{out} = {sub}.item()")
-            return [JVal("S", arr.elem, 0, out)]
+            return JVal("S", arr.elem, 0, out)
         cg.line(f"{out} = {sub}")
-        return [JVal("A", arr.elem, out_rank, out, arr.owned)]
-    if out_rank < 0:
-        raise JitUnsupported("too many indices")
-    parts = checked_indices(
-        cg, scope, arr, idxs, 1 if arr.kind == "B" else 0, spec, "gather"
-    )
-    out = cg.fresh()
+        return JVal("A", arr.elem, out_rank, out, arr.owned)
     if arr.kind == "B":
         if all(i.kind == "S" for i in idxs) and not arr.lanes:
             # A view — but a lane scalar of an array the kernel may
@@ -142,12 +156,12 @@ def gen_index(cg, e: A.IndexExp, scope: _Scope, spec: bool):
             cg.line(
                 f"{out} = {arr.var}[(slice(None), {', '.join(parts)})]{own}"
             )
-            return [JVal("B", arr.elem, out_rank, out, arr.owned)]
+            return JVal("B", arr.elem, out_rank, out, arr.owned)
         rows = arr.lanes or f"R.arange({arr.var}.shape[0])"
         cg.line(f"{out} = {arr.var}[({rows}, {', '.join(parts)})]")
-        return [JVal("B", arr.elem, out_rank, out, True)]
+        return JVal("B", arr.elem, out_rank, out, True)
     cg.line(f"{out} = {arr.var}[({', '.join(parts)},)]")
-    return [JVal("B", arr.elem, out_rank, out, True)]
+    return JVal("B", arr.elem, out_rank, out, True)
 
 
 def gen_update(cg, e: A.UpdateExp, scope: _Scope, spec: bool):

@@ -4,23 +4,28 @@ speculative merge, the kind fixpoint and the loop-state hand-over.
 Divergence is handled GPU-style: when the lanes of a batch disagree
 both sides run speculatively and merge per lane (:func:`where`); when
 they agree only the side taken runs, as written.  One step function
-(in :func:`gen_loop`) emits that for every loop form — but one: a
-``for`` that only accumulates into an array, ``acc[I] (+)= v``, is the
-histogram a GPU runs as one scatter-accumulate over the whole
-iteration space, and so does :func:`gen_accumulate`.  Ahead of a
-stepped loop, its :func:`preheader` ranges the indices the loop reads
-but does not bind, once.
+(in :func:`gen_loop`) emits that for every loop form — but two, run
+as blocks of their iteration space (:func:`blocks`): a ``for`` that
+only accumulates into an array, ``acc[I] (+)= v``, is the histogram a
+GPU runs as one scatter-accumulate (:func:`gen_accumulate`), and a
+``for`` that only sums into scalars, ``acc + f(i)``, the loop a GPU's
+lanes step through in lockstep (:func:`gen_sum`).  Ahead of a stepped
+or summing loop, its :func:`preheader` ranges the indices the loop
+reads but does not bind, once.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set, Tuple
+import contextlib
+from typing import Callable, Iterator, List, Optional, Set, Tuple
 
 from ....core import ast as A
 from ....core.prim import I32
-from ....core.traversal import exp_bodies, free_vars_body, free_vars_exp
+from ....core.traversal import (
+    exp_bodies, exp_lambdas, free_vars_body, free_vars_exp,
+)
 from ....core.types import Array, Prim, array_of
-from .arrays import checked_indices, index_range, update_target
+from .arrays import checked_indices, gather, index_range, update_target
 from .elementwise import _ufunc_src
 from .maps import map_over
 from .values import (
@@ -190,17 +195,25 @@ def state_init(
     precopy: bool = False,
 ) -> List[JVal]:
     """Assign the (coerced) initial values into the state locals.
-    With ``precopy``, unowned arrays are copied when the converged
-    state is owned — a copy-on-first-update hoisted out of the loop,
-    so later iterations mutate in place."""
+    With ``precopy``, each is :func:`owned_as` its converged state — a
+    copy-on-first-update hoisted out of the loop, so later iterations
+    mutate in place."""
     for v, kd, s in zip(init, kds, slots):
-        cv = cg._coerce(v, kd)
-        kind, _, _, ow = kd
-        if precopy and ow and kind != "S" and not cv.owned:
-            cg.line(f"{s} = {cv.var}.copy()")
-        else:
-            cg.line(f"{s} = {cv.var}")
+        cv = owned_as(cg, v, kd) if precopy else cg._coerce(v, kd).var
+        cg.line(f"{s} = {cv}")
     return _jvals(kds, slots)
+
+
+def owned_as(cg, v: JVal, kd: KD) -> str:
+    """``v`` coerced to ``kd``, in a buffer of the kernel's own where
+    ``kd`` is owned: a scalar widened to a lane vector filled in, an
+    array it does not own copied."""
+    kind, elem, _, ow = kd
+    if ow and kind == "B" and v.kind == "S":
+        return f"np.full(({cg.extent},), {v.var}, dtype={cg._dt(elem)})"
+    cv = cg._coerce(v, kd)
+    copy = ow and kind != "S" and not cv.owned
+    return f"{cv.var}.copy()" if copy else cv.var
 
 
 def state_advance(
@@ -214,6 +227,46 @@ def state_advance(
         cg.line(f"{n} = {cv.var}")
     for s, n in zip(slots, nexts):
         cg.line(f"{s} = {n}")
+
+
+# -- loops run as blocks of their iteration space ------------------------------
+
+
+@contextlib.contextmanager
+def blocks(cg, trips: List[JVal]) -> Iterator[Tuple[str, str, str, str]]:
+    """Emit the loop over blocks of the outermost of the uniform trip
+    counts ``trips``; inside it, yield the locals ``lo``, ``hi``, ``w``
+    of a block's counters ``lo <= i < hi`` and the iterations ``span``
+    of the nest it holds.  A block extends the batch in scope to at
+    most ``ACCUMULATE_LANES`` lanes, but never holds no iteration."""
+    n, blk, lo, hi, w = (
+        cg.fresh(p) for p in ("_n", "_blk", "_lo", "_hi", "_w")
+    )
+    ext = cg.extent if cg.depth else "1"
+    cg.line(f"{n} = int({trips[0].var})")
+    stop, span = n, w
+    if trips[1:]:
+        inner = cg.fresh("_m")
+        cg.line(
+            f"{inner} = "
+            + " * ".join(f"max(int({t.var}), 0)" for t in trips[1:])
+        )
+        stop, span, ext = f"{n} if {inner} else 0", f"{w} * {inner}", (
+            f"{ext} * {inner}"
+        )
+    cg.line(f"{blk} = max(1, {ACCUMULATE_LANES} // max(1, {ext}))")
+    cg.line(f"for {lo} in range(0, {stop}, {blk}):")
+    with cg.indented():
+        cg.line(f"{hi} = min({lo} + {blk}, {n})")
+        cg.line(f"{w} = {hi} - {lo}")
+        yield lo, hi, w, span
+
+
+def block_iota(cg, lo: str, hi: str) -> JVal:
+    """The counters of one block, as the map over it takes them."""
+    io = cg.fresh("_io")
+    cg.line(f"{io} = np.arange({lo}, {hi}, dtype=np.int32)")
+    return JVal("A", I32, 1, io, True)
 
 
 # -- loops -------------------------------------------------------------------
@@ -338,28 +391,10 @@ def gen_accumulate(cg, e: A.LoopExp, scope: _Scope, spec: bool):
             arr = cg._coerce(arr, ("B", arr.elem, arr.rank, False))
         tgt = update_target(cg, arr, spec)
         cell = JVal(arr.kind, arr.elem, arr.rank, tgt, True)
-        n, inner, blk, lo, io, w = (
-            cg.fresh(p) for p in ("_n", "_m", "_blk", "_lo", "_io", "_w")
-        )
-        ext = cg.extent if cg.depth else "1"
-        cg.line(f"{n} = int({trips[0].var})")
-        cg.line(
-            f"{inner} = "
-            + " * ".join(["1", *(f"max(int({t.var}), 0)" for t in trips[1:])])
-        )
-        cg.line(
-            f"{blk} = max(1, {ACCUMULATE_LANES} // max(1, {ext} * {inner}))"
-        )
-        cg.line(f"for {lo} in range(0, {n} if {inner} else 0, {blk}):")
-        with cg.indented():
-            cg.line(
-                f"{io} = np.arange("
-                f"{lo}, min({lo} + {blk}, {n}), dtype=np.int32)"
-            )
-            cg.line(f"{w} = {io}.shape[0]")
+        with blocks(cg, trips) as (lo, hi, w, span):
             flat = []
             for o in map_over(
-                cg, lam, w, [JVal("A", I32, 1, io, True)], scope, spec
+                cg, lam, w, [block_iota(cg, lo, hi)], scope, spec
             ):
                 f = cg.fresh("_fl")
                 cg.line(f"{f} = {o.var}.reshape(-1)")
@@ -371,9 +406,7 @@ def gen_accumulate(cg, e: A.LoopExp, scope: _Scope, spec: bool):
             )
             if cg.depth:
                 rows = cg.fresh("_ln")
-                cg.line(
-                    f"{rows} = np.repeat(R.arange({ext}), {w} * {inner})"
-                )
+                cg.line(f"{rows} = np.repeat(R.arange({cg.extent}), {span})")
                 parts.insert(0, rows)
             cg.line(
                 f"{ufunc}.at({tgt}, ({', '.join(parts)},), {operand.var})"
@@ -387,6 +420,144 @@ def gen_accumulate(cg, e: A.LoopExp, scope: _Scope, spec: bool):
     except JitUnsupported:
         return None
     cg.em.splice(buf)
+    return out
+
+
+def summation(e: A.LoopExp):
+    """``(terms, rest)`` when ``e`` is a summing loop, else None: a
+    ``for`` over scalar state whose every result is a left-nested
+    ``+``/``-`` chain headed by its own parameter (``acc + t``, ``(acc +
+    a) - b``, ``t + acc``; ``terms`` holds each chain's ``(negated,
+    atom)`` in evaluation order), among bindings — ``rest`` — that read
+    no parameter or partial sum and hold no summing loop (only the
+    innermost of a nest is one)."""
+    body = e.body
+    if not isinstance(e.form, A.ForLoop) or len(body.result) != len(e.merge):
+        return None
+    binder = {b.pat[0].name: b.exp for b in body.bindings if len(b.pat) == 1}
+    terms, partial = [], set()
+    for (p, _), res in zip(e.merge, body.result):
+        head, chain = A.Var(p.name), []
+        while res != head:
+            x = binder.get(getattr(res, "name", None))
+            if not (
+                isinstance(x, A.BinOpExp) and x.op in ("add", "sub")
+                and isinstance(p.type, Prim) and x.t is p.type.t
+            ):
+                return None
+            partial.add(res.name)
+            # ``+`` commutes exactly: its head may stand on either side.
+            swap = x.op == "add" and x.y == head
+            res, t = (x.y, x.x) if swap else (x.x, x.y)
+            chain.append((x.op == "sub", t))
+        if not chain:
+            return None
+        terms.append(chain[::-1])
+    rest = tuple(b for b in body.bindings if not partial & set(b.names()))
+    reads = free_vars_body(A.Body(rest, tuple(t for c in terms for _, t in c)))
+    if reads & (partial | {p.name for p, _ in e.merge}) or any(
+        summation(loop) for loop in loops_in(rest)
+    ):
+        return None
+    return terms, rest
+
+
+def loops_in(bindings) -> Iterator[A.LoopExp]:
+    """Every loop among ``bindings``, at any depth."""
+    for bnd in bindings:
+        e = bnd.exp
+        if isinstance(e, A.LoopExp):
+            yield e
+        for b in (*exp_bodies(e), *(f.body for f in exp_lambdas(e))):
+            yield from loops_in(b.bindings)
+
+
+def gen_sum(cg, e: A.LoopExp, scope: _Scope, spec: bool):
+    """A summing loop (:func:`summation`) the way a GPU's lanes run it,
+    or None when ``e`` is not one: its terms as the body of a map over
+    a block of the iteration space (:func:`blocks`) — a ``-`` term
+    negated, as ``x - y`` is ``x + (-y)`` exactly in IEEE and in two's
+    complement arithmetic, and a row the loop gathers along its counter
+    (``a[j, i]``, ``a`` and ``j`` bound outside it) sliced
+    (:func:`.arrays.gather`) — then added in loop order, by the lanes in
+    lockstep: one vector addition per counter and term, a call's cost
+    whatever the lanes.  That is the sequential loop's sums, bit for
+    bit.  A ``for`` runs every trip, so the block checks what the loop
+    would; the indices it reads but does not bind are ranged once,
+    ahead of it (:func:`preheader`).  A loop outside any batch is one
+    lane's, and keeps the step."""
+    found = summation(e) if cg.depth else None
+    if found is None:
+        return None
+    terms, rest = found
+    trip = cg.atom(scope, e.form.bound)
+    if trip.kind != "S":
+        return None
+    inner = {e.form.ivar, *(p.name for p, _ in e.merge)}
+    inner.update(*(b.names() for b in e.body.bindings))
+    gathers = [
+        b for b in rest
+        if isinstance(b.exp, A.IndexExp)
+        and b.exp.idxs[-1:] == (A.Var(e.form.ivar),)
+        and not {b.exp.arr.name, *map(str, b.exp.idxs[:-1])} & inner
+    ]
+    negs, cols = [], []
+    for (p, _), chain in zip(e.merge, terms):
+        for negated, t in chain:
+            if negated:
+                q = A.Param(f"{p.name}#{len(negs)}", p.type)
+                negs.append(A.Binding((q,), A.UnOpExp("neg", t, p.type.t)))
+                t = A.Var(q.name)
+            cols.append(t)
+    body = A.Body(
+        tuple(b for b in rest if b not in gathers) + tuple(negs), tuple(cols)
+    )
+    counted = e.form.ivar in free_vars_body(body)
+    lam = A.Lambda(
+        (A.Param(e.form.ivar, Prim(I32)),) * counted
+        + tuple(b.pat[0] for b in gathers),
+        body,
+        tuple(p.type for (p, _), chain in zip(e.merge, terms) for _ in chain),
+    )
+
+    def emit() -> List[JVal]:
+        sums = []
+        for p, seed in e.merge:
+            # Owned: with no trip, the sum is its seed.
+            kd = ("B", p.type.t, 0, True)
+            sums.append(JVal(*kd[:3], cg.fresh("_s"), True))
+            cg.line(f"{sums[-1].var} = {owned_as(cg, cg.atom(scope, seed), kd)}")
+        rows = [
+            (scope.lookup(b.exp.arr.name),
+             [cg.atom(scope, j) for j in b.exp.idxs[:-1]])
+            for b in gathers
+        ]
+        preheader(cg, e, ahead)
+        with blocks(cg, [trip]) as (lo, hi, w, _):
+            block = ahead.child()
+            vals = [block_iota(cg, lo, hi)] if counted else []
+            vals += [
+                gather(cg, block, arr, lead, spec, (lo, hi))
+                for arr, lead in rows
+            ]
+            outs = iter(map_over(cg, lam, w, vals, block, spec))
+            adds = [(s, next(outs).var) for s, c in zip(sums, terms) for _ in c]
+            k = cg.fresh("_k")
+            cg.line(f"for {k} in range({w}):")
+            with cg.indented():
+                for acc, col in adds:
+                    cg.line(f"{acc.var} = {acc.var} + {col}[:, {k}]")
+        return sums
+
+    # Facts of code that may yet be discarded live in a child scope
+    # until it is kept.
+    ahead = scope.child()
+    try:
+        buf, out = cg._capture(emit)
+    except JitUnsupported:
+        return None
+    cg.em.splice(buf)
+    scope.ranges.update(ahead.ranges)
     return out
 
 
@@ -416,19 +587,19 @@ def preheader(cg, e: A.LoopExp, scope: _Scope) -> None:
 
 
 def gen_loop(cg, e: A.LoopExp, scope: _Scope, spec: bool):
-    accumulated = gen_accumulate(cg, e, scope, spec)
-    if accumulated is not None:
-        return accumulated
+    for rule in (gen_sum, gen_accumulate):
+        blocked = rule(cg, e, scope, spec)
+        if blocked is not None:
+            return blocked
     preheader(cg, e, scope)
     init = [cg.atom(scope, a) for _, a in e.merge]
     params = [p for p, _ in e.merge]
     slots = [cg.fresh("_s") for _ in params]
     nexts = [cg.fresh("_n") for _ in params]
-    # Seed owned=True for arrays: state_init pre-copies, and the
-    # fixpoint downgrades if the body hands back borrowed data.
-    seeds = [
-        (v.kind, v.elem, v.rank, v.kind != "S") for v in init
-    ]
+    # Seed owned=True: state_init pre-copies (a scalar widened to a
+    # lane vector too), and the fixpoint downgrades if the body hands
+    # back borrowed data.
+    seeds = [(v.kind, v.elem, v.rank, True) for v in init]
 
     def step(
         extra: List[Tuple[str, JVal]],

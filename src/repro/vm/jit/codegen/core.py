@@ -17,7 +17,7 @@ from .values import KD, JitUnsupported, JVal, _Emitter, _Scope
 
 #: Schema tag embedded in every generated module; bump on any change to
 #: the generated code's shape so stale cached artifacts are discarded.
-PYCODE_SCHEMA = "repro.pycode/v7"
+PYCODE_SCHEMA = "repro.pycode/v8"
 
 #: Hard cap on emitted statements: speculative if-arms and masked loops
 #: duplicate their bodies, so deeply nested divergence can explode.
@@ -271,7 +271,12 @@ class KernelCodegen:
                 raise JitUnsupported(
                     "kernel produced an unlowered batched value"
                 )
-        ret = ", ".join(o.var for o in outs)
+        # An array the kernel did not allocate may be a view of an input
+        # the host goes on to update in place: a result is never one.
+        ret = ", ".join(
+            o.var if o.kind == "S" or o.owned else f"{o.var}.copy()"
+            for o in outs
+        )
 
         lines = [
             f"# Transpiled from kernel {self.kernel.name!r} "

@@ -380,7 +380,7 @@ def gen_binop(cg, e: A.BinOpExp, scope: _Scope, spec: bool):
         cg, e.op, e.t, require_scalar(x), require_scalar(y), spec
     )
     dtype_fix(cg, out, e.t)
-    return [JVal("B", e.t, 0, out)]
+    return [JVal("B", e.t, 0, out, True)]
 
 
 def gen_cmpop(cg, e: A.CmpOpExp, scope: _Scope, spec: bool):
@@ -396,7 +396,7 @@ def gen_cmpop(cg, e: A.CmpOpExp, scope: _Scope, spec: bool):
     yd = scalar_operand(cg, e.t, y)
     out = cg.fresh()
     cg.line(f"{out} = {_NP_CMP_SRC[e.op]}({xd}, {yd})")
-    return [JVal("B", BOOL, 0, out)]
+    return [JVal("B", BOOL, 0, out, True)]
 
 
 def gen_unop(cg, e: A.UnOpExp, scope: _Scope, spec: bool):
@@ -418,7 +418,7 @@ def gen_unop(cg, e: A.UnOpExp, scope: _Scope, spec: bool):
             "exp overflow in batch",
         )
     dtype_fix(cg, out, e.t)
-    return [JVal("B", e.t, 0, out)]
+    return [JVal("B", e.t, 0, out, True)]
 
 
 def gen_convop(cg, e: A.ConvOpExp, scope: _Scope, spec: bool):
@@ -434,7 +434,7 @@ def gen_convop(cg, e: A.ConvOpExp, scope: _Scope, spec: bool):
         )
     out = cg.fresh()
     cg.line(f"{out} = {xv}.astype({cg._dt(e.to_t)})")
-    return [JVal("B", e.to_t, 0, out)]
+    return [JVal("B", e.to_t, 0, out, True)]
 
 
 RULES = {

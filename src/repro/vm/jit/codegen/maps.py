@@ -54,7 +54,7 @@ def row(cg, v: JVal, i: str) -> JVal:
     out = cg.fresh("_r")
     if v.kind == "B":
         # A lane scalar of an array that may be updated in place is a
-        # copy (as in :func:`.arrays.gen_index`).
+        # copy (as in :func:`.arrays.gather`).
         own = ".copy()" if v.owned and v.rank == 1 else ""
         cg.line(f"{out} = {v.var}[:, {i}]{own}")
         return JVal("B", v.elem, v.rank - 1, out, v.owned)
@@ -80,14 +80,16 @@ def only_indexed(body: A.Body, name: str) -> bool:
 
 
 def expand_captures(
-    cg, lam: A.Lambda, scope: _Scope, width: str
-) -> List[Tuple[str, JVal]]:
-    """Repeat every batched free variable of ``lam`` by the inner
-    width — except an array ``lam`` only indexes: that one stays as it
-    is and the vector of rows its lanes read is repeated instead
-    (``JVal.lanes``), so a gather costs the elements it reads, not a
-    copy of the array per inner lane."""
-    out = []
+    cg, lam: A.Lambda, scope: _Scope, child: _Scope, width: str
+) -> None:
+    """Bind in ``child`` every batched free variable of ``lam`` repeated
+    by the inner width — except an array ``lam`` only indexes: that one
+    stays as it is and the vector of rows its lanes read is repeated
+    instead (``JVal.lanes``), so a gather costs the elements it reads,
+    not a copy of the array per inner lane.  A repeated index keeps the
+    range of its lanes (:func:`.arrays.index_range`): an inner map is
+    never empty — :func:`gen_map` hands a zero width over, and a block
+    of an iteration space holds an iteration."""
     for name in sorted(free_vars_lambda(lam)):
         v = scope.maybe(name)
         if v is not None and v.kind == "B":
@@ -95,11 +97,13 @@ def expand_captures(
             if v.rank and only_indexed(lam.body, name):
                 rows = v.lanes or f"R.arange({v.var}.shape[0])"
                 cg.line(f"{nv} = np.repeat({rows}, {width})")
-                out.append((name, replace(v, owned=False, lanes=nv)))
+                child.bind(name, replace(v, owned=False, lanes=nv))
             else:
                 cg.line(f"{nv} = np.repeat({v.var}, {width}, axis=0)")
-                out.append((name, JVal("B", v.elem, v.rank, nv, False)))
-    return out
+                child.bind(name, JVal("B", v.elem, v.rank, nv, False))
+                fact = scope.range_of(v.var)
+                if fact is not None:
+                    child.ranges[nv] = fact
 
 
 def enter_batch(
@@ -163,10 +167,8 @@ def map_batched(cg, lam: A.Lambda, scope: _Scope, spec: bool, w: str, vals):
     the lane values the lambda captures repeated, so the body never
     sees the enclosing batch at its old width."""
     b = cg.extent
-    expanded = expand_captures(cg, lam, scope, w)
     child = scope.child(barrier=True)
-    for name, v in expanded:
-        child.bind(name, v)
+    expand_captures(cg, lam, scope, child, w)
     ext = cg.fresh("_e")
     cg.line(f"{ext} = {b} * {w}")
     for p, v in zip(lam.params, vals):

@@ -38,7 +38,7 @@ class JVal:
     only to index it (:func:`.maps.expand_captures`): ``var`` is still
     the array at the enclosing batch's width, and ``lanes`` the local
     holding, per lane of the extended batch, the row of it that lane
-    reads.  Only :func:`.arrays.gen_index` ever meets one."""
+    reads.  Only :func:`.arrays.gather` ever meets one."""
 
     kind: str
     elem: PrimType

@@ -49,6 +49,7 @@ from repro.obs import metering
 from repro.pipeline import CompilerOptions, compile_program
 from repro.runtime import ExecutionPolicy
 from repro.vm.jit.codegen import transpile_kernel
+from repro.vm.jit.engine import JitRunner
 
 from .test_golden_pycode import _generated_sources, render_sources
 
@@ -122,8 +123,9 @@ def row(name, src, args, **kw):
     ROWS.append(Row(name, src, args, **kw))
 
 
-#: What a loop's sequential step emits, and an accumulating loop.
-_STEP, _AT = "for _i", ".at("
+#: What a loop's sequential step emits, an accumulating loop, and a
+#: summing one (its lanes' lockstep).
+_STEP, _AT, _SUM = "for _i", ".at(", "for _k"
 
 
 # -- elementwise operators ---------------------------------------------------
@@ -982,6 +984,232 @@ fun main (xs: [n]i32): [4]i32 =
 ACCUMULATE = [r.name for r in ROWS if _AT in r.emits]
 
 
+# -- summing loops ---------------------------------------------------------------
+#
+# ``loop (acc) for j < m do acc + f(j)`` over scalar state in a batch:
+# the terms run as a map over a block of the iteration space, and the
+# lanes add them in lockstep (``control.gen_sum``).  ``SUMS`` names
+# these rows: a test below runs each under the sequential lowering too
+# and requires identical bits.
+
+#: A row gather along the iteration from a per-lane row (3 lanes,
+#: 5 counters).
+row(
+    "sum-f32",
+    r"""
+fun main (xss: [n][m]f32) (ys: [m]f32): [n]f32 =
+  map (\(xs: [m]f32) ->
+    loop (acc = 0.25f32) for j < m do acc + xs[j] * ys[j]) xss
+""",
+    lambda: [_f32(np.arange(15).reshape(3, 5) * 0.37 - 2.0),
+             _f32(np.arange(5) * 1.3 + 0.1)],
+    emits=(_SUM,),
+    omits=(_STEP,),
+)
+
+#: MRI-Q's shape: two sums, ``(acc + a) - b`` and ``(acc + a) + b``,
+#: over uniform rows (6 lanes, 4 counters).
+row(
+    "sum-two-chains",
+    r"""
+fun main (xs: [n]f32) (ks: [k]f32) (ps: [k]f32): ([n]f32, [n]f32) =
+  map (\(x: f32) ->
+    loop (qr = 0.0f32, qi = 1.0f32) for j < k do
+      let a = ks[j] * x
+      let c = cos a
+      let s = sin a
+      in {qr + ps[j] * c - ks[j] * s, qi + ps[j] * s + ks[j] * c}) xs
+""",
+    lambda: [_f32(np.arange(6) * 0.61 - 1.0), _f32([0.3, -1.2, 2.5, 0.7]),
+             _f32([1.5, 0.25, -0.75, 3.0])],
+    emits=(_SUM,),
+    omits=(_STEP,),
+)
+
+#: ``(t + acc) - u`` in i32 across the wrap-around, both ways (2 lanes,
+#: 7 counters).
+row(
+    "sum-i32-wraps",
+    r"""
+fun main (xss: [n][m]i32) (yss: [n][m]i32): [n]i32 =
+  map (\(xs: [m]i32) (ys: [m]i32) ->
+    loop (acc = 2147483000) for j < m do (xs[j] + acc) - ys[j]) xss yss
+""",
+    lambda: [_i32([[400, 500, -7, 2147483647, 3, 0, 9],
+                   [-2147483647, -5, 6, 1, 2, 3, 4]]),
+             _i32([[-300, 1, 2, 3, -2147483647, 5, 6],
+                   [2147483647, 8, 9, -1, 0, 1, 2]])],
+    emits=(_SUM,),
+    omits=(_STEP,),
+)
+
+#: No trip: the seeds, as they came, with no block run and nothing
+#: checked — in a buffer of the kernel's own, which the host then
+#: updates in place.
+row(
+    "sum-zero-trips",
+    r"""
+fun main (xss: [n][m]f32) (t: i32): [n]f32 =
+  let r = map (\(xs: [m]f32) ->
+                loop (acc = 1.5f32) for j < t do acc + xs[j + 9]) xss
+  let r[0] = 2.0f32
+  in r
+""",
+    lambda: [_f32(np.ones((3, 2))), ScalarValue(0, I32)],
+    emits=(_SUM,),
+)
+
+#: More trips than a row has: the block's counters run past its end,
+#: and the launch is the interpreter's, which raises.
+row(
+    "trap-sum-row",
+    r"""
+fun main (xss: [n][m]f32) (t: i32): [n]f32 =
+  map (\(xs: [m]f32) -> loop (acc = 0.0f32) for j < t do acc + xs[j]) xss
+""",
+    lambda: [_f32(np.ones((3, 2))), ScalarValue(3, I32)],
+    fallbacks=1,
+    raises=InterpError,
+    emits=(_SUM,),
+)
+
+#: 8 lanes x 4200 counters is more than one block of the iteration
+#: space (``ACCUMULATE_LANES``): two, the sum carried between them.
+row(
+    "sum-blocks",
+    r"""
+fun main (xss: [n][m]f32): [n]f32 =
+  map (\(xs: [m]f32) ->
+    loop (acc = 0.0f32) for j < m do acc + xs[j] / f32 (j + 1)) xss
+""",
+    lambda: [_f32(np.sin(np.arange(8 * 4200)).reshape(8, 4200))],
+    emits=(_SUM, "32768 // "),
+)
+
+#: A term whose ``/`` traps on one lane and counter: one check over
+#: the block hands the launch to the interpreter, which raises.
+row(
+    "trap-sum",
+    r"""
+fun main (xss: [n][m]i32) (dss: [n][m]i32): [n]i32 =
+  map (\(xs: [m]i32) (ds: [m]i32) ->
+    loop (acc = 0) for j < m do acc + xs[j] / ds[j]) xss dss
+""",
+    lambda: [_i32([[1, 2, 3], [4, 5, 6]]), _i32([[1, 1, 1], [1, 0, 1]])],
+    fallbacks=1,
+    raises=ZeroDivisionError,
+    emits=(_SUM,),
+)
+
+#: In the arm of a divergent ``if``: the terms run speculatively — the
+#: lanes that do not take it clamp their row index and substitute their
+#: zero divisor (4 lanes, 3 counters).
+row(
+    "sum-speculative",
+    r"""
+fun main (yss: [k][m]i32) (gs: [n]i32): [n]i32 =
+  map (\(g: i32) ->
+    if g >= 0
+    then loop (acc = g) for j < m do (acc + yss[g, j] / (g + 1)) - j
+    else 0 - g) gs
+""",
+    lambda: [_i32([[7, -8, 9], [10, 11, -12]]), _i32([1, -1, 0, -2])],
+    emits=(_SUM, "np.clip("),
+)
+
+#: Rows gathered from per-lane arrays: a row an inner map captured only
+#: to index (each lane reads its own through the captured lanes), and
+#: a lane's own matrix at a lane index (rows paired with the lanes).
+row(
+    "sum-lane-rows",
+    r"""
+fun main (xss: [n][m]i32) (yss: [n][k][m]i32) (cs: [n]i32) (js: [p]i32)
+    : ([n][p]i32, [n]i32) =
+  map (\(xs: [m]i32) (ys: [k][m]i32) (c: i32) ->
+    let a = map (\(j: i32) -> loop (s = j) for i < m do s + xs[i]) js
+    let b = loop (s = 0) for i < m do s - ys[c, i]
+    in {a, b}) xss yss cs
+""",
+    lambda: [_i32([[1, 2, 3], [4, 5, 6]]),
+             _i32(np.arange(12).reshape(2, 2, 3) - 5), _i32([1, 0]),
+             _i32([10, 20, 30, 40])],
+    pipeline="nest-intact",
+    emits=(_SUM, "R.arange("),
+    omits=(_STEP,),
+)
+
+#: Outside any batch (a sequential kernel) the loop is one lane's: it
+#: keeps the step.
+row(
+    "sum-uniform",
+    r"""
+fun main (xs: [n]f32): [1]f32 =
+  stream_seq (\(q: i32) (acc: *[1]f32) (c: [q]f32) ->
+      let s = loop (a = acc[0]) for i < q do a - c[i] * 0.5f32
+      in acc with [0] <- s) (replicate 1 0.0f32) xs
+""",
+    lambda: [_f32(np.arange(11) * 0.37 - 1.5)],
+    emits=(_STEP,),
+    omits=(_SUM,),
+)
+
+#: K-means' assignment: the distance is a sum, the argmin over it
+#: reads its state in a comparison and keeps the sequential step.
+row(
+    "sum-in-argmin",
+    r"""
+fun main (pss: [n][d]f32) (cs: [k][d]f32): [n]i32 =
+  map (\(p: [d]f32) ->
+    let (bi, bd) =
+      loop (bi = 0, bd = 1.0e30f32) for cl < k do
+        let dist = loop (acc = 0.0f32) for dd < d do
+                     let diff = p[dd] - cs[cl, dd]
+                     in acc + diff * diff
+        in if dist < bd then {cl, dist} else {bi, bd}
+    in bi) pss
+""",
+    lambda: [_f32(np.arange(12).reshape(4, 3) * 0.7 - 3.0),
+             _f32([[0.0, 1.0, 2.0], [-2.0, -1.0, 0.5], [4.0, 4.5, 5.0]])],
+    emits=(_SUM, _STEP),
+)
+
+#: A sum whose terms cannot run as a map body (``iota`` of the counter
+#: is batched there) keeps the step, whose checks of the lane index are
+#: its own: nothing the rule computed before giving up is assumed.
+row(
+    "sum-falls-back-to-the-step",
+    r"""
+fun main (yss: [k][m]i32) (cs: [n]i32): [n]i32 =
+  map (\(c: i32) ->
+    loop (a = 0) for i < m do
+      let r = reduce (\(x: i32) (y: i32) -> x + y) 0 (iota i)
+      in a + yss[c, i] * r) cs
+""",
+    lambda: [_i32([[1, 2, 3, 4], [5, 6, 7, 8]]), _i32([1, 0, 1])],
+    pipeline="nest-intact",
+    emits=(_STEP,),
+    omits=(_SUM,),
+)
+
+#: Shapes of scalar loop that are not a sum keep the sequential step:
+#: a term that reads the state, a product, and ``t - acc``.
+for _name, _body in [
+    ("reads-state", "acc + xs[j] * acc"),
+    ("product", "acc * xs[j]"),
+    ("negated-head", "xs[j] - acc"),
+]:
+    row(f"sequential-sum-{_name}", r"""
+fun main (xss: [n][m]i32): [n]i32 =
+  map (\(xs: [m]i32) -> loop (acc = 1) for j < m do %s) xss
+""" % _body,
+        lambda: [_i32([[1, 2, 3], [-4, 5, 6]])],
+        emits=(_STEP,), omits=(_SUM,))
+
+#: The rows the sum rule lowers (``trap-sum`` included: both lowerings
+#: must hand it over).
+SUMS = [r.name for r in ROWS if _SUM in r.emits]
+
+
 # -- checks decided once ---------------------------------------------------------
 #
 # A batched index is checked on its range — two ints computed once per
@@ -994,7 +1222,10 @@ _RANGE, _PER_LANE = ".min()), int(", ".size and (("
 
 #: An index the loop does not bind, read in a batch (its range is
 #: computed once, before the first loop) and in the arm of an ``if`` on
-#: it (where, divergent, the negative lanes' index is clamped).
+#: it (where, divergent, the negative lanes' index is clamped).  The
+#: loops are sums, run as blocks (``gen_sum``), whose map bodies read
+#: the lane index repeated; ``_INVARIANT_STEP`` takes a maximum, which
+#: the sequential step runs.
 _INVARIANT = r"""
 fun main (is: [n]i32) (yss: [m][k]i32) (t: i32): ([n]i32, [n]i32) =
   map (\(i: i32) ->
@@ -1004,6 +1235,7 @@ fun main (is: [n]i32) (yss: [m][k]i32) (t: i32): ([n]i32, [n]i32) =
             else 0
     in {a, b}) is
 """
+_INVARIANT_STEP = _INVARIANT.replace("s + yss", "max s yss")
 
 row(
     "range-invariant",
@@ -1012,6 +1244,16 @@ row(
              ScalarValue(4, I32)],
     pipeline="nest-intact",
     emits=(_RANGE,),
+    omits=(_PER_LANE,),
+)
+
+row(
+    "range-invariant-step",
+    _INVARIANT_STEP,
+    lambda: [_i32([0, 1, 1]), _i32([[1, 2, 3], [4, 5, 6]]),
+             ScalarValue(4, I32)],
+    pipeline="nest-intact",
+    emits=(_RANGE, _STEP),
     omits=(_PER_LANE,),
 )
 
@@ -1214,7 +1456,7 @@ class Outcome:
     launches that left the jit, the generated sources as one text,
     and the ``(expression class, position)`` pairs whose emitter ran —
     ``U`` outside any batch, ``B`` inside one, ``S`` speculative (the
-    accumulate rule under its function's name)."""
+    accumulate and sum rules under their functions' names)."""
 
     expected: object
     got: object
@@ -1230,18 +1472,19 @@ def _attempt(run):
         return ex
 
 
-#: The rule module of the one rule no table row names: ``gen_loop``
-#: tries ``gen_accumulate`` first.
+#: The rule module of the two rules no table row names: ``gen_loop``
+#: tries ``gen_sum`` and ``gen_accumulate`` first.
 _CONTROL = sys.modules[_LOWERING._GEN[A.LoopExp].__module__]
+_LOOP_RULES = ("gen_sum", "gen_accumulate")
 
 
 @contextlib.contextmanager
 def _recording(reached: Set[Tuple[object, str]]):
-    """Wrap every row of the dispatch table, and the accumulate rule
-    (recorded where it takes the loop), for the duration."""
+    """Wrap every row of the dispatch table, and the loop rules
+    (recorded where they take the loop), for the duration."""
     table = _LOWERING._GEN
     saved = dict(table)
-    accumulate = _CONTROL.gen_accumulate
+    rules = {name: getattr(_CONTROL, name) for name in _LOOP_RULES}
 
     def position(cg, spec):
         return "S" if spec else "B" if cg.depth else "U"
@@ -1253,19 +1496,24 @@ def _recording(reached: Set[Tuple[object, str]]):
 
         return wrapper
 
-    def spy_accumulate(cg, e, scope, spec):
-        out = accumulate(cg, e, scope, spec)
-        if out is not None:
-            reached.add((accumulate.__name__, position(cg, spec)))
-        return out
+    def spy_rule(name, rule):
+        def wrapper(cg, e, scope, spec):
+            out = rule(cg, e, scope, spec)
+            if out is not None:
+                reached.add((name, position(cg, spec)))
+            return out
+
+        return wrapper
 
     table.update({cls: spy(cls, emit) for cls, emit in saved.items()})
-    _CONTROL.gen_accumulate = spy_accumulate
+    for name, rule in rules.items():
+        setattr(_CONTROL, name, spy_rule(name, rule))
     try:
         yield
     finally:
         table.update(saved)
-        _CONTROL.gen_accumulate = accumulate
+        for name, rule in rules.items():
+            setattr(_CONTROL, name, rule)
 
 
 def run_row(row: Row) -> Outcome:
@@ -1415,6 +1663,7 @@ POSITIONS = {
     A.FilterExp: "UB",
     A.ScatterExp: "UB",
     "gen_accumulate": "UBS",
+    "gen_sum": "BS",
 }
 
 
@@ -1425,7 +1674,7 @@ def test_every_expression_has_an_emitter_and_the_corpus_reaches_it():
         "dispatch table and core.ast.Exp disagree: "
         f"{sorted(c.__name__ for c in set(table) ^ expressions)}"
     )
-    assert set(POSITIONS) == expressions | {"gen_accumulate"}
+    assert set(POSITIONS) == expressions | set(_LOOP_RULES)
     reached: Set[Tuple[object, str]] = set()
     for row in ROWS:
         reached |= outcome_of(row).reached
@@ -1473,9 +1722,9 @@ def _same_bits(a, b) -> bool:
     )
 
 
-def _three_lowerings(monkeypatch, compile_, make_args):
-    """The jit's outputs (or error) and sources under the accumulate
-    rule, under it with blocks of one iteration, and without it."""
+def _three_lowerings(monkeypatch, compile_, make_args, rule="gen_accumulate"):
+    """The jit's outputs (or error) and sources under a loop ``rule``,
+    under it with blocks of one iteration, and without it."""
 
     def run():
         compiled = compile_()
@@ -1487,13 +1736,13 @@ def _three_lowerings(monkeypatch, compile_, make_args):
     whole = run()
     monkeypatch.setattr(_CONTROL, "ACCUMULATE_LANES", 1)
     stepped = run()
-    monkeypatch.setattr(_CONTROL, "gen_accumulate", lambda *a: None)
+    monkeypatch.setattr(_CONTROL, rule, lambda *a: None)
     return whole, stepped, run()
 
 
-def _assert_bit_identical(whole, stepped, sequential):
-    assert _AT in whole[1] and _AT in stepped[1]
-    assert _AT not in sequential[1]
+def _assert_bit_identical(whole, stepped, sequential, marker=_AT):
+    assert marker in whole[1] and marker in stepped[1]
+    assert marker not in sequential[1]
     assert _same_bits(whole[0], sequential[0]), (whole[0], sequential[0])
     assert _same_bits(stepped[0], sequential[0]), (stepped[0], sequential[0])
 
@@ -1510,6 +1759,37 @@ def test_accumulate_is_the_sequential_loop_bit_for_bit(name, monkeypatch):
         lambda: compile_program(prog, PIPELINES[row.pipeline]),
         row.args,
     ))
+
+
+@pytest.mark.parametrize("name", SUMS)
+def test_sum_is_the_sequential_loop_bit_for_bit(name, monkeypatch):
+    """The lockstep adds in loop order, and ``x - y`` is ``x + (-y)``
+    exactly, so nothing is reassociated: floats too are
+    ``array_equal``, at any block size."""
+    row = BY_NAME[name]
+    prog = parse(row.src)
+    _assert_bit_identical(*_three_lowerings(
+        monkeypatch,
+        lambda: compile_program(prog, PIPELINES[row.pipeline]),
+        row.args,
+        "gen_sum",
+    ), _SUM)
+
+
+def test_a_row_read_past_its_end_is_handed_over_by_its_check(monkeypatch):
+    """The slice a block reads stops at the row's end; the counters
+    running past it hand the launch over on the slice's own check, not
+    on whatever the shorter slice breaks next."""
+    reasons = []
+    monkeypatch.setattr(
+        JitRunner, "_note_fallback",
+        lambda self, kernel, reason: reasons.append(reason),
+    )
+    row = BY_NAME["trap-sum-row"]
+    compiled = compile_program(parse(row.src), PIPELINES[row.pipeline])
+    with pytest.raises(InterpError):
+        compiled.execute(row.args(), policy=JIT)
+    assert reasons == ["uniform index out of bounds"]
 
 
 @pytest.mark.parametrize("size", ["small", "perf"])
@@ -1579,9 +1859,16 @@ def enclosing_loops(text: str, marker: str):
 
 def test_a_range_is_computed_where_its_index_lives():
     """Before the loops an invariant index is read in (the one range
-    serves both loops, the second in an ``if`` arm, and every step of
-    each), and inside the loop that carries the index."""
-    invariant = outcome_of(BY_NAME["range-invariant"]).text
-    assert enclosing_loops(invariant, _RANGE) == [0]
+    serves both loops, the second in an ``if`` arm, and every step or
+    block of each), and inside the loop that carries the index."""
+    stepped = outcome_of(BY_NAME["range-invariant-step"]).text
+    assert enclosing_loops(stepped, _RANGE) == [0]
+    # Summed, the lane index is ranged once before the loops — its
+    # repeat in a block's map keeps that range — and the counters'
+    # ``j % k`` once per block: of the loop, and of the ``if`` arm as
+    # written and as speculated.
+    summed = outcome_of(BY_NAME["range-invariant"]).text
+    assert enclosing_loops(summed, _RANGE) == [0, 1, 1, 1]
+    assert not [ln for ln in summed.splitlines() if _RANGE in ln and "_xp" in ln]
     carried = outcome_of(BY_NAME["range-carried"]).text
     assert enclosing_loops(carried, _RANGE) == [1]

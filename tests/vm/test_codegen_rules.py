@@ -184,9 +184,11 @@ def test_every_benchmark_checks_its_indices_once():
     for name, text in texts.items():
         assert _PER_LANE not in text, f"{name}: a per-lane bounds check"
     # LavaMD's neighbour vector is ranged once per outer step, before
-    # the inner loop that indexes with it four times per step.
+    # the inner loop — a summing loop, run as blocks of its iteration
+    # space — that gathers rows with it four times per block.
     lava = texts["LavaMD"]
-    assert max(enclosing_loops(lava, "for _i")) == 1
+    assert enclosing_loops(lava, "for _i") == [0]
+    assert enclosing_loops(lava, "for _lo") == [1]
     assert sorted(set(enclosing_loops(lava, _RANGE))) == [0, 1]
     # OptionPricing's bit loop guards a shift count that is the loop
     # counter and a modulus by 2: nothing is reduced over lanes.
