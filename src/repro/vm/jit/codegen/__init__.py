@@ -22,8 +22,10 @@ very same ``eval_binop``/``eval_unop``/... used by the interpreter, so
 scalar results are bit-identical by construction; batched arithmetic
 emits guarded ufunc sequences (:func:`.elementwise.np_binop`).
 
-Associative folds run the way a GPU runs them: a kernel-level
-``reduce`` as a log-depth pairwise tree, a ``stream_red`` with one
+Associative folds run the way a GPU runs them: a ``reduce`` that
+selects an argument by a key (argmin) as one ``np.argmin``
+(:func:`.folds.gen_select`), any other kernel-level ``reduce`` as a
+log-depth pairwise tree, a ``stream_red`` with one
 chunk per lane and a tree over the lane accumulators
 (:func:`.folds.tree_combine`), and a loop that accumulates into an
 array — the in-place histogram of the paper's Fig. 4c — as one ordered
@@ -34,13 +36,13 @@ blocks of the iteration space, its sums added in loop order
 (:func:`.control.gen_sum`).
 
 Divergent control flow is handled GPU-style: both branches of a
-batched ``if`` run speculatively and merge with ``np.where``;
-data-dependent loops run to the longest active trip count under a lane
-mask.  In speculative position a lane's trapping inputs (its
-out-of-bounds index, zero divisor, negative ``sqrt`` argument) are
-substituted with safe values, because the lanes that would trap
-discard their result in the merge — the contract real GPU kernels
-have.  Outside speculation, and for a uniform index anywhere (it is
+batched ``if`` run speculatively and merge with ``np.where``; a
+data-dependent loop runs only its live lanes, compacted as they stop
+(:func:`.control.gen_live`).  In speculative position a lane's trapping
+inputs (its out-of-bounds index, zero divisor, negative ``sqrt``
+argument) are substituted with safe values, because the lanes that
+would trap discard their result in the merge — the contract real GPU
+kernels have.  Outside speculation, and for a uniform index anywhere (it is
 out of range on every lane that reaches it), every trap condition is
 checked explicitly.
 

@@ -239,6 +239,8 @@ def gen_iota(cg, e: A.IotaExp, scope: _Scope, spec: bool):
     out = cg.fresh()
     cg.hand_over_if(f"{n.var} < 0", "iota of negative size")
     cg.line(f"{out} = np.arange(int({n.var}), dtype=np.int32)")
+    # The range a map over it gives every lane (:func:`.maps.map_batched`).
+    scope.ranges[out] = ("0", f"int({n.var}) - 1")
     return [JVal("A", I32, 1, out, True)]
 
 

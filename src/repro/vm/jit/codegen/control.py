@@ -1,22 +1,26 @@
 """Control flow: ``if``, ``for``/``while``, and what they share — the
-speculative merge, the kind fixpoint and the loop-state hand-over.
+per-lane merge, the kind fixpoint and the loop-state hand-over.
 
-Divergence is handled GPU-style: when the lanes of a batch disagree
-both sides run speculatively and merge per lane (:func:`where`); when
-they agree only the side taken runs, as written.  One step function
-(in :func:`gen_loop`) emits that for every loop form — but two, run
-as blocks of their iteration space (:func:`blocks`): a ``for`` that
-only accumulates into an array, ``acc[I] (+)= v``, is the histogram a
-GPU runs as one scatter-accumulate (:func:`gen_accumulate`), and a
-``for`` that only sums into scalars, ``acc + f(i)``, the loop a GPU's
-lanes step through in lockstep (:func:`gen_sum`).  Ahead of a stepped
-or summing loop, its :func:`preheader` ranges the indices the loop
-reads but does not bind, once.
+Divergence is handled GPU-style.  When the lanes of a batch disagree
+on an ``if``, both sides run speculatively and merge per lane
+(:func:`where`); when they agree only the side taken runs, as written.
+A loop whose lanes may stop apart — a ``for`` with a per-lane bound, a
+``while`` on a per-lane condition — runs only the lanes still going,
+its body as written (:func:`gen_live`): a lane that stops is written
+back once and computes nothing more.  Two loops run as blocks of their
+iteration space (:func:`blocks`): a ``for`` that only accumulates into
+an array, ``acc[I] (+)= v``, is the histogram a GPU runs as one
+scatter-accumulate (:func:`gen_accumulate`), and a ``for`` that only
+sums into scalars, ``acc + f(i)``, the loop a GPU's lanes step through
+in lockstep (:func:`gen_sum`).  Ahead of a stepped or summing loop, its
+:func:`preheader` ranges the indices the loop reads but does not bind,
+once.
 """
 
 from __future__ import annotations
 
 import contextlib
+from dataclasses import replace
 from typing import Callable, Iterator, List, Optional, Set, Tuple
 
 from ....core import ast as A
@@ -27,7 +31,7 @@ from ....core.traversal import (
 from ....core.types import Array, Prim, array_of
 from .arrays import checked_indices, gather, index_range, update_target
 from .elementwise import _ufunc_src
-from .maps import map_over
+from .maps import map_over, only_indexed
 from .values import (
     KD, JitUnsupported, JVal, _Emitter, _Scope, _join_kd, _jvals, _kd,
 )
@@ -46,19 +50,19 @@ class _Rewiden(Exception):
         self.kds = kds
 
 
-# -- speculative merge -------------------------------------------------------
+# -- per-lane merge ---------------------------------------------------------
 
 
 def where(cg, mask: str, t: JVal, f: JVal) -> JVal:
+    """Per lane of ``mask``, ``t`` or ``f``; a uniform side is passed
+    as it is (a scalar as a 0-d array) and broadcast by ``np.where``."""
     if t.rank != f.rank:
         raise JitUnsupported("merge of values with different ranks")
-    tb = cg._coerce(t, ("B", t.elem, t.rank, False))
-    fb = cg._coerce(f, ("B", f.elem, f.rank, False))
     m = mask
     if t.rank:
         m = f"{mask}.reshape({mask}.shape + (1,) * {t.rank})"
     out = cg.fresh()
-    cg.line(f"{out} = np.where({m}, {tb.var}, {fb.var})")
+    cg.line(f"{out} = np.where({m}, {cg._asarray(t)}, {cg._asarray(f)})")
     return JVal("B", t.elem, t.rank, out, True)
 
 
@@ -206,13 +210,9 @@ def state_init(
 
 def owned_as(cg, v: JVal, kd: KD) -> str:
     """``v`` coerced to ``kd``, in a buffer of the kernel's own where
-    ``kd`` is owned: a scalar widened to a lane vector filled in, an
-    array it does not own copied."""
-    kind, elem, _, ow = kd
-    if ow and kind == "B" and v.kind == "S":
-        return f"np.full(({cg.extent},), {v.var}, dtype={cg._dt(elem)})"
+    ``kd`` is owned: an array it does not own copied."""
     cv = cg._coerce(v, kd)
-    copy = ow and kind != "S" and not cv.owned
+    copy = kd[3] and kd[0] != "S" and not cv.owned
     return f"{cv.var}.copy()" if copy else cv.var
 
 
@@ -262,10 +262,13 @@ def blocks(cg, trips: List[JVal]) -> Iterator[Tuple[str, str, str, str]]:
         yield lo, hi, w, span
 
 
-def block_iota(cg, lo: str, hi: str) -> JVal:
-    """The counters of one block, as the map over it takes them."""
+def block_iota(cg, block: _Scope, lo: str, hi: str) -> JVal:
+    """The counters of one block, as the map over it takes them; their
+    range, ``[lo, hi)``, is a fact of the ``block`` — every lane a map
+    widens them to keeps it (:func:`.maps.map_batched`)."""
     io = cg.fresh("_io")
     cg.line(f"{io} = np.arange({lo}, {hi}, dtype=np.int32)")
+    block.ranges[io] = (lo, f"{hi} - 1")
     return JVal("A", I32, 1, io, True)
 
 
@@ -391,26 +394,34 @@ def gen_accumulate(cg, e: A.LoopExp, scope: _Scope, spec: bool):
             arr = cg._coerce(arr, ("B", arr.elem, arr.rank, False))
         tgt = update_target(cg, arr, spec)
         cell = JVal(arr.kind, arr.elem, arr.rank, tgt, True)
+        if arr.ndim > 1:
+            # A cell is addressed by one flat index into a view of the
+            # target, which only a C-contiguous one has.
+            cg.line(f"{tgt} = np.ascontiguousarray({tgt})")
         with blocks(cg, trips) as (lo, hi, w, span):
+            block = scope.child()
             flat = []
             for o in map_over(
-                cg, lam, w, [block_iota(cg, lo, hi)], scope, spec
+                cg, lam, w, [block_iota(cg, block, lo, hi)], block, spec
             ):
                 f = cg.fresh("_fl")
                 cg.line(f"{f} = {o.var}.reshape(-1)")
                 flat.append(JVal("B", o.elem, 0, f))
             *at, operand = flat
             parts = checked_indices(
-                cg, scope.child(), cell, at, 1 if cg.depth else 0, spec,
-                "scatter",
+                cg, block, cell, at, 1 if cg.depth else 0, spec, "scatter"
             )
             if cg.depth:
                 rows = cg.fresh("_ln")
                 cg.line(f"{rows} = np.repeat(R.arange({cg.extent}), {span})")
                 parts.insert(0, rows)
-            cg.line(
-                f"{ufunc}.at({tgt}, ({', '.join(parts)},), {operand.var})"
-            )
+            cells, index = tgt, parts[0]
+            if parts[1:]:  # row-major: the cell's position in the view
+                cells = f"{tgt}.reshape(-1)"
+                index = f"{index}.astype(np.intp, copy=False)"
+            for k, p in enumerate(parts[1:], 1):
+                index = f"({index}) * {tgt}.shape[{k}] + {p}"
+            cg.line(f"{ufunc}.at({cells}, {index}, {operand.var})")
         return [cell]
 
     # A prefix that cannot run as a map body (a ``filter``, a stream)
@@ -535,7 +546,7 @@ def gen_sum(cg, e: A.LoopExp, scope: _Scope, spec: bool):
         preheader(cg, e, ahead)
         with blocks(cg, [trip]) as (lo, hi, w, _):
             block = ahead.child()
-            vals = [block_iota(cg, lo, hi)] if counted else []
+            vals = [block_iota(cg, block, lo, hi)] if counted else []
             vals += [
                 gather(cg, block, arr, lead, spec, (lo, hi))
                 for arr, lead in rows
@@ -586,125 +597,231 @@ def preheader(cg, e: A.LoopExp, scope: _Scope) -> None:
             index_range(cg, scope, v)
 
 
+class _Masked(Exception):
+    """Internal: the lanes of a loop being stepped may stop apart."""
+
+
+def cond_slot(e: A.LoopExp) -> int:
+    """The merge parameter a ``while`` loop tests, as a slot number."""
+    names = [p.name for p, _ in e.merge]
+    if e.form.cond not in names:
+        raise JitUnsupported(
+            f"while condition {e.form.cond} is not a merge parameter"
+        )
+    return names.index(e.form.cond)
+
+
+def loop_body(
+    cg, e: A.LoopExp, scope: _Scope, state: List[JVal], kds: List[KD],
+    slots: List[str], spec: bool,
+) -> List[KD]:
+    """Emit one iteration of ``e``'s body over ``state``, bound in
+    ``scope``, and hand its results over to the state locals; return
+    the state kinds it produces."""
+    for (p, _), v in zip(e.merge, state):
+        cg._bind_param(scope, p, v)
+    res = cg.gen_body(e.body, scope, spec)
+    if len(res) != len(state):
+        raise JitUnsupported("loop body arity mismatch")
+    new_kds = state_join(kds, res)
+    require_kds(kds, new_kds)
+    state_advance(cg, res, kds, slots, [cg.fresh("_n") for _ in slots])
+    return new_kds
+
+
+def count_iteration(cg, guard: str) -> None:
+    """A ``while`` loop's iteration count, handed over past its cap."""
+    cg.line(f"{guard} += 1")
+    cg.hand_over_if(
+        f"{guard} > 10000000", "while loop exceeded iteration guard"
+    )
+
+
 def gen_loop(cg, e: A.LoopExp, scope: _Scope, spec: bool):
     for rule in (gen_sum, gen_accumulate):
         blocked = rule(cg, e, scope, spec)
         if blocked is not None:
             return blocked
     preheader(cg, e, scope)
+    try:
+        return step_loop(cg, e, scope, spec)
+    except _Masked:
+        return gen_live(cg, e, scope, spec)
+
+
+def step_loop(cg, e: A.LoopExp, scope: _Scope, spec: bool):
+    """A loop whose lanes step together — a ``for`` with a uniform
+    bound, a ``while`` on a uniform condition — its body emitted once,
+    as written.  Raises :class:`_Masked` on one whose lanes may stop
+    apart."""
     init = [cg.atom(scope, a) for _, a in e.merge]
-    params = [p for p, _ in e.merge]
-    slots = [cg.fresh("_s") for _ in params]
-    nexts = [cg.fresh("_n") for _ in params]
+    slots = [cg.fresh("_s") for _ in init]
     # Seed owned=True: state_init pre-copies (a scalar widened to a
     # lane vector too), and the fixpoint downgrades if the body hands
     # back borrowed data.
     seeds = [(v.kind, v.elem, v.rank, True) for v in init]
-
-    def step(
-        extra: List[Tuple[str, JVal]],
-        state: List[JVal],
-        kds: List[KD],
-        active: Optional[str] = None,
-    ) -> List[KD]:
-        """Emit one iteration — of every loop form — and return the
-        state kinds it produces.  ``active`` is the lane mask of a loop
-        whose lanes may stop (None: none does), counted once: with none
-        running the loop ends, with all the body runs as written, and
-        else speculatively, only the running lanes taking its results."""
-
-        def run(sp: bool, seen: List[KD], merge: bool) -> List[KD]:
-            child = scope.child()
-            for name, v in extra:
-                child.bind(name, v)
-            for p, v in zip(params, state):
-                cg._bind_param(child, p, v)
-            res = cg.gen_body(e.body, child, sp)
-            if len(res) != len(state):
-                raise JitUnsupported("loop body arity mismatch")
-            new_kds = [
-                _join_kd(a, b) for a, b in zip(seen, state_join(kds, res))
-            ]
-            require_kds(kds, new_kds)
-            if merge:
-                res = [where(cg, active, n, o) for n, o in zip(res, state)]
-            state_advance(cg, res, kds, slots, nexts)
-            return new_kds
-
-        if active is None:
-            return run(spec, kds, False)
-        running = cg.fresh("_c")
-        cg.line(f"{running} = np.count_nonzero({active})")
-        cg.line(f"if {running} == 0:")
-        with cg.indented():
-            cg.line("break")
-        cg.line(f"if {running} == {active}.size:")
-        with cg.indented():
-            new_kds = run(spec, kds, False)
-        cg.line("else:")
-        with cg.indented():
-            return run(True, new_kds, True)
-
     if isinstance(e.form, A.ForLoop):
         bound = cg.atom(scope, e.form.bound)
         if bound.kind == "A" or bound.rank != 0:
             raise JitUnsupported("for-loop bound must be a scalar")
-        masked = bound.kind == "B"
+        if bound.kind == "B":
+            raise _Masked
         ivar = cg.fresh("_i")
-        counter = [(e.form.ivar, JVal("S", I32, 0, ivar))]
 
         def attempt(kds: List[KD]) -> List[KD]:
-            kds = widen_all_b(kds) if masked else kds
             state = state_init(cg, init, kds, slots, precopy=True)
-            if not masked:
-                cg.line(f"for {ivar} in range(int({bound.var})):")
-                with cg.indented():
-                    return step(counter, state, kds)
-            trip = cg.fresh("_trip")
-            cg.line(
-                f"{trip} = int({bound.var}.max()) "
-                f"if {bound.var}.size else 0"
-            )
-            active = cg.fresh("_act")
-            cg.line(f"for {ivar} in range({trip}):")
+            cg.line(f"for {ivar} in range(int({bound.var})):")
             with cg.indented():
-                cg.line(f"{active} = {bound.var} > {ivar}")
-                return step(counter, state, kds, active)
+                child = scope.child()
+                child.bind(e.form.ivar, JVal("S", I32, 0, ivar))
+                return loop_body(cg, e, child, state, kds, slots, spec)
 
     else:
-        cond_index = next(
-            (k for k, p in enumerate(params) if p.name == e.form.cond),
-            None,
-        )
-        if cond_index is None:
-            raise JitUnsupported(
-                f"while condition {e.form.cond} is not a merge parameter"
-            )
+        cond = cond_slot(e)
 
         def attempt(kds: List[KD]) -> List[KD]:
-            masked = kds[cond_index][0] == "B"
-            kds = widen_all_b(kds) if masked else kds
+            if kds[cond][0] == "B":
+                raise _Masked
             state = state_init(cg, init, kds, slots, precopy=True)
             guard = cg.fresh("_g")
             cg.line(f"{guard} = 0")
-            cg.line("while True:")
+            cg.line(f"while {slots[cond]}:")
             with cg.indented():
-                if not masked:
-                    cg.line(f"if not {slots[cond_index]}:")
-                    with cg.indented():
-                        cg.line("break")
-                    new_kds = step([], state, kds)
-                else:
-                    active = cg.mask(state[cond_index])
-                    new_kds = step([], state, kds, active)
-                cg.line(f"{guard} += 1")
-                cg.hand_over_if(
-                    f"{guard} > 10000000",
-                    "while loop exceeded iteration guard",
+                new_kds = loop_body(
+                    cg, e, scope.child(), state, kds, slots, spec
                 )
+                count_iteration(cg, guard)
             return new_kds
 
     return _jvals(fixpoint(cg, seeds, attempt), slots)
+
+
+def gen_live(cg, e: A.LoopExp, scope: _Scope, spec: bool):
+    """A masked loop — a ``for`` with a per-lane bound, a ``while`` on a
+    per-lane condition — run the way a GPU's threads each leave their
+    own loop: its body emitted once, as written, over a batch of the
+    lanes still running (:func:`live_lanes`).  A lane that stops has
+    its state written once into the full-width results and computes
+    nothing more, so nothing is speculated: a running lane that traps
+    hands the launch over."""
+    init = [cg.atom(scope, a) for _, a in e.merge]
+    slots = [cg.fresh("_s") for _ in init]
+    outs = [cg.fresh("_r") for _ in init]
+    seeds = [("B", v.elem, v.rank, True) for v in init]
+    counted = isinstance(e.form, A.ForLoop)
+    cond = None if counted else cond_slot(e)
+    ext = cg.extent
+
+    def attempt(kds: List[KD]) -> List[KD]:
+        state = state_init(cg, init, kds, slots, precopy=True)
+        if counted:
+            bound, ivar, trip = (
+                cg.atom(scope, e.form.bound), cg.fresh("_i"),
+                cg.fresh("_trip"),
+            )
+            cg.line(
+                f"{trip} = max(int({bound.var}.max()), 0) "
+                f"if {bound.var}.size else 0"
+            )
+        n, inner, retire = live_lanes(cg, e, scope, state, outs, cond)
+        if counted:
+            # Past the longest trip no lane is live: that iteration
+            # writes the last ones back.
+            cg.line(f"for {ivar} in range({trip} + 1):")
+        else:
+            guard = cg.fresh("_g")
+            cg.line(f"{guard} = 0")
+            cg.line("while True:")
+        with cg.indented():
+            child = inner.child()
+            if counted:
+                act = cg.fresh("_act")
+                left = inner.lookup(e.form.bound.name)
+                cg.line(f"{act} = {left.var} > {ivar}")
+                child.bind(e.form.ivar, JVal("S", I32, 0, ivar))
+            else:
+                act = cg.mask(state[cond])
+            retire(act)
+            with cg.batch(n):
+                new_kds = loop_body(cg, e, child, state, kds, slots, spec)
+            if not counted:
+                count_iteration(cg, guard)
+        if not counted:
+            cg.line(f"{outs[cond]} = np.zeros(({ext},), dtype=bool)")
+        return new_kds
+
+    kds = fixpoint(cg, seeds, attempt)
+    return _jvals([("B", el, r, True) for _, el, r, _ in kds], outs)
+
+
+def live_lanes(cg, e: A.LoopExp, scope: _Scope, state: List[JVal],
+               outs: List[str], cond: Optional[int]):
+    """Emit, ahead of the masked loop ``e``, what runs it on its live
+    lanes: its results ``outs`` at the batch's full width (but the
+    ``while`` condition's, slot ``cond``, false on every lane that
+    stopped: nothing is written to it), the count and the positions
+    of the live lanes, and a copy of every batched value the loop reads
+    — an array its body only indexes is read through its lane vector
+    (``JVal.lanes``) instead, not copied.  Returns the count, the scope
+    binding the copies and ``retire(act)``, which emits an iteration's
+    bookkeeping: where the lane mask ``act`` has lost lanes, their
+    state is written into ``outs`` — with none left the loop ends — and
+    the state and the copies are compacted to the lanes that are left,
+    a copied index's range recomputed."""
+    n, pos = cg.fresh("_nl"), cg.fresh("_ix")
+    cg.line(f"{n} = {cg.extent}")
+    cg.line(f"{pos} = R.arange({n})")
+    reads = free_vars_body(e.body)
+    kept = [(o, s.var) for k, (o, s) in enumerate(zip(outs, state))
+            if k != cond]
+    for o, s in kept:
+        cg.line(f"{o} = np.empty({s}.shape, dtype={s}.dtype)")
+    live = [pos] + [s.var for k, ((p, _), s) in enumerate(zip(e.merge, state))
+                    if k != cond or p.name in reads]
+    reads -= {p.name for p, _ in e.merge}
+    if isinstance(e.form, A.ForLoop):
+        reads = reads - {e.form.ivar} | {e.form.bound.name}
+    inner, facts = scope.child(), []
+    for name in sorted(reads):
+        v = scope.maybe(name)
+        if v is None or v.kind != "B":
+            continue
+        if v.rank and not v.lanes and only_indexed(e.body, name):
+            inner.bind(name, replace(v, owned=False, lanes=pos))
+            continue
+        c = cg.fresh("_lv")
+        cg.line(f"{c} = {v.lanes or v.var}")
+        live.append(c)
+        if v.lanes:
+            inner.bind(name, replace(v, owned=False, lanes=c))
+            continue
+        inner.bind(name, replace(v, owned=False, var=c))
+        fact = scope.range_of(v.var)
+        if fact is not None:
+            lo, hi = cg.fresh("_lo"), cg.fresh("_hi")
+            cg.line(f"{lo}, {hi} = {fact[0]}, {fact[1]}")
+            inner.ranges[c] = (lo, hi)
+            facts.append((c, lo, hi))
+
+    def retire(act: str) -> None:
+        c, stop, gone = cg.fresh("_c"), cg.fresh("_st"), cg.fresh("_gone")
+        cg.line(f"{c} = np.count_nonzero({act})")
+        cg.line(f"if {c} < {n} or not {c}:")
+        with cg.indented():
+            cg.line(f"{stop} = ~{act}")
+            cg.line(f"{gone} = {pos}[{stop}]")
+            for o, s in kept:
+                cg.line(f"{o}[{gone}] = {s}[{stop}]")
+            cg.line(f"if not {c}:")
+            with cg.indented():
+                cg.line("break")
+            for v in live:
+                cg.line(f"{v} = {v}[{act}]")
+            for v, lo, hi in facts:
+                cg.line(f"{lo}, {hi} = int({v}.min()), int({v}.max())")
+            cg.line(f"{n} = {c}")
+
+    return n, inner, retire
 
 
 RULES = {

@@ -17,10 +17,10 @@ from .values import KD, JitUnsupported, JVal, _Emitter, _Scope
 
 #: Schema tag embedded in every generated module; bump on any change to
 #: the generated code's shape so stale cached artifacts are discarded.
-PYCODE_SCHEMA = "repro.pycode/v8"
+PYCODE_SCHEMA = "repro.pycode/v9"
 
-#: Hard cap on emitted statements: speculative if-arms and masked loops
-#: duplicate their bodies, so deeply nested divergence can explode.
+#: Hard cap on emitted statements: speculative if-arms duplicate their
+#: bodies, so deeply nested divergence can explode.
 _MAX_LINES = 50_000
 
 
@@ -164,8 +164,9 @@ class KernelCodegen:
         return name
 
     def _coerce(self, v: JVal, kd: KD) -> JVal:
-        """Emit the code turning ``v`` into kind descriptor ``kd``
-        (broadcast views, no copy)."""
+        """Emit the code turning ``v`` into kind descriptor ``kd``: a
+        scalar filled into a lane vector of its own, an array broadcast
+        (a view, no copy)."""
         kind, elem, rank, owned = kd
         if v.kind == kind:
             return replace(v, owned=v.owned and owned)
@@ -175,12 +176,12 @@ class KernelCodegen:
         out = self.fresh()
         if v.kind == "S":
             self.line(
-                f"{out} = np.broadcast_to({self._asarray(v, elem)}, ({ext},))"
+                f"{out} = np.full(({ext},), {v.var}, dtype={self._dt(elem)})"
             )
-        else:  # A -> B
-            self.line(
-                f"{out} = np.broadcast_to({v.var}, ({ext},) + {v.var}.shape)"
-            )
+            return JVal("B", elem, rank, out, owned)
+        self.line(
+            f"{out} = np.broadcast_to({v.var}, ({ext},) + {v.var}.shape)"
+        )
         return JVal("B", elem, rank, out, False)
 
     def mask(self, v: JVal) -> str:

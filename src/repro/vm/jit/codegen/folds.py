@@ -1,13 +1,16 @@
 """``reduce``, ``scan`` and the streams.
 
-An operator NumPy has a ufunc for folds natively.  Any other
-associative fold runs the way a GPU runs it where that cannot move a
-trap: a kernel-level ``reduce`` as an order-preserving pairwise tree
-that copies only at odd levels, a ``stream_red`` with one chunk per
-lane — one batch of lanes where ``R.lane_groups`` finds one — and a
-tree over the lane accumulators (:func:`tree_combine`).  The rest —
-trap sites, every non-ufunc ``scan``, a reduce inside a batch,
-``stream_seq`` — keep the interpreter's order (:func:`fold_sequential`).
+An operator NumPy has a ufunc for folds natively, and one that selects
+an argument by a key — argmin, argmax — is one ``np.argmin`` or
+``np.argmax``, at kernel level or along the rows of a batch
+(:func:`gen_select`).  Any other associative fold runs the way a GPU
+runs it where that cannot move a trap: a kernel-level ``reduce`` as an
+order-preserving pairwise tree that copies only at odd levels, a
+``stream_red`` with one chunk per lane — one batch of lanes where
+``R.lane_groups`` finds one — and a tree over the lane accumulators
+(:func:`tree_combine`).  The rest — trap sites, every non-ufunc
+``scan``, any other reduce inside a batch, ``stream_seq`` — keep the
+interpreter's order (:func:`fold_sequential`).
 """
 
 from __future__ import annotations
@@ -62,7 +65,105 @@ def fold_ufunc(op, vals: List[JVal], neutral: List[JVal]):
     return None
 
 
+#: A comparison with its operands swapped, and negated.
+_SWAPPED = {"lt": "gt", "gt": "lt", "le": "ge", "ge": "le"}
+_NEGATED = {"lt": "ge", "ge": "lt", "le": "gt", "gt": "le"}
+
+
+def selection(lam: A.Lambda):
+    """``(k, op)`` when ``lam`` returns one of its two arguments whole,
+    chosen by comparing their component ``k`` — ``if b.k op a.k then b
+    else a`` once normalised, ``op`` one of ``lt``/``le``/``gt``/``ge``
+    — else None."""
+    n, odd = divmod(len(lam.params), 2)
+    body = lam.body
+    if odd or not n or len(body.bindings) != 2:
+        return None
+    a = tuple(A.Var(p.name) for p in lam.params[:n])
+    b = tuple(A.Var(p.name) for p in lam.params[n:])
+    test, pick = body.bindings
+    cmp, sel = test.exp, pick.exp
+    if not (
+        isinstance(cmp, A.CmpOpExp) and cmp.op in _SWAPPED
+        and not cmp.t.is_bool
+        and isinstance(sel, A.IfExp) and sel.cond == A.Var(test.pat[0].name)
+        and not sel.t_body.bindings and not sel.f_body.bindings
+        and body.result == tuple(A.Var(p.name) for p in pick.pat)
+    ):
+        return None
+    pairs = list(zip(b, a))
+    if (cmp.x, cmp.y) in pairs:
+        k, op = pairs.index((cmp.x, cmp.y)), cmp.op
+    elif (cmp.y, cmp.x) in pairs:
+        k, op = pairs.index((cmp.y, cmp.x)), _SWAPPED[cmp.op]
+    else:
+        return None
+    arms = (sel.t_body.result, sel.f_body.result)
+    if arms == (a, b):
+        return k, _NEGATED[op]
+    return (k, op) if arms == (b, a) else None
+
+
+def gen_select(cg, e: A.ReduceExp, scope: _Scope, spec: bool):
+    """A selecting reduce (:func:`selection`) as one ``np.argmin`` or
+    ``np.argmax`` of the keys — along the inner axis inside a batch, a
+    segmented reduction — or None when ``e`` is not one.  A strict
+    comparison keeps the leftmost extreme, as the left fold does, and a
+    non-strict one the rightmost; the selected row (copied: a result
+    is never a view of an input) then meets the neutral element as the
+    operator is written.  Keys with no total order — a NaN — hand the
+    launch over."""
+    found = selection(e.lam)
+    if found is None:
+        return None
+    k, op = found
+    w, vals = soac_inputs(cg, scope, e.width, e.arrs, "reduce")
+    neutral = [cg.atom(scope, a) for a in e.neutral]
+    keys = vals[k]
+    lanes = keys.kind == "B"
+
+    def folded() -> List[JVal]:
+        at = cg.fresh("_j")
+        find = "np.argmin" if op in ("lt", "le") else "np.argmax"
+        axis = ", axis=1" if lanes else ""
+        if op in ("lt", "gt"):
+            cg.line(f"{at} = {find}({keys.var}{axis})")
+        else:
+            flip = "[:, ::-1]" if lanes else "[::-1]"
+            cg.line(f"{at} = {w} - 1 - {find}({keys.var}{flip}{axis})")
+        rows = [picked(cg, v, at, lanes) for v in vals]
+        if keys.elem.is_float:
+            # np.argmin/argmax stop at a NaN: it is the selected key.
+            nan = f"np.isnan({rows[k].var}).any()" if lanes else (
+                f"{rows[k].var} != {rows[k].var}")
+            cg.hand_over_if(nan, "NaN key in a selecting reduce")
+        return cg.gen_lambda(e.lam, neutral + rows, scope, spec)
+
+    return unless_empty(cg, w, neutral, folded)
+
+
+def picked(cg, v: JVal, at: str, lanes: bool) -> JVal:
+    """The row of the reduce input ``v`` at ``at`` — a position, or one
+    per lane of the batch — copied if it is an array."""
+    out = cg.fresh("_r")
+    if not lanes:
+        if v.kind == "B":
+            cg.line(f"{out} = {v.var}[:, {at}].copy()")
+            return JVal("B", v.elem, v.rank - 1, out, True)
+        if v.rank == 1:
+            cg.line(f"{out} = {v.var}[{at}].item()")
+            return JVal("S", v.elem, 0, out)
+        cg.line(f"{out} = {v.var}[{at}].copy()")
+        return JVal("A", v.elem, v.rank - 1, out, True)
+    sub = f"R.arange({cg.extent}), {at}" if v.kind == "B" else at
+    cg.line(f"{out} = {v.var}[{sub}]")
+    return JVal("B", v.elem, v.rank - 1, out, True)
+
+
 def gen_reduce(cg, e: A.ReduceExp, scope: _Scope, spec: bool):
+    selected = gen_select(cg, e, scope, spec)
+    if selected is not None:
+        return selected
     w, vals = soac_inputs(cg, scope, e.width, e.arrs, "reduce")
     neutral = [cg.atom(scope, a) for a in e.neutral]
     op = _simple_op(e.lam)

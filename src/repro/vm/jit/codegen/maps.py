@@ -163,9 +163,9 @@ def map_over(
 
 def map_batched(cg, lam: A.Lambda, scope: _Scope, spec: bool, w: str, vals):
     """A map inside a batch extends it: flatten ``(B, n)`` into
-    ``B*n``.  Batched inputs are reshaped, uniform ones tiled, and
-    the lane values the lambda captures repeated, so the body never
-    sees the enclosing batch at its old width."""
+    ``B*n``.  Batched inputs are reshaped, uniform ones repeated per
+    lane, and the lane values the lambda captures repeated, so the body
+    never sees the enclosing batch at its old width."""
     b = cg.extent
     child = scope.child(barrier=True)
     expand_captures(cg, lam, scope, child, w)
@@ -182,11 +182,17 @@ def map_batched(cg, lam: A.Lambda, scope: _Scope, spec: bool, w: str, vals):
                 child, p, JVal("B", v.elem, v.rank - 1, pv, v.owned)
             )
         else:
-            reps = "(" + ", ".join([b] + ["1"] * (v.rank - 1)) + ")"
-            cg.line(f"{pv} = np.tile({v.var}, {reps})")
+            # One copy per enclosing lane, whose values keep their range.
+            cg.line(
+                f"{pv} = np.repeat({v.var}[None], {b}, axis=0)"
+                f".reshape(({ext},) + {v.var}.shape[1:])"
+            )
             cg._bind_param(
                 child, p, JVal("B", v.elem, v.rank - 1, pv, False)
             )
+            fact = scope.range_of(v.var)
+            if fact is not None:
+                child.ranges[pv] = fact
     results = []
     with cg.batch(ext):
         for o in cg.gen_body(lam.body, child, spec):

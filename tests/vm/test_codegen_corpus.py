@@ -123,9 +123,10 @@ def row(name, src, args, **kw):
     ROWS.append(Row(name, src, args, **kw))
 
 
-#: What a loop's sequential step emits, an accumulating loop, and a
-#: summing one (its lanes' lockstep).
-_STEP, _AT, _SUM = "for _i", ".at(", "for _k"
+#: What a loop's sequential step emits, an accumulating loop, a
+#: summing one (its lanes' lockstep), and a masked one (its live
+#: lanes' count).
+_STEP, _AT, _SUM, _LIVE = "for _i", ".at(", "for _k", "= R.arange(_nl"
 
 
 # -- elementwise operators ---------------------------------------------------
@@ -336,6 +337,89 @@ fun main (ks: [n]i32): [n]i32 =
     emits=('np.count_nonzero(',), omits=('.all()', '.any()'),
 )
 
+# -- masked loops on their live lanes ------------------------------------------
+#
+# A ``for`` with a per-lane bound or a ``while`` on a per-lane condition
+# runs only its live lanes (``control.gen_live``): a lane that stops is
+# written back once and compacted away, and the body is emitted once, as
+# written — never speculatively, so a running lane that traps is a trap.
+
+#: A running lane that traps in an iteration where another lane has
+#: stopped: the interpreter raises, and so must the jit (run
+#: speculatively, that iteration would substitute the divisor and keep
+#: the running lane's result: ``[-10, 10]``).
+for _form, _loop in [
+    ("for", "loop (s = 0) for i < k do s + 10 / (k - i - 2)"),
+    ("while", """let (s, i, go) =
+      loop (s = 0, i = 0, go = 0 < k) while go do
+        {s + 10 / (k - i - 2), i + 1, i + 1 < k}
+    in s"""),
+]:
+    row(
+        f"trap-running-lane-{_form}",
+        r"""
+fun main (ks: [n]i32): [n]i32 =
+  map (\(k: i32) ->
+    %s) ks
+""" % _loop,
+        lambda: [_i32([1, 3])],
+        fallbacks=1,
+        raises=ZeroDivisionError,
+        emits=(_LIVE,),
+    )
+
+#: What a compacted body reads: a per-lane row it only indexes (through
+#: its lane vector, not copied), a lane index whose range is taken again
+#: over the live lanes (the lane that never starts holds one out of
+#: range: it reads nothing, so nothing is handed over; the ``if`` keeps
+#: the read from being hoisted out of the loop), a loop-carried array
+#: updated in place, and a map nested in the body.
+row(
+    "live-reads",
+    r"""
+fun main (xss: [n][m]i32) (ks: [n]i32) (js: [n]i32) (ys: [p]i32)
+    : ([n]i32, [n][3]i32, [n][m]i32) =
+  map (\(row: [m]i32) (k: i32) (j: i32) ->
+    loop (s = 0, acc = replicate 3 0, zs = replicate m 0) for i < k do
+      let acc[i % 3] = acc[i % 3] + row[i % m]
+      in {s + row[i % m] * (if i >= 0 then ys[j] else 0), acc,
+          map (\(z: i32) -> z + i) zs}) xss ks js
+""",
+    lambda: [_i32([[1, 2, 3], [4, 5, 6], [7, 8, 9], [1, 1, 1]]),
+             _i32([4, 0, 2, 5]), _i32([1, 99, 0, 2]), _i32([10, 20, 30])],
+    emits=(_LIVE, "[(_ix"),
+)
+
+#: A masked loop nested in another: the inner one runs on the outer's
+#: live lanes, and compacts again.
+row(
+    "live-nested",
+    r"""
+fun main (ks: [n]i32): [n]i32 =
+  map (\(k: i32) ->
+    loop (s = 0) for i < k do
+      let (c, t) = loop (c = i < k - 1, t = s) while c do
+                     {t + i < 3 * k, t + i + 1}
+      in s + t % 5) ks
+""",
+    lambda: [_i32([0, 3, 1, 5, 2])],
+    emits=(_LIVE,),
+)
+
+#: In the arm of a divergent ``if`` the loop runs speculatively on the
+#: lanes that do not take the arm too: a zero divisor there is
+#: substituted and discarded.
+row(
+    "live-speculative",
+    r"""
+fun main (xs: [n]i32): [n]i32 =
+  map (\(x: i32) ->
+    if x > 0 then loop (s = 0) for i < x do s + 100 / (x - i) else 0) xs
+""",
+    lambda: [_i32([3, -1, 0, 2])],
+    emits=(_LIVE,),
+)
+
 
 # -- array primitives ----------------------------------------------------------
 
@@ -468,7 +552,7 @@ fun main (xss: [n][4]i32) (zs: [2]i32)
 """,
     lambda: [_i32([[1, 2, 3, 4], [5, 6, 7, 8]]), _i32([9, 10])],
     pipeline="nest-intact",
-    emits=('np.concatenate([', 'reshape changes element count', 'np.tile('),
+    emits=('np.concatenate([', 'reshape changes element count', '[None], '),
 )
 
 #: The same builders as host-level launches (one builtin kernel each)
@@ -518,9 +602,9 @@ fun main (dest: *[k]i32) (is: [n]i32) (vs: [n]i32): (*[k]i32, i32) =
 # -- SOACs and streams ---------------------------------------------------------
 
 #: A two-deep map nest over a per-lane row (reshaped) and over a
-#: uniform array (tiled, the lane values the inner lambda captures
-#: repeated), with results that are a constant, a uniform array and a
-#: lane value.
+#: uniform array (repeated per lane, the lane values the inner lambda
+#: captures repeated), with results that are a constant, a uniform
+#: array and a lane value.
 row(
     "map-nest",
     r"""
@@ -534,7 +618,7 @@ fun main (xss: [n][m]i32) (js: [k]i32) (zs: [k]i32)
 """,
     lambda: [_i32([[1, 2], [3, 4], [5, 6]]), _i32([10, 20, 30]),
              _i32([7, 8, 9])],
-    emits=('np.tile(', 'np.repeat('),
+    emits=('[None], ', 'np.repeat('),
 )
 
 #: Operators NumPy has a ufunc for, at kernel level and segmented (one
@@ -605,6 +689,91 @@ fun main (vs: [n]i32): (i32, i32) =
 """,
     lambda: [_i32([3, -5, 4, 5, 1])],
     emits=('while _n',),
+)
+
+#: A selecting operator — one argument returned whole, chosen by one
+#: key — is one ``np.argmin``/``np.argmax`` (``folds.gen_select``): in
+#: each of the four comparison forms, written either way round, over
+#: i32 and f32 keys with ties at both ends (and ``-0.0`` tying ``0.0``),
+#: and over no rows at all.
+_SELECT = r"""
+fun main (vs: [n]%(t)s) (is: [n]i32): (%(t)s, i32) =
+  reduce (\(av: %(t)s) (ai: i32) (v: %(t)s) (i: i32) ->
+            if %(test)s then {%(then)s} else {%(else)s})
+         (%(neutral)s, -1) vs is
+"""
+_SELECT_KEYS = {
+    "i32": [3, -2, 7, -2, 7, 1, -2, 7],
+    "f32": [0.0, -0.0, 2.5, -1.5, -0.0, 2.5, -1.5, 0.0],
+}
+for _name, _test, _keep_b, _find in [
+    ("lt", "v < av", True, "np.argmin("),
+    ("le", "v <= av", True, "np.argmin("),
+    ("gt", "v > av", True, "np.argmax("),
+    ("ge", "av <= v", True, "np.argmax("),
+    ("not-lt", "av < v", False, "np.argmin("),
+    ("not-ge", "v >= av", False, "np.argmin("),
+]:
+    for _t, _keys in _SELECT_KEYS.items():
+        _big = "1.0e30f32" if _t == "f32" else "2147483647"
+        _neutral = _big if _find == "np.argmin(" else (
+            "-" + _big if _t == "f32" else "-2147483648")
+        _then, _else = ("v, i", "av, ai") if _keep_b else ("av, ai", "v, i")
+        _mk = _f32 if _t == "f32" else _i32
+        row(
+            f"select-{_name}-{_t}",
+            _SELECT % {"t": _t, "test": _test, "then": _then,
+                       "else": _else, "neutral": _neutral},
+            lambda mk=_mk, keys=_keys: [mk(keys), _i32(range(len(keys)))],
+            emits=(_find,),
+            omits=("while _n",),
+        )
+
+row(
+    "select-empty",
+    _SELECT % {"t": "i32", "test": "v < av", "then": "v, i",
+               "else": "av, ai", "neutral": "5"},
+    lambda: [_i32([]), _i32([])],
+    emits=("np.argmin(",),
+)
+
+#: A NaN key orders nothing, and the left fold keeps stepping past it:
+#: ``(0.5, 3)`` and ``(0.0, 3)``, which a tree or an argmin would not
+#: give (the tree answered ``(1e30, 0)`` and ``(1.0, 1)``).  The launch
+#: is the interpreter's.
+for _name, _keys in [("nan-first", [float("nan"), 5, 1, 0.5]),
+                     ("nan-middle", [2, 1, float("nan"), 0, 7])]:
+    row(
+        f"select-{_name}",
+        _SELECT % {"t": "f32", "test": "v < av", "then": "v, i",
+                   "else": "av, ai", "neutral": "1.0e30f32"},
+        lambda keys=_keys: [_f32(keys), _i32(range(len(keys)))],
+        fallbacks=1,
+        emits=("np.argmin(",),
+    )
+
+#: Inside a batch, one argmin per row — the segmented reduction — and
+#: in the arm of a divergent ``if``.
+row(
+    "select-rows",
+    r"""
+fun main (xss: [n][m]f32) (is: [m]i32): ([n]f32, [n]i32, [n]i32) =
+  map (\(row: [m]f32) ->
+    let (v, k) = reduce (\(av: f32) (ai: i32) (v: f32) (i: i32) ->
+                           if v <= av then {v, i} else {av, ai})
+                        (1.0e30f32, -1) row is
+    let s = if row[0] > 0.0f32
+            then let (w, j) = reduce (\(aw: f32) (aj: i32) (w: f32) (j: i32) ->
+                                        if w > aw then {w, j} else {aw, aj})
+                                     (-1.0e30f32, -1) row is
+                 in j
+            else -1
+    in {v, k, s}) xss
+""",
+    lambda: [_f32([[1.0, -2.0, 3.0, -2.0], [0.5, 0.5, 0.5, 0.5],
+                   [-1.0, 4.0, 4.0, 0.0]]), _i32([0, 1, 2, 3])],
+    pipeline="nest-intact",
+    emits=("axis=1)",),
 )
 
 #: What keeps the left-to-right fold: an operator with a trap site
@@ -1456,7 +1625,7 @@ class Outcome:
     launches that left the jit, the generated sources as one text,
     and the ``(expression class, position)`` pairs whose emitter ran —
     ``U`` outside any batch, ``B`` inside one, ``S`` speculative (the
-    accumulate and sum rules under their functions' names)."""
+    rules no table row names under their functions' names)."""
 
     expected: object
     got: object
@@ -1472,19 +1641,22 @@ def _attempt(run):
         return ex
 
 
-#: The rule module of the two rules no table row names: ``gen_loop``
-#: tries ``gen_sum`` and ``gen_accumulate`` first.
+#: The rule modules of the four rules no table row names: ``gen_loop``
+#: tries ``gen_sum`` and ``gen_accumulate`` first and runs a masked loop
+#: as ``gen_live``; ``gen_reduce`` tries ``gen_select`` first.
 _CONTROL = sys.modules[_LOWERING._GEN[A.LoopExp].__module__]
-_LOOP_RULES = ("gen_sum", "gen_accumulate")
+_FOLDS = sys.modules[_LOWERING._GEN[A.ReduceExp].__module__]
+_LOOP_RULES = ("gen_sum", "gen_accumulate", "gen_live")
+_RULES = {**{name: _CONTROL for name in _LOOP_RULES}, "gen_select": _FOLDS}
 
 
 @contextlib.contextmanager
 def _recording(reached: Set[Tuple[object, str]]):
-    """Wrap every row of the dispatch table, and the loop rules
-    (recorded where they take the loop), for the duration."""
+    """Wrap every row of the dispatch table, and the rules it does not
+    name (recorded where they take the expression), for the duration."""
     table = _LOWERING._GEN
     saved = dict(table)
-    rules = {name: getattr(_CONTROL, name) for name in _LOOP_RULES}
+    rules = {name: getattr(mod, name) for name, mod in _RULES.items()}
 
     def position(cg, spec):
         return "S" if spec else "B" if cg.depth else "U"
@@ -1507,13 +1679,13 @@ def _recording(reached: Set[Tuple[object, str]]):
 
     table.update({cls: spy(cls, emit) for cls, emit in saved.items()})
     for name, rule in rules.items():
-        setattr(_CONTROL, name, spy_rule(name, rule))
+        setattr(_RULES[name], name, spy_rule(name, rule))
     try:
         yield
     finally:
         table.update(saved)
         for name, rule in rules.items():
-            setattr(_CONTROL, name, rule)
+            setattr(_RULES[name], name, rule)
 
 
 def run_row(row: Row) -> Outcome:
@@ -1603,14 +1775,30 @@ def test_row_agrees_with_the_interpreter_and_its_digest(name, tmp_path):
     check_row(row, outcome_of(row), tmp_path)
 
 
-_BENCHMARK_SOURCES: Dict[str, str] = {}
+_BENCHMARK_SOURCES: Dict[str, Tuple[str, Set[str]]] = {}
+
+
+def benchmark_run(name: str) -> Tuple[str, Set[str]]:
+    """``_generated_sources``, once per benchmark per session, and the
+    functions that called the per-lane merge (``control.where``) while
+    it transpiled."""
+    if name not in _BENCHMARK_SOURCES:
+        merge, callers = _CONTROL.where, set()
+
+        def spy(cg, *args):
+            callers.add(sys._getframe(1).f_code.co_name)
+            return merge(cg, *args)
+
+        _CONTROL.where = spy
+        try:
+            _BENCHMARK_SOURCES[name] = (_generated_sources(name), callers)
+        finally:
+            _CONTROL.where = merge
+    return _BENCHMARK_SOURCES[name]
 
 
 def benchmark_sources(name: str) -> str:
-    """``_generated_sources``, once per benchmark per session."""
-    if name not in _BENCHMARK_SOURCES:
-        _BENCHMARK_SOURCES[name] = _generated_sources(name)
-    return _BENCHMARK_SOURCES[name]
+    return benchmark_run(name)[0]
 
 
 @pytest.mark.parametrize("name", list(BENCHMARKS.names()))
@@ -1631,6 +1819,27 @@ def test_branch_and_loop_masks_are_counted_once(name):
     ``.any()``; trap guards keep their ``.any()``."""
     found = _WHOLE_MASK_TEST.findall(benchmark_sources(name))
     assert not found, found
+
+
+@pytest.mark.parametrize("name", list(BENCHMARKS.names()))
+def test_a_lane_that_stopped_computes_nothing(name):
+    """No loop merges its state per lane: the only per-lane merge is a
+    divergent ``if``'s.  A masked loop's body is emitted once — every
+    state slot is handed its next value on one line — and runs over the
+    live lanes (Mandelbrot's ``while``)."""
+    text, mergers = benchmark_run(name)
+    assert mergers <= {"gen_if"}, mergers
+    for kernel in text.split("# ===== "):
+        advances = re.findall(r"^\s*(_s\d+) = _n\d+$", kernel, re.M)
+        assert len(advances) == len(set(advances)), advances
+    assert (_LIVE in text) == (name == "Mandelbrot")
+
+
+def test_nn_selects_its_neighbours_with_argmin():
+    """NN's reduce keeps the least distance and its index: one
+    ``np.argmin`` per launch, no pairwise tree."""
+    text = benchmark_sources("NN")
+    assert "np.argmin(" in text and "while _n" not in text
 
 
 #: Where the corpus reaches each emitter (``U`` outside any batch,
@@ -1664,6 +1873,8 @@ POSITIONS = {
     A.ScatterExp: "UB",
     "gen_accumulate": "UBS",
     "gen_sum": "BS",
+    "gen_live": "BS",
+    "gen_select": "UBS",
 }
 
 
@@ -1674,7 +1885,7 @@ def test_every_expression_has_an_emitter_and_the_corpus_reaches_it():
         "dispatch table and core.ast.Exp disagree: "
         f"{sorted(c.__name__ for c in set(table) ^ expressions)}"
     )
-    assert set(POSITIONS) == expressions | set(_LOOP_RULES)
+    assert set(POSITIONS) == expressions | set(_RULES)
     reached: Set[Tuple[object, str]] = set()
     for row in ROWS:
         reached |= outcome_of(row).reached

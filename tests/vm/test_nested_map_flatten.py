@@ -38,6 +38,7 @@ from repro.vm.jit import jit_cache_for
 from repro.vm.jit.codegen.elementwise import (
     _simple_op, _trap_free, _ufunc_src,
 )
+from repro.vm.jit.codegen.folds import selection
 
 #: The default pipeline, and one that leaves the whole nest (inner
 #: reduces and loops included) in a single kernel.
@@ -87,10 +88,11 @@ def _run_everywhere(src: str, make_args, options: CompilerOptions):
 
 
 def _assert_flattened(sources) -> None:
-    """Some kernel tiled a uniform inner input across the enclosing
-    batch (``np.tile`` is emitted nowhere else), and none fell back."""
+    """Some kernel repeated a uniform inner input across the enclosing
+    batch (``np.repeat(v[None], ...)`` is emitted nowhere else), and
+    none fell back."""
     assert all(s is not None for s in sources), "a kernel was unsupported"
-    assert any("np.tile(" in s for s in sources), (
+    assert any("[None], " in s for s in sources), (
         "no kernel flattened a uniform-input inner map"
     )
 
@@ -321,7 +323,8 @@ def _sequential_constructs(e: A.Exp) -> set:
     Python loop: ``loop``, ``stream`` (over lane groups or chunks, and
     the levels of a ``stream_red``'s combining tree), and
     ``fold``/``scan`` for a reduce/scan whose operator is not a NumPy
-    ufunc (the levels of a tree, or a left fold)."""
+    ufunc (the levels of a tree, or a left fold) — but a reduce that
+    selects an argument, which is one argmin."""
     found = set()
 
     def walk_body(body):
@@ -340,7 +343,10 @@ def _sequential_constructs(e: A.Exp) -> set:
             t = x.lam.ret_types[0]
             elem = t.elem if isinstance(t, Array) else t.t
             single = len(x.arrs) == 1 and len(x.neutral) == 1
-            if not single or _ufunc_src(_simple_op(x.lam), elem) is None:
+            picks = isinstance(x, A.ReduceExp) and selection(x.lam)
+            if not picks and (
+                not single or _ufunc_src(_simple_op(x.lam), elem) is None
+            ):
                 found.add("scan" if isinstance(x, A.ScanExp) else "fold")
             walk_body(x.lam.body)
         elif isinstance(x, (A.MapExp, A.FilterExp)):

@@ -10,8 +10,12 @@ depends on operand *order*, and must agree on the jit, the simulator
 and the reference interpreter (integers bit-exact, floats at the
 differential tolerance) with no launch falling back.
 
-An operator the lowering cannot apply out of order without moving a
-trap (``/``, ``%``, an index) keeps the left-to-right fold, as does a
+An operator that returns one of its arguments whole, chosen by
+comparing one component (argmin, argmax), is no tree: it is one
+``np.argmin``/``np.argmax`` — along the rows inside a batch — and must
+name the same position the left fold does, ties included.  An operator
+the lowering cannot apply out of order without moving a trap (``/``,
+``%``, an index) keeps the left-to-right fold, as does any other
 reduce met inside a batch.
 """
 
@@ -92,6 +96,14 @@ def _assert_tree(sources) -> None:
     assert not any(_SCALAR_FOLD in s for s in sources), (
         "a scalar left fold was emitted"
     )
+
+
+def _assert_selected(sources) -> None:
+    """One argmin or argmax, and neither a tree nor a left fold."""
+    assert any(re.search(r"np\.arg(min|max)\(", s) for s in sources), (
+        "no argmin/argmax emitted"
+    )
+    assert not any("while _n" in s or _SCALAR_FOLD in s for s in sources)
 
 
 def _assert_accumulated(sources) -> None:
@@ -176,6 +188,9 @@ def _reduce_args(case: str, n: int):
     return [_f32(rng.normal(size=n)) for _ in range(2)]
 
 
+#: The cases whose operator selects one of its arguments.
+SELECTING = ("argmin", "argmax", "argmin-f32")
+
 REDUCE_CASES = {
     "argmin": ARGMIN_KEEP_LEFT,
     "argmax": ARGMAX_KEEP_RIGHT,
@@ -190,7 +205,7 @@ REDUCE_CASES = {
 @pytest.mark.parametrize("case", sorted(REDUCE_CASES))
 def test_tree_reduce_matches_the_left_fold(case, n):
     sources = _agree(REDUCE_CASES[case], lambda: _reduce_args(case, n))
-    _assert_tree(sources)
+    (_assert_selected if case in SELECTING else _assert_tree)(sources)
 
 
 def test_ties_resolve_by_position_not_by_tree_shape():
@@ -273,15 +288,17 @@ fun main (xss: [n][m]i32) (is: [m]i32): ([n]i32, [n]i32) =
 """
 
 
-def test_reduce_inside_a_batch_is_unchanged():
+def test_a_selecting_reduce_inside_a_batch_is_one_argmin_per_row():
+    """The segmented reduction: one ``np.argmin`` along the rows, each
+    row's first minimum (the rows tie at both ends)."""
     rng = np.random.default_rng(5)
     xss = rng.integers(-9, 9, (6, 11))
     xss[:, 0] = xss[:, -1] = -9
     sources = _agree(
         ROWWISE_ARGMIN, lambda: [_i32(xss), _i32(np.arange(11))]
     )
-    assert any(_SCALAR_FOLD in s for s in sources)
-    assert not any("while _n" in s for s in sources)
+    _assert_selected(sources)
+    assert any(re.search(r"np\.argmin\(\w+, axis=1\)", s) for s in sources)
 
 
 # -- stream_red --------------------------------------------------------------
@@ -489,7 +506,7 @@ def test_tree_levels_match_the_interpreter(n):
     16384 is even at every level, 16385 odd at the first."""
     _assert_tree(_agree(MATMUL_2X2, lambda: _matrices(n)))
     args = _i32(_tied(n, np.random.default_rng(n))), _i32(np.arange(n))
-    _assert_tree(_agree(ARGMIN_KEEP_LEFT, lambda: list(args)))
+    _assert_selected(_agree(ARGMIN_KEEP_LEFT, lambda: list(args)))
 
 
 #: The least-keyed row of ``xss``, then ``xss[0]`` overwritten in
@@ -532,7 +549,7 @@ def test_a_kept_row_does_not_alias_the_updated_input(n, executor):
     assert report.fallbacks == 0
     assert got[0].data.tolist() == want.data.tolist() == [1, 2, 3]
     if executor == "jit":
-        _assert_tree([
+        _assert_selected([
             s
             for by_sig in jit_cache_for(compiled.host).sources().values()
             for s in by_sig.values()
