@@ -13,10 +13,19 @@ For each benchmark and each seed (``CHAOS_SEEDS`` env var, default
    :class:`RunReport` must show the machinery actually engaged.
 
 Everything is seeded, so a given seed always produces the same fault
-trail: the suite is chaos *testing*, not flaky testing.
+trail: the suite is chaos *testing*, not flaky testing.  Each run's
+counters are pinned in ``data/chaos_counters.json`` (seeds 0–5, captured
+before the attempt loop learned about device stints, so a single run's
+attempts and backoff draws are the ones it always made).  After an
+intentional change to the attempt loop::
+
+    GOLDEN_UPDATE=1 CHAOS_SEEDS=0,1,2,3,4,5 PYTHONPATH=src \
+        python -m pytest tests/pipeline/test_chaos.py -k chaos_suite
 """
 
+import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -30,6 +39,13 @@ SEEDS = [
     int(s) for s in os.environ.get("CHAOS_SEEDS", "0,1,2").split(",")
 ]
 NAMES = list(BENCHMARKS.names())
+
+PINNED = pathlib.Path(__file__).parent / "data" / "chaos_counters.json"
+#: The :class:`RunReport` counters pinned per program and seed.
+COUNTERS = (
+    "attempts", "retries", "transient_faults", "timeouts", "fallbacks",
+    "backoff_us",
+)
 
 #: Every launch site is hit (launch + memory rates sum to 1, and the
 #: watchdog surface fires too) until its transient condition clears
@@ -95,8 +111,12 @@ def _run_one(name: str, seed: int):
 def test_chaos_suite(seed, monkeypatch):
     monkeypatch.setattr(P, "fuse_prog", _sabotaged_fusion)
     totals = dict(retries=0, fallbacks=0, faults=0, timeouts=0)
+    counters = {}
     for name in NAMES:
         report = _run_one(name, seed)
+        counters[f"{name}/seed{seed}"] = [
+            getattr(report, field) for field in COUNTERS
+        ]
         totals["retries"] += report.retries
         totals["fallbacks"] += report.fallbacks
         totals["faults"] += report.faults
@@ -106,6 +126,14 @@ def test_chaos_suite(seed, monkeypatch):
     assert totals["fallbacks"] > 0
     assert totals["timeouts"] > 0
     assert totals["faults"] >= len(NAMES)
+    pinned = json.loads(PINNED.read_text()) if PINNED.exists() else {}
+    if os.environ.get("GOLDEN_UPDATE"):
+        pinned.update(counters)
+        PINNED.parent.mkdir(exist_ok=True)
+        PINNED.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")
+        pytest.skip("chaos counters re-pinned")
+    for run, got in counters.items():
+        assert got == pinned[run], f"{run}: {dict(zip(COUNTERS, got))}"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
