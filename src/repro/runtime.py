@@ -4,24 +4,27 @@ degradation around the simulated GPU.
 Real GPU stacks lose launches to transient driver faults, kill runaway
 kernels with a watchdog, and — when the device is truly gone — fall
 back to a slower but correct path.  This module implements that chain
-for the simulator; it is the one attempt loop of a single run, a
-served request and every task of a device pool alike:
+for the simulator.  :func:`run_resilient` is the one attempt loop of
+a single run, a served request and every shard of a device pool alike;
+it runs a request as a sequence of **device stints**:
 
-1. run the host program on the simulated device — unless the caller's
-   circuit breaker (if any) refuses it, and tell the breaker exactly
-   once how the device step ended;
+1. a stint runs the host program on one device — unless the device's
+   circuit breaker (if any) refuses it — and tells the breaker exactly
+   once how it ended;
 2. on a *transient* :class:`DeviceFault` or a :class:`KernelTimeout`,
-   retry up to ``max_retries`` times with exponential backoff and
+   it retries up to ``max_retries`` times with exponential backoff and
    deterministic jitter (seeded, so runs are reproducible);
 3. on a refusal, a fatal fault, or when the retry budget is exhausted,
-   degrade gracefully (:func:`interpreter_floor`): re-execute the
-   program on the reference interpreter, which is slow but cannot
-   suffer device faults.
+   it gives up, and the caller's placement (if any) may hand over
+   another device for the next stint;
+4. when no device is left, the run degrades gracefully
+   (:func:`interpreter_floor`): it re-executes the program on the
+   reference interpreter, which is slow but cannot suffer device faults.
 
-Every execution produces a :class:`RunReport` counting attempts,
-retries, faults, timeouts and fallbacks next to the usual
-:class:`CostReport`, and naming the evaluator that produced the values;
-chaos tests assert on those.
+One :class:`RunReport` counts the attempts, retries, faults, timeouts
+and fallbacks of every stint next to the usual :class:`CostReport`,
+and names the evaluator that produced the values; chaos tests assert
+on those.
 
 :class:`ArgumentError` and other non-device errors are *never*
 retried (retrying a usage error or a compiler bug cannot help) and
@@ -31,6 +34,7 @@ never held against the device.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -278,10 +282,10 @@ def interpreter_floor(
     entry: str,
     deadline: Optional[Deadline] = None,
 ) -> Tuple[Tuple[Value, ...], CostReport]:
-    """Where an abandoned device step ends — :func:`run_resilient`'s,
-    or a :class:`repro.sched.DevicePool`'s whose every device failed
-    or refused.  ``report.abandoned`` records ``error``, which ended
-    the step; then ``core`` is evaluated on the reference interpreter
+    """Where :func:`run_resilient` ends when no device is left: its
+    one device, or every device its placement offered, failed or
+    refused.  ``report.abandoned`` records ``error``, which ended the
+    last stint; then ``core`` is evaluated on the reference interpreter
     (in ``host``'s in-place mode), unless ``fallback`` is off or the
     deadline is gone (a late answer is no answer): those raise the
     typed error, ``.report`` attached.
@@ -320,11 +324,29 @@ def interpreter_floor(
     return values, CostReport(report.device)
 
 
+#: The device of a run without a placement: no breaker, the ``gpu``
+#: metric namespace and a fresh heap per attempt.
+_Standalone = namedtuple(
+    "_Standalone", "profile fault_plan trace_track breaker metric_prefix heap",
+    defaults=(None, "gpu", None),
+)
+
+
+def _refused(report: RunReport, span, executor: str) -> DeviceFault:
+    """A stint the breaker refused, or a placement with no device: a
+    transient ``"breaker"``-kind fault, nothing attempted."""
+    error = DeviceFault("breaker", f"{executor} circuit open", transient=True)
+    report.gave_up_reason = "breaker open"
+    report.events.append(str(error))
+    span.set(refused=executor)
+    return error
+
+
 def run_resilient(
     host,
     core: A.Prog,
     args: Sequence[Value],
-    device: DeviceProfile,
+    device: Optional[DeviceProfile],
     fault_plan: Optional[FaultPlan] = None,
     policy: Optional[ExecutionPolicy] = None,
     entry: Optional[str] = None,
@@ -332,8 +354,7 @@ def run_resilient(
     seed: Optional[int] = None,
     pass_timings: Optional[List[PassTiming]] = None,
     deadline: Optional[Deadline] = None,
-    pool_device=None,
-    breaker=None,
+    placement=None,
 ) -> Tuple[Tuple[Value, ...], CostReport, RunReport]:
     """Execute ``host`` on the simulated device with retry, watchdog
     and interpreter-fallback semantics.
@@ -352,144 +373,168 @@ def run_resilient(
     budget, and once it expires the executor raises
     :class:`DeadlineExceeded` instead of falling back (the fallback
     would arrive too late to matter).  It is duck-typed — ``check``,
-    ``remaining_us`` and ``expired`` — and a device pool passes each
-    task's checkpoint in its place, which also stops a cancelled task
-    at those same points.  On failure paths the
-    :class:`RunReport` is attached to the raised error as ``.report``.
+    ``remaining_us`` and ``expired`` — and a device pool's shard is its
+    own deadline, which also stops a cancelled shard at those same
+    points.  On failure paths the :class:`RunReport` is attached to
+    the raised error as ``.report``.
 
-    ``breaker`` (duck-typed: a :class:`repro.serve.CircuitBreaker`)
-    guards the device step, and its protocol lives here and nowhere
-    else: ``allow()`` before the first attempt (a refusal goes straight
-    to the floor as a transient ``"breaker"``-kind :class:`DeviceFault`)
-    and exactly one ``record_*`` after the last, whatever ends it —
-    only device-class outcomes count against the breaker.
-
-    ``pool_device`` (duck-typed: a :class:`repro.sched.PoolDevice`)
-    gives every attempt's books that device's trace track, metric
-    namespace (``gpu.dev0.*``) and persistent
-    :class:`~repro.gpu.heap.DeviceHeap`.
+    Without a ``placement`` the run has one stint, on ``device`` under
+    ``fault_plan``, guarded by no breaker.  A ``placement`` (duck-typed:
+    a :class:`repro.sched.DevicePool` shard) hands over each stint's
+    device — a :class:`repro.sched.PoolDevice`, its run lock held —
+    whose fault plan, breaker, trace track, metric namespace
+    (``gpu.dev0.*``) and persistent heap the stint runs with:
+    ``placement.next(error)`` ends the stint that gave up with
+    ``error`` (None before the first) and returns the next device, or
+    None when none is left (at the start: every breaker is open); it
+    raises :class:`DeadlineExceeded` when the deadline passes while it
+    waits.  The breaker protocol lives here and nowhere else:
+    ``allow()`` before a stint (a refusal ends it as a transient
+    ``"breaker"``-kind :class:`DeviceFault`) and exactly one
+    ``record_*`` after it — only device-class outcomes count against
+    the breaker.
     """
     policy = policy or ExecutionPolicy()
     executor = policy.executor
-    base_track = getattr(pool_device, "trace_track", _ENGINES[executor][1])
+    dev = None
+    if placement is None:
+        dev = _Standalone(device, fault_plan, _ENGINES[executor][1])
     if seed is None and fault_plan is not None:
         seed = fault_plan.seed
     if run_id is None:
         run_id = f"{host.name}@{device.name}"
         if seed is not None:
             run_id += f"#seed={seed}"
-    report = RunReport(device.name, run_id=run_id, seed=seed)
+    report = RunReport(
+        device.name if device is not None else "", run_id=run_id, seed=seed
+    )
     if pass_timings:
         report.pass_timings = list(pass_timings)
-    injector = fault_plan.injector() if fault_plan is not None else None
-    # The jitter source, built before the first backoff: a clean run
-    # never draws from it.
-    backoff_rng: Optional[random.Random] = None
     tracer = get_tracer()
 
     with tracer.span(
         "execute",
         "runtime",
         run_id=run_id,
-        device=device.name,
+        device=report.device,
         program=host.name,
         seed=seed,
         fault_plan=repr(fault_plan) if fault_plan is not None else None,
     ) as exec_span:
-        admitted = breaker is None or breaker.allow()
-        #: What the breaker hears once the device step is over: the
-        #: last attempt's outcome (anything unclassified is neutral).
-        verdict = "neutral"
-        try:
-            if not admitted:
-                last_error: ReproError = DeviceFault(
-                    "breaker", f"{executor} circuit open", transient=True
-                )
-                report.gave_up_reason = "breaker open"
-                report.events.append(str(last_error))
-                exec_span.set(refused=executor)
-            for attempt in range(policy.max_retries + 1 if admitted else 0):
-                verdict = "neutral"
+        last_error: Optional[ReproError] = None
+        while True:
+            if placement is not None:
                 try:
-                    if deadline is not None:
-                        deadline.check(f"attempt {attempt + 1} of {host.name}")
-                    report.attempts += 1
-                    sim = make_engine(
-                        executor,
-                        device,
-                        injector=injector,
-                        prog=core,
-                        trace_track=(
-                            base_track
-                            if attempt == 0
-                            else f"{base_track} (attempt {attempt + 1})"
-                        ),
-                        deadline=deadline,
-                        metric_prefix=getattr(
-                            pool_device, "metric_prefix", "gpu"
-                        ),
-                        heap=getattr(pool_device, "heap", None),
-                    )
-                    with tracer.span(
-                        f"attempt#{attempt + 1}", "runtime", run_id=run_id
-                    ):
-                        values, cost = sim.run(host, args)
-                except ReproError as e:
-                    kind = _fault_kind(e)
-                    if kind is None:
-                        raise
-                    last_error = e
-                else:
-                    report.backend = executor
-                    verdict = "success"
-                    return values, cost, report
-                counter, retryable, verdict, gave_up = _FAULTS[kind]
-                if counter is not None:
-                    setattr(report, counter, getattr(report, counter) + 1)
-                message = str(last_error)
-                report.events.append(message)
-                tracer.instant(
-                    f"fault:{kind}", "runtime", error=message, run_id=run_id
-                )
-                if not retryable or attempt == policy.max_retries:
-                    report.gave_up_reason = gave_up
+                    dev = placement.next(last_error)
+                except DeadlineExceeded as e:
+                    last_error = e  # (waiting for a device)
                     break
-                # The remaining backoff budget: the deadline's
-                # remaining wall time.
-                budget = (
-                    float("inf") if deadline is None
-                    else deadline.remaining_us()
-                )
-                if budget <= 0.0:
-                    # (The deadline has expired: the floor says so.)
-                    report.gave_up_reason = "retry budget exhausted"
-                    report.events.append(
-                        "retry budget exhausted: stopped retrying "
-                        f"after {report.backoff_us:.0f}us of backoff"
-                    )
+                if dev is None:
                     break
-                report.retries += 1
-                if backoff_rng is None:
-                    backoff_rng = random.Random(
-                        fault_plan.seed ^ 0x5DEECE66D
-                        if fault_plan is not None else 0
+            report.device = dev.profile.name
+            breaker = dev.breaker
+            admitted = breaker is None or breaker.allow()
+            #: What the breaker hears once the stint is over: the last
+            #: attempt's outcome (anything unclassified is neutral).
+            verdict = "neutral"
+            try:
+                if not admitted:
+                    last_error = _refused(report, exec_span, executor)
+                plan = dev.fault_plan
+                injector = plan.injector() if plan is not None else None
+                # The jitter source, built before the stint's first
+                # backoff: a clean stint never draws from it.
+                backoff_rng: Optional[random.Random] = None
+                tries = policy.max_retries + 1 if admitted else 0
+                for attempt in range(tries):
+                    verdict = "neutral"
+                    try:
+                        if deadline is not None:
+                            deadline.check(
+                                f"attempt {attempt + 1} of {host.name}"
+                            )
+                        report.attempts += 1
+                        sim = make_engine(
+                            executor,
+                            dev.profile,
+                            injector=injector,
+                            prog=core,
+                            trace_track=(
+                                dev.trace_track if attempt == 0 else
+                                f"{dev.trace_track} (attempt {attempt + 1})"
+                            ),
+                            deadline=deadline,
+                            metric_prefix=dev.metric_prefix,
+                            heap=dev.heap,
+                        )
+                        with tracer.span(
+                            f"attempt#{attempt + 1}", "runtime", run_id=run_id
+                        ):
+                            values, cost = sim.run(host, args)
+                    except ReproError as e:
+                        kind = _fault_kind(e)
+                        if kind is None:
+                            raise
+                        last_error = e
+                    else:
+                        report.backend = executor
+                        report.gave_up_reason = None  # (an earlier stint's)
+                        verdict = "success"
+                        return values, cost, report
+                    counter, retryable, verdict, gave_up = _FAULTS[kind]
+                    if counter is not None:
+                        setattr(
+                            report, counter, getattr(report, counter) + 1
+                        )
+                    message = str(last_error)
+                    report.events.append(message)
+                    tracer.instant(
+                        f"fault:{kind}", "runtime", error=message,
+                        run_id=run_id,
                     )
-                backoff = min(
-                    _backoff_us(attempt, backoff_rng), budget
+                    if not retryable or attempt == policy.max_retries:
+                        report.gave_up_reason = gave_up
+                        break
+                    # The remaining backoff budget: the deadline's
+                    # remaining wall time.
+                    budget = (
+                        float("inf") if deadline is None
+                        else deadline.remaining_us()
+                    )
+                    if budget <= 0.0:
+                        # (The deadline has expired: the floor says so.)
+                        report.gave_up_reason = "retry budget exhausted"
+                        report.events.append(
+                            "retry budget exhausted: stopped retrying "
+                            f"after {report.backoff_us:.0f}us of backoff"
+                        )
+                        break
+                    report.retries += 1
+                    if backoff_rng is None:
+                        backoff_rng = random.Random(
+                            plan.seed ^ 0x5DEECE66D if plan is not None else 0
+                        )
+                    backoff = min(_backoff_us(attempt, backoff_rng), budget)
+                    report.backoff_us += backoff
+                    tracer.instant(
+                        "backoff", "runtime", us=backoff, run_id=run_id
+                    )
+            finally:
+                exec_span.set(
+                    attempts=report.attempts, retries=report.retries
                 )
-                report.backoff_us += backoff
-                tracer.instant(
-                    "backoff", "runtime", us=backoff, run_id=run_id
-                )
-        finally:
-            exec_span.set(attempts=report.attempts, retries=report.retries)
-            if breaker is not None and admitted:
-                if verdict == "success":
-                    breaker.record_success()
-                elif verdict == "failure":
-                    breaker.record_failure()
-                else:
-                    breaker.record_neutral()
+                if breaker is not None and admitted:
+                    if verdict == "success":
+                        breaker.record_success()
+                    elif verdict == "failure":
+                        breaker.record_failure()
+                    else:
+                        breaker.record_neutral()
+            if placement is None:
+                break
+        if last_error is None:
+            # The placement had no device to offer.
+            last_error = _refused(report, exec_span, executor)
         values, cost = interpreter_floor(
             host,
             core,

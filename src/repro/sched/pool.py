@@ -5,9 +5,9 @@ A :class:`DevicePool` owns N heterogeneous simulated devices (a
 Each :class:`PoolDevice` has its own run lock, persistent
 :class:`~repro.gpu.heap.DeviceHeap`
 (lifetime-accumulating), :class:`~repro.serve.breaker.CircuitBreaker`,
-optional :class:`~repro.gpu.faults.FaultPlan` (the only plan its tasks
-run under), and its own observability namespace — kernel spans land on
-the ``gpu.dev{id}`` trace track, and their metrics fold under
+optional :class:`~repro.gpu.faults.FaultPlan` (the only plan its
+stints run under), and its own observability namespace — kernel spans
+land on the ``gpu.dev{id}`` trace track, and their metrics fold under
 ``gpu.dev{id}.*``.
 
 :meth:`DevicePool.run` executes one request:
@@ -20,34 +20,30 @@ the ``gpu.dev{id}`` trace track, and their metrics fold under
   after paying one more launch per extra device — ``k`` ways by the
   :class:`ShardPlanner` (weights = per-device speed from the cost
   model), executed concurrently, and merged bit-identically;
-- every task runs on the **thread that needs its result**: a whole
+- each shard (a whole placement is one) is booked on its device at the
+  price the placer computed and run by
+  :func:`repro.runtime.run_resilient`, the one attempt loop, as its
+  ``placement`` and its ``deadline``: a sequence of device stints that
+  retries in place first, then asks the shard for a healthy device it
+  has not tried.  With none left, the loop's interpreter floor
+  evaluates the shard's rows (``fallback=True``) or raises the typed
+  error; a request whose every breaker is open is a placement with no
+  device;
+- every shard runs on the **thread that needs its result**: a whole
   placement, and shard 0 of a split, on the thread that called
   ``run``; each other shard of a ``k``-way split on one of ``k - 1``
   threads started for the request, which adopt the caller's tracer
-  and have all finished when ``run`` returns its result.  A task
-  waits for its device's run lock, but no longer than its deadline;
-- a task whose device *fails* (after the resilient executor's own
-  retries) or *refuses* (its breaker is open) is re-placed, by the
-  same thread, on another healthy device; only when every device has
-  failed or refused does the request leave the devices — for the
-  interpreter floor (``fallback=True``) or as the typed error.
+  and have all finished when ``run`` returns its result.
 
-A shard has one live task at a time, run by one loop
-(:meth:`DevicePool._run_shard`): the next task is launched only after
-the last one failed on its device.  Every task runs through
-:meth:`DevicePool._run_task`, under its device's run lock, and its
-success closes its shard (:meth:`DevicePool._record`, under the pool
+A stint holds its device's run lock, waited for no longer than the
+deadline, so a device runs one stint at a time.  The shard books each
+stint's end on its device, and its success closes it (under the pool
 lock).  A request that gives up — on an error on any of its threads,
-or at its deadline — closes all its shards.  Each task has a
-checkpoint in its deadline's place, which the attempt loop and the
-device's books check before every attempt and every launch: a task of
-a closed shard is skipped if it has not started and stops at its next
-launch boundary if it has.  The pool keeps no retry or breaker logic
-of its own: the task hands its device's breaker to
-:func:`repro.runtime.run_resilient`, which claims and releases it
-around the attempt it runs (so a task skipped before it starts never
-touches it, and one stopped part-way counts as neutral); placement
-only *reads* breaker state, and its floor is the loop's own.
+or at its deadline — closes all its shards; the attempt loop and the
+device's books check the shard before every attempt and every launch,
+so a closed shard is skipped if it has not started and stops at its
+next launch boundary if it has.  Placement only *reads* breaker
+state; the pool has no retry, breaker or floor logic of its own.
 
 A pool is built from its ``profiles`` and their ``fault_plans``; each
 other setting has one home, the part that reads it —
@@ -60,10 +56,10 @@ attribute before its first request.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import time
-from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.values import Value
@@ -73,12 +69,7 @@ from ..gpu.device import DeviceProfile
 from ..gpu.faults import FaultPlan
 from ..gpu.heap import DeviceHeap
 from ..obs import get_tracer, thread_tracing
-from ..runtime import (
-    ExecutionPolicy,
-    RunReport,
-    interpreter_floor,
-    run_resilient,
-)
+from ..runtime import ExecutionPolicy, RunReport, run_resilient
 from ..serve.breaker import BreakerState, CircuitBreaker
 from .placer import Placer
 from .shard import BatchInfo, Shard, ShardPlanner, merge_results, slice_args
@@ -90,49 +81,73 @@ __all__ = ["PoolDevice", "DevicePool"]
 #: deadline.
 _DEVICE_ERRORS = (DeviceFault, DeviceOOM, KernelTimeout)
 
-#: Retries after a task's first attempt on its device, before the
-#: task is re-placed (or the request leaves the devices).
+#: Retries after a stint's first attempt on its device, before the
+#: shard is re-placed (or leaves the devices).
 RETRIES = 2
 
 
 class _Cancelled(Exception):
-    """Raised at a launch boundary of a task whose shard is closed:
-    no one wants its result any more.  Not a ``ReproError``, so the
-    attempt loop neither retries it nor lets it count against the
-    device's breaker."""
+    """Raised at a launch boundary of a shard that is closed: no one
+    wants its result any more.  Not a ``ReproError``, so the attempt
+    loop neither retries it nor lets it count against the device's
+    breaker."""
 
 
-class _ShardState:
-    """One shard of a request: the devices tried, the replacement
-    count, and — set once, under the pool lock, by the task that
-    finishes the shard — the ``closed`` flag and the winning outcome.
-    A request that gives up closes its shards without a winner.  Every
-    task of the shard points here."""
+def _wait_s(deadline) -> float:
+    """How long a thread may block for a device or a shard: until
+    ``deadline``; without one, as long as a wait can be (its caller
+    waits again)."""
+    left = math.inf if deadline is None else deadline.remaining_us() / 1e6
+    return min(max(0.0, left), threading.TIMEOUT_MAX)
 
-    __slots__ = ("shard", "tried", "replacements", "closed", "winner")
 
-    def __init__(self, shard: Shard, dev_id: int) -> None:
-        self.shard = shard
-        self.tried = {dev_id}
+class _Shard:
+    """One shard of a request (a whole placement is one), and both the
+    ``placement`` and the ``deadline`` :func:`repro.runtime.run_resilient`
+    runs it under.  ``closed`` is set once, under the pool lock: by the
+    shard's own success, which leaves its ``result``, or by a request
+    that gives up."""
+
+    def __init__(
+        self, pool: "DevicePool", rows: Shard, run_id: str,
+        args: Sequence[Value], ran_on: str, shared: Dict[str, Any],
+        key: Optional[str], deadline, price,
+    ) -> None:
+        self.pool = pool
+        self.rows = rows
+        self.run_id = run_id
+        self.args = args
+        #: ``"caller"`` on the thread that called ``run``, ``"split"``
+        #: on one started for a shard of a split.
+        self.ran_on = ran_on
+        #: What every shard of the request hands ``run_resilient``:
+        #: host, core, policy, entry, pass_timings.
+        self.shared = shared
+        self.key = key
+        self.deadline = deadline
+        #: The request's memoised ``price(device_id, rows)``.
+        self.price = price
+        #: The current stint's device, booked at ``est_us``; None
+        #: between stints.
+        self.device: Optional[PoolDevice] = None
+        self.est_us = 0.0
+        self.tried: set = set()
         self.replacements = 0
         self.closed = False
-        self.winner: Optional[_Outcome] = None
+        #: ``(values, cost, report)``, once won; ``won_on`` is the
+        #: winning stint's device (None: the interpreter floor's).
+        self.result: Optional[Tuple[Any, CostReport, RunReport]] = None
+        self.won_on: Optional[int] = None
+        self.sim_us = 0.0
+        self.wall_s = 0.0
+        #: When the run lock was taken (trace µs, wall s); None while
+        #: the shard holds none.
+        self._started: Optional[Tuple[float, float]] = None
 
-
-class _Checkpoint:
-    """What a task's run checks, in its request deadline's place,
-    before every attempt and every kernel launch (the attempt loop and
-    the device's books check a deadline there): whether its shard is
-    closed, then the request's deadline."""
-
-    __slots__ = ("deadline", "state")
-
-    def __init__(self, deadline, state: _ShardState) -> None:
-        self.deadline = deadline
-        self.state = state
+    # -- the deadline run_resilient checks ---------------------------------
 
     def check(self, where: str) -> None:
-        if self.state.closed:
+        if self.closed:
             raise _Cancelled(where)
         if self.deadline is not None:
             self.deadline.check(where)
@@ -146,65 +161,147 @@ class _Checkpoint:
     def expired(self) -> bool:
         return self.deadline is not None and self.deadline.expired
 
+    # -- the placement run_resilient asks for devices ----------------------
 
-@dataclass
-class _Task:
-    """One unit of device work: a whole request or one shard of it."""
+    def book(self, dev: Optional[PoolDevice]) -> None:
+        """Book the shard on ``dev`` (None: no device admitted it) at
+        the price the placer computed for its rows there."""
+        if dev is None:
+            return
+        self.device = dev
+        self.tried.add(dev.id)
+        # An unpriceable program still runs, just without a
+        # meaningful estimate.
+        self.est_us = self.price(dev.id, self.rows.size) or 0.0
+        dev.book(self.est_us)
 
-    run_id: str
-    args: Sequence[Value]
-    #: What every task of the request hands ``run_resilient``
-    #: unchanged: host, core, policy, entry, pass_timings.
-    shared: Dict[str, Any]
-    est_us: float
-    #: Handed to ``run_resilient`` as the task's deadline; its
-    #: ``state`` is the task's shard.
-    checkpoint: _Checkpoint
-    key: Optional[str] = None
-    #: ``"caller"`` on the thread that called ``run``, ``"split"`` on
-    #: one started for a shard of a split (the shard span says which).
-    ran_on: str = "caller"
+    def next(self, error) -> Optional["PoolDevice"]:
+        """End the stint that gave up with ``error`` (None: before the
+        first, there is none) and hand over the next device, its run
+        lock held: first the booked one, then, after a device error,
+        a healthy device the shard has not tried.  None when there is
+        none; :class:`DeadlineExceeded` when the deadline passes while
+        it waits for the device's run lock."""
+        if error is not None:
+            failed = self.device
+            self._end(type(error).__name__)
+            if self.closed:
+                raise _Cancelled(self.run_id)  # the request gave up
+            new = (
+                self.pool._admit(None, self.tried)
+                if isinstance(error, _DEVICE_ERRORS) else None
+            )
+            if new is None:
+                return None
+            self.replacements += 1
+            with self.pool._lock:
+                self.pool.counters["replacements"] += 1
+            get_tracer().instant(
+                "shard-replaced", "sched", run_id=self.run_id,
+                shard=self.rows.index, failed_device=failed.id,
+                new_device=new.id,
+            )
+            self.book(new)
+        return self._take()
 
+    def _take(self) -> Optional["PoolDevice"]:
+        """Wait for the booked device's run lock, no longer than the
+        deadline.  A shard that is closed, or whose deadline passes
+        first, is skipped, having touched neither the device nor its
+        breaker."""
+        dev = self.device
+        if dev is None:
+            return None
+        acquire = dev.run_lock.acquire
+        while not (locked := acquire(timeout=_wait_s(self.deadline))):
+            if self.closed or self.expired:
+                break
+        if locked and not self.closed:
+            self._started = (get_tracer().now_us(), time.monotonic())
+            return dev
+        if locked:
+            dev.run_lock.release()
+        self.device = None
+        dev.settle(self.est_us)
+        with self.pool._lock:
+            self.pool.counters["cancelled_before_start"] += 1
+        where = f"{self.run_id} waiting for {dev.trace_track}"
+        if self.closed:
+            raise _Cancelled(where)
+        raise DeadlineExceeded(where)
 
-@dataclass
-class _Outcome:
-    """How one task ran.  It does not point back at its task: a
-    shard's winner is held by the shard, which its tasks point at, and
-    that cycle would keep every request's values alive until the
-    cyclic garbage collector ran."""
+    def _end(self, outcome: str) -> None:
+        """Book the end of the current stint on its device and give its
+        run lock back: ``"ok"``, ``"cancelled"`` (stopped at a launch
+        boundary: it says nothing about the device) or the class of
+        the error that ended it."""
+        dev, self.device = self.device, None
+        tracer = get_tracer()
+        (started_us, started_s), self._started = self._started, None
+        self.wall_s = time.monotonic() - started_s
+        tracer.complete(
+            f"shard#{self.rows.index}", "sched", ts_us=started_us,
+            dur_us=tracer.now_us() - started_us, track=dev.trace_track,
+            run_id=self.run_id, device=dev.id, profile=dev.profile.name,
+            rows=f"[{self.rows.lo}:{self.rows.hi})", ran_on=self.ran_on,
+            outcome=outcome, sim_us=self.sim_us,
+        )
+        dev.settle(self.est_us)
+        with dev.lock:
+            if outcome == "ok":
+                dev.executed += 1
+                dev.busy_us += self.sim_us
+                if self.key is not None:
+                    dev.seen_keys.add(self.key)
+            elif outcome != "cancelled":
+                dev.failures += 1
+        with self.pool._lock:
+            self.pool.counters["shards_executed"] += 1
+            if outcome == "cancelled":
+                self.pool.counters["stopped_mid_flight"] += 1
+        dev.run_lock.release()
 
-    device_id: int
-    values: Optional[Tuple[Value, ...]] = None
-    cost: Optional[CostReport] = None
-    report: Optional[RunReport] = None
-    error: Optional[BaseException] = None
-    #: Skipped before its start, or stopped at a launch boundary.
-    cancelled: bool = False
-    wall_s: float = 0.0
-    #: ``cost.total_us`` of a successful run.
-    sim_us: float = 0.0
+    # -- running it ---------------------------------------------------------
 
+    def run(self) -> None:
+        """Run the shard on this thread until it ends: won (its
+        ``result`` set, unless the request gave up meanwhile), or
+        stopped because the request gave up.  Any other error — a
+        program error, the deadline, or the device error with the
+        floor off — is raised."""
+        try:
+            values, cost, report = run_resilient(
+                args=self.args, device=None, run_id=self.run_id,
+                deadline=self, placement=self, **self.shared,
+            )
+        except BaseException as e:
+            cancelled = isinstance(e, _Cancelled)
+            if self._started is not None:
+                self._end("cancelled" if cancelled else type(e).__name__)
+            elif self.device is not None:  # booked, never started
+                self.device.settle(self.est_us)
+                self.device = None
+            if not cancelled:
+                raise
+            return
+        won_on = self.device
+        if won_on is not None:
+            self.sim_us = cost.total_us
+            self._end("ok")
+        with self.pool._lock:
+            if not self.closed:
+                self.closed = True
+                self.result = (values, cost, report)
+                self.won_on = won_on.id if won_on is not None else None
 
-def _wait_s(deadline) -> float:
-    """How long a thread may block for a device or a shard: until
-    ``deadline``; without one, as long as a wait can be (its caller
-    waits again)."""
-    left = math.inf if deadline is None else deadline.remaining_us() / 1e6
-    return min(max(0.0, left), threading.TIMEOUT_MAX)
-
-
-def _shard_record(st: _ShardState) -> Dict[str, Any]:
-    """A shard's entry in ``placement["shards"]``: its winner's."""
-    out = st.winner
-    return {
-        "index": st.shard.index,
-        "lo": st.shard.lo,
-        "hi": st.shard.hi,
-        "device": out.device_id,
-        "sim_us": out.sim_us,
-        "wall_s": out.wall_s,
-        "replacements": st.replacements,
-    }
+    def record(self) -> Dict[str, Any]:
+        """The shard's entry in ``placement["shards"]``."""
+        rows = self.rows
+        return dict(
+            index=rows.index, lo=rows.lo, hi=rows.hi, device=self.won_on,
+            sim_us=self.sim_us, wall_s=self.wall_s,
+            replacements=self.replacements,
+        )
 
 
 class PoolDevice:
@@ -229,27 +326,27 @@ class PoolDevice:
         self.seen_keys: set = set()
         #: Estimated simulated work waiting or in flight, µs.
         self.backlog_us = 0.0
-        #: Tasks behind ``backlog_us`` (waiting for the run lock or
+        #: Stints behind ``backlog_us`` (waiting for the run lock or
         #: running).
         self.queued = 0
         #: Cumulative simulated execution time of completed work, µs.
         self.busy_us = 0.0
         self.executed = 0
         self.failures = 0
-        #: Held for a whole task on any thread: one run per heap at a time.
+        #: Held for a whole stint: one run per heap at a time.
         self.run_lock = threading.Lock()
         self.lock = threading.Lock()
         self.trace_track = f"gpu.dev{dev_id}"
         self.metric_prefix = f"gpu.dev{dev_id}"
 
     def book(self, est_us: float) -> None:
-        """Add one task's estimate to the backlog."""
+        """Add one stint's estimate to the backlog."""
         with self.lock:
             self.queued += 1
             self.backlog_us += est_us
 
     def settle(self, est_us: float) -> None:
-        """Take a finished or cancelled task's estimate back off.  A
+        """Take a finished or skipped stint's estimate back off.  A
         drained device reads exactly 0.0: float residue must not order
         it before or after an idle one."""
         with self.lock:
@@ -283,6 +380,8 @@ class PoolDevice:
                 "peak_bytes": life.peak_bytes,
             },
         }
+
+
 
 
 class DevicePool:
@@ -333,104 +432,12 @@ class DevicePool:
     def stop(self) -> None:
         pass
 
-    # -- running a task -----------------------------------------------------
-
-    def _run_task(self, dev: PoolDevice, task: _Task) -> _Outcome:
-        """Run one booked task on ``dev`` — the only code that does — on
-        the thread that needs its result, once the device's run lock is
-        free.  The wait ends with the task's deadline: a task whose
-        deadline passes first is skipped with :class:`DeadlineExceeded`,
-        having touched neither the device nor its breaker."""
-        cp, acquire = task.checkpoint, dev.run_lock.acquire
-        while not (locked := acquire(timeout=_wait_s(cp.deadline))):
-            if cp.state.closed or cp.expired:
-                break
-        try:
-            if locked and not cp.state.closed:
-                outcome = self._execute(dev, task)
-                self._record(dev, task, outcome)
-                return outcome
-        finally:
-            if locked:
-                dev.run_lock.release()
-        # Skipped before its start: its shard is closed, or its
-        # deadline passed while it waited.
-        dev.settle(task.est_us)
-        with self._lock:
-            self.counters["cancelled_before_start"] += 1
-        where = f"{task.run_id} waiting for {dev.trace_track}"
-        late = None if cp.state.closed else DeadlineExceeded(where)
-        return _Outcome(dev.id, error=late, cancelled=True)
-
-    def _execute(self, dev: PoolDevice, task: _Task) -> _Outcome:
-        outcome = _Outcome(dev.id)
-        shard = task.checkpoint.state.shard
-        t0 = time.monotonic()
-        with get_tracer().span(
-            f"shard#{shard.index}",
-            "sched",
-            track=dev.trace_track,
-            run_id=task.run_id,
-            device=dev.id,
-            profile=dev.profile.name,
-            rows=f"[{shard.lo}:{shard.hi})",
-            ran_on=task.ran_on,
-        ) as span:
-            try:
-                outcome.values, outcome.cost, outcome.report = run_resilient(
-                    args=task.args,
-                    device=dev.profile,
-                    fault_plan=dev.fault_plan,
-                    run_id=task.run_id,
-                    pool_device=dev,
-                    breaker=dev.breaker,
-                    deadline=task.checkpoint,
-                    **task.shared,
-                )
-                outcome.sim_us = outcome.cost.total_us
-                span.set(outcome="ok", sim_us=outcome.sim_us)
-            except _Cancelled:
-                outcome.cancelled = True
-                span.set(outcome="cancelled")
-            except BaseException as e:
-                outcome.error = e
-                span.set(outcome=type(e).__name__)
-        outcome.wall_s = time.monotonic() - t0
-        return outcome
-
-    def _record(
-        self, dev: PoolDevice, task: _Task, outcome: _Outcome
-    ) -> None:
-        """Book a finished run on its device and into its shard: a
-        success closes the shard and wins it, unless the request has
-        already given up."""
-        dev.settle(task.est_us)
-        with dev.lock:
-            if outcome.cancelled:
-                pass  # stopped part-way: says nothing about the device
-            elif outcome.error is None:
-                dev.executed += 1
-                dev.busy_us += outcome.sim_us
-                if task.key is not None:
-                    dev.seen_keys.add(task.key)
-            else:
-                dev.failures += 1
-        st = task.checkpoint.state
-        with self._lock:
-            self.counters["shards_executed"] += 1
-            if outcome.cancelled:
-                self.counters["stopped_mid_flight"] += 1
-            elif outcome.error is not None:
-                pass  # for the shard's loop: re-place it or give up
-            elif not st.closed:
-                st.closed, st.winner = True, outcome
-
     # -- placement helpers --------------------------------------------------
 
     def _healthy(self) -> List[PoolDevice]:
         """Devices whose breaker is not OPEN.  A read, not a claim:
         admission (and the half-open probe slot) belongs to the attempt
-        loop that runs the task."""
+        loop that runs the stint."""
         return [
             d
             for d in self.devices
@@ -442,10 +449,10 @@ class DevicePool:
         preferred: Optional[int],
         tried: set,
     ) -> Optional[PoolDevice]:
-        """Choose a device for one task: the preferred one if healthy,
-        else the least-backlogged healthy device not yet tried for this
-        shard.  (Should its breaker refuse after all, the task comes
-        back as a transient fault and is re-placed.)"""
+        """Choose a device for a shard's stint: the preferred one if
+        healthy, else the least-backlogged healthy device not yet tried
+        for this shard.  (Should its breaker refuse after all, the
+        stint ends as a transient fault and the shard is re-placed.)"""
         if preferred is not None and preferred not in tried:
             dev = self.devices[preferred]
             if dev.breaker.state is not BreakerState.OPEN:
@@ -478,9 +485,10 @@ class DevicePool:
         Returns ``(values, cost, report, placement)`` where
         ``placement`` is a JSON-serialisable record of the decision
         (candidates, scores, shards, makespan) for the flight
-        recorder.  When every device has failed or refused, the
-        request ends on :func:`repro.runtime.interpreter_floor`:
-        ``fallback`` decides between the interpreter's values and the
+        recorder, and ``report`` counts every attempt on every device
+        the request tried.  When a shard has no device left, it ends
+        on the attempt loop's interpreter floor: ``fallback`` decides
+        between the interpreter's values for its rows and the
         underlying typed error.  ``size_env`` is the request's sizes
         when the caller has already bound them from ``args`` (a
         server's admission has); otherwise the pool binds them.
@@ -488,37 +496,35 @@ class DevicePool:
         host program carries both decisions, and
         benchmarks/e2e/probes.py still passes them.
         """
-        def floor(error, placement):
-            report = RunReport(self.name, run_id=run_id)
-            if getattr(error, "report", None) is not None:
-                report.absorb(error.report)
-            if pass_timings:
-                report.pass_timings = list(pass_timings)
-            values, cost = interpreter_floor(
-                host, core, args, report, error,
-                executor=executor, fallback=fallback, entry=entry,
-                deadline=deadline,
-            )
-            return values, cost, report, placement
-
+        shared = dict(
+            host=host,
+            core=core,
+            policy=ExecutionPolicy(
+                executor=executor, fallback=fallback, max_retries=self.retries
+            ),
+            entry=entry,
+            pass_timings=pass_timings,
+        )
         healthy = self._healthy()
         if not healthy:
-            return floor(
-                DeviceFault(
-                    "breaker", "all device breakers open", transient=True
-                ),
-                {"mode": "refused"},
+            # Every breaker is open: a placement with no device.
+            nowhere = _Shard(
+                self, Shard(0, 0, 0, -1), run_id, args, "caller", shared,
+                key, deadline, None,
             )
+            nowhere.run()
+            return (*nowhere.result, {"mode": "refused"})
         if size_env is None:
             size_env = size_env_from_args(host, args)
         batch = (
             batch_info.batch_size(args) if batch_info is not None else 0
         )
 
+        @functools.cache
         def price(dev_id: int, rows: int) -> Optional[float]:
             """The cost model's price of ``rows`` of the batch on one
-            device: the request's sizes with the batch dimension
-            rebound.  None for a program it cannot price."""
+            device (None for a program it cannot price), memoised: a
+            shard is booked at the price the placer weighed."""
             env = size_env
             if batch_info is not None and rows != batch:
                 env = {**size_env, batch_info.dim: rows}
@@ -544,11 +550,24 @@ class DevicePool:
             batch,
             self.planner if batch_info is not None else None,
         )
-        shards = chosen.shards
-        sharded = len(shards) > 1
+        sharded = len(chosen.shards) > 1
         with self._lock:
             self.counters["requests"] += 1
             self.counters["sharded" if sharded else "whole"] += 1
+        shards = [
+            _Shard(
+                self, rows,
+                f"{run_id}/s{rows.index}" if sharded else run_id,
+                slice_args(args, batch_info, rows.lo, rows.hi)
+                if sharded else args,
+                "split" if rows.index else "caller",
+                shared, key, deadline, price,
+            )
+            for rows in chosen.shards
+        ]
+        for shard in shards:
+            shard.book(self._admit(shard.rows.device_id, set()))
+        self._run_plan(shards, deadline, run_id)
         placement: Dict[str, Any] = {
             "mode": "sharded" if sharded else "whole",
             "batch_dim": batch_info.dim if batch_info is not None else None,
@@ -561,74 +580,38 @@ class DevicePool:
             "skipped_open": [
                 d.id for d in self.devices if d not in healthy
             ],
-            "shards": [],
+            "shards": [shard.record() for shard in shards],
             "makespan_us": 0.0,
-            "replacements": 0,
+            "replacements": sum(s.replacements for s in shards),
         }
-        shared = dict(
-            host=host,
-            core=core,
-            # Never the floor per device: another device may still
-            # serve the shard, and the request's floor is above.
-            policy=ExecutionPolicy(
-                executor=executor, fallback=False, max_retries=self.retries
-            ),
-            entry=entry,
-            pass_timings=pass_timings,
-        )
-
-        def make_task(st: _ShardState, dev: PoolDevice) -> _Task:
-            shard = st.shard
-            if sharded:
-                task_args = slice_args(args, batch_info, shard.lo, shard.hi)
-                suffix = f"/s{shard.index}"
-            else:
-                task_args = args
-                suffix = ""
-            return _Task(
-                run_id=f"{run_id}{suffix}",
-                args=task_args,
-                shared=shared,
-                # An unpriceable program still runs, just without a
-                # meaningful estimate.
-                est_us=price(dev.id, shard.size) or 0.0,
-                checkpoint=_Checkpoint(deadline, st),
-                key=key,
-                ran_on="caller" if shard is shards[0] else "split",
-            )
-
-        try:
-            states = self._run_plan(
-                shards, make_task, placement, deadline, run_id
-            )
-        except (DeadlineExceeded, *_DEVICE_ERRORS) as e:
-            return floor(e, placement)
         if not sharded:
-            # A whole placement answers with its winning run's own
-            # values, cost and report.
-            (st,) = states
-            out = st.winner
-            placement["shards"].append(_shard_record(st))
-            placement["makespan_us"] = out.sim_us
-            return out.values, out.cost, out.report, placement
-        # Every shard has a winner: merge in shard order, aggregate the
-        # winning outcomes' cost/report, compute the parallel makespan.
+            # A whole placement answers with its one run's values,
+            # cost and report.
+            (shard,) = shards
+            placement["makespan_us"] = shard.sim_us
+            return (*shard.result, placement)
+        # Every shard has its result: merge in shard order, aggregate
+        # the shards' cost/report, compute the parallel makespan.
         cost = CostReport(self.name)
         report = RunReport(self.name, run_id=run_id, backend=executor)
         per_device_us: Dict[int, float] = {}
-        for st in states:
-            out = st.winner
-            cost.merge(out.cost)
-            report.absorb(out.report)
-            per_device_us[out.device_id] = (
-                per_device_us.get(out.device_id, 0.0) + out.sim_us
-            )
-            placement["shards"].append(_shard_record(st))
+        for shard in shards:
+            _, shard_cost, shard_report = shard.result
+            cost.merge(shard_cost)
+            report.absorb(shard_report)
+            if shard_report.abandoned is not None:
+                # Its rows came from the floor.
+                report.backend = shard_report.backend
+                report.abandoned = shard_report.abandoned
+            if shard.won_on is not None:
+                per_device_us[shard.won_on] = (
+                    per_device_us.get(shard.won_on, 0.0) + shard.sim_us
+                )
         placement["makespan_us"] = max(per_device_us.values(), default=0.0)
         if pass_timings:
             report.pass_timings = list(pass_timings)
         values = merge_results(
-            [st.winner.values for st in states], batch_info.n_results
+            [shard.result[0] for shard in shards], batch_info.n_results
         )
         report.events.append(
             f"sharded over {len(shards)} devices "
@@ -637,97 +620,59 @@ class DevicePool:
         )
         return values, cost, report, placement
 
-    def _run_plan(
-        self, shards, make_task, placement, deadline, run_id
-    ) -> List[_ShardState]:
-        """Run the plan's shards until each has a winner; their states.
+    def _run_plan(self, shards, deadline, run_id: str) -> None:
+        """Run the plan's shards until each has its result.
 
         Shard 0 runs on this thread; each other shard of a split runs
         on a thread started for it, under this thread's tracer.  This
-        thread then waits for them, no longer than the deadline."""
-        devs = [self._admit(shard.device_id, set()) for shard in shards]
-        if None in devs:
-            raise DeviceFault(
-                "breaker", "no device admitted the request", transient=True
-            )
-        runs = [
-            (dev, make_task(_ShardState(shard, dev.id), dev))
-            for shard, dev in zip(shards, devs)
-        ]
-        for dev, task in runs:
-            dev.book(task.est_us)
-        states = [task.checkpoint.state for _, task in runs]
-        shard_loop = (make_task, states, placement, run_id)
+        thread then waits for them, no longer than the deadline.  An
+        error on any of them closes every shard and is raised."""
         errors: List[BaseException] = []
         threads = [
             threading.Thread(
-                target=self._run_split_shard, name=task.run_id, daemon=True,
-                args=(get_tracer(), errors, dev, task, *shard_loop),
+                target=self._run_split_shard, name=shard.run_id,
+                daemon=True, args=(get_tracer(), errors, shards, shard),
             )
-            for dev, task in runs[1:]
+            for shard in shards[1:]
         ]
         for t in threads:
             t.start()
-        self._run_shard(*runs[0], *shard_loop)
+        try:
+            shards[0].run()
+        except BaseException:
+            self._abort(shards)
+            raise
         for t in threads:
             while t.is_alive():
                 if deadline is not None and deadline.expired:
-                    self._abort(states)
-                    raise DeadlineExceeded(f"{run_id} in the device pool")
+                    self._abort(shards)
+                    late = DeadlineExceeded(f"{run_id} in the device pool")
+                    late.report = RunReport(
+                        self.name, run_id=run_id, deadline_exceeded=True,
+                        gave_up_reason="deadline exceeded",
+                    )
+                    raise late
                 t.join(_wait_s(deadline))
         if errors:
             raise errors[0]
-        return states
 
-    def _run_shard(
-        self, dev: PoolDevice, task: _Task, make_task, states, placement,
-        run_id: str,
-    ) -> None:
-        """Run one shard on this thread until it is closed: its booked
-        ``task`` on ``dev``, then, after each device error, a new task on
-        a healthy device the shard has not tried.  Any other error
-        (deadline or program: identical everywhere), or a device error
-        with no device left, closes every shard of the request and is
-        raised."""
-        st = task.checkpoint.state
-        while True:
-            out = self._run_task(dev, task)
-            if st.closed:
-                return  # won here, or the request gave up
-            device_error = isinstance(out.error, _DEVICE_ERRORS)
-            new = self._admit(None, st.tried) if device_error else None
-            if new is None:
-                self._abort(states)
-                raise out.error
-            st.tried.add(new.id)
-            st.replacements += 1
-            with self._lock:
-                self.counters["replacements"] += 1
-                placement["replacements"] += 1
-            get_tracer().instant(
-                "shard-replaced", "sched", run_id=run_id,
-                shard=st.shard.index, failed_device=out.device_id,
-                new_device=new.id,
-            )
-            dev, task = new, make_task(st, new)
-            dev.book(task.est_us)
-
-    def _run_split_shard(self, tracer, errors, *shard_loop) -> None:
-        """:meth:`_run_shard` on a thread started for a split: under
-        the caller's tracer, its error handed back through ``errors``."""
+    def _run_split_shard(self, tracer, errors, shards, shard) -> None:
+        """:meth:`_Shard.run` on a thread started for a split: under the
+        caller's tracer, its error handed back through ``errors``."""
         with thread_tracing(tracer):
             try:
-                self._run_shard(*shard_loop)
+                shard.run()
             except BaseException as e:
+                self._abort(shards)
                 errors.append(e)
 
-    def _abort(self, states: Sequence[_ShardState]) -> None:
-        """Close every shard of a request that gives up: its tasks not
-        yet started are skipped, running ones stop at their next launch
+    def _abort(self, shards: Sequence[_Shard]) -> None:
+        """Close every shard of a request that gives up: a shard not
+        yet started is skipped, a running one stops at its next launch
         boundary."""
         with self._lock:
-            for st in states:
-                st.closed = True
+            for shard in shards:
+                shard.closed = True
 
     # -- health -------------------------------------------------------------
 

@@ -14,11 +14,12 @@ it.  It is the classic three-state machine:
   another full recovery window.
 
 The state machine lives here; the *protocol* — ``allow()`` before a
-device step, exactly one ``record_*`` after it — has one caller,
-:func:`repro.runtime.run_resilient`.  Everybody else hands it a
-breaker and reads :attr:`CircuitBreaker.state`/:meth:`snapshot`.
+device stint, exactly one ``record_*`` after it — has one caller,
+:func:`repro.runtime.run_resilient`, which finds the breaker on the
+device a pool's shard hands it.  Everybody else reads
+:attr:`CircuitBreaker.state`/:meth:`snapshot`.
 
-All transitions are lock-protected (every thread that runs a task on
+All transitions are lock-protected (every thread that runs a stint on
 a device — a caller, a server worker, a split's shard thread — shares
 that device's one breaker), and the clock is
 injectable so the state machine can be property-tested

@@ -29,9 +29,10 @@ wired in:
   :class:`repro.sched.DevicePool` (``devices``, by default one GTX
   780 Ti): *try the device, else interpret* (``request.executor``, by
   default :data:`~repro.runtime.DEFAULT_EXECUTOR`, then ``interp``).
-  The device step is :func:`repro.runtime.run_resilient` — retries,
-  and the device's circuit breaker, which trips on consecutive
-  device-class failures — and the reference-interpreter floor cannot
+  Every device stint is :func:`repro.runtime.run_resilient`'s —
+  retries, re-placement, and each device's circuit breaker, which
+  trips on consecutive device-class failures — and its
+  reference-interpreter floor cannot
   suffer device faults, so a request only fails outright on a
   *program* error (or its own deadline).  The request runs on the
   thread that holds its slot — the pool starts no thread of its own

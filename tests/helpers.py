@@ -8,7 +8,9 @@ checker, interpreter, fusion, flattening and backend tests.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import threading
 
 from repro.core import ProgBuilder, array
 from repro.core.prim import F32, I32
@@ -44,6 +46,49 @@ def tune(target, *, breaker=None, **attrs):
         for d in pool.devices:
             d.breaker = CircuitBreaker(f"dev{d.id}", **breaker)
     return target
+
+
+class StintSpy:
+    """Watches every device stint through the breaker protocol: the
+    attempt loop asks a pool device's breaker (named ``dev{id}``) once
+    before a stint and tells it once after.  ``runs`` lists each
+    stint's ``(device id, thread name)``; ``peak`` counts, per device,
+    the most admitted stints that ran at once."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.runs = []
+        self.peak = collections.Counter()
+        running = collections.Counter()
+        lock = threading.Lock()
+        allow = CircuitBreaker.allow
+
+        def device(breaker):
+            return int(breaker.name[len("dev"):])
+
+        def spy_allow(breaker):
+            dev = device(breaker)
+            with lock:
+                self.runs.append((dev, threading.current_thread().name))
+            admitted = allow(breaker)
+            if admitted:
+                with lock:
+                    running[dev] += 1
+                    self.peak[dev] = max(self.peak[dev], running[dev])
+            return admitted
+
+        def ended(record):
+            def spy_record(breaker):
+                with lock:
+                    running[device(breaker)] -= 1
+                return record(breaker)
+
+            return spy_record
+
+        monkeypatch.setattr(CircuitBreaker, "allow", spy_allow)
+        for name in ("record_success", "record_failure", "record_neutral"):
+            monkeypatch.setattr(
+                CircuitBreaker, name, ended(getattr(CircuitBreaker, name))
+            )
 
 
 class KWayPlacer(Placer):

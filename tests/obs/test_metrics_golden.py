@@ -34,7 +34,8 @@ from repro.gpu.device import NVIDIA_GTX780TI
 from repro.gpu.faults import FaultPlan
 from repro.obs import FlightRecorder, metering
 from repro.pipeline import ArtifactCache, compile_program
-from repro.runtime import ExecutionPolicy, run_resilient
+from repro.runtime import ExecutionPolicy
+from repro.sched import DevicePool
 from repro.serve import CircuitBreaker, Server, ServeRequest
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "metrics_golden.json"
@@ -98,9 +99,12 @@ def _scenario(tmp_path, monkeypatch) -> dict:
             policy=SIM,
         )
         assert report.fallbacks == 1
-        _, _, report = run_resilient(
-            hot.host, hot.core, hargs, NVIDIA_GTX780TI,
-            policy=JIT, run_id="refused", breaker=refusing,
+        # A device whose breaker is open: a placement with no device.
+        pool = DevicePool([NVIDIA_GTX780TI])
+        pool.devices[0].breaker = refusing
+        _, _, report, _ = pool.run(
+            hot.host, hot.core, hargs, executor="jit", entry="main",
+            run_id="refused", fallback=True,
         )
         assert report.gave_up_reason == "breaker open"
 

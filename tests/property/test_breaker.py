@@ -32,7 +32,7 @@ from repro.errors import (
 from repro.gpu.device import NVIDIA_GTX780TI
 from repro.gpu.faults import FaultPlan
 from repro.pipeline import compile_source
-from repro.runtime import ExecutionPolicy, run_resilient
+from repro.sched import DevicePool
 from repro.serve import BreakerState, CircuitBreaker, Deadline
 
 #: One step of a random schedule.  ``advance`` moves the fake clock by
@@ -209,7 +209,7 @@ def test_trip_count_matches_failure_runs(threshold, failures):
 
 _FOREVER = 1_000_000_000
 _TINY = dataclasses.replace(NVIDIA_GTX780TI, memory_bytes=8)
-#: outcome -> (run_resilient overrides, the error a device step that
+#: outcome -> (the request's overrides, the error a device step that
 #: was admitted ends in; None = it succeeds).
 OUTCOMES = {
     "ok": ({}, None),
@@ -257,18 +257,24 @@ def _drive(compiled, breaker, outcome, executor, fallback):
         late = FakeClock()
         deadline = Deadline(1.0, clock=late)
         late.t = 2.0
+    # A pool of one device guarded by ``breaker``: run_resilient gets
+    # the device (or, with the breaker open, no device) from its shard.
+    pool = DevicePool(
+        [overrides.pop("device", NVIDIA_GTX780TI)],
+        fault_plans=[overrides.pop("fault_plan", None)],
+    )
+    pool.devices[0].breaker = breaker
+    pool.retries = 1
     try:
-        _values, _cost, report = run_resilient(
+        _values, _cost, report, _ = pool.run(
             compiled.host,
             compiled.core,
             overrides.pop("args", [array_value([1.0, 2.0, 3.0], F32)]),
-            overrides.pop("device", NVIDIA_GTX780TI),
-            policy=ExecutionPolicy(
-                executor=executor, fallback=fallback, max_retries=1
-            ),
+            executor=executor,
+            entry="main",
+            run_id="probe",
             deadline=deadline,
-            breaker=breaker,
-            **overrides,
+            fallback=fallback,
         )
     except ReproError as e:
         return None, e

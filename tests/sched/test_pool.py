@@ -1,6 +1,7 @@
 """Unit tests for the placer and the device pool: placement scoring,
 whole-request and sharded execution, and failure re-placement."""
 
+import collections
 import threading
 import time
 
@@ -14,9 +15,11 @@ from repro.gpu.costmodel import request_price_us, size_env_from_args
 from repro.gpu.device import AMD_W8100, NVIDIA_GTX780TI, SIM_SMALL
 from repro.gpu.faults import FaultPlan
 from repro.gpu.simulator import DeviceAccounting
+from repro.obs import Tracer, thread_tracing
 from repro.pipeline import compile_cache_key, compile_program
 from repro.runtime import ExecutionPolicy, run_resilient
 from repro.sched import DevicePool, Placer, ShardPlanner, analyze_shardable
+from repro.sched import pool as pool_mod
 from repro.serve import BreakerState, Deadline
 from tests.helpers import KWayPlacer, split_friendly, tune
 
@@ -200,26 +203,22 @@ def test_a_shard_has_one_live_task_at_a_time(backprop, broken):
         planner=ShardPlanner(16),
         retries=1,
     )
-    runs, lock, execute = [], threading.Lock(), pool._execute
-
-    def timed(dev, task):
-        t0 = time.monotonic()
-        out = execute(dev, task)
-        with lock:
-            runs.append(
-                (
-                    task.checkpoint.state.shard.index, task.run_id, dev.id,
-                    t0, time.monotonic(), out.error is None,
-                )
-            )
-        return out
-
-    pool._execute = timed
-    values, _, _, placement = pool.run(
-        compiled.host, compiled.core, args,
-        executor="sim", entry="main", run_id="live",
-        batch_info=info, key=key,
-    )
+    tracer = Tracer()
+    with thread_tracing(tracer):
+        values, _, _, placement = pool.run(
+            compiled.host, compiled.core, args,
+            executor="sim", entry="main", run_id="live",
+            batch_info=info, key=key,
+        )
+    # One ``shard#`` span per device stint, timed on the trace clock.
+    runs = [
+        (
+            int(s.name[len("shard#"):]), s.attrs["run_id"],
+            s.attrs["device"], s.ts_us, s.ts_us + s.dur_us,
+            s.attrs["outcome"] == "ok",
+        )
+        for s in tracer.spans if s.name.startswith("shard#")
+    ]
     stats = pool.stats()
     assert placement["replacements"] == stats["replacements"] == 1
     assert len(runs) == 4
@@ -255,20 +254,19 @@ def test_a_stalled_run_is_not_duplicated(backprop, monkeypatch):
 
     monkeypatch.setattr(DeviceAccounting, "launch", stall)
     pool = DevicePool([NVIDIA_GTX780TI, NVIDIA_GTX780TI])
-    runs, execute = [], pool._execute
-
-    def counted(dev, task):
-        runs.append((task.run_id, dev.id))
-        return execute(dev, task)
-
-    pool._execute = counted
-    values, _, _, placement = pool.run(
-        compiled.host, compiled.core, args,
-        executor="sim", entry="main", run_id="stalled",
-        batch_info=None, key=key,
-    )
+    tracer = Tracer()
+    with thread_tracing(tracer):
+        values, _, _, placement = pool.run(
+            compiled.host, compiled.core, args,
+            executor="sim", entry="main", run_id="stalled",
+            batch_info=None, key=key,
+        )
     stats = pool.stats()
     assert stalled == [threading.current_thread().name]
+    runs = [
+        (s.attrs["run_id"], s.attrs["device"])
+        for s in tracer.spans if s.name.startswith("shard#")
+    ]
     assert runs == [("stalled", 0)]
     assert placement["shards"][0]["device"] == 0
     assert [d.executed for d in pool.devices] == [1, 0]
@@ -359,7 +357,8 @@ def test_every_device_failing_ends_on_the_interpreter_floor(backprop):
     )
     assert report.backend == "interp" and report.fallbacks == 1
     assert report.abandoned == "sim:DeviceFault"
-    assert report.transient_faults >= 1  # the last device's trail
+    # One attempt on each device, each a transient fault.
+    assert (report.attempts, report.transient_faults) == (2, 2)
     assert cost.total_us == 0
     assert all(values_equal(a, b) for a, b in zip(baseline, values))
     # Both breakers are open now: refused without touching a device.
@@ -437,15 +436,10 @@ def test_a_shard_is_booked_at_the_price_of_its_own_rows():
     args = spec.args_at(np.random.default_rng(5), {"n": 16, "h": 1024})
     env = size_env_from_args(compiled.host, args)
     pool = tune(DevicePool([NVIDIA_GTX780TI] * 4), placer=KWayPlacer(4))
-    # Hold every shard's run at the door so the booked state can be
-    # read.
-    gate, execute = threading.Event(), pool._execute
-
-    def gated(dev, task):
-        gate.wait(30.0)
-        return execute(dev, task)
-
-    pool._execute = gated
+    # Hold every device's run lock, so each shard waits at the door
+    # and the booked state can be read.
+    for d in pool.devices:
+        d.run_lock.acquire()
     done = []
     request = threading.Thread(
         target=lambda: done.append(
@@ -461,7 +455,8 @@ def test_a_shard_is_booked_at_the_price_of_its_own_rows():
         _wait_for(lambda: all(d.queued == 1 for d in pool.devices))
         booked = [d.backlog_us for d in pool.devices]
     finally:
-        gate.set()
+        for d in pool.devices:
+            d.run_lock.release()
         request.join(30.0)
     assert done, "the request did not complete"
     placement = done[0][3]
@@ -475,6 +470,49 @@ def test_a_shard_is_booked_at_the_price_of_its_own_rows():
     whole_price = request_price_us(compiled.host, env, NVIDIA_GTX780TI)
     assert shard_price > 0.9 * whole_price  # nowhere near a quarter
     assert [d.backlog_us for d in pool.devices] == [0.0] * 4
+
+
+def test_a_request_prices_each_device_and_row_count_once(
+    backprop, monkeypatch
+):
+    """The placer's prices are the bookings': a request calls the cost
+    model once per (device, rows) it weighs or books — a whole request
+    on one device, and a three-way split whose shard on a broken device
+    is re-placed."""
+    compiled, info, args, _, key = backprop
+    calls = collections.Counter()
+
+    def spy(host, env, profile):
+        calls[(profile.name, env.get(info.dim))] += 1
+        return request_price_us(host, env, profile)
+
+    monkeypatch.setattr(pool_mod, "request_price_us", spy)
+    pool = DevicePool([NVIDIA_GTX780TI])
+    pool.run(
+        compiled.host, compiled.core, args,
+        executor="sim", entry="main", run_id="whole",
+        batch_info=info, key=key,
+    )
+    assert list(calls.values()) == [1]
+    calls.clear()
+    pool = tune(
+        DevicePool(
+            [split_friendly(p) for p in (NVIDIA_GTX780TI, AMD_W8100,
+                                         SIM_SMALL)],
+            fault_plans=[BROKEN, None, None],
+        ),
+        placer=KWayPlacer(3),
+        planner=ShardPlanner(16),
+        retries=0,
+    )
+    _, _, _, placement = pool.run(
+        compiled.host, compiled.core, args,
+        executor="sim", entry="main", run_id="split",
+        batch_info=info, key=key,
+    )
+    assert placement["mode"] == "sharded"
+    assert placement["replacements"] == 1
+    assert calls and set(calls.values()) == {1}, calls
 
 
 def test_backlog_settles_to_exactly_zero():

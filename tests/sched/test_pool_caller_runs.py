@@ -30,9 +30,8 @@ from repro.obs import Tracer, thread_tracing
 from repro.pipeline import compile_cache_key, compile_program
 from repro.runtime import ExecutionPolicy, run_resilient
 from repro.sched import DevicePool, ShardPlanner, analyze_shardable
-from repro.sched import pool as pool_mod
 from repro.serve import BreakerState, Deadline
-from tests.helpers import split_friendly, tune
+from tests.helpers import StintSpy, split_friendly, tune
 
 SEEDS = [int(s) for s in os.environ.get("CHAOS_SEEDS", "0,1,2").split(",")]
 
@@ -84,27 +83,6 @@ def _identical(case, got, executor="sim"):
     )
 
 
-class _Spy:
-    """Records the thread (and device) of every attempt loop the pool
-    starts, keyed by run id."""
-
-    def __init__(self, monkeypatch):
-        self.runs = []
-        real = pool_mod.run_resilient
-
-        def spy(*args, **kwargs):
-            self.runs.append(
-                (
-                    kwargs["run_id"],
-                    kwargs["pool_device"].id,
-                    threading.current_thread().name,
-                )
-            )
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(pool_mod, "run_resilient", spy)
-
-
 @pytest.fixture
 def started(monkeypatch):
     """Every thread started while the test runs."""
@@ -145,7 +123,7 @@ def _shard_spans(tracer):
 def test_a_whole_request_on_an_idle_pool_runs_on_the_caller(
     nn, monkeypatch, started
 ):
-    spy = _Spy(monkeypatch)
+    spy = StintSpy(monkeypatch)
     tracer = Tracer()
     pool = DevicePool(GTX2)
     with thread_tracing(tracer):
@@ -153,7 +131,7 @@ def test_a_whole_request_on_an_idle_pool_runs_on_the_caller(
     assert started == []
     assert placement["mode"] == "whole"
     me = threading.current_thread().name
-    assert spy.runs == [("idle", placement["shards"][0]["device"], me)]
+    assert spy.runs == [(placement["shards"][0]["device"], me)]
     assert report.backend == "sim" and _identical(nn, values)
     (span,) = _shard_spans(tracer)
     assert span.attrs["ran_on"] == "caller"
@@ -167,7 +145,7 @@ def test_a_request_for_a_busy_device_waits_on_the_callers_thread(
     """Device 0 has work booked, its run lock held, and the program's
     affinity, so the placer still picks it: the caller books it and
     waits for the run lock on its own thread, then runs there."""
-    spy = _Spy(monkeypatch)
+    spy = StintSpy(monkeypatch)
     tracer = Tracer()
     pool = DevicePool(GTX2)
     busy = pool.devices[0]
@@ -193,7 +171,7 @@ def test_a_request_for_a_busy_device_waits_on_the_callers_thread(
     assert started == [caller]
     ((values, _, _, placement),) = done
     assert placement["shards"][0]["device"] == 0
-    assert spy.runs == [("busy", 0, "client")]
+    assert spy.runs == [(0, "client")]
     assert _identical(nn, values)
     (span,) = _shard_spans(tracer)
     assert span.attrs["ran_on"] == "caller"
@@ -206,7 +184,7 @@ def test_a_k_way_split_starts_exactly_k_minus_1_threads(
 ):
     """Shard 0 runs on the caller; each other shard on a thread started
     for it, which has finished when ``run`` returns."""
-    spy = _Spy(monkeypatch)
+    spy = StintSpy(monkeypatch)
     tracer = Tracer()
     pool = tune(
         DevicePool([split_friendly(NVIDIA_GTX780TI)] * 3),
@@ -221,7 +199,7 @@ def test_a_k_way_split_starts_exactly_k_minus_1_threads(
     assert len(started) == k - 1
     assert not any(t.is_alive() for t in started)
     me = threading.current_thread().name
-    assert sorted(t for _, _, t in spy.runs) == sorted(
+    assert sorted(t for _, t in spy.runs) == sorted(
         [me] + [t.name for t in started]
     )
     assert sorted(s.attrs["ran_on"] for s in _shard_spans(tracer)) == (
@@ -236,14 +214,14 @@ def test_a_k_way_split_starts_exactly_k_minus_1_threads(
 def test_a_device_fault_on_the_callers_run_is_re_placed(
     backprop, monkeypatch
 ):
-    spy = _Spy(monkeypatch)
+    spy = StintSpy(monkeypatch)
     pool = tune(
         DevicePool(GTX2, fault_plans=[BROKEN, None]),
         retries=1,
     )
     values, _, report, placement = _run(pool, backprop, "replaced")
     me = threading.current_thread().name
-    assert spy.runs == [("replaced", 0, me), ("replaced", 1, me)]
+    assert spy.runs == [(0, me), (1, me)]
     assert placement["replacements"] == 1
     assert placement["shards"][0]["device"] == 1
     assert report.fallbacks == 0 and report.backend == "sim"
@@ -255,12 +233,12 @@ def test_a_device_fault_on_the_callers_run_is_re_placed(
 def test_an_expired_deadline_is_never_rescued_by_the_floor(
     backprop, monkeypatch
 ):
-    spy = _Spy(monkeypatch)
+    spy = StintSpy(monkeypatch)
     pool = DevicePool(GTX2)
     with pytest.raises(DeadlineExceeded) as exc:
         _run(pool, backprop, "late", deadline=Deadline(0.0), fallback=True)
     me = threading.current_thread().name
-    assert [(r, t) for r, _, t in spy.runs] == [("late", me)]
+    assert [t for _, t in spy.runs] == [me]
     assert exc.value.report.deadline_exceeded
     assert all(d.breaker.state is BreakerState.CLOSED for d in pool.devices)
 
@@ -312,28 +290,10 @@ def test_concurrent_callers_never_share_a_device(
     backprop, nn, monkeypatch, seed
 ):
     """Four threads make 25 calls each to a 2-device pool under a fine
-    switch interval: no device ever runs two attempt loops at once,
-    and every result is bit-identical to a lone run.  A caller that
-    finds its device busy waits for it on its own thread."""
-    running = collections.Counter()
-    peak = collections.Counter()
-    threads = collections.Counter()
-    lock = threading.Lock()
-    real = pool_mod.run_resilient
-
-    def spy(*args, **kwargs):
-        dev = kwargs["pool_device"].id
-        with lock:
-            running[dev] += 1
-            peak[dev] = max(peak[dev], running[dev])
-            threads[threading.current_thread().name] += 1
-        try:
-            return real(*args, **kwargs)
-        finally:
-            with lock:
-                running[dev] -= 1
-
-    monkeypatch.setattr(pool_mod, "run_resilient", spy)
+    switch interval: no device ever runs two stints at once, and every
+    result is bit-identical to a lone run.  A caller that finds its
+    device busy waits for it on its own thread."""
+    spy = StintSpy(monkeypatch)
     rng = random.Random(seed)
     plans = [[rng.choice([backprop, nn]) for _ in range(25)] for _ in range(4)]
     failures = []
@@ -362,7 +322,7 @@ def test_concurrent_callers_never_share_a_device(
     finally:
         sys.setswitchinterval(switch_interval)
     assert not failures
-    assert max(peak.values()) == 1, dict(peak)
-    assert sum(threads.values()) >= 100
+    assert max(spy.peak.values()) == 1, dict(spy.peak)
+    assert len(spy.runs) >= 100
     assert [d.queued for d in pool.devices] == [0, 0]
     assert [d.backlog_us for d in pool.devices] == [0.0, 0.0]

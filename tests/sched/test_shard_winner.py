@@ -1,7 +1,7 @@
-"""The closing rule of a pool shard: the success of its one live task
-closes the shard and wins it, whichever thread ran the task, unless
-the request has already given up.  Every task of the shard reads that
-one flag: one not yet started is skipped."""
+"""The closing rule of a pool shard: its one run — a sequence of
+device stints — closes it with its success and wins it, unless the
+request has already given up, which closes it without a result.  A
+shard that is closed is skipped before its stint starts."""
 
 import gc
 import sys
@@ -12,8 +12,10 @@ import pytest
 
 from repro.core import array_value
 from repro.core.prim import F32
+from repro.gpu.costmodel import CostReport
 from repro.gpu.device import NVIDIA_GTX780TI
 from repro.pipeline import compile_program
+from repro.runtime import RunReport
 from repro.sched import DevicePool
 from repro.sched import pool as pool_mod
 from repro.sched.shard import Shard
@@ -22,82 +24,91 @@ from tests.helpers import map_inc_program
 GTX3 = [NVIDIA_GTX780TI] * 3
 
 
-def _task(state):
-    return pool_mod._Task(
-        run_id="r",
-        args=(),
-        shared={},
-        est_us=1.0,
-        checkpoint=pool_mod._Checkpoint(None, state),
+def _shard(pool, dev_id):
+    """A booked one-shard request on ``pool.devices[dev_id]``."""
+    shard = pool_mod._Shard(
+        pool, Shard(0, 0, 8, dev_id), "r", (), "caller", {}, None, None,
+        lambda dev_id, rows: 1.0,
     )
+    shard.book(pool.devices[dev_id])
+    return shard
 
 
-def test_a_success_closes_its_shard_unless_the_request_gave_up():
+def _scripted(monkeypatch, during=lambda shard: None):
+    """Replace the attempt loop by one stint that succeeds on the
+    shard's first device, calling ``during(shard)`` while it runs."""
+
+    def run_resilient(*, placement, **kwargs):
+        if placement.next(None) is None:
+            raise AssertionError("no device")
+        during(placement)
+        return ("values",), CostReport("dev"), RunReport("dev")
+
+    monkeypatch.setattr(pool_mod, "run_resilient", run_resilient)
+
+
+def test_a_success_closes_its_shard_unless_the_request_gave_up(monkeypatch):
     pool = DevicePool(GTX3)
-    state = pool_mod._ShardState(Shard(0, 0, 8, 0), 0)
-    dev = pool.devices[0]
-    dev.book(1.0)
-    won = pool_mod._Outcome(dev.id, sim_us=1.0)
-    pool._record(dev, _task(state), won)
-    assert state.closed and state.winner is won
+    _scripted(monkeypatch)
+    won = _shard(pool, 0)
+    won.run()
+    assert won.closed and won.won_on == 0
+    assert won.result[0] == ("values",)
 
-    # A task of the closed shard is skipped before it starts.
-    def never(dev, task):
-        raise AssertionError("a task of a closed shard ran")
-
-    pool._execute = never
-    dev = pool.devices[1]
-    dev.book(1.0)
-    skipped = pool._run_task(dev, _task(state))
-    assert skipped.cancelled and state.winner is won
+    # A shard that is closed is skipped before its stint starts.
+    skipped = _shard(pool, 1)
+    pool._abort([skipped])
+    skipped.run()
+    assert skipped.result is None
     assert pool.stats()["cancelled_before_start"] == 1
+    assert pool.devices[1].executed == 0
 
     # A success that finishes after its request gave up wins nothing.
-    given_up = pool_mod._ShardState(Shard(0, 0, 8, 2), 2)
-    pool._abort([given_up])
-    dev = pool.devices[2]
-    dev.book(1.0)
-    pool._record(dev, _task(given_up), pool_mod._Outcome(dev.id, sim_us=1.0))
-    assert given_up.closed and given_up.winner is None
+    _scripted(monkeypatch, during=lambda shard: pool._abort([shard]))
+    given_up = _shard(pool, 2)
+    given_up.run()
+    assert given_up.closed and given_up.result is None
     assert [d.queued for d in pool.devices] == [0, 0, 0]
     assert [d.backlog_us for d in pool.devices] == [0.0, 0.0, 0.0]
 
 
-def test_concurrent_finishes_of_one_shard_have_exactly_one_winner():
-    """Eight threads record a success of the same shard at once, 100
-    times over, under a fine switch interval: the shard is closed and
-    won exactly once, whichever thread got there first."""
-    pool = DevicePool([NVIDIA_GTX780TI] * 8)
-    states = [pool_mod._ShardState(Shard(0, 0, 8, 0), 0) for _ in range(100)]
-    wins = [[] for _ in states]
-    start = threading.Barrier(len(pool.devices), timeout=60)
-
-    def finisher(dev):
-        start.wait()
-        for st, won in zip(states, wins):
-            dev.book(1.0)
-            out = pool_mod._Outcome(dev.id, sim_us=1.0)
-            pool._record(dev, _task(st), out)
-            if st.winner is out:
-                won.append(dev.id)
-
+def test_a_success_racing_its_requests_give_up_closes_the_shard_once(
+    monkeypatch,
+):
+    """100 times over, under a fine switch interval, a shard's success
+    races its request giving up: the shard ends closed either way, and
+    has a result exactly when its success got there first."""
+    pool = DevicePool(GTX3)
+    _scripted(monkeypatch)
+    shards = [_shard(pool, i % 3) for i in range(100)]
     switch_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [
-            threading.Thread(target=finisher, args=(d,)) for d in pool.devices
-        ]
-        for t in threads:
+        for shard in shards:
+            start = threading.Barrier(2, timeout=60)
+
+            def finish(shard=shard, start=start):
+                start.wait()
+                shard.run()
+
+            t = threading.Thread(target=finish)
             t.start()
-        for t in threads:
+            start.wait()
+            pool._abort([shard])
             t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads)
+            assert not t.is_alive()
     finally:
         sys.setswitchinterval(switch_interval)
-    assert all(len(won) == 1 for won in wins)
-    assert all(st.closed for st in states)
-    assert pool.stats()["shards_executed"] == len(states) * len(pool.devices)
-    assert [d.queued for d in pool.devices] == [0] * len(pool.devices)
+    assert all(s.closed for s in shards)
+    for s in shards:
+        assert (s.result is None) == (s.won_on is None)
+    stats = pool.stats()
+    # A stint that ran is booked on its device, won or not.
+    ran = sum(d.executed for d in pool.devices)
+    assert sum(s.result is not None for s in shards) <= ran
+    assert ran == stats["shards_executed"]
+    assert stats["cancelled_before_start"] + ran == 100
+    assert [d.queued for d in pool.devices] == [0, 0, 0]
 
 
 @pytest.mark.parametrize("executor", ["sim", "jit"])

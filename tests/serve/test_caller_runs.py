@@ -32,7 +32,7 @@ from repro.sched import ShardPlanner
 from repro.sched import pool as pool_mod
 from repro.serve import Server, ServeRequest
 from repro.serve.queue import AdmissionQueue
-from tests.helpers import split_friendly, tune
+from tests.helpers import StintSpy, split_friendly, tune
 
 SEEDS = [int(s) for s in os.environ.get("CHAOS_SEEDS", "0,1,2").split(",")]
 
@@ -142,27 +142,14 @@ def test_calls_and_submits_never_share_a_device(
     prog, monkeypatch, n_devices, seed
 ):
     """8 threads mixing ``call`` and ``submit`` under a fine switch
-    interval: no device ever runs two attempt loops at once, and no
-    more requests run at once than the server has devices."""
-    running = collections.Counter()
-    peak = collections.Counter()
+    interval: no device ever runs two stints at once, and no more
+    requests run at once than the server has devices."""
+    stints = StintSpy(monkeypatch)
     in_flight = [0]
     peak_requests = [0]
     ran_on = collections.Counter()
     lock = threading.Lock()
-    real_run = pool_mod.run_resilient
     real_execute = Server._execute
-
-    def spy_run(*args, **kwargs):
-        dev = kwargs["pool_device"].id
-        with lock:
-            running[dev] += 1
-            peak[dev] = max(peak[dev], running[dev])
-        try:
-            return real_run(*args, **kwargs)
-        finally:
-            with lock:
-                running[dev] -= 1
 
     def spy_execute(self, work):
         with lock:
@@ -175,7 +162,6 @@ def test_calls_and_submits_never_share_a_device(
             with lock:
                 in_flight[0] -= 1
 
-    monkeypatch.setattr(pool_mod, "run_resilient", spy_run)
     monkeypatch.setattr(Server, "_execute", spy_execute)
     rng = random.Random(seed)
     plans = [
@@ -217,7 +203,7 @@ def test_calls_and_submits_never_share_a_device(
     assert len(results) == 8 * 12
     assert all(r.ok for r in results), [r.error for r in results if not r.ok]
     assert health["completed"] == health["admitted"] == len(results)
-    assert max(peak.values()) == 1, dict(peak)
+    assert max(stints.peak.values()) == 1, dict(stints.peak)
     assert 1 <= peak_requests[0] <= n_devices
     assert sum(ran_on.values()) == len(results)
     assert ran_on["worker"] >= sum(not c for p in plans for c, _ in p)

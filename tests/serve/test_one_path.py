@@ -29,7 +29,7 @@ from repro.runtime import EXECUTORS, ExecutionPolicy
 from repro.sched import pool as pool_mod
 from repro.serve import BreakerState, Server, ServeRequest
 from repro.serve.server import INTERACTIVE_THRESHOLD_US
-from tests.helpers import tune
+from tests.helpers import StintSpy, tune
 
 NAMES = list(BENCHMARKS.names())
 
@@ -69,17 +69,10 @@ def test_a_served_call_is_the_run_compiled_execute_makes(cases, executor):
 def test_a_one_device_request_runs_on_the_thread_holding_its_slot(
     cases, monkeypatch
 ):
-    """A spy on the pool's attempt loop records which thread ran it: an
+    """A spy on the device stints records which thread ran each: an
     idle ``call`` runs on the calling thread, a ``submit`` on the server
     worker."""
-    ran_on = []
-    real = pool_mod.run_resilient
-
-    def spy(*args, **kwargs):
-        ran_on.append(threading.current_thread().name)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(pool_mod, "run_resilient", spy)
+    stints = StintSpy(monkeypatch)
     prog, args = cases["NN"]
     before = set(threading.enumerate())
     with Server() as server:
@@ -87,18 +80,19 @@ def test_a_one_device_request_runs_on_the_thread_holding_its_slot(
         assert threads == {"repro-serve-worker-0"}  # the pool has none
         for _ in range(4):
             assert server.call(ServeRequest(prog, args), timeout=60).ok
-        assert ran_on == [threading.current_thread().name] * 4
-        ran_on.clear()
+        me = threading.current_thread().name
+        assert stints.runs == [(0, me)] * 4
+        stints.runs.clear()
         for _ in range(4):
             h = server.submit(ServeRequest(prog, args))
             assert h.result(timeout=60).ok
-    assert ran_on == ["repro-serve-worker-0"] * 4
+    assert stints.runs == [(0, "repro-serve-worker-0")] * 4
     # With two healthy devices an idle call runs on the calling thread
     # too: its whole placement finds its device idle.
-    ran_on.clear()
+    stints.runs.clear()
     with Server(devices=[NVIDIA_GTX780TI] * 2) as server:
         assert server.call(ServeRequest(prog, args), timeout=60).ok
-    assert ran_on == [threading.current_thread().name]
+    assert [t for _, t in stints.runs] == [me]
 
 
 def test_concurrent_requests_take_the_device_one_at_a_time(
@@ -110,14 +104,7 @@ def test_concurrent_requests_take_the_device_one_at_a_time(
     is held open, so both workers run their requests alone on ``dev0``.
     Two runs sharing the device heap at once would fold each other's
     blocks into one peak."""
-    ran_on = collections.Counter()
-    real = pool_mod.run_resilient
-
-    def spy(*args, **kwargs):
-        ran_on[threading.current_thread().name] += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(pool_mod, "run_resilient", spy)
+    stints = StintSpy(monkeypatch)
     peak = max(
         compile_program(prog)
         .execute(args, policy=ExecutionPolicy(executor="jit"))[1]
@@ -164,7 +151,10 @@ def test_concurrent_requests_take_the_device_one_at_a_time(
     assert len(results) == 2 * len(order)
     assert all(r.ok and r.backend == "jit" for r in results)
     # Both server workers ran requests, every one of them on dev0.
-    assert set(ran_on) == {"repro-serve-worker-0", "repro-serve-worker-1"}
+    assert {t for _, t in stints.runs} == {
+        "repro-serve-worker-0", "repro-serve-worker-1"
+    }
+    assert {d for d, _ in stints.runs} == {0}
     assert all(r.placement["shards"][0]["device"] == 0 for r in results)
     life = health["pool"]["devices"][0]["heap_lifetime"]
     assert life["runs"] == health["completed"] == len(results)

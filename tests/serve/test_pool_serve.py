@@ -6,7 +6,7 @@ import numpy as np
 from repro.bench.suite import BENCHMARKS
 from repro.core.values import values_equal
 from repro.gpu.device import AMD_W8100, NVIDIA_GTX780TI, SIM_SMALL
-from repro.gpu.faults import FaultPlan
+from repro.gpu.faults import FaultPlan, broken_device
 from repro.interp import run_program
 from repro.obs.export import validate_flight_bundle
 from repro.obs.flight import FlightRecorder
@@ -124,6 +124,29 @@ def test_flight_record_carries_placement(tmp_path):
         s.track for s in record.tracer.spans if s.name.startswith("shard#")
     }
     assert tracks and all(t.startswith("gpu.dev") for t in tracks)
+
+
+def test_a_re_placed_request_reports_the_attempts_on_every_device():
+    """Regression: a request re-placed after its stint on a broken
+    device reported only the winning device's run (attempts=1,
+    retries=0, no faults, not degraded).  Its one report counts the
+    three failed attempts on dev0 and the one on dev1."""
+    spec = BENCHMARKS["Backprop"]
+    prog, args = spec.program(), spec.small_args(np.random.default_rng(0))
+    with Server(
+        devices=[NVIDIA_GTX780TI] * 2, fault_plans=[broken_device(0), None]
+    ) as server:
+        assert server.pool.retries == 2
+        result = server.call(ServeRequest(prog, args), timeout=60)
+        dev0 = server.pool.devices[0]
+    assert result.ok and result.placement["replacements"] == 1
+    assert [s["device"] for s in result.placement["shards"]] == [1]
+    report = result.run_report
+    assert (report.attempts, report.retries, report.transient_faults) == (
+        4, 2, 3
+    )
+    assert report.degraded and report.fallbacks == 0
+    assert (dev0.failures, dev0.executed) == (1, 0)
 
 
 def test_pooled_server_survives_broken_device_chaos():
