@@ -35,16 +35,15 @@ scalars runs as its lanes would, in lockstep: its terms as a map over
 blocks of the iteration space, its sums added in loop order
 (:func:`.control.gen_sum`).
 
-Divergent control flow is handled GPU-style: both branches of a
-batched ``if`` run speculatively and merge with ``np.where``; a
+Divergent control flow is handled as a SIMT GPU masks its lanes: a
+lane evaluates only the arm of a batched ``if`` it takes, and a
 data-dependent loop runs only its live lanes, compacted as they stop
-(:func:`.control.gen_live`).  In speculative position a lane's trapping
-inputs (its out-of-bounds index, zero divisor, negative ``sqrt``
-argument) are substituted with safe values, because the lanes that
-would trap discard their result in the merge — the contract real GPU
-kernels have.  Outside speculation, and for a uniform index anywhere (it is
-out of range on every lane that reaches it), every trap condition is
-checked explicitly.
+(:func:`.control.gen_live`).  An arm runs on its own lanes, compacted
+to them, unless neither arm has a trap site that can fire on some
+lanes and not on others (:func:`.elementwise._trap_free`): such arms
+run on every lane and merge with ``np.where`` (:func:`.control.gen_if`).
+Nothing is ever substituted: every trap condition is checked, and
+hands the launch over wherever it is.
 
 The scalar interpreter stays the sole reference semantics, through two
 escape hatches:
@@ -66,7 +65,7 @@ verbatim in the artifact cache and ``compile()``d in a later process
 without re-transpiling.
 
 The package is laid out by lowering rule.  A rule is a plain function
-of ``(codegen, exp, scope, spec)`` — what the dispatch table
+of ``(codegen, exp, scope)`` — what the dispatch table
 (``core._GEN``) maps an expression class to — and each rule module
 (:mod:`.elementwise`, :mod:`.control`, :mod:`.arrays`, :mod:`.maps`,
 :mod:`.folds`) ends with the table rows naming its rules;

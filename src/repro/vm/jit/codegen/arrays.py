@@ -43,7 +43,6 @@ def checked_indices(
     arr: JVal,
     idxs: Sequence[JVal],
     first_dim: int,
-    spec: bool,
     lanes: str,
     uniform: str = "uniform index out of bounds",
     span: Optional[Tuple[str, str]] = None,
@@ -52,12 +51,8 @@ def checked_indices(
     a lane vector per batched index, a Python int per uniform one
     (``first_dim`` is the axis of ``arr.var`` the first index
     addresses).  Out of range hands the launch to the interpreter
-    (``lanes``/``uniform`` word the reason) — except a lane's own
-    index in speculative position, which is clamped: that lane
-    discards what it reads or writes.  A uniform index is out of range
-    on every lane that reaches it, the ones that keep their result
-    included, so it is never clamped.  A batched index is checked, and
-    its clamp skipped, on its range (:func:`index_range`): two integer
+    (``lanes``/``uniform`` word the reason).  A batched index is
+    checked on its range (:func:`index_range`): two integer
     comparisons at the access.  A ``span`` ``(lo, hi)`` of uniform
     counters, ``0 <= lo < hi`` by construction, follows the indices as
     one more, checked by ``hi`` against its axis."""
@@ -68,19 +63,10 @@ def checked_indices(
             if iv.rank != 0:
                 raise JitUnsupported("array used as index")
             lo, hi = index_range(cg, scope, iv)
-            if spec:
-                ia = cg.fresh("_ia")
-                cg.line(
-                    f"{ia} = {iv.var} if 0 <= {lo} and {hi} < {d} "
-                    f"else np.clip({iv.var}, 0, {d} - 1)"
-                )
-                parts.append(ia)
-            else:
-                cg.hand_over_if(
-                    f"{lo} < 0 or {hi} >= {d}",
-                    f"out-of-bounds {lanes} in batch",
-                )
-                parts.append(iv.var)
+            cg.hand_over_if(
+                f"{lo} < 0 or {hi} >= {d}", f"out-of-bounds {lanes} in batch"
+            )
+            parts.append(iv.var)
         elif iv.kind == "S":
             ii = cg.fresh("_i")
             cg.line(f"{ii} = int({iv.var})")
@@ -96,17 +82,15 @@ def checked_indices(
     return parts
 
 
-def update_target(cg, arr: JVal, spec: bool) -> str:
+def update_target(cg, arr: JVal) -> str:
     """A local holding ``arr``'s contents that the kernel may write
-    to: ``arr`` itself when the kernel owns it and is not speculating
-    (a speculative write must not reach the lanes that discard it),
-    else a copy."""
+    to: ``arr`` itself when the kernel owns it, else a copy."""
     tgt = cg.fresh("_u")
-    if not arr.owned or spec:
+    if not arr.owned:
         cg.line(f"{tgt} = {arr.var}.copy()")
     elif arr.kind == "B":
-        # NB a batched update consults only ownership and speculation
-        # (not the in_place flag).
+        # NB a batched update consults only ownership (not the
+        # in_place flag).
         cg.line(f"{tgt} = {arr.var}")
     else:
         cg.line("if R.in_place:")
@@ -118,15 +102,15 @@ def update_target(cg, arr: JVal, spec: bool) -> str:
     return tgt
 
 
-def gen_index(cg, e: A.IndexExp, scope: _Scope, spec: bool):
+def gen_index(cg, e: A.IndexExp, scope: _Scope):
     arr = scope.lookup(e.arr.name)
     if arr.kind == "S":
         raise JitUnsupported(f"expected array, got scalar for {e.arr}")
-    return [gather(cg, scope, arr, [cg.atom(scope, i) for i in e.idxs], spec)]
+    return [gather(cg, scope, arr, [cg.atom(scope, i) for i in e.idxs])]
 
 
 def gather(
-    cg, scope: _Scope, arr: JVal, idxs: List[JVal], spec: bool,
+    cg, scope: _Scope, arr: JVal, idxs: List[JVal],
     span: Optional[Tuple[str, str]] = None,
 ) -> JVal:
     """``arr[idxs...]`` — with ``span``, ``arr[idxs..., lo:hi]``, the
@@ -136,8 +120,7 @@ def gather(
     if out_rank < (1 if span else 0):
         raise JitUnsupported("too many indices")
     parts = checked_indices(
-        cg, scope, arr, idxs, 1 if arr.kind == "B" else 0, spec, "gather",
-        span=span,
+        cg, scope, arr, idxs, 1 if arr.kind == "B" else 0, "gather", span=span
     )
     out = cg.fresh()
     if arr.kind != "B" and not any(i.kind == "B" for i in idxs):
@@ -164,7 +147,7 @@ def gather(
     return JVal("B", arr.elem, out_rank, out, True)
 
 
-def gen_update(cg, e: A.UpdateExp, scope: _Scope, spec: bool):
+def gen_update(cg, e: A.UpdateExp, scope: _Scope):
     arr = scope.lookup(e.arr.name)
     idxs = [cg.atom(scope, i) for i in e.idxs]
     value = cg.atom(scope, e.value)
@@ -177,10 +160,10 @@ def gen_update(cg, e: A.UpdateExp, scope: _Scope, spec: bool):
     )
     if not batched:
         parts = checked_indices(
-            cg, scope, arr, idxs, 0, spec, "scatter",
+            cg, scope, arr, idxs, 0, "scatter",
             uniform="uniform update out of bounds",
         )
-        tgt = update_target(cg, arr, spec)
+        tgt = update_target(cg, arr)
         cg.line(f"{tgt}[{', '.join(parts)}] = {value.var}")
         return [JVal("A", arr.elem, arr.rank, tgt, True)]
     if arr.kind != "B":
@@ -197,8 +180,8 @@ def gen_update(cg, e: A.UpdateExp, scope: _Scope, spec: bool):
         arr = JVal("B", arr.elem, arr.rank, ab, True)
     if len(idxs) > arr.rank:
         raise JitUnsupported("too many indices")
-    parts = checked_indices(cg, scope, arr, idxs, 1, spec, "scatter")
-    data = update_target(cg, arr, spec)
+    parts = checked_indices(cg, scope, arr, idxs, 1, "scatter")
+    data = update_target(cg, arr)
     cg.line(
         f"{data}[(R.arange({data}.shape[0]), {', '.join(parts)})]"
         f" = {value.var}"
@@ -206,7 +189,7 @@ def gen_update(cg, e: A.UpdateExp, scope: _Scope, spec: bool):
     return [JVal("B", arr.elem, arr.rank, data, True)]
 
 
-def gen_scatter(cg, e: A.ScatterExp, scope: _Scope, spec: bool):
+def gen_scatter(cg, e: A.ScatterExp, scope: _Scope):
     dest = scope.lookup(e.dest.name)
     idx = scope.lookup(e.idx_arr.name)
     val = scope.lookup(e.val_arr.name)
@@ -218,7 +201,7 @@ def gen_scatter(cg, e: A.ScatterExp, scope: _Scope, spec: bool):
         f"{idx.var}.shape[0] != {val.var}.shape[0]",
         "scatter: index/value length mismatch",
     )
-    data = update_target(cg, dest, spec)
+    data = update_target(cg, dest)
     ok = cg.fresh("_ok")
     cg.line(
         f"{ok} = ({idx.var} >= 0) & ({idx.var} < {data}.shape[0])"
@@ -232,7 +215,7 @@ def gen_scatter(cg, e: A.ScatterExp, scope: _Scope, spec: bool):
 # -- builders ----------------------------------------------------------------
 
 
-def gen_iota(cg, e: A.IotaExp, scope: _Scope, spec: bool):
+def gen_iota(cg, e: A.IotaExp, scope: _Scope):
     n = cg.atom(scope, e.n)
     if n.kind == "B":
         raise JitUnsupported("iota of batched size")
@@ -244,7 +227,7 @@ def gen_iota(cg, e: A.IotaExp, scope: _Scope, spec: bool):
     return [JVal("A", I32, 1, out, True)]
 
 
-def gen_replicate(cg, e: A.ReplicateExp, scope: _Scope, spec: bool):
+def gen_replicate(cg, e: A.ReplicateExp, scope: _Scope):
     n = cg.atom(scope, e.n)
     if n.kind == "B":
         raise JitUnsupported("replicate of batched size")
@@ -269,7 +252,7 @@ def gen_replicate(cg, e: A.ReplicateExp, scope: _Scope, spec: bool):
     return [JVal("B", v.elem, v.rank + 1, out, True)]
 
 
-def gen_rearrange(cg, e: A.RearrangeExp, scope: _Scope, spec: bool):
+def gen_rearrange(cg, e: A.RearrangeExp, scope: _Scope):
     arr = scope.lookup(e.arr.name)
     if arr.kind == "S":
         raise JitUnsupported(f"expected array, got scalar for {e.arr}")
@@ -286,7 +269,7 @@ def gen_rearrange(cg, e: A.RearrangeExp, scope: _Scope, spec: bool):
     return [JVal(arr.kind, arr.elem, arr.rank, out, arr.owned)]
 
 
-def gen_reshape(cg, e: A.ReshapeExp, scope: _Scope, spec: bool):
+def gen_reshape(cg, e: A.ReshapeExp, scope: _Scope):
     arr = scope.lookup(e.arr.name)
     dims = []
     for s in e.shape:
@@ -316,7 +299,7 @@ def gen_reshape(cg, e: A.ReshapeExp, scope: _Scope, spec: bool):
     return [JVal(arr.kind, arr.elem, len(dims), out, arr.owned)]
 
 
-def gen_copy(cg, e: A.CopyExp, scope: _Scope, spec: bool):
+def gen_copy(cg, e: A.CopyExp, scope: _Scope):
     arr = scope.lookup(e.arr.name)
     if arr.kind == "S":
         raise JitUnsupported(f"expected array, got scalar for {e.arr}")
@@ -325,7 +308,7 @@ def gen_copy(cg, e: A.CopyExp, scope: _Scope, spec: bool):
     return [JVal(arr.kind, arr.elem, arr.rank, out, True)]
 
 
-def gen_concat(cg, e: A.ConcatExp, scope: _Scope, spec: bool):
+def gen_concat(cg, e: A.ConcatExp, scope: _Scope):
     arrs = [scope.lookup(a.name) for a in e.arrs]
     if any(a.kind == "S" for a in arrs):
         raise JitUnsupported("concat of scalars")
@@ -350,7 +333,7 @@ def gen_concat(cg, e: A.ConcatExp, scope: _Scope, spec: bool):
     return [JVal("A", arrs[0].elem, arrs[0].rank, out, True)]
 
 
-def gen_apply(cg, e: A.ApplyExp, scope: _Scope, spec: bool):
+def gen_apply(cg, e: A.ApplyExp, scope: _Scope):
     raise JitUnsupported(f"function call {e.fname} is not transpiled")
 
 

@@ -1,20 +1,23 @@
 """Control flow: ``if``, ``for``/``while``, and what they share — the
 per-lane merge, the kind fixpoint and the loop-state hand-over.
 
-Divergence is handled GPU-style.  When the lanes of a batch disagree
-on an ``if``, both sides run speculatively and merge per lane
-(:func:`where`); when they agree only the side taken runs, as written.
-A loop whose lanes may stop apart — a ``for`` with a per-lane bound, a
-``while`` on a per-lane condition — runs only the lanes still going,
-its body as written (:func:`gen_live`): a lane that stops is written
-back once and computes nothing more.  Two loops run as blocks of their
-iteration space (:func:`blocks`): a ``for`` that only accumulates into
-an array, ``acc[I] (+)= v``, is the histogram a GPU runs as one
-scatter-accumulate (:func:`gen_accumulate`), and a ``for`` that only
-sums into scalars, ``acc + f(i)``, the loop a GPU's lanes step through
-in lockstep (:func:`gen_sum`).  Ahead of a stepped or summing loop, its
-:func:`preheader` ranges the indices the loop reads but does not bind,
-once.
+Divergence is handled GPU-style: a lane runs only the code it takes.
+When the lanes of a batch disagree on an ``if``, each arm runs once,
+as written, on the lanes that take it (:func:`run_arm`) — on all the
+lanes, merged per lane (:func:`where`), only when neither arm can trap
+on some lanes and not on others; when they agree only the arm taken
+runs.  A loop whose lanes may stop apart — a ``for`` with a per-lane
+bound, a ``while`` on a per-lane condition — runs only the lanes still
+going, its body as written (:func:`gen_live`): a lane that stops is
+written back once and computes nothing more.  Both read the batched
+values they need on their lanes through :func:`lane_reads`.  Two
+loops run as blocks of their iteration space (:func:`blocks`): a
+``for`` that only accumulates into an array, ``acc[I] (+)= v``, is the
+histogram a GPU runs as one scatter-accumulate (:func:`gen_accumulate`),
+and a ``for`` that only sums into scalars, ``acc + f(i)``, the loop a
+GPU's lanes step through in lockstep (:func:`gen_sum`).  Ahead of a
+stepped or summing loop, its :func:`preheader` ranges the indices the
+loop reads but does not bind, once.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from ....core.traversal import (
 )
 from ....core.types import Array, Prim, array_of
 from .arrays import checked_indices, gather, index_range, update_target
-from .elementwise import _ufunc_src
+from .elementwise import _trap_free, _ufunc_src
 from .maps import map_over, only_indexed
 from .values import (
     KD, JitUnsupported, JVal, _Emitter, _Scope, _join_kd, _jvals, _kd,
@@ -66,10 +69,6 @@ def where(cg, mask: str, t: JVal, f: JVal) -> JVal:
     return JVal("B", t.elem, t.rank, out, True)
 
 
-def widen_all_b(kds: List[KD]) -> List[KD]:
-    return [("B", el, r, ow) for _, el, r, ow in kds]
-
-
 # -- if ----------------------------------------------------------------------
 
 
@@ -88,23 +87,24 @@ def splice_arm(
         cg.line(f"{o} = {cv.var}")
 
 
-def gen_if(cg, e: A.IfExp, scope: _Scope, spec: bool):
+def join_arms(t_vals: List[JVal], f_vals: List[JVal]) -> List[KD]:
+    if len(t_vals) != len(f_vals):
+        raise JitUnsupported("if arms produce different arities")
+    return [_join_kd(_kd(t), _kd(f)) for t, f in zip(t_vals, f_vals)]
+
+
+def gen_if(cg, e: A.IfExp, scope: _Scope):
     cond = cg.atom(scope, e.cond)
     if cond.kind == "A" or cond.rank != 0:
         raise JitUnsupported("if condition must be a boolean scalar")
-
-    def arm(body: A.Body, sp: bool) -> Tuple[_Emitter, List[JVal]]:
-        buf, vals = cg._capture(
-            lambda: cg.gen_body(body, scope.child(), sp)
-        )
-        return buf, vals  # type: ignore[return-value]
-
     if cond.kind == "S":
-        t_buf, t_vals = arm(e.t_body, spec)
-        f_buf, f_vals = arm(e.f_body, spec)
-        if len(t_vals) != len(f_vals):
-            raise JitUnsupported("if arms produce different arities")
-        kds = [_join_kd(_kd(t), _kd(f)) for t, f in zip(t_vals, f_vals)]
+        t_buf, t_vals = cg._capture(
+            lambda: cg.gen_body(e.t_body, scope.child())
+        )
+        f_buf, f_vals = cg._capture(
+            lambda: cg.gen_body(e.f_body, scope.child())
+        )
+        kds = join_arms(t_vals, f_vals)
         outs = [cg.fresh("_o") for _ in kds]
         cg.line(f"if {cond.var}:")
         with cg.indented():
@@ -114,46 +114,87 @@ def gen_if(cg, e: A.IfExp, scope: _Scope, spec: bool):
             splice_arm(cg, f_buf, f_vals, kds, outs)
         return _jvals(kds, outs)
 
-    # Batched condition: convergent fast paths plus a speculative
-    # both-arms merge (exactly `_eval_if`).
-    tc_buf, tc_vals = arm(e.t_body, spec)
-    fc_buf, fc_vals = arm(e.f_body, spec)
-    ts_buf, ts_vals = arm(e.t_body, True)
-    fs_buf, fs_vals = arm(e.f_body, True)
-    arities = {len(v) for v in (tc_vals, fc_vals, ts_vals, fs_vals)}
-    if len(arities) != 1:
-        raise JitUnsupported("if arms produce different arities")
-    kds = [
-        _join_kd(
-            _join_kd(_kd(a), _kd(b)), _join_kd(_kd(c), _kd(d))
+    # Divergent lanes: each arm runs once, if a lane takes it — on every
+    # lane when neither arm can trap on some lanes only, else on its own
+    # lanes — and the one count of the mask picks the result.
+    free = free_vars_body(e.t_body) | free_vars_body(e.f_body)
+    uniform = {n for n in free if getattr(scope.maybe(n), "kind", "") == "S"}
+    every = _trap_free(e.t_body, uniform) and _trap_free(e.f_body, uniform)
+    mask, c, off = cg.mask(cond), cg.fresh("_c"), cg.fresh("_nm")
+    n = f"{mask}.size"
+    cg.line(f"{c} = np.count_nonzero({mask})")
+    if not every:
+        cg.line(f"{off} = ~{mask}")
+    vals = []
+    for body, runs, lanes in (
+        (e.t_body, c, (mask, c, f"{c} == {n}")),
+        (e.f_body, f"{c} < {n}", (off, f"({n} - {c})", f"not {c}")),
+    ):
+        buf, arm = cg._capture(
+            lambda: run_arm(cg, body, scope, None if every else lanes)
         )
-        for a, b, c, d in zip(tc_vals, fc_vals, ts_vals, fs_vals)
-    ]
-    # Divergent lanes make every result per-lane even when both
-    # arms are uniform, so the static kind must be batched on all
-    # three paths (the convergent arms broadcast into it).
-    kds = widen_all_b(kds)
+        vals.append(arm)
+        if buf.lines:
+            cg.line(f"if {runs}:")
+            with cg.indented():
+                cg.em.splice(buf)
+    t_vals, f_vals = vals
+    # Divergent lanes make every result per-lane, even where both arms
+    # are uniform; ownership joins across the three paths.
+    kds = [("B", el, r, ow) for _, el, r, ow in join_arms(t_vals, f_vals)]
     outs = [cg.fresh("_o") for _ in kds]
-    mask = cg.mask(cond)
-    taken = cg.fresh("_c")  # one count answers "all?" and "none?"
-    cg.line(f"{taken} = np.count_nonzero({mask})")
-    cg.line(f"if {taken} == {mask}.size:")
+    cg.line(f"if {c} == {n}:")
     with cg.indented():
-        splice_arm(cg, tc_buf, tc_vals, kds, outs)
-    cg.line(f"elif {taken} == 0:")
+        splice_arm(cg, _Emitter(), t_vals, kds, outs)
+    cg.line(f"elif not {c}:")
     with cg.indented():
-        splice_arm(cg, fc_buf, fc_vals, kds, outs)
+        splice_arm(cg, _Emitter(), f_vals, kds, outs)
     cg.line("else:")
     with cg.indented():
-        cg.em.splice(ts_buf)
-        cg.em.splice(fs_buf)
-        for o, tv, fv in zip(outs, ts_vals, fs_vals):
-            merged = where(cg, mask, tv, fv)
-            cg.line(f"{o} = {merged.var}")
-    # The speculative arm's np.where allocates fresh buffers, but
-    # the convergent arms may return views — ownership must hold on
-    # every path, so it joins across all three.
+        for o, tv, fv, (_, el, _, _) in zip(outs, t_vals, f_vals, kds):
+            if every:
+                cg.line(f"{o} = {where(cg, mask, tv, fv).var}")
+                continue
+            lane = f"{tv.var}.shape[1:]" if tv.kind == "B" else (
+                f"np.shape({tv.var})"
+            )
+            cg.line(f"{o} = np.empty(({n},) + {lane}, dtype={cg._dt(el)})")
+            cg.line(f"{o}[{mask}] = {tv.var}")
+            cg.line(f"{o}[{off}] = {fv.var}")
     return _jvals(kds, outs)
+
+
+def run_arm(
+    cg, body: A.Body, scope: _Scope, lanes: Optional[Tuple[str, str, str]]
+) -> List[JVal]:
+    """Emit ``body``, an arm of a divergent ``if``.  With ``lanes`` None
+    it runs on every lane of the batch, and the merge discards what the
+    lanes that do not take it compute.  Else ``lanes`` is ``(mask,
+    count, every)`` — the locals of its lane mask and lane count and the
+    condition under which every lane takes it — and it runs as written
+    on its own lanes: the batched values it reads are compacted to them
+    (:func:`lane_reads`), or read whole under ``every``, so a lane that
+    traps in it is one that takes it, and hands the launch over."""
+    if lanes is None:
+        return cg.gen_body(body, scope.child())
+    mask, count, every = lanes
+    ix: List[str] = []
+
+    def positions() -> str:
+        if not ix:
+            ix.append(cg.fresh("_ix"))
+            cg.line(
+                f"{ix[0]} = R.arange({mask}.size) if {every} "
+                f"else np.flatnonzero({mask})"
+            )
+        return ix[0]
+
+    inner, _ = lane_reads(
+        cg, body, free_vars_body(body), scope, positions,
+        lambda v: f"{v} if {every} else {v}[{mask}]",
+    )
+    with cg.batch(count):
+        return cg.gen_body(body, inner)
 
 
 # -- the kind fixpoint -------------------------------------------------------
@@ -333,7 +374,7 @@ def accumulation(e: A.LoopExp):
     return levels, write.idxs, fold.exp
 
 
-def gen_accumulate(cg, e: A.LoopExp, scope: _Scope, spec: bool):
+def gen_accumulate(cg, e: A.LoopExp, scope: _Scope):
     """An accumulating loop (:func:`accumulation`) the way a GPU runs
     a histogram, or None when ``e`` is not one.  The prefix is lowered
     as the body of a map (nest) over the iteration space, so the batch
@@ -392,7 +433,7 @@ def gen_accumulate(cg, e: A.LoopExp, scope: _Scope, spec: bool):
         arr = acc
         if cg.depth and arr.kind == "A":
             arr = cg._coerce(arr, ("B", arr.elem, arr.rank, False))
-        tgt = update_target(cg, arr, spec)
+        tgt = update_target(cg, arr)
         cell = JVal(arr.kind, arr.elem, arr.rank, tgt, True)
         if arr.ndim > 1:
             # A cell is addressed by one flat index into a view of the
@@ -402,14 +443,14 @@ def gen_accumulate(cg, e: A.LoopExp, scope: _Scope, spec: bool):
             block = scope.child()
             flat = []
             for o in map_over(
-                cg, lam, w, [block_iota(cg, block, lo, hi)], block, spec
+                cg, lam, w, [block_iota(cg, block, lo, hi)], block
             ):
                 f = cg.fresh("_fl")
                 cg.line(f"{f} = {o.var}.reshape(-1)")
                 flat.append(JVal("B", o.elem, 0, f))
             *at, operand = flat
             parts = checked_indices(
-                cg, block, cell, at, 1 if cg.depth else 0, spec, "scatter"
+                cg, block, cell, at, 1 if cg.depth else 0, "scatter"
             )
             if cg.depth:
                 rows = cg.fresh("_ln")
@@ -483,7 +524,7 @@ def loops_in(bindings) -> Iterator[A.LoopExp]:
             yield from loops_in(b.bindings)
 
 
-def gen_sum(cg, e: A.LoopExp, scope: _Scope, spec: bool):
+def gen_sum(cg, e: A.LoopExp, scope: _Scope):
     """A summing loop (:func:`summation`) the way a GPU's lanes run it,
     or None when ``e`` is not one: its terms as the body of a map over
     a block of the iteration space (:func:`blocks`) — a ``-`` term
@@ -548,10 +589,10 @@ def gen_sum(cg, e: A.LoopExp, scope: _Scope, spec: bool):
             block = ahead.child()
             vals = [block_iota(cg, block, lo, hi)] if counted else []
             vals += [
-                gather(cg, block, arr, lead, spec, (lo, hi))
+                gather(cg, block, arr, lead, (lo, hi))
                 for arr, lead in rows
             ]
-            outs = iter(map_over(cg, lam, w, vals, block, spec))
+            outs = iter(map_over(cg, lam, w, vals, block))
             adds = [(s, next(outs).var) for s, c in zip(sums, terms) for _ in c]
             k = cg.fresh("_k")
             cg.line(f"for {k} in range({w}):")
@@ -613,14 +654,14 @@ def cond_slot(e: A.LoopExp) -> int:
 
 def loop_body(
     cg, e: A.LoopExp, scope: _Scope, state: List[JVal], kds: List[KD],
-    slots: List[str], spec: bool,
+    slots: List[str],
 ) -> List[KD]:
     """Emit one iteration of ``e``'s body over ``state``, bound in
     ``scope``, and hand its results over to the state locals; return
     the state kinds it produces."""
     for (p, _), v in zip(e.merge, state):
         cg._bind_param(scope, p, v)
-    res = cg.gen_body(e.body, scope, spec)
+    res = cg.gen_body(e.body, scope)
     if len(res) != len(state):
         raise JitUnsupported("loop body arity mismatch")
     new_kds = state_join(kds, res)
@@ -637,19 +678,19 @@ def count_iteration(cg, guard: str) -> None:
     )
 
 
-def gen_loop(cg, e: A.LoopExp, scope: _Scope, spec: bool):
+def gen_loop(cg, e: A.LoopExp, scope: _Scope):
     for rule in (gen_sum, gen_accumulate):
-        blocked = rule(cg, e, scope, spec)
+        blocked = rule(cg, e, scope)
         if blocked is not None:
             return blocked
     preheader(cg, e, scope)
     try:
-        return step_loop(cg, e, scope, spec)
+        return step_loop(cg, e, scope)
     except _Masked:
-        return gen_live(cg, e, scope, spec)
+        return gen_live(cg, e, scope)
 
 
-def step_loop(cg, e: A.LoopExp, scope: _Scope, spec: bool):
+def step_loop(cg, e: A.LoopExp, scope: _Scope):
     """A loop whose lanes step together — a ``for`` with a uniform
     bound, a ``while`` on a uniform condition — its body emitted once,
     as written.  Raises :class:`_Masked` on one whose lanes may stop
@@ -674,7 +715,7 @@ def step_loop(cg, e: A.LoopExp, scope: _Scope, spec: bool):
             with cg.indented():
                 child = scope.child()
                 child.bind(e.form.ivar, JVal("S", I32, 0, ivar))
-                return loop_body(cg, e, child, state, kds, slots, spec)
+                return loop_body(cg, e, child, state, kds, slots)
 
     else:
         cond = cond_slot(e)
@@ -687,16 +728,14 @@ def step_loop(cg, e: A.LoopExp, scope: _Scope, spec: bool):
             cg.line(f"{guard} = 0")
             cg.line(f"while {slots[cond]}:")
             with cg.indented():
-                new_kds = loop_body(
-                    cg, e, scope.child(), state, kds, slots, spec
-                )
+                new_kds = loop_body(cg, e, scope.child(), state, kds, slots)
                 count_iteration(cg, guard)
             return new_kds
 
     return _jvals(fixpoint(cg, seeds, attempt), slots)
 
 
-def gen_live(cg, e: A.LoopExp, scope: _Scope, spec: bool):
+def gen_live(cg, e: A.LoopExp, scope: _Scope):
     """A masked loop — a ``for`` with a per-lane bound, a ``while`` on a
     per-lane condition — run the way a GPU's threads each leave their
     own loop: its body emitted once, as written, over a batch of the
@@ -743,7 +782,7 @@ def gen_live(cg, e: A.LoopExp, scope: _Scope, spec: bool):
                 act = cg.mask(state[cond])
             retire(act)
             with cg.batch(n):
-                new_kds = loop_body(cg, e, child, state, kds, slots, spec)
+                new_kds = loop_body(cg, e, child, state, kds, slots)
             if not counted:
                 count_iteration(cg, guard)
         if not counted:
@@ -760,14 +799,13 @@ def live_lanes(cg, e: A.LoopExp, scope: _Scope, state: List[JVal],
     lanes: its results ``outs`` at the batch's full width (but the
     ``while`` condition's, slot ``cond``, false on every lane that
     stopped: nothing is written to it), the count and the positions
-    of the live lanes, and a copy of every batched value the loop reads
-    — an array its body only indexes is read through its lane vector
-    (``JVal.lanes``) instead, not copied.  Returns the count, the scope
-    binding the copies and ``retire(act)``, which emits an iteration's
-    bookkeeping: where the lane mask ``act`` has lost lanes, their
-    state is written into ``outs`` — with none left the loop ends — and
-    the state and the copies are compacted to the lanes that are left,
-    a copied index's range recomputed."""
+    of the live lanes, and the batched values the loop reads, bound as
+    :func:`lane_reads` binds them — whole, until a lane stops.  Returns
+    the count, the scope binding them and ``retire(act)``, which emits
+    an iteration's bookkeeping: where the lane mask ``act`` has lost
+    lanes, their state is written into ``outs`` — with none left the
+    loop ends — and the state and the copies are compacted to the lanes
+    that are left, a copied index's range recomputed."""
     n, pos = cg.fresh("_nl"), cg.fresh("_ix")
     cg.line(f"{n} = {cg.extent}")
     cg.line(f"{pos} = R.arange({n})")
@@ -781,22 +819,11 @@ def live_lanes(cg, e: A.LoopExp, scope: _Scope, state: List[JVal],
     reads -= {p.name for p, _ in e.merge}
     if isinstance(e.form, A.ForLoop):
         reads = reads - {e.form.ivar} | {e.form.bound.name}
-    inner, facts = scope.child(), []
-    for name in sorted(reads):
-        v = scope.maybe(name)
-        if v is None or v.kind != "B":
-            continue
-        if v.rank and not v.lanes and only_indexed(e.body, name):
-            inner.bind(name, replace(v, owned=False, lanes=pos))
-            continue
-        c = cg.fresh("_lv")
-        cg.line(f"{c} = {v.lanes or v.var}")
+    inner, copies = lane_reads(cg, e.body, reads, scope, lambda: pos, str)
+    facts = []
+    for c, v in copies:
         live.append(c)
-        if v.lanes:
-            inner.bind(name, replace(v, owned=False, lanes=c))
-            continue
-        inner.bind(name, replace(v, owned=False, var=c))
-        fact = scope.range_of(v.var)
+        fact = None if v.lanes else scope.range_of(v.var)
         if fact is not None:
             lo, hi = cg.fresh("_lo"), cg.fresh("_hi")
             cg.line(f"{lo}, {hi} = {fact[0]}, {fact[1]}")
@@ -822,6 +849,35 @@ def live_lanes(cg, e: A.LoopExp, scope: _Scope, state: List[JVal],
             cg.line(f"{n} = {c}")
 
     return n, inner, retire
+
+
+def lane_reads(
+    cg, body: A.Body, reads: Set[str], scope: _Scope,
+    positions: Callable[[], str], pick: Callable[[str], str],
+) -> Tuple[_Scope, List[Tuple[str, JVal]]]:
+    """Bind, in a child of ``scope``, every batched value named in
+    ``reads`` as ``body`` reads it on some of the lanes: an array
+    ``body`` only indexes through the lane vector ``positions()`` of
+    their positions (``JVal.lanes``), not copied; any other value — or
+    the lane vector of an array read that way already — copied into a
+    local of its own as ``pick(var)``, borrowed, with no range.
+    Returns the child and each copy with what it copies."""
+    inner, copies = scope.child(), []
+    for name in sorted(reads):
+        v = scope.maybe(name)
+        if v is None or v.kind != "B":
+            continue
+        if v.rank and not v.lanes and only_indexed(body, name):
+            inner.bind(name, replace(v, owned=False, lanes=positions()))
+            continue
+        c = cg.fresh("_lv")
+        cg.line(f"{c} = {pick(v.lanes or v.var)}")
+        copies.append((c, v))
+        if v.lanes:
+            inner.bind(name, replace(v, owned=False, lanes=c))
+        else:
+            inner.bind(name, replace(v, owned=False, var=c))
+    return inner, copies
 
 
 RULES = {

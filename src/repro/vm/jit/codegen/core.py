@@ -17,10 +17,11 @@ from .values import KD, JitUnsupported, JVal, _Emitter, _Scope
 
 #: Schema tag embedded in every generated module; bump on any change to
 #: the generated code's shape so stale cached artifacts are discarded.
-PYCODE_SCHEMA = "repro.pycode/v9"
+PYCODE_SCHEMA = "repro.pycode/v10"
 
-#: Hard cap on emitted statements: speculative if-arms duplicate their
-#: bodies, so deeply nested divergence can explode.
+#: Hard cap on emitted statements, the discarded attempts of a kind
+#: fixpoint included: a loop's body is emitted once per widening of its
+#: state, so nested loops multiply it.
 _MAX_LINES = 50_000
 
 
@@ -223,9 +224,9 @@ class KernelCodegen:
 
     # -- bodies and lambdas -------------------------------------------------
 
-    def gen_body(self, body: A.Body, scope: _Scope, spec: bool) -> List[JVal]:
+    def gen_body(self, body: A.Body, scope: _Scope) -> List[JVal]:
         for bnd in body.bindings:
-            results = self.gen_exp(bnd.exp, scope, spec)
+            results = self.gen_exp(bnd.exp, scope)
             if len(results) != len(bnd.pat):
                 raise JitUnsupported(
                     f"pattern arity mismatch: {len(bnd.pat)} names for "
@@ -236,22 +237,22 @@ class KernelCodegen:
         return [self.atom(scope, a) for a in body.result]
 
     def gen_lambda(
-        self, lam: A.Lambda, args: List[JVal], scope: _Scope, spec: bool
+        self, lam: A.Lambda, args: List[JVal], scope: _Scope
     ) -> List[JVal]:
         if len(args) != len(lam.params):
             raise JitUnsupported("lambda arity mismatch")
         child = scope.child()
         for p, a in zip(lam.params, args):
             self._bind_param(child, p, a)
-        return self.gen_body(lam.body, child, spec)
+        return self.gen_body(lam.body, child)
 
     # -- dispatch -----------------------------------------------------------
 
-    def gen_exp(self, e: A.Exp, scope: _Scope, spec: bool) -> List[JVal]:
+    def gen_exp(self, e: A.Exp, scope: _Scope) -> List[JVal]:
         fn = _GEN.get(type(e))
         if fn is None:
             raise JitUnsupported(f"cannot transpile {type(e).__name__}")
-        return fn(self, e, scope, spec)
+        return fn(self, e, scope)
 
     # -- whole-kernel entry point -------------------------------------------
 
@@ -265,7 +266,7 @@ class KernelCodegen:
                 name, JVal(kind, prim_from_name(elem_name), rank, pv)
             )
         body_buf, outs = self._capture(
-            lambda: self.gen_exp(self.kernel.exp, scope.child(), False)
+            lambda: self.gen_exp(self.kernel.exp, scope.child())
         )
         for o in outs:
             if o.kind == "B":
@@ -317,7 +318,7 @@ class KernelCodegen:
 
 
 #: The dispatch table: expression class -> rule, a plain function of
-#: ``(codegen, exp, scope, spec)``; each rule module names its rows.
+#: ``(codegen, exp, scope)``; each rule module names its rows.
 _GEN = {
     **elementwise.RULES,
     **control.RULES,

@@ -2,18 +2,19 @@
 
 A uniform operand pair calls the interpreter's own ``eval_*``; a
 batched one emits ufuncs over the lanes.  Every batched operator that
-can trap guards its operand through :func:`trap_guard`, and a trap
-site on one operand is guarded as what that operand is
+can trap hands the launch to the interpreter where it would, and a
+trap site on one operand is guarded as what that operand is
 (:func:`guarded_operand`): per lane, by a scalar comparison, or — a
-constant — not at run time at all.  Which operators can trap is also
-what :func:`_trap_free` answers, for the folds that want to apply an
-operator out of order (``tests/vm/test_codegen_rules.py`` holds the
-two to each other).
+constant — not at run time at all.  Which bodies have no trap site
+that can fire on some lanes only is what :func:`_trap_free` answers,
+for the folds that want to apply an operator out of order and for the
+divergent ``if`` that wants to run its arms on every lane
+(``tests/vm/test_codegen_rules.py`` holds the two to each other).
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+from typing import AbstractSet, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -119,13 +120,11 @@ _TRAPPING_UNOPS = frozenset(("exp", "log", "sqrt"))
 
 class _Trap(NamedTuple):
     """A trap site on one operand: ``bad`` maps the operand's name to
-    the condition under which the operator traps on it, ``safe`` to the
-    operand with a harmless value substituted where that holds.
-    ``bad`` reads the same on an ndarray (per lane), on a Python scalar
-    and on a constant."""
+    the condition under which the operator traps on it.  It reads the
+    same on an ndarray (per lane), on a Python scalar and on a
+    constant."""
 
     bad: Callable[[str], str]
-    safe: Callable[[str], str]
     reason: str
 
 
@@ -133,20 +132,12 @@ class _Trap(NamedTuple):
 #: (always batched) operand.
 _UNOP_TRAPS = {
     "log": _Trap(
-        lambda v: f"({v} <= 0)",
-        lambda v: f"np.where({v} <= 0, {v}.dtype.type(1), {v})",
-        "log of non-positive value in batch",
+        lambda v: f"({v} <= 0)", "log of non-positive value in batch"
     ),
-    "sqrt": _Trap(
-        lambda v: f"({v} < 0)",
-        lambda v: f"np.where({v} < 0, -{v}, {v})",
-        "sqrt of negative value in batch",
-    ),
+    "sqrt": _Trap(lambda v: f"({v} < 0)", "sqrt of negative value in batch"),
 }
 _FLOAT_TO_INT_TRAP = _Trap(
-    lambda v: f"(~np.isfinite({v}))",
-    lambda v: f"np.where(~np.isfinite({v}), {v}.dtype.type(0), {v})",
-    "non-finite float to int conversion",
+    lambda v: f"(~np.isfinite({v}))", "non-finite float to int conversion"
 )
 
 
@@ -154,21 +145,14 @@ def _operand_trap(op: str, t: PrimType) -> Optional[_Trap]:
     """The trap site a binary operator has on its second operand alone
     (divisor, integer exponent, shift count), or None."""
     if op in ("div", "idiv", "imod"):
-        return _Trap(
-            lambda y: f"({y} == 0)",
-            lambda y: f"np.where({y} == 0, {y}.dtype.type(1), {y})",
-            "zero divisor in batch",
-        )
+        return _Trap(lambda y: f"({y} == 0)", "zero divisor in batch")
     if op == "pow" and not t.is_float:
         return _Trap(
-            lambda y: f"({y} < 0)",
-            lambda y: f"np.where({y} < 0, 0, {y})",
-            "negative integer exponent in batch",
+            lambda y: f"({y} < 0)", "negative integer exponent in batch"
         )
     if op in ("shl", "shr"):
         return _Trap(
             lambda y: f"(({y} < 0) | ({y} >= {t.bitwidth}))",
-            lambda y: f"np.clip({y}, 0, {t.bitwidth - 1})",
             "out-of-range shift count in batch",
         )
     return None
@@ -186,16 +170,19 @@ def _traps_on(trap: _Trap, value: np.ndarray) -> bool:
     return bool(eval(trap.bad("v"), {"np": np, "v": value}))
 
 
-def _trap_free(lam: A.Lambda) -> bool:
-    """True when the batched lowering of ``lam`` has no data-dependent
-    trap site: scalar operators that cannot trap — a divisor that is a
-    non-zero constant included — ``if``, and the same lifted through
-    ``map``.  Only such an operator may be applied to partial results
-    the left-to-right fold never forms — any other could raise, or
-    hide, a trap the interpreter's order would not."""
+def _trap_free(body: A.Body, uniform: AbstractSet[str] = frozenset()) -> bool:
+    """True when the batched lowering of ``body`` has no trap site that
+    can fire on some lanes and not on others: scalar operators that
+    cannot trap — a divisor that is a non-zero constant included —
+    ``if``, an index whose every index is a constant or a name in
+    ``uniform`` (its check reads the same on every lane), and the same
+    lifted through ``map``.  Only such a fold operator may be applied to
+    partial results the left-to-right fold never forms — any other
+    could raise, or hide, a trap the interpreter's order would not —
+    and only such arms of a divergent ``if`` run on every lane."""
 
-    def ok_body(body: A.Body) -> bool:
-        return all(ok(bnd.exp) for bnd in body.bindings)
+    def ok_body(b: A.Body) -> bool:
+        return all(ok(bnd.exp) for bnd in b.bindings)
 
     def ok(e: A.Exp) -> bool:
         if isinstance(e, (A.AtomExp, A.CmpOpExp)):
@@ -213,58 +200,37 @@ def _trap_free(lam: A.Lambda) -> bool:
             return e.op not in _TRAPPING_UNOPS
         if isinstance(e, A.ConvOpExp):
             return not (e.from_t.is_float and e.to_t.is_integral)
+        if isinstance(e, A.IndexExp):
+            return all(
+                isinstance(i, A.Const) or i.name in uniform for i in e.idxs
+            )
         if isinstance(e, A.IfExp):
             return ok_body(e.t_body) and ok_body(e.f_body)
         if isinstance(e, A.MapExp):
             return ok_body(e.lam.body)
         return False
 
-    return ok_body(lam.body)
+    return ok_body(body)
 
 
 # -- shared emitters ---------------------------------------------------------
 
 
-def trap_guard(
-    cg, var: str, fires: str, safe: str, reason: str, spec: bool
-) -> None:
-    """Guard the operand held in local ``var``: where the condition
-    ``fires`` holds, in speculative position the operand gets the value
-    ``safe`` — the lanes it was bad on discard their result in the
-    merge; anywhere else the launch is handed to the interpreter."""
-    cg.line(f"if {fires}:")
-    with cg.indented():
-        if spec:
-            cg.line(f"{var} = {safe}")
-        else:
-            cg.line(f'raise JitFallback("{reason}")')
-
-
-def guarded_operand(
-    cg, v: JVal, t: PrimType, trap: _Trap, spec: bool, prefix: str = "_y"
-) -> str:
-    """The scalar operand ``v`` as an ndarray expression of type ``t``
-    the operator cannot trap on (:func:`trap_guard`).  The guard is
-    computed as what ``v`` is: on a batched operand, one reduction over
-    its lanes; on a uniform one, a Python comparison on the scalar; on
-    a constant, nothing at run time — decided now, it is no guard at
-    all, or the hand-over (or the substitution) unconditionally."""
+def guarded_operand(cg, v: JVal, t: PrimType, trap: _Trap) -> str:
+    """The scalar operand ``v`` as an ndarray expression of type ``t``,
+    behind the hand-over of ``trap``.  The guard is computed as what
+    ``v`` is: on a batched operand, one reduction over its lanes; on a
+    uniform one, a Python comparison on the scalar; on a constant,
+    nothing at run time — decided now, it is no guard at all, or the
+    hand-over unconditionally."""
     operand = scalar_operand(cg, t, v)
     const = cg.constant(v)
-    if const is not None:
-        if not _traps_on(trap, _const_operand(const, t)):
-            return operand
-        if not spec:
-            cg.line(f'raise JitFallback("{trap.reason}")')
-            return operand
-        out = cg.fresh(prefix)
-        cg.line(f"{out} = {trap.safe(operand)}")
-        return out
-    out = cg.fresh(prefix)
-    cg.line(f"{out} = {operand}")
-    fires = trap.bad(v.var) if v.kind == "S" else f"{trap.bad(out)}.any()"
-    trap_guard(cg, out, fires, trap.safe(out), trap.reason, spec)
-    return out
+    if const is None:
+        bad = trap.bad(v.var)
+        cg.hand_over_if(bad if v.kind == "S" else f"{bad}.any()", trap.reason)
+    elif _traps_on(trap, _const_operand(const, t)):
+        cg.line(f'raise JitFallback("{trap.reason}")')
+    return operand
 
 
 def require_scalar(v: JVal) -> JVal:
@@ -277,23 +243,6 @@ def scalar_operand(cg, t: PrimType, v: JVal) -> str:
     return cg._asarray(require_scalar(v), t)
 
 
-def uniform_op(cg, call: str, op_name: str, spec: bool) -> str:
-    out = cg.fresh()
-    if spec:
-        cg.line("try:")
-        with cg.indented():
-            cg.line(f"{out} = {call}")
-        cg.line("except Exception as _ex:")
-        with cg.indented():
-            cg.line(
-                "raise JitFallback("
-                f'f"uniform {op_name} trapped: {{_ex}}")'
-            )
-    else:
-        cg.line(f"{out} = {call}")
-    return out
-
-
 def dtype_fix(cg, var: str, t: PrimType) -> None:
     dt = cg._dt(t)
     cg.line(f"if {var}.dtype != {dt}:")
@@ -301,7 +250,7 @@ def dtype_fix(cg, var: str, t: PrimType) -> None:
         cg.line(f"{var} = {var}.astype({dt})")
 
 
-def np_binop(cg, op: str, t: PrimType, x: JVal, y: JVal, spec: bool) -> str:
+def np_binop(cg, op: str, t: PrimType, x: JVal, y: JVal) -> str:
     """Emit the batched operator with its trap checks, returning
     the local holding the (pre-dtype-fix) result.  A trap site on the
     second operand alone is guarded as what that operand is
@@ -309,7 +258,7 @@ def np_binop(cg, op: str, t: PrimType, x: JVal, y: JVal, spec: bool) -> str:
     out = cg.fresh()
     xd = cg._asarray(x, t)
     trap = _operand_trap(op, t)
-    yd = guarded_operand(cg, y, t, trap, spec) if trap else cg._asarray(y, t)
+    yd = guarded_operand(cg, y, t, trap) if trap else cg._asarray(y, t)
     if op in ("add", "sub", "mul"):
         sym = {"add": "+", "sub": "-", "mul": "*"}[op]
         cg.line(f"{out} = {xd} {sym} {yd}")
@@ -330,19 +279,16 @@ def np_binop(cg, op: str, t: PrimType, x: JVal, y: JVal, spec: bool) -> str:
         xv, yv = cg.fresh("_x"), cg.fresh("_y")
         cg.line(f"{xv} = {xd}")
         cg.line(f"{yv} = {yd}")
-        bad = cg.fresh("_bad")
-        cg.line(f"{bad} = ({xv} < 0) & (np.mod({yv}, 1) != 0)")
-        trap_guard(
-            cg, xv, f"{bad}.any()", f"np.where({bad}, -{xv}, {xv})",
-            "fractional power of negative base", spec,
+        cg.hand_over_if(
+            f"(({xv} < 0) & (np.mod({yv}, 1) != 0)).any()",
+            "fractional power of negative base",
         )
         cg.line(f"{out} = np.power({xv}, {yv})")
-        if not spec:
-            cg.hand_over_if(
-                f"(np.isinf({out}) & np.isfinite({xv}) "
-                f"& np.isfinite({yv})).any()",
-                "float pow overflow in batch",
-            )
+        cg.hand_over_if(
+            f"(np.isinf({out}) & np.isfinite({xv}) "
+            f"& np.isfinite({yv})).any()",
+            "float pow overflow in batch",
+        )
         return out
     if op in ("and", "or"):
         xv = cg.fresh("_x")
@@ -363,27 +309,26 @@ def np_binop(cg, op: str, t: PrimType, x: JVal, y: JVal, spec: bool) -> str:
 # -- rules -------------------------------------------------------------------
 
 
-def gen_atomexp(cg, e: A.AtomExp, scope: _Scope, spec: bool):
+def gen_atomexp(cg, e: A.AtomExp, scope: _Scope):
     return [cg.atom(scope, e.atom)]
 
 
-def gen_binop(cg, e: A.BinOpExp, scope: _Scope, spec: bool):
+def gen_binop(cg, e: A.BinOpExp, scope: _Scope):
     x = cg.atom(scope, e.x)
     y = cg.atom(scope, e.y)
     if x.kind == "S" and y.kind == "S":
-        call = (
-            f"eval_binop({cg._bop(e.op)}, {cg._t(e.t)}, "
+        out = cg.fresh()
+        cg.line(
+            f"{out} = eval_binop({cg._bop(e.op)}, {cg._t(e.t)}, "
             f"{x.var}, {y.var})"
         )
-        return [JVal("S", e.t, 0, uniform_op(cg, call, e.op, spec))]
-    out = np_binop(
-        cg, e.op, e.t, require_scalar(x), require_scalar(y), spec
-    )
+        return [JVal("S", e.t, 0, out)]
+    out = np_binop(cg, e.op, e.t, require_scalar(x), require_scalar(y))
     dtype_fix(cg, out, e.t)
     return [JVal("B", e.t, 0, out, True)]
 
 
-def gen_cmpop(cg, e: A.CmpOpExp, scope: _Scope, spec: bool):
+def gen_cmpop(cg, e: A.CmpOpExp, scope: _Scope):
     x = cg.atom(scope, e.x)
     y = cg.atom(scope, e.y)
     if x.kind == "S" and y.kind == "S":
@@ -399,20 +344,21 @@ def gen_cmpop(cg, e: A.CmpOpExp, scope: _Scope, spec: bool):
     return [JVal("B", BOOL, 0, out, True)]
 
 
-def gen_unop(cg, e: A.UnOpExp, scope: _Scope, spec: bool):
+def gen_unop(cg, e: A.UnOpExp, scope: _Scope):
     x = cg.atom(scope, e.x)
     if x.kind == "S":
-        call = f"eval_unop({cg._uop(e.op)}, {cg._t(e.t)}, {x.var})"
-        return [JVal("S", e.t, 0, uniform_op(cg, call, e.op, spec))]
+        out = cg.fresh()
+        cg.line(f"{out} = eval_unop({cg._uop(e.op)}, {cg._t(e.t)}, {x.var})")
+        return [JVal("S", e.t, 0, out)]
     xv = scalar_operand(cg, e.t, x)
     src = _NP_UN_SRC.get(e.op)
     if src is None:
         raise JitUnsupported(f"unknown unary operator {e.op}")
     if e.op in _UNOP_TRAPS:
-        xv = guarded_operand(cg, x, e.t, _UNOP_TRAPS[e.op], spec, "_x")
+        xv = guarded_operand(cg, x, e.t, _UNOP_TRAPS[e.op])
     out = cg.fresh()
     cg.line(f"{out} = {src}({xv})")
-    if e.op == "exp" and not spec:
+    if e.op == "exp":
         cg.hand_over_if(
             f"(np.isinf({out}) & np.isfinite({xv})).any()",
             "exp overflow in batch",
@@ -421,7 +367,7 @@ def gen_unop(cg, e: A.UnOpExp, scope: _Scope, spec: bool):
     return [JVal("B", e.t, 0, out, True)]
 
 
-def gen_convop(cg, e: A.ConvOpExp, scope: _Scope, spec: bool):
+def gen_convop(cg, e: A.ConvOpExp, scope: _Scope):
     x = cg.atom(scope, e.x)
     if x.kind == "S":
         out = cg.fresh()
@@ -429,9 +375,7 @@ def gen_convop(cg, e: A.ConvOpExp, scope: _Scope, spec: bool):
         return [JVal("S", e.to_t, 0, out)]
     xv = scalar_operand(cg, e.from_t, x)
     if e.from_t.is_float and e.to_t.is_integral:
-        xv = guarded_operand(
-            cg, x, e.from_t, _FLOAT_TO_INT_TRAP, spec, "_x"
-        )
+        xv = guarded_operand(cg, x, e.from_t, _FLOAT_TO_INT_TRAP)
     out = cg.fresh()
     cg.line(f"{out} = {xv}.astype({cg._dt(e.to_t)})")
     return [JVal("B", e.to_t, 0, out, True)]

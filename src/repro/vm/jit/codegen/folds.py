@@ -45,7 +45,7 @@ def combine(
         nd = JVal("B", neutral.elem, neutral.rank + 1, ndv)
         nd_ndim += 1
     red = JVal("A", neutral.elem, red_ndim, red_var)  # an ndarray
-    out = np_binop(cg, op, neutral.elem, nd, red, False)
+    out = np_binop(cg, op, neutral.elem, nd, red)
     dtype_fix(cg, out, neutral.elem)
     ndim = max(nd_ndim, red_ndim)
     if batched:
@@ -104,7 +104,7 @@ def selection(lam: A.Lambda):
     return (k, op) if arms == (b, a) else None
 
 
-def gen_select(cg, e: A.ReduceExp, scope: _Scope, spec: bool):
+def gen_select(cg, e: A.ReduceExp, scope: _Scope):
     """A selecting reduce (:func:`selection`) as one ``np.argmin`` or
     ``np.argmax`` of the keys — along the inner axis inside a batch, a
     segmented reduction — or None when ``e`` is not one.  A strict
@@ -137,7 +137,7 @@ def gen_select(cg, e: A.ReduceExp, scope: _Scope, spec: bool):
             nan = f"np.isnan({rows[k].var}).any()" if lanes else (
                 f"{rows[k].var} != {rows[k].var}")
             cg.hand_over_if(nan, "NaN key in a selecting reduce")
-        return cg.gen_lambda(e.lam, neutral + rows, scope, spec)
+        return cg.gen_lambda(e.lam, neutral + rows, scope)
 
     return unless_empty(cg, w, neutral, folded)
 
@@ -160,8 +160,8 @@ def picked(cg, v: JVal, at: str, lanes: bool) -> JVal:
     return JVal("B", v.elem, v.rank - 1, out, True)
 
 
-def gen_reduce(cg, e: A.ReduceExp, scope: _Scope, spec: bool):
-    selected = gen_select(cg, e, scope, spec)
+def gen_reduce(cg, e: A.ReduceExp, scope: _Scope):
+    selected = gen_select(cg, e, scope)
     if selected is not None:
         return selected
     w, vals = soac_inputs(cg, scope, e.width, e.arrs, "reduce")
@@ -183,11 +183,9 @@ def gen_reduce(cg, e: A.ReduceExp, scope: _Scope, spec: bool):
             ]
 
         return unless_empty(cg, w, neutral, folded)
-    if cg.depth == 0 and _trap_free(e.lam):
-        return reduce_tree(cg, e.lam, neutral, vals, w, scope, spec)
-    return fold_sequential(
-        cg, e.lam, neutral, vals, w, scope, spec, scan=False
-    )
+    if cg.depth == 0 and _trap_free(e.lam.body):
+        return reduce_tree(cg, e.lam, neutral, vals, w, scope)
+    return fold_sequential(cg, e.lam, neutral, vals, w, scope, scan=False)
 
 
 def unless_empty(
@@ -211,8 +209,7 @@ def unless_empty(
 
 
 def tree_combine(
-    cg, lam: A.Lambda, vals: List[JVal], n: str, scope: _Scope,
-    spec: bool,
+    cg, lam: A.Lambda, vals: List[JVal], n: str, scope: _Scope
 ) -> List[JVal]:
     """Fold the ``n >= 1`` rows of the uniform arrays ``vals`` with
     ``lam`` as a pairwise tree: each step applies ``lam`` once, in
@@ -235,7 +232,7 @@ def tree_combine(
                 x = cg.fresh("_x")
                 cg.line(f"{x} = {s}[{first}:2 * {half}:2]")
                 sides.append(JVal("B", v.elem, v.rank - 1, x))
-        outs = apply_batched(cg, lam, sides, half, scope, spec)
+        outs = apply_batched(cg, lam, sides, half, scope)
         if len(outs) != len(vals):
             raise JitUnsupported("fold arity mismatch")
         for s, v, o in zip(cur, vals, outs):
@@ -260,19 +257,19 @@ def tree_combine(
 
 def reduce_tree(
     cg, lam: A.Lambda, neutral: List[JVal], vals: List[JVal],
-    w: str, scope: _Scope, spec: bool,
+    w: str, scope: _Scope,
 ):
     """A kernel-level reduce with a trap-free operator: the tree,
     then one uniform ``neutral (+) folded`` application."""
 
     def folded() -> List[JVal]:
-        firsts = tree_combine(cg, lam, vals, w, scope, spec)
-        return cg.gen_lambda(lam, neutral + firsts, scope, spec)
+        firsts = tree_combine(cg, lam, vals, w, scope)
+        return cg.gen_lambda(lam, neutral + firsts, scope)
 
     return unless_empty(cg, w, neutral, folded)
 
 
-def gen_scan(cg, e: A.ScanExp, scope: _Scope, spec: bool):
+def gen_scan(cg, e: A.ScanExp, scope: _Scope):
     w, vals = soac_inputs(
         cg, scope, e.width, e.arrs, "scan", empty="zero-width scan"
     )
@@ -289,14 +286,12 @@ def gen_scan(cg, e: A.ScanExp, scope: _Scope, spec: bool):
                 cg, op, neutral[0], acc, v.ndim, v.kind == "B", scan=True
             )
         ]
-    return fold_sequential(
-        cg, e.lam, neutral, vals, w, scope, spec, scan=True
-    )
+    return fold_sequential(cg, e.lam, neutral, vals, w, scope, scan=True)
 
 
 def fold_sequential(
     cg, lam: A.Lambda, neutral: List[JVal], vals: List[JVal],
-    w: str, scope: _Scope, spec: bool, scan: bool,
+    w: str, scope: _Scope, scan: bool,
 ):
     """The general fold: a runtime loop applying the lambda row by
     row, with the accumulator kinds stabilized by fixpoint."""
@@ -312,7 +307,7 @@ def fold_sequential(
         cg.line(f"for {i} in range(int({w})):")
         with cg.indented():
             args = acc + [row(cg, v, i) for v in vals]
-            outs = cg.gen_lambda(lam, args, scope, spec)
+            outs = cg.gen_lambda(lam, args, scope)
             if len(outs) != len(acc):
                 raise JitUnsupported("fold arity mismatch")
             new_kds = state_join(kds, outs)
@@ -370,7 +365,7 @@ def concat_pieces(cg, pieces: str, w: str, elem, rank) -> JVal:
     return JVal("A", elem, rank, out, False)
 
 
-def gen_stream_red(cg, e: A.StreamRedExp, scope: _Scope, spec: bool):
+def gen_stream_red(cg, e: A.StreamRedExp, scope: _Scope):
     """Every chunk of ``R.lane_groups(w)`` folds on its own lane:
     the fold body runs once per group of equal-size chunks, over a
     batch of that group's lanes, and the lane accumulators — in
@@ -410,7 +405,7 @@ def gen_stream_red(cg, e: A.StreamRedExp, scope: _Scope, spec: bool):
                 f".reshape(({lanes}, {size}) + {v.var}.shape[1:])"
             )
             args.append(JVal("B", v.elem, v.rank, c, v.owned))
-        outs = apply_batched(cg, e.fold_lam, args, lanes, scope, spec)
+        outs = apply_batched(cg, e.fold_lam, args, lanes, scope)
         if len(outs) != n_acc + n_arr_out:
             raise JitUnsupported("stream_red arity mismatch")
         for a, o in zip(init, outs):
@@ -436,7 +431,7 @@ def gen_stream_red(cg, e: A.StreamRedExp, scope: _Scope, spec: bool):
         rows.append(JVal("A", a.elem, a.rank + 1, p))
     if rows:
         rows = tree_combine(
-            cg, e.red_lam, rows, f"{lane_accs[0]}.shape[0]", scope, spec
+            cg, e.red_lam, rows, f"{lane_accs[0]}.shape[0]", scope
         )
     arrays = [
         concat_pieces(cg, p, w, o.elem, o.rank)
@@ -445,7 +440,7 @@ def gen_stream_red(cg, e: A.StreamRedExp, scope: _Scope, spec: bool):
     return rows + arrays
 
 
-def chunked_stream(cg, e, accs, what: str, scope: _Scope, spec: bool):
+def chunked_stream(cg, e, accs, what: str, scope: _Scope):
     """A stream run chunk by chunk in stream order, the accumulators
     ``accs`` threaded through (``stream_map`` has none)."""
     w, vals = stream_inputs(cg, scope, e, what)
@@ -468,7 +463,7 @@ def chunked_stream(cg, e, accs, what: str, scope: _Scope, spec: bool):
         with cg.indented():
             chunks = chunk_slices(cg, vals, size, off)
             args = [JVal("S", I32, 0, size)] + acc_in + chunks
-            outs = cg.gen_lambda(e.lam, args, scope, spec)
+            outs = cg.gen_lambda(e.lam, args, scope)
             chunk_acc = list(outs[:n_acc])
             arr_outs = list(outs[n_acc:])
             for p, o in zip(pieces, arr_outs):
@@ -492,12 +487,12 @@ def chunked_stream(cg, e, accs, what: str, scope: _Scope, spec: bool):
     return _jvals(kds, slots) + arrays
 
 
-def gen_stream_map(cg, e: A.StreamMapExp, scope: _Scope, spec: bool):
-    return chunked_stream(cg, e, (), "stream_map", scope, spec)
+def gen_stream_map(cg, e: A.StreamMapExp, scope: _Scope):
+    return chunked_stream(cg, e, (), "stream_map", scope)
 
 
-def gen_stream_seq(cg, e: A.StreamSeqExp, scope: _Scope, spec: bool):
-    return chunked_stream(cg, e, e.accs, "stream_seq", scope, spec)
+def gen_stream_seq(cg, e: A.StreamSeqExp, scope: _Scope):
+    return chunked_stream(cg, e, e.accs, "stream_seq", scope)
 
 
 RULES = {

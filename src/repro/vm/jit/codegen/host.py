@@ -294,7 +294,7 @@ class HostCodegen:
             return None
         cg = self.cg
         try:
-            buf, (v,) = cg._capture(lambda: cg.gen_exp(e, scope, False))
+            buf, (v,) = cg._capture(lambda: cg.gen_exp(e, scope))
         except JitUnsupported:
             return None  # an array operand: the interpreter's error
         cg.em.splice(buf)

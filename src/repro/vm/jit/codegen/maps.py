@@ -107,7 +107,7 @@ def expand_captures(
 
 
 def enter_batch(
-    cg, lam: A.Lambda, vals: List[JVal], w: str, scope: _Scope, spec: bool
+    cg, lam: A.Lambda, vals: List[JVal], w: str, scope: _Scope
 ) -> List[JVal]:
     """Entering the batch: lambda parameters become batched views of
     the uniform inputs; the whole body runs once over the batch."""
@@ -117,28 +117,28 @@ def enter_batch(
             child, p, JVal("B", v.elem, v.rank - 1, v.var, v.owned)
         )
     with cg.batch(w):
-        return cg.gen_body(lam.body, child, spec)
+        return cg.gen_body(lam.body, child)
 
 
-def gen_map(cg, e: A.MapExp, scope: _Scope, spec: bool):
+def gen_map(cg, e: A.MapExp, scope: _Scope):
     w, vals = soac_inputs(
         cg, scope, e.width, e.arrs, "map",
         empty="map without vectorizable extent",
     )
     if not vals:
         raise JitUnsupported("map without inputs")
-    return map_over(cg, e.lam, w, vals, scope, spec)
+    return map_over(cg, e.lam, w, vals, scope)
 
 
 def map_over(
-    cg, lam: A.Lambda, w: str, vals: List[JVal], scope: _Scope, spec: bool
+    cg, lam: A.Lambda, w: str, vals: List[JVal], scope: _Scope
 ) -> List[JVal]:
     """``lam`` mapped over the checked inputs ``vals`` of width ``w``:
     inside a batch it extends it, outside it enters one."""
     if cg.depth > 0:
-        return map_batched(cg, lam, scope, spec, w, vals)
+        return map_batched(cg, lam, scope, w, vals)
     results = []
-    for o in enter_batch(cg, lam, vals, w, scope, spec):
+    for o in enter_batch(cg, lam, vals, w, scope):
         if o.kind == "B":
             cg._to_batched_checked(o, w, "batch width mismatch")
             results.append(
@@ -161,7 +161,7 @@ def map_over(
     return results
 
 
-def map_batched(cg, lam: A.Lambda, scope: _Scope, spec: bool, w: str, vals):
+def map_batched(cg, lam: A.Lambda, scope: _Scope, w: str, vals):
     """A map inside a batch extends it: flatten ``(B, n)`` into
     ``B*n``.  Batched inputs are reshaped, uniform ones repeated per
     lane, and the lane values the lambda captures repeated, so the body
@@ -195,7 +195,7 @@ def map_batched(cg, lam: A.Lambda, scope: _Scope, spec: bool, w: str, vals):
                 child.ranges[pv] = fact
     results = []
     with cg.batch(ext):
-        for o in cg.gen_body(lam.body, child, spec):
+        for o in cg.gen_body(lam.body, child):
             ob = cg._to_batched_checked(o, ext, "batch width mismatch")
             out = cg.fresh()
             cg.line(
@@ -206,25 +206,24 @@ def map_batched(cg, lam: A.Lambda, scope: _Scope, spec: bool, w: str, vals):
 
 
 def apply_batched(
-    cg, lam: A.Lambda, args: List[JVal], ext: str, scope: _Scope,
-    spec: bool,
+    cg, lam: A.Lambda, args: List[JVal], ext: str, scope: _Scope
 ) -> List[JVal]:
     """Apply ``lam`` once over a batch of ``ext`` lanes entered
     from uniform code; every result comes back batched."""
     with cg.batch(ext):
         return [
             cg._to_batched_checked(o, ext, "batch width mismatch")
-            for o in cg.gen_lambda(lam, args, scope, spec)
+            for o in cg.gen_lambda(lam, args, scope)
         ]
 
 
-def gen_filter(cg, e: A.FilterExp, scope: _Scope, spec: bool):
+def gen_filter(cg, e: A.FilterExp, scope: _Scope):
     w, (val,) = soac_inputs(
         cg, scope, e.width, (e.arr,), "filter", empty="zero-width filter"
     )
     if cg.depth > 0 or val.kind == "B":
         raise JitUnsupported("batched filter")
-    (flag,) = enter_batch(cg, e.lam, [val], w, scope, spec)
+    (flag,) = enter_batch(cg, e.lam, [val], w, scope)
     if not flag.elem.is_bool or flag.rank != 0:
         raise JitUnsupported("filter predicate must return bool")
     with cg.batch(w):

@@ -75,9 +75,10 @@ def _join_kd(a: KD, b: KD) -> KD:
         return (ak, ae, ar, owned)
     kinds = {ak, bk}
     if kinds == {"S", "B"}:
-        if (ar if ak == "B" else br) != 0 or (ar if ak == "S" else br) != 0:
+        if ar or br:
             raise JitUnsupported("control-flow join of different ranks")
-        return ("B", ae, 0, owned)
+        # The scalar is coerced into a lane vector it allocates.
+        return ("B", ae, 0, bo if ak == "S" else ao)
     if kinds == {"A", "B"}:
         if ar != br:
             raise JitUnsupported("control-flow join of different ranks")

@@ -4,10 +4,10 @@ The 16 benchmarks — all the golden files and the differential suite
 ever transpile — never reach a third of :mod:`repro.vm.jit.codegen`:
 ``concat``, ``reshape``, ``scatter``, ``stream_seq``, a ``for`` with a
 per-lane trip count, any non-ufunc ``scan``, batched ``pow``/``shl``/
-``log``/float→int, or a gather/scatter clamped in speculative
-position.  Each row below is a small source-text program that does;
-between them they reach all 24 rows of the dispatch table in uniform,
-batched and speculative position.
+``log``/float→int, or a divergent ``if`` whose arms run on their own
+lanes.  Each row below is a small source-text program that does;
+between them they reach all 24 rows of the dispatch table in uniform
+and batched position and in an arm run on its own lanes.
 
 A row runs on the jit and on the reference interpreter and must agree
 — the same values (integers bit-exact, floats at the differential
@@ -33,7 +33,7 @@ import pathlib
 import re
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Set, Tuple, get_args
+from typing import Callable, Dict, List, Optional, Set, Tuple, get_args
 
 import numpy as np
 import pytest
@@ -124,9 +124,13 @@ def row(name, src, args, **kw):
 
 
 #: What a loop's sequential step emits, an accumulating loop, a
-#: summing one (its lanes' lockstep), and a masked one (its live
-#: lanes' count).
-_STEP, _AT, _SUM, _LIVE = "for _i", ".at(", "for _k", "= R.arange(_nl"
+#: summing one (its lanes' lockstep), a masked one (its live lanes'
+#: count), and a divergent ``if`` whose arms run on their own lanes
+#: (the results written back by the mask of the lanes that do not take
+#: the true arm).
+_STEP, _AT, _SUM, _LIVE, _COMPACT = (
+    "for _i", ".at(", "for _k", "= R.arange(_nl", "[_nm"
+)
 
 
 # -- elementwise operators ---------------------------------------------------
@@ -170,9 +174,9 @@ fun main (xs: [n]f32) (ks: [n]i32): ([n]i32, [n]f32, [n]i64, [n]f64) =
 )
 
 #: Scalar operators on uniform operands (the loop counter, kernel
-#: parameters) inside a batch, and — in the arm of a divergent ``if``
-#: — in speculative position, where a uniform trap is caught and
-#: handed to the interpreter.
+#: parameters) inside a batch, and in the arm of a divergent ``if``,
+#: which holds a uniform trap site and so runs on its own lanes: every
+#: lane that reaches the operator takes the arm.
 row(
     "uniform-ops",
     r"""
@@ -185,7 +189,7 @@ fun main (xs: [n]f32) (k: i32): [n]f32 =
          else if s > 2.0 then s - f32 (i % k) else s * 2.0) xs
 """,
     lambda: [_f32([0.5, 1.5, 4.0]), ScalarValue(3, I32)],
-    emits=('trapped:',),
+    emits=(_COMPACT,),
 )
 
 #: Every operator with a trap site: (name, element type, result type,
@@ -194,8 +198,8 @@ fun main (xs: [n]f32) (k: i32): [n]f32 =
 #: trapping lane).  Each gives two rows over the same input: the bare
 #: operator (the launch falls back once; the interpreter's value or
 #: error comes back) and the operator under its guard (a divergent
-#: ``if``: the trapping lane is substituted and discarded, no
-#: fallback).
+#: ``if`` whose arm runs on the lanes that take it, which the trapping
+#: lane does not: no fallback).
 INF = float("inf")
 TRAPS = [
     ("div", "f32", "f32", "x / y", "y != 0.0", "0.0",
@@ -237,7 +241,46 @@ for _op, _t, _r, _e, _ok, _z, _xs, _ys, _err in TRAPS:
     row(f"trap-{_op}", f"{_head}{_e}) xs ys\n", _args,
         fallbacks=1, raises=_err)
     row(f"spec-{_op}",
-        f"{_head}if {_ok} then {_e} else {_z}) xs ys\n", _args)
+        f"{_head}if {_ok} then {_e} else {_z}) xs ys\n", _args,
+        emits=(_COMPACT,))
+
+#: A lane that takes the arm of a divergent ``if`` and traps in it is a
+#: trap, as in the interpreter, which evaluates only the arm a lane
+#: takes: (name, parameters, result type, lambda parameters, the
+#: ``if``, its operands with a taking lane trapping, the same with only
+#: a lane that does not take the arm trapping, the interpreter's
+#: error).  Each gives a ``taken-`` row (one launch falls back, the
+#: interpreter raises) and an ``untaken-`` row (no fallback, its
+#: values).
+NAN = float("nan")
+TAKEN = [
+    ("sqrt", "(xs: [n]f32) (ys: [n]f32)", "f32", "(x: f32) (y: f32)",
+     "if x > 0.0 then sqrt y else 0.0", "xs ys",
+     lambda: [_f32([1, 2, -1]), _f32([4, -4, 9])],
+     lambda: [_f32([1, -2, 1]), _f32([4, -4, 9])], ValueError),
+    ("pow", "(xs: [n]f32) (ys: [n]f32)", "f32", "(x: f32) (y: f32)",
+     "if y > 0.0 then x ^ 0.5f32 else 0.0", "xs ys",
+     lambda: [_f32([4, -4, 9]), _f32([1, 1, -1])],
+     lambda: [_f32([4, -4, 9]), _f32([1, -1, 1])], ValueError),
+    ("float-to-int", "(xs: [n]f32) (ys: [n]f32)", "i32", "(x: f32) (y: f32)",
+     "if y > 0.0 then i32 x else 0", "xs ys",
+     lambda: [_f32([1.5, NAN, 3]), _f32([1, 1, -1])],
+     lambda: [_f32([1.5, NAN, 3]), _f32([1, -1, 1])], ValueError),
+    ("gather", "(is: [n]i32) (cs: [n]i32) (ys: [m]i32)", "i32",
+     "(i: i32) (c: i32)", "if c > 0 then ys[i] else 0 - 1", "is cs",
+     lambda: [_i32([0, 5, 1]), _i32([1, 1, -1]), _i32([10, 20])],
+     lambda: [_i32([0, 5, 1]), _i32([1, -1, 1]), _i32([10, 20])],
+     InterpError),
+]
+
+for _op, _params, _r, _lparams, _if, _arrs, _taken, _untaken, _err in TAKEN:
+    _src = (
+        f"fun main {_params}: [n]{_r} =\n"
+        f"  map (\\{_lparams} -> {_if}) {_arrs}\n"
+    )
+    row(f"taken-{_op}", _src, _taken, fallbacks=1, raises=_err,
+        emits=(_COMPACT,))
+    row(f"untaken-{_op}", _src, _untaken, emits=(_COMPACT,))
 
 
 # -- control flow ------------------------------------------------------------
@@ -306,8 +349,9 @@ fun main (ks: [n]i32) (lim: i32): ([n]i32, [n]i32) =
 )
 
 #: A divergent ``if`` tests its mask with one count: every lane true,
-#: none, some.  A batch of no lanes never reaches the test: a map of
-#: width 0 is the interpreter's (one launch falls back).
+#: none, some — with arms that cannot trap, run on every lane, and with
+#: arms run on their own lanes.  A batch of no lanes never reaches the
+#: test: a map of width 0 is the interpreter's (one launch falls back).
 _IF_MASK = r"""
 fun main (xs: [n]i32): [n]i32 =
   map (\(x: i32) -> if x > 0 then x * 2 else 0 - x) xs
@@ -319,8 +363,56 @@ for _case, _xs in (
     row(
         f"if-mask-{_case}", _IF_MASK, lambda xs=_xs: [_i32(xs)],
         fallbacks=int(not _xs),
-        emits=('np.count_nonzero(',), omits=('.all()', '.any()'),
+        emits=('np.count_nonzero(',), omits=('.all()', '.any()', _COMPACT),
     )
+    if _xs:
+        row(
+            f"if-compact-{_case}", _IF_MASK.replace("x * 2", "12 / x"),
+            lambda xs=_xs: [_i32(xs)],
+            emits=('np.count_nonzero(', _COMPACT), omits=('.all()',),
+        )
+
+#: A map in the false arm, run on its lanes: the batch it extends is
+#: the count of the lanes that do not take the true arm.
+row(
+    "if-compact-false-map",
+    r"""
+fun main (xs: [n]i32) (ys: [m]i32): [n][m]i32 =
+  map (\(x: i32) ->
+    if x > 0 then replicate m 0 else map (\(y: i32) -> y / x) ys) xs
+""",
+    lambda: [_i32([4, -1, -2, -3, -5]), _i32([1, 2, 3])],
+    pipeline="nest-intact",
+    emits=(_COMPACT,),
+)
+
+#: Arms that cannot trap but for a uniform index (the loop counter's),
+#: whose check reads the same on every lane: they run on every lane.
+row(
+    "if-uniform-index",
+    r"""
+fun main (xs: [n]i32) (ys: [k]i32): [n]i32 =
+  map (\(x: i32) ->
+    loop (acc = x) for s < k do
+      if acc > 3 then xor acc ys[s] else acc) xs
+""",
+    lambda: [_i32([1, 5, 9, 2]), _i32([6, 3, 12])],
+    emits=("np.where(",),
+    omits=(_COMPACT,),
+)
+
+#: An ``if`` run on its own lanes inside an arm run on its own lanes;
+#: every division by zero is on a lane that does not take its arm.
+row(
+    "if-compact-nested",
+    r"""
+fun main (xs: [n]i32) (ys: [n]i32): [n]i32 =
+  map (\(x: i32) (y: i32) ->
+    if x > 0 then (if y > 0 then x / y else y / x) else 0 - x) xs ys
+""",
+    lambda: [_i32([2, -1, 3, 4]), _i32([1, 0, -3, 0])],
+    emits=(_COMPACT,),
+)
 
 #: A masked ``while`` counts its running lanes once per iteration, to
 #: stop and to take the fast path: lanes that never start, lanes that
@@ -406,9 +498,8 @@ fun main (ks: [n]i32): [n]i32 =
     emits=(_LIVE,),
 )
 
-#: In the arm of a divergent ``if`` the loop runs speculatively on the
-#: lanes that do not take the arm too: a zero divisor there is
-#: substituted and discarded.
+#: In the arm of a divergent ``if`` the loop runs on the lanes that take
+#: the arm: the others' zero divisor is never computed.
 row(
     "live-speculative",
     r"""
@@ -417,7 +508,7 @@ fun main (xs: [n]i32): [n]i32 =
     if x > 0 then loop (s = 0) for i < x do s + 100 / (x - i) else 0) xs
 """,
     lambda: [_i32([3, -1, 0, 2])],
-    emits=(_LIVE,),
+    emits=(_LIVE, _COMPACT),
 )
 
 
@@ -427,8 +518,8 @@ fun main (xs: [n]i32): [n]i32 =
 #: sequential kernel), lane-vector gathers from a uniform and from a
 #: batched array, a uniform index into a batched array, partial
 #: indexing of a matrix — and the same in the arm of a divergent
-#: ``if``, where a lane's own out-of-range index is clamped instead of
-#: trapping (a uniform one never is).
+#: ``if``, run on the lanes that take it: the out-of-range index of a
+#: lane that does not is never checked.
 row(
     "index-forms",
     r"""
@@ -443,7 +534,7 @@ fun main (xss: [n][m]i32) (is: [n]i32) (ys: [m]i32) (yss: [m][m]i32)
 """,
     lambda: [_i32([[1, 2], [3, 4], [5, 6]]), _i32([0, 1, 0]),
              _i32([10, 20]), _i32([[7, 8], [9, 11]])],
-    emits=('np.clip(',),
+    emits=(_COMPACT,),
 )
 
 row(
@@ -464,7 +555,7 @@ fun main (is: [n]i32) (ys: [m]i32): [n]i32 =
   map (\(i: i32) -> if i < m then ys[i] else 0 - 1) is
 """,
     lambda: [_i32([0, 5, 1]), _i32([10, 20])],
-    emits=('np.clip(',),
+    emits=(_COMPACT,),
 )
 
 #: In-place updates: a lane-vector scatter into a per-lane array the
@@ -487,7 +578,7 @@ fun main (is: [n]i32) (zs: *[m]i32): ([n][m]i32, [n][m]i32, [n][m]i32) =
     in {a2, b2, c}) is
 """,
     lambda: [_i32([0, 1, 2]), _i32([7, 7, 7])],
-    emits=('np.clip(',),
+    emits=(_COMPACT,),
 )
 
 #: A lane scalar read out of a per-lane array that is then updated in
@@ -526,7 +617,7 @@ fun main (is: [n]i32): [n][2]i32 =
     if i < 2 then (replicate 2 0) with [i] <- 1 else replicate 2 7) is
 """,
     lambda: [_i32([0, 5, 1])],
-    emits=('np.clip(',),
+    emits=(_COMPACT,),
 )
 
 #: ``iota``, ``replicate`` (of a constant, a lane scalar, a uniform
@@ -917,8 +1008,7 @@ fun main (xss: [n][m]i32) (lim: i32): ([n][m]i32, [n][m]i32) =
 )
 
 #: SOACs and a loop in the arm of a divergent ``if``: the whole nest
-#: runs speculatively, so the division by a lane's zero is substituted
-#: and discarded.
+#: runs on the lanes that take the arm, so no lane divides by zero.
 row(
     "soacs-speculative",
     r"""
@@ -1020,8 +1110,8 @@ fun main (is: [n]i32) (vs: [n]f32): ([4]f32, [4]i32) =
     omits=(_STEP,),
 )
 
-#: In the arm of a divergent ``if``: the prefix runs speculatively (a
-#: lane's zero divisor is substituted) into a copy of the accumulator.
+#: In the arm of a divergent ``if``: the prefix runs on the lanes that
+#: take the arm (the others' zero divisor is never computed).
 row(
     "accumulate-speculative",
     r"""
@@ -1034,7 +1124,7 @@ fun main (iss: [n][m]i32) (vss: [n][m]i32) (gs: [n]i32): [n][3]i32 =
     else replicate 3 0) iss vss gs
 """,
     lambda: [_i32(_BINS), _i32([[1, 2, 3, 4], [5, 6, 7, 8]]), _i32([2, 0])],
-    emits=(_AT, "np.clip("),
+    emits=(_AT, _COMPACT),
 )
 
 #: K-means' sums: a nest ``for i < m … for dd < d`` over cell
@@ -1270,9 +1360,9 @@ fun main (xss: [n][m]i32) (dss: [n][m]i32): [n]i32 =
     emits=(_SUM,),
 )
 
-#: In the arm of a divergent ``if``: the terms run speculatively — the
-#: lanes that do not take it clamp their row index and substitute their
-#: zero divisor (4 lanes, 3 counters).
+#: In the arm of a divergent ``if``: the terms run on the lanes that
+#: take it — the others' row index out of range and zero divisor are
+#: never read (4 lanes, 3 counters).
 row(
     "sum-speculative",
     r"""
@@ -1283,7 +1373,7 @@ fun main (yss: [k][m]i32) (gs: [n]i32): [n]i32 =
     else 0 - g) gs
 """,
     lambda: [_i32([[7, -8, 9], [10, 11, -12]]), _i32([1, -1, 0, -2])],
-    emits=(_SUM, "np.clip("),
+    emits=(_SUM, _COMPACT),
 )
 
 #: Rows gathered from per-lane arrays: a row an inner map captured only
@@ -1391,7 +1481,7 @@ _RANGE, _PER_LANE = ".min()), int(", ".size and (("
 
 #: An index the loop does not bind, read in a batch (its range is
 #: computed once, before the first loop) and in the arm of an ``if`` on
-#: it (where, divergent, the negative lanes' index is clamped).  The
+#: it (divergent, the arm ranges the index of its own lanes).  The
 #: loops are sums, run as blocks (``gen_sum``), whose map bodies read
 #: the lane index repeated; ``_INVARIANT_STEP`` takes a maximum, which
 #: the sequential step runs.
@@ -1463,8 +1553,8 @@ fun main (is: [n]i32) (ys: [m]i32) (t: i32): [n]i32 =
     omits=(_PER_LANE,),
 )
 
-#: A speculative gather whose lanes are all in range skips the clamp
-#: (``spec-gather`` is the one that applies it).
+#: A gather in an arm run on its own lanes whose every lane is in range
+#: (``spec-gather`` has a lane out of range that does not take it).
 row(
     "spec-gather-in-range",
     r"""
@@ -1472,11 +1562,11 @@ fun main (is: [n]i32) (ys: [m]i32): [n]i32 =
   map (\(i: i32) -> if i > 0 then ys[i] else 0 - 1) is
 """,
     lambda: [_i32([0, 1, 1]), _i32([10, 20])],
-    emits=("if 0 <= _lo",),
+    emits=(_COMPACT,),
 )
 
 #: Constant divisors, exponent and shift counts that cannot trap emit
-#: no guard, in a batch and in a speculative arm.
+#: no guard, in a batch and in an arm run on every lane.
 row(
     "constant-operands",
     r"""
@@ -1489,9 +1579,9 @@ fun main (xs: [n]i32) (fs: [n]f32): ([n]i32, [n]f32, [n]i32) =
     omits=("zero divisor", "negative integer exponent", "shift count"),
 )
 
-#: A constant zero divisor hands over unconditionally; in a speculative
-#: arm (the inner ``if``, divergent only on lanes the outer merge
-#: discards) it is the substitute, unconditionally.
+#: A constant zero divisor hands over unconditionally — in the arm of
+#: a divergent ``if`` (the inner one, taken by no lane the outer arm
+#: runs on), only if a lane takes the arm.
 row(
     "trap-constant-divisor",
     r"""
@@ -1515,13 +1605,13 @@ row(
     "spec-constant-divisor",
     _DISCARDED % {"t": "i32", "lim": "50", "big": "100", "op": "x / 0"},
     lambda: [_i32([1, 200, 3]), ScalarValue(1, I32)],
-    emits=("= np.where(_K",),
+    emits=('raise JitFallback("zero divisor in batch")', _COMPACT),
     omits=("== 0).any()",),
 )
 
 #: A uniform shift count out of range and a uniform float divisor of 0:
-#: a comparison on the scalar hands the launch over; in a speculative
-#: arm the lanes that keep their result never reach the substitute.
+#: a comparison on the scalar hands the launch over — in the arm of a
+#: divergent ``if``, only if a lane takes the arm.
 row(
     "trap-uniform-shift",
     r"""
@@ -1538,7 +1628,7 @@ row(
     "spec-uniform-shift",
     _DISCARDED % {"t": "i32", "lim": "50", "big": "100", "op": "shl x d"},
     lambda: [_i32([1, 200, 3]), ScalarValue(40, I32)],
-    emits=("if ((p0 < 0) | (p0 >= 32)):", "= np.clip(_y"),
+    emits=("if ((p0 < 0) | (p0 >= 32)):", _COMPACT),
     omits=(">= 32)).any()",),
 )
 
@@ -1558,7 +1648,7 @@ row(
     "spec-uniform-float-divisor",
     _DISCARDED % {"t": "f32", "lim": "50.0", "big": "100.0", "op": "x / d"},
     lambda: [_f32([1, 200, 3]), ScalarValue(0.0, F32)],
-    emits=("if (p0 == 0):", "= np.where(_y"),
+    emits=("if (p0 == 0):", _COMPACT),
     omits=("== 0).any()",),
 )
 
@@ -1623,15 +1713,18 @@ class Outcome:
     """What running a row produced: the interpreter's and the jit's
     result (a list of values or the exception raised), the number of
     launches that left the jit, the generated sources as one text,
-    and the ``(expression class, position)`` pairs whose emitter ran —
-    ``U`` outside any batch, ``B`` inside one, ``S`` speculative (the
-    rules no table row names under their functions' names)."""
+    the ``(expression class, position)`` pairs whose emitter ran —
+    ``U`` outside any batch, ``B`` inside one, ``C`` in an arm of a
+    divergent ``if`` compacted to its own lanes (the rules no table row
+    names under their functions' names) — and the text of every arm
+    that ran on every lane of its batch."""
 
     expected: object
     got: object
     fallbacks: int
     text: str
     reached: Set[Tuple[object, str]]
+    speculated: List[str]
 
 
 def _attempt(run):
@@ -1651,41 +1744,62 @@ _RULES = {**{name: _CONTROL for name in _LOOP_RULES}, "gen_select": _FOLDS}
 
 
 @contextlib.contextmanager
-def _recording(reached: Set[Tuple[object, str]]):
-    """Wrap every row of the dispatch table, and the rules it does not
-    name (recorded where they take the expression), for the duration."""
+def _recording(reached: Set[Tuple[object, str]], speculated: List[str]):
+    """Wrap every row of the dispatch table, the rules it does not name
+    (recorded where they take the expression) and the arm of a
+    divergent ``if`` (``control.run_arm``: what it emits on every lane
+    is kept, and what is emitted on its own lanes is in position
+    ``C``), for the duration."""
     table = _LOWERING._GEN
     saved = dict(table)
     rules = {name: getattr(mod, name) for name, mod in _RULES.items()}
+    run_arm, compacted = _CONTROL.run_arm, []
 
-    def position(cg, spec):
-        return "S" if spec else "B" if cg.depth else "U"
+    def position(cg):
+        return "C" if compacted else "B" if cg.depth else "U"
 
     def spy(cls, emit):
-        def wrapper(cg, e, scope, spec):
-            reached.add((cls, position(cg, spec)))
-            return emit(cg, e, scope, spec)
+        def wrapper(cg, e, scope):
+            reached.add((cls, position(cg)))
+            return emit(cg, e, scope)
 
         return wrapper
 
     def spy_rule(name, rule):
-        def wrapper(cg, e, scope, spec):
-            out = rule(cg, e, scope, spec)
+        def wrapper(cg, e, scope):
+            out = rule(cg, e, scope)
             if out is not None:
-                reached.add((name, position(cg, spec)))
+                reached.add((name, position(cg)))
             return out
 
         return wrapper
 
+    def spy_arm(cg, body, scope, lanes):
+        if lanes is not None:
+            compacted.append(lanes)
+            try:
+                return run_arm(cg, body, scope, lanes)
+            finally:
+                compacted.pop()
+        start = len(cg.em.lines)
+        try:
+            return run_arm(cg, body, scope, lanes)
+        finally:
+            speculated.append(
+                "\n".join(text for _, text in cg.em.lines[start:])
+            )
+
     table.update({cls: spy(cls, emit) for cls, emit in saved.items()})
     for name, rule in rules.items():
         setattr(_RULES[name], name, spy_rule(name, rule))
+    _CONTROL.run_arm = spy_arm
     try:
         yield
     finally:
         table.update(saved)
         for name, rule in rules.items():
             setattr(_RULES[name], name, rule)
+        _CONTROL.run_arm = run_arm
 
 
 def run_row(row: Row) -> Outcome:
@@ -1696,7 +1810,8 @@ def run_row(row: Row) -> Outcome:
     expected = _attempt(lambda: list(run_program(prog, row.args())))
     compiled = compile_program(prog, PIPELINES[row.pipeline])
     reached: Set[Tuple[object, str]] = set()
-    with _recording(reached), metering() as m:
+    speculated: List[str] = []
+    with _recording(reached, speculated), metering() as m:
         got = _attempt(
             lambda: list(compiled.execute(row.args(), policy=JIT)[0])
         )
@@ -1706,7 +1821,8 @@ def run_row(row: Row) -> Outcome:
         if k.startswith("vm.fallback")
     )
     return Outcome(
-        expected, got, fallbacks, render_sources(compiled.host), reached
+        expected, got, fallbacks, render_sources(compiled.host), reached,
+        speculated,
     )
 
 
@@ -1807,9 +1923,8 @@ def test_benchmark_matches_its_digest(name, tmp_path):
 
 
 #: A lane mask tested whole: ``.all()`` of anything, or ``.any()`` of
-#: a local other than a trap guard's ``_bad`` (the other guards test a
-#: parenthesised expression).
-_WHOLE_MASK_TEST = re.compile(r"\.all\(\)|\b(?!_bad\d)\w+\.any\(\)")
+#: a local (a trap guard tests a parenthesised expression).
+_WHOLE_MASK_TEST = re.compile(r"\.all\(\)|\b\w+\.any\(\)")
 
 
 @pytest.mark.parametrize("name", list(BENCHMARKS.names()))
@@ -1843,38 +1958,38 @@ def test_nn_selects_its_neighbours_with_argmin():
 
 
 #: Where the corpus reaches each emitter (``U`` outside any batch,
-#: ``B`` inside one, ``S`` in speculative position).  The streams,
+#: ``B`` inside one, ``C`` in an arm run on its own lanes).  The streams,
 #: ``filter`` and ``scatter`` are unsupported inside a batch and a call
 #: everywhere: reaching them there is reaching the refusal.
 POSITIONS = {
     A.AtomExp: "B",
-    A.BinOpExp: "UBS",
-    A.CmpOpExp: "UBS",
-    A.UnOpExp: "UBS",
-    A.ConvOpExp: "UBS",
-    A.IfExp: "UBS",
-    A.IndexExp: "UBS",
-    A.UpdateExp: "UBS",
+    A.BinOpExp: "UBC",
+    A.CmpOpExp: "UBC",
+    A.UnOpExp: "UBC",
+    A.ConvOpExp: "UBC",
+    A.IfExp: "UBC",
+    A.IndexExp: "UBC",
+    A.UpdateExp: "UBC",
     A.IotaExp: "UB",
-    A.ReplicateExp: "UBS",
+    A.ReplicateExp: "UBC",
     A.RearrangeExp: "UB",
     A.ReshapeExp: "UB",
-    A.CopyExp: "UBS",
+    A.CopyExp: "UBC",
     A.ConcatExp: "UB",
     A.ApplyExp: "B",
-    A.LoopExp: "UBS",
-    A.MapExp: "UBS",
-    A.ReduceExp: "UBS",
-    A.ScanExp: "UBS",
+    A.LoopExp: "UBC",
+    A.MapExp: "UBC",
+    A.ReduceExp: "UBC",
+    A.ScanExp: "UBC",
     A.StreamMapExp: "U",
     A.StreamRedExp: "U",
     A.StreamSeqExp: "UB",
     A.FilterExp: "UB",
     A.ScatterExp: "UB",
-    "gen_accumulate": "UBS",
-    "gen_sum": "BS",
-    "gen_live": "BS",
-    "gen_select": "UBS",
+    "gen_accumulate": "UBC",
+    "gen_sum": "BC",
+    "gen_live": "BC",
+    "gen_select": "UBC",
 }
 
 
@@ -1914,10 +2029,10 @@ def test_a_one_character_edit_fails_the_row_that_emits_it(
             self, text.replace("np.where(", "np.where (")
         ),
     )
-    row = BY_NAME["spec-gather"]
-    with pytest.raises(AssertionError, match="'spec-gather'") as failure:
+    row = BY_NAME["if-forms"]
+    with pytest.raises(AssertionError, match="'if-forms'") as failure:
         check_row(row, run_row(row), tmp_path)
-    regenerated = tmp_path / "spec-gather.py"
+    regenerated = tmp_path / "if-forms.py"
     assert str(regenerated) in str(failure.value)
     assert "np.where (" in regenerated.read_text()
     untouched = BY_NAME["float-ops"]
@@ -2015,8 +2130,9 @@ def test_kmeans_is_bit_identical_under_the_accumulate(size, monkeypatch):
 def test_known_divergence_uniform_index_clamped_under_speculation():
     """A uniform index into a per-lane array in the arm of a divergent
     ``if`` is out of range on every lane, the ones that take the arm
-    included: the launch is the interpreter's, which raises.  (The
-    lowering used to clamp it and answer.)"""
+    included: the arm runs on every lane, and its check hands the
+    launch to the interpreter, which raises.  (The lowering used to
+    clamp it and answer.)"""
     prog = parse(
         r"""
 fun main (xss: [n][m]i32) (cs: [n]i32): [n]i32 =
@@ -2030,13 +2146,11 @@ fun main (xss: [n][m]i32) (cs: [n]i32): [n]i32 =
         compile_program(prog).execute(args(), policy=JIT)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError)
 def test_known_divergence_a_lane_that_keeps_a_substituted_result():
-    """In speculative position a lane's trapping operand is substituted
-    because the merge is meant to discard that lane — but a lane that
-    *takes* the arm keeps what the substitute computed: ``x / y`` with
-    ``x > 0, y = 0`` answers ``x`` where the interpreter raises.  Pinned
-    as found: handing over needs the arm's lane mask at the guard."""
+    """A lane that takes the arm of a divergent ``if`` and traps in it
+    traps: ``x / y`` with ``x > 0, y = 0`` raises, as in the
+    interpreter.  (The lowering used to run the arm on every lane with
+    a substitute for the zero divisor, and that lane kept ``x``.)"""
     prog = parse(
         r"""
 fun main (xs: [n]i32) (ys: [n]i32): [n]i32 =
@@ -2069,17 +2183,17 @@ def enclosing_loops(text: str, marker: str):
 
 
 def test_a_range_is_computed_where_its_index_lives():
-    """Before the loops an invariant index is read in (the one range
-    serves both loops, the second in an ``if`` arm, and every step or
-    block of each), and inside the loop that carries the index."""
+    """Before the loops an invariant index is read in (one range serves
+    every step or block of the first loop, and another, over the lanes
+    of the ``if`` arm the second is in, every one of the second), and
+    inside the loop that carries the index."""
     stepped = outcome_of(BY_NAME["range-invariant-step"]).text
-    assert enclosing_loops(stepped, _RANGE) == [0]
-    # Summed, the lane index is ranged once before the loops — its
+    assert enclosing_loops(stepped, _RANGE) == [0, 0]
+    # Summed, the lane index is ranged once before each loop — its
     # repeat in a block's map keeps that range — and the counters'
-    # ``j % k`` once per block: of the loop, and of the ``if`` arm as
-    # written and as speculated.
+    # ``j % k`` once per block.
     summed = outcome_of(BY_NAME["range-invariant"]).text
-    assert enclosing_loops(summed, _RANGE) == [0, 1, 1, 1]
+    assert enclosing_loops(summed, _RANGE) == [0, 1, 0, 1]
     assert not [ln for ln in summed.splitlines() if _RANGE in ln and "_xp" in ln]
     carried = outcome_of(BY_NAME["range-carried"]).text
     assert enclosing_loops(carried, _RANGE) == [1]

@@ -185,7 +185,7 @@ def test_pycode_from_an_older_schema_is_discarded(tmp_path):
     old_schemas = (
         "repro.pycode/v1", "repro.pycode/v2", "repro.pycode/v3",
         "repro.pycode/v4", "repro.pycode/v5", "repro.pycode/v6",
-        "repro.pycode/v7", "repro.pycode/v8",
+        "repro.pycode/v7", "repro.pycode/v8", "repro.pycode/v9",
     )
     assert PYCODE_SCHEMA not in old_schemas
     spec = BENCHMARKS["Pathfinder"]
@@ -300,7 +300,7 @@ fun main (xs: [n]i32) (d: i32) (k: i32): [n]i32 =
 
 
 def test_zero_divisor_lands_on_the_interpreter_and_raises_its_error():
-    """A trap check outside speculation hands the launch down once;
+    """A trap check that fires hands the launch down once;
     the error is the interpreter's own.  With a non-zero divisor the
     same compiled kernel is served by the jit."""
     prog = parse(ZERO_DIVISOR)

@@ -33,8 +33,8 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 #: (Pathfinder: map/scan rows over a host loop) and one 2-D stencil
 #: whose map nest runs as one flat ``r*c`` batch (HotSpot: the inner
 #: index array is tiled, the outer index repeated) — together they pin
-#: uniform and batched arithmetic, loops, indexing with clamping,
-#: reductions and the speculative if merge.
+#: uniform and batched arithmetic, loops, checked indexing,
+#: reductions and the divergent if merge.
 CASES = {
     "HotSpot": "hotspot.py.golden",
     "Pathfinder": "pathfinder.py.golden",

@@ -404,7 +404,7 @@ def test_generated_source_loops_only_where_the_ir_does(name):
             if isinstance(e, A.StreamRedExp):
                 assert "R.lane_groups(" in src and "while _n" in src, where
             if isinstance(e, A.StreamRedExp) or (
-                isinstance(e, A.ReduceExp) and _trap_free(e.lam)
+                isinstance(e, A.ReduceExp) and _trap_free(e.lam.body)
             ):
                 assert not _SCALAR_FOLD.search(src), (
                     f"{where}: an element-at-a-time fold at kernel level"

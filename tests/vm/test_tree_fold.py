@@ -301,6 +301,17 @@ def test_a_selecting_reduce_inside_a_batch_is_one_argmin_per_row():
     assert any(re.search(r"np\.argmin\(\w+, axis=1\)", s) for s in sources)
 
 
+def test_a_fold_result_joined_with_a_scalar_neutral_is_returned_uncopied():
+    """The width-0 path fills the scalar neutrals into lane vectors of
+    their own, so the results are the kernel's on both paths: nothing
+    is copied on the way out."""
+    sources = _agree(
+        ROWWISE_ARGMIN, lambda: [_i32(np.ones((3, 4))), _i32(np.arange(4))]
+    )
+    returns = [ln for s in sources for ln in s.splitlines() if "return (" in ln]
+    assert returns and not any(".copy()" in ln for ln in returns), returns
+
+
 # -- stream_red --------------------------------------------------------------
 
 #: Array accumulator updated in place (Fig. 4c).
