@@ -189,10 +189,17 @@ def run_arm(
             )
         return ix[0]
 
+    reads = free_vars_body(body)
     inner, _ = lane_reads(
-        cg, body, free_vars_body(body), scope, positions,
+        cg, body, reads, scope, positions,
         lambda v: f"{v} if {every} else {v}[{mask}]",
     )
+    # Both arms read the same uniform arrays: one that an arm updates
+    # is copied, so the other arm still reads it as it was.
+    for name in reads:
+        v = scope.maybe(name)
+        if v is not None and v.kind == "A" and v.owned:
+            inner.bind(name, replace(v, owned=False))
     with cg.batch(count):
         return cg.gen_body(body, inner)
 

@@ -401,6 +401,20 @@ fun main (xs: [n]i32) (ys: [k]i32): [n]i32 =
     omits=(_COMPACT,),
 )
 
+#: An index checked against the array the true arm reads it in, after
+#: an access that ranged it over every lane: the arm ranges it again,
+#: over its own lanes, so the lane the condition guards off hands
+#: nothing over.
+row(
+    "if-guarded-index",
+    r"""
+fun main (is: [n]i32) (xs: [k]i32) (ys: [m]i32): [n]i32 =
+  map (\(i: i32) -> let a = xs[i] in if i < m then a + ys[i] else a) is
+""",
+    lambda: [_i32([0, 5, 1]), _i32([1, 2, 3, 4, 5, 6]), _i32([10, 20])],
+    emits=(_COMPACT,),
+)
+
 #: An ``if`` run on its own lanes inside an arm run on its own lanes;
 #: every division by zero is on a lane that does not take its arm.
 row(
@@ -619,6 +633,25 @@ fun main (is: [n]i32): [n][2]i32 =
     lambda: [_i32([0, 5, 1])],
     emits=(_COMPACT,),
 )
+
+#: An arm run on its own lanes that updates a uniform array the kernel
+#: owns, in the true arm, the false arm, and an arm nested in the true
+#: one: the other arms still read the array as it was before.
+for _name, _if in (
+    ("if-update-shared", "if x > 0 then {upd} else r[0]"),
+    ("if-update-shared-false", "if x > 0 then r[0] else {upd}"),
+    ("if-update-shared-nested",
+     "if x > 0 then (if x > 2 then {upd} else r[0] + x) else r[0]"),
+):
+    row(
+        _name,
+        "fun main (xs: [n]i32): [n]i32 =\n"
+        "  map (\\(x: i32) -> let r = replicate 3 0 in "
+        + _if.format(upd="(let s = r with [0] <- 7 in s[0])")
+        + ") xs\n",
+        lambda: [_i32([1, -1, 4, -3, 2])],
+        emits=(_COMPACT,),
+    )
 
 #: ``iota``, ``replicate`` (of a constant, a lane scalar, a uniform
 #: and a per-lane array), ``copy``, ``rearrange``, ``reshape`` and

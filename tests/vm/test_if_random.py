@@ -3,11 +3,12 @@
 Random ``if`` nests, up to three deep, inside a map: each arm is one of
 the eleven operators that can trap (``/`` and ``%`` on integers, ``/``
 on floats, ``^`` on both, ``shl``, ``shr``, ``log``, ``sqrt``, ``exp``,
-float to int), a gather, an in-place update, a sum over a map, an
-operator that cannot trap, or another ``if``; the conditions split the lanes at random, all
-of them or none included.  Every operand draws, lane by lane, a value
-some operator traps on, so the traps land on lanes that take their arm
-and on lanes that do not.  The jit must agree with the reference
+float to int), a gather, an in-place update, an update or a read of
+one uniform array every arm shares, a sum over a map, an operator that
+cannot trap, or another ``if``; the conditions split the lanes at
+random, all of them or none included.  Every operand draws, lane by
+lane, a value some operator traps on, so the traps land on lanes that
+take their arm and on lanes that do not.  The jit must agree with the reference
 interpreter, which evaluates only the arm a lane takes: integers bit
 for bit, floats at the differential tolerance, an error by its class.
 A program the interpreter answers leaves no launch to it: a trap on a
@@ -39,25 +40,30 @@ CASES = 12
 SOURCE = r"""
 fun main (xs: [n]%(T)s) (ys: [n]%(T)s) (fs: [n]f32) (cs: [n]i32)
     (is: [n]i32) (zs: [4]%(T)s): [n]%(T)s =
-  map (\(x: %(T)s) (y: %(T)s) (f: f32) (c: i32) (i: i32) -> %(body)s)
+  map (\(x: %(T)s) (y: %(T)s) (f: f32) (c: i32) (i: i32) ->
+    let r = replicate 3 %(zero)s in %(body)s)
     xs ys fs cs is
 """
 
 _UPDATE = "(let a = (replicate 3 x) with [i] <- y in a[2])"
+_SHARED = ("(let b = r with [1] <- %(seven)s in b[1])", "r[1]")
 _MAP = (
     "(reduce (\\(a: %(T)s) (b: %(T)s) -> a + b) %(zero)s"
     " (map (\\(z: %(T)s) -> z / y) zs))"
 )
 
 #: The arms per element type: the operators that can trap first, then
-#: a gather and an update (``i`` may be out of range), a map (a batch
-#: extended inside the arm), then ones that cannot trap.
+#: a gather and an update (``i`` may be out of range), an update and a
+#: read of ``r``, a map (a batch extended inside the arm), then ones
+#: that cannot trap.
 LEAVES = {
     I32: ("x / y", "x % y", "x ^ y", "shl x y", "shr x y", "i32 f",
-          "zs[i]", _UPDATE, _MAP % {"T": "i32", "zero": "0"},
+          "zs[i]", _UPDATE, _SHARED[0] % {"seven": "7"},
+          _SHARED[1], _MAP % {"T": "i32", "zero": "0"},
           "x + y", "min x c"),
     F32: ("x / y", "x ^ y", "log x", "sqrt x", "exp x", "f32 (i32 x)",
-          "zs[i]", _UPDATE, _MAP % {"T": "f32", "zero": "0.0"},
+          "zs[i]", _UPDATE, _SHARED[0] % {"seven": "7.0"},
+          _SHARED[1], _MAP % {"T": "f32", "zero": "0.0"},
           "x * y", "x + 1.5"),
 }
 
@@ -99,7 +105,10 @@ def _case(rng, elem):
     poison = float(rng.choice([0.0, 0.05, 0.2]))
     kind = "float" if elem is F32 else "int"
     dtype = elem.to_dtype()
-    src = SOURCE % {"T": elem.name, "body": _if(rng, elem, 1)}
+    src = SOURCE % {
+        "T": elem.name, "zero": "0.0" if elem is F32 else "0",
+        "body": _if(rng, elem, 1),
+    }
     conds = rng.integers(-2, 3, n)
     args = lambda: [  # noqa: E731 - fresh arrays per run
         array_value(cols[0].astype(dtype), elem),
