@@ -341,10 +341,12 @@ class HostProgram:
     #: sets it from ``CompilerOptions.in_place``.
     in_place: bool = True
     # -- process state ------------------------------------------------------
-    # What executors and the driver remember about this program while
-    # the process lives.  Not part of the program: never compared,
-    # never persisted (``__getstate__`` drops them, ``__setstate__``
-    # recreates them empty).
+    # What executors, the device pool and the compile pipeline remember
+    # about this program while the process lives.  Not part of the
+    # program: never compared, never persisted (``__getstate__`` drops
+    # them, ``__setstate__`` recreates them empty).  The memos are bounded
+    # (``costmodel.memo_insert``) and hold pure values: a lost update
+    # costs a recomputation, never a different answer.
     #: The simulator's launch-price memo: ``device -> (kernel name,
     #: values of Kernel.size_names) -> KernelCost``.
     launch_costs: Dict[tuple, Dict[tuple, Any]] = field(
@@ -354,6 +356,13 @@ class HostProgram:
     #: request_price_us`): ``(device, entry sizes) -> estimate_program
     #: (...).total_us``, shared by admission and placement.
     price_cache: Dict[tuple, Any] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    #: The device pool's placement memo (:meth:`repro.sched.pool.
+    #: DevicePool.run`): ``(placer, planner, sizes, batch, candidate
+    #: states) -> the placer's verdict``.  Exact, not a heuristic: the
+    #: placer reads prices and pool state only, and the key holds both.
+    placements: Dict[tuple, Any] = field(
         default_factory=dict, repr=False, compare=False
     )
     #: The ``source`` and ``host`` fingerprints of the clean compile

@@ -422,8 +422,8 @@ def estimate_program(
 _UNPRICED = object()
 _MEMO_LOCK = threading.Lock()
 
-#: Bound on each of a host program's price memos (``price_cache``, a
-#: ``launch_costs`` slice).
+#: Bound on each of a host program's memos (``price_cache``, a
+#: ``launch_costs`` slice, ``placements``).
 MEMO_SIZE = 64
 
 

@@ -16,7 +16,10 @@ bonus on devices that already executed this compile-cache key — and a
 split is charged one more kernel launch on every device beyond the
 first (``DeviceProfile.launch_overhead_us``: one more dispatch on one
 more device).  The decision reads prices and pool state only, never a
-timer, so it repeats exactly for the same inputs.
+timer, so it repeats exactly for the same inputs — which is what lets
+:class:`~repro.sched.pool.DevicePool` memoise it per program, sizes
+and pool state (``HostProgram.placements``): a hit is the verdict
+this class would give again.
 """
 
 from __future__ import annotations

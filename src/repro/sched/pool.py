@@ -19,7 +19,12 @@ land on the ``gpu.dev{id}`` trace track, and their metrics fold under
   analyze_shardable`) whose split is predicted to finish sooner even
   after paying one more launch per extra device — ``k`` ways by the
   :class:`ShardPlanner` (weights = per-device speed from the cost
-  model), executed concurrently, and merged bit-identically;
+  model), executed concurrently, and merged bit-identically.  Its
+  verdict is memoised on the host program (``HostProgram.placements``),
+  keyed by everything it reads — placer, planner and ``min_shard``,
+  sizes, batch, and each healthy device's id, profile, backlog and
+  affinity — so a request that repeats one (an idle pool's every
+  request, once affinity settles) is placed by a lookup;
 - each shard (a whole placement is one) is booked on its device at the
   price the placer computed and run by
   :func:`repro.runtime.run_resilient`, the one attempt loop, as its
@@ -64,14 +69,16 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.values import Value
 from ..errors import DeadlineExceeded, DeviceFault, DeviceOOM, KernelTimeout
-from ..gpu.costmodel import CostReport, request_price_us, size_env_from_args
+from ..gpu.costmodel import (
+    CostReport, memo_insert, request_price_us, size_env_from_args,
+)
 from ..gpu.device import DeviceProfile
 from ..gpu.faults import FaultPlan
 from ..gpu.heap import DeviceHeap
 from ..obs import get_tracer, thread_tracing
 from ..runtime import ExecutionPolicy, RunReport, run_resilient
 from ..serve.breaker import BreakerState, CircuitBreaker
-from .placer import Placer
+from .placer import Placer, Plan
 from .shard import BatchInfo, Shard, ShardPlanner, merge_results, slice_args
 
 __all__ = ["PoolDevice", "DevicePool"]
@@ -460,6 +467,55 @@ class DevicePool:
         healthy = [d for d in self._healthy() if d.id not in tried]
         return min(healthy, key=lambda d: (d.backlog_us, d.id), default=None)
 
+    def _place(
+        self, host, healthy, size_env, batch, batch_info, key, price
+    ) -> Tuple[Plan, List[Dict[str, Any]], Dict[str, Any]]:
+        """The placer's verdict for one request — the chosen plan, the
+        candidate records and ``placement["decision"]``, fresh objects
+        every call — memoised on the host program
+        (``HostProgram.placements``) under everything
+        :meth:`Placer.plan` reads, the batch dimension included."""
+        planner = self.planner if batch_info is not None else None
+        state = []
+        for d in healthy:
+            with d.lock:
+                affinity = key is not None and key in d.seen_keys
+                state.append((d.id, d.profile, d.backlog_us, affinity))
+        memo_key = (
+            self.placer, planner,
+            None if planner is None else planner.min_shard,
+            None if batch_info is None else batch_info.dim,
+            tuple(sorted(size_env.items())), batch, tuple(state),
+        )
+        candidates = [
+            {
+                "device": i,
+                "profile": profile.name,
+                "backlog_us": backlog,
+                "affinity": affinity,
+                "launch_overhead_us": profile.launch_overhead_us,
+            }
+            for i, profile, backlog, affinity in state
+        ]
+        verdict = host.placements.get(memo_key)
+        if verdict is None:
+            chosen, considered = self.placer.plan(
+                candidates, price, batch, planner
+            )
+            scored = tuple((c["est_us"], c["score"]) for c in candidates)
+            verdict = chosen, tuple(considered), scored
+            memo_insert(host.placements, memo_key, verdict)
+        else:
+            chosen, considered, scored = verdict
+            for c, (est, score) in zip(candidates, scored):
+                c["est_us"] = est
+                c["score"] = score
+        decision = {
+            "considered": [p.record() for p in considered],
+            "chosen": chosen.record(),
+        }
+        return chosen, candidates, decision
+
     # -- the request path ---------------------------------------------------
 
     def run(
@@ -530,25 +586,8 @@ class DevicePool:
                 env = {**size_env, batch_info.dim: rows}
             return request_price_us(host, env, self.devices[dev_id].profile)
 
-        candidates: List[Dict[str, Any]] = []
-        for d in healthy:
-            with d.lock:
-                backlog = d.backlog_us
-                affinity = key is not None and key in d.seen_keys
-            candidates.append(
-                {
-                    "device": d.id,
-                    "profile": d.profile.name,
-                    "backlog_us": backlog,
-                    "affinity": affinity,
-                    "launch_overhead_us": d.profile.launch_overhead_us,
-                }
-            )
-        chosen, considered = self.placer.plan(
-            candidates,
-            price,
-            batch,
-            self.planner if batch_info is not None else None,
+        chosen, candidates, decision = self._place(
+            host, healthy, size_env, batch, batch_info, key, price
         )
         sharded = len(chosen.shards) > 1
         with self._lock:
@@ -573,10 +612,7 @@ class DevicePool:
             "batch_dim": batch_info.dim if batch_info is not None else None,
             "batch": batch if batch_info is not None else None,
             "candidates": candidates,
-            "decision": {
-                "considered": [p.record() for p in considered],
-                "chosen": chosen.record(),
-            },
+            "decision": decision,
             "skipped_open": [
                 d.id for d in self.devices if d not in healthy
             ],

@@ -79,12 +79,11 @@ def splice_arm(
     kds: List[KD],
     outs: List[str],
 ) -> None:
-    """Splice an if-arm and assign its (kind-coerced) results to
-    the shared output locals."""
+    """Splice an if-arm and assign its results to the shared output
+    locals, each :func:`owned_as` its joined kind."""
     cg.em.splice(buf)
     for kd, o, v in zip(kds, outs, vals):
-        cv = cg._coerce(v, kd)
-        cg.line(f"{o} = {cv.var}")
+        cg.line(f"{o} = {owned_as(cg, v, kd)}")
 
 
 def join_arms(t_vals: List[JVal], f_vals: List[JVal]) -> List[KD]:
@@ -244,21 +243,20 @@ def state_join(kds: List[KD], results: List[JVal]) -> List[KD]:
 
 def state_init(
     cg, init: List[JVal], kds: List[KD], slots: List[str],
-    precopy: bool = False,
 ) -> List[JVal]:
-    """Assign the (coerced) initial values into the state locals.
-    With ``precopy``, each is :func:`owned_as` its converged state — a
-    copy-on-first-update hoisted out of the loop, so later iterations
-    mutate in place."""
+    """Assign the initial values into the state locals, each
+    :func:`owned_as` its converged state — a copy-on-first-update
+    hoisted out of the loop, so later iterations mutate in place."""
     for v, kd, s in zip(init, kds, slots):
-        cv = owned_as(cg, v, kd) if precopy else cg._coerce(v, kd).var
-        cg.line(f"{s} = {cv}")
+        cg.line(f"{s} = {owned_as(cg, v, kd)}")
     return _jvals(kds, slots)
 
 
 def owned_as(cg, v: JVal, kd: KD) -> str:
     """``v`` coerced to ``kd``, in a buffer of the kernel's own where
-    ``kd`` is owned: an array it does not own copied."""
+    ``kd`` is owned: an array it does not own copied — a uniform array
+    broadcast to a batch (a read-only view) included.  Every local a
+    join's kind describes is assigned through it."""
     cv = cg._coerce(v, kd)
     copy = kd[3] and kd[0] != "S" and not cv.owned
     return f"{cv.var}.copy()" if copy else cv.var
@@ -268,11 +266,11 @@ def state_advance(
     cg, results: List[JVal], kds: List[KD], slots: List[str],
     nexts: List[str],
 ) -> None:
-    """Hand the (coerced) results of one step over to the state
-    locals — staged through temps: a result may *be* another slot."""
+    """Hand the results of one step over to the state locals, each
+    :func:`owned_as` its state — staged through temps: a result may
+    *be* another slot."""
     for n, r, kd in zip(nexts, results, kds):
-        cv = cg._coerce(r, kd)
-        cg.line(f"{n} = {cv.var}")
+        cg.line(f"{n} = {owned_as(cg, r, kd)}")
     for s, n in zip(slots, nexts):
         cg.line(f"{s} = {n}")
 
@@ -717,7 +715,7 @@ def step_loop(cg, e: A.LoopExp, scope: _Scope):
         ivar = cg.fresh("_i")
 
         def attempt(kds: List[KD]) -> List[KD]:
-            state = state_init(cg, init, kds, slots, precopy=True)
+            state = state_init(cg, init, kds, slots)
             cg.line(f"for {ivar} in range(int({bound.var})):")
             with cg.indented():
                 child = scope.child()
@@ -730,7 +728,7 @@ def step_loop(cg, e: A.LoopExp, scope: _Scope):
         def attempt(kds: List[KD]) -> List[KD]:
             if kds[cond][0] == "B":
                 raise _Masked
-            state = state_init(cg, init, kds, slots, precopy=True)
+            state = state_init(cg, init, kds, slots)
             guard = cg.fresh("_g")
             cg.line(f"{guard} = 0")
             cg.line(f"while {slots[cond]}:")
@@ -759,7 +757,7 @@ def gen_live(cg, e: A.LoopExp, scope: _Scope):
     ext = cg.extent
 
     def attempt(kds: List[KD]) -> List[KD]:
-        state = state_init(cg, init, kds, slots, precopy=True)
+        state = state_init(cg, init, kds, slots)
         if counted:
             bound, ivar, trip = (
                 cg.atom(scope, e.form.bound), cg.fresh("_i"),

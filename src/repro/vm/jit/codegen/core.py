@@ -17,7 +17,7 @@ from .values import KD, JitUnsupported, JVal, _Emitter, _Scope
 
 #: Schema tag embedded in every generated module; bump on any change to
 #: the generated code's shape so stale cached artifacts are discarded.
-PYCODE_SCHEMA = "repro.pycode/v10"
+PYCODE_SCHEMA = "repro.pycode/v11"
 
 #: Hard cap on emitted statements, the discarded attempts of a kind
 #: fixpoint included: a loop's body is emitted once per widening of its

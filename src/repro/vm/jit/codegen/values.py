@@ -82,6 +82,8 @@ def _join_kd(a: KD, b: KD) -> KD:
     if kinds == {"A", "B"}:
         if ar != br:
             raise JitUnsupported("control-flow join of different ranks")
+        # The uniform side reaches an owned joined local as a copy of
+        # its broadcast (``control.owned_as``), never the read-only view.
         return ("B", ae, ar, owned)
     raise JitUnsupported(f"control-flow join of kinds {ak} and {bk}")
 

@@ -653,6 +653,21 @@ for _name, _if in (
         emits=(_COMPACT,),
     )
 
+#: An ``if`` on a uniform condition whose taken arm yields a uniform
+#: array and the other a per-lane one, updated in place after the
+#: join: the uniform arm is broadcast to the batch, and the joined
+#: local owns a copy of it, never the read-only broadcast view.
+for _pipeline in ("default", "nest-intact"):
+    row(
+        f"if-uniform-arm-update-{_pipeline}",
+        "fun main (k: i32) (xs: [n]i32): [n][3]i32 =\n"
+        "  map (\\(x: i32) -> let r = if k > 0 then replicate 3 k "
+        "else replicate 3 x in r with [0] <- x) xs\n",
+        lambda: [ScalarValue(2, I32), _i32([1, 5, 7])],
+        pipeline=_pipeline,
+        emits=("np.broadcast_to",),
+    )
+
 #: ``iota``, ``replicate`` (of a constant, a lane scalar, a uniform
 #: and a per-lane array), ``copy``, ``rearrange``, ``reshape`` and
 #: ``concat`` (of per-lane and uniform operands) inside a batch.

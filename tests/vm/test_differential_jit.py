@@ -186,6 +186,7 @@ def test_pycode_from_an_older_schema_is_discarded(tmp_path):
         "repro.pycode/v1", "repro.pycode/v2", "repro.pycode/v3",
         "repro.pycode/v4", "repro.pycode/v5", "repro.pycode/v6",
         "repro.pycode/v7", "repro.pycode/v8", "repro.pycode/v9",
+        "repro.pycode/v10",
     )
     assert PYCODE_SCHEMA not in old_schemas
     spec = BENCHMARKS["Pathfinder"]
