@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -70,13 +71,25 @@ def get_benchmark(name: str) -> BenchmarkSpec:
     )
 
 
-class _Lazy(dict):
-    """Benchmark specs, imported on first access."""
+class _Lazy(Mapping):
+    """Every benchmark by name; a spec is imported on first access."""
 
-    def __missing__(self, name: str) -> BenchmarkSpec:
-        spec = get_benchmark(name)
-        self[name] = spec
-        return spec
+    def __init__(self) -> None:
+        self._specs: Dict[str, BenchmarkSpec] = {}
+
+    def __getitem__(self, name: str) -> BenchmarkSpec:
+        if name not in self._specs:  # unknown: get_benchmark's KeyError
+            self._specs.setdefault(name, get_benchmark(name))
+        return self._specs[name]
+
+    def __contains__(self, name: object) -> bool:
+        return name in ALL_NAMES
+
+    def __iter__(self):
+        return iter(ALL_NAMES)
+
+    def __len__(self) -> int:
+        return len(ALL_NAMES)
 
     def names(self):
         return ALL_NAMES

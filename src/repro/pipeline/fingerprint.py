@@ -17,7 +17,9 @@ point, the *salt* (:func:`stage_salt`), depends only on the options,
 so it is computed once per options beside the plan
 (:func:`~repro.pipeline.passes.planned`), and a compile hashes only
 the content, entry and salt (:func:`salted_stage_fingerprint`).  The
-content fingerprint is taken on every compile.
+content fingerprint is taken once per live program object
+(:class:`~repro.core.identity.IdentityMemo`): a warm compile, or a
+key taken after a compile, of the same object reads it back.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, Sequence, Tuple
 
+from ..core import pretty
+from ..core.identity import IdentityMemo
 from .options import CompilerOptions
 from .passes import Pass
 
@@ -43,6 +47,8 @@ __all__ = [
 #: on-disk artifacts miss instead of mis-loading.
 ARTIFACT_VERSION = 1
 
+_PROGRAM_DIGESTS = IdentityMemo()
+
 
 def _digest(parts: Iterable[str]) -> str:
     h = hashlib.sha256()
@@ -59,10 +65,13 @@ def fingerprint_text(text: str) -> str:
 
 def fingerprint_program(prog) -> str:
     """The content fingerprint of a core-IR program (hashed through
-    its pretty-printed rendering, which is a faithful serialisation)."""
-    from ..core.pretty import pretty_prog
-
-    return _digest(("program", pretty_prog(prog)))
+    its pretty-printed rendering, a faithful serialisation), once per
+    live object."""
+    digest = _PROGRAM_DIGESTS.get(prog)
+    if digest is None:
+        text = pretty.pretty_prog(prog)
+        digest = _PROGRAM_DIGESTS.add(prog, _digest(("program", text)))
+    return digest
 
 
 def options_slice(

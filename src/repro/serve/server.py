@@ -61,12 +61,12 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-import weakref
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core import ast as A
+from ..core.identity import IdentityMemo
 from ..core.values import Value
 from ..errors import (
     ArgumentError,
@@ -130,55 +130,6 @@ class ProgramHandle:
     batch_info: Optional[BatchInfo]
     #: The issuing server's token: a handle names a program only there.
     owner: object = field(repr=False)
-
-
-class _Resident:
-    """The identity memo behind ``ServeRequest(prog, …)``: each live
-    program object's handle, keyed on ``(id(prog), entry)``.
-
-    The AST is frozen dataclasses over tuples, so one live object
-    always has one content and its fingerprint need not be taken
-    again.  An entry holds its program weakly, and the reference's
-    callback removes the entry: the memo never keeps a program alive
-    and never outgrows the live programs, and a hit requires ``ref()
-    is prog``, so a recycled ``id`` is never served.  Failed compiles
-    never get here (they keep the compile cache's negative TTL)."""
-
-    def __init__(self) -> None:
-        # Re-entrant: a collection inside ``add`` may run a callback on
-        # the same thread.
-        self._lock = threading.RLock()
-        self._entries: Dict[
-            Tuple[int, str], Tuple[weakref.ref, ProgramHandle]
-        ] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, prog: A.Prog, entry: str) -> Optional[ProgramHandle]:
-        held = self._entries.get((id(prog), entry))
-        if held is not None and held[0]() is prog:
-            return held[1]
-        return None
-
-    def add(self, prog: A.Prog, handle: ProgramHandle) -> ProgramHandle:
-        """Remember ``handle`` for ``prog``; when another thread got
-        there first, its handle wins and is returned."""
-        key = (id(prog), handle.entry)
-        entries, lock = self._entries, self._lock
-
-        def forget(ref: weakref.ref) -> None:
-            with lock:
-                held = entries.get(key)
-                if held is not None and held[0] is ref:
-                    del entries[key]
-
-        with lock:
-            held = self.get(prog, handle.entry)
-            if held is not None:
-                return held
-            entries[key] = (weakref.ref(prog, forget), handle)
-            return handle
 
 
 @dataclass
@@ -367,7 +318,8 @@ class Server:
         self.pool = DevicePool(devices, fault_plans=fault_plans)
         #: Every handle this server issues carries this token.
         self._token = object()
-        self._resident = _Resident()
+        #: Each live program object's handle per entry point.
+        self._resident = IdentityMemo()
 
     # Frozen-harness reads (benchmarks/e2e/workloads.py, probes.py):
     # what a request that asks for nothing tries, and in what order.
@@ -471,7 +423,7 @@ class Server:
             key, entry, compiled, analyze_shardable(program, entry),
             self._token,
         )
-        return self._resident.add(program, handle), cache_hit
+        return self._resident.add(program, handle, entry), cache_hit
 
     def submit(self, request: ServeRequest) -> ResultHandle:
         """Admit (or shed) one request.

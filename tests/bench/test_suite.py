@@ -26,6 +26,20 @@ class TestRegistry:
     def test_sixteen_benchmarks(self):
         assert len(ALL) == 16
 
+    def test_the_registry_is_a_mapping_over_every_name(self):
+        """A fresh registry lists, counts and holds all sixteen before
+        any spec is loaded; a spec is loaded once, on first access."""
+        fresh = type(BENCHMARKS)()
+        assert "K-means" in fresh and "K-Means" not in fresh
+        assert len(fresh) == 16
+        assert list(fresh) == ALL
+        items = dict(fresh.items())
+        assert list(items) == ALL
+        assert all(fresh[n] is items[n] for n in ALL)
+        assert items["NN"].name == "NN"
+        with pytest.raises(KeyError):
+            fresh["no such benchmark"]
+
     def test_suite_attribution(self):
         suites = {BENCHMARKS[n].suite for n in ALL}
         assert suites == {"Rodinia", "FinPar", "Parboil", "Accelerate"}

@@ -18,6 +18,7 @@ import pytest
 
 from repro.bench.suite import BENCHMARKS
 from repro.core import ast as A
+from repro.core import pretty
 from repro.core.prim import F32
 from repro.core.values import array_value, values_equal
 from repro.errors import ArgumentError, exit_code_for
@@ -67,6 +68,20 @@ class TestIdentityMemo:
         # and that counts as a compile-cache hit.
         assert stats["misses"] == 1
         assert stats["hits"] == 5
+
+    def test_a_program_object_is_pretty_printed_once(self, monkeypatch):
+        """A first load's key and its compile share one content
+        fingerprint, and a second server loading the same object takes
+        none: the fingerprint is memoised per object, not per server."""
+        prints = _counting(monkeypatch, pretty, "pretty_prog")
+        prog = parse(MAP_SRC)
+        with Server(queue_capacity=8) as s:
+            s.load(prog)
+            assert s.cache.stats.snapshot()["misses"] == 1
+        assert len(prints) == 1
+        with Server(queue_capacity=8) as other:
+            other.load(prog)
+        assert len(prints) == 1
 
     def test_an_equal_but_distinct_object_is_fingerprinted_again(
         self, monkeypatch
