@@ -373,8 +373,9 @@ class HostProgram:
         default_factory=dict, repr=False, compare=False
     )
     artifact_cache: Any = field(default=None, repr=False, compare=False)
-    #: The jit engine's :class:`~repro.vm.jit.JitProgramCache`
-    #: (attached on first use by ``jit_cache_for``).
+    #: The program's generated code, a
+    #: :class:`~repro.vm.jit.JitProgramCache` (built and attached by
+    #: ``jit_cache_for`` on the first run under either executor).
     jit_cache: Any = field(default=None, repr=False, compare=False)
 
     def __getstate__(self) -> Dict[str, Any]:

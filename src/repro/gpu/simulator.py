@@ -375,8 +375,8 @@ def interp_launch(interp: Interpreter, site, *raws) -> tuple:
 
 
 def host_function(hp: HostProgram):
-    """The generated function of ``hp``, from its jit cache (where its
-    kernels' sources are too)."""
+    """The generated function of ``hp``, from its jit cache, which
+    builds it together with every launch site's kernel."""
     cache = hp.jit_cache
     if cache is None:
         from ..vm.jit.engine import jit_cache_for  # it imports this module

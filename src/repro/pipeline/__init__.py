@@ -56,7 +56,6 @@ from .artifact import (
     ARTIFACT_SCHEMA,
     ArtifactCache,
     StageArtifact,
-    default_artifact_cache,
 )
 from .driver import CompiledProgram, compile_program, compile_source
 
@@ -81,7 +80,6 @@ __all__ = [
     "ARTIFACT_SCHEMA",
     "ArtifactCache",
     "StageArtifact",
-    "default_artifact_cache",
     "fingerprint_program",
     "fingerprint_text",
     "options_slice",

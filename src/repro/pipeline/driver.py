@@ -444,6 +444,8 @@ def compile_program(
     ``artifact_cache`` opts into on-disk host-artifact reuse (default:
     the ``$REPRO_ARTIFACT_DIR`` process default, i.e. off unless the
     environment enables it; pass ``None`` to force a cold compile).
+    The program's generated jit code is loaded from and stored in the
+    same cache, so with ``None`` the jit reads and persists nothing.
     ``stop_after="core"`` runs only the frontend/core stages, with no
     artifact read or written, and returns a :class:`CompiledProgram`
     whose ``host`` is ``None``.

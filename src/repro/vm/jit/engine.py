@@ -15,13 +15,16 @@ data-dependent trap at run time, re-runs that launch on the scalar
 interpreter, marked on the trace with a ``vm.fallback:<kernel>``
 instant (the ``vm.fallback{kind="jit"}`` metric counts them).
 
-Generated source — every kernel's, and the host function's — is
-memoized per host program (:class:`JitProgramCache`, on
-``HostProgram.jit_cache``) and, when the program came out of a clean
-compile that went through an artifact cache, persisted verbatim
-through the artifact store under the ``pycode`` stage (``"kernels"``
-and ``"host"`` in one payload), so a warm process
-(``$REPRO_ARTIFACT_DIR``, or a ``Server`` with ``artifact_cache=``)
+A host program's generated code is built once, in one step, on its
+first run under either executor (:class:`JitProgramCache`, attached to
+``HostProgram.jit_cache`` under one lock): the ``pycode`` artifact is
+loaded from the artifact cache the program's compile went through
+(none, when it went through none), the host function and then the
+kernel of every launch site it lists are transpiled where the artifact
+did not hold them, all are ``compile()``d, and when anything was
+transpiled the sources are stored back once, as one payload
+(``"kernels"`` and ``"host"``).  A warm process (``$REPRO_ARTIFACT_DIR``
+read by the compile, or a ``Server`` with ``artifact_cache=``)
 transpiles nothing and only pays ``compile()``.
 """
 
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from ...core.prim import PrimType, prim_from_name
@@ -37,7 +41,7 @@ from ...gpu.device import DeviceProfile
 from ...gpu.simulator import GpuSimulator, interp_launch
 from ...interp.interpreter import Interpreter
 from ...obs import get_tracer
-from ...pipeline.artifact import StageArtifact, default_artifact_cache
+from ...pipeline.artifact import StageArtifact
 from ...pipeline.fingerprint import _digest
 from .codegen import JitUnsupported, PYCODE_SCHEMA, transpile_kernel
 from .codegen.host import host_statements, transpile_host
@@ -52,11 +56,9 @@ __all__ = [
     "jit_cache_for",
 ]
 
-#: Guards the lazy attach of ``host.jit_cache`` (hosts are shared
-#: across serving threads; the cache itself has its own lock).
-_ATTACH_LOCK = threading.Lock()
-
-_MISS = object()
+#: Guards the build and attach of ``host.jit_cache``: hosts are shared
+#: across serving threads, and each is built once.
+_BUILD_LOCK = threading.Lock()
 
 
 @dataclass
@@ -93,210 +95,178 @@ class LaunchSite(NamedTuple):
 
 @dataclass
 class HostFunction:
-    """A host program's generated function and its launch sites."""
+    """A host program's generated function, its launch sites and each
+    site's compiled kernel (``None``: unsupported)."""
 
     fn: Callable
     sites: Tuple[LaunchSite, ...]
+    kernels: Tuple[Optional[_CompiledKernel], ...]
 
 
 class JitProgramCache:
-    """Per-host-program store of generated sources and compiled entries:
-    the host function's, and each kernel's.
+    """A host program's generated code, built by the constructor: the
+    host function and the compiled kernel of each launch site, with
+    their sources.
 
-    Kernel sources are keyed by ``(kernel name, launch signature)``; a
-    ``None`` source records that transpilation was attempted and the
-    kernel is unsupported, so neither this process nor (once persisted)
-    a warm restart ever retries it.
+    Kernel sources are keyed by kernel name, then launch-signature key;
+    a ``None`` source records that transpilation was attempted and the
+    kernel is unsupported, so neither this process nor (once stored) a
+    warm restart ever retries it.
     """
 
-    def __init__(self, host) -> None:
-        self._lock = threading.Lock()
-        self._hp = host
-        #: kernel name -> sig key -> source (or None for unsupported).
-        self._sources: Dict[str, Dict[str, Optional[str]]] = {}
-        #: (kernel name, sig key) -> compiled entry (or None).
-        self._entries: Dict[Tuple[str, str], Optional[_CompiledKernel]] = {}
-        self._host_source: Optional[str] = None
-        self._host: Optional[HostFunction] = None
-        self._cache = host.artifact_cache
-        if self._cache is None:
-            self._cache = default_artifact_cache()
-        host_fp = host.stage_fingerprints.get("host")
-        self._fp: Optional[str] = None
-        if host_fp:
-            self._fp = _digest(("pycode", host_fp, PYCODE_SCHEMA))
-        if self._cache is not None and self._fp is not None:
-            artifact = self._cache.load("pycode", self._fp)
+    def __init__(self, hp) -> None:
+        cache = hp.artifact_cache
+        host_fp = hp.stage_fingerprints.get("host")
+        fp = None
+        if cache is not None and host_fp:
+            fp = _digest(("pycode", host_fp, PYCODE_SCHEMA))
+        payload: dict = {}
+        if fp is not None:
+            artifact = cache.load("pycode", fp)
             if (
                 artifact is not None
                 and artifact.payload.get("schema") == PYCODE_SCHEMA
             ):
-                kernels = artifact.payload.get("kernels", {})
-                if isinstance(kernels, dict):
-                    self._sources = {
-                        k: dict(v) for k, v in kernels.items()
-                    }
-                source = artifact.payload.get("host")
-                if isinstance(source, str):
-                    self._host_source = source
-
-    # -- the host function --------------------------------------------------
-
-    def host(self) -> HostFunction:
-        """The program's generated function, built on first use."""
-        host = self._host
-        if host is None:
-            with self._lock:
-                if self._host is None:
-                    self._host = self._build_host()
-                host = self._host
-        return host
-
-    def host_source(self) -> Optional[str]:
-        """The host function's source, once built or loaded (the
-        golden-file tests pin it beside the kernels')."""
-        with self._lock:
-            return self._host_source
-
-    def _build_host(self) -> HostFunction:
-        source = self._host_source
-        if source is not None:
+                payload = artifact.payload
+        kernels = payload.get("kernels")
+        sources: Dict[str, Dict[str, Optional[str]]] = (
+            {k: dict(v) for k, v in kernels.items()}
+            if isinstance(kernels, dict) else {}
+        )
+        source = payload.get("host")
+        built = None
+        if isinstance(source, str):
             try:
-                return self._compile_host(source, cached=True)
+                built = _compile_host(hp, source, cached=True)
             except Exception as ex:  # stale/corrupt source: regenerate
                 get_tracer().instant(
-                    "host-compile-error", "vm", entry=self._hp.name,
+                    "host-compile-error", "vm", entry=hp.name,
                     error=f"{type(ex).__name__}: {ex}",
                 )
-        with get_tracer().span("jit.transpile", "vm", entry=self._hp.name):
-            source = transpile_host(self._hp)
-        self._host_source = source
-        self._persist()
-        try:
-            return self._compile_host(source, cached=False)
-        except Exception as ex:
-            raise CompilerBug(
-                "host", "transpile",
-                f"{self._hp.name}: generated host code does not run: "
-                f"{type(ex).__name__}: {ex}",
-            ) from ex
-
-    def _compile_host(self, source: str, cached: bool) -> HostFunction:
-        hp = self._hp
-        with get_tracer().span(
-            "jit.compile", "vm", entry=hp.name, cached=cached
-        ):
-            ns: Dict[str, object] = {}
-            exec(  # noqa: S102 - executing our own generated source
-                compile(source, f"<jit-host:{hp.name}>", "exec"), ns
-            )
-            stmts = host_statements(hp.stmts)
-            sites = tuple(
-                LaunchSite(
-                    stmts[k].kernel,
-                    sig,
-                    tuple(
-                        (name, kind == "S", prim_from_name(elem))
-                        for name, kind, elem, _rank in sig
-                    ),
-                    (stmts[k].kernel.name, repr(sig)),
+        transpiled = built is None
+        if built is None:
+            with get_tracer().span("jit.transpile", "vm", entry=hp.name):
+                source = transpile_host(hp)
+            try:
+                built = _compile_host(hp, source, cached=False)
+            except Exception as ex:
+                raise CompilerBug(
+                    "host", "transpile",
+                    f"{hp.name}: generated host code does not run: "
+                    f"{type(ex).__name__}: {ex}",
+                ) from ex
+        fn, sites = built
+        compiled: Dict[Tuple[str, str], Optional[_CompiledKernel]] = {}
+        for site in sites:
+            if site.key in compiled:
+                continue
+            name, sig_key = site.key
+            by_sig = sources.setdefault(name, {})
+            cached = sig_key in by_sig
+            if not cached:
+                by_sig[sig_key] = _transpile(site)
+                transpiled = True
+            compiled[site.key] = _compile(site.kernel, by_sig[sig_key], cached)
+        if transpiled and fp is not None:
+            cache.store(
+                StageArtifact(
+                    "pycode", fp, hp.name,
+                    {"schema": PYCODE_SCHEMA, "kernels": sources,
+                     "host": source},
+                    meta={"schema": PYCODE_SCHEMA},
                 )
-                for k, sig in ns["SITES"]
             )
-            return HostFunction(ns["build"](hp, stmts), sites)
+        self._sources = sources
+        self._host_source: str = source
+        self._host = HostFunction(
+            fn, sites, tuple(compiled[site.key] for site in sites)
+        )
 
-    # -- kernels ------------------------------------------------------------
+    def host(self) -> HostFunction:
+        """The program's generated function."""
+        return self._host
+
+    def host_source(self) -> str:
+        """The host function's source (the golden-file tests pin it
+        beside the kernels')."""
+        return self._host_source
 
     def sources(self) -> Dict[str, Dict[str, Optional[str]]]:
-        """Snapshot of the generated kernel sources, keyed by kernel
-        name then launch-signature key (``None`` marks an unsupported
+        """Copy of the generated kernel sources, keyed by kernel name
+        then launch-signature key (``None`` marks an unsupported
         kernel) — the golden-file tests pin this text."""
-        with self._lock:
-            return {k: dict(v) for k, v in self._sources.items()}
+        return {k: dict(v) for k, v in self._sources.items()}
 
-    def entry_for(self, site: LaunchSite) -> Optional[_CompiledKernel]:
-        """The compiled kernel of ``site`` (None: unsupported), built
-        on first use."""
-        entry = self._entries.get(site.key, _MISS)
-        if entry is not _MISS:
-            return entry
-        kernel, (_, sig_key) = site.kernel, site.key
-        with self._lock:
-            entry = self._entries.get(site.key, _MISS)
-            if entry is not _MISS:
-                return entry
-            source = self._sources.get(kernel.name, {}).get(sig_key, _MISS)
-            cached = source is not _MISS
-            if not cached:
-                source = self._transpile(kernel, site.sig, sig_key)
-            entry = self._compile(kernel, source, cached)
-            self._entries[site.key] = entry
-            return entry
 
-    def _transpile(self, kernel, sig, sig_key: str) -> Optional[str]:
-        with get_tracer().span(
-            "jit.transpile", "vm", kernel=kernel.name, kind=kernel.kind
-        ) as span:
-            try:
-                source: Optional[str] = transpile_kernel(kernel, sig)
-            except JitUnsupported as ex:
-                span.set(unsupported=ex.reason)
-                source = None
-            except Exception as ex:  # codegen bug: degrade, never fail
-                span.set(error=f"{type(ex).__name__}: {ex}")
-                source = None
-        self._sources.setdefault(kernel.name, {})[sig_key] = source
-        self._persist()
-        return source
-
-    def _compile(
-        self, kernel, source: Optional[str], cached: bool
-    ) -> Optional[_CompiledKernel]:
-        if source is None:
-            return None
-        with get_tracer().span(
-            "jit.compile", "vm", kernel=kernel.name, cached=cached
-        ) as span:
-            try:
-                ns: Dict[str, object] = {}
-                exec(  # noqa: S102 - executing our own generated source
-                    compile(source, f"<jit:{kernel.name}>", "exec"), ns
-                )
-                fn = ns["run"]
-                scalars = tuple(
-                    (k, prim_from_name(elem_name))
-                    for k, (kind, elem_name, _rank) in enumerate(ns["OUTS"])
-                    if kind == "S"
-                )
-            except Exception as ex:  # stale/corrupt source: degrade
-                span.set(error=f"{type(ex).__name__}: {ex}")
-                return None
-        return _CompiledKernel(fn, scalars)
-
-    def _persist(self) -> None:
-        if self._cache is None or self._fp is None:
-            return
-        payload = {
-            "schema": PYCODE_SCHEMA,
-            "kernels": {k: dict(v) for k, v in self._sources.items()},
-            "host": self._host_source,
-        }
-        self._cache.store(
-            StageArtifact(
-                "pycode",
-                self._fp,
-                self._hp.name,
-                payload,
-                meta={"schema": PYCODE_SCHEMA},
-            )
+def _compile_host(hp, source: str, cached: bool):
+    """The host function ``source`` builds for ``hp``, and its launch
+    sites."""
+    with get_tracer().span("jit.compile", "vm", entry=hp.name, cached=cached):
+        ns: Dict[str, object] = {}
+        exec(  # noqa: S102 - executing our own generated source
+            compile(source, f"<jit-host:{hp.name}>", "exec"), ns
         )
+        stmts = host_statements(hp.stmts)
+        sites = tuple(
+            LaunchSite(
+                stmts[k].kernel,
+                sig,
+                tuple(
+                    (name, kind == "S", prim_from_name(elem))
+                    for name, kind, elem, _rank in sig
+                ),
+                (stmts[k].kernel.name, repr(sig)),
+            )
+            for k, sig in ns["SITES"]
+        )
+        return ns["build"](hp, stmts), sites
+
+
+def _transpile(site: LaunchSite) -> Optional[str]:
+    """The kernel source of ``site``, or None: unsupported."""
+    kernel = site.kernel
+    with get_tracer().span(
+        "jit.transpile", "vm", kernel=kernel.name, kind=kernel.kind
+    ) as span:
+        try:
+            return transpile_kernel(kernel, site.sig)
+        except JitUnsupported as ex:
+            span.set(unsupported=ex.reason)
+        except Exception as ex:  # codegen bug: degrade, never fail
+            span.set(error=f"{type(ex).__name__}: {ex}")
+    return None
+
+
+def _compile(
+    kernel, source: Optional[str], cached: bool
+) -> Optional[_CompiledKernel]:
+    if source is None:
+        return None
+    with get_tracer().span(
+        "jit.compile", "vm", kernel=kernel.name, cached=cached
+    ) as span:
+        try:
+            ns: Dict[str, object] = {}
+            exec(  # noqa: S102 - executing our own generated source
+                compile(source, f"<jit:{kernel.name}>", "exec"), ns
+            )
+            fn = ns["run"]
+            scalars = tuple(
+                (k, prim_from_name(elem_name))
+                for k, (kind, elem_name, _rank) in enumerate(ns["OUTS"])
+                if kind == "S"
+            )
+        except Exception as ex:  # stale/corrupt source: degrade
+            span.set(error=f"{type(ex).__name__}: {ex}")
+            return None
+    return _CompiledKernel(fn, scalars)
 
 
 def jit_cache_for(host) -> JitProgramCache:
-    """The host program's :class:`JitProgramCache`, attached lazily."""
+    """The host program's :class:`JitProgramCache`, built on first use."""
     cache = host.jit_cache
     if cache is None:
-        with _ATTACH_LOCK:
+        with _BUILD_LOCK:
             cache = host.jit_cache
             if cache is None:
                 cache = host.jit_cache = JitProgramCache(host)
@@ -317,44 +287,43 @@ class JitRunner:
         self.computed_by = "interp"
 
     def start(self, hp) -> tuple:
-        """One launcher per launch site of ``hp``'s host function."""
+        """One launcher per launch site of ``hp``'s host function: its
+        compiled kernel, or the interpreter where it is unsupported."""
         self._rt.in_place = hp.in_place
-        cache = jit_cache_for(hp)
-        return tuple(self._launcher(cache, site) for site in cache.host().sites)
+        host = jit_cache_for(hp).host()
+        return tuple(
+            self._launcher(site, kernel) if kernel is not None
+            else partial(self._hand_over, site, "transpilation unsupported")
+            for site, kernel in zip(host.sites, host.kernels)
+        )
 
-    def _launcher(self, cache: JitProgramCache, site: LaunchSite):
-        """The compiled kernel of ``site`` (resolved at its first launch
-        of the run), handing a launch it refuses or traps in over to the
-        interpreter."""
-        kernel = site.kernel
-        rt, interp = self._rt, self._interp
-        entry = _MISS
+    def _launcher(self, site: LaunchSite, kernel: _CompiledKernel):
+        """``kernel``, handing a launch it refuses or traps in over to
+        the interpreter."""
+        rt = self._rt
 
         def launch(*raws) -> tuple:
-            nonlocal entry
-            if entry is _MISS:
-                entry = cache.entry_for(site)
-            if entry is None:
-                reason = "transpilation unsupported"
+            try:
+                outs = kernel(rt, raws)
+            except JitFallback as ex:
+                reason = ex.reason
+            except ReproError:
+                # A genuine program error: identical on the interpreter.
+                raise
+            except Exception as ex:  # unexpected: degrade, never fail
+                reason = f"{type(ex).__name__}: {ex}"
             else:
-                try:
-                    outs = entry(rt, raws)
-                except JitFallback as ex:
-                    reason = ex.reason
-                except ReproError:
-                    # A genuine program error: identical on the interpreter.
-                    raise
-                except Exception as ex:  # unexpected: degrade, never fail
-                    reason = f"{type(ex).__name__}: {ex}"
-                else:
-                    self.computed_by = "jit"
-                    return outs
-            self._note_fallback(kernel, reason)
-            # Generated code never mutates arrays it does not own, so the
-            # arguments reach the interpreter as the launch found them.
-            return interp_launch(interp, site, *raws)
+                self.computed_by = "jit"
+                return outs
+            return self._hand_over(site, reason, *raws)
 
         return launch
+
+    def _hand_over(self, site: LaunchSite, reason: str, *raws) -> tuple:
+        self._note_fallback(site.kernel, reason)
+        # Generated code never mutates arrays it does not own, so the
+        # arguments reach the interpreter as the launch found them.
+        return interp_launch(self._interp, site, *raws)
 
     def _note_fallback(self, kernel, reason: str) -> None:
         self.computed_by = "interp"

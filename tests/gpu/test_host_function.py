@@ -97,46 +97,79 @@ def test_both_executors_run_one_function(monkeypatch):
     assert runners[0] is InterpRunner and runners[1] is not InterpRunner
 
 
-def test_concurrent_first_runs_build_one_function(monkeypatch):
+def _pycode_stores(monkeypatch) -> list:
+    """The root of each cache a ``pycode`` artifact is stored in, one
+    entry per store."""
+    stores = []
+    real = ArtifactCache.store
+
+    def store(self, artifact):
+        if artifact.stage == "pycode":
+            stores.append(self.root.name)
+        return real(self, artifact)
+
+    monkeypatch.setattr(ArtifactCache, "store", store)
+    return stores
+
+
+def test_concurrent_first_runs_build_one_function(monkeypatch, tmp_path):
     """Serving threads share a host program: racing first runs build
-    its function and each kernel once, and agree on every value."""
-    transpiled = []
+    its function and each kernel once, and agree on every value.
+    Through a cache, the build stores its sources once."""
+    transpiled, kernels = [], []
     real = jit_engine.transpile_host
     monkeypatch.setattr(
         jit_engine, "transpile_host",
         lambda hp: transpiled.append(hp.name) or real(hp),
     )
-    compiled, args = _compiled("Pathfinder")
-    start = threading.Barrier(8)
-    results, errors = [], []
+    real_kernel = jit_engine.transpile_kernel
+    monkeypatch.setattr(
+        jit_engine, "transpile_kernel",
+        lambda k, sig: kernels.append((k.name, repr(sig)))
+        or real_kernel(k, sig),
+    )
+    stores = _pycode_stores(monkeypatch)
+    for cache in ({}, {"artifact_cache": ArtifactCache(tmp_path)}):
+        del transpiled[:], kernels[:], stores[:]
+        compiled, args = _compiled("Pathfinder", **cache)
+        start = threading.Barrier(8)
+        results, errors = [], []
 
-    def worker(k):
+        def worker(k):
+            try:
+                start.wait(timeout=30)
+                executor = EXECUTORS[k % len(EXECUTORS)]
+                engine = make_engine(
+                    executor, NVIDIA_GTX780TI, prog=compiled.core
+                )
+                for _ in range(5):
+                    (out,), cost = engine.run(compiled.host, args)
+                    results.append((out.data.tobytes(), cost.total_us))
+            except Exception as ex:  # surfaced below, on the main thread
+                errors.append(ex)
+
+        threads = [
+            threading.Thread(target=worker, args=(k,)) for k in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            start.wait(timeout=30)
-            executor = EXECUTORS[k % len(EXECUTORS)]
-            engine = make_engine(executor, NVIDIA_GTX780TI, prog=compiled.core)
-            for _ in range(5):
-                (out,), cost = engine.run(compiled.host, args)
-                results.append((out.data.tobytes(), cost.total_us))
-        except Exception as ex:  # surfaced below, on the main thread
-            errors.append(ex)
-
-    threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert not errors, errors
-    assert transpiled == ["main"]
-    assert len(results) == 8 * 5 and len(set(results)) == 1
-    sources = jit_cache_for(compiled.host).sources()
-    assert all(len(by_sig) == 1 for by_sig in sources.values())
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert transpiled == ["main"]
+        assert len(results) == 8 * 5 and len(set(results)) == 1
+        sources = jit_cache_for(compiled.host).sources()
+        assert all(len(by_sig) == 1 for by_sig in sources.values())
+        assert sorted(kernels) == sorted(
+            (name, sig) for name, by_sig in sources.items() for sig in by_sig
+        )
+        assert len(stores) == (1 if cache else 0), stores
 
 
 # -- what a warm jit run no longer does ----------------------------------------
@@ -217,7 +250,7 @@ def test_the_interpreter_is_called_by_three_programs_only(counted):
 
 
 def test_a_second_cache_over_the_same_artifacts_transpiles_nothing(
-    tmp_path, counted
+    tmp_path, counted, monkeypatch
 ):
     cache = ArtifactCache(tmp_path)
     policy = ExecutionPolicy(executor="jit")
@@ -235,6 +268,14 @@ def test_a_second_cache_over_the_same_artifacts_transpiles_nothing(
     assert report.fallbacks == 0
     for g, w in zip(got, want):
         assert values_equal(g, w, rtol=0.0, atol=0.0)
+    # A cold first run stores each program's generated code once.
+    stores = _pycode_stores(monkeypatch)
+    for name in NAMES:
+        compiled, args = _compiled(
+            name, artifact_cache=ArtifactCache(tmp_path / "cold" / name)
+        )
+        compiled.execute(args, policy=policy)
+    assert sorted(stores) == sorted(NAMES)
 
 
 # -- the checks are the interpreter's -------------------------------------------

@@ -17,9 +17,8 @@ from repro.pipeline import (
     CompilerOptions,
     StageArtifact,
     compile_source,
-    default_artifact_cache,
 )
-from repro.pipeline.artifact import ARTIFACT_DIR_ENV
+from repro.pipeline.artifact import ARTIFACT_DIR_ENV, default_artifact_cache
 from repro.errors import ArgumentError
 from repro.runtime import ExecutionPolicy
 

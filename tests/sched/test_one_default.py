@@ -8,8 +8,9 @@ needs another value swaps the pool's attribute before its first
 request; a pool owns no thread.
 A fault plan and an execution policy hold only their own fields (no
 wall-clock fault, one retry cap).  The environment holds one setting
-too: the artifact cache's root.  A layout and the in-place mode are
-compile decisions, so no run-time signature names them.
+too: the artifact cache's root, which only the compile reads.  A
+layout and the in-place mode are compile decisions, so no run-time
+signature names them.
 """
 
 import ast
@@ -219,3 +220,28 @@ def _env_reads():
 
 def test_the_only_environment_knob_is_the_artifact_dir():
     assert _env_reads() == {"REPRO_ARTIFACT_DIR"}
+
+
+def test_only_the_compile_driver_asks_for_the_default_cache():
+    """``$REPRO_ARTIFACT_DIR`` is read once, by the compile: everything
+    downstream (the jit's generated code too) uses the cache the compile
+    went through, so ``artifact_cache=None`` means no cache anywhere."""
+    root = Path(repro.__file__).parent
+    defined, referenced = set(), set()
+    for path in sorted(root.rglob("*.py")):
+        where = path.relative_to(root).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef):
+                name, into = node.name, defined
+            elif isinstance(node, ast.Name):
+                name, into = node.id, referenced
+            elif isinstance(node, ast.Attribute):
+                name, into = node.attr, referenced
+            elif isinstance(node, ast.alias):
+                name, into = node.name, referenced
+            else:
+                continue
+            if name == "default_artifact_cache":
+                into.add(where)
+    assert defined == {"pipeline/artifact.py"}
+    assert referenced == {"pipeline/driver.py"}

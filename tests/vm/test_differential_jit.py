@@ -51,7 +51,7 @@ from repro.pipeline.artifact import ArtifactCache, StageArtifact
 from repro.pipeline.fingerprint import _digest
 from repro.gpu.device import NVIDIA_GTX780TI
 from repro.runtime import ExecutionPolicy, run_resilient
-from repro.serve import ServeRequest
+from repro.serve import Server, ServeRequest
 from repro.vm.jit import jit_cache_for
 from repro.vm.jit.codegen import PYCODE_SCHEMA
 
@@ -241,6 +241,39 @@ def test_pycode_from_an_older_schema_is_discarded(tmp_path):
         rewritten = cache.load("pycode", current_fp)
         assert rewritten.payload["schema"] == PYCODE_SCHEMA
         assert rewritten.payload["kernels"] == fresh
+
+
+def test_a_compile_without_a_cache_leaves_the_environment_dir_alone(
+    tmp_path, monkeypatch
+):
+    """The jit persists generated source only in the cache its program's
+    compile went through: after ``compile_program(..., artifact_cache=
+    None)`` a jit run, and a ``Server().call`` (which compiles the same
+    way), read and write nothing under ``$REPRO_ARTIFACT_DIR``."""
+    env_dir = tmp_path / "env"
+    env_dir.mkdir(mode=0o700)
+    monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(env_dir))
+    touched = []
+    for method in ("load", "store"):
+        real = getattr(ArtifactCache, method)
+
+        def spy(self, *a, _real=real, _method=method):
+            touched.append((_method, str(self.root)))
+            return _real(self, *a)
+
+        monkeypatch.setattr(ArtifactCache, method, spy)
+    spec = BENCHMARKS["NN"]
+    args = spec.small_args(np.random.default_rng(0))
+    compiled = compile_program(spec.program(), artifact_cache=None)
+    compiled.execute(args, policy=JIT_POLICY)
+    assert jit_cache_for(compiled.host).sources()
+    with Server(queue_capacity=8) as server:
+        r = server.call(
+            ServeRequest(spec.program(), args, executor="jit"), timeout=60
+        )
+    assert r.ok and r.backend == "jit", r
+    assert touched == []
+    assert list(env_dir.iterdir()) == []
 
 
 # -- fallback = interpreter --------------------------------------------------
